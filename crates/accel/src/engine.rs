@@ -7,7 +7,9 @@
 //! bulk load, and grooming.
 
 use crate::durable::{Checkpoint, DurableStore, LogRecord, ScrubReport, SliceImage, TableImage};
-use crate::exec::{describe_pipeline, execute_plan, scan_filtered, ExecCtx, ExecMode};
+use crate::exec::{
+    describe_pipeline, execute_plan, scan_filtered, scan_victims, ExecCtx, ExecMode,
+};
 use crate::mvcc::{CommitSeq, Snapshot, TxnId, TxnRegistry, TxnStatus};
 use crate::table::{AccelTable, RowPos};
 use idaa_common::{wire, Error, ObjectName, Result, Row, Rows, Schema};
@@ -18,7 +20,7 @@ use idaa_sql::plan::{plan_query, Plan, PlanProfile, SchemaProvider};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Tunables for the accelerator (ablation experiments flip these).
@@ -44,18 +46,20 @@ impl Default for AccelConfig {
 impl AccelConfig {
     /// Effective worker count for parallel operators: 1 when `parallel` is
     /// off, else the explicit `parallelism`, else `available_parallelism()`
-    /// capped at the slice count.
+    /// capped at the slice count. The machine is asked once per process:
+    /// the call reads affinity masks and cgroup files, and every scan, join,
+    /// aggregate and sort node sizes its fan-out from here.
     pub fn workers(&self) -> usize {
+        static AUTO: OnceLock<usize> = OnceLock::new();
         if !self.parallel {
             return 1;
         }
         if self.parallelism > 0 {
             return self.parallelism;
         }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(self.slices.max(1))
+        let auto = *AUTO
+            .get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
+        auto.min(self.slices.max(1))
     }
 }
 
@@ -94,6 +98,10 @@ pub struct AccelStats {
 /// schema or dictionary fingerprint moved (DDL, dictionary growth, groom)
 /// invalidates the entry and the statement replans.
 struct CachedPlan {
+    /// The statement's canonical text. The cache key is only its 64-bit
+    /// hash, so a hit must also compare the text: a colliding statement
+    /// replans instead of being served this plan.
+    text: String,
     plan: Arc<Plan>,
     /// `(table, schema fingerprint, dictionary fingerprint)` per
     /// referenced table, in [`Plan::tables`] order.
@@ -856,14 +864,16 @@ impl AccelEngine {
     /// growth all force a replan (whose fresh kernels see the new
     /// dictionary). Returns the shared plan and whether it was a hit.
     pub fn plan_cached(&self, query: &Query) -> Result<(Arc<Plan>, bool)> {
-        let key = wire::hash64(query.to_string().as_bytes());
+        let text = query.to_string();
+        let key = wire::hash64(text.as_bytes());
         if let Some(entry) = self.plan_cache.read().get(&key) {
-            let valid = entry.deps.iter().all(|(name, schema_fp, dict_fp)| {
-                self.table(name).is_ok_and(|t| {
-                    wire::schema_fingerprint(&t.schema) == *schema_fp
-                        && t.dict_fingerprint() == *dict_fp
-                })
-            });
+            let valid = entry.text == text
+                && entry.deps.iter().all(|(name, schema_fp, dict_fp)| {
+                    self.table(name).is_ok_and(|t| {
+                        wire::schema_fingerprint(&t.schema) == *schema_fp
+                            && t.dict_fingerprint() == *dict_fp
+                    })
+                });
             if valid {
                 self.stats.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
                 return Ok((entry.plan.clone(), true));
@@ -881,7 +891,7 @@ impl AccelEngine {
                 })
             })
             .collect();
-        self.plan_cache.write().insert(key, CachedPlan { plan: Arc::clone(&plan), deps });
+        self.plan_cache.write().insert(key, CachedPlan { text, plan: Arc::clone(&plan), deps });
         Ok((plan, false))
     }
 
@@ -965,7 +975,8 @@ impl AccelEngine {
         self.ensure_up()?;
         self.ensure_not_quarantined(table)?;
         let t = self.table(table)?;
-        let victims = self.matching_positions(&t, txn, filter)?;
+        // Only the positions are used: materialize no column.
+        let victims = self.matching_positions(&t, txn, filter, Some(vec![false; t.schema.len()]))?;
         self.mark_all(&t, &victims, txn)?;
         self.log_marks(txn, &t, &victims)?;
         self.stats.rows_deleted.fetch_add(victims.len() as u64, Ordering::Relaxed);
@@ -989,7 +1000,7 @@ impl AccelEngine {
             .iter()
             .map(|(col, e)| Ok((t.schema.index_of(col)?, bind(e, &resolver)?)))
             .collect::<Result<_>>()?;
-        let victims = self.matching_positions(&t, txn, filter)?;
+        let victims = self.matching_positions(&t, txn, filter, None)?;
         // Build all replacement rows first (any evaluation error aborts the
         // statement before any mark is placed).
         let mut replacements = Vec::with_capacity(victims.len());
@@ -1027,41 +1038,23 @@ impl AccelEngine {
         })
     }
 
-    /// Visible positions (and their rows) matching `filter` for `txn`.
+    /// Visible positions (and their rows) matching `filter` for `txn`, found
+    /// by the executor's scan front end. `needed` masks the columns the
+    /// caller reads of each victim row (`None` = all).
     fn matching_positions(
         &self,
         t: &AccelTable,
         txn: TxnId,
         filter: Option<&Expr>,
+        needed: Option<Vec<bool>>,
     ) -> Result<Vec<(RowPos, Row)>> {
-        let snap = self.snapshot_for(txn);
-        let bound = match filter {
-            Some(f) => {
-                let resolver = FlatResolver::from_schema(Some(&t.name.name), &t.schema);
-                Some(bind(f, &resolver)?)
-            }
-            None => None,
+        let ctx = ExecCtx {
+            engine: self,
+            snap: self.snapshot_for(txn),
+            mode: ExecMode::Vectorized,
+            profile: None,
         };
-        let mut out = Vec::new();
-        for (si, slice_lock) in t.slices().iter().enumerate() {
-            let slice = slice_lock.read();
-            for pos in 0..slice.version_count() {
-                if !self
-                    .txns
-                    .version_visible(slice.created[pos], slice.deleted[pos], &snap)
-                {
-                    continue;
-                }
-                let row = slice.row_at(pos);
-                if let Some(b) = &bound {
-                    if !idaa_sql::eval::eval_predicate(b, &row)? {
-                        continue;
-                    }
-                }
-                out.push((RowPos { slice: si, pos }, row));
-            }
-        }
-        Ok(out)
+        scan_victims(t, filter, &ctx, needed)
     }
 
     /// Mark all victims deleted; on a write-write conflict, roll the
@@ -1256,6 +1249,31 @@ mod tests {
         e.restart().unwrap();
         assert!(!e.plan_cached(&query).unwrap().1, "restart starts with a cold cache");
         assert!(e.plan_cached(&query).unwrap().1);
+    }
+
+    #[test]
+    fn plan_cache_hash_collision_replans_instead_of_serving_the_other_plan() {
+        let e = engine();
+        e.load_committed(&ObjectName::bare("T"), vec![row(1, "A", 1.0), row(7, "B", 2.0)])
+            .unwrap();
+        let parse = |sql: &str| match parse_statement(sql).unwrap() {
+            Statement::Query(q) => q,
+            _ => panic!(),
+        };
+        let other = parse("SELECT COUNT(*) FROM t");
+        let wanted = parse("SELECT id FROM t WHERE grp = 'B'");
+        // Plant `other`'s (still valid) entry under `wanted`'s key, as a
+        // 64-bit collision between the two texts would.
+        e.plan_cached(&other).unwrap();
+        let key_of = |q: &Query| wire::hash64(q.to_string().as_bytes());
+        let planted = e.plan_cache.write().remove(&key_of(&other)).unwrap();
+        e.plan_cache.write().insert(key_of(&wanted), planted);
+        let misses = e.stats.plan_cache_misses.load(Ordering::Relaxed);
+        let rows = e.query(1, &wanted).unwrap();
+        assert_eq!(rows.rows, vec![vec![Value::Int(7)]], "served the colliding statement's plan");
+        assert_eq!(e.stats.plan_cache_misses.load(Ordering::Relaxed), misses + 1);
+        // The replan took the slot over.
+        assert!(e.plan_cached(&wanted).unwrap().1);
     }
 
     #[test]

@@ -1,24 +1,33 @@
 //! Columnar, slice-parallel execution for the accelerator.
 //!
-//! The hot path is the vectorized scan: predicate conjuncts are compiled to
-//! a kernel IR (numeric comparisons, BETWEEN ranges, dictionary-code string
-//! equality, IS \[NOT\] NULL over bitmap words) and each 4096-row block is
-//! processed as a batch — a selection vector of visible positions that
-//! every kernel compacts in place over the typed column vectors, with no
-//! intermediate row materialization. Whole blocks are skipped via zone
-//! maps, and data slices scan in parallel threads. Rows are materialized
-//! only for positions that survive visibility + kernel + residual
-//! filtering; the remaining operators (join/aggregate/sort/…) run over that
-//! much smaller set, and filter→aggregate chains feed aggregate states
-//! directly from the surviving selection. Any conjunct the compiler cannot
-//! prove exact (see `guarded_lit`) stays with the row-at-a-time
-//! interpreter as a residual — results are always exact, never
-//! approximate.
+//! Every read and every UPDATE/DELETE victim selection goes through one
+//! *scan front end* (`scan_blocks`), whose cost follows the rows that
+//! survive and the columns that are read, not the versions stored. Per
+//! 4096-row block it (1) skips the block when a kernel's zone map proves it
+//! empty, (2) resolves MVCC visibility under a single registry view
+//! ([`crate::mvcc::TxnRegistry::view`]: one lock acquisition per block, and
+//! two integer compares per version while creator and deleter repeat) into
+//! a selection vector of visible positions, and (3) lets each compiled
+//! kernel — numeric comparisons, BETWEEN ranges, dictionary-code string
+//! equality, IS \[NOT\] NULL over bitmap words — compact that vector in
+//! place over the typed column vectors. Rows are materialized only for
+//! positions that survive visibility + kernel + residual filtering, and
+//! only for the columns the plan above reads (the projection mask flows
+//! through filters, sorts, aggregates and both sides of a join);
+//! filter→aggregate chains feed aggregate states directly from the
+//! surviving selection. Any conjunct the compiler cannot prove exact (see
+//! `guarded_lit`) stays with the row-at-a-time interpreter as a residual —
+//! results are always exact, never approximate.
+//!
+//! Slices, join partitions and sort/aggregate chunks all fan out through
+//! `run_parts`: *what* the parts are is fixed by the configuration (so
+//! output order is too), *who* runs them is decided per call from the
+//! worker count and the input size.
 
 use crate::column::{Column, NullMap};
 use crate::engine::AccelEngine;
 use crate::mvcc::Snapshot;
-use crate::table::{AccelTable, Slice, ZoneEntry, BLOCK_ROWS};
+use crate::table::{AccelTable, RowPos, Slice, ZoneEntry, BLOCK_ROWS};
 use idaa_common::wire::{key_hash_i64, key_hash_str, KeySummary};
 use idaa_common::{ColumnDef, Result, Row, Rows, Schema, Value};
 use idaa_sql::ast::{BinaryOp, Expr, JoinKind};
@@ -26,28 +35,52 @@ use idaa_sql::eval::{bind, eval, eval_predicate, AggState, BoundExpr, FlatResolv
 use idaa_sql::plan::{Plan, PlanCol, PlanProfile};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// `Limit(Sort(…))` fuses into a bounded top-K selection when the limit is
 /// at most this many rows (beyond that a full parallel sort wins).
 const TOPK_MAX: u64 = 1024;
 
-/// Run `f(0)..f(parts-1)` on scoped worker threads and return the results
-/// in part order. The fixed partition order is what keeps every parallel
-/// operator deterministic for a given configuration.
-fn run_parts<T, F>(parts: usize, f: F) -> Vec<T>
+/// Run `f(0)..f(parts-1)` and return the results in part order — the one
+/// fan-out every parallel operator uses. The caller fixes the partitioning
+/// (`parts`) from the configuration, which keeps output deterministic for a
+/// given configuration; this function only decides the schedule. An input
+/// of at most one batch (`input` counts rows or versions) runs every part
+/// inline: spawning costs more than the work. Otherwise `min(workers,
+/// parts) - 1` scoped helpers plus the calling thread claim parts from a
+/// shared counter until none are left.
+fn run_parts<T, F>(parts: usize, workers: usize, input: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if parts <= 1 {
+    let threads = workers.min(parts);
+    if threads <= 1 || input <= BLOCK_ROWS {
         return (0..parts).map(f).collect();
     }
-    std::thread::scope(|scope| {
-        let fr = &f;
-        let handles: Vec<_> = (0..parts).map(|i| scope.spawn(move || fr(i))).collect();
-        handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
-    })
+    // Relaxed: the counter only hands out indices; results are published by
+    // the joins.
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= parts {
+                return done;
+            }
+            done.push((i, f(i)));
+        }
+    };
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(claim)).collect();
+        let mut done = claim();
+        for h in helpers {
+            done.extend(h.join().expect("worker thread panicked"));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, t)| t).collect()
 }
 
 /// Which execution pipeline the accelerator uses for scans and fused
@@ -169,7 +202,9 @@ fn run_masked_inner(plan: &Plan, ctx: &ExecCtx, needed: Option<Vec<bool>>) -> Re
                 .map(|row| bound.iter().map(|b| eval(b, &row)).collect())
                 .collect()
         }
-        Plan::Join { left, right, kind, on } => run_join(plan, left, right, *kind, on, ctx),
+        Plan::Join { left, right, kind, on } => {
+            run_join(plan, left, right, *kind, on, ctx, needed)
+        }
         Plan::Aggregate { input, group_exprs, aggs, .. } => {
             if let Some(rows) = try_fused_aggregate(plan, input, group_exprs, aggs, ctx)? {
                 return Ok(rows);
@@ -254,13 +289,9 @@ fn run_masked_inner(plan: &Plan, ctx: &ExecCtx, needed: Option<Vec<bool>>) -> Re
     }
 }
 
-/// Scan with an optional predicate, materializing every column.
-pub(crate) fn scan_filtered(
-    table: &AccelTable,
-    predicate: Option<&Expr>,
-    ctx: &ExecCtx,
-) -> Result<Vec<Row>> {
-    let cols: Vec<PlanCol> = table
+/// The columns of a bare scan of `table`, qualified by its name.
+fn table_cols(table: &AccelTable) -> Vec<PlanCol> {
+    table
         .schema
         .columns()
         .iter()
@@ -269,11 +300,18 @@ pub(crate) fn scan_filtered(
             name: c.name.clone(),
             data_type: c.data_type,
         })
-        .collect();
-    match predicate {
-        Some(p) => scan_filtered_with(table, Some((p, cols.as_slice())), ctx, None, None, None),
-        None => scan_filtered_with(table, None, ctx, None, None, None),
-    }
+        .collect()
+}
+
+/// Scan with an optional predicate, materializing every column.
+pub(crate) fn scan_filtered(
+    table: &AccelTable,
+    predicate: Option<&Expr>,
+    ctx: &ExecCtx,
+) -> Result<Vec<Row>> {
+    let cols = table_cols(table);
+    let pred = predicate.map(|p| (p, cols.as_slice()));
+    scan_filtered_with(table, pred, ctx, None, None, None)
 }
 
 /// The kernel IR: one compiled single-column predicate. A conjunction
@@ -659,24 +697,96 @@ fn zone_prunes(kernels: &[Kernel], slice: &Slice, b: usize) -> bool {
 }
 
 /// Fill `sel` with the visible positions of block `b`, ascending. Returns
-/// the block's `(start, end)` row range.
+/// the block's `(start, end)` row range. Visibility is resolved under one
+/// registry view — one lock acquisition for the block — that is dropped
+/// before anything else runs.
 fn select_block(
     sel: &mut Vec<u32>,
     slice: &Slice,
     b: usize,
     total: usize,
-    engine: &AccelEngine,
-    snap: &Snapshot,
+    ctx: &ExecCtx,
 ) -> (usize, usize) {
     let start = b * BLOCK_ROWS;
     let end = (start + BLOCK_ROWS).min(total);
     sel.clear();
-    for pos in start..end {
-        if engine.txns.version_visible(slice.created[pos], slice.deleted[pos], snap) {
+    let mut vis = ctx.engine.txns.view(&ctx.snap);
+    let versions = slice.created[start..end].iter().zip(&slice.deleted[start..end]);
+    for (pos, (&created, &deleted)) in (start..end).zip(versions) {
+        if vis.visible(created, deleted) {
             sel.push(pos as u32);
         }
     }
     (start, end)
+}
+
+/// The scan front end for one slice. Per block: skip it when a kernel's
+/// zone map proves it empty, resolve visibility into a selection vector
+/// ([`select_block`]), let each kernel and then the derived join-filter
+/// compact it, and hand the survivors (ascending positions) to `sink`.
+/// Returns the number of batches run. `counted` is false for DML victim
+/// selection: the scan counters describe query work in every experiment
+/// table, so DML leaves them alone.
+fn scan_blocks(
+    slice: &Slice,
+    kernels: &[Kernel],
+    prefilter: Option<&ProbeFilter>,
+    ctx: &ExecCtx,
+    counted: bool,
+    mut sink: impl FnMut(&[u32]) -> Result<()>,
+) -> Result<u64> {
+    let count = |counter: &AtomicU64, n: usize| {
+        if counted {
+            counter.fetch_add(n as u64, Ordering::Relaxed);
+        }
+    };
+    let stats = &ctx.engine.stats;
+    let use_zones = ctx.engine.config.zone_maps;
+    let spec: Vec<SpecKernel> = kernels.iter().map(|k| k.specialize(slice)).collect();
+    let probe: Option<SpecProbe> = prefilter.map(|pf| pf.specialize(slice));
+    let total = slice.version_count();
+    let mut sel: Vec<u32> = Vec::with_capacity(BLOCK_ROWS.min(total));
+    let mut batches = 0u64;
+    for b in 0..slice.block_count() {
+        count(&stats.blocks_scanned, 1);
+        if use_zones && zone_prunes(kernels, slice, b) {
+            count(&stats.blocks_pruned, 1);
+            continue;
+        }
+        batches += 1;
+        let (start, end) = select_block(&mut sel, slice, b, total, ctx);
+        for k in &spec {
+            if sel.is_empty() {
+                break;
+            }
+            k.filter(&mut sel);
+        }
+        // The derived join-filter runs after the scan's own kernels: it
+        // only shrinks the selection, never prunes blocks, so every
+        // stats counter stays identical with and without it.
+        if let Some(p) = &probe {
+            if !sel.is_empty() {
+                p.filter(&mut sel);
+            }
+        }
+        sink(&sel)?;
+        count(&stats.rows_scanned, end - start);
+    }
+    Ok(batches)
+}
+
+/// Run `f` over every slice of `table` through [`run_parts`], each part
+/// holding its slice's read lock; results come back in slice order.
+fn for_each_slice<T: Send>(
+    table: &AccelTable,
+    ctx: &ExecCtx,
+    f: impl Fn(&Slice) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    let slices = table.slices();
+    let workers = ctx.engine.config.workers();
+    run_parts(slices.len(), workers, table.version_count(), |si| f(&slices[si].read()))
+        .into_iter()
+        .collect()
 }
 
 fn scan_filtered_with(
@@ -687,6 +797,37 @@ fn scan_filtered_with(
     prof_node: Option<&Plan>,
     prefilter: Option<&ProbeFilter>,
 ) -> Result<Vec<Row>> {
+    scan_table(table, pred, ctx, needed, prof_node, prefilter, false).map(|(rows, _)| rows)
+}
+
+/// `UPDATE`/`DELETE … WHERE` victim selection: the rows `filter` selects
+/// under `ctx.snap` with their positions, slice-major in ascending position
+/// order. Same front end as a query — kernels, zone pruning, block
+/// visibility, residual re-check — so a row is built only for a victim
+/// (and only its `needed` columns plus what the residual reads).
+pub(crate) fn scan_victims(
+    table: &AccelTable,
+    filter: Option<&Expr>,
+    ctx: &ExecCtx,
+    needed: Option<Vec<bool>>,
+) -> Result<Vec<(RowPos, Row)>> {
+    let cols = table_cols(table);
+    let pred = filter.map(|f| (f, cols.as_slice()));
+    let (rows, positions) = scan_table(table, pred, ctx, needed, None, None, true)?;
+    Ok(positions.into_iter().zip(rows).collect())
+}
+
+/// Scan `table`: the surviving rows, plus their positions when `victims`
+/// is set (a victim scan also leaves the scan counters untouched).
+fn scan_table(
+    table: &AccelTable,
+    pred: Option<(&Expr, &[PlanCol])>,
+    ctx: &ExecCtx,
+    needed: Option<Vec<bool>>,
+    prof_node: Option<&Plan>,
+    prefilter: Option<&ProbeFilter>,
+    victims: bool,
+) -> Result<(Vec<Row>, Vec<RowPos>)> {
     // Compile conjuncts into kernels plus a residual predicate. Forced
     // interpreter mode compiles nothing: the whole predicate is residual.
     let mut kernels: Vec<Kernel> = Vec::new();
@@ -731,96 +872,57 @@ fn scan_filtered_with(
         }
     };
 
-    let engine = ctx.engine;
-    let use_zones = engine.config.zone_maps;
-    let snap = ctx.snap;
-    let slices = table.slices();
     // Late materialization: with no interpreted residual left, survivors
     // are assembled column-at-a-time by projection kernels instead of the
     // per-row loop. Interpreted mode keeps the row loop as the oracle.
     let late_mat = ctx.mode == ExecMode::Vectorized && residual.is_none();
 
-    // Per slice: build a block-sized selection vector of visible positions,
-    // let each kernel compact it in turn, then materialize (and residual-
-    // check) only the survivors, in ascending position order — the same
-    // output order as the old per-row loop, without its per-row dispatch.
-    let scan_one = |slice_lock: &parking_lot::RwLock<Slice>| -> Result<(Vec<Row>, u64)> {
-        let slice = slice_lock.read();
-        let spec: Vec<SpecKernel> = kernels.iter().map(|k| k.specialize(&slice)).collect();
-        let probe: Option<SpecProbe> = prefilter.map(|pf| pf.specialize(&slice));
-        let total = slice.version_count();
+    // Per slice: materialize (and residual-check) only the survivors the
+    // front end hands over, in ascending position order — the same output
+    // order as a per-row loop, without its per-row dispatch.
+    let scan_one = |slice: &Slice| -> Result<(Vec<Row>, Vec<u32>, u64)> {
         let mut out = Vec::new();
-        let mut sel: Vec<u32> = Vec::with_capacity(BLOCK_ROWS.min(total));
-        let mut batches = 0u64;
-        let blocks = slice.block_count();
-        for b in 0..blocks {
-            engine.stats.blocks_scanned.fetch_add(1, Ordering::Relaxed);
-            if use_zones && zone_prunes(&kernels, &slice, b) {
-                engine.stats.blocks_pruned.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            batches += 1;
-            let (start, end) = select_block(&mut sel, &slice, b, total, engine, &snap);
-            for k in &spec {
-                if sel.is_empty() {
-                    break;
-                }
-                k.filter(&mut sel);
-            }
-            // The derived join-filter runs after the scan's own kernels: it
-            // only shrinks the selection, never prunes blocks, so every
-            // stats counter stays identical with and without it.
-            if let Some(p) = &probe {
-                if !sel.is_empty() {
-                    p.filter(&mut sel);
-                }
-            }
+        let mut positions: Vec<u32> = Vec::new();
+        let batches = scan_blocks(slice, &kernels, prefilter, ctx, !victims, |sel| {
             if late_mat {
-                materialize_block(&slice, &sel, mask.as_deref(), &mut out);
-            } else {
-                for &p in &sel {
-                    let pos = p as usize;
-                    let row: Row = match &mask {
-                        None => slice.row_at(pos),
-                        Some(m) => slice
-                            .columns
-                            .iter()
-                            .enumerate()
-                            .map(|(i, c)| if m[i] { c.get(pos) } else { Value::Null })
-                            .collect(),
-                    };
-                    if let Some(res) = &residual {
-                        if !eval_predicate(res, &row)? {
-                            continue;
-                        }
+                materialize_block(slice, sel, mask.as_deref(), &mut out);
+                if victims {
+                    positions.extend_from_slice(sel);
+                }
+                return Ok(());
+            }
+            for &p in sel {
+                let pos = p as usize;
+                let row: Row = match &mask {
+                    None => slice.row_at(pos),
+                    Some(m) => slice
+                        .columns
+                        .iter()
+                        .enumerate()
+                        .map(|(i, c)| if m[i] { c.get(pos) } else { Value::Null })
+                        .collect(),
+                };
+                if let Some(res) = &residual {
+                    if !eval_predicate(res, &row)? {
+                        continue;
                     }
-                    out.push(row);
+                }
+                out.push(row);
+                if victims {
+                    positions.push(p);
                 }
             }
-            engine
-                .stats
-                .rows_scanned
-                .fetch_add((end - start) as u64, Ordering::Relaxed);
-        }
-        Ok((out, batches))
+            Ok(())
+        })?;
+        Ok((out, positions, batches))
     };
 
-    let results: Vec<Result<(Vec<Row>, u64)>> = if engine.config.parallel && slices.len() > 1 {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = slices
-                .iter()
-                .map(|s| scope.spawn(|| scan_one(s)))
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("scan thread panicked")).collect()
-        })
-    } else {
-        slices.iter().map(&scan_one).collect()
-    };
     let mut out = Vec::new();
+    let mut positions = Vec::new();
     let mut batches = 0u64;
-    for r in results {
-        let (rows, b) = r?;
+    for (si, (rows, pos, b)) in for_each_slice(table, ctx, scan_one)?.into_iter().enumerate() {
         out.extend(rows);
+        positions.extend(pos.into_iter().map(|p| RowPos { slice: si, pos: p as usize }));
         batches += b;
     }
     // A scan counts as vectorized only when at least one kernel compiled
@@ -831,7 +933,7 @@ fn scan_filtered_with(
             prof.record_vectorized(node, batches);
         }
     }
-    Ok(out)
+    Ok((out, positions))
 }
 
 /// Assemble output rows for one block's surviving selection with projection
@@ -893,12 +995,13 @@ fn sort_rows(mut rows: Vec<Row>, keys: &[(usize, bool)], workers: usize) -> Vec<
         return rows;
     }
     let chunk = rows.len().div_ceil(workers).max(1);
-    std::thread::scope(|scope| {
-        for part in rows.chunks_mut(chunk) {
-            let c = &cmp;
-            scope.spawn(move || part.sort_by(c));
-        }
-    });
+    let total = rows.len();
+    // `run_parts` wants `Fn`: each part takes its own (uncontended) lock to
+    // reach its chunk mutably.
+    let chunks: Vec<parking_lot::Mutex<&mut [Row]>> =
+        rows.chunks_mut(chunk).map(parking_lot::Mutex::new).collect();
+    run_parts(chunks.len(), workers, total, |ci| chunks[ci].lock().sort_by(&cmp));
+    drop(chunks);
     let mut bounds: Vec<(usize, usize)> = Vec::new();
     let mut start = 0;
     while start < rows.len() {
@@ -1215,11 +1318,16 @@ fn derive_probe_filter(
 /// Execute the probe side of a join with a derived join-filter pushed into
 /// its scan (shapes pre-checked by [`derive_probe_filter`]; anything else
 /// falls back to the plain path).
-fn run_probe_scan(left: &Plan, ctx: &ExecCtx, pf: &ProbeFilter) -> Result<Vec<Row>> {
+fn run_probe_scan(
+    left: &Plan,
+    ctx: &ExecCtx,
+    pf: &ProbeFilter,
+    needed: Option<Vec<bool>>,
+) -> Result<Vec<Row>> {
     let rows = match left {
         Plan::Scan { table, .. } => {
             let t = ctx.engine.table(table)?;
-            scan_filtered_with(&t, None, ctx, None, Some(left), Some(pf))?
+            scan_filtered_with(&t, None, ctx, needed, Some(left), Some(pf))?
         }
         Plan::Filter { input, predicate }
             if matches!(input.as_ref(), Plan::Scan { .. }) =>
@@ -1227,9 +1335,9 @@ fn run_probe_scan(left: &Plan, ctx: &ExecCtx, pf: &ProbeFilter) -> Result<Vec<Ro
             let Plan::Scan { table, .. } = input.as_ref() else { unreachable!() };
             let t = ctx.engine.table(table)?;
             let cols = input.cols();
-            scan_filtered_with(&t, Some((predicate, &cols)), ctx, None, Some(left), Some(pf))?
+            scan_filtered_with(&t, Some((predicate, &cols)), ctx, needed, Some(left), Some(pf))?
         }
-        _ => return run_masked(left, ctx, None),
+        _ => return run_masked(left, ctx, needed),
     };
     if let Some(prof) = ctx.profile {
         prof.record(left, rows.len() as u64);
@@ -1244,6 +1352,7 @@ fn run_join(
     kind: JoinKind,
     on: &Expr,
     ctx: &ExecCtx,
+    needed: Option<Vec<bool>>,
 ) -> Result<Vec<Row>> {
     let lcols = left.cols();
     let rcols = right.cols();
@@ -1260,12 +1369,25 @@ fn run_join(
     let rwidth = rcols.len();
     let workers = ctx.engine.config.workers();
 
+    // Projection pushdown through the join: each side materializes what the
+    // caller reads of it plus what the ON predicate (keys and residual
+    // conjuncts alike) reads; every other column stays NULL.
+    let (lmask, rmask) = match needed {
+        None => (None, None),
+        Some(mut m) => {
+            m.resize(lcols.len() + rwidth, false);
+            let mut l = union_mask(Some(m), mask_of(lcols.len() + rwidth, &[&bound_on]));
+            let r = l.split_off(lcols.len());
+            (Some(l), Some(r))
+        }
+    };
+
     // Build side (right) first: its finished key digest can pre-filter the
     // probe-side scan before any probe row materializes.
-    let rrows = run_masked(right, ctx, None)?;
+    let rrows = run_masked(right, ctx, rmask)?;
 
     if lkeys.is_empty() {
-        let lrows = run_masked(left, ctx, None)?;
+        let lrows = run_masked(left, ctx, lmask)?;
         return nested_loop_join(&lrows, &rrows, kind, &bound_on, rwidth, workers);
     }
 
@@ -1280,8 +1402,8 @@ fn run_join(
 
     let prefilter = derive_probe_filter(left, &lkeys, layout, kind, ctx.mode, &rkeyed);
     let lrows = match &prefilter {
-        Some(pf) => run_probe_scan(left, ctx, pf)?,
-        None => run_masked(left, ctx, None)?,
+        Some(pf) => run_probe_scan(left, ctx, pf, lmask)?,
+        None => run_masked(left, ctx, lmask)?,
     };
 
     let lkeyed = match try_extract_keys(&lkeys, &lrows, layout)? {
@@ -1340,7 +1462,8 @@ fn hash_join(
         probe_parts[(h % parts as u64) as usize].push(i);
     }
 
-    let results = run_parts(parts, |p| -> Result<(Vec<Row>, u64)> {
+    let input = lrows.len() + rrows.len();
+    let results = run_parts(parts, workers, input, |p| -> Result<(Vec<Row>, u64)> {
         let mut table: HashMap<u64, Vec<usize>> =
             HashMap::with_capacity(build_parts[p].len());
         let mut bloom = KeySummary::with_capacity(build_parts[p].len());
@@ -1405,7 +1528,9 @@ fn nested_loop_join(
 ) -> Result<Vec<Row>> {
     let chunk = lrows.len().div_ceil(workers.max(1)).max(1);
     let chunks: Vec<&[Row]> = lrows.chunks(chunk).collect();
-    let results = run_parts(chunks.len(), |ci| -> Result<Vec<Row>> {
+    // The work is the pairs evaluated, not the rows read.
+    let input = lrows.len().saturating_mul(rrows.len());
+    let results = run_parts(chunks.len(), workers, input, |ci| -> Result<Vec<Row>> {
         let mut out = Vec::new();
         for lrow in chunks[ci] {
             let mut matched = false;
@@ -1586,150 +1711,97 @@ fn try_fused_aggregate(
         return Ok(None);
     };
     let FusedPipeline { table, key_ords, args, expr_cols, kernels } = &fused;
-
-    let engine = ctx.engine;
-    let use_zones = engine.config.zone_maps;
-    let snap = ctx.snap;
     let width = table.schema.len();
-    let slices = table.slices();
+    let new_states =
+        || -> Vec<AggState> { aggs.iter().map(|a| AggState::new(a.kind, a.distinct)).collect() };
 
-    let fuse_slice =
-        |slice_lock: &parking_lot::RwLock<Slice>| -> Result<(Groups, u64)> {
-            let slice = slice_lock.read();
-            let spec: Vec<SpecKernel> = kernels.iter().map(|k| k.specialize(&slice)).collect();
-            let total = slice.version_count();
-            let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-            let mut groups: Groups = Vec::new();
-            // Typed accumulation slots: column arguments whose slice vector
-            // is numeric feed `AggState` through the monomorphic
-            // `update_i64`/`update_f64` entry points; everything else goes
-            // through the generic per-value path.
-            let slots: Vec<ArgSlot<'_>> = args
-                .iter()
-                .map(|a| ArgSlot::specialize(a, &slice))
-                .collect();
-            // Single dictionary-string group key: map dictionary codes to
-            // group indices through a dense table (slot 0 = NULL) instead
-            // of hashing a materialized `Vec<Value>` key per row. Group
-            // creation stays in first-occurrence order, so merge order is
-            // unchanged.
-            let mut dict_key: Option<(&[u32], &NullMap, Vec<usize>)> = match key_ords.as_slice() {
-                [k] => {
-                    let col = &slice.columns[*k];
-                    col.str_codes().map(|codes| {
-                        let dict_len = col.dictionary().map_or(0, <[String]>::len);
-                        (codes, &col.nulls, vec![usize::MAX; dict_len + 1])
-                    })
-                }
-                _ => None,
-            };
-            // Scratch row for expression arguments: only the ordinals an
-            // expression reads are ever filled in.
-            let mut scratch: Row = vec![Value::Null; width];
-            let mut sel: Vec<u32> = Vec::with_capacity(BLOCK_ROWS.min(total));
-            let mut batches = 0u64;
-            let blocks = slice.block_count();
-            for b in 0..blocks {
-                engine.stats.blocks_scanned.fetch_add(1, Ordering::Relaxed);
-                if use_zones && zone_prunes(kernels, &slice, b) {
-                    engine.stats.blocks_pruned.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                batches += 1;
-                let (start, end) = select_block(&mut sel, &slice, b, total, engine, &snap);
-                for k in &spec {
-                    if sel.is_empty() {
-                        break;
-                    }
-                    k.filter(&mut sel);
-                }
-                for &p in &sel {
-                    let pos = p as usize;
-                    let gi = if key_ords.is_empty() {
-                        if groups.is_empty() {
-                            groups.push((
-                                Vec::new(),
-                                aggs.iter().map(|a| AggState::new(a.kind, a.distinct)).collect(),
-                            ));
-                        }
-                        0
-                    } else if let Some((codes, knulls, map)) = &mut dict_key {
-                        // NULL rows carry the empty-string code, so the
-                        // null bit must decide the slot before the code.
-                        let slot =
-                            if knulls.is_null(pos) { 0 } else { codes[pos] as usize + 1 };
-                        match map[slot] {
-                            usize::MAX => {
-                                groups.push((
-                                    vec![slice.columns[key_ords[0]].get(pos)],
-                                    aggs.iter()
-                                        .map(|a| AggState::new(a.kind, a.distinct))
-                                        .collect(),
-                                ));
-                                map[slot] = groups.len() - 1;
-                                groups.len() - 1
-                            }
-                            i => i,
-                        }
-                    } else {
-                        let key: Vec<Value> =
-                            key_ords.iter().map(|&i| slice.columns[i].get(pos)).collect();
-                        match index.get(&key) {
-                            Some(&i) => i,
-                            None => {
-                                groups.push((
-                                    key.clone(),
-                                    aggs.iter()
-                                        .map(|a| AggState::new(a.kind, a.distinct))
-                                        .collect(),
-                                ));
-                                index.insert(key, groups.len() - 1);
-                                groups.len() - 1
-                            }
-                        }
-                    };
-                    if !expr_cols.is_empty() {
-                        for &c in expr_cols {
-                            scratch[c] = slice.columns[c].get(pos);
-                        }
-                    }
-                    for (state, slot) in groups[gi].1.iter_mut().zip(&slots) {
-                        match slot {
-                            ArgSlot::Star => state.update(&Value::Null)?,
-                            ArgSlot::I64 { vals, nulls, native } => {
-                                if !nulls.is_null(pos) {
-                                    state.update_i64(vals[pos], native)?;
-                                }
-                            }
-                            ArgSlot::F64 { vals, nulls } => {
-                                if !nulls.is_null(pos) {
-                                    state.update_f64(vals[pos])?;
-                                }
-                            }
-                            ArgSlot::Generic(i) => state.update(&slice.columns[*i].get(pos))?,
-                            ArgSlot::Expr(b) => state.update(&eval(b, &scratch)?)?,
-                        }
-                    }
-                }
-                engine
-                    .stats
-                    .rows_scanned
-                    .fetch_add((end - start) as u64, Ordering::Relaxed);
+    let fuse_slice = |slice: &Slice| -> Result<(Groups, u64)> {
+        let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
+        let mut groups: Groups = Vec::new();
+        // Typed accumulation slots: column arguments whose slice vector
+        // is numeric feed `AggState` through the monomorphic
+        // `update_i64`/`update_f64` entry points; everything else goes
+        // through the generic per-value path.
+        let slots: Vec<ArgSlot<'_>> = args.iter().map(|a| ArgSlot::specialize(a, slice)).collect();
+        // Single dictionary-string group key: map dictionary codes to
+        // group indices through a dense table (slot 0 = NULL) instead
+        // of hashing a materialized `Vec<Value>` key per row. Group
+        // creation stays in first-occurrence order, so merge order is
+        // unchanged.
+        let mut dict_key: Option<(&[u32], &NullMap, Vec<usize>)> = match key_ords.as_slice() {
+            [k] => {
+                let col = &slice.columns[*k];
+                col.str_codes().map(|codes| {
+                    let dict_len = col.dictionary().map_or(0, <[String]>::len);
+                    (codes, &col.nulls, vec![usize::MAX; dict_len + 1])
+                })
             }
-            Ok((groups, batches))
+            _ => None,
         };
-
-    // One partial per slice, scanned in parallel like the base scan, merged
-    // in slice order so group order matches the serial pass.
-    let partials: Vec<(Groups, u64)> = if engine.config.parallel && slices.len() > 1 {
-        run_parts(slices.len(), |si| fuse_slice(&slices[si])).into_iter().collect::<Result<_>>()?
-    } else {
-        let mut v = Vec::with_capacity(slices.len());
-        for s in slices {
-            v.push(fuse_slice(s)?);
-        }
-        v
+        // Scratch row for expression arguments: only the ordinals an
+        // expression reads are ever filled in.
+        let mut scratch: Row = vec![Value::Null; width];
+        let batches = scan_blocks(slice, kernels, None, ctx, true, |sel| {
+            for &p in sel {
+                let pos = p as usize;
+                let gi = if key_ords.is_empty() {
+                    if groups.is_empty() {
+                        groups.push((Vec::new(), new_states()));
+                    }
+                    0
+                } else if let Some((codes, knulls, map)) = &mut dict_key {
+                    // NULL rows carry the empty-string code, so the
+                    // null bit must decide the slot before the code.
+                    let slot = if knulls.is_null(pos) { 0 } else { codes[pos] as usize + 1 };
+                    match map[slot] {
+                        usize::MAX => {
+                            groups.push((vec![slice.columns[key_ords[0]].get(pos)], new_states()));
+                            map[slot] = groups.len() - 1;
+                            groups.len() - 1
+                        }
+                        i => i,
+                    }
+                } else {
+                    let key: Vec<Value> =
+                        key_ords.iter().map(|&i| slice.columns[i].get(pos)).collect();
+                    match index.get(&key) {
+                        Some(&i) => i,
+                        None => {
+                            groups.push((key.clone(), new_states()));
+                            index.insert(key, groups.len() - 1);
+                            groups.len() - 1
+                        }
+                    }
+                };
+                for &c in expr_cols {
+                    scratch[c] = slice.columns[c].get(pos);
+                }
+                for (state, slot) in groups[gi].1.iter_mut().zip(&slots) {
+                    match slot {
+                        ArgSlot::Star => state.update(&Value::Null)?,
+                        ArgSlot::I64 { vals, nulls, native } => {
+                            if !nulls.is_null(pos) {
+                                state.update_i64(vals[pos], native)?;
+                            }
+                        }
+                        ArgSlot::F64 { vals, nulls } => {
+                            if !nulls.is_null(pos) {
+                                state.update_f64(vals[pos])?;
+                            }
+                        }
+                        ArgSlot::Generic(i) => state.update(&slice.columns[*i].get(pos))?,
+                        ArgSlot::Expr(b) => state.update(&eval(b, &scratch)?)?,
+                    }
+                }
+            }
+            Ok(())
+        })?;
+        Ok((groups, batches))
     };
+
+    // One partial per slice, fanned out like the base scan, merged in slice
+    // order so group order matches the serial pass.
+    let partials = for_each_slice(table, ctx, fuse_slice)?;
     let mut batches = 0u64;
     let mut groups_parts = Vec::with_capacity(partials.len());
     for (g, b) in partials {
@@ -1935,10 +2007,11 @@ fn run_aggregate(
     let groups = if workers > 1 && rows.len() > 1 {
         let chunk = rows.len().div_ceil(workers).max(1);
         let chunks: Vec<&[Row]> = rows.chunks(chunk).collect();
-        let parts: Vec<Groups> =
-            run_parts(chunks.len(), |ci| aggregate_rows(chunks[ci], &bound_keys, &bound_args, aggs))
-                .into_iter()
-                .collect::<Result<_>>()?;
+        let parts: Vec<Groups> = run_parts(chunks.len(), workers, rows.len(), |ci| {
+            aggregate_rows(chunks[ci], &bound_keys, &bound_args, aggs)
+        })
+        .into_iter()
+        .collect::<Result<_>>()?;
         merge_groups(parts)?
     } else {
         aggregate_rows(&rows, &bound_keys, &bound_args, aggs)?
@@ -2228,6 +2301,26 @@ mod tests {
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         rows
+    }
+
+    #[test]
+    fn run_parts_keeps_part_order_and_runs_small_inputs_on_the_caller() {
+        let caller = std::thread::current().id();
+        let part = |i: usize| (i * i, std::thread::current().id());
+        // One batch or less: every part runs inline, whatever the workers.
+        let small = run_parts(9, 8, BLOCK_ROWS, part);
+        assert!(small.iter().all(|(_, t)| *t == caller));
+        // More than a batch: helpers join in (more parts than threads, so
+        // parts are claimed, not assigned) and results stay in part order.
+        for workers in [1, 2, 3, 8] {
+            let got = run_parts(37, workers, BLOCK_ROWS + 1, part);
+            let squares: Vec<usize> = got.iter().map(|(v, _)| *v).collect();
+            assert_eq!(squares, (0..37).map(|i| i * i).collect::<Vec<_>>(), "workers={workers}");
+            if workers == 1 {
+                assert!(got.iter().all(|(_, t)| *t == caller));
+            }
+        }
+        assert!(run_parts(0, 4, usize::MAX, part).is_empty());
     }
 
     #[test]

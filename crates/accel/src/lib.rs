@@ -20,5 +20,5 @@ pub mod table;
 pub use durable::{Checkpoint, DurableStore, LogRecord, Lsn, RecoverySet};
 pub use engine::{AccelConfig, AccelEngine, AccelStats, RestartStats};
 pub use exec::ExecMode;
-pub use mvcc::{CommitSeq, Snapshot, TxnRegistry, TxnStatus};
+pub use mvcc::{CommitSeq, Snapshot, TxnRegistry, TxnStatus, Visibility};
 pub use table::{AccelTable, RowPos, BLOCK_ROWS};

@@ -348,21 +348,30 @@ impl HostEngine {
         meta: &TableMeta,
         filter: Option<&Expr>,
     ) -> Result<Vec<(Rid, Row)>> {
-        let all = store.heap.scan();
-        self.stats.rows_scanned.fetch_add(all.len() as u64, Ordering::Relaxed);
-        match filter {
-            None => Ok(all),
+        self.stats.rows_scanned.fetch_add(store.heap.len() as u64, Ordering::Relaxed);
+        let bound = match filter {
+            None => None,
             Some(f) => {
                 let resolver = FlatResolver::from_schema(Some(&meta.name.name), &meta.schema);
-                let bound = bind(f, &resolver)?;
-                all.into_iter()
-                    .filter_map(|(rid, row)| match eval_predicate(&bound, &row) {
-                        Ok(true) => Some(Ok((rid, row))),
-                        Ok(false) => None,
-                        Err(e) => Some(Err(e)),
-                    })
-                    .collect()
+                Some(bind(f, &resolver)?)
             }
+        };
+        // Evaluate in place; only victims are cloned out of the heap.
+        let mut victims = Vec::new();
+        let mut failed = None;
+        store.heap.for_each(|rid, row| {
+            if failed.is_some() {
+                return;
+            }
+            match bound.as_ref().map_or(Ok(true), |b| eval_predicate(b, row)) {
+                Ok(true) => victims.push((rid, row.clone())),
+                Ok(false) => {}
+                Err(e) => failed = Some(e),
+            }
+        });
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(victims),
         }
     }
 

@@ -6,6 +6,8 @@
 //! * `Value` ordering/hashing consistency;
 //! * zone-map pruning never changes query answers;
 //! * host and accelerator engines agree on random data;
+//! * accelerator UPDATE/DELETE victim selection matches the interpreted
+//!   `SELECT` and the host, own in-flight changes included;
 //! * random committed DML streams keep the replica convergent;
 //! * commit-log replay is idempotent: any restart schedule rebuilds
 //!   byte-identical engine state — including under torn-write and bit-rot
@@ -195,6 +197,18 @@ fn arb_query() -> impl Strategy<Value = Query> {
             }
             q
         })
+}
+
+/// Rows in a canonical order, for comparing results as multisets.
+fn sorted(mut rows: Vec<idaa::Row>) -> Vec<idaa::Row> {
+    rows.sort_by(|a, b| {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| x.cmp_total(y))
+            .find(|o| *o != std::cmp::Ordering::Equal)
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    rows
 }
 
 // ---------------------------------------------------------------------------
@@ -558,14 +572,18 @@ proptest! {
             .iter()
             .map(|(a, b)| vec![Value::BigInt(*a), Value::BigInt(*b)])
             .collect();
-        let canon = |mut rows: Vec<idaa::Row>| {
-            rows.sort_by(|a, b| {
-                a.iter().zip(b).map(|(x, y)| x.cmp_total(y))
-                    .find(|o| *o != std::cmp::Ordering::Equal)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            rows
-        };
+        // Whether parts run on the caller or fan out over helper threads
+        // depends on the input, not the configuration: T (at most one
+        // 4096-row batch) takes the inline schedule everywhere, BIG (the
+        // same rows cycled past one batch, shifted per cycle so the joins'
+        // output stays small) the fanned-out one.
+        let big: Vec<idaa::Row> = (0..4500)
+            .map(|i| {
+                let (a, b) = rows[i % rows.len()];
+                let cycle = (i / rows.len()) as i64;
+                vec![Value::BigInt(a + 200 * cycle), Value::BigInt(b + 40 * cycle)]
+            })
+            .collect();
         let run = |parallelism: usize| -> Vec<(bool, Vec<idaa::Row>)> {
             let config = if parallelism == 0 {
                 AccelConfig { slices: 4, zone_maps: true, parallel: false, parallelism: 0 }
@@ -573,49 +591,59 @@ proptest! {
                 AccelConfig { slices: 4, zone_maps: true, parallel: true, parallelism }
             };
             let engine = AccelEngine::new("APP", config);
-            engine.create_table(&ObjectName::bare("T"), schema.clone(), &[]).unwrap();
-            engine.load_committed(&ObjectName::bare("T"), data.clone()).unwrap();
+            for (name, rows) in [("T", &data), ("BIG", &big)] {
+                engine.create_table(&ObjectName::bare(name), schema.clone(), &[]).unwrap();
+                engine.load_committed(&ObjectName::bare(name), rows.clone()).unwrap();
+            }
             // (order_sensitive, query): sorts and top-K must agree on exact
             // row order; join/aggregate outputs agree as multisets (their
             // concatenation order legitimately varies with partition count).
-            [
-                (false, "SELECT x.a, y.b FROM t AS x INNER JOIN t AS y ON x.a = y.a \
+            let queries = [
+                (false, "SELECT x.a, y.b FROM {t} AS x INNER JOIN {t} AS y ON x.a = y.a \
                          WHERE y.b < 20"),
-                (false, "SELECT x.a, y.b FROM t AS x LEFT JOIN t AS y ON x.a = y.a \
+                (false, "SELECT x.a, y.b FROM {t} AS x LEFT JOIN {t} AS y ON x.a = y.a \
                          AND y.b > 30"),
-                (false, "SELECT x.a, y.a FROM t AS x INNER JOIN t AS y ON x.b = y.b \
+                (false, "SELECT x.a, y.a FROM {t} AS x INNER JOIN {t} AS y ON x.b = y.b \
                          WHERE x.a < y.a"),
-                (false, "SELECT b, COUNT(*), SUM(a), MIN(a), MAX(a) FROM t GROUP BY b"),
-                (false, "SELECT COUNT(DISTINCT a), SUM(b) FROM t"),
-                (true,  "SELECT a, b FROM t ORDER BY a DESC, b"),
-                (true,  "SELECT a, b FROM t ORDER BY b, a LIMIT 17"),
+                // Nested loop (no equi-key), chunked over the probe side.
+                (false, "SELECT x.a, y.a FROM {t} AS x INNER JOIN {t} AS y ON x.a < y.a \
+                         WHERE x.a < 70 AND y.a < 70"),
+                (false, "SELECT b, COUNT(*), SUM(a), MIN(a), MAX(a) FROM {t} GROUP BY b"),
+                // Computed group key: the chunked row aggregate, not the
+                // fused one.
+                (false, "SELECT a + b, COUNT(*), SUM(b) FROM {t} GROUP BY a + b"),
+                (false, "SELECT COUNT(DISTINCT a), SUM(b) FROM {t}"),
+                (true,  "SELECT a, b FROM {t} ORDER BY a DESC, b"),
+                (true,  "SELECT a, b FROM {t} ORDER BY b, a LIMIT 17"),
                 // Vectorized-kernel shapes across worker counts: ranges,
                 // NOT BETWEEN, IS [NOT] NULL, fused agg over filtered scan.
-                (false, "SELECT COUNT(*), SUM(a), MIN(b), MAX(b) FROM t \
+                (false, "SELECT COUNT(*), SUM(a), MIN(b), MAX(b) FROM {t} \
                          WHERE a BETWEEN 40 AND 160 AND b BETWEEN 5 AND 35"),
-                (false, "SELECT b, COUNT(*), SUM(a) FROM t \
+                (false, "SELECT b, COUNT(*), SUM(a) FROM {t} \
                          WHERE a NOT BETWEEN 60 AND 140 GROUP BY b"),
-                (false, "SELECT COUNT(*) FROM t WHERE a IS NULL"),
-                (true,  "SELECT a, b FROM t \
+                (false, "SELECT COUNT(*) FROM {t} WHERE a IS NULL"),
+                (true,  "SELECT a, b FROM {t} \
                          WHERE a IS NOT NULL AND b >= 10 AND b <= 30 AND a <> 77 \
                          ORDER BY a, b"),
-            ]
-            .into_iter()
-            .map(|(ordered, q)| {
-                let Statement::Query(q) = parse_statement(q).unwrap() else { unreachable!() };
-                (ordered, engine.query(0, &q).unwrap().rows)
-            })
-            .collect()
+            ];
+            ["t", "big"]
+                .into_iter()
+                .flat_map(|table| queries.map(|(ordered, q)| (ordered, q.replace("{t}", table))))
+                .map(|(ordered, q)| {
+                    let Statement::Query(q) = parse_statement(&q).unwrap() else { unreachable!() };
+                    (ordered, engine.query(0, &q).unwrap().rows)
+                })
+                .collect()
         };
         let serial = run(0);
-        for workers in [1usize, 2, 4, 8] {
+        for workers in [1usize, 2, 3, 8] {
             let parallel = run(workers);
             for (i, ((ordered, s), (_, p))) in serial.iter().zip(&parallel).enumerate() {
                 if *ordered {
                     prop_assert_eq!(s, p, "query #{} order mismatch at workers={}", i, workers);
                 } else {
                     prop_assert_eq!(
-                        canon(s.clone()), canon(p.clone()),
+                        sorted(s.clone()), sorted(p.clone()),
                         "query #{} multiset mismatch at workers={}", i, workers
                     );
                 }
@@ -646,6 +674,7 @@ proptest! {
             ColumnDef::new("A", DataType::BigInt),
             ColumnDef::new("D", DataType::Double),
             ColumnDef::new("G", DataType::Varchar(2)),
+            ColumnDef::new("E", DataType::BigInt),
         ]).unwrap();
         // Dyadic doubles (multiples of 0.25) so every comparison and SUM is
         // exact in both the f64 kernel path and the interpreter.
@@ -655,14 +684,34 @@ proptest! {
                 a.map_or(Value::Null, Value::BigInt),
                 d.map_or(Value::Null, |v| Value::Double(v as f64 * 0.25)),
                 g.map_or(Value::Null, |i| Value::Varchar(["a", "b", "c"][i].into())),
+                a.map_or(Value::Null, |v| Value::BigInt(v % 7)),
             ])
+            .collect();
+        // BIG: the same rows cycled until every slice spans several
+        // 4096-row blocks, with doubles that are *not* exactly summable.
+        let big: Vec<idaa::Row> = (0..13_000)
+            .map(|i| {
+                let mut row = data[i % data.len()].clone();
+                if let Value::Double(d) = row[1] {
+                    row[1] = Value::Double(d * 0.4 + i as f64 * 0.1);
+                }
+                row
+            })
             .collect();
         let engine = AccelEngine::new(
             "APP",
             AccelConfig { slices: 3, zone_maps: true, parallel: false, parallelism: 0 },
         );
-        engine.create_table(&ObjectName::bare("T"), schema, &[]).unwrap();
-        engine.load_committed(&ObjectName::bare("T"), data).unwrap();
+        for (name, rows) in [("T", data), ("BIG", big)] {
+            engine.create_table(&ObjectName::bare(name), schema.clone(), &[]).unwrap();
+            engine.load_committed(&ObjectName::bare(name), rows).unwrap();
+        }
+        let both_modes = |q: &str| -> (Vec<idaa::Row>, Vec<idaa::Row>) {
+            let Statement::Query(parsed) = parse_statement(q).unwrap() else { unreachable!() };
+            let fast = engine.query(0, &parsed).unwrap().rows;
+            let slow = engine.query_with_mode(0, &parsed, ExecMode::Interpreted).unwrap().rows;
+            (fast, slow)
+        };
         for q in [
             // Fused scan-filter-aggregate over an i64 range kernel.
             "SELECT COUNT(*), SUM(a), MIN(a), MAX(a) FROM t WHERE a BETWEEN 100 AND 700",
@@ -701,14 +750,42 @@ proptest! {
             // Multi-key ON falls back to generic keys on both paths.
             "SELECT COUNT(*) FROM t AS x INNER JOIN t AS y \
              ON x.a = y.a AND x.g = y.g",
+            // Joins under Aggregate / Project that read a strict subset of
+            // each side's columns, so the projection mask flows through the
+            // join: the residual ON conjunct over `d` is the only reader of
+            // that column, and LEFT joins must still null-extend.
+            "SELECT x.g, COUNT(*), SUM(y.e) FROM t AS x INNER JOIN t AS y \
+             ON x.a = y.a AND x.d <= y.d GROUP BY x.g ORDER BY x.g",
+            "SELECT x.g, COUNT(*), COUNT(y.e) FROM t AS x LEFT JOIN t AS y \
+             ON x.a = y.a AND x.d < y.d GROUP BY x.g ORDER BY x.g",
+            "SELECT x.e, y.g FROM t AS x INNER JOIN t AS y \
+             ON x.a = y.a AND x.d <= y.d ORDER BY x.e, y.g LIMIT 80",
+            "SELECT x.e, y.g FROM t AS x LEFT JOIN t AS y \
+             ON x.a = y.a AND y.d > 10.0 ORDER BY x.e, y.g LIMIT 80",
         ] {
-            let Statement::Query(parsed) = parse_statement(q).unwrap() else { unreachable!() };
-            let fast = engine.query(0, &parsed).unwrap().rows;
-            let slow = engine
-                .query_with_mode(0, &parsed, ExecMode::Interpreted)
-                .unwrap()
-                .rows;
+            let (fast, slow) = both_modes(q);
             prop_assert_eq!(fast, slow, "mode disagreement on {}", q);
+        }
+        // Across slices the fused pipeline adds per-slice partial sums while
+        // the interpreter adds row by row, so double SUM/AVG agree only up
+        // to summation order (1e-9 relative pins it); every other value —
+        // counts, integer sums, MIN/MAX, group keys — stays exact.
+        for q in [
+            "SELECT g, COUNT(*), SUM(a), SUM(d), AVG(d), MIN(d), MAX(d) FROM big \
+             WHERE a BETWEEN 100 AND 900 GROUP BY g ORDER BY g",
+            "SELECT COUNT(*), SUM(d), AVG(d) FROM big",
+        ] {
+            let (fast, slow) = both_modes(q);
+            prop_assert_eq!(fast.len(), slow.len(), "group count on {}", q);
+            for (f, s) in fast.iter().flatten().zip(slow.iter().flatten()) {
+                match (f, s) {
+                    (Value::Double(f), Value::Double(s)) => prop_assert!(
+                        (f - s).abs() <= 1e-9 * f.abs().max(s.abs()),
+                        "{} vs {} on {}", f, s, q
+                    ),
+                    _ => prop_assert_eq!(f, s, "mode disagreement on {}", q),
+                }
+            }
         }
     }
 
@@ -746,6 +823,151 @@ proptest! {
         };
         let host_rows = sort(idaa.host().scan_all(&ObjectName::bare("T")).unwrap());
         let accel_rows = sort(idaa.accel().scan_visible(&ObjectName::bare("T")).unwrap());
+        prop_assert_eq!(host_rows, accel_rows);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// DML victim selection goes through the scan front end
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// `UPDATE`/`DELETE … WHERE p` on the accelerator pick their victims
+    /// with the executor's scan front end (kernels, zone pruning, block
+    /// visibility, residual re-check). On multi-block tables with NULLs and
+    /// the transaction's own uncommitted inserts, deletes and updates, they
+    /// must touch exactly the rows `SELECT … WHERE p` returns under the
+    /// interpreter, and leave the AOT equal to a host table that ran the
+    /// same statements. `p` covers a zone-prunable range, string equality,
+    /// `IS NULL`, a residual no kernel compiles (`a + 1 > b`), and
+    /// conjunctions of these. Replicated changes reach the same code through
+    /// `replication::delete_exact`, including duplicate full rows.
+    #[test]
+    fn dml_victims_match_select(
+        seed in 0u64..u64::MAX,
+        lo in 0i64..9_500,
+        width in 1i64..700,
+        pick in 0usize..3,
+    ) {
+        use idaa::accel::{AccelConfig, ExecMode};
+        const ROWS: i64 = 10_000;
+        const COLS: &str = "(A BIGINT, B BIGINT, G VARCHAR(2), M BIGINT)";
+        let g = ["a", "b", "c"][pick];
+        let mut state = seed;
+        // `a` ascends, so with two slices each slice's second block holds
+        // a >= 8192 and range predicates prune; b, g and a few a are NULL.
+        let values: Vec<String> = (0..ROWS)
+            .map(|i| {
+                let r = splitmix(&mut state);
+                let a = if r.is_multiple_of(97) { "NULL".to_string() } else { i.to_string() };
+                let b = match r.is_multiple_of(19) {
+                    true => "NULL".to_string(),
+                    false => ((r >> 8) % 12_000).to_string(),
+                };
+                let g = match (r >> 40) % 31 {
+                    0 => "NULL".to_string(),
+                    k => format!("'{}'", ["a", "b", "c"][k as usize % 3]),
+                };
+                format!("({a}, {b}, {g}, 0)")
+            })
+            .collect();
+        let idaa = Idaa::new(IdaaConfig {
+            accel: AccelConfig { slices: 2, ..Default::default() },
+            ..Default::default()
+        });
+        let mut s = idaa.session(SYSADM);
+        let mut run = |sql: &str| idaa.execute(&mut s, sql).unwrap().count();
+        run(&format!("CREATE TABLE H {COLS}"));
+        run(&format!("CREATE TABLE R {COLS}"));
+        run("SET CURRENT QUERY ACCELERATION = ELIGIBLE");
+        run(&format!("CREATE TABLE T {COLS} IN ACCELERATOR"));
+        for chunk in values.chunks(500) {
+            for table in ["H", "T", "R"] {
+                run(&format!("INSERT INTO {table} VALUES {}", chunk.join(", ")));
+            }
+        }
+        run("INSERT INTO R VALUES (-5, 1, 'a', 0), (-5, 1, 'a', 0), (-5, 1, 'a', 0), \
+             (-6, NULL, NULL, 0), (-6, NULL, NULL, 0)");
+        run("CALL ACCEL_ADD_TABLES('R')");
+        run("CALL ACCEL_LOAD_TABLES('R')");
+
+        // The statement's own transaction has changes in flight on both
+        // engines: inserts inside the range, a delete, an update to NULL.
+        run("BEGIN");
+        for table in ["H", "T"] {
+            run(&format!(
+                "INSERT INTO {table} VALUES \
+                 ({lo}, 5, 'a', 0), ({}, NULL, 'b', 0), (NULL, 7, NULL, 0)",
+                lo + 1
+            ));
+            run(&format!("DELETE FROM {table} WHERE a = {}", lo + 2));
+            run(&format!("UPDATE {table} SET b = NULL WHERE a = {}", lo + 3));
+        }
+        let hi = lo + width;
+        let predicates = [
+            format!("a BETWEEN {lo} AND {hi}"),
+            format!("g = '{g}' AND a >= {} AND a < {}", hi, hi + 400),
+            format!("b IS NULL AND g = '{g}' AND a < 5000"),
+            format!("a + 1 > b AND a BETWEEN {} AND {}", hi + 400, hi + 900),
+            "b IS NULL".to_string(),
+            format!("g = '{g}'"),
+            "a + 1 > b".to_string(),
+        ];
+        for (k, p) in predicates.iter().enumerate() {
+            let txn = s.txn.expect("explicit transaction is open");
+            let Statement::Query(select) =
+                parse_statement(&format!("SELECT a, b, g FROM t WHERE {p}")).unwrap()
+            else { unreachable!() };
+            let expected = sorted(
+                idaa.accel().query_with_mode(txn, &select, ExecMode::Interpreted).unwrap().rows,
+            );
+            let host = idaa.query(&mut s, &format!("SELECT a, b, g FROM h WHERE {p}")).unwrap();
+            prop_assert_eq!(&expected, &sorted(host.rows), "SELECT on {}", p);
+
+            let mark = k + 1;
+            for table in ["T", "H"] {
+                let n = idaa
+                    .execute(&mut s, &format!("UPDATE {table} SET m = {mark} WHERE {p}"))
+                    .unwrap()
+                    .count();
+                prop_assert_eq!(n, expected.len(), "UPDATE {} WHERE {}", table, p);
+            }
+            let marked =
+                idaa.query(&mut s, &format!("SELECT a, b, g FROM t WHERE m = {mark}")).unwrap();
+            prop_assert_eq!(&expected, &sorted(marked.rows), "rows UPDATE touched for {}", p);
+            let both = |s: &mut idaa::Session| {
+                let t = idaa.query(s, "SELECT a, b, g, m FROM t").unwrap();
+                let h = idaa.query(s, "SELECT a, b, g, m FROM h").unwrap();
+                (sorted(t.rows), sorted(h.rows))
+            };
+            let (t, h) = both(&mut s);
+            prop_assert_eq!(t, h, "tables diverged after UPDATE WHERE {}", p);
+
+            for table in ["T", "H"] {
+                let delete = format!("DELETE FROM {table} WHERE {p}");
+                let n = idaa.execute(&mut s, &delete).unwrap().count();
+                prop_assert_eq!(n, expected.len(), "DELETE FROM {} WHERE {}", table, p);
+            }
+            let (t, h) = both(&mut s);
+            prop_assert_eq!(t, h, "tables diverged after DELETE WHERE {}", p);
+        }
+        idaa.execute(&mut s, "COMMIT").unwrap();
+
+        // Replicated changes: every changed row is one full-column-equality
+        // delete on the accelerator, duplicates and NULL columns included.
+        for sql in [
+            "DELETE FROM R WHERE a = -5".to_string(),
+            "UPDATE R SET m = 9 WHERE a = -6".to_string(),
+            format!("UPDATE R SET b = NULL WHERE a BETWEEN {lo} AND {}", lo + 40),
+            format!("DELETE FROM R WHERE a BETWEEN {} AND {}", lo + 20, lo + 60),
+        ] {
+            idaa.execute(&mut s, &sql).unwrap();
+        }
+        idaa.replicate_now().unwrap();
+        let host_rows = sorted(idaa.host().scan_all(&ObjectName::bare("R")).unwrap());
+        let accel_rows = sorted(idaa.accel().scan_visible(&ObjectName::bare("R")).unwrap());
         prop_assert_eq!(host_rows, accel_rows);
     }
 }

@@ -136,12 +136,15 @@ proptest! {
             t == me
                 || matches!(model.get(&t), Some(TxnStatus::Committed(seq)) if *seq <= snap.seq)
         };
+        // One view answers the whole grid, so every step changes the
+        // memoized creator or deleter.
+        let mut view = reg.view(&snap);
         for creator in 0u64..14 {
             for deleter in 0u64..14 {
                 let expect = visible_creation(creator)
                     && !(deleter != 0 && (deleter == me || visible_creation(deleter)));
                 prop_assert_eq!(
-                    reg.version_visible(creator, deleter, &snap),
+                    view.visible(creator, deleter),
                     expect,
                     "creator={} deleter={} me={}", creator, deleter, me
                 );
@@ -161,13 +164,13 @@ proptest! {
         }
         let snap = reg.snapshot(999);
         for t in 0..pre {
-            prop_assert!(reg.created_visible(100 + t as u64, &snap));
+            prop_assert!(reg.view(&snap).visible(100 + t as u64, 0));
         }
         for t in 0..post {
             let id = 200 + t as u64;
             reg.begin(id);
             reg.commit(id);
-            prop_assert!(!reg.created_visible(id, &snap), "post-snapshot commit leaked in");
+            prop_assert!(!reg.view(&snap).visible(id, 0), "post-snapshot commit leaked in");
         }
     }
 }
