@@ -681,3 +681,137 @@ fn server_queue_events_and_counters_reconcile_with_the_completion_log() {
     }
     assert_eq!(m.gauge(&format!("server.session.{hi}.priority")), Some(idaa::Priority::High.rank()));
 }
+
+// ---------------------------------------------------------------------------
+// Single-accelerator golden: the K=1 path pinned byte for byte
+// ---------------------------------------------------------------------------
+
+/// Everything the default single-accelerator pairing renders for one fixed
+/// script — every statement's span tree, the link metrics, and the metrics
+/// registry — compared byte for byte against a committed fixture. The
+/// script walks the whole accelerator lifecycle: AOT DDL, every AOT write
+/// shape, 2PC (clean, rolled back, and with a lost vote resolved by the
+/// status inquiry, and with a queued phase-2 decision), an offloaded query, a stopped accelerator, a dropping
+/// link, and a crash at every named site followed by recovery.
+#[test]
+fn single_accelerator_golden_is_byte_identical() {
+    let (idaa, mut s) = seeded_system();
+    let codes = std::cell::RefCell::new(Vec::new());
+    let run = |s: &mut idaa::Session, sql: &str| {
+        let code = idaa.execute(s, sql).map_or_else(|e| e.sqlcode(), |_| 0);
+        codes.borrow_mut().push(format!("{code:>6}  {sql}"));
+    };
+    stage_setup(&idaa, &mut s, 48);
+
+    // AOT DDL and the three write shapes: VALUES, INSERT…SELECT pushdown,
+    // predicate UPDATE/DELETE.
+    run(&mut s, "CREATE TABLE SCRATCH (X INT) IN ACCELERATOR");
+    run(&mut s, "DROP TABLE SCRATCH");
+    run(&mut s, "INSERT INTO STAGE VALUES ('AP', 1.5E0), ('LA', 2.5E0)");
+    run(&mut s, "INSERT INTO STAGE SELECT region, SUM(amount) FROM sales GROUP BY region");
+    run(&mut s, "UPDATE STAGE SET TOTAL = TOTAL + 1.0E0 WHERE REGION = 'EU'");
+    run(&mut s, "DELETE FROM STAGE WHERE REGION = 'LA'");
+
+    // Explicit transactions: a clean 2PC, a rollback, and a 2PC whose YES
+    // vote is lost once and resolved by the status inquiry.
+    run(&mut s, "BEGIN");
+    run(&mut s, "INSERT INTO SALES VALUES (1000, 'EU', 1.0E0)");
+    run(&mut s, "INSERT INTO STAGE VALUES ('T1', 1.0E0)");
+    run(&mut s, "SELECT COUNT(*) FROM STAGE");
+    run(&mut s, "COMMIT");
+    run(&mut s, "BEGIN");
+    run(&mut s, "INSERT INTO STAGE VALUES ('T2', 2.0E0)");
+    run(&mut s, "ROLLBACK");
+    run(&mut s, "BEGIN");
+    run(&mut s, "INSERT INTO STAGE VALUES ('T3', 3.0E0)");
+    idaa.link().fail_transfers_after(1, 4);
+    run(&mut s, "COMMIT");
+    // A 2PC whose phase-2 decision cannot be delivered: it is queued and
+    // redelivered by the replication round that follows the commit.
+    run(&mut s, "BEGIN");
+    run(&mut s, "INSERT INTO STAGE VALUES ('T4', 4.0E0)");
+    idaa.link().fail_transfers_after(2, 4);
+    run(&mut s, "COMMIT");
+    codes.borrow_mut().push(format!("pending_commits={}", idaa.pending_accel_commits()));
+
+    // An offloaded query and a host-sourced insert into the AOT.
+    run(&mut s, "SELECT region, COUNT(*), SUM(amount) FROM sales GROUP BY region ORDER BY region");
+    run(&mut s, "SELECT region, total FROM stage ORDER BY region");
+    run(&mut s, "CREATE TABLE HOSTSRC (REGION VARCHAR(8), AMOUNT DOUBLE)");
+    run(&mut s, "INSERT INTO HOSTSRC VALUES ('HS', 9.0E0)");
+    run(&mut s, "INSERT INTO STAGE SELECT region, amount FROM hostsrc");
+
+    // Accelerator stopped: offloadable work falls back, AOT work is -904.
+    idaa.faults.accel_unavailable.store(true, std::sync::atomic::Ordering::Relaxed);
+    run(&mut s, "SELECT COUNT(*) FROM sales");
+    run(&mut s, "SELECT COUNT(*) FROM stage");
+    run(&mut s, "INSERT INTO STAGE VALUES ('NO', 0.0E0)");
+    idaa.faults.accel_unavailable.store(false, std::sync::atomic::Ordering::Relaxed);
+
+    // A link that drops everything: -30081 until the health machine goes
+    // Offline, then operator recovery on a healed link.
+    idaa.set_fault_plan(FaultPlan::dropping(11, 1.0));
+    for _ in 0..3 {
+        run(&mut s, "INSERT INTO STAGE VALUES ('DR', 0.0E0)");
+    }
+    run(&mut s, "SELECT COUNT(*) FROM stage");
+    run(&mut s, "SELECT COUNT(*) FROM sales");
+    idaa.link().clear_faults();
+    codes.borrow_mut().push(format!("recover={}", idaa.recover()));
+    run(&mut s, "SELECT COUNT(*) FROM stage");
+
+    // A crash at every named site, each followed (once the probe interval
+    // has passed on the virtual clock) by the statement that observes the
+    // crash and drives the restart.
+    let probe_due = || idaa.link().advance(Duration::from_millis(10));
+    idaa.faults.registry.arm(sites::MID_BULK_LOAD, 1);
+    run(&mut s, "CALL ACCEL_LOAD_TABLES('SALES')");
+    run(&mut s, "SELECT COUNT(*) FROM stage");
+    probe_due();
+    run(&mut s, "SELECT COUNT(*) FROM stage");
+    run(&mut s, "CALL ACCEL_LOAD_TABLES('SALES')");
+    idaa.faults.registry.arm(sites::POST_PREPARE, 1);
+    run(&mut s, "BEGIN");
+    run(&mut s, "INSERT INTO STAGE VALUES ('PP', 4.0E0)");
+    run(&mut s, "COMMIT");
+    probe_due();
+    run(&mut s, "INSERT INTO STAGE VALUES ('P2', 5.0E0)");
+    idaa.faults.registry.arm(sites::MID_REPL_APPLY, 1);
+    run(&mut s, "INSERT INTO SALES VALUES (1001, 'US', 2.0E0)");
+    probe_due();
+    run(&mut s, "SELECT COUNT(*) FROM sales");
+    idaa.faults.registry.arm(sites::MID_CHECKPOINT, 1);
+    idaa.link().advance(Duration::from_millis(30));
+    run(&mut s, "INSERT INTO STAGE VALUES ('CK', 6.0E0)");
+    probe_due();
+    run(&mut s, "UPDATE STAGE SET TOTAL = 0.0E0 WHERE REGION = 'CK'");
+    idaa.accel().crash();
+    probe_due();
+    codes.borrow_mut().push(format!("recover={}", idaa.recover()));
+    run(&mut s, "SELECT region, total FROM stage ORDER BY region");
+    run(&mut s, "SELECT COUNT(*) FROM sales");
+
+    let mut actual = String::from("== statements ==\n");
+    actual.push_str(&codes.borrow().join("\n"));
+    actual.push_str("\n== traces ==\n");
+    for t in idaa.tracer().statements() {
+        actual.push_str(&format!("-- {}\n{}", t.sql, t.root.render()));
+    }
+    actual.push_str(&format!("== link ==\n{:#?}\n", idaa.link().metrics()));
+    actual.push_str(&format!("== metrics ==\n{}", idaa.metrics().snapshot().render()));
+
+    let expected = include_str!("fixtures/single_accelerator_golden.txt");
+    if actual != expected {
+        // Leave the actual rendering next to the build outputs so the
+        // first differing line is one `diff` away.
+        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+            .join("single_accelerator_golden.actual.txt");
+        std::fs::write(&path, &actual).unwrap();
+        let line = actual.lines().zip(expected.lines()).position(|(a, e)| a != e);
+        panic!(
+            "single-accelerator golden diverged (first differing line: {line:?}); \
+             diff {} against tests/fixtures/single_accelerator_golden.txt",
+            path.display()
+        );
+    }
+}
