@@ -1,30 +1,32 @@
 //! Multi-accelerator fleet: deterministic shard placement, scatter/gather
 //! execution, and epoch-fenced replica failover.
 //!
-//! The fleet generalizes the single `Idaa { accel }` pairing to K accelerator
-//! nodes, each behind its own metered [`NetLink`] and seeded
-//! [`FaultRegistry`]. Accelerator-only tables created `IN ACCELERATOR` are
-//! hash-sharded across the fleet (physical tables `T__S0 .. T__S{N-1}`), with
-//! every shard placed on `replication_factor` consecutive nodes. Queries
-//! scatter to the owning shards in ascending shard order and merge at the
-//! coordinator, so any fleet size reproduces the single-accelerator answer
-//! modulo float summation order. When a shard's primary is crashed or
-//! Offline, the gather fails over to the next replica (protected by the same
-//! epoch-fenced [`SeqTracker`] exactly-once exchange as the single-node
-//! path), the lagging node re-joins via a metered catch-up copy, and a
-//! rebalance check on the virtual clock migrates shards back to their
-//! preferred owners. Shard placement, gather order, and failover order are
-//! all deterministic, so a given seed replays byte-identical `LinkMetrics`
-//! and traces.
+//! The accelerator side of [`Idaa`] is K nodes, each behind its own metered
+//! [`NetLink`] and seeded [`FaultRegistry`]; the paper's single accelerator
+//! is the fleet of one. One placement rule covers every size: an
+//! accelerator-only table has `shards` hash shards, shard `s` lives on
+//! `replication_factor` consecutive nodes starting at `s % K`, and its
+//! physical table is [`shard_table`] — the table itself when `shards == 1`,
+//! `T__S{s}` otherwise. A statement whose accelerator tables all live whole
+//! on their owners (always true at `shards == 1`) ships as it is, one
+//! exchange per owner: reads to the shard's primary with failover to the
+//! remaining owners in fixed order, writes to every live owner. Only
+//! `shards > 1` scatters: queries visit the shards in ascending order and
+//! merge at the coordinator, so any fleet size reproduces the one-node
+//! answer modulo float summation order. An owner that missed a write
+//! re-joins via a metered catch-up copy, and a rebalance check on the
+//! virtual clock migrates failed-over shards back to their preferred
+//! owners. Placement, gather order, and failover order are all
+//! deterministic, so a given seed replays byte-identical `LinkMetrics` and
+//! traces.
 
 use crate::health::{HealthMonitor, HealthState, SeqTracker};
-use crate::idaa::{Idaa, IdaaConfig, ReplyPayload};
+use crate::idaa::{Idaa, IdaaConfig};
 use crate::replication::Replicator;
 use crate::session::Session;
 use idaa_accel::{AccelEngine, RestartStats};
-use idaa_common::trace::Trace;
 use idaa_common::{wire, Error, ObjectName, Result, Row, Rows, Schema, Value};
-use idaa_host::TxnId;
+use idaa_host::{TableKind, TxnId};
 use idaa_netsim::{sites, Direction, FaultRegistry, LinkMetrics, NetLink};
 use idaa_sql::ast::{BinaryOp, Expr, JoinKind, OrderByItem, Query, SelectItem, TableRef};
 use parking_lot::Mutex;
@@ -41,8 +43,8 @@ use std::time::Duration;
 /// when a failed-over shard migrates back to its preferred owner.
 ///
 /// The default (one accelerator, one shard, replication factor one) is the
-/// paper's single-accelerator pairing; every legacy code path is byte-for-byte
-/// unchanged under it.
+/// paper's single-accelerator pairing: the one shard of every
+/// accelerator-only table is the table itself, on the one node.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Number of accelerator nodes (K). Each gets its own metered link,
@@ -85,7 +87,7 @@ impl Default for FleetConfig {
 /// epoch-fenced delivery tracker, replication stream, and queued phase-2
 /// commit decisions.
 pub struct AccelNode {
-    /// Position in the fleet (0-based; node 0 is the legacy single node).
+    /// Position in the fleet (0-based; node 0 hosts the coordinator's clock).
     pub(crate) id: usize,
     /// The accelerator engine itself.
     pub(crate) engine: Arc<AccelEngine>,
@@ -156,14 +158,20 @@ pub fn shard_of(value: &Value, shards: usize) -> usize {
     (h % shards as u64) as usize
 }
 
-/// Physical per-shard table name: `SCHEMA.NAME__S{shard}`.
-pub fn shard_table(table: &ObjectName, shard: usize) -> ObjectName {
+/// Physical table holding `shard` of an accelerator-only table split
+/// `shards` ways: the table itself when it has a single shard, else
+/// `SCHEMA.NAME__S{shard}`.
+pub fn shard_table(table: &ObjectName, shard: usize, shards: usize) -> ObjectName {
+    if shards == 1 {
+        return table.clone();
+    }
     ObjectName { schema: table.schema.clone(), name: format!("{}__S{shard}", table.name) }
 }
 
 /// Coordinator-side fleet bookkeeping: current primaries, failover history,
-/// nodes awaiting catch-up, per-transaction enlistment, and which logical
-/// tables are sharded.
+/// nodes awaiting catch-up, and per-transaction enlistment. Which tables are
+/// sharded is not tracked here — the host catalog's
+/// `TableKind::AcceleratorOnly` is the one registry.
 pub(crate) struct FleetState {
     accelerators: usize,
     pub(crate) shards: usize,
@@ -173,7 +181,6 @@ pub(crate) struct FleetState {
     failed_over_at: Mutex<Vec<Option<Duration>>>,
     catch_up: Mutex<BTreeSet<usize>>,
     enlisted: Mutex<HashMap<TxnId, BTreeSet<usize>>>,
-    sharded: Mutex<BTreeSet<ObjectName>>,
     failovers: AtomicU64,
     rebalances: AtomicU64,
     catch_up_bytes: AtomicU64,
@@ -193,7 +200,6 @@ impl FleetState {
             failed_over_at: Mutex::new(vec![None; shards]),
             catch_up: Mutex::new(BTreeSet::new()),
             enlisted: Mutex::new(HashMap::new()),
-            sharded: Mutex::new(BTreeSet::new()),
             failovers: AtomicU64::new(0),
             rebalances: AtomicU64::new(0),
             catch_up_bytes: AtomicU64::new(0),
@@ -249,23 +255,6 @@ impl FleetState {
     /// Remove and return the nodes enlisted in `txn`, in ascending id order.
     pub(crate) fn take_enlisted(&self, txn: TxnId) -> Vec<usize> {
         self.enlisted.lock().remove(&txn).map(|s| s.into_iter().collect()).unwrap_or_default()
-    }
-
-    pub(crate) fn add_sharded(&self, table: ObjectName) {
-        self.sharded.lock().insert(table);
-    }
-
-    /// Remove `table` from the sharded set; true if it was sharded.
-    pub(crate) fn remove_sharded(&self, table: &ObjectName) -> bool {
-        self.sharded.lock().remove(table)
-    }
-
-    pub(crate) fn is_sharded(&self, table: &ObjectName) -> bool {
-        self.sharded.lock().contains(table)
-    }
-
-    pub(crate) fn sharded_tables(&self) -> Vec<ObjectName> {
-        self.sharded.lock().iter().cloned().collect()
     }
 
     pub(crate) fn failovers(&self) -> u64 {
@@ -644,18 +633,6 @@ fn select_star(table: &ObjectName) -> Query {
     }
 }
 
-fn shard_unavailable(shard: usize, table: &ObjectName) -> Error {
-    Error::ResourceUnavailable(format!(
-        "shard {shard} of {table} has no live replica; all owners are unavailable"
-    ))
-}
-
-fn shard_link_failure(shard: usize, table: &ObjectName) -> Error {
-    Error::LinkFailure(format!(
-        "the exchange for shard {shard} of {table} failed after retries on every replica"
-    ))
-}
-
 // ---------------------------------------------------------------------------
 // Join-filter pushdown for raw gathers
 // ---------------------------------------------------------------------------
@@ -785,14 +762,27 @@ fn build_gather_filter(rows: &[Row], build_col: usize, probe_col: usize) -> Gath
 // Fleet execution
 // ---------------------------------------------------------------------------
 
-impl Idaa {
-    /// True when this instance runs a real fleet (more than one node or more
-    /// than one shard). When false, every legacy single-accelerator path is
-    /// taken unchanged.
-    pub fn fleet_active(&self) -> bool {
-        self.nodes.len() > 1 || self.fleet.shards > 1
-    }
+/// Outcome of one statement attempt on one owning node.
+enum Attempt<T> {
+    Served(T),
+    /// This node cannot serve (not ready, exchange dead after retries, or
+    /// crashed mid-statement) — another owner of the shard still may.
+    Down(Error),
+    /// A statement error every owner would answer the same way.
+    Failed(Error),
+}
 
+/// Where a read routed to the accelerator side runs.
+pub(crate) enum ReadPlan {
+    /// Every referenced table lives whole on the owners of shard 0: the
+    /// statement ships as it is.
+    Whole,
+    /// These accelerator-only tables are split across shards: scatter,
+    /// gather, and merge at the coordinator.
+    Scatter(Vec<ObjectName>),
+}
+
+impl Idaa {
     /// Number of accelerator nodes in the fleet.
     pub fn fleet_size(&self) -> usize {
         self.nodes.len()
@@ -830,7 +820,7 @@ impl Idaa {
         self.nodes[i].rebuilds.load(Ordering::Relaxed)
     }
 
-    /// Total failovers (a gather served by a non-primary replica).
+    /// Total failovers (a read served by a non-primary replica).
     pub fn fleet_failovers(&self) -> u64 {
         self.fleet.failovers()
     }
@@ -862,7 +852,7 @@ impl Idaa {
     /// statement in the coordinator's past, so every per-node exchange first
     /// synchronizes the node clock forward. Together with
     /// [`Idaa::absorb_node_clock`] this keeps statement span trees
-    /// well-nested on one monotone timeline even though every shard link
+    /// well-nested on one monotone timeline even though every node's link
     /// meters (and delays) independently.
     pub(crate) fn sync_node_clock(&self, node: &AccelNode) {
         let (now, node_now) = (self.link().now(), node.link.now());
@@ -880,65 +870,180 @@ impl Idaa {
         }
     }
 
-    /// Manually trigger recovery of node `i`, bypassing the probe-interval
-    /// gate (the fleet counterpart of [`Idaa::recover`]).
-    pub fn recover_node(&self, i: usize) -> bool {
-        let node = self.nodes[i].clone();
-        if self.faults.accel_unavailable.load(Ordering::Relaxed) {
-            return false;
+    /// One statement attempt on one owner, on the shared timeline: judge
+    /// the node's readiness (recording an "accel.restart" event if the
+    /// check drove a recovery), run the attempt, and sort its outcome.
+    fn attempt_on<T>(
+        &self,
+        node: &AccelNode,
+        session: &mut Session,
+        run: impl FnOnce(&mut Session) -> Result<T>,
+    ) -> Attempt<T> {
+        let trace = session.trace.clone();
+        self.sync_node_clock(node);
+        let ready = self.node_ready_traced(node, &trace);
+        self.absorb_node_clock(node);
+        if !ready {
+            return Attempt::Down(self.node_unavailable(node));
         }
-        if node.engine.is_crashed() {
-            node.health.force_offline();
+        let result = run(session);
+        self.absorb_node_clock(node);
+        match result {
+            Ok(v) => Attempt::Served(v),
+            Err(e @ (Error::LinkFailure(_) | Error::ResourceUnavailable(_))) => Attempt::Down(e),
+            Err(e) => Attempt::Failed(e),
         }
-        if !node.health.probe(&node.link, &self.retry) {
-            return false;
-        }
-        if node.engine.is_crashed() && self.restart_node(&node).is_err() {
-            return false;
-        }
-        if self.fleet_active()
-            && self.fleet.needs_catch_up(node.id)
-            && self.catch_up_node(&node).is_err()
-        {
-            return false;
-        }
-        let _ = self.replicate_now();
-        true
     }
 
-    /// Execute `q` across the fleet: scatter to owning shards in ascending
-    /// shard order, fail over per shard, and merge at the coordinator.
-    pub(crate) fn fleet_query(
+    /// The error for a shard none of whose owners could serve: the worst
+    /// per-owner verdict, -904 before -30081. A fleet names the shard; a
+    /// single node's own error already says everything.
+    fn shard_error(&self, shard: usize, table: &ObjectName, down: Option<Error>) -> Error {
+        match down {
+            Some(e) if self.nodes.len() == 1 => e,
+            Some(Error::ResourceUnavailable(_)) => Error::ResourceUnavailable(format!(
+                "shard {shard} of {table} has no live replica; all owners are unavailable"
+            )),
+            _ => Error::LinkFailure(format!(
+                "the exchange for shard {shard} of {table} failed after retries on every replica"
+            )),
+        }
+    }
+
+    /// Serve a read of `shard` from its owners: the current primary first,
+    /// then the remaining replicas in fixed owner order. Returns the answer
+    /// and the node that served it; a replica serving becomes the primary.
+    fn read_on_owners<T>(
+        &self,
+        session: &mut Session,
+        shard: usize,
+        table: &ObjectName,
+        run: impl Fn(&AccelNode, &mut Session) -> Result<T>,
+    ) -> Result<(T, Arc<AccelNode>)> {
+        let owners = self.fleet.owners(shard);
+        let primary = self.fleet.primary_of(shard);
+        let start = owners.iter().position(|&o| o == primary).unwrap_or(0);
+        let mut down = None;
+        for step in 0..owners.len() {
+            let owner = owners[(start + step) % owners.len()];
+            let node = self.nodes[owner].clone();
+            match self.attempt_on(&node, session, |s| run(&node, s)) {
+                Attempt::Served(v) => {
+                    if owner != primary {
+                        self.fleet.record_failover(shard, owner, self.link().now());
+                        self.metrics.inc("fleet.failovers", 1);
+                        session.trace.event(
+                            "failover",
+                            &[("shard", &shard), ("from", &primary), ("to", &owner)],
+                            self.link().now(),
+                        );
+                    }
+                    return Ok((v, node));
+                }
+                Attempt::Down(e) => note_down(&mut down, e),
+                Attempt::Failed(e) => return Err(e),
+            }
+        }
+        Err(self.shard_error(shard, table, down))
+    }
+
+    /// Apply one write to every live owner of `shard`, each enlisted in the
+    /// session's transaction; the affected-row count is the first replica's.
+    /// An owner that cannot take the write is flagged for a catch-up copy
+    /// from one that did.
+    fn write_on_owners(
+        &self,
+        session: &mut Session,
+        shard: usize,
+        table: &ObjectName,
+        run: impl Fn(&AccelNode, &mut Session, TxnId) -> Result<usize>,
+    ) -> Result<usize> {
+        let mut counted = None;
+        let mut down = None;
+        for owner in self.fleet.owners(shard) {
+            let node = self.nodes[owner].clone();
+            let attempt = self.attempt_on(&node, session, |s| {
+                let txn = self.enlist_node(s, &node)?;
+                run(&node, s, txn)
+            });
+            match attempt {
+                Attempt::Served(n) => {
+                    counted.get_or_insert(n);
+                }
+                Attempt::Down(e) => {
+                    self.fleet.mark_catch_up(owner);
+                    note_down(&mut down, e);
+                }
+                Attempt::Failed(e) => return Err(e),
+            }
+        }
+        counted.ok_or_else(|| self.shard_error(shard, table, down))
+    }
+
+    /// How a read of `tables` runs on the accelerator side. With one shard
+    /// every table lives whole on the owners of shard 0 — as do replicated
+    /// tables under any shard count.
+    pub(crate) fn read_plan(&self, tables: &[ObjectName]) -> Result<ReadPlan> {
+        let mut sharded: Vec<ObjectName> = Vec::new();
+        if self.fleet.shards > 1 {
+            for t in tables {
+                if t.name != "SYSDUMMY1"
+                    && !sharded.contains(t)
+                    && self.host.table_meta(t)?.kind == TableKind::AcceleratorOnly
+                {
+                    sharded.push(t.clone());
+                }
+            }
+        }
+        Ok(if sharded.is_empty() { ReadPlan::Whole } else { ReadPlan::Scatter(sharded) })
+    }
+
+    /// Judge once, before the route event, whether the accelerator side can
+    /// serve `plan`: every shard it touches needs one ready owner (which
+    /// becomes the shard's primary if it was not).
+    pub(crate) fn read_ready(
+        &self,
+        session: &mut Session,
+        plan: &ReadPlan,
+        tables: &[ObjectName],
+    ) -> Result<()> {
+        self.maybe_rebalance();
+        let (shards, table) = match plan {
+            ReadPlan::Whole => (1, &tables[0]),
+            ReadPlan::Scatter(sharded) => (self.fleet.shards, &sharded[0]),
+        };
+        for s in 0..shards {
+            self.read_on_owners(session, s, table, |_, _| Ok(()))?;
+        }
+        Ok(())
+    }
+
+    /// Run a routed query on the accelerator side and hand back the rows the
+    /// host decodes from the reply frames.
+    pub(crate) fn accel_read(
         &self,
         session: &mut Session,
         q: &Query,
         tables: &[ObjectName],
+        plan: &ReadPlan,
     ) -> Result<Rows> {
+        let sharded = match plan {
+            ReadPlan::Whole => {
+                let served = self.read_on_owners(session, 0, &tables[0], |node, s| {
+                    self.query_on(node, s, q, None)
+                });
+                return served.map(|(rows, _)| rows);
+            }
+            ReadPlan::Scatter(sharded) => sharded,
+        };
         let trace = session.trace.clone();
-        if self.faults.accel_unavailable.load(Ordering::Relaxed) {
-            return Err(self.unavailable_error());
-        }
-        self.maybe_rebalance();
-        let mut sharded: Vec<ObjectName> = Vec::new();
-        for t in tables {
-            if self.fleet.is_sharded(t) && !sharded.contains(t) {
-                sharded.push(t.clone());
-            }
-        }
-        if sharded.is_empty() {
-            // Replicated tables only: node 0 serves the whole query.
-            if !self.accel_ready_traced(&trace) {
-                return Err(self.unavailable_error());
-            }
-            return self.accel_query(session, q);
-        }
         let span = if trace.is_enabled() { Some(trace.begin("gather", self.link().now())) } else { None };
         if let Some(id) = span {
             let list = sharded.iter().map(|t| t.to_string()).collect::<Vec<_>>().join(",");
             trace.attr(id, "tables", list);
             trace.attr(id, "shards", self.fleet.shards);
         }
-        let result = self.fleet_query_inner(session, &trace, q, tables, &sharded);
+        let result = self.scatter(session, q, tables, sharded);
         if let Some(id) = span {
             if let Err(e) = &result {
                 trace.attr(id, "err", e);
@@ -948,14 +1053,16 @@ impl Idaa {
         result
     }
 
-    fn fleet_query_inner(
+    /// Scatter `q` to the shards of `sharded` in ascending shard order and
+    /// merge the gathered partials on a coordinator-local scratch engine.
+    fn scatter(
         &self,
         session: &mut Session,
-        trace: &Trace,
         q: &Query,
         tables: &[ObjectName],
         sharded: &[ObjectName],
     ) -> Result<Rows> {
+        let shards = self.fleet.shards;
         let scratch = AccelEngine::new(&self.config.default_schema, self.config.accel.clone());
         let plan = if sharded.len() == 1 { plan_scatter(q) } else { ScatterPlan::Raw };
         match plan {
@@ -963,9 +1070,9 @@ impl Idaa {
                 let table = &sharded[0];
                 let gather = ObjectName::bare(GATHER);
                 let mut created = false;
-                for s in 0..self.fleet.shards {
-                    let pq = with_shard_from(&partial, &shard_table(table, s));
-                    let rows = self.gather_shard(session, trace, table, s, &pq, None)?;
+                for s in 0..shards {
+                    let pq = with_shard_from(&partial, &shard_table(table, s, shards));
+                    let rows = self.gather_shard(session, table, s, &pq, None)?;
                     if !created {
                         scratch.create_table(&gather, rows.schema.clone(), &[])?;
                         created = true;
@@ -1001,11 +1108,10 @@ impl Idaa {
                     }
                     let meta = self.host.table_meta(t)?;
                     scratch.create_table(t, meta.schema.clone(), &[])?;
-                    if self.fleet.is_sharded(t) {
-                        for s in 0..self.fleet.shards {
-                            let pq = select_star(&shard_table(t, s));
-                            let rows =
-                                self.gather_shard(session, trace, t, s, &pq, filter.as_ref())?;
+                    if sharded.contains(t) {
+                        for s in 0..shards {
+                            let pq = select_star(&shard_table(t, s, shards));
+                            let rows = self.gather_shard(session, t, s, &pq, filter.as_ref())?;
                             scratch.load_committed(t, rows.rows)?;
                         }
                     } else {
@@ -1018,17 +1124,17 @@ impl Idaa {
         }
     }
 
-    /// Fetch one shard's partial result, failing over from the current
-    /// primary to the remaining replicas in deterministic order.
-    pub(crate) fn gather_shard(
+    /// Fetch one shard's partial result under a "shard" span naming the
+    /// node that served it.
+    fn gather_shard(
         &self,
         session: &mut Session,
-        trace: &Trace,
         table: &ObjectName,
         shard: usize,
         pq: &Query,
         prefilter: Option<&GatherFilter>,
     ) -> Result<Rows> {
+        let trace = session.trace.clone();
         let span = if trace.is_enabled() { Some(trace.begin("shard", self.link().now())) } else { None };
         if let Some(id) = span {
             trace.attr(id, "table", table);
@@ -1037,101 +1143,59 @@ impl Idaa {
                 trace.attr(id, "summary_bytes", f.bytes);
             }
         }
-        let owners = self.fleet.owners(shard);
-        let primary = self.fleet.primary_of(shard);
-        let start = owners.iter().position(|&o| o == primary).unwrap_or(0);
-        let mut saw_unavailable = false;
-        let mut outcome = None;
-        for step in 0..owners.len() {
-            let owner = owners[(start + step) % owners.len()];
-            let node = self.nodes[owner].clone();
-            self.sync_node_clock(&node);
-            let ready = self.node_ready(&node);
-            self.absorb_node_clock(&node);
-            if !ready {
-                saw_unavailable = true;
-                continue;
+        let result = self.read_on_owners(session, shard, table, |node, s| {
+            if let Err(e) = node.engine.crash_point(sites::MID_SCATTER) {
+                self.fleet.mark_catch_up(node.id);
+                return Err(e);
             }
-            if node.engine.crash_point(sites::MID_SCATTER).is_err() {
-                node.health.force_offline();
-                self.fleet.mark_catch_up(owner);
-                saw_unavailable = true;
-                continue;
-            }
-            let txn = self.node_query_txn(session, &node);
-            let attempt = self.exchange_on(
-                &node,
-                session,
-                pq.to_string().len()
-                    + wire::CONTROL_FRAME
-                    + prefilter.map_or(0, |f| f.bytes),
-                || {
-                    let mut rows = node.engine.query(txn, pq)?;
-                    if let Some(f) = prefilter {
-                        // Node-side pre-filter: only rows that *might* join
-                        // are encoded into the reply frame.
-                        rows.rows.retain(|r| f.summary.matches_value(&r[f.col]));
-                    }
-                    Ok(rows)
-                },
-                |r: &Rows| ReplyPayload::Frame(wire::encode_frame(&r.schema, &r.rows)),
-            );
-            self.absorb_node_clock(&node);
-            match attempt {
-                Ok((rows, frame)) => {
-                    let frame = frame.expect("row replies travel as wire frames");
-                    let delivered = wire::decode_rows(&frame, &rows.schema)?;
-                    if owner != primary {
-                        self.fleet.record_failover(shard, owner, self.link().now());
-                        self.metrics.inc("fleet.failovers", 1);
-                        trace.event(
-                            "failover",
-                            &[("shard", &shard), ("from", &primary), ("to", &owner)],
-                            self.link().now(),
-                        );
-                    }
-                    if let Some(id) = span {
-                        trace.attr(id, "node", node.engine.identity());
-                        trace.attr(id, "epoch", node.engine.epoch());
-                    }
-                    outcome = Some(Ok(Rows { schema: rows.schema, rows: delivered }));
-                    break;
-                }
-                Err(Error::LinkFailure(_)) => continue,
-                Err(Error::ResourceUnavailable(_)) => {
-                    node.health.force_offline();
-                    saw_unavailable = true;
-                    continue;
-                }
-                Err(e) => {
-                    outcome = Some(Err(e));
-                    break;
-                }
-            }
-        }
-        let result = outcome.unwrap_or_else(|| {
-            Err(if saw_unavailable {
-                shard_unavailable(shard, table)
-            } else {
-                shard_link_failure(shard, table)
-            })
+            self.query_on(node, s, pq, prefilter)
         });
         if let Some(id) = span {
-            if let Err(e) = &result {
-                trace.attr(id, "err", e);
+            match &result {
+                Ok((_, node)) => {
+                    trace.attr(id, "node", node.engine.identity());
+                    trace.attr(id, "epoch", node.engine.epoch());
+                }
+                Err(e) => trace.attr(id, "err", e),
             }
             trace.end(id, self.link().now());
         }
-        result
+        result.map(|(rows, _)| rows)
+    }
+
+    /// Ship `q` to `node`, execute it there (profiling the plan into "op"
+    /// spans whenever tracing is on), and pay for the result set's trip back
+    /// as an encoded wire frame. A `prefilter` rides on the request leg and
+    /// drops rows that cannot join before the reply is encoded.
+    fn query_on(
+        &self,
+        node: &AccelNode,
+        session: &mut Session,
+        q: &Query,
+        prefilter: Option<&GatherFilter>,
+    ) -> Result<Rows> {
+        let txn = self.node_query_txn(session, node);
+        let trace = session.trace.clone();
+        let request = q.to_string().len() + wire::CONTROL_FRAME + prefilter.map_or(0, |f| f.bytes);
+        self.exchange_rows(node, session, request, || {
+            let mut rows = if trace.is_enabled() {
+                let (rows, plan, profile) = node.engine.query_profiled(txn, q)?;
+                self.emit_plan_spans(&trace, &plan, &profile, node.link.now());
+                rows
+            } else {
+                node.engine.query(txn, q)?
+            };
+            if let Some(f) = prefilter {
+                rows.rows.retain(|r| f.summary.matches_value(&r[f.col]));
+            }
+            Ok(rows)
+        })
     }
 
     /// Route failed-over shards back to their preferred owner once it is
     /// healthy, caught up, and the rebalance delay has elapsed on the
     /// virtual clock.
     pub(crate) fn maybe_rebalance(&self) {
-        if !self.fleet_active() {
-            return;
-        }
         for s in 0..self.fleet.shards {
             let preferred = self.fleet.owners(s)[0];
             if self.fleet.primary_of(s) == preferred {
@@ -1156,11 +1220,16 @@ impl Idaa {
 
     /// Copy every shard a lagging node owns from a live replica, metering
     /// both legs of the transfer. The node stays flagged until a full pass
-    /// succeeds.
+    /// succeeds; a pass that found nothing to copy from is not counted.
     pub(crate) fn catch_up_node(&self, node: &AccelNode) -> Result<()> {
-        for t in self.fleet.sharded_tables() {
-            let meta = self.host.table_meta(&t)?;
-            for s in 0..self.fleet.shards {
+        let shards = self.fleet.shards;
+        let mut copied = false;
+        for name in self.host.table_names() {
+            let meta = self.host.table_meta(&name)?;
+            if meta.kind != TableKind::AcceleratorOnly {
+                continue;
+            }
+            for s in 0..shards {
                 let owners = self.fleet.owners(s);
                 if !owners.contains(&node.id) {
                     continue;
@@ -1173,7 +1242,7 @@ impl Idaa {
                     continue;
                 };
                 let src = self.nodes[src_id].clone();
-                let st = shard_table(&t, s);
+                let st = shard_table(&meta.name, s, shards);
                 let rows = src.engine.scan_visible(&st)?;
                 let mut delivered: Vec<Row> = Vec::with_capacity(rows.len());
                 let mut bytes = 0u64;
@@ -1187,16 +1256,18 @@ impl Idaa {
                 node.engine.load_committed(&st, delivered)?;
                 self.fleet.add_catch_up_bytes(bytes);
                 self.metrics.inc("fleet.catch_up.bytes", bytes);
+                copied = true;
             }
         }
         self.fleet.clear_catch_up(node.id);
-        self.metrics.inc("fleet.catch_ups", 1);
+        if copied {
+            self.metrics.inc("fleet.catch_ups", 1);
+        }
         Ok(())
     }
 
-    /// Create the physical shard tables of an `IN ACCELERATOR` table on
-    /// every owning node and register the logical table as sharded.
-    pub(crate) fn fleet_create_sharded(
+    /// Create every shard of an `IN ACCELERATOR` table on its owners.
+    pub(crate) fn create_aot(
         &self,
         name: &ObjectName,
         schema: &Schema,
@@ -1204,119 +1275,83 @@ impl Idaa {
         ddl: &str,
     ) -> Result<()> {
         for s in 0..self.fleet.shards {
-            let st = shard_table(name, s);
+            let st = shard_table(name, s, self.fleet.shards);
             for owner in self.fleet.owners(s) {
                 let node = &self.nodes[owner];
                 self.ship_ddl_on(node, ddl)?;
                 node.engine.create_table(&st, schema.clone(), distribute_by)?;
             }
         }
-        self.fleet.add_sharded(name.clone());
         Ok(())
     }
 
-    /// Best-effort drop of a table's accelerator copies across the fleet
-    /// (shard tables if sharded, else the replicated copy on every node).
-    pub(crate) fn fleet_drop_table(&self, name: &ObjectName, ddl: &str) {
-        if self.fleet.remove_sharded(name) {
-            for s in 0..self.fleet.shards {
-                let st = shard_table(name, s);
-                for owner in self.fleet.owners(s) {
-                    let node = &self.nodes[owner];
-                    let _ = self.ship_ddl_on(node, ddl);
-                    let _ = node.engine.drop_table(&st);
+    /// Best-effort drop of a table's accelerator copies: every shard of an
+    /// accelerator-only table on its owners, the replica of an accelerated
+    /// table on every node. The DB2 catalog entry is gone either way.
+    pub(crate) fn drop_accel_copies(&self, meta: &idaa_host::TableMeta, ddl: &str) {
+        let drop_on = |owner: usize, table: &ObjectName| {
+            let node = &self.nodes[owner];
+            let _ = self.ship_ddl_on(node, ddl);
+            let _ = node.engine.drop_table(table);
+        };
+        match meta.kind {
+            TableKind::AcceleratorOnly => {
+                for s in 0..self.fleet.shards {
+                    let st = shard_table(&meta.name, s, self.fleet.shards);
+                    self.fleet.owners(s).into_iter().for_each(|o| drop_on(o, &st));
                 }
             }
-        } else {
-            for node in &self.nodes {
-                let _ = self.ship_ddl_on(node, ddl);
-                let _ = node.engine.drop_table(name);
-            }
+            TableKind::Regular => (0..self.nodes.len()).for_each(|o| drop_on(o, &meta.name)),
         }
     }
 
-    /// Scatter an AOT insert: rows hash to shards by the first distribution
-    /// column and every owning replica applies its shard's slice.
-    pub(crate) fn fleet_insert_rows(
+    /// AOT insert of host-side rows: each row goes to the shard its first
+    /// distribution column hashes to (a single shard takes them all), and
+    /// every live owner ingests what it decodes from the shipped frames.
+    pub(crate) fn aot_insert_rows(
         &self,
         session: &mut Session,
-        table: &ObjectName,
-        schema: &Schema,
-        distribute_by: &[String],
+        meta: &idaa_host::TableMeta,
         rows: Vec<Row>,
     ) -> Result<usize> {
         self.maybe_rebalance();
-        let dist_idx = match distribute_by.first() {
-            Some(c) => schema.index_of(c)?,
-            None => 0,
-        };
+        let shards = self.fleet.shards;
         let mut by_shard: BTreeMap<usize, Vec<Row>> = BTreeMap::new();
-        for row in rows {
-            by_shard.entry(shard_of(&row[dist_idx], self.fleet.shards)).or_default().push(row);
+        if shards == 1 {
+            by_shard.insert(0, rows);
+        } else {
+            let dist_idx = match meta.distribute_by.first() {
+                Some(c) => meta.schema.index_of(c)?,
+                None => 0,
+            };
+            for row in rows {
+                by_shard.entry(shard_of(&row[dist_idx], shards)).or_default().push(row);
+            }
         }
         let trace = session.trace.clone();
         let mut total = 0usize;
         for (s, shard_rows) in by_shard {
-            let st = shard_table(table, s);
-            let mut counted = None;
-            let mut saw_unavailable = false;
-            for owner in self.fleet.owners(s) {
-                let node = self.nodes[owner].clone();
-                self.sync_node_clock(&node);
-                let ready = self.node_ready(&node);
-                self.absorb_node_clock(&node);
-                if !ready {
-                    self.fleet.mark_catch_up(owner);
-                    saw_unavailable = true;
-                    continue;
-                }
-                let attempt: Result<usize> = (|| {
-                    let txn = self.enlist_node(session, &node)?;
-                    let delivered = self.ship_rows_traced_on(
-                        &node,
-                        &trace,
-                        Direction::ToAccel,
-                        schema,
-                        &shard_rows,
-                    )?;
-                    let n = node.engine.insert_rows(txn, &st, delivered)?;
-                    self.ship_traced_on(&node, &trace, Direction::ToHost, "ack", wire::ACK_FRAME)?;
-                    Ok(n)
-                })();
-                self.absorb_node_clock(&node);
-                match attempt {
-                    Ok(n) => {
-                        if counted.is_none() {
-                            counted = Some(n);
-                        }
-                    }
-                    Err(Error::LinkFailure(_)) => self.fleet.mark_catch_up(owner),
-                    Err(Error::ResourceUnavailable(_)) => {
-                        node.health.force_offline();
-                        self.fleet.mark_catch_up(owner);
-                        saw_unavailable = true;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            match counted {
-                Some(n) => total += n,
-                None => {
-                    return Err(if saw_unavailable {
-                        shard_unavailable(s, table)
-                    } else {
-                        shard_link_failure(s, table)
-                    })
-                }
-            }
+            let st = shard_table(&meta.name, s, shards);
+            total += self.write_on_owners(session, s, &meta.name, |node, _, txn| {
+                let delivered = self.ship_rows_traced_on(
+                    node,
+                    &trace,
+                    Direction::ToAccel,
+                    &meta.schema,
+                    &shard_rows,
+                )?;
+                let n = node.engine.insert_rows(txn, &st, delivered)?;
+                self.ship_traced_on(node, &trace, Direction::ToHost, "control", wire::ACK_FRAME)?;
+                Ok(n)
+            })?;
         }
         Ok(total)
     }
 
-    /// Scatter an AOT UPDATE/DELETE: every shard applies the statement on
-    /// every live owning replica; the per-shard row count is taken from the
-    /// first replica that serves it.
-    pub(crate) fn fleet_dml_each_shard(
+    /// A statement-shipped AOT write (UPDATE, DELETE, INSERT…SELECT
+    /// pushdown): `op` runs against each shard's physical table on every
+    /// live owner, and only the statement text and an ack cross each link.
+    pub(crate) fn aot_statement(
         &self,
         session: &mut Session,
         table: &ObjectName,
@@ -1326,144 +1361,19 @@ impl Idaa {
         self.maybe_rebalance();
         let mut total = 0usize;
         for s in 0..self.fleet.shards {
-            let st = shard_table(table, s);
-            let mut counted = None;
-            let mut saw_unavailable = false;
-            for owner in self.fleet.owners(s) {
-                let node = self.nodes[owner].clone();
-                self.sync_node_clock(&node);
-                let ready = self.node_ready(&node);
-                self.absorb_node_clock(&node);
-                if !ready {
-                    self.fleet.mark_catch_up(owner);
-                    saw_unavailable = true;
-                    continue;
-                }
-                let attempt: Result<usize> = (|| {
-                    let txn = self.enlist_node(session, &node)?;
-                    let (n, _) = self.exchange_on(
-                        &node,
-                        session,
-                        request_bytes,
-                        || op(&node, txn, &st),
-                        |_| ReplyPayload::Control(wire::ACK_FRAME),
-                    )?;
-                    Ok(n)
-                })();
-                self.absorb_node_clock(&node);
-                match attempt {
-                    Ok(n) => {
-                        if counted.is_none() {
-                            counted = Some(n);
-                        }
-                    }
-                    Err(Error::LinkFailure(_)) => self.fleet.mark_catch_up(owner),
-                    Err(Error::ResourceUnavailable(_)) => {
-                        node.health.force_offline();
-                        self.fleet.mark_catch_up(owner);
-                        saw_unavailable = true;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            match counted {
-                Some(n) => total += n,
-                None => {
-                    return Err(if saw_unavailable {
-                        shard_unavailable(s, table)
-                    } else {
-                        shard_link_failure(s, table)
-                    })
-                }
-            }
+            let st = shard_table(table, s, self.fleet.shards);
+            total += self.write_on_owners(session, s, table, |node, sess, txn| {
+                self.exchange_control(node, sess, request_bytes, || op(node, txn, &st))
+            })?;
         }
         Ok(total)
     }
+}
 
-    /// Two-phase commit across every enlisted fleet node: all prepare, all
-    /// vote, one host decision, and per-node phase-2 delivery with queued
-    /// decisions for unreachable nodes.
-    pub(crate) fn commit_two_phase_fleet(
-        &self,
-        trace: &Trace,
-        txn: TxnId,
-        ids: &[usize],
-    ) -> Result<()> {
-        let abort_all = |idaa: &Idaa| {
-            for &i in ids {
-                idaa.nodes[i].engine.abort(txn);
-            }
-        };
-        if self.faults.accel_unavailable.load(Ordering::Relaxed)
-            || ids.iter().any(|&i| self.nodes[i].engine.is_crashed())
-        {
-            abort_all(self);
-            self.host.rollback(txn)?;
-            return Err(Error::ResourceUnavailable(
-                "an enlisted accelerator is unavailable; the transaction was rolled back on all participants"
-                    .into(),
-            ));
-        }
-        for &i in ids {
-            self.sync_node_clock(&self.nodes[i]);
-            let shipped = self
-                .ship_traced_on(&self.nodes[i], trace, Direction::ToAccel, "prepare", wire::CONTROL_FRAME);
-            self.absorb_node_clock(&self.nodes[i]);
-            if shipped.is_err() {
-                abort_all(self);
-                self.host.rollback(txn)?;
-                return Err(Error::CommitFailed(
-                    "PREPARE could not be delivered to every fleet node; transaction rolled back"
-                        .into(),
-                ));
-            }
-        }
-        if self.faults.registry.fire(sites::PREPARE_VOTE_NO) {
-            abort_all(self);
-            self.host.rollback(txn)?;
-            return Err(Error::CommitFailed(
-                "a fleet node voted NO during PREPARE; transaction rolled back".into(),
-            ));
-        }
-        for &i in ids {
-            if self.nodes[i].engine.prepare(txn).is_err() {
-                abort_all(self);
-                self.host.rollback(txn)?;
-                return Err(Error::CommitFailed(
-                    "a fleet node failed to prepare; transaction rolled back".into(),
-                ));
-            }
-        }
-        for &i in ids {
-            self.sync_node_clock(&self.nodes[i]);
-            let shipped = self
-                .ship_traced_on(&self.nodes[i], trace, Direction::ToHost, "vote", wire::CONTROL_FRAME);
-            self.absorb_node_clock(&self.nodes[i]);
-            if shipped.is_err() {
-                abort_all(self);
-                self.host.rollback(txn)?;
-                return Err(Error::CommitFailed(
-                    "a fleet node's commit vote was lost; transaction rolled back".into(),
-                ));
-            }
-        }
-        self.host.commit(txn);
-        for &i in ids {
-            let node = &self.nodes[i];
-            self.sync_node_clock(node);
-            let decided = !node.engine.is_crashed()
-                && self
-                    .ship_traced_on(node, trace, Direction::ToAccel, "commit", wire::CONTROL_FRAME)
-                    .is_ok();
-            self.absorb_node_clock(node);
-            if !decided {
-                node.pending_commits.lock().push(txn);
-                self.metrics.inc("twopc.decisions_queued", 1);
-            } else {
-                node.engine.commit(txn);
-            }
-        }
-        Ok(())
+/// Remember why an owner was down; -904 outranks -30081.
+fn note_down(down: &mut Option<Error>, e: Error) {
+    if down.is_none() || matches!(e, Error::ResourceUnavailable(_)) {
+        *down = Some(e);
     }
 }
 
@@ -1515,7 +1425,8 @@ mod tests {
     #[test]
     fn shard_table_names_keep_schema() {
         let t = ObjectName::qualified("APP", "SALES");
-        assert_eq!(shard_table(&t, 2).to_string(), "APP.SALES__S2");
+        assert_eq!(shard_table(&t, 2, 4).to_string(), "APP.SALES__S2");
+        assert_eq!(shard_table(&t, 0, 1), t, "a single shard is the table itself");
     }
 
     #[test]

@@ -163,15 +163,6 @@ impl HealthMonitor {
         }
         self.state() == HealthState::Online
     }
-
-    /// Probe an `Offline` accelerator only when the rate limiter allows it
-    /// ([`HealthMonitor::should_probe`] at the link's virtual now) —
-    /// the shared readiness step for the single-accelerator path and each
-    /// node of a fleet. Returns true if the probe ran and came back
-    /// `Online`.
-    pub fn probe_if_due(&self, link: &NetLink, retry: &RetryPolicy) -> bool {
-        self.should_probe(link.now()) && self.probe(link, retry)
-    }
 }
 
 /// Outcome of delivering a sequenced message to the [`SeqTracker`].

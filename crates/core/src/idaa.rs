@@ -7,7 +7,7 @@
 //! routes (host vs. accelerator), meters every byte that crosses the link,
 //! and coordinates two-phase commit when a transaction touched both sides.
 
-use crate::fleet::{AccelNode, FleetConfig, FleetState};
+use crate::fleet::{shard_table, AccelNode, FleetConfig, FleetState};
 use crate::health::{Delivery, HealthConfig, HealthState};
 use crate::procedures::{system_procedures, Procedure};
 use crate::router::{self, Route};
@@ -175,20 +175,20 @@ pub struct QueueInfo {
 /// The federated DB2 + accelerator system.
 ///
 /// The accelerator side is a *fleet* of one or more [`AccelNode`]s, each
-/// behind its own metered link and fault registry. With the default
-/// [`FleetConfig`] (one node, one shard) every path reduces to the paper's
-/// single-accelerator pairing; larger fleets shard accelerator-only tables
-/// and scatter/gather queries across the owning nodes.
+/// behind its own metered link and fault registry; the paper's single
+/// accelerator is the default fleet of one. Every statement follows the same
+/// placement rule (see [`crate::fleet`]): tables that live whole on their
+/// owners are served by one exchange per owner, and only a shard count above
+/// one scatters accelerator-only tables and gathers at the coordinator.
 pub struct Idaa {
     pub(crate) host: Arc<HostEngine>,
-    /// The accelerator fleet; node 0 is the legacy single accelerator.
+    /// The accelerator fleet; node 0's link carries the coordinator's clock.
     pub(crate) nodes: Vec<Arc<AccelNode>>,
     /// Shard placement, failover, and catch-up bookkeeping.
     pub(crate) fleet: FleetState,
     procedures: RwLock<HashMap<ObjectName, Arc<dyn Procedure>>>,
     pub(crate) config: IdaaConfig,
     pub faults: Faults,
-    pub(crate) retry: RetryPolicy,
     /// In-doubt transactions resolved by the 2PC resolver (diagnostics).
     in_doubt_resolved: AtomicU64,
     /// Redelivered statements the receiver discarded as duplicates
@@ -218,9 +218,8 @@ impl Idaa {
         let faults = Faults::default();
         let nodes: Vec<Arc<AccelNode>> = (0..config.fleet.accelerators.max(1))
             .map(|i| {
-                // Node 0 shares the public `faults.registry`, so existing
-                // single-accelerator crash plans keep driving it; every
-                // other node gets its own seeded registry.
+                // Node 0 shares the public `faults.registry`; every other
+                // node gets its own seeded registry.
                 let registry = if i == 0 {
                     faults.registry.clone()
                 } else {
@@ -234,7 +233,6 @@ impl Idaa {
             nodes,
             fleet: FleetState::new(&config.fleet),
             procedures: RwLock::new(HashMap::new()),
-            retry: config.retry,
             in_doubt_resolved: AtomicU64::new(0),
             statements_deduped: AtomicU64::new(0),
             statements_fenced: AtomicU64::new(0),
@@ -245,8 +243,8 @@ impl Idaa {
         };
         // Mirror delivered/failed link traffic into the metrics registry
         // from the first transfer, so the per-link counters reconcile with
-        // `LinkMetrics` by construction: node 0 keeps the legacy `link.*`
-        // names, node i mirrors under `link.node{i}.*`.
+        // `LinkMetrics` by construction: node 0 under `link.*`, node i
+        // under `link.node{i}.*`.
         for node in &idaa.nodes {
             if node.id == 0 {
                 node.link.set_metrics(idaa.metrics.clone());
@@ -261,8 +259,8 @@ impl Idaa {
         idaa
     }
 
-    /// The first (preferred-primary) accelerator node — the legacy single
-    /// accelerator every default-configured path talks to.
+    /// The first accelerator node — the one the public single-accelerator
+    /// accessors (`accel()`, `link()`, `health()`, `ship*`) address.
     pub(crate) fn node0(&self) -> &AccelNode {
         &self.nodes[0]
     }
@@ -441,7 +439,7 @@ impl Idaa {
         direction: Direction,
         bytes: usize,
     ) -> Result<Duration> {
-        match self.retry.transfer(&node.link, direction, bytes) {
+        match self.config.retry.transfer(&node.link, direction, bytes) {
             Ok(cost) => {
                 node.health.record_success();
                 Ok(cost)
@@ -455,22 +453,17 @@ impl Idaa {
         }
     }
 
-    /// Ship one encoded row frame over the link with the same bounded
-    /// retry and health accounting as [`Idaa::ship`]. A frame rejected by
+    /// Ship one encoded row frame over a node's link with the same bounded
+    /// retry and health accounting as [`Idaa::ship_on`]. A frame rejected by
     /// the receiver's checksum ([`idaa_common::wire::verify`]) is
     /// retransmitted like any other lost message.
-    pub fn ship_frame(&self, direction: Direction, frame: &[u8]) -> Result<Duration> {
-        self.ship_frame_on(self.node0(), direction, frame)
-    }
-
-    /// [`Idaa::ship_frame`] against a specific fleet node.
     pub(crate) fn ship_frame_on(
         &self,
         node: &AccelNode,
         direction: Direction,
         frame: &[u8],
     ) -> Result<Duration> {
-        match self.retry.transfer_frame(&node.link, direction, frame) {
+        match self.config.retry.transfer_frame(&node.link, direction, frame) {
             Ok(cost) => {
                 node.health.record_success();
                 Ok(cost)
@@ -506,20 +499,10 @@ impl Idaa {
         schema: &idaa_common::Schema,
         rows: &[Row],
     ) -> Result<Vec<Row>> {
-        let mut delivered = Vec::with_capacity(rows.len());
-        for frame in wire::encode_frames(schema, rows) {
-            self.ship_frame_on(node, direction, &frame)?;
-            delivered.extend(wire::decode_rows(&frame, schema)?);
-        }
-        Ok(delivered)
+        self.ship_rows_traced_on(node, &Trace::disabled(), direction, schema, rows)
     }
 
-    /// Charge DDL/control-message shipping to the link.
-    pub fn ship_ddl(&self, text: &str) -> Result<()> {
-        self.ship_ddl_on(self.node0(), text)
-    }
-
-    /// [`Idaa::ship_ddl`] against a specific fleet node.
+    /// Charge DDL/control-message shipping to a node's link.
     pub(crate) fn ship_ddl_on(&self, node: &AccelNode, text: &str) -> Result<()> {
         self.ship_on(node, Direction::ToAccel, text.len() + wire::CONTROL_FRAME)?;
         self.ship_on(node, Direction::ToHost, wire::CONTROL_FRAME)?;
@@ -687,8 +670,8 @@ impl Idaa {
     /// not stopped, and its own health state machine has not declared it
     /// offline. While offline, a rate-limited probe (virtual clock) checks
     /// for recovery; a successful probe flushes queued commit decisions and
-    /// lets replication catch up before reporting ready. A recovered node
-    /// in a fleet additionally catches up its shard copies from a live
+    /// lets replication catch up before reporting ready. A node that missed
+    /// writes while unreachable first refreshes its shard copies from a live
     /// replica.
     pub(crate) fn node_ready(&self, node: &AccelNode) -> bool {
         if self.faults.accel_unavailable.load(Ordering::Relaxed) {
@@ -700,21 +683,19 @@ impl Idaa {
             node.health.force_offline();
         }
         if node.health.state() != HealthState::Offline {
-            if self.fleet_active() && self.fleet.needs_catch_up(node.id) {
-                // The node missed writes while unreachable: refresh its
-                // shard copies from a live replica before serving reads.
+            if self.fleet.needs_catch_up(node.id) {
                 return self.catch_up_node(node).is_ok()
                     && !self.fleet.needs_catch_up(node.id);
             }
             return true;
         }
         if node.health.should_probe(node.link.now())
-            && node.health.probe(&node.link, &self.retry)
+            && node.health.probe(&node.link, &self.config.retry)
         {
             if node.engine.is_crashed() && self.restart_node(node).is_err() {
                 return false;
             }
-            if self.fleet_active() && self.catch_up_node(node).is_err() {
+            if self.catch_up_node(node).is_err() {
                 return false;
             }
             let _ = self.replicate_now();
@@ -732,10 +713,26 @@ impl Idaa {
         self.recover_node(0)
     }
 
-    /// [`Idaa::accel_ready`], recording an "accel.restart" trace event when
-    /// the readiness check drove a crash recovery.
-    pub(crate) fn accel_ready_traced(&self, trace: &Trace) -> bool {
-        self.node_ready_traced(self.node0(), trace)
+    /// [`Idaa::recover`] for node `i` of the fleet.
+    pub fn recover_node(&self, i: usize) -> bool {
+        let node = self.nodes[i].clone();
+        if self.faults.accel_unavailable.load(Ordering::Relaxed) {
+            return false;
+        }
+        if node.engine.is_crashed() {
+            node.health.force_offline();
+        }
+        if !node.health.probe(&node.link, &self.config.retry) {
+            return false;
+        }
+        if node.engine.is_crashed() && self.restart_node(&node).is_err() {
+            return false;
+        }
+        if self.fleet.needs_catch_up(node.id) && self.catch_up_node(&node).is_err() {
+            return false;
+        }
+        let _ = self.replicate_now();
+        true
     }
 
     /// [`Idaa::node_ready`], recording an "accel.restart" trace event when
@@ -753,7 +750,7 @@ impl Idaa {
                 // the node's state from the host and replicas.
                 trace.attr(id, "rebuilt", true);
             }
-            if self.fleet_active() {
+            if self.nodes.len() > 1 {
                 trace.attr(id, "node", node.engine.identity());
             }
             if let Some(stats) = *node.last_restart.lock() {
@@ -875,14 +872,13 @@ impl Idaa {
     /// discard the media wholesale, boot the engine empty, and
     /// re-materialize every accelerator-resident table — replicated host
     /// tables re-ship a snapshot from DB2 (the replication watermark
-    /// fast-forwards past it), sharded AOTs recreate their shard
-    /// definitions and refill from a live replica via the standard
-    /// catch-up copy, and an unsharded AOT with no other copy is
-    /// quarantined (-904 until reloaded) — its rows existed nowhere else,
-    /// and a silently empty table is the one outcome recovery must never
-    /// produce. Any failure part-way re-crashes the engine so the next
-    /// recovery probe resumes the rebuild rather than serving a
-    /// half-rebuilt node.
+    /// fast-forwards past it), AOT shards recreate their definitions and
+    /// refill from a live replica via the standard catch-up copy, and a
+    /// shard with no other owner is quarantined (-904 until reloaded) —
+    /// its rows existed nowhere else, and a silently empty table is the
+    /// one outcome recovery must never produce. Any failure part-way
+    /// re-crashes the engine so the next recovery probe resumes the
+    /// rebuild rather than serving a half-rebuilt node.
     fn rebuild_node(&self, node: &AccelNode) -> Result<RestartStats> {
         node.needs_rebuild.store(true, Ordering::Relaxed);
         node.engine.durable().reset();
@@ -913,35 +909,26 @@ impl Idaa {
                         }
                     }
                     TableKind::AcceleratorOnly => {
-                        if self.fleet.is_sharded(&meta.name) {
-                            for s in 0..self.fleet.shards {
-                                let owners = self.fleet.owners(s);
-                                if !owners.contains(&node.id) {
-                                    continue;
-                                }
-                                let st = crate::fleet::shard_table(&meta.name, s);
-                                node.engine.create_table(
-                                    &st,
-                                    meta.schema.clone(),
-                                    &meta.distribute_by,
-                                )?;
-                                if !owners.iter().any(|&o| o != node.id) {
-                                    // This node was the shard's only owner:
-                                    // there is no replica to copy from.
-                                    node.engine.quarantine_table(&st)?;
-                                }
+                        for s in 0..self.fleet.shards {
+                            let owners = self.fleet.owners(s);
+                            if !owners.contains(&node.id) {
+                                continue;
                             }
-                            // Shard contents arrive through the standard
-                            // metered catch-up copy from a live replica.
-                            self.fleet.mark_catch_up(node.id);
-                        } else {
+                            let st = shard_table(&meta.name, s, self.fleet.shards);
                             node.engine.create_table(
-                                &meta.name,
+                                &st,
                                 meta.schema.clone(),
                                 &meta.distribute_by,
                             )?;
-                            node.engine.quarantine_table(&meta.name)?;
+                            if !owners.iter().any(|&o| o != node.id) {
+                                // This node was the shard's only owner:
+                                // there is no replica to copy from.
+                                node.engine.quarantine_table(&st)?;
+                            }
                         }
+                        // Shard contents arrive through the standard
+                        // metered catch-up copy from a live replica.
+                        self.fleet.mark_catch_up(node.id);
                     }
                 }
             }
@@ -965,12 +952,12 @@ impl Idaa {
         Ok(stats)
     }
 
-    /// The error a statement gets when it requires an unavailable
-    /// accelerator: -904 when the accelerator is administratively stopped
-    /// or crashed (recovery pending), -30081 when communication with it
-    /// failed.
-    pub(crate) fn unavailable_error(&self) -> Error {
-        if self.accel().is_crashed() {
+    /// The error a statement gets when it requires a node that is not
+    /// ready: -904 when the accelerator is administratively stopped or
+    /// crashed (recovery pending), -30081 when its health machine declared
+    /// it offline after communication failures.
+    pub(crate) fn node_unavailable(&self, node: &AccelNode) -> Error {
+        if node.engine.is_crashed() {
             Error::ResourceUnavailable(
                 "the accelerator crashed and is recovering; statements requiring it \
                  cannot run"
@@ -1138,7 +1125,7 @@ impl Idaa {
     }
 
     /// Record a zero-duration "transfer" trace event (one link message)
-    /// against a specific fleet node's link; in a fleet the event also
+    /// against a node's link; with more than one node the event also
     /// carries the node identity so per-shard transfer breakdowns fall out
     /// of the span tree.
     pub(crate) fn transfer_event_on(
@@ -1162,7 +1149,7 @@ impl Idaa {
         trace.attr(id, "dir", dir);
         trace.attr(id, "kind", kind);
         trace.attr(id, "bytes", bytes);
-        if self.fleet_active() {
+        if self.nodes.len() > 1 {
             trace.attr(id, "node", node.engine.identity());
         }
         if let Some(e) = err {
@@ -1171,18 +1158,7 @@ impl Idaa {
         trace.end(id, now);
     }
 
-    /// [`Idaa::ship`] with a "transfer" trace event for the outcome.
-    fn ship_traced(
-        &self,
-        trace: &Trace,
-        direction: Direction,
-        kind: &str,
-        bytes: usize,
-    ) -> Result<Duration> {
-        self.ship_traced_on(self.node0(), trace, direction, kind, bytes)
-    }
-
-    /// [`Idaa::ship_traced`] against a specific fleet node.
+    /// [`Idaa::ship_on`] with a "transfer" trace event for the outcome.
     pub(crate) fn ship_traced_on(
         &self,
         node: &AccelNode,
@@ -1203,19 +1179,8 @@ impl Idaa {
         }
     }
 
-    /// [`Idaa::ship_rows`] with one "transfer" trace event per encoded
+    /// [`Idaa::ship_rows_on`] with one "transfer" trace event per encoded
     /// wire frame (kind `frame`, sized at the encoded frame length).
-    fn ship_rows_traced(
-        &self,
-        trace: &Trace,
-        direction: Direction,
-        schema: &idaa_common::Schema,
-        rows: &[Row],
-    ) -> Result<Vec<Row>> {
-        self.ship_rows_traced_on(self.node0(), trace, direction, schema, rows)
-    }
-
-    /// [`Idaa::ship_rows_traced`] against a specific fleet node.
     pub(crate) fn ship_rows_traced_on(
         &self,
         node: &AccelNode,
@@ -1311,28 +1276,11 @@ impl Idaa {
                     // Nickname proxy exists in DB2; actual table lives on
                     // the accelerator.
                     let resolved = name.resolve(&self.config.default_schema);
-                    if self.fleet_active() {
-                        // Sharded placement: every owning node gets its
-                        // shard's physical table.
-                        if let Err(e) = self.fleet_create_sharded(
-                            &resolved,
-                            &schema,
-                            distribute_by,
-                            &stmt.to_string(),
-                        ) {
-                            let _ = self.host.drop_table(SYSADM, name);
-                            return Err(e);
-                        }
-                        return Ok(ExecOutcome::accel(Payload::None));
-                    }
-                    if let Err(e) = self.ship_ddl(&stmt.to_string()) {
-                        // DDL never reached the accelerator: undo the
+                    if let Err(e) =
+                        self.create_aot(&resolved, &schema, distribute_by, &stmt.to_string())
+                    {
+                        // The DDL did not reach every owner: undo the
                         // catalog entry so both sides stay consistent.
-                        let _ = self.host.drop_table(SYSADM, name);
-                        return Err(e);
-                    }
-                    if let Err(e) = self.accel().create_table(&resolved, schema, distribute_by) {
-                        // Keep catalog and accelerator consistent.
                         let _ = self.host.drop_table(SYSADM, name);
                         return Err(e);
                     }
@@ -1349,12 +1297,7 @@ impl Idaa {
                     // Best effort: the DB2 catalog entry is gone either
                     // way; an unreachable accelerator cleans up its copy
                     // when the DDL is redelivered on recovery.
-                    if self.fleet_active() {
-                        self.fleet_drop_table(&meta.name, &stmt.to_string());
-                        return Ok(ExecOutcome::accel(Payload::None));
-                    }
-                    let _ = self.ship_ddl(&stmt.to_string());
-                    let _ = self.accel().drop_table(&meta.name);
+                    self.drop_accel_copies(&meta, &stmt.to_string());
                     return Ok(ExecOutcome::accel(Payload::None));
                 }
                 Ok(ExecOutcome::host(Payload::None))
@@ -1411,23 +1354,13 @@ impl Idaa {
                             &table_r,
                             Privilege::Update,
                         )?;
-                        if self.fleet_active() && self.fleet.is_sharded(&table_r) {
-                            let n = self.fleet_dml_each_shard(
-                                session,
-                                &table_r,
-                                stmt.to_string().len() + wire::CONTROL_FRAME,
-                                |node, txn, st| {
-                                    node.engine.update_where(txn, st, assignments, filter.as_ref())
-                                },
-                            )?;
-                            return Ok(ExecOutcome::accel(Payload::Count(n)));
-                        }
-                        let txn = self.enlist_accel(session)?;
-                        let n = self.accel_exchange(
+                        let n = self.aot_statement(
                             session,
+                            &table_r,
                             stmt.to_string().len() + wire::CONTROL_FRAME,
-                            || self.accel().update_where(txn, &table_r, assignments, filter.as_ref()),
-                            |_| ReplyPayload::Control(wire::ACK_FRAME),
+                            |node, txn, st| {
+                                node.engine.update_where(txn, st, assignments, filter.as_ref())
+                            },
                         )?;
                         Ok(ExecOutcome::accel(Payload::Count(n)))
                     }
@@ -1448,23 +1381,11 @@ impl Idaa {
                             &table_r,
                             Privilege::Delete,
                         )?;
-                        if self.fleet_active() && self.fleet.is_sharded(&table_r) {
-                            let n = self.fleet_dml_each_shard(
-                                session,
-                                &table_r,
-                                stmt.to_string().len() + wire::CONTROL_FRAME,
-                                |node, txn, st| {
-                                    node.engine.delete_where(txn, st, filter.as_ref())
-                                },
-                            )?;
-                            return Ok(ExecOutcome::accel(Payload::Count(n)));
-                        }
-                        let txn = self.enlist_accel(session)?;
-                        let n = self.accel_exchange(
+                        let n = self.aot_statement(
                             session,
+                            &table_r,
                             stmt.to_string().len() + wire::CONTROL_FRAME,
-                            || self.accel().delete_where(txn, &table_r, filter.as_ref()),
-                            |_| ReplyPayload::Control(wire::ACK_FRAME),
+                            |node, txn, st| node.engine.delete_where(txn, st, filter.as_ref()),
                         )?;
                         Ok(ExecOutcome::accel(Payload::Count(n)))
                     }
@@ -1639,22 +1560,21 @@ impl Idaa {
         mix.indexed_point = router::is_indexed_point(&self.host, &plan);
         let (mut route, mut reason) =
             router::route_query_with_reason(&mix, session.acceleration)?;
-        // Accelerator unavailable (stopped, or declared offline after
-        // consecutive communication failures): fall back to DB2 when the
-        // data still lives there; fail when only the accelerator could
-        // answer.
+        // No owner of some shard the read touches is available (stopped,
+        // crashed, or declared offline after consecutive communication
+        // failures): fall back to DB2 when the data still lives there; fail
+        // when only the accelerator side could answer. Judged once, before
+        // the route event.
         let must_accelerate = router::must_accelerate(&mix, session.acceleration);
-        // Fleet readiness is judged per shard inside the scatter — only the
-        // single-accelerator path gates on node 0 here.
-        if route == Route::Accelerator
-            && !self.fleet_active()
-            && !self.accel_ready_traced(&trace)
-        {
-            if must_accelerate {
-                return Err(self.unavailable_error());
+        let read_plan = self.read_plan(&tables)?;
+        if route == Route::Accelerator {
+            if let Err(e) = self.read_ready(session, &read_plan, &tables) {
+                if must_accelerate {
+                    return Err(e);
+                }
+                route = Route::Host;
+                reason = "accelerator unavailable; falling back to DB2";
             }
-            route = Route::Host;
-            reason = "accelerator unavailable; falling back to DB2";
         }
         self.route_event(&trace, route, reason, session);
         if route == Route::Accelerator {
@@ -1670,12 +1590,7 @@ impl Idaa {
                     self.privilege_event(&trace, t, "SELECT");
                 }
             }
-            let attempt = if self.fleet_active() {
-                self.fleet_query(session, q, &tables)
-            } else {
-                self.accel_query(session, q)
-            };
-            match attempt {
+            match self.accel_read(session, q, &tables, &read_plan) {
                 Ok(rows) => return Ok(ExecOutcome::accel(Payload::Rows(rows))),
                 // Communication failed mid-statement: like DB2, re-execute
                 // the read-only query locally when the data allows it.
@@ -1687,10 +1602,9 @@ impl Idaa {
                         session,
                     );
                 }
-                // A fleet judges readiness per shard: losing every replica
-                // of a shard surfaces here, and the host still holds the
-                // data unless the query must accelerate.
-                Err(Error::ResourceUnavailable(_)) if self.fleet_active() && !must_accelerate => {
+                // Every owner of a shard was lost mid-statement: the host
+                // still holds the data unless the query must accelerate.
+                Err(Error::ResourceUnavailable(_)) if !must_accelerate => {
                     self.route_event(
                         &trace,
                         Route::Host,
@@ -1707,7 +1621,7 @@ impl Idaa {
             let span = trace.begin("host.exec", now);
             let profiled = self.host.query_profiled(&session.user, txn, q);
             if let Ok((_, plan, profile)) = &profiled {
-                self.emit_plan_spans(&trace, plan, profile);
+                self.emit_plan_spans(&trace, plan, profile, now);
             }
             trace.end(span, self.link().now());
             profiled?.0
@@ -1746,13 +1660,25 @@ impl Idaa {
     /// as nested zero-duration "op" spans. Operators consume no virtual
     /// time — only link transfers do — so only the tree shape and `rows`
     /// attributes carry information. A node without `rows` was fused into
-    /// its parent.
-    fn emit_plan_spans(&self, trace: &Trace, plan: &Plan, profile: &PlanProfile) {
-        self.emit_plan_spans_at(trace, plan, profile, true);
+    /// its parent. `now` is the executing side's clock.
+    pub(crate) fn emit_plan_spans(
+        &self,
+        trace: &Trace,
+        plan: &Plan,
+        profile: &PlanProfile,
+        now: Duration,
+    ) {
+        self.emit_plan_spans_at(trace, plan, profile, now, true);
     }
 
-    fn emit_plan_spans_at(&self, trace: &Trace, plan: &Plan, profile: &PlanProfile, root: bool) {
-        let now = self.link().now();
+    fn emit_plan_spans_at(
+        &self,
+        trace: &Trace,
+        plan: &Plan,
+        profile: &PlanProfile,
+        now: Duration,
+        root: bool,
+    ) {
         let id = trace.begin("op", now);
         trace.attr(id, "op", plan.label());
         if root {
@@ -1773,34 +1699,9 @@ impl Idaa {
             trace.attr(id, "bloom_skipped", skipped);
         }
         for child in plan.children() {
-            self.emit_plan_spans_at(trace, child, profile, false);
+            self.emit_plan_spans_at(trace, child, profile, now, false);
         }
         trace.end(id, now);
-    }
-
-    /// Run a routed query on the accelerator: ship the statement, execute,
-    /// and pay for the result set's trip back to DB2 as an encoded wire
-    /// frame. The result handed to the caller is decoded from that frame.
-    pub(crate) fn accel_query(&self, session: &mut Session, q: &Query) -> Result<Rows> {
-        let txn = self.accel_query_txn(session);
-        let trace = session.trace.clone();
-        let (rows, frame) = self.accel_exchange_inner(
-            session,
-            q.to_string().len() + wire::CONTROL_FRAME,
-            || {
-                if trace.is_enabled() {
-                    let (rows, plan, profile) = self.accel().query_profiled(txn, q)?;
-                    self.emit_plan_spans(&trace, &plan, &profile);
-                    Ok(rows)
-                } else {
-                    self.accel().query(txn, q)
-                }
-            },
-            |r: &Rows| ReplyPayload::Frame(wire::encode_frame(&r.schema, &r.rows)),
-        )?;
-        let frame = frame.expect("row replies travel as frames");
-        let decoded = wire::decode_rows(&frame, &rows.schema)?;
-        Ok(Rows::new(rows.schema, decoded))
     }
 
     fn dispatch_insert(
@@ -1830,10 +1731,10 @@ impl Idaa {
                 // Pushdown path — the paper's contribution: an AOT target
                 // whose source tables all exist on the accelerator executes
                 // entirely there; only the statement text crosses the link.
-                // In a fleet the source shards live on different nodes, so
-                // the source query runs through the scatter path below and
-                // the insert re-shards its result.
-                if meta.kind == TableKind::AcceleratorOnly && !self.fleet_active() {
+                // That needs target and sources whole on the same owners;
+                // with more than one shard the source runs through the
+                // scatter path below and the insert re-shards its result.
+                if meta.kind == TableKind::AcceleratorOnly && self.fleet.shards == 1 {
                     let plan = plan_query(src_q, &*self.host)?;
                     let src_tables: Vec<ObjectName> = plan
                         .tables()
@@ -1851,21 +1752,20 @@ impl Idaa {
                             privs.check(&session.user, t, Privilege::Select)?;
                         }
                         drop(privs);
-                        let txn = self.enlist_accel(session)?;
                         let sql = format!("INSERT INTO {target} {src_q}");
-                        let n = self.accel_exchange(
+                        let n = self.aot_statement(
                             session,
+                            &target,
                             sql.len() + wire::CONTROL_FRAME,
-                            || {
-                                let result = self.accel().query(txn, src_q)?;
+                            |node, txn, st| {
+                                let result = node.engine.query(txn, src_q)?;
                                 let rows: Vec<Row> = result
                                     .rows
                                     .into_iter()
                                     .map(|r| self.widen_row(&meta.schema, columns, r))
                                     .collect::<Result<_>>()?;
-                                self.accel().insert_rows(txn, &target, rows)
+                                node.engine.insert_rows(txn, st, rows)
                             },
-                            |_| ReplyPayload::Control(wire::ACK_FRAME),
                         )?;
                         return Ok(ExecOutcome::accel(Payload::Count(n)));
                     }
@@ -1893,26 +1793,10 @@ impl Idaa {
             }
             TableKind::AcceleratorOnly => {
                 self.host.privileges.read().check(&session.user, &target, Privilege::Insert)?;
-                if self.fleet_active() && self.fleet.is_sharded(&target) {
-                    let n = self.fleet_insert_rows(
-                        session,
-                        &target,
-                        &meta.schema,
-                        &meta.distribute_by,
-                        rows,
-                    )?;
-                    return Ok(ExecOutcome::accel(Payload::Count(n)));
-                }
-                let txn = self.enlist_accel(session)?;
-                let trace = session.trace.clone();
                 // Rows originate on the host side (VALUES literals or a
                 // host-executed source query): they cross the link as
-                // encoded frames and the accelerator inserts what it
-                // decodes.
-                let delivered =
-                    self.ship_rows_traced(&trace, Direction::ToAccel, &meta.schema, &rows)?;
-                let n = self.accel().insert_rows(txn, &target, delivered)?;
-                self.ship_traced(&trace, Direction::ToHost, "control", wire::ACK_FRAME)?;
+                // encoded frames and each owner inserts what it decodes.
+                let n = self.aot_insert_rows(session, &meta, rows)?;
                 Ok(ExecOutcome::accel(Payload::Count(n)))
             }
         }
@@ -1956,18 +1840,9 @@ impl Idaa {
         }
     }
 
-    /// Transaction id used for a read-only accelerator query: the session's
-    /// transaction when one is open and enlisted (own-writes visibility),
-    /// else 0 (fresh snapshot).
-    fn accel_query_txn(&self, session: &mut Session) -> TxnId {
-        match session.txn {
-            Some(t) if self.host.txns.accelerator_enlisted(t) => t,
-            _ => 0,
-        }
-    }
-
     /// Transaction id for a read on one fleet node: the session's
-    /// transaction when that node is enlisted in it, else 0.
+    /// transaction when that node is enlisted in it (own-writes
+    /// visibility), else 0 (fresh snapshot).
     pub(crate) fn node_query_txn(&self, session: &Session, node: &AccelNode) -> TxnId {
         match session.txn {
             Some(t) if self.fleet.is_enlisted(t, node.id) => t,
@@ -1976,7 +1851,9 @@ impl Idaa {
     }
 
     /// Enlist one fleet node in the session's transaction (starting one if
-    /// needed); callers have already verified the node is ready.
+    /// needed) — required for AOT DML so that the paper's own-uncommitted-
+    /// changes visibility holds. Callers have already verified the node is
+    /// ready.
     pub(crate) fn enlist_node(&self, session: &mut Session, node: &AccelNode) -> Result<TxnId> {
         let trace = session.trace.clone();
         let txn = self.ensure_txn(session);
@@ -1985,31 +1862,14 @@ impl Idaa {
             self.ship_traced_on(node, &trace, Direction::ToAccel, "control", wire::CONTROL_FRAME)?;
             node.engine.begin(txn);
             self.fleet.enlist(txn, node.id);
-            self.host.txns.enlist_accelerator(txn);
         }
         Ok(txn)
     }
 
-    /// Enlist the accelerator in the session's transaction (starting one if
-    /// needed) — required for AOT DML so that the paper's own-uncommitted-
-    /// changes visibility holds.
-    fn enlist_accel(&self, session: &mut Session) -> Result<TxnId> {
-        let trace = session.trace.clone();
-        if !self.accel_ready_traced(&trace) {
-            return Err(self.unavailable_error());
-        }
-        let txn = self.ensure_txn(session);
-        if !self.host.txns.accelerator_enlisted(txn) {
-            // BEGIN message
-            self.ship_traced(&trace, Direction::ToAccel, "control", wire::CONTROL_FRAME)?;
-            self.accel().begin(txn);
-            self.host.txns.enlist_accelerator(txn);
-        }
-        Ok(txn)
-    }
-
-    /// One statement exchange with the accelerator: deliver the request
-    /// (at least once), execute it exactly once, and deliver the reply.
+    /// One statement exchange with a fleet node: deliver the request (at
+    /// least once), execute it exactly once, and deliver the reply. The
+    /// exchange rides that node's link, health monitor, sequence tracker,
+    /// and recovery epoch.
     ///
     /// The 32-byte request envelope carries the session id and a
     /// per-session sequence number. A lost *request* attempt means the
@@ -2018,56 +1878,35 @@ impl Idaa {
     /// the request under the same sequence number — the receiver
     /// recognizes the duplicate in its [`SeqTracker`] and resends the
     /// reply without executing again, making shipping idempotent. Retries
-    /// ride the bounded backoff of `self.retry` on the virtual clock;
+    /// ride the bounded backoff of `config.retry` on the virtual clock;
     /// exhausting it fails the statement with SQLCODE -30081, and the
     /// outcome feeds the health monitor like every other federation path.
-    fn accel_exchange<T>(
-        &self,
-        session: &mut Session,
-        request_bytes: usize,
-        exec: impl FnOnce() -> Result<T>,
-        reply: impl Fn(&T) -> ReplyPayload,
-    ) -> Result<T> {
-        Ok(self.accel_exchange_inner(session, request_bytes, exec, reply)?.0)
-    }
-
-    /// [`Idaa::accel_exchange`], also returning the encoded reply frame
-    /// when the reply was a row frame — the host side decodes its result
-    /// set from that frame, not from the accelerator's in-memory rows.
-    fn accel_exchange_inner<T>(
-        &self,
-        session: &mut Session,
-        request_bytes: usize,
-        exec: impl FnOnce() -> Result<T>,
-        reply: impl Fn(&T) -> ReplyPayload,
-    ) -> Result<(T, Option<Vec<u8>>)> {
-        let node = self.nodes[0].clone();
-        self.exchange_on(&node, session, request_bytes, exec, reply)
-    }
-
-    /// [`Idaa::accel_exchange_inner`] against a specific fleet node: the
-    /// exchange rides that node's link, health monitor, sequence tracker,
-    /// and recovery epoch.
-    pub(crate) fn exchange_on<T>(
+    ///
+    /// `reply` makes one attempt at the reply leg and says what arrived on
+    /// the host side; the exchange returns that next to the statement's
+    /// result.
+    ///
+    /// [`SeqTracker`]: crate::health::SeqTracker
+    fn exchange_on<T, R>(
         &self,
         node: &AccelNode,
         session: &mut Session,
         request_bytes: usize,
         exec: impl FnOnce() -> Result<T>,
-        reply: impl Fn(&T) -> ReplyPayload,
-    ) -> Result<(T, Option<Vec<u8>>)> {
+        reply: impl Fn(&T) -> ReplyLeg<R>,
+    ) -> Result<(T, R)> {
         let trace = session.trace.clone();
         let seq = session.next_seq();
         let mut exec = Some(exec);
         let mut result: Option<T> = None;
-        let attempts = self.retry.max_attempts.max(1);
-        let mut wait = self.retry.backoff;
+        let attempts = self.config.retry.max_attempts.max(1);
+        let mut wait = self.config.retry.backoff;
         for attempt in 1..=attempts {
             if attempt > 1 {
                 self.metrics.inc("exchange.retries", 1);
                 trace.event("retry", &[("attempt", &attempt)], node.link.now());
                 node.link.advance(wait);
-                wait = wait.saturating_mul(self.retry.multiplier);
+                wait = wait.saturating_mul(self.config.retry.multiplier);
             }
             // Request leg: loss means the statement never reached the
             // accelerator — resend it.
@@ -2113,36 +1952,19 @@ impl Idaa {
                 }
             }
             let outcome = result.as_ref().expect("executed on or before this delivery");
-            // Reply leg: control acknowledgements go as plain messages; row
-            // results are encoded into a wire frame whose checksum the host
-            // side verifies on receipt.
-            let (sent, kind, reply_bytes) = match reply(outcome) {
-                ReplyPayload::Control(bytes) => (
-                    node.link.transfer(Direction::ToHost, bytes).map(|_| None),
-                    "control",
-                    bytes,
-                ),
-                ReplyPayload::Frame(frame) => {
-                    let len = frame.len();
-                    (
-                        node.link.transfer_frame(Direction::ToHost, &frame).map(|_| Some(frame)),
-                        "frame",
-                        len,
-                    )
-                }
-            };
+            let ReplyLeg { kind, bytes, sent } = reply(outcome);
             match sent {
-                Ok(frame) => {
-                    self.transfer_event_on(node, &trace, Direction::ToHost, kind, reply_bytes, None);
+                Ok(arrived) => {
+                    self.transfer_event_on(node, &trace, Direction::ToHost, kind, bytes, None);
                     node.health.record_success();
-                    return Ok((result.take().expect("reply delivered"), frame));
+                    return Ok((result.take().expect("reply delivered"), arrived));
                 }
                 Err(e) => self.transfer_event_on(
                     node,
                     &trace,
                     Direction::ToHost,
                     kind,
-                    reply_bytes,
+                    bytes,
                     Some(e.to_string()),
                 ),
             }
@@ -2157,9 +1979,50 @@ impl Idaa {
         ))
     }
 
-    /// Commit the session's transaction. When the accelerator participated,
-    /// run two-phase commit: PREPARE on the accelerator, COMMIT on DB2 (the
-    /// coordinator), COMMIT on the accelerator.
+    /// [`Idaa::exchange_on`] for a statement acknowledged by a fixed-size
+    /// control message (counts, DDL acks).
+    pub(crate) fn exchange_control<T>(
+        &self,
+        node: &AccelNode,
+        session: &mut Session,
+        request_bytes: usize,
+        exec: impl FnOnce() -> Result<T>,
+    ) -> Result<T> {
+        let ack = |_: &T| ReplyLeg {
+            kind: "control",
+            bytes: wire::ACK_FRAME,
+            sent: node.link.transfer(Direction::ToHost, wire::ACK_FRAME).map(drop),
+        };
+        Ok(self.exchange_on(node, session, request_bytes, exec, ack)?.0)
+    }
+
+    /// [`Idaa::exchange_on`] for a statement answered with rows: the result
+    /// travels back as an encoded wire frame whose checksum the host side
+    /// verifies on receipt, and the rows returned are the ones decoded from
+    /// that frame — not the accelerator's in-memory rows.
+    pub(crate) fn exchange_rows(
+        &self,
+        node: &AccelNode,
+        session: &mut Session,
+        request_bytes: usize,
+        exec: impl FnOnce() -> Result<Rows>,
+    ) -> Result<Rows> {
+        let frame_reply = |r: &Rows| {
+            let frame = wire::encode_frame(&r.schema, &r.rows);
+            ReplyLeg {
+                kind: "frame",
+                bytes: frame.len(),
+                sent: node.link.transfer_frame(Direction::ToHost, &frame).map(|_| frame),
+            }
+        };
+        let (rows, frame) = self.exchange_on(node, session, request_bytes, exec, frame_reply)?;
+        let decoded = wire::decode_rows(&frame, &rows.schema)?;
+        Ok(Rows::new(rows.schema, decoded))
+    }
+
+    /// Commit the session's transaction. When accelerator nodes
+    /// participated, run two-phase commit: PREPARE on every participant,
+    /// COMMIT on DB2 (the coordinator), COMMIT on every participant.
     pub fn commit_session(&self, session: &mut Session) -> Result<()> {
         let Some(txn) = session.txn.take() else { return Ok(()) };
         let trace = session.trace.clone();
@@ -2168,22 +2031,17 @@ impl Idaa {
         } else {
             None
         };
-        let fleet_ids =
-            if self.fleet_active() { self.fleet.take_enlisted(txn) } else { Vec::new() };
-        let enlisted = self.host.txns.accelerator_enlisted(txn);
+        let enlisted = self.fleet.take_enlisted(txn);
         if let Some(id) = span {
-            trace.attr(id, "kind", if enlisted { "2pc" } else { "local" });
+            trace.attr(id, "kind", if enlisted.is_empty() { "local" } else { "2pc" });
         }
-        let result = if !fleet_ids.is_empty() {
-            self.metrics.inc("commits.twopc", 1);
-            self.commit_two_phase_fleet(&trace, txn, &fleet_ids)
-        } else if enlisted {
-            self.metrics.inc("commits.twopc", 1);
-            self.commit_two_phase(&trace, txn)
-        } else {
+        let result = if enlisted.is_empty() {
             self.metrics.inc("commits.local", 1);
             self.host.commit(txn);
             Ok(())
+        } else {
+            self.metrics.inc("commits.twopc", 1);
+            self.commit_two_phase(&trace, txn, &enlisted)
         };
         if let Err(e) = result {
             if let Some(id) = span {
@@ -2260,16 +2118,35 @@ impl Idaa {
         }
     }
 
-    /// Two-phase commit with an enlisted accelerator, hardened against a
-    /// stopped accelerator and link-level message loss at every step.
-    fn commit_two_phase(&self, trace: &Trace, txn: TxnId) -> Result<()> {
-        // A stopped or crashed accelerator cannot vote: presume abort on
-        // both sides. (A crashed engine's copy of the transaction is
-        // aborted durably when recovery replays the log.)
-        if self.faults.accel_unavailable.load(Ordering::Relaxed) || self.accel().is_crashed() {
-            self.accel().abort(txn);
+    /// Two-phase commit across the enlisted nodes `ids`, hardened against a
+    /// stopped accelerator and link-level message loss at every step: all
+    /// prepare, all vote, one host decision, then per-node phase-2 delivery.
+    fn commit_two_phase(&self, trace: &Trace, txn: TxnId, ids: &[usize]) -> Result<()> {
+        // Roll back on every participant and report why.
+        let abort_all = |why: Error| -> Result<()> {
+            for &i in ids {
+                self.nodes[i].engine.abort(txn);
+            }
             self.host.rollback(txn)?;
-            return Err(Error::ResourceUnavailable(
+            Err(why)
+        };
+        // One protocol message to or from one participant, on the shared
+        // timeline.
+        let ship = |i: usize, direction: Direction| {
+            let node = &self.nodes[i];
+            self.sync_node_clock(node);
+            let shipped =
+                self.ship_traced_on(node, trace, direction, "control", wire::CONTROL_FRAME);
+            self.absorb_node_clock(node);
+            shipped
+        };
+        // A stopped or crashed accelerator cannot vote: presume abort on
+        // all sides. (A crashed engine's copy of the transaction is
+        // aborted durably when recovery replays the log.)
+        if self.faults.accel_unavailable.load(Ordering::Relaxed)
+            || ids.iter().any(|&i| self.nodes[i].engine.is_crashed())
+        {
+            return abort_all(Error::ResourceUnavailable(
                 "the accelerator is unavailable; transaction rolled back on all \
                  participants"
                     .into(),
@@ -2277,75 +2154,67 @@ impl Idaa {
         }
         // Phase 1: PREPARE request. Undeliverable after retries means the
         // participant never voted — presumed abort everywhere.
-        if let Err(e) = self.ship_traced(trace, Direction::ToAccel, "control", wire::CONTROL_FRAME)
-        {
-            self.accel().abort(txn);
-            self.host.rollback(txn)?;
-            return Err(Error::CommitFailed(format!(
-                "PREPARE could not be delivered ({e}); transaction rolled back on all \
-                 participants"
-            )));
+        for &i in ids {
+            if let Err(e) = ship(i, Direction::ToAccel) {
+                return abort_all(Error::CommitFailed(format!(
+                    "PREPARE could not be delivered ({e}); transaction rolled back on all \
+                     participants"
+                )));
+            }
         }
         // The PREPARE vote consults the failure registry: a fired
         // `coord.prepare.vote_no` site (armed one-shot or seeded plan)
-        // makes this participant vote NO.
-        let prepare_ok = !self.faults.registry.fire(sites::PREPARE_VOTE_NO);
-        if !prepare_ok {
-            // Vote NO: roll back everywhere.
-            self.accel().abort(txn);
-            self.host.rollback(txn)?;
-            return Err(Error::CommitFailed(
+        // makes a participant vote NO.
+        if self.faults.registry.fire(sites::PREPARE_VOTE_NO) {
+            return abort_all(Error::CommitFailed(
                 "accelerator failed to prepare; transaction rolled back on all \
                  participants"
                     .into(),
             ));
         }
-        if let Err(e) = self.accel().prepare(txn) {
+        for &i in ids {
             // A NO vote (or protocol error) aborts everywhere; the host
             // transaction must not stay open holding locks.
-            self.accel().abort(txn);
-            self.host.rollback(txn)?;
-            return Err(Error::CommitFailed(format!(
-                "accelerator PREPARE failed ({e}); transaction rolled back on all \
-                 participants"
-            )));
+            if let Err(e) = self.nodes[i].engine.prepare(txn) {
+                return abort_all(Error::CommitFailed(format!(
+                    "accelerator PREPARE failed ({e}); transaction rolled back on all \
+                     participants"
+                )));
+            }
         }
-        // The YES vote travels back. Losing it leaves the transaction
+        // The YES votes travel back. Losing one leaves the transaction
         // in-doubt: the participant is prepared but the coordinator cannot
         // see the outcome. The resolver re-runs the status inquiry once;
-        // if that fails too, both sides roll back (presumed abort).
-        if self.ship_traced(trace, Direction::ToHost, "control", wire::CONTROL_FRAME).is_err() {
-            let recovered = self
-                .ship_traced(trace, Direction::ToAccel, "control", wire::CONTROL_FRAME)
-                .is_ok()
-                && self
-                    .ship_traced(trace, Direction::ToHost, "control", wire::CONTROL_FRAME)
-                    .is_ok();
-            if !recovered {
-                self.accel().abort(txn);
-                self.host.rollback(txn)?;
-                return Err(Error::CommitFailed(
-                    "in-doubt transaction could not be resolved before timeout; rolled \
-                     back on all participants"
-                        .into(),
-                ));
+        // if that fails too, all sides roll back (presumed abort).
+        for &i in ids {
+            if ship(i, Direction::ToHost).is_err() {
+                let recovered =
+                    ship(i, Direction::ToAccel).is_ok() && ship(i, Direction::ToHost).is_ok();
+                if !recovered {
+                    return abort_all(Error::CommitFailed(
+                        "in-doubt transaction could not be resolved before timeout; rolled \
+                         back on all participants"
+                            .into(),
+                    ));
+                }
+                self.in_doubt_resolved.fetch_add(1, Ordering::Relaxed);
+                self.metrics.inc("twopc.in_doubt_resolved", 1);
             }
-            self.in_doubt_resolved.fetch_add(1, Ordering::Relaxed);
-            self.metrics.inc("twopc.in_doubt_resolved", 1);
         }
         // Phase 2: the decision is durable once the coordinator commits.
         self.host.commit(txn);
-        if self.accel().is_crashed()
-            || self.ship_traced(trace, Direction::ToAccel, "control", wire::CONTROL_FRAME).is_err()
-        {
-            // The COMMIT decision is queued and redelivered on the next
-            // replication round or recovery probe; the accelerator holds
-            // the transaction prepared (durably — a crash re-materializes
-            // it from the log) until the decision arrives.
-            self.node0().pending_commits.lock().push(txn);
-            self.metrics.inc("twopc.decisions_queued", 1);
-        } else {
-            self.accel().commit(txn);
+        for &i in ids {
+            let node = &self.nodes[i];
+            if node.engine.is_crashed() || ship(i, Direction::ToAccel).is_err() {
+                // The COMMIT decision is queued and redelivered on the next
+                // replication round or recovery probe; the participant holds
+                // the transaction prepared (durably — a crash re-materializes
+                // it from the log) until the decision arrives.
+                node.pending_commits.lock().push(txn);
+                self.metrics.inc("twopc.decisions_queued", 1);
+            } else {
+                node.engine.commit(txn);
+            }
         }
         Ok(())
     }
@@ -2353,23 +2222,13 @@ impl Idaa {
     /// Roll the session's transaction back on every participant.
     pub fn rollback_session(&self, session: &mut Session) -> Result<()> {
         let Some(txn) = session.txn.take() else { return Ok(()) };
-        let fleet_ids =
-            if self.fleet_active() { self.fleet.take_enlisted(txn) } else { Vec::new() };
-        if !fleet_ids.is_empty() {
-            // Best-effort abort message per enlisted node — each
-            // participant presumes abort for unresolved transactions on
-            // reconnect, so a lost message cannot leave one committed.
-            for i in fleet_ids {
-                let node = &self.nodes[i];
-                let _ = self.ship_on(node, Direction::ToAccel, wire::CONTROL_FRAME);
-                node.engine.abort(txn);
-            }
-        } else if self.host.txns.accelerator_enlisted(txn) {
-            // Best-effort abort message — the participant presumes abort
-            // for unresolved transactions on reconnect, so a lost message
-            // cannot leave it committed.
-            let _ = self.ship(Direction::ToAccel, wire::CONTROL_FRAME);
-            self.accel().abort(txn);
+        // Best-effort abort message per enlisted node — each participant
+        // presumes abort for unresolved transactions on reconnect, so a
+        // lost message cannot leave one committed.
+        for i in self.fleet.take_enlisted(txn) {
+            let node = &self.nodes[i];
+            let _ = self.ship_on(node, Direction::ToAccel, wire::CONTROL_FRAME);
+            node.engine.abort(txn);
         }
         self.host.rollback(txn)?;
         Ok(())
@@ -2397,12 +2256,12 @@ fn workload_schema() -> idaa_common::Schema {
     ])
 }
 
-/// What an accelerator statement exchange sends back to DB2.
-pub(crate) enum ReplyPayload {
-    /// Fixed-size control acknowledgement (counts, DDL acks).
-    Control(usize),
-    /// Encoded row frame — the host decodes its result set from this.
-    Frame(Vec<u8>),
+/// One attempt at the reply leg of a statement exchange: how the transfer
+/// shows up in the trace, and what the host side received.
+struct ReplyLeg<R> {
+    kind: &'static str,
+    bytes: usize,
+    sent: std::result::Result<R, idaa_netsim::LinkError>,
 }
 
 #[cfg(test)]

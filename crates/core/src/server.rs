@@ -496,11 +496,6 @@ impl Server {
         }
     }
 
-    /// Current queue depth of a seat (diagnostics).
-    pub fn queue_depth(&self, seat: SeatId) -> usize {
-        self.state.lock().seats.get(&seat).map(|s| s.queue.len()).unwrap_or(0)
-    }
-
     /// Completed scheduler rounds so far.
     pub fn rounds(&self) -> u64 {
         self.state.lock().rounds

@@ -49,9 +49,6 @@ pub struct TxnState {
     pub undo: Vec<UndoRecord>,
     /// Pending (uncommitted) change records awaiting commit.
     pub pending_changes: Vec<(ObjectName, ChangeOp)>,
-    /// Whether the paired accelerator transaction (if any) has been opened —
-    /// managed by the federation layer.
-    pub accel_enlisted: bool,
 }
 
 /// Transaction manager: id assignment, per-transaction state, and the
@@ -86,18 +83,6 @@ impl TxnManager {
                 state.pending_changes.push(c);
             }
         }
-    }
-
-    /// Mark that the accelerator participates in this transaction.
-    pub fn enlist_accelerator(&self, txn: TxnId) {
-        if let Some(state) = self.active.lock().get_mut(&txn) {
-            state.accel_enlisted = true;
-        }
-    }
-
-    /// Whether the accelerator participates.
-    pub fn accelerator_enlisted(&self, txn: TxnId) -> bool {
-        self.active.lock().get(&txn).map(|s| s.accel_enlisted).unwrap_or(false)
     }
 
     /// Commit: moves pending changes into the committed log (assigning
@@ -230,17 +215,6 @@ mod tests {
         tm.truncate_log(committed[0].lsn);
         assert!(tm.changes_since(0).is_empty());
         assert_eq!(tm.current_lsn(), committed[0].lsn);
-    }
-
-    #[test]
-    fn accelerator_enlistment_flag() {
-        let tm = TxnManager::default();
-        let x = tm.begin();
-        assert!(!tm.accelerator_enlisted(x));
-        tm.enlist_accelerator(x);
-        assert!(tm.accelerator_enlisted(x));
-        tm.commit(x);
-        assert!(!tm.accelerator_enlisted(x));
     }
 
     #[test]

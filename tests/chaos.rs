@@ -618,6 +618,40 @@ fn fleet_primary_crash_mid_scatter_fails_over_and_converges() {
     assert_eq!(rebalances, rebalances2);
 }
 
+/// A lost PREPARE vote from one fleet participant leaves the transaction
+/// in-doubt on that node only: the coordinator's status inquiry resolves it
+/// and the commit goes through on every replica — exactly what the single
+/// accelerator does, instead of rolling the whole transaction back.
+#[test]
+fn fleet_lost_vote_is_resolved_by_the_status_inquiry() {
+    let (idaa, mut s) = fleet_system();
+    idaa.execute(&mut s, "BEGIN").unwrap();
+    // Sixteen keys hash across all four shards, so all three nodes enlist.
+    let vals: Vec<String> = (0..16).map(|i| format!("({i}, 'a')")).collect();
+    idaa.execute(&mut s, &format!("INSERT INTO FLOG VALUES {}", vals.join(", "))).unwrap();
+    // On node 1's link: PREPARE is delivered, then every attempt of its YES
+    // vote is lost; the inquiry that follows finds a healed link.
+    idaa.node_link(1).fail_transfers_after(1, 4);
+    idaa.execute(&mut s, "COMMIT").unwrap();
+    assert_eq!(idaa.metrics().counter("twopc.in_doubt_resolved"), 1);
+    assert_eq!(idaa.in_doubt_resolved(), 1);
+    assert_eq!(idaa.metrics().counter("twopc.decisions_queued"), 0);
+
+    let mut other = idaa.session(SYSADM);
+    idaa.execute(&mut other, "SET CURRENT QUERY ACCELERATION = ELIGIBLE").unwrap();
+    let n = idaa.query(&mut other, "SELECT COUNT(*) FROM FLOG").unwrap();
+    assert_eq!(n.scalar().unwrap(), &Value::BigInt(16), "commit visible to other sessions");
+    // Both replicas of every shard committed: 16 rows, two copies each.
+    let copies: usize = (0..4usize)
+        .flat_map(|shard| (0..2usize).map(move |r| (shard, (shard + r) % 3)))
+        .map(|(shard, node)| {
+            let table = idaa::shard_table(&ObjectName::bare("FLOG"), shard, 4);
+            idaa.node_engine(node).scan_visible(&table).unwrap().len()
+        })
+        .sum();
+    assert_eq!(copies, 32);
+}
+
 /// Fleet error surfaces: losing every replica of a shard is -904 (resource
 /// unavailable), while a shard whose exchange dies after retries on every
 /// live replica is -30081 (communication failure).

@@ -90,7 +90,21 @@ fn offloaded_query_trace_covers_the_whole_lifecycle() {
 
 #[test]
 fn aot_insert_select_trace_shows_control_frames_only() {
-    let (idaa, mut s) = seeded_system();
+    // The pushdown holds wherever target and sources live whole on the same
+    // owners: on the single accelerator, and on a two-node fleet whose one
+    // shard is replicated on both nodes.
+    aot_insert_select_is_a_pushdown_on(FleetConfig::default());
+    aot_insert_select_is_a_pushdown_on(FleetConfig {
+        accelerators: 2,
+        shards: 1,
+        replication_factor: 2,
+        ..FleetConfig::default()
+    });
+}
+
+fn aot_insert_select_is_a_pushdown_on(fleet: FleetConfig) {
+    let idaa = Idaa::new(IdaaConfig { fleet, ..IdaaConfig::default() });
+    let mut s = idaa.session(SYSADM);
     stage_setup(&idaa, &mut s, 64);
     idaa.tracer().clear();
     let out = idaa
@@ -110,6 +124,11 @@ fn aot_insert_select_trace_shows_control_frames_only() {
             "AOT pushdown must not move row frames: {}",
             root.render()
         );
+    }
+    // Every replica of the target ran the statement on its own copy.
+    for i in 0..idaa.fleet_size() {
+        let stage = idaa.node_engine(i).scan_visible(&idaa::ObjectName::bare("STAGE")).unwrap();
+        assert_eq!(stage.len(), 2, "node {i} must hold both groups");
     }
     // The same statement against a *host* source moves row frames — the
     // trace makes the pushdown visible structurally.

@@ -1321,7 +1321,7 @@ proptest! {
             "SELECT x.a, d.name FROM f AS x INNER JOIN d ON x.a = d.a \
              ORDER BY x.a, d.name",
         ];
-        let run = |config: IdaaConfig| -> Vec<Vec<idaa::Row>> {
+        let run = |config: IdaaConfig| -> (Vec<Vec<idaa::Row>>, idaa::LinkMetrics, idaa::LinkMetrics) {
             let idaa = Idaa::new(config);
             let mut s = idaa.session(SYSADM);
             idaa.execute(
@@ -1350,10 +1350,11 @@ proptest! {
             idaa.execute(&mut s, "CALL ACCEL_ADD_TABLES('D')").unwrap();
             idaa.execute(&mut s, "CALL ACCEL_LOAD_TABLES('D')").unwrap();
             idaa.execute(&mut s, "SET CURRENT QUERY ACCELERATION = ELIGIBLE").unwrap();
-            queries.iter().map(|q| idaa.query(&mut s, q).unwrap().rows).collect()
+            let answers = queries.iter().map(|q| idaa.query(&mut s, q).unwrap().rows).collect();
+            (answers, idaa.link().metrics(), idaa.fleet_link_metrics())
         };
-        let single = run(IdaaConfig::default());
-        let fleet = run(IdaaConfig {
+        let (single, single_link, _) = run(IdaaConfig::default());
+        let (fleet, _, fleet_links) = run(IdaaConfig {
             fleet: FleetConfig {
                 accelerators,
                 shards,
@@ -1364,6 +1365,11 @@ proptest! {
         });
         for (i, (lhs, rhs)) in single.iter().zip(&fleet).enumerate() {
             prop_assert_eq!(lhs, rhs, "fleet disagreed with single accelerator on {}", queries[i]);
+        }
+        // A fleet of one node and one shard *is* the single accelerator:
+        // not just the answers but every byte on the wire must match.
+        if (accelerators, shards, replicas) == (1, 1, 1) {
+            prop_assert_eq!(fleet_links, single_link);
         }
     }
 }
