@@ -1,0 +1,703 @@
+//! Statement dispatch: one parsed statement in, one [`ExecOutcome`] out.
+//!
+//! Governance first (privileges are checked on DB2 before anything is
+//! delegated), then routing (host vs. accelerator side, with the reason
+//! recorded as a "route" trace event), then execution: host statements run
+//! on the host engine, accelerator reads go through the fleet's read plan,
+//! and accelerator-only-table writes through its owner loop.
+
+use crate::idaa::{ExecOutcome, Idaa, Payload};
+use crate::router::{self, Route};
+use crate::session::Session;
+use idaa_common::trace::Trace;
+use idaa_common::{wire, Error, ObjectName, Result, Row, Rows, Value};
+use idaa_host::{TableKind, SYSADM};
+use idaa_sql::ast::{Expr, InsertSource, Query, Statement};
+use idaa_sql::eval::{bind, eval, FlatResolver};
+use idaa_sql::plan::{plan_query, Plan, PlanProfile};
+use idaa_sql::Privilege;
+use std::time::Duration;
+
+impl Idaa {
+    pub(crate) fn dispatch(&self, session: &mut Session, stmt: &Statement) -> Result<ExecOutcome> {
+        match stmt {
+            Statement::Begin => {
+                if session.explicit_txn {
+                    return Err(Error::TransactionState("transaction already open".into()));
+                }
+                session.explicit_txn = true;
+                self.ensure_txn(session);
+                Ok(ExecOutcome::host(Payload::None))
+            }
+            Statement::Commit => {
+                // A failed COMMIT ends the transaction too (everything was
+                // rolled back) — the session must not stay "in transaction".
+                let result = self.commit_session(session);
+                session.explicit_txn = false;
+                result?;
+                Ok(ExecOutcome::host(Payload::None))
+            }
+            Statement::Rollback => {
+                self.rollback_session(session)?;
+                session.explicit_txn = false;
+                Ok(ExecOutcome::host(Payload::None))
+            }
+            Statement::SetQueryAcceleration(mode) => {
+                session.acceleration = *mode;
+                Ok(ExecOutcome::host(Payload::None))
+            }
+            Statement::SetCurrentSchema(s) => {
+                if s != &self.config.default_schema {
+                    return Err(Error::Unsupported(
+                        "per-session CURRENT SCHEMA is not supported; configure the \
+                         system default instead"
+                            .into(),
+                    ));
+                }
+                Ok(ExecOutcome::host(Payload::None))
+            }
+            Statement::CreateTable { name, columns, in_accelerator, distribute_by } => {
+                let schema = idaa_common::Schema::new(
+                    columns
+                        .iter()
+                        .map(|c| idaa_common::ColumnDef {
+                            name: c.name.clone(),
+                            data_type: c.data_type,
+                            not_null: c.not_null,
+                        })
+                        .collect(),
+                )?;
+                let kind = if *in_accelerator {
+                    TableKind::AcceleratorOnly
+                } else {
+                    TableKind::Regular
+                };
+                self.host.create_table(
+                    &session.user,
+                    name,
+                    schema.clone(),
+                    kind,
+                    distribute_by.clone(),
+                )?;
+                if *in_accelerator {
+                    // Nickname proxy exists in DB2; actual table lives on
+                    // the accelerator.
+                    let resolved = name.resolve(&self.config.default_schema);
+                    if let Err(e) =
+                        self.create_aot(&resolved, &schema, distribute_by, &stmt.to_string())
+                    {
+                        // The DDL did not reach every owner: undo the
+                        // catalog entry so both sides stay consistent.
+                        let _ = self.host.drop_table(SYSADM, name);
+                        return Err(e);
+                    }
+                    return Ok(ExecOutcome::accel(Payload::None));
+                }
+                Ok(ExecOutcome::host(Payload::None))
+            }
+            Statement::DropTable { name } => {
+                let meta = self.host.table_meta(name)?;
+                let on_accel = meta.kind == TableKind::AcceleratorOnly
+                    || meta.accel_status != idaa_host::AccelStatus::NotAccelerated;
+                self.host.drop_table(&session.user, name)?;
+                if on_accel {
+                    // Best effort: the DB2 catalog entry is gone either
+                    // way; an unreachable accelerator cleans up its copy
+                    // when the DDL is redelivered on recovery.
+                    self.drop_accel_copies(&meta, &stmt.to_string());
+                    return Ok(ExecOutcome::accel(Payload::None));
+                }
+                Ok(ExecOutcome::host(Payload::None))
+            }
+            Statement::CreateIndex { name, table, columns } => {
+                self.host.create_index(&session.user, name, table, columns.clone())?;
+                Ok(ExecOutcome::host(Payload::None))
+            }
+            Statement::Grant { privileges, object, grantees } => {
+                let object = object.resolve(&self.config.default_schema);
+                let mut privs = self.host.privileges.write();
+                for g in grantees {
+                    privs.grant(&session.user, g, &object, privileges)?;
+                }
+                Ok(ExecOutcome::host(Payload::None))
+            }
+            Statement::Revoke { privileges, object, grantees } => {
+                let object = object.resolve(&self.config.default_schema);
+                let mut privs = self.host.privileges.write();
+                for g in grantees {
+                    privs.revoke(&session.user, g, &object, privileges)?;
+                }
+                Ok(ExecOutcome::host(Payload::None))
+            }
+            Statement::ShowWorkload => {
+                Ok(ExecOutcome::host(Payload::Rows(self.workload_rows())))
+            }
+            Statement::Call { procedure, args } => self.dispatch_call(session, procedure, args),
+            Statement::Explain { analyze: false, stmt } => self.dispatch_explain(session, stmt),
+            Statement::Explain { analyze: true, stmt } => {
+                self.dispatch_explain_analyze(session, stmt)
+            }
+            Statement::Query(q) => self.dispatch_query(session, q),
+            Statement::Insert { table, columns, source } => {
+                self.dispatch_insert(session, table, columns, source)
+            }
+            Statement::Update { table, assignments, filter } => {
+                match router::route_dml(&self.host, table)? {
+                    Route::Host => {
+                        let txn = self.ensure_txn(session);
+                        let n = self.host.update_where(
+                            &session.user,
+                            txn,
+                            table,
+                            assignments,
+                            filter.as_ref(),
+                        )?;
+                        Ok(ExecOutcome::host(Payload::Count(n)))
+                    }
+                    Route::Accelerator => {
+                        let table_r = table.resolve(&self.config.default_schema);
+                        self.host.privileges.read().check(
+                            &session.user,
+                            &table_r,
+                            Privilege::Update,
+                        )?;
+                        let n = self.aot_statement(
+                            session,
+                            &table_r,
+                            stmt.to_string().len() + wire::CONTROL_FRAME,
+                            |node, txn, st| {
+                                node.engine.update_where(txn, st, assignments, filter.as_ref())
+                            },
+                        )?;
+                        Ok(ExecOutcome::accel(Payload::Count(n)))
+                    }
+                }
+            }
+            Statement::Delete { table, filter } => {
+                match router::route_dml(&self.host, table)? {
+                    Route::Host => {
+                        let txn = self.ensure_txn(session);
+                        let n =
+                            self.host.delete_where(&session.user, txn, table, filter.as_ref())?;
+                        Ok(ExecOutcome::host(Payload::Count(n)))
+                    }
+                    Route::Accelerator => {
+                        let table_r = table.resolve(&self.config.default_schema);
+                        self.host.privileges.read().check(
+                            &session.user,
+                            &table_r,
+                            Privilege::Delete,
+                        )?;
+                        let n = self.aot_statement(
+                            session,
+                            &table_r,
+                            stmt.to_string().len() + wire::CONTROL_FRAME,
+                            |node, txn, st| node.engine.delete_where(txn, st, filter.as_ref()),
+                        )?;
+                        Ok(ExecOutcome::accel(Payload::Count(n)))
+                    }
+                }
+            }
+        }
+    }
+
+    fn dispatch_call(
+        &self,
+        session: &mut Session,
+        procedure: &ObjectName,
+        args: &[Expr],
+    ) -> Result<ExecOutcome> {
+        let name = match procedure.schema {
+            Some(_) => procedure.clone(),
+            // Procedures default to SYSPROC, then the default schema.
+            None => {
+                let sysproc = ObjectName::qualified("SYSPROC", &procedure.name);
+                if self.procedures.read().contains_key(&sysproc) {
+                    sysproc
+                } else {
+                    procedure.resolve(&self.config.default_schema)
+                }
+            }
+        };
+        let proc = self
+            .procedures
+            .read()
+            .get(&name)
+            .cloned()
+            .ok_or_else(|| Error::UndefinedObject(format!("procedure {name} is not defined")))?;
+        // Governance: EXECUTE on the procedure object, checked on DB2.
+        self.host.privileges.read().check(&session.user, &name, Privilege::Execute)?;
+        let arg_values: Vec<Value> = args
+            .iter()
+            .map(|e| {
+                let resolver = FlatResolver::new(vec![]);
+                eval(&bind(e, &resolver)?, &[])
+            })
+            .collect::<Result<_>>()?;
+        let rows = proc.execute(self, session, &arg_values)?;
+        Ok(ExecOutcome::host(Payload::Rows(rows)))
+    }
+
+    /// `EXPLAIN`: plan the statement, report the routing decision and the
+    /// operator tree — without executing anything.
+    fn dispatch_explain(&self, session: &mut Session, inner: &Statement) -> Result<ExecOutcome> {
+        let (plan, route_desc) = match inner {
+            Statement::Query(q) => {
+                let plan = plan_query(q, &*self.host)?;
+                let tables: Vec<ObjectName> = plan
+                    .tables()
+                    .iter()
+                    .map(|t| t.resolve(&self.config.default_schema))
+                    .collect();
+                let mut mix = router::classify(&self.host, &tables)?;
+                mix.indexed_point = router::is_indexed_point(&self.host, &plan);
+                let (route, reason) =
+                    router::route_query_with_reason(&mix, session.acceleration)?;
+                let mut desc = format!(
+                    "ROUTE: {route:?} (CURRENT QUERY ACCELERATION = {})\nREASON: {reason}",
+                    session.acceleration
+                );
+                // For offloaded queries, also report which accelerator
+                // pipeline would run — vectorized kernels, fused
+                // aggregation, or the interpreted fallback.
+                if route == router::Route::Accelerator {
+                    if let Ok(pipeline) = self.accel().pipeline_of(q) {
+                        desc.push_str(&format!("\nPIPELINE: {pipeline}"));
+                    }
+                }
+                (plan, desc)
+            }
+            Statement::Insert { table, .. }
+            | Statement::Update { table, .. }
+            | Statement::Delete { table, .. } => {
+                let route = router::route_dml(&self.host, table)?;
+                let desc = format!("ROUTE: {route:?} (DML target {table})");
+                match inner {
+                    Statement::Insert { source: InsertSource::Query(q), .. } => {
+                        (plan_query(q, &*self.host)?, desc)
+                    }
+                    _ => {
+                        // No query plan to show for VALUES/UPDATE/DELETE —
+                        // report the route only.
+                        let lines = vec![vec![Value::Varchar(desc)]];
+                        return Ok(ExecOutcome::host(Payload::Rows(Rows::new(
+                            explain_schema(),
+                            lines,
+                        ))));
+                    }
+                }
+            }
+            other => {
+                return Err(Error::Unsupported(format!(
+                    "EXPLAIN is not supported for this statement: {other}"
+                )))
+            }
+        };
+        let mut lines: Vec<Row> = route_desc
+            .lines()
+            .map(|l| vec![Value::Varchar(l.to_string())])
+            .collect();
+        for l in plan.explain().lines() {
+            lines.push(vec![Value::Varchar(l.to_string())]);
+        }
+        Ok(ExecOutcome::host(Payload::Rows(Rows::new(explain_schema(), lines))))
+    }
+
+    /// `EXPLAIN ANALYZE`: *execute* the statement (under a span tree even
+    /// when session tracing is off), then report the plan followed by the
+    /// executed spans — per-operator row counts and virtual-time costs.
+    fn dispatch_explain_analyze(
+        &self,
+        session: &mut Session,
+        inner: &Statement,
+    ) -> Result<ExecOutcome> {
+        // The report needs spans even when the session isn't tracing:
+        // borrow an enabled trace for the duration of the inner statement.
+        let borrowed = if session.trace.is_enabled() {
+            None
+        } else {
+            Some(std::mem::replace(&mut session.trace, Trace::enabled()))
+        };
+        let trace = session.trace.clone();
+        let span = trace.begin("analyze", self.link().now());
+        let result = self.dispatch(session, inner);
+        let analyzed = trace.finish(span, self.link().now());
+        if let Some(original) = borrowed {
+            session.trace = original;
+        }
+        let outcome = result?;
+        let mut lines: Vec<Row> = vec![vec![Value::Varchar(format!(
+            "ROUTE: {:?} (CURRENT QUERY ACCELERATION = {})",
+            outcome.route, session.acceleration
+        ))]];
+        // Show the plan for the query shape, as plain EXPLAIN would.
+        let query = match inner {
+            Statement::Query(q) => Some(q.as_ref()),
+            Statement::Insert { source: InsertSource::Query(q), .. } => Some(q.as_ref()),
+            _ => None,
+        };
+        if let Some(q) = query {
+            for l in plan_query(q, &*self.host)?.explain().lines() {
+                lines.push(vec![Value::Varchar(l.to_string())]);
+            }
+        }
+        lines.push(vec![Value::Varchar("-- ANALYZE --".into())]);
+        if let Some(node) = analyzed {
+            for child in &node.children {
+                for l in child.render().lines() {
+                    lines.push(vec![Value::Varchar(l.to_string())]);
+                }
+            }
+        }
+        Ok(ExecOutcome {
+            route: outcome.route,
+            payload: Payload::Rows(Rows::new(explain_schema(), lines)),
+        })
+    }
+
+    fn dispatch_query(&self, session: &mut Session, q: &Query) -> Result<ExecOutcome> {
+        let trace = session.trace.clone();
+        let plan = plan_query(q, &*self.host)?;
+        let tables: Vec<ObjectName> = plan
+            .tables()
+            .iter()
+            .map(|t| t.resolve(&self.config.default_schema))
+            .collect();
+        let mut mix = router::classify(&self.host, &tables)?;
+        mix.indexed_point = router::is_indexed_point(&self.host, &plan);
+        let (mut route, mut reason) =
+            router::route_query_with_reason(&mix, session.acceleration)?;
+        // No owner of some shard the read touches is available (stopped,
+        // crashed, or declared offline after consecutive communication
+        // failures): fall back to DB2 when the data still lives there; fail
+        // when only the accelerator side could answer. Judged once, before
+        // the route event.
+        let must_accelerate = router::must_accelerate(&mix, session.acceleration);
+        let read_plan = self.read_plan(&tables)?;
+        if route == Route::Accelerator {
+            if let Err(e) = self.read_ready(session, &read_plan, &tables) {
+                if must_accelerate {
+                    return Err(e);
+                }
+                route = Route::Host;
+                reason = "accelerator unavailable; falling back to DB2";
+            }
+        }
+        self.route_event(&trace, route, reason, session);
+        if route == Route::Accelerator {
+            // Governance on DB2 before delegation — a failover must never
+            // mask a privilege error.
+            {
+                let privs = self.host.privileges.read();
+                for t in &tables {
+                    if t.name == "SYSDUMMY1" {
+                        continue;
+                    }
+                    privs.check(&session.user, t, Privilege::Select)?;
+                    self.privilege_event(&trace, t, "SELECT");
+                }
+            }
+            match self.accel_read(session, q, &tables, &read_plan) {
+                Ok(rows) => return Ok(ExecOutcome::accel(Payload::Rows(rows))),
+                // Communication failed mid-statement: like DB2, re-execute
+                // the read-only query locally when the data allows it.
+                Err(Error::LinkFailure(_)) if !must_accelerate => {
+                    self.route_event(
+                        &trace,
+                        Route::Host,
+                        "communication failed mid-statement; re-executing locally",
+                        session,
+                    );
+                }
+                // Every owner of a shard was lost mid-statement: the host
+                // still holds the data unless the query must accelerate.
+                Err(Error::ResourceUnavailable(_)) if !must_accelerate => {
+                    self.route_event(
+                        &trace,
+                        Route::Host,
+                        "accelerator unavailable; falling back to DB2",
+                        session,
+                    );
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        let txn = self.ensure_txn(session);
+        let rows = if trace.is_enabled() {
+            let now = self.link().now();
+            let span = trace.begin("host.exec", now);
+            let profiled = self.host.query_profiled(&session.user, txn, q);
+            if let Ok((_, plan, profile)) = &profiled {
+                self.emit_plan_spans(&trace, plan, profile, now);
+            }
+            trace.end(span, self.link().now());
+            profiled?.0
+        } else {
+            self.host.query(&session.user, txn, q)?
+        };
+        Ok(ExecOutcome::host(Payload::Rows(rows)))
+    }
+
+    /// Record the routing decision (and its reason) as a trace event.
+    fn route_event(&self, trace: &Trace, route: Route, reason: &str, session: &Session) {
+        if !trace.is_enabled() {
+            return;
+        }
+        let now = self.link().now();
+        let id = trace.begin("route", now);
+        trace.attr(id, "route", format!("{route:?}"));
+        trace.attr(id, "reason", reason);
+        trace.attr(id, "mode", session.acceleration);
+        trace.end(id, now);
+    }
+
+    /// Record a passed host-side privilege check as a trace event.
+    fn privilege_event(&self, trace: &Trace, object: &ObjectName, privilege: &str) {
+        if !trace.is_enabled() {
+            return;
+        }
+        let now = self.link().now();
+        let id = trace.begin("privilege", now);
+        trace.attr(id, "object", object);
+        trace.attr(id, "priv", privilege);
+        trace.end(id, now);
+    }
+
+    /// Mirror an executed plan (with its row-count profile) into the trace
+    /// as nested zero-duration "op" spans. Operators consume no virtual
+    /// time — only link transfers do — so only the tree shape and `rows`
+    /// attributes carry information. A node without `rows` was fused into
+    /// its parent. `now` is the executing side's clock.
+    pub(crate) fn emit_plan_spans(
+        &self,
+        trace: &Trace,
+        plan: &Plan,
+        profile: &PlanProfile,
+        now: Duration,
+    ) {
+        self.emit_plan_spans_at(trace, plan, profile, now, true);
+    }
+
+    fn emit_plan_spans_at(
+        &self,
+        trace: &Trace,
+        plan: &Plan,
+        profile: &PlanProfile,
+        now: Duration,
+        root: bool,
+    ) {
+        let id = trace.begin("op", now);
+        trace.attr(id, "op", plan.label());
+        if root {
+            // Statement-level: did the compiled-plan cache serve this tree?
+            if let Some(hit) = profile.cache_hit() {
+                trace.attr(id, "cache", if hit { "hit" } else { "miss" });
+            }
+        }
+        match profile.rows_out(plan) {
+            Some(rows) => trace.attr(id, "rows", rows),
+            None => trace.attr(id, "fused", "true"),
+        }
+        if let Some(batches) = profile.vectorized_batches(plan) {
+            trace.attr(id, "kernel", "vectorized");
+            trace.attr(id, "batches", batches);
+        }
+        if let Some(skipped) = profile.bloom_skipped(plan) {
+            trace.attr(id, "bloom_skipped", skipped);
+        }
+        for child in plan.children() {
+            self.emit_plan_spans_at(trace, child, profile, now, false);
+        }
+        trace.end(id, now);
+    }
+
+    fn dispatch_insert(
+        &self,
+        session: &mut Session,
+        table: &ObjectName,
+        columns: &[String],
+        source: &InsertSource,
+    ) -> Result<ExecOutcome> {
+        let target = table.resolve(&self.config.default_schema);
+        let meta = self.host.table_meta(&target)?;
+        // Build full-width rows from VALUES, or run the source query.
+        let rows: Vec<Row> = match source {
+            InsertSource::Values(value_rows) => {
+                let resolver = FlatResolver::new(vec![]);
+                let mut out = Vec::with_capacity(value_rows.len());
+                for exprs in value_rows {
+                    let vals: Vec<Value> = exprs
+                        .iter()
+                        .map(|e| eval(&bind(e, &resolver)?, &[]))
+                        .collect::<Result<_>>()?;
+                    out.push(self.widen_row(&meta.schema, columns, vals)?);
+                }
+                out
+            }
+            InsertSource::Query(src_q) => {
+                // Pushdown path — the paper's contribution: an AOT target
+                // whose source tables all exist on the accelerator executes
+                // entirely there; only the statement text crosses the link.
+                // That needs target and sources whole on the same owners;
+                // with more than one shard the source runs through the
+                // scatter path below and the insert re-shards its result.
+                if meta.kind == TableKind::AcceleratorOnly && self.fleet.shards == 1 {
+                    let plan = plan_query(src_q, &*self.host)?;
+                    let src_tables: Vec<ObjectName> = plan
+                        .tables()
+                        .iter()
+                        .map(|t| t.resolve(&self.config.default_schema))
+                        .collect();
+                    let mix = router::classify(&self.host, &src_tables)?;
+                    if mix.host_only == 0 {
+                        let privs = self.host.privileges.read();
+                        privs.check(&session.user, &target, Privilege::Insert)?;
+                        for t in &src_tables {
+                            if t.name == "SYSDUMMY1" {
+                                continue;
+                            }
+                            privs.check(&session.user, t, Privilege::Select)?;
+                        }
+                        drop(privs);
+                        let sql = format!("INSERT INTO {target} {src_q}");
+                        let n = self.aot_statement(
+                            session,
+                            &target,
+                            sql.len() + wire::CONTROL_FRAME,
+                            |node, txn, st| {
+                                let result = node.engine.query(txn, src_q)?;
+                                let rows: Vec<Row> = result
+                                    .rows
+                                    .into_iter()
+                                    .map(|r| self.widen_row(&meta.schema, columns, r))
+                                    .collect::<Result<_>>()?;
+                                node.engine.insert_rows(txn, st, rows)
+                            },
+                        )?;
+                        return Ok(ExecOutcome::accel(Payload::Count(n)));
+                    }
+                }
+                // Otherwise the source runs wherever routing says; result
+                // rows materialize on the host side and pay link cost when
+                // they came from the accelerator.
+                let outcome = self.dispatch_query(session, src_q)?;
+                let result = match outcome.payload {
+                    Payload::Rows(r) => r,
+                    _ => unreachable!("queries produce rows"),
+                };
+                result
+                    .rows
+                    .into_iter()
+                    .map(|r| self.widen_row(&meta.schema, columns, r))
+                    .collect::<Result<_>>()?
+            }
+        };
+        match meta.kind {
+            TableKind::Regular => {
+                let txn = self.ensure_txn(session);
+                let n = self.host.insert_rows(&session.user, txn, &target, rows)?;
+                Ok(ExecOutcome::host(Payload::Count(n)))
+            }
+            TableKind::AcceleratorOnly => {
+                self.host.privileges.read().check(&session.user, &target, Privilege::Insert)?;
+                // Rows originate on the host side (VALUES literals or a
+                // host-executed source query): they cross the link as
+                // encoded frames and each owner inserts what it decodes.
+                let n = self.aot_insert_rows(session, &meta, rows)?;
+                Ok(ExecOutcome::accel(Payload::Count(n)))
+            }
+        }
+    }
+
+    /// Expand an explicit column list to a full-width row (missing columns
+    /// become NULL, which `check_row` then validates).
+    fn widen_row(
+        &self,
+        schema: &idaa_common::Schema,
+        columns: &[String],
+        values: Vec<Value>,
+    ) -> Result<Row> {
+        if columns.is_empty() {
+            return Ok(values);
+        }
+        if columns.len() != values.len() {
+            return Err(Error::Constraint(format!(
+                "INSERT specifies {} columns but {} values",
+                columns.len(),
+                values.len()
+            )));
+        }
+        let mut row = vec![Value::Null; schema.len()];
+        for (col, v) in columns.iter().zip(values) {
+            row[schema.index_of(col)?] = v;
+        }
+        Ok(row)
+    }
+
+    /// The `SHOW WORKLOAD` result set: one row per server seat, rendered
+    /// entirely from the `server.session.*` entries the workload manager
+    /// maintains in the metrics registry. A system without a server has no
+    /// such entries and the view is empty — the statement itself never
+    /// touches the link, so it can run even while the accelerator is down.
+    fn workload_rows(&self) -> Rows {
+        let snap = self.metrics.snapshot();
+        // Every connected seat owns a `priority` gauge from connect time,
+        // so the gauge keys are the authoritative seat list.
+        let mut seats: Vec<u64> = snap
+            .gauges
+            .keys()
+            .filter_map(|k| {
+                let rest = k.strip_prefix("server.session.")?;
+                let seat = rest.strip_suffix(".priority")?;
+                seat.parse().ok()
+            })
+            .collect();
+        seats.sort_unstable();
+        let rows = seats
+            .into_iter()
+            .map(|seat| {
+                let g = |field: &str| {
+                    snap.gauges
+                        .get(&format!("server.session.{seat}.{field}"))
+                        .copied()
+                        .unwrap_or(0)
+                };
+                let c = |field: &str| {
+                    snap.counter(&format!("server.session.{seat}.{field}")) as i64
+                };
+                vec![
+                    Value::BigInt(seat as i64),
+                    Value::Varchar(crate::server::Priority::name_of_rank(g("priority")).into()),
+                    Value::BigInt(g("queued")),
+                    Value::BigInt(g("running")),
+                    Value::BigInt(c("done")),
+                    Value::BigInt(c("failed")),
+                    Value::BigInt(c("queue_time_us")),
+                    Value::BigInt(c("bytes")),
+                ]
+            })
+            .collect();
+        Rows::new(workload_schema(), rows)
+    }
+}
+
+fn explain_schema() -> idaa_common::Schema {
+    idaa_common::Schema::new_unchecked(vec![idaa_common::ColumnDef::new(
+        "PLAN",
+        idaa_common::DataType::Varchar(255),
+    )])
+}
+
+fn workload_schema() -> idaa_common::Schema {
+    use idaa_common::{ColumnDef, DataType};
+    idaa_common::Schema::new_unchecked(vec![
+        ColumnDef::new("SESSION", DataType::BigInt),
+        ColumnDef::new("PRIORITY", DataType::Varchar(8)),
+        ColumnDef::new("QUEUED", DataType::BigInt),
+        ColumnDef::new("RUNNING", DataType::BigInt),
+        ColumnDef::new("DONE", DataType::BigInt),
+        ColumnDef::new("FAILED", DataType::BigInt),
+        ColumnDef::new("QUEUE_US", DataType::BigInt),
+        ColumnDef::new("BYTES", DataType::BigInt),
+    ])
+}

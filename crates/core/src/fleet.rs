@@ -762,16 +762,6 @@ fn build_gather_filter(rows: &[Row], build_col: usize, probe_col: usize) -> Gath
 // Fleet execution
 // ---------------------------------------------------------------------------
 
-/// Outcome of one statement attempt on one owning node.
-enum Attempt<T> {
-    Served(T),
-    /// This node cannot serve (not ready, exchange dead after retries, or
-    /// crashed mid-statement) — another owner of the shard still may.
-    Down(Error),
-    /// A statement error every owner would answer the same way.
-    Failed(Error),
-}
-
 /// Where a read routed to the accelerator side runs.
 pub(crate) enum ReadPlan {
     /// Every referenced table lives whole on the owners of shard 0: the
@@ -847,52 +837,26 @@ impl Idaa {
         LinkMetrics::merged(per_node.iter())
     }
 
-    /// Lift a node's virtual clock up to the coordinator's "now". The
-    /// coordinator timeline is node 0's link; a lagging node cannot serve a
-    /// statement in the coordinator's past, so every per-node exchange first
-    /// synchronizes the node clock forward. Together with
-    /// [`Idaa::absorb_node_clock`] this keeps statement span trees
-    /// well-nested on one monotone timeline even though every node's link
-    /// meters (and delays) independently.
-    pub(crate) fn sync_node_clock(&self, node: &AccelNode) {
-        let (now, node_now) = (self.link().now(), node.link.now());
-        if node_now < now {
-            node.link.advance(now - node_now);
-        }
-    }
-
-    /// Absorb into the coordinator's clock whatever virtual time a node
-    /// consumed serving an exchange (transfer costs, retries, recovery).
-    pub(crate) fn absorb_node_clock(&self, node: &AccelNode) {
-        let (now, node_now) = (self.link().now(), node.link.now());
-        if now < node_now {
-            self.link().advance(node_now - now);
-        }
-    }
-
     /// One statement attempt on one owner, on the shared timeline: judge
     /// the node's readiness (recording an "accel.restart" event if the
-    /// check drove a recovery), run the attempt, and sort its outcome.
+    /// check drove a recovery), then run the attempt. A node that is not
+    /// ready answers with its [`Idaa::node_unavailable`] error.
     fn attempt_on<T>(
         &self,
         node: &AccelNode,
         session: &mut Session,
         run: impl FnOnce(&mut Session) -> Result<T>,
-    ) -> Attempt<T> {
+    ) -> Result<T> {
         let trace = session.trace.clone();
         self.sync_node_clock(node);
         let ready = self.node_ready_traced(node, &trace);
         self.absorb_node_clock(node);
         if !ready {
-            return Attempt::Down(self.node_unavailable(node));
+            return Err(self.node_unavailable(node));
         }
         let result = run(session);
         self.absorb_node_clock(node);
-        match result {
-            Ok(v) => Attempt::Served(v),
-            Err(e @ (Error::LinkFailure(_) | Error::ResourceUnavailable(_))) => Attempt::Down(e),
-            Err(e) => Attempt::Failed(e),
-        }
+        result
     }
 
     /// The error for a shard none of whose owners could serve: the worst
@@ -928,7 +892,7 @@ impl Idaa {
             let owner = owners[(start + step) % owners.len()];
             let node = self.nodes[owner].clone();
             match self.attempt_on(&node, session, |s| run(&node, s)) {
-                Attempt::Served(v) => {
+                Ok(v) => {
                     if owner != primary {
                         self.fleet.record_failover(shard, owner, self.link().now());
                         self.metrics.inc("fleet.failovers", 1);
@@ -940,8 +904,7 @@ impl Idaa {
                     }
                     return Ok((v, node));
                 }
-                Attempt::Down(e) => note_down(&mut down, e),
-                Attempt::Failed(e) => return Err(e),
+                Err(e) => note_down(&mut down, e)?,
             }
         }
         Err(self.shard_error(shard, table, down))
@@ -967,14 +930,13 @@ impl Idaa {
                 run(&node, s, txn)
             });
             match attempt {
-                Attempt::Served(n) => {
+                Ok(n) => {
                     counted.get_or_insert(n);
                 }
-                Attempt::Down(e) => {
+                Err(e) => {
+                    note_down(&mut down, e)?;
                     self.fleet.mark_catch_up(owner);
-                    note_down(&mut down, e);
                 }
-                Attempt::Failed(e) => return Err(e),
             }
         }
         counted.ok_or_else(|| self.shard_error(shard, table, down))
@@ -1218,54 +1180,6 @@ impl Idaa {
         }
     }
 
-    /// Copy every shard a lagging node owns from a live replica, metering
-    /// both legs of the transfer. The node stays flagged until a full pass
-    /// succeeds; a pass that found nothing to copy from is not counted.
-    pub(crate) fn catch_up_node(&self, node: &AccelNode) -> Result<()> {
-        let shards = self.fleet.shards;
-        let mut copied = false;
-        for name in self.host.table_names() {
-            let meta = self.host.table_meta(&name)?;
-            if meta.kind != TableKind::AcceleratorOnly {
-                continue;
-            }
-            for s in 0..shards {
-                let owners = self.fleet.owners(s);
-                if !owners.contains(&node.id) {
-                    continue;
-                }
-                let Some(src_id) = owners.iter().copied().find(|&o| {
-                    o != node.id
-                        && !self.nodes[o].engine.is_crashed()
-                        && !self.fleet.needs_catch_up(o)
-                }) else {
-                    continue;
-                };
-                let src = self.nodes[src_id].clone();
-                let st = shard_table(&meta.name, s, shards);
-                let rows = src.engine.scan_visible(&st)?;
-                let mut delivered: Vec<Row> = Vec::with_capacity(rows.len());
-                let mut bytes = 0u64;
-                for frame in wire::encode_frames(&meta.schema, &rows) {
-                    self.ship_frame_on(&src, Direction::ToHost, &frame)?;
-                    self.ship_frame_on(node, Direction::ToAccel, &frame)?;
-                    bytes += 2 * frame.len() as u64;
-                    delivered.extend(wire::decode_rows(&frame, &meta.schema)?);
-                }
-                node.engine.truncate(&st)?;
-                node.engine.load_committed(&st, delivered)?;
-                self.fleet.add_catch_up_bytes(bytes);
-                self.metrics.inc("fleet.catch_up.bytes", bytes);
-                copied = true;
-            }
-        }
-        self.fleet.clear_catch_up(node.id);
-        if copied {
-            self.metrics.inc("fleet.catch_ups", 1);
-        }
-        Ok(())
-    }
-
     /// Create every shard of an `IN ACCELERATOR` table on its owners.
     pub(crate) fn create_aot(
         &self,
@@ -1318,6 +1232,8 @@ impl Idaa {
         let shards = self.fleet.shards;
         let mut by_shard: BTreeMap<usize, Vec<Row>> = BTreeMap::new();
         if shards == 1 {
+            // Even an empty batch ships, so enlistment and the ack do not
+            // depend on what the source query returned.
             by_shard.insert(0, rows);
         } else {
             let dist_idx = match meta.distribute_by.first() {
@@ -1370,11 +1286,18 @@ impl Idaa {
     }
 }
 
-/// Remember why an owner was down; -904 outranks -30081.
-fn note_down(down: &mut Option<Error>, e: Error) {
+/// Sort one owner's failure: a node that is down (not ready, exchange dead
+/// after retries, or crashed mid-statement) is remembered — -904 outranks
+/// -30081 — because another owner of the shard may still serve; any other
+/// error is one every owner would answer the same way, and is returned.
+fn note_down(down: &mut Option<Error>, e: Error) -> Result<()> {
+    if !matches!(e, Error::LinkFailure(_) | Error::ResourceUnavailable(_)) {
+        return Err(e);
+    }
     if down.is_none() || matches!(e, Error::ResourceUnavailable(_)) {
         *down = Some(e);
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------

@@ -1,30 +1,31 @@
 //! The federated system facade — "DB2 + IDAA" as one object.
 //!
-//! [`Idaa`] owns the host engine, the accelerator engine, the metered link
-//! between them, the replication applier, and the stored-procedure
-//! registry. [`Idaa::execute`] is the single SQL entry point an
-//! application sees: it parses, authorizes (on the host — governance),
-//! routes (host vs. accelerator), meters every byte that crosses the link,
-//! and coordinates two-phase commit when a transaction touched both sides.
+//! [`Idaa`] owns the host engine, the accelerator nodes (each with its
+//! engine, metered link, and replication applier), and the
+//! stored-procedure registry. [`Idaa::execute`] is the single SQL entry
+//! point an application sees: it parses, opens the statement's trace span,
+//! hands the statement to `dispatch` (authorize on the host, route, run),
+//! and autocommits. What happens below that lives in the sibling modules:
+//! `transfer` meters every byte that crosses a link, `txn` coordinates
+//! two-phase commit when a transaction touched both sides, `recovery`
+//! judges node readiness and drives restarts.
 
-use crate::fleet::{shard_table, AccelNode, FleetConfig, FleetState};
-use crate::health::{Delivery, HealthConfig, HealthState};
+use crate::fleet::{AccelNode, FleetConfig, FleetState};
+use crate::health::HealthConfig;
 use crate::procedures::{system_procedures, Procedure};
-use crate::router::{self, Route};
+use crate::router::Route;
 use crate::session::Session;
 use idaa_accel::{AccelConfig, AccelEngine, RestartStats};
 use idaa_common::trace::{SpanId, StatementTrace, Trace, TraceSink};
 use idaa_common::wire;
-use idaa_common::{Error, MetricsRegistry, ObjectName, Result, Row, Rows, Value};
-use idaa_host::{HostEngine, TableKind, TxnId, SYSADM};
+use idaa_common::{Error, MetricsRegistry, ObjectName, Result, Rows, Value};
+use idaa_host::{HostEngine, TableKind, SYSADM};
 use idaa_netsim::{
-    sites, CrashPlan, Direction, DiskFaultPlan, FaultPlan, FaultRegistry, LinkConfig, NetLink,
+    CrashPlan, Direction, DiskFaultPlan, FaultPlan, FaultRegistry, LinkConfig, NetLink,
     RetryPolicy,
 };
-use idaa_sql::ast::{Expr, InsertSource, Query, Statement};
-use idaa_sql::eval::{bind, eval, FlatResolver};
-use idaa_sql::plan::{plan_query, Plan, PlanProfile};
-use idaa_sql::{parse_statement, parse_statements, Privilege};
+use idaa_sql::ast::Statement;
+use idaa_sql::{parse_statement, parse_statements};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -94,7 +95,8 @@ impl Default for IdaaConfig {
 /// Link-level faults (drops, outage windows) are configured on the link
 /// itself via [`Idaa::set_fault_plan`]; conditions the link cannot express
 /// go through the unified [`FaultRegistry`] — a [`CrashPlan`] names crash
-/// sites (or protocol sites like [`sites::PREPARE_VOTE_NO`]) and the
+/// sites (or protocol sites like
+/// [`PREPARE_VOTE_NO`](idaa_netsim::sites::PREPARE_VOTE_NO)) and the
 /// registry replays the same firings for a given seed. One registry is
 /// shared between the coordinator and the accelerator engine so a single
 /// plan drives both.
@@ -130,11 +132,11 @@ pub struct ExecOutcome {
 }
 
 impl ExecOutcome {
-    fn host(payload: Payload) -> ExecOutcome {
+    pub(crate) fn host(payload: Payload) -> ExecOutcome {
         ExecOutcome { route: Route::Host, payload }
     }
 
-    fn accel(payload: Payload) -> ExecOutcome {
+    pub(crate) fn accel(payload: Payload) -> ExecOutcome {
         ExecOutcome { route: Route::Accelerator, payload }
     }
 
@@ -186,17 +188,17 @@ pub struct Idaa {
     pub(crate) nodes: Vec<Arc<AccelNode>>,
     /// Shard placement, failover, and catch-up bookkeeping.
     pub(crate) fleet: FleetState,
-    procedures: RwLock<HashMap<ObjectName, Arc<dyn Procedure>>>,
+    pub(crate) procedures: RwLock<HashMap<ObjectName, Arc<dyn Procedure>>>,
     pub(crate) config: IdaaConfig,
     pub faults: Faults,
     /// In-doubt transactions resolved by the 2PC resolver (diagnostics).
-    in_doubt_resolved: AtomicU64,
+    pub(crate) in_doubt_resolved: AtomicU64,
     /// Redelivered statements the receiver discarded as duplicates
     /// (diagnostics).
-    statements_deduped: AtomicU64,
+    pub(crate) statements_deduped: AtomicU64,
     /// Messages discarded because they carried a pre-crash recovery epoch
     /// (diagnostics).
-    statements_fenced: AtomicU64,
+    pub(crate) statements_fenced: AtomicU64,
     /// Collected statement traces (query-lifecycle span trees on the
     /// virtual clock).
     tracer: Arc<TraceSink>,
@@ -284,52 +286,6 @@ impl Idaa {
     /// The process-wide metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
-    }
-
-    /// The `SHOW WORKLOAD` result set: one row per server seat, rendered
-    /// entirely from the `server.session.*` entries the workload manager
-    /// maintains in the metrics registry. A system without a server has no
-    /// such entries and the view is empty — the statement itself never
-    /// touches the link, so it can run even while the accelerator is down.
-    fn workload_rows(&self) -> Rows {
-        let snap = self.metrics.snapshot();
-        // Every connected seat owns a `priority` gauge from connect time,
-        // so the gauge keys are the authoritative seat list.
-        let mut seats: Vec<u64> = snap
-            .gauges
-            .keys()
-            .filter_map(|k| {
-                let rest = k.strip_prefix("server.session.")?;
-                let seat = rest.strip_suffix(".priority")?;
-                seat.parse().ok()
-            })
-            .collect();
-        seats.sort_unstable();
-        let rows = seats
-            .into_iter()
-            .map(|seat| {
-                let g = |field: &str| {
-                    snap.gauges
-                        .get(&format!("server.session.{seat}.{field}"))
-                        .copied()
-                        .unwrap_or(0)
-                };
-                let c = |field: &str| {
-                    snap.counter(&format!("server.session.{seat}.{field}")) as i64
-                };
-                vec![
-                    Value::BigInt(seat as i64),
-                    Value::Varchar(crate::server::Priority::name_of_rank(g("priority")).into()),
-                    Value::BigInt(g("queued")),
-                    Value::BigInt(g("running")),
-                    Value::BigInt(c("done")),
-                    Value::BigInt(c("failed")),
-                    Value::BigInt(c("queue_time_us")),
-                    Value::BigInt(c("bytes")),
-                ]
-            })
-            .collect();
-        Rows::new(workload_schema(), rows)
     }
 
     /// The host engine (DB2 side).
@@ -420,92 +376,6 @@ impl Idaa {
         }
         self.host.privileges.write().set_owner(name.clone(), owner);
         procs.insert(name, proc);
-        Ok(())
-    }
-
-    /// Send one message over the link with bounded retry (backoff consumes
-    /// only virtual time) and feed the outcome to the health monitor. Every
-    /// federation path sends through here so consecutive communication
-    /// failures decay the accelerator's health state.
-    pub fn ship(&self, direction: Direction, bytes: usize) -> Result<Duration> {
-        self.ship_on(self.node0(), direction, bytes)
-    }
-
-    /// [`Idaa::ship`] against a specific fleet node's link and health
-    /// monitor.
-    pub(crate) fn ship_on(
-        &self,
-        node: &AccelNode,
-        direction: Direction,
-        bytes: usize,
-    ) -> Result<Duration> {
-        match self.config.retry.transfer(&node.link, direction, bytes) {
-            Ok(cost) => {
-                node.health.record_success();
-                Ok(cost)
-            }
-            Err(e) => {
-                node.health.record_failure();
-                Err(Error::LinkFailure(format!(
-                    "communication with the accelerator failed: {e}"
-                )))
-            }
-        }
-    }
-
-    /// Ship one encoded row frame over a node's link with the same bounded
-    /// retry and health accounting as [`Idaa::ship_on`]. A frame rejected by
-    /// the receiver's checksum ([`idaa_common::wire::verify`]) is
-    /// retransmitted like any other lost message.
-    pub(crate) fn ship_frame_on(
-        &self,
-        node: &AccelNode,
-        direction: Direction,
-        frame: &[u8],
-    ) -> Result<Duration> {
-        match self.config.retry.transfer_frame(&node.link, direction, frame) {
-            Ok(cost) => {
-                node.health.record_success();
-                Ok(cost)
-            }
-            Err(e) => {
-                node.health.record_failure();
-                Err(Error::LinkFailure(format!(
-                    "communication with the accelerator failed: {e}"
-                )))
-            }
-        }
-    }
-
-    /// Stream a row batch across the link as chunked encoded frames and
-    /// return what the receiving side decodes. The destination engine
-    /// ingests the *decoded* payload — not the sender's in-memory rows —
-    /// so the codec is on the actual data path, and a frame that fails
-    /// checksum or fingerprint verification surfaces before any row lands.
-    pub fn ship_rows(
-        &self,
-        direction: Direction,
-        schema: &idaa_common::Schema,
-        rows: &[Row],
-    ) -> Result<Vec<Row>> {
-        self.ship_rows_on(self.node0(), direction, schema, rows)
-    }
-
-    /// [`Idaa::ship_rows`] against a specific fleet node.
-    pub(crate) fn ship_rows_on(
-        &self,
-        node: &AccelNode,
-        direction: Direction,
-        schema: &idaa_common::Schema,
-        rows: &[Row],
-    ) -> Result<Vec<Row>> {
-        self.ship_rows_traced_on(node, &Trace::disabled(), direction, schema, rows)
-    }
-
-    /// Charge DDL/control-message shipping to a node's link.
-    pub(crate) fn ship_ddl_on(&self, node: &AccelNode, text: &str) -> Result<()> {
-        self.ship_on(node, Direction::ToAccel, text.len() + wire::CONTROL_FRAME)?;
-        self.ship_on(node, Direction::ToHost, wire::CONTROL_FRAME)?;
         Ok(())
     }
 
@@ -642,340 +512,6 @@ impl Idaa {
         }
         Ok(total)
     }
-
-    /// Redeliver COMMIT decisions whose phase-2 message was lost; the
-    /// accelerator holds those transactions prepared until the decision
-    /// arrives.
-    pub(crate) fn flush_pending_commits_on(&self, node: &AccelNode) {
-        if node.engine.is_crashed() {
-            // A crashed engine would silently drop the decision; keep it
-            // queued until recovery re-materializes the prepared txn.
-            return;
-        }
-        let mut pending = node.pending_commits.lock();
-        pending.retain(|&txn| {
-            // Through ship_on(), like every federation message, so
-            // redelivery outcomes feed the health monitor; a failure keeps
-            // the decision queued for the next round.
-            if self.ship_on(node, Direction::ToAccel, wire::CONTROL_FRAME).is_ok() {
-                node.engine.commit(txn);
-                false
-            } else {
-                true
-            }
-        });
-    }
-
-    /// True when statements may be sent to one fleet node: its engine is
-    /// not stopped, and its own health state machine has not declared it
-    /// offline. While offline, a rate-limited probe (virtual clock) checks
-    /// for recovery; a successful probe flushes queued commit decisions and
-    /// lets replication catch up before reporting ready. A node that missed
-    /// writes while unreachable first refreshes its shard copies from a live
-    /// replica.
-    pub(crate) fn node_ready(&self, node: &AccelNode) -> bool {
-        if self.faults.accel_unavailable.load(Ordering::Relaxed) {
-            return false;
-        }
-        if node.engine.is_crashed() {
-            // A crashed accelerator is unreachable no matter what the
-            // failure streaks said when the crash point fired.
-            node.health.force_offline();
-        }
-        if node.health.state() != HealthState::Offline {
-            if self.fleet.needs_catch_up(node.id) {
-                return self.catch_up_node(node).is_ok()
-                    && !self.fleet.needs_catch_up(node.id);
-            }
-            return true;
-        }
-        if node.health.should_probe(node.link.now())
-            && node.health.probe(&node.link, &self.config.retry)
-        {
-            if node.engine.is_crashed() && self.restart_node(node).is_err() {
-                return false;
-            }
-            if self.catch_up_node(node).is_err() {
-                return false;
-            }
-            let _ = self.replicate_now();
-            return true;
-        }
-        false
-    }
-
-    /// Force a recovery probe immediately, ignoring the probe interval
-    /// (operator-initiated restart). On success the health returns to
-    /// `Online`, a crashed engine restarts (checkpoint + log replay),
-    /// queued commit decisions are redelivered, and replication catches
-    /// up. Returns whether the accelerator is available again.
-    pub fn recover(&self) -> bool {
-        self.recover_node(0)
-    }
-
-    /// [`Idaa::recover`] for node `i` of the fleet.
-    pub fn recover_node(&self, i: usize) -> bool {
-        let node = self.nodes[i].clone();
-        if self.faults.accel_unavailable.load(Ordering::Relaxed) {
-            return false;
-        }
-        if node.engine.is_crashed() {
-            node.health.force_offline();
-        }
-        if !node.health.probe(&node.link, &self.config.retry) {
-            return false;
-        }
-        if node.engine.is_crashed() && self.restart_node(&node).is_err() {
-            return false;
-        }
-        if self.fleet.needs_catch_up(node.id) && self.catch_up_node(&node).is_err() {
-            return false;
-        }
-        let _ = self.replicate_now();
-        true
-    }
-
-    /// [`Idaa::node_ready`], recording an "accel.restart" trace event when
-    /// the readiness check drove a crash recovery.
-    pub(crate) fn node_ready_traced(&self, node: &AccelNode, trace: &Trace) -> bool {
-        let epoch_before = node.engine.epoch();
-        let rebuilds_before = node.rebuilds.load(Ordering::Relaxed);
-        let ready = self.node_ready(node);
-        if trace.is_enabled() && node.engine.epoch() != epoch_before {
-            let now = node.link.now();
-            let id = trace.begin("accel.restart", now);
-            trace.attr(id, "epoch", node.engine.epoch());
-            if node.rebuilds.load(Ordering::Relaxed) != rebuilds_before {
-                // This recovery discarded the corrupt media and re-shipped
-                // the node's state from the host and replicas.
-                trace.attr(id, "rebuilt", true);
-            }
-            if self.nodes.len() > 1 {
-                trace.attr(id, "node", node.engine.identity());
-            }
-            if let Some(stats) = *node.last_restart.lock() {
-                trace.attr(
-                    id,
-                    "replayed_bytes",
-                    stats.checkpoint_bytes + stats.log_bytes_replayed,
-                );
-            }
-            trace.end(id, now);
-        }
-        ready
-    }
-
-    /// Restart a crashed accelerator: rebuild state as checkpoint + log
-    /// replay, charge the replay cost to the *virtual* clock, fence the
-    /// statement tracker to the new recovery epoch, resolve re-materialized
-    /// in-doubt transactions (presumed abort unless the coordinator holds
-    /// a queued COMMIT decision), and redeliver queued decisions.
-    pub(crate) fn restart_node(&self, node: &AccelNode) -> Result<()> {
-        let before = Self::disk_stat_snapshot(&node.engine);
-        // A rebuild that failed part-way (read fault, lost exchange) left
-        // the node on fresh-but-empty media: booting it as-is would serve
-        // silently empty tables, so the flag forces the rebuild to resume.
-        let stats = if node.needs_rebuild.load(Ordering::Relaxed) {
-            let r = self.rebuild_node(node);
-            self.mirror_disk_stats(&node.engine, before);
-            r?
-        } else {
-            match node.engine.restart() {
-                Ok(stats) => {
-                    self.mirror_disk_stats(&node.engine, before);
-                    stats
-                }
-                Err(Error::StorageCorrupt(_)) => {
-                    // Acknowledged durable state failed validation beyond
-                    // local repair: discard the media wholesale and
-                    // re-materialize the node from the host catalog and
-                    // live replicas instead of serving damaged state.
-                    let r = self.rebuild_node(node);
-                    self.mirror_disk_stats(&node.engine, before);
-                    r?
-                }
-                Err(e) => {
-                    self.mirror_disk_stats(&node.engine, before);
-                    return Err(e);
-                }
-            }
-        };
-        self.metrics.inc("accel.restarts", 1);
-        self.metrics.inc(
-            "accel.recovery.replayed_bytes",
-            stats.checkpoint_bytes + stats.log_bytes_replayed,
-        );
-        // Recovery consumes virtual time only: a fixed restart latency
-        // plus replaying checkpoint + log bytes at the configured
-        // bandwidth. Never a wall-clock sleep. The cost lands on this
-        // node's own link clock.
-        let replayed = stats.checkpoint_bytes + stats.log_bytes_replayed;
-        let replay_time = Duration::from_secs_f64(
-            replayed as f64 / self.config.recovery_bytes_per_sec.max(1) as f64,
-        );
-        node.link.advance(self.config.recovery_fixed + replay_time);
-        // Epoch fence: sequence state and acks from the previous
-        // incarnation are stale.
-        node.delivered.reset(stats.epoch);
-        // Presumed abort: a prepared transaction whose COMMIT decision is
-        // not queued on the coordinator was never decided — roll it back.
-        // Queued decisions stay prepared until flush redelivers them.
-        {
-            let pending = node.pending_commits.lock();
-            for txn in node.engine.in_doubt() {
-                if !pending.contains(&txn) {
-                    node.engine.abort(txn);
-                }
-            }
-        }
-        self.flush_pending_commits_on(node);
-        *node.last_restart.lock() = Some(stats);
-        Ok(())
-    }
-
-    /// Cumulative storage-fault counters of one engine, in the order of
-    /// [`Idaa::DISK_METRIC_KEYS`].
-    fn disk_stat_snapshot(engine: &AccelEngine) -> [u64; 5] {
-        [
-            engine.stats.disk_corruptions_detected.load(Ordering::Relaxed),
-            engine.stats.disk_records_truncated.load(Ordering::Relaxed),
-            engine.stats.disk_checkpoint_fallbacks.load(Ordering::Relaxed),
-            engine.stats.disk_scrub_repairs.load(Ordering::Relaxed),
-            engine.stats.disk_read_failures.load(Ordering::Relaxed),
-        ]
-    }
-
-    /// Registry keys mirroring the engine-side storage-fault counters, in
-    /// [`Idaa::disk_stat_snapshot`] order. The mirror is delta-based, so
-    /// the registry totals reconcile exactly with the sum of the engines'
-    /// own atomics (`tests/observability.rs`).
-    const DISK_METRIC_KEYS: [&'static str; 5] = [
-        "disk.corruptions_detected",
-        "disk.records_truncated",
-        "disk.checkpoint_fallbacks",
-        "disk.scrub_repairs",
-        "disk.read_failures",
-    ];
-
-    /// Mirror into the [`MetricsRegistry`] whatever the engine's storage
-    /// counters gained since `before` was snapshotted.
-    fn mirror_disk_stats(&self, engine: &AccelEngine, before: [u64; 5]) {
-        let after = Self::disk_stat_snapshot(engine);
-        for (i, key) in Self::DISK_METRIC_KEYS.iter().enumerate() {
-            if after[i] > before[i] {
-                self.metrics.inc(key, after[i] - before[i]);
-            }
-        }
-    }
-
-    /// Rebuild a node whose durable state is corrupt beyond local repair:
-    /// discard the media wholesale, boot the engine empty, and
-    /// re-materialize every accelerator-resident table — replicated host
-    /// tables re-ship a snapshot from DB2 (the replication watermark
-    /// fast-forwards past it), AOT shards recreate their definitions and
-    /// refill from a live replica via the standard catch-up copy, and a
-    /// shard with no other owner is quarantined (-904 until reloaded) —
-    /// its rows existed nowhere else, and a silently empty table is the
-    /// one outcome recovery must never produce. Any failure part-way
-    /// re-crashes the engine so the next recovery probe resumes the
-    /// rebuild rather than serving a half-rebuilt node.
-    fn rebuild_node(&self, node: &AccelNode) -> Result<RestartStats> {
-        node.needs_rebuild.store(true, Ordering::Relaxed);
-        node.engine.durable().reset();
-        let stats = node.engine.restart()?;
-        let bytes_before = node.link.metrics().bytes_to_accel;
-        let rebuild = || -> Result<()> {
-            // The DB2 catalog iterates in name order, so recreation (and
-            // every wire frame it ships) is deterministic.
-            for name in self.host.table_names() {
-                let meta = self.host.table_meta(&name)?;
-                match meta.kind {
-                    TableKind::Regular => {
-                        if meta.accel_status == idaa_host::AccelStatus::NotAccelerated {
-                            continue;
-                        }
-                        self.ship_ddl_on(node, &format!("ADD TABLE {}", meta.name))?;
-                        node.engine.create_table(
-                            &meta.name,
-                            meta.schema.clone(),
-                            &meta.distribute_by,
-                        )?;
-                        if meta.accel_status == idaa_host::AccelStatus::Loaded {
-                            let rows = self.host.scan_all(&meta.name)?;
-                            let delivered =
-                                self.ship_rows_on(node, Direction::ToAccel, &meta.schema, &rows)?;
-                            node.engine.load_committed(&meta.name, delivered)?;
-                            self.ship_on(node, Direction::ToHost, wire::ACK_FRAME)?;
-                        }
-                    }
-                    TableKind::AcceleratorOnly => {
-                        for s in 0..self.fleet.shards {
-                            let owners = self.fleet.owners(s);
-                            if !owners.contains(&node.id) {
-                                continue;
-                            }
-                            let st = shard_table(&meta.name, s, self.fleet.shards);
-                            node.engine.create_table(
-                                &st,
-                                meta.schema.clone(),
-                                &meta.distribute_by,
-                            )?;
-                            if !owners.iter().any(|&o| o != node.id) {
-                                // This node was the shard's only owner:
-                                // there is no replica to copy from.
-                                node.engine.quarantine_table(&st)?;
-                            }
-                        }
-                        // Shard contents arrive through the standard
-                        // metered catch-up copy from a live replica.
-                        self.fleet.mark_catch_up(node.id);
-                    }
-                }
-            }
-            // The snapshots above already contain every committed change:
-            // replaying the backlog would double-apply it.
-            node.replicator.lock().fast_forward(self.host.txns.current_lsn());
-            Ok(())
-        };
-        if let Err(e) = rebuild() {
-            // A half-rebuilt node must never serve: crash it so the next
-            // recovery probe finds `needs_rebuild` still set and restarts
-            // the rebuild from fresh media.
-            node.engine.crash();
-            return Err(e);
-        }
-        self.metrics.inc("disk.node_rebuilds", 1);
-        self.metrics
-            .inc("disk.repair.bytes", node.link.metrics().bytes_to_accel - bytes_before);
-        node.rebuilds.fetch_add(1, Ordering::Relaxed);
-        node.needs_rebuild.store(false, Ordering::Relaxed);
-        Ok(stats)
-    }
-
-    /// The error a statement gets when it requires a node that is not
-    /// ready: -904 when the accelerator is administratively stopped or
-    /// crashed (recovery pending), -30081 when its health machine declared
-    /// it offline after communication failures.
-    pub(crate) fn node_unavailable(&self, node: &AccelNode) -> Error {
-        if node.engine.is_crashed() {
-            Error::ResourceUnavailable(
-                "the accelerator crashed and is recovering; statements requiring it \
-                 cannot run"
-                    .into(),
-            )
-        } else if self.faults.accel_unavailable.load(Ordering::Relaxed) {
-            Error::ResourceUnavailable(
-                "the accelerator is stopped; statements requiring it cannot run".into(),
-            )
-        } else {
-            Error::LinkFailure(
-                "communication with the accelerator failed and the statement requires it"
-                    .into(),
-            )
-        }
-    }
-
-    // -- SQL entry points ---------------------------------------------------
 
     /// Execute one SQL statement.
     pub fn execute(&self, session: &mut Session, sql: &str) -> Result<ExecOutcome> {
@@ -1123,1150 +659,13 @@ impl Idaa {
             });
         }
     }
-
-    /// Record a zero-duration "transfer" trace event (one link message)
-    /// against a node's link; with more than one node the event also
-    /// carries the node identity so per-shard transfer breakdowns fall out
-    /// of the span tree.
-    pub(crate) fn transfer_event_on(
-        &self,
-        node: &AccelNode,
-        trace: &Trace,
-        direction: Direction,
-        kind: &str,
-        bytes: usize,
-        err: Option<String>,
-    ) {
-        if !trace.is_enabled() {
-            return;
-        }
-        let now = node.link.now();
-        let id = trace.begin("transfer", now);
-        let dir = match direction {
-            Direction::ToAccel => "to_accel",
-            Direction::ToHost => "to_host",
-        };
-        trace.attr(id, "dir", dir);
-        trace.attr(id, "kind", kind);
-        trace.attr(id, "bytes", bytes);
-        if self.nodes.len() > 1 {
-            trace.attr(id, "node", node.engine.identity());
-        }
-        if let Some(e) = err {
-            trace.attr(id, "err", e);
-        }
-        trace.end(id, now);
-    }
-
-    /// [`Idaa::ship_on`] with a "transfer" trace event for the outcome.
-    pub(crate) fn ship_traced_on(
-        &self,
-        node: &AccelNode,
-        trace: &Trace,
-        direction: Direction,
-        kind: &str,
-        bytes: usize,
-    ) -> Result<Duration> {
-        match self.ship_on(node, direction, bytes) {
-            Ok(d) => {
-                self.transfer_event_on(node, trace, direction, kind, bytes, None);
-                Ok(d)
-            }
-            Err(e) => {
-                self.transfer_event_on(node, trace, direction, kind, bytes, Some(e.to_string()));
-                Err(e)
-            }
-        }
-    }
-
-    /// [`Idaa::ship_rows_on`] with one "transfer" trace event per encoded
-    /// wire frame (kind `frame`, sized at the encoded frame length).
-    pub(crate) fn ship_rows_traced_on(
-        &self,
-        node: &AccelNode,
-        trace: &Trace,
-        direction: Direction,
-        schema: &idaa_common::Schema,
-        rows: &[Row],
-    ) -> Result<Vec<Row>> {
-        let mut delivered = Vec::with_capacity(rows.len());
-        for frame in wire::encode_frames(schema, rows) {
-            match self.ship_frame_on(node, direction, &frame) {
-                Ok(_) => {
-                    self.transfer_event_on(node, trace, direction, "frame", frame.len(), None)
-                }
-                Err(e) => {
-                    self.transfer_event_on(
-                        node,
-                        trace,
-                        direction,
-                        "frame",
-                        frame.len(),
-                        Some(e.to_string()),
-                    );
-                    return Err(e);
-                }
-            }
-            delivered.extend(wire::decode_rows(&frame, schema)?);
-        }
-        Ok(delivered)
-    }
-
-    fn dispatch(&self, session: &mut Session, stmt: &Statement) -> Result<ExecOutcome> {
-        match stmt {
-            Statement::Begin => {
-                if session.explicit_txn {
-                    return Err(Error::TransactionState("transaction already open".into()));
-                }
-                session.explicit_txn = true;
-                self.ensure_txn(session);
-                Ok(ExecOutcome::host(Payload::None))
-            }
-            Statement::Commit => {
-                // A failed COMMIT ends the transaction too (everything was
-                // rolled back) — the session must not stay "in transaction".
-                let result = self.commit_session(session);
-                session.explicit_txn = false;
-                result?;
-                Ok(ExecOutcome::host(Payload::None))
-            }
-            Statement::Rollback => {
-                self.rollback_session(session)?;
-                session.explicit_txn = false;
-                Ok(ExecOutcome::host(Payload::None))
-            }
-            Statement::SetQueryAcceleration(mode) => {
-                session.acceleration = *mode;
-                Ok(ExecOutcome::host(Payload::None))
-            }
-            Statement::SetCurrentSchema(s) => {
-                if s != &self.config.default_schema {
-                    return Err(Error::Unsupported(
-                        "per-session CURRENT SCHEMA is not supported; configure the \
-                         system default instead"
-                            .into(),
-                    ));
-                }
-                Ok(ExecOutcome::host(Payload::None))
-            }
-            Statement::CreateTable { name, columns, in_accelerator, distribute_by } => {
-                let schema = idaa_common::Schema::new(
-                    columns
-                        .iter()
-                        .map(|c| idaa_common::ColumnDef {
-                            name: c.name.clone(),
-                            data_type: c.data_type,
-                            not_null: c.not_null,
-                        })
-                        .collect(),
-                )?;
-                let kind = if *in_accelerator {
-                    TableKind::AcceleratorOnly
-                } else {
-                    TableKind::Regular
-                };
-                self.host.create_table(
-                    &session.user,
-                    name,
-                    schema.clone(),
-                    kind,
-                    distribute_by.clone(),
-                )?;
-                if *in_accelerator {
-                    // Nickname proxy exists in DB2; actual table lives on
-                    // the accelerator.
-                    let resolved = name.resolve(&self.config.default_schema);
-                    if let Err(e) =
-                        self.create_aot(&resolved, &schema, distribute_by, &stmt.to_string())
-                    {
-                        // The DDL did not reach every owner: undo the
-                        // catalog entry so both sides stay consistent.
-                        let _ = self.host.drop_table(SYSADM, name);
-                        return Err(e);
-                    }
-                    return Ok(ExecOutcome::accel(Payload::None));
-                }
-                Ok(ExecOutcome::host(Payload::None))
-            }
-            Statement::DropTable { name } => {
-                let meta = self.host.table_meta(name)?;
-                let on_accel = meta.kind == TableKind::AcceleratorOnly
-                    || meta.accel_status != idaa_host::AccelStatus::NotAccelerated;
-                self.host.drop_table(&session.user, name)?;
-                if on_accel {
-                    // Best effort: the DB2 catalog entry is gone either
-                    // way; an unreachable accelerator cleans up its copy
-                    // when the DDL is redelivered on recovery.
-                    self.drop_accel_copies(&meta, &stmt.to_string());
-                    return Ok(ExecOutcome::accel(Payload::None));
-                }
-                Ok(ExecOutcome::host(Payload::None))
-            }
-            Statement::CreateIndex { name, table, columns } => {
-                self.host.create_index(&session.user, name, table, columns.clone())?;
-                Ok(ExecOutcome::host(Payload::None))
-            }
-            Statement::Grant { privileges, object, grantees } => {
-                let object = object.resolve(&self.config.default_schema);
-                let mut privs = self.host.privileges.write();
-                for g in grantees {
-                    privs.grant(&session.user, g, &object, privileges)?;
-                }
-                Ok(ExecOutcome::host(Payload::None))
-            }
-            Statement::Revoke { privileges, object, grantees } => {
-                let object = object.resolve(&self.config.default_schema);
-                let mut privs = self.host.privileges.write();
-                for g in grantees {
-                    privs.revoke(&session.user, g, &object, privileges)?;
-                }
-                Ok(ExecOutcome::host(Payload::None))
-            }
-            Statement::ShowWorkload => {
-                Ok(ExecOutcome::host(Payload::Rows(self.workload_rows())))
-            }
-            Statement::Call { procedure, args } => self.dispatch_call(session, procedure, args),
-            Statement::Explain { analyze: false, stmt } => self.dispatch_explain(session, stmt),
-            Statement::Explain { analyze: true, stmt } => {
-                self.dispatch_explain_analyze(session, stmt)
-            }
-            Statement::Query(q) => self.dispatch_query(session, q),
-            Statement::Insert { table, columns, source } => {
-                self.dispatch_insert(session, table, columns, source)
-            }
-            Statement::Update { table, assignments, filter } => {
-                match router::route_dml(&self.host, table)? {
-                    Route::Host => {
-                        let txn = self.ensure_txn(session);
-                        let n = self.host.update_where(
-                            &session.user,
-                            txn,
-                            table,
-                            assignments,
-                            filter.as_ref(),
-                        )?;
-                        Ok(ExecOutcome::host(Payload::Count(n)))
-                    }
-                    Route::Accelerator => {
-                        let table_r = table.resolve(&self.config.default_schema);
-                        self.host.privileges.read().check(
-                            &session.user,
-                            &table_r,
-                            Privilege::Update,
-                        )?;
-                        let n = self.aot_statement(
-                            session,
-                            &table_r,
-                            stmt.to_string().len() + wire::CONTROL_FRAME,
-                            |node, txn, st| {
-                                node.engine.update_where(txn, st, assignments, filter.as_ref())
-                            },
-                        )?;
-                        Ok(ExecOutcome::accel(Payload::Count(n)))
-                    }
-                }
-            }
-            Statement::Delete { table, filter } => {
-                match router::route_dml(&self.host, table)? {
-                    Route::Host => {
-                        let txn = self.ensure_txn(session);
-                        let n =
-                            self.host.delete_where(&session.user, txn, table, filter.as_ref())?;
-                        Ok(ExecOutcome::host(Payload::Count(n)))
-                    }
-                    Route::Accelerator => {
-                        let table_r = table.resolve(&self.config.default_schema);
-                        self.host.privileges.read().check(
-                            &session.user,
-                            &table_r,
-                            Privilege::Delete,
-                        )?;
-                        let n = self.aot_statement(
-                            session,
-                            &table_r,
-                            stmt.to_string().len() + wire::CONTROL_FRAME,
-                            |node, txn, st| node.engine.delete_where(txn, st, filter.as_ref()),
-                        )?;
-                        Ok(ExecOutcome::accel(Payload::Count(n)))
-                    }
-                }
-            }
-        }
-    }
-
-    fn dispatch_call(
-        &self,
-        session: &mut Session,
-        procedure: &ObjectName,
-        args: &[Expr],
-    ) -> Result<ExecOutcome> {
-        let name = match procedure.schema {
-            Some(_) => procedure.clone(),
-            // Procedures default to SYSPROC, then the default schema.
-            None => {
-                let sysproc = ObjectName::qualified("SYSPROC", &procedure.name);
-                if self.procedures.read().contains_key(&sysproc) {
-                    sysproc
-                } else {
-                    procedure.resolve(&self.config.default_schema)
-                }
-            }
-        };
-        let proc = self
-            .procedures
-            .read()
-            .get(&name)
-            .cloned()
-            .ok_or_else(|| Error::UndefinedObject(format!("procedure {name} is not defined")))?;
-        // Governance: EXECUTE on the procedure object, checked on DB2.
-        self.host.privileges.read().check(&session.user, &name, Privilege::Execute)?;
-        let arg_values: Vec<Value> = args
-            .iter()
-            .map(|e| {
-                let resolver = FlatResolver::new(vec![]);
-                eval(&bind(e, &resolver)?, &[])
-            })
-            .collect::<Result<_>>()?;
-        let rows = proc.execute(self, session, &arg_values)?;
-        Ok(ExecOutcome::host(Payload::Rows(rows)))
-    }
-
-    /// `EXPLAIN`: plan the statement, report the routing decision and the
-    /// operator tree — without executing anything.
-    fn dispatch_explain(&self, session: &mut Session, inner: &Statement) -> Result<ExecOutcome> {
-        let (plan, route_desc) = match inner {
-            Statement::Query(q) => {
-                let plan = plan_query(q, &*self.host)?;
-                let tables: Vec<ObjectName> = plan
-                    .tables()
-                    .iter()
-                    .map(|t| t.resolve(&self.config.default_schema))
-                    .collect();
-                let mut mix = router::classify(&self.host, &tables)?;
-                mix.indexed_point = router::is_indexed_point(&self.host, &plan);
-                let (route, reason) =
-                    router::route_query_with_reason(&mix, session.acceleration)?;
-                let mut desc = format!(
-                    "ROUTE: {route:?} (CURRENT QUERY ACCELERATION = {})\nREASON: {reason}",
-                    session.acceleration
-                );
-                // For offloaded queries, also report which accelerator
-                // pipeline would run — vectorized kernels, fused
-                // aggregation, or the interpreted fallback.
-                if route == router::Route::Accelerator {
-                    if let Ok(pipeline) = self.accel().pipeline_of(q) {
-                        desc.push_str(&format!("\nPIPELINE: {pipeline}"));
-                    }
-                }
-                (plan, desc)
-            }
-            Statement::Insert { table, .. }
-            | Statement::Update { table, .. }
-            | Statement::Delete { table, .. } => {
-                let route = router::route_dml(&self.host, table)?;
-                let desc = format!("ROUTE: {route:?} (DML target {table})");
-                match inner {
-                    Statement::Insert { source: InsertSource::Query(q), .. } => {
-                        (plan_query(q, &*self.host)?, desc)
-                    }
-                    _ => {
-                        // No query plan to show for VALUES/UPDATE/DELETE —
-                        // report the route only.
-                        let lines = vec![vec![Value::Varchar(desc)]];
-                        return Ok(ExecOutcome::host(Payload::Rows(Rows::new(
-                            explain_schema(),
-                            lines,
-                        ))));
-                    }
-                }
-            }
-            other => {
-                return Err(Error::Unsupported(format!(
-                    "EXPLAIN is not supported for this statement: {other}"
-                )))
-            }
-        };
-        let mut lines: Vec<Row> = route_desc
-            .lines()
-            .map(|l| vec![Value::Varchar(l.to_string())])
-            .collect();
-        for l in plan.explain().lines() {
-            lines.push(vec![Value::Varchar(l.to_string())]);
-        }
-        Ok(ExecOutcome::host(Payload::Rows(Rows::new(explain_schema(), lines))))
-    }
-
-    /// `EXPLAIN ANALYZE`: *execute* the statement (under a span tree even
-    /// when session tracing is off), then report the plan followed by the
-    /// executed spans — per-operator row counts and virtual-time costs.
-    fn dispatch_explain_analyze(
-        &self,
-        session: &mut Session,
-        inner: &Statement,
-    ) -> Result<ExecOutcome> {
-        // The report needs spans even when the session isn't tracing:
-        // borrow an enabled trace for the duration of the inner statement.
-        let borrowed = if session.trace.is_enabled() {
-            None
-        } else {
-            Some(std::mem::replace(&mut session.trace, Trace::enabled()))
-        };
-        let trace = session.trace.clone();
-        let span = trace.begin("analyze", self.link().now());
-        let result = self.dispatch(session, inner);
-        let analyzed = trace.finish(span, self.link().now());
-        if let Some(original) = borrowed {
-            session.trace = original;
-        }
-        let outcome = result?;
-        let mut lines: Vec<Row> = vec![vec![Value::Varchar(format!(
-            "ROUTE: {:?} (CURRENT QUERY ACCELERATION = {})",
-            outcome.route, session.acceleration
-        ))]];
-        // Show the plan for the query shape, as plain EXPLAIN would.
-        let query = match inner {
-            Statement::Query(q) => Some(q.as_ref()),
-            Statement::Insert { source: InsertSource::Query(q), .. } => Some(q.as_ref()),
-            _ => None,
-        };
-        if let Some(q) = query {
-            for l in plan_query(q, &*self.host)?.explain().lines() {
-                lines.push(vec![Value::Varchar(l.to_string())]);
-            }
-        }
-        lines.push(vec![Value::Varchar("-- ANALYZE --".into())]);
-        if let Some(node) = analyzed {
-            for child in &node.children {
-                for l in child.render().lines() {
-                    lines.push(vec![Value::Varchar(l.to_string())]);
-                }
-            }
-        }
-        Ok(ExecOutcome {
-            route: outcome.route,
-            payload: Payload::Rows(Rows::new(explain_schema(), lines)),
-        })
-    }
-
-    fn dispatch_query(&self, session: &mut Session, q: &Query) -> Result<ExecOutcome> {
-        let trace = session.trace.clone();
-        let plan = plan_query(q, &*self.host)?;
-        let tables: Vec<ObjectName> = plan
-            .tables()
-            .iter()
-            .map(|t| t.resolve(&self.config.default_schema))
-            .collect();
-        let mut mix = router::classify(&self.host, &tables)?;
-        mix.indexed_point = router::is_indexed_point(&self.host, &plan);
-        let (mut route, mut reason) =
-            router::route_query_with_reason(&mix, session.acceleration)?;
-        // No owner of some shard the read touches is available (stopped,
-        // crashed, or declared offline after consecutive communication
-        // failures): fall back to DB2 when the data still lives there; fail
-        // when only the accelerator side could answer. Judged once, before
-        // the route event.
-        let must_accelerate = router::must_accelerate(&mix, session.acceleration);
-        let read_plan = self.read_plan(&tables)?;
-        if route == Route::Accelerator {
-            if let Err(e) = self.read_ready(session, &read_plan, &tables) {
-                if must_accelerate {
-                    return Err(e);
-                }
-                route = Route::Host;
-                reason = "accelerator unavailable; falling back to DB2";
-            }
-        }
-        self.route_event(&trace, route, reason, session);
-        if route == Route::Accelerator {
-            // Governance on DB2 before delegation — a failover must never
-            // mask a privilege error.
-            {
-                let privs = self.host.privileges.read();
-                for t in &tables {
-                    if t.name == "SYSDUMMY1" {
-                        continue;
-                    }
-                    privs.check(&session.user, t, Privilege::Select)?;
-                    self.privilege_event(&trace, t, "SELECT");
-                }
-            }
-            match self.accel_read(session, q, &tables, &read_plan) {
-                Ok(rows) => return Ok(ExecOutcome::accel(Payload::Rows(rows))),
-                // Communication failed mid-statement: like DB2, re-execute
-                // the read-only query locally when the data allows it.
-                Err(Error::LinkFailure(_)) if !must_accelerate => {
-                    self.route_event(
-                        &trace,
-                        Route::Host,
-                        "communication failed mid-statement; re-executing locally",
-                        session,
-                    );
-                }
-                // Every owner of a shard was lost mid-statement: the host
-                // still holds the data unless the query must accelerate.
-                Err(Error::ResourceUnavailable(_)) if !must_accelerate => {
-                    self.route_event(
-                        &trace,
-                        Route::Host,
-                        "accelerator unavailable; falling back to DB2",
-                        session,
-                    );
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        let txn = self.ensure_txn(session);
-        let rows = if trace.is_enabled() {
-            let now = self.link().now();
-            let span = trace.begin("host.exec", now);
-            let profiled = self.host.query_profiled(&session.user, txn, q);
-            if let Ok((_, plan, profile)) = &profiled {
-                self.emit_plan_spans(&trace, plan, profile, now);
-            }
-            trace.end(span, self.link().now());
-            profiled?.0
-        } else {
-            self.host.query(&session.user, txn, q)?
-        };
-        Ok(ExecOutcome::host(Payload::Rows(rows)))
-    }
-
-    /// Record the routing decision (and its reason) as a trace event.
-    fn route_event(&self, trace: &Trace, route: Route, reason: &str, session: &Session) {
-        if !trace.is_enabled() {
-            return;
-        }
-        let now = self.link().now();
-        let id = trace.begin("route", now);
-        trace.attr(id, "route", format!("{route:?}"));
-        trace.attr(id, "reason", reason);
-        trace.attr(id, "mode", session.acceleration);
-        trace.end(id, now);
-    }
-
-    /// Record a passed host-side privilege check as a trace event.
-    fn privilege_event(&self, trace: &Trace, object: &ObjectName, privilege: &str) {
-        if !trace.is_enabled() {
-            return;
-        }
-        let now = self.link().now();
-        let id = trace.begin("privilege", now);
-        trace.attr(id, "object", object);
-        trace.attr(id, "priv", privilege);
-        trace.end(id, now);
-    }
-
-    /// Mirror an executed plan (with its row-count profile) into the trace
-    /// as nested zero-duration "op" spans. Operators consume no virtual
-    /// time — only link transfers do — so only the tree shape and `rows`
-    /// attributes carry information. A node without `rows` was fused into
-    /// its parent. `now` is the executing side's clock.
-    pub(crate) fn emit_plan_spans(
-        &self,
-        trace: &Trace,
-        plan: &Plan,
-        profile: &PlanProfile,
-        now: Duration,
-    ) {
-        self.emit_plan_spans_at(trace, plan, profile, now, true);
-    }
-
-    fn emit_plan_spans_at(
-        &self,
-        trace: &Trace,
-        plan: &Plan,
-        profile: &PlanProfile,
-        now: Duration,
-        root: bool,
-    ) {
-        let id = trace.begin("op", now);
-        trace.attr(id, "op", plan.label());
-        if root {
-            // Statement-level: did the compiled-plan cache serve this tree?
-            if let Some(hit) = profile.cache_hit() {
-                trace.attr(id, "cache", if hit { "hit" } else { "miss" });
-            }
-        }
-        match profile.rows_out(plan) {
-            Some(rows) => trace.attr(id, "rows", rows),
-            None => trace.attr(id, "fused", "true"),
-        }
-        if let Some(batches) = profile.vectorized_batches(plan) {
-            trace.attr(id, "kernel", "vectorized");
-            trace.attr(id, "batches", batches);
-        }
-        if let Some(skipped) = profile.bloom_skipped(plan) {
-            trace.attr(id, "bloom_skipped", skipped);
-        }
-        for child in plan.children() {
-            self.emit_plan_spans_at(trace, child, profile, now, false);
-        }
-        trace.end(id, now);
-    }
-
-    fn dispatch_insert(
-        &self,
-        session: &mut Session,
-        table: &ObjectName,
-        columns: &[String],
-        source: &InsertSource,
-    ) -> Result<ExecOutcome> {
-        let target = table.resolve(&self.config.default_schema);
-        let meta = self.host.table_meta(&target)?;
-        // Build full-width rows from VALUES, or run the source query.
-        let rows: Vec<Row> = match source {
-            InsertSource::Values(value_rows) => {
-                let resolver = FlatResolver::new(vec![]);
-                let mut out = Vec::with_capacity(value_rows.len());
-                for exprs in value_rows {
-                    let vals: Vec<Value> = exprs
-                        .iter()
-                        .map(|e| eval(&bind(e, &resolver)?, &[]))
-                        .collect::<Result<_>>()?;
-                    out.push(self.widen_row(&meta.schema, columns, vals)?);
-                }
-                out
-            }
-            InsertSource::Query(src_q) => {
-                // Pushdown path — the paper's contribution: an AOT target
-                // whose source tables all exist on the accelerator executes
-                // entirely there; only the statement text crosses the link.
-                // That needs target and sources whole on the same owners;
-                // with more than one shard the source runs through the
-                // scatter path below and the insert re-shards its result.
-                if meta.kind == TableKind::AcceleratorOnly && self.fleet.shards == 1 {
-                    let plan = plan_query(src_q, &*self.host)?;
-                    let src_tables: Vec<ObjectName> = plan
-                        .tables()
-                        .iter()
-                        .map(|t| t.resolve(&self.config.default_schema))
-                        .collect();
-                    let mix = router::classify(&self.host, &src_tables)?;
-                    if mix.host_only == 0 {
-                        let privs = self.host.privileges.read();
-                        privs.check(&session.user, &target, Privilege::Insert)?;
-                        for t in &src_tables {
-                            if t.name == "SYSDUMMY1" {
-                                continue;
-                            }
-                            privs.check(&session.user, t, Privilege::Select)?;
-                        }
-                        drop(privs);
-                        let sql = format!("INSERT INTO {target} {src_q}");
-                        let n = self.aot_statement(
-                            session,
-                            &target,
-                            sql.len() + wire::CONTROL_FRAME,
-                            |node, txn, st| {
-                                let result = node.engine.query(txn, src_q)?;
-                                let rows: Vec<Row> = result
-                                    .rows
-                                    .into_iter()
-                                    .map(|r| self.widen_row(&meta.schema, columns, r))
-                                    .collect::<Result<_>>()?;
-                                node.engine.insert_rows(txn, st, rows)
-                            },
-                        )?;
-                        return Ok(ExecOutcome::accel(Payload::Count(n)));
-                    }
-                }
-                // Otherwise the source runs wherever routing says; result
-                // rows materialize on the host side and pay link cost when
-                // they came from the accelerator.
-                let outcome = self.dispatch_query(session, src_q)?;
-                let result = match outcome.payload {
-                    Payload::Rows(r) => r,
-                    _ => unreachable!("queries produce rows"),
-                };
-                result
-                    .rows
-                    .into_iter()
-                    .map(|r| self.widen_row(&meta.schema, columns, r))
-                    .collect::<Result<_>>()?
-            }
-        };
-        match meta.kind {
-            TableKind::Regular => {
-                let txn = self.ensure_txn(session);
-                let n = self.host.insert_rows(&session.user, txn, &target, rows)?;
-                Ok(ExecOutcome::host(Payload::Count(n)))
-            }
-            TableKind::AcceleratorOnly => {
-                self.host.privileges.read().check(&session.user, &target, Privilege::Insert)?;
-                // Rows originate on the host side (VALUES literals or a
-                // host-executed source query): they cross the link as
-                // encoded frames and each owner inserts what it decodes.
-                let n = self.aot_insert_rows(session, &meta, rows)?;
-                Ok(ExecOutcome::accel(Payload::Count(n)))
-            }
-        }
-    }
-
-    /// Expand an explicit column list to a full-width row (missing columns
-    /// become NULL, which `check_row` then validates).
-    fn widen_row(
-        &self,
-        schema: &idaa_common::Schema,
-        columns: &[String],
-        values: Vec<Value>,
-    ) -> Result<Row> {
-        if columns.is_empty() {
-            return Ok(values);
-        }
-        if columns.len() != values.len() {
-            return Err(Error::Constraint(format!(
-                "INSERT specifies {} columns but {} values",
-                columns.len(),
-                values.len()
-            )));
-        }
-        let mut row = vec![Value::Null; schema.len()];
-        for (col, v) in columns.iter().zip(values) {
-            row[schema.index_of(col)?] = v;
-        }
-        Ok(row)
-    }
-
-    // -- transactions ---------------------------------------------------------
-
-    fn ensure_txn(&self, session: &mut Session) -> TxnId {
-        match session.txn {
-            Some(t) => t,
-            None => {
-                let t = self.host.begin();
-                session.txn = Some(t);
-                t
-            }
-        }
-    }
-
-    /// Transaction id for a read on one fleet node: the session's
-    /// transaction when that node is enlisted in it (own-writes
-    /// visibility), else 0 (fresh snapshot).
-    pub(crate) fn node_query_txn(&self, session: &Session, node: &AccelNode) -> TxnId {
-        match session.txn {
-            Some(t) if self.fleet.is_enlisted(t, node.id) => t,
-            _ => 0,
-        }
-    }
-
-    /// Enlist one fleet node in the session's transaction (starting one if
-    /// needed) — required for AOT DML so that the paper's own-uncommitted-
-    /// changes visibility holds. Callers have already verified the node is
-    /// ready.
-    pub(crate) fn enlist_node(&self, session: &mut Session, node: &AccelNode) -> Result<TxnId> {
-        let trace = session.trace.clone();
-        let txn = self.ensure_txn(session);
-        if !self.fleet.is_enlisted(txn, node.id) {
-            // BEGIN message
-            self.ship_traced_on(node, &trace, Direction::ToAccel, "control", wire::CONTROL_FRAME)?;
-            node.engine.begin(txn);
-            self.fleet.enlist(txn, node.id);
-        }
-        Ok(txn)
-    }
-
-    /// One statement exchange with a fleet node: deliver the request (at
-    /// least once), execute it exactly once, and deliver the reply. The
-    /// exchange rides that node's link, health monitor, sequence tracker,
-    /// and recovery epoch.
-    ///
-    /// The 32-byte request envelope carries the session id and a
-    /// per-session sequence number. A lost *request* attempt means the
-    /// statement never arrived and is simply resent. A lost *reply* leaves
-    /// the coordinator unsure whether the statement ran, so it redelivers
-    /// the request under the same sequence number — the receiver
-    /// recognizes the duplicate in its [`SeqTracker`] and resends the
-    /// reply without executing again, making shipping idempotent. Retries
-    /// ride the bounded backoff of `config.retry` on the virtual clock;
-    /// exhausting it fails the statement with SQLCODE -30081, and the
-    /// outcome feeds the health monitor like every other federation path.
-    ///
-    /// `reply` makes one attempt at the reply leg and says what arrived on
-    /// the host side; the exchange returns that next to the statement's
-    /// result.
-    ///
-    /// [`SeqTracker`]: crate::health::SeqTracker
-    fn exchange_on<T, R>(
-        &self,
-        node: &AccelNode,
-        session: &mut Session,
-        request_bytes: usize,
-        exec: impl FnOnce() -> Result<T>,
-        reply: impl Fn(&T) -> ReplyLeg<R>,
-    ) -> Result<(T, R)> {
-        let trace = session.trace.clone();
-        let seq = session.next_seq();
-        let mut exec = Some(exec);
-        let mut result: Option<T> = None;
-        let attempts = self.config.retry.max_attempts.max(1);
-        let mut wait = self.config.retry.backoff;
-        for attempt in 1..=attempts {
-            if attempt > 1 {
-                self.metrics.inc("exchange.retries", 1);
-                trace.event("retry", &[("attempt", &attempt)], node.link.now());
-                node.link.advance(wait);
-                wait = wait.saturating_mul(self.config.retry.multiplier);
-            }
-            // Request leg: loss means the statement never reached the
-            // accelerator — resend it.
-            match node.link.transfer(Direction::ToAccel, request_bytes) {
-                Ok(_) => self.transfer_event_on(
-                    node,
-                    &trace,
-                    Direction::ToAccel,
-                    "stmt",
-                    request_bytes,
-                    None,
-                ),
-                Err(e) => {
-                    self.transfer_event_on(
-                        node,
-                        &trace,
-                        Direction::ToAccel,
-                        "stmt",
-                        request_bytes,
-                        Some(e.to_string()),
-                    );
-                    continue;
-                }
-            }
-            node.health.record_success();
-            // Receiver side: execute on first delivery, discard duplicates.
-            // Every delivery is stamped with the accelerator's current
-            // recovery epoch; anything stamped with a dead incarnation is
-            // fenced off and the request is re-sent under the new epoch.
-            match node.delivered.deliver_at(session.id, seq, node.engine.epoch()) {
-                Delivery::Apply => {
-                    let run = exec.take().expect("first delivery executes the statement");
-                    result = Some(run()?);
-                }
-                Delivery::Duplicate => {
-                    self.statements_deduped.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.inc("exchange.deduped", 1);
-                }
-                Delivery::Fenced => {
-                    self.statements_fenced.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.inc("exchange.fenced", 1);
-                    continue;
-                }
-            }
-            let outcome = result.as_ref().expect("executed on or before this delivery");
-            let ReplyLeg { kind, bytes, sent } = reply(outcome);
-            match sent {
-                Ok(arrived) => {
-                    self.transfer_event_on(node, &trace, Direction::ToHost, kind, bytes, None);
-                    node.health.record_success();
-                    return Ok((result.take().expect("reply delivered"), arrived));
-                }
-                Err(e) => self.transfer_event_on(
-                    node,
-                    &trace,
-                    Direction::ToHost,
-                    kind,
-                    bytes,
-                    Some(e.to_string()),
-                ),
-            }
-            // Reply lost: redeliver the request (same sequence number) on
-            // the next attempt.
-        }
-        node.health.record_failure();
-        Err(Error::LinkFailure(
-            "communication with the accelerator failed; the statement exchange could \
-             not be completed"
-                .into(),
-        ))
-    }
-
-    /// [`Idaa::exchange_on`] for a statement acknowledged by a fixed-size
-    /// control message (counts, DDL acks).
-    pub(crate) fn exchange_control<T>(
-        &self,
-        node: &AccelNode,
-        session: &mut Session,
-        request_bytes: usize,
-        exec: impl FnOnce() -> Result<T>,
-    ) -> Result<T> {
-        let ack = |_: &T| ReplyLeg {
-            kind: "control",
-            bytes: wire::ACK_FRAME,
-            sent: node.link.transfer(Direction::ToHost, wire::ACK_FRAME).map(drop),
-        };
-        Ok(self.exchange_on(node, session, request_bytes, exec, ack)?.0)
-    }
-
-    /// [`Idaa::exchange_on`] for a statement answered with rows: the result
-    /// travels back as an encoded wire frame whose checksum the host side
-    /// verifies on receipt, and the rows returned are the ones decoded from
-    /// that frame — not the accelerator's in-memory rows.
-    pub(crate) fn exchange_rows(
-        &self,
-        node: &AccelNode,
-        session: &mut Session,
-        request_bytes: usize,
-        exec: impl FnOnce() -> Result<Rows>,
-    ) -> Result<Rows> {
-        let frame_reply = |r: &Rows| {
-            let frame = wire::encode_frame(&r.schema, &r.rows);
-            ReplyLeg {
-                kind: "frame",
-                bytes: frame.len(),
-                sent: node.link.transfer_frame(Direction::ToHost, &frame).map(|_| frame),
-            }
-        };
-        let (rows, frame) = self.exchange_on(node, session, request_bytes, exec, frame_reply)?;
-        let decoded = wire::decode_rows(&frame, &rows.schema)?;
-        Ok(Rows::new(rows.schema, decoded))
-    }
-
-    /// Commit the session's transaction. When accelerator nodes
-    /// participated, run two-phase commit: PREPARE on every participant,
-    /// COMMIT on DB2 (the coordinator), COMMIT on every participant.
-    pub fn commit_session(&self, session: &mut Session) -> Result<()> {
-        let Some(txn) = session.txn.take() else { return Ok(()) };
-        let trace = session.trace.clone();
-        let span = if trace.is_enabled() {
-            Some(trace.begin("commit", self.link().now()))
-        } else {
-            None
-        };
-        let enlisted = self.fleet.take_enlisted(txn);
-        if let Some(id) = span {
-            trace.attr(id, "kind", if enlisted.is_empty() { "local" } else { "2pc" });
-        }
-        let result = if enlisted.is_empty() {
-            self.metrics.inc("commits.local", 1);
-            self.host.commit(txn);
-            Ok(())
-        } else {
-            self.metrics.inc("commits.twopc", 1);
-            self.commit_two_phase(&trace, txn, &enlisted)
-        };
-        if let Err(e) = result {
-            if let Some(id) = span {
-                trace.end(id, self.link().now());
-            }
-            return Err(e);
-        }
-        if self.config.auto_replicate {
-            let applied = self.replicate_now();
-            match &applied {
-                Ok(n) if *n > 0 => {
-                    trace.event("replicate", &[("applied", n)], self.link().now());
-                }
-                _ => {}
-            }
-            applied?;
-        }
-        // Periodic checkpoint policy on the virtual clock (each node
-        // checkpoints on its own link clock). A crash while building the
-        // checkpoint (the MID_CHECKPOINT site) must not fail the user's
-        // commit — the decision is already durable; the next statement
-        // observes the crash and drives recovery.
-        for node in &self.nodes {
-            self.sync_node_clock(node);
-            if let Ok(true) =
-                node.engine.maybe_checkpoint(node.link.now(), self.config.checkpoint_every)
-            {
-                self.metrics.inc("accel.checkpoints", 1);
-                trace.event("checkpoint", &[], node.link.now());
-            }
-            self.maybe_scrub_node(node, &trace);
-            self.absorb_node_clock(node);
-        }
-        if let Some(id) = span {
-            trace.end(id, self.link().now());
-        }
-        Ok(())
-    }
-
-    /// One background storage-scrub step on `node`, driven between
-    /// statements by the commit path when [`IdaaConfig::scrub_every`] is
-    /// non-zero. Verification I/O is charged to the node's *virtual* clock
-    /// at the recovery bandwidth; detections (and the repair checkpoint
-    /// the engine takes) are mirrored into the metrics registry and
-    /// recorded as a "disk.scrub" trace event. Like a mid-checkpoint
-    /// crash, a scrub failure must not fail the user's already-durable
-    /// commit — the next statement observes the crash and drives
-    /// recovery.
-    fn maybe_scrub_node(&self, node: &AccelNode, trace: &Trace) {
-        if self.config.scrub_every.is_zero() {
-            return;
-        }
-        let before = Self::disk_stat_snapshot(&node.engine);
-        let result = node.engine.maybe_scrub(node.link.now(), self.config.scrub_every);
-        self.mirror_disk_stats(&node.engine, before);
-        let report = match result {
-            Ok(Some(report)) => report,
-            _ => return,
-        };
-        node.link.advance(Duration::from_secs_f64(
-            report.scanned_bytes as f64 / self.config.recovery_bytes_per_sec.max(1) as f64,
-        ));
-        self.metrics.inc("disk.scrub.steps", 1);
-        self.metrics.inc("disk.scrub.scanned_bytes", report.scanned_bytes);
-        if report.corruptions() > 0 {
-            trace.event(
-                "disk.scrub",
-                &[
-                    ("corrupt_records", &(report.corrupt_records.len() as u64)),
-                    ("corrupt_checkpoints", &report.corrupt_checkpoints),
-                ],
-                node.link.now(),
-            );
-        }
-    }
-
-    /// Two-phase commit across the enlisted nodes `ids`, hardened against a
-    /// stopped accelerator and link-level message loss at every step: all
-    /// prepare, all vote, one host decision, then per-node phase-2 delivery.
-    fn commit_two_phase(&self, trace: &Trace, txn: TxnId, ids: &[usize]) -> Result<()> {
-        // Roll back on every participant and report why.
-        let abort_all = |why: Error| -> Result<()> {
-            for &i in ids {
-                self.nodes[i].engine.abort(txn);
-            }
-            self.host.rollback(txn)?;
-            Err(why)
-        };
-        // One protocol message to or from one participant, on the shared
-        // timeline.
-        let ship = |i: usize, direction: Direction| {
-            let node = &self.nodes[i];
-            self.sync_node_clock(node);
-            let shipped =
-                self.ship_traced_on(node, trace, direction, "control", wire::CONTROL_FRAME);
-            self.absorb_node_clock(node);
-            shipped
-        };
-        // A stopped or crashed accelerator cannot vote: presume abort on
-        // all sides. (A crashed engine's copy of the transaction is
-        // aborted durably when recovery replays the log.)
-        if self.faults.accel_unavailable.load(Ordering::Relaxed)
-            || ids.iter().any(|&i| self.nodes[i].engine.is_crashed())
-        {
-            return abort_all(Error::ResourceUnavailable(
-                "the accelerator is unavailable; transaction rolled back on all \
-                 participants"
-                    .into(),
-            ));
-        }
-        // Phase 1: PREPARE request. Undeliverable after retries means the
-        // participant never voted — presumed abort everywhere.
-        for &i in ids {
-            if let Err(e) = ship(i, Direction::ToAccel) {
-                return abort_all(Error::CommitFailed(format!(
-                    "PREPARE could not be delivered ({e}); transaction rolled back on all \
-                     participants"
-                )));
-            }
-        }
-        // The PREPARE vote consults the failure registry: a fired
-        // `coord.prepare.vote_no` site (armed one-shot or seeded plan)
-        // makes a participant vote NO.
-        if self.faults.registry.fire(sites::PREPARE_VOTE_NO) {
-            return abort_all(Error::CommitFailed(
-                "accelerator failed to prepare; transaction rolled back on all \
-                 participants"
-                    .into(),
-            ));
-        }
-        for &i in ids {
-            // A NO vote (or protocol error) aborts everywhere; the host
-            // transaction must not stay open holding locks.
-            if let Err(e) = self.nodes[i].engine.prepare(txn) {
-                return abort_all(Error::CommitFailed(format!(
-                    "accelerator PREPARE failed ({e}); transaction rolled back on all \
-                     participants"
-                )));
-            }
-        }
-        // The YES votes travel back. Losing one leaves the transaction
-        // in-doubt: the participant is prepared but the coordinator cannot
-        // see the outcome. The resolver re-runs the status inquiry once;
-        // if that fails too, all sides roll back (presumed abort).
-        for &i in ids {
-            if ship(i, Direction::ToHost).is_err() {
-                let recovered =
-                    ship(i, Direction::ToAccel).is_ok() && ship(i, Direction::ToHost).is_ok();
-                if !recovered {
-                    return abort_all(Error::CommitFailed(
-                        "in-doubt transaction could not be resolved before timeout; rolled \
-                         back on all participants"
-                            .into(),
-                    ));
-                }
-                self.in_doubt_resolved.fetch_add(1, Ordering::Relaxed);
-                self.metrics.inc("twopc.in_doubt_resolved", 1);
-            }
-        }
-        // Phase 2: the decision is durable once the coordinator commits.
-        self.host.commit(txn);
-        for &i in ids {
-            let node = &self.nodes[i];
-            if node.engine.is_crashed() || ship(i, Direction::ToAccel).is_err() {
-                // The COMMIT decision is queued and redelivered on the next
-                // replication round or recovery probe; the participant holds
-                // the transaction prepared (durably — a crash re-materializes
-                // it from the log) until the decision arrives.
-                node.pending_commits.lock().push(txn);
-                self.metrics.inc("twopc.decisions_queued", 1);
-            } else {
-                node.engine.commit(txn);
-            }
-        }
-        Ok(())
-    }
-
-    /// Roll the session's transaction back on every participant.
-    pub fn rollback_session(&self, session: &mut Session) -> Result<()> {
-        let Some(txn) = session.txn.take() else { return Ok(()) };
-        // Best-effort abort message per enlisted node — each participant
-        // presumes abort for unresolved transactions on reconnect, so a
-        // lost message cannot leave one committed.
-        for i in self.fleet.take_enlisted(txn) {
-            let node = &self.nodes[i];
-            let _ = self.ship_on(node, Direction::ToAccel, wire::CONTROL_FRAME);
-            node.engine.abort(txn);
-        }
-        self.host.rollback(txn)?;
-        Ok(())
-    }
-}
-
-fn explain_schema() -> idaa_common::Schema {
-    idaa_common::Schema::new_unchecked(vec![idaa_common::ColumnDef::new(
-        "PLAN",
-        idaa_common::DataType::Varchar(255),
-    )])
-}
-
-fn workload_schema() -> idaa_common::Schema {
-    use idaa_common::{ColumnDef, DataType};
-    idaa_common::Schema::new_unchecked(vec![
-        ColumnDef::new("SESSION", DataType::BigInt),
-        ColumnDef::new("PRIORITY", DataType::Varchar(8)),
-        ColumnDef::new("QUEUED", DataType::BigInt),
-        ColumnDef::new("RUNNING", DataType::BigInt),
-        ColumnDef::new("DONE", DataType::BigInt),
-        ColumnDef::new("FAILED", DataType::BigInt),
-        ColumnDef::new("QUEUE_US", DataType::BigInt),
-        ColumnDef::new("BYTES", DataType::BigInt),
-    ])
-}
-
-/// One attempt at the reply leg of a statement exchange: how the transfer
-/// shows up in the trace, and what the host side received.
-struct ReplyLeg<R> {
-    kind: &'static str,
-    bytes: usize,
-    sent: std::result::Result<R, idaa_netsim::LinkError>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::health::HealthState;
+    use idaa_netsim::sites;
 
     fn sys(idaa: &Idaa) -> Session {
         idaa.session(SYSADM)

@@ -14,15 +14,26 @@
 //!   ([`replication`]),
 //! * **governed stored procedures** for system management and in-database
 //!   analytics deployment ([`procedures`]).
+//!
+//! The accelerator side is a fleet of one or more nodes behind one code
+//! path ([`fleet`]); [`idaa`] is the facade, and the statement lifecycle
+//! behind it is split into `dispatch` (governance → route → execute),
+//! `transfer` (link messages and the idempotent statement exchange), `txn`
+//! (enlistment, two-phase commit, rollback) and `recovery` (readiness,
+//! restart, rebuild, catch-up, scrub).
 
+mod dispatch;
 pub mod fleet;
 pub mod health;
 pub mod idaa;
 pub mod procedures;
+mod recovery;
 pub mod replication;
 pub mod router;
 pub mod server;
 pub mod session;
+mod transfer;
+mod txn;
 
 pub use fleet::{shard_of, shard_table, AccelNode, FleetConfig};
 pub use health::{Delivery, HealthConfig, HealthMonitor, HealthState, SeqTracker};

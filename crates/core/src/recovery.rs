@@ -1,0 +1,415 @@
+//! Node availability and recovery: the readiness check every statement
+//! attempt starts with, crash restart (checkpoint + log replay), rebuild of
+//! a node whose durable state is corrupt beyond local repair, replica
+//! catch-up copies, and the background storage scrub.
+//!
+//! Everything here consumes only virtual time (`link.advance`) and real,
+//! metered wire frames; failure injection flows through the seeded
+//! `FaultRegistry`, so a given seed replays byte-identically.
+
+use crate::fleet::{shard_table, AccelNode};
+use crate::health::HealthState;
+use crate::idaa::Idaa;
+use idaa_accel::{AccelEngine, RestartStats};
+use idaa_common::trace::Trace;
+use idaa_common::{wire, Error, Result, Row};
+use idaa_host::TableKind;
+use idaa_netsim::Direction;
+use std::sync::atomic::Ordering;
+use std::time::Duration;
+
+impl Idaa {
+    /// True when statements may be sent to one fleet node: its engine is
+    /// not stopped, and its own health state machine has not declared it
+    /// offline. While offline, a rate-limited probe (virtual clock) checks
+    /// for recovery; a successful probe flushes queued commit decisions and
+    /// lets replication catch up before reporting ready. A node that missed
+    /// writes while unreachable first refreshes its shard copies from a live
+    /// replica.
+    pub(crate) fn node_ready(&self, node: &AccelNode) -> bool {
+        if self.faults.accel_unavailable.load(Ordering::Relaxed) {
+            return false;
+        }
+        if node.engine.is_crashed() {
+            // A crashed accelerator is unreachable no matter what the
+            // failure streaks said when the crash point fired.
+            node.health.force_offline();
+        }
+        if node.health.state() != HealthState::Offline {
+            if self.fleet.needs_catch_up(node.id) {
+                return self.catch_up_node(node).is_ok()
+                    && !self.fleet.needs_catch_up(node.id);
+            }
+            return true;
+        }
+        if node.health.should_probe(node.link.now())
+            && node.health.probe(&node.link, &self.config.retry)
+        {
+            if node.engine.is_crashed() && self.restart_node(node).is_err() {
+                return false;
+            }
+            if self.catch_up_node(node).is_err() {
+                return false;
+            }
+            let _ = self.replicate_now();
+            return true;
+        }
+        false
+    }
+
+    /// [`Idaa::node_ready`], recording an "accel.restart" trace event when
+    /// the readiness check drove a crash recovery.
+    pub(crate) fn node_ready_traced(&self, node: &AccelNode, trace: &Trace) -> bool {
+        let epoch_before = node.engine.epoch();
+        let rebuilds_before = node.rebuilds.load(Ordering::Relaxed);
+        let ready = self.node_ready(node);
+        if trace.is_enabled() && node.engine.epoch() != epoch_before {
+            let now = node.link.now();
+            let id = trace.begin("accel.restart", now);
+            trace.attr(id, "epoch", node.engine.epoch());
+            if node.rebuilds.load(Ordering::Relaxed) != rebuilds_before {
+                // This recovery discarded the corrupt media and re-shipped
+                // the node's state from the host and replicas.
+                trace.attr(id, "rebuilt", true);
+            }
+            if self.nodes.len() > 1 {
+                trace.attr(id, "node", node.engine.identity());
+            }
+            if let Some(stats) = *node.last_restart.lock() {
+                trace.attr(
+                    id,
+                    "replayed_bytes",
+                    stats.checkpoint_bytes + stats.log_bytes_replayed,
+                );
+            }
+            trace.end(id, now);
+        }
+        ready
+    }
+
+    /// The error a statement gets when it requires a node that is not
+    /// ready: -904 when the accelerator is administratively stopped or
+    /// crashed (recovery pending), -30081 when its health machine declared
+    /// it offline after communication failures.
+    pub(crate) fn node_unavailable(&self, node: &AccelNode) -> Error {
+        if node.engine.is_crashed() {
+            Error::ResourceUnavailable(
+                "the accelerator crashed and is recovering; statements requiring it \
+                 cannot run"
+                    .into(),
+            )
+        } else if self.faults.accel_unavailable.load(Ordering::Relaxed) {
+            Error::ResourceUnavailable(
+                "the accelerator is stopped; statements requiring it cannot run".into(),
+            )
+        } else {
+            Error::LinkFailure(
+                "communication with the accelerator failed and the statement requires it"
+                    .into(),
+            )
+        }
+    }
+
+    /// Force a recovery probe immediately, ignoring the probe interval
+    /// (operator-initiated restart). On success the health returns to
+    /// `Online`, a crashed engine restarts (checkpoint + log replay),
+    /// queued commit decisions are redelivered, and replication catches
+    /// up. Returns whether the accelerator is available again.
+    pub fn recover(&self) -> bool {
+        self.recover_node(0)
+    }
+
+    /// [`Idaa::recover`] for node `i` of the fleet.
+    pub fn recover_node(&self, i: usize) -> bool {
+        let node = self.nodes[i].clone();
+        if self.faults.accel_unavailable.load(Ordering::Relaxed) {
+            return false;
+        }
+        if node.engine.is_crashed() {
+            node.health.force_offline();
+        }
+        if !node.health.probe(&node.link, &self.config.retry) {
+            return false;
+        }
+        if node.engine.is_crashed() && self.restart_node(&node).is_err() {
+            return false;
+        }
+        if self.fleet.needs_catch_up(node.id) && self.catch_up_node(&node).is_err() {
+            return false;
+        }
+        let _ = self.replicate_now();
+        true
+    }
+
+    /// Restart a crashed accelerator: rebuild state as checkpoint + log
+    /// replay, charge the replay cost to the *virtual* clock, fence the
+    /// statement tracker to the new recovery epoch, resolve re-materialized
+    /// in-doubt transactions (presumed abort unless the coordinator holds
+    /// a queued COMMIT decision), and redeliver queued decisions.
+    pub(crate) fn restart_node(&self, node: &AccelNode) -> Result<()> {
+        let before = Self::disk_stat_snapshot(&node.engine);
+        // A rebuild that failed part-way (read fault, lost exchange) left
+        // the node on fresh-but-empty media: booting it as-is would serve
+        // silently empty tables, so the flag forces the rebuild to resume.
+        let stats = if node.needs_rebuild.load(Ordering::Relaxed) {
+            let r = self.rebuild_node(node);
+            self.mirror_disk_stats(&node.engine, before);
+            r?
+        } else {
+            match node.engine.restart() {
+                Ok(stats) => {
+                    self.mirror_disk_stats(&node.engine, before);
+                    stats
+                }
+                Err(Error::StorageCorrupt(_)) => {
+                    // Acknowledged durable state failed validation beyond
+                    // local repair: discard the media wholesale and
+                    // re-materialize the node from the host catalog and
+                    // live replicas instead of serving damaged state.
+                    let r = self.rebuild_node(node);
+                    self.mirror_disk_stats(&node.engine, before);
+                    r?
+                }
+                Err(e) => {
+                    self.mirror_disk_stats(&node.engine, before);
+                    return Err(e);
+                }
+            }
+        };
+        self.metrics.inc("accel.restarts", 1);
+        self.metrics.inc(
+            "accel.recovery.replayed_bytes",
+            stats.checkpoint_bytes + stats.log_bytes_replayed,
+        );
+        // Recovery consumes virtual time only: a fixed restart latency
+        // plus replaying checkpoint + log bytes at the configured
+        // bandwidth. Never a wall-clock sleep. The cost lands on this
+        // node's own link clock.
+        let replayed = stats.checkpoint_bytes + stats.log_bytes_replayed;
+        let replay_time = Duration::from_secs_f64(
+            replayed as f64 / self.config.recovery_bytes_per_sec.max(1) as f64,
+        );
+        node.link.advance(self.config.recovery_fixed + replay_time);
+        // Epoch fence: sequence state and acks from the previous
+        // incarnation are stale.
+        node.delivered.reset(stats.epoch);
+        // Presumed abort: a prepared transaction whose COMMIT decision is
+        // not queued on the coordinator was never decided — roll it back.
+        // Queued decisions stay prepared until flush redelivers them.
+        {
+            let pending = node.pending_commits.lock();
+            for txn in node.engine.in_doubt() {
+                if !pending.contains(&txn) {
+                    node.engine.abort(txn);
+                }
+            }
+        }
+        self.flush_pending_commits_on(node);
+        *node.last_restart.lock() = Some(stats);
+        Ok(())
+    }
+
+    /// Rebuild a node whose durable state is corrupt beyond local repair:
+    /// discard the media wholesale, boot the engine empty, and
+    /// re-materialize every accelerator-resident table — replicated host
+    /// tables re-ship a snapshot from DB2 (the replication watermark
+    /// fast-forwards past it), AOT shards recreate their definitions and
+    /// refill from a live replica via the standard catch-up copy, and a
+    /// shard with no other owner is quarantined (-904 until reloaded) —
+    /// its rows existed nowhere else, and a silently empty table is the
+    /// one outcome recovery must never produce. Any failure part-way
+    /// re-crashes the engine so the next recovery probe resumes the
+    /// rebuild rather than serving a half-rebuilt node.
+    fn rebuild_node(&self, node: &AccelNode) -> Result<RestartStats> {
+        node.needs_rebuild.store(true, Ordering::Relaxed);
+        node.engine.durable().reset();
+        let stats = node.engine.restart()?;
+        let bytes_before = node.link.metrics().bytes_to_accel;
+        let rebuild = || -> Result<()> {
+            // The DB2 catalog iterates in name order, so recreation (and
+            // every wire frame it ships) is deterministic.
+            for name in self.host.table_names() {
+                let meta = self.host.table_meta(&name)?;
+                match meta.kind {
+                    TableKind::Regular => {
+                        if meta.accel_status == idaa_host::AccelStatus::NotAccelerated {
+                            continue;
+                        }
+                        self.ship_ddl_on(node, &format!("ADD TABLE {}", meta.name))?;
+                        node.engine.create_table(
+                            &meta.name,
+                            meta.schema.clone(),
+                            &meta.distribute_by,
+                        )?;
+                        if meta.accel_status == idaa_host::AccelStatus::Loaded {
+                            let rows = self.host.scan_all(&meta.name)?;
+                            let delivered =
+                                self.ship_rows_on(node, Direction::ToAccel, &meta.schema, &rows)?;
+                            node.engine.load_committed(&meta.name, delivered)?;
+                            self.ship_on(node, Direction::ToHost, wire::ACK_FRAME)?;
+                        }
+                    }
+                    TableKind::AcceleratorOnly => {
+                        for s in 0..self.fleet.shards {
+                            let owners = self.fleet.owners(s);
+                            if !owners.contains(&node.id) {
+                                continue;
+                            }
+                            let st = shard_table(&meta.name, s, self.fleet.shards);
+                            node.engine.create_table(
+                                &st,
+                                meta.schema.clone(),
+                                &meta.distribute_by,
+                            )?;
+                            if !owners.iter().any(|&o| o != node.id) {
+                                // This node was the shard's only owner:
+                                // there is no replica to copy from.
+                                node.engine.quarantine_table(&st)?;
+                            }
+                        }
+                        // Shard contents arrive through the standard
+                        // metered catch-up copy from a live replica.
+                        self.fleet.mark_catch_up(node.id);
+                    }
+                }
+            }
+            // The snapshots above already contain every committed change:
+            // replaying the backlog would double-apply it.
+            node.replicator.lock().fast_forward(self.host.txns.current_lsn());
+            Ok(())
+        };
+        if let Err(e) = rebuild() {
+            // A half-rebuilt node must never serve: crash it so the next
+            // recovery probe finds `needs_rebuild` still set and restarts
+            // the rebuild from fresh media.
+            node.engine.crash();
+            return Err(e);
+        }
+        self.metrics.inc("disk.node_rebuilds", 1);
+        self.metrics
+            .inc("disk.repair.bytes", node.link.metrics().bytes_to_accel - bytes_before);
+        node.rebuilds.fetch_add(1, Ordering::Relaxed);
+        node.needs_rebuild.store(false, Ordering::Relaxed);
+        Ok(stats)
+    }
+
+    /// Cumulative storage-fault counters of one engine, in the order of
+    /// [`Idaa::DISK_METRIC_KEYS`].
+    fn disk_stat_snapshot(engine: &AccelEngine) -> [u64; 5] {
+        [
+            engine.stats.disk_corruptions_detected.load(Ordering::Relaxed),
+            engine.stats.disk_records_truncated.load(Ordering::Relaxed),
+            engine.stats.disk_checkpoint_fallbacks.load(Ordering::Relaxed),
+            engine.stats.disk_scrub_repairs.load(Ordering::Relaxed),
+            engine.stats.disk_read_failures.load(Ordering::Relaxed),
+        ]
+    }
+
+    /// Registry keys mirroring the engine-side storage-fault counters, in
+    /// [`Idaa::disk_stat_snapshot`] order. The mirror is delta-based, so
+    /// the registry totals reconcile exactly with the sum of the engines'
+    /// own atomics (`tests/observability.rs`).
+    const DISK_METRIC_KEYS: [&'static str; 5] = [
+        "disk.corruptions_detected",
+        "disk.records_truncated",
+        "disk.checkpoint_fallbacks",
+        "disk.scrub_repairs",
+        "disk.read_failures",
+    ];
+
+    /// Mirror into the [`MetricsRegistry`] whatever the engine's storage
+    /// counters gained since `before` was snapshotted.
+    fn mirror_disk_stats(&self, engine: &AccelEngine, before: [u64; 5]) {
+        let after = Self::disk_stat_snapshot(engine);
+        for (i, key) in Self::DISK_METRIC_KEYS.iter().enumerate() {
+            if after[i] > before[i] {
+                self.metrics.inc(key, after[i] - before[i]);
+            }
+        }
+    }
+
+    /// One background storage-scrub step on `node`, driven between
+    /// statements by the commit path when [`IdaaConfig::scrub_every`] is
+    /// non-zero. Verification I/O is charged to the node's *virtual* clock
+    /// at the recovery bandwidth; detections (and the repair checkpoint
+    /// the engine takes) are mirrored into the metrics registry and
+    /// recorded as a "disk.scrub" trace event. Like a mid-checkpoint
+    /// crash, a scrub failure must not fail the user's already-durable
+    /// commit — the next statement observes the crash and drives
+    /// recovery.
+    pub(crate) fn maybe_scrub_node(&self, node: &AccelNode, trace: &Trace) {
+        if self.config.scrub_every.is_zero() {
+            return;
+        }
+        let before = Self::disk_stat_snapshot(&node.engine);
+        let result = node.engine.maybe_scrub(node.link.now(), self.config.scrub_every);
+        self.mirror_disk_stats(&node.engine, before);
+        let report = match result {
+            Ok(Some(report)) => report,
+            _ => return,
+        };
+        node.link.advance(Duration::from_secs_f64(
+            report.scanned_bytes as f64 / self.config.recovery_bytes_per_sec.max(1) as f64,
+        ));
+        self.metrics.inc("disk.scrub.steps", 1);
+        self.metrics.inc("disk.scrub.scanned_bytes", report.scanned_bytes);
+        if report.corruptions() > 0 {
+            trace.event(
+                "disk.scrub",
+                &[
+                    ("corrupt_records", &(report.corrupt_records.len() as u64)),
+                    ("corrupt_checkpoints", &report.corrupt_checkpoints),
+                ],
+                node.link.now(),
+            );
+        }
+    }
+
+    /// Copy every shard a lagging node owns from a live replica, metering
+    /// both legs of the transfer. The node stays flagged until a full pass
+    /// succeeds; a pass that found nothing to copy from is not counted.
+    pub(crate) fn catch_up_node(&self, node: &AccelNode) -> Result<()> {
+        let shards = self.fleet.shards;
+        let mut copied = false;
+        for name in self.host.table_names() {
+            let meta = self.host.table_meta(&name)?;
+            if meta.kind != TableKind::AcceleratorOnly {
+                continue;
+            }
+            for s in 0..shards {
+                let owners = self.fleet.owners(s);
+                if !owners.contains(&node.id) {
+                    continue;
+                }
+                let Some(src_id) = owners.iter().copied().find(|&o| {
+                    o != node.id
+                        && !self.nodes[o].engine.is_crashed()
+                        && !self.fleet.needs_catch_up(o)
+                }) else {
+                    continue;
+                };
+                let src = self.nodes[src_id].clone();
+                let st = shard_table(&meta.name, s, shards);
+                let rows = src.engine.scan_visible(&st)?;
+                let mut delivered: Vec<Row> = Vec::with_capacity(rows.len());
+                let mut bytes = 0u64;
+                for frame in wire::encode_frames(&meta.schema, &rows) {
+                    self.ship_frame_on(&src, Direction::ToHost, &frame)?;
+                    self.ship_frame_on(node, Direction::ToAccel, &frame)?;
+                    bytes += 2 * frame.len() as u64;
+                    delivered.extend(wire::decode_rows(&frame, &meta.schema)?);
+                }
+                node.engine.truncate(&st)?;
+                node.engine.load_committed(&st, delivered)?;
+                self.fleet.add_catch_up_bytes(bytes);
+                self.metrics.inc("fleet.catch_up.bytes", bytes);
+                copied = true;
+            }
+        }
+        self.fleet.clear_catch_up(node.id);
+        if copied {
+            self.metrics.inc("fleet.catch_ups", 1);
+        }
+        Ok(())
+    }
+}

@@ -1,0 +1,256 @@
+//! Transactions: enlistment of accelerator nodes in a DB2 transaction,
+//! commit (local, or two-phase across every enlisted node), and rollback.
+//!
+//! DB2 is the coordinator. A node joins a transaction with a BEGIN message
+//! the first time a statement writes to it ([`Idaa::enlist_node`]); commit
+//! runs PREPARE / vote / decision per participant, resolves a lost vote by
+//! one status inquiry, and queues a phase-2 decision that cannot be
+//! delivered until the next replication round or recovery probe.
+
+use crate::fleet::AccelNode;
+use crate::idaa::Idaa;
+use crate::session::Session;
+use idaa_common::trace::Trace;
+use idaa_common::{wire, Error, Result};
+use idaa_host::TxnId;
+use idaa_netsim::{sites, Direction};
+use std::sync::atomic::Ordering;
+
+impl Idaa {
+    pub(crate) fn ensure_txn(&self, session: &mut Session) -> TxnId {
+        match session.txn {
+            Some(t) => t,
+            None => {
+                let t = self.host.begin();
+                session.txn = Some(t);
+                t
+            }
+        }
+    }
+
+    /// Transaction id for a read on one fleet node: the session's
+    /// transaction when that node is enlisted in it (own-writes
+    /// visibility), else 0 (fresh snapshot).
+    pub(crate) fn node_query_txn(&self, session: &Session, node: &AccelNode) -> TxnId {
+        match session.txn {
+            Some(t) if self.fleet.is_enlisted(t, node.id) => t,
+            _ => 0,
+        }
+    }
+
+    /// Enlist one fleet node in the session's transaction (starting one if
+    /// needed) — required for AOT DML so that the paper's own-uncommitted-
+    /// changes visibility holds. Callers have already verified the node is
+    /// ready.
+    pub(crate) fn enlist_node(&self, session: &mut Session, node: &AccelNode) -> Result<TxnId> {
+        let trace = session.trace.clone();
+        let txn = self.ensure_txn(session);
+        if !self.fleet.is_enlisted(txn, node.id) {
+            // BEGIN message
+            self.ship_traced_on(node, &trace, Direction::ToAccel, "control", wire::CONTROL_FRAME)?;
+            node.engine.begin(txn);
+            self.fleet.enlist(txn, node.id);
+        }
+        Ok(txn)
+    }
+
+    /// Commit the session's transaction. When accelerator nodes
+    /// participated, run two-phase commit: PREPARE on every participant,
+    /// COMMIT on DB2 (the coordinator), COMMIT on every participant.
+    pub fn commit_session(&self, session: &mut Session) -> Result<()> {
+        let Some(txn) = session.txn.take() else { return Ok(()) };
+        let trace = session.trace.clone();
+        let span = if trace.is_enabled() {
+            Some(trace.begin("commit", self.link().now()))
+        } else {
+            None
+        };
+        let enlisted = self.fleet.take_enlisted(txn);
+        if let Some(id) = span {
+            trace.attr(id, "kind", if enlisted.is_empty() { "local" } else { "2pc" });
+        }
+        let result = if enlisted.is_empty() {
+            self.metrics.inc("commits.local", 1);
+            self.host.commit(txn);
+            Ok(())
+        } else {
+            self.metrics.inc("commits.twopc", 1);
+            self.commit_two_phase(&trace, txn, &enlisted)
+        };
+        if let Err(e) = result {
+            if let Some(id) = span {
+                trace.end(id, self.link().now());
+            }
+            return Err(e);
+        }
+        if self.config.auto_replicate {
+            let applied = self.replicate_now();
+            match &applied {
+                Ok(n) if *n > 0 => {
+                    trace.event("replicate", &[("applied", n)], self.link().now());
+                }
+                _ => {}
+            }
+            applied?;
+        }
+        // Periodic checkpoint policy on the virtual clock (each node
+        // checkpoints on its own link clock). A crash while building the
+        // checkpoint (the MID_CHECKPOINT site) must not fail the user's
+        // commit — the decision is already durable; the next statement
+        // observes the crash and drives recovery.
+        for node in &self.nodes {
+            self.sync_node_clock(node);
+            if let Ok(true) =
+                node.engine.maybe_checkpoint(node.link.now(), self.config.checkpoint_every)
+            {
+                self.metrics.inc("accel.checkpoints", 1);
+                trace.event("checkpoint", &[], node.link.now());
+            }
+            self.maybe_scrub_node(node, &trace);
+            self.absorb_node_clock(node);
+        }
+        if let Some(id) = span {
+            trace.end(id, self.link().now());
+        }
+        Ok(())
+    }
+
+    /// Two-phase commit across the enlisted nodes `ids`, hardened against a
+    /// stopped accelerator and link-level message loss at every step: all
+    /// prepare, all vote, one host decision, then per-node phase-2 delivery.
+    fn commit_two_phase(&self, trace: &Trace, txn: TxnId, ids: &[usize]) -> Result<()> {
+        // Roll back on every participant and report why.
+        let abort_all = |why: Error| -> Result<()> {
+            for &i in ids {
+                self.nodes[i].engine.abort(txn);
+            }
+            self.host.rollback(txn)?;
+            Err(why)
+        };
+        // One protocol message to or from one participant, on the shared
+        // timeline.
+        let ship = |i: usize, direction: Direction| {
+            let node = &self.nodes[i];
+            self.sync_node_clock(node);
+            let shipped =
+                self.ship_traced_on(node, trace, direction, "control", wire::CONTROL_FRAME);
+            self.absorb_node_clock(node);
+            shipped
+        };
+        // A stopped or crashed accelerator cannot vote: presume abort on
+        // all sides. (A crashed engine's copy of the transaction is
+        // aborted durably when recovery replays the log.)
+        if self.faults.accel_unavailable.load(Ordering::Relaxed)
+            || ids.iter().any(|&i| self.nodes[i].engine.is_crashed())
+        {
+            return abort_all(Error::ResourceUnavailable(
+                "the accelerator is unavailable; transaction rolled back on all \
+                 participants"
+                    .into(),
+            ));
+        }
+        // Phase 1: PREPARE request. Undeliverable after retries means the
+        // participant never voted — presumed abort everywhere.
+        for &i in ids {
+            if let Err(e) = ship(i, Direction::ToAccel) {
+                return abort_all(Error::CommitFailed(format!(
+                    "PREPARE could not be delivered ({e}); transaction rolled back on all \
+                     participants"
+                )));
+            }
+        }
+        // The PREPARE vote consults the failure registry: a fired
+        // `coord.prepare.vote_no` site (armed one-shot or seeded plan)
+        // makes a participant vote NO.
+        if self.faults.registry.fire(sites::PREPARE_VOTE_NO) {
+            return abort_all(Error::CommitFailed(
+                "accelerator failed to prepare; transaction rolled back on all \
+                 participants"
+                    .into(),
+            ));
+        }
+        for &i in ids {
+            // A NO vote (or protocol error) aborts everywhere; the host
+            // transaction must not stay open holding locks.
+            if let Err(e) = self.nodes[i].engine.prepare(txn) {
+                return abort_all(Error::CommitFailed(format!(
+                    "accelerator PREPARE failed ({e}); transaction rolled back on all \
+                     participants"
+                )));
+            }
+        }
+        // The YES votes travel back. Losing one leaves the transaction
+        // in-doubt: the participant is prepared but the coordinator cannot
+        // see the outcome. The resolver re-runs the status inquiry once;
+        // if that fails too, all sides roll back (presumed abort).
+        for &i in ids {
+            if ship(i, Direction::ToHost).is_err() {
+                let recovered =
+                    ship(i, Direction::ToAccel).is_ok() && ship(i, Direction::ToHost).is_ok();
+                if !recovered {
+                    return abort_all(Error::CommitFailed(
+                        "in-doubt transaction could not be resolved before timeout; rolled \
+                         back on all participants"
+                            .into(),
+                    ));
+                }
+                self.in_doubt_resolved.fetch_add(1, Ordering::Relaxed);
+                self.metrics.inc("twopc.in_doubt_resolved", 1);
+            }
+        }
+        // Phase 2: the decision is durable once the coordinator commits.
+        self.host.commit(txn);
+        for &i in ids {
+            let node = &self.nodes[i];
+            if node.engine.is_crashed() || ship(i, Direction::ToAccel).is_err() {
+                // The COMMIT decision is queued and redelivered on the next
+                // replication round or recovery probe; the participant holds
+                // the transaction prepared (durably — a crash re-materializes
+                // it from the log) until the decision arrives.
+                node.pending_commits.lock().push(txn);
+                self.metrics.inc("twopc.decisions_queued", 1);
+            } else {
+                node.engine.commit(txn);
+            }
+        }
+        Ok(())
+    }
+
+    /// Roll the session's transaction back on every participant.
+    pub fn rollback_session(&self, session: &mut Session) -> Result<()> {
+        let Some(txn) = session.txn.take() else { return Ok(()) };
+        // Best-effort abort message per enlisted node — each participant
+        // presumes abort for unresolved transactions on reconnect, so a
+        // lost message cannot leave one committed.
+        for i in self.fleet.take_enlisted(txn) {
+            let node = &self.nodes[i];
+            let _ = self.ship_on(node, Direction::ToAccel, wire::CONTROL_FRAME);
+            node.engine.abort(txn);
+        }
+        self.host.rollback(txn)?;
+        Ok(())
+    }
+
+    /// Redeliver COMMIT decisions whose phase-2 message was lost; the
+    /// accelerator holds those transactions prepared until the decision
+    /// arrives.
+    pub(crate) fn flush_pending_commits_on(&self, node: &AccelNode) {
+        if node.engine.is_crashed() {
+            // A crashed engine would silently drop the decision; keep it
+            // queued until recovery re-materializes the prepared txn.
+            return;
+        }
+        let mut pending = node.pending_commits.lock();
+        pending.retain(|&txn| {
+            // Through ship_on(), like every federation message, so
+            // redelivery outcomes feed the health monitor; a failure keeps
+            // the decision queued for the next round.
+            if self.ship_on(node, Direction::ToAccel, wire::CONTROL_FRAME).is_ok() {
+                node.engine.commit(txn);
+                false
+            } else {
+                true
+            }
+        });
+    }
+}
