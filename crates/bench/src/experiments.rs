@@ -1,84 +1,78 @@
 //! The experiment suite E1–E22 (see DESIGN.md for the index and
-//! EXPERIMENTS.md for recorded results). Each function regenerates one
-//! table of the evaluation.
+//! EXPERIMENTS.md for the discussion). Each function regenerates one
+//! section of the record in `golden/experiments.txt`.
 
-use crate::{accelerate, fmt_bytes, measure, ms, seed_sales, system, Table};
+use crate::{
+    accelerate, det, fmt_bytes, insert_batched, measure, ms, seed_sales, system, timed, Report,
+    Table, Wall,
+};
 use idaa_analytics::kmeans::{kmeans, KMeansConfig};
 use idaa_analytics::pipeline::{Pipeline, PipelineMode};
 use idaa_core::{Idaa, IdaaConfig, Session};
 use idaa_host::SYSADM;
 use idaa_loader::{EventSource, LoadTarget, Loader};
+use idaa_netsim::LinkMetrics;
 use idaa_sql::Privilege;
-use std::time::Instant;
 
-/// Run one experiment by id (`e1`…`e22`) or `all`.
-pub fn run(id: &str) -> bool {
-    match id.to_ascii_lowercase().as_str() {
-        "e1" => e1_offload_crossover(),
-        "e2" => e2_oltp_point_access(),
-        "e3" => e3_pipeline_stages(),
-        "e4" => e4_insert_select_target(),
-        "e5" => e5_loader_paths(),
-        "e6" => e6_transaction_correctness(),
-        "e7" => e7_in_database_analytics(),
-        "e8" => e8_in_database_scoring(),
-        "e9" => e9_replication_batch(),
-        "e10" => e10_accelerator_ablation(),
-        "e11" => e11_governance_overhead(),
-        "e12" => e12_end_to_end_scenario(),
-        "e13" => e13_parallel_operators(),
-        "e14" => e14_outage_recovery(),
-        "e15" => e15_wire_codec(),
-        "e16" => e16_crash_recovery(),
-        "e17" => e17_trace_overhead(),
-        "e18" => e18_vectorized_kernels(),
-        "e19" => e19_fleet_failover(),
-        "e20" => e20_join_kernels_and_pushdown(),
-        "e21" => e21_storage_faults(),
-        "e22" => e22_workload_scheduler(),
-        "all" => {
-            for e in [
-                e1_offload_crossover,
-                e2_oltp_point_access,
-                e3_pipeline_stages,
-                e4_insert_select_target,
-                e5_loader_paths,
-                e6_transaction_correctness,
-                e7_in_database_analytics,
-                e8_in_database_scoring,
-                e9_replication_batch,
-                e10_accelerator_ablation,
-                e11_governance_overhead,
-                e12_end_to_end_scenario,
-                e13_parallel_operators,
-                e14_outage_recovery,
-                e15_wire_codec,
-                e16_crash_recovery,
-                e17_trace_overhead,
-                e18_vectorized_kernels,
-                e19_fleet_failover,
-                e20_join_kernels_and_pushdown,
-                e21_storage_faults,
-                e22_workload_scheduler,
-            ] {
-                e();
-                println!();
-            }
-        }
-        _ => return false,
-    }
-    true
+/// One entry of the experiment registry.
+pub struct Experiment {
+    pub id: &'static str,
+    pub title: &'static str,
+    pub run: fn(&mut Report),
 }
 
-fn banner(id: &str, title: &str) {
-    println!("=== {id}: {title} ===");
+/// Every experiment, in record order: the one index `exp`'s listing, the
+/// banners, `exp all` and `exp --check` read.
+pub const EXPERIMENTS: &[Experiment] = &[
+    Experiment { id: "E1", title: "OLAP query offload (host row store vs accelerator), size sweep", run: e1_offload_crossover },
+    Experiment { id: "E2", title: "OLTP point lookups (indexed host vs accelerator scan)", run: e2_oltp_point_access },
+    Experiment { id: "E3", title: "multi-stage pipeline: materialize-in-DB2 vs accelerator-only tables", run: e3_pipeline_stages },
+    Experiment { id: "E4", title: "INSERT FROM SELECT: accelerator-only target vs DB2 target", run: e4_insert_select_target },
+    Experiment { id: "E5", title: "loader ingestion: direct-to-AOT vs via DB2 (+replication), worker sweep", run: e5_loader_paths },
+    Experiment { id: "E6", title: "AOT transaction-context correctness probes", run: e6_transaction_correctness },
+    Experiment { id: "E7", title: "k-means: in-database (on accelerator) vs extract-to-client", run: e7_in_database_analytics },
+    Experiment { id: "E8", title: "naive-Bayes scoring: in-database vs extract-to-client", run: e8_in_database_scoring },
+    Experiment { id: "E9", title: "replication batch-size ablation (20k single-row commits)", run: e9_replication_batch },
+    Experiment { id: "E10", title: "accelerator ablation: zone maps, data slices, groom", run: e10_accelerator_ablation },
+    Experiment { id: "E11", title: "governance: DB2 privilege-check overhead on delegated work", run: e11_governance_overhead },
+    Experiment { id: "E12", title: "end-to-end churn scenario: legacy vs extended IDAA", run: e12_end_to_end_scenario },
+    Experiment { id: "E13", title: "parallel join/sort/top-K: link traffic vs accelerator workers", run: e13_parallel_operators },
+    Experiment { id: "E14", title: "scheduled link outage: failover, queued replication, recovery", run: e14_outage_recovery },
+    Experiment { id: "E15", title: "wire codec: logical vs. encoded bytes per workload", run: e15_wire_codec },
+    Experiment { id: "E16", title: "crash recovery: checkpoint interval vs replay cost", run: e16_crash_recovery },
+    Experiment { id: "E17", title: "statement tracing: span volume + per-operator attribution", run: e17_trace_attribution },
+    Experiment { id: "E18", title: "vectorized batch kernels: fused filter\u{2192}agg vs interpreter", run: e18_vectorized_kernels },
+    Experiment { id: "E19", title: "fleet failover: replica factor vs failover latency + catch-up bytes", run: e19_fleet_failover },
+    Experiment { id: "E20", title: "late-materialized vectorized joins: typed keys + probe filter vs interpreter, \
+        plan cache, fleet Bloom gathers", run: e20_join_kernels_and_pushdown },
+    Experiment { id: "E21", title: "storage faults: scrub interval vs detection latency, \
+        repair-path byte costs", run: e21_storage_faults },
+    Experiment { id: "E22", title: "workload scheduler: queue-time percentiles vs session count at a \
+        fixed admission limit", run: e22_workload_scheduler },
+];
+
+/// Look an experiment up by id, case-insensitively.
+pub fn find(id: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.id.eq_ignore_ascii_case(id))
+}
+
+/// Load `rows` seeded synthetic events into `table` over the `target` path.
+fn load_events(
+    idaa: &Idaa,
+    loader: &Loader,
+    rows: usize,
+    seed: u64,
+    table: &str,
+    target: LoadTarget,
+) -> idaa_loader::LoadReport {
+    let source = Box::new(EventSource::new(rows, seed));
+    loader.load(idaa, source, &idaa_common::ObjectName::bare(table), target).unwrap()
 }
 
 /// E1 — OLAP offload: scan/aggregate latency, DB2 row store vs accelerator,
 /// as table size grows. Claim: "extremely fast execution of complex,
 /// analytical queries" on the accelerator.
-pub fn e1_offload_crossover() {
-    banner("E1", "OLAP query offload (host row store vs accelerator), size sweep");
+fn e1_offload_crossover(out: &mut Report) {
     let query = "SELECT region, COUNT(*), SUM(amount), AVG(qty) FROM sales \
                  WHERE qty > 2 AND amount < 800 GROUP BY region";
     let mut table = Table::new(&[
@@ -91,25 +85,24 @@ pub fn e1_offload_crossover() {
         // Warm both paths once.
         idaa.execute(&mut s, "SET CURRENT QUERY ACCELERATION = NONE").unwrap();
         idaa.query(&mut s, query).unwrap();
-        let (_, host_t, _) = measure(&idaa, || idaa.query(&mut s, query).unwrap());
+        let (_, host_t) = timed(|| idaa.query(&mut s, query).unwrap());
         idaa.execute(&mut s, "SET CURRENT QUERY ACCELERATION = ELIGIBLE").unwrap();
         idaa.query(&mut s, query).unwrap();
         let (_, accel_t, link) = measure(&idaa, || idaa.query(&mut s, query).unwrap());
-        table.row(&[
-            rows.to_string(),
-            ms(host_t),
-            ms(accel_t),
-            format!("{:.1}x", host_t.as_secs_f64() / accel_t.as_secs_f64()),
-            ms(accel_t + link.wire_time),
+        table.row([
+            det(rows),
+            host_t.ms(),
+            accel_t.ms(),
+            host_t.speedup_over(accel_t),
+            accel_t.plus(link.wire_time).ms(),
         ]);
     }
-    table.print();
+    out.table(table);
 }
 
 /// E2 — OLTP point access stays on the host: indexed point SELECTs,
 /// host-with-index vs forced accelerator execution.
-pub fn e2_oltp_point_access() {
-    banner("E2", "OLTP point lookups (indexed host vs accelerator scan)");
+fn e2_oltp_point_access(out: &mut Report) {
     const ROWS: usize = 200_000;
     const PROBES: usize = 200;
     let (idaa, mut s) = system(IdaaConfig::default());
@@ -123,33 +116,31 @@ pub fn e2_oltp_point_access() {
         }
     };
     idaa.execute(&mut s, "SET CURRENT QUERY ACCELERATION = NONE").unwrap();
-    let (_, host_t, _) = measure(&idaa, || probe(&idaa, &mut s));
+    let (_, host_t) = timed(|| probe(&idaa, &mut s));
     idaa.execute(&mut s, "SET CURRENT QUERY ACCELERATION = ELIGIBLE").unwrap();
     let (_, accel_t, link) = measure(&idaa, || probe(&idaa, &mut s));
     // Routing check: ENABLE keeps the point lookups local.
     idaa.execute(&mut s, "SET CURRENT QUERY ACCELERATION = ENABLE").unwrap();
-    let out = idaa.execute(&mut s, "SELECT product FROM sales WHERE id = 7").unwrap();
+    let routed = idaa.execute(&mut s, "SELECT product FROM sales WHERE id = 7").unwrap();
     let mut table = Table::new(&["path", "total_ms", "us/query", "wire_ms"]);
-    table.row(&[
-        "host (indexed)".into(),
-        ms(host_t),
-        format!("{:.1}", host_t.as_secs_f64() * 1e6 / PROBES as f64),
-        "0.00".into(),
+    let us = |s: f64| format!("{:.1}", s * 1e6);
+    table.row([det("host (indexed)"), host_t.ms(), host_t.per(PROBES).cell(us), det("0.00")]);
+    table.row([
+        det("accelerator"),
+        accel_t.ms(),
+        accel_t.per(PROBES).cell(us),
+        det(ms(link.wire_time)),
     ]);
-    table.row(&[
-        "accelerator".into(),
-        ms(accel_t),
-        format!("{:.1}", accel_t.as_secs_f64() * 1e6 / PROBES as f64),
-        ms(link.wire_time),
-    ]);
-    table.print();
-    println!("ENABLE-mode routing for a point lookup: {:?} (expected Host)", out.route);
+    out.table(table);
+    out.line(format!(
+        "ENABLE-mode routing for a point lookup: {:?} (expected Host)",
+        routed.route
+    ));
 }
 
 /// E3 — the headline: multi-staged transformation pipeline, materialized in
 /// DB2 (pre-AOT) vs accelerator-only tables, stage-count sweep.
-pub fn e3_pipeline_stages() {
-    banner("E3", "multi-stage pipeline: materialize-in-DB2 vs accelerator-only tables");
+fn e3_pipeline_stages(out: &mut Report) {
     const ROWS: usize = 50_000;
     let mut table = Table::new(&[
         "stages", "mode", "elapsed_ms", "bytes_moved", "msgs", "wire_ms",
@@ -163,35 +154,34 @@ pub fn e3_pipeline_stages() {
             let mut p = Pipeline::new();
             let mut prev = "SALES".to_string();
             for i in 0..k {
-                let out = format!("STG{i}");
+                let stage = format!("STG{i}");
                 // Row-preserving transformation chain.
                 let select = if i == 0 {
                     format!("SELECT id, amount, qty FROM {prev} WHERE qty >= 0")
                 } else {
                     format!("SELECT id, amount * 1.01E0 AS AMOUNT, qty FROM {prev}")
                 };
-                p = p.stage(&out, &select);
-                prev = out;
+                p = p.stage(&stage, &select);
+                prev = stage;
             }
             idaa.link().reset();
-            let report = p.run(&idaa, &mut s, mode).unwrap();
-            table.row(&[
-                k.to_string(),
-                format!("{mode:?}"),
-                ms(report.elapsed),
-                fmt_bytes(report.link.total_bytes()),
-                report.link.total_messages().to_string(),
-                ms(report.link.wire_time),
+            let (report, t) = timed(|| p.run(&idaa, &mut s, mode).unwrap());
+            table.row([
+                det(k),
+                det(format!("{mode:?}")),
+                t.ms(),
+                det(fmt_bytes(report.link.total_bytes())),
+                det(report.link.total_messages()),
+                det(ms(report.link.wire_time)),
             ]);
         }
     }
-    table.print();
+    out.table(table);
 }
 
 /// E4 — `INSERT INTO … SELECT` target comparison: AOT target (pushdown,
 /// no data movement) vs regular DB2 target (result materialization).
-pub fn e4_insert_select_target() {
-    banner("E4", "INSERT FROM SELECT: accelerator-only target vs DB2 target");
+fn e4_insert_select_target(out: &mut Report) {
     let mut table = Table::new(&[
         "rows", "target", "elapsed_ms", "bytes_moved", "wire_ms",
     ]);
@@ -216,22 +206,21 @@ pub fn e4_insert_select_target() {
                 idaa.execute(&mut s, "INSERT INTO OUT1 SELECT id, amount, qty FROM sales")
                     .unwrap()
             });
-            table.row(&[
-                rows.to_string(),
-                target.into(),
-                ms(t),
-                fmt_bytes(link.total_bytes()),
-                ms(link.wire_time),
+            table.row([
+                det(rows),
+                det(target),
+                t.ms(),
+                det(fmt_bytes(link.total_bytes())),
+                det(ms(link.wire_time)),
             ]);
         }
     }
-    table.print();
+    out.table(table);
 }
 
 /// E5 — IDAA Loader paths: direct-to-accelerator vs through DB2 with
 /// replication, with a parser-parallelism sweep.
-pub fn e5_loader_paths() {
-    banner("E5", "loader ingestion: direct-to-AOT vs via DB2 (+replication), worker sweep");
+fn e5_loader_paths(out: &mut Report) {
     const ROWS: usize = 100_000;
     let ddl = "(EVENT_ID INT, CUST_ID INT, TOPIC VARCHAR(10), SENTIMENT DOUBLE, \
                POSTED_AT TIMESTAMP)";
@@ -250,36 +239,28 @@ pub fn e5_loader_paths() {
             let mut loader = Loader::new(SYSADM);
             loader.config.parallelism = workers;
             idaa.link().reset();
-            let (report, t, link) = measure(&idaa, || {
-                loader
-                    .load(
-                        &idaa,
-                        Box::new(EventSource::new(ROWS, 7)),
-                        &idaa_common::ObjectName::bare("FEED"),
-                        if direct { LoadTarget::AcceleratorDirect } else { LoadTarget::Db2 },
-                    )
-                    .unwrap()
-            });
+            let target = if direct { LoadTarget::AcceleratorDirect } else { LoadTarget::Db2 };
+            let (report, t, link) =
+                measure(&idaa, || load_events(&idaa, &loader, ROWS, 7, "FEED", target));
             assert_eq!(report.rows_loaded, ROWS);
-            table.row(&[
-                if direct { "direct-to-AOT" } else { "via DB2" }.into(),
-                workers.to_string(),
-                format!("{:.0}", ROWS as f64 / t.as_secs_f64()),
-                ms(t),
-                fmt_bytes(link.bytes_to_accel),
+            table.row([
+                det(if direct { "direct-to-AOT" } else { "via DB2" }),
+                det(workers),
+                t.per(ROWS).cell(|s| format!("{:.0}", 1.0 / s)),
+                t.ms(),
+                det(fmt_bytes(link.bytes_to_accel)),
             ]);
         }
     }
-    table.print();
+    out.table(table);
 }
 
 /// E6 — transaction-correctness probes for AOTs (the paper's §2
 /// correctness requirements), reported as a pass/fail table.
-pub fn e6_transaction_correctness() {
-    banner("E6", "AOT transaction-context correctness probes");
+fn e6_transaction_correctness(out: &mut Report) {
     let mut table = Table::new(&["probe", "result"]);
     let check = |name: &str, ok: bool, table: &mut Table| {
-        table.row(&[name.into(), if ok { "PASS" } else { "FAIL" }.into()]);
+        table.row([det(name), det(if ok { "PASS" } else { "FAIL" })]);
     };
 
     // Own uncommitted changes visible.
@@ -349,12 +330,11 @@ pub fn e6_transaction_correctness() {
         failed && h.scalar().unwrap().render() == "0" && t.scalar().unwrap().render() == "0",
         &mut table,
     );
-    table.print();
+    out.table(table);
 }
 
 /// E7 — in-database analytics vs extract-to-client: k-means training.
-pub fn e7_in_database_analytics() {
-    banner("E7", "k-means: in-database (on accelerator) vs extract-to-client");
+fn e7_in_database_analytics(out: &mut Report) {
     let mut table = Table::new(&[
         "rows", "dims", "mode", "elapsed_ms", "bytes_moved", "wire_ms",
     ]);
@@ -368,23 +348,28 @@ pub fn e7_in_database_analytics() {
                 &format!("CREATE TABLE PTS (ID INT, {}) IN ACCELERATOR", cols.join(", ")),
             )
             .unwrap();
-            let mut vals = Vec::new();
-            for i in 0..rows {
+            let point = |i: usize| {
                 let fs: Vec<String> = (0..dims)
                     .map(|d| {
-                        let center = if i % 3 == 0 { 0.0 } else if i % 3 == 1 { 10.0 } else { 20.0 };
+                        let center = [0.0, 10.0, 20.0][i % 3];
                         format!("{:.2}E0", center + ((i * (d + 3)) % 100) as f64 / 100.0)
                     })
                     .collect();
-                vals.push(format!("({i}, {})", fs.join(", ")));
-                if vals.len() == 1000 {
-                    idaa.execute(&mut s, &format!("INSERT INTO PTS VALUES {}", vals.join(", ")))
-                        .unwrap();
-                    vals.clear();
-                }
-            }
+                format!("({i}, {})", fs.join(", "))
+            };
+            insert_batched(&idaa, &mut s, "PTS", (0..rows).map(point));
             let col_list: Vec<String> = (0..dims).map(|d| format!("F{d}")).collect();
             let col_arg = col_list.join(",");
+            let mut row = |mode: &str, t: Wall, link: &LinkMetrics| {
+                table.row([
+                    det(rows),
+                    det(dims),
+                    det(mode),
+                    t.ms(),
+                    det(fmt_bytes(link.total_bytes())),
+                    det(ms(link.wire_time)),
+                ]);
+            };
 
             // In-database: CALL runs on the accelerator; no data movement.
             idaa.link().reset();
@@ -395,14 +380,7 @@ pub fn e7_in_database_analytics() {
                 )
                 .unwrap()
             });
-            table.row(&[
-                rows.to_string(),
-                dims.to_string(),
-                "in-database".into(),
-                ms(t_indb),
-                fmt_bytes(link_indb.total_bytes()),
-                ms(link_indb.wire_time),
-            ]);
+            row("in-database", t_indb, &link_indb);
 
             // Client-side baseline: extract the matrix over the link, then
             // run the identical algorithm "at the client".
@@ -418,22 +396,14 @@ pub fn e7_in_database_analytics() {
                 kmeans(&matrix, &KMeansConfig { k: 3, max_iter: 20, ..Default::default() })
                     .unwrap()
             });
-            table.row(&[
-                rows.to_string(),
-                dims.to_string(),
-                "extract-to-client".into(),
-                ms(t_client),
-                fmt_bytes(link_client.total_bytes()),
-                ms(link_client.wire_time),
-            ]);
+            row("extract-to-client", t_client, &link_client);
         }
     }
-    table.print();
+    out.table(table);
 }
 
 /// E8 — predictive scoring inside the accelerator vs at the client.
-pub fn e8_in_database_scoring() {
-    banner("E8", "naive-Bayes scoring: in-database vs extract-to-client");
+fn e8_in_database_scoring(out: &mut Report) {
     let mut table = Table::new(&[
         "score_rows", "mode", "elapsed_ms", "bytes_moved", "wire_ms",
     ]);
@@ -445,24 +415,28 @@ pub fn e8_in_database_scoring() {
             "CREATE TABLE OBS (ID INT, X DOUBLE, Y DOUBLE, LABEL VARCHAR(4)) IN ACCELERATOR",
         )
         .unwrap();
-        let mut vals = Vec::new();
-        for i in 0..rows {
+        let obs = |i: usize| {
             let hi = i % 2 == 1;
             let (cx, cy) = if hi { (8.0, 8.0) } else { (0.0, 0.0) };
-            vals.push(format!(
+            format!(
                 "({i}, {:.2}E0, {:.2}E0, '{}')",
                 cx + ((i * 53) % 100) as f64 / 100.0,
                 cy + ((i * 31) % 100) as f64 / 100.0,
                 if hi { "HI" } else { "LO" }
-            ));
-            if vals.len() == 1000 {
-                idaa.execute(&mut s, &format!("INSERT INTO OBS VALUES {}", vals.join(", ")))
-                    .unwrap();
-                vals.clear();
-            }
-        }
+            )
+        };
+        insert_batched(&idaa, &mut s, "OBS", (0..rows).map(obs));
         idaa.query(&mut s, "CALL ANALYTICS.NAIVEBAYES_TRAIN('OBS', 'LABEL', 'X,Y', 'NBM')")
             .unwrap();
+        let mut row = |mode: &str, t: Wall, link: &LinkMetrics| {
+            table.row([
+                det(rows),
+                det(mode),
+                t.ms(),
+                det(fmt_bytes(link.total_bytes())),
+                det(ms(link.wire_time)),
+            ]);
+        };
 
         idaa.link().reset();
         let (_, t_indb, link_indb) = measure(&idaa, || {
@@ -472,13 +446,7 @@ pub fn e8_in_database_scoring() {
             )
             .unwrap()
         });
-        table.row(&[
-            rows.to_string(),
-            "in-database".into(),
-            ms(t_indb),
-            fmt_bytes(link_indb.total_bytes()),
-            ms(link_indb.wire_time),
-        ]);
+        row("in-database", t_indb, &link_indb);
 
         idaa.link().reset();
         let (_, t_client, link_client) = measure(&idaa, || {
@@ -497,20 +465,13 @@ pub fn e8_in_database_scoring() {
             .unwrap();
             matrix.iter().map(|p| model.predict(p).0.to_string()).collect::<Vec<_>>()
         });
-        table.row(&[
-            rows.to_string(),
-            "extract-to-client".into(),
-            ms(t_client),
-            fmt_bytes(link_client.total_bytes()),
-            ms(link_client.wire_time),
-        ]);
+        row("extract-to-client", t_client, &link_client);
     }
-    table.print();
+    out.table(table);
 }
 
 /// E9 — ablation: replication batch size vs messages/bytes/latency.
-pub fn e9_replication_batch() {
-    banner("E9", "replication batch-size ablation (20k single-row commits)");
+fn e9_replication_batch(out: &mut Report) {
     const CHANGES: usize = 20_000;
     let mut table = Table::new(&[
         "batch", "apply_ms", "msgs", "bytes", "wire_ms",
@@ -523,33 +484,24 @@ pub fn e9_replication_batch() {
         });
         idaa.execute(&mut s, "CREATE TABLE T (K INT, V INT)").unwrap();
         accelerate(&idaa, &mut s, "T");
-        let mut vals = Vec::new();
-        for i in 0..CHANGES {
-            vals.push(format!("({i}, {})", i % 100));
-            if vals.len() == 1000 {
-                idaa.execute(&mut s, &format!("INSERT INTO T VALUES {}", vals.join(", ")))
-                    .unwrap();
-                vals.clear();
-            }
-        }
+        insert_batched(&idaa, &mut s, "T", (0..CHANGES).map(|i| format!("({i}, {})", i % 100)));
         idaa.link().reset();
         let (applied, t, link) = measure(&idaa, || idaa.replicate_now().unwrap());
         assert_eq!(applied, CHANGES);
-        table.row(&[
-            batch.to_string(),
-            ms(t),
-            link.total_messages().to_string(),
-            fmt_bytes(link.total_bytes()),
-            ms(link.wire_time),
+        table.row([
+            det(batch),
+            t.ms(),
+            det(link.total_messages()),
+            det(fmt_bytes(link.total_bytes())),
+            det(ms(link.wire_time)),
         ]);
     }
-    table.print();
+    out.table(table);
 }
 
 /// E10 — accelerator internals ablation: zone maps, slice parallelism,
 /// groom after churn.
-pub fn e10_accelerator_ablation() {
-    banner("E10", "accelerator ablation: zone maps, data slices, groom");
+fn e10_accelerator_ablation(out: &mut Report) {
     const ROWS: usize = 1_000_000;
     let selective = "SELECT COUNT(*), SUM(v) FROM big WHERE k < 1000";
 
@@ -578,15 +530,10 @@ pub fn e10_accelerator_ablation() {
             let (_, t, _) = measure(&idaa, || idaa.query(&mut s, selective).unwrap());
             let pruned = idaa.accel().stats.blocks_pruned.load(std::sync::atomic::Ordering::Relaxed)
                 - pruned0;
-            table.row(&[
-                slices.to_string(),
-                zones.to_string(),
-                ms(t),
-                pruned.to_string(),
-            ]);
+            table.row([det(slices), det(zones), t.ms(), det(pruned)]);
         }
     }
-    table.print();
+    out.table(table);
 
     // Groom effect after churn.
     let (idaa, mut s) = build(4, true);
@@ -596,15 +543,14 @@ pub fn e10_accelerator_ablation() {
     let groomed = idaa.accel().groom_all();
     let (_, after, _) = measure(&idaa, || idaa.query(&mut s, full).unwrap());
     let mut t2 = Table::new(&["phase", "scan_ms", "versions_groomed"]);
-    t2.row(&["after 50% delete".into(), ms(before), "0".into()]);
-    t2.row(&["after GROOM".into(), ms(after), groomed.to_string()]);
-    t2.print();
+    t2.row([det("after 50% delete"), before.ms(), det(0)]);
+    t2.row([det("after GROOM"), after.ms(), det(groomed)]);
+    out.table(t2);
 }
 
 /// E11 — governance path overhead: DB2-side privilege checks on the
 /// delegation path.
-pub fn e11_governance_overhead() {
-    banner("E11", "governance: DB2 privilege-check overhead on delegated work");
+fn e11_governance_overhead(out: &mut Report) {
     let (idaa, mut s) = system(IdaaConfig::default());
     idaa_analytics::deploy_all(&idaa, SYSADM).unwrap();
     seed_sales(&idaa, &mut s, 20_000);
@@ -616,15 +562,15 @@ pub fn e11_governance_overhead() {
     // Raw privilege-check latency.
     const CHECKS: usize = 100_000;
     let table_name = idaa_common::ObjectName::qualified("APP", "SALES");
-    let t0 = Instant::now();
-    for _ in 0..CHECKS {
-        idaa.host()
-            .privileges
-            .read()
-            .check("ANALYST", &table_name, Privilege::Select)
-            .unwrap();
-    }
-    let per_check = t0.elapsed().as_secs_f64() * 1e9 / CHECKS as f64;
+    let ((), t_checks) = timed(|| {
+        for _ in 0..CHECKS {
+            idaa.host()
+                .privileges
+                .read()
+                .check("ANALYST", &table_name, Privilege::Select)
+                .unwrap();
+        }
+    });
 
     // Authorized vs rejected CALL latency.
     let mut analyst = idaa.session("ANALYST");
@@ -632,14 +578,14 @@ pub fn e11_governance_overhead() {
         idaa.query(&mut analyst, "CALL ANALYTICS.DESCRIBE('SALES', 'SALES_STATS')").unwrap()
     });
     let mut intruder = idaa.session("INTRUDER");
-    let t1 = Instant::now();
     const REJECTS: usize = 1000;
-    for _ in 0..REJECTS {
-        let _ = idaa
-            .query(&mut intruder, "CALL ANALYTICS.DESCRIBE('SALES', 'X')")
-            .unwrap_err();
-    }
-    let per_reject = t1.elapsed().as_secs_f64() * 1e6 / REJECTS as f64;
+    let ((), t_rejects) = timed(|| {
+        for _ in 0..REJECTS {
+            let _ = idaa
+                .query(&mut intruder, "CALL ANALYTICS.DESCRIBE('SALES', 'X')")
+                .unwrap_err();
+        }
+    });
 
     // Query-path overhead: offloaded query as admin (owner fast path) vs
     // as grantee (grant lookup).
@@ -649,18 +595,21 @@ pub fn e11_governance_overhead() {
     let (_, t_analyst, _) = measure(&idaa, || idaa.query(&mut analyst, q).unwrap());
 
     let mut table = Table::new(&["metric", "value"]);
-    table.row(&["privilege check".into(), format!("{per_check:.0} ns")]);
-    table.row(&["authorized CALL (DESCRIBE 20k rows)".into(), format!("{} ms", ms(t_ok))]);
-    table.row(&["rejected CALL".into(), format!("{per_reject:.1} us")]);
-    table.row(&["offloaded query as admin".into(), format!("{} ms", ms(t_admin))]);
-    table.row(&["offloaded query as grantee".into(), format!("{} ms", ms(t_analyst))]);
-    table.print();
+    let in_ms = |s: f64| format!("{:.2} ms", s * 1e3);
+    table.row([
+        det("privilege check"),
+        t_checks.per(CHECKS).cell(|s| format!("{:.0} ns", s * 1e9)),
+    ]);
+    table.row([det("authorized CALL (DESCRIBE 20k rows)"), t_ok.cell(in_ms)]);
+    table.row([det("rejected CALL"), t_rejects.per(REJECTS).cell(|s| format!("{:.1} us", s * 1e6))]);
+    table.row([det("offloaded query as admin"), t_admin.cell(in_ms)]);
+    table.row([det("offloaded query as grantee"), t_analyst.cell(in_ms)]);
+    out.table(table);
 }
 
 /// E12 — the paper's end-to-end scenario: social-media-enriched churn
 /// pipeline, legacy (no AOT, client-side mining) vs extended IDAA.
-pub fn e12_end_to_end_scenario() {
-    banner("E12", "end-to-end churn scenario: legacy vs extended IDAA");
+fn e12_end_to_end_scenario(out: &mut Report) {
     const CUSTOMERS: usize = 5_000;
     const EVENTS: usize = 50_000;
 
@@ -673,18 +622,13 @@ pub fn e12_end_to_end_scenario() {
              SUPPORT_CALLS INT, CHURNED VARCHAR(3))",
         )
         .unwrap();
-        let mut vals = Vec::new();
-        for i in 0..CUSTOMERS as i64 {
+        let customer = |i: i64| {
             let tenure = (i * 37 % 72) + 1;
             let calls = (i * 13) % 9;
             let churned = if tenure < 12 && calls > 4 { "YES" } else { "NO" };
-            vals.push(format!("({i}, {tenure}, {}.0E0, {calls}, '{churned}')", 20 + i % 80));
-            if vals.len() == 1000 {
-                idaa.execute(&mut s, &format!("INSERT INTO CUSTOMERS VALUES {}", vals.join(", ")))
-                    .unwrap();
-                vals.clear();
-            }
-        }
+            format!("({i}, {tenure}, {}.0E0, {calls}, '{churned}')", 20 + i % 80)
+        };
+        insert_batched(&idaa, &mut s, "CUSTOMERS", (0..CUSTOMERS as i64).map(customer));
         accelerate(&idaa, &mut s, "CUSTOMERS");
         idaa.execute(&mut s, "SET CURRENT QUERY ACCELERATION = ELIGIBLE").unwrap();
         (idaa, s)
@@ -706,44 +650,38 @@ pub fn e12_end_to_end_scenario() {
     {
         let (idaa, mut s) = build();
         idaa.link().reset();
-        let t0 = Instant::now();
-        idaa.execute(
-            &mut s,
-            "CREATE TABLE SOCIAL (EVENT_ID INT, CUST_ID INT, TOPIC VARCHAR(10), \
-             SENTIMENT DOUBLE, POSTED_AT TIMESTAMP) IN ACCELERATOR",
-        )
-        .unwrap();
-        Loader::new(SYSADM)
-            .load(
-                &idaa,
-                Box::new(EventSource::new(EVENTS, 5)),
-                &idaa_common::ObjectName::bare("SOCIAL"),
-                LoadTarget::AcceleratorDirect,
+        let ((), t, link) = measure(&idaa, || {
+            idaa.execute(
+                &mut s,
+                "CREATE TABLE SOCIAL (EVENT_ID INT, CUST_ID INT, TOPIC VARCHAR(10), \
+                 SENTIMENT DOUBLE, POSTED_AT TIMESTAMP) IN ACCELERATOR",
             )
             .unwrap();
-        let p = Pipeline::new()
-            .stage("SOCIAL_AGG", &agg_sql)
-            .stage("FEATURES", &feature_sql);
-        p.run(&idaa, &mut s, PipelineMode::AcceleratorOnly).unwrap();
-        idaa.query(
-            &mut s,
-            "CALL ANALYTICS.DECTREE_TRAIN('FEATURES', 'CHURNED', \
-             'TENURE_M,MONTHLY,SUPPORT_CALLS,NEG_POSTS', 'MODEL', 5)",
-        )
-        .unwrap();
-        idaa.query(
-            &mut s,
-            "CALL ANALYTICS.DECTREE_SCORE('FEATURES', 'CUST_ID', \
-             'TENURE_M,MONTHLY,SUPPORT_CALLS,NEG_POSTS', 'MODEL', 'SCORES')",
-        )
-        .unwrap();
-        let link = idaa.link().metrics();
-        table.row(&[
-            "extended IDAA (AOT + in-DB)".into(),
-            ms(t0.elapsed()),
-            fmt_bytes(link.total_bytes()),
-            link.total_messages().to_string(),
-            ms(link.wire_time),
+            let direct = LoadTarget::AcceleratorDirect;
+            load_events(&idaa, &Loader::new(SYSADM), EVENTS, 5, "SOCIAL", direct);
+            let p = Pipeline::new()
+                .stage("SOCIAL_AGG", &agg_sql)
+                .stage("FEATURES", &feature_sql);
+            p.run(&idaa, &mut s, PipelineMode::AcceleratorOnly).unwrap();
+            idaa.query(
+                &mut s,
+                "CALL ANALYTICS.DECTREE_TRAIN('FEATURES', 'CHURNED', \
+                 'TENURE_M,MONTHLY,SUPPORT_CALLS,NEG_POSTS', 'MODEL', 5)",
+            )
+            .unwrap();
+            idaa.query(
+                &mut s,
+                "CALL ANALYTICS.DECTREE_SCORE('FEATURES', 'CUST_ID', \
+                 'TENURE_M,MONTHLY,SUPPORT_CALLS,NEG_POSTS', 'MODEL', 'SCORES')",
+            )
+            .unwrap();
+        });
+        table.row([
+            det("extended IDAA (AOT + in-DB)"),
+            t.ms(),
+            det(fmt_bytes(link.total_bytes())),
+            det(link.total_messages()),
+            det(ms(link.wire_time)),
         ]);
     }
 
@@ -751,66 +689,63 @@ pub fn e12_end_to_end_scenario() {
     {
         let (idaa, mut s) = build();
         idaa.link().reset();
-        let t0 = Instant::now();
-        idaa.execute(
-            &mut s,
-            "CREATE TABLE SOCIAL (EVENT_ID INT, CUST_ID INT, TOPIC VARCHAR(10), \
-             SENTIMENT DOUBLE, POSTED_AT TIMESTAMP)",
-        )
-        .unwrap();
-        accelerate(&idaa, &mut s, "SOCIAL");
-        Loader::new(SYSADM)
-            .load(
-                &idaa,
-                Box::new(EventSource::new(EVENTS, 5)),
-                &idaa_common::ObjectName::bare("SOCIAL"),
-                LoadTarget::Db2,
+        let ((), t, link) = measure(&idaa, || {
+            idaa.execute(
+                &mut s,
+                "CREATE TABLE SOCIAL (EVENT_ID INT, CUST_ID INT, TOPIC VARCHAR(10), \
+                 SENTIMENT DOUBLE, POSTED_AT TIMESTAMP)",
             )
             .unwrap();
-        let p = Pipeline::new()
-            .stage("SOCIAL_AGG", &agg_sql)
-            .stage("FEATURES", &feature_sql);
-        p.run(&idaa, &mut s, PipelineMode::MaterializeInDb2).unwrap();
-        // Client-side mining: extract features over the link, train and
-        // score locally.
-        let cols: Vec<String> =
-            ["TENURE_M", "MONTHLY", "SUPPORT_CALLS", "NEG_POSTS"].iter().map(|c| c.to_string()).collect();
-        let (schema, rows) = idaa_analytics::io::read_accel_table(
-            &idaa,
-            SYSADM,
-            &idaa_common::ObjectName::bare("FEATURES"),
-        )
-        .unwrap();
-        // The extract crosses the link as encoded wire frames (client-side
-        // baseline pays full data-movement cost, but through the same codec).
-        let rows = idaa.ship_rows(idaa_netsim::Direction::ToHost, &schema, &rows).unwrap();
-        let (matrix, _) = idaa_analytics::io::numeric_matrix(&schema, &rows, &cols).unwrap();
-        let labels = idaa_analytics::io::label_column(&schema, &rows, "CHURNED").unwrap();
-        let model = idaa_analytics::dectree::train(
-            &matrix,
-            &labels,
-            &idaa_analytics::dectree::TreeConfig { max_depth: 5, ..Default::default() },
-        )
-        .unwrap();
-        let _scores: Vec<&str> = matrix.iter().map(|p| model.predict(p)).collect();
-        let link = idaa.link().metrics();
-        table.row(&[
-            "legacy (materialize + client)".into(),
-            ms(t0.elapsed()),
-            fmt_bytes(link.total_bytes()),
-            link.total_messages().to_string(),
-            ms(link.wire_time),
+            accelerate(&idaa, &mut s, "SOCIAL");
+            load_events(&idaa, &Loader::new(SYSADM), EVENTS, 5, "SOCIAL", LoadTarget::Db2);
+            let p = Pipeline::new()
+                .stage("SOCIAL_AGG", &agg_sql)
+                .stage("FEATURES", &feature_sql);
+            p.run(&idaa, &mut s, PipelineMode::MaterializeInDb2).unwrap();
+            // Client-side mining: extract features over the link, train and
+            // score locally.
+            let cols: Vec<String> = ["TENURE_M", "MONTHLY", "SUPPORT_CALLS", "NEG_POSTS"]
+                .iter()
+                .map(|c| c.to_string())
+                .collect();
+            let (schema, rows) = idaa_analytics::io::read_accel_table(
+                &idaa,
+                SYSADM,
+                &idaa_common::ObjectName::bare("FEATURES"),
+            )
+            .unwrap();
+            // The extract crosses the link as encoded wire frames (client-side
+            // baseline pays full data-movement cost, but through the same
+            // codec). The join feeding FEATURES has no ORDER BY, so these
+            // bytes follow the pinned worker count (`HARNESS_WORKERS`).
+            let rows = idaa.ship_rows(idaa_netsim::Direction::ToHost, &schema, &rows).unwrap();
+            let (matrix, _) = idaa_analytics::io::numeric_matrix(&schema, &rows, &cols).unwrap();
+            let labels = idaa_analytics::io::label_column(&schema, &rows, "CHURNED").unwrap();
+            let model = idaa_analytics::dectree::train(
+                &matrix,
+                &labels,
+                &idaa_analytics::dectree::TreeConfig { max_depth: 5, ..Default::default() },
+            )
+            .unwrap();
+            let _scores: Vec<&str> = matrix.iter().map(|p| model.predict(p)).collect();
+        });
+        table.row([
+            det("legacy (materialize + client)"),
+            t.ms(),
+            det(fmt_bytes(link.total_bytes())),
+            det(link.total_messages()),
+            det(ms(link.wire_time)),
         ]);
     }
-    table.print();
+    out.table(table);
 }
 
 /// E13 — slice-parallel post-scan operators: partitioned hash join,
 /// parallel sort, and fused top-K, swept over the accelerator worker count.
-/// The link columns are deterministic (AOT queries move only control
-/// messages plus the result rows), so they must not vary with parallelism.
-pub fn e13_parallel_operators() {
-    banner("E13", "parallel join/sort/top-K scaling vs accelerator workers");
+/// AOT queries move only control messages plus the result rows, so the link
+/// columns must not vary with parallelism. (How the operators scale is a
+/// wall-clock question: `accel.parallel_speedup.*` in `crates/benchmark`.)
+fn e13_parallel_operators(out: &mut Report) {
     const ROWS: usize = 100_000;
 
     let build = |parallelism: usize| -> (Idaa, Session) {
@@ -856,29 +791,21 @@ pub fn e13_parallel_operators() {
     let sort = "SELECT id, v FROM f WHERE v < 100 ORDER BY v, id";
     let topk = "SELECT id, v FROM f ORDER BY v DESC, id LIMIT 100";
 
-    let mut table = Table::new(&[
-        "workers", "join_ms", "sort_ms", "topk_ms", "link_msgs", "link_bytes",
-    ]);
+    let mut table = Table::new(&["workers", "link_msgs", "link_bytes"]);
     for parallelism in [1usize, 2, 4, 8] {
         let (idaa, mut s) = build(parallelism);
-        for q in [join, sort, topk] {
-            idaa.query(&mut s, q).unwrap(); // warm
-        }
-        let (_, join_t, l1) = measure(&idaa, || idaa.query(&mut s, join).unwrap());
-        let (_, sort_t, l2) = measure(&idaa, || idaa.query(&mut s, sort).unwrap());
-        let (_, topk_t, l3) = measure(&idaa, || idaa.query(&mut s, topk).unwrap());
-        let msgs = l1.total_messages() + l2.total_messages() + l3.total_messages();
-        let bytes = l1.total_bytes() + l2.total_bytes() + l3.total_bytes();
-        table.row(&[
-            parallelism.to_string(),
-            ms(join_t),
-            ms(sort_t),
-            ms(topk_t),
-            msgs.to_string(),
-            fmt_bytes(bytes),
+        let ((), _, link) = measure(&idaa, || {
+            for q in [join, sort, topk] {
+                idaa.query(&mut s, q).unwrap();
+            }
+        });
+        table.row([
+            det(parallelism),
+            det(link.total_messages()),
+            det(fmt_bytes(link.total_bytes())),
         ]);
     }
-    table.print();
+    out.table(table);
 }
 
 /// E14 — link outage and recovery: offload-eligible queries fail over to
@@ -886,8 +813,7 @@ pub fn e13_parallel_operators() {
 /// catch-up, and an operator recovery probe restores acceleration and
 /// drains the backlog. Claim: federation survives accelerator outages
 /// without losing or duplicating replicated data.
-pub fn e14_outage_recovery() {
-    banner("E14", "scheduled link outage: failover, queued replication, recovery");
+fn e14_outage_recovery(out: &mut Report) {
     let (idaa, mut s) = system(IdaaConfig::default());
     seed_sales(&idaa, &mut s, 10_000);
     accelerate(&idaa, &mut s, "SALES");
@@ -896,7 +822,7 @@ pub fn e14_outage_recovery() {
 
     let mut table = Table::new(&[
         "phase", "query_route", "aot_errs", "backlog_rows", "link_msgs", "link_bytes",
-        "failed_xfers", "phase_ms",
+        "failed_xfers",
     ]);
     let mut next_id = 100_000usize;
     let mut phase = |name: &str,
@@ -904,7 +830,6 @@ pub fn e14_outage_recovery() {
                      prep: &dyn Fn(&Idaa),
                      table: &mut Table| {
         let before = idaa.link().metrics();
-        let t0 = Instant::now();
         prep(&idaa);
         let mut aot_errs = 0u64;
         let mut route = idaa_core::Route::Host;
@@ -921,17 +846,15 @@ pub fn e14_outage_recovery() {
             }
             route = idaa.execute(s, "SELECT COUNT(*) FROM sales").unwrap().route;
         }
-        let wall = t0.elapsed();
         let m = idaa.link().metrics().since(&before);
-        table.row(&[
-            name.into(),
-            format!("{route:?}"),
-            aot_errs.to_string(),
-            idaa.replication_backlog().to_string(),
-            m.total_messages().to_string(),
-            fmt_bytes(m.total_bytes()),
-            m.failures.to_string(),
-            ms(wall),
+        table.row([
+            det(name),
+            det(format!("{route:?}")),
+            det(aot_errs),
+            det(idaa.replication_backlog()),
+            det(m.total_messages()),
+            det(fmt_bytes(m.total_bytes())),
+            det(m.failures),
         ]);
     };
 
@@ -959,28 +882,37 @@ pub fn e14_outage_recovery() {
         },
         &mut table,
     );
-    table.print();
-    println!(
+    out.table(table);
+    out.line(
         "note: outage-phase AOT statements fail with SQLCODE -30081; the recovery \
-         probe replays queued commits and replication catches up before new work."
+         probe replays queued commits and replication catches up before new work.",
     );
 }
 
 /// E15 — wire codec: logical (pre-encoding) vs. encoded bytes and message
 /// counts per workload. Dictionary/RLE/delta columns compress the
 /// low-cardinality strings and sequential ids these workloads ship; framing
-/// is deterministic, so every column except `*_ms` is byte-stable.
-pub fn e15_wire_codec() {
-    banner("E15", "wire codec: logical vs. encoded bytes per workload");
+/// is deterministic and `wire_ms` is virtual-clock time, so the whole table is
+/// byte-stable.
+fn e15_wire_codec(out: &mut Report) {
     let mut table = Table::new(&[
         "workload", "rows", "logical", "wire", "ratio", "msgs", "wire_ms",
     ]);
-    let ratio = |m: &idaa_netsim::LinkMetrics| {
-        if m.total_bytes() == 0 {
+    let codec_row = |workload: &str, rows: usize, m: &LinkMetrics| {
+        let ratio = if m.total_bytes() == 0 {
             "-".to_string()
         } else {
             format!("{:.2}x", m.total_logical_bytes() as f64 / m.total_bytes() as f64)
-        }
+        };
+        [
+            det(workload),
+            det(rows),
+            det(fmt_bytes(m.total_logical_bytes())),
+            det(fmt_bytes(m.total_bytes())),
+            det(ratio),
+            det(m.total_messages()),
+            det(ms(m.wire_time)),
+        ]
     };
     const ROWS: usize = 20_000;
 
@@ -996,25 +928,11 @@ pub fn e15_wire_codec() {
         )
         .unwrap();
         idaa.link().reset();
+        let direct = LoadTarget::AcceleratorDirect;
         let (_, _, m) = measure(&idaa, || {
-            Loader::new(SYSADM)
-                .load(
-                    &idaa,
-                    Box::new(EventSource::new(ROWS, 7)),
-                    &idaa_common::ObjectName::bare("EVENTS"),
-                    LoadTarget::AcceleratorDirect,
-                )
-                .unwrap()
+            load_events(&idaa, &Loader::new(SYSADM), ROWS, 7, "EVENTS", direct)
         });
-        table.row(&[
-            "bulk load (direct)".into(),
-            ROWS.to_string(),
-            fmt_bytes(m.total_logical_bytes()),
-            fmt_bytes(m.total_bytes()),
-            ratio(&m),
-            m.total_messages().to_string(),
-            ms(m.wire_time),
-        ]);
+        table.row(codec_row("bulk load (direct)", ROWS, &m));
     }
 
     // INSERT … SELECT with a DB2 target: the accelerator's result set comes
@@ -1031,15 +949,7 @@ pub fn e15_wire_codec() {
             idaa.execute(&mut s, "INSERT INTO OUT1 SELECT id, region, amount FROM sales")
                 .unwrap()
         });
-        table.row(&[
-            "INSERT..SELECT (accel->DB2)".into(),
-            ROWS.to_string(),
-            fmt_bytes(m.total_logical_bytes()),
-            fmt_bytes(m.total_bytes()),
-            ratio(&m),
-            m.total_messages().to_string(),
-            ms(m.wire_time),
-        ]);
+        table.row(codec_row("INSERT..SELECT (accel->DB2)", ROWS, &m));
     }
 
     // Replication catch-up: a committed host backlog drains to the
@@ -1051,35 +961,16 @@ pub fn e15_wire_codec() {
         accelerate(&idaa, &mut s, "SALES");
         for i in 0..ROWS / 4 {
             let id = ROWS + i;
-            if i % 500 == 0 {
-                idaa.execute(
-                    &mut s,
-                    &format!(
-                        "INSERT INTO SALES VALUES ({id}, 'EU', 'P001', 1.5E0, 1, DATE '2015-01-01')"
-                    ),
-                )
-                .unwrap();
+            let sale = if i % 500 == 0 {
+                "'EU', 'P001', 1.5E0, 1, DATE '2015-01-01'"
             } else {
-                idaa.execute(
-                    &mut s,
-                    &format!(
-                        "INSERT INTO SALES VALUES ({id}, 'US', 'P002', 2.5E0, 2, DATE '2015-02-02')"
-                    ),
-                )
-                .unwrap();
-            }
+                "'US', 'P002', 2.5E0, 2, DATE '2015-02-02'"
+            };
+            idaa.execute(&mut s, &format!("INSERT INTO SALES VALUES ({id}, {sale})")).unwrap();
         }
         idaa.link().reset();
         let (_, _, m) = measure(&idaa, || idaa.replicate_now().unwrap());
-        table.row(&[
-            "replication catch-up".into(),
-            (ROWS / 4).to_string(),
-            fmt_bytes(m.total_logical_bytes()),
-            fmt_bytes(m.total_bytes()),
-            ratio(&m),
-            m.total_messages().to_string(),
-            ms(m.wire_time),
-        ]);
+        table.row(codec_row("replication catch-up", ROWS / 4, &m));
     }
 
     // Analytics write-back: results are produced and stored on the
@@ -1092,38 +983,25 @@ pub fn e15_wire_codec() {
             "CREATE TABLE PTS (ID INT, F0 DOUBLE, F1 DOUBLE, F2 DOUBLE, F3 DOUBLE) IN ACCELERATOR",
         )
         .unwrap();
-        let mut vals = Vec::new();
-        for i in 0..5_000usize {
+        let point = |i: usize| {
             let c = [(0.0), (10.0), (20.0)][i % 3];
-            vals.push(format!(
+            format!(
                 "({i}, {:.2}E0, {:.2}E0, {:.2}E0, {:.2}E0)",
                 c + (i % 100) as f64 / 100.0,
                 c + (i % 77) as f64 / 100.0,
                 c + (i % 53) as f64 / 100.0,
                 c + (i % 31) as f64 / 100.0
-            ));
-            if vals.len() == 1000 {
-                idaa.execute(&mut s, &format!("INSERT INTO PTS VALUES {}", vals.join(", ")))
-                    .unwrap();
-                vals.clear();
-            }
-        }
+            )
+        };
+        insert_batched(&idaa, &mut s, "PTS", (0..5_000).map(point));
         idaa.link().reset();
         let (_, _, m) = measure(&idaa, || {
             idaa.query(&mut s, "CALL ANALYTICS.KMEANS('PTS', 'F0,F1,F2,F3', 3, 10, 'KM_OUT')")
                 .unwrap()
         });
-        table.row(&[
-            "analytics write-back".into(),
-            "5000".into(),
-            fmt_bytes(m.total_logical_bytes()),
-            fmt_bytes(m.total_bytes()),
-            ratio(&m),
-            m.total_messages().to_string(),
-            ms(m.wire_time),
-        ]);
+        table.row(codec_row("analytics write-back", 5000, &m));
     }
-    table.print();
+    out.table(table);
 }
 
 /// E16 — crash–restart recovery: checkpoint cadence vs restart cost. The
@@ -1131,13 +1009,12 @@ pub fn e15_wire_codec() {
 /// accelerator crashes with one transaction still in flight and an
 /// operator probe restarts it. Frequent checkpoints shrink the log tail a
 /// restart replays (and the virtual recovery time) at the price of more
-/// checkpoint bytes written; recovery consumes virtual time only, so every
-/// column except `wall_ms` is byte-stable per run.
-pub fn e16_crash_recovery() {
-    banner("E16", "crash recovery: checkpoint interval vs replay cost");
+/// checkpoint bytes written; recovery consumes virtual time only, so the
+/// table is byte-stable per run.
+fn e16_crash_recovery(out: &mut Report) {
     let mut table = Table::new(&[
         "ckpt_every", "ckpts", "ckpt_bytes", "tail_records", "tail_bytes",
-        "recovery_virt_us", "aborted", "in_doubt", "wall_ms",
+        "recovery_virt_us", "aborted", "in_doubt",
     ]);
     use std::time::Duration;
     for every_us in [500u64, 2_000, 10_000, 0] {
@@ -1151,7 +1028,6 @@ pub fn e16_crash_recovery() {
         idaa.execute(&mut s, "CREATE TABLE EVENTS (ID INT, V INT) IN ACCELERATOR").unwrap();
         idaa.execute(&mut s, "SET CURRENT QUERY ACCELERATION = ELIGIBLE").unwrap();
 
-        let t0 = Instant::now();
         let mut ckpts = 0u64;
         let mut last_cp = idaa.accel().durable().last_checkpoint_at();
         for i in 0..400 {
@@ -1178,7 +1054,6 @@ pub fn e16_crash_recovery() {
         assert!(idaa.recover(), "recovery probe must succeed on a healthy link");
         let recovery_virt = idaa.link().now() - before;
         idaa.execute(&mut s, "ROLLBACK").unwrap();
-        let wall = t0.elapsed();
 
         let stats = idaa.last_restart().expect("the crash forced a restart");
         let n = idaa.query(&mut s, "SELECT COUNT(*) FROM events").unwrap();
@@ -1187,39 +1062,38 @@ pub fn e16_crash_recovery() {
             &idaa_common::Value::BigInt(400),
             "replay must rebuild exactly the committed rows"
         );
-        table.row(&[
-            label,
-            ckpts.to_string(),
-            fmt_bytes(stats.checkpoint_bytes),
-            stats.log_records_replayed.to_string(),
-            fmt_bytes(stats.log_bytes_replayed),
-            recovery_virt.as_micros().to_string(),
-            stats.aborted_in_flight.to_string(),
-            stats.rematerialized_in_doubt.to_string(),
-            ms(wall),
+        table.row([
+            det(label),
+            det(ckpts),
+            det(fmt_bytes(stats.checkpoint_bytes)),
+            det(stats.log_records_replayed),
+            det(fmt_bytes(stats.log_bytes_replayed)),
+            det(recovery_virt.as_micros()),
+            det(stats.aborted_in_flight),
+            det(stats.rematerialized_in_doubt),
         ]);
     }
-    table.print();
-    println!(
+    out.table(table);
+    out.line(
         "note: recovery time = fixed restart latency + (checkpoint + log tail) bytes \
-         at the configured replay bandwidth, all on the virtual clock."
+         at the configured replay bandwidth, all on the virtual clock.",
     );
 }
 
-/// E17 — observability: what does full statement tracing cost, and what
+/// E17 — observability: what does full statement tracing record, and what
 /// does it buy? The same offloaded workload runs with the trace sink off
 /// and on; the span counts and rendered-trace bytes are deterministic
-/// (virtual-clock timestamps only), so every column except `wall_ms` is
-/// byte-stable per seed. A second table shows the per-operator row
-/// attribution EXPLAIN ANALYZE reads off the same spans.
-pub fn e17_trace_overhead() {
-    banner("E17", "statement tracing: overhead + per-operator attribution");
+/// (virtual-clock timestamps only), so the table is byte-stable per seed.
+/// A second table shows the per-operator row attribution EXPLAIN ANALYZE
+/// reads off the same spans. (What tracing costs in wall time is
+/// `trace.overhead_ratio` in `crates/benchmark`.)
+fn e17_trace_attribution(out: &mut Report) {
     fn span_count(n: &idaa_common::SpanNode) -> usize {
         1 + n.children.iter().map(span_count).sum::<usize>()
     }
     let query = "SELECT region, COUNT(*), SUM(amount) FROM sales \
                  WHERE qty > 2 GROUP BY region ORDER BY region";
-    let mut table = Table::new(&["tracing", "stmts", "traces", "spans", "trace_bytes", "wall_ms"]);
+    let mut table = Table::new(&["tracing", "stmts", "traces", "spans", "trace_bytes"]);
     let mut attribution: Option<idaa_common::SpanNode> = None;
     for traced in [false, true] {
         let (idaa, mut setup) = system(IdaaConfig::default());
@@ -1232,40 +1106,59 @@ pub fn e17_trace_overhead() {
         let mut s = idaa.session(SYSADM);
         idaa.execute(&mut s, "SET CURRENT QUERY ACCELERATION = ELIGIBLE").unwrap();
         let stmts = 50usize;
-        let t0 = Instant::now();
         for _ in 0..stmts {
             idaa.query(&mut s, query).unwrap();
         }
-        let wall = t0.elapsed();
         let traces = idaa.tracer().statements();
         let spans: usize = traces.iter().map(|t| span_count(&t.root)).sum();
         let bytes: usize = traces.iter().map(|t| t.root.render().len()).sum();
-        table.row(&[
-            if traced { "on" } else { "off" }.to_string(),
-            stmts.to_string(),
-            traces.len().to_string(),
-            spans.to_string(),
-            fmt_bytes(bytes as u64),
-            ms(wall),
+        table.row([
+            det(if traced { "on" } else { "off" }),
+            det(stmts),
+            det(traces.len()),
+            det(spans),
+            det(fmt_bytes(bytes as u64)),
         ]);
         if traced {
             attribution = traces.last().map(|t| t.root.clone());
         }
     }
-    table.print();
+    out.table(table);
     let root = attribution.expect("traced run recorded statements");
     let mut ops = Table::new(&["operator", "rows_out"]);
     for op in root.find_all("op") {
-        ops.row(&[
-            op.attr("op").unwrap_or("?").to_string(),
-            op.attr("rows").or(op.attr("fused").map(|_| "fused")).unwrap_or("?").to_string(),
+        ops.row([
+            det(op.attr("op").unwrap_or("?")),
+            det(op.attr("rows").or(op.attr("fused").map(|_| "fused")).unwrap_or("?")),
         ]);
     }
-    ops.print();
-    println!(
+    out.table(ops);
+    out.line(
         "note: spans are stamped with virtual-clock timestamps only, so both tables \
-         are byte-stable per seed; the sink caps retained statements at 1024."
+         are byte-stable per seed; the sink caps retained statements at 1024.",
     );
+}
+
+/// Run `q` `reps` times in each execution mode. Returns the (interpreted,
+/// vectorized) wall times and the answer, on which the modes must agree.
+fn time_both_modes(
+    engine: &idaa_accel::AccelEngine,
+    q: &idaa_sql::Query,
+    reps: u32,
+) -> ([Wall; 2], Vec<idaa_common::Row>) {
+    let run = |mode| {
+        timed(|| {
+            let mut rows = Vec::new();
+            for _ in 0..reps {
+                rows = engine.query_with_mode(0, q, mode).unwrap().rows;
+            }
+            rows
+        })
+    };
+    let (interpreted, interp_t) = run(idaa_accel::ExecMode::Interpreted);
+    let (vectorized, vector_t) = run(idaa_accel::ExecMode::Vectorized);
+    assert_eq!(interpreted, vectorized, "modes must agree bit for bit");
+    ([interp_t, vector_t], vectorized)
 }
 
 /// E18 — vectorized batch kernels: the fused filter→aggregate pipeline
@@ -1274,9 +1167,8 @@ pub fn e17_trace_overhead() {
 /// selection vectors removes the interpretive hot path without changing a
 /// single answer — both modes return identical rows, and every deterministic
 /// column below is mode-independent.
-pub fn e18_vectorized_kernels() {
-    banner("E18", "vectorized batch kernels: fused filter\u{2192}agg vs interpreter");
-    use idaa_accel::{AccelConfig, AccelEngine, ExecMode};
+fn e18_vectorized_kernels(out: &mut Report) {
+    use idaa_accel::{AccelConfig, AccelEngine};
     use idaa_common::{ColumnDef, DataType, ObjectName, Schema, Value};
     use idaa_sql::{parse_statement, Statement};
     let mut table = Table::new(&["rows", "reps", "interp_ms", "vector_ms", "speedup", "rows_out"]);
@@ -1313,31 +1205,20 @@ pub fn e18_vectorized_kernels() {
         );
         let Statement::Query(q) = parse_statement(&sql).unwrap() else { unreachable!() };
         let reps = 5u32;
-        let mut walls = Vec::new();
-        let mut out = Vec::new();
-        for mode in [ExecMode::Interpreted, ExecMode::Vectorized] {
-            let t0 = Instant::now();
-            let mut rows = Vec::new();
-            for _ in 0..reps {
-                rows = engine.query_with_mode(0, &q, mode).unwrap().rows;
-            }
-            walls.push(t0.elapsed());
-            out.push(rows);
-        }
-        assert_eq!(out[0], out[1], "modes must agree bit for bit");
-        table.row(&[
-            n.to_string(),
-            reps.to_string(),
-            ms(walls[0]),
-            ms(walls[1]),
-            format!("{:.1}x", walls[0].as_secs_f64() / walls[1].as_secs_f64()),
-            out[1].len().to_string(),
+        let ([interp_t, vector_t], answer) = time_both_modes(&engine, &q, reps);
+        table.row([
+            det(n),
+            det(reps),
+            interp_t.ms(),
+            vector_t.ms(),
+            interp_t.speedup_over(vector_t),
+            det(answer.len()),
         ]);
     }
-    table.print();
-    println!(
+    out.table(table);
+    out.line(
         "note: identical AggState accumulation order keeps both modes bit-identical; \
-         only the *_ms and speedup columns vary between machines."
+         only the wall cells vary between machines.",
     );
 }
 
@@ -1348,17 +1229,16 @@ pub fn e18_vectorized_kernels() {
 /// node's own restart (checkpoint + log replay) inside the statement; at
 /// factor ≥ 2 the gather retargets a replica immediately and the restarted
 /// node later rejoins via a metered catch-up copy before the rebalance
-/// migrates its shards home. Everything but `wall_ms` runs on the virtual
-/// clock and the seeded fault stream, so the table is byte-stable per run.
-pub fn e19_fleet_failover() {
-    banner("E19", "fleet failover: replica factor vs failover latency + catch-up bytes");
+/// migrates its shards home. Everything runs on the virtual clock and the
+/// seeded fault stream, so the table is byte-stable per run.
+fn e19_fleet_failover(out: &mut Report) {
     use idaa_core::FleetConfig;
     use idaa_netsim::CrashPlan;
     use std::time::Duration;
 
     let mut table = Table::new(&[
         "replicas", "post_crash_stmt", "healthy_virt_us", "failover_virt_us", "failovers",
-        "catch_up_bytes", "rebalances", "fleet_bytes", "wall_ms",
+        "catch_up_bytes", "rebalances", "fleet_bytes",
     ]);
     for replicas in [1usize, 2, 3] {
         let (idaa, mut s) = system(IdaaConfig {
@@ -1377,7 +1257,6 @@ pub fn e19_fleet_failover() {
         )
         .unwrap();
         idaa.execute(&mut s, "SET CURRENT QUERY ACCELERATION = ELIGIBLE").unwrap();
-        let t0 = Instant::now();
         let vals: Vec<String> = (0..600)
             .map(|i| format!("({i}, 'S{}', {})", i % 5, i % 97))
             .collect();
@@ -1412,26 +1291,24 @@ pub fn e19_fleet_failover() {
         idaa.link().advance(Duration::from_millis(25));
         let settled = idaa.query(&mut s, gather).unwrap();
         assert_eq!(healthy.rows, settled.rows);
-        let wall = t0.elapsed();
 
-        table.row(&[
-            replicas.to_string(),
-            post_crash,
-            healthy_virt.as_micros().to_string(),
-            failover_virt.as_micros().to_string(),
-            idaa.fleet_failovers().to_string(),
-            fmt_bytes(idaa.fleet_catch_up_bytes()),
-            idaa.fleet_rebalances().to_string(),
-            fmt_bytes(idaa.fleet_link_metrics().total_bytes()),
-            ms(wall),
+        table.row([
+            det(replicas),
+            det(post_crash),
+            det(healthy_virt.as_micros()),
+            det(failover_virt.as_micros()),
+            det(idaa.fleet_failovers()),
+            det(fmt_bytes(idaa.fleet_catch_up_bytes())),
+            det(idaa.fleet_rebalances()),
+            det(fmt_bytes(idaa.fleet_link_metrics().total_bytes())),
         ]);
     }
-    table.print();
-    println!(
+    out.table(table);
+    out.line(
         "note: at factor 1 the post-crash statement fails (-904) and the operator retry \
          waits out the restart; at factor >= 2 the gather retargets a replica with no \
          application-visible error, and the failover latency instead absorbs the crashed \
-         node's in-statement restart plus its metered catch-up copy."
+         node's in-statement restart plus its metered catch-up copy.",
     );
 }
 
@@ -1443,13 +1320,8 @@ pub fn e19_fleet_failover() {
 /// repetitions. Part 2 runs a sharded-probe ⋈ replicated-build join on a
 /// fleet with the gather pushdown on and off: the answer is identical, only
 /// the gather traffic changes.
-pub fn e20_join_kernels_and_pushdown() {
-    banner(
-        "E20",
-        "late-materialized vectorized joins: typed keys + probe filter vs interpreter, \
-         plan cache, fleet Bloom gathers",
-    );
-    use idaa_accel::{AccelConfig, AccelEngine, ExecMode};
+fn e20_join_kernels_and_pushdown(out: &mut Report) {
+    use idaa_accel::{AccelConfig, AccelEngine};
     use idaa_common::{ColumnDef, DataType, ObjectName, Schema, Value};
     use idaa_core::FleetConfig;
     use idaa_sql::{parse_statement, Statement};
@@ -1503,32 +1375,21 @@ pub fn e20_join_kernels_and_pushdown() {
                    WHERE f.v <> 13";
         let Statement::Query(q) = parse_statement(sql).unwrap() else { unreachable!() };
         let reps = 5u32;
-        let mut walls = Vec::new();
-        let mut out = Vec::new();
-        for mode in [ExecMode::Interpreted, ExecMode::Vectorized] {
-            let t0 = Instant::now();
-            let mut rows = Vec::new();
-            for _ in 0..reps {
-                rows = engine.query_with_mode(0, &q, mode).unwrap().rows;
-            }
-            walls.push(t0.elapsed());
-            out.push(rows);
-        }
-        assert_eq!(out[0], out[1], "join modes must agree bit for bit");
+        let ([interp_t, vector_t], answer) = time_both_modes(&engine, &q, reps);
         let hits = engine.stats.plan_cache_hits.load(Ordering::Relaxed);
         let misses = engine.stats.plan_cache_misses.load(Ordering::Relaxed);
-        table.row(&[
-            n.to_string(),
-            dims.to_string(),
-            reps.to_string(),
-            ms(walls[0]),
-            ms(walls[1]),
-            format!("{:.1}x", walls[0].as_secs_f64() / walls[1].as_secs_f64()),
-            format!("{hits}h/{misses}m"),
-            out[1].len().to_string(),
+        table.row([
+            det(n),
+            det(dims),
+            det(reps),
+            interp_t.ms(),
+            vector_t.ms(),
+            interp_t.speedup_over(vector_t),
+            det(format!("{hits}h/{misses}m")),
+            det(answer.len()),
         ]);
     }
-    table.print();
+    out.table(table);
 
     let mut fleet_table = Table::new(&[
         "pushdown", "probe_rows", "dim_rows", "rows_out", "stmt_to_accel", "gather_to_host",
@@ -1565,23 +1426,22 @@ pub fn e20_join_kernels_and_pushdown() {
         let join = "SELECT f.x, d.name FROM fjoin f INNER JOIN fdim d ON f.x = d.x \
                     ORDER BY f.x, d.name";
         let (rows, _, delta) = measure(&idaa, || idaa.query(&mut s, join).unwrap());
-        fleet_table.row(&[
-            if pushdown { "on" } else { "off" }.to_string(),
-            "4000".to_string(),
-            "40".to_string(),
-            rows.len().to_string(),
-            fmt_bytes(delta.bytes_to_accel),
-            fmt_bytes(delta.bytes_to_host),
+        fleet_table.row([
+            det(if pushdown { "on" } else { "off" }),
+            det(4000),
+            det(40),
+            det(rows.len()),
+            det(fmt_bytes(delta.bytes_to_accel)),
+            det(fmt_bytes(delta.bytes_to_host)),
         ]);
         answers.push(rows.rows);
     }
     assert_eq!(answers[0], answers[1], "gather pushdown must never change the answer");
-    fleet_table.print();
-    println!(
-        "note: both tables are byte-stable except *_ms and speedup — the join result, the \
-         cache hit/miss split, and the gather byte counts are deterministic; pushdown=on \
-         charges the shipped key summary on the request leg and drops non-joining probe \
-         rows before the reply frame is encoded."
+    out.table(fleet_table);
+    out.line(
+        "note: the join result, the cache hit/miss split, and the gather byte counts are \
+         deterministic; pushdown=on charges the shipped key summary on the request leg and \
+         drops non-joining probe rows before the reply frame is encoded.",
     );
 }
 
@@ -1594,18 +1454,14 @@ pub fn e20_join_kernels_and_pushdown() {
 /// host. Part 2 prices the three repair paths — a rotted checkpoint
 /// falling back to the previous valid image (longer log replay), a host
 /// re-shipment after unrepairable log rot, and a fleet replica copy.
-/// Every column except `wall_ms` is byte-stable per seed.
-pub fn e21_storage_faults() {
-    banner(
-        "E21",
-        "storage faults: scrub interval vs detection latency, repair-path byte costs",
-    );
+/// Both tables are byte-stable per seed.
+fn e21_storage_faults(out: &mut Report) {
     use idaa_netsim::{sites, DiskFaultPlan};
     use std::time::Duration;
 
     let mut table = Table::new(&[
         "scrub_every", "detected_by", "exposure_virt_us", "scrub_steps", "scrub_scanned",
-        "repair", "repair_bytes", "rows_ok", "wall_ms",
+        "repair", "repair_bytes", "rows_ok",
     ]);
     for every_us in [0u64, 2_000, 500, 100] {
         let (label, every) = if every_us == 0 {
@@ -1630,7 +1486,6 @@ pub fn e21_storage_faults() {
         idaa.execute(&mut s, "SET CURRENT QUERY ACCELERATION = ELIGIBLE").unwrap();
         idaa.set_disk_plan(DiskFaultPlan::at(sites::BITROT_LOG_SEGMENT, 5).seeded(0xE21));
 
-        let t0 = Instant::now();
         let mut rot_at = None;
         let mut found_at = None;
         for i in 0..300 {
@@ -1654,7 +1509,6 @@ pub fn e21_storage_faults() {
         idaa.accel().crash();
         assert!(idaa.recover(), "every run must converge to a serving node");
         let found_at = found_at.unwrap_or_else(|| idaa.link().now());
-        let wall = t0.elapsed();
 
         let n = idaa.query(&mut s, "SELECT COUNT(*) FROM events").unwrap();
         assert_eq!(
@@ -1664,19 +1518,18 @@ pub fn e21_storage_faults() {
         );
         let rebuilds = idaa.metrics().counter("disk.node_rebuilds");
         assert_eq!(rebuilds, u64::from(!scrubbed), "scrub repair must pre-empt the rebuild");
-        table.row(&[
-            label,
-            if scrubbed { "scrub" } else { "recovery" }.to_string(),
-            (found_at - rot_at).as_micros().to_string(),
-            idaa.metrics().counter("disk.scrub.steps").to_string(),
-            fmt_bytes(idaa.metrics().counter("disk.scrub.scanned_bytes")),
-            if scrubbed { "local_ckpt" } else { "host_reship" }.to_string(),
-            fmt_bytes(idaa.metrics().counter("disk.repair.bytes")),
-            n.scalar().unwrap().render(),
-            ms(wall),
+        table.row([
+            det(label),
+            det(if scrubbed { "scrub" } else { "recovery" }),
+            det((found_at - rot_at).as_micros()),
+            det(idaa.metrics().counter("disk.scrub.steps")),
+            det(fmt_bytes(idaa.metrics().counter("disk.scrub.scanned_bytes"))),
+            det(if scrubbed { "local_ckpt" } else { "host_reship" }),
+            det(fmt_bytes(idaa.metrics().counter("disk.repair.bytes"))),
+            det(n.scalar().unwrap().render()),
         ]);
     }
-    table.print();
+    out.table(table);
 
     // Part 2: what each repair path costs in bytes, same fault family.
     let mut paths = Table::new(&[
@@ -1709,13 +1562,13 @@ pub fn e21_storage_faults() {
         assert!(crashed, "the pinned checkpoint rot must fire");
         let stats = idaa.last_restart().expect("the crash forced a restart");
         assert!(stats.checkpoint_fallbacks >= 1);
-        paths.row(&[
-            "ckpt_fallback".to_string(),
-            stats.checkpoint_fallbacks.to_string(),
-            fmt_bytes(stats.checkpoint_bytes + stats.log_bytes_replayed),
-            fmt_bytes(idaa.metrics().counter("disk.repair.bytes")),
-            "0".to_string(),
-            "0".to_string(),
+        paths.row([
+            det("ckpt_fallback"),
+            det(stats.checkpoint_fallbacks),
+            det(fmt_bytes(stats.checkpoint_bytes + stats.log_bytes_replayed)),
+            det(fmt_bytes(idaa.metrics().counter("disk.repair.bytes"))),
+            det(0),
+            det(0),
         ]);
     }
 
@@ -1740,13 +1593,13 @@ pub fn e21_storage_faults() {
         let stats = idaa.last_restart().expect("the crash forced a restart");
         let n = idaa.query(&mut s, "SELECT COUNT(*) FROM events").unwrap();
         assert_eq!(n.scalar().unwrap(), &idaa_common::Value::BigInt(200));
-        paths.row(&[
-            "host_reship".to_string(),
-            stats.checkpoint_fallbacks.to_string(),
-            fmt_bytes(stats.checkpoint_bytes + stats.log_bytes_replayed),
-            fmt_bytes(idaa.metrics().counter("disk.repair.bytes")),
-            "0".to_string(),
-            idaa.accel().quarantined_tables().len().to_string(),
+        paths.row([
+            det("host_reship"),
+            det(stats.checkpoint_fallbacks),
+            det(fmt_bytes(stats.checkpoint_bytes + stats.log_bytes_replayed)),
+            det(fmt_bytes(idaa.metrics().counter("disk.repair.bytes"))),
+            det(0),
+            det(idaa.accel().quarantined_tables().len()),
         ]);
     }
 
@@ -1779,21 +1632,21 @@ pub fn e21_storage_faults() {
         assert!(idaa.recover_node(1), "replica repair must bring node 1 back");
         let n = idaa.query(&mut s, "SELECT COUNT(*) FROM events").unwrap();
         assert_eq!(n.scalar().unwrap(), &idaa_common::Value::BigInt(200));
-        paths.row(&[
-            "replica_copy".to_string(),
-            "0".to_string(),
-            "0 B".to_string(),
-            fmt_bytes(idaa.metrics().counter("disk.repair.bytes")),
-            fmt_bytes(idaa.metrics().counter("fleet.catch_up.bytes")),
-            idaa.node_engine(1).quarantined_tables().len().to_string(),
+        paths.row([
+            det("replica_copy"),
+            det(0),
+            det("0 B"),
+            det(fmt_bytes(idaa.metrics().counter("disk.repair.bytes"))),
+            det(fmt_bytes(idaa.metrics().counter("fleet.catch_up.bytes"))),
+            det(idaa.node_engine(1).quarantined_tables().len()),
         ]);
     }
-    paths.print();
-    println!(
+    out.table(paths);
+    out.line(
         "note: every injected fault converges to the fault-free answer or a deterministic \
          error — never silently wrong rows. Scrub verification I/O and every repair byte \
-         are charged to the virtual clock / metered links, so all columns except wall_ms \
-         are byte-stable per seed."
+         are charged to the virtual clock / metered links, so both tables are byte-stable \
+         per seed.",
     );
 }
 
@@ -1804,18 +1657,13 @@ pub fn e21_storage_faults() {
 /// session count — gates the accelerator, so throughput stays flat while
 /// per-statement queue time stretches with the number of competing
 /// seats; and because admission, queue waits and reschedule ticks all
-/// live on the virtual clock, every column except `wall_ms` is
-/// byte-stable.
-pub fn e22_workload_scheduler() {
-    banner(
-        "E22",
-        "workload scheduler: queue-time percentiles vs session count at a fixed admission limit",
-    );
+/// live on the virtual clock, the table is byte-stable.
+fn e22_workload_scheduler(out: &mut Report) {
     use idaa_core::{Server, ServerConfig};
 
     let mut table = Table::new(&[
         "sessions", "limit", "stmts", "rounds", "makespan_virt_us", "stmts_per_vsec",
-        "q50_us", "q95_us", "qmax_us", "bytes_moved", "wall_ms",
+        "q50_us", "q95_us", "qmax_us", "bytes_moved",
     ]);
     for sessions in [1usize, 2, 4, 8] {
         let (idaa, mut s) = system(IdaaConfig::default());
@@ -1837,13 +1685,11 @@ pub fn e22_workload_scheduler() {
         ];
         let bytes_before = srv.idaa().link().metrics().total_bytes();
         let start = srv.idaa().link().now();
-        let t0 = Instant::now();
         let stmts = 12 * sessions;
         for i in 0..stmts {
             srv.submit(seats[i % seats.len()], queries[i % queries.len()]).unwrap();
         }
         let completions = srv.run_until_idle();
-        let wall = t0.elapsed();
         let makespan = srv.idaa().link().now() - start;
         assert_eq!(completions.len(), stmts);
         assert!(
@@ -1853,25 +1699,23 @@ pub fn e22_workload_scheduler() {
         let mut q: Vec<u64> = completions.iter().map(|c| c.queued.as_micros() as u64).collect();
         q.sort_unstable();
         let pct = |p: usize| q[(q.len() - 1) * p / 100];
-        table.row(&[
-            sessions.to_string(),
-            srv.admission_limit().to_string(),
-            completions.len().to_string(),
-            srv.rounds().to_string(),
-            makespan.as_micros().to_string(),
-            format!("{:.0}", completions.len() as f64 / makespan.as_secs_f64()),
-            pct(50).to_string(),
-            pct(95).to_string(),
-            q[q.len() - 1].to_string(),
-            fmt_bytes(srv.idaa().link().metrics().total_bytes() - bytes_before),
-            ms(wall),
+        table.row([
+            det(sessions),
+            det(srv.admission_limit()),
+            det(completions.len()),
+            det(srv.rounds()),
+            det(makespan.as_micros()),
+            det(format!("{:.0}", completions.len() as f64 / makespan.as_secs_f64())),
+            det(pct(50)),
+            det(pct(95)),
+            det(q[q.len() - 1]),
+            det(fmt_bytes(srv.idaa().link().metrics().total_bytes() - bytes_before)),
         ]);
     }
-    table.print();
-    println!(
+    out.table(table);
+    out.line(
         "note: queue waits and reschedule ticks are charged to the virtual clock only \
          (LinkMetrics::fault_time), so the admission limit caps accelerator concurrency \
-         without perturbing any delivered byte/message counter — every column except \
-         wall_ms is byte-stable."
+         without perturbing any delivered byte/message counter.",
     );
 }

@@ -9,6 +9,7 @@
 use crate::source::{Record, RecordSource};
 use crossbeam_channel::bounded;
 use idaa_common::{DataType, Error, Result, Row, Schema, Value};
+use std::collections::BTreeMap;
 
 /// How to react to malformed records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,34 +95,46 @@ pub fn parse_record(record: &Record, schema: &Schema) -> Result<Row> {
     schema.check_row(&row).map_err(|e| Error::Load(e.to_string()))
 }
 
+/// A parser worker's output for one raw batch: typed rows plus the count
+/// of skipped records, or the error that fails the load.
+type Parsed = Result<(Vec<Row>, usize)>;
+
 /// Run the pipeline: parse all records from `source` against `schema` with
 /// `config.parallelism` workers, handing each parsed batch to `write`.
 ///
-/// `write` is called from the coordinating thread only (targets need no
-/// internal ordering guarantees beyond that).
+/// `write` is called from the coordinating thread only, and sees batches in
+/// *source* order whatever order the workers finish in: the reader numbers
+/// raw batches and the writer side holds early finishers back, so what a
+/// load writes depends on the source alone, never on thread timing.
 pub fn run_pipeline(
     mut source: Box<dyn RecordSource>,
     schema: &Schema,
     config: &LoadConfig,
-    mut write: impl FnMut(Vec<Row>) -> Result<()>,
+    write: impl FnMut(Vec<Row>) -> Result<()>,
 ) -> Result<LoadReport> {
     let workers = config.parallelism.max(1);
-    let (raw_tx, raw_rx) = bounded::<Vec<Record>>(workers * 2);
-    let (parsed_tx, parsed_rx) = bounded::<Result<(Vec<Row>, usize)>>(workers * 2);
+    let (raw_tx, raw_rx) = bounded::<(usize, Vec<Record>)>(workers * 2);
+    let (parsed_tx, parsed_rx) = bounded::<(usize, Parsed)>(workers * 2);
 
     let reject_limit = match config.rejects {
         RejectPolicy::FailFast => None,
         RejectPolicy::SkipUpTo(n) => Some(n),
     };
 
-    let mut report = LoadReport::default();
+    let mut writer = InOrderWriter {
+        write,
+        reject_limit,
+        report: LoadReport::default(),
+        next: 0,
+        early: BTreeMap::new(),
+    };
     std::thread::scope(|scope| -> Result<()> {
         // Parser workers.
         for _ in 0..workers {
             let raw_rx = raw_rx.clone();
             let parsed_tx = parsed_tx.clone();
             scope.spawn(move || {
-                for batch in raw_rx.iter() {
+                for (seq, batch) in raw_rx.iter() {
                     let mut rows = Vec::with_capacity(batch.len());
                     let mut rejected = 0;
                     let mut failure: Option<Error> = None;
@@ -141,7 +154,7 @@ pub fn run_pipeline(
                         Some(e) => Err(e),
                         None => Ok((rows, rejected)),
                     };
-                    if parsed_tx.send(msg).is_err() {
+                    if parsed_tx.send((seq, msg)).is_err() {
                         return;
                     }
                 }
@@ -149,15 +162,27 @@ pub fn run_pipeline(
         }
         drop(parsed_tx);
 
-        // Reader: feed raw batches, draining parsed output opportunistically
-        // to keep the pipeline moving.
+        // Reader: feed numbered raw batches, draining parsed output
+        // opportunistically to keep the pipeline moving. Once as many
+        // batches are unwritten as the two channels hold, wait for output
+        // instead, so one slow batch cannot grow the reorder buffer past
+        // that; the batch the writer waits for is then still in the
+        // pipeline, so the wait ends.
         let feed_result: Result<()> = (|| {
+            let mut sent = 0;
             while let Some(batch) = source.next_batch(config.batch_size)? {
                 raw_tx
-                    .send(batch)
+                    .send((sent, batch))
                     .map_err(|_| Error::internal("load pipeline workers terminated early"))?;
-                while let Ok(msg) = parsed_rx.try_recv() {
-                    handle_parsed(msg?, &mut report, reject_limit, &mut write)?;
+                sent += 1;
+                loop {
+                    let msg = if sent - writer.next >= workers * 4 {
+                        parsed_rx.recv().ok()
+                    } else {
+                        parsed_rx.try_recv().ok()
+                    };
+                    let Some(msg) = msg else { break };
+                    writer.accept(msg)?;
                 }
             }
             Ok(())
@@ -167,35 +192,48 @@ pub fn run_pipeline(
         // without writing so the workers can terminate).
         for msg in parsed_rx.iter() {
             if feed_result.is_ok() {
-                handle_parsed(msg?, &mut report, reject_limit, &mut write)?;
+                writer.accept(msg)?;
             }
         }
         feed_result
     })?;
-    Ok(report)
+    Ok(writer.report)
 }
 
-fn handle_parsed(
-    (rows, rejected): (Vec<Row>, usize),
-    report: &mut LoadReport,
+/// The writer end of the pipeline: applies parsed batches in sequence
+/// order, parking those that finish ahead of their turn.
+struct InOrderWriter<W> {
+    write: W,
     reject_limit: Option<usize>,
-    write: &mut impl FnMut(Vec<Row>) -> Result<()>,
-) -> Result<()> {
-    report.rows_rejected += rejected;
-    if let Some(limit) = reject_limit {
-        if report.rows_rejected > limit {
-            return Err(Error::Load(format!(
-                "reject limit exceeded: {} records rejected (limit {limit})",
-                report.rows_rejected
-            )));
+    report: LoadReport,
+    /// Sequence number of the batch `write` takes next.
+    next: usize,
+    early: BTreeMap<usize, Parsed>,
+}
+
+impl<W: FnMut(Vec<Row>) -> Result<()>> InOrderWriter<W> {
+    fn accept(&mut self, (seq, msg): (usize, Parsed)) -> Result<()> {
+        self.early.insert(seq, msg);
+        while let Some(msg) = self.early.remove(&self.next) {
+            self.next += 1;
+            let (rows, rejected) = msg?;
+            self.report.rows_rejected += rejected;
+            if let Some(limit) = self.reject_limit {
+                if self.report.rows_rejected > limit {
+                    return Err(Error::Load(format!(
+                        "reject limit exceeded: {} records rejected (limit {limit})",
+                        self.report.rows_rejected
+                    )));
+                }
+            }
+            if !rows.is_empty() {
+                self.report.rows_loaded += rows.len();
+                self.report.batches += 1;
+                (self.write)(rows)?;
+            }
         }
+        Ok(())
     }
-    if !rows.is_empty() {
-        report.rows_loaded += rows.len();
-        report.batches += 1;
-        write(rows)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -270,7 +308,10 @@ mod tests {
             .unwrap();
             assert_eq!(report.rows_loaded, 100);
             assert_eq!(report.rows_rejected, 0);
-            assert_eq!(collected.len(), 100);
+            // Seven batches, written in source order whichever worker
+            // finishes first.
+            let ids: Vec<Value> = collected.iter().map(|r| r[0].clone()).collect();
+            assert_eq!(ids, (0..100).map(Value::Int).collect::<Vec<_>>());
         }
     }
 

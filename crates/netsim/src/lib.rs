@@ -741,7 +741,7 @@ pub mod sites {
     pub const DISK_READ_FAIL: &str = "disk.read.fail";
 }
 
-/// Per-site crash/failure schedule inside a [`CrashPlan`].
+/// Per-site crash/failure schedule inside a [`SitePlan`].
 ///
 /// A site fires on the listed 1-based `at_hits` (deterministic pinning for
 /// targeted tests) and additionally with `probability` per hit, drawn from
@@ -758,125 +758,67 @@ pub struct SiteSpec {
     pub at_hits: Vec<u64>,
 }
 
-/// A deterministic schedule of crash/failure points, the [`FaultPlan`]
-/// analogue for *process* failures rather than link failures.
+/// A deterministic schedule of injection-site firings, the [`FaultPlan`]
+/// analogue for *process* and *storage* failures rather than link failures.
+/// Installed as a [`CrashPlan`] ([`FaultRegistry::set_plan`]) or a
+/// [`DiskFaultPlan`] ([`FaultRegistry::set_disk_plan`]); the two slots keep
+/// separate streams and hit counters.
 ///
 /// Same determinism contract: probabilistic draws come from one splitmix64
 /// stream seeded by `seed` and are consumed in hit order, so a given seed
 /// replays the exact same firing pattern. Sites with `probability == 0`
 /// draw nothing, so the default plan is clean and free. Firing never
-/// touches [`LinkMetrics`] — what a firing *means* (crash, NO vote, …) is
-/// up to the component that called [`FaultRegistry::fire`].
+/// touches [`LinkMetrics`] — what a firing *means* (crash, NO vote, torn
+/// write, …) is up to the component that consulted the registry.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct CrashPlan {
-    /// Seed for the splitmix64 stream behind probabilistic firings.
+pub struct SitePlan {
+    /// Seed for the splitmix64 stream behind probabilistic firings (and,
+    /// for disk plans, the per-firing corruption parameters).
     pub seed: u64,
     /// Per-site schedules; sites not listed never fire.
     pub sites: Vec<SiteSpec>,
 }
 
-impl CrashPlan {
+/// Schedule of crash/failure points, consulted by [`FaultRegistry::fire`].
+pub type CrashPlan = SitePlan;
+
+/// Schedule of *storage* faults (torn writes, bit-rot, failed reads),
+/// consulted by [`FaultRegistry::fire_disk`], which also returns a parameter
+/// draw the durable store uses to pick *which* segment/bit to damage — so a
+/// given seed replays the exact same corruption pattern. Its stream is
+/// separate from the crash plan's, so mixing disk and crash plans never
+/// perturbs either schedule.
+pub type DiskFaultPlan = SitePlan;
+
+impl SitePlan {
     /// Plan that fires `site` exactly once, on its `hit`-th (1-based) hit.
-    pub fn at(site: &str, hit: u64) -> CrashPlan {
-        CrashPlan::default().and_at(site, hit)
+    pub fn at(site: &str, hit: u64) -> SitePlan {
+        SitePlan::default().and_at(site, hit)
+    }
+
+    fn spec_mut(&mut self, site: &str) -> &mut SiteSpec {
+        let i = self.sites.iter().position(|s| s.site == site).unwrap_or_else(|| {
+            self.sites.push(SiteSpec { site: site.to_string(), ..SiteSpec::default() });
+            self.sites.len() - 1
+        });
+        &mut self.sites[i]
     }
 
     /// Add a deterministic firing of `site` on its `hit`-th hit.
-    pub fn and_at(mut self, site: &str, hit: u64) -> CrashPlan {
-        if let Some(s) = self.sites.iter_mut().find(|s| s.site == site) {
-            s.at_hits.push(hit);
-        } else {
-            self.sites.push(SiteSpec {
-                site: site.to_string(),
-                probability: 0.0,
-                at_hits: vec![hit],
-            });
-        }
+    pub fn and_at(mut self, site: &str, hit: u64) -> SitePlan {
+        self.spec_mut(site).at_hits.push(hit);
         self
     }
 
     /// Add a probabilistic firing of `site` with probability `p` per hit.
-    pub fn and_probabilistic(mut self, site: &str, p: f64) -> CrashPlan {
-        if let Some(s) = self.sites.iter_mut().find(|s| s.site == site) {
-            s.probability = p;
-        } else {
-            self.sites.push(SiteSpec {
-                site: site.to_string(),
-                probability: p,
-                at_hits: Vec::new(),
-            });
-        }
+    pub fn and_probabilistic(mut self, site: &str, p: f64) -> SitePlan {
+        self.spec_mut(site).probability = p;
         self
     }
 
-    /// Plan seed builder (relevant only with probabilistic sites).
-    pub fn seeded(mut self, seed: u64) -> CrashPlan {
-        self.seed = seed;
-        self
-    }
-
-    /// True if this plan can never fire.
-    pub fn is_clean(&self) -> bool {
-        self.sites.iter().all(|s| s.probability <= 0.0 && s.at_hits.is_empty())
-    }
-}
-
-/// A deterministic schedule of *storage* faults (torn writes, bit-rot,
-/// failed reads) — the durable-disk analogue of [`CrashPlan`].
-///
-/// Same determinism contract: probabilistic draws and per-firing corruption
-/// parameters come from one splitmix64 stream seeded by `seed` (separate
-/// from the crash-plan stream, so mixing disk and crash plans never
-/// perturbs either schedule). Sites fire via [`FaultRegistry::fire_disk`],
-/// which returns a parameter draw the durable store uses to pick *which*
-/// segment/bit to damage — so a given seed replays the exact same
-/// corruption pattern. Firing never touches [`LinkMetrics`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DiskFaultPlan {
-    /// Seed for the splitmix64 stream behind probabilistic firings and
-    /// per-firing corruption parameters.
-    pub seed: u64,
-    /// Per-site schedules; sites not listed never fire.
-    pub sites: Vec<SiteSpec>,
-}
-
-impl DiskFaultPlan {
-    /// Plan that fires `site` exactly once, on its `hit`-th (1-based) hit.
-    pub fn at(site: &str, hit: u64) -> DiskFaultPlan {
-        DiskFaultPlan::default().and_at(site, hit)
-    }
-
-    /// Add a deterministic firing of `site` on its `hit`-th hit.
-    pub fn and_at(mut self, site: &str, hit: u64) -> DiskFaultPlan {
-        if let Some(s) = self.sites.iter_mut().find(|s| s.site == site) {
-            s.at_hits.push(hit);
-        } else {
-            self.sites.push(SiteSpec {
-                site: site.to_string(),
-                probability: 0.0,
-                at_hits: vec![hit],
-            });
-        }
-        self
-    }
-
-    /// Add a probabilistic firing of `site` with probability `p` per hit.
-    pub fn and_probabilistic(mut self, site: &str, p: f64) -> DiskFaultPlan {
-        if let Some(s) = self.sites.iter_mut().find(|s| s.site == site) {
-            s.probability = p;
-        } else {
-            self.sites.push(SiteSpec {
-                site: site.to_string(),
-                probability: p,
-                at_hits: Vec::new(),
-            });
-        }
-        self
-    }
-
-    /// Plan seed builder (relevant with probabilistic sites, and for the
-    /// per-firing corruption parameter draws).
-    pub fn seeded(mut self, seed: u64) -> DiskFaultPlan {
+    /// Plan seed builder (relevant with probabilistic sites, and for a disk
+    /// plan's per-firing corruption parameter draws).
+    pub fn seeded(mut self, seed: u64) -> SitePlan {
         self.seed = seed;
         self
     }
@@ -906,6 +848,37 @@ struct RegistryInner {
     /// Per-site hit counters for disk sites (independent of `hits`, so
     /// installing one plan never restarts the other's counters).
     disk_hits: HashMap<String, u64>,
+}
+
+impl RegistryInner {
+    /// One consultation of `site` against the crash slot (`disk == false`)
+    /// or the disk slot: bump the slot's hit counter, then armed one-shot →
+    /// pinned hit → one seeded draw if the site is probabilistic. Logs and
+    /// returns the hit number when it fires.
+    fn draw(&mut self, site: &str, disk: bool) -> Option<u64> {
+        let (plan, rng, hits) = if disk {
+            (&self.disk_plan, &mut self.disk_rng, &mut self.disk_hits)
+        } else {
+            (&self.plan, &mut self.rng, &mut self.hits)
+        };
+        let hit = hits.entry(site.to_string()).or_insert(0);
+        *hit += 1;
+        let hit = *hit;
+        let armed = self.armed.get_mut(site).filter(|n| **n > 0);
+        let fired = if let Some(n) = armed {
+            *n -= 1;
+            true
+        } else {
+            plan.sites.iter().find(|s| s.site == site).is_some_and(|spec| {
+                spec.at_hits.contains(&hit)
+                    || (spec.probability > 0.0 && next_unit(rng) < spec.probability)
+            })
+        };
+        fired.then(|| {
+            self.fired.push((site.to_string(), hit));
+            hit
+        })
+    }
 }
 
 /// The unified failure-injection registry: every "make X fail next time"
@@ -945,34 +918,7 @@ impl FaultRegistry {
     /// `at_hits`) consume no random draw; a probabilistic site draws
     /// exactly one number per hit whether or not it fires.
     pub fn fire(&self, site: &str) -> bool {
-        let mut inner = self.inner.lock();
-        let hit = {
-            let h = inner.hits.entry(site.to_string()).or_insert(0);
-            *h += 1;
-            *h
-        };
-        let mut fired = false;
-        if let Some(n) = inner.armed.get_mut(site) {
-            if *n > 0 {
-                *n -= 1;
-                fired = true;
-            }
-        }
-        if !fired {
-            if let Some(spec) =
-                inner.plan.sites.iter().find(|s| s.site == site).cloned()
-            {
-                if spec.at_hits.contains(&hit) {
-                    fired = true;
-                } else if spec.probability > 0.0 {
-                    fired = next_unit(&mut inner.rng) < spec.probability;
-                }
-            }
-        }
-        if fired {
-            inner.fired.push((site.to_string(), hit));
-        }
-        fired
+        self.inner.lock().draw(site, false).is_some()
     }
 
     /// Install a storage-fault plan; the disk random stream is reseeded
@@ -994,35 +940,8 @@ impl FaultRegistry {
     /// corruption pattern. Returns `None` when the site does not fire.
     pub fn fire_disk(&self, site: &str) -> Option<u64> {
         let mut inner = self.inner.lock();
-        let hit = {
-            let h = inner.disk_hits.entry(site.to_string()).or_insert(0);
-            *h += 1;
-            *h
-        };
-        let mut fired = false;
-        if let Some(n) = inner.armed.get_mut(site) {
-            if *n > 0 {
-                *n -= 1;
-                fired = true;
-            }
-        }
-        if !fired {
-            if let Some(spec) =
-                inner.disk_plan.sites.iter().find(|s| s.site == site).cloned()
-            {
-                if spec.at_hits.contains(&hit) {
-                    fired = true;
-                } else if spec.probability > 0.0 {
-                    fired = next_unit(&mut inner.disk_rng) < spec.probability;
-                }
-            }
-        }
-        if fired {
-            inner.fired.push((site.to_string(), hit));
-            Some(splitmix64(&mut inner.disk_rng))
-        } else {
-            None
-        }
+        inner.draw(site, true)?;
+        Some(splitmix64(&mut inner.disk_rng))
     }
 
     /// How many times `site` has been consulted since the last
