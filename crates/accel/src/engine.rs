@@ -7,10 +7,9 @@
 //! bulk load, and grooming.
 
 use crate::durable::{Checkpoint, DurableStore, LogRecord, ScrubReport, SliceImage, TableImage};
-use crate::exec::{
-    describe_pipeline, execute_plan, scan_filtered, scan_victims, ExecCtx, ExecMode,
-};
+use crate::exec::{run, scan_filtered, scan_victims, ExecCtx, ExecMode};
 use crate::mvcc::{CommitSeq, Snapshot, TxnId, TxnRegistry, TxnStatus};
+use crate::pipeline::{lower, Lowered};
 use crate::table::{AccelTable, RowPos};
 use idaa_common::{wire, Error, ObjectName, Result, Row, Rows, Schema};
 use idaa_netsim::{sites, FaultRegistry};
@@ -18,7 +17,7 @@ use idaa_sql::ast::{Expr, Query};
 use idaa_sql::eval::{bind, eval, FlatResolver};
 use idaa_sql::plan::{plan_query, Plan, PlanProfile, SchemaProvider};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -103,9 +102,44 @@ struct CachedPlan {
     /// replans instead of being served this plan.
     text: String,
     plan: Arc<Plan>,
+    /// `plan` lowered for [`ExecMode::Vectorized`]: bound keys, compiled
+    /// kernels, pipelines — a hit skips all of it.
+    lowered: Arc<Lowered>,
     /// `(table, schema fingerprint, dictionary fingerprint)` per
     /// referenced table, in [`Plan::tables`] order.
     deps: Vec<(ObjectName, u64, u64)>,
+}
+
+/// The compiled-plan cache: statement fingerprint → [`CachedPlan`], bounded
+/// at [`PLAN_CACHE_MAX`] entries with first-in-first-out eviction (a
+/// workload whose statements never repeat costs O(1) per insert and a
+/// fixed amount of memory).
+#[derive(Default)]
+struct PlanCache {
+    map: HashMap<u64, CachedPlan>,
+    /// Keys in insertion order; every key is in `map` exactly once.
+    order: VecDeque<u64>,
+}
+
+/// Entries the plan cache holds before the oldest is evicted.
+const PLAN_CACHE_MAX: usize = 4096;
+
+impl PlanCache {
+    fn insert(&mut self, key: u64, entry: CachedPlan) {
+        if self.map.insert(key, entry).is_none() {
+            self.order.push_back(key);
+            if self.order.len() > PLAN_CACHE_MAX {
+                if let Some(oldest) = self.order.pop_front() {
+                    self.map.remove(&oldest);
+                }
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        self.map.clear();
+        self.order.clear();
+    }
 }
 
 /// What one [`AccelEngine::restart`] did: sizes feed the recovery-time
@@ -161,7 +195,7 @@ pub struct AccelEngine {
     identity: RwLock<String>,
     /// Compiled-plan cache, keyed by statement fingerprint. Volatile: a
     /// crash clears it along with the rest of in-memory state.
-    plan_cache: RwLock<HashMap<u64, CachedPlan>>,
+    plan_cache: RwLock<PlanCache>,
     /// Tables whose contents were lost to unrepairable storage corruption
     /// (durably logged as [`LogRecord::Quarantine`]): statements against
     /// them fail with -904 until a TRUNCATE + reload — never a silently
@@ -196,7 +230,7 @@ impl AccelEngine {
             replaying: AtomicBool::new(false),
             epoch: AtomicU64::new(1),
             identity: RwLock::new("ACCEL1".to_string()),
-            plan_cache: RwLock::new(HashMap::new()),
+            plan_cache: RwLock::new(PlanCache::default()),
             quarantined: RwLock::new(HashSet::new()),
             last_scrub_at: Mutex::new(None),
         }
@@ -847,14 +881,7 @@ impl AccelEngine {
     /// is the oracle the vectorized pipeline is tested (and benchmarked)
     /// against.
     pub fn query_with_mode(&self, txn: TxnId, query: &Query, mode: ExecMode) -> Result<Rows> {
-        self.ensure_up()?;
-        let (plan, _) = self.plan_cached(query)?;
-        for t in plan.tables() {
-            self.ensure_not_quarantined(&t)?;
-        }
-        self.stats.queries.fetch_add(1, Ordering::Relaxed);
-        let ctx = ExecCtx { engine: self, snap: self.snapshot_for(txn), mode, profile: None };
-        execute_plan(&plan, &ctx)
+        self.run_query(txn, query, mode, None).map(|(rows, _)| rows)
     }
 
     /// Plan `query` through the compiled-plan cache. The cache is keyed by
@@ -864,9 +891,15 @@ impl AccelEngine {
     /// growth all force a replan (whose fresh kernels see the new
     /// dictionary). Returns the shared plan and whether it was a hit.
     pub fn plan_cached(&self, query: &Query) -> Result<(Arc<Plan>, bool)> {
+        self.plan_lowered(query).map(|(plan, _, hit)| (plan, hit))
+    }
+
+    /// [`plan_cached`](Self::plan_cached), with the plan's vectorized
+    /// lowering that is cached beside it.
+    fn plan_lowered(&self, query: &Query) -> Result<(Arc<Plan>, Arc<Lowered>, bool)> {
         let text = query.to_string();
         let key = wire::hash64(text.as_bytes());
-        if let Some(entry) = self.plan_cache.read().get(&key) {
+        if let Some(entry) = self.plan_cache.read().map.get(&key) {
             let valid = entry.text == text
                 && entry.deps.iter().all(|(name, schema_fp, dict_fp)| {
                     self.table(name).is_ok_and(|t| {
@@ -876,11 +909,12 @@ impl AccelEngine {
                 });
             if valid {
                 self.stats.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((entry.plan.clone(), true));
+                return Ok((entry.plan.clone(), entry.lowered.clone(), true));
             }
         }
         self.stats.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
         let plan = Arc::new(plan_query(query, self)?);
+        let lowered = Arc::new(lower(&plan, self, ExecMode::Vectorized)?);
         let deps = plan
             .tables()
             .into_iter()
@@ -891,17 +925,18 @@ impl AccelEngine {
                 })
             })
             .collect();
-        self.plan_cache.write().insert(key, CachedPlan { text, plan: Arc::clone(&plan), deps });
-        Ok((plan, false))
+        let entry = CachedPlan { text, plan: plan.clone(), lowered: lowered.clone(), deps };
+        self.plan_cache.write().insert(key, entry);
+        Ok((plan, lowered, false))
     }
 
     /// Which pipeline would execute `query` (`EXPLAIN`'s PIPELINE line).
-    /// Plans but does not run the query, and does not count it in
-    /// [`AccelStats`]'s query counter.
+    /// Plans and lowers but does not run the query, and touches neither the
+    /// plan cache nor [`AccelStats`]'s query counter.
     pub fn pipeline_of(&self, query: &Query) -> Result<String> {
         self.ensure_up()?;
         let plan = plan_query(query, self)?;
-        Ok(describe_pipeline(&plan, self))
+        Ok(lower(&plan, self, ExecMode::Vectorized)?.describe())
     }
 
     /// Execute a `SELECT` and also return the executed plan plus a
@@ -913,22 +948,38 @@ impl AccelEngine {
         txn: TxnId,
         query: &Query,
     ) -> Result<(Rows, Arc<Plan>, PlanProfile)> {
+        let profile = PlanProfile::default();
+        let (rows, plan) = self.run_query(txn, query, ExecMode::Vectorized, Some(&profile))?;
+        Ok((rows, plan, profile))
+    }
+
+    /// One `SELECT`, start to finish: cached plan and lowering (the
+    /// interpreted oracle lowers afresh — it compiles nothing), quarantine
+    /// check, execution. A profile also learns whether the cache hit and
+    /// which pipeline ran, rendered from the lowering that ran.
+    fn run_query(
+        &self,
+        txn: TxnId,
+        query: &Query,
+        mode: ExecMode,
+        profile: Option<&PlanProfile>,
+    ) -> Result<(Rows, Arc<Plan>)> {
         self.ensure_up()?;
-        let (plan, hit) = self.plan_cached(query)?;
+        let (plan, mut lowered, hit) = self.plan_lowered(query)?;
+        if mode == ExecMode::Interpreted {
+            lowered = Arc::new(lower(&plan, self, mode)?);
+        }
         for t in plan.tables() {
             self.ensure_not_quarantined(&t)?;
         }
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
-        let profile = PlanProfile::default();
-        profile.set_cache_hit(hit);
-        let ctx = ExecCtx {
-            engine: self,
-            snap: self.snapshot_for(txn),
-            mode: ExecMode::Vectorized,
-            profile: Some(&profile),
-        };
-        let rows = execute_plan(&plan, &ctx)?;
-        Ok((rows, plan, profile))
+        if let Some(profile) = profile {
+            profile.set_cache_hit(hit);
+            profile.set_pipeline(lowered.describe());
+        }
+        let ctx = ExecCtx { engine: self, snap: self.snapshot_for(txn), mode, profile };
+        let rows = Rows::new(plan.schema(), run(&plan, &lowered, &ctx, None)?);
+        Ok((rows, plan))
     }
 
     // -- DML (the AOT path) -----------------------------------------------------------
@@ -1266,14 +1317,42 @@ mod tests {
         // 64-bit collision between the two texts would.
         e.plan_cached(&other).unwrap();
         let key_of = |q: &Query| wire::hash64(q.to_string().as_bytes());
-        let planted = e.plan_cache.write().remove(&key_of(&other)).unwrap();
-        e.plan_cache.write().insert(key_of(&wanted), planted);
+        let planted = e.plan_cache.write().map.remove(&key_of(&other)).unwrap();
+        e.plan_cache.write().map.insert(key_of(&wanted), planted);
         let misses = e.stats.plan_cache_misses.load(Ordering::Relaxed);
         let rows = e.query(1, &wanted).unwrap();
         assert_eq!(rows.rows, vec![vec![Value::Int(7)]], "served the colliding statement's plan");
         assert_eq!(e.stats.plan_cache_misses.load(Ordering::Relaxed), misses + 1);
         // The replan took the slot over.
         assert!(e.plan_cached(&wanted).unwrap().1);
+    }
+
+    #[test]
+    fn plan_cache_is_bounded_and_evicts_first_in_first_out() {
+        let e = engine();
+        e.load_committed(&ObjectName::bare("T"), vec![row(1, "A", 1.0)]).unwrap();
+        let q = |i: usize| match parse_statement(&format!("SELECT id FROM t WHERE id = {i}")) {
+            Ok(Statement::Query(q)) => q,
+            _ => panic!(),
+        };
+        for i in 0..PLAN_CACHE_MAX {
+            assert!(!e.plan_cached(&q(i)).unwrap().1);
+        }
+        // Full, nothing evicted yet: the oldest entry still hits.
+        assert!(e.plan_cached(&q(0)).unwrap().1);
+        // One more distinct statement evicts the oldest — and only it.
+        assert!(!e.plan_cached(&q(PLAN_CACHE_MAX)).unwrap().1);
+        assert!(e.plan_cached(&q(1)).unwrap().1);
+        assert!(!e.plan_cached(&q(0)).unwrap().1, "the oldest entry was evicted");
+        assert!(!e.plan_cached(&q(1)).unwrap().1, "re-admitting it evicted the next oldest");
+        assert!(e.plan_cached(&q(PLAN_CACHE_MAX)).unwrap().1);
+        // A replan of a live key (dictionary growth) takes its slot over
+        // without growing the queue.
+        e.load_committed(&ObjectName::bare("T"), vec![row(2, "NEW", 2.0)]).unwrap();
+        assert!(!e.plan_cached(&q(7)).unwrap().1);
+        assert!(e.plan_cached(&q(7)).unwrap().1);
+        let cache = e.plan_cache.read();
+        assert_eq!((cache.map.len(), cache.order.len()), (PLAN_CACHE_MAX, PLAN_CACHE_MAX));
     }
 
     #[test]

@@ -10,26 +10,29 @@
 //! a selection vector of visible positions, and (3) lets each compiled
 //! kernel — numeric comparisons, BETWEEN ranges, dictionary-code string
 //! equality, IS \[NOT\] NULL over bitmap words — compact that vector in
-//! place over the typed column vectors. Rows are materialized only for
-//! positions that survive visibility + kernel + residual filtering, and
-//! only for the columns the plan above reads (the projection mask flows
-//! through filters, sorts, aggregates and both sides of a join);
-//! filter→aggregate chains feed aggregate states directly from the
-//! surviving selection. Any conjunct the compiler cannot prove exact (see
-//! `guarded_lit`) stays with the row-at-a-time interpreter as a residual —
-//! results are always exact, never approximate.
+//! place over the typed column vectors. Any conjunct the compiler cannot
+//! prove exact (see `guarded_lit`) stays with the row-at-a-time interpreter
+//! as a residual — results are always exact, never approximate.
+//!
+//! What consumes the surviving selection is decided once per plan by
+//! `pipeline::lower`: a sub-plan that can stream runs as one
+//! `pipeline::Pipeline` (join probe, projection, aggregate / sort /
+//! top-K / row sink over the typed vectors; a row is built only at the
+//! sink), everything else — and all of [`ExecMode::Interpreted`] — runs
+//! through the `Vec<Row>` interpreter in this file, node by node.
 //!
 //! Slices, join partitions and sort/aggregate chunks all fan out through
-//! `run_parts`: *what* the parts are is fixed by the configuration (so
-//! output order is too), *who* runs them is decided per call from the
-//! worker count and the input size.
+//! `run_parts`: *what* the parts are is fixed by the configuration and the
+//! data (so output order is too), *who* runs them is decided per call from
+//! the worker count and the input size.
 
 use crate::column::{Column, NullMap};
 use crate::engine::AccelEngine;
 use crate::mvcc::Snapshot;
+use crate::pipeline::{gather, Kind, Lowered, OutCol};
 use crate::table::{AccelTable, RowPos, Slice, ZoneEntry, BLOCK_ROWS};
-use idaa_common::wire::{key_hash_i64, key_hash_str, KeySummary};
-use idaa_common::{ColumnDef, Result, Row, Rows, Schema, Value};
+use idaa_common::wire::KeySummary;
+use idaa_common::{Error, ObjectName, Result, Row, Value};
 use idaa_sql::ast::{BinaryOp, Expr, JoinKind};
 use idaa_sql::eval::{bind, eval, eval_predicate, AggState, BoundExpr, FlatResolver};
 use idaa_sql::plan::{Plan, PlanCol, PlanProfile};
@@ -37,25 +40,26 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// `Limit(Sort(…))` fuses into a bounded top-K selection when the limit is
-/// at most this many rows (beyond that a full parallel sort wins).
-const TOPK_MAX: u64 = 1024;
+/// Inputs up to this many rows (or versions) run every part on the calling
+/// thread: eight batches of kernel-filtered scanning cost about what one
+/// helper thread costs to start and join.
+pub(crate) const INLINE_ROWS: usize = 8 * BLOCK_ROWS;
 
 /// Run `f(0)..f(parts-1)` and return the results in part order — the one
 /// fan-out every parallel operator uses. The caller fixes the partitioning
-/// (`parts`) from the configuration, which keeps output deterministic for a
-/// given configuration; this function only decides the schedule. An input
-/// of at most one batch (`input` counts rows or versions) runs every part
-/// inline: spawning costs more than the work. Otherwise `min(workers,
-/// parts) - 1` scoped helpers plus the calling thread claim parts from a
-/// shared counter until none are left.
-fn run_parts<T, F>(parts: usize, workers: usize, input: usize, f: F) -> Vec<T>
+/// (`parts`) from the configuration and the data, which keeps output
+/// deterministic; this function only decides the schedule. An input of at
+/// most [`INLINE_ROWS`] (`input` counts the rows or versions the parts will
+/// read) runs every part inline: spawning costs more than the work. Otherwise
+/// `min(workers, parts) - 1` scoped helpers plus the calling thread claim
+/// parts from a shared counter until none are left.
+pub(crate) fn run_parts<T, F>(parts: usize, workers: usize, input: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
     let threads = workers.min(parts);
-    if threads <= 1 || input <= BLOCK_ROWS {
+    if threads <= 1 || input <= INLINE_ROWS {
         return (0..parts).map(f).collect();
     }
     // Relaxed: the counter only hands out indices; results are published by
@@ -75,7 +79,8 @@ where
         let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(claim)).collect();
         let mut done = claim();
         for h in helpers {
-            done.extend(h.join().expect("worker thread panicked"));
+            // A part that panicked keeps panicking on the caller's thread.
+            done.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
         }
         done
     });
@@ -83,12 +88,12 @@ where
     done.into_iter().map(|(_, t)| t).collect()
 }
 
-/// Which execution pipeline the accelerator uses for scans and fused
-/// aggregation. `Vectorized` (the default) compiles predicate conjuncts to
-/// batch kernels that filter block-sized selection vectors directly over
-/// the column vectors; `Interpreted` forces the row-at-a-time expression
-/// interpreter — kept as the exactness oracle and the fallback for any
-/// expression the compiler cannot prove exact.
+/// Which executor runs a statement. `Vectorized` (the default) lowers the
+/// plan to batch pipelines wherever it can stream and compiles predicate
+/// conjuncts to kernels over block-sized selection vectors; `Interpreted`
+/// forces the row-at-a-time interpreter for every node — kept as the
+/// exactness oracle and the fallback for any shape the lowering does not
+/// cover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     #[default]
@@ -106,30 +111,27 @@ pub struct ExecCtx<'a> {
     pub profile: Option<&'a PlanProfile>,
 }
 
-/// Execute a logical plan on the accelerator.
-pub fn execute_plan(plan: &Plan, ctx: &ExecCtx) -> Result<Rows> {
-    let rows = run(plan, ctx)?;
-    let schema = Schema::new_unchecked(
-        plan.cols()
-            .into_iter()
-            .map(|c| ColumnDef::new(c.name, c.data_type))
-            .collect(),
-    );
-    Ok(Rows::new(schema, rows))
-}
-
-fn resolver_of(cols: &[PlanCol]) -> FlatResolver {
+pub(crate) fn resolver_of(cols: &[PlanCol]) -> FlatResolver {
     FlatResolver::new(cols.iter().map(|c| (c.qualifier.clone(), c.name.clone())).collect())
 }
 
-pub(crate) fn run(plan: &Plan, ctx: &ExecCtx) -> Result<Vec<Row>> {
-    run_masked(plan, ctx, None)
-}
-
-/// Dispatch one node and, when profiling, record its output cardinality on
-/// the way out.
-fn run_masked(plan: &Plan, ctx: &ExecCtx, needed: Option<Vec<bool>>) -> Result<Vec<Row>> {
-    let rows = run_masked_inner(plan, ctx, needed)?;
+/// Run one node: a pipeline streams its whole sub-plan (and records each
+/// stage itself); anything else is dispatched to the interpreter and, when
+/// profiling, records its output cardinality on the way out.
+///
+/// `needed` is *projection pushdown*: `needed[i] == false` means the caller
+/// never reads output column `i`, so it may be left NULL and its column
+/// vector never decoded.
+pub(crate) fn run(
+    plan: &Plan,
+    low: &Lowered,
+    ctx: &ExecCtx,
+    needed: Option<Vec<bool>>,
+) -> Result<Vec<Row>> {
+    if let Kind::Pipe(pipe) = &low.kind {
+        return pipe.run(plan, ctx, needed.as_deref());
+    }
+    let rows = run_node(plan, low, ctx, needed)?;
     if let Some(prof) = ctx.profile {
         prof.record(plan, rows.len() as u64);
     }
@@ -152,36 +154,30 @@ fn union_mask(a: Option<Vec<bool>>, b: Vec<bool>) -> Vec<bool> {
     }
 }
 
-/// Execute with *projection pushdown*: `needed[i] == false` means the
-/// caller never reads output column `i`, so scans may leave it NULL and
-/// skip decoding the column vector — the columnar engine's signature
-/// advantage.
-fn run_masked_inner(plan: &Plan, ctx: &ExecCtx, needed: Option<Vec<bool>>) -> Result<Vec<Row>> {
-    match plan {
-        Plan::Scan { table, cols, .. } => {
-            if cols.is_empty() && table.name == "SYSDUMMY1" {
-                return Ok(vec![vec![]]);
-            }
-            let t = ctx.engine.table(table)?;
-            scan_filtered_with(&t, None, ctx, needed, Some(plan), None)
+/// The row-at-a-time interpreter for one node over its lowered children.
+fn run_node(
+    plan: &Plan,
+    low: &Lowered,
+    ctx: &ExecCtx,
+    needed: Option<Vec<bool>>,
+) -> Result<Vec<Row>> {
+    let child = |i: usize| {
+        low.children
+            .get(i)
+            .ok_or_else(|| Error::internal(format!("plan and lowering disagree at {}", plan.label())))
+    };
+    match (plan, &low.kind) {
+        (_, Kind::Scan(spec)) => {
+            let t = ctx.engine.table(&spec.table)?;
+            scan_table(&t, spec, ctx, needed, Some(plan), false).map(|(rows, _)| rows)
         }
-        Plan::Filter { input, predicate } => {
-            if let Plan::Scan { table, .. } = input.as_ref() {
-                let t = ctx.engine.table(table)?;
-                let cols = input.cols();
-                return scan_filtered_with(
-                    &t,
-                    Some((predicate, &cols)),
-                    ctx,
-                    needed,
-                    Some(plan),
-                    None,
-                );
-            }
+        // FROM-less SELECT: one empty row (DB2's SYSIBM.SYSDUMMY1).
+        (Plan::Scan { .. }, _) => Ok(vec![vec![]]),
+        (Plan::Filter { input, predicate }, _) => {
             let cols = input.cols();
             let bound = bind(predicate, &resolver_of(&cols))?;
             let child_mask = needed.map(|m| union_mask(Some(m), mask_of(cols.len(), &[&bound])));
-            let rows = run_masked(input, ctx, child_mask)?;
+            let rows = run(input, child(0)?, ctx, child_mask)?;
             rows.into_iter()
                 .filter_map(|row| match eval_predicate(&bound, &row) {
                     Ok(true) => Some(Ok(row)),
@@ -190,28 +186,25 @@ fn run_masked_inner(plan: &Plan, ctx: &ExecCtx, needed: Option<Vec<bool>>) -> Re
                 })
                 .collect()
         }
-        Plan::Project { input, exprs, .. } => {
+        (Plan::Project { input, exprs, .. }, _) => {
             let in_cols = input.cols();
             let resolver = resolver_of(&in_cols);
             let bound: Vec<BoundExpr> =
                 exprs.iter().map(|(e, _)| bind(e, &resolver)).collect::<Result<_>>()?;
             let refs: Vec<&BoundExpr> = bound.iter().collect();
             let child_mask = mask_of(in_cols.len(), &refs);
-            let rows = run_masked(input, ctx, Some(child_mask))?;
+            let rows = run(input, child(0)?, ctx, Some(child_mask))?;
             rows.into_iter()
                 .map(|row| bound.iter().map(|b| eval(b, &row)).collect())
                 .collect()
         }
-        Plan::Join { left, right, kind, on } => {
-            run_join(plan, left, right, *kind, on, ctx, needed)
+        (Plan::Join { left, right, kind, .. }, Kind::Join(spec)) => {
+            run_join(plan, (left, child(0)?), (right, child(1)?), *kind, spec, ctx, needed)
         }
-        Plan::Aggregate { input, group_exprs, aggs, .. } => {
-            if let Some(rows) = try_fused_aggregate(plan, input, group_exprs, aggs, ctx)? {
-                return Ok(rows);
-            }
-            run_aggregate(input, group_exprs, aggs, ctx)
+        (Plan::Aggregate { input, group_exprs, aggs, .. }, _) => {
+            run_aggregate(input, child(0)?, group_exprs, aggs, ctx)
         }
-        Plan::Sort { input, keys } => {
+        (Plan::Sort { input, keys }, _) => {
             let in_width = input.cols().len();
             let child_mask = needed.map(|mut m| {
                 m.resize(in_width, false);
@@ -222,71 +215,51 @@ fn run_masked_inner(plan: &Plan, ctx: &ExecCtx, needed: Option<Vec<bool>>) -> Re
                 }
                 m
             });
-            let rows = run_masked(input, ctx, child_mask)?;
-            Ok(sort_rows(rows, keys, ctx.engine.config.workers()))
+            // A stable sort: the oracle every sort / top-K sink is held to.
+            let mut rows = run(input, child(0)?, ctx, child_mask)?;
+            rows.sort_by(sort_cmp(keys));
+            Ok(rows)
         }
-        Plan::Distinct { input } => {
+        (Plan::Distinct { input }, _) => {
             // Row-level dedup reads every column: no pushdown through here.
-            let rows = run_masked(input, ctx, None)?;
-            let mut seen: HashMap<Vec<Value>, ()> = HashMap::with_capacity(rows.len());
-            let mut out = Vec::new();
-            for row in rows {
-                if seen.insert(row.clone(), ()).is_none() {
-                    out.push(row);
-                }
-            }
-            Ok(out)
+            Ok(dedup(run(input, child(0)?, ctx, None)?))
         }
-        Plan::Limit { input, n } => {
-            // `Limit(Sort(…))` fuses into a bounded top-K selection: keep the
-            // `n` best rows by (sort key, input position) in one pass instead
-            // of sorting everything. The position tiebreak makes the result
-            // identical to a stable sort followed by truncation.
-            if let Plan::Sort { input: sorted, keys } = input.as_ref() {
-                if *n <= TOPK_MAX {
-                    let in_width = sorted.cols().len();
-                    let child_mask = needed.clone().map(|mut m| {
-                        m.resize(in_width, false);
-                        for (i, _) in keys {
-                            if *i < in_width {
-                                m[*i] = true;
-                            }
-                        }
-                        m
-                    });
-                    let rows = run_masked(sorted, ctx, child_mask)?;
-                    return Ok(top_k(rows, *n as usize, sort_cmp(keys)));
-                }
-            }
-            let mut rows = run_masked(input, ctx, needed)?;
+        (Plan::Limit { input, n }, _) => {
+            let mut rows = run(input, child(0)?, ctx, needed)?;
             rows.truncate(*n as usize);
             Ok(rows)
         }
-        Plan::KeepCols { input, n } => {
+        (Plan::KeepCols { input, n }, _) => {
             let in_width = input.cols().len();
             let child_mask = needed.map(|mut m| {
                 m.resize(in_width, false);
                 m
             });
-            let mut rows = run_masked(input, ctx, child_mask)?;
+            let mut rows = run(input, child(0)?, ctx, child_mask)?;
             for row in &mut rows {
                 row.truncate(*n);
             }
             Ok(rows)
         }
-        Plan::Union { left, right, all } => {
+        (Plan::Union { left, right, all }, _) => {
             // Plain UNION dedups on full rows, so branches must materialize
             // every column; UNION ALL can push the caller's mask through.
             let child_mask = if *all { needed } else { None };
-            let mut rows = run_masked(left, ctx, child_mask.clone())?;
-            rows.extend(run_masked(right, ctx, child_mask)?);
-            if !*all {
-                let mut seen: HashMap<Vec<Value>, ()> = HashMap::with_capacity(rows.len());
-                rows.retain(|r| seen.insert(r.clone(), ()).is_none());
-            }
-            Ok(rows)
+            let mut rows = run(left, child(0)?, ctx, child_mask.clone())?;
+            rows.extend(run(right, child(1)?, ctx, child_mask)?);
+            Ok(if *all { rows } else { dedup(rows) })
+        }
+        (Plan::Join { .. }, _) => {
+            Err(Error::internal("join node lowered without its key decisions"))
         }
     }
+}
+
+/// First occurrences of each distinct row, in input order.
+fn dedup(mut rows: Vec<Row>) -> Vec<Row> {
+    let mut seen: std::collections::HashSet<Row> = std::collections::HashSet::with_capacity(rows.len());
+    rows.retain(|r| seen.insert(r.clone()));
+    rows
 }
 
 /// The columns of a bare scan of `table`, qualified by its name.
@@ -309,9 +282,8 @@ pub(crate) fn scan_filtered(
     predicate: Option<&Expr>,
     ctx: &ExecCtx,
 ) -> Result<Vec<Row>> {
-    let cols = table_cols(table);
-    let pred = predicate.map(|p| (p, cols.as_slice()));
-    scan_filtered_with(table, pred, ctx, None, None, None)
+    let spec = ScanSpec::compile(table, predicate, &table_cols(table), ctx.mode)?;
+    scan_table(table, &spec, ctx, None, None, false).map(|(rows, _)| rows)
 }
 
 /// The kernel IR: one compiled single-column predicate. A conjunction
@@ -319,7 +291,7 @@ pub(crate) fn scan_filtered(
 /// vector in turn; anything the compiler can't prove exact stays in the
 /// interpreted residual.
 #[derive(Debug, Clone)]
-enum Kernel {
+pub(crate) enum Kernel {
     /// Numeric comparison against a constant.
     Num { col: usize, op: BinaryOp, val: f64 },
     /// `col [NOT] BETWEEN lo AND hi` over a numeric column.
@@ -451,7 +423,7 @@ enum SpecKernel<'s> {
 /// order stays ascending, which is what keeps vectorized output order
 /// identical to the row-at-a-time scan.
 #[inline]
-fn compact(sel: &mut Vec<u32>, mut keep: impl FnMut(usize) -> bool) {
+pub(crate) fn compact(sel: &mut Vec<u32>, mut keep: impl FnMut(usize) -> bool) {
     let mut w = 0;
     for r in 0..sel.len() {
         if keep(sel[r] as usize) {
@@ -684,6 +656,64 @@ fn flip(op: BinaryOp) -> Option<BinaryOp> {
     })
 }
 
+/// A `Scan` / `Filter(Scan)` leaf, compiled once: the conjuncts that became
+/// kernels plus whatever stays with the interpreter as a residual.
+#[derive(Debug)]
+pub(crate) struct ScanSpec {
+    pub(crate) table: ObjectName,
+    pub(crate) kernels: Vec<Kernel>,
+    pub(crate) residual: Option<BoundExpr>,
+    /// Conjuncts in the predicate (kernels + those folded into `residual`).
+    conjuncts: usize,
+}
+
+impl ScanSpec {
+    /// Compile `predicate` over a scan of `table`. Forced interpreter mode
+    /// compiles nothing: the whole predicate is residual.
+    pub(crate) fn compile(
+        table: &AccelTable,
+        predicate: Option<&Expr>,
+        scan_cols: &[PlanCol],
+        mode: ExecMode,
+    ) -> Result<ScanSpec> {
+        let mut kernels: Vec<Kernel> = Vec::new();
+        let mut leftover: Vec<&Expr> = Vec::new();
+        let conjs = predicate.map(conjuncts).unwrap_or_default();
+        let conjuncts = conjs.len();
+        for conj in conjs {
+            let compiled = match mode {
+                ExecMode::Vectorized => compile_kernel(conj, table, scan_cols),
+                ExecMode::Interpreted => None,
+            };
+            match compiled {
+                Some(k) => kernels.push(k),
+                None => leftover.push(conj),
+            }
+        }
+        let residual = leftover
+            .into_iter()
+            .cloned()
+            .reduce(|a, b| Expr::Binary { left: Box::new(a), op: BinaryOp::And, right: Box::new(b) })
+            .map(|combined| bind(&combined, &resolver_of(scan_cols)))
+            .transpose()?;
+        Ok(ScanSpec { table: table.name.clone(), kernels, residual, conjuncts })
+    }
+
+    /// How this scan runs, for `EXPLAIN`'s `PIPELINE:` line.
+    pub(crate) fn describe(&self) -> String {
+        let (compiled, total) = (self.kernels.len(), self.conjuncts);
+        if total == 0 {
+            "vectorized (columnar scan, no kernels)".to_string()
+        } else if compiled == 0 {
+            format!("interpreted (0/{total} conjuncts compile to kernels)")
+        } else if compiled == total {
+            format!("vectorized ({compiled}/{total} conjuncts as kernels)")
+        } else {
+            format!("vectorized ({compiled}/{total} conjuncts as kernels + interpreted residual)")
+        }
+    }
+}
+
 /// Any-kernel zone test for one block: a block is skipped when any kernel's
 /// zone map proves it empty (superset rule: pruning is only ever a subset
 /// of what the kernels would reject row by row).
@@ -720,20 +750,20 @@ fn select_block(
     (start, end)
 }
 
-/// The scan front end for one slice. Per block: skip it when a kernel's
-/// zone map proves it empty, resolve visibility into a selection vector
-/// ([`select_block`]), let each kernel and then the derived join-filter
-/// compact it, and hand the survivors (ascending positions) to `sink`.
-/// Returns the number of batches run. `counted` is false for DML victim
-/// selection: the scan counters describe query work in every experiment
-/// table, so DML leaves them alone.
-fn scan_blocks(
+/// The scan front end for one slice — the source of every pipeline and of
+/// every row-path scan. Per block: skip it when a kernel's zone map proves
+/// it empty, resolve visibility into a selection vector ([`select_block`]),
+/// let each kernel compact it, and hand the survivors (ascending positions)
+/// to `sink`, which may compact the vector further. Returns the number of
+/// batches run. `counted` is false for DML victim selection: the scan
+/// counters describe query work in every experiment table, so DML leaves
+/// them alone.
+pub(crate) fn scan_blocks(
     slice: &Slice,
     kernels: &[Kernel],
-    prefilter: Option<&ProbeFilter>,
     ctx: &ExecCtx,
     counted: bool,
-    mut sink: impl FnMut(&[u32]) -> Result<()>,
+    mut sink: impl FnMut(&mut Vec<u32>) -> Result<()>,
 ) -> Result<u64> {
     let count = |counter: &AtomicU64, n: usize| {
         if counted {
@@ -743,7 +773,6 @@ fn scan_blocks(
     let stats = &ctx.engine.stats;
     let use_zones = ctx.engine.config.zone_maps;
     let spec: Vec<SpecKernel> = kernels.iter().map(|k| k.specialize(slice)).collect();
-    let probe: Option<SpecProbe> = prefilter.map(|pf| pf.specialize(slice));
     let total = slice.version_count();
     let mut sel: Vec<u32> = Vec::with_capacity(BLOCK_ROWS.min(total));
     let mut batches = 0u64;
@@ -761,43 +790,39 @@ fn scan_blocks(
             }
             k.filter(&mut sel);
         }
-        // The derived join-filter runs after the scan's own kernels: it
-        // only shrinks the selection, never prunes blocks, so every
-        // stats counter stays identical with and without it.
-        if let Some(p) = &probe {
-            if !sel.is_empty() {
-                p.filter(&mut sel);
-            }
-        }
-        sink(&sel)?;
+        sink(&mut sel)?;
         count(&stats.rows_scanned, end - start);
     }
     Ok(batches)
 }
 
 /// Run `f` over every slice of `table` through [`run_parts`], each part
-/// holding its slice's read lock; results come back in slice order.
-fn for_each_slice<T: Send>(
+/// holding its slice's read lock; results come back in slice order. The
+/// schedule follows what the parts will read — the rows in blocks `kernels`'
+/// zone maps cannot prune — so a narrow range query over a large table
+/// stays on the caller's thread.
+pub(crate) fn for_each_slice<T: Send>(
     table: &AccelTable,
+    kernels: &[Kernel],
     ctx: &ExecCtx,
     f: impl Fn(&Slice) -> Result<T> + Sync,
 ) -> Result<Vec<T>> {
     let slices = table.slices();
-    let workers = ctx.engine.config.workers();
-    run_parts(slices.len(), workers, table.version_count(), |si| f(&slices[si].read()))
+    let config = &ctx.engine.config;
+    let input: usize = slices
+        .iter()
+        .map(|s| {
+            let s = s.read();
+            let total = s.version_count();
+            (0..s.block_count())
+                .filter(|&b| !(config.zone_maps && zone_prunes(kernels, &s, b)))
+                .map(|b| BLOCK_ROWS.min(total - b * BLOCK_ROWS))
+                .sum::<usize>()
+        })
+        .sum();
+    run_parts(slices.len(), config.workers(), input, |si| f(&slices[si].read()))
         .into_iter()
         .collect()
-}
-
-fn scan_filtered_with(
-    table: &AccelTable,
-    pred: Option<(&Expr, &[PlanCol])>,
-    ctx: &ExecCtx,
-    needed: Option<Vec<bool>>,
-    prof_node: Option<&Plan>,
-    prefilter: Option<&ProbeFilter>,
-) -> Result<Vec<Row>> {
-    scan_table(table, pred, ctx, needed, prof_node, prefilter, false).map(|(rows, _)| rows)
 }
 
 /// `UPDATE`/`DELETE … WHERE` victim selection: the rows `filter` selects
@@ -811,71 +836,40 @@ pub(crate) fn scan_victims(
     ctx: &ExecCtx,
     needed: Option<Vec<bool>>,
 ) -> Result<Vec<(RowPos, Row)>> {
-    let cols = table_cols(table);
-    let pred = filter.map(|f| (f, cols.as_slice()));
-    let (rows, positions) = scan_table(table, pred, ctx, needed, None, None, true)?;
+    let spec = ScanSpec::compile(table, filter, &table_cols(table), ctx.mode)?;
+    let (rows, positions) = scan_table(table, &spec, ctx, needed, None, true)?;
     Ok(positions.into_iter().zip(rows).collect())
 }
 
-/// Scan `table`: the surviving rows, plus their positions when `victims`
-/// is set (a victim scan also leaves the scan counters untouched).
-fn scan_table(
+/// Scan `table` into rows: the survivors of `spec`, plus their positions
+/// when `victims` is set (a victim scan also leaves the scan counters
+/// untouched).
+pub(crate) fn scan_table(
     table: &AccelTable,
-    pred: Option<(&Expr, &[PlanCol])>,
+    spec: &ScanSpec,
     ctx: &ExecCtx,
     needed: Option<Vec<bool>>,
     prof_node: Option<&Plan>,
-    prefilter: Option<&ProbeFilter>,
     victims: bool,
 ) -> Result<(Vec<Row>, Vec<RowPos>)> {
-    // Compile conjuncts into kernels plus a residual predicate. Forced
-    // interpreter mode compiles nothing: the whole predicate is residual.
-    let mut kernels: Vec<Kernel> = Vec::new();
-    let mut residual: Option<BoundExpr> = None;
-    if let Some((predicate, scan_cols)) = pred {
-        let mut leftover: Vec<&Expr> = Vec::new();
-        for conj in idaa_host_conjuncts(predicate) {
-            let compiled = match ctx.mode {
-                ExecMode::Vectorized => compile_kernel(conj, table, scan_cols),
-                ExecMode::Interpreted => None,
-            };
-            match compiled {
-                Some(k) => kernels.push(k),
-                None => leftover.push(conj),
-            }
-        }
-        if !leftover.is_empty() {
-            let resolver = resolver_of(scan_cols);
-            let combined = leftover
-                .into_iter()
-                .cloned()
-                .reduce(|a, b| Expr::Binary {
-                    left: Box::new(a),
-                    op: BinaryOp::And,
-                    right: Box::new(b),
-                })
-                .expect("non-empty");
-            residual = Some(bind(&combined, &resolver)?);
-        }
-    }
+    let ScanSpec { kernels, residual, .. } = spec;
     // Effective materialization mask: what the caller reads plus what the
     // residual predicate reads. Kernel columns are evaluated directly on
     // the typed vectors and need no materialization.
     let width = table.schema.len();
-    let mask: Option<Vec<bool>> = match (&needed, &residual) {
-        (None, _) => None,
-        (Some(m), None) => Some(m.clone()),
-        (Some(m), Some(res)) => {
-            let mut set = std::collections::HashSet::new();
-            res.collect_columns(&mut set);
-            Some((0..width).map(|i| m.get(i).copied().unwrap_or(false) || set.contains(&i)).collect())
+    let mask: Option<Vec<bool>> = needed.map(|mut m| {
+        m.resize(width, false);
+        match residual {
+            Some(res) => union_mask(Some(m), mask_of(width, &[res])),
+            None => m,
         }
-    };
+    });
 
     // Late materialization: with no interpreted residual left, survivors
-    // are assembled column-at-a-time by projection kernels instead of the
-    // per-row loop. Interpreted mode keeps the row loop as the oracle.
+    // are assembled column-at-a-time by the pipeline's row gather instead
+    // of the per-row loop. Interpreted mode keeps the row loop as the oracle.
     let late_mat = ctx.mode == ExecMode::Vectorized && residual.is_none();
+    let all_cols: Vec<OutCol> = (0..width).map(OutCol::Probe).collect();
 
     // Per slice: materialize (and residual-check) only the survivors the
     // front end hands over, in ascending position order — the same output
@@ -883,15 +877,15 @@ fn scan_table(
     let scan_one = |slice: &Slice| -> Result<(Vec<Row>, Vec<u32>, u64)> {
         let mut out = Vec::new();
         let mut positions: Vec<u32> = Vec::new();
-        let batches = scan_blocks(slice, &kernels, prefilter, ctx, !victims, |sel| {
+        let batches = scan_blocks(slice, kernels, ctx, !victims, |sel| {
             if late_mat {
-                materialize_block(slice, sel, mask.as_deref(), &mut out);
+                gather(&all_cols, mask.as_deref(), slice, &[], sel, &[], &mut out)?;
                 if victims {
                     positions.extend_from_slice(sel);
                 }
                 return Ok(());
             }
-            for &p in sel {
+            for &p in sel.iter() {
                 let pos = p as usize;
                 let row: Row = match &mask {
                     None => slice.row_at(pos),
@@ -902,7 +896,7 @@ fn scan_table(
                         .map(|(i, c)| if m[i] { c.get(pos) } else { Value::Null })
                         .collect(),
                 };
-                if let Some(res) = &residual {
+                if let Some(res) = residual {
                     if !eval_predicate(res, &row)? {
                         continue;
                     }
@@ -920,58 +914,37 @@ fn scan_table(
     let mut out = Vec::new();
     let mut positions = Vec::new();
     let mut batches = 0u64;
-    for (si, (rows, pos, b)) in for_each_slice(table, ctx, scan_one)?.into_iter().enumerate() {
+    let per_slice = for_each_slice(table, kernels, ctx, scan_one)?;
+    for (si, (rows, pos, b)) in per_slice.into_iter().enumerate() {
         out.extend(rows);
         positions.extend(pos.into_iter().map(|p| RowPos { slice: si, pos: p as usize }));
         batches += b;
     }
-    // A scan counts as vectorized only when at least one kernel compiled
-    // (or a derived join-filter ran as one) — with zero kernels every row
-    // goes through the interpreted residual.
+    // A scan counts as vectorized only when at least one kernel compiled —
+    // with zero kernels every row goes through the interpreted residual.
     if let (Some(prof), Some(node)) = (ctx.profile, prof_node) {
-        if !kernels.is_empty() || prefilter.is_some() {
+        if !kernels.is_empty() {
             prof.record_vectorized(node, batches);
         }
     }
     Ok((out, positions))
 }
 
-/// Assemble output rows for one block's surviving selection with projection
-/// kernels: one typed pass per column (masked-out columns append NULL), so
-/// the per-position storage dispatch is paid once per column instead of
-/// once per value. Output is byte-identical to the per-row loop.
-fn materialize_block(slice: &Slice, sel: &[u32], mask: Option<&[bool]>, out: &mut Vec<Row>) {
-    if sel.is_empty() {
-        return;
-    }
-    let width = slice.columns.len();
-    let base = out.len();
-    out.extend(std::iter::repeat_with(|| Row::with_capacity(width)).take(sel.len()));
-    for (i, c) in slice.columns.iter().enumerate() {
-        if mask.is_none_or(|m| m[i]) {
-            c.gather_into(sel, &mut out[base..]);
-        } else {
-            for row in &mut out[base..] {
-                row.push(Value::Null);
-            }
-        }
-    }
-}
-
 /// Conjunct splitting (same shape as the host's — duplicated on purpose:
 /// the engines are independent systems in the architecture).
-fn idaa_host_conjuncts(e: &Expr) -> Vec<&Expr> {
+fn conjuncts(e: &Expr) -> Vec<&Expr> {
     match e {
         Expr::Binary { left, op: BinaryOp::And, right } => {
-            let mut out = idaa_host_conjuncts(left);
-            out.extend(idaa_host_conjuncts(right));
+            let mut out = conjuncts(left);
+            out.extend(conjuncts(right));
             out
         }
         other => vec![other],
     }
 }
 
-/// Comparator over `Plan::Sort` keys (shared by sort and top-K).
+/// Comparator over `Plan::Sort` keys (shared by the row sort and the
+/// pipeline's run merge).
 fn sort_cmp(keys: &[(usize, bool)]) -> impl Fn(&Row, &Row) -> std::cmp::Ordering + Sync + '_ {
     move |a, b| {
         for (i, desc) in keys {
@@ -985,161 +958,72 @@ fn sort_cmp(keys: &[(usize, bool)]) -> impl Fn(&Row, &Row) -> std::cmp::Ordering
     }
 }
 
-/// Stable sort, parallelized as chunk-sorts plus a k-way merge that breaks
-/// ties toward the earliest chunk — output is identical to a serial stable
-/// sort regardless of worker count.
-fn sort_rows(mut rows: Vec<Row>, keys: &[(usize, bool)], workers: usize) -> Vec<Row> {
+/// K-way merge of runs that are each sorted by `keys`, breaking ties toward
+/// the earliest run — with stably sorted runs of consecutive input, exactly
+/// a stable sort of their concatenation.
+pub(crate) fn merge_runs(mut runs: Vec<Vec<Row>>, keys: &[(usize, bool)]) -> Vec<Row> {
+    runs.retain(|r| !r.is_empty());
+    if runs.len() <= 1 {
+        return runs.pop().unwrap_or_default();
+    }
     let cmp = sort_cmp(keys);
-    if workers <= 1 || rows.len() <= 1 {
-        rows.sort_by(&cmp);
-        return rows;
-    }
-    let chunk = rows.len().div_ceil(workers).max(1);
-    let total = rows.len();
-    // `run_parts` wants `Fn`: each part takes its own (uncontended) lock to
-    // reach its chunk mutably.
-    let chunks: Vec<parking_lot::Mutex<&mut [Row]>> =
-        rows.chunks_mut(chunk).map(parking_lot::Mutex::new).collect();
-    run_parts(chunks.len(), workers, total, |ci| chunks[ci].lock().sort_by(&cmp));
-    drop(chunks);
-    let mut bounds: Vec<(usize, usize)> = Vec::new();
-    let mut start = 0;
-    while start < rows.len() {
-        let end = (start + chunk).min(rows.len());
-        bounds.push((start, end));
-        start = end;
-    }
-    let mut cursors: Vec<usize> = bounds.iter().map(|(s, _)| *s).collect();
-    let mut out = Vec::with_capacity(rows.len());
+    let mut cursors = vec![0usize; runs.len()];
+    let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
     loop {
         let mut best: Option<usize> = None;
-        for ci in 0..bounds.len() {
-            if cursors[ci] >= bounds[ci].1 {
+        for ri in 0..runs.len() {
+            if cursors[ri] >= runs[ri].len() {
                 continue;
             }
             best = match best {
-                None => Some(ci),
                 Some(b)
-                    if cmp(&rows[cursors[ci]], &rows[cursors[b]])
-                        == std::cmp::Ordering::Less =>
+                    if cmp(&runs[ri][cursors[ri]], &runs[b][cursors[b]])
+                        != std::cmp::Ordering::Less =>
                 {
-                    Some(ci)
+                    Some(b)
                 }
-                keep => keep,
+                _ => Some(ri),
             };
         }
-        match best {
-            None => break,
-            Some(b) => {
-                out.push(std::mem::take(&mut rows[cursors[b]]));
-                cursors[b] += 1;
-            }
-        }
+        let Some(b) = best else { return out };
+        out.push(std::mem::take(&mut runs[b][cursors[b]]));
+        cursors[b] += 1;
     }
-    out
 }
 
-/// Bounded top-K selection: the `k` smallest rows under `(cmp, input
-/// position)`, in that order — exactly a stable sort followed by
-/// `truncate(k)`, without sorting the rest.
-fn top_k<F: Fn(&Row, &Row) -> std::cmp::Ordering>(rows: Vec<Row>, k: usize, cmp: F) -> Vec<Row> {
-    if k == 0 {
-        return Vec::new();
-    }
-    // Sorted buffer of the current best k, worst last. Entries carry their
-    // input position so ties keep first-seen order (stable-sort semantics).
-    let mut buf: Vec<(usize, Row)> = Vec::with_capacity(k + 1);
-    for (seq, row) in rows.into_iter().enumerate() {
-        if buf.len() == k {
-            let (_, worst) = buf.last().expect("k > 0");
-            // Existing entries always have earlier positions, so an Equal
-            // comparison means the newcomer loses the tiebreak too.
-            if cmp(&row, worst) != std::cmp::Ordering::Less {
-                continue;
-            }
-        }
-        let pos = buf.partition_point(|(_, b)| cmp(b, &row) != std::cmp::Ordering::Greater);
-        buf.insert(pos, (seq, row));
-        buf.truncate(k);
-    }
-    buf.into_iter().map(|(_, r)| r).collect()
-}
-
-/// How a join's equi-key tuple is represented during build and probe.
-/// The layout is decided *statically* from the declared column types of the
-/// key expressions — integer↔integer keys compare exactly as raw `i64` and
-/// character↔character keys as trimmed strings, matching [`Value`] equality
-/// for those type pairs — and *verified* during extraction: any value
-/// outside the layout's class falls the whole join back to the generic
-/// `Vec<Value>` representation. Exact-or-fallback, like every kernel.
+/// The key layout a pipeline's probe stage can use for a join, decided
+/// *statically* from the declared column types of the key pair:
+/// integer↔integer keys compare exactly as raw `i64` and
+/// character↔character keys as blank-trimmed strings, matching [`Value`]
+/// equality for those type pairs. Anything else — mixed-type pairs (INT vs
+/// DOUBLE keep full [`Value`] equality), key expressions, multi-key tuples
+/// — is `Generic` and joins on the row path. Exact-or-fallback, like every
+/// kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KeyLayout {
+pub(crate) enum KeyLayout {
     I64,
     Str,
     Generic,
 }
 
-/// One row's join key under a [`KeyLayout`]. Both sides of a join always
-/// share a layout, so equality never compares across variants.
-#[derive(Debug, Clone, PartialEq)]
-enum JoinKey {
-    I64(i64),
-    /// Trailing blanks already trimmed (DB2 padded CHAR comparison).
-    Str(String),
-    Row(Vec<Value>),
-}
+/// One side's keys on the row path, extracted once: `None` marks a NULL key
+/// (SQL join keys never match on NULL), else the key tuple plus its hash.
+type Keyed = Vec<Option<(u64, Vec<Value>)>>;
 
-impl JoinKey {
-    /// Hash in the layout's shared domain: typed keys use the wire-level
-    /// key hashes (the same domain fleet gather summaries are built in),
-    /// generic keys keep the `Vec<Value>` hasher.
-    fn key_hash(&self) -> u64 {
-        match self {
-            JoinKey::I64(v) => key_hash_i64(*v),
-            JoinKey::Str(s) => key_hash_str(s),
-            JoinKey::Row(key) => {
-                let mut hasher = std::collections::hash_map::DefaultHasher::new();
-                key.hash(&mut hasher);
-                hasher.finish()
-            }
-        }
-    }
-}
-
-/// One side's keys, extracted once: `None` marks a NULL key (SQL join keys
-/// never match on NULL), else the key plus its 64-bit hash.
-type Keyed = Vec<Option<(u64, JoinKey)>>;
-
-/// Declared types whose values compare exactly as raw `i64` among
-/// themselves under [`Value`] integer-family equality.
-fn int_key_type(t: idaa_common::DataType) -> bool {
-    matches!(
-        t,
-        idaa_common::DataType::SmallInt
-            | idaa_common::DataType::Integer
-            | idaa_common::DataType::BigInt
-    )
-}
-
-/// Pick the key layout a join's equi-keys admit. Only single-key joins on
-/// bare columns qualify for a typed layout: mixed-type pairs (e.g. INT vs
-/// DOUBLE) must keep full [`Value`] equality semantics, and multi-key
-/// tuples keep the generic path.
 fn key_layout(
     lkeys: &[BoundExpr],
     lcols: &[PlanCol],
     rkeys: &[BoundExpr],
     rcols: &[PlanCol],
 ) -> KeyLayout {
-    if lkeys.len() != 1 {
-        return KeyLayout::Generic;
-    }
-    let (Some(li), Some(ri)) = (lkeys[0].as_column(), rkeys[0].as_column()) else {
+    use idaa_common::DataType::{BigInt, Integer, SmallInt};
+    let ([l], [r]) = (lkeys, rkeys) else { return KeyLayout::Generic };
+    let (Some(li), Some(ri)) = (l.as_column(), r.as_column()) else {
         return KeyLayout::Generic;
     };
-    let lt = lcols[li].data_type;
-    let rt = rcols[ri].data_type;
-    if int_key_type(lt) && int_key_type(rt) {
+    let (lt, rt) = (lcols[li].data_type, rcols[ri].data_type);
+    let int = |t| matches!(t, SmallInt | Integer | BigInt);
+    if int(lt) && int(rt) {
         KeyLayout::I64
     } else if lt.is_character() && rt.is_character() {
         KeyLayout::Str
@@ -1148,225 +1032,76 @@ fn key_layout(
     }
 }
 
-/// Evaluate one side's keys once, into the shared layout. Returns
-/// `Ok(None)` when a value falls outside the layout's class (the declared
-/// type lied — e.g. an expression rewrote the column) — the caller then
-/// re-extracts *both* sides generically.
-fn try_extract_keys(keys: &[BoundExpr], rows: &[Row], layout: KeyLayout) -> Result<Option<Keyed>> {
-    if layout == KeyLayout::Generic {
-        return extract_generic(keys, rows).map(Some);
-    }
-    let key_expr = &keys[0];
-    let mut out: Keyed = Vec::with_capacity(rows.len());
-    for row in rows {
-        let k = match (layout, eval(key_expr, row)?) {
-            (_, Value::Null) => None,
-            (KeyLayout::I64, Value::SmallInt(x)) => Some(JoinKey::I64(x as i64)),
-            (KeyLayout::I64, Value::Int(x)) => Some(JoinKey::I64(x as i64)),
-            (KeyLayout::I64, Value::BigInt(x)) => Some(JoinKey::I64(x)),
-            (KeyLayout::Str, Value::Varchar(mut s)) => {
-                s.truncate(s.trim_end_matches(' ').len());
-                Some(JoinKey::Str(s))
-            }
-            _ => return Ok(None),
-        };
-        out.push(k.map(|k| (k.key_hash(), k)));
-    }
-    Ok(Some(out))
-}
-
-/// Generic key extraction: the full `Vec<Value>` tuple per row, evaluated
-/// once per side (never re-hashed per probe).
-fn extract_generic(keys: &[BoundExpr], rows: &[Row]) -> Result<Keyed> {
+/// Evaluate one side's key tuples, once per row (never re-hashed per probe).
+fn extract_keys(keys: &[BoundExpr], rows: &[Row]) -> Result<Keyed> {
     rows.iter()
         .map(|row| {
             let key: Vec<Value> = keys.iter().map(|k| eval(k, row)).collect::<Result<_>>()?;
             if key.iter().any(Value::is_null) {
                 return Ok(None);
             }
-            let k = JoinKey::Row(key);
-            Ok(Some((k.key_hash(), k)))
+            let mut hasher = std::collections::hash_map::DefaultHasher::new();
+            key.hash(&mut hasher);
+            Ok(Some((hasher.finish(), key)))
         })
         .collect()
 }
 
-/// A derived join-filter pushed into the probe-side scan: the build side's
-/// key digest applied to the probe key column as one more selection-vector
-/// filter. It runs after the scan's compiled kernels and never prunes
-/// blocks, so `blocks_scanned`/`blocks_pruned`/`rows_scanned` stay
-/// byte-identical with and without it; the digest only ever false-positives
-/// (an inserted key always tests present), so on an INNER join it can only
-/// drop probe rows that could never match.
-struct ProbeFilter {
-    /// Probe key ordinal in the scan's schema.
-    col: usize,
-    summary: KeySummary,
+/// A join's static decisions, bound once at lowering: the ON predicate
+/// split into equi-key pairs per side, whether key equality covers the
+/// whole predicate, and the key layout the declared types admit. The row
+/// path runs from it and `EXPLAIN` describes it; a pipeline's probe stage
+/// is lowered from the same value.
+#[derive(Debug)]
+pub(crate) struct JoinSpec {
+    pub(crate) lkeys: Vec<BoundExpr>,
+    pub(crate) rkeys: Vec<BoundExpr>,
+    /// The whole ON predicate over the concatenated (left, right) row.
+    on: BoundExpr,
+    /// Every ON conjunct became an equi-key pair: key equality *is* the
+    /// predicate, and matched candidates skip the per-row ON re-check.
+    pub(crate) on_covered: bool,
+    pub(crate) layout: KeyLayout,
 }
 
-/// A [`ProbeFilter`] resolved against one slice's physical column vectors.
-enum SpecProbe<'s> {
-    I64 { vals: &'s [i64], nulls: &'s NullMap, summary: &'s KeySummary },
-    /// Dictionary columns test each distinct value once, then filter rows
-    /// by code through the precomputed keep table.
-    Dict { codes: &'s [u32], nulls: &'s NullMap, keep: Vec<bool> },
-    Generic { col: &'s Column, summary: &'s KeySummary },
-}
-
-impl ProbeFilter {
-    fn specialize<'s>(&'s self, slice: &'s Slice) -> SpecProbe<'s> {
-        let c = &slice.columns[self.col];
-        if let Some(vals) = c.i64_data() {
-            if int_key_type(c.data_type) {
-                return SpecProbe::I64 { vals, nulls: &c.nulls, summary: &self.summary };
+impl JoinSpec {
+    pub(crate) fn bind(left: &Plan, right: &Plan, on: &Expr) -> Result<JoinSpec> {
+        let (lcols, rcols) = (left.cols(), right.cols());
+        let (lres, rres) = (resolver_of(&lcols), resolver_of(&rcols));
+        let bound_on = bind(on, &lres.concat(&rres))?;
+        let conjs = conjuncts(on);
+        let mut lkeys: Vec<BoundExpr> = Vec::new();
+        let mut rkeys: Vec<BoundExpr> = Vec::new();
+        for conj in &conjs {
+            if let Expr::Binary { left: a, op: BinaryOp::Eq, right: b } = conj {
+                if let (Ok(la), Ok(rb)) = (bind(a, &lres), bind(b, &rres)) {
+                    lkeys.push(la);
+                    rkeys.push(rb);
+                } else if let (Ok(lb), Ok(ra)) = (bind(b, &lres), bind(a, &rres)) {
+                    lkeys.push(lb);
+                    rkeys.push(ra);
+                }
             }
         }
-        if let (Some(codes), Some(dict)) = (c.str_codes(), c.dictionary()) {
-            let keep = dict.iter().map(|v| self.summary.contains_str(v)).collect();
-            return SpecProbe::Dict { codes, nulls: &c.nulls, keep };
-        }
-        SpecProbe::Generic { col: c, summary: &self.summary }
+        let layout = key_layout(&lkeys, &lcols, &rkeys, &rcols);
+        Ok(JoinSpec { on_covered: lkeys.len() == conjs.len(), lkeys, rkeys, on: bound_on, layout })
     }
 }
 
-impl SpecProbe<'_> {
-    /// Drop selected positions whose key provably matches no build key.
-    /// NULL probe keys never join, so they drop too (INNER-only pushdown).
-    fn filter(&self, sel: &mut Vec<u32>) {
-        match self {
-            SpecProbe::I64 { vals, nulls, summary } => {
-                compact(sel, |p| !nulls.is_null(p) && summary.contains_i64(vals[p]))
-            }
-            SpecProbe::Dict { codes, nulls, keep } => {
-                compact(sel, |p| !nulls.is_null(p) && keep[codes[p] as usize])
-            }
-            SpecProbe::Generic { col, summary } => {
-                compact(sel, |p| summary.matches_value(&col.get(p)))
-            }
-        }
-    }
-}
-
-/// Is this plan a bare (possibly filtered) scan the derived join-filter can
-/// push into?
-fn probe_is_scan(plan: &Plan) -> bool {
-    match plan {
-        Plan::Scan { .. } => true,
-        Plan::Filter { input, .. } => matches!(input.as_ref(), Plan::Scan { .. }),
-        _ => false,
-    }
-}
-
-/// Split an ON predicate into equi-key pairs bindable against the two
-/// sides. Returns the key expression lists plus the total conjunct count
-/// (equal lengths mean key equality covers the whole predicate).
-fn equi_keys(
-    on: &Expr,
-    lres: &FlatResolver,
-    rres: &FlatResolver,
-) -> (Vec<BoundExpr>, Vec<BoundExpr>, usize) {
-    let conjs = idaa_host_conjuncts(on);
-    let total = conjs.len();
-    let mut lkeys: Vec<BoundExpr> = Vec::new();
-    let mut rkeys: Vec<BoundExpr> = Vec::new();
-    for conj in conjs {
-        if let Expr::Binary { left: a, op: BinaryOp::Eq, right: b } = conj {
-            if let (Ok(la), Ok(rb)) = (bind(a, lres), bind(b, rres)) {
-                lkeys.push(la);
-                rkeys.push(rb);
-                continue;
-            }
-            if let (Ok(lb), Ok(ra)) = (bind(b, lres), bind(a, rres)) {
-                lkeys.push(lb);
-                rkeys.push(ra);
-            }
-        }
-    }
-    (lkeys, rkeys, total)
-}
-
-/// Digest the build side's keys for probe-side pushdown. Only INNER joins
-/// with a typed layout over a plain (possibly filtered) probe-side scan
-/// qualify: LEFT joins must see every probe row to null-extend, and the
-/// interpreted oracle pushes nothing.
-fn derive_probe_filter(
-    left: &Plan,
-    lkeys: &[BoundExpr],
-    layout: KeyLayout,
-    kind: JoinKind,
-    mode: ExecMode,
-    rkeyed: &Keyed,
-) -> Option<ProbeFilter> {
-    if kind != JoinKind::Inner
-        || mode != ExecMode::Vectorized
-        || layout == KeyLayout::Generic
-        || !probe_is_scan(left)
-    {
-        return None;
-    }
-    let col = lkeys[0].as_column()?;
-    let mut summary = KeySummary::with_capacity(rkeyed.len());
-    for (_, key) in rkeyed.iter().flatten() {
-        match key {
-            JoinKey::I64(v) => summary.insert_i64(*v),
-            JoinKey::Str(s) => summary.insert_str(s),
-            JoinKey::Row(_) => return None,
-        }
-    }
-    Some(ProbeFilter { col, summary })
-}
-
-/// Execute the probe side of a join with a derived join-filter pushed into
-/// its scan (shapes pre-checked by [`derive_probe_filter`]; anything else
-/// falls back to the plain path).
-fn run_probe_scan(
-    left: &Plan,
-    ctx: &ExecCtx,
-    pf: &ProbeFilter,
-    needed: Option<Vec<bool>>,
-) -> Result<Vec<Row>> {
-    let rows = match left {
-        Plan::Scan { table, .. } => {
-            let t = ctx.engine.table(table)?;
-            scan_filtered_with(&t, None, ctx, needed, Some(left), Some(pf))?
-        }
-        Plan::Filter { input, predicate }
-            if matches!(input.as_ref(), Plan::Scan { .. }) =>
-        {
-            let Plan::Scan { table, .. } = input.as_ref() else { unreachable!() };
-            let t = ctx.engine.table(table)?;
-            let cols = input.cols();
-            scan_filtered_with(&t, Some((predicate, &cols)), ctx, needed, Some(left), Some(pf))?
-        }
-        _ => return run_masked(left, ctx, needed),
-    };
-    if let Some(prof) = ctx.profile {
-        prof.record(left, rows.len() as u64);
-    }
-    Ok(rows)
-}
-
+/// The row-path join, on `Vec<Value>` key tuples: LEFT joins, multi-key or
+/// generic-layout keys, residual ON conjuncts, non-scan inputs, and every
+/// join in interpreted mode.
 fn run_join(
     plan: &Plan,
-    left: &Plan,
-    right: &Plan,
+    (left, llow): (&Plan, &Lowered),
+    (right, rlow): (&Plan, &Lowered),
     kind: JoinKind,
-    on: &Expr,
+    spec: &JoinSpec,
     ctx: &ExecCtx,
     needed: Option<Vec<bool>>,
 ) -> Result<Vec<Row>> {
-    let lcols = left.cols();
-    let rcols = right.cols();
-    let lres = resolver_of(&lcols);
-    let rres = resolver_of(&rcols);
-    let combined = lres.concat(&rres);
-    let bound_on = bind(on, &combined)?;
-
-    let (lkeys, rkeys, total_conjs) = equi_keys(on, &lres, &rres);
-    // When every ON conjunct became an equi-key pair, key equality *is* the
-    // whole predicate — matched candidates skip the per-row ON re-check.
-    let on_covered = lkeys.len() == total_conjs;
-
-    let rwidth = rcols.len();
+    let JoinSpec { lkeys, rkeys, on, on_covered, .. } = spec;
+    let (lwidth, rwidth) = (left.cols().len(), right.cols().len());
     let workers = ctx.engine.config.workers();
 
     // Projection pushdown through the join: each side materializes what the
@@ -1375,52 +1110,26 @@ fn run_join(
     let (lmask, rmask) = match needed {
         None => (None, None),
         Some(mut m) => {
-            m.resize(lcols.len() + rwidth, false);
-            let mut l = union_mask(Some(m), mask_of(lcols.len() + rwidth, &[&bound_on]));
-            let r = l.split_off(lcols.len());
+            m.resize(lwidth + rwidth, false);
+            let mut l = union_mask(Some(m), mask_of(lwidth + rwidth, &[on]));
+            let r = l.split_off(lwidth);
             (Some(l), Some(r))
         }
     };
-
-    // Build side (right) first: its finished key digest can pre-filter the
-    // probe-side scan before any probe row materializes.
-    let rrows = run_masked(right, ctx, rmask)?;
-
+    // Build side (right) first, like the pipeline's probe stage.
+    let rrows = run(right, rlow, ctx, rmask)?;
+    let lrows = run(left, llow, ctx, lmask)?;
     if lkeys.is_empty() {
-        let lrows = run_masked(left, ctx, lmask)?;
-        return nested_loop_join(&lrows, &rrows, kind, &bound_on, rwidth, workers);
+        return nested_loop_join(&lrows, &rrows, kind, on, rwidth, workers);
     }
-
-    let mut layout = key_layout(&lkeys, &lcols, &rkeys, &rcols);
-    let mut rkeyed = match try_extract_keys(&rkeys, &rrows, layout)? {
-        Some(k) => k,
-        None => {
-            layout = KeyLayout::Generic;
-            extract_generic(&rkeys, &rrows)?
-        }
-    };
-
-    let prefilter = derive_probe_filter(left, &lkeys, layout, kind, ctx.mode, &rkeyed);
-    let lrows = match &prefilter {
-        Some(pf) => run_probe_scan(left, ctx, pf, lmask)?,
-        None => run_masked(left, ctx, lmask)?,
-    };
-
-    let lkeyed = match try_extract_keys(&lkeys, &lrows, layout)? {
-        Some(k) => k,
-        None => {
-            // A probe value fell outside the layout class. This can only
-            // happen when no filter was pushed (a typed layout over a bare
-            // scan column always yields in-class values), so re-extracting
-            // both sides generically is safe and exact.
-            rkeyed = extract_generic(&rkeys, &rrows)?;
-            extract_generic(&lkeys, &lrows)?
-        }
-    };
-
-    let residual_on = if on_covered { None } else { Some(&bound_on) };
+    let (lkeyed, rkeyed) = (extract_keys(lkeys, &lrows)?, extract_keys(rkeys, &rrows)?);
+    let residual_on = if *on_covered { None } else { Some(on) };
+    // What the partitions are follows the configuration and the data, never
+    // the machine: an unordered join result — and the frame bytes it
+    // encodes to — must not depend on the CPU count.
+    let parts = ctx.engine.config.slices.clamp(1, lrows.len().max(1));
     let (out, bloom_skipped) =
-        hash_join(&lrows, &rrows, kind, &lkeyed, &rkeyed, residual_on, rwidth, workers)?;
+        hash_join(&lrows, &rrows, kind, &lkeyed, &rkeyed, residual_on, rwidth, parts, workers)?;
     if let Some(prof) = ctx.profile {
         prof.record_bloom(plan, bloom_skipped);
     }
@@ -1428,16 +1137,16 @@ fn run_join(
 }
 
 /// Partitioned parallel hash join over pre-extracted keys: both sides are
-/// split by key hash across the worker pool, each partition builds a hash
+/// split by key hash into `parts` partitions, each partition builds a hash
 /// table *and a Bloom filter* over its build keys and probes independently,
-/// and partition outputs concatenate in partition order (deterministic for
-/// a given configuration). The Bloom filter is consulted before any hash
-/// table lookup; it only ever false-positives, so skipped probes are
-/// exactly the hash-table misses (the second returned value counts them).
-/// LEFT-join padding stays correct because a probe row's key maps it to
-/// exactly one partition — a Bloom skip leaves `matched` false and the row
-/// null-extends in place; probe rows with NULL keys ride along in
-/// partition 0 and can only null-extend.
+/// and partition outputs concatenate in partition order (so the output
+/// order is a function of `parts`, not of who ran them). The Bloom filter
+/// is consulted before any hash table lookup; it only ever false-positives,
+/// so skipped probes are exactly the hash-table misses (the second returned
+/// value counts them). LEFT-join padding stays correct because a probe
+/// row's key maps it to exactly one partition — a Bloom skip leaves
+/// `matched` false and the row null-extends in place; probe rows with NULL
+/// keys ride along in partition 0 and can only null-extend.
 #[allow(clippy::too_many_arguments)]
 fn hash_join(
     lrows: &[Row],
@@ -1447,13 +1156,14 @@ fn hash_join(
     rkeyed: &Keyed,
     residual_on: Option<&BoundExpr>,
     rwidth: usize,
+    parts: usize,
     workers: usize,
 ) -> Result<(Vec<Row>, u64)> {
-    let parts = workers.clamp(1, lrows.len().max(1));
-    let mut build_parts: Vec<Vec<usize>> = vec![Vec::new(); parts];
+    let parts = parts.max(1);
+    let mut build_parts: Vec<Vec<(usize, u64, &Vec<Value>)>> = vec![Vec::new(); parts];
     for (i, k) in rkeyed.iter().enumerate() {
-        if let Some((h, _)) = k {
-            build_parts[(h % parts as u64) as usize].push(i);
+        if let Some((h, key)) = k {
+            build_parts[(h % parts as u64) as usize].push((i, *h, key));
         }
     }
     let mut probe_parts: Vec<Vec<usize>> = vec![Vec::new(); parts];
@@ -1464,13 +1174,12 @@ fn hash_join(
 
     let input = lrows.len() + rrows.len();
     let results = run_parts(parts, workers, input, |p| -> Result<(Vec<Row>, u64)> {
-        let mut table: HashMap<u64, Vec<usize>> =
+        let mut table: HashMap<u64, Vec<(usize, &Vec<Value>)>> =
             HashMap::with_capacity(build_parts[p].len());
         let mut bloom = KeySummary::with_capacity(build_parts[p].len());
-        for &ri in &build_parts[p] {
-            let (h, _) = rkeyed[ri].as_ref().expect("build partitions hold keyed rows");
-            bloom.insert_hash(*h);
-            table.entry(*h).or_default().push(ri);
+        for &(ri, h, key) in &build_parts[p] {
+            bloom.insert_hash(h);
+            table.entry(h).or_default().push((ri, key));
         }
         let mut out = Vec::new();
         let mut skipped = 0u64;
@@ -1480,8 +1189,7 @@ fn hash_join(
                 if !bloom.might_contain(*h) {
                     skipped += 1;
                 } else if let Some(cands) = table.get(h) {
-                    for &ri in cands {
-                        let (_, rkey) = rkeyed[ri].as_ref().expect("keyed");
+                    for &(ri, rkey) in cands {
                         if rkey != key {
                             continue; // same hash bucket, different key
                         }
@@ -1557,358 +1265,15 @@ fn nested_loop_join(
     Ok(out)
 }
 
-/// One aggregate argument in a fused pipeline.
-enum FusedArg {
-    Star,
-    Col(usize),
-    Expr(BoundExpr),
-}
-
-/// A [`FusedArg`] specialized against one slice's column vectors. Integer
-/// and double columns feed accumulators through the typed
-/// [`AggState::update_i64`]/[`AggState::update_f64`] entry points — no
-/// per-row [`Value`] construction; every other shape keeps the generic
-/// per-value path.
-enum ArgSlot<'a> {
-    Star,
-    I64 { vals: &'a [i64], nulls: &'a NullMap, native: fn(i64) -> Value },
-    F64 { vals: &'a [f64], nulls: &'a NullMap },
-    Generic(usize),
-    Expr(&'a BoundExpr),
-}
-
-impl<'a> ArgSlot<'a> {
-    fn specialize(arg: &'a FusedArg, slice: &'a Slice) -> ArgSlot<'a> {
-        match arg {
-            FusedArg::Star => ArgSlot::Star,
-            FusedArg::Expr(b) => ArgSlot::Expr(b),
-            FusedArg::Col(i) => {
-                let c = &slice.columns[*i];
-                // `native` must rebuild exactly what `Column::get` renders
-                // for the declared type, or typed accumulation drifts from
-                // the interpreter (e.g. a single-row SUM keeps the native
-                // type; only the second value promotes to BigInt).
-                let native: Option<fn(i64) -> Value> = match c.data_type {
-                    idaa_common::DataType::SmallInt => Some(|v| Value::SmallInt(v as i16)),
-                    idaa_common::DataType::Integer => Some(|v| Value::Int(v as i32)),
-                    idaa_common::DataType::BigInt => Some(Value::BigInt),
-                    _ => None,
-                };
-                match (c.i64_data(), c.f64_data(), native) {
-                    (Some(vals), _, Some(native)) => {
-                        ArgSlot::I64 { vals, nulls: &c.nulls, native }
-                    }
-                    (_, Some(vals), _) if c.data_type == idaa_common::DataType::Double => {
-                        ArgSlot::F64 { vals, nulls: &c.nulls }
-                    }
-                    _ => ArgSlot::Generic(*i),
-                }
-            }
-        }
-    }
-}
-
-/// A fully compiled fused scan→filter→aggregate pipeline. Produced by
-/// [`compile_fused`]; `None` from there means the plan takes the
-/// interpreted [`run_aggregate`] path instead.
-struct FusedPipeline {
-    table: std::sync::Arc<AccelTable>,
-    key_ords: Vec<usize>,
-    args: Vec<FusedArg>,
-    /// Ordinals any expression argument reads (scratch-row fill list).
-    expr_cols: Vec<usize>,
-    kernels: Vec<Kernel>,
-}
-
-/// Check whether `Aggregate(input)` can run fused, and compile it if so:
-/// the input must be `Scan` or `Filter(Scan)`, every group key a bare
-/// column, every aggregate argument bindable against the scan, and the
-/// whole predicate must compile to kernels.
-fn compile_fused(
-    input: &Plan,
-    group_exprs: &[Expr],
-    aggs: &[idaa_sql::plan::AggCall],
-    engine: &AccelEngine,
-) -> Result<Option<FusedPipeline>> {
-    let (table_name, predicate, scan_cols) = match input {
-        Plan::Scan { table, cols, .. } if !cols.is_empty() => (table, None, cols.clone()),
-        Plan::Filter { input: inner, predicate } => match inner.as_ref() {
-            Plan::Scan { table, cols, .. } if !cols.is_empty() => {
-                (table, Some(predicate), cols.clone())
-            }
-            _ => return Ok(None),
-        },
-        _ => return Ok(None),
-    };
-    let table = engine.table(table_name)?;
-    // Group keys must be bare columns of the scan; aggregate arguments may
-    // additionally be scalar expressions over scan columns (CAST, arithmetic
-    // on a column, …) — those evaluate against a scratch row holding only
-    // the columns the expression reads.
-    let resolver = resolver_of(&scan_cols);
-    let mut key_ords = Vec::with_capacity(group_exprs.len());
-    for g in group_exprs {
-        match bind(g, &resolver) {
-            Ok(b) => match b.as_column() {
-                Some(i) => key_ords.push(i),
-                None => return Ok(None),
-            },
-            Err(_) => return Ok(None),
-        }
-    }
-    let mut args: Vec<FusedArg> = Vec::with_capacity(aggs.len());
-    let mut expr_cols: std::collections::HashSet<usize> = std::collections::HashSet::new();
-    for a in aggs {
-        match &a.arg {
-            None => args.push(FusedArg::Star),
-            Some(e) => match bind(e, &resolver) {
-                Ok(b) => match b.as_column() {
-                    Some(i) => args.push(FusedArg::Col(i)),
-                    None => {
-                        b.collect_columns(&mut expr_cols);
-                        args.push(FusedArg::Expr(b));
-                    }
-                },
-                Err(_) => return Ok(None),
-            },
-        }
-    }
-    let expr_cols: Vec<usize> = {
-        let mut v: Vec<usize> = expr_cols.into_iter().collect();
-        v.sort_unstable();
-        v
-    };
-    // The whole predicate must compile to kernels.
-    let mut kernels: Vec<Kernel> = Vec::new();
-    if let Some(pred) = predicate {
-        for conj in idaa_host_conjuncts(pred) {
-            match compile_kernel(conj, &table, &scan_cols) {
-                Some(k) => kernels.push(k),
-                None => return Ok(None),
-            }
-        }
-    }
-    Ok(Some(FusedPipeline { table, key_ords, args, expr_cols, kernels }))
-}
-
-/// Fused vectorized aggregation: when the plan is `Aggregate(Filter(Scan))`
-/// (or `Aggregate(Scan)`), every group key and aggregate argument is a bare
-/// column, and the whole predicate compiles to kernels, aggregate states are
-/// fed *directly from the column vectors* over the surviving selection
-/// vector — no row materialization, no per-row expression interpretation.
-/// This is the accelerator's bread and butter for reporting queries.
-fn try_fused_aggregate(
-    agg_node: &Plan,
-    input: &Plan,
-    group_exprs: &[Expr],
-    aggs: &[idaa_sql::plan::AggCall],
-    ctx: &ExecCtx,
-) -> Result<Option<Vec<Row>>> {
-    if ctx.mode == ExecMode::Interpreted {
-        return Ok(None);
-    }
-    let Some(fused) = compile_fused(input, group_exprs, aggs, ctx.engine)? else {
-        return Ok(None);
-    };
-    let FusedPipeline { table, key_ords, args, expr_cols, kernels } = &fused;
-    let width = table.schema.len();
-    let new_states =
-        || -> Vec<AggState> { aggs.iter().map(|a| AggState::new(a.kind, a.distinct)).collect() };
-
-    let fuse_slice = |slice: &Slice| -> Result<(Groups, u64)> {
-        let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-        let mut groups: Groups = Vec::new();
-        // Typed accumulation slots: column arguments whose slice vector
-        // is numeric feed `AggState` through the monomorphic
-        // `update_i64`/`update_f64` entry points; everything else goes
-        // through the generic per-value path.
-        let slots: Vec<ArgSlot<'_>> = args.iter().map(|a| ArgSlot::specialize(a, slice)).collect();
-        // Single dictionary-string group key: map dictionary codes to
-        // group indices through a dense table (slot 0 = NULL) instead
-        // of hashing a materialized `Vec<Value>` key per row. Group
-        // creation stays in first-occurrence order, so merge order is
-        // unchanged.
-        let mut dict_key: Option<(&[u32], &NullMap, Vec<usize>)> = match key_ords.as_slice() {
-            [k] => {
-                let col = &slice.columns[*k];
-                col.str_codes().map(|codes| {
-                    let dict_len = col.dictionary().map_or(0, <[String]>::len);
-                    (codes, &col.nulls, vec![usize::MAX; dict_len + 1])
-                })
-            }
-            _ => None,
-        };
-        // Scratch row for expression arguments: only the ordinals an
-        // expression reads are ever filled in.
-        let mut scratch: Row = vec![Value::Null; width];
-        let batches = scan_blocks(slice, kernels, None, ctx, true, |sel| {
-            for &p in sel {
-                let pos = p as usize;
-                let gi = if key_ords.is_empty() {
-                    if groups.is_empty() {
-                        groups.push((Vec::new(), new_states()));
-                    }
-                    0
-                } else if let Some((codes, knulls, map)) = &mut dict_key {
-                    // NULL rows carry the empty-string code, so the
-                    // null bit must decide the slot before the code.
-                    let slot = if knulls.is_null(pos) { 0 } else { codes[pos] as usize + 1 };
-                    match map[slot] {
-                        usize::MAX => {
-                            groups.push((vec![slice.columns[key_ords[0]].get(pos)], new_states()));
-                            map[slot] = groups.len() - 1;
-                            groups.len() - 1
-                        }
-                        i => i,
-                    }
-                } else {
-                    let key: Vec<Value> =
-                        key_ords.iter().map(|&i| slice.columns[i].get(pos)).collect();
-                    match index.get(&key) {
-                        Some(&i) => i,
-                        None => {
-                            groups.push((key.clone(), new_states()));
-                            index.insert(key, groups.len() - 1);
-                            groups.len() - 1
-                        }
-                    }
-                };
-                for &c in expr_cols {
-                    scratch[c] = slice.columns[c].get(pos);
-                }
-                for (state, slot) in groups[gi].1.iter_mut().zip(&slots) {
-                    match slot {
-                        ArgSlot::Star => state.update(&Value::Null)?,
-                        ArgSlot::I64 { vals, nulls, native } => {
-                            if !nulls.is_null(pos) {
-                                state.update_i64(vals[pos], native)?;
-                            }
-                        }
-                        ArgSlot::F64 { vals, nulls } => {
-                            if !nulls.is_null(pos) {
-                                state.update_f64(vals[pos])?;
-                            }
-                        }
-                        ArgSlot::Generic(i) => state.update(&slice.columns[*i].get(pos))?,
-                        ArgSlot::Expr(b) => state.update(&eval(b, &scratch)?)?,
-                    }
-                }
-            }
-            Ok(())
-        })?;
-        Ok((groups, batches))
-    };
-
-    // One partial per slice, fanned out like the base scan, merged in slice
-    // order so group order matches the serial pass.
-    let partials = for_each_slice(table, ctx, fuse_slice)?;
-    let mut batches = 0u64;
-    let mut groups_parts = Vec::with_capacity(partials.len());
-    for (g, b) in partials {
-        groups_parts.push(g);
-        batches += b;
-    }
-    if let Some(prof) = ctx.profile {
-        prof.record_vectorized(agg_node, batches);
-    }
-    let groups = merge_groups(groups_parts)?;
-    Ok(Some(finish_groups(groups, group_exprs, aggs)?))
-}
-
-/// Classify which pipeline the accelerator would use for `plan` — surfaced
-/// through plain `EXPLAIN` without executing anything.
-pub fn describe_pipeline(plan: &Plan, engine: &AccelEngine) -> String {
-    if let Some(desc) = find_fused(plan, engine) {
-        return desc;
-    }
-    if let Some(desc) = find_join(plan) {
-        return desc;
-    }
-    describe_scan(plan, engine)
-        .unwrap_or_else(|| "interpreted (no batch-eligible scan)".to_string())
-}
-
-/// Report on the first join in the tree, mirroring `run_join`'s static
-/// decisions: equi-key extraction, declared-type key layout, Bloom-guarded
-/// probe, and whether the build digest pushes into the probe scan as a
-/// derived join-filter.
-fn find_join(plan: &Plan) -> Option<String> {
-    if let Plan::Join { left, right, kind, on } = plan {
-        let lcols = left.cols();
-        let rcols = right.cols();
-        let lres = resolver_of(&lcols);
-        let rres = resolver_of(&rcols);
-        let (lkeys, rkeys, _) = equi_keys(on, &lres, &rres);
-        if lkeys.is_empty() {
-            return Some("interpreted (nested-loop join)".to_string());
-        }
-        let layout = key_layout(&lkeys, &lcols, &rkeys, &rcols);
-        let keys = match layout {
-            KeyLayout::I64 => "typed i64 keys",
-            KeyLayout::Str => "typed string keys",
-            KeyLayout::Generic => "generic keys",
-        };
-        let pushdown =
-            layout != KeyLayout::Generic && *kind == JoinKind::Inner && probe_is_scan(left);
-        return Some(match (layout, pushdown) {
-            (KeyLayout::Generic, _) => {
-                format!("interpreted (hash join: {keys}, bloom-guarded probe)")
-            }
-            (_, true) => format!(
-                "vectorized (hash join: {keys}, bloom-guarded probe, derived probe filter)"
-            ),
-            (_, false) => format!("vectorized (hash join: {keys}, bloom-guarded probe)"),
-        });
-    }
-    plan.children().into_iter().find_map(find_join)
-}
-
-/// Find the first aggregate in the tree that would take the fused path
-/// (aggregates usually sit under a `Project`, so the root alone is not
-/// enough).
-fn find_fused(plan: &Plan, engine: &AccelEngine) -> Option<String> {
-    if let Plan::Aggregate { input, group_exprs, aggs, .. } = plan {
-        if matches!(compile_fused(input, group_exprs, aggs, engine), Ok(Some(_))) {
-            return Some("vectorized (fused scan-filter-aggregate)".to_string());
-        }
-    }
-    plan.children().into_iter().find_map(|c| find_fused(c, engine))
-}
-
-/// Report on the first filtered scan in the tree: how many conjuncts
-/// compile to kernels and whether an interpreted residual remains.
-fn describe_scan(plan: &Plan, engine: &AccelEngine) -> Option<String> {
-    match plan {
-        Plan::Filter { input, predicate } => {
-            if let Plan::Scan { table, .. } = input.as_ref() {
-                let t = engine.table(table).ok()?;
-                let cols = input.cols();
-                let conjs = idaa_host_conjuncts(predicate);
-                let total = conjs.len();
-                let compiled =
-                    conjs.iter().filter(|c| compile_kernel(c, &t, &cols).is_some()).count();
-                return Some(if compiled == 0 {
-                    format!("interpreted (0/{total} conjuncts compile to kernels)")
-                } else if compiled == total {
-                    format!("vectorized ({compiled}/{total} conjuncts as kernels)")
-                } else {
-                    format!(
-                        "vectorized ({compiled}/{total} conjuncts as kernels + interpreted residual)"
-                    )
-                });
-            }
-            describe_scan(input, engine)
-        }
-        Plan::Scan { .. } => Some("vectorized (columnar scan, no kernels)".to_string()),
-        _ => plan.children().into_iter().find_map(|c| describe_scan(c, engine)),
-    }
-}
-
 /// Grouped partial-aggregation state: insertion-ordered groups plus a key
 /// index. Insertion order is what makes chunked aggregation deterministic —
 /// merging chunk results in chunk order reproduces the serial
 /// first-encounter group order exactly.
-type Groups = Vec<(Vec<Value>, Vec<AggState>)>;
+pub(crate) type Groups = Vec<(Vec<Value>, Vec<AggState>)>;
+
+pub(crate) fn new_states(aggs: &[idaa_sql::plan::AggCall]) -> Vec<AggState> {
+    aggs.iter().map(|a| AggState::new(a.kind, a.distinct)).collect()
+}
 
 /// Aggregate one run of rows into insertion-ordered groups.
 fn aggregate_rows(
@@ -1924,10 +1289,7 @@ fn aggregate_rows(
         let gi = match index.get(&key) {
             Some(&i) => i,
             None => {
-                groups.push((
-                    key.clone(),
-                    aggs.iter().map(|a| AggState::new(a.kind, a.distinct)).collect(),
-                ));
+                groups.push((key.clone(), new_states(aggs)));
                 index.insert(key, groups.len() - 1);
                 groups.len() - 1
             }
@@ -1943,8 +1305,9 @@ fn aggregate_rows(
     Ok(groups)
 }
 
-/// Fold per-worker partial groups together in worker order.
-fn merge_groups(parts: Vec<Groups>) -> Result<Groups> {
+/// Fold partial groups together in part order (slices for a pipeline's
+/// aggregate sink, chunks for the row path).
+pub(crate) fn merge_groups(parts: Vec<Groups>) -> Result<Groups> {
     let mut iter = parts.into_iter();
     let mut acc = iter.next().unwrap_or_default();
     let mut index: HashMap<Vec<Value>, usize> =
@@ -1968,9 +1331,13 @@ fn merge_groups(parts: Vec<Groups>) -> Result<Groups> {
 }
 
 /// Turn finished groups into output rows (`key columns… then aggregates…`).
-fn finish_groups(mut groups: Groups, group_exprs: &[Expr], aggs: &[idaa_sql::plan::AggCall]) -> Result<Vec<Row>> {
+pub(crate) fn finish_groups(
+    mut groups: Groups,
+    group_exprs: &[Expr],
+    aggs: &[idaa_sql::plan::AggCall],
+) -> Result<Vec<Row>> {
     if groups.is_empty() && group_exprs.is_empty() {
-        groups.push((vec![], aggs.iter().map(|a| AggState::new(a.kind, a.distinct)).collect()));
+        groups.push((vec![], new_states(aggs)));
     }
     groups
         .into_iter()
@@ -1985,6 +1352,7 @@ fn finish_groups(mut groups: Groups, group_exprs: &[Expr], aggs: &[idaa_sql::pla
 
 fn run_aggregate(
     input: &Plan,
+    low: &Lowered,
     group_exprs: &[Expr],
     aggs: &[idaa_sql::plan::AggCall],
     ctx: &ExecCtx,
@@ -2001,7 +1369,7 @@ fn run_aggregate(
     let refs: Vec<&BoundExpr> =
         bound_keys.iter().chain(bound_args.iter().flatten()).collect();
     let child_mask = mask_of(cols.len(), &refs);
-    let rows = run_masked(input, ctx, Some(child_mask))?;
+    let rows = run(input, low, ctx, Some(child_mask))?;
 
     let workers = ctx.engine.config.workers();
     let groups = if workers > 1 && rows.len() > 1 {
@@ -2024,7 +1392,7 @@ fn run_aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idaa_common::{DataType, ObjectName};
+    use idaa_common::{ColumnDef, DataType, ObjectName, Schema};
 
     #[test]
     fn zone_pruning_rules() {
@@ -2096,31 +1464,20 @@ mod tests {
                 data_type: c.data_type,
             })
             .collect();
-        // col < lit compiles.
-        let e = idaa_sql::parse_statement("SELECT 1 FROM t WHERE a < 5").unwrap();
-        let idaa_sql::Statement::Query(q) = e else { panic!() };
-        let k = compile_kernel(q.filter.as_ref().unwrap(), &table, &cols);
-        assert!(matches!(k, Some(Kernel::Num { op: BinaryOp::Lt, .. })));
-        // lit > col flips.
-        let e = idaa_sql::parse_statement("SELECT 1 FROM t WHERE 5 > a").unwrap();
-        let idaa_sql::Statement::Query(q) = e else { panic!() };
-        let k = compile_kernel(q.filter.as_ref().unwrap(), &table, &cols);
-        assert!(matches!(k, Some(Kernel::Num { op: BinaryOp::Lt, .. })));
-        // string equality compiles to the string kernel.
-        let e = idaa_sql::parse_statement("SELECT 1 FROM t WHERE s = 'x'").unwrap();
-        let idaa_sql::Statement::Query(q) = e else { panic!() };
-        let k = compile_kernel(q.filter.as_ref().unwrap(), &table, &cols);
-        assert!(matches!(k, Some(Kernel::Str { negated: false, .. })));
-        // LIKE does not compile (stays residual).
-        let e = idaa_sql::parse_statement("SELECT 1 FROM t WHERE s LIKE 'x%'").unwrap();
-        let idaa_sql::Statement::Query(q) = e else { panic!() };
-        assert!(compile_kernel(q.filter.as_ref().unwrap(), &table, &cols).is_none());
-
         let compile = |sql: &str| {
             let e = idaa_sql::parse_statement(sql).unwrap();
             let idaa_sql::Statement::Query(q) = e else { panic!() };
             compile_kernel(q.filter.as_ref().unwrap(), &table, &cols)
         };
+        // col < lit compiles; lit > col flips.
+        for sql in ["SELECT 1 FROM t WHERE a < 5", "SELECT 1 FROM t WHERE 5 > a"] {
+            assert!(matches!(compile(sql), Some(Kernel::Num { op: BinaryOp::Lt, .. })), "{sql}");
+        }
+        // string equality compiles to the string kernel.
+        let k = compile("SELECT 1 FROM t WHERE s = 'x'");
+        assert!(matches!(k, Some(Kernel::Str { negated: false, .. })));
+        // LIKE does not compile (stays residual).
+        assert!(compile("SELECT 1 FROM t WHERE s LIKE 'x%'").is_none());
         // BETWEEN over a numeric column compiles to a range kernel.
         let k = compile("SELECT 1 FROM t WHERE a BETWEEN 1 AND 5");
         assert!(
@@ -2241,30 +1598,17 @@ mod tests {
             // NULL never matches a comparison or range, and IS [NOT] NULL
             // reads only the null bitmap.
             let oracle: Vec<u32> = (0..rows.len())
-                .filter(|&p| {
-                    let null = slice.columns[match kernel {
-                        Kernel::Num { col, .. }
-                        | Kernel::Range { col, .. }
-                        | Kernel::Str { col, .. }
-                        | Kernel::IsNull { col, .. } => *col,
-                    }]
-                    .nulls
-                    .is_null(p);
-                    match kernel {
-                        Kernel::Num { col, op, val } => match slice.columns[*col].numeric_at(p)
-                        {
-                            None => false,
-                            Some(x) => cmp_f64(*op, x, *val),
-                        },
-                        Kernel::Range { col, lo, hi, negated } => {
-                            match slice.columns[*col].numeric_at(p) {
-                                None => false,
-                                Some(x) => (x >= *lo && x <= *hi) != *negated,
-                            }
-                        }
-                        Kernel::IsNull { negated, .. } => null != *negated,
-                        Kernel::Str { .. } => unreachable!(),
+                .filter(|&p| match kernel {
+                    Kernel::Num { col, op, val } => {
+                        slice.columns[*col].numeric_at(p).is_some_and(|x| cmp_f64(*op, x, *val))
                     }
+                    Kernel::Range { col, lo, hi, negated } => slice.columns[*col]
+                        .numeric_at(p)
+                        .is_some_and(|x| (x >= *lo && x <= *hi) != *negated),
+                    Kernel::IsNull { col, negated } => {
+                        slice.columns[*col].nulls.is_null(p) != *negated
+                    }
+                    Kernel::Str { .. } => unreachable!(),
                 })
                 .map(|p| p as u32)
                 .collect();
@@ -2292,28 +1636,17 @@ mod tests {
             .collect()
     }
 
-    fn canon(mut rows: Vec<Row>) -> Vec<Row> {
-        rows.sort_by(|a, b| {
-            a.iter()
-                .zip(b.iter())
-                .map(|(x, y)| x.cmp_total(y))
-                .find(|o| *o != std::cmp::Ordering::Equal)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        rows
-    }
-
     #[test]
     fn run_parts_keeps_part_order_and_runs_small_inputs_on_the_caller() {
         let caller = std::thread::current().id();
         let part = |i: usize| (i * i, std::thread::current().id());
-        // One batch or less: every part runs inline, whatever the workers.
-        let small = run_parts(9, 8, BLOCK_ROWS, part);
+        // A small input: every part runs inline, whatever the workers.
+        let small = run_parts(9, 8, INLINE_ROWS, part);
         assert!(small.iter().all(|(_, t)| *t == caller));
-        // More than a batch: helpers join in (more parts than threads, so
+        // Anything larger: helpers join in (more parts than threads, so
         // parts are claimed, not assigned) and results stay in part order.
         for workers in [1, 2, 3, 8] {
-            let got = run_parts(37, workers, BLOCK_ROWS + 1, part);
+            let got = run_parts(37, workers, INLINE_ROWS + 1, part);
             let squares: Vec<usize> = got.iter().map(|(v, _)| *v).collect();
             assert_eq!(squares, (0..37).map(|i| i * i).collect::<Vec<_>>(), "workers={workers}");
             if workers == 1 {
@@ -2324,63 +1657,33 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sort_matches_serial() {
+    fn merged_sorted_runs_equal_a_stable_sort_of_their_concatenation() {
+        // Many ties on the first key: the merge must break them toward the
+        // earliest run, like a stable sort of the concatenated input does.
         let rows = synth_rows(501, 7, 13);
-        let keys = [(0usize, false), (1usize, true)];
-        let serial = sort_rows(rows.clone(), &keys, 1);
-        for workers in [2, 3, 4, 8] {
-            assert_eq!(sort_rows(rows.clone(), &keys, workers), serial, "workers={workers}");
+        for keys in [vec![(0usize, false), (1usize, true)], vec![(0usize, true)]] {
+            let mut expect = rows.clone();
+            expect.sort_by(sort_cmp(&keys));
+            for chunk in [1usize, 7, 100, 501, 600] {
+                let runs = rows
+                    .chunks(chunk)
+                    .map(|c| {
+                        let mut run = c.to_vec();
+                        run.sort_by(sort_cmp(&keys));
+                        run
+                    })
+                    .collect();
+                assert_eq!(merge_runs(runs, &keys), expect, "chunk={chunk}");
+            }
         }
+        assert!(merge_runs(vec![Vec::new(), Vec::new()], &[(0, false)]).is_empty());
     }
 
     #[test]
-    fn parallel_sort_is_stable_like_serial() {
-        // Many ties on the single sort key: the k-way merge must preserve
-        // the original relative order of equal rows, like the serial
-        // stable sort does.
-        let rows = synth_rows(200, 3, 4);
-        let keys = [(0usize, false)];
-        let serial = sort_rows(rows.clone(), &keys, 1);
-        assert_eq!(sort_rows(rows, &keys, 4), serial);
-    }
-
-    #[test]
-    fn top_k_matches_stable_sort_truncate() {
-        let rows = synth_rows(300, 11, 9);
-        let keys = [(0usize, true)];
-        for k in [0usize, 1, 5, 50, 299, 300, 400] {
-            let mut expect = sort_rows(rows.clone(), &keys, 1);
-            expect.truncate(k);
-            let got = top_k(rows.clone(), k, sort_cmp(&keys));
-            assert_eq!(got, expect, "k={k}");
-        }
-    }
-
-    /// Extract both sides under `layout`, with the whole-join generic
-    /// fallback `run_join` applies when a value falls outside the class.
-    fn extract_both(
-        lkeys: &[BoundExpr],
-        lrows: &[Row],
-        rkeys: &[BoundExpr],
-        rrows: &[Row],
-        layout: KeyLayout,
-    ) -> (Keyed, Keyed) {
-        match (
-            try_extract_keys(lkeys, lrows, layout).unwrap(),
-            try_extract_keys(rkeys, rrows, layout).unwrap(),
-        ) {
-            (Some(l), Some(r)) => (l, r),
-            _ => (
-                extract_generic(lkeys, lrows).unwrap(),
-                extract_generic(rkeys, rrows).unwrap(),
-            ),
-        }
-    }
-
-    #[test]
-    fn hash_join_parallel_matches_serial() {
-        let mut lrows = synth_rows(400, 1, 37);
-        let mut rrows = synth_rows(350, 2, 37);
+    fn hash_join_output_is_a_function_of_parts_not_workers() {
+        // Past `INLINE_ROWS` in total, so extra workers really fan out.
+        let mut lrows = synth_rows(30_000, 1, 9973);
+        let mut rrows = synth_rows(3_000, 2, 9973);
         // Sprinkle NULL keys on both sides: they must never match, and
         // LEFT joins must null-extend the probe-side ones exactly once.
         for i in (0..rrows.len()).step_by(41) {
@@ -2389,32 +1692,33 @@ mod tests {
         for i in (0..lrows.len()).step_by(53) {
             lrows[i][0] = Value::Null;
         }
-        let lkeys = [BoundExpr::Column(0)];
-        let rkeys = [BoundExpr::Column(0)];
-        for layout in [KeyLayout::I64, KeyLayout::Generic] {
-            let (lkeyed, rkeyed) = extract_both(&lkeys, &lrows, &rkeys, &rrows, layout);
-            for kind in [JoinKind::Inner, JoinKind::Left] {
-                let (serial, _) =
-                    hash_join(&lrows, &rrows, kind, &lkeyed, &rkeyed, None, 2, 1).unwrap();
-                for workers in [2, 4, 8] {
-                    let (par, _) =
-                        hash_join(&lrows, &rrows, kind, &lkeyed, &rkeyed, None, 2, workers)
-                            .unwrap();
-                    // Partition concatenation order differs from serial row
-                    // order, but the multiset of joined rows is identical.
-                    assert_eq!(
-                        canon(par),
-                        canon(serial.clone()),
-                        "{layout:?} {kind:?} workers={workers}"
-                    );
-                }
-                if kind == JoinKind::Left {
-                    let padded = serial
-                        .iter()
-                        .filter(|r| r[2] == Value::Null && r[3] == Value::Null)
-                        .count();
-                    assert!(padded > 0, "expected null-extended probe rows");
-                }
+        let keys = [BoundExpr::Column(0)];
+        let (lkeyed, rkeyed) =
+            (extract_keys(&keys, &lrows).unwrap(), extract_keys(&keys, &rrows).unwrap());
+        for kind in [JoinKind::Inner, JoinKind::Left] {
+            let join = |parts, workers| {
+                hash_join(&lrows, &rrows, kind, &lkeyed, &rkeyed, None, 2, parts, workers)
+                    .unwrap()
+                    .0
+            };
+            let canon = |mut rows: Vec<Row>| {
+                rows.sort_by(sort_cmp(&[(0, false), (1, false), (2, false), (3, false)]));
+                rows
+            };
+            let serial = join(1, 1);
+            let fixed = join(4, 1);
+            // Partition order differs from probe order, but the multiset of
+            // joined rows is the serial one…
+            assert_eq!(canon(fixed.clone()), canon(serial.clone()), "{kind:?}");
+            // …and who runs the partitions never shows: identical rows, in
+            // order, at any worker count.
+            for workers in [2, 8] {
+                assert_eq!(join(4, workers), fixed, "{kind:?} workers={workers}");
+            }
+            if kind == JoinKind::Left {
+                let padded =
+                    serial.iter().filter(|r| r[2] == Value::Null && r[3] == Value::Null).count();
+                assert!(padded > 0, "expected null-extended probe rows");
             }
         }
     }
@@ -2455,127 +1759,41 @@ mod tests {
             lrows[i][0] = Value::Null;
         }
         let keys = [BoundExpr::Column(0)];
-        for layout in [KeyLayout::I64, KeyLayout::Generic] {
-            let (lkeyed, rkeyed) = extract_both(&keys, &lrows, &keys, &rrows, layout);
-            for kind in [JoinKind::Inner, JoinKind::Left] {
-                // One partition ⇒ byte-identical to the nested oracle, not
-                // just the same multiset: probe order, then build order.
-                let (got, _) =
-                    hash_join(&lrows, &rrows, kind, &lkeyed, &rkeyed, None, 2, 1).unwrap();
-                assert_eq!(got, oracle_join(&lrows, &rrows, kind), "{layout:?} {kind:?}");
-            }
+        let (lkeyed, rkeyed) =
+            (extract_keys(&keys, &lrows).unwrap(), extract_keys(&keys, &rrows).unwrap());
+        for kind in [JoinKind::Inner, JoinKind::Left] {
+            // One partition ⇒ byte-identical to the nested oracle, not
+            // just the same multiset: probe order, then build order.
+            let (got, _) =
+                hash_join(&lrows, &rrows, kind, &lkeyed, &rkeyed, None, 2, 1, 1).unwrap();
+            assert_eq!(got, oracle_join(&lrows, &rrows, kind), "{kind:?}");
         }
     }
 
     #[test]
-    fn typed_key_extraction_falls_back_on_layout_violation() {
+    fn row_path_keys_follow_value_equality() {
+        // Mixed numeric representations of one quantity share a key, NULL
+        // never gets one, and 'EU' joins 'EU  ' (DB2 padded comparison) —
+        // exactly like `Value` equality.
         let keys = [BoundExpr::Column(0)];
-        // A Double value under the I64 layout: the whole side refuses.
-        let rows = vec![vec![Value::BigInt(1)], vec![Value::Double(2.5)]];
-        assert!(try_extract_keys(&keys, &rows, KeyLayout::I64).unwrap().is_none());
-        // A number under the Str layout likewise.
-        let rows = vec![vec![Value::Varchar("a".into())], vec![Value::Int(3)]];
-        assert!(try_extract_keys(&keys, &rows, KeyLayout::Str).unwrap().is_none());
-        // The generic layout accepts anything.
-        let rows = vec![vec![Value::BigInt(1)], vec![Value::Double(2.5)], vec![Value::Null]];
-        let keyed = try_extract_keys(&keys, &rows, KeyLayout::Generic).unwrap().unwrap();
-        assert!(keyed[0].is_some() && keyed[1].is_some() && keyed[2].is_none());
-    }
-
-    #[test]
-    fn string_keys_join_with_db2_padded_semantics() {
-        // 'EU' must join 'EU  ' under both the typed and generic layouts,
-        // exactly like Value equality for CHAR-family pairs.
+        let rows = vec![vec![Value::BigInt(2)], vec![Value::Double(2.0)], vec![Value::Null]];
+        let keyed = extract_keys(&keys, &rows).unwrap();
+        assert_eq!(keyed[0], keyed[1]);
+        assert!(keyed[2].is_none());
         let lrows: Vec<Row> =
             vec![vec![Value::Varchar("EU".into())], vec![Value::Varchar("US ".into())]];
         let rrows: Vec<Row> =
             vec![vec![Value::Varchar("EU  ".into())], vec![Value::Varchar("ASIA".into())]];
-        let keys = [BoundExpr::Column(0)];
-        let mut outs = Vec::new();
-        for layout in [KeyLayout::Str, KeyLayout::Generic] {
-            let (lkeyed, rkeyed) = extract_both(&keys, &lrows, &keys, &rrows, layout);
-            let (out, _) =
-                hash_join(&lrows, &rrows, JoinKind::Inner, &lkeyed, &rkeyed, None, 1, 1)
-                    .unwrap();
-            outs.push(out);
-        }
-        assert_eq!(outs[0], outs[1]);
-        assert_eq!(outs[0].len(), 1);
-        assert_eq!(outs[0][0][0], Value::Varchar("EU".into()));
+        let (lkeyed, rkeyed) =
+            (extract_keys(&keys, &lrows).unwrap(), extract_keys(&keys, &rrows).unwrap());
+        let (out, _) =
+            hash_join(&lrows, &rrows, JoinKind::Inner, &lkeyed, &rkeyed, None, 1, 1, 1).unwrap();
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0][0], Value::Varchar("EU".into()));
     }
 
     #[test]
-    fn probe_filter_drops_only_never_matching_rows() {
-        let table = AccelTable::new(
-            ObjectName::bare("T"),
-            Schema::new(vec![
-                ColumnDef::new("K", DataType::BigInt),
-                ColumnDef::new("S", DataType::Varchar(8)),
-            ])
-            .unwrap(),
-            vec![],
-            1,
-        );
-        let mut rows: Vec<Row> = Vec::new();
-        for i in 0..500i64 {
-            let k = if i % 23 == 0 { Value::Null } else { Value::BigInt(i % 90) };
-            let s = if i % 31 == 0 {
-                Value::Null
-            } else {
-                Value::Varchar(format!("V{}", i % 60))
-            };
-            rows.push(vec![k, s]);
-        }
-        let checked: Vec<Row> =
-            rows.iter().map(|r| table.schema.check_row(r).unwrap()).collect();
-        table.insert_bulk(&checked, 1).unwrap();
-
-        // Build-side keys 0..40 on the i64 column, V0..V25 on the dict one.
-        let mut int_summary = KeySummary::with_capacity(40);
-        for v in 0..40i64 {
-            int_summary.insert_i64(v);
-        }
-        let mut str_summary = KeySummary::with_capacity(25);
-        for v in 0..25 {
-            str_summary.insert_str(&format!("V{v}"));
-        }
-        let slice = table.slices()[0].read();
-        for (pf, matches) in [
-            (
-                ProbeFilter { col: 0, summary: int_summary },
-                (0..rows.len())
-                    .filter(|&p| matches!(rows[p][0], Value::BigInt(v) if v < 40))
-                    .collect::<Vec<usize>>(),
-            ),
-            (
-                ProbeFilter { col: 1, summary: str_summary },
-                (0..rows.len())
-                    .filter(|&p| match &rows[p][1] {
-                        Value::Varchar(s) => {
-                            s[1..].parse::<i64>().expect("V<number>") < 25
-                        }
-                        _ => false,
-                    })
-                    .collect::<Vec<usize>>(),
-            ),
-        ] {
-            let spec = pf.specialize(&slice);
-            let mut sel: Vec<u32> = (0..rows.len() as u32).collect();
-            spec.filter(&mut sel);
-            // No false negatives: every truly matching position survives,
-            // in ascending order; NULLs always drop.
-            for &p in &matches {
-                assert!(sel.binary_search(&(p as u32)).is_ok(), "dropped true match {p}");
-            }
-            for &p in &sel {
-                assert!(rows[p as usize][pf.col] != Value::Null, "kept a NULL key");
-            }
-            assert!(sel.windows(2).all(|w| w[0] < w[1]), "selection not ascending");
-        }
-    }
-
-    #[test]
-    fn materialize_block_matches_per_row_get() {
+    fn gather_matches_per_row_get() {
         let table = AccelTable::new(
             ObjectName::bare("T"),
             Schema::new(vec![
@@ -2606,9 +1824,10 @@ mod tests {
         table.insert_bulk(&checked, 1).unwrap();
         let slice = table.slices()[0].read();
         let sel: Vec<u32> = (0..rows.len() as u32).step_by(3).collect();
+        let all: Vec<OutCol> = (0..4).map(OutCol::Probe).collect();
         for mask in [None, Some(vec![true, false, true, false])] {
             let mut got: Vec<Row> = Vec::new();
-            materialize_block(&slice, &sel, mask.as_deref(), &mut got);
+            gather(&all, mask.as_deref(), &slice, &[], &sel, &[], &mut got).unwrap();
             let expect: Vec<Row> = sel
                 .iter()
                 .map(|&p| {
@@ -2632,8 +1851,9 @@ mod tests {
 
     #[test]
     fn nested_loop_parallel_matches_serial_order_exactly() {
-        let lrows = synth_rows(120, 5, 11);
-        let rrows = synth_rows(90, 6, 11);
+        // 40 000 pairs: past `INLINE_ROWS`, so the chunks really fan out.
+        let lrows = synth_rows(400, 5, 11);
+        let rrows = synth_rows(100, 6, 11);
         // Non-equi ON: left.key < right.key.
         let on = BoundExpr::Binary {
             left: Box::new(BoundExpr::Column(0)),
@@ -2651,3 +1871,4 @@ mod tests {
         }
     }
 }
+

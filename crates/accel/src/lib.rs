@@ -15,6 +15,7 @@ pub mod durable;
 pub mod engine;
 pub mod exec;
 pub mod mvcc;
+mod pipeline;
 pub mod table;
 
 pub use durable::{Checkpoint, DurableStore, LogRecord, Lsn, RecoverySet};

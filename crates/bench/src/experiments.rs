@@ -716,8 +716,8 @@ fn e12_end_to_end_scenario(out: &mut Report) {
             .unwrap();
             // The extract crosses the link as encoded wire frames (client-side
             // baseline pays full data-movement cost, but through the same
-            // codec). The join feeding FEATURES has no ORDER BY, so these
-            // bytes follow the pinned worker count (`HARNESS_WORKERS`).
+            // codec). The join feeding FEATURES has no ORDER BY; its row
+            // order follows the accelerator's slice count, not its workers.
             let rows = idaa.ship_rows(idaa_netsim::Direction::ToHost, &schema, &rows).unwrap();
             let (matrix, _) = idaa_analytics::io::numeric_matrix(&schema, &rows, &cols).unwrap();
             let labels = idaa_analytics::io::label_column(&schema, &rows, "CHURNED").unwrap();

@@ -22,10 +22,10 @@ mod report;
 pub use report::{check, det, Cell, Report, Table, ACTUAL_PATH};
 
 /// Accelerator worker count the harness pins wherever a config says "auto"
-/// (`parallelism == 0`). The hash-join partition count — hence the row order
-/// and encoded bytes of an unordered join result shipped to DB2 (E12) —
-/// follows it, so the record must not read it off the machine. Two is what
-/// the golden was captured with.
+/// (`parallelism == 0`). The row path's chunked aggregation sums doubles per
+/// `workers()` chunk (ROADMAP item 4 b), so the record must not read the
+/// count off the machine. (Join row order stopped following it in PR 24.)
+/// Two is what the golden was captured with.
 const HARNESS_WORKERS: usize = 2;
 
 /// Build a system with an admin session. "Auto" accelerator parallelism is

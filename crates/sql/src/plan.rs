@@ -225,6 +225,9 @@ pub struct PlanProfile {
     /// Whether this statement's plan came from the compiled-plan cache
     /// (`Some(true)` = hit, `Some(false)` = miss, `None` = not consulted).
     cache_hit: std::sync::Mutex<Option<bool>>,
+    /// The executor's description of the pipeline that ran (what plain
+    /// `EXPLAIN` prints as `PIPELINE:`), when the executor reports one.
+    pipeline: std::sync::Mutex<Option<String>>,
 }
 
 impl PlanProfile {
@@ -276,6 +279,16 @@ impl PlanProfile {
     /// `None` when no cache was consulted.
     pub fn cache_hit(&self) -> Option<bool> {
         *self.cache_hit.lock().unwrap()
+    }
+
+    /// Record the executor's description of the pipeline that runs the plan.
+    pub fn set_pipeline(&self, description: String) {
+        *self.pipeline.lock().unwrap() = Some(description);
+    }
+
+    /// The pipeline description the executor recorded, if any.
+    pub fn pipeline(&self) -> Option<String> {
+        self.pipeline.lock().unwrap().clone()
     }
 }
 

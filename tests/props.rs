@@ -828,6 +828,226 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Every pipeline sink against the row-at-a-time interpreter
+// ---------------------------------------------------------------------------
+
+/// Do two result sets hold the same rows — in order when `ordered`, else as
+/// multisets? Doubles may differ by 1e-9 relative (a pipeline adds per-slice
+/// partial sums, the interpreter adds row by row); every other value,
+/// including NULLs, strings and integers, must be equal.
+fn rows_agree(a: &[idaa::Row], b: &[idaa::Row], ordered: bool) -> bool {
+    let (a, b) = if ordered { (a.to_vec(), b.to_vec()) } else { (sorted(a.to_vec()), sorted(b.to_vec())) };
+    a.len() == b.len()
+        && a.iter().zip(&b).all(|(x, y)| {
+            x.len() == y.len()
+                && x.iter().zip(y).all(|(p, q)| match (p, q) {
+                    (Value::Double(p), Value::Double(q)) => {
+                        (p - q).abs() <= 1e-9 * p.abs().max(q.abs()).max(1.0)
+                    }
+                    _ => p.is_null() == q.is_null() && p == q,
+                })
+        })
+}
+
+/// FACT (probe side) and DIM (build side) for the sink tests: duplicate
+/// and NULL keys on both sides, fact keys with no dimension row, doubles
+/// that are not exactly summable, a dictionary column on each side.
+fn sink_tables(
+    engine: &idaa::AccelEngine,
+    fact: &[(Option<i64>, i64, Option<i64>, usize)],
+    dim: &[(Option<i64>, usize, i64)],
+) {
+    use idaa::common::{ColumnDef, Schema};
+    let fact_schema = Schema::new(vec![
+        ColumnDef::new("K", DataType::BigInt),
+        ColumnDef::new("V", DataType::BigInt),
+        ColumnDef::new("D", DataType::Double),
+        ColumnDef::new("G", DataType::Varchar(4)),
+    ]).unwrap();
+    let dim_schema = Schema::new(vec![
+        ColumnDef::new("K", DataType::BigInt),
+        ColumnDef::new("NAME", DataType::Varchar(4)),
+        ColumnDef::new("W", DataType::BigInt),
+    ]).unwrap();
+    let names = ["n0", "n1", "n2 ", "ab"];
+    engine.create_table(&ObjectName::bare("FACT"), fact_schema, &[]).unwrap();
+    engine.create_table(&ObjectName::bare("DIM"), dim_schema, &[]).unwrap();
+    engine.load_committed(&ObjectName::bare("FACT"), fact.iter().map(|(k, v, d, g)| vec![
+        k.map_or(Value::Null, Value::BigInt),
+        Value::BigInt(*v),
+        d.map_or(Value::Null, |d| Value::Double(d as f64 * 0.1)),
+        if *g == 4 { Value::Null } else { Value::Varchar(["ab", "cd", "ef", "n1"][*g].into()) },
+    ]).collect()).unwrap();
+    engine.load_committed(&ObjectName::bare("DIM"), dim.iter().map(|(k, n, w)| vec![
+        k.map_or(Value::Null, Value::BigInt),
+        Value::Varchar(names[*n].into()),
+        Value::BigInt(*w),
+    ]).collect()).unwrap();
+}
+
+/// `(ordered, query)`: every sink — rows, aggregate (dense and hashed group
+/// keys on either join side), full sort, top-K — with and without a join
+/// probe. Ordered queries sort on enough keys that the order is total over
+/// what they return, or return ties whose order is the scan order.
+const SINK_QUERIES: &[(bool, &str)] = &[
+    // Top-K and sort: duplicate keys, NULL keys, mixed ASC/DESC; ties keep
+    // scan order, so non-key columns must line up too.
+    // (Sort keys that are output columns lower to the top-K sink; a hidden
+    // key column puts `KeepCols` between `Limit` and `Sort` — the full sort
+    // sink, then the interpreter's limit.)
+    (true, "SELECT g, k, v, d FROM fact ORDER BY g LIMIT 30"),
+    (true, "SELECT g, v, k, d FROM fact ORDER BY g DESC, v LIMIT 7"),
+    (true, "SELECT k, v, d FROM fact ORDER BY g DESC, v LIMIT 7"),
+    (true, "SELECT d, k, g FROM fact ORDER BY d DESC, k LIMIT 25"),
+    (true, "SELECT k, v FROM fact ORDER BY k, v DESC LIMIT 3"),
+    (true, "SELECT k, v FROM fact ORDER BY v LIMIT 0"),
+    (true, "SELECT k, v FROM fact WHERE v < 0 ORDER BY v LIMIT 5"),
+    (true, "SELECT v, g FROM fact ORDER BY g, d DESC LIMIT 5000"),
+    (true, "SELECT v, k + v FROM fact WHERE v >= 3 ORDER BY v DESC, d"),
+    (true, "SELECT g, d FROM fact WHERE k IS NOT NULL ORDER BY d, g DESC"),
+    // Rows sink: renames, a real expression, a masked column.
+    (true, "SELECT v, g, v * 2 + 1 FROM fact WHERE v BETWEEN 2 AND 40"),
+    // Join → rows, integer and string keys (NULL and non-matching keys on
+    // both sides never join).
+    (false, "SELECT f.k, f.v, d.name, d.w FROM fact f INNER JOIN dim d ON f.k = d.k"),
+    (false, "SELECT f.v, d.k FROM fact f INNER JOIN dim d ON f.g = d.name WHERE d.w > 2"),
+    (false, "SELECT f.v + d.w, d.name FROM fact f INNER JOIN dim d ON f.k = d.k WHERE f.v > 5"),
+    // Join → aggregate: group keys on the build side, the probe side, both.
+    (false, "SELECT d.name, COUNT(*), SUM(f.v), SUM(f.d), MIN(f.d), MAX(d.w) FROM fact f \
+             INNER JOIN dim d ON f.k = d.k GROUP BY d.name"),
+    (false, "SELECT f.g, COUNT(*), AVG(f.d), COUNT(DISTINCT d.name) FROM fact f \
+             INNER JOIN dim d ON f.k = d.k GROUP BY f.g"),
+    (false, "SELECT f.g, d.name, SUM(f.v * d.w) FROM fact f INNER JOIN dim d ON f.k = d.k \
+             GROUP BY f.g, d.name"),
+    (false, "SELECT COUNT(*), SUM(d.w) FROM fact f INNER JOIN dim d ON f.g = d.name"),
+    // An empty build side.
+    (false, "SELECT f.k, d.w FROM fact f INNER JOIN dim d ON f.k = d.k WHERE d.w < -5"),
+    (false, "SELECT d.name, COUNT(*) FROM fact f INNER JOIN dim d ON f.k = d.k \
+             WHERE d.w < -5 GROUP BY d.name"),
+    // Join → top-K / sort, keys from both sides (total over the output).
+    (true, "SELECT f.v, f.k, d.name FROM fact f INNER JOIN dim d ON f.k = d.k \
+            ORDER BY f.v DESC, f.k, d.name LIMIT 9"),
+    (true, "SELECT d.w, f.v, d.name FROM fact f INNER JOIN dim d ON f.k = d.k \
+            ORDER BY d.w, f.v, d.name"),
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// Whatever a plan lowers to — one pipeline, pipelines under interpreter
+    /// nodes, or no pipeline at all — the answer is the interpreter's.
+    #[test]
+    fn pipeline_sinks_agree_with_the_interpreter(
+        fact in proptest::collection::vec(
+            (proptest::option::of(0i64..40), 0i64..50, proptest::option::of(0i64..300), 0usize..5),
+            60..260,
+        ),
+        dim in proptest::collection::vec((proptest::option::of(0i64..50), 0usize..4, 0i64..9), 0..40),
+        parallelism in 1usize..4,
+    ) {
+        use idaa::accel::{AccelConfig, AccelEngine, ExecMode};
+        let engine = AccelEngine::new(
+            "APP",
+            AccelConfig { slices: 3, zone_maps: true, parallel: true, parallelism },
+        );
+        sink_tables(&engine, &fact, &dim);
+        let check = |txn: u64, ordered: bool, sql: &str| -> usize {
+            let Statement::Query(q) = parse_statement(sql).unwrap() else { unreachable!() };
+            let fast = engine.query(txn, &q).unwrap().rows;
+            let slow = engine.query_with_mode(txn, &q, ExecMode::Interpreted).unwrap().rows;
+            prop_assert!(
+                rows_agree(&fast, &slow, ordered),
+                "txn {} modes disagree on {}:\n{:?}\nvs\n{:?}", txn, sql, fast, slow
+            );
+            fast.len()
+        };
+        for (ordered, sql) in SINK_QUERIES {
+            check(0, *ordered, sql);
+        }
+        // The same cached plans under concurrent snapshots: txn 7 has
+        // uncommitted inserts on both sides, txn 8 uncommitted deletes.
+        // Each sees its own changes only; a fresh reader sees neither.
+        engine.begin(7);
+        engine.begin(8);
+        engine.insert_rows(7, &ObjectName::bare("FACT"), vec![
+            vec![Value::BigInt(3), Value::BigInt(-7), Value::Double(0.5), Value::Varchar("ab".into())],
+            vec![Value::BigInt(41), Value::BigInt(-8), Value::Null, Value::Null],
+        ]).unwrap();
+        engine.insert_rows(7, &ObjectName::bare("DIM"), vec![
+            vec![Value::BigInt(41), Value::Varchar("n0".into()), Value::BigInt(1)],
+        ]).unwrap();
+        let parse_filter = |sql: &str| {
+            let Statement::Query(q) = parse_statement(sql).unwrap() else { unreachable!() };
+            q.filter.unwrap()
+        };
+        engine.delete_where(8, &ObjectName::bare("FACT"), Some(&parse_filter("SELECT 1 FROM fact WHERE v < 10"))).unwrap();
+        engine.delete_where(8, &ObjectName::bare("DIM"), Some(&parse_filter("SELECT 1 FROM dim WHERE w = 0"))).unwrap();
+        for txn in [7u64, 8, 9] {
+            for (ordered, sql) in SINK_QUERIES {
+                check(txn, *ordered, sql);
+            }
+        }
+        let own = check(7, true, "SELECT k, v FROM fact WHERE v < 0 ORDER BY v LIMIT 5");
+        prop_assert_eq!(own, 2, "txn 7 must see its own uncommitted inserts");
+        engine.abort(7);
+        engine.abort(8);
+        // A dictionary that grows between two executions of one cached
+        // plan: the new strings must group, sort and join like any other.
+        engine.load_committed(&ObjectName::bare("FACT"), vec![
+            vec![Value::BigInt(1), Value::BigInt(60), Value::Double(1.5), Value::Varchar("zz".into())],
+            vec![Value::BigInt(45), Value::BigInt(61), Value::Double(2.5), Value::Varchar("new".into())],
+        ]).unwrap();
+        engine.load_committed(&ObjectName::bare("DIM"), vec![
+            vec![Value::BigInt(45), Value::Varchar("new".into()), Value::BigInt(3)],
+        ]).unwrap();
+        for (ordered, sql) in SINK_QUERIES {
+            check(0, *ordered, sql);
+        }
+        let joined = check(0, false, "SELECT f.v, d.k FROM fact f INNER JOIN dim d ON f.g = d.name WHERE d.w > 2");
+        prop_assert!(joined >= 1, "the grown dictionary's 'new' key must join");
+    }
+}
+
+/// Pipelines on an input large enough to fan out (more than
+/// `INLINE_ROWS` = 8 × 4096 rows survive zone pruning): every worker count
+/// returns the one-worker answer *bit for bit* — parts are slices, merged
+/// in slice order, so who runs them never shows, doubles included.
+#[test]
+fn pipelines_fan_out_without_changing_a_bit() {
+    use idaa::accel::{AccelConfig, AccelEngine};
+    let mut x = 7u64;
+    let mut next = move |m: u64| {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (x >> 33) % m
+    };
+    let fact: Vec<_> = (0..40_000)
+        .map(|_| {
+            let k = if next(17) == 0 { None } else { Some(next(60) as i64) };
+            (k, next(500) as i64, Some(next(3000) as i64), next(5) as usize)
+        })
+        .collect();
+    let dim: Vec<_> = (0..50).map(|i| (Some(i as i64), next(4) as usize, next(9) as i64)).collect();
+    let run = |parallelism: usize| -> Vec<Vec<idaa::Row>> {
+        let engine = AccelEngine::new(
+            "APP",
+            AccelConfig { slices: 4, zone_maps: true, parallel: true, parallelism },
+        );
+        sink_tables(&engine, &fact, &dim);
+        SINK_QUERIES
+            .iter()
+            .map(|(_, sql)| {
+                let Statement::Query(q) = parse_statement(sql).unwrap() else { unreachable!() };
+                engine.query(0, &q).unwrap().rows
+            })
+            .collect()
+    };
+    let one = run(1);
+    for parallelism in [2, 3, 8] {
+        assert_eq!(run(parallelism), one, "parallelism={parallelism}");
+    }
+}
+
+// ---------------------------------------------------------------------------
 // DML victim selection goes through the scan front end
 // ---------------------------------------------------------------------------
 

@@ -41,34 +41,53 @@ fn accelerate(idaa: &Idaa, s: &mut idaa::Session, table: &str) {
     idaa.execute(s, &format!("CALL ACCEL_LOAD_TABLES('{table}')")).unwrap();
 }
 
+/// This file's query corpus over `SALES`: every shape the suite offloads.
+const SALES_QUERIES: [&str; 13] = [
+    "SELECT COUNT(*) FROM sales",
+    "SELECT region, COUNT(*), SUM(amount), AVG(qty) FROM sales GROUP BY region ORDER BY region",
+    "SELECT id FROM sales WHERE amount > 400 AND qty = 3 ORDER BY id LIMIT 20",
+    "SELECT region, SUM(qty) FROM sales WHERE sold_on >= DATE '2015-04-01' GROUP BY region \
+     HAVING SUM(qty) > 10 ORDER BY region",
+    "SELECT DISTINCT qty FROM sales ORDER BY qty",
+    "SELECT CASE WHEN qty > 3 THEN 'hi' ELSE 'lo' END AS band, COUNT(*) FROM sales \
+     GROUP BY CASE WHEN qty > 3 THEN 'hi' ELSE 'lo' END ORDER BY band",
+    "SELECT MIN(sold_on), MAX(sold_on) FROM sales WHERE region = 'EU'",
+    "SELECT COUNT(DISTINCT region), STDDEV(qty) FROM sales",
+    // Join-heavy: the WHERE conjuncts are single-sided, so the planner
+    // pushes them below the join on both engines; answers must agree.
+    "SELECT a.id, b.id FROM sales a INNER JOIN sales b ON a.id = b.id \
+     WHERE a.qty = 3 AND b.amount > 400 ORDER BY a.id",
+    "SELECT a.id, b.id FROM sales a LEFT JOIN sales b ON a.id = b.id AND b.qty > 5 \
+     WHERE a.id < 50 ORDER BY a.id, b.id",
+    "SELECT COUNT(*), SUM(a.qty) FROM sales a INNER JOIN sales b ON a.qty = b.qty \
+     WHERE a.id < 100 AND b.id < 100",
+    "SELECT COUNT(*) FROM sales a INNER JOIN sales b ON a.id < b.id \
+     WHERE a.id < 40 AND b.id < 40",
+    "SELECT id, amount FROM sales ORDER BY amount DESC, id LIMIT 15",
+];
+
+/// The `EXPLAIN` shapes asserted further down (pipelines, fallbacks, joins).
+const EXPLAINED_QUERIES: [&str; 8] = [
+    "SELECT region, COUNT(*), SUM(amount) FROM sales WHERE qty > 2 GROUP BY region ORDER BY region",
+    "SELECT region, COUNT(*), SUM(amount) FROM sales WHERE qty + qty > 4 GROUP BY region \
+     ORDER BY region",
+    "SELECT a.id, b.qty FROM sales a INNER JOIN sales b ON a.id = b.id \
+     WHERE b.qty > 2 ORDER BY a.id LIMIT 10",
+    "SELECT a.id FROM sales a INNER JOIN sales b ON a.region = b.region \
+     WHERE b.id < 5 ORDER BY a.id LIMIT 10",
+    "SELECT a.id, b.id FROM sales a LEFT JOIN sales b ON a.id = b.id ORDER BY a.id LIMIT 10",
+    "SELECT COUNT(*) FROM sales a INNER JOIN sales b ON a.id = b.id AND a.region = b.region",
+    "SELECT b.region, COUNT(*), SUM(a.qty) FROM sales a INNER JOIN sales b ON a.id = b.id \
+     WHERE a.qty > 3 GROUP BY b.region",
+    "SELECT id, qty + 1 FROM sales WHERE id < 40 AND qty * 2 > 4",
+];
+
 #[test]
 fn same_query_same_answer_on_both_engines() {
     let (idaa, mut s) = system();
     seed_sales(&idaa, &mut s, 3000);
     accelerate(&idaa, &mut s, "SALES");
-    let queries = [
-        "SELECT COUNT(*) FROM sales",
-        "SELECT region, COUNT(*), SUM(amount), AVG(qty) FROM sales GROUP BY region ORDER BY region",
-        "SELECT id FROM sales WHERE amount > 400 AND qty = 3 ORDER BY id LIMIT 20",
-        "SELECT region, SUM(qty) FROM sales WHERE sold_on >= DATE '2015-04-01' GROUP BY region \
-         HAVING SUM(qty) > 10 ORDER BY region",
-        "SELECT DISTINCT qty FROM sales ORDER BY qty",
-        "SELECT CASE WHEN qty > 3 THEN 'hi' ELSE 'lo' END AS band, COUNT(*) FROM sales \
-         GROUP BY CASE WHEN qty > 3 THEN 'hi' ELSE 'lo' END ORDER BY band",
-        "SELECT MIN(sold_on), MAX(sold_on) FROM sales WHERE region = 'EU'",
-        "SELECT COUNT(DISTINCT region), STDDEV(qty) FROM sales",
-        // Join-heavy: the WHERE conjuncts are single-sided, so the planner
-        // pushes them below the join on both engines; answers must agree.
-        "SELECT a.id, b.id FROM sales a INNER JOIN sales b ON a.id = b.id \
-         WHERE a.qty = 3 AND b.amount > 400 ORDER BY a.id",
-        "SELECT a.id, b.id FROM sales a LEFT JOIN sales b ON a.id = b.id AND b.qty > 5 \
-         WHERE a.id < 50 ORDER BY a.id, b.id",
-        "SELECT COUNT(*), SUM(a.qty) FROM sales a INNER JOIN sales b ON a.qty = b.qty \
-         WHERE a.id < 100 AND b.id < 100",
-        "SELECT COUNT(*) FROM sales a INNER JOIN sales b ON a.id < b.id \
-         WHERE a.id < 40 AND b.id < 40",
-        "SELECT id, amount FROM sales ORDER BY amount DESC, id LIMIT 15",
-    ];
+    let queries = SALES_QUERIES;
     for q in queries {
         idaa.execute(&mut s, "SET CURRENT QUERY ACCELERATION = NONE").unwrap();
         let host = idaa.execute(&mut s, q).unwrap();
@@ -499,6 +518,14 @@ fn explain_analyze_reports_vectorized_kernel_and_fallback() {
     );
 }
 
+/// The `PIPELINE: …` line of plain `EXPLAIN q`.
+fn pipeline_line(idaa: &Idaa, s: &mut idaa::Session, q: &str) -> String {
+    plan_lines(&idaa.query(s, &format!("EXPLAIN {q}")).unwrap())
+        .into_iter()
+        .find(|l| l.starts_with("PIPELINE: "))
+        .unwrap_or_else(|| panic!("no PIPELINE line for {q}"))
+}
+
 #[test]
 fn explain_names_join_pipelines_bloom_and_plan_cache() {
     let (idaa, mut s) = system();
@@ -506,12 +533,7 @@ fn explain_names_join_pipelines_bloom_and_plan_cache() {
     accelerate(&idaa, &mut s, "SALES");
     idaa.execute(&mut s, "SET CURRENT QUERY ACCELERATION = ELIGIBLE").unwrap();
 
-    let pipeline_of = |idaa: &Idaa, s: &mut idaa::Session, q: &str| -> String {
-        plan_lines(&idaa.query(s, &format!("EXPLAIN {q}")).unwrap())
-            .into_iter()
-            .find(|l| l.starts_with("PIPELINE: "))
-            .unwrap_or_else(|| panic!("no PIPELINE line for {q}"))
-    };
+    let pipeline_of = pipeline_line;
 
     // Typed i64 keys over a bare probe scan: kernelized build/probe with
     // the derived join filter pushed into the probe-side scan.
@@ -533,8 +555,9 @@ fn explain_names_join_pipelines_bloom_and_plan_cache() {
         "PIPELINE: vectorized (hash join: typed string keys, bloom-guarded probe, \
          derived probe filter)",
     );
-    // LEFT joins keep the Bloom guard but never push a probe filter — a
-    // dropped probe row must still null-extend.
+    // LEFT joins do not stream — a probe row without a match must still
+    // null-extend — so they take the row path: generic keys, Bloom guard,
+    // no pushed probe filter.
     assert_eq!(
         pipeline_of(
             &idaa,
@@ -542,7 +565,7 @@ fn explain_names_join_pipelines_bloom_and_plan_cache() {
             "SELECT a.id, b.id FROM sales a LEFT JOIN sales b ON a.id = b.id \
              ORDER BY a.id LIMIT 10",
         ),
-        "PIPELINE: vectorized (hash join: typed i64 keys, bloom-guarded probe)",
+        "PIPELINE: interpreted (hash join: generic keys, bloom-guarded probe)",
     );
     // Multi-column keys fall back to generic row keys (interpreted).
     assert_eq!(
@@ -581,6 +604,44 @@ fn explain_names_join_pipelines_bloom_and_plan_cache() {
         text.iter().any(|l| l.contains("cache=hit")),
         "repeated statement must report a plan-cache hit: {text:?}"
     );
+}
+
+/// What `EXPLAIN` says and what ran cannot drift: the `PIPELINE:` line of
+/// plain `EXPLAIN` and the description on the executed statement's profile
+/// are rendered from the same lowered plan, for every query of this file's
+/// corpus — on a plan-cache miss and on the hit that follows.
+#[test]
+fn explain_pipeline_line_is_the_executed_pipeline() {
+    let (idaa, mut s) = system();
+    seed_sales(&idaa, &mut s, 1000);
+    accelerate(&idaa, &mut s, "SALES");
+    idaa.execute(&mut s, "SET CURRENT QUERY ACCELERATION = ELIGIBLE").unwrap();
+    let mut seen = std::collections::BTreeSet::new();
+    for q in SALES_QUERIES.iter().chain(&EXPLAINED_QUERIES) {
+        let explained = pipeline_line(&idaa, &mut s, q).split_off("PIPELINE: ".len());
+        let idaa::sql::Statement::Query(parsed) = idaa::sql::parse_statement(q).unwrap() else {
+            panic!("not a query: {q}")
+        };
+        for run in ["miss", "hit"] {
+            let (_, _, profile) = idaa.accel().query_profiled(0, &parsed).unwrap();
+            assert_eq!(profile.pipeline().as_deref(), Some(explained.as_str()), "{run}: {q}");
+        }
+        seen.insert(explained);
+    }
+    // The corpus covers every way a plan can run.
+    for flavour in [
+        "vectorized (fused scan-filter-aggregate)",
+        "vectorized (hash join: typed i64 keys, bloom-guarded probe, derived probe filter)",
+        "vectorized (hash join: typed string keys, bloom-guarded probe, derived probe filter)",
+        "interpreted (hash join: generic keys, bloom-guarded probe)",
+        "interpreted (nested-loop join)",
+        "vectorized (2/2 conjuncts as kernels)",
+        "vectorized (1/2 conjuncts as kernels + interpreted residual)",
+        "interpreted (0/1 conjuncts compile to kernels)",
+        "vectorized (columnar scan, no kernels)",
+    ] {
+        assert!(seen.contains(flavour), "no corpus query runs as {flavour}: {seen:?}");
+    }
 }
 
 #[test]
