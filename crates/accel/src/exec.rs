@@ -40,17 +40,12 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Inputs up to this many rows (or versions) run every part on the calling
-/// thread: eight batches of kernel-filtered scanning cost about what one
-/// helper thread costs to start and join.
-pub(crate) const INLINE_ROWS: usize = 8 * BLOCK_ROWS;
-
 /// Run `f(0)..f(parts-1)` and return the results in part order — the one
 /// fan-out every parallel operator uses. The caller fixes the partitioning
 /// (`parts`) from the configuration and the data, which keeps output
 /// deterministic; this function only decides the schedule. An input of at
-/// most [`INLINE_ROWS`] (`input` counts the rows or versions the parts will
-/// read) runs every part inline: spawning costs more than the work. Otherwise
+/// most one batch (`input` counts the rows or versions the parts will read)
+/// runs every part inline: spawning costs more than the work. Otherwise
 /// `min(workers, parts) - 1` scoped helpers plus the calling thread claim
 /// parts from a shared counter until none are left.
 pub(crate) fn run_parts<T, F>(parts: usize, workers: usize, input: usize, f: F) -> Vec<T>
@@ -59,7 +54,7 @@ where
     F: Fn(usize) -> T + Sync,
 {
     let threads = workers.min(parts);
-    if threads <= 1 || input <= INLINE_ROWS {
+    if threads <= 1 || input <= BLOCK_ROWS {
         return (0..parts).map(f).collect();
     }
     // Relaxed: the counter only hands out indices; results are published by
@@ -216,9 +211,8 @@ fn run_node(
                 m
             });
             // A stable sort: the oracle every sort / top-K sink is held to.
-            let mut rows = run(input, child(0)?, ctx, child_mask)?;
-            rows.sort_by(sort_cmp(keys));
-            Ok(rows)
+            let rows = run(input, child(0)?, ctx, child_mask)?;
+            Ok(sort_rows(rows, keys, ctx.engine.config.workers()))
         }
         (Plan::Distinct { input }, _) => {
             // Row-level dedup reads every column: no pushdown through here.
@@ -809,17 +803,19 @@ pub(crate) fn for_each_slice<T: Send>(
 ) -> Result<Vec<T>> {
     let slices = table.slices();
     let config = &ctx.engine.config;
-    let input: usize = slices
-        .iter()
-        .map(|s| {
-            let s = s.read();
-            let total = s.version_count();
-            (0..s.block_count())
-                .filter(|&b| !(config.zone_maps && zone_prunes(kernels, &s, b)))
-                .map(|b| BLOCK_ROWS.min(total - b * BLOCK_ROWS))
-                .sum::<usize>()
-        })
-        .sum();
+    // Sized only as far as the schedule needs: stop once past one batch.
+    let mut input = 0usize;
+    'sized: for s in slices.iter().filter(|_| config.workers() > 1) {
+        let s = s.read();
+        let total = s.version_count();
+        for b in 0..s.block_count() {
+            let pruned = config.zone_maps && zone_prunes(kernels, &s, b);
+            input += if pruned { 0 } else { BLOCK_ROWS.min(total - b * BLOCK_ROWS) };
+            if input > BLOCK_ROWS {
+                break 'sized;
+            }
+        }
+    }
     run_parts(slices.len(), config.workers(), input, |si| f(&slices[si].read()))
         .into_iter()
         .collect()
@@ -958,6 +954,28 @@ fn sort_cmp(keys: &[(usize, bool)]) -> impl Fn(&Row, &Row) -> std::cmp::Ordering
     }
 }
 
+/// Stable sort of the row path: past one batch and with workers to spare,
+/// `workers` consecutive runs sort in parallel and merge stably — the same
+/// rows in the same order as one `sort_by`, whatever the run count.
+fn sort_rows(mut rows: Vec<Row>, keys: &[(usize, bool)], workers: usize) -> Vec<Row> {
+    let total = rows.len();
+    if workers <= 1 || total <= BLOCK_ROWS {
+        rows.sort_by(sort_cmp(keys));
+        return rows;
+    }
+    // `run_parts` wants `Fn`: each part takes its run out of its own lock.
+    let mut rest = rows.into_iter();
+    let runs: Vec<parking_lot::Mutex<Vec<Row>>> = (0..workers)
+        .map(|_| parking_lot::Mutex::new(rest.by_ref().take(total.div_ceil(workers)).collect()))
+        .collect();
+    let sorted = run_parts(runs.len(), workers, total, |i| {
+        let mut run = std::mem::take(&mut *runs[i].lock());
+        run.sort_by(sort_cmp(keys));
+        run
+    });
+    merge_runs(sorted, keys)
+}
+
 /// K-way merge of runs that are each sorted by `keys`, breaking ties toward
 /// the earliest run — with stably sorted runs of consecutive input, exactly
 /// a stable sort of their concatenation.
@@ -1006,9 +1024,14 @@ pub(crate) enum KeyLayout {
     Generic,
 }
 
-/// One side's keys on the row path, extracted once: `None` marks a NULL key
-/// (SQL join keys never match on NULL), else the key tuple plus its hash.
-type Keyed = Vec<Option<(u64, Vec<Value>)>>;
+/// One side of a row-path join: its rows, its key expressions, and each
+/// row's key-tuple hash, computed once (`None` marks a NULL key — SQL join
+/// keys never match on NULL).
+struct JoinSide<'a> {
+    rows: &'a [Row],
+    keys: &'a [BoundExpr],
+    hashes: Vec<Option<u64>>,
+}
 
 fn key_layout(
     lkeys: &[BoundExpr],
@@ -1032,19 +1055,20 @@ fn key_layout(
     }
 }
 
-/// Evaluate one side's key tuples, once per row (never re-hashed per probe).
-fn extract_keys(keys: &[BoundExpr], rows: &[Row]) -> Result<Keyed> {
-    rows.iter()
-        .map(|row| {
-            let key: Vec<Value> = keys.iter().map(|k| eval(k, row)).collect::<Result<_>>()?;
-            if key.iter().any(Value::is_null) {
-                return Ok(None);
-            }
+impl<'a> JoinSide<'a> {
+    fn new(rows: &'a [Row], keys: &'a [BoundExpr]) -> Result<JoinSide<'a>> {
+        let hash_of = |row: &Row| {
             let mut hasher = std::collections::hash_map::DefaultHasher::new();
-            key.hash(&mut hasher);
-            Ok(Some((hasher.finish(), key)))
-        })
-        .collect()
+            for k in keys {
+                match eval(k, row)? {
+                    Value::Null => return Ok(None),
+                    v => v.hash(&mut hasher),
+                }
+            }
+            Ok(Some(hasher.finish()))
+        };
+        Ok(JoinSide { rows, keys, hashes: rows.iter().map(hash_of).collect::<Result<_>>()? })
+    }
 }
 
 /// A join's static decisions, bound once at lowering: the ON predicate
@@ -1088,7 +1112,7 @@ impl JoinSpec {
     }
 }
 
-/// The row-path join, on `Vec<Value>` key tuples: LEFT joins, multi-key or
+/// The row-path join, on hashed key tuples: LEFT joins, multi-key or
 /// generic-layout keys, residual ON conjuncts, non-scan inputs, and every
 /// join in interpreted mode.
 fn run_join(
@@ -1122,21 +1146,20 @@ fn run_join(
     if lkeys.is_empty() {
         return nested_loop_join(&lrows, &rrows, kind, on, rwidth, workers);
     }
-    let (lkeyed, rkeyed) = (extract_keys(lkeys, &lrows)?, extract_keys(rkeys, &rrows)?);
+    let (l, r) = (JoinSide::new(&lrows, lkeys)?, JoinSide::new(&rrows, rkeys)?);
     let residual_on = if *on_covered { None } else { Some(on) };
     // What the partitions are follows the configuration and the data, never
     // the machine: an unordered join result — and the frame bytes it
     // encodes to — must not depend on the CPU count.
     let parts = ctx.engine.config.slices.clamp(1, lrows.len().max(1));
-    let (out, bloom_skipped) =
-        hash_join(&lrows, &rrows, kind, &lkeyed, &rkeyed, residual_on, rwidth, parts, workers)?;
+    let (out, bloom_skipped) = hash_join(&l, &r, kind, residual_on, rwidth, parts, workers)?;
     if let Some(prof) = ctx.profile {
         prof.record_bloom(plan, bloom_skipped);
     }
     Ok(out)
 }
 
-/// Partitioned parallel hash join over pre-extracted keys: both sides are
+/// Partitioned parallel hash join over pre-hashed keys: both sides are
 /// split by key hash into `parts` partitions, each partition builds a hash
 /// table *and a Bloom filter* over its build keys and probes independently,
 /// and partition outputs concatenate in partition order (so the output
@@ -1147,54 +1170,58 @@ fn run_join(
 /// row's key maps it to exactly one partition — a Bloom skip leaves
 /// `matched` false and the row null-extends in place; probe rows with NULL
 /// keys ride along in partition 0 and can only null-extend.
-#[allow(clippy::too_many_arguments)]
 fn hash_join(
-    lrows: &[Row],
-    rrows: &[Row],
+    l: &JoinSide,
+    r: &JoinSide,
     kind: JoinKind,
-    lkeyed: &Keyed,
-    rkeyed: &Keyed,
     residual_on: Option<&BoundExpr>,
     rwidth: usize,
     parts: usize,
     workers: usize,
 ) -> Result<(Vec<Row>, u64)> {
     let parts = parts.max(1);
-    let mut build_parts: Vec<Vec<(usize, u64, &Vec<Value>)>> = vec![Vec::new(); parts];
-    for (i, k) in rkeyed.iter().enumerate() {
-        if let Some((h, key)) = k {
-            build_parts[(h % parts as u64) as usize].push((i, *h, key));
+    let mut build_parts: Vec<Vec<(usize, u64)>> = vec![Vec::new(); parts];
+    for (i, k) in r.hashes.iter().enumerate() {
+        if let Some(h) = k {
+            build_parts[(h % parts as u64) as usize].push((i, *h));
         }
     }
     let mut probe_parts: Vec<Vec<usize>> = vec![Vec::new(); parts];
-    for (i, k) in lkeyed.iter().enumerate() {
-        let h = k.as_ref().map(|(h, _)| *h).unwrap_or(0);
-        probe_parts[(h % parts as u64) as usize].push(i);
+    for (i, k) in l.hashes.iter().enumerate() {
+        probe_parts[(k.unwrap_or(0) % parts as u64) as usize].push(i);
     }
+    // Equal hashes are candidates; the key tuples decide.
+    let same_key = |li: usize, ri: usize| -> Result<bool> {
+        for (lk, rk) in l.keys.iter().zip(r.keys) {
+            if eval(lk, &l.rows[li])? != eval(rk, &r.rows[ri])? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    };
 
-    let input = lrows.len() + rrows.len();
+    let input = l.rows.len() + r.rows.len();
     let results = run_parts(parts, workers, input, |p| -> Result<(Vec<Row>, u64)> {
-        let mut table: HashMap<u64, Vec<(usize, &Vec<Value>)>> =
-            HashMap::with_capacity(build_parts[p].len());
+        let mut table: HashMap<u64, Vec<usize>> = HashMap::with_capacity(build_parts[p].len());
         let mut bloom = KeySummary::with_capacity(build_parts[p].len());
-        for &(ri, h, key) in &build_parts[p] {
+        for &(ri, h) in &build_parts[p] {
             bloom.insert_hash(h);
-            table.entry(h).or_default().push((ri, key));
+            table.entry(h).or_default().push(ri);
         }
         let mut out = Vec::new();
         let mut skipped = 0u64;
         for &li in &probe_parts[p] {
             let mut matched = false;
-            if let Some((h, key)) = &lkeyed[li] {
-                if !bloom.might_contain(*h) {
+            if let Some(h) = l.hashes[li] {
+                if !bloom.might_contain(h) {
                     skipped += 1;
-                } else if let Some(cands) = table.get(h) {
-                    for &(ri, rkey) in cands {
-                        if rkey != key {
+                } else if let Some(cands) = table.get(&h) {
+                    for &ri in cands {
+                        if !same_key(li, ri)? {
                             continue; // same hash bucket, different key
                         }
-                        let mut j = lrows[li].clone();
-                        j.extend(rrows[ri].iter().cloned());
+                        let mut j = l.rows[li].clone();
+                        j.extend(r.rows[ri].iter().cloned());
                         if let Some(b) = residual_on {
                             if !eval_predicate(b, &j)? {
                                 continue;
@@ -1206,7 +1233,7 @@ fn hash_join(
                 }
             }
             if !matched && kind == JoinKind::Left {
-                let mut j = lrows[li].clone();
+                let mut j = l.rows[li].clone();
                 j.extend(std::iter::repeat_n(Value::Null, rwidth));
                 out.push(j);
             }
@@ -1454,16 +1481,7 @@ mod tests {
             vec![],
             1,
         );
-        let cols: Vec<PlanCol> = table
-            .schema
-            .columns()
-            .iter()
-            .map(|c| PlanCol {
-                qualifier: Some("T".into()),
-                name: c.name.clone(),
-                data_type: c.data_type,
-            })
-            .collect();
+        let cols = table_cols(&table);
         let compile = |sql: &str| {
             let e = idaa_sql::parse_statement(sql).unwrap();
             let idaa_sql::Statement::Query(q) = e else { panic!() };
@@ -1530,11 +1548,7 @@ mod tests {
             rows.iter().map(|r| table.schema.check_row(r).unwrap()).collect();
         table.insert_bulk(&checked, 1).unwrap();
         let run = |negated: bool, val: &str| {
-            filter_positions(&table, rows.len(), &Kernel::Str {
-                col: 0,
-                val: val.into(),
-                negated,
-            })
+            filter_positions(&table, rows.len(), &Kernel::Str { col: 0, val: val.into(), negated })
         };
         // "zzz" is absent from the dictionary: equality matches nothing,
         // while the negated kernel matches every non-NULL row.
@@ -1640,13 +1654,13 @@ mod tests {
     fn run_parts_keeps_part_order_and_runs_small_inputs_on_the_caller() {
         let caller = std::thread::current().id();
         let part = |i: usize| (i * i, std::thread::current().id());
-        // A small input: every part runs inline, whatever the workers.
-        let small = run_parts(9, 8, INLINE_ROWS, part);
+        // One batch or less: every part runs inline, whatever the workers.
+        let small = run_parts(9, 8, BLOCK_ROWS, part);
         assert!(small.iter().all(|(_, t)| *t == caller));
-        // Anything larger: helpers join in (more parts than threads, so
+        // More than a batch: helpers join in (more parts than threads, so
         // parts are claimed, not assigned) and results stay in part order.
         for workers in [1, 2, 3, 8] {
-            let got = run_parts(37, workers, INLINE_ROWS + 1, part);
+            let got = run_parts(37, workers, BLOCK_ROWS + 1, part);
             let squares: Vec<usize> = got.iter().map(|(v, _)| *v).collect();
             assert_eq!(squares, (0..37).map(|i| i * i).collect::<Vec<_>>(), "workers={workers}");
             if workers == 1 {
@@ -1675,13 +1689,19 @@ mod tests {
                     .collect();
                 assert_eq!(merge_runs(runs, &keys), expect, "chunk={chunk}");
             }
+            // The row-path sort, past one batch so its runs really fan out.
+            let big = synth_rows(BLOCK_ROWS + 905, 11, 13);
+            let serial = sort_rows(big.clone(), &keys, 1);
+            for workers in [2, 3, 8] {
+                assert_eq!(sort_rows(big.clone(), &keys, workers), serial, "workers={workers}");
+            }
         }
         assert!(merge_runs(vec![Vec::new(), Vec::new()], &[(0, false)]).is_empty());
     }
 
     #[test]
     fn hash_join_output_is_a_function_of_parts_not_workers() {
-        // Past `INLINE_ROWS` in total, so extra workers really fan out.
+        // Past one batch in total, so extra workers really fan out.
         let mut lrows = synth_rows(30_000, 1, 9973);
         let mut rrows = synth_rows(3_000, 2, 9973);
         // Sprinkle NULL keys on both sides: they must never match, and
@@ -1693,14 +1713,10 @@ mod tests {
             lrows[i][0] = Value::Null;
         }
         let keys = [BoundExpr::Column(0)];
-        let (lkeyed, rkeyed) =
-            (extract_keys(&keys, &lrows).unwrap(), extract_keys(&keys, &rrows).unwrap());
+        let (l, r) =
+            (JoinSide::new(&lrows, &keys).unwrap(), JoinSide::new(&rrows, &keys).unwrap());
         for kind in [JoinKind::Inner, JoinKind::Left] {
-            let join = |parts, workers| {
-                hash_join(&lrows, &rrows, kind, &lkeyed, &rkeyed, None, 2, parts, workers)
-                    .unwrap()
-                    .0
-            };
+            let join = |parts, workers| hash_join(&l, &r, kind, None, 2, parts, workers).unwrap().0;
             let canon = |mut rows: Vec<Row>| {
                 rows.sort_by(sort_cmp(&[(0, false), (1, false), (2, false), (3, false)]));
                 rows
@@ -1759,13 +1775,12 @@ mod tests {
             lrows[i][0] = Value::Null;
         }
         let keys = [BoundExpr::Column(0)];
-        let (lkeyed, rkeyed) =
-            (extract_keys(&keys, &lrows).unwrap(), extract_keys(&keys, &rrows).unwrap());
+        let (l, r) =
+            (JoinSide::new(&lrows, &keys).unwrap(), JoinSide::new(&rrows, &keys).unwrap());
         for kind in [JoinKind::Inner, JoinKind::Left] {
             // One partition ⇒ byte-identical to the nested oracle, not
             // just the same multiset: probe order, then build order.
-            let (got, _) =
-                hash_join(&lrows, &rrows, kind, &lkeyed, &rkeyed, None, 2, 1, 1).unwrap();
+            let (got, _) = hash_join(&l, &r, kind, None, 2, 1, 1).unwrap();
             assert_eq!(got, oracle_join(&lrows, &rrows, kind), "{kind:?}");
         }
     }
@@ -1777,17 +1792,16 @@ mod tests {
         // exactly like `Value` equality.
         let keys = [BoundExpr::Column(0)];
         let rows = vec![vec![Value::BigInt(2)], vec![Value::Double(2.0)], vec![Value::Null]];
-        let keyed = extract_keys(&keys, &rows).unwrap();
-        assert_eq!(keyed[0], keyed[1]);
-        assert!(keyed[2].is_none());
+        let hashes = JoinSide::new(&rows, &keys).unwrap().hashes;
+        assert_eq!(hashes[0], hashes[1]);
+        assert!(hashes[2].is_none());
         let lrows: Vec<Row> =
             vec![vec![Value::Varchar("EU".into())], vec![Value::Varchar("US ".into())]];
         let rrows: Vec<Row> =
             vec![vec![Value::Varchar("EU  ".into())], vec![Value::Varchar("ASIA".into())]];
-        let (lkeyed, rkeyed) =
-            (extract_keys(&keys, &lrows).unwrap(), extract_keys(&keys, &rrows).unwrap());
-        let (out, _) =
-            hash_join(&lrows, &rrows, JoinKind::Inner, &lkeyed, &rkeyed, None, 1, 1, 1).unwrap();
+        let (l, r) =
+            (JoinSide::new(&lrows, &keys).unwrap(), JoinSide::new(&rrows, &keys).unwrap());
+        let (out, _) = hash_join(&l, &r, JoinKind::Inner, None, 1, 1, 1).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0][0], Value::Varchar("EU".into()));
     }
@@ -1828,30 +1842,18 @@ mod tests {
         for mask in [None, Some(vec![true, false, true, false])] {
             let mut got: Vec<Row> = Vec::new();
             gather(&all, mask.as_deref(), &slice, &[], &sel, &[], &mut got).unwrap();
-            let expect: Vec<Row> = sel
-                .iter()
-                .map(|&p| {
-                    slice
-                        .columns
-                        .iter()
-                        .enumerate()
-                        .map(|(i, c)| {
-                            if mask.as_ref().is_none_or(|m| m[i]) {
-                                c.get(p as usize)
-                            } else {
-                                Value::Null
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
+            let kept = |i: usize| mask.as_ref().is_none_or(|m| m[i]);
+            let cell = |p: u32, i: usize| {
+                if kept(i) { slice.columns[i].get(p as usize) } else { Value::Null }
+            };
+            let expect: Vec<Row> = sel.iter().map(|&p| (0..4).map(|i| cell(p, i)).collect()).collect();
             assert_eq!(got, expect, "mask={mask:?}");
         }
     }
 
     #[test]
     fn nested_loop_parallel_matches_serial_order_exactly() {
-        // 40 000 pairs: past `INLINE_ROWS`, so the chunks really fan out.
+        // 40 000 pairs: past one batch, so the chunks really fan out.
         let lrows = synth_rows(400, 5, 11);
         let rrows = synth_rows(100, 6, 11);
         // Non-equi ON: left.key < right.key.

@@ -869,8 +869,12 @@ impl<'a> AggSink<'a> {
                     // bit must decide the slot before the code.
                     let slot = if nulls.is_null(pos) { 0 } else { codes[pos] as usize + 1 };
                     if map[slot] == usize::MAX {
-                        groups.push((vec![col.get(pos)], new_states(aggs)));
-                        map[slot] = groups.len() - 1;
+                        // Codes that differ only in blank padding share a
+                        // group, as their `Value`s are equal.
+                        map[slot] = *index.entry(vec![col.get(pos)]).or_insert_with_key(|key| {
+                            groups.push((key.clone(), new_states(aggs)));
+                            groups.len() - 1
+                        });
                     }
                     map[slot]
                 }

@@ -851,7 +851,8 @@ fn rows_agree(a: &[idaa::Row], b: &[idaa::Row], ordered: bool) -> bool {
 
 /// FACT (probe side) and DIM (build side) for the sink tests: duplicate
 /// and NULL keys on both sides, fact keys with no dimension row, doubles
-/// that are not exactly summable, a dictionary column on each side.
+/// that are not exactly summable, a dictionary column on each side whose
+/// values meet only across blank padding ('ab ' / 'ab', 'n2' / 'n2 ').
 fn sink_tables(
     engine: &idaa::AccelEngine,
     fact: &[(Option<i64>, i64, Option<i64>, usize)],
@@ -876,7 +877,7 @@ fn sink_tables(
         k.map_or(Value::Null, Value::BigInt),
         Value::BigInt(*v),
         d.map_or(Value::Null, |d| Value::Double(d as f64 * 0.1)),
-        if *g == 4 { Value::Null } else { Value::Varchar(["ab", "cd", "ef", "n1"][*g].into()) },
+        if *g == 4 { Value::Null } else { Value::Varchar(["ab ", "cd", "n2", "n1"][*g].into()) },
     ]).collect()).unwrap();
     engine.load_committed(&ObjectName::bare("DIM"), dim.iter().map(|(k, n, w)| vec![
         k.map_or(Value::Null, Value::BigInt),
@@ -929,6 +930,13 @@ const SINK_QUERIES: &[(bool, &str)] = &[
             ORDER BY f.v DESC, f.k, d.name LIMIT 9"),
     (true, "SELECT d.w, f.v, d.name FROM fact f INNER JOIN dim d ON f.k = d.k \
             ORDER BY d.w, f.v, d.name"),
+    // Shapes that do not stream: row-path nodes (partitioned LEFT join,
+    // chunked aggregate, DISTINCT, the sort on an expression key) over
+    // pipelined children.
+    (false, "SELECT f.k, f.v, d.w FROM fact f LEFT JOIN dim d ON f.k = d.k AND d.w > 3"),
+    (false, "SELECT k + v, COUNT(*), SUM(v), MIN(g) FROM fact GROUP BY k + v"),
+    (false, "SELECT DISTINCT k, g FROM fact"),
+    (true, "SELECT v, k + v FROM fact ORDER BY k + v, v DESC"),
 ];
 
 proptest! {
@@ -1008,10 +1016,12 @@ proptest! {
     }
 }
 
-/// Pipelines on an input large enough to fan out (more than
-/// `INLINE_ROWS` = 8 × 4096 rows survive zone pruning): every worker count
-/// returns the one-worker answer *bit for bit* — parts are slices, merged
-/// in slice order, so who runs them never shows, doubles included.
+/// Pipelines — and the row-path nodes above them — on an input large enough
+/// to fan out (ten batches survive zone pruning): every worker count returns
+/// the one-worker answer *bit for bit* — parts are slices and join
+/// partitions fixed by the configuration and merged in part order, and sorts
+/// are stable whatever their run count, so who runs them never shows, the
+/// pipelines' doubles included.
 #[test]
 fn pipelines_fan_out_without_changing_a_bit() {
     use idaa::accel::{AccelConfig, AccelEngine};
@@ -1045,6 +1055,18 @@ fn pipelines_fan_out_without_changing_a_bit() {
     for parallelism in [2, 3, 8] {
         assert_eq!(run(parallelism), one, "parallelism={parallelism}");
     }
+    // The string-key probe joins across blank padding in both directions:
+    // FACT 'ab ' ⋈ DIM 'ab' and FACT 'n2' ⋈ DIM 'n2 ', beside 'n1' ⋈ 'n1'.
+    let pairs = |joins: &[(usize, usize)]| -> i64 {
+        let of = |(g, n): (usize, usize)| {
+            fact.iter().filter(|f| f.3 == g).count() * dim.iter().filter(|d| d.1 == n).count()
+        };
+        joins.iter().map(|j| of(*j) as i64).sum()
+    };
+    assert!(pairs(&[(0, 3)]) > 0 && pairs(&[(2, 2)]) > 0, "no padded key pair in the data");
+    let by_name = "SELECT COUNT(*), SUM(d.w) FROM fact f INNER JOIN dim d ON f.g = d.name";
+    let at = SINK_QUERIES.iter().position(|(_, sql)| *sql == by_name).unwrap();
+    assert_eq!(one[at][0][0], Value::BigInt(pairs(&[(0, 3), (2, 2), (3, 1)])));
 }
 
 // ---------------------------------------------------------------------------
