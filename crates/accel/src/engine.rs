@@ -31,7 +31,7 @@ pub struct AccelConfig {
     pub zone_maps: bool,
     /// Scan slices in parallel threads.
     pub parallel: bool,
-    /// Worker threads for post-scan operators (joins, aggregation, sort).
+    /// Worker threads the slices of a scan or pipeline are spread over.
     /// `0` means "auto": `available_parallelism()` capped at `slices`.
     pub parallelism: usize,
 }
@@ -46,8 +46,8 @@ impl AccelConfig {
     /// Effective worker count for parallel operators: 1 when `parallel` is
     /// off, else the explicit `parallelism`, else `available_parallelism()`
     /// capped at the slice count. The machine is asked once per process:
-    /// the call reads affinity masks and cgroup files, and every scan, join,
-    /// aggregate and sort node sizes its fan-out from here.
+    /// the call reads affinity masks and cgroup files, and every slice
+    /// fan-out sizes itself from here.
     pub fn workers(&self) -> usize {
         static AUTO: OnceLock<usize> = OnceLock::new();
         if !self.parallel {

@@ -15,35 +15,35 @@
 //! as a residual — results are always exact, never approximate.
 //!
 //! What consumes the surviving selection is decided once per plan by
-//! `pipeline::lower`: a sub-plan that can stream runs as one
-//! `pipeline::Pipeline` (join probe, projection, aggregate / sort /
-//! top-K / row sink over the typed vectors; a row is built only at the
-//! sink), everything else — and all of [`ExecMode::Interpreted`] — runs
-//! through the `Vec<Row>` interpreter in this file, node by node.
+//! `pipeline::lower`: a sub-plan whose probe side is a (filtered) scan runs
+//! as one `pipeline::Pipeline` (join probe, residuals, projection,
+//! aggregate / sort / top-K / row sink over the typed vectors; a row is
+//! built only at the sink). Everything else — and all of
+//! [`ExecMode::Interpreted`], the oracle — runs through the `Vec<Row>`
+//! interpreter in this file, node by node, plainly and serially: one
+//! `HashMap` join in probe order, one stable sort, one aggregation loop.
 //!
-//! Slices, join partitions and sort/aggregate chunks all fan out through
-//! `run_parts`: *what* the parts are is fixed by the configuration and the
-//! data (so output order is too), *who* runs them is decided per call from
-//! the worker count and the input size.
+//! Only slices fan out: scans and pipelines go through `for_each_slice` →
+//! `run_parts`, whose parts are the table's slices (so output order is a
+//! function of the data) and whose schedule is decided per call from the
+//! worker count and the input size.
 
 use crate::column::{Column, NullMap};
 use crate::engine::AccelEngine;
 use crate::mvcc::Snapshot;
 use crate::pipeline::{gather, Kind, Lowered, OutCol};
 use crate::table::{AccelTable, RowPos, Slice, ZoneEntry, BLOCK_ROWS};
-use idaa_common::wire::KeySummary;
 use idaa_common::{Error, ObjectName, Result, Row, Value};
 use idaa_sql::ast::{BinaryOp, Expr, JoinKind};
 use idaa_sql::eval::{bind, eval, eval_predicate, AggState, BoundExpr, FlatResolver};
 use idaa_sql::plan::{Plan, PlanCol, PlanProfile};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Run `f(0)..f(parts-1)` and return the results in part order — the one
-/// fan-out every parallel operator uses. The caller fixes the partitioning
-/// (`parts`) from the configuration and the data, which keeps output
-/// deterministic; this function only decides the schedule. An input of at
+/// fan-out, reached only through [`for_each_slice`]. The caller fixes the
+/// partitioning (`parts`) from the configuration and the data, which keeps
+/// output deterministic; this function only decides the schedule. An input of at
 /// most one batch (`input` counts the rows or versions the parts will read)
 /// runs every part inline: spawning costs more than the work. Otherwise
 /// `min(workers, parts) - 1` scoped helpers plus the calling thread claim
@@ -86,9 +86,9 @@ where
 /// Which executor runs a statement. `Vectorized` (the default) lowers the
 /// plan to batch pipelines wherever it can stream and compiles predicate
 /// conjuncts to kernels over block-sized selection vectors; `Interpreted`
-/// forces the row-at-a-time interpreter for every node — kept as the
-/// exactness oracle and the fallback for any shape the lowering does not
-/// cover.
+/// forces the serial row-at-a-time interpreter for every node — kept as the
+/// exactness oracle (and the fallback for the few shapes the lowering does
+/// not cover).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     #[default]
@@ -194,7 +194,7 @@ fn run_node(
                 .collect()
         }
         (Plan::Join { left, right, kind, .. }, Kind::Join(spec)) => {
-            run_join(plan, (left, child(0)?), (right, child(1)?), *kind, spec, ctx, needed)
+            run_join((left, child(0)?), (right, child(1)?), *kind, spec, ctx, needed)
         }
         (Plan::Aggregate { input, group_exprs, aggs, .. }, _) => {
             run_aggregate(input, child(0)?, group_exprs, aggs, ctx)
@@ -211,8 +211,9 @@ fn run_node(
                 m
             });
             // A stable sort: the oracle every sort / top-K sink is held to.
-            let rows = run(input, child(0)?, ctx, child_mask)?;
-            Ok(sort_rows(rows, keys, ctx.engine.config.workers()))
+            let mut rows = run(input, child(0)?, ctx, child_mask)?;
+            rows.sort_by(sort_cmp(keys));
+            Ok(rows)
         }
         (Plan::Distinct { input }, _) => {
             // Row-level dedup reads every column: no pushdown through here.
@@ -684,12 +685,7 @@ impl ScanSpec {
                 None => leftover.push(conj),
             }
         }
-        let residual = leftover
-            .into_iter()
-            .cloned()
-            .reduce(|a, b| Expr::Binary { left: Box::new(a), op: BinaryOp::And, right: Box::new(b) })
-            .map(|combined| bind(&combined, &resolver_of(scan_cols)))
-            .transpose()?;
+        let residual = bind_all(leftover, &resolver_of(scan_cols))?;
         Ok(ScanSpec { table: table.name.clone(), kernels, residual, conjuncts })
     }
 
@@ -939,6 +935,16 @@ fn conjuncts(e: &Expr) -> Vec<&Expr> {
     }
 }
 
+/// The conjunction of `conjs`, bound (`None` when there are none).
+fn bind_all(conjs: Vec<&Expr>, resolver: &FlatResolver) -> Result<Option<BoundExpr>> {
+    conjs
+        .into_iter()
+        .cloned()
+        .reduce(|a, b| Expr::Binary { left: Box::new(a), op: BinaryOp::And, right: Box::new(b) })
+        .map(|combined| bind(&combined, resolver))
+        .transpose()
+}
+
 /// Comparator over `Plan::Sort` keys (shared by the row sort and the
 /// pipeline's run merge).
 fn sort_cmp(keys: &[(usize, bool)]) -> impl Fn(&Row, &Row) -> std::cmp::Ordering + Sync + '_ {
@@ -952,28 +958,6 @@ fn sort_cmp(keys: &[(usize, bool)]) -> impl Fn(&Row, &Row) -> std::cmp::Ordering
         }
         std::cmp::Ordering::Equal
     }
-}
-
-/// Stable sort of the row path: past one batch and with workers to spare,
-/// `workers` consecutive runs sort in parallel and merge stably — the same
-/// rows in the same order as one `sort_by`, whatever the run count.
-fn sort_rows(mut rows: Vec<Row>, keys: &[(usize, bool)], workers: usize) -> Vec<Row> {
-    let total = rows.len();
-    if workers <= 1 || total <= BLOCK_ROWS {
-        rows.sort_by(sort_cmp(keys));
-        return rows;
-    }
-    // `run_parts` wants `Fn`: each part takes its run out of its own lock.
-    let mut rest = rows.into_iter();
-    let runs: Vec<parking_lot::Mutex<Vec<Row>>> = (0..workers)
-        .map(|_| parking_lot::Mutex::new(rest.by_ref().take(total.div_ceil(workers)).collect()))
-        .collect();
-    let sorted = run_parts(runs.len(), workers, total, |i| {
-        let mut run = std::mem::take(&mut *runs[i].lock());
-        run.sort_by(sort_cmp(keys));
-        run
-    });
-    merge_runs(sorted, keys)
 }
 
 /// K-way merge of runs that are each sorted by `keys`, breaking ties toward
@@ -1009,71 +993,8 @@ pub(crate) fn merge_runs(mut runs: Vec<Vec<Row>>, keys: &[(usize, bool)]) -> Vec
     }
 }
 
-/// The key layout a pipeline's probe stage can use for a join, decided
-/// *statically* from the declared column types of the key pair:
-/// integer↔integer keys compare exactly as raw `i64` and
-/// character↔character keys as blank-trimmed strings, matching [`Value`]
-/// equality for those type pairs. Anything else — mixed-type pairs (INT vs
-/// DOUBLE keep full [`Value`] equality), key expressions, multi-key tuples
-/// — is `Generic` and joins on the row path. Exact-or-fallback, like every
-/// kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum KeyLayout {
-    I64,
-    Str,
-    Generic,
-}
-
-/// One side of a row-path join: its rows, its key expressions, and each
-/// row's key-tuple hash, computed once (`None` marks a NULL key — SQL join
-/// keys never match on NULL).
-struct JoinSide<'a> {
-    rows: &'a [Row],
-    keys: &'a [BoundExpr],
-    hashes: Vec<Option<u64>>,
-}
-
-fn key_layout(
-    lkeys: &[BoundExpr],
-    lcols: &[PlanCol],
-    rkeys: &[BoundExpr],
-    rcols: &[PlanCol],
-) -> KeyLayout {
-    use idaa_common::DataType::{BigInt, Integer, SmallInt};
-    let ([l], [r]) = (lkeys, rkeys) else { return KeyLayout::Generic };
-    let (Some(li), Some(ri)) = (l.as_column(), r.as_column()) else {
-        return KeyLayout::Generic;
-    };
-    let (lt, rt) = (lcols[li].data_type, rcols[ri].data_type);
-    let int = |t| matches!(t, SmallInt | Integer | BigInt);
-    if int(lt) && int(rt) {
-        KeyLayout::I64
-    } else if lt.is_character() && rt.is_character() {
-        KeyLayout::Str
-    } else {
-        KeyLayout::Generic
-    }
-}
-
-impl<'a> JoinSide<'a> {
-    fn new(rows: &'a [Row], keys: &'a [BoundExpr]) -> Result<JoinSide<'a>> {
-        let hash_of = |row: &Row| {
-            let mut hasher = std::collections::hash_map::DefaultHasher::new();
-            for k in keys {
-                match eval(k, row)? {
-                    Value::Null => return Ok(None),
-                    v => v.hash(&mut hasher),
-                }
-            }
-            Ok(Some(hasher.finish()))
-        };
-        Ok(JoinSide { rows, keys, hashes: rows.iter().map(hash_of).collect::<Result<_>>()? })
-    }
-}
-
 /// A join's static decisions, bound once at lowering: the ON predicate
-/// split into equi-key pairs per side, whether key equality covers the
-/// whole predicate, and the key layout the declared types admit. The row
+/// split into equi-key pairs per side and the conjuncts left over. The row
 /// path runs from it and `EXPLAIN` describes it; a pipeline's probe stage
 /// is lowered from the same value.
 #[derive(Debug)]
@@ -1082,41 +1003,41 @@ pub(crate) struct JoinSpec {
     pub(crate) rkeys: Vec<BoundExpr>,
     /// The whole ON predicate over the concatenated (left, right) row.
     on: BoundExpr,
-    /// Every ON conjunct became an equi-key pair: key equality *is* the
-    /// predicate, and matched candidates skip the per-row ON re-check.
-    pub(crate) on_covered: bool,
-    pub(crate) layout: KeyLayout,
+    /// The ON conjuncts that are not equi-key pairs, over the concatenated
+    /// row; `None` when key equality is the whole predicate.
+    pub(crate) residual: Option<BoundExpr>,
 }
 
 impl JoinSpec {
     pub(crate) fn bind(left: &Plan, right: &Plan, on: &Expr) -> Result<JoinSpec> {
-        let (lcols, rcols) = (left.cols(), right.cols());
-        let (lres, rres) = (resolver_of(&lcols), resolver_of(&rcols));
-        let bound_on = bind(on, &lres.concat(&rres))?;
-        let conjs = conjuncts(on);
-        let mut lkeys: Vec<BoundExpr> = Vec::new();
-        let mut rkeys: Vec<BoundExpr> = Vec::new();
-        for conj in &conjs {
-            if let Expr::Binary { left: a, op: BinaryOp::Eq, right: b } = conj {
-                if let (Ok(la), Ok(rb)) = (bind(a, &lres), bind(b, &rres)) {
-                    lkeys.push(la);
-                    rkeys.push(rb);
-                } else if let (Ok(lb), Ok(ra)) = (bind(b, &lres), bind(a, &rres)) {
-                    lkeys.push(lb);
-                    rkeys.push(ra);
+        let (lres, rres) = (resolver_of(&left.cols()), resolver_of(&right.cols()));
+        let both = lres.concat(&rres);
+        let (mut lkeys, mut rkeys, mut rest) = (Vec::new(), Vec::new(), Vec::new());
+        for conj in conjuncts(on) {
+            let pair = match conj {
+                Expr::Binary { left: a, op: BinaryOp::Eq, right: b } => {
+                    match (bind(a, &lres), bind(b, &rres)) {
+                        (Ok(l), Ok(r)) => Some((l, r)),
+                        _ => bind(b, &lres).ok().zip(bind(a, &rres).ok()),
+                    }
                 }
+                _ => None,
+            };
+            match pair {
+                Some((l, r)) => {
+                    lkeys.push(l);
+                    rkeys.push(r);
+                }
+                None => rest.push(conj),
             }
         }
-        let layout = key_layout(&lkeys, &lcols, &rkeys, &rcols);
-        Ok(JoinSpec { on_covered: lkeys.len() == conjs.len(), lkeys, rkeys, on: bound_on, layout })
+        let residual = bind_all(rest, &both)?;
+        Ok(JoinSpec { lkeys, rkeys, on: bind(on, &both)?, residual })
     }
 }
 
-/// The row-path join, on hashed key tuples: LEFT joins, multi-key or
-/// generic-layout keys, residual ON conjuncts, non-scan inputs, and every
-/// join in interpreted mode.
+/// The row-path join node: both sides, then [`hash_join`].
 fn run_join(
-    plan: &Plan,
     (left, llow): (&Plan, &Lowered),
     (right, rlow): (&Plan, &Lowered),
     kind: JoinKind,
@@ -1124,10 +1045,7 @@ fn run_join(
     ctx: &ExecCtx,
     needed: Option<Vec<bool>>,
 ) -> Result<Vec<Row>> {
-    let JoinSpec { lkeys, rkeys, on, on_covered, .. } = spec;
     let (lwidth, rwidth) = (left.cols().len(), right.cols().len());
-    let workers = ctx.engine.config.workers();
-
     // Projection pushdown through the join: each side materializes what the
     // caller reads of it plus what the ON predicate (keys and residual
     // conjuncts alike) reads; every other column stays NULL.
@@ -1135,7 +1053,7 @@ fn run_join(
         None => (None, None),
         Some(mut m) => {
             m.resize(lwidth + rwidth, false);
-            let mut l = union_mask(Some(m), mask_of(lwidth + rwidth, &[on]));
+            let mut l = union_mask(Some(m), mask_of(lwidth + rwidth, &[&spec.on]));
             let r = l.split_off(lwidth);
             (Some(l), Some(r))
         }
@@ -1143,197 +1061,63 @@ fn run_join(
     // Build side (right) first, like the pipeline's probe stage.
     let rrows = run(right, rlow, ctx, rmask)?;
     let lrows = run(left, llow, ctx, lmask)?;
-    if lkeys.is_empty() {
-        return nested_loop_join(&lrows, &rrows, kind, on, rwidth, workers);
-    }
-    let (l, r) = (JoinSide::new(&lrows, lkeys)?, JoinSide::new(&rrows, rkeys)?);
-    let residual_on = if *on_covered { None } else { Some(on) };
-    // What the partitions are follows the configuration and the data, never
-    // the machine: an unordered join result — and the frame bytes it
-    // encodes to — must not depend on the CPU count.
-    let parts = ctx.engine.config.slices.clamp(1, lrows.len().max(1));
-    let (out, bloom_skipped) = hash_join(&l, &r, kind, residual_on, rwidth, parts, workers)?;
-    if let Some(prof) = ctx.profile {
-        prof.record_bloom(plan, bloom_skipped);
-    }
-    Ok(out)
+    hash_join(&lrows, &rrows, spec, kind, rwidth)
 }
 
-/// Partitioned parallel hash join over pre-hashed keys: both sides are
-/// split by key hash into `parts` partitions, each partition builds a hash
-/// table *and a Bloom filter* over its build keys and probes independently,
-/// and partition outputs concatenate in partition order (so the output
-/// order is a function of `parts`, not of who ran them). The Bloom filter
-/// is consulted before any hash table lookup; it only ever false-positives,
-/// so skipped probes are exactly the hash-table misses (the second returned
-/// value counts them). LEFT-join padding stays correct because a probe
-/// row's key maps it to exactly one partition — a Bloom skip leaves
-/// `matched` false and the row null-extends in place; probe rows with NULL
-/// keys ride along in partition 0 and can only null-extend.
+/// The oracle join: build rows indexed by key tuple (`Value` equality; a
+/// NULL key never joins), probe rows in input order, each matched against
+/// its candidates in build order, kept when the residual ON conjuncts hold;
+/// an unmatched LEFT probe row null-extends in place. Without equi-key
+/// pairs every build row is a candidate: a nested loop.
 fn hash_join(
-    l: &JoinSide,
-    r: &JoinSide,
-    kind: JoinKind,
-    residual_on: Option<&BoundExpr>,
-    rwidth: usize,
-    parts: usize,
-    workers: usize,
-) -> Result<(Vec<Row>, u64)> {
-    let parts = parts.max(1);
-    let mut build_parts: Vec<Vec<(usize, u64)>> = vec![Vec::new(); parts];
-    for (i, k) in r.hashes.iter().enumerate() {
-        if let Some(h) = k {
-            build_parts[(h % parts as u64) as usize].push((i, *h));
-        }
-    }
-    let mut probe_parts: Vec<Vec<usize>> = vec![Vec::new(); parts];
-    for (i, k) in l.hashes.iter().enumerate() {
-        probe_parts[(k.unwrap_or(0) % parts as u64) as usize].push(i);
-    }
-    // Equal hashes are candidates; the key tuples decide.
-    let same_key = |li: usize, ri: usize| -> Result<bool> {
-        for (lk, rk) in l.keys.iter().zip(r.keys) {
-            if eval(lk, &l.rows[li])? != eval(rk, &r.rows[ri])? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    };
-
-    let input = l.rows.len() + r.rows.len();
-    let results = run_parts(parts, workers, input, |p| -> Result<(Vec<Row>, u64)> {
-        let mut table: HashMap<u64, Vec<usize>> = HashMap::with_capacity(build_parts[p].len());
-        let mut bloom = KeySummary::with_capacity(build_parts[p].len());
-        for &(ri, h) in &build_parts[p] {
-            bloom.insert_hash(h);
-            table.entry(h).or_default().push(ri);
-        }
-        let mut out = Vec::new();
-        let mut skipped = 0u64;
-        for &li in &probe_parts[p] {
-            let mut matched = false;
-            if let Some(h) = l.hashes[li] {
-                if !bloom.might_contain(h) {
-                    skipped += 1;
-                } else if let Some(cands) = table.get(&h) {
-                    for &ri in cands {
-                        if !same_key(li, ri)? {
-                            continue; // same hash bucket, different key
-                        }
-                        let mut j = l.rows[li].clone();
-                        j.extend(r.rows[ri].iter().cloned());
-                        if let Some(b) = residual_on {
-                            if !eval_predicate(b, &j)? {
-                                continue;
-                            }
-                        }
-                        matched = true;
-                        out.push(j);
-                    }
-                }
-            }
-            if !matched && kind == JoinKind::Left {
-                let mut j = l.rows[li].clone();
-                j.extend(std::iter::repeat_n(Value::Null, rwidth));
-                out.push(j);
-            }
-        }
-        Ok((out, skipped))
-    });
-    let mut out = Vec::new();
-    let mut skipped = 0u64;
-    for r in results {
-        let (rows, s) = r?;
-        out.extend(rows);
-        skipped += s;
-    }
-    Ok((out, skipped))
-}
-
-/// Nested-loop join for non-equi conditions, parallelized over contiguous
-/// probe chunks — chunk order concatenation reproduces the serial output
-/// exactly.
-fn nested_loop_join(
     lrows: &[Row],
     rrows: &[Row],
+    spec: &JoinSpec,
     kind: JoinKind,
-    bound_on: &BoundExpr,
     rwidth: usize,
-    workers: usize,
 ) -> Result<Vec<Row>> {
-    let chunk = lrows.len().div_ceil(workers.max(1)).max(1);
-    let chunks: Vec<&[Row]> = lrows.chunks(chunk).collect();
-    // The work is the pairs evaluated, not the rows read.
-    let input = lrows.len().saturating_mul(rrows.len());
-    let results = run_parts(chunks.len(), workers, input, |ci| -> Result<Vec<Row>> {
-        let mut out = Vec::new();
-        for lrow in chunks[ci] {
-            let mut matched = false;
-            for rrow in rrows {
-                let mut j = lrow.clone();
-                j.extend(rrow.iter().cloned());
-                if eval_predicate(bound_on, &j)? {
-                    matched = true;
-                    out.push(j);
-                }
-            }
-            if !matched && kind == JoinKind::Left {
-                let mut j = lrow.clone();
-                j.extend(std::iter::repeat_n(Value::Null, rwidth));
+    let key = |keys: &[BoundExpr], row: &Row| -> Result<Option<Vec<Value>>> {
+        let key: Vec<Value> = keys.iter().map(|k| eval(k, row)).collect::<Result<_>>()?;
+        Ok((!key.iter().any(Value::is_null)).then_some(key))
+    };
+    let mut index: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+    for (i, row) in rrows.iter().enumerate() {
+        if let Some(k) = key(&spec.rkeys, row)? {
+            index.entry(k).or_default().push(i);
+        }
+    }
+    let mut out = Vec::new();
+    for lrow in lrows {
+        let mut matched = false;
+        let cands = key(&spec.lkeys, lrow)?.and_then(|k| index.get(&k));
+        for &ri in cands.into_iter().flatten() {
+            let mut j = lrow.clone();
+            j.extend(rrows[ri].iter().cloned());
+            if spec.residual.as_ref().map_or(Ok(true), |r| eval_predicate(r, &j))? {
+                matched = true;
                 out.push(j);
             }
         }
-        Ok(out)
-    });
-    let mut out = Vec::new();
-    for r in results {
-        out.extend(r?);
+        if !matched && kind == JoinKind::Left {
+            let mut j = lrow.clone();
+            j.extend(std::iter::repeat_n(Value::Null, rwidth));
+            out.push(j);
+        }
     }
     Ok(out)
 }
 
-/// Grouped partial-aggregation state: insertion-ordered groups plus a key
-/// index. Insertion order is what makes chunked aggregation deterministic —
-/// merging chunk results in chunk order reproduces the serial
-/// first-encounter group order exactly.
+/// Grouped aggregation state: insertion-ordered groups. Insertion order is
+/// what makes the pipeline's per-slice partials deterministic — merging
+/// them in slice order reproduces the serial first-encounter group order
+/// exactly.
 pub(crate) type Groups = Vec<(Vec<Value>, Vec<AggState>)>;
 
 pub(crate) fn new_states(aggs: &[idaa_sql::plan::AggCall]) -> Vec<AggState> {
     aggs.iter().map(|a| AggState::new(a.kind, a.distinct)).collect()
 }
 
-/// Aggregate one run of rows into insertion-ordered groups.
-fn aggregate_rows(
-    rows: &[Row],
-    bound_keys: &[BoundExpr],
-    bound_args: &[Option<BoundExpr>],
-    aggs: &[idaa_sql::plan::AggCall],
-) -> Result<Groups> {
-    let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-    let mut groups: Groups = Vec::new();
-    for row in rows {
-        let key: Vec<Value> = bound_keys.iter().map(|k| eval(k, row)).collect::<Result<_>>()?;
-        let gi = match index.get(&key) {
-            Some(&i) => i,
-            None => {
-                groups.push((key.clone(), new_states(aggs)));
-                index.insert(key, groups.len() - 1);
-                groups.len() - 1
-            }
-        };
-        for (state, arg) in groups[gi].1.iter_mut().zip(bound_args) {
-            let v = match arg {
-                Some(b) => eval(b, row)?,
-                None => Value::Null,
-            };
-            state.update(&v)?;
-        }
-    }
-    Ok(groups)
-}
-
-/// Fold partial groups together in part order (slices for a pipeline's
-/// aggregate sink, chunks for the row path).
+/// Fold a pipeline's per-slice partial groups together in slice order.
 pub(crate) fn merge_groups(parts: Vec<Groups>) -> Result<Groups> {
     let mut iter = parts.into_iter();
     let mut acc = iter.next().unwrap_or_default();
@@ -1357,13 +1141,14 @@ pub(crate) fn merge_groups(parts: Vec<Groups>) -> Result<Groups> {
     Ok(acc)
 }
 
-/// Turn finished groups into output rows (`key columns… then aggregates…`).
+/// Turn finished groups into output rows (`key columns… then aggregates…`);
+/// without GROUP BY keys an empty input still makes one row.
 pub(crate) fn finish_groups(
     mut groups: Groups,
-    group_exprs: &[Expr],
+    grouped: bool,
     aggs: &[idaa_sql::plan::AggCall],
 ) -> Result<Vec<Row>> {
-    if groups.is_empty() && group_exprs.is_empty() {
+    if groups.is_empty() && !grouped {
         groups.push((vec![], new_states(aggs)));
     }
     groups
@@ -1377,6 +1162,8 @@ pub(crate) fn finish_groups(
         .collect()
 }
 
+/// The oracle aggregate: one pass in input order, groups by first
+/// occurrence.
 fn run_aggregate(
     input: &Plan,
     low: &Lowered,
@@ -1392,26 +1179,27 @@ fn run_aggregate(
         .iter()
         .map(|a| a.arg.as_ref().map(|e| bind(e, &resolver)).transpose())
         .collect::<Result<_>>()?;
-
     let refs: Vec<&BoundExpr> =
         bound_keys.iter().chain(bound_args.iter().flatten()).collect();
-    let child_mask = mask_of(cols.len(), &refs);
-    let rows = run(input, low, ctx, Some(child_mask))?;
+    let rows = run(input, low, ctx, Some(mask_of(cols.len(), &refs)))?;
 
-    let workers = ctx.engine.config.workers();
-    let groups = if workers > 1 && rows.len() > 1 {
-        let chunk = rows.len().div_ceil(workers).max(1);
-        let chunks: Vec<&[Row]> = rows.chunks(chunk).collect();
-        let parts: Vec<Groups> = run_parts(chunks.len(), workers, rows.len(), |ci| {
-            aggregate_rows(chunks[ci], &bound_keys, &bound_args, aggs)
-        })
-        .into_iter()
-        .collect::<Result<_>>()?;
-        merge_groups(parts)?
-    } else {
-        aggregate_rows(&rows, &bound_keys, &bound_args, aggs)?
-    };
-    finish_groups(groups, group_exprs, aggs)
+    let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
+    let mut groups: Groups = Vec::new();
+    for row in &rows {
+        let key: Vec<Value> = bound_keys.iter().map(|k| eval(k, row)).collect::<Result<_>>()?;
+        let gi = *index.entry(key).or_insert_with_key(|key| {
+            groups.push((key.clone(), new_states(aggs)));
+            groups.len() - 1
+        });
+        for (state, arg) in groups[gi].1.iter_mut().zip(&bound_args) {
+            let v = match arg {
+                Some(b) => eval(b, row)?,
+                None => Value::Null,
+            };
+            state.update(&v)?;
+        }
+    }
+    finish_groups(groups, !group_exprs.is_empty(), aggs)
 }
 
 // Kernel-level unit tests live here; engine-level behavior is tested in
@@ -1689,54 +1477,8 @@ mod tests {
                     .collect();
                 assert_eq!(merge_runs(runs, &keys), expect, "chunk={chunk}");
             }
-            // The row-path sort, past one batch so its runs really fan out.
-            let big = synth_rows(BLOCK_ROWS + 905, 11, 13);
-            let serial = sort_rows(big.clone(), &keys, 1);
-            for workers in [2, 3, 8] {
-                assert_eq!(sort_rows(big.clone(), &keys, workers), serial, "workers={workers}");
-            }
         }
         assert!(merge_runs(vec![Vec::new(), Vec::new()], &[(0, false)]).is_empty());
-    }
-
-    #[test]
-    fn hash_join_output_is_a_function_of_parts_not_workers() {
-        // Past one batch in total, so extra workers really fan out.
-        let mut lrows = synth_rows(30_000, 1, 9973);
-        let mut rrows = synth_rows(3_000, 2, 9973);
-        // Sprinkle NULL keys on both sides: they must never match, and
-        // LEFT joins must null-extend the probe-side ones exactly once.
-        for i in (0..rrows.len()).step_by(41) {
-            rrows[i][0] = Value::Null;
-        }
-        for i in (0..lrows.len()).step_by(53) {
-            lrows[i][0] = Value::Null;
-        }
-        let keys = [BoundExpr::Column(0)];
-        let (l, r) =
-            (JoinSide::new(&lrows, &keys).unwrap(), JoinSide::new(&rrows, &keys).unwrap());
-        for kind in [JoinKind::Inner, JoinKind::Left] {
-            let join = |parts, workers| hash_join(&l, &r, kind, None, 2, parts, workers).unwrap().0;
-            let canon = |mut rows: Vec<Row>| {
-                rows.sort_by(sort_cmp(&[(0, false), (1, false), (2, false), (3, false)]));
-                rows
-            };
-            let serial = join(1, 1);
-            let fixed = join(4, 1);
-            // Partition order differs from probe order, but the multiset of
-            // joined rows is the serial one…
-            assert_eq!(canon(fixed.clone()), canon(serial.clone()), "{kind:?}");
-            // …and who runs the partitions never shows: identical rows, in
-            // order, at any worker count.
-            for workers in [2, 8] {
-                assert_eq!(join(4, workers), fixed, "{kind:?} workers={workers}");
-            }
-            if kind == JoinKind::Left {
-                let padded =
-                    serial.iter().filter(|r| r[2] == Value::Null && r[3] == Value::Null).count();
-                assert!(padded > 0, "expected null-extended probe rows");
-            }
-        }
     }
 
     /// Row-at-a-time oracle from the join's defining semantics: probe rows
@@ -1764,6 +1506,13 @@ mod tests {
         out
     }
 
+    /// A join spec on column 0 of each side (`lkeys` empty: a nested loop
+    /// over `residual`).
+    fn spec(keyed: bool, residual: Option<BoundExpr>) -> JoinSpec {
+        let key = || if keyed { vec![BoundExpr::Column(0)] } else { Vec::new() };
+        JoinSpec { lkeys: key(), rkeys: key(), on: BoundExpr::Literal(Value::Null), residual }
+    }
+
     #[test]
     fn hash_join_serial_output_order_is_pinned() {
         let mut lrows = synth_rows(150, 9, 13);
@@ -1774,14 +1523,20 @@ mod tests {
         for i in (0..lrows.len()).step_by(19) {
             lrows[i][0] = Value::Null;
         }
-        let keys = [BoundExpr::Column(0)];
-        let (l, r) =
-            (JoinSide::new(&lrows, &keys).unwrap(), JoinSide::new(&rrows, &keys).unwrap());
+        // The same equality as a residual over the joined row.
+        let on = BoundExpr::Binary {
+            left: Box::new(BoundExpr::Column(0)),
+            op: BinaryOp::Eq,
+            right: Box::new(BoundExpr::Column(2)),
+        };
         for kind in [JoinKind::Inner, JoinKind::Left] {
-            // One partition ⇒ byte-identical to the nested oracle, not
-            // just the same multiset: probe order, then build order.
-            let (got, _) = hash_join(&l, &r, kind, None, 2, 1, 1).unwrap();
-            assert_eq!(got, oracle_join(&lrows, &rrows, kind), "{kind:?}");
+            // Byte-identical to the nested oracle, not just the same
+            // multiset: probe order, then build order — on hashed keys and
+            // as a nested loop alike.
+            let expect = oracle_join(&lrows, &rrows, kind);
+            for spec in [spec(true, None), spec(false, Some(on.clone()))] {
+                assert_eq!(hash_join(&lrows, &rrows, &spec, kind, 2).unwrap(), expect, "{kind:?}");
+            }
         }
     }
 
@@ -1790,18 +1545,14 @@ mod tests {
         // Mixed numeric representations of one quantity share a key, NULL
         // never gets one, and 'EU' joins 'EU  ' (DB2 padded comparison) —
         // exactly like `Value` equality.
-        let keys = [BoundExpr::Column(0)];
         let rows = vec![vec![Value::BigInt(2)], vec![Value::Double(2.0)], vec![Value::Null]];
-        let hashes = JoinSide::new(&rows, &keys).unwrap().hashes;
-        assert_eq!(hashes[0], hashes[1]);
-        assert!(hashes[2].is_none());
+        let out = hash_join(&rows, &rows, &spec(true, None), JoinKind::Inner, 1).unwrap();
+        assert_eq!(out.len(), 4);
         let lrows: Vec<Row> =
             vec![vec![Value::Varchar("EU".into())], vec![Value::Varchar("US ".into())]];
         let rrows: Vec<Row> =
             vec![vec![Value::Varchar("EU  ".into())], vec![Value::Varchar("ASIA".into())]];
-        let (l, r) =
-            (JoinSide::new(&lrows, &keys).unwrap(), JoinSide::new(&rrows, &keys).unwrap());
-        let (out, _) = hash_join(&l, &r, JoinKind::Inner, None, 1, 1, 1).unwrap();
+        let out = hash_join(&lrows, &rrows, &spec(true, None), JoinKind::Inner, 1).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0][0], Value::Varchar("EU".into()));
     }
@@ -1850,27 +1601,4 @@ mod tests {
             assert_eq!(got, expect, "mask={mask:?}");
         }
     }
-
-    #[test]
-    fn nested_loop_parallel_matches_serial_order_exactly() {
-        // 40 000 pairs: past one batch, so the chunks really fan out.
-        let lrows = synth_rows(400, 5, 11);
-        let rrows = synth_rows(100, 6, 11);
-        // Non-equi ON: left.key < right.key.
-        let on = BoundExpr::Binary {
-            left: Box::new(BoundExpr::Column(0)),
-            op: BinaryOp::Lt,
-            right: Box::new(BoundExpr::Column(2)),
-        };
-        for kind in [JoinKind::Inner, JoinKind::Left] {
-            let serial = nested_loop_join(&lrows, &rrows, kind, &on, 2, 1).unwrap();
-            for workers in [2, 4, 7] {
-                // Chunk-order concatenation reproduces the serial output
-                // byte for byte — not just as a multiset.
-                let par = nested_loop_join(&lrows, &rrows, kind, &on, 2, workers).unwrap();
-                assert_eq!(par, serial, "{kind:?} workers={workers}");
-            }
-        }
-    }
 }
-

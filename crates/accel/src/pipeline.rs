@@ -1,40 +1,48 @@
 //! The executor's pipeline IR: what a [`Plan`] lowers to, once, before it
 //! runs — and what the plan cache keeps beside the plan.
 //!
-//! [`lower`] turns every sub-plan that can stream into one [`Pipeline`]:
+//! [`lower`] turns every sub-plan whose probe side is a (filtered) scan into
+//! one [`Pipeline`]:
 //!
 //! * **source** — `scan_blocks` over one slice: zone pruning, block
 //!   visibility and the compiled filter kernels yield the block's ascending
-//!   selection vector;
-//! * **stages** over that vector — an INNER equi-join *probe* against a
-//!   build table built once per execution and shared read-only (the derived
-//!   join-filter compacts the selection first; the typed `i64` /
-//!   dictionary-code lookup then emits a build-row index vector beside the
-//!   position vector, so no joined row is ever assembled), and
-//!   *projection*, folded at lowering into the column list the sink reads
-//!   (a bare column reference is a rename; only real expressions evaluate);
-//! * **sink** — `Agg` fed from typed column slices on either join side,
-//!   `Sort` / top-K comparing typed key columns by `(position, build row)`
-//!   and gathering rows only for the survivors, or `Rows` via
-//!   `Column::gather_into`.
+//!   selection vector, and a residual no kernel took compacts it further;
+//! * **stages** over that vector — an INNER or LEFT equi-join *probe*
+//!   against a build table built once per execution from any lowered child
+//!   and shared read-only. Typed `i64` / dictionary-code keys get a derived
+//!   join-filter; any other key tuple (multi-key, mixed types, expressions)
+//!   is hashed as its [`Value`]s. The probe emits a build-row index vector
+//!   beside the position vector — `NONE` for a LEFT position without a
+//!   match, which every build column reads as NULL — so no joined row is
+//!   ever assembled, and residual ON conjuncts decide among the candidates.
+//!   Then one *residual* stage over the `(position, build row)` pairs (a
+//!   `Filter` above the join), and *projection*, folded at lowering into
+//!   the column list the sink reads (a bare column reference is a rename;
+//!   only real expressions evaluate);
+//! * **sink** — `Agg` (also `DISTINCT`: every column a key, no aggregates)
+//!   fed from typed column slices on either join side, `Sort` / top-K
+//!   comparing key columns by `(position, build row)` and gathering rows
+//!   only for the survivors (then truncating hidden sort-key columns), or
+//!   `Rows` via `Column::gather_into`. Group and sort keys may be computed.
 //!
-//! Parts are slices, run through the one `run_parts`; partials merge in
-//! slice order, so output order is a function of the data (slice-major
-//! probe order), never of the worker count. Everything the lowering cannot
-//! stream — LEFT and nested-loop joins, multi-key or generic-layout keys,
-//! residual predicates, `DISTINCT`, `UNION` — stays a row-producing node
-//! of the interpreter in `exec.rs` (exact-or-fallback), and its scans and
-//! joins carry their compiled decisions in the same [`Lowered`] tree.
-//! `EXPLAIN`'s `PIPELINE:` line ([`Lowered::describe`]) and the executed
-//! profile's `kernel=` / `batches=` / `fused=` / `bloom_skipped=` attributes
-//! are both rendered from that one value. A new vectorized operator is
-//! added here, as a stage or a sink, and nowhere else.
+//! Parts are slices, run through `for_each_slice`; partials merge in slice
+//! order, so output order is a function of the data (slice-major probe
+//! order, each position's build rows in build order), never of the worker
+//! count — and it is the order the interpreter in `exec.rs` produces. What
+//! does not stream — nested-loop joins, a join whose probe side is not a
+//! scan, `UNION`, nodes above an aggregate — stays a row-producing node of
+//! that interpreter, whose scans and joins carry their compiled decisions
+//! in the same [`Lowered`] tree. `EXPLAIN`'s `PIPELINE:` line
+//! ([`Lowered::describe`]) and the executed profile's `kernel=` /
+//! `batches=` / `fused=` / `bloom_skipped=` attributes are both rendered
+//! from that one value. A new vectorized operator is added here, as a stage
+//! or a sink, and nowhere else.
 
 use crate::column::{Column, NullMap};
 use crate::engine::AccelEngine;
 use crate::exec::{
-    compact, finish_groups, for_each_slice, merge_groups, merge_runs, new_states, resolver_of,
-    scan_blocks, scan_table, ExecCtx, ExecMode, Groups, JoinSpec, KeyLayout, ScanSpec,
+    compact, finish_groups, for_each_slice, merge_groups, merge_runs, new_states, resolver_of, run,
+    scan_blocks, ExecCtx, ExecMode, Groups, JoinSpec, ScanSpec,
 };
 use crate::table::Slice;
 use idaa_common::wire::KeySummary;
@@ -44,13 +52,15 @@ use idaa_sql::eval::{bind, eval, BoundExpr};
 use idaa_sql::plan::{AggCall, Plan, PlanCol, PlanProfile};
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::hash::Hash;
 
 /// `Limit(Sort(…))` lowers to a bounded top-K sink when the limit is at
 /// most this many rows (beyond that the full sort sink runs and the limit
 /// truncates).
 const TOPK_MAX: u64 = 1024;
 
-/// End of a build-row chain / "no build row".
+/// End of a build-row chain / "no build row" (a LEFT position without a
+/// match, whose build columns read as NULL).
 const NONE: u32 = u32::MAX;
 
 /// A lowered plan node, in lockstep with [`Plan::children`].
@@ -114,25 +124,17 @@ impl Lowered {
     /// first scan.
     pub(crate) fn describe(&self) -> String {
         let fused = |k: &Kind| match k {
-            Kind::Pipe(p) if p.probe.is_none() && matches!(p.sink, Sink::Agg { .. }) => {
+            Kind::Pipe(p) if p.fused_agg() => {
                 Some("vectorized (fused scan-filter-aggregate)".to_string())
             }
             _ => None,
         };
         let join = |k: &Kind| match k {
-            Kind::Pipe(p) => p.probe.as_ref().map(|probe| {
-                let keys = if probe.layout == KeyLayout::Str { "string" } else { "i64" };
-                format!(
-                    "vectorized (hash join: typed {keys} keys, bloom-guarded probe, \
-                     derived probe filter)"
-                )
-            }),
+            Kind::Pipe(p) => p.probe.as_ref().map(|probe| p.describe_join(probe)),
             Kind::Join(spec) if spec.lkeys.is_empty() => {
                 Some("interpreted (nested-loop join)".to_string())
             }
-            Kind::Join(_) => {
-                Some("interpreted (hash join: generic keys, bloom-guarded probe)".to_string())
-            }
+            Kind::Join(_) => Some("interpreted (hash join: generic keys)".to_string()),
             _ => None,
         };
         let scan = |k: &Kind| match k {
@@ -156,7 +158,7 @@ impl Lowered {
 pub(crate) enum OutCol {
     /// Column of the source table, read from the slice's typed vector.
     Probe(usize),
-    /// Column of the join's build row.
+    /// Column of the join's build row (NULL at build row `NONE`).
     Build(usize),
     /// A real expression, evaluated over a scratch row in which only the
     /// listed ordinals are filled (each from a `Probe` / `Build` column).
@@ -194,10 +196,10 @@ impl OutCol {
 
     /// The value at one `(position, build row)` pair; `scratch` is the
     /// expression scratch row (wide enough for every fill ordinal).
-    fn value(&self, slice: &Slice, brows: &[Row], pos: usize, bi: usize, scratch: &mut Row) -> Result<Value> {
+    fn value(&self, slice: &Slice, brows: &[Row], pos: usize, bi: u32, scratch: &mut Row) -> Result<Value> {
         Ok(match self {
             OutCol::Probe(c) => slice.columns[*c].get(pos),
-            OutCol::Build(c) => brows[bi][*c].clone(),
+            OutCol::Build(c) => brows.get(bi as usize).map_or(Value::Null, |row| row[*c].clone()),
             OutCol::Expr(expr, fills) => {
                 for (i, c) in fills {
                     scratch[*i] = c.value(slice, brows, pos, bi, &mut Vec::new())?;
@@ -205,6 +207,41 @@ impl OutCol {
                 eval(expr, scratch)?
             }
         })
+    }
+
+    /// A predicate's verdict at one pair: SQL truth, NULL counting as false.
+    fn holds(&self, slice: &Slice, brows: &[Row], pos: usize, bi: u32, scratch: &mut Row) -> Result<bool> {
+        match self.value(slice, brows, pos, bi, scratch)? {
+            Value::Boolean(b) => Ok(b),
+            Value::Null => Ok(false),
+            other => Err(Error::TypeMismatch(format!("predicate evaluated to {other}"))),
+        }
+    }
+
+    /// The residual stage: keep the pairs `(psel[k], bsel[k])` this
+    /// predicate holds for, in order (`bsel` is empty before a join).
+    fn retain(
+        &self,
+        slice: &Slice,
+        brows: &[Row],
+        psel: &mut Vec<u32>,
+        bsel: &mut Vec<u32>,
+        scratch: &mut Row,
+    ) -> Result<()> {
+        let mut kept = 0;
+        for k in 0..psel.len() {
+            let bi = bsel.get(k).copied().unwrap_or(NONE);
+            if self.holds(slice, brows, psel[k] as usize, bi, scratch)? {
+                psel[kept] = psel[k];
+                if let Some(b) = bsel.get_mut(kept) {
+                    *b = bi;
+                }
+                kept += 1;
+            }
+        }
+        psel.truncate(kept);
+        bsel.truncate(kept);
+        Ok(())
     }
 
     /// Scratch-row width this column needs.
@@ -246,12 +283,12 @@ pub(crate) fn gather(
             OutCol::Probe(c) => slice.columns[*c].gather_into(psel, rows),
             OutCol::Build(c) => {
                 for (row, &b) in rows.iter_mut().zip(bsel) {
-                    row.push(brows[b as usize][*c].clone());
+                    row.push(brows.get(b as usize).map_or(Value::Null, |r| r[*c].clone()));
                 }
             }
             OutCol::Expr(..) => {
                 for (k, row) in rows.iter_mut().enumerate() {
-                    let bi = bsel.get(k).map_or(0, |b| *b as usize);
+                    let bi = bsel.get(k).copied().unwrap_or(NONE);
                     row.push(col.value(slice, brows, psel[k] as usize, bi, &mut scratch)?);
                 }
             }
@@ -260,150 +297,270 @@ pub(crate) fn gather(
     Ok(())
 }
 
-/// One streaming sub-plan: source → probe → (projection, folded into the
-/// columns the sink reads) → sink.
+/// One streaming sub-plan: source → residual → probe → residual →
+/// (projection, folded into the columns the sink reads) → sink.
 #[derive(Debug)]
 pub(crate) struct Pipeline {
     source: ScanSpec,
+    /// The source's interpreted residual, over the kernels' survivors.
+    residual: Option<OutCol>,
     probe: Option<Probe>,
+    /// A `Filter` above the join, over its `(position, build row)` pairs.
+    filter: Option<OutCol>,
     /// The columns flowing into the sink (after every projection).
     cols: Vec<OutCol>,
     sink: Sink,
 }
 
-/// The join stage: an INNER single-key equi-join whose build side is a
-/// (filtered) scan, probed with the source table's typed key column.
+/// The join stage: an INNER or LEFT equi-join of the source table (the
+/// probe side, preserved by a LEFT join) against any build side.
 #[derive(Debug)]
 struct Probe {
-    build: ScanSpec,
-    /// Build-side columns the pipeline reads (key included).
+    kind: JoinKind,
+    keys: Keys,
+    /// Residual ON conjuncts over (source, build) columns: a candidate
+    /// failing them does not match.
+    on: Option<OutCol>,
+    /// The build (right) side, lowered on its own.
+    build: Box<Lowered>,
+    /// Build-side columns the pipeline reads (keys included).
     build_mask: Vec<bool>,
-    probe_col: usize,
-    build_col: usize,
-    /// `I64` or `Str`, never `Generic`.
-    layout: KeyLayout,
+}
+
+/// How a position finds its build rows, decided *statically*.
+/// Integer↔integer and character↔character keys of one bare-column pair
+/// over a (filtered) build scan compare exactly as raw `i64` and as
+/// blank-trimmed strings, matching [`Value`] equality for those type pairs;
+/// everything else — multi-key tuples, mixed types (INT vs DOUBLE keep full
+/// [`Value`] equality), key expressions, computed build columns — is
+/// `Generic`: the key tuple's [`Value`]s, hashed, decided by `Value`
+/// equality, the row path's rule.
+#[derive(Debug)]
+enum Keys {
+    I64 { probe: usize, build: usize },
+    Str { probe: usize, build: usize },
+    Generic { probe: Vec<OutCol>, build: Vec<BoundExpr> },
+}
+
+impl Keys {
+    /// The keys of `spec` over `left` (the source, columns `src`) ⋈
+    /// `right`; `None` for a join without equi-key pairs (a nested loop).
+    fn lower(spec: &JoinSpec, left: &Plan, right: &Plan, src: &[OutCol]) -> Option<Keys> {
+        use DataType::{BigInt, Integer, SmallInt};
+        if spec.lkeys.is_empty() {
+            return None;
+        }
+        if let ([l], [r], Some(_)) = (&spec.lkeys[..], &spec.rkeys[..], scan_shape(right)) {
+            if let (Some(probe), Some(build)) = (l.as_column(), r.as_column()) {
+                let (lt, rt) = (left.cols()[probe].data_type, right.cols()[build].data_type);
+                let int = |t| matches!(t, SmallInt | Integer | BigInt);
+                if int(lt) && int(rt) {
+                    return Some(Keys::I64 { probe, build });
+                }
+                if lt.is_character() && rt.is_character() {
+                    return Some(Keys::Str { probe, build });
+                }
+            }
+        }
+        let probe = spec.lkeys.iter().map(|k| OutCol::lower(k, src)).collect::<Option<_>>()?;
+        Some(Keys::Generic { probe, build: spec.rkeys.clone() })
+    }
+
+    fn mark_build(&self, mask: &mut [bool]) {
+        match self {
+            Keys::I64 { build, .. } | Keys::Str { build, .. } => mask[*build] = true,
+            Keys::Generic { build, .. } => {
+                let mut read = std::collections::HashSet::new();
+                build.iter().for_each(|k| k.collect_columns(&mut read));
+                read.into_iter().for_each(|c| mask[c] = true);
+            }
+        }
+    }
 }
 
 #[derive(Debug)]
 enum Sink {
     /// Rows, in slice-major probe order.
     Rows,
-    /// Grouped aggregation; keys are plain columns, `None` is `COUNT(*)`.
+    /// Grouped aggregation (`DISTINCT`: every column a key, no aggregates);
+    /// an argument of `None` is `COUNT(*)`.
     Agg { keys: Vec<OutCol>, args: Vec<Option<OutCol>> },
-    /// Stable sort on plain key columns; with a limit, bounded top-K.
-    Sort { keys: Vec<(usize, bool)>, limit: Option<usize> },
+    /// Stable sort; with a limit, bounded top-K; `keep` then drops the
+    /// hidden sort-key columns.
+    Sort { keys: Vec<(usize, bool)>, limit: Option<usize>, keep: Option<usize> },
 }
 
 /// The plan nodes one pipeline covers, top down: the sink's node(s), the
-/// projections, the join, and the source's top node.
+/// projections, a filter above the join, the join, and the source's top node.
 struct Spine<'p> {
-    /// `Aggregate`, `Sort`, or `Limit` over a `Sort`; `None` for a row sink.
-    root: Option<&'p Plan>,
-    /// The sort keys, when the root sorts, and the top-K limit above them.
+    /// `Aggregate`, `Distinct`, or `[Limit] [KeepCols] Sort`; empty for a
+    /// row sink.
+    sink: Vec<&'p Plan>,
     sort: Option<&'p [(usize, bool)]>,
     limit: Option<usize>,
+    keep: Option<usize>,
     projects: Vec<&'p Plan>,
-    /// The join and its build (right) side.
-    join: Option<(&'p Plan, &'p Plan)>,
+    filter: Option<&'p Plan>,
+    join: Option<&'p Plan>,
     source: &'p Plan,
 }
 
 fn spine(plan: &Plan) -> Option<Spine<'_>> {
-    let (root, sort, limit, mut node) = match plan {
-        Plan::Aggregate { input, .. } => (Some(plan), None, None, input.as_ref()),
-        Plan::Sort { input, keys } => (Some(plan), Some(keys.as_slice()), None, input.as_ref()),
-        Plan::Limit { input, n } if *n <= TOPK_MAX => match input.as_ref() {
-            Plan::Sort { input, keys } => {
-                (Some(plan), Some(keys.as_slice()), Some(*n as usize), input.as_ref())
-            }
-            _ => return None,
-        },
-        Plan::Project { .. } | Plan::Join { .. } => (None, None, None, plan),
-        _ => return None,
-    };
+    let (mut sink, mut sort, mut limit, mut keep) = (Vec::new(), None, None, None);
+    let mut node = plan;
+    if let Plan::Limit { input, n } = node {
+        if *n > TOPK_MAX {
+            return None;
+        }
+        (sink, limit, node) = (vec![node], Some(*n as usize), input);
+    }
+    if let Plan::KeepCols { input, n } = node {
+        sink.push(node);
+        (keep, node) = (Some(*n), input);
+    }
+    match node {
+        Plan::Sort { input, keys } => {
+            sink.push(node);
+            (sort, node) = (Some(keys.as_slice()), input);
+        }
+        Plan::Aggregate { input, .. } | Plan::Distinct { input } if sink.is_empty() => {
+            (sink, node) = (vec![node], input);
+        }
+        // A limit or column truncate over anything but a sort.
+        _ if !sink.is_empty() => return None,
+        _ => {}
+    }
     let mut projects = Vec::new();
     while let Plan::Project { input, .. } = node {
         projects.push(node);
         node = input;
     }
+    let mut filter = None;
+    if let Plan::Filter { input, .. } = node {
+        if let Plan::Join { .. } = input.as_ref() {
+            (filter, node) = (Some(node), input);
+        }
+    }
     let mut join = None;
-    if let Plan::Join { left, right, kind: JoinKind::Inner, .. } = node {
-        join = Some((node, right.as_ref()));
-        node = left;
+    if let Plan::Join { left, .. } = node {
+        (join, node) = (Some(node), left);
     }
     scan_shape(node)?;
     // A bare scan under a row sink is the row path's `Kind::Scan`.
-    (root.is_some() || join.is_some() || !projects.is_empty())
-        .then_some(Spine { root, sort, limit, projects, join, source: node })
+    (!sink.is_empty() || join.is_some() || !projects.is_empty())
+        .then_some(Spine { sink, sort, limit, keep, projects, filter, join, source: node })
+}
+
+/// `exprs` over `input`'s columns, lowered onto `cols`; `None` when one of
+/// them does not stream.
+fn lower_all<'e>(
+    exprs: impl IntoIterator<Item = &'e Expr>,
+    input: &Plan,
+    cols: &[OutCol],
+) -> Result<Option<Vec<OutCol>>> {
+    let resolver = resolver_of(&input.cols());
+    let mut out = Vec::new();
+    for e in exprs {
+        let Some(c) = OutCol::lower(&bind(e, &resolver)?, cols) else { return Ok(None) };
+        out.push(c);
+    }
+    Ok(Some(out))
 }
 
 impl Pipeline {
     /// Lower the sub-plan rooted at `plan`, or `None` when it does not
     /// stream (the interpreter then runs `plan` over lowered children).
+    /// Every structural decision comes first: nothing is compiled or
+    /// lowered for a spine that turns out not to stream.
     fn lower(plan: &Plan, engine: &AccelEngine) -> Result<Option<Pipeline>> {
         let Some(spine) = spine(plan) else { return Ok(None) };
         let Some((table, pred, scan_cols)) = scan_shape(spine.source) else { return Ok(None) };
-        let source =
-            ScanSpec::compile(&*engine.table(table)?, pred, scan_cols, ExecMode::Vectorized)?;
-        if source.residual.is_some() {
-            return Ok(None);
+        let src: Vec<OutCol> = (0..scan_cols.len()).map(OutCol::Probe).collect();
+        // Until the first projection every column is plain, so expressions
+        // over them always lower.
+        let plain = |bound: &BoundExpr, cols: &[OutCol]| {
+            OutCol::lower(bound, cols).ok_or_else(|| Error::internal("residual over a computed column"))
+        };
+        let mut cols = src.clone();
+        let mut join = None;
+        if let Some(Plan::Join { left, right, kind, on }) = spine.join {
+            let spec = JoinSpec::bind(left, right, on)?;
+            let Some(keys) = Keys::lower(&spec, left, right, &src) else { return Ok(None) };
+            cols.extend((0..right.cols().len()).map(OutCol::Build));
+            let on = spec.residual.as_ref().map(|r| plain(r, &cols)).transpose()?;
+            join = Some((*kind, keys, on, right));
         }
-        let mut cols: Vec<OutCol> = (0..scan_cols.len()).map(OutCol::Probe).collect();
-        let mut probe = None;
-        if let Some((Plan::Join { left, right, on, .. }, _)) = spine.join {
-            let Some(p) = Probe::lower(left, right, on, engine)? else { return Ok(None) };
-            cols.extend((0..p.build_mask.len()).map(OutCol::Build));
-            probe = Some(p);
-        }
+        let filter = match spine.filter {
+            Some(Plan::Filter { input, predicate }) => {
+                Some(plain(&bind(predicate, &resolver_of(&input.cols()))?, &cols)?)
+            }
+            _ => None,
+        };
         for project in spine.projects.iter().rev() {
             let Plan::Project { input, exprs, .. } = project else { continue };
-            let resolver = resolver_of(&input.cols());
-            let mut next = Vec::with_capacity(exprs.len());
-            for (e, _) in exprs {
-                let Some(c) = OutCol::lower(&bind(e, &resolver)?, &cols) else { return Ok(None) };
-                next.push(c);
-            }
+            let Some(next) = lower_all(exprs.iter().map(|(e, _)| e), input, &cols)? else {
+                return Ok(None);
+            };
             cols = next;
         }
-        let sink = match (plan, spine.sort) {
-            (Plan::Aggregate { input, group_exprs, aggs, .. }, _) => {
-                let resolver = resolver_of(&input.cols());
-                let mut keys = Vec::with_capacity(group_exprs.len());
-                for g in group_exprs {
-                    match bind(g, &resolver)?.as_column().and_then(|i| cols.get(i)) {
-                        Some(c) if !matches!(c, OutCol::Expr(..)) => keys.push(c.clone()),
-                        _ => return Ok(None),
-                    }
-                }
-                let mut args = Vec::with_capacity(aggs.len());
-                for a in aggs {
-                    let arg = a.arg.as_ref().map(|e| Ok(OutCol::lower(&bind(e, &resolver)?, &cols)));
-                    match arg.transpose()? {
-                        Some(None) => return Ok(None),
-                        arg => args.push(arg.flatten()),
-                    }
-                }
+        let sink = match (spine.sink.last(), spine.sort) {
+            (_, Some(keys)) => {
+                Sink::Sort { keys: keys.to_vec(), limit: spine.limit, keep: spine.keep }
+            }
+            (Some(Plan::Aggregate { input, group_exprs, aggs, .. }), _) => {
+                let args = aggs.iter().filter_map(|a| a.arg.as_ref());
+                let (Some(keys), Some(args)) =
+                    (lower_all(group_exprs, input, &cols)?, lower_all(args, input, &cols)?)
+                else {
+                    return Ok(None);
+                };
+                let mut args = args.into_iter();
+                let args = aggs.iter().map(|a| a.arg.as_ref().and_then(|_| args.next())).collect();
                 Sink::Agg { keys, args }
             }
-            (_, Some(keys)) => {
-                if !keys.iter().all(|(i, _)| matches!(cols.get(*i), Some(OutCol::Probe(_) | OutCol::Build(_)))) {
-                    return Ok(None);
-                }
-                Sink::Sort { keys: keys.to_vec(), limit: spine.limit }
-            }
-            _ => Sink::Rows,
+            (Some(_), _) => Sink::Agg { keys: cols.clone(), args: Vec::new() },
+            (None, _) => Sink::Rows,
         };
-        if let Some(p) = &mut probe {
-            p.build_mask[p.build_col] = true;
-            match &sink {
-                Sink::Agg { keys, args } => keys
-                    .iter()
-                    .chain(args.iter().flatten())
-                    .for_each(|c| c.mark_build(&mut p.build_mask)),
-                _ => cols.iter().for_each(|c| c.mark_build(&mut p.build_mask)),
+
+        let source =
+            ScanSpec::compile(&*engine.table(table)?, pred, scan_cols, ExecMode::Vectorized)?;
+        let residual = source.residual.as_ref().map(|r| plain(r, &src)).transpose()?;
+        let mut probe = None;
+        if let Some((kind, keys, on, right)) = join {
+            let mut build_mask = vec![false; right.cols().len()];
+            keys.mark_build(&mut build_mask);
+            let reads: Vec<&OutCol> = match &sink {
+                Sink::Agg { keys, args } => keys.iter().chain(args.iter().flatten()).collect(),
+                _ => cols.iter().collect(),
+            };
+            for c in reads.into_iter().chain(&on).chain(&filter) {
+                c.mark_build(&mut build_mask);
             }
+            let build = Box::new(lower(right, engine, ExecMode::Vectorized)?);
+            probe = Some(Probe { kind, keys, on, build, build_mask });
         }
-        Ok(Some(Pipeline { source, probe, cols, sink }))
+        Ok(Some(Pipeline { source, residual, probe, filter, cols, sink }))
+    }
+
+    /// A scan-filter-aggregate with no join and no interpreted residual.
+    fn fused_agg(&self) -> bool {
+        self.probe.is_none() && self.residual.is_none() && matches!(self.sink, Sink::Agg { .. })
+    }
+
+    fn describe_join(&self, probe: &Probe) -> String {
+        let keys = match probe.keys {
+            Keys::I64 { .. } => "typed i64 keys, bloom-guarded probe",
+            Keys::Str { .. } => "typed string keys, bloom-guarded probe",
+            Keys::Generic { .. } => "generic keys",
+        };
+        let (join, filter) = match (probe.kind, &probe.keys) {
+            (JoinKind::Left, _) => ("left hash join", ""),
+            (JoinKind::Inner, Keys::Generic { .. }) => ("hash join", ""),
+            (JoinKind::Inner, _) => ("hash join", ", derived probe filter"),
+        };
+        let residual = [&self.residual, &probe.on, &self.filter].iter().any(|r| r.is_some());
+        let residual = if residual { " + interpreted residual" } else { "" };
+        format!("vectorized ({join}: {keys}{filter}{residual})")
     }
 
     /// Run the pipeline rooted at `plan`: build side once, then one part
@@ -414,16 +571,17 @@ impl Pipeline {
         ctx: &ExecCtx,
         needed: Option<&[bool]>,
     ) -> Result<Vec<Row>> {
-        let spine = ctx.profile.and_then(|_| spine(plan));
+        let spine = spine(plan).ok_or_else(|| Error::internal("plan and pipeline disagree"))?;
         let table = ctx.engine.table(&self.source.table)?;
-        let right = spine.as_ref().and_then(|s| s.join).map(|(_, right)| right);
-        let build = match &self.probe {
-            Some(p) => Some(BuildTable::new(p, &self.sink, right, ctx)?),
-            None => None,
+        let build = match (&self.probe, spine.join) {
+            (Some(p), Some(Plan::Join { right, .. })) => {
+                Some(BuildTable::new(p, &self.sink, right, ctx)?)
+            }
+            _ => None,
         };
-        let (aggs, group_exprs): (&[AggCall], &[Expr]) = match plan {
-            Plan::Aggregate { aggs, group_exprs, .. } => (aggs, group_exprs),
-            _ => (&[], &[]),
+        let aggs: &[AggCall] = match spine.sink.last() {
+            Some(Plan::Aggregate { aggs, .. }) => aggs,
+            _ => &[],
         };
         // Sort keys are read back from the gathered rows by the run merge.
         let mask: Option<Vec<bool>> = match (&self.sink, needed) {
@@ -446,42 +604,50 @@ impl Pipeline {
             counts.batches += c.batches;
             counts.source += c.source;
             counts.joined += c.joined;
+            counts.filtered += c.filtered;
             counts.skipped += c.skipped;
         }
         let out = match &self.sink {
             Sink::Rows => runs.into_iter().flatten().collect(),
-            Sink::Agg { .. } => finish_groups(merge_groups(groups)?, group_exprs, aggs)?,
-            Sink::Sort { keys, limit } => {
+            Sink::Agg { keys, .. } => finish_groups(merge_groups(groups)?, !keys.is_empty(), aggs)?,
+            Sink::Sort { keys, limit, keep } => {
                 let mut rows = merge_runs(runs, keys);
                 rows.truncate(limit.unwrap_or(usize::MAX));
+                if let Some(n) = keep {
+                    rows.iter_mut().for_each(|row| row.truncate(*n));
+                }
                 rows
             }
         };
-        if let (Some(prof), Some(spine)) = (ctx.profile, spine) {
+        if let Some(prof) = ctx.profile {
             self.record(prof, &spine, out.len() as u64, &counts);
         }
         Ok(out)
     }
 
     /// Record every plan node the pipeline covers: each stage counts what
-    /// it emits, so a pipelined plan profiles like its node-by-node run. A
-    /// sort under a top-K limit, and the scan under an aggregate sink with
+    /// it emits, so a pipelined plan profiles like its node-by-node run. The
+    /// nodes under a top-K limit, and the scan under an aggregate sink with
     /// no join, stay unrecorded — they have no output of their own
     /// (`fused=true`).
     fn record(&self, prof: &PlanProfile, spine: &Spine, out: u64, c: &Counts) {
-        let fused_agg = self.probe.is_none() && matches!(self.sink, Sink::Agg { .. });
-        if let Some(root) = spine.root {
-            prof.record(root, out);
-            if fused_agg {
-                prof.record_vectorized(root, c.batches);
+        for (i, node) in spine.sink.iter().enumerate() {
+            if i == 0 || spine.limit.is_none() {
+                prof.record(node, out);
             }
         }
-        for project in &spine.projects {
-            prof.record(project, c.joined);
+        let fused_agg = self.fused_agg();
+        if let (true, Some(root)) = (fused_agg, spine.sink.first()) {
+            prof.record_vectorized(root, c.batches);
         }
-        if let Some((join, _)) = spine.join {
+        for node in spine.projects.iter().chain(&spine.filter) {
+            prof.record(node, c.filtered);
+        }
+        if let (Some(join), Some(probe)) = (spine.join, &self.probe) {
             prof.record(join, c.joined);
-            prof.record_bloom(join, c.skipped);
+            if !matches!(probe.keys, Keys::Generic { .. }) {
+                prof.record_bloom(join, c.skipped);
+            }
         }
         if !fused_agg {
             prof.record(spine.source, c.source);
@@ -491,8 +657,8 @@ impl Pipeline {
         }
     }
 
-    /// One part: stream one slice's blocks through the probe into the sink.
-    /// Hands back the sink's rows or groups for the slice-order merge.
+    /// One part: stream one slice's blocks through the stages into the
+    /// sink. Hands back the sink's rows or groups for the slice-order merge.
     fn run_slice(
         &self,
         slice: &Slice,
@@ -501,44 +667,47 @@ impl Pipeline {
         mask: Option<&[bool]>,
         aggs: &[AggCall],
     ) -> Result<(Vec<Row>, Groups, Counts)> {
-        let probe = match (&self.probe, build) {
+        let mut probe = match (&self.probe, build) {
             (Some(p), Some(b)) => Some(b.specialize(p, slice)?),
             _ => None,
         };
         let brows: &[Row] = build.map_or(&[], |b| &b.rows);
         let mut counts = Counts::default();
         let (mut psel, mut bsel) = (Vec::new(), Vec::new());
+        let mut scratch = scratch_for(self.residual.iter().chain(&self.filter));
         let mut sink = match &self.sink {
             Sink::Rows => SinkState::Rows(Vec::new()),
             Sink::Agg { keys, args } => {
                 SinkState::Agg(AggSink::new(keys, args, aggs, slice, build))
             }
-            Sink::Sort { keys, limit } => SinkState::Sort(SortSink {
-                slice,
-                brows,
-                keys: keys
-                    .iter()
-                    .map(|(i, desc)| (KeyCol::specialize(&self.cols[*i], slice), *desc))
-                    .collect(),
-                limit: *limit,
-                cands: Vec::new(),
-            }),
+            Sink::Sort { keys, limit, .. } => {
+                SinkState::Sort(SortSink::new(&self.cols, keys, *limit, slice, brows))
+            }
         };
         let batches = scan_blocks(slice, &self.source.kernels, ctx, true, |sel| {
-            if let Some(probe) = &probe {
-                counts.skipped += probe.run(sel, &mut psel, &mut bsel);
+            if let Some(residual) = &self.residual {
+                residual.retain(slice, &[], sel, &mut Vec::new(), &mut scratch)?;
             }
-            let (p, b): (&[u32], &[u32]) =
-                if probe.is_some() { (&psel, &bsel) } else { (sel, &[]) };
-            counts.source += sel.len() as u64;
+            let (p, b) = match &mut probe {
+                Some(probe) => {
+                    counts.skipped += probe.run(sel, &mut psel, &mut bsel)?;
+                    counts.source += sel.len() as u64;
+                    (&mut psel, &mut bsel)
+                }
+                None => {
+                    counts.source += sel.len() as u64;
+                    (sel, &mut bsel)
+                }
+            };
             counts.joined += p.len() as u64;
+            if let Some(filter) = &self.filter {
+                filter.retain(slice, brows, p, b, &mut scratch)?;
+            }
+            counts.filtered += p.len() as u64;
             match &mut sink {
                 SinkState::Rows(out) => gather(&self.cols, mask, slice, brows, p, b, out),
                 SinkState::Agg(agg) => agg.consume(p, b),
-                SinkState::Sort(sort) => {
-                    sort.consume(p, b);
-                    Ok(())
-                }
+                SinkState::Sort(sort) => sort.consume(p, b),
             }
         })?;
         counts.batches = batches;
@@ -547,39 +716,10 @@ impl Pipeline {
             SinkState::Agg(agg) => (Vec::new(), agg.groups, counts),
             SinkState::Sort(sort) => {
                 let mut out = Vec::new();
-                let (p, b) = sort.finish();
-                gather(&self.cols, mask, slice, brows, &p, &b, &mut out)?;
+                sort.finish(&self.cols, mask, &mut out)?;
                 (out, Vec::new(), counts)
             }
         })
-    }
-}
-
-impl Probe {
-    /// The probe stage for `left ⋈ right ON on`, when the join is a
-    /// single-key INNER equi-join with a typed layout whose whole predicate
-    /// is the key equality and whose build side is a (filtered) scan.
-    fn lower(left: &Plan, right: &Plan, on: &Expr, engine: &AccelEngine) -> Result<Option<Probe>> {
-        let spec = JoinSpec::bind(left, right, on)?;
-        if !spec.on_covered || spec.layout == KeyLayout::Generic {
-            return Ok(None);
-        }
-        // A typed layout means one key pair of bare columns.
-        let (Some(probe_col), Some(build_col)) = (
-            spec.lkeys.first().and_then(BoundExpr::as_column),
-            spec.rkeys.first().and_then(BoundExpr::as_column),
-        ) else {
-            return Ok(None);
-        };
-        let Some((table, pred, cols)) = scan_shape(right) else { return Ok(None) };
-        let build = ScanSpec::compile(&*engine.table(table)?, pred, cols, ExecMode::Vectorized)?;
-        Ok(Some(Probe {
-            build,
-            build_mask: vec![false; cols.len()],
-            probe_col,
-            build_col,
-            layout: spec.layout,
-        }))
     }
 }
 
@@ -587,16 +727,19 @@ impl Probe {
 #[derive(Default)]
 struct Counts {
     batches: u64,
-    /// Positions leaving the source (after the derived join-filter).
+    /// Positions leaving the source (after its residual and the derived
+    /// join-filter).
     source: u64,
     /// `(position, build row)` pairs leaving the probe (= `source` without one).
     joined: u64,
-    /// Positions the derived join-filter dropped before any table lookup.
+    /// Pairs leaving the filter above the join (= `joined` without one).
+    filtered: u64,
+    /// Positions the derived join-filter spared a table lookup.
     skipped: u64,
 }
 
 /// A join's build side, built once per execution and shared read-only by
-/// every part: the build rows, a typed key → first-build-row index chained
+/// every part: the build rows, a key → first-build-row index chained
 /// through `next` in build-row order, the key digest the derived
 /// join-filter tests, and — for an aggregate sink grouping on build-side
 /// columns only — each build row's group-key code.
@@ -607,133 +750,206 @@ struct BuildTable {
     summary: KeySummary,
     group_of: Vec<u32>,
     group_keys: Vec<Vec<Value>>,
+    /// The group-key code of build row `NONE`: every key NULL.
+    none_group: u32,
 }
 
 enum KeyIndex {
     I64(HashMap<i64, u32>),
     /// Keys with trailing blanks trimmed (DB2 padded CHAR comparison).
     Str(HashMap<String, u32>),
+    Generic(HashMap<Vec<Value>, u32>),
+}
+
+/// Index `rows` by `key_of` (`None`: a NULL key, which never joins), back
+/// to front, so every chain through `next` runs in ascending build-row order.
+fn chain<K: Hash + Eq>(
+    rows: &[Row],
+    next: &mut [u32],
+    mut key_of: impl FnMut(&Row) -> Result<Option<K>>,
+) -> Result<HashMap<K, u32>> {
+    let mut index = HashMap::with_capacity(rows.len());
+    for (i, row) in rows.iter().enumerate().rev() {
+        if let Some(k) = key_of(row)? {
+            next[i] = index.insert(k, i as u32).unwrap_or(NONE);
+        }
+    }
+    Ok(index)
 }
 
 impl BuildTable {
-    fn new(probe: &Probe, sink: &Sink, node: Option<&Plan>, ctx: &ExecCtx) -> Result<BuildTable> {
-        let table = ctx.engine.table(&probe.build.table)?;
-        let (rows, _) =
-            scan_table(&table, &probe.build, ctx, Some(probe.build_mask.clone()), node, false)?;
-        if let (Some(prof), Some(node)) = (ctx.profile, node) {
-            prof.record(node, rows.len() as u64);
-        }
-        let mut index = match probe.layout {
-            KeyLayout::Str => KeyIndex::Str(HashMap::with_capacity(rows.len())),
-            _ => KeyIndex::I64(HashMap::with_capacity(rows.len())),
-        };
+    fn new(probe: &Probe, sink: &Sink, node: &Plan, ctx: &ExecCtx) -> Result<BuildTable> {
+        let rows = run(node, &probe.build, ctx, Some(probe.build_mask.clone()))?;
+        let outside = |v: &Value| Error::internal(format!("join build key {v} outside its key layout"));
         let mut summary = KeySummary::with_capacity(rows.len());
         let mut next = vec![NONE; rows.len()];
-        // Back to front, so every chain runs in ascending build-row order.
-        for (i, row) in rows.iter().enumerate().rev() {
-            let later = match (&mut index, &row[probe.build_col]) {
-                (_, Value::Null) => continue, // NULL keys never join
-                (KeyIndex::I64(m), Value::SmallInt(_) | Value::Int(_) | Value::BigInt(_)) => {
-                    let k = row[probe.build_col].as_i64()?;
-                    summary.insert_i64(k);
-                    m.insert(k, i as u32)
+        let index = match &probe.keys {
+            Keys::I64 { build, .. } => KeyIndex::I64(chain(&rows, &mut next, |row| {
+                match &row[*build] {
+                    Value::Null => Ok(None),
+                    v @ (Value::SmallInt(_) | Value::Int(_) | Value::BigInt(_)) => {
+                        let k = v.as_i64()?;
+                        summary.insert_i64(k);
+                        Ok(Some(k))
+                    }
+                    other => Err(outside(other)),
                 }
-                (KeyIndex::Str(m), Value::Varchar(s)) => {
-                    m.insert(s.trim_end_matches(' ').to_string(), i as u32)
+            })?),
+            Keys::Str { build, .. } => KeyIndex::Str(chain(&rows, &mut next, |row| {
+                match &row[*build] {
+                    Value::Null => Ok(None),
+                    Value::Varchar(s) => Ok(Some(s.trim_end_matches(' ').to_string())),
+                    other => Err(outside(other)),
                 }
-                (_, other) => {
-                    return Err(Error::internal(format!(
-                        "join build key {other} outside its declared key layout"
-                    )))
-                }
-            };
-            next[i] = later.unwrap_or(NONE);
-        }
-        let (mut group_of, mut group_keys) = (Vec::new(), Vec::new());
+            })?),
+            Keys::Generic { build, .. } => KeyIndex::Generic(chain(&rows, &mut next, |row| {
+                let key: Vec<Value> = build.iter().map(|k| eval(k, row)).collect::<Result<_>>()?;
+                Ok((!key.iter().any(Value::is_null)).then_some(key))
+            })?),
+        };
+        let (mut group_of, mut group_keys, mut none_group) = (Vec::new(), Vec::new(), NONE);
         if let Sink::Agg { keys, .. } = sink {
             let ords: Option<Vec<usize>> = keys
                 .iter()
                 .map(|k| if let OutCol::Build(c) = k { Some(*c) } else { None })
                 .collect();
             if let Some(ords) = ords.filter(|o| !o.is_empty()) {
+                // Every build row's key, then build row `NONE`'s.
+                let null = Value::Null;
+                let all_null = std::iter::once(vec![&null; ords.len()]);
                 let mut codes: HashMap<Vec<&Value>, u32> = HashMap::new();
-                for row in &rows {
-                    let key: Vec<&Value> = ords.iter().map(|c| &row[*c]).collect();
+                for key in rows.iter().map(|row| ords.iter().map(|c| &row[*c]).collect()).chain(all_null) {
                     let fresh = group_keys.len() as u32;
                     group_of.push(*codes.entry(key).or_insert_with_key(|key| {
                         group_keys.push(key.iter().map(|v| (*v).clone()).collect());
                         fresh
                     }));
                 }
+                none_group = group_of.pop().unwrap_or(NONE);
             }
         }
-        Ok(BuildTable { rows, index, next, summary, group_of, group_keys })
+        Ok(BuildTable { rows, index, next, summary, group_of, group_keys, none_group })
     }
 
-    /// Resolve the probe against one slice's key column.
-    fn specialize<'s>(&'s self, probe: &Probe, slice: &'s Slice) -> Result<SpecProbe<'s>> {
-        let c = &slice.columns[probe.probe_col];
-        match (&self.index, c.i64_data(), c.str_codes(), c.dictionary()) {
-            (KeyIndex::I64(index), Some(vals), ..) => {
-                Ok(SpecProbe::I64 { vals, nulls: &c.nulls, index, table: self })
+    /// Resolve the probe against one slice's key columns.
+    fn specialize<'s>(&'s self, probe: &'s Probe, slice: &'s Slice) -> Result<SpecProbe<'s>> {
+        let storage = || Error::internal("join probe column storage does not match its key layout");
+        let (key, generic): (SpecKey, &[OutCol]) = match (&probe.keys, &self.index) {
+            (Keys::I64 { probe: c, .. }, KeyIndex::I64(index)) => {
+                let col = &slice.columns[*c];
+                let vals = col.i64_data().ok_or_else(storage)?;
+                (SpecKey::I64 { vals, nulls: &col.nulls, index }, &[])
             }
             // Each distinct value is looked up once; rows then probe by code.
-            (KeyIndex::Str(index), _, Some(codes), Some(dict)) => {
+            (Keys::Str { probe: c, .. }, KeyIndex::Str(index)) => {
+                let col = &slice.columns[*c];
+                let (Some(codes), Some(dict)) = (col.str_codes(), col.dictionary()) else {
+                    return Err(storage());
+                };
                 let heads = dict
                     .iter()
                     .map(|v| index.get(v.trim_end_matches(' ')).copied().unwrap_or(NONE))
                     .collect();
-                Ok(SpecProbe::Dict { codes, nulls: &c.nulls, heads, table: self })
+                (SpecKey::Dict { codes, nulls: &col.nulls, heads }, &[])
             }
-            _ => Err(Error::internal("join probe column storage does not match its key layout")),
-        }
-    }
-
-    /// Push `pos` once per build row on the chain from `head`.
-    #[inline]
-    fn emit(&self, pos: u32, mut head: u32, psel: &mut Vec<u32>, bsel: &mut Vec<u32>) {
-        while head != NONE {
-            psel.push(pos);
-            bsel.push(head);
-            head = self.next[head as usize];
-        }
+            (Keys::Generic { probe: keys, .. }, KeyIndex::Generic(index)) => {
+                (SpecKey::Generic { keys, index }, keys)
+            }
+            _ => return Err(storage()),
+        };
+        let scratch = scratch_for(probe.on.iter().chain(generic));
+        Ok(SpecProbe { key, probe, table: self, slice, scratch })
     }
 }
 
-/// The probe stage resolved against one slice's physical key column.
-enum SpecProbe<'s> {
-    I64 { vals: &'s [i64], nulls: &'s NullMap, index: &'s HashMap<i64, u32>, table: &'s BuildTable },
-    Dict { codes: &'s [u32], nulls: &'s NullMap, heads: Vec<u32>, table: &'s BuildTable },
+/// The probe stage resolved against one slice.
+struct SpecProbe<'s> {
+    key: SpecKey<'s>,
+    probe: &'s Probe,
+    table: &'s BuildTable,
+    slice: &'s Slice,
+    scratch: Row,
+}
+
+enum SpecKey<'s> {
+    I64 { vals: &'s [i64], nulls: &'s NullMap, index: &'s HashMap<i64, u32> },
+    Dict { codes: &'s [u32], nulls: &'s NullMap, heads: Vec<u32> },
+    Generic { keys: &'s [OutCol], index: &'s HashMap<Vec<Value>, u32> },
 }
 
 impl SpecProbe<'_> {
-    /// Compact `sel` to the positions that can join (the derived
-    /// join-filter: NULL keys and keys the build digest — or, for
-    /// dictionary keys, the per-code lookup — proves absent never join),
-    /// then emit one `(position, build row)` pair per match, in position
-    /// then build-row order. Returns how many positions the filter dropped.
-    fn run(&self, sel: &mut Vec<u32>, psel: &mut Vec<u32>, bsel: &mut Vec<u32>) -> u64 {
-        let before = sel.len();
+    /// The derived join-filter: can position `p` join at all? NULL keys
+    /// never join, and the build digest (only ever false-positive) or, for
+    /// dictionary keys, the per-code lookup proves other keys absent.
+    fn may_join(&self, p: usize) -> bool {
+        match &self.key {
+            SpecKey::I64 { vals, nulls, .. } => {
+                !nulls.is_null(p) && self.table.summary.contains_i64(vals[p])
+            }
+            SpecKey::Dict { codes, nulls, heads } => {
+                !nulls.is_null(p) && heads[codes[p] as usize] != NONE
+            }
+            SpecKey::Generic { .. } => true,
+        }
+    }
+
+    /// The first build row whose key equals position `p`'s, or `NONE`.
+    fn head(&mut self, p: usize) -> Result<u32> {
+        Ok(match &self.key {
+            SpecKey::I64 { vals, index, .. } => index.get(&vals[p]).copied().unwrap_or(NONE),
+            SpecKey::Dict { codes, heads, .. } => heads[codes[p] as usize],
+            // No build key holding a NULL is indexed, so a NULL finds none.
+            SpecKey::Generic { keys, index } => {
+                let key = keys
+                    .iter()
+                    .map(|k| k.value(self.slice, &self.table.rows, p, NONE, &mut self.scratch))
+                    .collect::<Result<Vec<_>>>()?;
+                index.get(&key).copied().unwrap_or(NONE)
+            }
+        })
+    }
+
+    /// Emit one `(position, build row)` pair per match of each position in
+    /// `sel`, in position then build-row order; a candidate matches when
+    /// the residual ON conjuncts hold for it. An INNER join first compacts
+    /// `sel` with the derived join-filter; a LEFT join keeps every position
+    /// and pairs one without a match with `NONE`. Returns how many
+    /// positions the join-filter spared a table lookup.
+    fn run(&mut self, sel: &mut Vec<u32>, psel: &mut Vec<u32>, bsel: &mut Vec<u32>) -> Result<u64> {
         psel.clear();
         bsel.clear();
-        match self {
-            SpecProbe::I64 { vals, nulls, index, table } => {
-                // The digest only ever false-positives; the exact lookup
-                // below removes those.
-                compact(sel, |p| !nulls.is_null(p) && table.summary.contains_i64(vals[p]));
-                for &p in sel.iter() {
-                    let head = index.get(&vals[p as usize]).copied().unwrap_or(NONE);
-                    table.emit(p, head, psel, bsel);
+        let left = self.probe.kind == JoinKind::Left;
+        let before = sel.len();
+        if !left {
+            compact(sel, |p| self.may_join(p));
+        }
+        let mut skipped = (before - sel.len()) as u64;
+        for &p in sel.iter() {
+            let pos = p as usize;
+            let mut bi = if left && !self.may_join(pos) {
+                skipped += 1;
+                NONE
+            } else {
+                self.head(pos)?
+            };
+            let start = psel.len();
+            while bi != NONE {
+                let matched = match &self.probe.on {
+                    None => true,
+                    Some(on) => on.holds(self.slice, &self.table.rows, pos, bi, &mut self.scratch)?,
+                };
+                if matched {
+                    psel.push(p);
+                    bsel.push(bi);
                 }
+                bi = self.table.next[bi as usize];
             }
-            SpecProbe::Dict { codes, nulls, heads, table } => {
-                compact(sel, |p| !nulls.is_null(p) && heads[codes[p] as usize] != NONE);
-                for &p in sel.iter() {
-                    table.emit(p, heads[codes[p as usize] as usize], psel, bsel);
-                }
+            if left && psel.len() == start {
+                psel.push(p);
+                bsel.push(NONE);
             }
         }
-        (before - sel.len()) as u64
+        Ok(skipped)
     }
 }
 
@@ -792,7 +1008,7 @@ enum KeySlot<'a> {
     /// a dense table (slot 0 = NULL).
     Dict { codes: &'a [u32], nulls: &'a NullMap, col: &'a Column, map: Vec<usize> },
     /// Build-side columns only: the build row's precomputed key code → group.
-    Build { group_of: &'a [u32], keys: &'a [Vec<Value>], map: Vec<usize> },
+    Build { table: &'a BuildTable, map: Vec<usize> },
     /// Anything else: the key tuple, hashed.
     Generic(&'a [OutCol]),
 }
@@ -821,11 +1037,9 @@ impl<'a> AggSink<'a> {
         let key = match (keys, build) {
             ([], _) => KeySlot::Single,
             // `BuildTable::new` coded every build row's key under this rule.
-            (_, Some(b)) if keys.iter().all(|k| matches!(k, OutCol::Build(_))) => KeySlot::Build {
-                group_of: &b.group_of,
-                keys: &b.group_keys,
-                map: vec![usize::MAX; b.group_keys.len()],
-            },
+            (_, Some(table)) if keys.iter().all(|k| matches!(k, OutCol::Build(_))) => {
+                KeySlot::Build { table, map: vec![usize::MAX; table.group_keys.len()] }
+            }
             ([OutCol::Probe(k)], _) => {
                 let col = &slice.columns[*k];
                 match col.str_codes() {
@@ -848,7 +1062,7 @@ impl<'a> AggSink<'a> {
             slots: args.iter().map(|a| ArgSlot::specialize(a.as_ref(), slice)).collect(),
             groups: Vec::new(),
             index: HashMap::new(),
-            scratch: scratch_for(args.iter().flatten()),
+            scratch: scratch_for(keys.iter().chain(args.iter().flatten())),
         }
     }
 
@@ -856,7 +1070,7 @@ impl<'a> AggSink<'a> {
         let AggSink { slice, brows, aggs, key, slots, groups, index, scratch } = self;
         for (k, &p) in psel.iter().enumerate() {
             let pos = p as usize;
-            let bi = bsel.get(k).map_or(0, |b| *b as usize);
+            let bi = bsel.get(k).copied().unwrap_or(NONE);
             let gi = match key {
                 KeySlot::Single => {
                     if groups.is_empty() {
@@ -878,10 +1092,10 @@ impl<'a> AggSink<'a> {
                     }
                     map[slot]
                 }
-                KeySlot::Build { group_of, keys, map } => {
-                    let code = group_of[bi] as usize;
+                KeySlot::Build { table, map } => {
+                    let code = *table.group_of.get(bi as usize).unwrap_or(&table.none_group) as usize;
                     if map[code] == usize::MAX {
-                        groups.push((keys[code].clone(), new_states(aggs)));
+                        groups.push((table.group_keys[code].clone(), new_states(aggs)));
                         map[code] = groups.len() - 1;
                     }
                     map[code]
@@ -922,16 +1136,21 @@ impl<'a> AggSink<'a> {
     }
 }
 
-/// One sort key resolved against a slice: compares two `(position, build
-/// row)` pairs exactly as `Value::cmp_total` compares the column's values —
-/// NULLs high, integers / dates / booleans as their `i64` image, doubles
-/// by `partial_cmp` with NaN equal to everything, strings blank-trimmed.
+/// A sort candidate: `(position, build row, computed-key slot)`.
+type Cand = (u32, u32, u32);
+
+/// One sort key resolved against a slice: compares two candidates exactly
+/// as `Value::cmp_total` compares the column's values — NULLs high,
+/// integers / dates / booleans as their `i64` image, doubles by
+/// `partial_cmp` with NaN equal to everything, strings blank-trimmed.
 enum KeyCol<'a> {
     I64 { vals: &'a [i64], nulls: &'a NullMap },
     F64 { vals: &'a [f64], nulls: &'a NullMap },
     Str { codes: &'a [u32], nulls: &'a NullMap, dict: &'a [String] },
     /// DECIMAL storage and build-side columns: through their [`Value`]s.
     Value(&'a OutCol),
+    /// A computed key: the `i`-th value materialized in the candidate's slot.
+    Computed(usize),
 }
 
 impl<'a> KeyCol<'a> {
@@ -946,57 +1165,83 @@ impl<'a> KeyCol<'a> {
             _ => KeyCol::Value(col),
         }
     }
-
-    fn cmp(&self, slice: &Slice, brows: &[Row], a: (u32, u32), b: (u32, u32)) -> Ordering {
-        let (pa, pb) = (a.0 as usize, b.0 as usize);
-        let typed = |nulls: &NullMap, non_null: &dyn Fn() -> Ordering| {
-            match (nulls.is_null(pa), nulls.is_null(pb)) {
-                (true, true) => Ordering::Equal,
-                (true, false) => Ordering::Greater,
-                (false, true) => Ordering::Less,
-                (false, false) => non_null(),
-            }
-        };
-        match self {
-            KeyCol::I64 { vals, nulls } => typed(nulls, &|| vals[pa].cmp(&vals[pb])),
-            KeyCol::F64 { vals, nulls } => {
-                typed(nulls, &|| vals[pa].partial_cmp(&vals[pb]).unwrap_or(Ordering::Equal))
-            }
-            KeyCol::Str { codes, nulls, dict } => typed(nulls, &|| {
-                let s = |p: usize| dict[codes[p] as usize].trim_end_matches(' ');
-                s(pa).cmp(s(pb))
-            }),
-            // Sort keys are plain columns (see `Pipeline::lower`): no scratch.
-            KeyCol::Value(col) => {
-                let v = |(p, b): (u32, u32)| {
-                    col.value(slice, brows, p as usize, b as usize, &mut Vec::new())
-                };
-                match (v(a), v(b)) {
-                    (Ok(x), Ok(y)) => x.cmp_total(&y),
-                    _ => Ordering::Equal,
-                }
-            }
-        }
-    }
 }
 
-/// The sort / top-K sink for one part. Candidates are `(position, build
-/// row)` pairs compared through the typed key columns; they arrive in
-/// ascending input order, so "insert after every entry that is not greater"
-/// (top-K) and a stable sort (full sort) both break ties by input position
-/// — exactly a stable sort of the part's rows, truncated.
+/// The sort / top-K sink for one part. Candidates are compared through the
+/// typed key columns, computed keys through their values, evaluated once
+/// per candidate; they arrive in ascending input order, so "insert after
+/// every entry that is not greater" (top-K) and a stable sort (full sort)
+/// both break ties by input position — exactly a stable sort of the part's
+/// rows, truncated.
 struct SortSink<'a> {
     slice: &'a Slice,
     brows: &'a [Row],
     keys: Vec<(KeyCol<'a>, bool)>,
+    /// The computed keys with their output column, and their values:
+    /// `computed.len()` per slot.
+    computed: Vec<(usize, &'a OutCol)>,
+    values: Vec<Value>,
+    scratch: Row,
     limit: Option<usize>,
-    cands: Vec<(u32, u32)>,
+    cands: Vec<Cand>,
 }
 
-impl SortSink<'_> {
-    fn cmp(&self, a: (u32, u32), b: (u32, u32)) -> Ordering {
+impl<'a> SortSink<'a> {
+    fn new(
+        cols: &'a [OutCol],
+        keys: &[(usize, bool)],
+        limit: Option<usize>,
+        slice: &'a Slice,
+        brows: &'a [Row],
+    ) -> SortSink<'a> {
+        let mut computed = Vec::new();
+        let mut key = |i: usize| match &cols[i] {
+            col @ OutCol::Expr(..) => {
+                computed.push((i, col));
+                KeyCol::Computed(computed.len() - 1)
+            }
+            col => KeyCol::specialize(col, slice),
+        };
+        let keys = keys.iter().map(|(i, desc)| (key(*i), *desc)).collect();
+        let scratch = scratch_for(computed.iter().map(|(_, c)| *c));
+        SortSink { slice, brows, keys, computed, values: Vec::new(), scratch, limit, cands: Vec::new() }
+    }
+
+    fn cmp(&self, a: Cand, b: Cand) -> Ordering {
+        let (pa, pb) = (a.0 as usize, b.0 as usize);
         for (key, desc) in &self.keys {
-            let o = key.cmp(self.slice, self.brows, a, b);
+            let typed = |nulls: &NullMap, non_null: &dyn Fn() -> Ordering| {
+                match (nulls.is_null(pa), nulls.is_null(pb)) {
+                    (true, true) => Ordering::Equal,
+                    (true, false) => Ordering::Greater,
+                    (false, true) => Ordering::Less,
+                    (false, false) => non_null(),
+                }
+            };
+            let o = match key {
+                KeyCol::I64 { vals, nulls } => typed(nulls, &|| vals[pa].cmp(&vals[pb])),
+                KeyCol::F64 { vals, nulls } => {
+                    typed(nulls, &|| vals[pa].partial_cmp(&vals[pb]).unwrap_or(Ordering::Equal))
+                }
+                KeyCol::Str { codes, nulls, dict } => typed(nulls, &|| {
+                    let s = |p: usize| dict[codes[p] as usize].trim_end_matches(' ');
+                    s(pa).cmp(s(pb))
+                }),
+                // Plain columns: no scratch.
+                KeyCol::Value(col) => {
+                    let v = |(p, b, _): Cand| {
+                        col.value(self.slice, self.brows, p as usize, b, &mut Vec::new())
+                    };
+                    match (v(a), v(b)) {
+                        (Ok(x), Ok(y)) => x.cmp_total(&y),
+                        _ => Ordering::Equal,
+                    }
+                }
+                KeyCol::Computed(i) => {
+                    let at = |c: Cand| &self.values[c.2 as usize * self.computed.len() + i];
+                    at(a).cmp_total(at(b))
+                }
+            };
             let o = if *desc { o.reverse() } else { o };
             if o != Ordering::Equal {
                 return o;
@@ -1005,35 +1250,56 @@ impl SortSink<'_> {
         Ordering::Equal
     }
 
-    fn consume(&mut self, psel: &[u32], bsel: &[u32]) {
-        let pairs = psel.iter().enumerate().map(|(k, &p)| (p, bsel.get(k).copied().unwrap_or(0)));
-        let Some(k) = self.limit else {
-            self.cands.extend(pairs);
-            return;
-        };
-        for cand in pairs {
-            if self.cands.len() == k {
-                // `k == 0` keeps nothing. Kept entries all came earlier, so
-                // an equal newcomer loses the position tiebreak too.
-                let Some(&worst) = self.cands.last() else { return };
-                if self.cmp(cand, worst) != Ordering::Less {
-                    continue;
+    fn consume(&mut self, psel: &[u32], bsel: &[u32]) -> Result<()> {
+        let width = self.computed.len();
+        for (k, &p) in psel.iter().enumerate() {
+            let bi = bsel.get(k).copied().unwrap_or(NONE);
+            let slot = self.values.len().checked_div(width).unwrap_or(0);
+            for (_, col) in &self.computed {
+                let v = col.value(self.slice, self.brows, p as usize, bi, &mut self.scratch)?;
+                self.values.push(v);
+            }
+            let cand = (p, bi, slot as u32);
+            let Some(limit) = self.limit else {
+                self.cands.push(cand);
+                continue;
+            };
+            if self.cands.len() == limit {
+                // `limit == 0` keeps nothing. Kept entries all came earlier,
+                // so an equal newcomer loses the position tiebreak too.
+                match self.cands.last() {
+                    Some(&worst) if self.cmp(cand, worst) == Ordering::Less => {}
+                    _ => {
+                        self.values.truncate(slot * width);
+                        continue;
+                    }
                 }
             }
             let at = self.cands.partition_point(|&e| self.cmp(e, cand) != Ordering::Greater);
             self.cands.insert(at, cand);
-            self.cands.truncate(k);
+            self.cands.truncate(limit);
         }
+        Ok(())
     }
 
-    /// The part's survivors in output order, as position and build-row
-    /// vectors for the row gather.
-    fn finish(mut self) -> (Vec<u32>, Vec<u32>) {
+    /// Gather the part's survivors in output order; computed key columns
+    /// take the values the comparisons used instead of evaluating again.
+    fn finish(mut self, cols: &[OutCol], mask: Option<&[bool]>, out: &mut Vec<Row>) -> Result<()> {
         if self.limit.is_none() {
             let mut cands = std::mem::take(&mut self.cands);
             cands.sort_by(|a, b| self.cmp(*a, *b));
             self.cands = cands;
         }
-        self.cands.into_iter().unzip()
+        let mut mask = mask.map_or_else(|| vec![true; cols.len()], <[bool]>::to_vec);
+        self.computed.iter().for_each(|(i, _)| mask[*i] = false);
+        let (p, b): (Vec<u32>, Vec<u32>) = self.cands.iter().map(|&(p, b, _)| (p, b)).unzip();
+        gather(cols, Some(&mask), self.slice, self.brows, &p, &b, out)?;
+        let width = self.computed.len();
+        for (row, &(_, _, slot)) in out.iter_mut().zip(&self.cands) {
+            for (j, (i, _)) in self.computed.iter().enumerate() {
+                row[*i] = std::mem::replace(&mut self.values[slot as usize * width + j], Value::Null);
+            }
+        }
+        Ok(())
     }
 }

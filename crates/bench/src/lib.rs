@@ -21,19 +21,9 @@ mod report;
 
 pub use report::{check, det, Cell, Report, Table, ACTUAL_PATH};
 
-/// Accelerator worker count the harness pins wherever a config says "auto"
-/// (`parallelism == 0`). The row path's chunked aggregation sums doubles per
-/// `workers()` chunk (ROADMAP item 4 b), so the record must not read the
-/// count off the machine. (Join row order stopped following it in PR 24.)
-/// Two is what the golden was captured with.
-const HARNESS_WORKERS: usize = 2;
-
-/// Build a system with an admin session. "Auto" accelerator parallelism is
-/// resolved to `HARNESS_WORKERS` under the engine's own slice cap.
-pub fn system(mut config: IdaaConfig) -> (Idaa, Session) {
-    if config.accel.parallelism == 0 {
-        config.accel.parallelism = HARNESS_WORKERS.min(config.accel.slices.max(1));
-    }
+/// Build a system with an admin session. No result depends on the
+/// accelerator's worker count, so "auto" parallelism stays the product's.
+pub fn system(config: IdaaConfig) -> (Idaa, Session) {
     let idaa = Idaa::new(config);
     let session = idaa.session(SYSADM);
     (idaa, session)

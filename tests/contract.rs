@@ -1,0 +1,86 @@
+//! Structural rules of the code base, checked against the source tree:
+//! deleted machinery stays deleted, and the accelerator has one fan-out.
+
+use std::path::{Path, PathBuf};
+
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Every `.rs` file under `dir` (relative to the repository root), with its
+/// text.
+fn sources(dir: &str) -> Vec<(PathBuf, String)> {
+    let mut out = Vec::new();
+    let mut stack = vec![root().join(dir)];
+    while let Some(dir) = stack.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                stack.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                out.push((path, text));
+            }
+        }
+    }
+    out
+}
+
+/// A file's text before its unit-test module.
+fn product(text: &str) -> &str {
+    text.split("\n#[cfg(test)]").next().unwrap_or(text)
+}
+
+/// The function declared by `decl` in `src`, up to its closing brace.
+fn body<'a>(src: &'a str, decl: &str) -> &'a str {
+    let start = src.find(decl).unwrap_or_else(|| panic!("no `{decl}`"));
+    let len = src[start..].find("\n}\n").unwrap_or_else(|| panic!("`{decl}` never ends"));
+    &src[start..start + len]
+}
+
+#[test]
+fn deleted_names_stay_deleted() {
+    // The executor fusions the pipeline IR replaced, and the interpreter's
+    // own parallel machinery (it is a serial oracle).
+    let executor: &[&str] = &[
+        "try_fused_aggregate",
+        "compile_fused",
+        "run_probe_scan",
+        "derive_probe_filter",
+        "JoinSide",
+        "sort_rows",
+        "nested_loop_join",
+        "aggregate_rows",
+    ];
+    // The fleet fork of the accelerator path: one node is a fleet of one.
+    let fleet: &[&str] = &["fleet_active", "commit_two_phase_fleet", "enlist_accel", "accel_exchange"];
+    for (names, dirs) in [(executor, &["crates/accel/src"][..]), (fleet, &["crates", "src", "tests"])] {
+        for (path, text) in dirs.iter().flat_map(|d| sources(d)) {
+            if path.ends_with("tests/contract.rs") {
+                continue;
+            }
+            for name in names {
+                assert!(!text.contains(name), "{} mentions the deleted `{name}`", path.display());
+            }
+        }
+    }
+}
+
+#[test]
+fn only_slices_fan_out() {
+    let accel = sources("crates/accel/src");
+    let count = |needle: &str| -> usize {
+        accel.iter().map(|(_, text)| product(text).matches(needle).count()).sum()
+    };
+    assert_eq!(count("std::thread::scope"), 1, "`run_parts` is the one place accel spawns threads");
+    let exec = std::fs::read_to_string(root().join("crates/accel/src/exec.rs")).unwrap();
+    let exec = product(&exec);
+    let slices = body(exec, "pub(crate) fn for_each_slice");
+    assert_eq!(count("run_parts("), 1, "`run_parts` is called once, from `for_each_slice`");
+    assert_eq!(slices.matches("run_parts(").count(), 1, "`for_each_slice` calls `run_parts`");
+    assert_eq!(
+        exec.matches("workers()").count(),
+        slices.matches("workers()").count(),
+        "only `for_each_slice` reads `workers()` in exec.rs"
+    );
+}

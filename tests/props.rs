@@ -562,8 +562,8 @@ proptest! {
         use idaa::accel::{AccelConfig, AccelEngine};
         use idaa::common::{ColumnDef, Schema};
         // All-integer data: every operator is exact, so parallel execution
-        // must reproduce the serial answers bit for bit — including row
-        // order for sorts and top-K (stable merges, fixed partition order).
+        // must reproduce the serial answers bit for bit, in row order: only
+        // slices fan out, and they merge in slice order.
         let schema = Schema::new(vec![
             ColumnDef::new("A", DataType::BigInt),
             ColumnDef::new("B", DataType::BigInt),
@@ -572,7 +572,7 @@ proptest! {
             .iter()
             .map(|(a, b)| vec![Value::BigInt(*a), Value::BigInt(*b)])
             .collect();
-        // Whether parts run on the caller or fan out over helper threads
+        // Whether slices run on the caller or fan out over helper threads
         // depends on the input, not the configuration: T (at most one
         // 4096-row batch) takes the inline schedule everywhere, BIG (the
         // same rows cycled past one batch, shifted per cycle so the joins'
@@ -584,7 +584,7 @@ proptest! {
                 vec![Value::BigInt(a + 200 * cycle), Value::BigInt(b + 40 * cycle)]
             })
             .collect();
-        let run = |parallelism: usize| -> Vec<(bool, Vec<idaa::Row>)> {
+        let run = |parallelism: usize| -> Vec<Vec<idaa::Row>> {
             let config = if parallelism == 0 {
                 AccelConfig { slices: 4, zone_maps: true, parallel: false, parallelism: 0 }
             } else {
@@ -595,58 +595,43 @@ proptest! {
                 engine.create_table(&ObjectName::bare(name), schema.clone(), &[]).unwrap();
                 engine.load_committed(&ObjectName::bare(name), rows.clone()).unwrap();
             }
-            // (order_sensitive, query): sorts and top-K must agree on exact
-            // row order; join/aggregate outputs agree as multisets (their
-            // concatenation order legitimately varies with partition count).
             let queries = [
-                (false, "SELECT x.a, y.b FROM {t} AS x INNER JOIN {t} AS y ON x.a = y.a \
-                         WHERE y.b < 20"),
-                (false, "SELECT x.a, y.b FROM {t} AS x LEFT JOIN {t} AS y ON x.a = y.a \
-                         AND y.b > 30"),
-                (false, "SELECT x.a, y.a FROM {t} AS x INNER JOIN {t} AS y ON x.b = y.b \
-                         WHERE x.a < y.a"),
-                // Nested loop (no equi-key), chunked over the probe side.
-                (false, "SELECT x.a, y.a FROM {t} AS x INNER JOIN {t} AS y ON x.a < y.a \
-                         WHERE x.a < 70 AND y.a < 70"),
-                (false, "SELECT b, COUNT(*), SUM(a), MIN(a), MAX(a) FROM {t} GROUP BY b"),
-                // Computed group key: the chunked row aggregate, not the
-                // fused one.
-                (false, "SELECT a + b, COUNT(*), SUM(b) FROM {t} GROUP BY a + b"),
-                (false, "SELECT COUNT(DISTINCT a), SUM(b) FROM {t}"),
-                (true,  "SELECT a, b FROM {t} ORDER BY a DESC, b"),
-                (true,  "SELECT a, b FROM {t} ORDER BY b, a LIMIT 17"),
+                "SELECT x.a, y.b FROM {t} AS x INNER JOIN {t} AS y ON x.a = y.a WHERE y.b < 20",
+                // LEFT with a residual ON conjunct, multi-key, cross-side WHERE.
+                "SELECT x.a, y.b FROM {t} AS x LEFT JOIN {t} AS y ON x.a = y.a AND y.b > 30",
+                "SELECT x.a, y.b FROM {t} AS x INNER JOIN {t} AS y ON x.a = y.a AND x.b = y.b",
+                "SELECT x.a, y.a FROM {t} AS x INNER JOIN {t} AS y ON x.b = y.b WHERE x.a < y.a",
+                // Nested loop (no equi-key): the serial row path.
+                "SELECT x.a, y.a FROM {t} AS x INNER JOIN {t} AS y ON x.a < y.a \
+                 WHERE x.a < 70 AND y.a < 70",
+                "SELECT b, COUNT(*), SUM(a), MIN(a), MAX(a) FROM {t} GROUP BY b",
+                "SELECT a + b, COUNT(*), SUM(b) FROM {t} GROUP BY a + b",
+                "SELECT DISTINCT b FROM {t}",
+                "SELECT COUNT(DISTINCT a), SUM(b) FROM {t}",
+                "SELECT a, b FROM {t} ORDER BY a DESC, b",
+                "SELECT a, b FROM {t} ORDER BY b, a LIMIT 17",
                 // Vectorized-kernel shapes across worker counts: ranges,
                 // NOT BETWEEN, IS [NOT] NULL, fused agg over filtered scan.
-                (false, "SELECT COUNT(*), SUM(a), MIN(b), MAX(b) FROM {t} \
-                         WHERE a BETWEEN 40 AND 160 AND b BETWEEN 5 AND 35"),
-                (false, "SELECT b, COUNT(*), SUM(a) FROM {t} \
-                         WHERE a NOT BETWEEN 60 AND 140 GROUP BY b"),
-                (false, "SELECT COUNT(*) FROM {t} WHERE a IS NULL"),
-                (true,  "SELECT a, b FROM {t} \
-                         WHERE a IS NOT NULL AND b >= 10 AND b <= 30 AND a <> 77 \
-                         ORDER BY a, b"),
+                "SELECT COUNT(*), SUM(a), MIN(b), MAX(b) FROM {t} \
+                 WHERE a BETWEEN 40 AND 160 AND b BETWEEN 5 AND 35",
+                "SELECT b, COUNT(*), SUM(a) FROM {t} WHERE a NOT BETWEEN 60 AND 140 GROUP BY b",
+                "SELECT COUNT(*) FROM {t} WHERE a IS NULL",
+                "SELECT a, b FROM {t} WHERE a IS NOT NULL AND b >= 10 AND b <= 30 AND a <> 77 \
+                 ORDER BY a, b",
             ];
             ["t", "big"]
                 .into_iter()
-                .flat_map(|table| queries.map(|(ordered, q)| (ordered, q.replace("{t}", table))))
-                .map(|(ordered, q)| {
+                .flat_map(|table| queries.map(|q| q.replace("{t}", table)))
+                .map(|q| {
                     let Statement::Query(q) = parse_statement(&q).unwrap() else { unreachable!() };
-                    (ordered, engine.query(0, &q).unwrap().rows)
+                    engine.query(0, &q).unwrap().rows
                 })
                 .collect()
         };
         let serial = run(0);
         for workers in [1usize, 2, 3, 8] {
-            let parallel = run(workers);
-            for (i, ((ordered, s), (_, p))) in serial.iter().zip(&parallel).enumerate() {
-                if *ordered {
-                    prop_assert_eq!(s, p, "query #{} order mismatch at workers={}", i, workers);
-                } else {
-                    prop_assert_eq!(
-                        sorted(s.clone()), sorted(p.clone()),
-                        "query #{} multiset mismatch at workers={}", i, workers
-                    );
-                }
+            for (i, (s, p)) in serial.iter().zip(&run(workers)).enumerate() {
+                prop_assert_eq!(s, p, "query #{} mismatch at workers={}", i, workers);
             }
         }
     }
@@ -893,9 +878,8 @@ fn sink_tables(
 const SINK_QUERIES: &[(bool, &str)] = &[
     // Top-K and sort: duplicate keys, NULL keys, mixed ASC/DESC; ties keep
     // scan order, so non-key columns must line up too.
-    // (Sort keys that are output columns lower to the top-K sink; a hidden
-    // key column puts `KeepCols` between `Limit` and `Sort` — the full sort
-    // sink, then the interpreter's limit.)
+    // (A hidden sort-key column puts `KeepCols` between `Limit` and `Sort`:
+    // top-K, then the column truncate.)
     (true, "SELECT g, k, v, d FROM fact ORDER BY g LIMIT 30"),
     (true, "SELECT g, v, k, d FROM fact ORDER BY g DESC, v LIMIT 7"),
     (true, "SELECT k, v, d FROM fact ORDER BY g DESC, v LIMIT 7"),
@@ -930,13 +914,38 @@ const SINK_QUERIES: &[(bool, &str)] = &[
             ORDER BY f.v DESC, f.k, d.name LIMIT 9"),
     (true, "SELECT d.w, f.v, d.name FROM fact f INNER JOIN dim d ON f.k = d.k \
             ORDER BY d.w, f.v, d.name"),
-    // Shapes that do not stream: row-path nodes (partitioned LEFT join,
-    // chunked aggregate, DISTINCT, the sort on an expression key) over
-    // pipelined children.
+    // LEFT joins: typed and generic keys, with and without a residual ON
+    // conjunct — `d.w > 8` fails every candidate of most positions, which
+    // must then null-extend — into every sink.
     (false, "SELECT f.k, f.v, d.w FROM fact f LEFT JOIN dim d ON f.k = d.k AND d.w > 3"),
+    (false, "SELECT f.k, f.v, d.name FROM fact f LEFT JOIN dim d ON f.k = d.k"),
+    (false, "SELECT f.v, d.k, d.w FROM fact f LEFT JOIN dim d ON f.g = d.name AND d.w > 8"),
+    (false, "SELECT d.name, COUNT(*), COUNT(d.w), SUM(f.v) FROM fact f LEFT JOIN dim d \
+             ON f.k = d.k AND f.v > d.w GROUP BY d.name"),
+    (true, "SELECT f.v, f.k, d.w FROM fact f LEFT JOIN dim d ON f.k = d.k \
+            ORDER BY d.w DESC, f.v, f.k LIMIT 12"),
+    (false, "SELECT f.k, d.w FROM fact f LEFT JOIN dim d ON f.k = d.k WHERE d.w IS NULL"),
+    // Generic keys: multi-key, INT ⋈ DOUBLE, an expression key.
+    (false, "SELECT f.v, d.w FROM fact f INNER JOIN dim d ON f.k = d.k AND f.g = d.name"),
+    (false, "SELECT f.v, d.name FROM fact f INNER JOIN dim d ON f.d = d.w"),
+    (false, "SELECT f.k, d.k, d.w FROM fact f INNER JOIN dim d ON f.k + 1 = d.k"),
+    // A build side that is an aggregate subquery, with a residual ON.
+    (false, "SELECT f.k, f.v, a.n FROM fact f INNER JOIN \
+             (SELECT k, COUNT(*) AS n, MAX(w) AS m FROM dim GROUP BY k) a \
+             ON f.k = a.k AND f.v > a.m"),
+    // A cross-side WHERE over a join, and residuals on the probe scan.
+    (false, "SELECT f.k, f.v, d.w FROM fact f INNER JOIN dim d ON f.k = d.k WHERE f.v > d.w * 5"),
+    (false, "SELECT d.name, SUM(f.v) FROM fact f INNER JOIN dim d ON f.k = d.k \
+             WHERE f.v + f.k > 20 GROUP BY d.name"),
+    (true, "SELECT k, v FROM fact WHERE k * 2 < v AND v < 45 ORDER BY v, k LIMIT 9"),
+    // Computed group and sort keys, DISTINCT, and ORDER BY a column that is
+    // not projected (`KeepCols` between `Limit` and `Sort`).
     (false, "SELECT k + v, COUNT(*), SUM(v), MIN(g) FROM fact GROUP BY k + v"),
     (false, "SELECT DISTINCT k, g FROM fact"),
+    (false, "SELECT DISTINCT g FROM fact"),
     (true, "SELECT v, k + v FROM fact ORDER BY k + v, v DESC"),
+    (true, "SELECT v, g FROM fact ORDER BY k * v DESC, v LIMIT 11"),
+    (true, "SELECT f.v FROM fact f LEFT JOIN dim d ON f.k = d.k ORDER BY d.w, f.v DESC LIMIT 8"),
 ];
 
 proptest! {
@@ -1016,12 +1025,11 @@ proptest! {
     }
 }
 
-/// Pipelines — and the row-path nodes above them — on an input large enough
-/// to fan out (ten batches survive zone pruning): every worker count returns
-/// the one-worker answer *bit for bit* — parts are slices and join
-/// partitions fixed by the configuration and merged in part order, and sorts
-/// are stable whatever their run count, so who runs them never shows, the
-/// pipelines' doubles included.
+/// Pipelines on an input large enough to fan out (ten batches survive zone
+/// pruning): every worker count returns the one-worker answer *bit for bit*
+/// — parts are slices fixed by the configuration and merged in slice order,
+/// so who runs them never shows, the pipelines' doubles included. Every
+/// shape in `SINK_QUERIES` runs as a vectorized pipeline.
 #[test]
 fn pipelines_fan_out_without_changing_a_bit() {
     use idaa::accel::{AccelConfig, AccelEngine};
@@ -1047,6 +1055,8 @@ fn pipelines_fan_out_without_changing_a_bit() {
             .iter()
             .map(|(_, sql)| {
                 let Statement::Query(q) = parse_statement(sql).unwrap() else { unreachable!() };
+                let pipeline = engine.pipeline_of(&q).unwrap();
+                assert!(pipeline.starts_with("vectorized ("), "{sql} runs as {pipeline}");
                 engine.query(0, &q).unwrap().rows
             })
             .collect()

@@ -67,7 +67,7 @@ const SALES_QUERIES: [&str; 13] = [
 ];
 
 /// The `EXPLAIN` shapes asserted further down (pipelines, fallbacks, joins).
-const EXPLAINED_QUERIES: [&str; 8] = [
+const EXPLAINED_QUERIES: [&str; 9] = [
     "SELECT region, COUNT(*), SUM(amount) FROM sales WHERE qty > 2 GROUP BY region ORDER BY region",
     "SELECT region, COUNT(*), SUM(amount) FROM sales WHERE qty + qty > 4 GROUP BY region \
      ORDER BY region",
@@ -80,6 +80,7 @@ const EXPLAINED_QUERIES: [&str; 8] = [
     "SELECT b.region, COUNT(*), SUM(a.qty) FROM sales a INNER JOIN sales b ON a.id = b.id \
      WHERE a.qty > 3 GROUP BY b.region",
     "SELECT id, qty + 1 FROM sales WHERE id < 40 AND qty * 2 > 4",
+    "SELECT COUNT(*) FROM (SELECT id FROM sales WHERE qty > 3) a INNER JOIN sales b ON a.id = b.id",
 ];
 
 #[test]
@@ -555,9 +556,8 @@ fn explain_names_join_pipelines_bloom_and_plan_cache() {
         "PIPELINE: vectorized (hash join: typed string keys, bloom-guarded probe, \
          derived probe filter)",
     );
-    // LEFT joins do not stream — a probe row without a match must still
-    // null-extend — so they take the row path: generic keys, Bloom guard,
-    // no pushed probe filter.
+    // LEFT joins stream too: a probe row without a match pairs with no
+    // build row (NULL columns), so no probe row may be filtered out.
     assert_eq!(
         pipeline_of(
             &idaa,
@@ -565,9 +565,9 @@ fn explain_names_join_pipelines_bloom_and_plan_cache() {
             "SELECT a.id, b.id FROM sales a LEFT JOIN sales b ON a.id = b.id \
              ORDER BY a.id LIMIT 10",
         ),
-        "PIPELINE: interpreted (hash join: generic keys, bloom-guarded probe)",
+        "PIPELINE: vectorized (left hash join: typed i64 keys, bloom-guarded probe)",
     );
-    // Multi-column keys fall back to generic row keys (interpreted).
+    // Multi-column keys probe with the key tuple's values.
     assert_eq!(
         pipeline_of(
             &idaa,
@@ -575,7 +575,29 @@ fn explain_names_join_pipelines_bloom_and_plan_cache() {
             "SELECT COUNT(*) FROM sales a INNER JOIN sales b \
              ON a.id = b.id AND a.region = b.region",
         ),
-        "PIPELINE: interpreted (hash join: generic keys, bloom-guarded probe)",
+        "PIPELINE: vectorized (hash join: generic keys)",
+    );
+    // Residual ON conjuncts and a cross-side WHERE evaluate over the
+    // probe's (position, build row) pairs.
+    assert_eq!(
+        pipeline_of(
+            &idaa,
+            &mut s,
+            "SELECT a.id FROM sales a INNER JOIN sales b ON a.id = b.id AND a.qty < b.qty \
+             WHERE a.amount > b.amount",
+        ),
+        "PIPELINE: vectorized (hash join: typed i64 keys, bloom-guarded probe, \
+         derived probe filter + interpreted residual)",
+    );
+    // A probe side that is not a scan joins on the row path.
+    assert_eq!(
+        pipeline_of(
+            &idaa,
+            &mut s,
+            "SELECT COUNT(*) FROM (SELECT id FROM sales WHERE qty > 3) a \
+             INNER JOIN sales b ON a.id = b.id",
+        ),
+        "PIPELINE: interpreted (hash join: generic keys)",
     );
     // Non-equi ON: nested loop.
     assert_eq!(
@@ -633,7 +655,10 @@ fn explain_pipeline_line_is_the_executed_pipeline() {
         "vectorized (fused scan-filter-aggregate)",
         "vectorized (hash join: typed i64 keys, bloom-guarded probe, derived probe filter)",
         "vectorized (hash join: typed string keys, bloom-guarded probe, derived probe filter)",
-        "interpreted (hash join: generic keys, bloom-guarded probe)",
+        "vectorized (left hash join: typed i64 keys, bloom-guarded probe)",
+        "vectorized (left hash join: typed i64 keys, bloom-guarded probe + interpreted residual)",
+        "vectorized (hash join: generic keys)",
+        "interpreted (hash join: generic keys)",
         "interpreted (nested-loop join)",
         "vectorized (2/2 conjuncts as kernels)",
         "vectorized (1/2 conjuncts as kernels + interpreted residual)",
