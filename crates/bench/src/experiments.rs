@@ -740,8 +740,8 @@ fn e12_end_to_end_scenario(out: &mut Report) {
     out.table(table);
 }
 
-/// E13 — slice-parallel post-scan operators: partitioned hash join,
-/// parallel sort, and fused top-K, swept over the accelerator worker count.
+/// E13 — slice-parallel post-scan operators: the join probe, sort and top-K
+/// sinks of the batch pipeline, swept over the accelerator worker count.
 /// AOT queries move only control messages plus the result rows, so the link
 /// columns must not vary with parallelism. (How the operators scale is a
 /// wall-clock question: `accel.parallel_speedup.*` in `crates/benchmark`.)
