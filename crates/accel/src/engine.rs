@@ -94,8 +94,10 @@ pub struct AccelStats {
 
 /// One cached compiled plan plus the catalog state it was compiled
 /// against. Entries validate lazily at lookup: any referenced table whose
-/// schema or dictionary fingerprint moved (DDL, dictionary growth, groom)
-/// invalidates the entry and the statement replans.
+/// schema fingerprint moved invalidates the entry and the statement
+/// replans. Writes do not: a lowering bakes in no table data — kernels
+/// specialize per slice at run time, and dictionary probes are memoized on
+/// each `Column`, reset when its dictionary grows.
 struct CachedPlan {
     /// The statement's canonical text. The cache key is only its 64-bit
     /// hash, so a hit must also compare the text: a colliding statement
@@ -105,9 +107,9 @@ struct CachedPlan {
     /// `plan` lowered for [`ExecMode::Vectorized`]: bound keys, compiled
     /// kernels, pipelines — a hit skips all of it.
     lowered: Arc<Lowered>,
-    /// `(table, schema fingerprint, dictionary fingerprint)` per
-    /// referenced table, in [`Plan::tables`] order.
-    deps: Vec<(ObjectName, u64, u64)>,
+    /// `(table, schema fingerprint)` per referenced table, in
+    /// [`Plan::tables`] order.
+    deps: Vec<(ObjectName, u64)>,
 }
 
 /// The compiled-plan cache: statement fingerprint → [`CachedPlan`], bounded
@@ -886,10 +888,10 @@ impl AccelEngine {
 
     /// Plan `query` through the compiled-plan cache. The cache is keyed by
     /// the statement's rendered text and each entry remembers the schema
-    /// and dictionary fingerprints of every table it touches; a lookup
-    /// revalidates those lazily, so DDL, TRUNCATE, groom, or dictionary
-    /// growth all force a replan (whose fresh kernels see the new
-    /// dictionary). Returns the shared plan and whether it was a hit.
+    /// fingerprint of every table it touches; a lookup revalidates those
+    /// lazily, so DDL forces a replan while inserts, updates, GROOM and
+    /// TRUNCATE keep the plan. Returns the shared plan and whether it was
+    /// a hit.
     pub fn plan_cached(&self, query: &Query) -> Result<(Arc<Plan>, bool)> {
         self.plan_lowered(query).map(|(plan, _, hit)| (plan, hit))
     }
@@ -901,11 +903,8 @@ impl AccelEngine {
         let key = wire::hash64(text.as_bytes());
         if let Some(entry) = self.plan_cache.read().map.get(&key) {
             let valid = entry.text == text
-                && entry.deps.iter().all(|(name, schema_fp, dict_fp)| {
-                    self.table(name).is_ok_and(|t| {
-                        wire::schema_fingerprint(&t.schema) == *schema_fp
-                            && t.dict_fingerprint() == *dict_fp
-                    })
+                && entry.deps.iter().all(|(name, fp)| {
+                    self.table(name).is_ok_and(|t| wire::schema_fingerprint(&t.schema) == *fp)
                 });
             if valid {
                 self.stats.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -919,10 +918,7 @@ impl AccelEngine {
             .tables()
             .into_iter()
             .filter_map(|name| {
-                self.table(&name).ok().map(|t| {
-                    let fp = (wire::schema_fingerprint(&t.schema), t.dict_fingerprint());
-                    (name, fp.0, fp.1)
-                })
+                self.table(&name).ok().map(|t| (name, wire::schema_fingerprint(&t.schema)))
             })
             .collect();
         let entry = CachedPlan { text, plan: plan.clone(), lowered: lowered.clone(), deps };
@@ -1156,7 +1152,6 @@ impl AccelEngine {
         // quarantined table — the durable Truncate record lifts the
         // quarantine on replay just like it does here.
         self.quarantined.write().remove(&t.name);
-        self.plan_cache.write().clear();
         Ok(())
     }
 
@@ -1186,9 +1181,6 @@ impl AccelEngine {
         );
         if n > 0 {
             self.log_data(LogRecord::Groom { table: t.name.clone() })?;
-            // Grooming rebuilds slices (and their dictionaries): drop any
-            // plan whose cached kernels were specialized against them.
-            self.plan_cache.write().clear();
         }
         self.stats.versions_groomed.fetch_add(n as u64, Ordering::Relaxed);
         Ok(n)
@@ -1273,7 +1265,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_invalidated_by_dictionary_growth_ddl_and_restart() {
+    fn plan_cache_survives_writes_and_replans_on_ddl_and_restart() {
         let e = engine();
         e.load_committed(&ObjectName::bare("T"), vec![row(1, "A", 1.0)]).unwrap();
         let Statement::Query(query) =
@@ -1283,17 +1275,20 @@ mod tests {
         };
         assert!(!e.plan_cached(&query).unwrap().1);
         assert!(e.plan_cached(&query).unwrap().1);
-        // Dictionary growth (a new distinct string) forces a replan.
+        // Writes keep the plan: dictionary growth, GROOM and TRUNCATE.
         e.load_committed(&ObjectName::bare("T"), vec![row(2, "NEW", 2.0)]).unwrap();
-        assert!(!e.plan_cached(&query).unwrap().1, "dictionary growth must invalidate");
-        assert!(e.plan_cached(&query).unwrap().1);
+        assert!(e.plan_cached(&query).unwrap().1, "dictionary growth keeps the plan");
+        e.begin(9);
+        e.delete_where(9, &ObjectName::bare("T"), None).unwrap();
+        e.commit(9);
+        assert!(e.groom(&ObjectName::bare("T")).unwrap() > 0);
+        assert!(e.plan_cached(&query).unwrap().1, "GROOM keeps the plan");
+        e.truncate(&ObjectName::bare("T")).unwrap();
+        assert!(e.plan_cached(&query).unwrap().1, "TRUNCATE keeps the plan");
         // DDL on any table clears the whole cache.
         e.create_table(&ObjectName::bare("U"), schema(), &["ID".to_string()]).unwrap();
         assert!(!e.plan_cached(&query).unwrap().1, "DDL must invalidate");
         assert!(e.plan_cached(&query).unwrap().1);
-        // TRUNCATE empties dictionaries; the plan must be rebuilt.
-        e.truncate(&ObjectName::bare("T")).unwrap();
-        assert!(!e.plan_cached(&query).unwrap().1, "TRUNCATE must invalidate");
         // A crash loses the (volatile) cache with the rest of memory.
         e.checkpoint(Duration::ZERO).unwrap();
         e.crash();
@@ -1323,8 +1318,10 @@ mod tests {
         let rows = e.query(1, &wanted).unwrap();
         assert_eq!(rows.rows, vec![vec![Value::Int(7)]], "served the colliding statement's plan");
         assert_eq!(e.stats.plan_cache_misses.load(Ordering::Relaxed), misses + 1);
-        // The replan took the slot over.
+        // The replan took the slot over without growing the queue.
         assert!(e.plan_cached(&wanted).unwrap().1);
+        let cache = e.plan_cache.read();
+        assert_eq!((cache.map.len(), cache.order.len()), (1, 1));
     }
 
     #[test]
@@ -1346,11 +1343,6 @@ mod tests {
         assert!(!e.plan_cached(&q(0)).unwrap().1, "the oldest entry was evicted");
         assert!(!e.plan_cached(&q(1)).unwrap().1, "re-admitting it evicted the next oldest");
         assert!(e.plan_cached(&q(PLAN_CACHE_MAX)).unwrap().1);
-        // A replan of a live key (dictionary growth) takes its slot over
-        // without growing the queue.
-        e.load_committed(&ObjectName::bare("T"), vec![row(2, "NEW", 2.0)]).unwrap();
-        assert!(!e.plan_cached(&q(7)).unwrap().1);
-        assert!(e.plan_cached(&q(7)).unwrap().1);
         let cache = e.plan_cache.read();
         assert_eq!((cache.map.len(), cache.order.len()), (PLAN_CACHE_MAX, PLAN_CACHE_MAX));
     }

@@ -183,21 +183,6 @@ impl AccelTable {
         self.slices.iter().map(|s| s.read().version_count()).sum()
     }
 
-    /// Fingerprint of every column dictionary's size across slices, in
-    /// slice/column order. It changes whenever any dictionary admits a new
-    /// code — exactly when compiled artifacts keyed on dictionary state
-    /// (e.g. cached plans with memoized dictionary probes) must invalidate.
-    pub fn dict_fingerprint(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        for slice in &self.slices {
-            let slice = slice.read();
-            for c in &slice.columns {
-                c.dictionary().map_or(0, <[String]>::len).hash(&mut h);
-            }
-        }
-        h.finish()
-    }
-
     fn target_slice(&self, row: &Row) -> usize {
         if self.dist_cols.is_empty() {
             return self.rr.fetch_add(1, Ordering::Relaxed) % self.slices.len();

@@ -3,30 +3,35 @@
 //! Every read is authorized against the *DB2* privilege catalog before any
 //! accelerator data is touched, and inputs must physically exist on the
 //! accelerator (AOTs or loaded replicas) — the framework never pulls table
-//! data across the link for an in-database operation. Results are written
-//! to accelerator-only tables, ready to feed the next pipeline stage.
+//! data across the link for an in-database operation. Where rows live is
+//! `idaa-core`'s business: reads go through [`Idaa::scan_accel_table`],
+//! which serves each shard from its owners, and results are written with
+//! [`Idaa::write_output_aot`] to accelerator-only tables, ready to feed the
+//! next pipeline stage.
 
-use idaa_common::{wire, Error, ObjectName, Result, Row, Rows, Schema, Value};
-use idaa_core::Idaa;
-use idaa_host::TableKind;
-use idaa_netsim::Direction;
+use idaa_common::{Error, ObjectName, Result, Row, Rows, Schema, Value};
+use idaa_core::{Idaa, Session};
 use idaa_sql::Privilege;
+
+/// Resolve `table` and check the session's SELECT privilege on it in DB2.
+fn authorized(idaa: &Idaa, session: &Session, table: &ObjectName) -> Result<ObjectName> {
+    let resolved = table.resolve(idaa.default_schema());
+    idaa.host().table_meta(&resolved)?;
+    idaa.host().privileges.read().check(&session.user, &resolved, Privilege::Select)?;
+    Ok(resolved)
+}
 
 /// Read an accelerator-resident table (schema + visible rows), enforcing
 /// SELECT privilege on DB2. Data does **not** cross the link: the caller
 /// is executing *on* the accelerator.
-pub fn read_accel_table(idaa: &Idaa, user: &str, table: &ObjectName) -> Result<(Schema, Vec<Row>)> {
-    let resolved = table.resolve(idaa.default_schema());
-    let meta = idaa.host().table_meta(&resolved)?;
-    idaa.host().privileges.read().check(user, &resolved, Privilege::Select)?;
-    if !idaa.accel().has_table(&resolved) {
-        return Err(Error::InvalidAcceleratorUse(format!(
-            "analytics input {resolved} is not on the accelerator; add and load it \
-             (ACCEL_ADD_TABLES / ACCEL_LOAD_TABLES) or use an accelerator-only table"
-        )));
-    }
-    let rows = idaa.accel().scan_visible(&resolved)?;
-    Ok((meta.schema, rows))
+pub fn read_accel_table(
+    idaa: &Idaa,
+    session: &mut Session,
+    table: &ObjectName,
+) -> Result<(Schema, Vec<Row>)> {
+    let resolved = authorized(idaa, session, table)?;
+    let read = idaa.scan_accel_table(session, &resolved)?;
+    Ok((read.schema, read.rows))
 }
 
 /// Split a `"COL1,COL2"` argument into normalized column names.
@@ -85,44 +90,19 @@ pub fn label_column(schema: &Schema, rows: &[Row], column: &str) -> Result<Vec<S
         .collect())
 }
 
-/// Extract one column as raw values (ids carried through scoring).
-pub fn value_column(schema: &Schema, rows: &[Row], column: &str) -> Result<Vec<Value>> {
-    let i = schema.index_of(column)?;
-    Ok(rows.iter().map(|r| r[i].clone()).collect())
-}
-
-/// Create (or replace) an accelerator-only output table owned by `user`
-/// and fill it with `rows`, committed. Only control messages cross the
-/// link — the data was produced on the accelerator.
-pub fn write_output_aot(
-    idaa: &Idaa,
-    user: &str,
-    table: &ObjectName,
-    schema: Schema,
-    rows: Vec<Row>,
-    replace: bool,
-) -> Result<usize> {
-    let resolved = table.resolve(idaa.default_schema());
-    if idaa.host().table_meta(&resolved).is_ok() {
-        if !replace {
-            return Err(Error::AlreadyExists(format!("output table {resolved} already exists")));
-        }
-        let meta = idaa.host().table_meta(&resolved)?;
-        if meta.kind != TableKind::AcceleratorOnly {
-            return Err(Error::InvalidAcceleratorUse(format!(
-                "output table {resolved} exists and is not accelerator-only"
-            )));
-        }
-        idaa.host().drop_table(user, &resolved)?;
-        idaa.accel().drop_table(&resolved)?;
-    }
-    idaa.host().create_table(user, &resolved, schema.clone(), TableKind::AcceleratorOnly, vec![])?;
-    idaa.accel().create_table(&resolved, schema, &[])?;
-    // Control-plane traffic only.
-    idaa.ship(Direction::ToAccel, wire::CREATE_OUTPUT_FRAME)?;
-    let n = idaa.accel().load_committed(&resolved, rows)?;
-    idaa.ship(Direction::ToHost, wire::ACK_FRAME)?;
-    Ok(n)
+/// [`numeric_matrix`] of `features` beside the `label` of every row it
+/// kept (the classifiers' training input).
+pub fn labeled_matrix(
+    schema: &Schema,
+    rows: &[Row],
+    features: &[String],
+    label: &str,
+) -> Result<(Vec<Vec<f64>>, Vec<String>)> {
+    let (matrix, _) = numeric_matrix(schema, rows, features)?;
+    let ordinals: Vec<usize> = features.iter().map(|c| schema.index_of(c)).collect::<Result<_>>()?;
+    let complete = |r: &Row| ordinals.iter().all(|&i| r[i].as_f64().is_ok());
+    let labels = label_column(schema, rows, label)?;
+    Ok((matrix, rows.iter().zip(labels).filter(|(r, _)| complete(r)).map(|(_, l)| l).collect()))
 }
 
 /// Pull an accelerator table's numeric matrix *to the client side*,
@@ -130,15 +110,15 @@ pub fn write_output_aot(
 /// in-database framework replaces (used by experiment E7/E8 baselines).
 pub fn extract_matrix_to_client(
     idaa: &Idaa,
-    user: &str,
+    session: &mut Session,
     table: &ObjectName,
     columns: &[String],
 ) -> Result<(Vec<Vec<f64>>, usize)> {
-    let (schema, rows) = read_accel_table(idaa, user, table)?;
     // The full result set crosses the link as encoded frames; the client
     // computes on the decoded rows, as a real extract would.
-    let delivered = idaa.ship_rows(Direction::ToHost, &schema, &rows)?;
-    numeric_matrix(&schema, &delivered, columns)
+    let resolved = authorized(idaa, session, table)?;
+    let delivered = idaa.extract_accel_table(session, &resolved)?;
+    numeric_matrix(&delivered.schema, &delivered.rows, columns)
 }
 
 /// Convenience: a one-row summary result (procedure return value).
@@ -197,16 +177,16 @@ mod tests {
     }
 
     #[test]
-    fn label_and_value_columns() {
+    fn labels_follow_the_rows_the_matrix_keeps() {
         let rows = vec![
             vec![Value::Int(1), Value::Double(2.0), Value::Varchar("a".into())],
-            vec![Value::Int(2), Value::Double(3.0), Value::Null],
+            vec![Value::Int(2), Value::Null, Value::Varchar("b".into())],
+            vec![Value::Int(3), Value::Double(3.0), Value::Null],
         ];
-        assert_eq!(label_column(&schema(), &rows, "NAME").unwrap(), vec!["a", "?"]);
-        assert_eq!(
-            value_column(&schema(), &rows, "ID").unwrap(),
-            vec![Value::Int(1), Value::Int(2)]
-        );
+        assert_eq!(label_column(&schema(), &rows, "NAME").unwrap(), vec!["a", "b", "?"]);
+        let (m, labels) = labeled_matrix(&schema(), &rows, &["X".into()], "NAME").unwrap();
+        assert_eq!(m, vec![vec![2.0], vec![3.0]]);
+        assert_eq!(labels, vec!["a", "?"]);
     }
 
     #[test]

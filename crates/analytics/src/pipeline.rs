@@ -17,15 +17,14 @@
 //!   writes an accelerator-only table via `INSERT … SELECT`, so no stage
 //!   result ever crosses the link.
 //!
-//! Experiment E3 sweeps the stage count and reports elapsed time, bytes
-//! moved, and link messages per mode.
+//! Experiment E3 sweeps the stage count and reports bytes moved and link
+//! messages per mode (its wall-clock column is timed by the harness).
 
 use idaa_common::{Error, ObjectName, Result, Rows};
 use idaa_core::{Idaa, Payload, Session};
 use idaa_netsim::LinkMetrics;
 use idaa_sql::plan::plan_query;
 use idaa_sql::{parse_statement, Statement};
-use std::time::{Duration, Instant};
 
 /// One transformation stage: `output ← SELECT …`.
 #[derive(Debug, Clone)]
@@ -52,7 +51,6 @@ pub enum PipelineMode {
 pub struct StageReport {
     pub output: String,
     pub rows: usize,
-    pub elapsed: Duration,
     pub link: LinkMetrics,
 }
 
@@ -61,7 +59,6 @@ pub struct StageReport {
 pub struct PipelineReport {
     pub mode: PipelineMode,
     pub stages: Vec<StageReport>,
-    pub elapsed: Duration,
     pub link: LinkMetrics,
 }
 
@@ -90,18 +87,16 @@ impl Pipeline {
         self
     }
 
-    /// Run all stages under `mode`, measuring wall time and link traffic.
+    /// Run all stages under `mode`, measuring link traffic per stage.
     pub fn run(
         &self,
         idaa: &Idaa,
         session: &mut Session,
         mode: PipelineMode,
     ) -> Result<PipelineReport> {
-        let t0 = Instant::now();
         let link0 = idaa.link().metrics();
         let mut stages = Vec::with_capacity(self.stages.len());
         for stage in &self.stages {
-            let s0 = Instant::now();
             let l0 = idaa.link().metrics();
             let rows = match mode {
                 PipelineMode::AcceleratorOnly => self.run_stage_aot(idaa, session, stage)?,
@@ -110,16 +105,10 @@ impl Pipeline {
             stages.push(StageReport {
                 output: stage.output.clone(),
                 rows,
-                elapsed: s0.elapsed(),
                 link: idaa.link().metrics().since(&l0),
             });
         }
-        Ok(PipelineReport {
-            mode,
-            stages,
-            elapsed: t0.elapsed(),
-            link: idaa.link().metrics().since(&link0),
-        })
+        Ok(PipelineReport { mode, stages, link: idaa.link().metrics().since(&link0) })
     }
 
     /// Derive the stage output's DDL column list from the SELECT's plan.

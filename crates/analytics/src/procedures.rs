@@ -7,10 +7,7 @@
 //! schema, and scoring procedures reconstruct models from those tables.
 
 use crate::dectree::{self, Node, TreeConfig, TreeModel};
-use crate::io::{
-    label_column, numeric_matrix, parse_column_list, read_accel_table, summary_row, value_column,
-    write_output_aot,
-};
+use crate::io::{labeled_matrix, numeric_matrix, parse_column_list, read_accel_table, summary_row};
 use crate::kmeans::{kmeans, KMeansConfig, KMeansModel};
 use crate::linreg;
 use crate::naive_bayes::{self, ClassParams, NaiveBayesModel};
@@ -66,7 +63,7 @@ impl Procedure for KMeansProc {
         let max_iter = arg_i64(args, 3, "max_iter")? as usize;
         let output = ObjectName::from(arg_str(args, 4, "output table")?.as_str());
 
-        let (schema, rows) = read_accel_table(idaa, &session.user, &input)?;
+        let (schema, rows) = read_accel_table(idaa, session, &input)?;
         let (matrix, skipped) = numeric_matrix(&schema, &rows, &columns)?;
         let model = kmeans(&matrix, &KMeansConfig { k, max_iter, ..Default::default() })?;
 
@@ -87,7 +84,7 @@ impl Procedure for KMeansProc {
                 ]);
             }
         }
-        write_output_aot(idaa, &session.user, &output, out_schema, out_rows, true)?;
+        idaa.write_output_aot(session, &output, out_schema, out_rows)?;
         Ok(summary_row(&[
             ("K", Value::Int(k as i32)),
             ("ITERATIONS", Value::Int(model.iterations as i32)),
@@ -100,8 +97,12 @@ impl Procedure for KMeansProc {
 
 /// Rebuild a [`KMeansModel`] from a centroid table written by
 /// [`KMeansProc`].
-pub fn load_kmeans_model(idaa: &Idaa, user: &str, table: &ObjectName) -> Result<KMeansModel> {
-    let (schema, rows) = read_accel_table(idaa, user, table)?;
+pub fn load_kmeans_model(
+    idaa: &Idaa,
+    session: &mut Session,
+    table: &ObjectName,
+) -> Result<KMeansModel> {
+    let (schema, rows) = read_accel_table(idaa, session, table)?;
     let cid = schema.index_of("CLUSTER_ID")?;
     let csz = schema.index_of("CLUSTER_SIZE")?;
     let dim = schema.index_of("DIM")?;
@@ -134,47 +135,9 @@ impl Procedure for KMeansScoreProc {
     }
 
     fn execute(&self, idaa: &Idaa, session: &mut Session, args: &[Value]) -> Result<Rows> {
-        let input = ObjectName::from(arg_str(args, 0, "input table")?.as_str());
-        let id_col = idaa_common::ident::normalize(&arg_str(args, 1, "id column")?);
-        let columns = parse_column_list(&arg_str(args, 2, "columns")?);
-        let model_table = ObjectName::from(arg_str(args, 3, "model table")?.as_str());
-        let output = ObjectName::from(arg_str(args, 4, "output table")?.as_str());
-
-        let model = load_kmeans_model(idaa, &session.user, &model_table)?;
-        let (schema, rows) = read_accel_table(idaa, &session.user, &input)?;
-        let ids = value_column(&schema, &rows, &id_col)?;
-        let id_type = schema.column(&id_col)?.data_type;
-        let ordinals: Vec<usize> =
-            columns.iter().map(|c| schema.index_of(c)).collect::<Result<_>>()?;
-
-        let mut out_rows = Vec::with_capacity(rows.len());
-        let mut scored = 0usize;
-        for (row, id) in rows.iter().zip(ids) {
-            let mut point = Vec::with_capacity(ordinals.len());
-            let mut ok = true;
-            for &i in &ordinals {
-                match row[i].as_f64() {
-                    Ok(v) => point.push(v),
-                    Err(_) => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            let cluster = if ok {
-                scored += 1;
-                Value::Int(model.assign(&point) as i32)
-            } else {
-                Value::Null
-            };
-            out_rows.push(vec![id, cluster]);
-        }
-        let out_schema = Schema::new(vec![
-            ColumnDef::new(id_col, id_type),
-            ColumnDef::new("CLUSTER_ID", DataType::Integer),
-        ])?;
-        write_output_aot(idaa, &session.user, &output, out_schema, out_rows, true)?;
-        Ok(summary_row(&[("ROWS_SCORED", Value::BigInt(scored as i64))]))
+        let model = load_kmeans_model(idaa, session, &model_arg(args)?)?;
+        let out = ColumnDef::new("CLUSTER_ID", DataType::Integer);
+        score_rows(idaa, session, args, out, |point| Value::Int(model.assign(point) as i32))
     }
 }
 
@@ -198,7 +161,7 @@ impl Procedure for LinRegProc {
         let features = parse_column_list(&arg_str(args, 2, "features")?);
         let output = ObjectName::from(arg_str(args, 3, "output table")?.as_str());
 
-        let (schema, rows) = read_accel_table(idaa, &session.user, &input)?;
+        let (schema, rows) = read_accel_table(idaa, session, &input)?;
         let mut all_cols = features.clone();
         all_cols.push(target.clone());
         let (matrix, skipped) = numeric_matrix(&schema, &rows, &all_cols)?;
@@ -216,7 +179,7 @@ impl Procedure for LinRegProc {
         for (f, c) in features.iter().zip(&model.coefficients) {
             out_rows.push(vec![Value::Varchar(f.clone()), Value::Double(*c)]);
         }
-        write_output_aot(idaa, &session.user, &output, out_schema, out_rows, true)?;
+        idaa.write_output_aot(session, &output, out_schema, out_rows)?;
         Ok(summary_row(&[
             ("R2", Value::Double(model.r2)),
             ("N", Value::BigInt(model.n as i64)),
@@ -230,11 +193,11 @@ impl Procedure for LinRegProc {
 /// the order of `features`.
 pub fn load_linreg_model(
     idaa: &Idaa,
-    user: &str,
+    session: &mut Session,
     table: &ObjectName,
     features: &[String],
 ) -> Result<(f64, Vec<f64>)> {
-    let (schema, rows) = read_accel_table(idaa, user, table)?;
+    let (schema, rows) = read_accel_table(idaa, session, table)?;
     let term_i = schema.index_of("TERM")?;
     let coef_i = schema.index_of("COEFFICIENT")?;
     let mut intercept = 0.0;
@@ -274,46 +237,12 @@ impl Procedure for LinRegScoreProc {
     }
 
     fn execute(&self, idaa: &Idaa, session: &mut Session, args: &[Value]) -> Result<Rows> {
-        let input = ObjectName::from(arg_str(args, 0, "input table")?.as_str());
-        let id_col = idaa_common::ident::normalize(&arg_str(args, 1, "id column")?);
         let features = parse_column_list(&arg_str(args, 2, "features")?);
-        let model_table = ObjectName::from(arg_str(args, 3, "model table")?.as_str());
-        let output = ObjectName::from(arg_str(args, 4, "output table")?.as_str());
-
-        let (intercept, coefs) = load_linreg_model(idaa, &session.user, &model_table, &features)?;
-        let (schema, rows) = read_accel_table(idaa, &session.user, &input)?;
-        let ids = value_column(&schema, &rows, &id_col)?;
-        let id_type = schema.column(&id_col)?.data_type;
-        let ordinals: Vec<usize> =
-            features.iter().map(|c| schema.index_of(c)).collect::<Result<_>>()?;
-        let mut out_rows = Vec::with_capacity(rows.len());
-        let mut scored = 0usize;
-        for (row, id) in rows.iter().zip(ids) {
-            let mut acc = intercept;
-            let mut ok = true;
-            for (&i, c) in ordinals.iter().zip(&coefs) {
-                match row[i].as_f64() {
-                    Ok(v) => acc += c * v,
-                    Err(_) => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            let pred = if ok {
-                scored += 1;
-                Value::Double(acc)
-            } else {
-                Value::Null
-            };
-            out_rows.push(vec![id, pred]);
-        }
-        let out_schema = Schema::new(vec![
-            ColumnDef::new(id_col, id_type),
-            ColumnDef::new("PREDICTION", DataType::Double),
-        ])?;
-        write_output_aot(idaa, &session.user, &output, out_schema, out_rows, true)?;
-        Ok(summary_row(&[("ROWS_SCORED", Value::BigInt(scored as i64))]))
+        let (intercept, coefs) = load_linreg_model(idaa, session, &model_arg(args)?, &features)?;
+        let out = ColumnDef::new("PREDICTION", DataType::Double);
+        score_rows(idaa, session, args, out, |point| {
+            Value::Double(point.iter().zip(&coefs).fold(intercept, |acc, (v, c)| acc + c * v))
+        })
     }
 }
 
@@ -335,19 +264,8 @@ impl Procedure for NaiveBayesTrainProc {
         let features = parse_column_list(&arg_str(args, 2, "features")?);
         let output = ObjectName::from(arg_str(args, 3, "model table")?.as_str());
 
-        let (schema, rows) = read_accel_table(idaa, &session.user, &input)?;
-        let (matrix, _) = numeric_matrix(&schema, &rows, &features)?;
-        // Align labels with the surviving (non-NULL) rows by re-extracting
-        // with the same skip rule.
-        let labels_all = label_column(&schema, &rows, &label)?;
-        let ordinals: Vec<usize> =
-            features.iter().map(|c| schema.index_of(c)).collect::<Result<_>>()?;
-        let labels: Vec<String> = rows
-            .iter()
-            .zip(labels_all)
-            .filter(|(r, _)| ordinals.iter().all(|&i| r[i].as_f64().is_ok()))
-            .map(|(_, l)| l)
-            .collect();
+        let (schema, rows) = read_accel_table(idaa, session, &input)?;
+        let (matrix, labels) = labeled_matrix(&schema, &rows, &features, &label)?;
         let model = naive_bayes::train(&matrix, &labels)?;
 
         let out_schema = Schema::new(vec![
@@ -369,7 +287,7 @@ impl Procedure for NaiveBayesTrainProc {
                 ]);
             }
         }
-        write_output_aot(idaa, &session.user, &output, out_schema, out_rows, true)?;
+        idaa.write_output_aot(session, &output, out_schema, out_rows)?;
         Ok(summary_row(&[
             ("CLASSES", Value::Int(model.classes.len() as i32)),
             ("TRAIN_ACCURACY", Value::Double(model.accuracy(&matrix, &labels))),
@@ -378,8 +296,12 @@ impl Procedure for NaiveBayesTrainProc {
 }
 
 /// Rebuild a [`NaiveBayesModel`] from its model table.
-pub fn load_nb_model(idaa: &Idaa, user: &str, table: &ObjectName) -> Result<NaiveBayesModel> {
-    let (schema, rows) = read_accel_table(idaa, user, table)?;
+pub fn load_nb_model(
+    idaa: &Idaa,
+    session: &mut Session,
+    table: &ObjectName,
+) -> Result<NaiveBayesModel> {
+    let (schema, rows) = read_accel_table(idaa, session, table)?;
     let class_i = schema.index_of("CLASS")?;
     let prior_i = schema.index_of("PRIOR")?;
     let feat_i = schema.index_of("FEATURE_IDX")?;
@@ -411,6 +333,9 @@ pub fn load_nb_model(idaa: &Idaa, user: &str, table: &ObjectName) -> Result<Naiv
     if classes.is_empty() {
         return Err(Error::Load(format!("model table {table} is empty")));
     }
+    // Training orders classes by label (ties predict the first); the table
+    // comes back in shard order.
+    classes.sort_by(|a, b| a.label.cmp(&b.label));
     Ok(NaiveBayesModel { classes })
 }
 
@@ -423,15 +348,9 @@ impl Procedure for NaiveBayesScoreProc {
     }
 
     fn execute(&self, idaa: &Idaa, session: &mut Session, args: &[Value]) -> Result<Rows> {
-        let input = ObjectName::from(arg_str(args, 0, "input table")?.as_str());
-        let id_col = idaa_common::ident::normalize(&arg_str(args, 1, "id column")?);
-        let features = parse_column_list(&arg_str(args, 2, "features")?);
-        let model_table = ObjectName::from(arg_str(args, 3, "model table")?.as_str());
-        let output = ObjectName::from(arg_str(args, 4, "output table")?.as_str());
-
-        let model = load_nb_model(idaa, &session.user, &model_table)?;
-        score_classifier(idaa, session, &input, &id_col, &features, &output, |point| {
-            model.predict(point).0.to_string()
+        let model = load_nb_model(idaa, session, &model_arg(args)?)?;
+        score_rows(idaa, session, args, class_column(), |point| {
+            Value::Varchar(model.predict(point).0.to_string())
         })
     }
 }
@@ -455,17 +374,8 @@ impl Procedure for DecTreeTrainProc {
         let output = ObjectName::from(arg_str(args, 3, "model table")?.as_str());
         let max_depth = arg_i64(args, 4, "max depth")? as usize;
 
-        let (schema, rows) = read_accel_table(idaa, &session.user, &input)?;
-        let (matrix, _) = numeric_matrix(&schema, &rows, &features)?;
-        let ordinals: Vec<usize> =
-            features.iter().map(|c| schema.index_of(c)).collect::<Result<_>>()?;
-        let labels_all = label_column(&schema, &rows, &label)?;
-        let labels: Vec<String> = rows
-            .iter()
-            .zip(labels_all)
-            .filter(|(r, _)| ordinals.iter().all(|&i| r[i].as_f64().is_ok()))
-            .map(|(_, l)| l)
-            .collect();
+        let (schema, rows) = read_accel_table(idaa, session, &input)?;
+        let (matrix, labels) = labeled_matrix(&schema, &rows, &features, &label)?;
         let model =
             dectree::train(&matrix, &labels, &TreeConfig { max_depth, ..Default::default() })?;
 
@@ -503,7 +413,7 @@ impl Procedure for DecTreeTrainProc {
                 ],
             })
             .collect();
-        write_output_aot(idaa, &session.user, &output, out_schema, out_rows, true)?;
+        idaa.write_output_aot(session, &output, out_schema, out_rows)?;
         Ok(summary_row(&[
             ("NODES", Value::Int(model.size() as i32)),
             ("TRAIN_ACCURACY", Value::Double(model.accuracy(&matrix, &labels))),
@@ -512,8 +422,12 @@ impl Procedure for DecTreeTrainProc {
 }
 
 /// Rebuild a [`TreeModel`] from its model table.
-pub fn load_tree_model(idaa: &Idaa, user: &str, table: &ObjectName) -> Result<TreeModel> {
-    let (schema, mut rows) = read_accel_table(idaa, user, table)?;
+pub fn load_tree_model(
+    idaa: &Idaa,
+    session: &mut Session,
+    table: &ObjectName,
+) -> Result<TreeModel> {
+    let (schema, mut rows) = read_accel_table(idaa, session, table)?;
     let node_i = schema.index_of("NODE_ID")?;
     rows.sort_by_key(|r| r[node_i].as_i64().unwrap_or(0));
     let kind_i = schema.index_of("KIND")?;
@@ -552,61 +466,55 @@ impl Procedure for DecTreeScoreProc {
     }
 
     fn execute(&self, idaa: &Idaa, session: &mut Session, args: &[Value]) -> Result<Rows> {
-        let input = ObjectName::from(arg_str(args, 0, "input table")?.as_str());
-        let id_col = idaa_common::ident::normalize(&arg_str(args, 1, "id column")?);
-        let features = parse_column_list(&arg_str(args, 2, "features")?);
-        let model_table = ObjectName::from(arg_str(args, 3, "model table")?.as_str());
-        let output = ObjectName::from(arg_str(args, 4, "output table")?.as_str());
-
-        let model = load_tree_model(idaa, &session.user, &model_table)?;
-        score_classifier(idaa, session, &input, &id_col, &features, &output, |point| {
-            model.predict(point).to_string()
+        let model = load_tree_model(idaa, session, &model_arg(args)?)?;
+        score_rows(idaa, session, args, class_column(), |point| {
+            Value::Varchar(model.predict(point).to_string())
         })
     }
 }
 
-/// Shared scoring loop: read input, predict per row, write `(ID, CLASS)`.
-fn score_classifier(
+/// The model-table argument (index 3) of every `*_SCORE` procedure.
+fn model_arg(args: &[Value]) -> Result<ObjectName> {
+    Ok(ObjectName::from(arg_str(args, 3, "model table")?.as_str()))
+}
+
+/// The `CLASS` column a classifier's scores land in.
+fn class_column() -> ColumnDef {
+    ColumnDef::new("CLASS", DataType::Varchar(64))
+}
+
+/// The scoring loop of every `*_SCORE(in_table, id_col, features_csv,
+/// model_table, out_table)` procedure: read the input, `predict` each row
+/// whose features are all non-NULL (the others score NULL), and write
+/// `(ID, out)` to the output table.
+fn score_rows(
     idaa: &Idaa,
     session: &mut Session,
-    input: &ObjectName,
-    id_col: &str,
-    features: &[String],
-    output: &ObjectName,
-    mut predict: impl FnMut(&[f64]) -> String,
+    args: &[Value],
+    out: ColumnDef,
+    mut predict: impl FnMut(&[f64]) -> Value,
 ) -> Result<Rows> {
-    let (schema, rows) = read_accel_table(idaa, &session.user, input)?;
-    let ids = value_column(&schema, &rows, id_col)?;
-    let id_type = schema.column(id_col)?.data_type;
+    let input = ObjectName::from(arg_str(args, 0, "input table")?.as_str());
+    let id_col = idaa_common::ident::normalize(&arg_str(args, 1, "id column")?);
+    let features = parse_column_list(&arg_str(args, 2, "features")?);
+    let output = ObjectName::from(arg_str(args, 4, "output table")?.as_str());
+    let (schema, rows) = read_accel_table(idaa, session, &input)?;
+    let id = schema.index_of(&id_col)?;
     let ordinals: Vec<usize> =
         features.iter().map(|c| schema.index_of(c)).collect::<Result<_>>()?;
     let mut out_rows = Vec::with_capacity(rows.len());
     let mut scored = 0usize;
-    for (row, id) in rows.iter().zip(ids) {
-        let mut point = Vec::with_capacity(ordinals.len());
-        let mut ok = true;
-        for &i in &ordinals {
-            match row[i].as_f64() {
-                Ok(v) => point.push(v),
-                Err(_) => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        let class = if ok {
+    for row in &rows {
+        let point: Option<Vec<f64>> = ordinals.iter().map(|&i| row[i].as_f64().ok()).collect();
+        let score = point.map_or(Value::Null, |p| {
             scored += 1;
-            Value::Varchar(predict(&point))
-        } else {
-            Value::Null
-        };
-        out_rows.push(vec![id, class]);
+            predict(&p)
+        });
+        out_rows.push(vec![row[id].clone(), score]);
     }
-    let out_schema = Schema::new(vec![
-        ColumnDef::new(id_col, id_type),
-        ColumnDef::new("CLASS", DataType::Varchar(64)),
-    ])?;
-    write_output_aot(idaa, &session.user, output, out_schema, out_rows, true)?;
+    let id_def = ColumnDef::new(id_col, schema.columns()[id].data_type);
+    let out_schema = Schema::new(vec![id_def, out])?;
+    idaa.write_output_aot(session, &output, out_schema, out_rows)?;
     Ok(summary_row(&[("ROWS_SCORED", Value::BigInt(scored as i64))]))
 }
 
@@ -626,7 +534,7 @@ impl Procedure for DescribeProc {
     fn execute(&self, idaa: &Idaa, session: &mut Session, args: &[Value]) -> Result<Rows> {
         let input = ObjectName::from(arg_str(args, 0, "input table")?.as_str());
         let output = ObjectName::from(arg_str(args, 1, "output table")?.as_str());
-        let (schema, rows) = read_accel_table(idaa, &session.user, &input)?;
+        let (schema, rows) = read_accel_table(idaa, session, &input)?;
         let numeric: Vec<(String, usize)> = schema
             .columns()
             .iter()
@@ -664,7 +572,7 @@ impl Procedure for DescribeProc {
                 ]
             })
             .collect();
-        write_output_aot(idaa, &session.user, &output, out_schema, out_rows, true)?;
+        idaa.write_output_aot(session, &output, out_schema, out_rows)?;
         Ok(summary_row(&[("COLUMNS_DESCRIBED", Value::Int(stats.len() as i32))]))
     }
 }
@@ -685,7 +593,7 @@ impl Procedure for NormalizeProc {
         let method = prep::NormalizeMethod::parse(&arg_str(args, 2, "method")?)?;
         let output = ObjectName::from(arg_str(args, 3, "output table")?.as_str());
 
-        let (schema, rows) = read_accel_table(idaa, &session.user, &input)?;
+        let (schema, rows) = read_accel_table(idaa, session, &input)?;
         let mut imputed_total = 0usize;
         // Output schema: normalized columns become DOUBLE and nullable.
         let out_schema = Schema::new(
@@ -717,7 +625,7 @@ impl Procedure for NormalizeProc {
             }
         }
         let n = out_rows.len();
-        write_output_aot(idaa, &session.user, &output, out_schema, out_rows, true)?;
+        idaa.write_output_aot(session, &output, out_schema, out_rows)?;
         Ok(summary_row(&[
             ("ROWS", Value::BigInt(n as i64)),
             ("CELLS_IMPUTED", Value::BigInt(imputed_total as i64)),
@@ -740,14 +648,14 @@ impl Procedure for SplitProc {
         let fraction = arg_f64(args, 3, "train fraction")?;
         let seed = arg_i64(args, 4, "seed")? as u64;
 
-        let (schema, rows) = read_accel_table(idaa, &session.user, &input)?;
+        let (schema, rows) = read_accel_table(idaa, session, &input)?;
         let (train_idx, test_idx) = prep::train_test_split(rows.len(), fraction, seed)?;
         let pick = |idx: &[usize]| -> Vec<Row> { idx.iter().map(|&i| rows[i].clone()).collect() };
         let train_rows = pick(&train_idx);
         let test_rows = pick(&test_idx);
         let (tn, sn) = (train_rows.len(), test_rows.len());
-        write_output_aot(idaa, &session.user, &train_out, schema.clone(), train_rows, true)?;
-        write_output_aot(idaa, &session.user, &test_out, schema, test_rows, true)?;
+        idaa.write_output_aot(session, &train_out, schema.clone(), train_rows)?;
+        idaa.write_output_aot(session, &test_out, schema, test_rows)?;
         Ok(summary_row(&[
             ("TRAIN_ROWS", Value::BigInt(tn as i64)),
             ("TEST_ROWS", Value::BigInt(sn as i64)),

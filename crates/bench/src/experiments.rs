@@ -388,7 +388,7 @@ fn e7_in_database_analytics(out: &mut Report) {
             let (_, t_client, link_client) = measure(&idaa, || {
                 let (matrix, _) = idaa_analytics::io::extract_matrix_to_client(
                     &idaa,
-                    SYSADM,
+                    &mut s,
                     &idaa_common::ObjectName::bare("PTS"),
                     &col_list,
                 )
@@ -452,13 +452,13 @@ fn e8_in_database_scoring(out: &mut Report) {
         let (_, t_client, link_client) = measure(&idaa, || {
             let model = idaa_analytics::procedures::load_nb_model(
                 &idaa,
-                SYSADM,
+                &mut s,
                 &idaa_common::ObjectName::bare("NBM"),
             )
             .unwrap();
             let (matrix, _) = idaa_analytics::io::extract_matrix_to_client(
                 &idaa,
-                SYSADM,
+                &mut s,
                 &idaa_common::ObjectName::bare("OBS"),
                 &["X".to_string(), "Y".to_string()],
             )
@@ -708,17 +708,13 @@ fn e12_end_to_end_scenario(out: &mut Report) {
                 .iter()
                 .map(|c| c.to_string())
                 .collect();
-            let (schema, rows) = idaa_analytics::io::read_accel_table(
-                &idaa,
-                SYSADM,
-                &idaa_common::ObjectName::bare("FEATURES"),
-            )
-            .unwrap();
             // The extract crosses the link as encoded wire frames (client-side
             // baseline pays full data-movement cost, but through the same
             // codec). The join feeding FEATURES has no ORDER BY; its row
             // order follows the accelerator's slice count, not its workers.
-            let rows = idaa.ship_rows(idaa_netsim::Direction::ToHost, &schema, &rows).unwrap();
+            let features = idaa_common::ObjectName::bare("FEATURES");
+            let idaa_common::Rows { schema, rows } =
+                idaa.extract_accel_table(&mut s, &features).unwrap();
             let (matrix, _) = idaa_analytics::io::numeric_matrix(&schema, &rows, &cols).unwrap();
             let labels = idaa_analytics::io::label_column(&schema, &rows, "CHURNED").unwrap();
             let model = idaa_analytics::dectree::train(

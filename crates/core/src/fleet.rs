@@ -26,11 +26,11 @@ use crate::replication::Replicator;
 use crate::session::Session;
 use idaa_accel::{AccelEngine, RestartStats};
 use idaa_common::{wire, Error, ObjectName, Result, Row, Rows, Schema, Value};
-use idaa_host::{TableKind, TxnId};
+use idaa_host::{AccelStatus, TableKind, TableMeta, TxnId, SYSADM};
 use idaa_netsim::{sites, Direction, FaultRegistry, LinkMetrics, NetLink};
 use idaa_sql::ast::{BinaryOp, Expr, JoinKind, OrderByItem, Query, SelectItem, TableRef};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -910,31 +910,34 @@ impl Idaa {
         Err(self.shard_error(shard, table, down))
     }
 
-    /// Apply one write to every live owner of `shard`, each enlisted in the
-    /// session's transaction; the affected-row count is the first replica's.
-    /// An owner that cannot take the write is flagged for a catch-up copy
-    /// from one that did.
+    /// Apply one write of `shard` to each of its live `owners`; the
+    /// affected-row count is the first replica's. An owner that cannot take
+    /// the write joins `missed` and is flagged for a catch-up copy from one
+    /// that did; it sits out the rest of the write (every later shard that
+    /// shares `missed`), so no mid-write catch-up can leave it half written.
     fn write_on_owners(
         &self,
         session: &mut Session,
         shard: usize,
         table: &ObjectName,
-        run: impl Fn(&AccelNode, &mut Session, TxnId) -> Result<usize>,
+        owners: Vec<usize>,
+        missed: &mut BTreeSet<usize>,
+        mut run: impl FnMut(&AccelNode, &mut Session) -> Result<usize>,
     ) -> Result<usize> {
         let mut counted = None;
         let mut down = None;
-        for owner in self.fleet.owners(shard) {
+        for owner in owners {
+            if missed.contains(&owner) {
+                continue;
+            }
             let node = self.nodes[owner].clone();
-            let attempt = self.attempt_on(&node, session, |s| {
-                let txn = self.enlist_node(s, &node)?;
-                run(&node, s, txn)
-            });
-            match attempt {
+            match self.attempt_on(&node, session, |s| run(&node, s)) {
                 Ok(n) => {
                     counted.get_or_insert(n);
                 }
                 Err(e) => {
                     note_down(&mut down, e)?;
+                    missed.insert(owner);
                     self.fleet.mark_catch_up(owner);
                 }
             }
@@ -1202,60 +1205,77 @@ impl Idaa {
     /// Best-effort drop of a table's accelerator copies: every shard of an
     /// accelerator-only table on its owners, the replica of an accelerated
     /// table on every node. The DB2 catalog entry is gone either way.
-    pub(crate) fn drop_accel_copies(&self, meta: &idaa_host::TableMeta, ddl: &str) {
-        let drop_on = |owner: usize, table: &ObjectName| {
-            let node = &self.nodes[owner];
-            let _ = self.ship_ddl_on(node, ddl);
-            let _ = node.engine.drop_table(table);
-        };
-        match meta.kind {
-            TableKind::AcceleratorOnly => {
-                for s in 0..self.fleet.shards {
-                    let st = shard_table(&meta.name, s, self.fleet.shards);
-                    self.fleet.owners(s).into_iter().for_each(|o| drop_on(o, &st));
-                }
+    pub(crate) fn drop_accel_copies(&self, meta: &TableMeta, ddl: &str) {
+        let shard_owners = self.shard_owners(meta);
+        for (s, owners) in shard_owners.iter().enumerate() {
+            let st = shard_table(&meta.name, s, shard_owners.len());
+            for &owner in owners {
+                let _ = self.ship_ddl_on(&self.nodes[owner], ddl);
+                let _ = self.nodes[owner].engine.drop_table(&st);
             }
-            TableKind::Regular => (0..self.nodes.len()).for_each(|o| drop_on(o, &meta.name)),
         }
     }
 
-    /// AOT insert of host-side rows: each row goes to the shard its first
-    /// distribution column hashes to (a single shard takes them all), and
-    /// every live owner ingests what it decodes from the shipped frames.
-    pub(crate) fn aot_insert_rows(
+    /// The owners of each shard of `meta`, in shard order: an
+    /// accelerator-only table's hash shards, or one shard on every node for
+    /// an accelerated DB2 table, whose replicas are whole everywhere.
+    fn shard_owners(&self, meta: &TableMeta) -> Vec<Vec<usize>> {
+        match meta.kind {
+            TableKind::AcceleratorOnly => {
+                (0..self.fleet.shards).map(|s| self.fleet.owners(s)).collect()
+            }
+            TableKind::Regular => vec![(0..self.nodes.len()).collect()],
+        }
+    }
+
+    /// The one shard split of every row writer: each row goes to the shard
+    /// its first distribution column hashes to (column 0 without one), in
+    /// ascending shard order. A single shard takes every batch, even an
+    /// empty one, so enlistment and acks do not depend on what the batch
+    /// held; with more shards an empty one is left out unless `every_shard`.
+    fn split_by_shard(
         &self,
-        session: &mut Session,
-        meta: &idaa_host::TableMeta,
+        meta: &TableMeta,
         rows: Vec<Row>,
-    ) -> Result<usize> {
-        self.maybe_rebalance();
-        let shards = self.fleet.shards;
-        let mut by_shard: BTreeMap<usize, Vec<Row>> = BTreeMap::new();
+        every_shard: bool,
+    ) -> Result<Vec<(usize, Vec<Row>)>> {
+        let shards = self.shard_owners(meta).len();
+        let mut by_shard = vec![Vec::new(); shards];
         if shards == 1 {
-            // Even an empty batch ships, so enlistment and the ack do not
-            // depend on what the source query returned.
-            by_shard.insert(0, rows);
+            by_shard[0] = rows;
         } else {
-            let dist_idx = match meta.distribute_by.first() {
+            let dist = match meta.distribute_by.first() {
                 Some(c) => meta.schema.index_of(c)?,
                 None => 0,
             };
             for row in rows {
-                by_shard.entry(shard_of(&row[dist_idx], shards)).or_default().push(row);
+                by_shard[shard_of(&row[dist], shards)].push(row);
             }
         }
+        let keep = |rows: &Vec<Row>| every_shard || shards == 1 || !rows.is_empty();
+        Ok(by_shard.into_iter().enumerate().filter(|(_, rows)| keep(rows)).collect())
+    }
+
+    /// AOT insert of host-side rows: every live owner of each shard, enlisted
+    /// in the session's transaction, ingests what it decodes from the
+    /// shipped frames.
+    pub(crate) fn aot_insert_rows(
+        &self,
+        session: &mut Session,
+        meta: &TableMeta,
+        rows: Vec<Row>,
+    ) -> Result<usize> {
+        self.maybe_rebalance();
         let trace = session.trace.clone();
-        let mut total = 0usize;
-        for (s, shard_rows) in by_shard {
-            let st = shard_table(&meta.name, s, shards);
-            total += self.write_on_owners(session, s, &meta.name, |node, _, txn| {
-                let delivered = self.ship_rows_traced_on(
-                    node,
-                    &trace,
-                    Direction::ToAccel,
-                    &meta.schema,
-                    &shard_rows,
-                )?;
+        let (mut total, mut missed) = (0usize, BTreeSet::new());
+        for (s, shard_rows) in self.split_by_shard(meta, rows, false)? {
+            let st = shard_table(&meta.name, s, self.fleet.shards);
+            let (owners, missed) = (self.fleet.owners(s), &mut missed);
+            total += self.write_on_owners(session, s, &meta.name, owners, missed, |node, sess| {
+                let txn = self.enlist_node(sess, node)?;
+                let to = Direction::ToAccel;
+                let delivered =
+                    self.ship_rows_traced_on(node, &trace, to, &meta.schema, &shard_rows)?;
                 let n = node.engine.insert_rows(txn, &st, delivered)?;
                 self.ship_traced_on(node, &trace, Direction::ToHost, "control", wire::ACK_FRAME)?;
                 Ok(n)
@@ -1275,15 +1295,223 @@ impl Idaa {
         op: impl Fn(&AccelNode, TxnId, &ObjectName) -> Result<usize>,
     ) -> Result<usize> {
         self.maybe_rebalance();
-        let mut total = 0usize;
+        let (mut total, mut missed) = (0usize, BTreeSet::new());
         for s in 0..self.fleet.shards {
             let st = shard_table(table, s, self.fleet.shards);
-            total += self.write_on_owners(session, s, table, |node, sess, txn| {
+            let owners = self.fleet.owners(s);
+            total += self.write_on_owners(session, s, table, owners, &mut missed, |node, sess| {
+                let txn = self.enlist_node(sess, node)?;
                 self.exchange_control(node, sess, request_bytes, || op(node, txn, &st))
             })?;
         }
         Ok(total)
     }
+
+    /// The visible rows of accelerator table `table` (accelerator-only, or
+    /// an accelerated DB2 table), shard by shard in ascending shard order,
+    /// each shard served by its owners: the primary first, then failover.
+    /// No row crosses a link; this is how in-database analytics read.
+    pub fn scan_accel_table(&self, session: &mut Session, table: &ObjectName) -> Result<Rows> {
+        self.read_accel_table(session, table, false)
+    }
+
+    /// [`Idaa::scan_accel_table`] for a client-side extract: each shard's
+    /// rows also cross the serving owner's link to the host as encoded
+    /// frames, and the rows returned are the decoded ones.
+    pub fn extract_accel_table(&self, session: &mut Session, table: &ObjectName) -> Result<Rows> {
+        self.read_accel_table(session, table, true)
+    }
+
+    fn read_accel_table(
+        &self,
+        session: &mut Session,
+        table: &ObjectName,
+        to_host: bool,
+    ) -> Result<Rows> {
+        let meta = self.host.table_meta(table)?;
+        if !on_accelerator(&meta) {
+            return Err(Error::InvalidAcceleratorUse(format!(
+                "{} is not on the accelerator; add and load it (ACCEL_ADD_TABLES / \
+                 ACCEL_LOAD_TABLES) or use an accelerator-only table",
+                meta.name
+            )));
+        }
+        self.maybe_rebalance();
+        let shards = self.shard_owners(&meta).len();
+        let mut rows = Vec::new();
+        for s in 0..shards {
+            let st = shard_table(&meta.name, s, shards);
+            let (part, _) = self.read_on_owners(session, s, &meta.name, |node, _| {
+                let part = node.engine.scan_visible(&st)?;
+                if !to_host {
+                    return Ok(part);
+                }
+                self.ship_rows_on(node, Direction::ToHost, &meta.schema, &part)
+            })?;
+            rows.extend(part);
+        }
+        Ok(Rows::new(meta.schema, rows))
+    }
+
+    /// Create (or replace) the accelerator-only table `table`, owned by the
+    /// session's user, holding `rows` that were computed on the accelerator
+    /// (an analytics result). Every owner of every shard gets its shard
+    /// table and one `CREATE_OUTPUT_FRAME`, then commits its rows and
+    /// answers with one `ACK_FRAME`; the rows themselves cross no link.
+    pub fn write_output_aot(
+        &self,
+        session: &mut Session,
+        table: &ObjectName,
+        schema: Schema,
+        rows: Vec<Row>,
+    ) -> Result<()> {
+        let name = table.resolve(&self.config.default_schema);
+        if let Ok(old) = self.host.table_meta(&name) {
+            if old.kind != TableKind::AcceleratorOnly {
+                return Err(Error::InvalidAcceleratorUse(format!(
+                    "output table {name} exists and is not accelerator-only"
+                )));
+            }
+            self.host.drop_table(&session.user, &name)?;
+        }
+        let aot = TableKind::AcceleratorOnly;
+        self.host.create_table(&session.user, &name, schema.clone(), aot, vec![])?;
+        let meta = self.host.table_meta(&name)?;
+        self.maybe_rebalance();
+        let write = || -> Result<()> {
+            let shards = self.split_by_shard(&meta, rows, true)?;
+            // Every owner holds its (empty) shard table before any row lands,
+            // so an owner that misses its rows has a table for catch-up.
+            for (s, _) in &shards {
+                let st = shard_table(&name, *s, self.fleet.shards);
+                for owner in self.fleet.owners(*s) {
+                    let node = &self.nodes[owner];
+                    let _ = node.engine.drop_table(&st);
+                    node.engine.create_table(&st, schema.clone(), &[])?;
+                    self.ship_on(node, Direction::ToAccel, wire::CREATE_OUTPUT_FRAME)?;
+                }
+            }
+            let mut missed = BTreeSet::new();
+            for (s, shard_rows) in shards {
+                let st = shard_table(&name, s, self.fleet.shards);
+                let owners = self.fleet.owners(s);
+                self.write_on_owners(session, s, &name, owners, &mut missed, |node, _| {
+                    let n = node.engine.load_committed(&st, shard_rows.clone())?;
+                    self.ship_on(node, Direction::ToHost, wire::ACK_FRAME)?;
+                    Ok(n)
+                })?;
+            }
+            Ok(())
+        };
+        // A write that did not complete leaves no output table to read.
+        write().inspect_err(|_| drop(self.host.drop_table(SYSADM, &name)))
+    }
+
+    /// Load rows into accelerator table `table` as one accelerator
+    /// transaction, the loader's direct path. `fill` gets the batch writer:
+    /// a batch splits by shard, crosses each owner's link as encoded frames,
+    /// and each owner inserts what it decodes. When `fill` succeeds, every
+    /// owner that took every batch prepares, commits and is acknowledged;
+    /// otherwise no row becomes visible anywhere. The transaction is DB2's,
+    /// but no session enlists it, so no BEGIN or 2PC frame crosses a link.
+    pub fn load_direct<T>(
+        &self,
+        table: &ObjectName,
+        fill: impl FnOnce(&mut dyn FnMut(Vec<Row>) -> Result<()>) -> Result<T>,
+    ) -> Result<T> {
+        let meta = self.host.table_meta(table)?;
+        if !on_accelerator(&meta) {
+            return Err(Error::UndefinedObject(format!(
+                "{} is not defined on the accelerator",
+                meta.name
+            )));
+        }
+        self.maybe_rebalance();
+        let txn = self.host.begin();
+        // The owner loop's context only: a load ships no statement.
+        let mut session = Session::new(SYSADM);
+        // The nodes that began the transaction, and the owners that missed
+        // a batch (each sits out the rest of the load).
+        let (mut joined, mut missed) = (BTreeSet::new(), BTreeSet::new());
+        let owners = self.shard_owners(&meta);
+        let filled = fill(&mut |rows| {
+            for (s, shard_rows) in self.split_by_shard(&meta, rows, false)? {
+                let st = shard_table(&meta.name, s, owners.len());
+                let (shard_owners, missed) = (owners[s].clone(), &mut missed);
+                self.write_on_owners(&mut session, s, &meta.name, shard_owners, missed, |node, _| {
+                    if joined.insert(node.id) {
+                        node.engine.begin(txn);
+                    }
+                    let delivered =
+                        self.ship_rows_on(node, Direction::ToAccel, &meta.schema, &shard_rows)?;
+                    node.engine.insert_rows(txn, &st, delivered)
+                })?;
+            }
+            Ok(())
+        });
+        match filled {
+            Ok(value) => self.commit_load(&meta, txn, &joined, &missed).map(|()| value),
+            Err(e) => {
+                self.abort_load(txn, &joined)?;
+                Err(e)
+            }
+        }
+    }
+
+    /// Finish a direct load: the owners that took every batch prepare, DB2
+    /// decides, they commit and each is acknowledged. An owner that missed a
+    /// batch aborts and catches up from a replica — except that every node
+    /// must hold an accelerated DB2 table's rows, so there a miss fails the
+    /// load.
+    fn commit_load(
+        &self,
+        meta: &TableMeta,
+        txn: TxnId,
+        joined: &BTreeSet<usize>,
+        missed: &BTreeSet<usize>,
+    ) -> Result<()> {
+        let committing: Vec<usize> = joined.difference(missed).copied().collect();
+        let prepared = if meta.kind == TableKind::Regular && !missed.is_empty() {
+            Err(Error::ResourceUnavailable(format!(
+                "accelerator nodes {missed:?} missed part of the load into {}",
+                meta.name
+            )))
+        } else {
+            committing.iter().try_for_each(|&i| self.nodes[i].engine.prepare(txn))
+        };
+        if let Err(e) = prepared {
+            self.abort_load(txn, joined)?;
+            return Err(e);
+        }
+        self.host.commit(txn);
+        for &i in joined.intersection(missed) {
+            self.nodes[i].engine.abort(txn);
+        }
+        for &i in &committing {
+            self.nodes[i].engine.commit(txn);
+        }
+        for &i in &committing {
+            let node = &self.nodes[i];
+            self.sync_node_clock(node);
+            let acked = self.ship_on(node, Direction::ToHost, wire::ACK_FRAME);
+            self.absorb_node_clock(node);
+            acked?;
+        }
+        Ok(())
+    }
+
+    fn abort_load(&self, txn: TxnId, joined: &BTreeSet<usize>) -> Result<()> {
+        for &i in joined {
+            self.nodes[i].engine.abort(txn);
+        }
+        self.host.rollback(txn)
+    }
+}
+
+/// Whether `meta`'s rows live on the accelerator: an accelerator-only table,
+/// or a DB2 table added to it.
+fn on_accelerator(meta: &TableMeta) -> bool {
+    meta.kind == TableKind::AcceleratorOnly || meta.accel_status != AccelStatus::NotAccelerated
 }
 
 /// Sort one owner's failure: a node that is down (not ready, exchange dead

@@ -262,7 +262,7 @@ impl Idaa {
     }
 
     /// The first accelerator node — the one the public single-accelerator
-    /// accessors (`accel()`, `link()`, `health()`, `ship*`) address.
+    /// accessors (`accel()`, `link()`, `health()`) address.
     pub(crate) fn node0(&self) -> &AccelNode {
         &self.nodes[0]
     }
@@ -293,7 +293,10 @@ impl Idaa {
         &self.host
     }
 
-    /// The accelerator engine (node 0 of the fleet).
+    /// The accelerator engine of node 0, for tests, experiments and the
+    /// benchmark. It is one node's copy, not the table: product code reads
+    /// and writes accelerator tables through the placement-aware entry
+    /// points (`scan_accel_table`, `write_output_aot`, `load_direct`).
     pub fn accel(&self) -> &AccelEngine {
         &self.nodes[0].engine
     }
@@ -437,7 +440,7 @@ impl Idaa {
                 "{table} is accelerator-only and cannot be loaded from DB2"
             )));
         }
-        if !self.accel().has_table(&meta.name) {
+        if meta.accel_status == idaa_host::AccelStatus::NotAccelerated {
             return Err(Error::UndefinedObject(format!(
                 "table {table} has not been added to the accelerator (ACCEL_ADD_TABLES)"
             )));

@@ -48,16 +48,10 @@ fn observe(
 }
 
 impl Idaa {
-    /// Send one message over the link with bounded retry (backoff consumes
-    /// only virtual time) and feed the outcome to the health monitor. Every
-    /// federation path sends through here so consecutive communication
-    /// failures decay the accelerator's health state.
-    pub fn ship(&self, direction: Direction, bytes: usize) -> Result<Duration> {
-        self.ship_on(self.node0(), direction, bytes)
-    }
-
-    /// [`Idaa::ship`] against a specific fleet node's link and health
-    /// monitor.
+    /// Send one message over a node's link with bounded retry (backoff
+    /// consumes only virtual time) and feed the outcome to its health
+    /// monitor. Every federation path sends through here so consecutive
+    /// communication failures decay the node's health state.
     pub(crate) fn ship_on(
         &self,
         node: &AccelNode,
@@ -80,21 +74,11 @@ impl Idaa {
         observe(node, self.config.retry.transfer_frame(&node.link, direction, frame))
     }
 
-    /// Stream a row batch across the link as chunked encoded frames and
-    /// return what the receiving side decodes. The destination engine
-    /// ingests the *decoded* payload — not the sender's in-memory rows —
-    /// so the codec is on the actual data path, and a frame that fails
-    /// checksum or fingerprint verification surfaces before any row lands.
-    pub fn ship_rows(
-        &self,
-        direction: Direction,
-        schema: &idaa_common::Schema,
-        rows: &[Row],
-    ) -> Result<Vec<Row>> {
-        self.ship_rows_on(self.node0(), direction, schema, rows)
-    }
-
-    /// [`Idaa::ship_rows`] against a specific fleet node.
+    /// Stream a row batch across a node's link as chunked encoded frames
+    /// and return what the receiving side decodes. The destination ingests
+    /// the *decoded* payload — not the sender's in-memory rows — so the
+    /// codec is on the actual data path, and a frame that fails checksum or
+    /// fingerprint verification surfaces before any row lands.
     pub(crate) fn ship_rows_on(
         &self,
         node: &AccelNode,

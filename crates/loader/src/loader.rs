@@ -7,16 +7,18 @@
 //!   ships the rows to the accelerator *again* (double movement — exactly
 //!   what direct load avoids).
 //! * **Direct path**: rows cross the link once, straight into the
-//!   accelerator table (AOT or replicated table being initially filled).
+//!   accelerator table (AOT or replicated table being initially filled),
+//!   as one accelerator transaction. Where the rows go is `idaa-core`'s
+//!   placement rule ([`Idaa::load_direct`]): each batch splits by shard
+//!   and crosses the link of every owner of its shard.
 //!
 //! Experiment E5 compares the two paths.
 
 use crate::pipeline::{run_pipeline, LoadConfig, LoadReport};
 use crate::source::RecordSource;
-use idaa_common::{wire, Error, ObjectName, Result, Row};
+use idaa_common::{Error, ObjectName, Result};
 use idaa_core::Idaa;
 use idaa_host::TableKind;
-use idaa_netsim::Direction;
 
 /// Which path the loader takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,14 +77,9 @@ impl Loader {
                 }
                 self.load_via_db2(idaa, source, &resolved, &meta.schema)
             }
-            LoadTarget::AcceleratorDirect => {
-                if !idaa.accel().has_table(&resolved) {
-                    return Err(Error::UndefinedObject(format!(
-                        "{resolved} is not defined on the accelerator"
-                    )));
-                }
-                self.load_direct(idaa, source, &resolved, &meta.schema)
-            }
+            LoadTarget::AcceleratorDirect => idaa.load_direct(&resolved, |write| {
+                run_pipeline(source, &meta.schema, &self.config, write)
+            }),
             LoadTarget::Auto => unreachable!("resolved above"),
         }
     }
@@ -121,46 +118,6 @@ impl Loader {
             }
         }
     }
-
-    fn load_direct(
-        &self,
-        idaa: &Idaa,
-        source: Box<dyn RecordSource>,
-        table: &ObjectName,
-        schema: &idaa_common::Schema,
-    ) -> Result<LoadReport> {
-        let accel = idaa.accel();
-        // One accelerator transaction for the whole load: an aborted load
-        // leaves nothing visible.
-        let txn = next_direct_txn();
-        accel.begin(txn);
-        let result = run_pipeline(source, schema, &self.config, |rows: Vec<Row>| {
-            // Each pipeline batch crosses the link as encoded wire frames;
-            // the accelerator ingests the decoded rows, so the codec sits on
-            // the real data path rather than being a byte estimate.
-            let delivered = idaa.ship_rows(Direction::ToAccel, schema, &rows)?;
-            accel.insert_rows(txn, table, delivered)?;
-            Ok(())
-        });
-        match result {
-            Ok(r) => {
-                accel.prepare(txn)?;
-                accel.commit(txn);
-                idaa.ship(Direction::ToHost, wire::ACK_FRAME)?;
-                Ok(r)
-            }
-            Err(e) => {
-                accel.abort(txn);
-                Err(e)
-            }
-        }
-    }
-}
-
-static NEXT_DIRECT_TXN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1 << 60);
-
-fn next_direct_txn() -> u64 {
-    NEXT_DIRECT_TXN.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
 }
 
 #[cfg(test)]

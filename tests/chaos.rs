@@ -1144,6 +1144,163 @@ fn fleet_sole_owner_shard_loss_is_a_deterministic_error() {
 }
 
 // ---------------------------------------------------------------------------
+// Direct loads and analytics output on a fleet
+// ---------------------------------------------------------------------------
+
+/// The reads that judge a loaded table `L` and its LINREG model `LM`:
+/// rows, or the SQLCODE.
+const LOADED_READS: [&str; 2] =
+    ["SELECT COUNT(*), SUM(a), SUM(b) FROM l", "SELECT term, coefficient FROM lm ORDER BY term"];
+
+fn loaded_reads(idaa: &Idaa, s: &mut idaa::Session) -> Vec<Result<Vec<idaa::Row>, i32>> {
+    LOADED_READS.iter().map(|q| idaa.query(s, q).map(|r| r.rows).map_err(|e| e.sqlcode())).collect()
+}
+
+/// `fleet` with analytics deployed and `L (A, B)` direct-loaded (in
+/// batches of 8) from 30 integer records, ready for `CALL ANALYTICS.LINREG`.
+fn loaded_system(fleet: FleetConfig) -> (Idaa, idaa::Session) {
+    use idaa::loader::{LoadTarget, Loader, VecSource};
+    let idaa = Idaa::new(IdaaConfig { fleet, ..IdaaConfig::default() });
+    let mut s = idaa.session(SYSADM);
+    idaa::analytics::deploy_all(&idaa, SYSADM).unwrap();
+    idaa.execute(&mut s, "CREATE TABLE L (A BIGINT, B BIGINT) IN ACCELERATOR DISTRIBUTE BY HASH(A)")
+        .unwrap();
+    let records = (0..30i64).map(|i| vec![i.to_string(), (3 * i + 1 + i % 4).to_string()]).collect();
+    let mut loader = Loader::new(SYSADM);
+    loader.config.batch_size = 8;
+    let source = Box::new(VecSource::new(records));
+    loader.load(&idaa, source, &ObjectName::bare("L"), LoadTarget::Auto).unwrap();
+    (idaa, s)
+}
+
+const LINREG: &str = "CALL ANALYTICS.LINREG('L', 'B', 'A', 'LM')";
+
+/// The single-accelerator answers of [`LOADED_READS`].
+fn single_loaded_answers() -> Vec<Result<Vec<idaa::Row>, i32>> {
+    let (idaa, mut s) = loaded_system(FleetConfig::default());
+    idaa.query(&mut s, LINREG).unwrap();
+    loaded_reads(&idaa, &mut s)
+}
+
+/// Every owner of every shard of `tables` holds the same rows.
+fn assert_replicas_agree(idaa: &Idaa, fleet: &FleetConfig, tables: &[&str]) {
+    let (k, shards) = (fleet.accelerators, fleet.shards);
+    for &table in tables {
+        for shard in 0..shards {
+            let st = idaa::shard_table(&ObjectName::bare(table), shard, shards);
+            let copies: Vec<Vec<String>> = (0..fleet.replication_factor.min(k))
+                .map(|r| {
+                    let rows = idaa.node_engine((shard + r) % k).scan_visible(&st).unwrap();
+                    let mut rendered: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
+                    rendered.sort();
+                    rendered
+                })
+                .collect();
+            assert!(copies.windows(2).all(|w| w[0] == w[1]), "replicas of {st} differ");
+        }
+    }
+}
+
+/// Two accelerators, one shard, replication factor 2: a direct load and a
+/// LINREG reach both replicas, so when node 0 crashes (its link cut, so no
+/// probe revives it) both tables fail over to node 1 and answer exactly
+/// like a single accelerator. The run replays byte-identically.
+#[test]
+fn fleet_failover_serves_direct_loads_and_analytics_output() {
+    let fleet = FleetConfig { accelerators: 2, replication_factor: 2, ..FleetConfig::default() };
+    let run = || {
+        let (idaa, mut s) = loaded_system(fleet.clone());
+        idaa.query(&mut s, LINREG).unwrap();
+        assert_replicas_agree(&idaa, &fleet, &["L", "LM"]);
+        idaa.node_engine(0).crash();
+        idaa.node_link(0).fail_transfers_after(0, u64::MAX);
+        let answers = loaded_reads(&idaa, &mut s);
+        assert!(idaa.fleet_failovers() > 0, "the reads must fail over to node 1");
+        let metrics: Vec<_> = (0..2).map(|i| idaa.node_link(i).metrics()).collect();
+        (answers, metrics)
+    };
+    let (answers, metrics) = run();
+    assert_eq!(answers, single_loaded_answers(), "failover must return the K=1 answers");
+    assert_eq!(run(), (answers, metrics), "the run must replay byte-identically");
+}
+
+/// Two accelerators, one shard, replication factor 2: node 1's link dies
+/// after the load's first frame. The load commits on node 0, which took
+/// every batch; node 1 aborts its part (none of it ever becomes visible)
+/// and, healed, catches up before it serves — so a failover read returns
+/// every loaded row. The run replays byte-identically.
+#[test]
+fn fleet_direct_load_survives_an_owner_losing_its_link() {
+    let fleet = FleetConfig { accelerators: 2, replication_factor: 2, ..FleetConfig::default() };
+    let run = || {
+        use idaa::loader::{LoadTarget, Loader, VecSource};
+        let idaa = Idaa::new(IdaaConfig { fleet: fleet.clone(), ..IdaaConfig::default() });
+        let mut s = idaa.session(SYSADM);
+        idaa.execute(&mut s, "CREATE TABLE L (A BIGINT, B BIGINT) IN ACCELERATOR").unwrap();
+        idaa.node_link(1).fail_transfers_after(1, u64::MAX);
+        let records = (0..30i64).map(|i| vec![i.to_string(), (2 * i).to_string()]).collect();
+        let mut loader = Loader::new(SYSADM);
+        loader.config.batch_size = 8;
+        let source = Box::new(VecSource::new(records));
+        loader.load(&idaa, source, &ObjectName::bare("L"), LoadTarget::Auto).unwrap();
+        let partial = idaa.node_engine(1).scan_visible(&ObjectName::bare("L")).unwrap();
+        assert!(partial.is_empty(), "node 1's part of the load must not become visible");
+        idaa.node_link(1).clear_faults();
+        assert!(idaa.recover_node(1));
+        assert_replicas_agree(&idaa, &fleet, &["L"]);
+        idaa.node_engine(0).crash();
+        idaa.node_link(0).fail_transfers_after(0, u64::MAX);
+        let rows = idaa.query(&mut s, "SELECT COUNT(*), SUM(a), SUM(b) FROM l").unwrap().rows;
+        let metrics: Vec<_> = (0..2).map(|i| idaa.node_link(i).metrics()).collect();
+        (rows, metrics)
+    };
+    let (rows, metrics) = run();
+    assert_eq!(rows, vec![vec![Value::BigInt(30), Value::BigInt(435), Value::BigInt(870)]]);
+    assert_eq!(run(), (rows, metrics), "the run must replay byte-identically");
+}
+
+/// Three accelerators, four shards, replication factor 2: a crash at the
+/// bulk-load site on one owner while LINREG writes its output. The CALL
+/// completes on the surviving replicas or fails with the deterministic
+/// -904; no read ever returns a wrong row, the crashed owner converges
+/// after recovery, and every plan replays byte-identically.
+#[test]
+fn fleet_crash_mid_output_write_converges_or_fails_904() {
+    let fleet = FleetConfig { accelerators: 3, shards: 4, replication_factor: 2, ..FleetConfig::default() };
+    let expected = single_loaded_answers();
+    let run = |node: usize, plan: CrashPlan| {
+        let (idaa, mut s) = loaded_system(fleet.clone());
+        idaa.set_crash_plan_on(node, plan);
+        let call = idaa.query(&mut s, LINREG).map(drop).map_err(|e| e.sqlcode());
+        let first = loaded_reads(&idaa, &mut s);
+        let fired = idaa.node_registry(node).fired();
+        idaa.node_registry(node).clear();
+        assert!(idaa.recover_node(node), "node {node} must recover once injection stops");
+        if call.is_err() {
+            idaa.query(&mut s, LINREG).unwrap();
+        }
+        let after = loaded_reads(&idaa, &mut s);
+        assert_replicas_agree(&idaa, &fleet, &["L", "LM"]);
+        let metrics: Vec<_> = (0..3).map(|i| idaa.node_link(i).metrics()).collect();
+        (call, first, after, fired, metrics)
+    };
+    for (node, hits) in [(0usize, 3u64), (1, 3), (2, 2)] {
+        for hit in 1..=hits {
+            let plan = || CrashPlan::at(sites::MID_BULK_LOAD, hit).seeded(0xB17 + hit);
+            let outcome = run(node, plan());
+            let (call, first, after, fired, _) = &outcome;
+            assert_eq!(fired, &vec![(sites::MID_BULK_LOAD.to_string(), hit)], "node {node} hit {hit}");
+            match call {
+                Ok(()) => assert_eq!(first, &expected, "node {node} hit {hit}: a wrong row"),
+                Err(code) => assert_eq!(*code, -904, "node {node} hit {hit}"),
+            }
+            assert_eq!(after, &expected, "node {node} hit {hit} did not converge");
+            assert_eq!(run(node, plan()), outcome, "node {node} hit {hit} must replay identically");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Server scheduler chaos: crashes while statements sit queued
 // ---------------------------------------------------------------------------
 

@@ -1,5 +1,7 @@
 //! Structural rules of the code base, checked against the source tree:
-//! deleted machinery stays deleted, and the accelerator has one fan-out.
+//! deleted machinery stays deleted, the accelerator has one fan-out, only
+//! `idaa-core` decides where accelerator rows live, and wall time is read
+//! only where it is measured.
 
 use std::path::{Path, PathBuf};
 
@@ -83,4 +85,36 @@ fn only_slices_fan_out() {
         slices.matches("workers()").count(),
         "only `for_each_slice` reads `workers()` in exec.rs"
     );
+}
+
+#[test]
+fn only_core_places_accelerator_rows() {
+    // Node-0 engines, per-node engines, physical shard names and raw link
+    // sends are placement decisions; analytics and the loader go through
+    // `idaa-core`'s placement-aware entry points instead.
+    let placement = [".accel()", "node_engine(", "shard_table(", ".ship(", ".ship_rows("];
+    let files = sources("crates/analytics/src").into_iter().chain(sources("crates/loader/src"));
+    for (path, text) in files {
+        for name in placement {
+            assert!(!product(&text).contains(name), "{} names `{name}`", path.display());
+        }
+    }
+}
+
+#[test]
+fn wall_time_is_read_only_where_it_is_measured() {
+    // The experiment harness and the benchmark measure wall time; the one
+    // product read is the lock manager's wait deadline. Everything else
+    // runs on the virtual clock.
+    let allowed = |path: &Path| {
+        path.starts_with(root().join("crates/bench"))
+            || path.starts_with(root().join("crates/benchmark"))
+            || path.ends_with("crates/host/src/lock.rs")
+    };
+    for (path, text) in sources("crates").into_iter().chain(sources("src")) {
+        let in_src = path.components().any(|c| c.as_os_str() == "src");
+        if in_src && !allowed(&path) {
+            assert!(!product(&text).contains("Instant"), "{} reads `Instant`", path.display());
+        }
+    }
 }

@@ -1008,8 +1008,13 @@ proptest! {
         prop_assert_eq!(own, 2, "txn 7 must see its own uncommitted inserts");
         engine.abort(7);
         engine.abort(8);
-        // A dictionary that grows between two executions of one cached
-        // plan: the new strings must group, sort and join like any other.
+        // Writes between two executions of one cached plan keep the plan —
+        // every lookup below is a hit — and it still answers like the
+        // interpreter: a dictionary that grows (the new strings must group,
+        // sort and join like any other), a GROOM that rebuilds slices, and a
+        // TRUNCATE plus reload.
+        let joins = "SELECT f.v, d.k FROM fact f INNER JOIN dim d ON f.g = d.name WHERE d.w > 2";
+        let misses = engine.stats.plan_cache_misses.load(std::sync::atomic::Ordering::Relaxed);
         engine.load_committed(&ObjectName::bare("FACT"), vec![
             vec![Value::BigInt(1), Value::BigInt(60), Value::Double(1.5), Value::Varchar("zz".into())],
             vec![Value::BigInt(45), Value::BigInt(61), Value::Double(2.5), Value::Varchar("new".into())],
@@ -1020,8 +1025,23 @@ proptest! {
         for (ordered, sql) in SINK_QUERIES {
             check(0, *ordered, sql);
         }
-        let joined = check(0, false, "SELECT f.v, d.k FROM fact f INNER JOIN dim d ON f.g = d.name WHERE d.w > 2");
-        prop_assert!(joined >= 1, "the grown dictionary's 'new' key must join");
+        prop_assert!(check(0, false, joins) >= 1, "the grown dictionary's 'new' key must join");
+        engine.begin(10);
+        engine.delete_where(10, &ObjectName::bare("FACT"), Some(&parse_filter("SELECT 1 FROM fact WHERE v > 40"))).unwrap();
+        engine.commit(10);
+        engine.groom(&ObjectName::bare("FACT")).unwrap();
+        let dim_rows = engine.scan_visible(&ObjectName::bare("DIM")).unwrap();
+        engine.truncate(&ObjectName::bare("DIM")).unwrap();
+        engine.load_committed(&ObjectName::bare("DIM"), dim_rows).unwrap();
+        for (ordered, sql) in SINK_QUERIES {
+            check(0, *ordered, sql);
+        }
+        prop_assert!(check(0, false, joins) >= 1, "the reloaded 'new' key must join");
+        prop_assert_eq!(
+            engine.stats.plan_cache_misses.load(std::sync::atomic::Ordering::Relaxed),
+            misses,
+            "dictionary growth, GROOM and TRUNCATE must keep every cached plan"
+        );
     }
 }
 
@@ -1546,7 +1566,8 @@ proptest! {
     /// placement is value-deterministic, per-shard partials merge in fixed
     /// shard order, and non-mergeable shapes fall back to a raw gather —
     /// so topology is invisible to results (modulo float summation order,
-    /// which these integer queries avoid).
+    /// which these integer queries avoid). Direct loads and analytics
+    /// output follow the same placement: every owner holds its shards.
     #[test]
     fn fleet_and_single_accel_agree(
         rows in proptest::collection::vec(
@@ -1572,8 +1593,13 @@ proptest! {
             // reproduce the single-accelerator answer exactly.
             "SELECT x.a, d.name FROM f AS x INNER JOIN d ON x.a = d.a \
              ORDER BY x.a, d.name",
+            // The direct-loaded table and the LINREG model table.
+            "SELECT COUNT(*), SUM(a), SUM(b), MIN(g), MAX(g) FROM l",
+            "SELECT g, COUNT(*), SUM(b) FROM l GROUP BY g ORDER BY g",
+            "SELECT term, coefficient FROM lm ORDER BY term",
         ];
         let run = |config: IdaaConfig| -> (Vec<Vec<idaa::Row>>, idaa::LinkMetrics, idaa::LinkMetrics) {
+            let FleetConfig { accelerators: k, shards, replication_factor: rf, .. } = config.fleet;
             let idaa = Idaa::new(config);
             let mut s = idaa.session(SYSADM);
             idaa.execute(
@@ -1601,27 +1627,72 @@ proptest! {
             ).unwrap();
             idaa.execute(&mut s, "CALL ACCEL_ADD_TABLES('D')").unwrap();
             idaa.execute(&mut s, "CALL ACCEL_LOAD_TABLES('D')").unwrap();
+            // The paper's other two paths on the same topology: a direct
+            // load (several batches) of rows derived from the input, and an
+            // in-database LINREG over its integer-valued columns — integer
+            // sums are exact in f64, so the model does not depend on the
+            // order shards hand their rows over.
+            idaa.execute(
+                &mut s,
+                "CREATE TABLE L (A BIGINT, B BIGINT, G VARCHAR(2)) IN ACCELERATOR \
+                 DISTRIBUTE BY HASH(B)",
+            ).unwrap();
+            let records: Vec<Vec<String>> = rows
+                .iter()
+                .map(|(a, b, g)| vec![b.to_string(), (a + b).to_string(), g.clone()])
+                .chain([["0", "0", "z"], ["50", "1", "z"]].map(|r| r.map(String::from).to_vec()))
+                .collect();
+            let mut loader = idaa::loader::Loader::new(SYSADM);
+            loader.config.batch_size = 16;
+            let source = Box::new(idaa::loader::VecSource::new(records.clone()));
+            loader.load(&idaa, source, &ObjectName::bare("L"), idaa::loader::LoadTarget::Auto).unwrap();
+            // A DB2 table added to the accelerator takes a direct load on
+            // every node, each a full replica.
+            idaa.execute(&mut s, "CREATE TABLE R (A BIGINT, B BIGINT, G VARCHAR(2))").unwrap();
+            idaa.execute(&mut s, "CALL ACCEL_ADD_TABLES('R')").unwrap();
+            let source = Box::new(idaa::loader::VecSource::new(records.clone()));
+            let target = idaa::loader::LoadTarget::AcceleratorDirect;
+            loader.load(&idaa, source, &ObjectName::bare("R"), target).unwrap();
+            let r = ObjectName::bare("R");
+            let replicas: Vec<_> =
+                (0..k).map(|i| sorted(idaa.node_engine(i).scan_visible(&r).unwrap())).collect();
+            assert_eq!(replicas[0].len(), records.len());
+            assert!(replicas.windows(2).all(|w| w[0] == w[1]), "replicas of R differ");
+            idaa::analytics::deploy_all(&idaa, SYSADM).unwrap();
+            idaa.query(&mut s, "CALL ANALYTICS.LINREG('L', 'B', 'A', 'LM')").unwrap();
             idaa.execute(&mut s, "SET CURRENT QUERY ACCELERATION = ELIGIBLE").unwrap();
             let answers = queries.iter().map(|q| idaa.query(&mut s, q).unwrap().rows).collect();
+            // Every owner of every shard holds the same rows.
+            for table in ["F", "L", "LM"] {
+                for shard in 0..shards {
+                    let st = idaa::shard_table(&ObjectName::bare(table), shard, shards);
+                    let copies: Vec<Vec<idaa::Row>> = (0..rf.min(k))
+                        .map(|r| sorted(idaa.node_engine((shard + r) % k).scan_visible(&st).unwrap()))
+                        .collect();
+                    assert!(copies.windows(2).all(|w| w[0] == w[1]), "replicas of {st} differ");
+                }
+            }
             (answers, idaa.link().metrics(), idaa.fleet_link_metrics())
         };
         let (single, single_link, _) = run(IdaaConfig::default());
-        let (fleet, _, fleet_links) = run(IdaaConfig {
-            fleet: FleetConfig {
-                accelerators,
-                shards,
-                replication_factor: replicas,
-                ..FleetConfig::default()
-            },
-            ..IdaaConfig::default()
-        });
-        for (i, (lhs, rhs)) in single.iter().zip(&fleet).enumerate() {
-            prop_assert_eq!(lhs, rhs, "fleet disagreed with single accelerator on {}", queries[i]);
-        }
-        // A fleet of one node and one shard *is* the single accelerator:
-        // not just the answers but every byte on the wire must match.
-        if (accelerators, shards, replicas) == (1, 1, 1) {
-            prop_assert_eq!(fleet_links, single_link);
+        // The drawn topology, and four fixed ones every case covers.
+        let topologies = [(accelerators, shards, replicas), (1, 1, 1), (2, 1, 2), (2, 2, 1), (3, 4, 2)];
+        for (accelerators, shards, replication_factor) in topologies {
+            let (fleet, _, fleet_links) = run(IdaaConfig {
+                fleet: FleetConfig { accelerators, shards, replication_factor, ..FleetConfig::default() },
+                ..IdaaConfig::default()
+            });
+            for (i, (lhs, rhs)) in single.iter().zip(&fleet).enumerate() {
+                prop_assert_eq!(
+                    lhs, rhs, "fleet {:?} disagreed with single accelerator on {}",
+                    (accelerators, shards, replication_factor), queries[i]
+                );
+            }
+            // A fleet of one node and one shard *is* the single accelerator:
+            // not just the answers but every byte on the wire must match.
+            if (accelerators, shards, replication_factor) == (1, 1, 1) {
+                prop_assert_eq!(&fleet_links, &single_link);
+            }
         }
     }
 }
