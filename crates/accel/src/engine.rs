@@ -7,7 +7,8 @@
 //! bulk load, and grooming.
 
 use crate::durable::{Checkpoint, DurableStore, LogRecord, ScrubReport, SliceImage, TableImage};
-use crate::exec::{run, scan_filtered, scan_victims, ExecCtx, ExecMode};
+use crate::exec::{run, run_partial_groups, scan_filtered, scan_victims, ExecCtx, ExecMode};
+use crate::partial::{cut, groups_schema};
 use crate::mvcc::{CommitSeq, Snapshot, TxnId, TxnRegistry, TxnStatus};
 use crate::pipeline::{lower, Lowered};
 use crate::table::{AccelTable, RowPos};
@@ -883,7 +884,7 @@ impl AccelEngine {
     /// is the oracle the vectorized pipeline is tested (and benchmarked)
     /// against.
     pub fn query_with_mode(&self, txn: TxnId, query: &Query, mode: ExecMode) -> Result<Rows> {
-        self.run_query(txn, query, mode, None).map(|(rows, _)| rows)
+        self.run_query(txn, query, mode, None, None).map(|(rows, _)| rows)
     }
 
     /// Plan `query` through the compiled-plan cache. The cache is keyed by
@@ -945,24 +946,47 @@ impl AccelEngine {
         query: &Query,
     ) -> Result<(Rows, Arc<Plan>, PlanProfile)> {
         let profile = PlanProfile::default();
-        let (rows, plan) = self.run_query(txn, query, ExecMode::Vectorized, Some(&profile))?;
+        let (rows, plan) = self.run_query(txn, query, ExecMode::Vectorized, Some(&profile), None)?;
+        Ok((rows, plan, profile))
+    }
+
+    /// A fleet shard's share of `query`: the plan runs up to its scatter
+    /// cut ([`crate::partial::cut`], with `shard` this node's physical shard
+    /// of the one sharded table) and the cut's partial comes back, with the
+    /// sub-plan that ran and its per-operator profile.
+    pub fn query_partial(
+        &self,
+        txn: TxnId,
+        query: &Query,
+        shard: &ObjectName,
+    ) -> Result<(Rows, Arc<Plan>, PlanProfile)> {
+        let profile = PlanProfile::default();
+        let (rows, plan) =
+            self.run_query(txn, query, ExecMode::Vectorized, Some(&profile), Some(shard))?;
         Ok((rows, plan, profile))
     }
 
     /// One `SELECT`, start to finish: cached plan and lowering (the
-    /// interpreted oracle lowers afresh — it compiles nothing), quarantine
-    /// check, execution. A profile also learns whether the cache hit and
-    /// which pipeline ran, rendered from the lowering that ran.
+    /// interpreted oracle and a shard's partial sub-plan lower afresh),
+    /// quarantine check, execution. A profile also learns whether the cache
+    /// hit and which pipeline ran, rendered from the lowering that ran.
     fn run_query(
         &self,
         txn: TxnId,
         query: &Query,
         mode: ExecMode,
         profile: Option<&PlanProfile>,
+        shard: Option<&ObjectName>,
     ) -> Result<(Rows, Arc<Plan>)> {
         self.ensure_up()?;
-        let (plan, mut lowered, hit) = self.plan_lowered(query)?;
-        if mode == ExecMode::Interpreted {
+        let (mut plan, mut lowered, hit) = self.plan_lowered(query)?;
+        if let Some(shard) = shard {
+            let sharded = |t: &ObjectName| t.resolve(&self.default_schema) == *shard;
+            let part = cut(&plan, &sharded).map(|cut| cut.shard_plan());
+            let part = part.ok_or_else(|| Error::internal(format!("no scatter cut over {shard}")))?;
+            plan = Arc::new(part);
+        }
+        if mode == ExecMode::Interpreted || shard.is_some() {
             lowered = Arc::new(lower(&plan, self, mode)?);
         }
         for t in plan.tables() {
@@ -974,7 +998,13 @@ impl AccelEngine {
             profile.set_pipeline(lowered.describe());
         }
         let ctx = ExecCtx { engine: self, snap: self.snapshot_for(txn), mode, profile };
-        let rows = Rows::new(plan.schema(), run(&plan, &lowered, &ctx, None)?);
+        // A shard's cut at an aggregate ships its groups unfinished.
+        let rows = match (shard, plan.as_ref()) {
+            (Some(_), Plan::Aggregate { .. }) => {
+                Rows::new(groups_schema(&plan)?, run_partial_groups(&plan, &lowered, &ctx)?)
+            }
+            _ => Rows::new(plan.schema(), run(&plan, &lowered, &ctx, None)?),
+        };
         Ok((rows, plan))
     }
 

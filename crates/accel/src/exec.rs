@@ -31,6 +31,7 @@
 use crate::column::{Column, NullMap};
 use crate::engine::AccelEngine;
 use crate::mvcc::Snapshot;
+use crate::partial::group_rows;
 use crate::pipeline::{gather, Kind, Lowered, OutCol};
 use crate::table::{AccelTable, RowPos, Slice, ZoneEntry, BLOCK_ROWS};
 use idaa_common::{Error, ObjectName, Result, Row, Value};
@@ -124,7 +125,7 @@ pub(crate) fn run(
     needed: Option<Vec<bool>>,
 ) -> Result<Vec<Row>> {
     if let Kind::Pipe(pipe) = &low.kind {
-        return pipe.run(plan, ctx, needed.as_deref());
+        return pipe.run(plan, ctx, needed.as_deref(), false);
     }
     let rows = run_node(plan, low, ctx, needed)?;
     if let Some(prof) = ctx.profile {
@@ -168,73 +169,11 @@ fn run_node(
         }
         // FROM-less SELECT: one empty row (DB2's SYSIBM.SYSDUMMY1).
         (Plan::Scan { .. }, _) => Ok(vec![vec![]]),
-        (Plan::Filter { input, predicate }, _) => {
-            let cols = input.cols();
-            let bound = bind(predicate, &resolver_of(&cols))?;
-            let child_mask = needed.map(|m| union_mask(Some(m), mask_of(cols.len(), &[&bound])));
-            let rows = run(input, child(0)?, ctx, child_mask)?;
-            rows.into_iter()
-                .filter_map(|row| match eval_predicate(&bound, &row) {
-                    Ok(true) => Some(Ok(row)),
-                    Ok(false) => None,
-                    Err(e) => Some(Err(e)),
-                })
-                .collect()
-        }
-        (Plan::Project { input, exprs, .. }, _) => {
-            let in_cols = input.cols();
-            let resolver = resolver_of(&in_cols);
-            let bound: Vec<BoundExpr> =
-                exprs.iter().map(|(e, _)| bind(e, &resolver)).collect::<Result<_>>()?;
-            let refs: Vec<&BoundExpr> = bound.iter().collect();
-            let child_mask = mask_of(in_cols.len(), &refs);
-            let rows = run(input, child(0)?, ctx, Some(child_mask))?;
-            rows.into_iter()
-                .map(|row| bound.iter().map(|b| eval(b, &row)).collect())
-                .collect()
-        }
         (Plan::Join { left, right, kind, .. }, Kind::Join(spec)) => {
             run_join((left, child(0)?), (right, child(1)?), *kind, spec, ctx, needed)
         }
-        (Plan::Aggregate { input, group_exprs, aggs, .. }, _) => {
-            run_aggregate(input, child(0)?, group_exprs, aggs, ctx)
-        }
-        (Plan::Sort { input, keys }, _) => {
-            let in_width = input.cols().len();
-            let child_mask = needed.map(|mut m| {
-                m.resize(in_width, false);
-                for (i, _) in keys {
-                    if *i < in_width {
-                        m[*i] = true;
-                    }
-                }
-                m
-            });
-            // A stable sort: the oracle every sort / top-K sink is held to.
-            let mut rows = run(input, child(0)?, ctx, child_mask)?;
-            rows.sort_by(sort_cmp(keys));
-            Ok(rows)
-        }
-        (Plan::Distinct { input }, _) => {
-            // Row-level dedup reads every column: no pushdown through here.
-            Ok(dedup(run(input, child(0)?, ctx, None)?))
-        }
-        (Plan::Limit { input, n }, _) => {
-            let mut rows = run(input, child(0)?, ctx, needed)?;
-            rows.truncate(*n as usize);
-            Ok(rows)
-        }
-        (Plan::KeepCols { input, n }, _) => {
-            let in_width = input.cols().len();
-            let child_mask = needed.map(|mut m| {
-                m.resize(in_width, false);
-                m
-            });
-            let mut rows = run(input, child(0)?, ctx, child_mask)?;
-            for row in &mut rows {
-                row.truncate(*n);
-            }
-            Ok(rows)
+        (Plan::Join { .. }, _) => {
+            Err(Error::internal("join node lowered without its key decisions"))
         }
         (Plan::Union { left, right, all }, _) => {
             // Plain UNION dedups on full rows, so branches must materialize
@@ -244,14 +183,91 @@ fn run_node(
             rows.extend(run(right, child(1)?, ctx, child_mask)?);
             Ok(if *all { rows } else { dedup(rows) })
         }
-        (Plan::Join { .. }, _) => {
-            Err(Error::internal("join node lowered without its key decisions"))
+        (_, _) => match plan.children()[..] {
+            [input] => apply(plan, run(input, child(0)?, ctx, input_mask(plan, needed)?)?),
+            _ => Err(Error::internal(format!("{} is not a single-input operator", plan.label()))),
+        },
+    }
+}
+
+/// What a single-input node reads of its input's columns, given what its
+/// caller reads of its own (`None`: every column).
+fn input_mask(plan: &Plan, needed: Option<Vec<bool>>) -> Result<Option<Vec<bool>>> {
+    let Some(input) = plan.children().first().map(|c| c.cols()) else { return Ok(needed) };
+    let bound = |exprs: &mut dyn Iterator<Item = &Expr>| -> Result<Vec<bool>> {
+        let resolver = resolver_of(&input);
+        let bound: Vec<BoundExpr> = exprs.map(|e| bind(e, &resolver)).collect::<Result<_>>()?;
+        Ok(mask_of(input.len(), &bound.iter().collect::<Vec<_>>()))
+    };
+    Ok(match plan {
+        Plan::Filter { predicate, .. } => match needed {
+            Some(m) => Some(union_mask(Some(m), bound(&mut std::iter::once(predicate))?)),
+            None => None,
+        },
+        Plan::Project { exprs, .. } => Some(bound(&mut exprs.iter().map(|(e, _)| e))?),
+        Plan::Aggregate { group_exprs, aggs, .. } => {
+            Some(bound(&mut group_exprs.iter().chain(aggs.iter().filter_map(|a| a.arg.as_ref())))?)
+        }
+        Plan::Sort { keys, .. } => needed.map(|mut m| {
+            m.resize(input.len(), false);
+            keys.iter().filter(|(i, _)| *i < input.len()).for_each(|(i, _)| m[*i] = true);
+            m
+        }),
+        // Row-level dedup reads every column: no pushdown through here.
+        Plan::Distinct { .. } => None,
+        Plan::KeepCols { .. } => needed.map(|mut m| {
+            m.resize(input.len(), false);
+            m
+        }),
+        _ => needed,
+    })
+}
+
+/// One single-input node's operator over its input's rows: the
+/// interpreter's, and what the fleet coordinator runs above a scatter cut.
+pub(crate) fn apply(plan: &Plan, mut rows: Vec<Row>) -> Result<Vec<Row>> {
+    let bind_on = |input: &Plan, e: &Expr| bind(e, &resolver_of(&input.cols()));
+    match plan {
+        Plan::Filter { input, predicate } => {
+            let bound = bind_on(input, predicate)?;
+            let mut kept = Vec::with_capacity(rows.len());
+            for row in rows {
+                if eval_predicate(&bound, &row)? {
+                    kept.push(row);
+                }
+            }
+            Ok(kept)
+        }
+        Plan::Project { input, exprs, .. } => {
+            let bound: Vec<BoundExpr> =
+                exprs.iter().map(|(e, _)| bind_on(input, e)).collect::<Result<_>>()?;
+            rows.iter().map(|row| bound.iter().map(|b| eval(b, row)).collect()).collect()
+        }
+        Plan::Aggregate { input, group_exprs, aggs, .. } => {
+            finish_groups(aggregate(input, group_exprs, aggs, &rows)?, !group_exprs.is_empty(), aggs)
+        }
+        Plan::Sort { keys, .. } => {
+            // A stable sort: the oracle every sort / top-K sink is held to.
+            rows.sort_by(sort_cmp(keys));
+            Ok(rows)
+        }
+        Plan::Distinct { .. } => Ok(dedup(rows)),
+        Plan::Limit { n, .. } => {
+            rows.truncate(*n as usize);
+            Ok(rows)
+        }
+        Plan::KeepCols { n, .. } => {
+            rows.iter_mut().for_each(|row| row.truncate(*n));
+            Ok(rows)
+        }
+        Plan::Scan { .. } | Plan::Join { .. } | Plan::Union { .. } => {
+            Err(Error::internal(format!("{} is not a single-input operator", plan.label())))
         }
     }
 }
 
 /// First occurrences of each distinct row, in input order.
-fn dedup(mut rows: Vec<Row>) -> Vec<Row> {
+pub(crate) fn dedup(mut rows: Vec<Row>) -> Vec<Row> {
     let mut seen: std::collections::HashSet<Row> = std::collections::HashSet::with_capacity(rows.len());
     rows.retain(|r| seen.insert(r.clone()));
     rows
@@ -1162,30 +1178,24 @@ pub(crate) fn finish_groups(
         .collect()
 }
 
-/// The oracle aggregate: one pass in input order, groups by first
-/// occurrence.
-fn run_aggregate(
+/// The oracle aggregate: one pass over `rows` (the output of `input`) in
+/// order, groups by first occurrence.
+fn aggregate(
     input: &Plan,
-    low: &Lowered,
     group_exprs: &[Expr],
     aggs: &[idaa_sql::plan::AggCall],
-    ctx: &ExecCtx,
-) -> Result<Vec<Row>> {
-    let cols = input.cols();
-    let resolver = resolver_of(&cols);
+    rows: &[Row],
+) -> Result<Groups> {
+    let resolver = resolver_of(&input.cols());
     let bound_keys: Vec<BoundExpr> =
         group_exprs.iter().map(|e| bind(e, &resolver)).collect::<Result<_>>()?;
     let bound_args: Vec<Option<BoundExpr>> = aggs
         .iter()
         .map(|a| a.arg.as_ref().map(|e| bind(e, &resolver)).transpose())
         .collect::<Result<_>>()?;
-    let refs: Vec<&BoundExpr> =
-        bound_keys.iter().chain(bound_args.iter().flatten()).collect();
-    let rows = run(input, low, ctx, Some(mask_of(cols.len(), &refs)))?;
-
     let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
     let mut groups: Groups = Vec::new();
-    for row in &rows {
+    for row in rows {
         let key: Vec<Value> = bound_keys.iter().map(|k| eval(k, row)).collect::<Result<_>>()?;
         let gi = *index.entry(key).or_insert_with_key(|key| {
             groups.push((key.clone(), new_states(aggs)));
@@ -1199,7 +1209,25 @@ fn run_aggregate(
             state.update(&v)?;
         }
     }
-    finish_groups(groups, !group_exprs.is_empty(), aggs)
+    Ok(groups)
+}
+
+/// A fleet shard's partial of an `Aggregate` node: its groups merged but
+/// not finished, as [`group_rows`] ships them.
+pub(crate) fn run_partial_groups(plan: &Plan, low: &Lowered, ctx: &ExecCtx) -> Result<Vec<Row>> {
+    if let Kind::Pipe(pipe) = &low.kind {
+        return pipe.run(plan, ctx, None, true);
+    }
+    let (Plan::Aggregate { input, group_exprs, aggs, .. }, Some(child)) = (plan, low.children.first())
+    else {
+        return Err(Error::internal(format!("{} has no partial groups", plan.label())));
+    };
+    let rows = run(input, child, ctx, input_mask(plan, None)?)?;
+    let rows = group_rows(aggregate(input, group_exprs, aggs, &rows)?);
+    if let Some(prof) = ctx.profile {
+        prof.record(plan, rows.len() as u64);
+    }
+    Ok(rows)
 }
 
 // Kernel-level unit tests live here; engine-level behavior is tested in

@@ -15,11 +15,13 @@ pub mod durable;
 pub mod engine;
 pub mod exec;
 pub mod mvcc;
+mod partial;
 mod pipeline;
 pub mod table;
 
 pub use durable::{Checkpoint, DurableStore, LogRecord, Lsn, RecoverySet};
 pub use engine::{AccelConfig, AccelEngine, AccelStats, RestartStats};
 pub use exec::ExecMode;
+pub use partial::{cut, Cut, Merge};
 pub use mvcc::{CommitSeq, Snapshot, TxnRegistry, TxnStatus, Visibility};
 pub use table::{AccelTable, RowPos, BLOCK_ROWS};

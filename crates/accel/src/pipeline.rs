@@ -40,6 +40,7 @@
 
 use crate::column::{Column, NullMap};
 use crate::engine::AccelEngine;
+use crate::partial::group_rows;
 use crate::exec::{
     compact, finish_groups, for_each_slice, merge_groups, merge_runs, new_states, resolver_of, run,
     scan_blocks, ExecCtx, ExecMode, Groups, JoinSpec, ScanSpec,
@@ -564,12 +565,15 @@ impl Pipeline {
     }
 
     /// Run the pipeline rooted at `plan`: build side once, then one part
-    /// per slice of the source table, partials merged in slice order.
+    /// per slice of the source table, partials merged in slice order. With
+    /// `partial`, an aggregate sink stops at its merged groups and hands
+    /// them back unfinished, as a fleet shard's partial ([`group_rows`]).
     pub(crate) fn run(
         &self,
         plan: &Plan,
         ctx: &ExecCtx,
         needed: Option<&[bool]>,
+        partial: bool,
     ) -> Result<Vec<Row>> {
         let spine = spine(plan).ok_or_else(|| Error::internal("plan and pipeline disagree"))?;
         let table = ctx.engine.table(&self.source.table)?;
@@ -609,6 +613,7 @@ impl Pipeline {
         }
         let out = match &self.sink {
             Sink::Rows => runs.into_iter().flatten().collect(),
+            Sink::Agg { .. } if partial => group_rows(merge_groups(groups)?),
             Sink::Agg { keys, .. } => finish_groups(merge_groups(groups)?, !keys.is_empty(), aggs)?,
             Sink::Sort { keys, limit, keep } => {
                 let mut rows = merge_runs(runs, keys);

@@ -44,7 +44,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment { id: "E18", title: "vectorized batch kernels: fused filter\u{2192}agg vs interpreter", run: e18_vectorized_kernels },
     Experiment { id: "E19", title: "fleet failover: replica factor vs failover latency + catch-up bytes", run: e19_fleet_failover },
     Experiment { id: "E20", title: "late-materialized vectorized joins: typed keys + probe filter vs interpreter, \
-        plan cache, fleet Bloom gathers", run: e20_join_kernels_and_pushdown },
+        plan cache, fleet shard-side joins", run: e20_join_kernels },
     Experiment { id: "E21", title: "storage faults: scrub interval vs detection latency, \
         repair-path byte costs", run: e21_storage_faults },
     Experiment { id: "E22", title: "workload scheduler: queue-time percentiles vs session count at a \
@@ -1308,15 +1308,15 @@ fn e19_fleet_failover(out: &mut Report) {
     );
 }
 
-/// E20 — late-materialized vectorized joins and Bloom-guarded gathers.
+/// E20 — late-materialized vectorized joins, and joins on a fleet's shards.
 /// Part 1 pairs the vectorized join pipeline (typed keys, Bloom-guarded
 /// probe, derived probe filter pushed into the scan, late materialization)
 /// against the row-at-a-time interpreter it must agree with bit for bit,
 /// and reports the compiled-plan cache's hit/miss split across the
 /// repetitions. Part 2 runs a sharded-probe ⋈ replicated-build join on a
-/// fleet with the gather pushdown on and off: the answer is identical, only
-/// the gather traffic changes.
-fn e20_join_kernels_and_pushdown(out: &mut Report) {
+/// fleet: every shard joins against its node's replica of the dimension,
+/// so only joined rows come back.
+fn e20_join_kernels(out: &mut Report) {
     use idaa_accel::{AccelConfig, AccelEngine};
     use idaa_common::{ColumnDef, DataType, ObjectName, Schema, Value};
     use idaa_core::FleetConfig;
@@ -1388,56 +1388,48 @@ fn e20_join_kernels_and_pushdown(out: &mut Report) {
     out.table(table);
 
     let mut fleet_table = Table::new(&[
-        "pushdown", "probe_rows", "dim_rows", "rows_out", "stmt_to_accel", "gather_to_host",
+        "probe_rows", "dim_rows", "rows_out", "stmt_to_accel", "gather_to_host",
     ]);
-    let mut answers = Vec::new();
-    for pushdown in [false, true] {
-        let (idaa, mut s) = system(IdaaConfig {
-            fleet: FleetConfig {
-                accelerators: 3,
-                shards: 4,
-                replication_factor: 2,
-                join_pushdown: pushdown,
-                ..FleetConfig::default()
-            },
-            ..IdaaConfig::default()
-        });
-        idaa.execute(
-            &mut s,
-            "CREATE TABLE FJOIN (X INT NOT NULL, G VARCHAR(2)) IN ACCELERATOR \
-             DISTRIBUTE BY HASH(X)",
-        )
-        .unwrap();
-        let vals: Vec<String> =
-            (0..4000).map(|i| format!("({i}, '{}')", ["a", "b"][i % 2])).collect();
-        for chunk in vals.chunks(500) {
-            idaa.execute(&mut s, &format!("INSERT INTO FJOIN VALUES {}", chunk.join(", ")))
-                .unwrap();
-        }
-        idaa.execute(&mut s, "CREATE TABLE FDIM (X INT NOT NULL, NAME VARCHAR(4))").unwrap();
-        let dims: Vec<String> = (0..40).map(|i| format!("({}, 'D{:02}')", i * 100, i)).collect();
-        idaa.execute(&mut s, &format!("INSERT INTO FDIM VALUES {}", dims.join(", "))).unwrap();
-        accelerate(&idaa, &mut s, "FDIM");
-        idaa.execute(&mut s, "SET CURRENT QUERY ACCELERATION = ELIGIBLE").unwrap();
-        let join = "SELECT f.x, d.name FROM fjoin f INNER JOIN fdim d ON f.x = d.x \
-                    ORDER BY f.x, d.name";
-        let (rows, _, delta) = measure(&idaa, || idaa.query(&mut s, join).unwrap());
-        fleet_table.row([
-            det(if pushdown { "on" } else { "off" }),
-            det(4000),
-            det(40),
-            det(rows.len()),
-            det(fmt_bytes(delta.bytes_to_accel)),
-            det(fmt_bytes(delta.bytes_to_host)),
-        ]);
-        answers.push(rows.rows);
+    let (idaa, mut s) = system(IdaaConfig {
+        fleet: FleetConfig {
+            accelerators: 3,
+            shards: 4,
+            replication_factor: 2,
+            ..FleetConfig::default()
+        },
+        ..IdaaConfig::default()
+    });
+    idaa.execute(
+        &mut s,
+        "CREATE TABLE FJOIN (X INT NOT NULL, G VARCHAR(2)) IN ACCELERATOR \
+         DISTRIBUTE BY HASH(X)",
+    )
+    .unwrap();
+    let vals: Vec<String> =
+        (0..4000).map(|i| format!("({i}, '{}')", ["a", "b"][i % 2])).collect();
+    for chunk in vals.chunks(500) {
+        idaa.execute(&mut s, &format!("INSERT INTO FJOIN VALUES {}", chunk.join(", "))).unwrap();
     }
-    assert_eq!(answers[0], answers[1], "gather pushdown must never change the answer");
+    idaa.execute(&mut s, "CREATE TABLE FDIM (X INT NOT NULL, NAME VARCHAR(4))").unwrap();
+    let dims: Vec<String> = (0..40).map(|i| format!("({}, 'D{:02}')", i * 100, i)).collect();
+    idaa.execute(&mut s, &format!("INSERT INTO FDIM VALUES {}", dims.join(", "))).unwrap();
+    accelerate(&idaa, &mut s, "FDIM");
+    idaa.execute(&mut s, "SET CURRENT QUERY ACCELERATION = ELIGIBLE").unwrap();
+    let join = "SELECT f.x, d.name FROM fjoin f INNER JOIN fdim d ON f.x = d.x \
+                ORDER BY f.x, d.name";
+    let (rows, _, delta) = measure(&idaa, || idaa.query(&mut s, join).unwrap());
+    fleet_table.row([
+        det(4000),
+        det(40),
+        det(rows.len()),
+        det(fmt_bytes(delta.bytes_to_accel)),
+        det(fmt_bytes(delta.bytes_to_host)),
+    ]);
     out.table(fleet_table);
     out.line(
         "note: the join result, the cache hit/miss split, and the gather byte counts are \
-         deterministic; pushdown=on charges the shipped key summary on the request leg and \
-         drops non-joining probe rows before the reply frame is encoded.",
+         deterministic; each shard joins its rows against its own replica of the dimension \
+         and ships only its sorted joined rows.",
     );
 }
 

@@ -435,6 +435,12 @@ fn days_in_month(y: i64, m: u32) -> u32 {
 
 /// Inverse of `days_from_civil`: render days-since-epoch as `YYYY-MM-DD`.
 pub fn render_date(days: i32) -> String {
+    let (y, m, d) = civil_from_days(days);
+    format!("{y:04}-{m:02}-{d:02}")
+}
+
+/// Days since the epoch as a proleptic Gregorian `(year, month, day)`.
+pub fn civil_from_days(days: i32) -> (i32, i32, i32) {
     let z = days as i64 + 719_468;
     let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
     let doe = z - era * 146_097;
@@ -445,7 +451,8 @@ pub fn render_date(days: i32) -> String {
     let d = doy - (153 * mp + 2) / 5 + 1;
     let m = if mp < 10 { mp + 3 } else { mp - 9 };
     let y = if m <= 2 { y + 1 } else { y };
-    format!("{y:04}-{m:02}-{d:02}")
+    // An `i32` day count spans under six million years.
+    (y as i32, m as i32, d as i32)
 }
 
 /// Render epoch microseconds as `YYYY-MM-DD HH:MM:SS.ffffff`.

@@ -897,34 +897,21 @@ pub fn decode_rows(frame: &[u8], schema: &Schema) -> Result<Vec<Row>> {
 // Join-key summaries (Bloom bits + min/max range)
 // ---------------------------------------------------------------------------
 
-/// Magic tag distinguishing an encoded [`KeySummary`] from a row frame.
-const SUMMARY_MAGIC: u16 = 0xB1F0;
-
-/// Cap on decoded Bloom words — a summary claiming more than this is
-/// malformed, not merely large (64 Ki words = 4 Mi bits digests ~400k keys).
+/// Cap on Bloom words (64 Ki words = 4 Mi bits digests ~400k keys).
 const SUMMARY_MAX_WORDS: usize = 1 << 16;
 
-/// Hash of an integer-family join key. Shared by the accelerator's join
-/// Bloom filters and the fleet scatter pushdown so both ends of a link
-/// agree on membership bits for the same key value.
+/// Hash of an integer-family join key.
 pub fn key_hash_i64(v: i64) -> u64 {
     hash64(&v.to_le_bytes())
 }
 
-/// Hash of a character join key. Trailing blanks are trimmed first so the
-/// hash respects DB2 padded-comparison equality (`'a' = 'a  '`).
-pub fn key_hash_str(s: &str) -> u64 {
-    hash64(s.trim_end_matches(' ').as_bytes())
-}
-
-/// Digest of a join's build-side keys: a Bloom filter over key hashes plus
-/// the min/max of integer keys. Membership tests may *only* false-positive
+/// Digest of a join's build-side integer keys: a Bloom filter over key
+/// hashes plus their min/max. Membership tests may *only* false-positive
 /// (a key that was inserted always tests present), so pre-filtering a probe
 /// side with a summary can never drop a joining row — the exact key compare
-/// downstream removes the false positives. Construction and encoding are
-/// pure functions of the inserted keys, so equal build sides produce
-/// byte-identical summaries on every run.
-#[derive(Debug, Clone, PartialEq)]
+/// downstream removes the false positives. Construction is a pure function
+/// of the inserted keys.
+#[derive(Debug, Clone)]
 pub struct KeySummary {
     /// Bloom bit words; the word count is a power of two so bit positions
     /// reduce with a mask.
@@ -947,28 +934,13 @@ impl KeySummary {
         [h as usize & mask, (h >> 32) as usize & mask]
     }
 
-    /// Insert a pre-computed key hash (see [`key_hash_i64`]/[`key_hash_str`]).
-    pub fn insert_hash(&mut self, h: u64) {
-        for b in self.bit_positions(h) {
-            self.words[b / 64] |= 1 << (b % 64);
-        }
-    }
-
-    /// Bloom membership test for a pre-computed key hash.
-    pub fn might_contain(&self, h: u64) -> bool {
-        self.bit_positions(h).iter().all(|&b| self.words[b / 64] >> (b % 64) & 1 == 1)
-    }
-
     /// Insert an integer key, widening the min/max range.
     pub fn insert_i64(&mut self, v: i64) {
         self.min = Some(self.min.map_or(v, |m| m.min(v)));
         self.max = Some(self.max.map_or(v, |m| m.max(v)));
-        self.insert_hash(key_hash_i64(v));
-    }
-
-    /// Insert a character key (trailing blanks are trimmed by the hash).
-    pub fn insert_str(&mut self, s: &str) {
-        self.insert_hash(key_hash_str(s));
+        for b in self.bit_positions(key_hash_i64(v)) {
+            self.words[b / 64] |= 1 << (b % 64);
+        }
     }
 
     /// Could an integer probe key join? Range check first, then Bloom bits.
@@ -978,97 +950,9 @@ impl KeySummary {
                 return false;
             }
         }
-        self.might_contain(key_hash_i64(v))
+        let bits = self.bit_positions(key_hash_i64(v));
+        bits.iter().all(|&b| self.words[b / 64] >> (b % 64) & 1 == 1)
     }
-
-    /// Could a character probe key join?
-    pub fn contains_str(&self, s: &str) -> bool {
-        self.might_contain(key_hash_str(s))
-    }
-
-    /// Conservative membership for an arbitrary probe value, for use on an
-    /// INNER equi-join probe side only: NULL never joins, so it is dropped
-    /// exactly; integer and character values consult the digest; any other
-    /// variant (doubles, decimals, dates, …) is kept — their cross-type
-    /// equality semantics are not representable in the hash domain, and
-    /// keeping them is the false-positive-only rule.
-    pub fn matches_value(&self, v: &Value) -> bool {
-        match v {
-            Value::Null => false,
-            Value::SmallInt(x) => self.contains_i64(*x as i64),
-            Value::Int(x) => self.contains_i64(*x as i64),
-            Value::BigInt(x) => self.contains_i64(*x),
-            Value::Varchar(s) => self.contains_str(s),
-            _ => true,
-        }
-    }
-
-    /// The inserted integer keys' `(min, max)`, if any integer was inserted.
-    pub fn range(&self) -> Option<(i64, i64)> {
-        match (self.min, self.max) {
-            (Some(lo), Some(hi)) => Some((lo, hi)),
-            _ => None,
-        }
-    }
-}
-
-/// Encode a summary into a self-checking byte buffer — what scatter
-/// requests are charged for when a join pushdown rides along. Deterministic:
-/// equal summaries produce equal bytes.
-pub fn encode_summary(s: &KeySummary) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + s.words.len() * 8);
-    out.extend_from_slice(&SUMMARY_MAGIC.to_le_bytes());
-    out.push(VERSION);
-    // min and max are always set together.
-    out.push(s.min.is_some() as u8);
-    put_varint(&mut out, s.words.len() as u64);
-    for w in &s.words {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-    if let (Some(lo), Some(hi)) = (s.min, s.max) {
-        put_varint(&mut out, zigzag64(lo));
-        put_varint(&mut out, zigzag64(hi));
-    }
-    let checksum = hash64(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
-}
-
-/// Decode an encoded summary, verifying its checksum first. Checksum or
-/// magic damage maps to a link failure (-30081) like any corrupted frame;
-/// structural damage behind a valid checksum is an internal error.
-pub fn decode_summary(buf: &[u8]) -> Result<KeySummary> {
-    if buf.len() < 4 + CHECKSUM_LEN {
-        return Err(Error::LinkFailure("key summary checksum mismatch".into()));
-    }
-    let (body, tail) = buf.split_at(buf.len() - CHECKSUM_LEN);
-    if u16::from_le_bytes(body[..2].try_into().unwrap()) != SUMMARY_MAGIC
-        || hash64(body) != u64::from_le_bytes(tail.try_into().unwrap())
-    {
-        return Err(Error::LinkFailure("key summary checksum mismatch".into()));
-    }
-    if body[2] != VERSION {
-        return Err(Error::Internal(format!("unsupported key summary version {}", body[2])));
-    }
-    let has_range = body[3];
-    let mut r = Reader::new(&body[4..]);
-    let nwords = r.varint()? as usize;
-    if nwords == 0 || !nwords.is_power_of_two() || nwords > SUMMARY_MAX_WORDS {
-        return r.bad();
-    }
-    let mut words = Vec::with_capacity(nwords);
-    for _ in 0..nwords {
-        words.push(read_u64_le(r.take(8)?));
-    }
-    let (min, max) = match has_range {
-        0 => (None, None),
-        1 => (Some(unzigzag64(r.varint()?)), Some(unzigzag64(r.varint()?))),
-        _ => return r.bad(),
-    };
-    if !r.done() {
-        return r.bad();
-    }
-    Ok(KeySummary { words, min, max })
 }
 
 #[cfg(test)]
@@ -1257,76 +1141,15 @@ mod tests {
         }
         for v in 0..200i64 {
             assert!(s.contains_i64(v * 3), "inserted key {v} must test present");
-            assert!(s.matches_value(&Value::BigInt(v * 3)));
-            assert!(s.matches_value(&Value::Int((v * 3) as i32)), "cross-variant integer");
         }
         // Min/max makes out-of-range misses exact, not probabilistic.
-        assert_eq!(s.range(), Some((0, 597)));
         assert!(!s.contains_i64(-1));
         assert!(!s.contains_i64(598));
         // Some in-range non-members must miss, or the filter is useless.
         let misses = (0..200i64).filter(|v| !s.contains_i64(v * 3 + 1)).count();
         assert!(misses > 150, "expected most non-members to miss, got {misses}/200");
-    }
-
-    #[test]
-    fn key_summary_string_keys_trim_blanks() {
-        let mut s = KeySummary::with_capacity(8);
-        s.insert_str("EU");
-        assert!(s.contains_str("EU"));
-        // DB2 padded comparison: 'EU  ' = 'EU', so the digest must agree.
-        assert!(s.contains_str("EU  "));
-        assert!(s.matches_value(&Value::Varchar("EU ".into())));
-        assert_eq!(key_hash_str("EU"), key_hash_str("EU   "));
-        assert!(!s.contains_str("US"));
-        assert_eq!(s.range(), None, "string keys carry no integer range");
-    }
-
-    #[test]
-    fn key_summary_value_semantics() {
-        let mut s = KeySummary::with_capacity(4);
-        s.insert_i64(7);
-        // NULL never joins on an INNER probe side: dropped exactly.
-        assert!(!s.matches_value(&Value::Null));
-        // Variants outside the hash domain are conservatively kept —
-        // Double(7.0) = Int(7) under SQL numeric equality.
-        assert!(s.matches_value(&Value::Double(7.0)));
-        assert!(s.matches_value(&Value::Decimal(Decimal::new(700, 2))));
-    }
-
-    #[test]
-    fn key_summary_roundtrips_and_is_deterministic() {
-        let mut s = KeySummary::with_capacity(100);
-        for v in [-5i64, 0, 3, 1 << 40, i64::MIN, i64::MAX] {
-            s.insert_i64(v);
-        }
-        s.insert_str("region-x");
-        let bytes = encode_summary(&s);
-        assert_eq!(bytes, encode_summary(&s), "encoding must be deterministic");
-        let back = decode_summary(&bytes).unwrap();
-        assert_eq!(back, s);
-        assert_eq!(back.range(), Some((i64::MIN, i64::MAX)));
-        assert!(back.contains_str("region-x"));
-
-        // Empty summary (no keys): matches no hashable value.
-        let empty = KeySummary::with_capacity(0);
-        let back = decode_summary(&encode_summary(&empty)).unwrap();
-        assert!(!back.contains_i64(0));
-        assert_eq!(back.range(), None);
-    }
-
-    #[test]
-    fn key_summary_corruption_is_detected() {
-        let mut s = KeySummary::with_capacity(16);
-        s.insert_i64(42);
-        let bytes = encode_summary(&s);
-        for pos in [0, 2, 3, bytes.len() / 2, bytes.len() - 1] {
-            let mut bad = bytes.clone();
-            bad[pos] ^= 0x10;
-            let err = decode_summary(&bad).unwrap_err();
-            assert_eq!(err.sqlcode(), -30081, "flip at {pos} maps to -30081");
-        }
-        assert_eq!(decode_summary(&bytes[..6]).unwrap_err().sqlcode(), -30081);
+        // An empty summary matches nothing.
+        assert!(!KeySummary::with_capacity(0).contains_i64(0));
     }
 
     #[test]

@@ -397,7 +397,7 @@ impl Idaa {
                     self.privilege_event(&trace, t, "SELECT");
                 }
             }
-            match self.accel_read(session, q, &tables, &read_plan) {
+            match self.accel_read(session, q, &plan, &tables, &read_plan) {
                 Ok(rows) => return Ok(ExecOutcome::accel(Payload::Rows(rows))),
                 // Communication failed mid-statement: like DB2, re-execute
                 // the read-only query locally when the data allows it.

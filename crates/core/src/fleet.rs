@@ -11,9 +11,15 @@
 //! on their owners (always true at `shards == 1`) ships as it is, one
 //! exchange per owner: reads to the shard's primary with failover to the
 //! remaining owners in fixed order, writes to every live owner. Only
-//! `shards > 1` scatters: queries visit the shards in ascending order and
-//! merge at the coordinator, so any fleet size reproduces the one-node
-//! answer modulo float summation order. An owner that missed a write
+//! `shards > 1` scatters, visiting the shards in ascending order. Each shard
+//! runs the statement's own plan up to its scatter cut
+//! ([`idaa_accel::cut`]: the first aggregate, DISTINCT, sort or limit above
+//! the sharded scan, joins against whole tables included) and ships the
+//! cut's partial as one row frame; the coordinator merges the partials with
+//! the executor's own merges and runs the nodes above the cut. A plan with
+//! no cut — two sharded scans, the sharded scan on a LEFT join's
+//! null-supplying side or under a `UNION`, a join above the cut — gathers
+//! raw rows into a scratch engine instead. An owner that missed a write
 //! re-joins via a metered catch-up copy, and a rebalance check on the
 //! virtual clock migrates failed-over shards back to their preferred
 //! owners. Placement, gather order, and failover order are all
@@ -24,11 +30,12 @@ use crate::health::{HealthMonitor, HealthState, SeqTracker};
 use crate::idaa::{Idaa, IdaaConfig};
 use crate::replication::Replicator;
 use crate::session::Session;
-use idaa_accel::{AccelEngine, RestartStats};
+use idaa_accel::{cut, AccelEngine, Cut, RestartStats};
 use idaa_common::{wire, Error, ObjectName, Result, Row, Rows, Schema, Value};
 use idaa_host::{AccelStatus, TableKind, TableMeta, TxnId, SYSADM};
 use idaa_netsim::{sites, Direction, FaultRegistry, LinkMetrics, NetLink};
-use idaa_sql::ast::{BinaryOp, Expr, JoinKind, OrderByItem, Query, SelectItem, TableRef};
+use idaa_sql::ast::{Query, SelectItem, TableRef};
+use idaa_sql::plan::Plan;
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,7 +51,9 @@ use std::time::Duration;
 ///
 /// The default (one accelerator, one shard, replication factor one) is the
 /// paper's single-accelerator pairing: the one shard of every
-/// accelerator-only table is the table itself, on the one node.
+/// accelerator-only table is the table itself, on the one node. How a
+/// statement scatters is not configured: the plan's scatter cut decides
+/// what each shard ships.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Number of accelerator nodes (K). Each gets its own metered link,
@@ -58,12 +67,6 @@ pub struct FleetConfig {
     /// Virtual-clock delay after a failover before the shard migrates back
     /// to its preferred (recovered) owner.
     pub rebalance_after: Duration,
-    /// Ship a build-side key summary (Bloom filter + min/max) with the
-    /// scatter request of an inner equi-join against a sharded probe table,
-    /// so each shard pre-filters its reply before encoding. The summary is
-    /// false-positive-only, so the merged answer is byte-identical with the
-    /// knob off — only gather traffic changes.
-    pub join_pushdown: bool,
 }
 
 impl Default for FleetConfig {
@@ -73,7 +76,6 @@ impl Default for FleetConfig {
             shards: 1,
             replication_factor: 1,
             rebalance_after: Duration::from_millis(20),
-            join_pushdown: true,
         }
     }
 }
@@ -279,342 +281,40 @@ impl FleetState {
 }
 
 // ---------------------------------------------------------------------------
-// Scatter planning
+// Scatter requests
 // ---------------------------------------------------------------------------
 
-/// Name of the coordinator-local staging table gathered partials land in.
-const GATHER: &str = "__GATHER";
-
-/// How a query over one sharded table executes across the fleet.
-pub(crate) enum ScatterPlan {
-    /// Run `partial` on every shard, gather the partial rows into a staging
-    /// table, and run `merge` over it at the coordinator. Covers mergeable
-    /// aggregation (COUNT/SUM/MIN/MAX re-aggregate) and top-K (per-shard
-    /// ORDER BY + LIMIT, re-sorted and re-limited at the coordinator).
-    TwoPhase { partial: Box<Query>, merge: Box<Query> },
-    /// Gather raw shard rows and run the original query at the coordinator.
-    Raw,
-}
-
-fn col(name: impl Into<String>) -> Expr {
-    Expr::Column { qualifier: None, name: name.into() }
-}
-
-fn item(expr: Expr, alias: String) -> SelectItem {
-    SelectItem::Expr { expr, alias: Some(alias) }
-}
-
-/// The output column name `plan_query` would derive for projection item `i`:
-/// the alias if present, a bare column's own name, else `C{i+1}`.
-fn output_name(expr: &Expr, alias: &Option<String>, i: usize) -> String {
-    if let Some(a) = alias {
-        return a.clone();
-    }
-    if let Expr::Column { name, .. } = expr {
-        return name.clone();
-    }
-    format!("C{}", i + 1)
-}
-
-/// True for `ORDER BY <integer literal>` positional references.
-fn is_ordinal(expr: &Expr) -> bool {
-    matches!(expr, Expr::Literal(Value::SmallInt(_) | Value::Int(_) | Value::BigInt(_)))
-}
-
-/// The merge-side aggregate that re-aggregates partials of `expr`, if the
-/// aggregate is mergeable (partial COUNTs re-aggregate by summation; AVG,
-/// STDDEV, VARIANCE, and DISTINCT aggregates are not decomposable without
-/// changing float summation order, so they gather raw rows instead).
-fn merge_fn_of(expr: &Expr) -> Option<&'static str> {
-    let Expr::Function { name, args, distinct } = expr else { return None };
-    if *distinct || args.iter().any(Expr::contains_aggregate) {
-        return None;
-    }
-    match name.as_str() {
-        "COUNT" | "SUM" => Some("SUM"),
-        "MIN" => Some("MIN"),
-        "MAX" => Some("MAX"),
-        _ => None,
-    }
-}
-
-/// Collect every aggregate call in `expr` into `out` (structurally deduped).
-/// Returns false if a non-mergeable aggregate is found.
-fn collect_aggregates(expr: &Expr, out: &mut Vec<Expr>) -> bool {
-    if let Expr::Function { name, .. } = expr {
-        if idaa_sql::ast::is_aggregate_name(name) {
-            if merge_fn_of(expr).is_none() {
-                return false;
+/// Retarget every FROM reference to `table` (resolved under
+/// `default_schema`), anywhere in the FROM tree, at its physical shard
+/// `shard`, keeping the original name visible as an alias so column
+/// qualifiers still resolve.
+fn with_shard_from(
+    q: &Query,
+    table: &ObjectName,
+    shard: &ObjectName,
+    default_schema: &str,
+) -> Query {
+    fn retarget(from: &mut TableRef, table: &ObjectName, shard: &ObjectName, schema: &str) {
+        match from {
+            TableRef::Table { name, alias } if name.resolve(schema) == *table => {
+                *alias = Some(alias.take().unwrap_or_else(|| name.name.clone()));
+                *name = shard.clone();
             }
-            if !out.contains(expr) {
-                out.push(expr.clone());
+            TableRef::Table { .. } => {}
+            TableRef::Join { left, right, .. } => {
+                retarget(left, table, shard, schema);
+                retarget(right, table, shard, schema);
             }
-            return true;
-        }
-    }
-    match expr {
-        Expr::Binary { left, right, .. } => {
-            collect_aggregates(left, out) && collect_aggregates(right, out)
-        }
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-            collect_aggregates(expr, out)
-        }
-        Expr::Function { args, .. } => args.iter().all(|a| collect_aggregates(a, out)),
-        Expr::InList { expr, list, .. } => {
-            collect_aggregates(expr, out) && list.iter().all(|e| collect_aggregates(e, out))
-        }
-        Expr::Between { expr, low, high, .. } => {
-            collect_aggregates(expr, out)
-                && collect_aggregates(low, out)
-                && collect_aggregates(high, out)
-        }
-        Expr::Like { expr, pattern, .. } => {
-            collect_aggregates(expr, out) && collect_aggregates(pattern, out)
-        }
-        Expr::Case { operand, branches, else_result } => {
-            operand.as_deref().map(|e| collect_aggregates(e, out)).unwrap_or(true)
-                && branches
-                    .iter()
-                    .all(|(w, t)| collect_aggregates(w, out) && collect_aggregates(t, out))
-                && else_result.as_deref().map(|e| collect_aggregates(e, out)).unwrap_or(true)
-        }
-        _ => true,
-    }
-}
-
-/// The partial-result components a two-phase aggregate ships per shard:
-/// the group expressions (aliased `C0..C{G-1}`) followed by the deduped
-/// aggregates (aliased `C{G}..`).
-struct Components {
-    groups: Vec<Expr>,
-    aggs: Vec<Expr>,
-}
-
-/// Rewrite `expr` for the merge query: group expressions become references to
-/// their partial column, aggregates become their merge aggregate over the
-/// partial column, and scalar structure is preserved. None if the expression
-/// mixes in anything that cannot be reconstructed from the partials.
-fn rewrite(expr: &Expr, comp: &Components) -> Option<Expr> {
-    if let Some(i) = comp.groups.iter().position(|g| g == expr) {
-        return Some(col(format!("C{i}")));
-    }
-    if let Some(j) = comp.aggs.iter().position(|a| a == expr) {
-        let merge = merge_fn_of(expr)?;
-        return Some(Expr::Function {
-            name: merge.into(),
-            args: vec![col(format!("C{}", comp.groups.len() + j))],
-            distinct: false,
-        });
-    }
-    match expr {
-        Expr::Literal(_) | Expr::Parameter(_) => Some(expr.clone()),
-        Expr::Binary { left, op, right } => Some(Expr::Binary {
-            left: Box::new(rewrite(left, comp)?),
-            op: *op,
-            right: Box::new(rewrite(right, comp)?),
-        }),
-        Expr::Unary { op, expr } => {
-            Some(Expr::Unary { op: *op, expr: Box::new(rewrite(expr, comp)?) })
-        }
-        Expr::IsNull { expr, negated } => {
-            Some(Expr::IsNull { expr: Box::new(rewrite(expr, comp)?), negated: *negated })
-        }
-        Expr::Between { expr, low, high, negated } => Some(Expr::Between {
-            expr: Box::new(rewrite(expr, comp)?),
-            low: Box::new(rewrite(low, comp)?),
-            high: Box::new(rewrite(high, comp)?),
-            negated: *negated,
-        }),
-        Expr::InList { expr, list, negated } => Some(Expr::InList {
-            expr: Box::new(rewrite(expr, comp)?),
-            list: list.iter().map(|e| rewrite(e, comp)).collect::<Option<Vec<_>>>()?,
-            negated: *negated,
-        }),
-        Expr::Like { expr, pattern, negated } => Some(Expr::Like {
-            expr: Box::new(rewrite(expr, comp)?),
-            pattern: Box::new(rewrite(pattern, comp)?),
-            negated: *negated,
-        }),
-        _ => None,
-    }
-}
-
-fn gather_from() -> Option<TableRef> {
-    Some(TableRef::Table { name: ObjectName::bare(GATHER), alias: None })
-}
-
-/// Plan how `q` scatters across shards. Non-Raw plans require a plain
-/// single-table query (no DISTINCT, no UNION) whose result is reconstructible
-/// from per-shard partials.
-pub(crate) fn plan_scatter(q: &Query) -> ScatterPlan {
-    if q.distinct || !q.unions.is_empty() {
-        return ScatterPlan::Raw;
-    }
-    if !matches!(&q.from, Some(TableRef::Table { .. })) {
-        return ScatterPlan::Raw;
-    }
-    if let Some(plan) = plan_two_phase_aggregate(q) {
-        return plan;
-    }
-    if let Some(plan) = plan_top_k(q) {
-        return plan;
-    }
-    ScatterPlan::Raw
-}
-
-fn plan_two_phase_aggregate(q: &Query) -> Option<ScatterPlan> {
-    let mut proj = Vec::with_capacity(q.projection.len());
-    for it in &q.projection {
-        let SelectItem::Expr { expr, alias } = it else { return None };
-        proj.push((expr.clone(), alias.clone()));
-    }
-    if q.group_by.iter().any(Expr::contains_aggregate) {
-        return None;
-    }
-    let mut aggs = Vec::new();
-    for (e, _) in &proj {
-        if !collect_aggregates(e, &mut aggs) {
-            return None;
-        }
-    }
-    if let Some(h) = &q.having {
-        if !collect_aggregates(h, &mut aggs) {
-            return None;
-        }
-    }
-    for o in &q.order_by {
-        if !collect_aggregates(&o.expr, &mut aggs) {
-            return None;
-        }
-    }
-    if aggs.is_empty() && q.group_by.is_empty() {
-        return None;
-    }
-    let comp = Components { groups: q.group_by.clone(), aggs };
-
-    let names: Vec<String> =
-        proj.iter().enumerate().map(|(i, (e, a))| output_name(e, a, i)).collect();
-    // A bare `ORDER BY <group expr>` in the merge query resolves by output
-    // name first; bail out if a derived output name could shadow a partial
-    // column reference.
-    if !q.order_by.is_empty()
-        && names.iter().any(|n| {
-            n.strip_prefix('C').is_some_and(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit()))
-        })
-    {
-        return None;
-    }
-
-    let mut merge_proj = Vec::with_capacity(proj.len());
-    for (i, (e, _)) in proj.iter().enumerate() {
-        merge_proj.push(item(rewrite(e, &comp)?, names[i].clone()));
-    }
-    let merge_having = match &q.having {
-        Some(h) => Some(rewrite(h, &comp)?),
-        None => None,
-    };
-    let mut merge_order = Vec::with_capacity(q.order_by.len());
-    for o in &q.order_by {
-        let expr = if is_ordinal(&o.expr) { o.expr.clone() } else { rewrite(&o.expr, &comp)? };
-        merge_order.push(OrderByItem { expr, desc: o.desc });
-    }
-
-    let mut partial_proj = Vec::with_capacity(comp.groups.len() + comp.aggs.len());
-    for (i, g) in comp.groups.iter().enumerate() {
-        partial_proj.push(item(g.clone(), format!("C{i}")));
-    }
-    for (j, a) in comp.aggs.iter().enumerate() {
-        partial_proj.push(item(a.clone(), format!("C{}", comp.groups.len() + j)));
-    }
-    let partial = Query {
-        distinct: false,
-        projection: partial_proj,
-        from: q.from.clone(),
-        filter: q.filter.clone(),
-        group_by: q.group_by.clone(),
-        having: None,
-        unions: Vec::new(),
-        order_by: Vec::new(),
-        limit: None,
-    };
-    let merge = Query {
-        distinct: false,
-        projection: merge_proj,
-        from: gather_from(),
-        filter: None,
-        group_by: (0..comp.groups.len()).map(|i| col(format!("C{i}"))).collect(),
-        having: merge_having,
-        unions: Vec::new(),
-        order_by: merge_order,
-        limit: q.limit,
-    };
-    Some(ScatterPlan::TwoPhase { partial: Box::new(partial), merge: Box::new(merge) })
-}
-
-fn plan_top_k(q: &Query) -> Option<ScatterPlan> {
-    if !q.group_by.is_empty() || q.having.is_some() || q.order_by.is_empty() || q.limit.is_none() {
-        return None;
-    }
-    let mut proj = Vec::with_capacity(q.projection.len());
-    for it in &q.projection {
-        let SelectItem::Expr { expr, alias } = it else { return None };
-        if expr.contains_aggregate() {
-            return None;
-        }
-        proj.push((expr.clone(), alias.clone()));
-    }
-    let names: Vec<String> =
-        proj.iter().enumerate().map(|(i, (e, a))| output_name(e, a, i)).collect();
-    let mut sorted = names.clone();
-    sorted.sort();
-    sorted.dedup();
-    if sorted.len() != names.len() {
-        return None;
-    }
-    let mut merge_order = Vec::with_capacity(q.order_by.len());
-    for o in &q.order_by {
-        if o.expr.contains_aggregate() {
-            return None;
-        }
-        let expr = if is_ordinal(&o.expr) {
-            o.expr.clone()
-        } else if let Some(j) = proj.iter().position(|(e, _)| e == &o.expr) {
-            col(names[j].clone())
-        } else if let Expr::Column { qualifier: None, name } = &o.expr {
-            if names.iter().filter(|n| *n == name).count() == 1 {
-                col(name.clone())
-            } else {
-                return None;
+            TableRef::Subquery { query, .. } => {
+                if let Some(from) = &mut query.from {
+                    retarget(from, table, shard, schema);
+                }
             }
-        } else {
-            return None;
-        };
-        merge_order.push(OrderByItem { expr, desc: o.desc });
+        }
     }
-    let merge = Query {
-        distinct: false,
-        projection: vec![SelectItem::Wildcard],
-        from: gather_from(),
-        filter: None,
-        group_by: Vec::new(),
-        having: None,
-        unions: Vec::new(),
-        order_by: merge_order,
-        limit: q.limit,
-    };
-    Some(ScatterPlan::TwoPhase { partial: Box::new(q.clone()), merge: Box::new(merge) })
-}
-
-/// Retarget the query's single FROM table at a shard's physical table,
-/// keeping the original name visible as an alias so column qualifiers still
-/// resolve.
-pub(crate) fn with_shard_from(q: &Query, shard: &ObjectName) -> Query {
     let mut out = q.clone();
-    if let Some(TableRef::Table { name, alias }) = &q.from {
-        out.from = Some(TableRef::Table {
-            name: shard.clone(),
-            alias: Some(alias.clone().unwrap_or_else(|| name.name.clone())),
-        });
+    if let Some(from) = &mut out.from {
+        retarget(from, table, shard, default_schema);
     }
     out
 }
@@ -631,131 +331,6 @@ fn select_star(table: &ObjectName) -> Query {
         order_by: Vec::new(),
         limit: None,
     }
-}
-
-// ---------------------------------------------------------------------------
-// Join-filter pushdown for raw gathers
-// ---------------------------------------------------------------------------
-
-/// A build-side key summary that rides with each shard's gather request of
-/// an inner equi-join, so the node drops probe rows that cannot match any
-/// build key *before* encoding its reply frame. The summary is
-/// false-positive-only (Bloom filter plus min/max range), so false negatives
-/// are impossible and the merged answer is byte-identical with pushdown
-/// disabled — only gather traffic shrinks.
-pub(crate) struct GatherFilter {
-    /// Key column index in the sharded probe table's schema.
-    col: usize,
-    summary: wire::KeySummary,
-    /// Encoded summary size, charged on every shard's request leg.
-    bytes: usize,
-}
-
-/// An inner equi-join eligible for gather pushdown: the single sharded
-/// table is the probe side and `build` (replicated, gathered raw from DB2)
-/// supplies the keys summarized for the shards.
-struct JoinPushdown {
-    build: ObjectName,
-    probe_col: usize,
-    build_col: usize,
-}
-
-/// Detect a pushdown-eligible join in `q`: a plain (no UNION) inner join of
-/// two base tables, exactly one of them `sharded`, with at least one ON
-/// conjunct equating a bare probe column with a bare build column whose
-/// declared types share a key family (integer or character) — the same
-/// static gate the accelerator's typed join kernels use, so a value can
-/// never equal a key the summary cannot represent.
-fn find_join_pushdown(
-    q: &Query,
-    sharded: &ObjectName,
-    default_schema: &str,
-    schema_of: &dyn Fn(&ObjectName) -> Option<Schema>,
-) -> Option<JoinPushdown> {
-    if !q.unions.is_empty() {
-        return None;
-    }
-    let TableRef::Join { left, right, kind: JoinKind::Inner, on } = q.from.as_ref()? else {
-        return None;
-    };
-    let (TableRef::Table { name: ln, alias: la }, TableRef::Table { name: rn, alias: ra }) =
-        (left.as_ref(), right.as_ref())
-    else {
-        return None;
-    };
-    let (lr, rr) = (ln.resolve(default_schema), rn.resolve(default_schema));
-    let (pn, pa, bn, ba, build) = if lr == *sharded && rr != *sharded {
-        (ln, la, rn, ra, rr)
-    } else if rr == *sharded && lr != *sharded {
-        (rn, ra, ln, la, lr)
-    } else {
-        return None;
-    };
-    let plabel = pa.clone().unwrap_or_else(|| pn.name.clone());
-    let blabel = ba.clone().unwrap_or_else(|| bn.name.clone());
-    let probe_schema = schema_of(sharded)?;
-    let build_schema = schema_of(&build)?;
-    // Resolve a bare column to (is_probe, index), or None if ambiguous.
-    let side_of = |e: &Expr| -> Option<(bool, usize)> {
-        let Expr::Column { qualifier, name } = e else { return None };
-        match qualifier {
-            Some(q) if *q == plabel => probe_schema.index_of(name).ok().map(|i| (true, i)),
-            Some(q) if *q == blabel => build_schema.index_of(name).ok().map(|i| (false, i)),
-            Some(_) => None,
-            None => match (probe_schema.index_of(name).ok(), build_schema.index_of(name).ok()) {
-                (Some(i), None) => Some((true, i)),
-                (None, Some(i)) => Some((false, i)),
-                _ => None,
-            },
-        }
-    };
-    let mut stack = vec![on];
-    while let Some(e) = stack.pop() {
-        if let Expr::Binary { left, op, right } = e {
-            match op {
-                BinaryOp::And => {
-                    stack.push(right);
-                    stack.push(left);
-                }
-                BinaryOp::Eq => {
-                    if let (Some((ls, li)), Some((rs, ri))) = (side_of(left), side_of(right)) {
-                        if ls != rs {
-                            let (probe_col, build_col) = if ls { (li, ri) } else { (ri, li) };
-                            let pt = probe_schema.columns()[probe_col].data_type;
-                            let bt = build_schema.columns()[build_col].data_type;
-                            if (pt.is_integer() && bt.is_integer())
-                                || (pt.is_character() && bt.is_character())
-                            {
-                                return Some(JoinPushdown { build, probe_col, build_col });
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    None
-}
-
-/// Summarize the build side's key column for shipping to the shards.
-fn build_gather_filter(rows: &[Row], build_col: usize, probe_col: usize) -> GatherFilter {
-    let mut summary = wire::KeySummary::with_capacity(rows.len());
-    for r in rows {
-        match &r[build_col] {
-            Value::Null => {}
-            Value::SmallInt(v) => summary.insert_i64(i64::from(*v)),
-            Value::Int(v) => summary.insert_i64(i64::from(*v)),
-            Value::BigInt(v) => summary.insert_i64(*v),
-            Value::Varchar(s) => summary.insert_str(s),
-            // Unreachable under the declared-type gate; a value the summary
-            // cannot represent is simply not inserted, and the probe side's
-            // matching values pass through `matches_value` untouched.
-            _ => {}
-        }
-    }
-    let bytes = wire::encode_summary(&summary).len();
-    GatherFilter { col: probe_col, summary, bytes }
 }
 
 // ---------------------------------------------------------------------------
@@ -983,16 +558,17 @@ impl Idaa {
         Ok(())
     }
 
-    /// Run a routed query on the accelerator side and hand back the rows the
-    /// host decodes from the reply frames.
+    /// Run a routed query (`q`, planned as `plan`) on the accelerator side
+    /// and hand back the rows the host decodes from the reply frames.
     pub(crate) fn accel_read(
         &self,
         session: &mut Session,
         q: &Query,
+        plan: &Plan,
         tables: &[ObjectName],
-        plan: &ReadPlan,
+        read: &ReadPlan,
     ) -> Result<Rows> {
-        let sharded = match plan {
+        let sharded = match read {
             ReadPlan::Whole => {
                 let served = self.read_on_owners(session, 0, &tables[0], |node, s| {
                     self.query_on(node, s, q, None)
@@ -1001,14 +577,23 @@ impl Idaa {
             }
             ReadPlan::Scatter(sharded) => sharded,
         };
+        let schema = &self.config.default_schema;
+        let cut = match &sharded[..] {
+            [table] => cut(plan, &|t: &ObjectName| t.resolve(schema) == *table),
+            _ => None,
+        };
         let trace = session.trace.clone();
         let span = if trace.is_enabled() { Some(trace.begin("gather", self.link().now())) } else { None };
         if let Some(id) = span {
             let list = sharded.iter().map(|t| t.to_string()).collect::<Vec<_>>().join(",");
             trace.attr(id, "tables", list);
             trace.attr(id, "shards", self.fleet.shards);
+            trace.attr(id, "merge", cut.as_ref().map_or("raw", |c| c.merge.name()));
         }
-        let result = self.scatter(session, q, tables, sharded);
+        let result = match &cut {
+            Some(cut) => self.gather_partials(session, q, plan, cut, &sharded[0]),
+            None => self.gather_raw(session, q, tables, sharded),
+        };
         if let Some(id) = span {
             if let Err(e) = &result {
                 trace.attr(id, "err", e);
@@ -1018,9 +603,31 @@ impl Idaa {
         result
     }
 
-    /// Scatter `q` to the shards of `sharded` in ascending shard order and
-    /// merge the gathered partials on a coordinator-local scratch engine.
-    fn scatter(
+    /// Each shard of `table`, in ascending order, runs `q` up to `cut` and
+    /// ships the cut's partial; the coordinator merges them and runs the
+    /// plan's nodes above the cut.
+    fn gather_partials(
+        &self,
+        session: &mut Session,
+        q: &Query,
+        plan: &Plan,
+        cut: &Cut,
+        table: &ObjectName,
+    ) -> Result<Rows> {
+        let shards = self.fleet.shards;
+        let mut parts = Vec::with_capacity(shards);
+        for s in 0..shards {
+            let st = shard_table(table, s, shards);
+            let pq = with_shard_from(q, table, &st, &self.config.default_schema);
+            parts.push(self.gather_shard(session, table, s, &pq, Some(&st))?.rows);
+        }
+        Ok(Rows::new(plan.schema(), cut.merge(plan, parts)?))
+    }
+
+    /// Gather every row of each sharded table (shard by shard) and of every
+    /// other table (from DB2) into a coordinator-local scratch engine, and
+    /// run `q` there: the plans that have no scatter cut.
+    fn gather_raw(
         &self,
         session: &mut Session,
         q: &Query,
@@ -1029,91 +636,45 @@ impl Idaa {
     ) -> Result<Rows> {
         let shards = self.fleet.shards;
         let scratch = AccelEngine::new(&self.config.default_schema, self.config.accel.clone());
-        let plan = if sharded.len() == 1 { plan_scatter(q) } else { ScatterPlan::Raw };
-        match plan {
-            ScatterPlan::TwoPhase { partial, merge } => {
-                let table = &sharded[0];
-                let gather = ObjectName::bare(GATHER);
-                let mut created = false;
-                for s in 0..shards {
-                    let pq = with_shard_from(&partial, &shard_table(table, s, shards));
-                    let rows = self.gather_shard(session, table, s, &pq, None)?;
-                    if !created {
-                        scratch.create_table(&gather, rows.schema.clone(), &[])?;
-                        created = true;
-                    }
-                    scratch.load_committed(&gather, rows.rows)?;
-                }
-                scratch.query(0, &merge)
+        for t in tables {
+            if t.name == "SYSDUMMY1" || scratch.has_table(t) {
+                continue;
             }
-            ScatterPlan::Raw => {
-                let mut staged: Vec<ObjectName> = Vec::new();
-                // Inner equi-join against one sharded probe table: stage the
-                // build side first and ship its key summary with every shard
-                // gather, so shards pre-filter probe rows before encoding.
-                let mut filter: Option<GatherFilter> = None;
-                if self.config.fleet.join_pushdown && sharded.len() == 1 {
-                    let schema_of = |t: &ObjectName| -> Option<Schema> {
-                        self.host.table_meta(t).ok().map(|m| m.schema.clone())
-                    };
-                    if let Some(pd) =
-                        find_join_pushdown(q, &sharded[0], &self.config.default_schema, &schema_of)
-                    {
-                        let meta = self.host.table_meta(&pd.build)?;
-                        scratch.create_table(&pd.build, meta.schema.clone(), &[])?;
-                        let build_rows = self.host.scan_all(&pd.build)?;
-                        filter = Some(build_gather_filter(&build_rows, pd.build_col, pd.probe_col));
-                        scratch.load_committed(&pd.build, build_rows)?;
-                        staged.push(pd.build);
-                    }
+            scratch.create_table(t, self.host.table_meta(t)?.schema.clone(), &[])?;
+            if sharded.contains(t) {
+                for s in 0..shards {
+                    let pq = select_star(&shard_table(t, s, shards));
+                    scratch.load_committed(t, self.gather_shard(session, t, s, &pq, None)?.rows)?;
                 }
-                for t in tables {
-                    if t.name == "SYSDUMMY1" || staged.contains(t) {
-                        continue;
-                    }
-                    let meta = self.host.table_meta(t)?;
-                    scratch.create_table(t, meta.schema.clone(), &[])?;
-                    if sharded.contains(t) {
-                        for s in 0..shards {
-                            let pq = select_star(&shard_table(t, s, shards));
-                            let rows = self.gather_shard(session, t, s, &pq, filter.as_ref())?;
-                            scratch.load_committed(t, rows.rows)?;
-                        }
-                    } else {
-                        scratch.load_committed(t, self.host.scan_all(t)?)?;
-                    }
-                    staged.push(t.clone());
-                }
-                scratch.query(0, q)
+            } else {
+                scratch.load_committed(t, self.host.scan_all(t)?)?;
             }
         }
+        scratch.query(0, q)
     }
 
-    /// Fetch one shard's partial result under a "shard" span naming the
-    /// node that served it.
+    /// Fetch one shard's reply to `pq` (a partial when `cut_at` names the
+    /// shard's table) under a "shard" span naming the node that served it.
     fn gather_shard(
         &self,
         session: &mut Session,
         table: &ObjectName,
         shard: usize,
         pq: &Query,
-        prefilter: Option<&GatherFilter>,
+        cut_at: Option<&ObjectName>,
     ) -> Result<Rows> {
         let trace = session.trace.clone();
         let span = if trace.is_enabled() { Some(trace.begin("shard", self.link().now())) } else { None };
         if let Some(id) = span {
             trace.attr(id, "table", table);
             trace.attr(id, "shard", shard);
-            if let Some(f) = prefilter {
-                trace.attr(id, "summary_bytes", f.bytes);
-            }
         }
         let result = self.read_on_owners(session, shard, table, |node, s| {
             if let Err(e) = node.engine.crash_point(sites::MID_SCATTER) {
                 self.fleet.mark_catch_up(node.id);
                 return Err(e);
             }
-            self.query_on(node, s, pq, prefilter)
+            self.query_on(node, s, pq, cut_at)
         });
         if let Some(id) = span {
             match &result {
@@ -1128,30 +689,28 @@ impl Idaa {
         result.map(|(rows, _)| rows)
     }
 
-    /// Ship `q` to `node`, execute it there (profiling the plan into "op"
-    /// spans whenever tracing is on), and pay for the result set's trip back
-    /// as an encoded wire frame. A `prefilter` rides on the request leg and
-    /// drops rows that cannot join before the reply is encoded.
+    /// Ship `q` to `node`, execute it there — whole, or up to its scatter
+    /// cut when `cut_at` names the node's shard table — profiling the plan
+    /// that ran into "op" spans whenever tracing is on, and pay for the
+    /// result's trip back as an encoded wire frame.
     fn query_on(
         &self,
         node: &AccelNode,
         session: &mut Session,
         q: &Query,
-        prefilter: Option<&GatherFilter>,
+        cut_at: Option<&ObjectName>,
     ) -> Result<Rows> {
         let txn = self.node_query_txn(session, node);
         let trace = session.trace.clone();
-        let request = q.to_string().len() + wire::CONTROL_FRAME + prefilter.map_or(0, |f| f.bytes);
+        let request = q.to_string().len() + wire::CONTROL_FRAME;
         self.exchange_rows(node, session, request, || {
-            let mut rows = if trace.is_enabled() {
-                let (rows, plan, profile) = node.engine.query_profiled(txn, q)?;
-                self.emit_plan_spans(&trace, &plan, &profile, node.link.now());
-                rows
-            } else {
-                node.engine.query(txn, q)?
+            let (rows, plan, profile) = match cut_at {
+                Some(shard) => node.engine.query_partial(txn, q, shard)?,
+                None if trace.is_enabled() => node.engine.query_profiled(txn, q)?,
+                None => return node.engine.query(txn, q),
             };
-            if let Some(f) = prefilter {
-                rows.rows.retain(|r| f.summary.matches_value(&r[f.col]));
+            if trace.is_enabled() {
+                self.emit_plan_spans(&trace, &plan, &profile, node.link.now());
             }
             Ok(rows)
         })
@@ -1581,125 +1140,21 @@ mod tests {
     }
 
     #[test]
-    fn mergeable_aggregates_plan_two_phase() {
-        let plan =
-            plan_scatter(&q("SELECT REGION, COUNT(*), SUM(AMOUNT) FROM SALES GROUP BY REGION"));
-        let ScatterPlan::TwoPhase { partial, merge } = plan else {
-            panic!("expected two-phase plan")
-        };
+    fn with_shard_from_retargets_the_table_anywhere_in_the_from_tree() {
+        let (table, shard) = (ObjectName::qualified("APP", "SALES"), ObjectName::qualified("APP", "SALES__S1"));
+        let retarget = |sql: &str| with_shard_from(&q(sql), &table, &shard, "APP").to_string();
         assert_eq!(
-            partial.to_string(),
-            "SELECT REGION AS C0, COUNT(*) AS C1, SUM(AMOUNT) AS C2 FROM SALES GROUP BY REGION"
-        );
-        assert_eq!(
-            merge.to_string(),
-            "SELECT C0 AS REGION, SUM(C1) AS C2, SUM(C2) AS C3 FROM __GATHER GROUP BY C0"
-        );
-    }
-
-    #[test]
-    fn global_aggregates_merge_without_groups() {
-        let plan = plan_scatter(&q("SELECT COUNT(*) AS N, MIN(X) AS LO FROM T WHERE X > 3"));
-        let ScatterPlan::TwoPhase { partial, merge } = plan else {
-            panic!("expected two-phase plan")
-        };
-        assert_eq!(
-            partial.to_string(),
-            "SELECT COUNT(*) AS C0, MIN(X) AS C1 FROM T WHERE (X > 3)"
-        );
-        assert_eq!(merge.to_string(), "SELECT SUM(C0) AS N, MIN(C1) AS LO FROM __GATHER");
-    }
-
-    #[test]
-    fn avg_distinct_and_joins_gather_raw() {
-        assert!(matches!(plan_scatter(&q("SELECT AVG(X) FROM T")), ScatterPlan::Raw));
-        assert!(matches!(plan_scatter(&q("SELECT COUNT(DISTINCT X) FROM T")), ScatterPlan::Raw));
-        assert!(matches!(plan_scatter(&q("SELECT DISTINCT X FROM T")), ScatterPlan::Raw));
-        assert!(matches!(
-            plan_scatter(&q("SELECT A.X FROM A JOIN B ON A.K = B.K")),
-            ScatterPlan::Raw
-        ));
-    }
-
-    #[test]
-    fn top_k_pushes_order_and_limit_per_shard() {
-        let original = q("SELECT ID, AMOUNT FROM SALES ORDER BY AMOUNT DESC LIMIT 5");
-        let plan = plan_scatter(&original);
-        let ScatterPlan::TwoPhase { partial, merge } = plan else {
-            panic!("expected two-phase plan")
-        };
-        assert_eq!(*partial, original);
-        assert_eq!(merge.to_string(), "SELECT * FROM __GATHER ORDER BY AMOUNT DESC LIMIT 5");
-    }
-
-    #[test]
-    fn unlimited_scans_gather_raw() {
-        assert!(matches!(plan_scatter(&q("SELECT X FROM T")), ScatterPlan::Raw));
-        assert!(matches!(plan_scatter(&q("SELECT X FROM T ORDER BY X")), ScatterPlan::Raw));
-    }
-
-    #[test]
-    fn with_shard_from_preserves_qualifier_resolution() {
-        let original = q("SELECT SALES.ID FROM SALES WHERE SALES.ID > 1");
-        let shard = ObjectName::qualified("APP", "SALES__S1");
-        let rewritten = with_shard_from(&original, &shard);
-        assert_eq!(
-            rewritten.to_string(),
+            retarget("SELECT SALES.ID FROM SALES WHERE SALES.ID > 1"),
             "SELECT SALES.ID FROM APP.SALES__S1 AS SALES WHERE (SALES.ID > 1)"
         );
-    }
-
-    #[test]
-    fn join_pushdown_detects_typed_inner_equi_joins_only() {
-        use idaa_common::{ColumnDef, DataType};
-        let probe = Schema::new(vec![
-            ColumnDef::not_null("K", DataType::Integer),
-            ColumnDef::new("V", DataType::Double),
-        ])
-        .unwrap();
-        let build = Schema::new(vec![
-            ColumnDef::not_null("K", DataType::BigInt),
-            ColumnDef::new("NAME", DataType::Varchar(10)),
-        ])
-        .unwrap();
-        let schema_of = |t: &ObjectName| -> Option<Schema> {
-            match t.name.as_str() {
-                "F" => Some(probe.clone()),
-                "D" => Some(build.clone()),
-                _ => None,
-            }
-        };
-        let sharded = ObjectName::bare("F").resolve("APP");
-        let find = |sql: &str| find_join_pushdown(&q(sql), &sharded, "APP", &schema_of);
-        // Inner equi-join on an integer-family key pair qualifies.
-        let pd = find("SELECT * FROM F JOIN D ON F.K = D.K AND F.V > 1").unwrap();
-        assert_eq!((pd.probe_col, pd.build_col), (0, 0));
-        assert_eq!(pd.build, ObjectName::bare("D").resolve("APP"));
-        // Probe/build sides swap freely.
-        assert!(find("SELECT * FROM D JOIN F ON D.K = F.K").is_some());
-        // LEFT joins must keep non-matching probe rows for null padding.
-        assert!(find("SELECT * FROM F LEFT JOIN D ON F.K = D.K").is_none());
-        // Self-joins, mixed key families, and non-equi conjuncts don't.
-        assert!(find("SELECT * FROM F A JOIN F B ON A.K = B.K").is_none());
-        assert!(find("SELECT * FROM F JOIN D ON F.K = D.NAME").is_none());
-        assert!(find("SELECT * FROM F JOIN D ON F.K > D.K").is_none());
-    }
-
-    #[test]
-    fn gather_filter_is_false_positive_only() {
-        let rows: Vec<Row> = (0..50)
-            .map(|i| vec![Value::Int(i * 3), Value::Varchar(format!("N{i}"))])
-            .collect();
-        let f = build_gather_filter(&rows, 0, 0);
-        // Every build key must pass; NULLs never do.
-        for r in &rows {
-            assert!(f.summary.matches_value(&r[0]));
-        }
-        assert!(!f.summary.matches_value(&Value::Null));
-        // Out-of-range probes are cut off by the min/max guard.
-        assert!(!f.summary.matches_value(&Value::Int(-1)));
-        assert!(!f.summary.matches_value(&Value::Int(1000)));
-        assert!(f.bytes > 0);
+        assert_eq!(
+            retarget("SELECT s.ID, d.NAME FROM DIM d JOIN APP.SALES s ON s.ID = d.ID"),
+            "SELECT S.ID, D.NAME FROM DIM AS D INNER JOIN APP.SALES__S1 AS S ON (S.ID = D.ID)"
+        );
+        assert_eq!(
+            retarget("SELECT COUNT(*) FROM (SELECT DISTINCT ID FROM SALES) AS u"),
+            "SELECT COUNT(*) FROM (SELECT DISTINCT ID FROM APP.SALES__S1 AS SALES) AS U"
+        );
     }
 
     #[test]

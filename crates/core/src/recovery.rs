@@ -367,10 +367,14 @@ impl Idaa {
 
     /// Copy every shard a lagging node owns from a live replica, metering
     /// both legs of the transfer. The node stays flagged until a full pass
-    /// succeeds; a pass that found nothing to copy from is not counted.
+    /// succeeds: a flagged node that finds no up-to-date owner to copy some
+    /// shard from stays flagged and fails the pass (-904), so it never
+    /// serves rows it may have missed. A pass that copied nothing is not
+    /// counted.
     pub(crate) fn catch_up_node(&self, node: &AccelNode) -> Result<()> {
         let shards = self.fleet.shards;
         let mut copied = false;
+        let mut stranded = None;
         for name in self.host.table_names() {
             let meta = self.host.table_meta(&name)?;
             if meta.kind != TableKind::AcceleratorOnly {
@@ -386,6 +390,10 @@ impl Idaa {
                         && !self.nodes[o].engine.is_crashed()
                         && !self.fleet.needs_catch_up(o)
                 }) else {
+                    // A sole owner has no one to lag behind.
+                    if owners.len() > 1 {
+                        stranded = Some((s, meta.name.clone()));
+                    }
                     continue;
                 };
                 let src = self.nodes[src_id].clone();
@@ -406,10 +414,21 @@ impl Idaa {
                 copied = true;
             }
         }
-        self.fleet.clear_catch_up(node.id);
         if copied {
             self.metrics.inc("fleet.catch_ups", 1);
         }
-        Ok(())
+        match stranded {
+            Some((s, table)) if self.fleet.needs_catch_up(node.id) => {
+                Err(Error::ResourceUnavailable(format!(
+                    "accelerator node {} cannot catch up shard {s} of {table}: no up-to-date \
+                     replica is available",
+                    node.id
+                )))
+            }
+            _ => {
+                self.fleet.clear_catch_up(node.id);
+                Ok(())
+            }
+        }
     }
 }

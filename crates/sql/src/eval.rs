@@ -344,46 +344,27 @@ pub fn eval_predicate(expr: &BoundExpr, row: &[Value]) -> Result<bool> {
 }
 
 fn eval_binary(left: &BoundExpr, op: BinaryOp, right: &BoundExpr, row: &[Value]) -> Result<Value> {
+    use std::cmp::Ordering::*;
+    let l = eval(left, row)?;
     // AND/OR use Kleene logic and short-circuit.
     match op {
-        BinaryOp::And => {
-            let l = eval(left, row)?;
-            if l == Value::Boolean(false) {
-                return Ok(Value::Boolean(false));
-            }
-            let r = eval(right, row)?;
-            return kleene_and(l, r);
-        }
-        BinaryOp::Or => {
-            let l = eval(left, row)?;
-            if l == Value::Boolean(true) {
-                return Ok(Value::Boolean(true));
-            }
-            let r = eval(right, row)?;
-            return kleene_or(l, r);
-        }
+        BinaryOp::And if l == Value::Boolean(false) => return Ok(Value::Boolean(false)),
+        BinaryOp::Or if l == Value::Boolean(true) => return Ok(Value::Boolean(true)),
         _ => {}
     }
-    let l = eval(left, row)?;
     let r = eval(right, row)?;
+    let compared = |holds: fn(std::cmp::Ordering) -> bool| -> Result<Value> {
+        Ok(l.compare(&r)?.map_or(Value::Null, |o| Value::Boolean(holds(o))))
+    };
     match op {
-        BinaryOp::Eq | BinaryOp::Neq | BinaryOp::Lt | BinaryOp::LtEq | BinaryOp::Gt | BinaryOp::GtEq => {
-            let ord = match l.compare(&r)? {
-                Some(o) => o,
-                None => return Ok(Value::Null),
-            };
-            use std::cmp::Ordering::*;
-            let b = match op {
-                BinaryOp::Eq => ord == Equal,
-                BinaryOp::Neq => ord != Equal,
-                BinaryOp::Lt => ord == Less,
-                BinaryOp::LtEq => ord != Greater,
-                BinaryOp::Gt => ord == Greater,
-                BinaryOp::GtEq => ord != Less,
-                _ => unreachable!(),
-            };
-            Ok(Value::Boolean(b))
-        }
+        BinaryOp::And => kleene_and(l, r),
+        BinaryOp::Or => kleene_or(l, r),
+        BinaryOp::Eq => compared(|o| o == Equal),
+        BinaryOp::Neq => compared(|o| o != Equal),
+        BinaryOp::Lt => compared(|o| o == Less),
+        BinaryOp::LtEq => compared(|o| o != Greater),
+        BinaryOp::Gt => compared(|o| o == Greater),
+        BinaryOp::GtEq => compared(|o| o != Less),
         BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div | BinaryOp::Mod => {
             arithmetic(&l, op, &r)
         }
@@ -393,7 +374,6 @@ fn eval_binary(left: &BoundExpr, op: BinaryOp, right: &BoundExpr, row: &[Value])
             }
             Ok(Value::Varchar(format!("{}{}", l.render(), r.render())))
         }
-        BinaryOp::And | BinaryOp::Or => unreachable!(),
     }
 }
 
@@ -424,11 +404,9 @@ fn bool3(v: &Value) -> Result<Option<bool>> {
 /// Numeric binary arithmetic with DB2-style type promotion: DOUBLE wins,
 /// then DECIMAL, then BIGINT.
 pub fn arithmetic(l: &Value, op: BinaryOp, r: &Value) -> Result<Value> {
-    if l.is_null() || r.is_null() {
-        return Ok(Value::Null);
-    }
-    let lt = l.data_type().unwrap();
-    let rt = r.data_type().unwrap();
+    // Only NULL has no type.
+    let (Some(lt), Some(rt)) = (l.data_type(), r.data_type()) else { return Ok(Value::Null) };
+    let not_arithmetic = || Error::internal(format!("{op:?} is not an arithmetic operator"));
     if !lt.is_numeric() || !rt.is_numeric() {
         // DATE ± integer days is the one non-numeric arithmetic we support.
         if let (Value::Date(d), BinaryOp::Add | BinaryOp::Sub, Ok(days)) = (l, op, r.as_i64()) {
@@ -458,7 +436,7 @@ pub fn arithmetic(l: &Value, op: BinaryOp, r: &Value) -> Result<Value> {
                 }
                 a % b
             }
-            _ => unreachable!(),
+            _ => return Err(not_arithmetic()),
         };
         return Ok(Value::Double(v));
     }
@@ -477,7 +455,7 @@ pub fn arithmetic(l: &Value, op: BinaryOp, r: &Value) -> Result<Value> {
                 let q = a.div(&b)?.rescale(0)?;
                 a.sub(&q.mul(&b)?)?
             }
-            _ => unreachable!(),
+            _ => return Err(not_arithmetic()),
         };
         return Ok(Value::Decimal(v));
     }
@@ -499,7 +477,7 @@ pub fn arithmetic(l: &Value, op: BinaryOp, r: &Value) -> Result<Value> {
             }
             a.checked_rem(b)
         }
-        _ => unreachable!(),
+        _ => return Err(not_arithmetic()),
     }
     .ok_or_else(|| Error::Arithmetic("integer overflow".into()))?;
     Ok(Value::BigInt(v))
@@ -633,26 +611,17 @@ pub fn eval_scalar_function(name: &str, args: &[Value]) -> Result<Value> {
             };
             Ok(Value::Varchar(chars.iter().skip(start).take(take).collect()))
         }
-        "YEAR" => {
+        "YEAR" | "MONTH" | "DAY" => {
             let [v] = args else { return Err(argc_err(1)) };
-            let d = v.cast(DataType::Date)?;
-            let Value::Date(days) = d else { return Err(Error::TypeMismatch("YEAR".into())) };
-            let rendered = idaa_common::value::render_date(days);
-            Ok(Value::Int(rendered[..4].parse().unwrap()))
-        }
-        "MONTH" => {
-            let [v] = args else { return Err(argc_err(1)) };
-            let d = v.cast(DataType::Date)?;
-            let Value::Date(days) = d else { return Err(Error::TypeMismatch("MONTH".into())) };
-            let rendered = idaa_common::value::render_date(days);
-            Ok(Value::Int(rendered[5..7].parse().unwrap()))
-        }
-        "DAY" => {
-            let [v] = args else { return Err(argc_err(1)) };
-            let d = v.cast(DataType::Date)?;
-            let Value::Date(days) = d else { return Err(Error::TypeMismatch("DAY".into())) };
-            let rendered = idaa_common::value::render_date(days);
-            Ok(Value::Int(rendered[8..10].parse().unwrap()))
+            let Value::Date(days) = v.cast(DataType::Date)? else {
+                return Err(Error::TypeMismatch(name.into()));
+            };
+            let (year, month, day) = idaa_common::value::civil_from_days(days);
+            Ok(Value::Int(match name {
+                "YEAR" => year,
+                "MONTH" => month,
+                _ => day,
+            }))
         }
         other => Err(Error::Unsupported(format!("function {other} is not implemented"))),
     }
@@ -789,13 +758,11 @@ impl AggState {
     /// interpreter.
     #[inline]
     pub fn update_i64(&mut self, v: i64, native: impl Fn(i64) -> Value) -> Result<()> {
-        if self.seen.is_some()
-            || matches!(self.kind, AggregateKind::Stddev | AggregateKind::Variance)
-        {
+        if self.seen.is_some() {
             return self.update(&native(v));
         }
-        self.count += 1;
         match self.kind {
+            AggregateKind::Stddev | AggregateKind::Variance => return self.update(&native(v)),
             AggregateKind::Count | AggregateKind::CountStar => {}
             AggregateKind::Sum | AggregateKind::Avg => match &mut self.sum {
                 // After the first value, integer sums are always BigInt
@@ -806,63 +773,58 @@ impl AggState {
                         .ok_or_else(|| Error::Arithmetic("integer overflow".into()))?;
                 }
                 None => self.sum = Some(native(v)),
-                Some(_) => {
-                    let acc = self.sum.take().unwrap();
-                    self.sum = Some(arithmetic(&acc, BinaryOp::Add, &native(v))?);
-                }
+                Some(acc) => *acc = arithmetic(acc, BinaryOp::Add, &native(v))?,
             },
-            AggregateKind::Min => match &self.min {
+            AggregateKind::Min => match &mut self.min {
                 Some(Value::BigInt(m)) => {
                     if v < *m {
-                        self.min = Some(Value::BigInt(v));
+                        *m = v;
                     }
                 }
                 Some(Value::Int(m)) => {
-                    if v < *m as i64 {
+                    if v < i64::from(*m) {
                         self.min = Some(native(v));
                     }
                 }
                 Some(Value::SmallInt(m)) => {
-                    if v < *m as i64 {
+                    if v < i64::from(*m) {
                         self.min = Some(native(v));
                     }
                 }
                 None => self.min = Some(native(v)),
-                Some(_) => {
+                Some(cur) => {
                     let nv = native(v);
-                    if nv.compare(self.min.as_ref().unwrap())? == Some(std::cmp::Ordering::Less) {
-                        self.min = Some(nv);
+                    if nv.compare(cur)? == Some(std::cmp::Ordering::Less) {
+                        *cur = nv;
                     }
                 }
             },
-            AggregateKind::Max => match &self.max {
+            AggregateKind::Max => match &mut self.max {
                 Some(Value::BigInt(m)) => {
                     if v > *m {
-                        self.max = Some(Value::BigInt(v));
+                        *m = v;
                     }
                 }
                 Some(Value::Int(m)) => {
-                    if v > *m as i64 {
+                    if v > i64::from(*m) {
                         self.max = Some(native(v));
                     }
                 }
                 Some(Value::SmallInt(m)) => {
-                    if v > *m as i64 {
+                    if v > i64::from(*m) {
                         self.max = Some(native(v));
                     }
                 }
                 None => self.max = Some(native(v)),
-                Some(_) => {
+                Some(cur) => {
                     let nv = native(v);
-                    if nv.compare(self.max.as_ref().unwrap())?
-                        == Some(std::cmp::Ordering::Greater)
-                    {
-                        self.max = Some(nv);
+                    if nv.compare(cur)? == Some(std::cmp::Ordering::Greater) {
+                        *cur = nv;
                     }
                 }
             },
-            AggregateKind::Stddev | AggregateKind::Variance => unreachable!("handled above"),
         }
+        self.count += 1;
         Ok(())
     }
 
@@ -873,54 +835,47 @@ impl AggState {
     /// replaces, matching `Value::compare` returning `None`).
     #[inline]
     pub fn update_f64(&mut self, v: f64) -> Result<()> {
-        if self.seen.is_some()
-            || matches!(self.kind, AggregateKind::Stddev | AggregateKind::Variance)
-        {
+        if self.seen.is_some() {
             return self.update(&Value::Double(v));
         }
-        self.count += 1;
         match self.kind {
+            AggregateKind::Stddev | AggregateKind::Variance => return self.update(&Value::Double(v)),
             AggregateKind::Count | AggregateKind::CountStar => {}
             AggregateKind::Sum | AggregateKind::Avg => match &mut self.sum {
                 Some(Value::Double(acc)) => *acc += v,
                 None => self.sum = Some(Value::Double(v)),
-                Some(_) => {
-                    let acc = self.sum.take().unwrap();
-                    self.sum = Some(arithmetic(&acc, BinaryOp::Add, &Value::Double(v))?);
-                }
+                Some(acc) => *acc = arithmetic(acc, BinaryOp::Add, &Value::Double(v))?,
             },
-            AggregateKind::Min => match &self.min {
+            AggregateKind::Min => match &mut self.min {
                 Some(Value::Double(m)) => {
                     if v < *m {
-                        self.min = Some(Value::Double(v));
+                        *m = v;
                     }
                 }
                 None => self.min = Some(Value::Double(v)),
-                Some(_) => {
+                Some(cur) => {
                     let nv = Value::Double(v);
-                    if nv.compare(self.min.as_ref().unwrap())? == Some(std::cmp::Ordering::Less) {
-                        self.min = Some(nv);
+                    if nv.compare(cur)? == Some(std::cmp::Ordering::Less) {
+                        *cur = nv;
                     }
                 }
             },
-            AggregateKind::Max => match &self.max {
+            AggregateKind::Max => match &mut self.max {
                 Some(Value::Double(m)) => {
                     if v > *m {
-                        self.max = Some(Value::Double(v));
+                        *m = v;
                     }
                 }
                 None => self.max = Some(Value::Double(v)),
-                Some(_) => {
+                Some(cur) => {
                     let nv = Value::Double(v);
-                    if nv.compare(self.max.as_ref().unwrap())?
-                        == Some(std::cmp::Ordering::Greater)
-                    {
-                        self.max = Some(nv);
+                    if nv.compare(cur)? == Some(std::cmp::Ordering::Greater) {
+                        *cur = nv;
                     }
                 }
             },
-            AggregateKind::Stddev | AggregateKind::Variance => unreachable!("handled above"),
         }
+        self.count += 1;
         Ok(())
     }
 
@@ -1026,6 +981,85 @@ impl AggState {
                 }
             }
         })
+    }
+
+    /// The columns a partial state of `kind` ships as, in order: name and
+    /// type, `None` standing for the aggregate argument's type (a wire frame
+    /// keeps each value's own variant either way). A DISTINCT state ships
+    /// its value set instead, one value per tuple.
+    pub fn state_columns(
+        kind: AggregateKind,
+        distinct: bool,
+    ) -> &'static [(&'static str, Option<DataType>)] {
+        const COUNT: (&str, Option<DataType>) = ("COUNT", Some(DataType::BigInt));
+        match kind {
+            _ if distinct => &[("VALUE", None)],
+            AggregateKind::CountStar | AggregateKind::Count => &[COUNT],
+            AggregateKind::Sum | AggregateKind::Avg => &[("SUM", None), COUNT],
+            AggregateKind::Min => &[("MIN", None)],
+            AggregateKind::Max => &[("MAX", None)],
+            AggregateKind::Stddev | AggregateKind::Variance => {
+                &[COUNT, ("MEAN", Some(DataType::Double)), ("M2", Some(DataType::Double))]
+            }
+        }
+    }
+
+    /// This state as tuples in the layout of [`AggState::state_columns`]:
+    /// one tuple holding the accumulator, or for a DISTINCT state one per
+    /// value of its set in `cmp_total` order (one NULL for an empty set).
+    /// Read back through [`AggState::read_columns`], the tuples merge into
+    /// what this state holds.
+    pub fn write_columns(&self) -> Vec<Vec<Value>> {
+        if let Some(seen) = &self.seen {
+            let mut values: Vec<Value> = seen.iter().cloned().collect();
+            values.sort_by(Value::cmp_total);
+            if values.is_empty() {
+                values.push(Value::Null);
+            }
+            return values.into_iter().map(|v| vec![v]).collect();
+        }
+        let or_null = |v: &Option<Value>| v.clone().unwrap_or(Value::Null);
+        let count = Value::BigInt(self.count);
+        vec![match self.kind {
+            AggregateKind::CountStar | AggregateKind::Count => vec![count],
+            AggregateKind::Sum | AggregateKind::Avg => vec![or_null(&self.sum), count],
+            AggregateKind::Min => vec![or_null(&self.min)],
+            AggregateKind::Max => vec![or_null(&self.max)],
+            AggregateKind::Stddev | AggregateKind::Variance => {
+                vec![count, Value::Double(self.w_mean), Value::Double(self.w_m2)]
+            }
+        }]
+    }
+
+    /// The state one tuple of [`AggState::write_columns`] stands for; an
+    /// all-NULL tuple is the empty state.
+    pub fn read_columns(kind: AggregateKind, distinct: bool, cols: &[Value]) -> Result<AggState> {
+        let mut state = AggState::new(kind, distinct);
+        let width = || Error::internal(format!("a partial {kind:?} state of {} columns", cols.len()));
+        if distinct {
+            let [v] = cols else { return Err(width()) };
+            state.update(v)?;
+            return Ok(state);
+        }
+        let count = |v: &Value| if v.is_null() { Ok(0) } else { v.as_i64() };
+        let float = |v: &Value| if v.is_null() { Ok(0.0) } else { v.as_f64() };
+        let value = |v: &Value| (!v.is_null()).then(|| v.clone());
+        match (kind, cols) {
+            (AggregateKind::CountStar | AggregateKind::Count, [n]) => state.count = count(n)?,
+            (AggregateKind::Sum | AggregateKind::Avg, [sum, n]) => {
+                state.sum = value(sum);
+                state.count = count(n)?;
+            }
+            (AggregateKind::Min, [v]) => state.min = value(v),
+            (AggregateKind::Max, [v]) => state.max = value(v),
+            (AggregateKind::Stddev | AggregateKind::Variance, [n, mean, m2]) => {
+                state.count = count(n)?;
+                state.w_mean = float(mean)?;
+                state.w_m2 = float(m2)?;
+            }
+            _ => return Err(width()),
+        }
+        Ok(state)
     }
 }
 

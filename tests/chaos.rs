@@ -1259,6 +1259,42 @@ fn fleet_direct_load_survives_an_owner_losing_its_link() {
     assert_eq!(run(), (rows, metrics), "the run must replay byte-identically");
 }
 
+/// Two accelerators, one shard, replication factor 2: node 1 misses a
+/// write while its link is down, then node 0 — the only up-to-date owner —
+/// becomes unavailable. Node 1 cannot catch up from anyone, so it must not
+/// serve: the read fails with -904, never with node 1's stale rows, and
+/// returns the fault-free answer once node 0 is back.
+#[test]
+fn fleet_catch_up_without_a_source_keeps_the_lagging_node_out() {
+    let fleet = FleetConfig { accelerators: 2, replication_factor: 2, ..FleetConfig::default() };
+    let idaa = Idaa::new(IdaaConfig { fleet, ..IdaaConfig::default() });
+    let mut s = idaa.session(SYSADM);
+    idaa.execute(&mut s, "CREATE TABLE L (A BIGINT) IN ACCELERATOR").unwrap();
+    idaa.execute(&mut s, "SET CURRENT QUERY ACCELERATION = ELIGIBLE").unwrap();
+    idaa.execute(&mut s, "INSERT INTO L VALUES (1), (2)").unwrap();
+    idaa.node_link(1).fail_transfers_after(0, u64::MAX);
+    idaa.execute(&mut s, "INSERT INTO L VALUES (3)").unwrap();
+    idaa.node_link(1).clear_faults();
+    let stale = idaa.node_engine(1).scan_visible(&ObjectName::bare("L")).unwrap();
+    assert_eq!(stale.len(), 2, "node 1 missed the second write");
+
+    idaa.node_engine(0).crash();
+    idaa.node_link(0).fail_transfers_after(0, u64::MAX);
+    let count = "SELECT COUNT(*) FROM L";
+    let err = idaa.query(&mut s, count).map(|r| r.rows).unwrap_err();
+    assert_eq!(err.sqlcode(), -904, "a lagging replica with no source must not serve: {err}");
+
+    idaa.node_link(0).clear_faults();
+    assert!(idaa.recover_node(0), "node 0 comes back");
+    let answer = vec![vec![Value::BigInt(3)]];
+    assert_eq!(idaa.query(&mut s, count).unwrap().rows, answer);
+    // Once caught up from node 0, node 1 serves the full answer alone.
+    assert!(idaa.recover_node(1), "node 1 catches up from node 0");
+    idaa.node_engine(0).crash();
+    idaa.node_link(0).fail_transfers_after(0, u64::MAX);
+    assert_eq!(idaa.query(&mut s, count).unwrap().rows, answer);
+}
+
 /// Three accelerators, four shards, replication factor 2: a crash at the
 /// bulk-load site on one owner while LINREG writes its output. The CALL
 /// completes on the surviving replicas or fails with the deterministic

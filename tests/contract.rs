@@ -54,8 +54,23 @@ fn deleted_names_stay_deleted() {
         "nested_loop_join",
         "aggregate_rows",
     ];
-    // The fleet fork of the accelerator path: one node is a fleet of one.
-    let fleet: &[&str] = &["fleet_active", "commit_two_phase_fleet", "enlist_accel", "accel_exchange"];
+    // The fleet fork of the accelerator path (one node is a fleet of one),
+    // and the fleet's SQL rewrite, scratch-table staging and Bloom gather
+    // pushdown (a shard ships its plan's partial at the scatter cut).
+    let fleet: &[&str] = &[
+        "fleet_active",
+        "commit_two_phase_fleet",
+        "enlist_accel",
+        "accel_exchange",
+        "plan_two_phase_aggregate",
+        "plan_top_k",
+        "find_join_pushdown",
+        "GatherFilter",
+        "encode_summary",
+        "decode_summary",
+        "__GATHER",
+        "join_pushdown:",
+    ];
     for (names, dirs) in [(executor, &["crates/accel/src"][..]), (fleet, &["crates", "src", "tests"])] {
         for (path, text) in dirs.iter().flat_map(|d| sources(d)) {
             if path.ends_with("tests/contract.rs") {

@@ -514,75 +514,64 @@ fn fleet_gather_trace_breaks_down_per_shard() {
     assert!(root.find_all("failover").is_empty(), "healthy gathers never fail over");
 }
 
-/// An inner equi-join against a sharded probe table ships a build-side key
-/// summary with each gather request: shard spans report the summary bytes,
-/// the answer is byte-identical with the knob off, and reply traffic
-/// shrinks when the summary filters most probe rows out.
+/// A sharded ⋈ replicated join runs on the shards: each shard joins its
+/// rows against its node's own replica of the dimension, so no row frame
+/// crosses a link toward the accelerators, and each shard's reply frame is
+/// exactly the encoded frame of that shard's joined rows.
 #[test]
-fn fleet_join_pushdown_shrinks_gathers_and_is_traced() {
-    let run = |pushdown: bool| -> (Vec<idaa::Row>, u64, bool) {
-        let idaa = Idaa::new(IdaaConfig {
-            fleet: FleetConfig {
-                accelerators: 3,
-                shards: 4,
-                replication_factor: 2,
-                join_pushdown: pushdown,
-                ..FleetConfig::default()
-            },
-            ..IdaaConfig::default()
-        });
-        let mut s = idaa.session(SYSADM);
-        idaa.execute(
-            &mut s,
-            "CREATE TABLE FLOG (X INT NOT NULL, G VARCHAR(2)) IN ACCELERATOR \
-             DISTRIBUTE BY HASH(X)",
-        )
+fn fleet_join_runs_on_the_shards() {
+    use idaa::common::wire;
+    use idaa::sql::{parse_statement, Statement};
+    let (idaa, mut s) = fleet_system();
+    let vals: Vec<String> = (32..200).map(|i| format!("({i}, '{}')", ["a", "b"][i % 2])).collect();
+    idaa.execute(&mut s, &format!("INSERT INTO FLOG VALUES {}", vals.join(", "))).unwrap();
+    // A tiny replicated dimension: only 4 of 200 fact keys can join.
+    idaa.execute(&mut s, "CREATE TABLE FDIM (X INT NOT NULL, NAME VARCHAR(4))").unwrap();
+    idaa.execute(&mut s, "INSERT INTO FDIM VALUES (3, 'a'), (50, 'b'), (111, 'c'), (180, 'd')")
         .unwrap();
-        let vals: Vec<String> =
-            (0..200).map(|i| format!("({i}, '{}')", ["a", "b"][i % 2])).collect();
-        idaa.execute(&mut s, &format!("INSERT INTO FLOG VALUES {}", vals.join(", ")))
-            .unwrap();
-        // A tiny replicated dimension: only 4 of 200 probe keys can join.
-        idaa.execute(&mut s, "CREATE TABLE FDIM (X INT NOT NULL, NAME VARCHAR(4))").unwrap();
-        idaa.execute(
-            &mut s,
-            "INSERT INTO FDIM VALUES (3, 'a'), (50, 'b'), (111, 'c'), (180, 'd')",
-        )
-        .unwrap();
-        idaa.execute(&mut s, "CALL ACCEL_ADD_TABLES('FDIM')").unwrap();
-        idaa.execute(&mut s, "CALL ACCEL_LOAD_TABLES('FDIM')").unwrap();
-        idaa.execute(&mut s, "SET CURRENT QUERY ACCELERATION = ELIGIBLE").unwrap();
-        idaa.tracer().clear();
-        let before: u64 =
-            (0..idaa.fleet_size()).map(|i| idaa.node_link(i).metrics().bytes_to_host).sum();
-        let rows = idaa
-            .query(
-                &mut s,
-                "SELECT f.x, d.name FROM flog f INNER JOIN fdim d ON f.x = d.x ORDER BY f.x",
-            )
-            .unwrap()
-            .rows;
-        let after: u64 =
-            (0..idaa.fleet_size()).map(|i| idaa.node_link(i).metrics().bytes_to_host).sum();
-        let trace = idaa.tracer().last_containing("INNER JOIN").expect("trace recorded");
-        trace.root.validate().unwrap();
-        let summarized = trace
-            .root
-            .find_all("shard")
-            .iter()
-            .all(|sp| sp.attr("summary_bytes").is_some());
-        (rows, after - before, summarized)
+    idaa.execute(&mut s, "CALL ACCEL_ADD_TABLES('FDIM')").unwrap();
+    idaa.execute(&mut s, "CALL ACCEL_LOAD_TABLES('FDIM')").unwrap();
+    idaa.tracer().clear();
+    let join = |from: &str| format!("SELECT f.x, d.name FROM {from} f INNER JOIN fdim d ON f.x = d.x ORDER BY x");
+    let rows = idaa.query(&mut s, &join("flog")).unwrap().rows;
+    let xs: Vec<&Value> = rows.iter().map(|r| &r[0]).collect();
+    assert_eq!(xs, [3, 50, 111, 180].map(Value::Int).iter().collect::<Vec<_>>());
+
+    let trace = idaa.tracer().last_containing("INNER JOIN").expect("trace recorded");
+    let root = &trace.root;
+    root.validate().unwrap();
+    let gather = root.find("gather").expect("gather span");
+    assert_eq!(gather.attr("merge"), Some("run"), "{}", root.render());
+    let transfers = root.find_all("transfer");
+    let is = |t: &&idaa::SpanNode, dir: &str, kind: &str| {
+        t.attr("dir") == Some(dir) && t.attr("kind") == Some(kind)
     };
-    let (with_rows, with_bytes, with_attr) = run(true);
-    let (without_rows, without_bytes, without_attr) = run(false);
-    assert_eq!(with_rows, without_rows, "pushdown must never change the answer");
-    assert_eq!(with_rows.len(), 4);
-    assert!(with_attr, "pushdown gathers report the shipped summary size");
-    assert!(!without_attr, "no summary attribute when the knob is off");
     assert!(
-        with_bytes < without_bytes,
-        "summary-filtered replies must shrink gather traffic: {with_bytes} vs {without_bytes}"
+        !transfers.iter().any(|t| is(t, "to_accel", "frame")),
+        "no dimension row may cross a link:\n{}",
+        root.render()
     );
+    let shards = gather.find_all("shard");
+    assert_eq!(shards.len(), 4);
+    for (shard, sp) in shards.iter().enumerate() {
+        let node: usize = sp.attr("node").unwrap()["ACCEL".len()..].parse().unwrap();
+        let st = idaa::shard_table(&idaa::ObjectName::bare("FLOG"), shard, 4);
+        let Statement::Query(q) = parse_statement(&join(&st.to_string())).unwrap() else {
+            unreachable!()
+        };
+        let local = idaa.node_engine(node - 1).query(0, &q).unwrap();
+        let replies: Vec<usize> = sp
+            .find_all("transfer")
+            .iter()
+            .filter(|t| is(t, "to_host", "frame"))
+            .map(|t| t.attr("bytes").unwrap().parse().unwrap())
+            .collect();
+        assert_eq!(
+            replies,
+            vec![wire::encode_frame(&local.schema, &local.rows).len()],
+            "shard {shard} must ship exactly its joined rows"
+        );
+    }
 }
 
 /// Crashing a primary mid-scatter surfaces in the trace: the affected shard

@@ -1563,10 +1563,11 @@ proptest! {
 
     /// A K-node fleet with hash-sharded AOT placement and any replication
     /// factor answers every query exactly like a single accelerator: shard
-    /// placement is value-deterministic, per-shard partials merge in fixed
-    /// shard order, and non-mergeable shapes fall back to a raw gather —
-    /// so topology is invisible to results (modulo float summation order,
-    /// which these integer queries avoid). Direct loads and analytics
+    /// placement is value-deterministic, each shard ships its partial (group
+    /// states, distinct rows, a sorted run) and the partials merge in fixed
+    /// shard order, and plans without a scatter cut fall back to a raw
+    /// gather — so topology is invisible to results (these integer queries,
+    /// AVG over BIGINT included, are exact). Direct loads and analytics
     /// output follow the same placement: every owner holds its shards.
     #[test]
     fn fleet_and_single_accel_agree(
@@ -1578,27 +1579,40 @@ proptest! {
         accelerators in 1usize..=3,
         replicas in 1usize..=2,
     ) {
+        // Each query with the merge its gather takes at (3, 4, 2).
         let queries = [
-            "SELECT COUNT(*) FROM f",
-            "SELECT g, COUNT(*), SUM(a), MIN(b), MAX(b) FROM f GROUP BY g ORDER BY g",
-            "SELECT COUNT(*), MIN(a), MAX(a) FROM f WHERE a BETWEEN 100 AND 700",
-            "SELECT a, b FROM f WHERE b = 7 ORDER BY a, b",
-            "SELECT a, b, g FROM f ORDER BY a DESC, b, g LIMIT 10",
-            "SELECT AVG(b) FROM f WHERE g = 'a'",
-            "SELECT COUNT(DISTINCT b) FROM f",
-            "SELECT x.g, COUNT(*) FROM f AS x INNER JOIN f AS y ON x.a = y.a \
-             GROUP BY x.g ORDER BY x.g",
-            // Sharded probe ⋈ replicated build: the fleet ships a build-side
-            // key summary with each gather (Bloom pushdown) and must still
-            // reproduce the single-accelerator answer exactly.
-            "SELECT x.a, d.name FROM f AS x INNER JOIN d ON x.a = d.a \
-             ORDER BY x.a, d.name",
+            ("SELECT COUNT(*) FROM f", "groups"),
+            ("SELECT g, COUNT(*), SUM(a), MIN(b), MAX(b) FROM f GROUP BY g ORDER BY g", "groups"),
+            ("SELECT COUNT(*), MIN(a), MAX(a) FROM f WHERE a BETWEEN 100 AND 700", "groups"),
+            ("SELECT a, b FROM f WHERE b = 7 ORDER BY a, b", "run"),
+            ("SELECT a, b, g FROM f ORDER BY a DESC, b, g LIMIT 10", "run"),
+            ("SELECT AVG(b) FROM f WHERE g = 'a'", "groups"),
+            ("SELECT COUNT(DISTINCT b) FROM f", "groups"),
+            ("SELECT g, AVG(b), COUNT(DISTINCT b) FROM f GROUP BY g ORDER BY g", "groups"),
+            ("SELECT DISTINCT g FROM f ORDER BY g", "distinct"),
+            ("SELECT g, COUNT(*) FROM f GROUP BY g HAVING COUNT(*) > 10 ORDER BY g", "groups"),
+            ("SELECT g, SUM(a) FROM f GROUP BY g ORDER BY SUM(a) DESC, g LIMIT 2", "groups"),
+            ("SELECT COUNT(*) FROM (SELECT DISTINCT g FROM f) AS u", "distinct"),
+            // Two sharded scans: raw.
+            ("SELECT x.g, COUNT(*) FROM f AS x INNER JOIN f AS y ON x.a = y.a \
+              GROUP BY x.g ORDER BY x.g", "raw"),
+            // Sharded ⋈ replicated: each shard joins against its own replica.
+            ("SELECT x.a, d.name FROM f AS x INNER JOIN d ON x.a = d.a \
+              ORDER BY x.a, d.name", "run"),
+            ("SELECT d.name, COUNT(*), SUM(x.b) FROM f AS x INNER JOIN d ON x.a = d.a \
+              GROUP BY d.name ORDER BY d.name", "groups"),
+            ("SELECT x.a, d.name FROM f AS x LEFT JOIN d ON x.a = d.a \
+              ORDER BY x.a, d.name", "run"),
+            // The sharded side is the null-supplying side: raw.
+            ("SELECT d.a, d.name, x.b FROM d LEFT JOIN f AS x ON d.a = x.a \
+              ORDER BY d.a, d.name, x.b", "raw"),
             // The direct-loaded table and the LINREG model table.
-            "SELECT COUNT(*), SUM(a), SUM(b), MIN(g), MAX(g) FROM l",
-            "SELECT g, COUNT(*), SUM(b) FROM l GROUP BY g ORDER BY g",
-            "SELECT term, coefficient FROM lm ORDER BY term",
+            ("SELECT COUNT(*), SUM(a), SUM(b), MIN(g), MAX(g) FROM l", "groups"),
+            ("SELECT g, COUNT(*), SUM(b) FROM l GROUP BY g ORDER BY g", "groups"),
+            ("SELECT term, coefficient FROM lm ORDER BY term", "run"),
         ];
-        let run = |config: IdaaConfig| -> (Vec<Vec<idaa::Row>>, idaa::LinkMetrics, idaa::LinkMetrics) {
+        #[allow(clippy::type_complexity)]
+        let run = |config: IdaaConfig| -> (Vec<Vec<idaa::Row>>, Vec<String>, idaa::LinkMetrics, idaa::LinkMetrics) {
             let FleetConfig { accelerators: k, shards, replication_factor: rf, .. } = config.fleet;
             let idaa = Idaa::new(config);
             let mut s = idaa.session(SYSADM);
@@ -1619,7 +1633,7 @@ proptest! {
                 &mut s,
                 "INSERT INTO F VALUES (1, NULL, NULL), (NULL, 5, 'a'), (NULL, NULL, NULL)",
             ).unwrap();
-            // A small replicated dimension for the join-pushdown gather.
+            // A small replicated dimension, whole on every node.
             idaa.execute(&mut s, "CREATE TABLE D (A BIGINT, NAME VARCHAR(2))").unwrap();
             idaa.execute(
                 &mut s,
@@ -1661,7 +1675,13 @@ proptest! {
             idaa::analytics::deploy_all(&idaa, SYSADM).unwrap();
             idaa.query(&mut s, "CALL ANALYTICS.LINREG('L', 'B', 'A', 'LM')").unwrap();
             idaa.execute(&mut s, "SET CURRENT QUERY ACCELERATION = ELIGIBLE").unwrap();
-            let answers = queries.iter().map(|q| idaa.query(&mut s, q).unwrap().rows).collect();
+            let (mut answers, mut merges) = (Vec::new(), Vec::new());
+            for (q, _) in queries {
+                answers.push(idaa.query(&mut s, q).unwrap().rows);
+                let trace = idaa.tracer().last().unwrap();
+                let merge = trace.root.find("gather").and_then(|g| g.attr("merge"));
+                merges.push(merge.unwrap_or("whole").to_string());
+            }
             // Every owner of every shard holds the same rows.
             for table in ["F", "L", "LM"] {
                 for shard in 0..shards {
@@ -1672,21 +1692,25 @@ proptest! {
                     assert!(copies.windows(2).all(|w| w[0] == w[1]), "replicas of {st} differ");
                 }
             }
-            (answers, idaa.link().metrics(), idaa.fleet_link_metrics())
+            (answers, merges, idaa.link().metrics(), idaa.fleet_link_metrics())
         };
-        let (single, single_link, _) = run(IdaaConfig::default());
+        let (single, _, single_link, _) = run(IdaaConfig::default());
         // The drawn topology, and four fixed ones every case covers.
         let topologies = [(accelerators, shards, replicas), (1, 1, 1), (2, 1, 2), (2, 2, 1), (3, 4, 2)];
         for (accelerators, shards, replication_factor) in topologies {
-            let (fleet, _, fleet_links) = run(IdaaConfig {
+            let (fleet, merges, _, fleet_links) = run(IdaaConfig {
                 fleet: FleetConfig { accelerators, shards, replication_factor, ..FleetConfig::default() },
                 ..IdaaConfig::default()
             });
             for (i, (lhs, rhs)) in single.iter().zip(&fleet).enumerate() {
                 prop_assert_eq!(
                     lhs, rhs, "fleet {:?} disagreed with single accelerator on {}",
-                    (accelerators, shards, replication_factor), queries[i]
+                    (accelerators, shards, replication_factor), queries[i].0
                 );
+            }
+            if (accelerators, shards, replication_factor) == (3, 4, 2) {
+                let expected: Vec<&str> = queries.iter().map(|(_, merge)| *merge).collect();
+                prop_assert_eq!(merges, expected);
             }
             // A fleet of one node and one shard *is* the single accelerator:
             // not just the answers but every byte on the wire must match.
