@@ -20,8 +20,11 @@
 //! aggregate / sort / top-K / row sink over the typed vectors; a row is
 //! built only at the sink). Everything else — and all of
 //! [`ExecMode::Interpreted`], the oracle — runs through the `Vec<Row>`
-//! interpreter in this file, node by node, plainly and serially: one
-//! `HashMap` join in probe order, one stable sort, one aggregation loop.
+//! interpreter in this file. Its walk (`run`, `run_node`, `input_mask`)
+//! dispatches pipelines per sub-plan and pushes column masks down; each
+//! node it interprets runs the shared row operator of `idaa_sql::exec`
+//! (`apply`, `hash_join`, `dedup`), the same one DB2 runs — plainly and
+//! serially.
 //!
 //! Only slices fan out: scans and pipelines go through `for_each_slice` →
 //! `run_parts`, whose parts are the table's slices (so output order is a
@@ -36,9 +39,11 @@ use crate::pipeline::{gather, Kind, Lowered, OutCol};
 use crate::table::{AccelTable, RowPos, Slice, ZoneEntry, BLOCK_ROWS};
 use idaa_common::{Error, ObjectName, Result, Row, Value};
 use idaa_sql::ast::{BinaryOp, Expr, JoinKind};
-use idaa_sql::eval::{bind, eval, eval_predicate, AggState, BoundExpr, FlatResolver};
+use idaa_sql::eval::{bind, eval_predicate, BoundExpr};
+use idaa_sql::exec::{
+    aggregate, apply, bind_all, conjuncts, dedup, flip, hash_join, resolver_of, JoinSpec,
+};
 use idaa_sql::plan::{Plan, PlanCol, PlanProfile};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Run `f(0)..f(parts-1)` and return the results in part order — the one
@@ -105,10 +110,6 @@ pub struct ExecCtx<'a> {
     /// When set, each executed plan node records its output cardinality
     /// (fused children stay unrecorded — fusion is visible in the profile).
     pub profile: Option<&'a PlanProfile>,
-}
-
-pub(crate) fn resolver_of(cols: &[PlanCol]) -> FlatResolver {
-    FlatResolver::new(cols.iter().map(|c| (c.qualifier.clone(), c.name.clone())).collect())
 }
 
 /// Run one node: a pipeline streams its whole sub-plan (and records each
@@ -221,56 +222,6 @@ fn input_mask(plan: &Plan, needed: Option<Vec<bool>>) -> Result<Option<Vec<bool>
         }),
         _ => needed,
     })
-}
-
-/// One single-input node's operator over its input's rows: the
-/// interpreter's, and what the fleet coordinator runs above a scatter cut.
-pub(crate) fn apply(plan: &Plan, mut rows: Vec<Row>) -> Result<Vec<Row>> {
-    let bind_on = |input: &Plan, e: &Expr| bind(e, &resolver_of(&input.cols()));
-    match plan {
-        Plan::Filter { input, predicate } => {
-            let bound = bind_on(input, predicate)?;
-            let mut kept = Vec::with_capacity(rows.len());
-            for row in rows {
-                if eval_predicate(&bound, &row)? {
-                    kept.push(row);
-                }
-            }
-            Ok(kept)
-        }
-        Plan::Project { input, exprs, .. } => {
-            let bound: Vec<BoundExpr> =
-                exprs.iter().map(|(e, _)| bind_on(input, e)).collect::<Result<_>>()?;
-            rows.iter().map(|row| bound.iter().map(|b| eval(b, row)).collect()).collect()
-        }
-        Plan::Aggregate { input, group_exprs, aggs, .. } => {
-            finish_groups(aggregate(input, group_exprs, aggs, &rows)?, !group_exprs.is_empty(), aggs)
-        }
-        Plan::Sort { keys, .. } => {
-            // A stable sort: the oracle every sort / top-K sink is held to.
-            rows.sort_by(sort_cmp(keys));
-            Ok(rows)
-        }
-        Plan::Distinct { .. } => Ok(dedup(rows)),
-        Plan::Limit { n, .. } => {
-            rows.truncate(*n as usize);
-            Ok(rows)
-        }
-        Plan::KeepCols { n, .. } => {
-            rows.iter_mut().for_each(|row| row.truncate(*n));
-            Ok(rows)
-        }
-        Plan::Scan { .. } | Plan::Join { .. } | Plan::Union { .. } => {
-            Err(Error::internal(format!("{} is not a single-input operator", plan.label())))
-        }
-    }
-}
-
-/// First occurrences of each distinct row, in input order.
-pub(crate) fn dedup(mut rows: Vec<Row>) -> Vec<Row> {
-    let mut seen: std::collections::HashSet<Row> = std::collections::HashSet::with_capacity(rows.len());
-    rows.retain(|r| seen.insert(r.clone()));
-    rows
 }
 
 /// The columns of a bare scan of `table`, qualified by its name.
@@ -655,18 +606,6 @@ fn compile_kernel(conj: &Expr, table: &AccelTable, scan_cols: &[PlanCol]) -> Opt
     }
 }
 
-fn flip(op: BinaryOp) -> Option<BinaryOp> {
-    Some(match op {
-        BinaryOp::Eq => BinaryOp::Eq,
-        BinaryOp::Neq => BinaryOp::Neq,
-        BinaryOp::Lt => BinaryOp::Gt,
-        BinaryOp::LtEq => BinaryOp::GtEq,
-        BinaryOp::Gt => BinaryOp::Lt,
-        BinaryOp::GtEq => BinaryOp::LtEq,
-        _ => return None,
-    })
-}
-
 /// A `Scan` / `Filter(Scan)` leaf, compiled once: the conjuncts that became
 /// kernels plus whatever stays with the interpreter as a residual.
 #[derive(Debug)]
@@ -938,120 +877,6 @@ pub(crate) fn scan_table(
     Ok((out, positions))
 }
 
-/// Conjunct splitting (same shape as the host's — duplicated on purpose:
-/// the engines are independent systems in the architecture).
-fn conjuncts(e: &Expr) -> Vec<&Expr> {
-    match e {
-        Expr::Binary { left, op: BinaryOp::And, right } => {
-            let mut out = conjuncts(left);
-            out.extend(conjuncts(right));
-            out
-        }
-        other => vec![other],
-    }
-}
-
-/// The conjunction of `conjs`, bound (`None` when there are none).
-fn bind_all(conjs: Vec<&Expr>, resolver: &FlatResolver) -> Result<Option<BoundExpr>> {
-    conjs
-        .into_iter()
-        .cloned()
-        .reduce(|a, b| Expr::Binary { left: Box::new(a), op: BinaryOp::And, right: Box::new(b) })
-        .map(|combined| bind(&combined, resolver))
-        .transpose()
-}
-
-/// Comparator over `Plan::Sort` keys (shared by the row sort and the
-/// pipeline's run merge).
-fn sort_cmp(keys: &[(usize, bool)]) -> impl Fn(&Row, &Row) -> std::cmp::Ordering + Sync + '_ {
-    move |a, b| {
-        for (i, desc) in keys {
-            let o = a[*i].cmp_total(&b[*i]);
-            let o = if *desc { o.reverse() } else { o };
-            if o != std::cmp::Ordering::Equal {
-                return o;
-            }
-        }
-        std::cmp::Ordering::Equal
-    }
-}
-
-/// K-way merge of runs that are each sorted by `keys`, breaking ties toward
-/// the earliest run — with stably sorted runs of consecutive input, exactly
-/// a stable sort of their concatenation.
-pub(crate) fn merge_runs(mut runs: Vec<Vec<Row>>, keys: &[(usize, bool)]) -> Vec<Row> {
-    runs.retain(|r| !r.is_empty());
-    if runs.len() <= 1 {
-        return runs.pop().unwrap_or_default();
-    }
-    let cmp = sort_cmp(keys);
-    let mut cursors = vec![0usize; runs.len()];
-    let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
-    loop {
-        let mut best: Option<usize> = None;
-        for ri in 0..runs.len() {
-            if cursors[ri] >= runs[ri].len() {
-                continue;
-            }
-            best = match best {
-                Some(b)
-                    if cmp(&runs[ri][cursors[ri]], &runs[b][cursors[b]])
-                        != std::cmp::Ordering::Less =>
-                {
-                    Some(b)
-                }
-                _ => Some(ri),
-            };
-        }
-        let Some(b) = best else { return out };
-        out.push(std::mem::take(&mut runs[b][cursors[b]]));
-        cursors[b] += 1;
-    }
-}
-
-/// A join's static decisions, bound once at lowering: the ON predicate
-/// split into equi-key pairs per side and the conjuncts left over. The row
-/// path runs from it and `EXPLAIN` describes it; a pipeline's probe stage
-/// is lowered from the same value.
-#[derive(Debug)]
-pub(crate) struct JoinSpec {
-    pub(crate) lkeys: Vec<BoundExpr>,
-    pub(crate) rkeys: Vec<BoundExpr>,
-    /// The whole ON predicate over the concatenated (left, right) row.
-    on: BoundExpr,
-    /// The ON conjuncts that are not equi-key pairs, over the concatenated
-    /// row; `None` when key equality is the whole predicate.
-    pub(crate) residual: Option<BoundExpr>,
-}
-
-impl JoinSpec {
-    pub(crate) fn bind(left: &Plan, right: &Plan, on: &Expr) -> Result<JoinSpec> {
-        let (lres, rres) = (resolver_of(&left.cols()), resolver_of(&right.cols()));
-        let both = lres.concat(&rres);
-        let (mut lkeys, mut rkeys, mut rest) = (Vec::new(), Vec::new(), Vec::new());
-        for conj in conjuncts(on) {
-            let pair = match conj {
-                Expr::Binary { left: a, op: BinaryOp::Eq, right: b } => {
-                    match (bind(a, &lres), bind(b, &rres)) {
-                        (Ok(l), Ok(r)) => Some((l, r)),
-                        _ => bind(b, &lres).ok().zip(bind(a, &rres).ok()),
-                    }
-                }
-                _ => None,
-            };
-            match pair {
-                Some((l, r)) => {
-                    lkeys.push(l);
-                    rkeys.push(r);
-                }
-                None => rest.push(conj),
-            }
-        }
-        let residual = bind_all(rest, &both)?;
-        Ok(JoinSpec { lkeys, rkeys, on: bind(on, &both)?, residual })
-    }
-}
-
 /// The row-path join node: both sides, then [`hash_join`].
 fn run_join(
     (left, llow): (&Plan, &Lowered),
@@ -1078,138 +903,6 @@ fn run_join(
     let rrows = run(right, rlow, ctx, rmask)?;
     let lrows = run(left, llow, ctx, lmask)?;
     hash_join(&lrows, &rrows, spec, kind, rwidth)
-}
-
-/// The oracle join: build rows indexed by key tuple (`Value` equality; a
-/// NULL key never joins), probe rows in input order, each matched against
-/// its candidates in build order, kept when the residual ON conjuncts hold;
-/// an unmatched LEFT probe row null-extends in place. Without equi-key
-/// pairs every build row is a candidate: a nested loop.
-fn hash_join(
-    lrows: &[Row],
-    rrows: &[Row],
-    spec: &JoinSpec,
-    kind: JoinKind,
-    rwidth: usize,
-) -> Result<Vec<Row>> {
-    let key = |keys: &[BoundExpr], row: &Row| -> Result<Option<Vec<Value>>> {
-        let key: Vec<Value> = keys.iter().map(|k| eval(k, row)).collect::<Result<_>>()?;
-        Ok((!key.iter().any(Value::is_null)).then_some(key))
-    };
-    let mut index: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-    for (i, row) in rrows.iter().enumerate() {
-        if let Some(k) = key(&spec.rkeys, row)? {
-            index.entry(k).or_default().push(i);
-        }
-    }
-    let mut out = Vec::new();
-    for lrow in lrows {
-        let mut matched = false;
-        let cands = key(&spec.lkeys, lrow)?.and_then(|k| index.get(&k));
-        for &ri in cands.into_iter().flatten() {
-            let mut j = lrow.clone();
-            j.extend(rrows[ri].iter().cloned());
-            if spec.residual.as_ref().map_or(Ok(true), |r| eval_predicate(r, &j))? {
-                matched = true;
-                out.push(j);
-            }
-        }
-        if !matched && kind == JoinKind::Left {
-            let mut j = lrow.clone();
-            j.extend(std::iter::repeat_n(Value::Null, rwidth));
-            out.push(j);
-        }
-    }
-    Ok(out)
-}
-
-/// Grouped aggregation state: insertion-ordered groups. Insertion order is
-/// what makes the pipeline's per-slice partials deterministic — merging
-/// them in slice order reproduces the serial first-encounter group order
-/// exactly.
-pub(crate) type Groups = Vec<(Vec<Value>, Vec<AggState>)>;
-
-pub(crate) fn new_states(aggs: &[idaa_sql::plan::AggCall]) -> Vec<AggState> {
-    aggs.iter().map(|a| AggState::new(a.kind, a.distinct)).collect()
-}
-
-/// Fold a pipeline's per-slice partial groups together in slice order.
-pub(crate) fn merge_groups(parts: Vec<Groups>) -> Result<Groups> {
-    let mut iter = parts.into_iter();
-    let mut acc = iter.next().unwrap_or_default();
-    let mut index: HashMap<Vec<Value>, usize> =
-        acc.iter().enumerate().map(|(i, (k, _))| (k.clone(), i)).collect();
-    for part in iter {
-        for (key, states) in part {
-            match index.get(&key) {
-                Some(&i) => {
-                    for (a, b) in acc[i].1.iter_mut().zip(&states) {
-                        a.merge(b)?;
-                    }
-                }
-                None => {
-                    index.insert(key.clone(), acc.len());
-                    acc.push((key, states));
-                }
-            }
-        }
-    }
-    Ok(acc)
-}
-
-/// Turn finished groups into output rows (`key columns… then aggregates…`);
-/// without GROUP BY keys an empty input still makes one row.
-pub(crate) fn finish_groups(
-    mut groups: Groups,
-    grouped: bool,
-    aggs: &[idaa_sql::plan::AggCall],
-) -> Result<Vec<Row>> {
-    if groups.is_empty() && !grouped {
-        groups.push((vec![], new_states(aggs)));
-    }
-    groups
-        .into_iter()
-        .map(|(mut key, states)| {
-            for s in states {
-                key.push(s.finish()?);
-            }
-            Ok(key)
-        })
-        .collect()
-}
-
-/// The oracle aggregate: one pass over `rows` (the output of `input`) in
-/// order, groups by first occurrence.
-fn aggregate(
-    input: &Plan,
-    group_exprs: &[Expr],
-    aggs: &[idaa_sql::plan::AggCall],
-    rows: &[Row],
-) -> Result<Groups> {
-    let resolver = resolver_of(&input.cols());
-    let bound_keys: Vec<BoundExpr> =
-        group_exprs.iter().map(|e| bind(e, &resolver)).collect::<Result<_>>()?;
-    let bound_args: Vec<Option<BoundExpr>> = aggs
-        .iter()
-        .map(|a| a.arg.as_ref().map(|e| bind(e, &resolver)).transpose())
-        .collect::<Result<_>>()?;
-    let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-    let mut groups: Groups = Vec::new();
-    for row in rows {
-        let key: Vec<Value> = bound_keys.iter().map(|k| eval(k, row)).collect::<Result<_>>()?;
-        let gi = *index.entry(key).or_insert_with_key(|key| {
-            groups.push((key.clone(), new_states(aggs)));
-            groups.len() - 1
-        });
-        for (state, arg) in groups[gi].1.iter_mut().zip(&bound_args) {
-            let v = match arg {
-                Some(b) => eval(b, row)?,
-                None => Value::Null,
-            };
-            state.update(&v)?;
-        }
-    }
-    Ok(groups)
 }
 
 /// A fleet shard's partial of an `Aggregate` node: its groups merged but
@@ -1449,23 +1142,6 @@ mod tests {
         }
     }
 
-    /// Deterministic pseudo-random rows: (key, payload) pairs with heavy
-    /// key duplication so joins and sorts exercise ties.
-    fn synth_rows(n: usize, seed: u64, key_mod: i64) -> Vec<Row> {
-        let mut x = seed;
-        (0..n)
-            .map(|i| {
-                // splitmix64 step — fixed, no external RNG.
-                x = x.wrapping_add(0x9e3779b97f4a7c15);
-                let mut z = x;
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-                z ^= z >> 31;
-                vec![Value::BigInt((z % key_mod as u64) as i64), Value::BigInt(i as i64)]
-            })
-            .collect()
-    }
-
     #[test]
     fn run_parts_keeps_part_order_and_runs_small_inputs_on_the_caller() {
         let caller = std::thread::current().id();
@@ -1484,105 +1160,6 @@ mod tests {
             }
         }
         assert!(run_parts(0, 4, usize::MAX, part).is_empty());
-    }
-
-    #[test]
-    fn merged_sorted_runs_equal_a_stable_sort_of_their_concatenation() {
-        // Many ties on the first key: the merge must break them toward the
-        // earliest run, like a stable sort of the concatenated input does.
-        let rows = synth_rows(501, 7, 13);
-        for keys in [vec![(0usize, false), (1usize, true)], vec![(0usize, true)]] {
-            let mut expect = rows.clone();
-            expect.sort_by(sort_cmp(&keys));
-            for chunk in [1usize, 7, 100, 501, 600] {
-                let runs = rows
-                    .chunks(chunk)
-                    .map(|c| {
-                        let mut run = c.to_vec();
-                        run.sort_by(sort_cmp(&keys));
-                        run
-                    })
-                    .collect();
-                assert_eq!(merge_runs(runs, &keys), expect, "chunk={chunk}");
-            }
-        }
-        assert!(merge_runs(vec![Vec::new(), Vec::new()], &[(0, false)]).is_empty());
-    }
-
-    /// Row-at-a-time oracle from the join's defining semantics: probe rows
-    /// in input order, each matched against build rows in input order, NULL
-    /// keys never matching, LEFT padding in place.
-    fn oracle_join(lrows: &[Row], rrows: &[Row], kind: JoinKind) -> Vec<Row> {
-        let mut out = Vec::new();
-        for lrow in lrows {
-            let mut matched = false;
-            for rrow in rrows {
-                if lrow[0] == Value::Null || rrow[0] == Value::Null || lrow[0] != rrow[0] {
-                    continue;
-                }
-                let mut j = lrow.clone();
-                j.extend(rrow.iter().cloned());
-                matched = true;
-                out.push(j);
-            }
-            if !matched && kind == JoinKind::Left {
-                let mut j = lrow.clone();
-                j.extend(std::iter::repeat_n(Value::Null, 2));
-                out.push(j);
-            }
-        }
-        out
-    }
-
-    /// A join spec on column 0 of each side (`lkeys` empty: a nested loop
-    /// over `residual`).
-    fn spec(keyed: bool, residual: Option<BoundExpr>) -> JoinSpec {
-        let key = || if keyed { vec![BoundExpr::Column(0)] } else { Vec::new() };
-        JoinSpec { lkeys: key(), rkeys: key(), on: BoundExpr::Literal(Value::Null), residual }
-    }
-
-    #[test]
-    fn hash_join_serial_output_order_is_pinned() {
-        let mut lrows = synth_rows(150, 9, 13);
-        let mut rrows = synth_rows(120, 10, 13);
-        for i in (0..rrows.len()).step_by(17) {
-            rrows[i][0] = Value::Null;
-        }
-        for i in (0..lrows.len()).step_by(19) {
-            lrows[i][0] = Value::Null;
-        }
-        // The same equality as a residual over the joined row.
-        let on = BoundExpr::Binary {
-            left: Box::new(BoundExpr::Column(0)),
-            op: BinaryOp::Eq,
-            right: Box::new(BoundExpr::Column(2)),
-        };
-        for kind in [JoinKind::Inner, JoinKind::Left] {
-            // Byte-identical to the nested oracle, not just the same
-            // multiset: probe order, then build order — on hashed keys and
-            // as a nested loop alike.
-            let expect = oracle_join(&lrows, &rrows, kind);
-            for spec in [spec(true, None), spec(false, Some(on.clone()))] {
-                assert_eq!(hash_join(&lrows, &rrows, &spec, kind, 2).unwrap(), expect, "{kind:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn row_path_keys_follow_value_equality() {
-        // Mixed numeric representations of one quantity share a key, NULL
-        // never gets one, and 'EU' joins 'EU  ' (DB2 padded comparison) —
-        // exactly like `Value` equality.
-        let rows = vec![vec![Value::BigInt(2)], vec![Value::Double(2.0)], vec![Value::Null]];
-        let out = hash_join(&rows, &rows, &spec(true, None), JoinKind::Inner, 1).unwrap();
-        assert_eq!(out.len(), 4);
-        let lrows: Vec<Row> =
-            vec![vec![Value::Varchar("EU".into())], vec![Value::Varchar("US ".into())]];
-        let rrows: Vec<Row> =
-            vec![vec![Value::Varchar("EU  ".into())], vec![Value::Varchar("ASIA".into())]];
-        let out = hash_join(&lrows, &rrows, &spec(true, None), JoinKind::Inner, 1).unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0][0], Value::Varchar("EU".into()));
     }
 
     #[test]

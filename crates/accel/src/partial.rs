@@ -16,15 +16,15 @@
 //! | `Limit`     | its first n rows                       | concatenates and truncates      |
 //! | none        | its rows                               | concatenates                    |
 //!
-//! The coordinator then runs the nodes above the cut with the interpreter's
+//! The coordinator then runs the nodes above the cut with the shared row
 //! operators ([`apply`]). A plan with two sharded scans, with the sharded
 //! scan on the null-supplying side of a LEFT join or under a `UNION`, or
 //! with a join above the cut has no cut: the fleet gathers raw rows instead.
 
-use crate::exec::{apply, dedup, finish_groups, merge_groups, merge_runs, Groups};
 use idaa_common::{ColumnDef, DataType, Error, ObjectName, Result, Row, Schema, Value};
 use idaa_sql::ast::JoinKind;
 use idaa_sql::eval::AggState;
+use idaa_sql::exec::{apply, dedup, finish_groups, merge_groups, merge_runs, Groups};
 use idaa_sql::plan::{infer_type, Plan};
 
 /// How the coordinator merges the shards' partials of a [`Cut`].

@@ -41,15 +41,15 @@
 use crate::column::{Column, NullMap};
 use crate::engine::AccelEngine;
 use crate::partial::group_rows;
-use crate::exec::{
-    compact, finish_groups, for_each_slice, merge_groups, merge_runs, new_states, resolver_of, run,
-    scan_blocks, ExecCtx, ExecMode, Groups, JoinSpec, ScanSpec,
-};
+use crate::exec::{compact, for_each_slice, run, scan_blocks, ExecCtx, ExecMode, ScanSpec};
 use crate::table::Slice;
 use idaa_common::wire::KeySummary;
 use idaa_common::{DataType, Error, ObjectName, Result, Row, Value};
 use idaa_sql::ast::{Expr, JoinKind};
 use idaa_sql::eval::{bind, eval, BoundExpr};
+use idaa_sql::exec::{
+    finish_groups, merge_groups, merge_runs, new_states, resolver_of, Groups, JoinSpec,
+};
 use idaa_sql::plan::{AggCall, Plan, PlanCol, PlanProfile};
 use std::cmp::Ordering;
 use std::collections::HashMap;

@@ -16,10 +16,11 @@
 //! ([`idaa_accel::cut`]: the first aggregate, DISTINCT, sort or limit above
 //! the sharded scan, joins against whole tables included) and ships the
 //! cut's partial as one row frame; the coordinator merges the partials with
-//! the executor's own merges and runs the nodes above the cut. A plan with
+//! the shared row operators and runs the nodes above the cut. A plan with
 //! no cut — two sharded scans, the sharded scan on a LEFT join's
 //! null-supplying side or under a `UNION`, a join above the cut — gathers
-//! raw rows into a scratch engine instead. An owner that missed a write
+//! raw rows instead and runs the plan over them with the row executor
+//! (`idaa_sql::exec::execute_plan`). An owner that missed a write
 //! re-joins via a metered catch-up copy, and a rebalance check on the
 //! virtual clock migrates failed-over shards back to their preferred
 //! owners. Placement, gather order, and failover order are all
@@ -35,6 +36,7 @@ use idaa_common::{wire, Error, ObjectName, Result, Row, Rows, Schema, Value};
 use idaa_host::{AccelStatus, TableKind, TableMeta, TxnId, SYSADM};
 use idaa_netsim::{sites, Direction, FaultRegistry, LinkMetrics, NetLink};
 use idaa_sql::ast::{Query, SelectItem, TableRef};
+use idaa_sql::exec::{execute_plan, RowSource};
 use idaa_sql::plan::Plan;
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
@@ -333,6 +335,20 @@ fn select_star(table: &ObjectName) -> Query {
     }
 }
 
+/// A Raw gather's rows by resolved table name: the source the coordinator
+/// runs a plan over. No index serves it.
+struct Gathered<'a> {
+    schema: &'a str,
+    rows: HashMap<ObjectName, Vec<Row>>,
+}
+
+impl RowSource for Gathered<'_> {
+    fn scan_table(&self, table: &ObjectName) -> Result<Vec<Row>> {
+        let rows = self.rows.get(&table.resolve(self.schema)).cloned();
+        rows.ok_or_else(|| Error::internal(format!("{table} was not gathered")))
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Fleet execution
 // ---------------------------------------------------------------------------
@@ -592,7 +608,7 @@ impl Idaa {
         }
         let result = match &cut {
             Some(cut) => self.gather_partials(session, q, plan, cut, &sharded[0]),
-            None => self.gather_raw(session, q, tables, sharded),
+            None => self.gather_raw(session, plan, tables, sharded),
         };
         if let Some(id) = span {
             if let Err(e) = &result {
@@ -625,32 +641,33 @@ impl Idaa {
     }
 
     /// Gather every row of each sharded table (shard by shard) and of every
-    /// other table (from DB2) into a coordinator-local scratch engine, and
-    /// run `q` there: the plans that have no scatter cut.
+    /// other table (from DB2), and run `plan` over them with the row
+    /// executor: the plans that have no scatter cut.
     fn gather_raw(
         &self,
         session: &mut Session,
-        q: &Query,
+        plan: &Plan,
         tables: &[ObjectName],
         sharded: &[ObjectName],
     ) -> Result<Rows> {
         let shards = self.fleet.shards;
-        let scratch = AccelEngine::new(&self.config.default_schema, self.config.accel.clone());
+        let mut gathered = Gathered { schema: &self.config.default_schema, rows: HashMap::new() };
         for t in tables {
-            if t.name == "SYSDUMMY1" || scratch.has_table(t) {
+            if t.name == "SYSDUMMY1" || gathered.rows.contains_key(t) {
                 continue;
             }
-            scratch.create_table(t, self.host.table_meta(t)?.schema.clone(), &[])?;
+            let mut rows = Vec::new();
             if sharded.contains(t) {
                 for s in 0..shards {
                     let pq = select_star(&shard_table(t, s, shards));
-                    scratch.load_committed(t, self.gather_shard(session, t, s, &pq, None)?.rows)?;
+                    rows.extend(self.gather_shard(session, t, s, &pq, None)?.rows);
                 }
             } else {
-                scratch.load_committed(t, self.host.scan_all(t)?)?;
+                rows = self.host.scan_all(t)?;
             }
+            gathered.rows.insert(t.clone(), rows);
         }
-        scratch.query(0, q)
+        execute_plan(plan, &gathered)
     }
 
     /// Fetch one shard's reply to `pq` (a partial when `cut_at` names the

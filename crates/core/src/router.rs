@@ -17,7 +17,7 @@
 
 use idaa_common::{Error, ObjectName, Result};
 use idaa_host::{AccelStatus, HostEngine, TableKind};
-use idaa_sql::ast::{BinaryOp, Expr};
+use idaa_sql::exec::{conjuncts, eq_literal};
 use idaa_sql::plan::Plan;
 use idaa_sql::AccelerationMode;
 
@@ -42,15 +42,18 @@ pub struct TableMix {
 }
 
 /// Does the plan look like an indexed point access? True when every base
-/// scan is filtered by an equality on the leading column of one of its
-/// host indexes.
+/// scan is filtered by a conjunct DB2's executor serves from an index:
+/// `col = literal` (`exec::eq_literal`) on a column with a single-column
+/// index (`HostEngine::has_column_index`).
 pub fn is_indexed_point(host: &HostEngine, plan: &Plan) -> bool {
     fn walk(host: &HostEngine, plan: &Plan, all_indexed: &mut bool, scans: &mut usize) {
         match plan {
             Plan::Filter { input, predicate } => {
-                if let Plan::Scan { table, .. } = input.as_ref() {
+                if let Plan::Scan { table, cols, .. } = input.as_ref() {
                     *scans += 1;
-                    if !filter_hits_index(host, table, predicate) {
+                    let mut points =
+                        conjuncts(predicate).into_iter().filter_map(|c| eq_literal(c, cols));
+                    if !points.any(|(col, _)| host.has_column_index(table, col)) {
                         *all_indexed = false;
                     }
                 } else {
@@ -79,31 +82,6 @@ pub fn is_indexed_point(host: &HostEngine, plan: &Plan) -> bool {
     let mut scans = 0;
     walk(host, plan, &mut all_indexed, &mut scans);
     scans > 0 && all_indexed
-}
-
-fn filter_hits_index(host: &HostEngine, table: &ObjectName, predicate: &Expr) -> bool {
-    let Ok(meta) = host.table_meta(table) else { return false };
-    let mut conjs = vec![predicate];
-    let mut eq_cols: Vec<&str> = Vec::new();
-    while let Some(e) = conjs.pop() {
-        match e {
-            Expr::Binary { left, op: BinaryOp::And, right } => {
-                conjs.push(left);
-                conjs.push(right);
-            }
-            Expr::Binary { left, op: BinaryOp::Eq, right } => {
-                match (left.as_ref(), right.as_ref()) {
-                    (Expr::Column { name, .. }, Expr::Literal(_))
-                    | (Expr::Literal(_), Expr::Column { name, .. }) => eq_cols.push(name),
-                    _ => {}
-                }
-            }
-            _ => {}
-        }
-    }
-    meta.indexes
-        .iter()
-        .any(|idx| idx.key_columns.first().map(|c| eq_cols.contains(&c.as_str())).unwrap_or(false))
 }
 
 /// Classify the referenced tables (resolved against the host catalog —
@@ -262,6 +240,27 @@ mod tests {
         assert!(!is_indexed_point(&host, &plan_of("SELECT v FROM t WHERE id > 5")), "range, not point");
         assert!(!is_indexed_point(&host, &plan_of("SELECT SUM(v) FROM t")), "full scan");
         assert!(!is_indexed_point(&host, &plan_of("SELECT 1")), "no scan at all");
+        assert!(!is_indexed_point(&host, &plan_of("SELECT v FROM t WHERE id = NULL")), "NULL key");
+    }
+
+    #[test]
+    fn a_composite_index_is_no_indexed_point() {
+        use idaa_host::{HostEngine, TableKind, SYSADM};
+        use idaa_sql::plan::plan_query;
+        use idaa_sql::{parse_statement, Statement};
+        let host = HostEngine::default();
+        let cols = ["A", "B"].map(|c| idaa_common::ColumnDef::new(c, idaa_common::DataType::Integer));
+        let schema = idaa_common::Schema::new(cols.to_vec()).unwrap();
+        let t = ObjectName::bare("T");
+        host.create_table(SYSADM, &t, schema, TableKind::Regular, vec![]).unwrap();
+        host.create_index(SYSADM, &ObjectName::bare("AB"), &t, vec!["A".into(), "B".into()]).unwrap();
+        let Statement::Query(q) = parse_statement("SELECT b FROM t WHERE a = 5").unwrap() else {
+            panic!()
+        };
+        let plan = plan_query(&q, &host).unwrap();
+        assert!(!is_indexed_point(&host, &plan), "DB2 would walk the heap");
+        host.create_index(SYSADM, &ObjectName::bare("A1"), &t, vec!["A".into()]).unwrap();
+        assert!(is_indexed_point(&host, &plan));
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! decides which statements ever reach this engine versus the accelerator.
 
 use crate::catalog::{AccelStatus, Catalog, TableId, TableKind, TableMeta};
-use crate::exec::{execute_plan, execute_plan_profiled, RowSource};
 use crate::index::BTreeIndex;
 use crate::lock::{LockManager, LockMode};
 use crate::privilege::PrivilegeCatalog;
@@ -15,6 +14,7 @@ use crate::txn::{ChangeOp, ChangeRecord, TxnId, TxnManager, UndoRecord};
 use idaa_common::{Error, ObjectName, Result, Row, Rows, Schema, Value};
 use idaa_sql::ast::{Expr, Query};
 use idaa_sql::eval::{bind, eval, eval_predicate, FlatResolver};
+use idaa_sql::exec::{execute_plan, execute_plan_profiled, RowSource};
 use idaa_sql::plan::{plan_query, Plan, PlanProfile, SchemaProvider};
 use idaa_sql::Privilege;
 use parking_lot::RwLock;
@@ -435,6 +435,26 @@ impl HostEngine {
         self.store(name).map(|s| s.heap.len()).unwrap_or(0)
     }
 
+    /// The single-column index on `column` of `table`, wherever it sits in
+    /// the table's index list: the one index choice behind point and range
+    /// access. A composite index serves neither.
+    fn column_index(
+        &self,
+        table: &ObjectName,
+        column: &str,
+    ) -> Result<Option<(Arc<TableStore>, Arc<BTreeIndex>)>> {
+        let store = self.store(table)?;
+        let ordinal = self.table_meta(table)?.schema.index_of(column)?;
+        let idx = store.indexes.read().iter().find(|i| i.key_columns == [ordinal]).cloned();
+        Ok(idx.map(|idx| (store, idx)))
+    }
+
+    /// Whether an index serves `column = literal` on `table` — the router's
+    /// indexed-point test, by the executor's own index choice.
+    pub fn has_column_index(&self, table: &ObjectName, column: &str) -> bool {
+        self.column_index(table, column).is_ok_and(|found| found.is_some())
+    }
+
     /// Raw scan used by the federation layer (initial accelerator load).
     pub fn scan_all(&self, table: &ObjectName) -> Result<Vec<Row>> {
         let store = self.store(table)?;
@@ -469,26 +489,10 @@ impl RowSource for EngineSource<'_> {
         column: &str,
         value: &Value,
     ) -> Result<Option<Vec<Row>>> {
-        let store = self.engine.store(table)?;
-        let meta = self.engine.table_meta(table)?;
-        let ordinal = meta.schema.index_of(column)?;
-        let indexes = store.indexes.read();
-        let Some(idx) = indexes.iter().find(|i| i.key_columns.first() == Some(&ordinal)) else {
-            return Ok(None);
-        };
-        // Single-column prefix match only: multi-column indexes still serve
-        // equality on their leading column, with the residual re-checked by
-        // the caller — but only if the lookup key is the full key.
-        if idx.key_columns.len() != 1 {
-            return Ok(None);
-        }
+        let Some((store, idx)) = self.engine.column_index(table, column)? else { return Ok(None) };
         self.engine.stats.index_lookups.fetch_add(1, Ordering::Relaxed);
-        let rows = idx
-            .lookup(std::slice::from_ref(value))
-            .into_iter()
-            .filter_map(|rid| store.heap.get(rid))
-            .collect();
-        Ok(Some(rows))
+        let rids = idx.lookup(std::slice::from_ref(value));
+        Ok(Some(rids.into_iter().filter_map(|rid| store.heap.get(rid)).collect()))
     }
 
     fn index_range(
@@ -501,23 +505,10 @@ impl RowSource for EngineSource<'_> {
         if low.is_none() && high.is_none() {
             return Ok(None);
         }
-        let store = self.engine.store(table)?;
-        let meta = self.engine.table_meta(table)?;
-        let ordinal = meta.schema.index_of(column)?;
-        let indexes = store.indexes.read();
-        let Some(idx) = indexes
-            .iter()
-            .find(|i| i.key_columns.len() == 1 && i.key_columns[0] == ordinal)
-        else {
-            return Ok(None);
-        };
+        let Some((store, idx)) = self.engine.column_index(table, column)? else { return Ok(None) };
         self.engine.stats.index_range_scans.fetch_add(1, Ordering::Relaxed);
-        let rows = idx
-            .range(low, high)
-            .into_iter()
-            .filter_map(|rid| store.heap.get(rid))
-            .collect();
-        Ok(Some(rows))
+        let rids = idx.range(low, high);
+        Ok(Some(rids.into_iter().filter_map(|rid| store.heap.get(rid)).collect()))
     }
 }
 
@@ -660,6 +651,23 @@ mod tests {
         assert_eq!(r.len(), 1);
         let r = query(&e, SYSADM, t2, "SELECT pay FROM emp WHERE id = 123").unwrap();
         assert_eq!(r.len(), 0);
+    }
+
+    #[test]
+    fn point_lookup_finds_the_single_column_index_behind_a_composite_one() {
+        let e = setup();
+        let t = e.begin();
+        e.insert_rows(SYSADM, t, &ObjectName::bare("EMP"), (0..50).map(|i| row(i, "n", i)).collect())
+            .unwrap();
+        e.commit(t);
+        let emp = ObjectName::bare("EMP");
+        e.create_index(SYSADM, &ObjectName::bare("EMP_AB"), &emp, vec!["ID".into(), "NAME".into()])
+            .unwrap();
+        e.create_index(SYSADM, &ObjectName::bare("EMP_A1"), &emp, vec!["ID".into()]).unwrap();
+        let before = e.stats.index_lookups.load(Ordering::Relaxed);
+        let r = query(&e, SYSADM, e.begin(), "SELECT pay FROM emp WHERE id = 5").unwrap();
+        assert_eq!(r.scalar().unwrap(), &Value::Int(5));
+        assert_eq!(e.stats.index_lookups.load(Ordering::Relaxed), before + 1);
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! isolation, undo-logged transactions with commit-time change capture
 //! (CDC), a catalog that also records accelerator bookkeeping (nickname
 //! proxies for accelerator-only tables, acceleration status), a privilege
-//! catalog for the paper's governance requirement, and a Volcano-style row
-//! executor.
+//! catalog for the paper's governance requirement, and the storage behind
+//! the Volcano-style row executor (`idaa_sql::exec::execute_plan`, whose
+//! operators the accelerator's interpreter shares): `EngineSource` serves
+//! it heap scans and index lookups.
 //!
 //! Everything the paper assumes about "DB2" is modeled here; everything
 //! about "the accelerator" lives in `idaa-accel`; the federation between
@@ -14,7 +16,6 @@
 
 pub mod catalog;
 pub mod engine;
-pub mod exec;
 pub mod index;
 pub mod lock;
 pub mod privilege;

@@ -2,13 +2,15 @@
 //!
 //! Translates a [`Query`] AST into a [`Plan`] tree: scans, joins, filters,
 //! aggregation (with aggregate-call rewriting), projection, sort, distinct
-//! and limit. The host engine lowers the plan to row-at-a-time Volcano
-//! operators; the accelerator lowers it to vectorized columnar kernels —
-//! but both consume this same structure, which is also what the federation
-//! router inspects to decide *where* a statement may run.
+//! and limit. The host engine runs the plan through the row operators of
+//! [`crate::exec`]; the accelerator lowers it to vectorized columnar
+//! pipelines, falling back to those same operators — but both consume this
+//! same structure, which is also what the federation router inspects to
+//! decide *where* a statement may run.
 
 use crate::ast::{is_aggregate_name, Expr, JoinKind, Query, SelectItem, TableRef};
 use crate::eval::AggregateKind;
+use crate::exec::{conjuncts, resolver_of};
 use idaa_common::{DataType, Error, ObjectName, Result, Schema};
 
 /// A column flowing out of a plan node.
@@ -549,18 +551,6 @@ fn plan_block(q: &Query, provider: &dyn SchemaProvider) -> Result<Plan> {
     Ok(plan)
 }
 
-/// Split an expression into its top-level AND conjuncts.
-fn split_conjuncts(e: &Expr) -> Vec<Expr> {
-    match e {
-        Expr::Binary { left, op: crate::ast::BinaryOp::And, right } => {
-            let mut out = split_conjuncts(left);
-            out.extend(split_conjuncts(right));
-            out
-        }
-        other => vec![other.clone()],
-    }
-}
-
 /// AND-fold a list of conjuncts back into one predicate.
 fn and_all(conjs: Vec<Expr>) -> Option<Expr> {
     conjs.into_iter().reduce(|a, b| Expr::Binary {
@@ -573,10 +563,7 @@ fn and_all(conjs: Vec<Expr>) -> Option<Expr> {
 /// Does `conj` bind cleanly (every column resolved, unambiguously) against
 /// one join input's columns?
 fn binds_against(conj: &Expr, cols: &[PlanCol]) -> bool {
-    let resolver = crate::eval::FlatResolver::new(
-        cols.iter().map(|c| (c.qualifier.clone(), c.name.clone())).collect(),
-    );
-    crate::eval::bind(conj, &resolver).is_ok()
+    crate::eval::bind(conj, &resolver_of(cols)).is_ok()
 }
 
 /// Join predicate pushdown: move WHERE conjuncts that reference columns of
@@ -603,7 +590,7 @@ pub fn push_filters_below_joins(plan: Plan) -> Plan {
     let mut to_left: Vec<Expr> = Vec::new();
     let mut to_right: Vec<Expr> = Vec::new();
     let mut residual: Vec<Expr> = Vec::new();
-    for conj in split_conjuncts(&predicate) {
+    for conj in conjuncts(&predicate).into_iter().cloned() {
         let on_l = binds_against(&conj, &lcols);
         let on_r = binds_against(&conj, &rcols);
         if on_l && !on_r {

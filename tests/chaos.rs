@@ -2,7 +2,7 @@
 //!
 //! Every test here runs on the virtual clock only — retries, backoff and
 //! outage windows consume `NetLink` time, never wall time. Case count for
-//! the randomized test follows `PROPTEST_CASES` (default 16) so CI can pin
+//! the randomized test follows `PROPTEST_CASES` (default 24) so CI can pin
 //! it; each case derives from a fixed seed, so failures reproduce exactly.
 //!
 //! Tolerated statement outcomes under faults are the federation SQLCODEs:
@@ -39,7 +39,7 @@ impl Rng {
 }
 
 fn cases() -> u32 {
-    std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(16)
+    std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(24)
 }
 
 /// Build a system with one replicated host table (SALES) and one AOT (LOG),

@@ -1,7 +1,8 @@
 //! Structural rules of the code base, checked against the source tree:
-//! deleted machinery stays deleted, the accelerator has one fan-out, only
-//! `idaa-core` decides where accelerator rows live, and wall time is read
-//! only where it is measured.
+//! deleted machinery stays deleted, every engine runs one set of row
+//! operators, the accelerator has one fan-out, only `idaa-core` decides
+//! where accelerator rows live, and wall time is read only where it is
+//! measured.
 
 use std::path::{Path, PathBuf};
 
@@ -81,6 +82,35 @@ fn deleted_names_stay_deleted() {
             }
         }
     }
+}
+
+#[test]
+fn one_row_executor() {
+    // DB2, the accelerator's interpreter, the fleet coordinator and its Raw
+    // gather run the plan operators of `idaa-sql`; none keeps a copy.
+    let sql = root().join("crates/sql/src");
+    let crates = sources("crates");
+    for name in ["hash_join", "aggregate", "dedup", "conjuncts", "merge_runs", "execute_plan"] {
+        let decl = format!("fn {name}(");
+        let homes: Vec<&Path> = crates
+            .iter()
+            .filter(|(path, _)| path.components().any(|c| c.as_os_str() == "src"))
+            .flat_map(|(path, text)| product(text).matches(&decl).map(move |_| path.as_path()))
+            .collect();
+        assert!(
+            matches!(&homes[..], [home] if home.starts_with(&sql)),
+            "`{decl}` is defined in {homes:?}, not once in crates/sql/src"
+        );
+    }
+    assert!(!root().join("crates/host/src/exec.rs").exists(), "DB2 keeps no executor of its own");
+    // One engine per accelerator node: nothing is staged in a scratch engine.
+    let count = |text: &str| text.matches("AccelEngine::new(").count();
+    let total: usize = sources("crates/core/src").iter().map(|(_, text)| count(product(text))).sum();
+    let fleet = std::fs::read_to_string(root().join("crates/core/src/fleet.rs")).unwrap();
+    let node = body(&fleet, "impl AccelNode {");
+    let node_new = &node[node.find("fn new(").expect("no `AccelNode::new`")..];
+    let node_new = &node_new[..node_new.find("\n    }\n").unwrap_or(node_new.len())];
+    assert_eq!((total, count(node_new)), (1, 1), "`AccelNode::new` is the one `AccelEngine::new(`");
 }
 
 #[test]

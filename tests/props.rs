@@ -1606,6 +1606,10 @@ proptest! {
             // The sharded side is the null-supplying side: raw.
             ("SELECT d.a, d.name, x.b FROM d LEFT JOIN f AS x ON d.a = x.a \
               ORDER BY d.a, d.name, x.b", "raw"),
+            // A sharded scan under a UNION, and a join above the cut: raw.
+            ("SELECT a FROM f WHERE b < 10 UNION SELECT a FROM d ORDER BY 1", "raw"),
+            ("SELECT t.g, t.c, d.name FROM (SELECT g, COUNT(*) AS c FROM f GROUP BY g) AS t \
+              INNER JOIN d ON d.a < t.c ORDER BY t.g, d.name", "raw"),
             // The direct-loaded table and the LINREG model table.
             ("SELECT COUNT(*), SUM(a), SUM(b), MIN(g), MAX(g) FROM l", "groups"),
             ("SELECT g, COUNT(*), SUM(b) FROM l GROUP BY g ORDER BY g", "groups"),
