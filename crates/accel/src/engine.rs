@@ -7,7 +7,7 @@
 //! bulk load, and grooming.
 
 use crate::durable::{Checkpoint, DurableStore, LogRecord, ScrubReport, SliceImage, TableImage};
-use crate::exec::{run, run_partial_groups, scan_filtered, scan_victims, ExecCtx, ExecMode};
+use crate::exec::{run_partial_groups, scan_filtered, scan_victims, ExecCtx, ExecMode};
 use crate::partial::{cut, groups_schema};
 use crate::mvcc::{CommitSeq, Snapshot, TxnId, TxnRegistry, TxnStatus};
 use crate::pipeline::{lower, Lowered};
@@ -16,6 +16,7 @@ use idaa_common::{wire, Error, ObjectName, Result, Row, Rows, Schema};
 use idaa_netsim::{sites, FaultRegistry};
 use idaa_sql::ast::{Expr, Query};
 use idaa_sql::eval::{bind, eval, FlatResolver};
+use idaa_sql::exec::run;
 use idaa_sql::plan::{plan_query, Plan, PlanProfile, SchemaProvider};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -691,8 +692,10 @@ impl AccelEngine {
     /// property test asserts byte-identical state across restarts.
     pub fn state_fingerprint(&self) -> u64 {
         let mut buf = Vec::new();
-        for name in self.table_names() {
-            let t = self.table(&name).expect("listed table exists");
+        let mut tables: Vec<(ObjectName, Arc<AccelTable>)> =
+            self.tables.read().iter().map(|(name, t)| (name.clone(), t.clone())).collect();
+        tables.sort_by(|a, b| a.0.cmp(&b.0));
+        for (name, t) in tables {
             buf.extend_from_slice(name.to_string().as_bytes());
             buf.extend_from_slice(&wire::schema_fingerprint(&t.schema).to_le_bytes());
             buf.extend_from_slice(&(t.rr_cursor() as u64).to_le_bytes());
@@ -933,7 +936,7 @@ impl AccelEngine {
     pub fn pipeline_of(&self, query: &Query) -> Result<String> {
         self.ensure_up()?;
         let plan = plan_query(query, self)?;
-        Ok(lower(&plan, self, ExecMode::Vectorized)?.describe())
+        Ok(lower(&plan, self, ExecMode::Vectorized)?.describe(&plan))
     }
 
     /// Execute a `SELECT` and also return the executed plan plus a
@@ -995,15 +998,16 @@ impl AccelEngine {
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
         if let Some(profile) = profile {
             profile.set_cache_hit(hit);
-            profile.set_pipeline(lowered.describe());
+            profile.set_pipeline(lowered.describe(&plan));
         }
-        let ctx = ExecCtx { engine: self, snap: self.snapshot_for(txn), mode, profile };
+        let snap = self.snapshot_for(txn);
+        let ctx = ExecCtx { engine: self, snap, mode, profile, low: &lowered };
         // A shard's cut at an aggregate ships its groups unfinished.
         let rows = match (shard, plan.as_ref()) {
             (Some(_), Plan::Aggregate { .. }) => {
-                Rows::new(groups_schema(&plan)?, run_partial_groups(&plan, &lowered, &ctx)?)
+                Rows::new(groups_schema(&plan)?, run_partial_groups(&plan, &ctx)?)
             }
-            _ => Rows::new(plan.schema(), run(&plan, &lowered, &ctx, None)?),
+            _ => Rows::new(plan.schema(), run(&plan, &ctx, None, profile)?),
         };
         Ok((rows, plan))
     }
@@ -1130,6 +1134,7 @@ impl AccelEngine {
             snap: self.snapshot_for(txn),
             mode: ExecMode::Vectorized,
             profile: None,
+            low: &Lowered::default(),
         };
         scan_victims(t, filter, &ctx, needed)
     }
@@ -1196,6 +1201,7 @@ impl AccelEngine {
             snap: self.txns.snapshot(0),
             mode: ExecMode::Vectorized,
             profile: None,
+            low: &Lowered::default(),
         };
         scan_filtered(&t, None, &ctx)
     }

@@ -18,13 +18,12 @@
 //! `pipeline::lower`: a sub-plan whose probe side is a (filtered) scan runs
 //! as one `pipeline::Pipeline` (join probe, residuals, projection,
 //! aggregate / sort / top-K / row sink over the typed vectors; a row is
-//! built only at the sink). Everything else — and all of
-//! [`ExecMode::Interpreted`], the oracle — runs through the `Vec<Row>`
-//! interpreter in this file. Its walk (`run`, `run_node`, `input_mask`)
-//! dispatches pipelines per sub-plan and pushes column masks down; each
-//! node it interprets runs the shared row operator of `idaa_sql::exec`
-//! (`apply`, `hash_join`, `dedup`), the same one DB2 runs — plainly and
-//! serially.
+//! built only at the sink). The plan itself runs on the walk DB2 runs,
+//! `idaa_sql::exec::run`, with [`ExecCtx`] as its row source: the source
+//! answers the sub-plans lowered to a pipeline or a compiled scan, and the
+//! walk runs every other node's shared row operator plainly and serially.
+//! Under [`ExecMode::Interpreted`], the oracle, the source answers scans
+//! only.
 //!
 //! Only slices fan out: scans and pipelines go through `for_each_slice` →
 //! `run_parts`, whose parts are the table's slices (so output order is a
@@ -38,10 +37,11 @@ use crate::partial::group_rows;
 use crate::pipeline::{gather, Kind, Lowered, OutCol};
 use crate::table::{AccelTable, RowPos, Slice, ZoneEntry, BLOCK_ROWS};
 use idaa_common::{Error, ObjectName, Result, Row, Value};
-use idaa_sql::ast::{BinaryOp, Expr, JoinKind};
-use idaa_sql::eval::{bind, eval_predicate, BoundExpr};
+use idaa_sql::ast::{BinaryOp, Expr};
+use idaa_sql::eval::{eval_predicate, BoundExpr};
 use idaa_sql::exec::{
-    aggregate, apply, bind_all, conjuncts, dedup, flip, hash_join, resolver_of, JoinSpec,
+    aggregate, bind_all, conjuncts, flip, input_mask, mask_of, resolver_of, run, union_mask,
+    RowSource,
 };
 use idaa_sql::plan::{Plan, PlanCol, PlanProfile};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -102,7 +102,9 @@ pub enum ExecMode {
     Interpreted,
 }
 
-/// Execution context for one statement.
+/// Execution context for one statement, and the accelerator's row source
+/// for the shared walk: it answers each node its lowering maps to a
+/// pipeline or a compiled scan, and the walk runs every other node.
 pub struct ExecCtx<'a> {
     pub engine: &'a AccelEngine,
     pub snap: Snapshot,
@@ -110,118 +112,23 @@ pub struct ExecCtx<'a> {
     /// When set, each executed plan node records its output cardinality
     /// (fused children stay unrecorded — fusion is visible in the profile).
     pub profile: Option<&'a PlanProfile>,
+    /// The statement's lowering (empty for a bare table scan).
+    pub(crate) low: &'a Lowered,
 }
 
-/// Run one node: a pipeline streams its whole sub-plan (and records each
-/// stage itself); anything else is dispatched to the interpreter and, when
-/// profiling, records its output cardinality on the way out.
-///
-/// `needed` is *projection pushdown*: `needed[i] == false` means the caller
-/// never reads output column `i`, so it may be left NULL and its column
-/// vector never decoded.
-pub(crate) fn run(
-    plan: &Plan,
-    low: &Lowered,
-    ctx: &ExecCtx,
-    needed: Option<Vec<bool>>,
-) -> Result<Vec<Row>> {
-    if let Kind::Pipe(pipe) = &low.kind {
-        return pipe.run(plan, ctx, needed.as_deref(), false);
-    }
-    let rows = run_node(plan, low, ctx, needed)?;
-    if let Some(prof) = ctx.profile {
-        prof.record(plan, rows.len() as u64);
-    }
-    Ok(rows)
-}
-
-/// Union the column ordinals of `exprs` into a mask over `width` columns.
-fn mask_of(width: usize, bound: &[&BoundExpr]) -> Vec<bool> {
-    let mut set = std::collections::HashSet::new();
-    for b in bound {
-        b.collect_columns(&mut set);
-    }
-    (0..width).map(|i| set.contains(&i)).collect()
-}
-
-fn union_mask(a: Option<Vec<bool>>, b: Vec<bool>) -> Vec<bool> {
-    match a {
-        None => b,
-        Some(a) => a.iter().zip(&b).map(|(x, y)| *x || *y).collect(),
-    }
-}
-
-/// The row-at-a-time interpreter for one node over its lowered children.
-fn run_node(
-    plan: &Plan,
-    low: &Lowered,
-    ctx: &ExecCtx,
-    needed: Option<Vec<bool>>,
-) -> Result<Vec<Row>> {
-    let child = |i: usize| {
-        low.children
-            .get(i)
-            .ok_or_else(|| Error::internal(format!("plan and lowering disagree at {}", plan.label())))
-    };
-    match (plan, &low.kind) {
-        (_, Kind::Scan(spec)) => {
-            let t = ctx.engine.table(&spec.table)?;
-            scan_table(&t, spec, ctx, needed, Some(plan), false).map(|(rows, _)| rows)
+impl RowSource for ExecCtx<'_> {
+    /// `needed` is *projection pushdown*: a column no caller reads is left
+    /// NULL and its column vector never decoded.
+    fn node(&self, plan: &Plan, needed: Option<&[bool]>) -> Result<Option<Vec<Row>>> {
+        match self.low.kind(plan) {
+            Some(Kind::Pipe(pipe)) => pipe.run(plan, self, needed, false).map(Some),
+            Some(Kind::Scan(spec)) => {
+                let t = self.engine.table(&spec.table)?;
+                scan_table(&t, spec, self, needed, Some(plan), false).map(|(rows, _)| Some(rows))
+            }
+            Some(Kind::Join { .. }) | None => Ok(None),
         }
-        // FROM-less SELECT: one empty row (DB2's SYSIBM.SYSDUMMY1).
-        (Plan::Scan { .. }, _) => Ok(vec![vec![]]),
-        (Plan::Join { left, right, kind, .. }, Kind::Join(spec)) => {
-            run_join((left, child(0)?), (right, child(1)?), *kind, spec, ctx, needed)
-        }
-        (Plan::Join { .. }, _) => {
-            Err(Error::internal("join node lowered without its key decisions"))
-        }
-        (Plan::Union { left, right, all }, _) => {
-            // Plain UNION dedups on full rows, so branches must materialize
-            // every column; UNION ALL can push the caller's mask through.
-            let child_mask = if *all { needed } else { None };
-            let mut rows = run(left, child(0)?, ctx, child_mask.clone())?;
-            rows.extend(run(right, child(1)?, ctx, child_mask)?);
-            Ok(if *all { rows } else { dedup(rows) })
-        }
-        (_, _) => match plan.children()[..] {
-            [input] => apply(plan, run(input, child(0)?, ctx, input_mask(plan, needed)?)?),
-            _ => Err(Error::internal(format!("{} is not a single-input operator", plan.label()))),
-        },
     }
-}
-
-/// What a single-input node reads of its input's columns, given what its
-/// caller reads of its own (`None`: every column).
-fn input_mask(plan: &Plan, needed: Option<Vec<bool>>) -> Result<Option<Vec<bool>>> {
-    let Some(input) = plan.children().first().map(|c| c.cols()) else { return Ok(needed) };
-    let bound = |exprs: &mut dyn Iterator<Item = &Expr>| -> Result<Vec<bool>> {
-        let resolver = resolver_of(&input);
-        let bound: Vec<BoundExpr> = exprs.map(|e| bind(e, &resolver)).collect::<Result<_>>()?;
-        Ok(mask_of(input.len(), &bound.iter().collect::<Vec<_>>()))
-    };
-    Ok(match plan {
-        Plan::Filter { predicate, .. } => match needed {
-            Some(m) => Some(union_mask(Some(m), bound(&mut std::iter::once(predicate))?)),
-            None => None,
-        },
-        Plan::Project { exprs, .. } => Some(bound(&mut exprs.iter().map(|(e, _)| e))?),
-        Plan::Aggregate { group_exprs, aggs, .. } => {
-            Some(bound(&mut group_exprs.iter().chain(aggs.iter().filter_map(|a| a.arg.as_ref())))?)
-        }
-        Plan::Sort { keys, .. } => needed.map(|mut m| {
-            m.resize(input.len(), false);
-            keys.iter().filter(|(i, _)| *i < input.len()).for_each(|(i, _)| m[*i] = true);
-            m
-        }),
-        // Row-level dedup reads every column: no pushdown through here.
-        Plan::Distinct { .. } => None,
-        Plan::KeepCols { .. } => needed.map(|mut m| {
-            m.resize(input.len(), false);
-            m
-        }),
-        _ => needed,
-    })
 }
 
 /// The columns of a bare scan of `table`, qualified by its name.
@@ -784,7 +691,7 @@ pub(crate) fn scan_victims(
     needed: Option<Vec<bool>>,
 ) -> Result<Vec<(RowPos, Row)>> {
     let spec = ScanSpec::compile(table, filter, &table_cols(table), ctx.mode)?;
-    let (rows, positions) = scan_table(table, &spec, ctx, needed, None, true)?;
+    let (rows, positions) = scan_table(table, &spec, ctx, needed.as_deref(), None, true)?;
     Ok(positions.into_iter().zip(rows).collect())
 }
 
@@ -795,7 +702,7 @@ pub(crate) fn scan_table(
     table: &AccelTable,
     spec: &ScanSpec,
     ctx: &ExecCtx,
-    needed: Option<Vec<bool>>,
+    needed: Option<&[bool]>,
     prof_node: Option<&Plan>,
     victims: bool,
 ) -> Result<(Vec<Row>, Vec<RowPos>)> {
@@ -804,13 +711,7 @@ pub(crate) fn scan_table(
     // residual predicate reads. Kernel columns are evaluated directly on
     // the typed vectors and need no materialization.
     let width = table.schema.len();
-    let mask: Option<Vec<bool>> = needed.map(|mut m| {
-        m.resize(width, false);
-        match residual {
-            Some(res) => union_mask(Some(m), mask_of(width, &[res])),
-            None => m,
-        }
-    });
+    let mask: Option<Vec<bool>> = needed.map(|m| union_mask(m, &mask_of(width, residual)));
 
     // Late materialization: with no interpreted residual left, survivors
     // are assembled column-at-a-time by the pipeline's row gather instead
@@ -877,45 +778,16 @@ pub(crate) fn scan_table(
     Ok((out, positions))
 }
 
-/// The row-path join node: both sides, then [`hash_join`].
-fn run_join(
-    (left, llow): (&Plan, &Lowered),
-    (right, rlow): (&Plan, &Lowered),
-    kind: JoinKind,
-    spec: &JoinSpec,
-    ctx: &ExecCtx,
-    needed: Option<Vec<bool>>,
-) -> Result<Vec<Row>> {
-    let (lwidth, rwidth) = (left.cols().len(), right.cols().len());
-    // Projection pushdown through the join: each side materializes what the
-    // caller reads of it plus what the ON predicate (keys and residual
-    // conjuncts alike) reads; every other column stays NULL.
-    let (lmask, rmask) = match needed {
-        None => (None, None),
-        Some(mut m) => {
-            m.resize(lwidth + rwidth, false);
-            let mut l = union_mask(Some(m), mask_of(lwidth + rwidth, &[&spec.on]));
-            let r = l.split_off(lwidth);
-            (Some(l), Some(r))
-        }
-    };
-    // Build side (right) first, like the pipeline's probe stage.
-    let rrows = run(right, rlow, ctx, rmask)?;
-    let lrows = run(left, llow, ctx, lmask)?;
-    hash_join(&lrows, &rrows, spec, kind, rwidth)
-}
-
 /// A fleet shard's partial of an `Aggregate` node: its groups merged but
 /// not finished, as [`group_rows`] ships them.
-pub(crate) fn run_partial_groups(plan: &Plan, low: &Lowered, ctx: &ExecCtx) -> Result<Vec<Row>> {
-    if let Kind::Pipe(pipe) = &low.kind {
+pub(crate) fn run_partial_groups(plan: &Plan, ctx: &ExecCtx) -> Result<Vec<Row>> {
+    if let Some(Kind::Pipe(pipe)) = ctx.low.kind(plan) {
         return pipe.run(plan, ctx, None, true);
     }
-    let (Plan::Aggregate { input, group_exprs, aggs, .. }, Some(child)) = (plan, low.children.first())
-    else {
+    let Plan::Aggregate { input, group_exprs, aggs, .. } = plan else {
         return Err(Error::internal(format!("{} has no partial groups", plan.label())));
     };
-    let rows = run(input, child, ctx, input_mask(plan, None)?)?;
+    let rows = run(input, ctx, input_mask(plan, None)?.as_deref(), ctx.profile)?;
     let rows = group_rows(aggregate(input, group_exprs, aggs, &rows)?);
     if let Some(prof) = ctx.profile {
         prof.record(plan, rows.len() as u64);

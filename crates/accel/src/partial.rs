@@ -16,15 +16,16 @@
 //! | `Limit`     | its first n rows                       | concatenates and truncates      |
 //! | none        | its rows                               | concatenates                    |
 //!
-//! The coordinator then runs the nodes above the cut with the shared row
-//! operators ([`apply`]). A plan with two sharded scans, with the sharded
-//! scan on the null-supplying side of a LEFT join or under a `UNION`, or
-//! with a join above the cut has no cut: the fleet gathers raw rows instead.
+//! The coordinator then runs the plan on the shared walk
+//! (`idaa_sql::exec::run`), its row source answering the cut node with the
+//! merged partial. A plan with two sharded scans, with the sharded scan on
+//! the null-supplying side of a LEFT join or under a `UNION`, or with a join
+//! above the cut has no cut: the fleet gathers raw rows instead.
 
 use idaa_common::{ColumnDef, DataType, Error, ObjectName, Result, Row, Schema, Value};
 use idaa_sql::ast::JoinKind;
 use idaa_sql::eval::AggState;
-use idaa_sql::exec::{apply, dedup, finish_groups, merge_groups, merge_runs, Groups};
+use idaa_sql::exec::{dedup, finish_groups, merge_groups, merge_runs, Groups};
 use idaa_sql::plan::{infer_type, Plan};
 
 /// How the coordinator merges the shards' partials of a [`Cut`].
@@ -54,7 +55,9 @@ impl Merge {
 /// over its shard, and how the coordinator merges what the shards ship.
 #[derive(Debug)]
 pub struct Cut<'p> {
-    node: &'p Plan,
+    /// The node each shard computes; the coordinator answers it with the
+    /// merged partial.
+    pub node: &'p Plan,
     pub merge: Merge,
     /// A `Limit` above a `Sort` cut (through `KeepCols`): each shard ships
     /// only its first `n` sorted rows.
@@ -123,11 +126,10 @@ impl Cut<'_> {
         }
     }
 
-    /// Merge the shards' partials (`parts`, in shard order) and run the
-    /// nodes of `plan` above the cut: the rows `plan` produces over the
-    /// whole table.
-    pub fn merge(&self, plan: &Plan, parts: Vec<Vec<Row>>) -> Result<Vec<Row>> {
-        let rows = match (self.merge, self.node) {
+    /// Merge the shards' partials (`parts`, in shard order) into the rows
+    /// the cut node produces over the whole table.
+    pub fn merge(&self, parts: Vec<Vec<Row>>) -> Result<Vec<Row>> {
+        Ok(match (self.merge, self.node) {
             (Merge::Groups, Plan::Aggregate { group_exprs, aggs, .. }) => {
                 let groups = read_groups(parts.concat(), group_exprs.len(), aggs)?;
                 finish_groups(merge_groups(groups)?, !group_exprs.is_empty(), aggs)?
@@ -143,19 +145,7 @@ impl Cut<'_> {
             (merge, node) => {
                 return Err(Error::internal(format!("a {} cut at {}", merge.name(), node.label())))
             }
-        };
-        above(plan, self.node, rows)
-    }
-}
-
-/// The rows `plan` produces when its node `cut` produces `rows`.
-fn above(plan: &Plan, cut: &Plan, rows: Vec<Row>) -> Result<Vec<Row>> {
-    if std::ptr::eq(plan, cut) {
-        return Ok(rows);
-    }
-    match plan.children()[..] {
-        [input] => apply(plan, above(input, cut, rows)?),
-        _ => Err(Error::internal(format!("{} above a scatter cut", plan.label()))),
+        })
     }
 }
 

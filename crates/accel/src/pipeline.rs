@@ -28,27 +28,27 @@
 //! Parts are slices, run through `for_each_slice`; partials merge in slice
 //! order, so output order is a function of the data (slice-major probe
 //! order, each position's build rows in build order), never of the worker
-//! count — and it is the order the interpreter in `exec.rs` produces. What
-//! does not stream — nested-loop joins, a join whose probe side is not a
-//! scan, `UNION`, nodes above an aggregate — stays a row-producing node of
-//! that interpreter, whose scans and joins carry their compiled decisions
-//! in the same [`Lowered`] tree. `EXPLAIN`'s `PIPELINE:` line
-//! ([`Lowered::describe`]) and the executed profile's `kernel=` /
-//! `batches=` / `fused=` / `bloom_skipped=` attributes are both rendered
-//! from that one value. A new vectorized operator is added here, as a stage
-//! or a sink, and nowhere else.
+//! count — and it is the order the shared walk (`idaa_sql::exec::run`)
+//! produces. The walk runs the plan; the accelerator's row source answers
+//! each node [`Lowered`] maps to a pipeline or a compiled scan, and the
+//! walk runs the shared row operator for what does not stream — nested-loop
+//! joins, a join whose probe side is not a scan, `UNION`, nodes above an
+//! aggregate. `EXPLAIN`'s `PIPELINE:` line ([`Lowered::describe`]) and the
+//! executed profile's `kernel=` / `batches=` / `fused=` / `bloom_skipped=`
+//! attributes are both rendered from that one value. A new vectorized
+//! operator is added here, as a stage or a sink, and nowhere else.
 
 use crate::column::{Column, NullMap};
 use crate::engine::AccelEngine;
 use crate::partial::group_rows;
-use crate::exec::{compact, for_each_slice, run, scan_blocks, ExecCtx, ExecMode, ScanSpec};
+use crate::exec::{compact, for_each_slice, scan_blocks, ExecCtx, ExecMode, ScanSpec};
 use crate::table::Slice;
 use idaa_common::wire::KeySummary;
 use idaa_common::{DataType, Error, ObjectName, Result, Row, Value};
 use idaa_sql::ast::{Expr, JoinKind};
 use idaa_sql::eval::{bind, eval, BoundExpr};
 use idaa_sql::exec::{
-    finish_groups, merge_groups, merge_runs, new_states, resolver_of, Groups, JoinSpec,
+    finish_groups, merge_groups, merge_runs, new_states, resolver_of, run, Groups, JoinSpec,
 };
 use idaa_sql::plan::{AggCall, Plan, PlanCol, PlanProfile};
 use std::cmp::Ordering;
@@ -64,23 +64,25 @@ const TOPK_MAX: u64 = 1024;
 /// match, whose build columns read as NULL).
 const NONE: u32 = u32::MAX;
 
-/// A lowered plan node, in lockstep with [`Plan::children`].
-#[derive(Debug)]
+/// A plan's lowering: what the accelerator decided for its nodes, keyed by
+/// node address (the plan lives behind an `Arc` beside it, so addresses
+/// are stable). A node without an entry runs the walk's operator.
+#[derive(Debug, Default)]
 pub(crate) struct Lowered {
-    pub(crate) kind: Kind,
-    pub(crate) children: Vec<Lowered>,
+    /// A handful of entries per plan, kept exact-size: the plan cache holds
+    /// thousands of lowerings.
+    kinds: Vec<(usize, Kind)>,
 }
 
 #[derive(Debug)]
 pub(crate) enum Kind {
     /// This node and everything below it stream as one pipeline.
     Pipe(Box<Pipeline>),
-    /// A `Scan` / `Filter(Scan)` leaf the row path runs.
+    /// A `Scan` / `Filter(Scan)` leaf: the compiled scan answers it.
     Scan(ScanSpec),
-    /// A join the row path runs, with its key decisions.
-    Join(JoinSpec),
-    /// Any other node: the interpreter, over lowered children.
-    Rows,
+    /// A join the walk runs row by row; `nested_loop` when it has no
+    /// equi-key pair (for `describe`).
+    Join { nested_loop: bool },
 }
 
 /// `Scan` or `Filter(Scan)`: the table, the predicate and the scan's columns.
@@ -98,32 +100,47 @@ fn scan_shape(plan: &Plan) -> Option<(&ObjectName, Option<&Expr>, &[PlanCol])> {
 }
 
 /// Lower `plan` for `mode`. Interpreted mode lowers no pipeline and
-/// compiles no kernel: every node is the row-at-a-time oracle.
+/// compiles no kernel: the compiled scans answer scans only, and the walk
+/// runs every other node — the row-at-a-time oracle.
 pub(crate) fn lower(plan: &Plan, engine: &AccelEngine, mode: ExecMode) -> Result<Lowered> {
-    let leaf = |kind| Ok(Lowered { kind, children: Vec::new() });
-    if mode == ExecMode::Vectorized {
-        if let Some(pipe) = Pipeline::lower(plan, engine)? {
-            return leaf(Kind::Pipe(Box::new(pipe)));
-        }
-    }
-    if let Some((table, pred, cols)) = scan_shape(plan) {
-        return leaf(Kind::Scan(ScanSpec::compile(&*engine.table(table)?, pred, cols, mode)?));
-    }
-    let children =
-        plan.children().into_iter().map(|c| lower(c, engine, mode)).collect::<Result<_>>()?;
-    let kind = match plan {
-        Plan::Join { left, right, on, .. } => Kind::Join(JoinSpec::bind(left, right, on)?),
-        _ => Kind::Rows,
-    };
-    Ok(Lowered { kind, children })
+    let mut low = Lowered::default();
+    low.add(plan, engine, mode)?;
+    low.kinds.shrink_to_fit();
+    Ok(low)
 }
 
 impl Lowered {
-    /// Which pipeline runs this plan — `EXPLAIN`'s `PIPELINE:` line, and the
+    /// What the accelerator decided for `plan`, if anything.
+    pub(crate) fn kind(&self, plan: &Plan) -> Option<&Kind> {
+        let key = plan as *const Plan as usize;
+        self.kinds.iter().find(|(k, _)| *k == key).map(|(_, kind)| kind)
+    }
+
+    fn add(&mut self, plan: &Plan, engine: &AccelEngine, mode: ExecMode) -> Result<()> {
+        let pipe = match mode {
+            ExecMode::Vectorized => Pipeline::lower(plan, engine, self)?,
+            ExecMode::Interpreted => None,
+        };
+        let kind = if let Some(pipe) = pipe {
+            Kind::Pipe(Box::new(pipe))
+        } else if let Some((table, pred, cols)) = scan_shape(plan) {
+            Kind::Scan(ScanSpec::compile(&*engine.table(table)?, pred, cols, mode)?)
+        } else {
+            for child in plan.children() {
+                self.add(child, engine, mode)?;
+            }
+            let Plan::Join { left, right, on, .. } = plan else { return Ok(()) };
+            Kind::Join { nested_loop: JoinSpec::bind(left, right, on)?.lkeys.is_empty() }
+        };
+        self.kinds.push((plan as *const Plan as usize, kind));
+        Ok(())
+    }
+
+    /// Which pipeline runs `plan` — `EXPLAIN`'s `PIPELINE:` line, and the
     /// description attached to an executed profile. A fused aggregate
     /// anywhere in the tree names the plan, else its first join, else its
     /// first scan.
-    pub(crate) fn describe(&self) -> String {
+    pub(crate) fn describe(&self, plan: &Plan) -> String {
         let fused = |k: &Kind| match k {
             Kind::Pipe(p) if p.fused_agg() => {
                 Some("vectorized (fused scan-filter-aggregate)".to_string())
@@ -132,10 +149,10 @@ impl Lowered {
         };
         let join = |k: &Kind| match k {
             Kind::Pipe(p) => p.probe.as_ref().map(|probe| p.describe_join(probe)),
-            Kind::Join(spec) if spec.lkeys.is_empty() => {
-                Some("interpreted (nested-loop join)".to_string())
+            Kind::Join { nested_loop: true } => Some("interpreted (nested-loop join)".to_string()),
+            Kind::Join { nested_loop: false } => {
+                Some("interpreted (hash join: generic keys)".to_string())
             }
-            Kind::Join(_) => Some("interpreted (hash join: generic keys)".to_string()),
             _ => None,
         };
         let scan = |k: &Kind| match k {
@@ -143,14 +160,23 @@ impl Lowered {
             Kind::Scan(spec) => Some(spec.describe()),
             _ => None,
         };
-        self.find(&fused)
-            .or_else(|| self.find(&join))
-            .or_else(|| self.find(&scan))
+        self.find(plan, &fused)
+            .or_else(|| self.find(plan, &join))
+            .or_else(|| self.find(plan, &scan))
             .unwrap_or_else(|| "interpreted (no batch-eligible scan)".to_string())
     }
 
-    fn find(&self, pick: &dyn Fn(&Kind) -> Option<String>) -> Option<String> {
-        pick(&self.kind).or_else(|| self.children.iter().find_map(|c| c.find(pick)))
+    /// The first pick in `plan`'s nodes, top down, stopping at the sub-plans
+    /// a pipeline or a compiled scan answers.
+    fn find(&self, plan: &Plan, pick: &dyn Fn(&Kind) -> Option<String>) -> Option<String> {
+        let kind = self.kind(plan);
+        if let Some(found) = kind.and_then(pick) {
+            return Some(found);
+        }
+        match kind {
+            Some(Kind::Pipe(_) | Kind::Scan(_)) => None,
+            _ => plan.children().into_iter().find_map(|c| self.find(c, pick)),
+        }
     }
 }
 
@@ -322,8 +348,6 @@ struct Probe {
     /// Residual ON conjuncts over (source, build) columns: a candidate
     /// failing them does not match.
     on: Option<OutCol>,
-    /// The build (right) side, lowered on its own.
-    build: Box<Lowered>,
     /// Build-side columns the pipeline reads (keys included).
     build_mask: Vec<bool>,
 }
@@ -469,11 +493,12 @@ fn lower_all<'e>(
 }
 
 impl Pipeline {
-    /// Lower the sub-plan rooted at `plan`, or `None` when it does not
-    /// stream (the interpreter then runs `plan` over lowered children).
-    /// Every structural decision comes first: nothing is compiled or
-    /// lowered for a spine that turns out not to stream.
-    fn lower(plan: &Plan, engine: &AccelEngine) -> Result<Option<Pipeline>> {
+    /// Lower the sub-plan rooted at `plan` (its join's build side into
+    /// `low`), or `None` when it does not stream (the walk then runs `plan`'s
+    /// operator over its children). Every structural decision comes first:
+    /// nothing is compiled or lowered for a spine that turns out not to
+    /// stream.
+    fn lower(plan: &Plan, engine: &AccelEngine, low: &mut Lowered) -> Result<Option<Pipeline>> {
         let Some(spine) = spine(plan) else { return Ok(None) };
         let Some((table, pred, scan_cols)) = scan_shape(spine.source) else { return Ok(None) };
         let src: Vec<OutCol> = (0..scan_cols.len()).map(OutCol::Probe).collect();
@@ -537,8 +562,8 @@ impl Pipeline {
             for c in reads.into_iter().chain(&on).chain(&filter) {
                 c.mark_build(&mut build_mask);
             }
-            let build = Box::new(lower(right, engine, ExecMode::Vectorized)?);
-            probe = Some(Probe { kind, keys, on, build, build_mask });
+            low.add(right, engine, ExecMode::Vectorized)?;
+            probe = Some(Probe { kind, keys, on, build_mask });
         }
         Ok(Some(Pipeline { source, residual, probe, filter, cols, sink }))
     }
@@ -784,7 +809,7 @@ fn chain<K: Hash + Eq>(
 
 impl BuildTable {
     fn new(probe: &Probe, sink: &Sink, node: &Plan, ctx: &ExecCtx) -> Result<BuildTable> {
-        let rows = run(node, &probe.build, ctx, Some(probe.build_mask.clone()))?;
+        let rows = run(node, ctx, Some(&probe.build_mask), ctx.profile)?;
         let outside = |v: &Value| Error::internal(format!("join build key {v} outside its key layout"));
         let mut summary = KeySummary::with_capacity(rows.len());
         let mut next = vec![NONE; rows.len()];

@@ -36,15 +36,13 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment { id: "E10", title: "accelerator ablation: zone maps, data slices, groom", run: e10_accelerator_ablation },
     Experiment { id: "E11", title: "governance: DB2 privilege-check overhead on delegated work", run: e11_governance_overhead },
     Experiment { id: "E12", title: "end-to-end churn scenario: legacy vs extended IDAA", run: e12_end_to_end_scenario },
-    Experiment { id: "E13", title: "parallel join/sort/top-K: link traffic vs accelerator workers", run: e13_parallel_operators },
     Experiment { id: "E14", title: "scheduled link outage: failover, queued replication, recovery", run: e14_outage_recovery },
     Experiment { id: "E15", title: "wire codec: logical vs. encoded bytes per workload", run: e15_wire_codec },
     Experiment { id: "E16", title: "crash recovery: checkpoint interval vs replay cost", run: e16_crash_recovery },
     Experiment { id: "E17", title: "statement tracing: span volume + per-operator attribution", run: e17_trace_attribution },
-    Experiment { id: "E18", title: "vectorized batch kernels: fused filter\u{2192}agg vs interpreter", run: e18_vectorized_kernels },
     Experiment { id: "E19", title: "fleet failover: replica factor vs failover latency + catch-up bytes", run: e19_fleet_failover },
-    Experiment { id: "E20", title: "late-materialized vectorized joins: typed keys + probe filter vs interpreter, \
-        plan cache, fleet shard-side joins", run: e20_join_kernels },
+    Experiment { id: "E20", title: "fleet shard-side join: sharded probe vs replicated dimension, \
+        gather bytes", run: e20_fleet_shard_join },
     Experiment { id: "E21", title: "storage faults: scrub interval vs detection latency, \
         repair-path byte costs", run: e21_storage_faults },
     Experiment { id: "E22", title: "workload scheduler: queue-time percentiles vs session count at a \
@@ -736,74 +734,6 @@ fn e12_end_to_end_scenario(out: &mut Report) {
     out.table(table);
 }
 
-/// E13 — slice-parallel post-scan operators: the join probe, sort and top-K
-/// sinks of the batch pipeline, swept over the accelerator worker count.
-/// AOT queries move only control messages plus the result rows, so the link
-/// columns must not vary with parallelism. (How the operators scale is a
-/// wall-clock question: `accel.parallel_speedup.*` in `crates/benchmark`.)
-fn e13_parallel_operators(out: &mut Report) {
-    const ROWS: usize = 100_000;
-
-    let build = |parallelism: usize| -> (Idaa, Session) {
-        let cfg = IdaaConfig {
-            accel: idaa_accel::AccelConfig {
-                slices: 8,
-                zone_maps: true,
-                parallel: true,
-                parallelism,
-            },
-            ..Default::default()
-        };
-        let (idaa, mut s) = system(cfg);
-        idaa.execute(
-            &mut s,
-            "CREATE TABLE F (ID INT, V INT) IN ACCELERATOR DISTRIBUTE BY HASH(ID)",
-        )
-        .unwrap();
-        idaa.execute(
-            &mut s,
-            "CREATE TABLE D (ID INT, GRP INT) IN ACCELERATOR DISTRIBUTE BY HASH(ID)",
-        )
-        .unwrap();
-        // Deterministic synthetic data — no RNG, so every sweep loads the
-        // same bytes and the link metrics stay byte-stable.
-        let fact: Vec<idaa_common::Row> = (0..ROWS)
-            .map(|i| {
-                vec![
-                    idaa_common::Value::Int((i * 2_654_435_761 % ROWS) as i32),
-                    idaa_common::Value::Int((i % 1000) as i32),
-                ]
-            })
-            .collect();
-        let dim: Vec<idaa_common::Row> = (0..ROWS)
-            .map(|i| vec![idaa_common::Value::Int(i as i32), idaa_common::Value::Int((i % 100) as i32)])
-            .collect();
-        idaa.accel().load_committed(&idaa_common::ObjectName::bare("F"), fact).unwrap();
-        idaa.accel().load_committed(&idaa_common::ObjectName::bare("D"), dim).unwrap();
-        (idaa, s)
-    };
-
-    let join = "SELECT COUNT(*), SUM(f.v) FROM f INNER JOIN d ON f.id = d.id WHERE d.grp < 50";
-    let sort = "SELECT id, v FROM f WHERE v < 100 ORDER BY v, id";
-    let topk = "SELECT id, v FROM f ORDER BY v DESC, id LIMIT 100";
-
-    let mut table = Table::new(&["workers", "link_msgs", "link_bytes"]);
-    for parallelism in [1usize, 2, 4, 8] {
-        let (idaa, mut s) = build(parallelism);
-        let ((), _, link) = measure(&idaa, || {
-            for q in [join, sort, topk] {
-                idaa.query(&mut s, q).unwrap();
-            }
-        });
-        table.row([
-            det(parallelism),
-            det(link.total_messages()),
-            det(fmt_bytes(link.total_bytes())),
-        ]);
-    }
-    out.table(table);
-}
-
 /// E14 — link outage and recovery: offload-eligible queries fail over to
 /// DB2, AOT statements surface -30081, committed changes queue for
 /// catch-up, and an operator recovery probe restores acceleration and
@@ -1135,89 +1065,6 @@ fn e17_trace_attribution(out: &mut Report) {
     );
 }
 
-/// Run `q` `reps` times in each execution mode. Returns the (interpreted,
-/// vectorized) wall times and the answer, on which the modes must agree.
-fn time_both_modes(
-    engine: &idaa_accel::AccelEngine,
-    q: &idaa_sql::Query,
-    reps: u32,
-) -> ([Wall; 2], Vec<idaa_common::Row>) {
-    let run = |mode| {
-        timed(|| {
-            let mut rows = Vec::new();
-            for _ in 0..reps {
-                rows = engine.query_with_mode(0, q, mode).unwrap().rows;
-            }
-            rows
-        })
-    };
-    let (interpreted, interp_t) = run(idaa_accel::ExecMode::Interpreted);
-    let (vectorized, vector_t) = run(idaa_accel::ExecMode::Vectorized);
-    assert_eq!(interpreted, vectorized, "modes must agree bit for bit");
-    ([interp_t, vector_t], vectorized)
-}
-
-/// E18 — vectorized batch kernels: the fused filter→aggregate pipeline
-/// against the row-at-a-time interpreter on the same engine and data.
-/// Claim: compiling predicate conjuncts to typed column kernels with
-/// selection vectors removes the interpretive hot path without changing a
-/// single answer — both modes return identical rows, and every deterministic
-/// column below is mode-independent.
-fn e18_vectorized_kernels(out: &mut Report) {
-    use idaa_accel::{AccelConfig, AccelEngine};
-    use idaa_common::{ColumnDef, DataType, ObjectName, Schema, Value};
-    use idaa_sql::{parse_statement, Statement};
-    let mut table = Table::new(&["rows", "reps", "interp_ms", "vector_ms", "speedup", "rows_out"]);
-    for &n in &[100_000usize, 400_000, 1_600_000] {
-        let engine = AccelEngine::new(
-            "APP",
-            AccelConfig { slices: 4, zone_maps: true, parallel: false, parallelism: 0 },
-        );
-        let schema = Schema::new(vec![
-            ColumnDef::new("K", DataType::BigInt),
-            ColumnDef::new("V", DataType::BigInt),
-            ColumnDef::new("G", DataType::Varchar(4)),
-        ])
-        .unwrap();
-        engine.create_table(&ObjectName::bare("BIG"), schema, &[]).unwrap();
-        let rows: Vec<Vec<Value>> = (0..n)
-            .map(|i| {
-                vec![
-                    Value::BigInt(i as i64),
-                    Value::BigInt((i % 997) as i64),
-                    Value::Varchar(["eu", "us", "ap", "la"][i % 4].into()),
-                ]
-            })
-            .collect();
-        engine.load_committed(&ObjectName::bare("BIG"), rows).unwrap();
-        // Middle 90% of the key range + a non-equality conjunct: selective
-        // enough to exercise the kernels, wide enough that zone maps cannot
-        // carry the win on their own.
-        let sql = format!(
-            "SELECT g, COUNT(*), SUM(v), MIN(v), MAX(v) FROM big \
-             WHERE k BETWEEN {} AND {} AND v <> 13 GROUP BY g ORDER BY g",
-            n / 20,
-            n - n / 20
-        );
-        let Statement::Query(q) = parse_statement(&sql).unwrap() else { unreachable!() };
-        let reps = 5u32;
-        let ([interp_t, vector_t], answer) = time_both_modes(&engine, &q, reps);
-        table.row([
-            det(n),
-            det(reps),
-            interp_t.ms(),
-            vector_t.ms(),
-            interp_t.speedup_over(vector_t),
-            det(answer.len()),
-        ]);
-    }
-    out.table(table);
-    out.line(
-        "note: identical AggState accumulation order keeps both modes bit-identical; \
-         only the wall cells vary between machines.",
-    );
-}
-
 /// E19 — fleet failover: the cost of losing a shard primary mid-scatter,
 /// as the replication factor grows. A 3-node fleet serves a sharded AOT;
 /// node 0 is crashed at the mid-scatter site and the same gather re-runs.
@@ -1308,86 +1155,13 @@ fn e19_fleet_failover(out: &mut Report) {
     );
 }
 
-/// E20 — late-materialized vectorized joins, and joins on a fleet's shards.
-/// Part 1 pairs the vectorized join pipeline (typed keys, Bloom-guarded
-/// probe, derived probe filter pushed into the scan, late materialization)
-/// against the row-at-a-time interpreter it must agree with bit for bit,
-/// and reports the compiled-plan cache's hit/miss split across the
-/// repetitions. Part 2 runs a sharded-probe ⋈ replicated-build join on a
-/// fleet: every shard joins against its node's replica of the dimension,
-/// so only joined rows come back.
-fn e20_join_kernels(out: &mut Report) {
-    use idaa_accel::{AccelConfig, AccelEngine};
-    use idaa_common::{ColumnDef, DataType, ObjectName, Schema, Value};
+/// E20 — a join on a fleet's shards: a sharded-probe ⋈ replicated-build
+/// join, where every shard joins against its node's replica of the
+/// dimension, so only joined rows come back.
+fn e20_fleet_shard_join(out: &mut Report) {
     use idaa_core::FleetConfig;
-    use idaa_sql::{parse_statement, Statement};
-    use std::sync::atomic::Ordering;
 
     let mut table = Table::new(&[
-        "fact_rows", "dim_rows", "reps", "interp_ms", "vector_ms", "speedup", "cache", "rows_out",
-    ]);
-    for &n in &[100_000usize, 400_000, 1_600_000] {
-        let engine = AccelEngine::new(
-            "APP",
-            AccelConfig { slices: 4, zone_maps: true, parallel: false, parallelism: 0 },
-        );
-        let fact_schema = Schema::new(vec![
-            ColumnDef::new("K", DataType::BigInt),
-            ColumnDef::new("V", DataType::BigInt),
-            ColumnDef::new("G", DataType::Varchar(4)),
-        ])
-        .unwrap();
-        let dim_schema = Schema::new(vec![
-            ColumnDef::new("K", DataType::BigInt),
-            ColumnDef::new("NAME", DataType::Varchar(4)),
-        ])
-        .unwrap();
-        engine.create_table(&ObjectName::bare("FACT"), fact_schema, &[]).unwrap();
-        engine.create_table(&ObjectName::bare("DIM"), dim_schema, &[]).unwrap();
-        let fact: Vec<Vec<Value>> = (0..n)
-            .map(|i| {
-                vec![
-                    Value::BigInt((i * 2_654_435_761 % n) as i64),
-                    Value::BigInt((i % 997) as i64),
-                    Value::Varchar(["eu", "us", "ap", "la"][i % 4].into()),
-                ]
-            })
-            .collect();
-        // A sparse dimension: ~2000 of the n fact keys can join, so the
-        // derived probe filter drops almost every probe row before
-        // materialization; the interpreter must evaluate them all.
-        let dims = 2000usize;
-        let dim: Vec<Vec<Value>> = (0..dims)
-            .map(|i| {
-                vec![
-                    Value::BigInt((i * (n / dims)) as i64),
-                    Value::Varchar(["eu", "us", "ap", "la"][i % 4].into()),
-                ]
-            })
-            .collect();
-        engine.load_committed(&ObjectName::bare("FACT"), fact).unwrap();
-        engine.load_committed(&ObjectName::bare("DIM"), dim).unwrap();
-        let sql = "SELECT COUNT(*), SUM(f.v) FROM fact f INNER JOIN dim d ON f.k = d.k \
-                   WHERE f.v <> 13";
-        let Statement::Query(q) = parse_statement(sql).unwrap() else { unreachable!() };
-        let reps = 5u32;
-        let ([interp_t, vector_t], answer) = time_both_modes(&engine, &q, reps);
-        let hits = engine.stats.plan_cache_hits.load(Ordering::Relaxed);
-        let misses = engine.stats.plan_cache_misses.load(Ordering::Relaxed);
-        table.row([
-            det(n),
-            det(dims),
-            det(reps),
-            interp_t.ms(),
-            vector_t.ms(),
-            interp_t.speedup_over(vector_t),
-            det(format!("{hits}h/{misses}m")),
-            det(answer.len()),
-        ]);
-    }
-    out.table(table);
-
-    let mut fleet_table = Table::new(&[
         "probe_rows", "dim_rows", "rows_out", "stmt_to_accel", "gather_to_host",
     ]);
     let (idaa, mut s) = system(IdaaConfig {
@@ -1418,18 +1192,18 @@ fn e20_join_kernels(out: &mut Report) {
     let join = "SELECT f.x, d.name FROM fjoin f INNER JOIN fdim d ON f.x = d.x \
                 ORDER BY f.x, d.name";
     let (rows, _, delta) = measure(&idaa, || idaa.query(&mut s, join).unwrap());
-    fleet_table.row([
+    table.row([
         det(4000),
         det(40),
         det(rows.len()),
         det(fmt_bytes(delta.bytes_to_accel)),
         det(fmt_bytes(delta.bytes_to_host)),
     ]);
-    out.table(fleet_table);
+    out.table(table);
     out.line(
-        "note: the join result, the cache hit/miss split, and the gather byte counts are \
-         deterministic; each shard joins its rows against its own replica of the dimension \
-         and ships only its sorted joined rows.",
+        "note: the join result and the gather byte counts are deterministic; each shard \
+         joins its rows against its own replica of the dimension and ships only its sorted \
+         joined rows.",
     );
 }
 

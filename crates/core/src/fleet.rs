@@ -16,11 +16,12 @@
 //! ([`idaa_accel::cut`]: the first aggregate, DISTINCT, sort or limit above
 //! the sharded scan, joins against whole tables included) and ships the
 //! cut's partial as one row frame; the coordinator merges the partials with
-//! the shared row operators and runs the nodes above the cut. A plan with
-//! no cut — two sharded scans, the sharded scan on a LEFT join's
-//! null-supplying side or under a `UNION`, a join above the cut — gathers
-//! raw rows instead and runs the plan over them with the row executor
-//! (`idaa_sql::exec::execute_plan`). An owner that missed a write
+//! the shared row operators. A plan with no cut — two sharded scans, the
+//! sharded scan on a LEFT join's null-supplying side or under a `UNION`, a
+//! join above the cut — gathers raw rows instead. Either way the coordinator
+//! ends on the one plan walk (`idaa_sql::exec::execute_plan`), its row
+//! source answering the cut node with the merged partial and scans with the
+//! gathered rows. An owner that missed a write
 //! re-joins via a metered catch-up copy, and a rebalance check on the
 //! virtual clock migrates failed-over shards back to their preferred
 //! owners. Placement, gather order, and failover order are all
@@ -335,17 +336,22 @@ fn select_star(table: &ObjectName) -> Query {
     }
 }
 
-/// A Raw gather's rows by resolved table name: the source the coordinator
-/// runs a plan over. No index serves it.
+/// What the coordinator runs a plan over, as the walk's row source: the
+/// gathered rows by resolved table name, and a scatter cut's node with its
+/// merged partial. No index serves it.
 struct Gathered<'a> {
     schema: &'a str,
     rows: HashMap<ObjectName, Vec<Row>>,
+    cut: Option<(&'a Plan, Vec<Row>)>,
 }
 
 impl RowSource for Gathered<'_> {
-    fn scan_table(&self, table: &ObjectName) -> Result<Vec<Row>> {
-        let rows = self.rows.get(&table.resolve(self.schema)).cloned();
-        rows.ok_or_else(|| Error::internal(format!("{table} was not gathered")))
+    fn node(&self, plan: &Plan, _: Option<&[bool]>) -> Result<Option<Vec<Row>>> {
+        Ok(match (&self.cut, plan) {
+            (Some((node, rows)), _) if std::ptr::eq(*node, plan) => Some(rows.clone()),
+            (_, Plan::Scan { table, .. }) => self.rows.get(&table.resolve(self.schema)).cloned(),
+            _ => None,
+        })
     }
 }
 
@@ -606,10 +612,11 @@ impl Idaa {
             trace.attr(id, "shards", self.fleet.shards);
             trace.attr(id, "merge", cut.as_ref().map_or("raw", |c| c.merge.name()));
         }
-        let result = match &cut {
-            Some(cut) => self.gather_partials(session, q, plan, cut, &sharded[0]),
-            None => self.gather_raw(session, plan, tables, sharded),
+        let gathered = match &cut {
+            Some(cut) => self.gather_partials(session, q, cut, &sharded[0]),
+            None => self.gather_raw(session, tables, sharded),
         };
+        let result = gathered.and_then(|gathered| execute_plan(plan, &gathered));
         if let Some(id) = span {
             if let Err(e) = &result {
                 trace.attr(id, "err", e);
@@ -620,16 +627,15 @@ impl Idaa {
     }
 
     /// Each shard of `table`, in ascending order, runs `q` up to `cut` and
-    /// ships the cut's partial; the coordinator merges them and runs the
-    /// plan's nodes above the cut.
-    fn gather_partials(
-        &self,
+    /// ships the cut's partial; the coordinator merges them into the cut
+    /// node's rows.
+    fn gather_partials<'a>(
+        &'a self,
         session: &mut Session,
         q: &Query,
-        plan: &Plan,
-        cut: &Cut,
+        cut: &Cut<'a>,
         table: &ObjectName,
-    ) -> Result<Rows> {
+    ) -> Result<Gathered<'a>> {
         let shards = self.fleet.shards;
         let mut parts = Vec::with_capacity(shards);
         for s in 0..shards {
@@ -637,21 +643,21 @@ impl Idaa {
             let pq = with_shard_from(q, table, &st, &self.config.default_schema);
             parts.push(self.gather_shard(session, table, s, &pq, Some(&st))?.rows);
         }
-        Ok(Rows::new(plan.schema(), cut.merge(plan, parts)?))
+        let cut = Some((cut.node, cut.merge(parts)?));
+        Ok(Gathered { schema: &self.config.default_schema, rows: HashMap::new(), cut })
     }
 
     /// Gather every row of each sharded table (shard by shard) and of every
-    /// other table (from DB2), and run `plan` over them with the row
-    /// executor: the plans that have no scatter cut.
+    /// other table (from DB2): the plans that have no scatter cut.
     fn gather_raw(
         &self,
         session: &mut Session,
-        plan: &Plan,
         tables: &[ObjectName],
         sharded: &[ObjectName],
-    ) -> Result<Rows> {
+    ) -> Result<Gathered<'_>> {
         let shards = self.fleet.shards;
-        let mut gathered = Gathered { schema: &self.config.default_schema, rows: HashMap::new() };
+        let mut gathered =
+            Gathered { schema: &self.config.default_schema, rows: HashMap::new(), cut: None };
         for t in tables {
             if t.name == "SYSDUMMY1" || gathered.rows.contains_key(t) {
                 continue;
@@ -667,7 +673,7 @@ impl Idaa {
             }
             gathered.rows.insert(t.clone(), rows);
         }
-        execute_plan(plan, &gathered)
+        Ok(gathered)
     }
 
     /// Fetch one shard's reply to `pq` (a partial when `cut_at` names the

@@ -16,8 +16,9 @@
 //!   the accelerator.
 
 use idaa_common::{Error, ObjectName, Result};
+use idaa_host::engine::eq_literal;
 use idaa_host::{AccelStatus, HostEngine, TableKind};
-use idaa_sql::exec::{conjuncts, eq_literal};
+use idaa_sql::exec::conjuncts;
 use idaa_sql::plan::Plan;
 use idaa_sql::AccelerationMode;
 
@@ -43,7 +44,7 @@ pub struct TableMix {
 
 /// Does the plan look like an indexed point access? True when every base
 /// scan is filtered by a conjunct DB2's executor serves from an index:
-/// `col = literal` (`exec::eq_literal`) on a column with a single-column
+/// `col = literal` (`engine::eq_literal`) on a column with a single-column
 /// index (`HostEngine::has_column_index`).
 pub fn is_indexed_point(host: &HostEngine, plan: &Plan) -> bool {
     fn walk(host: &HostEngine, plan: &Plan, all_indexed: &mut bool, scans: &mut usize) {

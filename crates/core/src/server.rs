@@ -190,6 +190,7 @@ struct SchedState {
 /// A statement pulled out of a queue by the admission pass.
 struct Admitted {
     seat: SeatId,
+    priority: Priority,
     stmt: QueuedStmt,
 }
 
@@ -403,11 +404,10 @@ impl Server {
                 break;
             }
             // Ready seats of this class, ascending seat order.
-            let members: Vec<SeatId> = state
+            let mut members: Vec<(&SeatId, &mut Seat)> = state
                 .seats
-                .iter()
+                .iter_mut()
                 .filter(|(_, s)| s.priority == class && !s.queue.is_empty())
-                .map(|(id, _)| *id)
                 .collect();
             if members.is_empty() {
                 continue;
@@ -416,13 +416,13 @@ impl Server {
             // one statement per visit, multiple passes until the class is
             // drained or the limit is hit.
             let start = rotation % members.len();
+            let len = members.len();
             'class: loop {
                 let mut took = false;
-                for i in 0..members.len() {
-                    let seat = members[(start + i) % members.len()];
-                    let entry = state.seats.get_mut(&seat).expect("seat exists");
+                for i in 0..len {
+                    let (seat, entry) = &mut members[(start + i) % len];
                     if let Some(stmt) = entry.queue.pop_front() {
-                        admitted.push(Admitted { seat, stmt });
+                        admitted.push(Admitted { seat: **seat, priority: class, stmt });
                         took = true;
                         if admitted.len() >= limit {
                             break 'class;
@@ -448,28 +448,19 @@ impl Server {
     /// Execute one admitted statement on its seat's session, mirroring the
     /// outcome into the `server.*` metrics.
     fn run_one(&self, state: &mut SchedState, admitted: Admitted, round: u64) -> Completion {
-        let Admitted { seat, stmt: queued } = admitted;
+        let Admitted { seat, priority, stmt: queued } = admitted;
         let m = self.idaa.metrics();
         let exec_start = self.idaa.link().now();
         let queued_for = exec_start.saturating_sub(queued.arrival);
         let before = self.idaa.fleet_link_metrics();
         m.set_gauge(&format!("server.session.{seat}.running"), 1);
-        let info = QueueInfo {
-            seat,
-            priority: state.seats[&seat].priority.name(),
-            queued: queued_for,
-            round,
-        };
-        let entry = state.seats.get_mut(&seat).expect("seat exists");
-        let result = match &queued.stmt {
+        let info = QueueInfo { seat, priority: priority.name(), queued: queued_for, round };
+        let result = seat_mut(state, seat).and_then(|entry| match &queued.stmt {
             Some(stmt) => self.idaa.execute_stmt_queued(&mut entry.session, stmt, Some(&info)),
-            None => match parse_statement(&queued.sql) {
-                Ok(stmt) => {
-                    self.idaa.execute_stmt_queued(&mut entry.session, &stmt, Some(&info))
-                }
-                Err(e) => Err(e),
-            },
-        };
+            None => parse_statement(&queued.sql).and_then(|stmt| {
+                self.idaa.execute_stmt_queued(&mut entry.session, &stmt, Some(&info))
+            }),
+        });
         let after = self.idaa.fleet_link_metrics();
         m.set_gauge(&format!("server.session.{seat}.running"), 0);
         m.inc("server.statements", 1);

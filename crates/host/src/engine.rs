@@ -12,10 +12,10 @@ use crate::privilege::PrivilegeCatalog;
 use crate::storage::{HeapTable, Rid};
 use crate::txn::{ChangeOp, ChangeRecord, TxnId, TxnManager, UndoRecord};
 use idaa_common::{Error, ObjectName, Result, Row, Rows, Schema, Value};
-use idaa_sql::ast::{Expr, Query};
+use idaa_sql::ast::{BinaryOp, Expr, Query};
 use idaa_sql::eval::{bind, eval, eval_predicate, FlatResolver};
-use idaa_sql::exec::{execute_plan, execute_plan_profiled, RowSource};
-use idaa_sql::plan::{plan_query, Plan, PlanProfile, SchemaProvider};
+use idaa_sql::exec::{apply, conjuncts, execute_plan, execute_plan_profiled, flip, RowSource};
+use idaa_sql::plan::{plan_query, Plan, PlanCol, PlanProfile, SchemaProvider};
 use idaa_sql::Privilege;
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -473,42 +473,120 @@ impl SchemaProvider for HostEngine {
     }
 }
 
-/// Adapter exposing engine storage to the executor.
+/// Engine storage as the walk's row source: every scan reads the heap
+/// (whole rows: DB2 is a row store, so the column mask is ignored), and a
+/// `Filter` directly over a `Scan` reads an index when one serves.
 struct EngineSource<'a> {
     engine: &'a HostEngine,
 }
 
 impl RowSource for EngineSource<'_> {
-    fn scan_table(&self, table: &ObjectName) -> Result<Vec<Row>> {
-        self.engine.scan_all(table)
-    }
-
-    fn index_lookup(
-        &self,
-        table: &ObjectName,
-        column: &str,
-        value: &Value,
-    ) -> Result<Option<Vec<Row>>> {
-        let Some((store, idx)) = self.engine.column_index(table, column)? else { return Ok(None) };
-        self.engine.stats.index_lookups.fetch_add(1, Ordering::Relaxed);
-        let rids = idx.lookup(std::slice::from_ref(value));
-        Ok(Some(rids.into_iter().filter_map(|rid| store.heap.get(rid)).collect()))
-    }
-
-    fn index_range(
-        &self,
-        table: &ObjectName,
-        column: &str,
-        low: Option<&Value>,
-        high: Option<&Value>,
-    ) -> Result<Option<Vec<Row>>> {
-        if low.is_none() && high.is_none() {
-            return Ok(None);
+    fn node(&self, plan: &Plan, _: Option<&[bool]>) -> Result<Option<Vec<Row>>> {
+        match plan {
+            Plan::Scan { table, .. } => self.engine.scan_all(table).map(Some),
+            // The index serves a superset; the filter decides.
+            Plan::Filter { input, predicate } => match self.index_access(input, predicate)? {
+                Some(rows) => apply(plan, rows).map(Some),
+                None => Ok(None),
+            },
+            _ => Ok(None),
         }
-        let Some((store, idx)) = self.engine.column_index(table, column)? else { return Ok(None) };
-        self.engine.stats.index_range_scans.fetch_add(1, Ordering::Relaxed);
-        let rids = idx.range(low, high);
-        Ok(Some(rids.into_iter().filter_map(|rid| store.heap.get(rid)).collect()))
+    }
+}
+
+impl EngineSource<'_> {
+    /// DB2's access path for a `Filter` directly over a `Scan`: the rows an
+    /// index serves for an equality conjunct (most selective first), else
+    /// for the merged bounds of one column; `None` when no index serves any.
+    fn index_access(&self, input: &Plan, predicate: &Expr) -> Result<Option<Vec<Row>>> {
+        let Plan::Scan { table, cols, .. } = input else { return Ok(None) };
+        let engine = self.engine;
+        for (col, val) in conjuncts(predicate).into_iter().filter_map(|c| eq_literal(c, cols)) {
+            if let Some((store, idx)) = engine.column_index(table, col)? {
+                engine.stats.index_lookups.fetch_add(1, Ordering::Relaxed);
+                let rids = idx.lookup(std::slice::from_ref(val));
+                return Ok(Some(rids.into_iter().filter_map(|rid| store.heap.get(rid)).collect()));
+            }
+        }
+        let mut merged: Vec<RangeBound> = Vec::new();
+        for rb in conjuncts(predicate).into_iter().filter_map(|c| range_literal(c, cols)) {
+            match merged.iter_mut().find(|m| m.column == rb.column) {
+                Some(m) => {
+                    m.low = rb.low.or(m.low);
+                    m.high = rb.high.or(m.high);
+                }
+                None => merged.push(rb),
+            }
+        }
+        // The range is inclusive; strict bounds read a superset.
+        for rb in merged.iter().filter(|rb| rb.low.is_some() || rb.high.is_some()) {
+            if let Some((store, idx)) = engine.column_index(table, rb.column)? {
+                engine.stats.index_range_scans.fetch_add(1, Ordering::Relaxed);
+                let rids = idx.range(rb.low, rb.high);
+                return Ok(Some(rids.into_iter().filter_map(|rid| store.heap.get(rid)).collect()));
+            }
+        }
+        Ok(None)
+    }
+}
+
+/// `e` as a bare reference to one of `cols`: the column's name.
+fn column_of<'a>(e: &'a Expr, cols: &[PlanCol]) -> Option<&'a str> {
+    let Expr::Column { qualifier, name } = e else { return None };
+    let matches = |c: &PlanCol| {
+        c.name == *name
+            && qualifier.as_ref().is_none_or(|q| c.qualifier.as_deref() == Some(q.as_str()))
+    };
+    cols.iter().any(matches).then_some(name.as_str())
+}
+
+/// `e` as a non-NULL literal.
+fn literal_of(e: &Expr) -> Option<&Value> {
+    match e {
+        Expr::Literal(v) if !v.is_null() => Some(v),
+        _ => None,
+    }
+}
+
+/// If `conj` is `col = literal` (either side, the literal not NULL) over
+/// `cols`, the column name and value: the index-eligible shape, for DB2's
+/// access path and the router's indexed-point test alike.
+pub fn eq_literal<'a>(conj: &'a Expr, cols: &[PlanCol]) -> Option<(&'a str, &'a Value)> {
+    let Expr::Binary { left, op: BinaryOp::Eq, right } = conj else { return None };
+    match (column_of(left, cols), literal_of(right)) {
+        (Some(c), Some(v)) => Some((c, v)),
+        _ => column_of(right, cols).zip(literal_of(left)),
+    }
+}
+
+/// A range bound extracted from a conjunct: `column` bounded below/above.
+struct RangeBound<'a> {
+    column: &'a str,
+    low: Option<&'a Value>,
+    high: Option<&'a Value>,
+}
+
+/// If `conj` bounds a single column (`col < lit`, `lit <= col`,
+/// `col BETWEEN a AND b`), the inclusive-superset bound.
+fn range_literal<'a>(conj: &'a Expr, cols: &[PlanCol]) -> Option<RangeBound<'a>> {
+    let bound = |column, low, high| Some(RangeBound { column, low, high });
+    match conj {
+        Expr::Between { expr, low, high, negated: false } => {
+            bound(column_of(expr, cols)?, literal_of(low), literal_of(high))
+        }
+        Expr::Binary { left, op, right } => {
+            // `col OP lit`, or `lit OP col` read with the operator flipped.
+            let (column, v, op) = match (column_of(left, cols), literal_of(right)) {
+                (Some(c), Some(v)) => (c, v, *op),
+                _ => (column_of(right, cols)?, literal_of(left)?, flip(*op)?),
+            };
+            match op {
+                BinaryOp::Lt | BinaryOp::LtEq => bound(column, None, Some(v)),
+                BinaryOp::Gt | BinaryOp::GtEq => bound(column, Some(v), None),
+                _ => None,
+            }
+        }
+        _ => None,
     }
 }
 

@@ -5,10 +5,10 @@
 //! isolation, undo-logged transactions with commit-time change capture
 //! (CDC), a catalog that also records accelerator bookkeeping (nickname
 //! proxies for accelerator-only tables, acceleration status), a privilege
-//! catalog for the paper's governance requirement, and the storage behind
-//! the Volcano-style row executor (`idaa_sql::exec::execute_plan`, whose
-//! operators the accelerator's interpreter shares): `EngineSource` serves
-//! it heap scans and index lookups.
+//! catalog for the paper's governance requirement, and DB2's row source for
+//! the one plan walk (`idaa_sql::exec::run`, which the accelerator and the
+//! fleet coordinator run too): `EngineSource` answers scans from the heaps
+//! and a filtered scan through a B-tree index when one serves.
 //!
 //! Everything the paper assumes about "DB2" is modeled here; everything
 //! about "the accelerator" lives in `idaa-accel`; the federation between

@@ -1,24 +1,27 @@
-//! The plan operators every row executor shares, and DB2's Volcano-style
-//! row executor built from them.
+//! The plan operators every row executor shares, and the one walk over a
+//! [`Plan`] that runs them.
 //!
 //! One operator per [`Plan`] node, plain and serial over materialized rows:
 //! [`apply`] for the single-input nodes, [`hash_join`] under a bound
 //! [`JoinSpec`], [`dedup`] for `DISTINCT`/`UNION`, a stable sort and
 //! [`merge_runs`], and grouped aggregation ([`aggregate`], [`merge_groups`],
-//! [`finish_groups`]). Three executors call them, so DB2 and the
-//! accelerator give one answer by construction:
+//! [`finish_groups`]). One Volcano-style walk, [`run`], calls them for DB2,
+//! the accelerator and the fleet coordinator alike, so they give one answer
+//! by construction. What differs between them is the [`RowSource`]: its one
+//! hook may answer any sub-plan itself, and the walk descends wherever it
+//! does not.
 //!
-//! * DB2's tree walk, [`execute_plan`], over a [`RowSource`] — heap storage
-//!   and B-tree indexes in `idaa-host` (a `Filter` directly over a `Scan`
-//!   tries an index first), the gathered rows of a fleet's Raw path in
-//!   `idaa-core`. It is deliberately a *row* engine: every operator touches
-//!   full rows and expressions are interpreted per row — the cost model the
-//!   accelerator's columnar engine is compared against;
-//! * the accelerator's interpreter, whose own walk dispatches pipelines per
-//!   sub-plan and pushes column masks down, and which is the oracle every
-//!   pipeline is held to;
-//! * the fleet coordinator, merging shard partials and running the nodes
-//!   above a scatter cut.
+//! * DB2 (`idaa-host`) answers scans from its heaps and a `Filter` directly
+//!   over a `Scan` through a B-tree index when one serves. It is
+//!   deliberately a *row* engine: every operator touches full rows and
+//!   expressions are interpreted per row — the cost model the accelerator's
+//!   columnar engine is compared against;
+//! * the accelerator (`idaa-accel`) answers each sub-plan its lowering
+//!   streams with a pipeline, and every other scan with its compiled scan.
+//!   The walk hands it the columns the caller reads ([`input_mask`]), so an
+//!   unread column is never decoded;
+//! * the fleet coordinator (`idaa-core`) answers a scatter cut with the
+//!   shards' merged partial, and scans with the rows it gathered.
 //!
 //! A new `Plan` node is one operator here (plus a pipeline stage in
 //! `idaa-accel` if it should vectorize); every `Plan` match is exhaustive,
@@ -27,44 +30,23 @@
 use crate::ast::{BinaryOp, Expr, JoinKind};
 use crate::eval::{bind, eval, eval_predicate, AggState, BoundExpr, FlatResolver};
 use crate::plan::{AggCall, Plan, PlanCol, PlanProfile};
-use idaa_common::{Error, ObjectName, Result, Row, Rows, Value};
+use idaa_common::{Error, Result, Row, Rows, Value};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
-/// Supplies base-table rows to [`execute_plan`]. `Ok(None)` from an index
-/// method means "no usable index — scan instead"; that is the default.
+/// Where [`run`] gets rows from.
 pub trait RowSource {
-    /// All live rows of `table`.
-    fn scan_table(&self, table: &ObjectName) -> Result<Vec<Row>>;
-
-    /// Rows whose `column` equals `value`, when an index makes that cheap.
-    fn index_lookup(
-        &self,
-        _table: &ObjectName,
-        _column: &str,
-        _value: &Value,
-    ) -> Result<Option<Vec<Row>>> {
-        Ok(None)
-    }
-
-    /// Rows whose `column` lies in the *inclusive* `[low, high]` range (open
-    /// ends when `None`), when an index can serve it. The caller re-applies
-    /// the full predicate, so returning a superset (e.g. for strict bounds)
-    /// is correct.
-    fn index_range(
-        &self,
-        _table: &ObjectName,
-        _column: &str,
-        _low: Option<&Value>,
-        _high: Option<&Value>,
-    ) -> Result<Option<Vec<Row>>> {
-        Ok(None)
-    }
+    /// The rows of `plan`, if this source answers that sub-plan itself;
+    /// `None` makes the walk run the node's operator over its children.
+    /// `needed[i] == false` means no caller reads output column `i`, so it
+    /// may be left NULL (`None`: every column is read). A `Scan` no source
+    /// answers is an internal error.
+    fn node(&self, plan: &Plan, needed: Option<&[bool]>) -> Result<Option<Vec<Row>>>;
 }
 
 /// Execute `plan` against `src`, producing a materialized result.
 pub fn execute_plan(plan: &Plan, src: &dyn RowSource) -> Result<Rows> {
-    Ok(Rows::new(plan.schema(), run(plan, src, None)?))
+    Ok(Rows::new(plan.schema(), run(plan, src, None, None)?))
 }
 
 /// Like [`execute_plan`], recording each node's output cardinality into
@@ -74,41 +56,28 @@ pub fn execute_plan_profiled(
     src: &dyn RowSource,
     profile: &PlanProfile,
 ) -> Result<Rows> {
-    Ok(Rows::new(plan.schema(), run(plan, src, Some(profile))?))
+    Ok(Rows::new(plan.schema(), run(plan, src, None, Some(profile))?))
 }
 
-/// Run one node over its children's rows and, when profiling, record its
-/// output cardinality on the way out.
-fn run(plan: &Plan, src: &dyn RowSource, prof: Option<&PlanProfile>) -> Result<Vec<Row>> {
+/// The walk: the rows of `plan`, of which the caller reads the `needed`
+/// columns. The source answers the node, or its operator runs over its
+/// children's rows; either way, when profiling, the node's output
+/// cardinality is recorded on the way out.
+pub fn run(
+    plan: &Plan,
+    src: &dyn RowSource,
+    needed: Option<&[bool]>,
+    prof: Option<&PlanProfile>,
+) -> Result<Vec<Row>> {
     let rows = match plan {
         // FROM-less SELECT evaluates over one empty row.
         Plan::Scan { table, cols, .. } if cols.is_empty() && table.name == "SYSDUMMY1" => {
             vec![vec![]]
         }
-        Plan::Scan { table, .. } => src.scan_table(table)?,
-        Plan::Filter { input, predicate } => {
-            let rows = match index_access(input, predicate, src)? {
-                Some(rows) => rows,
-                None => run(input, src, prof)?,
-            };
-            apply(plan, rows)?
-        }
-        Plan::Join { left, right, kind, on } => {
-            let spec = JoinSpec::bind(left, right, on)?;
-            let (lrows, rrows) = (run(left, src, prof)?, run(right, src, prof)?);
-            hash_join(&lrows, &rrows, &spec, *kind, right.cols().len())?
-        }
-        Plan::Union { left, right, all } => {
-            let mut rows = run(left, src, prof)?;
-            rows.extend(run(right, src, prof)?);
-            if *all { rows } else { dedup(rows) }
-        }
-        Plan::Project { input, .. }
-        | Plan::Aggregate { input, .. }
-        | Plan::Sort { input, .. }
-        | Plan::Distinct { input }
-        | Plan::Limit { input, .. }
-        | Plan::KeepCols { input, .. } => apply(plan, run(input, src, prof)?)?,
+        _ => match src.node(plan, needed)? {
+            Some(rows) => rows,
+            None => run_operator(plan, src, needed, prof)?,
+        },
     };
     if let Some(prof) = prof {
         prof.record(plan, rows.len() as u64);
@@ -116,93 +85,95 @@ fn run(plan: &Plan, src: &dyn RowSource, prof: Option<&PlanProfile>) -> Result<V
     Ok(rows)
 }
 
-/// DB2's access path for a `Filter` directly over a `Scan`: the rows an
-/// index serves for an equality conjunct (most selective first), else for
-/// the merged bounds of one column; `None` when no index serves any. The
-/// caller re-applies the whole predicate to what comes back.
-fn index_access(input: &Plan, predicate: &Expr, src: &dyn RowSource) -> Result<Option<Vec<Row>>> {
-    let Plan::Scan { table, cols, .. } = input else { return Ok(None) };
-    for (col, val) in conjuncts(predicate).into_iter().filter_map(|c| eq_literal(c, cols)) {
-        if let Some(rows) = src.index_lookup(table, col, val)? {
-            return Ok(Some(rows));
-        }
-    }
-    let mut merged: Vec<RangeBound> = Vec::new();
-    for rb in conjuncts(predicate).into_iter().filter_map(|c| range_literal(c, cols)) {
-        match merged.iter_mut().find(|m| m.column == rb.column) {
-            Some(m) => {
-                m.low = rb.low.or(m.low);
-                m.high = rb.high.or(m.high);
-            }
-            None => merged.push(rb),
-        }
-    }
-    for rb in &merged {
-        if let Some(rows) = src.index_range(table, rb.column, rb.low, rb.high)? {
-            return Ok(Some(rows));
-        }
-    }
-    Ok(None)
-}
-
-/// `e` as a bare reference to one of `cols`: the column's name.
-fn column_of<'a>(e: &'a Expr, cols: &[PlanCol]) -> Option<&'a str> {
-    let Expr::Column { qualifier, name } = e else { return None };
-    let matches = |c: &PlanCol| {
-        c.name == *name
-            && qualifier.as_ref().is_none_or(|q| c.qualifier.as_deref() == Some(q.as_str()))
-    };
-    cols.iter().any(matches).then_some(name.as_str())
-}
-
-/// `e` as a non-NULL literal.
-fn literal_of(e: &Expr) -> Option<&Value> {
-    match e {
-        Expr::Literal(v) if !v.is_null() => Some(v),
-        _ => None,
-    }
-}
-
-/// If `conj` is `col = literal` (either side, the literal not NULL) over
-/// `cols`, the column name and value: the index-eligible shape, for DB2's
-/// access path and the router's indexed-point test alike.
-pub fn eq_literal<'a>(conj: &'a Expr, cols: &[PlanCol]) -> Option<(&'a str, &'a Value)> {
-    let Expr::Binary { left, op: BinaryOp::Eq, right } = conj else { return None };
-    match (column_of(left, cols), literal_of(right)) {
-        (Some(c), Some(v)) => Some((c, v)),
-        _ => column_of(right, cols).zip(literal_of(left)),
-    }
-}
-
-/// A range bound extracted from a conjunct: `column` bounded below/above.
-struct RangeBound<'a> {
-    column: &'a str,
-    low: Option<&'a Value>,
-    high: Option<&'a Value>,
-}
-
-/// If `conj` bounds a single column (`col < lit`, `lit <= col`,
-/// `col BETWEEN a AND b`), the inclusive-superset bound.
-fn range_literal<'a>(conj: &'a Expr, cols: &[PlanCol]) -> Option<RangeBound<'a>> {
-    let bound = |column, low, high| Some(RangeBound { column, low, high });
-    match conj {
-        Expr::Between { expr, low, high, negated: false } => {
-            bound(column_of(expr, cols)?, literal_of(low), literal_of(high))
-        }
-        Expr::Binary { left, op, right } => {
-            // `col OP lit`, or `lit OP col` read with the operator flipped.
-            let (column, v, op) = match (column_of(left, cols), literal_of(right)) {
-                (Some(c), Some(v)) => (c, v, *op),
-                _ => (column_of(right, cols)?, literal_of(left)?, flip(*op)?),
+/// `plan`'s own operator over its children, each run by the walk.
+fn run_operator(
+    plan: &Plan,
+    src: &dyn RowSource,
+    needed: Option<&[bool]>,
+    prof: Option<&PlanProfile>,
+) -> Result<Vec<Row>> {
+    match plan {
+        Plan::Scan { .. } => Err(Error::internal(format!("no row source answers {}", plan.label()))),
+        Plan::Join { left, right, kind, on } => {
+            let spec = JoinSpec::bind(left, right, on)?;
+            let lwidth = left.cols().len();
+            // Each side reads what the caller reads of it plus what the ON
+            // predicate (keys and residual conjuncts alike) reads.
+            let (lmask, rmask) = match needed {
+                None => (None, None),
+                Some(m) => {
+                    let mut l = union_mask(m, &mask_of(lwidth + right.cols().len(), [&spec.on]));
+                    let r = l.split_off(lwidth);
+                    (Some(l), Some(r))
+                }
             };
-            match op {
-                BinaryOp::Lt | BinaryOp::LtEq => bound(column, None, Some(v)),
-                BinaryOp::Gt | BinaryOp::GtEq => bound(column, Some(v), None),
-                _ => None,
-            }
+            // Build side (right) first, like the pipeline's probe stage.
+            let rrows = run(right, src, rmask.as_deref(), prof)?;
+            let lrows = run(left, src, lmask.as_deref(), prof)?;
+            hash_join(&lrows, &rrows, &spec, *kind, right.cols().len())
         }
-        _ => None,
+        Plan::Union { left, right, all } => {
+            // Plain UNION dedups on full rows, so branches must materialize
+            // every column; UNION ALL can push the caller's mask through.
+            let needed = if *all { needed } else { None };
+            let mut rows = run(left, src, needed, prof)?;
+            rows.extend(run(right, src, needed, prof)?);
+            Ok(if *all { rows } else { dedup(rows) })
+        }
+        Plan::Filter { input, .. }
+        | Plan::Project { input, .. }
+        | Plan::Aggregate { input, .. }
+        | Plan::Sort { input, .. }
+        | Plan::Distinct { input }
+        | Plan::Limit { input, .. }
+        | Plan::KeepCols { input, .. } => {
+            apply(plan, run(input, src, input_mask(plan, needed)?.as_deref(), prof)?)
+        }
     }
+}
+
+/// What a single-input node reads of its input's columns, given what its
+/// caller reads of its own (`None`: every column).
+pub fn input_mask(plan: &Plan, needed: Option<&[bool]>) -> Result<Option<Vec<bool>>> {
+    let Some(input) = plan.children().first().map(|c| c.cols()) else {
+        return Ok(needed.map(<[bool]>::to_vec));
+    };
+    let width = input.len();
+    let resolver = FlatResolver::new(input.into_iter().map(|c| (c.qualifier, c.name)).collect());
+    let reads = |exprs: &mut dyn Iterator<Item = &Expr>| -> Result<Vec<bool>> {
+        let bound: Vec<BoundExpr> = exprs.map(|e| bind(e, &resolver)).collect::<Result<_>>()?;
+        Ok(mask_of(width, &bound))
+    };
+    // What the caller reads, widened to the input, plus what `plan` reads.
+    let plus = |own: Vec<bool>| needed.map(|m| union_mask(m, &own));
+    Ok(match plan {
+        Plan::Filter { predicate, .. } if needed.is_some() => {
+            plus(reads(&mut std::iter::once(predicate))?)
+        }
+        Plan::Project { exprs, .. } => Some(reads(&mut exprs.iter().map(|(e, _)| e))?),
+        Plan::Aggregate { group_exprs, aggs, .. } => {
+            Some(reads(&mut group_exprs.iter().chain(aggs.iter().filter_map(|a| a.arg.as_ref())))?)
+        }
+        Plan::Sort { keys, .. } => plus((0..width).map(|i| keys.iter().any(|k| k.0 == i)).collect()),
+        Plan::KeepCols { .. } => plus(vec![false; width]),
+        // Row-level dedup reads every column: no pushdown through here.
+        Plan::Distinct { .. } => None,
+        _ => needed.map(<[bool]>::to_vec),
+    })
+}
+
+/// Union the column ordinals of `bound` into a mask over `width` columns.
+pub fn mask_of<'e>(width: usize, bound: impl IntoIterator<Item = &'e BoundExpr>) -> Vec<bool> {
+    let mut set = HashSet::new();
+    for b in bound {
+        b.collect_columns(&mut set);
+    }
+    (0..width).map(|i| set.contains(&i)).collect()
+}
+
+/// `a` or `b` per column, over `b`'s width.
+pub fn union_mask(a: &[bool], b: &[bool]) -> Vec<bool> {
+    b.iter().enumerate().map(|(i, y)| *y || a.get(i).copied().unwrap_or(false)).collect()
 }
 
 /// The comparison `a OP b` as `b OP' a`; `None` for anything else.
@@ -514,7 +485,7 @@ mod tests {
     use crate::parse_statement;
     use crate::plan::{plan_query, SchemaProvider};
     use crate::Statement;
-    use idaa_common::{ColumnDef, DataType, Schema};
+    use idaa_common::{ColumnDef, DataType, ObjectName, Schema};
 
     struct Mem {
         tables: HashMap<String, (Schema, Vec<Row>)>,
@@ -568,19 +539,41 @@ mod tests {
     }
 
     impl RowSource for Mem {
-        fn scan_table(&self, table: &ObjectName) -> Result<Vec<Row>> {
-            self.tables
-                .get(&table.name)
-                .map(|(_, r)| r.clone())
-                .ok_or_else(|| Error::UndefinedObject(table.to_string()))
+        fn node(&self, plan: &Plan, _: Option<&[bool]>) -> Result<Option<Vec<Row>>> {
+            let Plan::Scan { table, .. } = plan else { return Ok(None) };
+            let rows = self.tables.get(&table.name).map(|(_, r)| r.clone());
+            rows.map(Some).ok_or_else(|| Error::UndefinedObject(table.to_string()))
         }
     }
 
+    /// [`Mem`], answering each scan with every column outside `needed` set
+    /// to NULL: what a source that skips unread columns returns.
+    struct Masked(Mem);
+
+    impl RowSource for Masked {
+        fn node(&self, plan: &Plan, needed: Option<&[bool]>) -> Result<Option<Vec<Row>>> {
+            let Some(mut rows) = self.0.node(plan, needed)? else { return Ok(None) };
+            let Some(m) = needed else { return Ok(Some(rows)) };
+            for row in &mut rows {
+                for (i, v) in row.iter_mut().enumerate() {
+                    if m.get(i) != Some(&true) {
+                        *v = Value::Null;
+                    }
+                }
+            }
+            Ok(Some(rows))
+        }
+    }
+
+    /// `sql`'s answer, which the walk's column masks must not change.
     fn q(sql: &str) -> Rows {
         let mem = Mem::demo();
         let Statement::Query(query) = parse_statement(sql).unwrap() else { panic!() };
         let plan = plan_query(&query, &mem).unwrap();
-        execute_plan(&plan, &mem).unwrap()
+        let rows = execute_plan(&plan, &mem).unwrap();
+        let masked = execute_plan(&plan, &Masked(Mem::demo())).unwrap();
+        assert_eq!(masked.rows, rows.rows, "masked scans change the answer to {sql}");
+        rows
     }
 
     #[test]
@@ -688,6 +681,25 @@ mod tests {
     fn case_in_projection() {
         let r = q("SELECT id, CASE WHEN pay IS NULL THEN 'unknown' ELSE 'known' END FROM emp ORDER BY id");
         assert_eq!(r.rows[3][1], Value::Varchar("unknown".into()));
+    }
+
+    #[test]
+    fn masks_hold_across_unions_residual_joins_having_and_hidden_sort_keys() {
+        let count = |sql: &str| q(sql).len();
+        assert_eq!(count("SELECT dept FROM emp UNION SELECT name FROM dept"), 3);
+        assert_eq!(count("SELECT dept FROM emp UNION ALL SELECT name FROM dept"), 6);
+        let through_union_all = "SELECT x FROM (SELECT id AS x, dept AS d, pay AS y FROM emp \
+                                 UNION ALL SELECT 1, name, 2 FROM dept) s WHERE y > 100";
+        assert_eq!(count(through_union_all), 2);
+        // The residual ON conjunct reads a column nothing projects.
+        let r = q("SELECT e.id FROM emp e JOIN dept d ON e.dept = d.name AND d.site = 'BB' \
+                   ORDER BY e.id");
+        assert_eq!(r.rows, vec![vec![Value::Int(1)], vec![Value::Int(2)]]);
+        let r = q("SELECT dept FROM emp GROUP BY dept HAVING COUNT(*) > 1 AND MAX(id) > 3");
+        assert_eq!(r.rows, vec![vec![Value::Varchar("OPS".into())]]);
+        let r = q("SELECT dept FROM emp ORDER BY id DESC");
+        assert_eq!(r.rows[0], vec![Value::Varchar("OPS".into())]);
+        assert_eq!(r.rows[3], vec![Value::Varchar("ENG".into())]);
     }
 
     /// Deterministic pseudo-random rows: (key, payload) pairs with heavy

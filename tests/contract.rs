@@ -1,8 +1,8 @@
 //! Structural rules of the code base, checked against the source tree:
 //! deleted machinery stays deleted, every engine runs one set of row
-//! operators, the accelerator has one fan-out, only `idaa-core` decides
-//! where accelerator rows live, and wall time is read only where it is
-//! measured.
+//! operators on one plan walk, the accelerator has one fan-out, only
+//! `idaa-core` decides where accelerator rows live, and wall time is read
+//! only where it is measured.
 
 use std::path::{Path, PathBuf};
 
@@ -39,6 +39,30 @@ fn body<'a>(src: &'a str, decl: &str) -> &'a str {
     let start = src.find(decl).unwrap_or_else(|| panic!("no `{decl}`"));
     let len = src[start..].find("\n}\n").unwrap_or_else(|| panic!("`{decl}` never ends"));
     &src[start..start + len]
+}
+
+/// Every `.rs` file under a `src` directory of `crates/`, with its text
+/// before the unit tests.
+fn product_sources() -> Vec<(PathBuf, String)> {
+    sources("crates")
+        .into_iter()
+        .filter(|(path, _)| path.components().any(|c| c.as_os_str() == "src"))
+        .map(|(path, text)| (path, product(&text).to_string()))
+        .collect()
+}
+
+/// Assert `fn {name}(` is defined exactly once in product code, in
+/// `crates/sql/src`.
+fn defined_once_in_sql(product: &[(PathBuf, String)], name: &str) {
+    let decl = format!("fn {name}(");
+    let homes: Vec<&Path> = product
+        .iter()
+        .flat_map(|(path, text)| text.matches(&decl).map(move |_| path.as_path()))
+        .collect();
+    assert!(
+        matches!(&homes[..], [home] if home.starts_with(root().join("crates/sql/src"))),
+        "`{decl}` is defined in {homes:?}, not once in crates/sql/src"
+    );
 }
 
 #[test]
@@ -88,19 +112,9 @@ fn deleted_names_stay_deleted() {
 fn one_row_executor() {
     // DB2, the accelerator's interpreter, the fleet coordinator and its Raw
     // gather run the plan operators of `idaa-sql`; none keeps a copy.
-    let sql = root().join("crates/sql/src");
-    let crates = sources("crates");
+    let product_src = product_sources();
     for name in ["hash_join", "aggregate", "dedup", "conjuncts", "merge_runs", "execute_plan"] {
-        let decl = format!("fn {name}(");
-        let homes: Vec<&Path> = crates
-            .iter()
-            .filter(|(path, _)| path.components().any(|c| c.as_os_str() == "src"))
-            .flat_map(|(path, text)| product(text).matches(&decl).map(move |_| path.as_path()))
-            .collect();
-        assert!(
-            matches!(&homes[..], [home] if home.starts_with(&sql)),
-            "`{decl}` is defined in {homes:?}, not once in crates/sql/src"
-        );
+        defined_once_in_sql(&product_src, name);
     }
     assert!(!root().join("crates/host/src/exec.rs").exists(), "DB2 keeps no executor of its own");
     // One engine per accelerator node: nothing is staged in a scratch engine.
@@ -111,6 +125,41 @@ fn one_row_executor() {
     let node_new = &node[node.find("fn new(").expect("no `AccelNode::new`")..];
     let node_new = &node_new[..node_new.find("\n    }\n").unwrap_or(node_new.len())];
     assert_eq!((total, count(node_new)), (1, 1), "`AccelNode::new` is the one `AccelEngine::new(`");
+}
+
+#[test]
+fn one_plan_walk() {
+    // DB2, the accelerator and the fleet coordinator run one walk over a
+    // plan; a source answers the sub-plans it can through one hook.
+    let product_src = product_sources();
+    let calls: Vec<(&Path, &str)> = product_src
+        .iter()
+        .flat_map(|(path, text)| {
+            let calls = text.matches("hash_join(").count() - text.matches("fn hash_join(").count();
+            std::iter::repeat_n((path.as_path(), text.as_str()), calls)
+        })
+        .collect();
+    let exec = root().join("crates/sql/src/exec.rs");
+    assert!(
+        matches!(&calls[..], [(path, text)] if *path == exec
+            && body(text, "fn run_operator(").contains("hash_join(")),
+        "`hash_join(` is called once, from the walk, not from {:?}",
+        calls.iter().map(|(p, _)| p).collect::<Vec<_>>()
+    );
+    defined_once_in_sql(&product_src, "input_mask");
+    for (path, text) in sources("crates/accel/src") {
+        for walk in ["fn run_node(", "fn run_join(", "fn above("] {
+            assert!(!product(&text).contains(walk), "{} defines `{walk}`", path.display());
+        }
+    }
+    let exec_src = std::fs::read_to_string(&exec).unwrap();
+    let source = body(&exec_src, "pub trait RowSource {");
+    assert_eq!(source.matches("fn ").count(), 1, "`RowSource` declares one method:\n{source}");
+    for (path, text) in sources("crates/sql/src") {
+        for name in ["index_lookup", "index_range"] {
+            assert!(!text.contains(name), "{} names `{name}`", path.display());
+        }
+    }
 }
 
 #[test]
