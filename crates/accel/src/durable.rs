@@ -9,6 +9,14 @@
 //! the `idaa_common::wire` codec — the same deterministic format that
 //! crosses the host link — so recovery replays byte-identical row data.
 //!
+//! A checkpoint re-encodes only the slices whose rows changed since the
+//! last one: every other slice hands over the frame it already has, so the
+//! retained checkpoints share unchanged frames in memory. Each image is
+//! still a full image on the simulated disk — [`Checkpoint::bytes`] counts
+//! every frame, and its checksum hashes every frame's bytes. The
+//! `sites::BITROT_CHECKPOINT` fault flips a bit of the stored checksum word,
+//! never of a frame, so rot on one image cannot reach a frame it shares.
+//!
 //! Recovery is `checkpoint + log tail`: [`crate::engine::AccelEngine::restart`]
 //! restores the newest checkpoint and re-applies every logged record with
 //! an LSN past the checkpoint's coverage, in log order. Because records
@@ -38,6 +46,7 @@
 use crate::mvcc::{CommitSeq, TxnId, TxnStatus};
 use idaa_common::{wire, ObjectName, Schema};
 use parking_lot::Mutex;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Log sequence number (1-based; 0 means "before any record").
@@ -192,11 +201,18 @@ fn record_fingerprint(lsn: Lsn, record: &LogRecord) -> u64 {
 
 /// Frozen image of one data slice inside a [`Checkpoint`]: the rows as a
 /// wire frame plus the MVCC version vectors, positionally aligned.
+///
+/// The frame is an immutable shared buffer: a slice whose rows did not
+/// change between two checkpoints hands both the same one
+/// ([`crate::table::Slice::frame`]), so the retained checkpoints, a
+/// recovery clone and the live slice hold one copy of it in memory. On the
+/// simulated disk each image still holds its frame in full — see
+/// [`Checkpoint::bytes`].
 #[derive(Debug, Clone)]
 pub struct SliceImage {
     /// All row versions of the slice, wire-encoded against the table
     /// schema (empty-row frames are valid and cheap).
-    pub frame: Vec<u8>,
+    pub frame: Arc<[u8]>,
     pub created: Vec<TxnId>,
     pub deleted: Vec<TxnId>,
 }
@@ -234,6 +250,9 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Approximate durable size in bytes (slice frames + version vectors +
     /// status map). Drives the recovery cost model and E16's table.
+    ///
+    /// This is the size on disk: every frame counts in full, including one
+    /// this image shares in memory with another checkpoint.
     pub fn bytes(&self) -> u64 {
         let mut n = 64 + 12 * self.txn_states.len() as u64;
         for t in &self.tables {
@@ -694,7 +713,9 @@ impl DurableStore {
 
     /// Flip a bit in one retained checkpoint, chosen by the seeded `draw`
     /// (the `BITROT_CHECKPOINT` storage fault). Prefers the newest
-    /// checkpoint so the fallback path is exercised. Returns true if a
+    /// checkpoint so the fallback path is exercised. The damage lands in
+    /// the stored checksum word, never in a frame's bytes, which the other
+    /// retained checkpoint and the live slice may share. Returns true if a
     /// checkpoint existed to damage.
     pub fn rot_checkpoint(&self, draw: u64) -> bool {
         let mut inner = self.inner.lock();

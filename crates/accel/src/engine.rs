@@ -532,8 +532,10 @@ impl AccelEngine {
     /// Take a checkpoint stamped with virtual time `now`: a consistent cut
     /// of every table heap, the MVCC watermark, and the full status map.
     /// Atomic: a crash mid-build (the `MID_CHECKPOINT` site) loses nothing
-    /// — the previous checkpoint and the whole log stay intact. Returns
-    /// the installed checkpoint's size in bytes.
+    /// — the previous checkpoint and the whole log stay intact. A slice
+    /// whose rows did not change since the last checkpoint reuses its
+    /// frame instead of being encoded again. Returns the installed
+    /// checkpoint's size in bytes.
     pub fn checkpoint(&self, now: Duration) -> Result<u64> {
         self.ensure_up()?;
         let cp = self.durable.with_consistent_cut(|covers_lsn| -> Result<Checkpoint> {
@@ -543,12 +545,10 @@ impl AccelEngine {
                 let mut slices = Vec::new();
                 for slice_lock in t.slices() {
                     let slice = slice_lock.read();
-                    let rows: Vec<Row> =
-                        (0..slice.version_count()).map(|p| slice.row_at(p)).collect();
                     slices.push(SliceImage {
-                        frame: wire::encode_frame(&t.schema, &rows),
-                        created: slice.created.clone(),
-                        deleted: slice.deleted.clone(),
+                        frame: slice.frame(&t.schema),
+                        created: slice.created().to_vec(),
+                        deleted: slice.deleted().to_vec(),
                     });
                 }
                 images.push(TableImage {
@@ -707,10 +707,10 @@ impl AccelEngine {
                 let rows: Vec<Row> = (0..slice.version_count()).map(|p| slice.row_at(p)).collect();
                 let frame = wire::encode_frame(&t.schema, &rows);
                 buf.extend_from_slice(&wire::hash64(&frame).to_le_bytes());
-                for c in &slice.created {
+                for c in slice.created() {
                     buf.extend_from_slice(&c.to_le_bytes());
                 }
-                for d in &slice.deleted {
+                for d in slice.deleted() {
                     buf.extend_from_slice(&d.to_le_bytes());
                 }
             }

@@ -212,7 +212,7 @@ impl Kernel {
     fn specialize<'s>(&'s self, slice: &'s Slice) -> SpecKernel<'s> {
         match self {
             Kernel::Num { col, op, val } => {
-                let c: &Column = &slice.columns[*col];
+                let c: &Column = &slice.columns()[*col];
                 if let (Some(vals), Some(i)) = (c.i64_data(), exact_i64(*val)) {
                     SpecKernel::I64Cmp { vals, nulls: &c.nulls, op: *op, val: i }
                 } else if let Some(vals) = c.f64_data() {
@@ -222,7 +222,7 @@ impl Kernel {
                 }
             }
             Kernel::Range { col, lo, hi, negated } => {
-                let c: &Column = &slice.columns[*col];
+                let c: &Column = &slice.columns()[*col];
                 if let (Some(vals), Some(l), Some(h)) =
                     (c.i64_data(), exact_i64(*lo), exact_i64(*hi))
                 {
@@ -240,7 +240,7 @@ impl Kernel {
                 }
             }
             Kernel::Str { col, val, negated } => {
-                let c: &Column = &slice.columns[*col];
+                let c: &Column = &slice.columns()[*col];
                 let Some(codes) = c.str_codes() else { return SpecKernel::Never };
                 SpecKernel::Str {
                     codes,
@@ -250,7 +250,7 @@ impl Kernel {
                 }
             }
             Kernel::IsNull { col, negated } => {
-                SpecKernel::IsNull { nulls: &slice.columns[*col].nulls, negated: *negated }
+                SpecKernel::IsNull { nulls: &slice.columns()[*col].nulls, negated: *negated }
             }
         }
     }
@@ -572,7 +572,7 @@ impl ScanSpec {
 fn zone_prunes(kernels: &[Kernel], slice: &Slice, b: usize) -> bool {
     kernels.iter().any(|k| {
         k.zone_col()
-            .and_then(|c| slice.zones[c].get(b))
+            .and_then(|c| slice.zones()[c].get(b))
             .map(|z| k.prunes(z))
             .unwrap_or(false)
     })
@@ -593,7 +593,7 @@ fn select_block(
     let end = (start + BLOCK_ROWS).min(total);
     sel.clear();
     let mut vis = ctx.engine.txns.view(&ctx.snap);
-    let versions = slice.created[start..end].iter().zip(&slice.deleted[start..end]);
+    let versions = slice.created()[start..end].iter().zip(&slice.deleted()[start..end]);
     for (pos, (&created, &deleted)) in (start..end).zip(versions) {
         if vis.visible(created, deleted) {
             sel.push(pos as u32);
@@ -738,7 +738,7 @@ pub(crate) fn scan_table(
                 let row: Row = match &mask {
                     None => slice.row_at(pos),
                     Some(m) => slice
-                        .columns
+                        .columns()
                         .iter()
                         .enumerate()
                         .map(|(i, c)| if m[i] { c.get(pos) } else { Value::Null })
@@ -941,8 +941,8 @@ mod tests {
         // The dictionary probe is memoized: repeated lookups return the
         // same slice, not a rebuilt one.
         let slice = table.slices()[0].read();
-        let first = slice.columns[0].codes_matching("a").as_ptr();
-        let second = slice.columns[0].codes_matching("a").as_ptr();
+        let first = slice.columns()[0].codes_matching("a").as_ptr();
+        let second = slice.columns()[0].codes_matching("a").as_ptr();
         assert_eq!(first, second);
     }
 
@@ -995,13 +995,13 @@ mod tests {
             let oracle: Vec<u32> = (0..rows.len())
                 .filter(|&p| match kernel {
                     Kernel::Num { col, op, val } => {
-                        slice.columns[*col].numeric_at(p).is_some_and(|x| cmp_f64(*op, x, *val))
+                        slice.columns()[*col].numeric_at(p).is_some_and(|x| cmp_f64(*op, x, *val))
                     }
-                    Kernel::Range { col, lo, hi, negated } => slice.columns[*col]
+                    Kernel::Range { col, lo, hi, negated } => slice.columns()[*col]
                         .numeric_at(p)
                         .is_some_and(|x| (x >= *lo && x <= *hi) != *negated),
                     Kernel::IsNull { col, negated } => {
-                        slice.columns[*col].nulls.is_null(p) != *negated
+                        slice.columns()[*col].nulls.is_null(p) != *negated
                     }
                     Kernel::Str { .. } => unreachable!(),
                 })
@@ -1072,7 +1072,7 @@ mod tests {
             gather(&all, mask.as_deref(), &slice, &[], &sel, &[], &mut got).unwrap();
             let kept = |i: usize| mask.as_ref().is_none_or(|m| m[i]);
             let cell = |p: u32, i: usize| {
-                if kept(i) { slice.columns[i].get(p as usize) } else { Value::Null }
+                if kept(i) { slice.columns()[i].get(p as usize) } else { Value::Null }
             };
             let expect: Vec<Row> = sel.iter().map(|&p| (0..4).map(|i| cell(p, i)).collect()).collect();
             assert_eq!(got, expect, "mask={mask:?}");

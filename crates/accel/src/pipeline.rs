@@ -225,7 +225,7 @@ impl OutCol {
     /// expression scratch row (wide enough for every fill ordinal).
     fn value(&self, slice: &Slice, brows: &[Row], pos: usize, bi: u32, scratch: &mut Row) -> Result<Value> {
         Ok(match self {
-            OutCol::Probe(c) => slice.columns[*c].get(pos),
+            OutCol::Probe(c) => slice.columns()[*c].get(pos),
             OutCol::Build(c) => brows.get(bi as usize).map_or(Value::Null, |row| row[*c].clone()),
             OutCol::Expr(expr, fills) => {
                 for (i, c) in fills {
@@ -307,7 +307,7 @@ pub(crate) fn gather(
             continue;
         }
         match col {
-            OutCol::Probe(c) => slice.columns[*c].gather_into(psel, rows),
+            OutCol::Probe(c) => slice.columns()[*c].gather_into(psel, rows),
             OutCol::Build(c) => {
                 for (row, &b) in rows.iter_mut().zip(bsel) {
                     row.push(brows.get(b as usize).map_or(Value::Null, |r| r[*c].clone()));
@@ -866,13 +866,13 @@ impl BuildTable {
         let storage = || Error::internal("join probe column storage does not match its key layout");
         let (key, generic): (SpecKey, &[OutCol]) = match (&probe.keys, &self.index) {
             (Keys::I64 { probe: c, .. }, KeyIndex::I64(index)) => {
-                let col = &slice.columns[*c];
+                let col = &slice.columns()[*c];
                 let vals = col.i64_data().ok_or_else(storage)?;
                 (SpecKey::I64 { vals, nulls: &col.nulls, index }, &[])
             }
             // Each distinct value is looked up once; rows then probe by code.
             (Keys::Str { probe: c, .. }, KeyIndex::Str(index)) => {
-                let col = &slice.columns[*c];
+                let col = &slice.columns()[*c];
                 let (Some(codes), Some(dict)) = (col.str_codes(), col.dictionary()) else {
                     return Err(storage());
                 };
@@ -1005,7 +1005,7 @@ impl<'a> ArgSlot<'a> {
     fn specialize(arg: Option<&'a OutCol>, slice: &'a Slice) -> ArgSlot<'a> {
         let (arg, c) = match arg {
             None => return ArgSlot::Star,
-            Some(arg @ OutCol::Probe(c)) => (arg, &slice.columns[*c]),
+            Some(arg @ OutCol::Probe(c)) => (arg, &slice.columns()[*c]),
             Some(other) => return ArgSlot::Value(other),
         };
         // `native` must rebuild exactly what `Column::get` renders for the
@@ -1071,7 +1071,7 @@ impl<'a> AggSink<'a> {
                 KeySlot::Build { table, map: vec![usize::MAX; table.group_keys.len()] }
             }
             ([OutCol::Probe(k)], _) => {
-                let col = &slice.columns[*k];
+                let col = &slice.columns()[*k];
                 match col.str_codes() {
                     Some(codes) => KeySlot::Dict {
                         codes,
@@ -1186,7 +1186,7 @@ enum KeyCol<'a> {
 impl<'a> KeyCol<'a> {
     fn specialize(col: &'a OutCol, slice: &'a Slice) -> KeyCol<'a> {
         let OutCol::Probe(c) = col else { return KeyCol::Value(col) };
-        let c = &slice.columns[*c];
+        let c = &slice.columns()[*c];
         let nulls = &c.nulls;
         match (c.i64_data(), c.f64_data(), c.str_codes(), c.dictionary()) {
             (Some(vals), ..) => KeyCol::I64 { vals, nulls },

@@ -11,11 +11,12 @@
 
 use crate::column::Column;
 use crate::mvcc::TxnId;
-use idaa_common::{Error, ObjectName, Result, Row, Schema, Value};
+use idaa_common::{wire, Error, ObjectName, Result, Row, Schema, Value};
 use parking_lot::RwLock;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Rows per zone-map block.
 pub const BLOCK_ROWS: usize = 4096;
@@ -48,13 +49,20 @@ impl ZoneEntry {
 }
 
 /// One data slice: columnar row storage plus version vectors.
+///
+/// The storage fields are private so that every row reaches a slice
+/// through `Slice::append`, which is what keeps the cached checkpoint
+/// frame from going stale. Only `deleted` changes in place, and the frame
+/// does not cover it.
 #[derive(Debug)]
 pub struct Slice {
-    pub columns: Vec<Column>,
-    pub created: Vec<TxnId>,
-    pub deleted: Vec<TxnId>,
+    columns: Vec<Column>,
+    created: Vec<TxnId>,
+    deleted: Vec<TxnId>,
     /// `zones[col][block]`.
-    pub zones: Vec<Vec<ZoneEntry>>,
+    zones: Vec<Vec<ZoneEntry>>,
+    /// What [`Slice::frame`] returns until the next append clears it.
+    frame: OnceLock<Arc<[u8]>>,
 }
 
 impl Slice {
@@ -64,7 +72,40 @@ impl Slice {
             created: Vec::new(),
             deleted: Vec::new(),
             zones: vec![Vec::new(); schema.len()],
+            frame: OnceLock::new(),
         }
+    }
+
+    /// The row columns, one per schema column.
+    pub fn columns(&self) -> &[Column] {
+        &self.columns
+    }
+
+    /// Creating transaction of each row version, by position.
+    pub fn created(&self) -> &[TxnId] {
+        &self.created
+    }
+
+    /// Deleting transaction of each row version (0 = live), by position.
+    pub fn deleted(&self) -> &[TxnId] {
+        &self.deleted
+    }
+
+    /// Zone maps, `zones()[col][block]`.
+    pub fn zones(&self) -> &[Vec<ZoneEntry>] {
+        &self.zones
+    }
+
+    /// Every row version of the slice as one wire frame under its table's
+    /// `schema`, byte for byte what [`wire::encode_frame`] makes of them.
+    /// Encoded on the first call after an append and shared until the next.
+    pub fn frame(&self, schema: &Schema) -> Arc<[u8]> {
+        self.frame
+            .get_or_init(|| {
+                let rows: Vec<Row> = (0..self.version_count()).map(|p| self.row_at(p)).collect();
+                wire::encode_frame(schema, &rows).into()
+            })
+            .clone()
     }
 
     /// Number of row versions (live or not).
@@ -79,6 +120,7 @@ impl Slice {
     }
 
     fn append(&mut self, row: &Row, txn: TxnId) -> Result<()> {
+        self.frame.take();
         let pos = self.created.len();
         let block = pos / BLOCK_ROWS;
         for (ci, (col, v)) in self.columns.iter_mut().zip(row).enumerate() {

@@ -121,33 +121,19 @@ fn xxh_round(acc: u64, input: u64) -> u64 {
     acc.wrapping_add(input.wrapping_mul(PRIME64_2)).rotate_left(31).wrapping_mul(PRIME64_1)
 }
 
-#[inline]
-fn read_u64_le(b: &[u8]) -> u64 {
-    u64::from_le_bytes(b[..8].try_into().unwrap())
-}
-
-#[inline]
-fn read_u32_le(b: &[u8]) -> u32 {
-    u32::from_le_bytes(b[..4].try_into().unwrap())
-}
-
 /// XXH64 (seed 0): the frame checksum and the schema-fingerprint hash.
 pub fn hash64(data: &[u8]) -> u64 {
     let len = data.len() as u64;
-    let mut rest = data;
+    let (stripes, mut rest) = data.as_chunks::<32>();
     let mut h: u64;
-    if rest.len() >= 32 {
-        let mut v1 = PRIME64_1.wrapping_add(PRIME64_2);
-        let mut v2 = PRIME64_2;
-        let mut v3 = 0u64;
-        let mut v4 = 0u64.wrapping_sub(PRIME64_1);
-        while rest.len() >= 32 {
-            v1 = xxh_round(v1, read_u64_le(&rest[0..]));
-            v2 = xxh_round(v2, read_u64_le(&rest[8..]));
-            v3 = xxh_round(v3, read_u64_le(&rest[16..]));
-            v4 = xxh_round(v4, read_u64_le(&rest[24..]));
-            rest = &rest[32..];
+    if !stripes.is_empty() {
+        let mut v = [PRIME64_1.wrapping_add(PRIME64_2), PRIME64_2, 0, 0u64.wrapping_sub(PRIME64_1)];
+        for stripe in stripes {
+            for (acc, lane) in v.iter_mut().zip(stripe.as_chunks::<8>().0) {
+                *acc = xxh_round(*acc, u64::from_le_bytes(*lane));
+            }
         }
+        let [v1, v2, v3, v4] = v;
         h = v1
             .rotate_left(1)
             .wrapping_add(v2.rotate_left(7))
@@ -160,16 +146,19 @@ pub fn hash64(data: &[u8]) -> u64 {
         h = PRIME64_5;
     }
     h = h.wrapping_add(len);
-    while rest.len() >= 8 {
-        h = (h ^ xxh_round(0, read_u64_le(rest))).rotate_left(27).wrapping_mul(PRIME64_1).wrapping_add(PRIME64_4);
-        rest = &rest[8..];
+    while let Some((word, tail)) = rest.split_first_chunk::<8>() {
+        h = (h ^ xxh_round(0, u64::from_le_bytes(*word)))
+            .rotate_left(27)
+            .wrapping_mul(PRIME64_1)
+            .wrapping_add(PRIME64_4);
+        rest = tail;
     }
-    if rest.len() >= 4 {
-        h = (h ^ (read_u32_le(rest) as u64).wrapping_mul(PRIME64_1))
+    if let Some((word, tail)) = rest.split_first_chunk::<4>() {
+        h = (h ^ (u32::from_le_bytes(*word) as u64).wrapping_mul(PRIME64_1))
             .rotate_left(23)
             .wrapping_mul(PRIME64_2)
             .wrapping_add(PRIME64_3);
-        rest = &rest[4..];
+        rest = tail;
     }
     for &b in rest {
         h = (h ^ (b as u64).wrapping_mul(PRIME64_5)).rotate_left(11).wrapping_mul(PRIME64_1);
@@ -255,34 +244,36 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
+    /// `N` raw bytes, e.g. a little-endian word.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        match self.take(N)?.first_chunk() {
+            Some(a) => Ok(*a),
+            None => self.bad(),
+        }
+    }
+
     fn varint(&mut self) -> Result<u64> {
         let mut v = 0u64;
-        for shift in (0..).step_by(7) {
-            if shift > 63 {
-                return self.bad();
-            }
+        for shift in (0..64).step_by(7) {
             let b = self.u8()?;
             v |= ((b & 0x7f) as u64) << shift;
             if b & 0x80 == 0 {
                 return Ok(v);
             }
         }
-        unreachable!()
+        self.bad()
     }
 
     fn varint128(&mut self) -> Result<u128> {
         let mut v = 0u128;
-        for shift in (0..).step_by(7) {
-            if shift > 127 {
-                return self.bad();
-            }
+        for shift in (0..128).step_by(7) {
             let b = self.u8()?;
             v |= ((b & 0x7f) as u128) << shift;
             if b & 0x80 == 0 {
                 return Ok(v);
             }
         }
-        unreachable!()
+        self.bad()
     }
 
     fn done(&self) -> bool {
@@ -355,14 +346,15 @@ fn phys_tag(v: &Value) -> u8 {
     }
 }
 
-fn int_of(v: &Value) -> i64 {
+/// The integer behind an integer-family cell (`None` for any other).
+fn int_of(v: &Value) -> Option<i64> {
     match v {
-        Value::SmallInt(x) => *x as i64,
-        Value::Int(x) => *x as i64,
-        Value::BigInt(x) => *x,
-        Value::Date(x) => *x as i64,
-        Value::Timestamp(x) => *x,
-        _ => unreachable!("non-integer value in integer column"),
+        Value::SmallInt(x) => Some(*x as i64),
+        Value::Int(x) => Some(*x as i64),
+        Value::BigInt(x) => Some(*x),
+        Value::Date(x) => Some(*x as i64),
+        Value::Timestamp(x) => Some(*x),
+        _ => None,
     }
 }
 
@@ -518,9 +510,6 @@ fn encode_mixed_value(v: &Value, out: &mut Vec<u8>) {
     out.push(phys_tag(v));
     match v {
         Value::Boolean(b) => out.push(*b as u8),
-        Value::SmallInt(_) | Value::Int(_) | Value::BigInt(_) | Value::Date(_) | Value::Timestamp(_) => {
-            put_varint(out, zigzag64(int_of(v)));
-        }
         Value::Double(x) => out.extend_from_slice(&x.to_bits().to_le_bytes()),
         Value::Decimal(d) => {
             out.push(d.scale());
@@ -530,71 +519,62 @@ fn encode_mixed_value(v: &Value, out: &mut Vec<u8>) {
             put_varint(out, s.len() as u64);
             out.extend_from_slice(s.as_bytes());
         }
-        Value::Null => unreachable!("nulls live in the bitmap, not the body"),
+        // Integer-family cells; a NULL has no body (it lives in the bitmap).
+        _ => {
+            if let Some(x) = int_of(v) {
+                put_varint(out, zigzag64(x));
+            }
+        }
     }
+}
+
+/// The payload of every cell when all of them hold the `Value` variant
+/// tagged `phys`, else `None`.
+fn typed<'a, T>(present: &[&'a Value], phys: u8, get: impl Fn(&'a Value) -> Option<T>) -> Option<Vec<T>> {
+    present.iter().map(|v| if phys_tag(v) == phys { get(v) } else { None }).collect()
 }
 
 fn encode_column(rows: &[Row], col: usize, out: &mut Vec<u8>) {
     let nrows = rows.len();
     let present: Vec<&Value> = rows.iter().map(|r| &r[col]).filter(|v| !v.is_null()).collect();
+    let tag_at = out.len();
+    out.push(PHYS_MIXED);
+    pack_bits(rows.iter().map(|r| r[col].is_null()), nrows, out);
     // A column is physically typed when every non-null cell holds the same
     // `Value` variant; otherwise (or when empty) cells carry their own tags.
-    let phys = match present.first() {
-        Some(first) if present.iter().all(|v| phys_tag(v) == phys_tag(first)) => phys_tag(first),
-        _ => PHYS_MIXED,
-    };
-    out.push(phys);
-    pack_bits(rows.iter().map(|r| r[col].is_null()), nrows, out);
-    match phys {
-        PHYS_BOOLEAN => {
-            let vals: Vec<bool> = present
-                .iter()
-                .map(|v| match v {
-                    Value::Boolean(b) => *b,
-                    _ => unreachable!(),
-                })
-                .collect();
-            encode_bool_column(&vals, out);
-        }
+    let phys = present.first().map_or(PHYS_MIXED, |v| phys_tag(v));
+    let body = match phys {
+        PHYS_BOOLEAN => typed(&present, phys, |v| match v {
+            Value::Boolean(b) => Some(*b),
+            _ => None,
+        })
+        .map(|vals| encode_bool_column(&vals, out)),
         PHYS_SMALLINT | PHYS_INT | PHYS_BIGINT | PHYS_DATE | PHYS_TIMESTAMP => {
-            let vals: Vec<i64> = present.iter().map(|v| int_of(v)).collect();
-            encode_int_column(&vals, out);
+            typed(&present, phys, int_of).map(|vals| encode_int_column(&vals, out))
         }
-        PHYS_DOUBLE => {
-            let vals: Vec<f64> = present
-                .iter()
-                .map(|v| match v {
-                    Value::Double(x) => *x,
-                    _ => unreachable!(),
-                })
-                .collect();
-            encode_double_column(&vals, out);
-        }
-        PHYS_DECIMAL => {
-            let vals: Vec<Decimal> = present
-                .iter()
-                .map(|v| match v {
-                    Value::Decimal(d) => *d,
-                    _ => unreachable!(),
-                })
-                .collect();
-            encode_decimal_column(&vals, out);
-        }
-        PHYS_VARCHAR => {
-            let vals: Vec<&str> = present
-                .iter()
-                .map(|v| match v {
-                    Value::Varchar(s) => s.as_str(),
-                    _ => unreachable!(),
-                })
-                .collect();
-            encode_string_column(&vals, out);
-        }
-        _ => {
-            out.push(ENC_RAW);
-            for v in &present {
-                encode_mixed_value(v, out);
-            }
+        PHYS_DOUBLE => typed(&present, phys, |v| match v {
+            Value::Double(x) => Some(*x),
+            _ => None,
+        })
+        .map(|vals| encode_double_column(&vals, out)),
+        PHYS_DECIMAL => typed(&present, phys, |v| match v {
+            Value::Decimal(d) => Some(*d),
+            _ => None,
+        })
+        .map(|vals| encode_decimal_column(&vals, out)),
+        PHYS_VARCHAR => typed(&present, phys, |v| match v {
+            Value::Varchar(s) => Some(s.as_str()),
+            _ => None,
+        })
+        .map(|vals| encode_string_column(&vals, out)),
+        _ => None,
+    };
+    if body.is_some() {
+        out[tag_at] = phys;
+    } else {
+        out.push(ENC_RAW);
+        for v in &present {
+            encode_mixed_value(v, out);
         }
     }
 }
@@ -647,35 +627,54 @@ pub fn verify(frame: &[u8]) -> bool {
     if frame.len() < HEADER_LEN + CHECKSUM_LEN {
         return false;
     }
-    let (body, tail) = frame.split_at(frame.len() - CHECKSUM_LEN);
-    u16::from_le_bytes(frame[..2].try_into().unwrap()) == MAGIC
-        && hash64(body) == u64::from_le_bytes(tail.try_into().unwrap())
+    let Some((body, tail)) = frame.split_last_chunk::<CHECKSUM_LEN>() else { return false };
+    frame.first_chunk() == Some(&MAGIC.to_le_bytes()) && hash64(body) == u64::from_le_bytes(*tail)
 }
 
 /// Sender-stamped logical byte size of a frame, read from the header
 /// (`None` when the buffer is too short to be a frame). Used by the link
 /// to account logical alongside wire bytes.
 pub fn frame_logical_len(frame: &[u8]) -> Option<u64> {
-    if frame.len() < HEADER_LEN + CHECKSUM_LEN
-        || u16::from_le_bytes(frame[..2].try_into().ok()?) != MAGIC
-    {
+    if frame.len() < HEADER_LEN + CHECKSUM_LEN || frame.first_chunk() != Some(&MAGIC.to_le_bytes()) {
         return None;
     }
-    Some(read_u64_le(&frame[20..28]))
+    frame[20..].first_chunk().map(|w| u64::from_le_bytes(*w))
 }
 
-fn decode_int(phys: u8, v: i64) -> Value {
-    match phys {
-        PHYS_SMALLINT => Value::SmallInt(v as i16),
-        PHYS_INT => Value::Int(v as i32),
-        PHYS_BIGINT => Value::BigInt(v),
-        PHYS_DATE => Value::Date(v as i32),
-        PHYS_TIMESTAMP => Value::Timestamp(v),
-        _ => unreachable!(),
+/// The integer-family `Value` variant a physical tag names.
+#[derive(Clone, Copy)]
+enum IntKind {
+    SmallInt,
+    Int,
+    BigInt,
+    Date,
+    Timestamp,
+}
+
+impl IntKind {
+    fn of(phys: u8) -> Option<IntKind> {
+        Some(match phys {
+            PHYS_SMALLINT => IntKind::SmallInt,
+            PHYS_INT => IntKind::Int,
+            PHYS_BIGINT => IntKind::BigInt,
+            PHYS_DATE => IntKind::Date,
+            PHYS_TIMESTAMP => IntKind::Timestamp,
+            _ => return None,
+        })
+    }
+
+    fn value(self, v: i64) -> Value {
+        match self {
+            IntKind::SmallInt => Value::SmallInt(v as i16),
+            IntKind::Int => Value::Int(v as i32),
+            IntKind::BigInt => Value::BigInt(v),
+            IntKind::Date => Value::Date(v as i32),
+            IntKind::Timestamp => Value::Timestamp(v),
+        }
     }
 }
 
-fn decode_int_body(r: &mut Reader, phys: u8, n: usize) -> Result<Vec<Value>> {
+fn decode_int_body(r: &mut Reader, kind: IntKind, n: usize) -> Result<Vec<Value>> {
     let enc = r.u8()?;
     let mut vals = Vec::with_capacity(n);
     match enc {
@@ -704,7 +703,7 @@ fn decode_int_body(r: &mut Reader, phys: u8, n: usize) -> Result<Vec<Value>> {
         }
         _ => return r.bad(),
     }
-    Ok(vals.into_iter().map(|v| decode_int(phys, v)).collect())
+    Ok(vals.into_iter().map(|v| kind.value(v)).collect())
 }
 
 fn decode_double_body(r: &mut Reader, n: usize) -> Result<Vec<Value>> {
@@ -713,13 +712,13 @@ fn decode_double_body(r: &mut Reader, n: usize) -> Result<Vec<Value>> {
     match enc {
         ENC_RAW => {
             for _ in 0..n {
-                vals.push(f64::from_bits(read_u64_le(r.take(8)?)));
+                vals.push(f64::from_bits(u64::from_le_bytes(r.array()?)));
             }
         }
         ENC_RLE => {
             while vals.len() < n {
                 let run = r.varint()? as usize;
-                let v = f64::from_bits(read_u64_le(r.take(8)?));
+                let v = f64::from_bits(u64::from_le_bytes(r.array()?));
                 if run == 0 || vals.len() + run > n {
                     return r.bad();
                 }
@@ -810,10 +809,7 @@ fn decode_mixed_body(r: &mut Reader, n: usize) -> Result<Vec<Value>> {
         let tag = r.u8()?;
         vals.push(match tag {
             PHYS_BOOLEAN => Value::Boolean(r.u8()? != 0),
-            PHYS_SMALLINT | PHYS_INT | PHYS_BIGINT | PHYS_DATE | PHYS_TIMESTAMP => {
-                decode_int(tag, unzigzag64(r.varint()?))
-            }
-            PHYS_DOUBLE => Value::Double(f64::from_bits(read_u64_le(r.take(8)?))),
+            PHYS_DOUBLE => Value::Double(f64::from_bits(u64::from_le_bytes(r.array()?))),
             PHYS_DECIMAL => {
                 let scale = r.u8()?;
                 Value::Decimal(Decimal::new(unzigzag128(r.varint128()?), scale))
@@ -823,7 +819,10 @@ fn decode_mixed_body(r: &mut Reader, n: usize) -> Result<Vec<Value>> {
                 let s = std::str::from_utf8(r.take(len)?).map_err(|_| Error::Internal("malformed wire frame".into()))?;
                 Value::Varchar(s.into())
             }
-            _ => return r.bad(),
+            _ => match IntKind::of(tag) {
+                Some(kind) => kind.value(unzigzag64(r.varint()?)),
+                None => return r.bad(),
+            },
         });
     }
     Ok(vals)
@@ -836,17 +835,21 @@ fn decode_column(r: &mut Reader, nrows: usize) -> Result<Vec<Value>> {
     let n_present = (0..nrows).filter(|&i| !null_at(i)).count();
     let present = match phys {
         PHYS_BOOLEAN => decode_bool_body(r, n_present)?,
-        PHYS_SMALLINT | PHYS_INT | PHYS_BIGINT | PHYS_DATE | PHYS_TIMESTAMP => {
-            decode_int_body(r, phys, n_present)?
-        }
         PHYS_DOUBLE => decode_double_body(r, n_present)?,
         PHYS_DECIMAL => decode_decimal_body(r, n_present)?,
         PHYS_VARCHAR => decode_string_body(r, n_present)?,
         PHYS_MIXED => decode_mixed_body(r, n_present)?,
-        _ => return r.bad(),
+        _ => match IntKind::of(phys) {
+            Some(kind) => decode_int_body(r, kind, n_present)?,
+            None => return r.bad(),
+        },
     };
+    if present.len() != n_present {
+        return r.bad();
+    }
+    // One present value per non-null position, so the fallback never fires.
     let mut it = present.into_iter();
-    Ok((0..nrows).map(|i| if null_at(i) { Value::Null } else { it.next().unwrap() }).collect())
+    Ok((0..nrows).map(|i| if null_at(i) { Value::Null } else { it.next().unwrap_or(Value::Null) }).collect())
 }
 
 /// Decode a frame back into rows, verifying the checksum first. A failed
@@ -861,10 +864,11 @@ pub fn decode_frame(frame: &[u8]) -> Result<DecodedFrame> {
     if body[2] != VERSION {
         return Err(Error::Internal(format!("unsupported wire frame version {}", body[2])));
     }
-    let fingerprint = read_u64_le(&body[4..12]);
-    let nrows = read_u32_le(&body[12..16]) as usize;
-    let ncols = read_u32_le(&body[16..20]) as usize;
-    let logical_len = read_u64_le(&body[20..28]);
+    let mut header = Reader::new(&body[4..HEADER_LEN]);
+    let fingerprint = u64::from_le_bytes(header.array()?);
+    let nrows = u32::from_le_bytes(header.array()?) as usize;
+    let ncols = u32::from_le_bytes(header.array()?) as usize;
+    let logical_len = u64::from_le_bytes(header.array()?);
     let mut r = Reader::new(&body[HEADER_LEN..]);
     let mut columns = Vec::with_capacity(ncols);
     for _ in 0..ncols {

@@ -12,7 +12,9 @@
 //! * commit-log replay is idempotent: any restart schedule rebuilds
 //!   byte-identical engine state — including under torn-write and bit-rot
 //!   schedules, where recovery either converges or fails with the same
-//!   deterministic `storage_corrupt` verdict on every attempt.
+//!   deterministic `storage_corrupt` verdict on every attempt;
+//! * a checkpoint re-encodes exactly the slices whose rows changed, and
+//!   every frame it keeps equals a fresh encoding.
 
 use idaa::sql::ast::*;
 use idaa::sql::{parse_statement, Statement};
@@ -1464,6 +1466,144 @@ proptest! {
                     );
                     prop_assert_eq!(&engine.scan_visible(&t).unwrap(), &rows_live);
                 }
+            }
+        }
+    }
+
+    /// The frame a slice keeps for checkpoints never goes stale. A random
+    /// stream of inserts, updates, deletes, aborted inserts, GROOM,
+    /// TRUNCATE, checkpoints and crash + restart runs over `T`, which takes
+    /// every kind of write, and `U`, which only ever gets delete marks. At
+    /// every checkpoint, the image `recovery_set` reads back holds:
+    /// - per slice, exactly the encoding the test makes of the slice's rows;
+    /// - for a slice whose rows no statement rewrote since the previous
+    ///   checkpoint, the previous checkpoint's frame itself (`Arc::ptr_eq`);
+    /// - a `bytes()` equal to that of the same image with no frame shared.
+    #[test]
+    fn checkpoint_reencodes_only_changed_slices(
+        ops in proptest::collection::vec((0u8..14, 0i64..40, -100i64..100), 10..60),
+    ) {
+        use idaa::accel::{AccelConfig, AccelEngine, Checkpoint};
+        use idaa::common::{wire, ColumnDef, Row, Schema};
+        use idaa::sql::ast::{BinaryOp, Expr};
+        use std::sync::Arc;
+        use std::time::Duration;
+
+        let engine = AccelEngine::new(
+            "APP",
+            AccelConfig { slices: 3, zone_maps: true, parallel: false, parallelism: 0 },
+        );
+        let tables = [ObjectName::bare("T"), ObjectName::bare("U")];
+        let [t, u] = &tables;
+        let schema = Schema::new(vec![
+            ColumnDef::new("K", DataType::BigInt),
+            ColumnDef::new("V", DataType::BigInt),
+        ]).unwrap();
+        for name in &tables {
+            engine.create_table(name, schema.clone(), &[]).unwrap();
+        }
+        engine.begin(1);
+        let loaded = (0..40).map(|k| vec![Value::BigInt(k), Value::BigInt(-k)]).collect();
+        engine.insert_rows(1, u, loaded).unwrap();
+        engine.commit(1);
+        let key_eq = |k: i64| Expr::Binary {
+            left: Box::new(Expr::Column { qualifier: None, name: "K".into() }),
+            op: BinaryOp::Eq,
+            right: Box::new(Expr::Literal(Value::BigInt(k))),
+        };
+        // A statement rewrote a slice's rows exactly when it changed the
+        // slice's creator vector: an append grows it, and a GROOM or
+        // TRUNCATE that removes anything shrinks it.
+        let creators = |engine: &AccelEngine| -> Vec<Vec<Vec<u64>>> {
+            tables
+                .iter()
+                .map(|name| {
+                    let table = engine.table(name).unwrap();
+                    table.slices().iter().map(|s| s.read().created().to_vec()).collect()
+                })
+                .collect()
+        };
+        let mut before = creators(&engine);
+        let mut rewritten = [[false; 3]; 2];
+        let mut last: Option<Checkpoint> = None;
+        for (i, (op, k, v)) in ops.iter().enumerate() {
+            let txn = 101 + i as u64;
+            let row = vec![Value::BigInt(*k), Value::BigInt(*v)];
+            let mut restarted = false;
+            match op {
+                0..=3 => {
+                    engine.begin(txn);
+                    engine.insert_rows(txn, t, vec![row]).unwrap();
+                    engine.commit(txn);
+                }
+                4..=5 => {
+                    engine.begin(txn);
+                    engine.update_where(
+                        txn,
+                        t,
+                        &[("V".to_string(), Expr::Literal(Value::BigInt(*v)))],
+                        Some(&key_eq(*k)),
+                    ).unwrap();
+                    engine.commit(txn);
+                }
+                6 | 10 | 11 => {
+                    let table = if *op == 6 { t } else { u };
+                    engine.begin(txn);
+                    engine.delete_where(txn, table, Some(&key_eq(*k))).unwrap();
+                    engine.commit(txn);
+                }
+                7 => {
+                    engine.begin(txn);
+                    engine.insert_rows(txn, t, vec![row]).unwrap();
+                    engine.abort(txn);
+                }
+                8 => {
+                    engine.groom(t).unwrap();
+                }
+                9 => engine.truncate(t).unwrap(),
+                12 => {
+                    engine.crash();
+                    engine.restart().unwrap();
+                    restarted = true;
+                }
+                _ => {}
+            }
+            let after = creators(&engine);
+            for (ti, slices) in after.iter().enumerate() {
+                for (si, created) in slices.iter().enumerate() {
+                    rewritten[ti][si] |= restarted || *created != before[ti][si];
+                }
+            }
+            before = after;
+            if *op == 13 || i % 5 == 4 {
+                engine.checkpoint(Duration::from_millis(i as u64)).unwrap();
+                let cp = engine.durable().recovery_set().checkpoint.expect("checkpoint installed");
+                prop_assert_eq!(cp.tables.len(), tables.len());
+                let mut unshared = cp.clone();
+                for (ti, name) in tables.iter().enumerate() {
+                    let table = engine.table(name).unwrap();
+                    for (si, slice) in table.slices().iter().enumerate() {
+                        let slice = slice.read();
+                        let rows: Vec<Row> =
+                            (0..slice.version_count()).map(|p| slice.row_at(p)).collect();
+                        let fresh = wire::encode_frame(&table.schema, &rows);
+                        let frame = &cp.tables[ti].slices[si].frame;
+                        prop_assert!(
+                            frame[..] == fresh[..],
+                            "op {}: {} slice {} checkpointed a stale frame", i, name, si
+                        );
+                        if let (Some(prev), false) = (&last, rewritten[ti][si]) {
+                            prop_assert!(
+                                Arc::ptr_eq(&prev.tables[ti].slices[si].frame, frame),
+                                "op {}: {} slice {} re-encoded unchanged rows", i, name, si
+                            );
+                        }
+                        unshared.tables[ti].slices[si].frame = fresh.into();
+                    }
+                }
+                prop_assert_eq!(cp.bytes(), unshared.bytes());
+                last = Some(cp);
+                rewritten = [[false; 3]; 2];
             }
         }
     }
