@@ -8,7 +8,7 @@
 
 use crate::durable::{Checkpoint, DurableStore, LogRecord, ScrubReport, SliceImage, TableImage};
 use crate::exec::{run_partial_groups, scan_filtered, scan_victims, ExecCtx, ExecMode};
-use crate::partial::{cut, groups_schema};
+use crate::partial::{cuts, groups_schema};
 use crate::mvcc::{CommitSeq, Snapshot, TxnId, TxnRegistry, TxnStatus};
 use crate::pipeline::{lower, Lowered};
 use crate::table::{AccelTable, RowPos};
@@ -953,19 +953,20 @@ impl AccelEngine {
         Ok((rows, plan, profile))
     }
 
-    /// A fleet shard's share of `query`: the plan runs up to its scatter
-    /// cut ([`crate::partial::cut`], with `shard` this node's physical shard
-    /// of the one sharded table) and the cut's partial comes back, with the
-    /// sub-plan that ran and its per-operator profile.
+    /// A fleet shard's share of `query`: the plan runs up to scatter cut
+    /// number `cut` over this node's `shards` ([`crate::partial::cuts`]) and
+    /// the cut's partial comes back, with the sub-plan that ran and its
+    /// per-operator profile.
     pub fn query_partial(
         &self,
         txn: TxnId,
         query: &Query,
-        shard: &ObjectName,
+        shards: &[ObjectName],
+        cut: usize,
     ) -> Result<(Rows, Arc<Plan>, PlanProfile)> {
         let profile = PlanProfile::default();
         let (rows, plan) =
-            self.run_query(txn, query, ExecMode::Vectorized, Some(&profile), Some(shard))?;
+            self.run_query(txn, query, ExecMode::Vectorized, Some(&profile), Some((shards, cut)))?;
         Ok((rows, plan, profile))
     }
 
@@ -979,15 +980,14 @@ impl AccelEngine {
         query: &Query,
         mode: ExecMode,
         profile: Option<&PlanProfile>,
-        shard: Option<&ObjectName>,
+        shard: Option<(&[ObjectName], usize)>,
     ) -> Result<(Rows, Arc<Plan>)> {
         self.ensure_up()?;
         let (mut plan, mut lowered, hit) = self.plan_lowered(query)?;
-        if let Some(shard) = shard {
-            let sharded = |t: &ObjectName| t.resolve(&self.default_schema) == *shard;
-            let part = cut(&plan, &sharded).map(|cut| cut.shard_plan());
-            let part = part.ok_or_else(|| Error::internal(format!("no scatter cut over {shard}")))?;
-            plan = Arc::new(part);
+        if let Some((shards, i)) = shard {
+            let sharded = |t: &ObjectName| shards.contains(&t.resolve(&self.default_schema));
+            let part = cuts(&plan, &sharded).get(i).map(|cut| cut.shard_plan());
+            plan = Arc::new(part.ok_or_else(|| Error::internal(format!("no scatter cut {i} in the plan")))?);
         }
         if mode == ExecMode::Interpreted || shard.is_some() {
             lowered = Arc::new(lower(&plan, self, mode)?);

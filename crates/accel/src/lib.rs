@@ -22,6 +22,6 @@ pub mod table;
 pub use durable::{Checkpoint, DurableStore, LogRecord, Lsn, RecoverySet};
 pub use engine::{AccelConfig, AccelEngine, AccelStats, RestartStats};
 pub use exec::ExecMode;
-pub use partial::{cut, Cut, Merge};
+pub use partial::{cuts, Cut, Merge};
 pub use mvcc::{CommitSeq, Snapshot, TxnRegistry, TxnStatus, Visibility};
 pub use table::{AccelTable, RowPos, BLOCK_ROWS};

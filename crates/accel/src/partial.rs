@@ -1,12 +1,12 @@
-//! Scatter/gather over a hash-sharded table: where a plan is cut, what each
+//! Scatter/gather over hash-sharded tables: where a plan is cut, what each
 //! shard ships, and how the coordinator merges the shards' partials.
 //!
-//! The cut rule ([`cut`]) is a pure function of a [`Plan`] and which table
-//! is sharded, so a shard and the coordinator planning the same statement
-//! cut it at the same node. From the one sharded scan it walks up through
-//! row-local nodes — `Filter`, `Project`, `KeepCols`, and a `Join` that keeps
-//! the shard's rows (INNER, or the preserved side of a LEFT join) against
-//! tables every node holds whole — and stops at the first blocking node:
+//! The cut rule ([`cuts`]) is a pure function of a [`Plan`] and which tables
+//! are sharded, so a shard and the coordinator planning the same statement
+//! cut it alike: each sharded scan's cut walks up through row-local nodes —
+//! `Filter`, `Project`, `KeepCols`, and a `Join` that keeps the shard's rows
+//! (INNER, or the preserved side of a LEFT join) and whose other input holds
+//! no sharded scan — and stops at the first blocking node:
 //!
 //! | cut         | a shard ships                          | the coordinator, in shard order |
 //! |-------------|----------------------------------------|---------------------------------|
@@ -16,11 +16,10 @@
 //! | `Limit`     | its first n rows                       | concatenates and truncates      |
 //! | none        | its rows                               | concatenates                    |
 //!
-//! The coordinator then runs the plan on the shared walk
-//! (`idaa_sql::exec::run`), its row source answering the cut node with the
-//! merged partial. A plan with two sharded scans, with the sharded scan on
-//! the null-supplying side of a LEFT join or under a `UNION`, or with a join
-//! above the cut has no cut: the fleet gathers raw rows instead.
+//! A `UNION` or a join that fails the test stops the walk below it: the
+//! shards ship the rows of the child on the path (at worst the filtered,
+//! projected scan). The coordinator runs the plan on the shared walk
+//! (`idaa_sql::exec::run`), its source answering each cut with its merge.
 
 use idaa_common::{ColumnDef, DataType, Error, ObjectName, Result, Row, Schema, Value};
 use idaa_sql::ast::JoinKind;
@@ -51,7 +50,7 @@ impl Merge {
     }
 }
 
-/// Where a plan is cut for scatter/gather: the node each shard computes
+/// Where a plan is cut for one sharded scan: the node each shard computes
 /// over its shard, and how the coordinator merges what the shards ship.
 #[derive(Debug)]
 pub struct Cut<'p> {
@@ -59,58 +58,59 @@ pub struct Cut<'p> {
     /// merged partial.
     pub node: &'p Plan,
     pub merge: Merge,
+    /// The sharded table the cut's one scan reads, as the plan names it.
+    pub table: &'p ObjectName,
     /// A `Limit` above a `Sort` cut (through `KeepCols`): each shard ships
     /// only its first `n` sorted rows.
     top_k: Option<u64>,
 }
 
-/// The cut of `plan` whose one scan of a `sharded` table is spread over the
-/// shards, or `None` when the fleet must gather raw rows (see the module
-/// documentation).
-pub fn cut<'p>(plan: &'p Plan, sharded: &dyn Fn(&ObjectName) -> bool) -> Option<Cut<'p>> {
+/// One cut per scan of a `sharded` table in `plan`, in plan pre-order (see
+/// the module documentation). A plan with no sharded scan has none.
+pub fn cuts<'p>(plan: &'p Plan, sharded: &dyn Fn(&ObjectName) -> bool) -> Vec<Cut<'p>> {
     let mut paths = Vec::new();
     sharded_paths(plan, sharded, &mut Vec::new(), &mut paths);
-    let [path] = &paths[..] else { return None };
-    // Walk up from the scan, `at` indexing the current node.
-    let mut at = path.len() - 1;
-    let merge = loop {
-        let Some(parent) = at.checked_sub(1).map(|i| path[i]) else { break Merge::Rows };
-        let child = path[at];
-        at -= 1;
-        match parent {
-            Plan::Filter { .. } | Plan::Project { .. } | Plan::KeepCols { .. } => {}
-            Plan::Join { left, kind, .. }
-                if *kind == JoinKind::Inner || std::ptr::eq(&**left, child) => {}
-            Plan::Aggregate { .. } => break Merge::Groups,
-            Plan::Distinct { .. } => break Merge::Distinct,
-            Plan::Sort { .. } => break Merge::Run,
-            Plan::Limit { .. } => break Merge::Limit,
-            Plan::Join { .. } | Plan::Union { .. } | Plan::Scan { .. } => return None,
-        }
+    let cut = |(path, table): &(Vec<&'p Plan>, &'p ObjectName)| {
+        // Walk up from the scan, `at` indexing the current node.
+        let mut at = path.len() - 1;
+        let merge = loop {
+            let Some(parent) = at.checked_sub(1).map(|i| path[i]) else { break Merge::Rows };
+            let stop = match parent {
+                Plan::Filter { .. } | Plan::Project { .. } | Plan::KeepCols { .. } => None,
+                // A join keeping the shard's rows, if ours is its only sharded scan.
+                Plan::Join { left, kind, .. }
+                    if (*kind == JoinKind::Inner || std::ptr::eq(&**left, path[at]))
+                        && parent.tables().iter().filter(|t| sharded(t)).count() == 1 => None,
+                Plan::Aggregate { .. } => Some(Merge::Groups),
+                Plan::Distinct { .. } => Some(Merge::Distinct),
+                Plan::Sort { .. } => Some(Merge::Run),
+                Plan::Limit { .. } => Some(Merge::Limit),
+                Plan::Join { .. } | Plan::Union { .. } | Plan::Scan { .. } => break Merge::Rows,
+            };
+            at -= 1;
+            if let Some(merge) = stop {
+                break merge;
+            }
+        };
+        let top_k = match path[..at].iter().rev().find(|p| !matches!(p, Plan::KeepCols { .. })) {
+            Some(Plan::Limit { n, .. }) if merge == Merge::Run => Some(*n),
+            _ => None,
+        };
+        Cut { node: path[at], merge, table, top_k }
     };
-    // Above the cut the coordinator runs single-input operators only.
-    let above = &path[..at];
-    if above.iter().any(|p| p.children().len() != 1) {
-        return None;
-    }
-    let top_k = match above.iter().rev().find(|p| !matches!(p, Plan::KeepCols { .. })) {
-        Some(Plan::Limit { n, .. }) if merge == Merge::Run => Some(*n),
-        _ => None,
-    };
-    Some(Cut { node: path[at], merge, top_k })
+    paths.iter().map(cut).collect()
 }
 
-/// Every root-to-scan path of `plan` that ends at a scan of a `sharded`
-/// table.
+/// Each root-to-scan path of `plan` ending at a `sharded` table's scan, with that table.
 fn sharded_paths<'p>(
     plan: &'p Plan,
     sharded: &dyn Fn(&ObjectName) -> bool,
     prefix: &mut Vec<&'p Plan>,
-    out: &mut Vec<Vec<&'p Plan>>,
+    out: &mut Vec<(Vec<&'p Plan>, &'p ObjectName)>,
 ) {
     prefix.push(plan);
     match plan {
-        Plan::Scan { table, .. } if sharded(table) => out.push(prefix.clone()),
+        Plan::Scan { table, .. } if sharded(table) => out.push((prefix.clone(), table)),
         _ => plan.children().into_iter().for_each(|c| sharded_paths(c, sharded, prefix, out)),
     }
     prefix.pop();
@@ -221,13 +221,13 @@ mod tests {
     use idaa_sql::eval::AggregateKind;
     use idaa_sql::plan::{plan_query, AggCall, SchemaProvider};
 
-    /// `F` is the sharded table, `D` lives whole on every node.
+    /// `F` and `L` are sharded, `D` lives whole on every node.
     struct Tables;
 
     impl SchemaProvider for Tables {
         fn table_schema(&self, name: &ObjectName) -> Result<Schema> {
             let cols = match name.name.as_str() {
-                "F" => vec![("A", DataType::BigInt), ("B", DataType::BigInt), ("G", DataType::Varchar(2))],
+                "F" | "L" => vec![("A", DataType::BigInt), ("B", DataType::BigInt), ("G", DataType::Varchar(2))],
                 "D" => vec![("A", DataType::BigInt), ("NAME", DataType::Varchar(2))],
                 other => return Err(Error::UndefinedObject(other.into())),
             };
@@ -235,54 +235,64 @@ mod tests {
         }
     }
 
-    /// The cut of `sql`: its merge, and the first word of the cut node's
-    /// and of the shard plan's labels.
-    fn cut_of(sql: &str) -> Option<(Merge, String, String)> {
+    /// The cuts of `sql`: each one's merge, and the first word of the cut
+    /// node's and of the shard plan's labels.
+    fn cuts_of(sql: &str) -> Vec<(Merge, String, String)> {
         let Ok(Statement::Query(q)) = idaa_sql::parse_statement(sql) else { panic!("{sql}") };
         let plan = plan_query(&q, &Tables).unwrap();
-        let cut = cut(&plan, &|t| t.name == "F")?;
         let word = |p: &Plan| p.label().split(' ').next().unwrap_or_default().to_string();
-        Some((cut.merge, word(cut.node), word(&cut.shard_plan())))
+        let cuts = cuts(&plan, &|t| t.name == "F" || t.name == "L");
+        cuts.iter().map(|c| (c.merge, word(c.node), word(&c.shard_plan()))).collect()
     }
 
     #[test]
     fn cut_rule_stops_at_the_first_blocking_node() {
-        let expect = |m: Merge, node: &str, shard: &str| Some((m, node.to_string(), shard.to_string()));
+        let expect = |m: Merge, node: &str, shard: &str| vec![(m, node.to_string(), shard.to_string())];
         let grouped = "SELECT g, COUNT(*) FROM f GROUP BY g HAVING COUNT(*) > 1 ORDER BY g LIMIT 2";
-        assert_eq!(cut_of(grouped), expect(Merge::Groups, "AGGREGATE", "AGGREGATE"));
+        assert_eq!(cuts_of(grouped), expect(Merge::Groups, "AGGREGATE", "AGGREGATE"));
         let joined = "SELECT d.name, COUNT(*) FROM f JOIN d ON f.a = d.a GROUP BY d.name";
-        assert_eq!(cut_of(joined), expect(Merge::Groups, "AGGREGATE", "AGGREGATE"));
+        assert_eq!(cuts_of(joined), expect(Merge::Groups, "AGGREGATE", "AGGREGATE"));
         let distinct = "SELECT DISTINCT g FROM f ORDER BY g";
-        assert_eq!(cut_of(distinct), expect(Merge::Distinct, "DISTINCT", "DISTINCT"));
+        assert_eq!(cuts_of(distinct), expect(Merge::Distinct, "DISTINCT", "DISTINCT"));
         // The coordinator runs the aggregate above the cut.
         let nested = "SELECT COUNT(*) FROM (SELECT DISTINCT g FROM f) AS u";
-        assert_eq!(cut_of(nested), expect(Merge::Distinct, "DISTINCT", "DISTINCT"));
-        assert_eq!(cut_of("SELECT a FROM f ORDER BY a"), expect(Merge::Run, "SORT", "SORT"));
+        assert_eq!(cuts_of(nested), expect(Merge::Distinct, "DISTINCT", "DISTINCT"));
+        assert_eq!(cuts_of("SELECT a FROM f ORDER BY a"), expect(Merge::Run, "SORT", "SORT"));
         // A limit above the sort (through the hidden-key KeepCols): top-K.
         let top_k = "SELECT a FROM f ORDER BY b LIMIT 3";
-        assert_eq!(cut_of(top_k), expect(Merge::Run, "SORT", "LIMIT"));
-        assert_eq!(cut_of("SELECT a FROM f LIMIT 3"), expect(Merge::Limit, "LIMIT", "LIMIT"));
-        assert_eq!(cut_of("SELECT a FROM f WHERE b > 1"), expect(Merge::Rows, "PROJECT", "PROJECT"));
+        assert_eq!(cuts_of(top_k), expect(Merge::Run, "SORT", "LIMIT"));
+        assert_eq!(cuts_of("SELECT a FROM f LIMIT 3"), expect(Merge::Limit, "LIMIT", "LIMIT"));
+        assert_eq!(cuts_of("SELECT a FROM f WHERE b > 1"), expect(Merge::Rows, "PROJECT", "PROJECT"));
         let preserved = "SELECT f.a, d.name FROM f LEFT JOIN d ON f.a = d.a";
-        assert_eq!(cut_of(preserved), expect(Merge::Rows, "PROJECT", "PROJECT"));
+        assert_eq!(cuts_of(preserved), expect(Merge::Rows, "PROJECT", "PROJECT"));
     }
 
     #[test]
-    fn plans_without_a_cut_gather_raw() {
-        for sql in [
+    fn every_sharded_scan_gets_a_cut() {
+        let rows = |node: &str| (Merge::Rows, node.to_string(), node.to_string());
+        for (sql, expected) in [
             // The sharded scan on a LEFT join's null-supplying side.
-            "SELECT d.name, f.b FROM d LEFT JOIN f ON d.a = f.a",
-            // Two sharded scans.
-            "SELECT x.a FROM f AS x JOIN f AS y ON x.a = y.a",
-            // Under a UNION.
-            "SELECT a FROM f UNION SELECT a FROM d",
-            // A scan above the cut.
-            "SELECT u.g, d.name FROM (SELECT g, COUNT(*) AS n FROM f GROUP BY g) AS u \
-             JOIN d ON u.n = d.a",
+            ("SELECT d.name, f.b FROM d LEFT JOIN f ON d.a = f.a", vec![rows("SCAN")]),
+            // Two sharded scans under one join: each stops below it.
+            ("SELECT x.a FROM f AS x JOIN f AS y ON x.a = y.a", vec![rows("SCAN"), rows("SCAN")]),
+            (
+                "SELECT x.a FROM (SELECT a FROM f WHERE b > 1) AS x \
+                 JOIN (SELECT a FROM l WHERE b < 5) AS y ON x.a = y.a",
+                vec![rows("PROJECT"), rows("PROJECT")],
+            ),
+            // Under a UNION, in either arm.
+            ("SELECT a FROM f WHERE b > 1 UNION SELECT a FROM d", vec![rows("PROJECT")]),
+            ("SELECT a FROM d UNION ALL SELECT a FROM l", vec![rows("PROJECT")]),
+            // A join above the cut.
+            (
+                "SELECT u.g, d.name FROM (SELECT g, COUNT(*) AS n FROM f GROUP BY g) AS u \
+                 JOIN d ON u.n = d.a",
+                vec![(Merge::Groups, "AGGREGATE".into(), "AGGREGATE".into())],
+            ),
             // No sharded scan at all.
-            "SELECT a FROM d",
+            ("SELECT a FROM d", vec![]),
         ] {
-            assert_eq!(cut_of(sql), None, "{sql}");
+            assert_eq!(cuts_of(sql), expected, "{sql}");
         }
     }
 

@@ -1200,10 +1200,44 @@ fn e20_fleet_shard_join(out: &mut Report) {
         det(fmt_bytes(delta.bytes_to_host)),
     ]);
     out.table(table);
+
+    // Part 2: the shapes whose sharded scan cannot cut at a join or a sink.
+    // Each scan still ships its own cut, filtered and projected on the shards.
+    let mut shapes = Table::new(&["shape", "merge", "rows_out", "stmt_to_accel", "gather_to_host"]);
+    for (shape, sql) in [
+        (
+            "self_join",
+            "SELECT a.g, COUNT(*) FROM fjoin a INNER JOIN fjoin b ON a.x = b.x \
+             GROUP BY a.g ORDER BY a.g",
+        ),
+        ("union", "SELECT x FROM fjoin WHERE x < 100 UNION SELECT x FROM fdim ORDER BY 1"),
+        (
+            "null_supplying",
+            "SELECT d.name, f.g FROM fdim d LEFT JOIN fjoin f ON d.x = f.x ORDER BY d.name",
+        ),
+        (
+            "join_above_cut",
+            "SELECT t.g, t.c, d.name FROM (SELECT g, COUNT(*) AS c FROM fjoin GROUP BY g) AS t \
+             INNER JOIN fdim d ON d.x < t.c ORDER BY t.g, d.name",
+        ),
+    ] {
+        let (rows, _, delta) = measure(&idaa, || idaa.query(&mut s, sql).unwrap());
+        let trace = idaa.tracer().last().expect("the query is traced");
+        let merge = trace.root.find("gather").and_then(|g| g.attr("merge")).unwrap_or("whole");
+        shapes.row([
+            det(shape),
+            det(merge),
+            det(rows.len()),
+            det(fmt_bytes(delta.bytes_to_accel)),
+            det(fmt_bytes(delta.bytes_to_host)),
+        ]);
+    }
+    out.table(shapes);
     out.line(
         "note: the join result and the gather byte counts are deterministic; each shard \
          joins its rows against its own replica of the dimension and ships only its sorted \
-         joined rows.",
+         joined rows. In part 2 each sharded scan ships its own cut, the self-join's two \
+         bare scans of one table once.",
     );
 }
 

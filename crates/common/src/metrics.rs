@@ -8,9 +8,12 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Registry of named monotone counters and last-write-wins gauges.
+///
+/// A lock poisoned by a panicking holder is taken over as is: every
+/// mutation is one map operation, so the map is never left half-updated.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<String, u64>>,
@@ -23,7 +26,7 @@ impl MetricsRegistry {
         if by == 0 {
             return;
         }
-        let mut counters = self.counters.lock().unwrap();
+        let mut counters = self.counters.lock().unwrap_or_else(PoisonError::into_inner);
         match counters.get_mut(name) {
             Some(v) => *v += by,
             None => {
@@ -34,24 +37,24 @@ impl MetricsRegistry {
 
     /// Current value of a counter (zero when never incremented).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.lock().unwrap().get(name).copied().unwrap_or(0)
+        self.counters.lock().unwrap_or_else(PoisonError::into_inner).get(name).copied().unwrap_or(0)
     }
 
     /// Set a gauge to an absolute value.
     pub fn set_gauge(&self, name: &str, value: i64) {
-        self.gauges.lock().unwrap().insert(name.to_string(), value);
+        self.gauges.lock().unwrap_or_else(PoisonError::into_inner).insert(name.to_string(), value);
     }
 
     /// Current value of a gauge, if ever set.
     pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.lock().unwrap().get(name).copied()
+        self.gauges.lock().unwrap_or_else(PoisonError::into_inner).get(name).copied()
     }
 
     /// Point-in-time copy of every counter and gauge, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self.counters.lock().unwrap().clone(),
-            gauges: self.gauges.lock().unwrap().clone(),
+            counters: self.counters.lock().unwrap_or_else(PoisonError::into_inner).clone(),
+            gauges: self.gauges.lock().unwrap_or_else(PoisonError::into_inner).clone(),
         }
     }
 

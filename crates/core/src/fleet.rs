@@ -11,17 +11,16 @@
 //! on their owners (always true at `shards == 1`) ships as it is, one
 //! exchange per owner: reads to the shard's primary with failover to the
 //! remaining owners in fixed order, writes to every live owner. Only
-//! `shards > 1` scatters, visiting the shards in ascending order. Each shard
-//! runs the statement's own plan up to its scatter cut
-//! ([`idaa_accel::cut`]: the first aggregate, DISTINCT, sort or limit above
-//! the sharded scan, joins against whole tables included) and ships the
-//! cut's partial as one row frame; the coordinator merges the partials with
-//! the shared row operators. A plan with no cut — two sharded scans, the
-//! sharded scan on a LEFT join's null-supplying side or under a `UNION`, a
-//! join above the cut — gathers raw rows instead. Either way the coordinator
-//! ends on the one plan walk (`idaa_sql::exec::execute_plan`), its row
-//! source answering the cut node with the merged partial and scans with the
-//! gathered rows. An owner that missed a write
+//! `shards > 1` scatters. Every sharded scan of the plan gets one scatter
+//! cut ([`idaa_accel::cuts`]: the first aggregate, DISTINCT, sort or limit
+//! above the scan, joins against inputs with no sharded scan included, or
+//! the child below a `UNION` or any other join); for each cut in order, the
+//! shards, in ascending order, run the statement's own plan up to it and
+//! ship the cut's partial as one row frame, and the coordinator merges the
+//! partials with the shared row operators. The coordinator then ends on the
+//! one plan walk (`idaa_sql::exec::execute_plan`), its row source answering
+//! each cut node with its merged partial and every other scan — a whole
+//! DB2 table — from DB2. An owner that missed a write
 //! re-joins via a metered catch-up copy, and a rebalance check on the
 //! virtual clock migrates failed-over shards back to their preferred
 //! owners. Placement, gather order, and failover order are all
@@ -32,11 +31,11 @@ use crate::health::{HealthMonitor, HealthState, SeqTracker};
 use crate::idaa::{Idaa, IdaaConfig};
 use crate::replication::Replicator;
 use crate::session::Session;
-use idaa_accel::{cut, AccelEngine, Cut, RestartStats};
+use idaa_accel::{cuts, AccelEngine, Cut, RestartStats};
 use idaa_common::{wire, Error, ObjectName, Result, Row, Rows, Schema, Value};
-use idaa_host::{AccelStatus, TableKind, TableMeta, TxnId, SYSADM};
+use idaa_host::{AccelStatus, HostEngine, TableKind, TableMeta, TxnId, SYSADM};
 use idaa_netsim::{sites, Direction, FaultRegistry, LinkMetrics, NetLink};
-use idaa_sql::ast::{Query, SelectItem, TableRef};
+use idaa_sql::ast::{Query, TableRef};
 use idaa_sql::exec::{execute_plan, RowSource};
 use idaa_sql::plan::Plan;
 use parking_lot::Mutex;
@@ -287,71 +286,63 @@ impl FleetState {
 // Scatter requests
 // ---------------------------------------------------------------------------
 
-/// Retarget every FROM reference to `table` (resolved under
-/// `default_schema`), anywhere in the FROM tree, at its physical shard
-/// `shard`, keeping the original name visible as an alias so column
-/// qualifiers still resolve.
+/// Retarget every FROM reference to a `sharded` table (resolved under
+/// `default_schema`), anywhere in the FROM tree, derived tables and `UNION`
+/// arms included, at its physical shard `shard` of `shards`, keeping the
+/// original name visible as an alias so column qualifiers still resolve.
 fn with_shard_from(
     q: &Query,
-    table: &ObjectName,
-    shard: &ObjectName,
+    sharded: &[ObjectName],
+    shard: usize,
+    shards: usize,
     default_schema: &str,
 ) -> Query {
-    fn retarget(from: &mut TableRef, table: &ObjectName, shard: &ObjectName, schema: &str) {
+    let target = |name: &ObjectName| {
+        let table = name.resolve(default_schema);
+        sharded.contains(&table).then(|| shard_table(&table, shard, shards))
+    };
+    fn retarget_query(q: &mut Query, target: &dyn Fn(&ObjectName) -> Option<ObjectName>) {
+        if let Some(from) = &mut q.from {
+            retarget(from, target);
+        }
+        q.unions.iter_mut().for_each(|(_, arm)| retarget_query(arm, target));
+    }
+    fn retarget(from: &mut TableRef, target: &dyn Fn(&ObjectName) -> Option<ObjectName>) {
         match from {
-            TableRef::Table { name, alias } if name.resolve(schema) == *table => {
-                *alias = Some(alias.take().unwrap_or_else(|| name.name.clone()));
-                *name = shard.clone();
-            }
-            TableRef::Table { .. } => {}
-            TableRef::Join { left, right, .. } => {
-                retarget(left, table, shard, schema);
-                retarget(right, table, shard, schema);
-            }
-            TableRef::Subquery { query, .. } => {
-                if let Some(from) = &mut query.from {
-                    retarget(from, table, shard, schema);
+            TableRef::Table { name, alias } => {
+                if let Some(shard) = target(name) {
+                    *alias = Some(alias.take().unwrap_or_else(|| name.name.clone()));
+                    *name = shard;
                 }
             }
+            TableRef::Join { left, right, .. } => {
+                retarget(left, target);
+                retarget(right, target);
+            }
+            TableRef::Subquery { query, .. } => retarget_query(query, target),
         }
     }
     let mut out = q.clone();
-    if let Some(from) = &mut out.from {
-        retarget(from, table, shard, default_schema);
-    }
+    retarget_query(&mut out, &target);
     out
 }
 
-fn select_star(table: &ObjectName) -> Query {
-    Query {
-        distinct: false,
-        projection: vec![SelectItem::Wildcard],
-        from: Some(TableRef::Table { name: table.clone(), alias: None }),
-        filter: None,
-        group_by: Vec::new(),
-        having: None,
-        unions: Vec::new(),
-        order_by: Vec::new(),
-        limit: None,
-    }
-}
-
-/// What the coordinator runs a plan over, as the walk's row source: the
-/// gathered rows by resolved table name, and a scatter cut's node with its
-/// merged partial. No index serves it.
+/// What the coordinator runs a plan over, as the walk's row source: each
+/// scatter cut's node with its merged partial, and every other scan — a
+/// whole DB2 table — from DB2. No index serves it.
 struct Gathered<'a> {
     schema: &'a str,
-    rows: HashMap<ObjectName, Vec<Row>>,
-    cut: Option<(&'a Plan, Vec<Row>)>,
+    host: &'a HostEngine,
+    cuts: Vec<(&'a Plan, Vec<Row>)>,
 }
 
 impl RowSource for Gathered<'_> {
     fn node(&self, plan: &Plan, _: Option<&[bool]>) -> Result<Option<Vec<Row>>> {
-        Ok(match (&self.cut, plan) {
-            (Some((node, rows)), _) if std::ptr::eq(*node, plan) => Some(rows.clone()),
-            (_, Plan::Scan { table, .. }) => self.rows.get(&table.resolve(self.schema)).cloned(),
-            _ => None,
-        })
+        match (self.cuts.iter().find(|(node, _)| std::ptr::eq(*node, plan)), plan) {
+            (Some((_, rows)), _) => Ok(Some(rows.clone())),
+            (None, Plan::Scan { table, .. }) => self.host.scan_all(&table.resolve(self.schema)).map(Some),
+            (None, _) => Ok(None),
+        }
     }
 }
 
@@ -600,22 +591,17 @@ impl Idaa {
             ReadPlan::Scatter(sharded) => sharded,
         };
         let schema = &self.config.default_schema;
-        let cut = match &sharded[..] {
-            [table] => cut(plan, &|t: &ObjectName| t.resolve(schema) == *table),
-            _ => None,
-        };
+        let cuts = cuts(plan, &|t: &ObjectName| sharded.contains(&t.resolve(schema)));
         let trace = session.trace.clone();
         let span = if trace.is_enabled() { Some(trace.begin("gather", self.link().now())) } else { None };
         if let Some(id) = span {
             let list = sharded.iter().map(|t| t.to_string()).collect::<Vec<_>>().join(",");
             trace.attr(id, "tables", list);
             trace.attr(id, "shards", self.fleet.shards);
-            trace.attr(id, "merge", cut.as_ref().map_or("raw", |c| c.merge.name()));
+            let merges: Vec<&str> = cuts.iter().map(|c| c.merge.name()).collect();
+            trace.attr(id, "merge", merges.join(","));
         }
-        let gathered = match &cut {
-            Some(cut) => self.gather_partials(session, q, cut, &sharded[0]),
-            None => self.gather_raw(session, tables, sharded),
-        };
+        let gathered = self.gather_partials(session, q, &cuts, sharded);
         let result = gathered.and_then(|gathered| execute_plan(plan, &gathered));
         if let Some(id) = span {
             if let Err(e) = &result {
@@ -626,66 +612,48 @@ impl Idaa {
         result
     }
 
-    /// Each shard of `table`, in ascending order, runs `q` up to `cut` and
-    /// ships the cut's partial; the coordinator merges them into the cut
-    /// node's rows.
+    /// For each cut in order, the shards in ascending order ship the cut's
+    /// partial; the coordinator merges them into the cut node's rows. A bare
+    /// scan of a table an earlier cut already scanned bare reuses its rows.
     fn gather_partials<'a>(
         &'a self,
         session: &mut Session,
         q: &Query,
-        cut: &Cut<'a>,
-        table: &ObjectName,
-    ) -> Result<Gathered<'a>> {
-        let shards = self.fleet.shards;
-        let mut parts = Vec::with_capacity(shards);
-        for s in 0..shards {
-            let st = shard_table(table, s, shards);
-            let pq = with_shard_from(q, table, &st, &self.config.default_schema);
-            parts.push(self.gather_shard(session, table, s, &pq, Some(&st))?.rows);
-        }
-        let cut = Some((cut.node, cut.merge(parts)?));
-        Ok(Gathered { schema: &self.config.default_schema, rows: HashMap::new(), cut })
-    }
-
-    /// Gather every row of each sharded table (shard by shard) and of every
-    /// other table (from DB2): the plans that have no scatter cut.
-    fn gather_raw(
-        &self,
-        session: &mut Session,
-        tables: &[ObjectName],
+        cuts: &[Cut<'a>],
         sharded: &[ObjectName],
-    ) -> Result<Gathered<'_>> {
-        let shards = self.fleet.shards;
-        let mut gathered =
-            Gathered { schema: &self.config.default_schema, rows: HashMap::new(), cut: None };
-        for t in tables {
-            if t.name == "SYSDUMMY1" || gathered.rows.contains_key(t) {
-                continue;
-            }
-            let mut rows = Vec::new();
-            if sharded.contains(t) {
-                for s in 0..shards {
-                    let pq = select_star(&shard_table(t, s, shards));
-                    rows.extend(self.gather_shard(session, t, s, &pq, None)?.rows);
+    ) -> Result<Gathered<'a>> {
+        let schema = &self.config.default_schema;
+        let mut merged: Vec<(&Plan, Vec<Row>)> = Vec::with_capacity(cuts.len());
+        for (i, cut) in cuts.iter().enumerate() {
+            let table = cut.table.resolve(schema);
+            let bare = |c: &Cut| matches!(c.node, Plan::Scan { .. }) && c.table.resolve(schema) == table;
+            let rows = match cuts[..i].iter().position(bare).filter(|_| bare(cut)) {
+                Some(j) => merged[j].1.clone(),
+                None => {
+                    let parts = (0..self.fleet.shards).map(|s| self.gather_shard(session, q, sharded, i, &table, s));
+                    cut.merge(parts.collect::<Result<_>>()?)?
                 }
-            } else {
-                rows = self.host.scan_all(t)?;
-            }
-            gathered.rows.insert(t.clone(), rows);
+            };
+            merged.push((cut.node, rows));
         }
-        Ok(gathered)
+        Ok(Gathered { schema, host: &self.host, cuts: merged })
     }
 
-    /// Fetch one shard's reply to `pq` (a partial when `cut_at` names the
-    /// shard's table) under a "shard" span naming the node that served it.
+    /// Fetch shard `shard`'s partial of cut number `cut`, which covers
+    /// `table`: `q`, its `sharded` tables retargeted at the shard, runs there
+    /// up to the cut, under a "shard" span naming the node that served it.
     fn gather_shard(
         &self,
         session: &mut Session,
+        q: &Query,
+        sharded: &[ObjectName],
+        cut: usize,
         table: &ObjectName,
         shard: usize,
-        pq: &Query,
-        cut_at: Option<&ObjectName>,
-    ) -> Result<Rows> {
+    ) -> Result<Vec<Row>> {
+        let shards = self.fleet.shards;
+        let pq = with_shard_from(q, sharded, shard, shards, &self.config.default_schema);
+        let tables: Vec<ObjectName> = sharded.iter().map(|t| shard_table(t, shard, shards)).collect();
         let trace = session.trace.clone();
         let span = if trace.is_enabled() { Some(trace.begin("shard", self.link().now())) } else { None };
         if let Some(id) = span {
@@ -697,7 +665,7 @@ impl Idaa {
                 self.fleet.mark_catch_up(node.id);
                 return Err(e);
             }
-            self.query_on(node, s, pq, cut_at)
+            self.query_on(node, s, &pq, Some((&tables, cut)))
         });
         if let Some(id) = span {
             match &result {
@@ -709,26 +677,26 @@ impl Idaa {
             }
             trace.end(id, self.link().now());
         }
-        result.map(|(rows, _)| rows)
+        result.map(|(rows, _)| rows.rows)
     }
 
-    /// Ship `q` to `node`, execute it there — whole, or up to its scatter
-    /// cut when `cut_at` names the node's shard table — profiling the plan
-    /// that ran into "op" spans whenever tracing is on, and pay for the
+    /// Ship `q` to `node`, execute it there — whole, or up to the scatter
+    /// cut that `part` numbers over the node's shard tables — profiling the
+    /// plan that ran into "op" spans whenever tracing is on, and pay for the
     /// result's trip back as an encoded wire frame.
     fn query_on(
         &self,
         node: &AccelNode,
         session: &mut Session,
         q: &Query,
-        cut_at: Option<&ObjectName>,
+        part: Option<(&[ObjectName], usize)>,
     ) -> Result<Rows> {
         let txn = self.node_query_txn(session, node);
         let trace = session.trace.clone();
         let request = q.to_string().len() + wire::CONTROL_FRAME;
         self.exchange_rows(node, session, request, || {
-            let (rows, plan, profile) = match cut_at {
-                Some(shard) => node.engine.query_partial(txn, q, shard)?,
+            let (rows, plan, profile) = match part {
+                Some((shards, cut)) => node.engine.query_partial(txn, q, shards, cut)?,
                 None if trace.is_enabled() => node.engine.query_profiled(txn, q)?,
                 None => return node.engine.query(txn, q),
             };
@@ -1164,8 +1132,8 @@ mod tests {
 
     #[test]
     fn with_shard_from_retargets_the_table_anywhere_in_the_from_tree() {
-        let (table, shard) = (ObjectName::qualified("APP", "SALES"), ObjectName::qualified("APP", "SALES__S1"));
-        let retarget = |sql: &str| with_shard_from(&q(sql), &table, &shard, "APP").to_string();
+        let sales = ObjectName::qualified("APP", "SALES");
+        let retarget = |sql: &str| with_shard_from(&q(sql), std::slice::from_ref(&sales), 1, 4, "APP").to_string();
         assert_eq!(
             retarget("SELECT SALES.ID FROM SALES WHERE SALES.ID > 1"),
             "SELECT SALES.ID FROM APP.SALES__S1 AS SALES WHERE (SALES.ID > 1)"
@@ -1177,6 +1145,22 @@ mod tests {
         assert_eq!(
             retarget("SELECT COUNT(*) FROM (SELECT DISTINCT ID FROM SALES) AS u"),
             "SELECT COUNT(*) FROM (SELECT DISTINCT ID FROM APP.SALES__S1 AS SALES) AS U"
+        );
+        // A UNION arm, at the top level and inside a derived table.
+        assert_eq!(
+            retarget("SELECT ID FROM DIM UNION SELECT ID FROM SALES"),
+            "SELECT ID FROM DIM UNION SELECT ID FROM APP.SALES__S1 AS SALES"
+        );
+        assert_eq!(
+            retarget("SELECT COUNT(*) FROM (SELECT ID FROM DIM UNION ALL SELECT ID FROM SALES) AS u"),
+            "SELECT COUNT(*) FROM (SELECT ID FROM DIM UNION ALL SELECT ID FROM APP.SALES__S1 AS SALES) AS U"
+        );
+        // Every sharded table of the statement moves to the same shard.
+        let both = [sales, ObjectName::qualified("APP", "CLICKS")];
+        assert_eq!(
+            with_shard_from(&q("SELECT s.ID FROM SALES s JOIN CLICKS c ON s.ID = c.ID"), &both, 2, 4, "APP")
+                .to_string(),
+            "SELECT S.ID FROM APP.SALES__S2 AS S INNER JOIN APP.CLICKS__S2 AS C ON (S.ID = C.ID)"
         );
     }
 

@@ -80,8 +80,10 @@ fn deleted_names_stay_deleted() {
         "aggregate_rows",
     ];
     // The fleet fork of the accelerator path (one node is a fleet of one),
-    // and the fleet's SQL rewrite, scratch-table staging and Bloom gather
-    // pushdown (a shard ships its plan's partial at the scatter cut).
+    // the fleet's SQL rewrite, scratch-table staging and Bloom gather
+    // pushdown, and its raw gather (every sharded scan ships its partial at
+    // its own scatter cut). `select_star` is matched as a definition: DB2's
+    // parser and planner tests name the SQL form.
     let fleet: &[&str] = &[
         "fleet_active",
         "commit_two_phase_fleet",
@@ -95,6 +97,9 @@ fn deleted_names_stay_deleted() {
         "decode_summary",
         "__GATHER",
         "join_pushdown:",
+        "gather_raw",
+        "fn select_star(",
+        "\"raw\"",
     ];
     for (names, dirs) in [(executor, &["crates/accel/src"][..]), (fleet, &["crates", "src", "tests"])] {
         for (path, text) in dirs.iter().flat_map(|d| sources(d)) {
@@ -110,8 +115,8 @@ fn deleted_names_stay_deleted() {
 
 #[test]
 fn one_row_executor() {
-    // DB2, the accelerator's interpreter, the fleet coordinator and its Raw
-    // gather run the plan operators of `idaa-sql`; none keeps a copy.
+    // DB2, the accelerator's interpreter and the fleet coordinator run the
+    // plan operators of `idaa-sql`; none keeps a copy.
     let product_src = product_sources();
     for name in ["hash_join", "aggregate", "dedup", "conjuncts", "merge_runs", "execute_plan"] {
         defined_once_in_sql(&product_src, name);

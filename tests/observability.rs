@@ -574,6 +574,62 @@ fn fleet_join_runs_on_the_shards() {
     }
 }
 
+/// Every sharded scan ships its own cut: a filtered `UNION` arm ships, per
+/// shard, exactly the encoded frame of its filtered and projected rows, and
+/// an unfiltered self-join fetches its one bare scan once — one reply frame
+/// per shard.
+#[test]
+fn fleet_union_arm_and_self_join_ship_their_cuts() {
+    use idaa::common::wire;
+    use idaa::sql::{parse_statement, Statement};
+    let (idaa, mut s) = fleet_system();
+    idaa.execute(&mut s, "CREATE TABLE FDIM (X INT NOT NULL, NAME VARCHAR(4))").unwrap();
+    idaa.execute(&mut s, "INSERT INTO FDIM VALUES (3, 'a'), (50, 'b')").unwrap();
+    idaa.execute(&mut s, "CALL ACCEL_ADD_TABLES('FDIM')").unwrap();
+    idaa.execute(&mut s, "CALL ACCEL_LOAD_TABLES('FDIM')").unwrap();
+    let is = |t: &&idaa::SpanNode, dir: &str, kind: &str| {
+        t.attr("dir") == Some(dir) && t.attr("kind") == Some(kind)
+    };
+    let replies = |sp: &idaa::SpanNode| -> Vec<usize> {
+        let transfers = sp.find_all("transfer");
+        let frames = transfers.iter().filter(|t| is(t, "to_host", "frame"));
+        frames.map(|t| t.attr("bytes").unwrap().parse().unwrap()).collect()
+    };
+
+    idaa.tracer().clear();
+    let union = "SELECT x FROM fdim UNION SELECT x FROM flog WHERE x < 10 ORDER BY 1";
+    let rows = idaa.query(&mut s, union).unwrap().rows;
+    let expected: Vec<Value> = (0..10).chain([50]).map(Value::Int).collect();
+    assert_eq!(rows.iter().map(|r| r[0].clone()).collect::<Vec<_>>(), expected);
+    let trace = idaa.tracer().last_containing("UNION").expect("trace recorded");
+    let gather = trace.root.find("gather").expect("gather span");
+    assert_eq!(gather.attr("merge"), Some("rows"), "{}", trace.root.render());
+    let shards = gather.find_all("shard");
+    assert_eq!(shards.len(), 4);
+    for (shard, sp) in shards.iter().enumerate() {
+        let node: usize = sp.attr("node").unwrap()["ACCEL".len()..].parse().unwrap();
+        let st = idaa::shard_table(&idaa::ObjectName::bare("FLOG"), shard, 4);
+        let sql = format!("SELECT x FROM {st} WHERE x < 10");
+        let Statement::Query(q) = parse_statement(&sql).unwrap() else { unreachable!() };
+        let local = idaa.node_engine(node - 1).query(0, &q).unwrap();
+        assert_eq!(
+            replies(sp),
+            vec![wire::encode_frame(&local.schema, &local.rows).len()],
+            "shard {shard} must ship exactly its filtered, projected rows"
+        );
+    }
+
+    idaa.tracer().clear();
+    let self_join = "SELECT a.x, b.g FROM flog a INNER JOIN flog b ON a.x = b.x ORDER BY 1";
+    assert_eq!(idaa.query(&mut s, self_join).unwrap().rows.len(), 32);
+    let trace = idaa.tracer().last_containing("INNER JOIN").expect("trace recorded");
+    let gather = trace.root.find("gather").expect("gather span");
+    assert_eq!(gather.attr("merge"), Some("rows,rows"), "{}", trace.root.render());
+    let shards = gather.find_all("shard");
+    assert_eq!(shards.len(), 4, "one exchange per shard:\n{}", trace.root.render());
+    assert!(shards.iter().all(|sp| replies(sp).len() == 1), "{}", trace.root.render());
+}
+
 /// Crashing a primary mid-scatter surfaces in the trace: the affected shard
 /// spans carry the *replica's* identity and a `failover` event records the
 /// retarget (shard, from, to) — all discoverable structurally, no log

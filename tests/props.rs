@@ -1703,10 +1703,10 @@ proptest! {
 
     /// A K-node fleet with hash-sharded AOT placement and any replication
     /// factor answers every query exactly like a single accelerator: shard
-    /// placement is value-deterministic, each shard ships its partial (group
-    /// states, distinct rows, a sorted run) and the partials merge in fixed
-    /// shard order, and plans without a scatter cut fall back to a raw
-    /// gather — so topology is invisible to results (these integer queries,
+    /// placement is value-deterministic, each sharded scan's shards ship
+    /// their partial at its cut (group states, distinct rows, a sorted run,
+    /// filtered and projected rows) and the partials merge in fixed shard
+    /// order — so topology is invisible to results (these integer queries,
     /// AVG over BIGINT included, are exact). Direct loads and analytics
     /// output follow the same placement: every owner holds its shards.
     #[test]
@@ -1733,9 +1733,14 @@ proptest! {
             ("SELECT g, COUNT(*) FROM f GROUP BY g HAVING COUNT(*) > 10 ORDER BY g", "groups"),
             ("SELECT g, SUM(a) FROM f GROUP BY g ORDER BY SUM(a) DESC, g LIMIT 2", "groups"),
             ("SELECT COUNT(*) FROM (SELECT DISTINCT g FROM f) AS u", "distinct"),
-            // Two sharded scans: raw.
+            // Two sharded scans: each ships its rows below the join.
             ("SELECT x.g, COUNT(*) FROM f AS x INNER JOIN f AS y ON x.a = y.a \
-              GROUP BY x.g ORDER BY x.g", "raw"),
+              GROUP BY x.g ORDER BY x.g", "rows,rows"),
+            ("SELECT x.a, y.b FROM (SELECT a, b FROM f WHERE b < 20) AS x \
+              INNER JOIN (SELECT a, b FROM f WHERE b > 30) AS y ON x.a = y.a \
+              ORDER BY x.a, y.b", "rows,rows"),
+            ("SELECT x.a, x.b, y.a, y.g FROM f AS x INNER JOIN l AS y ON x.b = y.a \
+              ORDER BY x.a, x.b, y.a, y.g", "rows,rows"),
             // Sharded ⋈ replicated: each shard joins against its own replica.
             ("SELECT x.a, d.name FROM f AS x INNER JOIN d ON x.a = d.a \
               ORDER BY x.a, d.name", "run"),
@@ -1743,13 +1748,15 @@ proptest! {
               GROUP BY d.name ORDER BY d.name", "groups"),
             ("SELECT x.a, d.name FROM f AS x LEFT JOIN d ON x.a = d.a \
               ORDER BY x.a, d.name", "run"),
-            // The sharded side is the null-supplying side: raw.
+            // The sharded side is the null-supplying side: its bare scan.
             ("SELECT d.a, d.name, x.b FROM d LEFT JOIN f AS x ON d.a = x.a \
-              ORDER BY d.a, d.name, x.b", "raw"),
-            // A sharded scan under a UNION, and a join above the cut: raw.
-            ("SELECT a FROM f WHERE b < 10 UNION SELECT a FROM d ORDER BY 1", "raw"),
+              ORDER BY d.a, d.name, x.b", "rows"),
+            // Sharded scans under a UNION, and a join above the cut.
+            ("SELECT a FROM f WHERE b < 10 UNION SELECT a FROM d ORDER BY 1", "rows"),
+            ("SELECT a FROM d UNION SELECT a FROM f ORDER BY 1", "rows"),
+            ("SELECT a, g FROM f UNION ALL SELECT a, g FROM l ORDER BY 1, 2", "rows,rows"),
             ("SELECT t.g, t.c, d.name FROM (SELECT g, COUNT(*) AS c FROM f GROUP BY g) AS t \
-              INNER JOIN d ON d.a < t.c ORDER BY t.g, d.name", "raw"),
+              INNER JOIN d ON d.a < t.c ORDER BY t.g, d.name", "groups"),
             // The direct-loaded table and the LINREG model table.
             ("SELECT COUNT(*), SUM(a), SUM(b), MIN(g), MAX(g) FROM l", "groups"),
             ("SELECT g, COUNT(*), SUM(b) FROM l GROUP BY g ORDER BY g", "groups"),
