@@ -339,16 +339,9 @@ impl StoredCheckpoint {
     }
 }
 
-/// What recovery needs to rebuild the engine: the newest checkpoint (if
-/// any) and the log tail past it, in LSN order.
-#[derive(Debug, Clone, Default)]
-pub struct RecoverySet {
-    pub checkpoint: Option<Checkpoint>,
-    pub tail: Vec<(Lsn, LogRecord)>,
-}
-
-/// Result of a validating [`DurableStore::recover_scan`]: the recovery set
-/// plus what self-healing had to do to produce it.
+/// Result of a validating [`DurableStore::recover_scan`]: what recovery
+/// rebuilds the engine from — the newest valid checkpoint (if any) and the
+/// log tail past it, in LSN order — plus what self-healing had to do.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryScan {
     pub checkpoint: Option<Checkpoint>,
@@ -535,24 +528,6 @@ impl DurableStore {
     pub fn with_consistent_cut<T>(&self, build: impl FnOnce(Lsn) -> T) -> T {
         let inner = self.inner.lock();
         build(inner.next_lsn)
-    }
-
-    /// Clone the newest non-torn checkpoint and the log tail past it,
-    /// without checksum validation (the trusting legacy read — recovery
-    /// itself goes through [`recover_scan`](Self::recover_scan)).
-    pub fn recovery_set(&self) -> RecoverySet {
-        let inner = self.inner.lock();
-        let newest = inner.checkpoints.iter().rev().find(|c| !c.torn);
-        let covers = newest.map(|c| c.checkpoint.covers_lsn).unwrap_or(0);
-        RecoverySet {
-            checkpoint: newest.map(|c| c.checkpoint.clone()),
-            tail: inner
-                .log
-                .iter()
-                .filter(|r| r.lsn > covers)
-                .map(|r| (r.lsn, r.record.clone()))
-                .collect(),
-        }
     }
 
     /// Validating read of the recovery set, with durable self-healing:
@@ -755,7 +730,7 @@ mod tests {
         assert_eq!(store.log_len(), 0, "covered records truncated");
         let c = store.append(LogRecord::Begin { txn: 2 });
         assert!(c > b, "LSNs never restart after truncation");
-        let rs = store.recovery_set();
+        let rs = store.recover_scan().unwrap();
         assert_eq!(rs.tail.len(), 1);
         assert_eq!(rs.tail[0].0, c);
     }
@@ -766,8 +741,9 @@ mod tests {
         store.append(LogRecord::Begin { txn: 1 });
         // A checkpoint being "built" (nothing installed yet) leaves the
         // log intact — a crash mid-build recovers from the full log.
-        assert_eq!(store.recovery_set().tail.len(), 1);
-        assert!(store.recovery_set().checkpoint.is_none());
+        let rs = store.recover_scan().unwrap();
+        assert_eq!(rs.tail.len(), 1);
+        assert!(rs.checkpoint.is_none());
         assert_eq!(store.last_checkpoint_at(), None);
     }
 

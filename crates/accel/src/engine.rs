@@ -1038,14 +1038,6 @@ impl AccelEngine {
         Ok(n)
     }
 
-    /// `INSERT INTO target SELECT …` entirely on the accelerator — the
-    /// paper's core data-transformation primitive: no intermediate result
-    /// ever leaves the accelerator.
-    pub fn insert_select(&self, txn: TxnId, table: &ObjectName, query: &Query) -> Result<usize> {
-        let result = self.query(txn, query)?;
-        self.insert_rows(txn, table, result.rows)
-    }
-
     /// `DELETE FROM table WHERE …` under `txn`.
     pub fn delete_where(
         &self,
@@ -1477,7 +1469,9 @@ mod tests {
         else {
             panic!()
         };
-        let n = e.insert_select(1, &ObjectName::bare("T2"), &sel).unwrap();
+        // What the AOT pushdown runs: query, then insert the rows on the engine.
+        let rows = e.query(1, &sel).unwrap().rows;
+        let n = e.insert_rows(1, &ObjectName::bare("T2"), rows).unwrap();
         assert_eq!(n, 2);
         e.prepare(1).unwrap();
         e.commit(1);

@@ -19,7 +19,7 @@ mod partial;
 mod pipeline;
 pub mod table;
 
-pub use durable::{Checkpoint, DurableStore, LogRecord, Lsn, RecoverySet};
+pub use durable::{Checkpoint, DurableStore, LogRecord, Lsn};
 pub use engine::{AccelConfig, AccelEngine, AccelStats, RestartStats};
 pub use exec::ExecMode;
 pub use partial::{cuts, Cut, Merge};

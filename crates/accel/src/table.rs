@@ -11,7 +11,7 @@
 
 use crate::column::Column;
 use crate::mvcc::TxnId;
-use idaa_common::{wire, Error, ObjectName, Result, Row, Schema, Value};
+use idaa_common::{wire, Error, ObjectName, Result, Row, Schema};
 use parking_lot::RwLock;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -332,19 +332,10 @@ impl AccelTable {
     }
 }
 
-/// Hash a full distribution key deterministically (exposed for tests).
-pub fn hash_values(values: &[Value]) -> u64 {
-    let mut h = DefaultHasher::new();
-    for v in values {
-        v.hash(&mut h);
-    }
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idaa_common::{ColumnDef, DataType};
+    use idaa_common::{ColumnDef, DataType, Value};
 
     fn schema() -> Schema {
         Schema::new(vec![

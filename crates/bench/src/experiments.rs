@@ -1089,7 +1089,6 @@ fn e19_fleet_failover(out: &mut Report) {
                 accelerators: 3,
                 shards: 6,
                 replication_factor: replicas,
-                ..FleetConfig::default()
             },
             ..IdaaConfig::default()
         });
@@ -1169,7 +1168,6 @@ fn e20_fleet_shard_join(out: &mut Report) {
             accelerators: 3,
             shards: 4,
             replication_factor: 2,
-            ..FleetConfig::default()
         },
         ..IdaaConfig::default()
     });
@@ -1409,7 +1407,6 @@ fn e21_storage_faults(out: &mut Report) {
                 accelerators: 3,
                 shards: 4,
                 replication_factor: 2,
-                ..FleetConfig::default()
             },
             ..IdaaConfig::default()
         });

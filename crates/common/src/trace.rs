@@ -17,7 +17,7 @@
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Handle to one span in a [`Trace`] arena.
@@ -65,7 +65,7 @@ impl Trace {
     /// statement execution: only the outermost statement owns the root).
     pub fn in_statement(&self) -> bool {
         match &self.0 {
-            Some(inner) => !inner.lock().unwrap().stack.is_empty(),
+            Some(inner) => !inner.lock().unwrap_or_else(PoisonError::into_inner).stack.is_empty(),
             None => false,
         }
     }
@@ -73,7 +73,7 @@ impl Trace {
     /// Open a span as a child of the innermost open span (or as a root).
     pub fn begin(&self, name: &str, now: Duration) -> SpanId {
         let Some(inner) = &self.0 else { return SpanId(usize::MAX) };
-        let mut t = inner.lock().unwrap();
+        let mut t = inner.lock().unwrap_or_else(PoisonError::into_inner);
         let id = t.spans.len();
         t.spans.push(RawSpan {
             name: name.to_string(),
@@ -93,7 +93,7 @@ impl Trace {
     /// closed with it (so error paths cannot leave the tree ill-nested).
     pub fn end(&self, id: SpanId, now: Duration) {
         let Some(inner) = &self.0 else { return };
-        let mut t = inner.lock().unwrap();
+        let mut t = inner.lock().unwrap_or_else(PoisonError::into_inner);
         while let Some(top) = t.stack.pop() {
             if t.spans[top].end.is_none() {
                 t.spans[top].end = Some(now);
@@ -107,7 +107,7 @@ impl Trace {
     /// Attach an attribute to a span. Duplicate keys keep the last value.
     pub fn attr(&self, id: SpanId, key: &str, value: impl ToString) {
         let Some(inner) = &self.0 else { return };
-        let mut t = inner.lock().unwrap();
+        let mut t = inner.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(span) = t.spans.get_mut(id.0) {
             let value = value.to_string();
             match span.attrs.iter_mut().find(|(k, _)| k == key) {
@@ -135,7 +135,7 @@ impl Trace {
     pub fn finish(&self, id: SpanId, now: Duration) -> Option<SpanNode> {
         let Some(inner) = &self.0 else { return None };
         self.end(id, now);
-        let mut t = inner.lock().unwrap();
+        let mut t = inner.lock().unwrap_or_else(PoisonError::into_inner);
         let node = snapshot(&t.spans, id.0);
         if t.stack.is_empty() {
             t.spans.clear();
@@ -288,7 +288,7 @@ impl TraceSink {
 
     /// Record one finished statement trace.
     pub fn record(&self, trace: StatementTrace) {
-        let mut buf = self.buf.lock().unwrap();
+        let mut buf = self.buf.lock().unwrap_or_else(PoisonError::into_inner);
         if buf.len() == self.cap {
             buf.pop_front();
         }
@@ -297,22 +297,23 @@ impl TraceSink {
 
     /// All buffered traces, oldest first.
     pub fn statements(&self) -> Vec<StatementTrace> {
-        self.buf.lock().unwrap().iter().cloned().collect()
+        self.buf.lock().unwrap_or_else(PoisonError::into_inner).iter().cloned().collect()
     }
 
     /// The most recently recorded trace.
     pub fn last(&self) -> Option<StatementTrace> {
-        self.buf.lock().unwrap().back().cloned()
+        self.buf.lock().unwrap_or_else(PoisonError::into_inner).back().cloned()
     }
 
     /// The most recent trace whose SQL contains `needle`.
     pub fn last_containing(&self, needle: &str) -> Option<StatementTrace> {
-        self.buf.lock().unwrap().iter().rev().find(|t| t.sql.contains(needle)).cloned()
+        let buf = self.buf.lock().unwrap_or_else(PoisonError::into_inner);
+        buf.iter().rev().find(|t| t.sql.contains(needle)).cloned()
     }
 
     /// Drop all buffered traces.
     pub fn clear(&self) {
-        self.buf.lock().unwrap().clear();
+        self.buf.lock().unwrap_or_else(PoisonError::into_inner).clear();
     }
 }
 

@@ -80,14 +80,6 @@ impl Value {
         }
     }
 
-    /// Boolean view (used by predicate evaluation).
-    pub fn as_bool(&self) -> Result<bool> {
-        match self {
-            Value::Boolean(b) => Ok(*b),
-            other => Err(Error::TypeMismatch(format!("{other} is not boolean"))),
-        }
-    }
-
     /// Size in bytes this value occupies when shipped over the
     /// host↔accelerator link (variable-length encoding for strings; a null
     /// costs one marker byte). Drives the data-movement metering that the

@@ -581,9 +581,8 @@ impl Idaa {
                 // rows materialize on the host side and pay link cost when
                 // they came from the accelerator.
                 let outcome = self.dispatch_query(session, src_q)?;
-                let result = match outcome.payload {
-                    Payload::Rows(r) => r,
-                    _ => unreachable!("queries produce rows"),
+                let Payload::Rows(result) = outcome.payload else {
+                    return Err(Error::internal("an INSERT source query produced no rows"));
                 };
                 result
                     .rows

@@ -34,7 +34,7 @@ use crate::session::Session;
 use idaa_accel::{cuts, AccelEngine, Cut, RestartStats};
 use idaa_common::{wire, Error, ObjectName, Result, Row, Rows, Schema, Value};
 use idaa_host::{AccelStatus, HostEngine, TableKind, TableMeta, TxnId, SYSADM};
-use idaa_netsim::{sites, Direction, FaultRegistry, LinkMetrics, NetLink};
+use idaa_netsim::{sites, Direction, FaultRegistry, LinkMetrics, NetLink, RetryPolicy};
 use idaa_sql::ast::{Query, TableRef};
 use idaa_sql::exec::{execute_plan, RowSource};
 use idaa_sql::plan::Plan;
@@ -48,8 +48,7 @@ use std::time::Duration;
 // Configuration
 // ---------------------------------------------------------------------------
 
-/// Fleet topology: how many accelerators, how AOTs shard across them, and
-/// when a failed-over shard migrates back to its preferred owner.
+/// Fleet topology: how many accelerators and how AOTs shard across them.
 ///
 /// The default (one accelerator, one shard, replication factor one) is the
 /// paper's single-accelerator pairing: the one shard of every
@@ -66,9 +65,6 @@ pub struct FleetConfig {
     /// Copies of every shard (clamped to `1..=accelerators`). Shard `s`
     /// lives on nodes `(s + r) % K` for `r in 0..replication_factor`.
     pub replication_factor: usize,
-    /// Virtual-clock delay after a failover before the shard migrates back
-    /// to its preferred (recovered) owner.
-    pub rebalance_after: Duration,
 }
 
 impl Default for FleetConfig {
@@ -77,10 +73,13 @@ impl Default for FleetConfig {
             accelerators: 1,
             shards: 1,
             replication_factor: 1,
-            rebalance_after: Duration::from_millis(20),
         }
     }
 }
+
+/// Virtual-clock delay after a failover before the shard migrates back to
+/// its preferred (recovered) owner.
+const REBALANCE_AFTER: Duration = Duration::from_millis(20);
 
 // ---------------------------------------------------------------------------
 // Per-node state
@@ -129,11 +128,11 @@ impl AccelNode {
         let node = AccelNode {
             id,
             engine,
-            link: Arc::new(NetLink::new(config.link.clone())),
+            link: Arc::new(NetLink::default()),
             registry,
-            health: HealthMonitor::new(config.health.clone()),
+            health: HealthMonitor::default(),
             delivered: SeqTracker::default(),
-            replicator: Mutex::new(Replicator::new(config.replication_batch, config.retry)),
+            replicator: Mutex::new(Replicator::new(config.replication_batch, RetryPolicy::default())),
             pending_commits: Mutex::new(Vec::new()),
             last_restart: Mutex::new(None),
             needs_rebuild: std::sync::atomic::AtomicBool::new(false),
@@ -180,14 +179,10 @@ pub(crate) struct FleetState {
     accelerators: usize,
     pub(crate) shards: usize,
     replicas: usize,
-    rebalance_after: Duration,
     current_primary: Mutex<Vec<usize>>,
     failed_over_at: Mutex<Vec<Option<Duration>>>,
     catch_up: Mutex<BTreeSet<usize>>,
     enlisted: Mutex<HashMap<TxnId, BTreeSet<usize>>>,
-    failovers: AtomicU64,
-    rebalances: AtomicU64,
-    catch_up_bytes: AtomicU64,
 }
 
 impl FleetState {
@@ -199,14 +194,10 @@ impl FleetState {
             accelerators,
             shards,
             replicas,
-            rebalance_after: config.rebalance_after,
             current_primary: Mutex::new((0..shards).map(|s| s % accelerators).collect()),
             failed_over_at: Mutex::new(vec![None; shards]),
             catch_up: Mutex::new(BTreeSet::new()),
             enlisted: Mutex::new(HashMap::new()),
-            failovers: AtomicU64::new(0),
-            rebalances: AtomicU64::new(0),
-            catch_up_bytes: AtomicU64::new(0),
         }
     }
 
@@ -224,7 +215,6 @@ impl FleetState {
         primaries[shard] = to;
         let preferred = self.owners(shard)[0];
         self.failed_over_at.lock()[shard] = if to == preferred { None } else { Some(now) };
-        self.failovers.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn failed_over_time(&self, shard: usize) -> Option<Duration> {
@@ -259,26 +249,6 @@ impl FleetState {
     /// Remove and return the nodes enlisted in `txn`, in ascending id order.
     pub(crate) fn take_enlisted(&self, txn: TxnId) -> Vec<usize> {
         self.enlisted.lock().remove(&txn).map(|s| s.into_iter().collect()).unwrap_or_default()
-    }
-
-    pub(crate) fn failovers(&self) -> u64 {
-        self.failovers.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn rebalances(&self) -> u64 {
-        self.rebalances.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn note_rebalance(&self) {
-        self.rebalances.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_catch_up_bytes(&self, bytes: u64) {
-        self.catch_up_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    pub(crate) fn catch_up_bytes(&self) -> u64 {
-        self.catch_up_bytes.load(Ordering::Relaxed)
     }
 }
 
@@ -400,17 +370,17 @@ impl Idaa {
 
     /// Total failovers (a read served by a non-primary replica).
     pub fn fleet_failovers(&self) -> u64 {
-        self.fleet.failovers()
+        self.metrics.counter("fleet.failovers")
     }
 
     /// Total shards migrated back to their preferred owner.
     pub fn fleet_rebalances(&self) -> u64 {
-        self.fleet.rebalances()
+        self.metrics.counter("fleet.rebalances")
     }
 
     /// Total wire bytes spent on shard catch-up copies.
     pub fn fleet_catch_up_bytes(&self) -> u64 {
-        self.fleet.catch_up_bytes()
+        self.metrics.counter("fleet.catch_up.bytes")
     }
 
     /// Current primary node of every shard.
@@ -717,7 +687,7 @@ impl Idaa {
                 continue;
             }
             let Some(at) = self.fleet.failed_over_time(s) else { continue };
-            if self.link().now() < at + self.fleet.rebalance_after {
+            if self.link().now() < at + REBALANCE_AFTER {
                 continue;
             }
             let node = &self.nodes[preferred];
@@ -728,7 +698,6 @@ impl Idaa {
                 continue;
             }
             self.fleet.set_primary(s, preferred);
-            self.fleet.note_rebalance();
             self.metrics.inc("fleet.rebalances", 1);
         }
     }
@@ -1101,7 +1070,6 @@ mod tests {
             accelerators: 3,
             shards: 4,
             replication_factor: 2,
-            ..FleetConfig::default()
         });
         assert_eq!(fs.owners(0), vec![0, 1]);
         assert_eq!(fs.owners(2), vec![2, 0]);
@@ -1118,7 +1086,6 @@ mod tests {
             accelerators: 2,
             shards: 2,
             replication_factor: 5,
-            ..FleetConfig::default()
         });
         assert_eq!(fs.owners(0), vec![0, 1]);
     }
@@ -1166,17 +1133,11 @@ mod tests {
 
     #[test]
     fn failover_bookkeeping_tracks_primaries() {
-        let fs = FleetState::new(&FleetConfig {
-            accelerators: 3,
-            shards: 2,
-            replication_factor: 2,
-            ..FleetConfig::default()
-        });
+        let fs = FleetState::new(&FleetConfig { accelerators: 3, shards: 2, replication_factor: 2 });
         assert_eq!(fs.primary_of(1), 1);
         fs.record_failover(1, 2, Duration::from_millis(5));
         assert_eq!(fs.primary_of(1), 2);
         assert_eq!(fs.failed_over_time(1), Some(Duration::from_millis(5)));
-        assert_eq!(fs.failovers(), 1);
         fs.set_primary(1, 1);
         assert_eq!(fs.primary_of(1), 1);
         assert_eq!(fs.failed_over_time(1), None);

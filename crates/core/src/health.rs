@@ -42,32 +42,16 @@ impl fmt::Display for HealthState {
     }
 }
 
-/// Thresholds for the health state machine.
-#[derive(Debug, Clone)]
-pub struct HealthConfig {
-    /// Consecutive failures before `Online` decays to `Degraded`.
-    pub degraded_after: u32,
-    /// Consecutive failures before the accelerator is declared `Offline`.
-    pub offline_after: u32,
-    /// Consecutive successes needed to return to `Online`.
-    pub recover_after: u32,
-    /// Minimum virtual time between recovery probes while `Offline`.
-    pub probe_interval: Duration,
-    /// Payload of one probe ping (per direction).
-    pub probe_bytes: usize,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            degraded_after: 1,
-            offline_after: 3,
-            recover_after: 2,
-            probe_interval: Duration::from_millis(5),
-            probe_bytes: 16,
-        }
-    }
-}
+/// Consecutive failures before `Online` decays to `Degraded`.
+const DEGRADED_AFTER: u32 = 1;
+/// Consecutive failures before the accelerator is declared `Offline`.
+const OFFLINE_AFTER: u32 = 3;
+/// Consecutive successes needed to return to `Online`.
+const RECOVER_AFTER: u32 = 2;
+/// Minimum virtual time between recovery probes while `Offline`.
+const PROBE_INTERVAL: Duration = Duration::from_millis(5);
+/// Payload of one probe ping (per direction).
+const PROBE_BYTES: usize = 16;
 
 #[derive(Debug, Default)]
 struct HealthInner {
@@ -81,15 +65,10 @@ struct HealthInner {
 /// on consecutive failures, back to `Online` on consecutive successes).
 #[derive(Debug, Default)]
 pub struct HealthMonitor {
-    config: HealthConfig,
     inner: Mutex<HealthInner>,
 }
 
 impl HealthMonitor {
-    pub fn new(config: HealthConfig) -> HealthMonitor {
-        HealthMonitor { config, inner: Mutex::new(HealthInner::default()) }
-    }
-
     /// Current state.
     pub fn state(&self) -> HealthState {
         self.inner.lock().state
@@ -106,7 +85,7 @@ impl HealthMonitor {
         i.fail_streak = 0;
         if i.state != HealthState::Online {
             i.ok_streak += 1;
-            if i.ok_streak >= self.config.recover_after {
+            if i.ok_streak >= RECOVER_AFTER {
                 i.state = HealthState::Online;
                 i.ok_streak = 0;
             }
@@ -120,9 +99,9 @@ impl HealthMonitor {
         let mut i = self.inner.lock();
         i.ok_streak = 0;
         i.fail_streak = i.fail_streak.saturating_add(1);
-        if i.fail_streak >= self.config.offline_after {
+        if i.fail_streak >= OFFLINE_AFTER {
             i.state = HealthState::Offline;
-        } else if i.fail_streak >= self.config.degraded_after {
+        } else if i.fail_streak >= DEGRADED_AFTER {
             i.state = i.state.max(HealthState::Degraded);
         }
         i.state
@@ -141,21 +120,20 @@ impl HealthMonitor {
     }
 
     /// Whether an `Offline` accelerator is due for a recovery probe at
-    /// virtual time `now` (probes are rate-limited to `probe_interval`).
+    /// virtual time `now` (probes are rate-limited to `PROBE_INTERVAL`).
     pub fn should_probe(&self, now: Duration) -> bool {
         let i = self.inner.lock();
-        i.state == HealthState::Offline
-            && i.last_probe.is_none_or(|t| now >= t + self.config.probe_interval)
+        i.state == HealthState::Offline && i.last_probe.is_none_or(|t| now >= t + PROBE_INTERVAL)
     }
 
     /// Send one probe ping each way over `link`. Probe results feed the
-    /// same streak counters as regular traffic; with the default config a
-    /// single full round-trip is enough to return `Online`. Returns true
-    /// if the accelerator is `Online` afterwards.
+    /// same streak counters as regular traffic; a single full round-trip
+    /// is enough to return `Online`. Returns true if the accelerator is
+    /// `Online` afterwards.
     pub fn probe(&self, link: &NetLink, retry: &RetryPolicy) -> bool {
         self.inner.lock().last_probe = Some(link.now());
         for direction in [Direction::ToAccel, Direction::ToHost] {
-            if retry.transfer(link, direction, self.config.probe_bytes).is_err() {
+            if retry.transfer(link, direction, PROBE_BYTES).is_err() {
                 self.record_failure();
                 return false;
             }

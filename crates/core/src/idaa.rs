@@ -11,7 +11,6 @@
 //! judges node readiness and drives restarts.
 
 use crate::fleet::{AccelNode, FleetConfig, FleetState};
-use crate::health::HealthConfig;
 use crate::procedures::{system_procedures, Procedure};
 use crate::router::Route;
 use crate::session::Session;
@@ -20,15 +19,12 @@ use idaa_common::trace::{SpanId, StatementTrace, Trace, TraceSink};
 use idaa_common::wire;
 use idaa_common::{Error, MetricsRegistry, ObjectName, Result, Rows, Value};
 use idaa_host::{HostEngine, TableKind, SYSADM};
-use idaa_netsim::{
-    CrashPlan, Direction, DiskFaultPlan, FaultPlan, FaultRegistry, LinkConfig, NetLink,
-    RetryPolicy,
-};
+use idaa_netsim::{CrashPlan, Direction, DiskFaultPlan, FaultPlan, FaultRegistry, NetLink};
 use idaa_sql::ast::Statement;
 use idaa_sql::{parse_statement, parse_statements};
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -39,27 +35,14 @@ pub struct IdaaConfig {
     pub default_schema: String,
     /// Accelerator tunables.
     pub accel: AccelConfig,
-    /// Link parameters.
-    pub link: LinkConfig,
     /// Replication batch size (change records per shipped batch).
     pub replication_batch: usize,
     /// Drain the CDC log to the accelerator after every commit.
     pub auto_replicate: bool,
-    /// Retry policy for every host↔accelerator message (backoff consumes
-    /// only the link's virtual clock).
-    pub retry: RetryPolicy,
-    /// Thresholds for the accelerator health state machine.
-    pub health: HealthConfig,
     /// Virtual-clock interval between periodic accelerator checkpoints
     /// (drives how much commit log a crash must replay — experiment E16
     /// sweeps it).
     pub checkpoint_every: Duration,
-    /// Fixed virtual-time cost of an accelerator restart, charged to the
-    /// link clock before log replay.
-    pub recovery_fixed: Duration,
-    /// Virtual replay bandwidth: checkpoint + replayed-log bytes are
-    /// charged to the link clock at this rate during recovery.
-    pub recovery_bytes_per_sec: u64,
     /// Virtual-clock interval between background storage-scrub steps on
     /// each accelerator (re-verifying durable checksums between
     /// statements, so latent bit-rot is repaired before recovery reads
@@ -76,14 +59,9 @@ impl Default for IdaaConfig {
         IdaaConfig {
             default_schema: "APP".into(),
             accel: AccelConfig::default(),
-            link: LinkConfig::default(),
             replication_batch: 1024,
             auto_replicate: true,
-            retry: RetryPolicy::default(),
-            health: HealthConfig::default(),
             checkpoint_every: Duration::from_millis(25),
-            recovery_fixed: Duration::from_millis(2),
-            recovery_bytes_per_sec: 256 * 1024 * 1024,
             scrub_every: Duration::ZERO,
             fleet: FleetConfig::default(),
         }
@@ -191,14 +169,6 @@ pub struct Idaa {
     pub(crate) procedures: RwLock<HashMap<ObjectName, Arc<dyn Procedure>>>,
     pub(crate) config: IdaaConfig,
     pub faults: Faults,
-    /// In-doubt transactions resolved by the 2PC resolver (diagnostics).
-    pub(crate) in_doubt_resolved: AtomicU64,
-    /// Redelivered statements the receiver discarded as duplicates
-    /// (diagnostics).
-    pub(crate) statements_deduped: AtomicU64,
-    /// Messages discarded because they carried a pre-crash recovery epoch
-    /// (diagnostics).
-    pub(crate) statements_fenced: AtomicU64,
     /// Collected statement traces (query-lifecycle span trees on the
     /// virtual clock).
     tracer: Arc<TraceSink>,
@@ -235,9 +205,6 @@ impl Idaa {
             nodes,
             fleet: FleetState::new(&config.fleet),
             procedures: RwLock::new(HashMap::new()),
-            in_doubt_resolved: AtomicU64::new(0),
-            statements_deduped: AtomicU64::new(0),
-            statements_fenced: AtomicU64::new(0),
             tracer: Arc::new(TraceSink::default()),
             metrics: Arc::new(MetricsRegistry::default()),
             config,
@@ -339,7 +306,7 @@ impl Idaa {
     /// Messages discarded because they carried a pre-crash recovery
     /// epoch (diagnostics).
     pub fn statements_fenced(&self) -> u64 {
-        self.statements_fenced.load(Ordering::Relaxed)
+        self.metrics.counter("exchange.fenced")
     }
 
     /// COMMIT decisions queued for redelivery (phase-2 message lost).
@@ -349,13 +316,13 @@ impl Idaa {
 
     /// In-doubt transactions the 2PC resolver recovered (diagnostics).
     pub fn in_doubt_resolved(&self) -> u64 {
-        self.in_doubt_resolved.load(Ordering::Relaxed)
+        self.metrics.counter("twopc.in_doubt_resolved")
     }
 
     /// Statements redelivered after a lost reply and discarded as
     /// duplicates by the receiver's sequence tracker (diagnostics).
     pub fn statements_deduped(&self) -> u64 {
-        self.statements_deduped.load(Ordering::Relaxed)
+        self.metrics.counter("exchange.deduped")
     }
 
     /// Committed change records not yet applied on the accelerator.

@@ -36,7 +36,7 @@ mod transfer;
 mod txn;
 
 pub use fleet::{shard_of, shard_table, AccelNode, FleetConfig};
-pub use health::{Delivery, HealthConfig, HealthMonitor, HealthState, SeqTracker};
+pub use health::{Delivery, HealthMonitor, HealthState, SeqTracker};
 pub use idaa::{ExecOutcome, Faults, Idaa, IdaaConfig, Payload, QueueInfo};
 pub use procedures::{message_result, Procedure};
 pub use replication::Replicator;

@@ -14,9 +14,17 @@ use idaa_accel::{AccelEngine, RestartStats};
 use idaa_common::trace::Trace;
 use idaa_common::{wire, Error, Result, Row};
 use idaa_host::TableKind;
-use idaa_netsim::Direction;
+use idaa_netsim::{Direction, RetryPolicy};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
+
+/// Fixed virtual-time cost of an accelerator restart, charged to the node's
+/// link clock before log replay.
+const RESTART_LATENCY: Duration = Duration::from_millis(2);
+/// Virtual replay bandwidth: a restart's checkpoint and replayed-log bytes,
+/// and the bytes a scrub step verifies, are charged to the link clock at
+/// this rate.
+const REPLAY_BYTES_PER_SEC: u64 = 256 * 1024 * 1024;
 
 impl Idaa {
     /// True when statements may be sent to one fleet node: its engine is
@@ -43,7 +51,7 @@ impl Idaa {
             return true;
         }
         if node.health.should_probe(node.link.now())
-            && node.health.probe(&node.link, &self.config.retry)
+            && node.health.probe(&node.link, &RetryPolicy::default())
         {
             if node.engine.is_crashed() && self.restart_node(node).is_err() {
                 return false;
@@ -128,7 +136,7 @@ impl Idaa {
         if node.engine.is_crashed() {
             node.health.force_offline();
         }
-        if !node.health.probe(&node.link, &self.config.retry) {
+        if !node.health.probe(&node.link, &RetryPolicy::default()) {
             return false;
         }
         if node.engine.is_crashed() && self.restart_node(&node).is_err() {
@@ -182,14 +190,12 @@ impl Idaa {
             stats.checkpoint_bytes + stats.log_bytes_replayed,
         );
         // Recovery consumes virtual time only: a fixed restart latency
-        // plus replaying checkpoint + log bytes at the configured
-        // bandwidth. Never a wall-clock sleep. The cost lands on this
-        // node's own link clock.
+        // plus replaying checkpoint + log bytes at the replay bandwidth.
+        // Never a wall-clock sleep. The cost lands on this node's own link
+        // clock.
         let replayed = stats.checkpoint_bytes + stats.log_bytes_replayed;
-        let replay_time = Duration::from_secs_f64(
-            replayed as f64 / self.config.recovery_bytes_per_sec.max(1) as f64,
-        );
-        node.link.advance(self.config.recovery_fixed + replay_time);
+        let replay_time = Duration::from_secs_f64(replayed as f64 / REPLAY_BYTES_PER_SEC as f64);
+        node.link.advance(RESTART_LATENCY + replay_time);
         // Epoch fence: sequence state and acks from the previous
         // incarnation are stale.
         node.delivered.reset(stats.epoch);
@@ -349,7 +355,7 @@ impl Idaa {
             _ => return,
         };
         node.link.advance(Duration::from_secs_f64(
-            report.scanned_bytes as f64 / self.config.recovery_bytes_per_sec.max(1) as f64,
+            report.scanned_bytes as f64 / REPLAY_BYTES_PER_SEC as f64,
         ));
         self.metrics.inc("disk.scrub.steps", 1);
         self.metrics.inc("disk.scrub.scanned_bytes", report.scanned_bytes);
@@ -409,7 +415,6 @@ impl Idaa {
                 }
                 node.engine.truncate(&st)?;
                 node.engine.load_committed(&st, delivered)?;
-                self.fleet.add_catch_up_bytes(bytes);
                 self.metrics.inc("fleet.catch_up.bytes", bytes);
                 copied = true;
             }

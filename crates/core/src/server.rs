@@ -17,7 +17,7 @@
 //!   seat starves behind a chatty neighbour.
 //! * **Queue time is virtual time** — a queued statement waits while its
 //!   predecessors consume the link clock; between rounds the scheduler
-//!   charges one [`ServerConfig::reschedule_tick`] via
+//!   charges one `RESCHEDULE_TICK` (50 µs) via
 //!   [`NetLink::advance`](idaa_netsim::NetLink::advance), never a wall
 //!   sleep. Queue/reschedule time lands in `LinkMetrics::fault_time`
 //!   only — the delivered byte/message counters are untouched, so every
@@ -109,9 +109,6 @@ pub struct ServerConfig {
     /// the limit from the accelerator's worker count — the shared device
     /// is the resource being multiplexed.
     pub admission_limit: usize,
-    /// Virtual time charged between rounds while ready work remains
-    /// queued (via `NetLink::advance`; fault-time only, never traffic).
-    pub reschedule_tick: Duration,
     /// Per-seat queue depth bound; one more statement is refused with
     /// SQLCODE -905. `0` means unbounded.
     pub max_queue_depth: usize,
@@ -124,12 +121,15 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             admission_limit: 0,
-            reschedule_tick: Duration::from_micros(50),
             max_queue_depth: 64,
             max_sessions: 64,
         }
     }
 }
+
+/// Virtual time charged between rounds while ready work remains queued
+/// (via `NetLink::advance`; fault-time only, never traffic).
+const RESCHEDULE_TICK: Duration = Duration::from_micros(50);
 
 /// Deterministic 1-based seat number assigned in connect order. This — not
 /// the process-global `Session::id` — keys every `server.*` metric and the
@@ -382,7 +382,7 @@ impl Server {
             if state.seats.values().any(|s| !s.queue.is_empty()) {
                 // Ready work survives the round: the scheduler "sleeps"
                 // one tick on the virtual clock before re-admitting.
-                self.idaa.link().advance(self.config.reschedule_tick);
+                self.idaa.link().advance(RESCHEDULE_TICK);
             }
         }
         completions

@@ -17,8 +17,7 @@ use crate::idaa::Idaa;
 use crate::session::Session;
 use idaa_common::trace::Trace;
 use idaa_common::{wire, Error, Result, Row, Rows};
-use idaa_netsim::{Direction, LinkError};
-use std::sync::atomic::Ordering;
+use idaa_netsim::{Direction, LinkError, RetryPolicy};
 use std::time::Duration;
 
 /// One attempt at the reply leg of a statement exchange: how the transfer
@@ -58,7 +57,7 @@ impl Idaa {
         direction: Direction,
         bytes: usize,
     ) -> Result<Duration> {
-        observe(node, self.config.retry.transfer(&node.link, direction, bytes))
+        observe(node, RetryPolicy::default().transfer(&node.link, direction, bytes))
     }
 
     /// Ship one encoded row frame over a node's link with the same bounded
@@ -71,7 +70,7 @@ impl Idaa {
         direction: Direction,
         frame: &[u8],
     ) -> Result<Duration> {
-        observe(node, self.config.retry.transfer_frame(&node.link, direction, frame))
+        observe(node, RetryPolicy::default().transfer_frame(&node.link, direction, frame))
     }
 
     /// Stream a row batch across a node's link as chunked encoded frames
@@ -177,7 +176,7 @@ impl Idaa {
     /// the request under the same sequence number — the receiver
     /// recognizes the duplicate in its [`SeqTracker`] and resends the
     /// reply without executing again, making shipping idempotent. Retries
-    /// ride the bounded backoff of `config.retry` on the virtual clock;
+    /// ride the bounded backoff of the default [`RetryPolicy`] on the virtual clock;
     /// exhausting it fails the statement with SQLCODE -30081, and the
     /// outcome feeds the health monitor like every other federation path.
     ///
@@ -198,14 +197,14 @@ impl Idaa {
         let seq = session.next_seq();
         let mut exec = Some(exec);
         let mut result: Option<T> = None;
-        let attempts = self.config.retry.max_attempts.max(1);
-        let mut wait = self.config.retry.backoff;
-        for attempt in 1..=attempts {
+        let retry = RetryPolicy::default();
+        let mut wait = retry.backoff;
+        for attempt in 1..=retry.max_attempts.max(1) {
             if attempt > 1 {
                 self.metrics.inc("exchange.retries", 1);
                 trace.event("retry", &[("attempt", &attempt)], node.link.now());
                 node.link.advance(wait);
-                wait = wait.saturating_mul(self.config.retry.multiplier);
+                wait = wait.saturating_mul(retry.multiplier);
             }
             // Request leg: loss means the statement never reached the
             // accelerator — resend it.
@@ -222,29 +221,32 @@ impl Idaa {
             // fenced off and the request is re-sent under the new epoch.
             match node.delivered.deliver_at(session.id, seq, node.engine.epoch()) {
                 Delivery::Apply => {
-                    let run = exec.take().expect("first delivery executes the statement");
-                    result = Some(run()?);
+                    if let Some(run) = exec.take() {
+                        result = Some(run()?);
+                    }
                 }
-                Delivery::Duplicate => {
-                    self.statements_deduped.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.inc("exchange.deduped", 1);
-                }
+                Delivery::Duplicate => self.metrics.inc("exchange.deduped", 1),
                 Delivery::Fenced => {
-                    self.statements_fenced.fetch_add(1, Ordering::Relaxed);
                     self.metrics.inc("exchange.fenced", 1);
                     continue;
                 }
             }
-            let outcome = result.as_ref().expect("executed on or before this delivery");
-            let ReplyLeg { kind, bytes, sent } = reply(outcome);
+            // The statement ran on this delivery or an earlier one.
+            let Some(done) = result.take() else {
+                return Err(Error::internal("statement exchange replied before executing"));
+            };
+            let ReplyLeg { kind, bytes, sent } = reply(&done);
             let lost = sent.as_ref().err();
             self.transfer_event_on(node, &trace, Direction::ToHost, kind, bytes, lost);
-            if let Ok(arrived) = sent {
-                node.health.record_success();
-                return Ok((result.take().expect("reply delivered"), arrived));
+            match sent {
+                Ok(arrived) => {
+                    node.health.record_success();
+                    return Ok((done, arrived));
+                }
+                // Reply lost: redeliver the request (same sequence number)
+                // on the next attempt.
+                Err(_) => result = Some(done),
             }
-            // Reply lost: redeliver the request (same sequence number) on
-            // the next attempt.
         }
         node.health.record_failure();
         Err(Error::LinkFailure(

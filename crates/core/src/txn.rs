@@ -194,7 +194,6 @@ impl Idaa {
                             .into(),
                     ));
                 }
-                self.in_doubt_resolved.fetch_add(1, Ordering::Relaxed);
                 self.metrics.inc("twopc.in_doubt_resolved", 1);
             }
         }

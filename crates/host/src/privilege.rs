@@ -27,11 +27,6 @@ impl PrivilegeCatalog {
         p
     }
 
-    /// Register an additional administrator.
-    pub fn add_admin(&mut self, user: &str) {
-        self.admins.insert(user.to_uppercase());
-    }
-
     /// Record object ownership (creator gets full control).
     pub fn set_owner(&mut self, object: ObjectName, owner: &str) {
         self.owners.insert(object, owner.to_uppercase());

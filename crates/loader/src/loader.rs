@@ -57,30 +57,25 @@ impl Loader {
     ) -> Result<LoadReport> {
         let meta = idaa.host().table_meta(table)?;
         let resolved = meta.name.clone();
-        let target = match (target, meta.kind) {
-            (LoadTarget::Auto, TableKind::AcceleratorOnly) => LoadTarget::AcceleratorDirect,
-            (LoadTarget::Auto, TableKind::Regular) => LoadTarget::Db2,
-            (t, _) => t,
-        };
         // Governance: loading is an INSERT, authorized on DB2 regardless of
         // the physical path.
         idaa.host()
             .privileges
             .read()
             .check(&self.user, &resolved, idaa_sql::Privilege::Insert)?;
-        match target {
-            LoadTarget::Db2 => {
-                if meta.kind == TableKind::AcceleratorOnly {
-                    return Err(Error::InvalidAcceleratorUse(format!(
-                        "{resolved} is accelerator-only; use the direct load path"
-                    )));
-                }
+        // `Auto` loads an AOT directly and a regular table through DB2.
+        match (target, meta.kind) {
+            (LoadTarget::Db2, TableKind::AcceleratorOnly) => Err(Error::InvalidAcceleratorUse(
+                format!("{resolved} is accelerator-only; use the direct load path"),
+            )),
+            (LoadTarget::Db2 | LoadTarget::Auto, TableKind::Regular) => {
                 self.load_via_db2(idaa, source, &resolved, &meta.schema)
             }
-            LoadTarget::AcceleratorDirect => idaa.load_direct(&resolved, |write| {
-                run_pipeline(source, &meta.schema, &self.config, write)
-            }),
-            LoadTarget::Auto => unreachable!("resolved above"),
+            (LoadTarget::AcceleratorDirect | LoadTarget::Auto, _) => {
+                idaa.load_direct(&resolved, |write| {
+                    run_pipeline(source, &meta.schema, &self.config, write)
+                })
+            }
         }
     }
 

@@ -71,14 +71,6 @@ impl Default for LinkConfig {
     }
 }
 
-impl LinkConfig {
-    /// A deliberately slow link (useful to expose data-movement costs in
-    /// examples: 100 MB/s, 1 ms latency).
-    pub fn slow() -> LinkConfig {
-        LinkConfig { bandwidth_bytes_per_sec: 1.0e8, latency: Duration::from_millis(1) }
-    }
-}
-
 /// Per-direction fault probabilities applied to each transfer attempt.
 ///
 /// Probabilities are evaluated in a fixed order (drop, corrupt, delay)
@@ -319,7 +311,7 @@ fn next_unit(state: &mut u64) -> f64 {
 /// The metered link.
 #[derive(Debug)]
 pub struct NetLink {
-    config: Mutex<LinkConfig>,
+    config: LinkConfig,
     faults: Mutex<FaultState>,
     /// Countdown armed by `fail_next_transfers`.
     injected: AtomicU64,
@@ -352,7 +344,7 @@ impl NetLink {
     /// Link with the given parameters and no faults armed.
     pub fn new(config: LinkConfig) -> NetLink {
         NetLink {
-            config: Mutex::new(config),
+            config,
             faults: Mutex::new(FaultState::default()),
             injected: AtomicU64::new(0),
             inject_skip: AtomicU64::new(0),
@@ -382,11 +374,6 @@ impl NetLink {
     /// reconcile with per-node [`NetLink::metrics`] exactly.
     pub fn set_metrics_prefixed(&self, registry: Arc<MetricsRegistry>, prefix: &str) {
         *self.registry.lock() = Some((registry, prefix.to_string()));
-    }
-
-    /// Change parameters mid-flight (experiments sweep these).
-    pub fn set_config(&self, config: LinkConfig) {
-        *self.config.lock() = config;
     }
 
     /// Arm a fault plan; the random stream is reseeded from `plan.seed`.
@@ -472,10 +459,7 @@ impl NetLink {
         logical_bytes: u64,
         frame: Option<&[u8]>,
     ) -> Result<Duration, LinkError> {
-        let (bandwidth, latency) = {
-            let cfg = self.config.lock();
-            (cfg.bandwidth_bytes_per_sec, cfg.latency)
-        };
+        let (bandwidth, latency) = (self.config.bandwidth_bytes_per_sec, self.config.latency);
         let payload = Duration::from_secs_f64(bytes as f64 / bandwidth);
 
         // Explicitly injected failures take precedence over the plan; a
@@ -1057,21 +1041,6 @@ mod tests {
         link.transfer(Direction::ToHost, 10).unwrap();
         link.reset();
         assert_eq!(link.metrics(), LinkMetrics::default());
-    }
-
-    #[test]
-    fn reconfiguration_applies_to_later_transfers() {
-        let link = NetLink::new(LinkConfig {
-            bandwidth_bytes_per_sec: 1000.0,
-            latency: Duration::ZERO,
-        });
-        let t1 = link.transfer(Direction::ToAccel, 1000).unwrap();
-        link.set_config(LinkConfig {
-            bandwidth_bytes_per_sec: 2000.0,
-            latency: Duration::ZERO,
-        });
-        let t2 = link.transfer(Direction::ToAccel, 1000).unwrap();
-        assert!(t2 < t1);
     }
 
     #[test]

@@ -269,14 +269,6 @@ impl Expr {
         Expr::Column { qualifier: None, name: idaa_common::ident::normalize(&name.into()) }
     }
 
-    /// Qualified column reference.
-    pub fn qcol(qualifier: impl Into<String>, name: impl Into<String>) -> Expr {
-        Expr::Column {
-            qualifier: Some(idaa_common::ident::normalize(&qualifier.into())),
-            name: idaa_common::ident::normalize(&name.into()),
-        }
-    }
-
     /// Integer literal.
     pub fn int(v: i64) -> Expr {
         Expr::Literal(Value::BigInt(v))

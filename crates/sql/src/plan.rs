@@ -12,6 +12,7 @@ use crate::ast::{is_aggregate_name, Expr, JoinKind, Query, SelectItem, TableRef}
 use crate::eval::AggregateKind;
 use crate::exec::{conjuncts, resolver_of};
 use idaa_common::{DataType, Error, ObjectName, Result, Schema};
+use std::sync::PoisonError;
 
 /// A column flowing out of a plan node.
 #[derive(Debug, Clone, PartialEq)]
@@ -239,58 +240,65 @@ impl PlanProfile {
 
     /// Record `node`'s output row count.
     pub fn record(&self, node: &Plan, rows: u64) {
-        self.rows_out.lock().unwrap().insert(Self::key(node), rows);
+        self.rows_out.lock().unwrap_or_else(PoisonError::into_inner).insert(Self::key(node), rows);
     }
 
     /// Output row count for `node`, if it executed unfused.
     pub fn rows_out(&self, node: &Plan) -> Option<u64> {
-        self.rows_out.lock().unwrap().get(&Self::key(node)).copied()
+        self.rows_out.lock().unwrap_or_else(PoisonError::into_inner).get(&Self::key(node)).copied()
     }
 
     /// Record that `node` ran through the vectorized batch pipeline,
     /// processing `batches` column batches.
     pub fn record_vectorized(&self, node: &Plan, batches: u64) {
-        self.vectorized.lock().unwrap().insert(Self::key(node), batches);
+        self.vectorized
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(Self::key(node), batches);
     }
 
     /// Batch count for `node` if the vectorized pipeline executed it;
     /// `None` means it was interpreted (or fused into another node).
     pub fn vectorized_batches(&self, node: &Plan) -> Option<u64> {
-        self.vectorized.lock().unwrap().get(&Self::key(node)).copied()
+        self.vectorized
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&Self::key(node))
+            .copied()
     }
 
     /// Record that `node`'s join probe consulted a Bloom filter which
     /// skipped `skipped` probe rows.
     pub fn record_bloom(&self, node: &Plan, skipped: u64) {
-        self.bloom.lock().unwrap().insert(Self::key(node), skipped);
+        self.bloom.lock().unwrap_or_else(PoisonError::into_inner).insert(Self::key(node), skipped);
     }
 
     /// Bloom-skipped probe row count for `node`; `None` means no Bloom
     /// filter was consulted there.
     pub fn bloom_skipped(&self, node: &Plan) -> Option<u64> {
-        self.bloom.lock().unwrap().get(&Self::key(node)).copied()
+        self.bloom.lock().unwrap_or_else(PoisonError::into_inner).get(&Self::key(node)).copied()
     }
 
     /// Record whether the statement's plan came from the compiled-plan
     /// cache.
     pub fn set_cache_hit(&self, hit: bool) {
-        *self.cache_hit.lock().unwrap() = Some(hit);
+        *self.cache_hit.lock().unwrap_or_else(PoisonError::into_inner) = Some(hit);
     }
 
     /// `Some(true)` when the plan was a cache hit, `Some(false)` on a miss,
     /// `None` when no cache was consulted.
     pub fn cache_hit(&self) -> Option<bool> {
-        *self.cache_hit.lock().unwrap()
+        *self.cache_hit.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Record the executor's description of the pipeline that runs the plan.
     pub fn set_pipeline(&self, description: String) {
-        *self.pipeline.lock().unwrap() = Some(description);
+        *self.pipeline.lock().unwrap_or_else(PoisonError::into_inner) = Some(description);
     }
 
     /// The pipeline description the executor recorded, if any.
     pub fn pipeline(&self) -> Option<String> {
-        self.pipeline.lock().unwrap().clone()
+        self.pipeline.lock().unwrap_or_else(PoisonError::into_inner).clone()
     }
 }
 

@@ -57,9 +57,8 @@ pub use idaa_common::{
     Schema, SpanNode, StatementTrace, Trace, TraceSink, Value,
 };
 pub use idaa_core::{
-    shard_of, shard_table, Completion, ExecOutcome, FleetConfig, HealthConfig, HealthState, Idaa,
-    IdaaConfig, Payload, Priority, QueueInfo, Route, SeatId, Server, ServerConfig, Session,
-    StatementId,
+    shard_of, shard_table, Completion, ExecOutcome, FleetConfig, HealthState, Idaa, IdaaConfig,
+    Payload, Priority, QueueInfo, Route, SeatId, Server, ServerConfig, Session, StatementId,
 };
 pub use idaa_host::{HostEngine, SYSADM};
 pub use idaa_netsim::{

@@ -530,7 +530,6 @@ fn fleet_system() -> (Idaa, idaa::Session) {
             accelerators: 3,
             shards: 4,
             replication_factor: 2,
-            ..FleetConfig::default()
         },
         ..IdaaConfig::default()
     });
@@ -663,7 +662,6 @@ fn fleet_shard_loss_maps_to_db2_sqlcodes() {
             accelerators: 2,
             shards: 2,
             replication_factor: 1,
-            ..FleetConfig::default()
         },
         ..IdaaConfig::default()
     });
@@ -1038,7 +1036,6 @@ fn fleet_rebuilds_a_corrupt_node_from_its_replicas_and_converges() {
                 accelerators: 3,
                 shards: 4,
                 replication_factor: 2,
-                ..FleetConfig::default()
             },
             ..IdaaConfig::default()
         });
@@ -1117,7 +1114,6 @@ fn fleet_sole_owner_shard_loss_is_a_deterministic_error() {
             accelerators: 2,
             shards: 2,
             replication_factor: 1,
-            ..FleetConfig::default()
         },
         ..IdaaConfig::default()
     });
@@ -1302,7 +1298,7 @@ fn fleet_catch_up_without_a_source_keeps_the_lagging_node_out() {
 /// after recovery, and every plan replays byte-identically.
 #[test]
 fn fleet_crash_mid_output_write_converges_or_fails_904() {
-    let fleet = FleetConfig { accelerators: 3, shards: 4, replication_factor: 2, ..FleetConfig::default() };
+    let fleet = FleetConfig { accelerators: 3, shards: 4, replication_factor: 2 };
     let expected = single_loaded_answers();
     let run = |node: usize, plan: CrashPlan| {
         let (idaa, mut s) = loaded_system(fleet.clone());

@@ -1,8 +1,8 @@
 //! Structural rules of the code base, checked against the source tree:
 //! deleted machinery stays deleted, every engine runs one set of row
 //! operators on one plan walk, the accelerator has one fan-out, only
-//! `idaa-core` decides where accelerator rows live, and wall time is read
-//! only where it is measured.
+//! `idaa-core` decides where accelerator rows live, wall time is read only
+//! where it is measured, and every config field is set by some caller.
 
 use std::path::{Path, PathBuf};
 
@@ -101,7 +101,22 @@ fn deleted_names_stay_deleted() {
         "fn select_star(",
         "\"raw\"",
     ];
-    for (names, dirs) in [(executor, &["crates/accel/src"][..]), (fleet, &["crates", "src", "tests"])] {
+    // Knobs no caller set (constants beside their one reader now) and
+    // product code no caller used.
+    let unused: &[&str] = &[
+        "HealthConfig",
+        "recovery_bytes_per_sec",
+        "rebalance_after",
+        "reschedule_tick",
+        "fn slow(",
+        "fn set_config(",
+        "fn insert_select(",
+        "RecoverySet",
+    ];
+    let everywhere = &["crates", "src", "tests"][..];
+    for (names, dirs) in
+        [(executor, &["crates/accel/src"][..]), (fleet, everywhere), (unused, everywhere)]
+    {
         for (path, text) in dirs.iter().flat_map(|d| sources(d)) {
             if path.ends_with("tests/contract.rs") {
                 continue;
@@ -216,4 +231,99 @@ fn wall_time_is_read_only_where_it_is_measured() {
             assert!(!product(&text).contains("Instant"), "{} reads `Instant`", path.display());
         }
     }
+}
+
+/// The text between the `{` at byte `open` of `src` and its matching `}`
+/// (empty when the braces never balance).
+fn braced(src: &str, open: usize) -> &str {
+    let mut depth = 0;
+    for (i, c) in src[open..].char_indices() {
+        match c {
+            '{' => depth += 1,
+            '}' => {
+                depth -= 1;
+                if depth == 0 {
+                    return &src[open + 1..open + i];
+                }
+            }
+            _ => {}
+        }
+    }
+    ""
+}
+
+/// The field names a struct literal's body (`a: 1, b, ..base`) sets.
+fn literal_fields(body: &str) -> Vec<&str> {
+    let mut fields = Vec::new();
+    let (mut depth, mut start) = (0, 0);
+    for (i, c) in body.char_indices().chain([(body.len(), ',')]) {
+        match c {
+            '(' | '[' | '{' => depth += 1,
+            ')' | ']' | '}' => depth -= 1,
+            ',' if depth == 0 => {
+                let item = body[start..i].trim();
+                let name = item.split_once(':').map_or(item, |(name, _)| name).trim();
+                if !name.is_empty() && name.chars().all(|c| c.is_alphanumeric() || c == '_') {
+                    fields.push(name);
+                }
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    fields
+}
+
+#[test]
+fn config_fields_are_set_by_some_caller() {
+    // A field every caller leaves at its default is a constant in disguise:
+    // it belongs beside its one reader. `default_schema` is a deployment
+    // setting and stays configurable.
+    let exempt = ["IdaaConfig::default_schema"];
+    let files: Vec<String> = ["crates", "src", "tests", "examples"]
+        .iter()
+        .flat_map(|dir| sources(dir))
+        .filter(|(path, _)| !path.ends_with("tests/contract.rs"))
+        // A comment may name a field without setting it.
+        .map(|(_, text)| {
+            text.lines().filter(|l| !l.trim_start().starts_with("//")).collect::<Vec<_>>().join("\n")
+        })
+        .collect();
+    let mut unset = Vec::new();
+    for name in ["IdaaConfig", "AccelConfig", "FleetConfig", "ServerConfig", "LoadConfig", "LinkConfig"] {
+        let decl = format!("pub struct {name} {{");
+        let body = files
+            .iter()
+            .find_map(|text| text.find(&decl).map(|at| braced(text, at + decl.len() - 1)))
+            .unwrap_or_else(|| panic!("no `{decl}`"));
+        let fields = body
+            .lines()
+            .filter_map(|line| Some(line.trim().strip_prefix("pub ")?.split_once(':')?.0.trim()));
+        // Every field a literal of the struct names, outside its `Default`.
+        let (literal, default) = (format!("{name} {{"), format!("impl Default for {name} {{"));
+        let mut set = Vec::new();
+        for text in &files {
+            let skip = text.find(&default).map(|at| {
+                let open = at + default.len() - 1;
+                at..open + braced(text, open).len()
+            });
+            for (at, _) in text.match_indices(&literal) {
+                let before = text[..at].trim_end();
+                let declares = ["struct", "impl", "for", "->"].iter().any(|kw| before.ends_with(kw));
+                let longer_name = text[..at].ends_with(|c: char| c.is_alphanumeric() || c == '_');
+                if declares || longer_name || skip.as_ref().is_some_and(|r| r.contains(&at)) {
+                    continue;
+                }
+                set.extend(literal_fields(braced(text, at + literal.len() - 1)));
+            }
+        }
+        for field in fields {
+            let qualified = format!("{name}::{field}");
+            let assigned = files.iter().any(|text| text.contains(&format!(".{field} = ")));
+            if !set.contains(&field) && !assigned && !exempt.contains(&qualified.as_str()) {
+                unset.push(qualified);
+            }
+        }
+    }
+    assert!(unset.is_empty(), "no caller sets {unset:?}: make each a constant beside its reader");
 }

@@ -98,7 +98,6 @@ fn aot_insert_select_trace_shows_control_frames_only() {
         accelerators: 2,
         shards: 1,
         replication_factor: 2,
-        ..FleetConfig::default()
     });
 }
 
@@ -457,7 +456,6 @@ fn fleet_system() -> (Idaa, idaa::Session) {
             accelerators: 3,
             shards: 4,
             replication_factor: 2,
-            ..FleetConfig::default()
         },
         ..IdaaConfig::default()
     });

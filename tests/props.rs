@@ -1474,7 +1474,7 @@ proptest! {
     /// stream of inserts, updates, deletes, aborted inserts, GROOM,
     /// TRUNCATE, checkpoints and crash + restart runs over `T`, which takes
     /// every kind of write, and `U`, which only ever gets delete marks. At
-    /// every checkpoint, the image `recovery_set` reads back holds:
+    /// every checkpoint, the image `recover_scan` reads back holds:
     /// - per slice, exactly the encoding the test makes of the slice's rows;
     /// - for a slice whose rows no statement rewrote since the previous
     ///   checkpoint, the previous checkpoint's frame itself (`Arc::ptr_eq`);
@@ -1577,7 +1577,8 @@ proptest! {
             before = after;
             if *op == 13 || i % 5 == 4 {
                 engine.checkpoint(Duration::from_millis(i as u64)).unwrap();
-                let cp = engine.durable().recovery_set().checkpoint.expect("checkpoint installed");
+                let scan = engine.durable().recover_scan().expect("a fresh checkpoint validates");
+                let cp = scan.checkpoint.expect("checkpoint installed");
                 prop_assert_eq!(cp.tables.len(), tables.len());
                 let mut unshared = cp.clone();
                 for (ti, name) in tables.iter().enumerate() {
@@ -1850,7 +1851,7 @@ proptest! {
         let topologies = [(accelerators, shards, replicas), (1, 1, 1), (2, 1, 2), (2, 2, 1), (3, 4, 2)];
         for (accelerators, shards, replication_factor) in topologies {
             let (fleet, merges, _, fleet_links) = run(IdaaConfig {
-                fleet: FleetConfig { accelerators, shards, replication_factor, ..FleetConfig::default() },
+                fleet: FleetConfig { accelerators, shards, replication_factor },
                 ..IdaaConfig::default()
             });
             for (i, (lhs, rhs)) in single.iter().zip(&fleet).enumerate() {
