@@ -3,8 +3,9 @@
 //! The paper's transaction-awareness claim only matters if accelerator
 //! state survives the accelerator itself failing. This module is the
 //! in-memory stand-in for the appliance's disks: atomically-installed
-//! [`Checkpoint`]s of every table heap plus the MVCC commit watermark, and
-//! an LSN-ordered [`LogRecord`] stream of everything that changed since.
+//! [`Checkpoint`]s — the one image of recoverable state: tables, MVCC
+//! watermark and statuses, quarantine set — and an LSN-ordered
+//! [`LogRecord`] stream of everything that changed since.
 //! Row payloads inside log records and checkpoint images are encoded with
 //! the `idaa_common::wire` codec — the same deterministic format that
 //! crosses the host link — so recovery replays byte-identical row data.
@@ -18,7 +19,7 @@
 //! never of a frame, so rot on one image cannot reach a frame it shares.
 //!
 //! Recovery is `checkpoint + log tail`: [`crate::engine::AccelEngine::restart`]
-//! restores the newest checkpoint and re-applies every logged record with
+//! installs the newest checkpoint and re-applies every logged record with
 //! an LSN past the checkpoint's coverage, in log order. Because records
 //! are LSN-stamped and the checkpoint remembers the LSN it covers, replay
 //! is idempotent: replaying the same tail twice (or any prefix/suffix
@@ -126,41 +127,24 @@ impl LogRecord {
 /// time and re-verified by recovery and the scrub, so any post-write
 /// damage is detected before the record is replayed.
 fn record_fingerprint(lsn: Lsn, record: &LogRecord) -> u64 {
-    fn name(buf: &mut Vec<u8>, n: &ObjectName) {
-        let s = n.to_string();
-        buf.extend_from_slice(&(s.len() as u64).to_le_bytes());
-        buf.extend_from_slice(s.as_bytes());
-    }
     let mut buf = Vec::new();
     buf.extend_from_slice(&lsn.to_le_bytes());
     match record {
-        LogRecord::Begin { txn } => {
-            buf.push(0);
-            buf.extend_from_slice(&txn.to_le_bytes());
-        }
-        LogRecord::Prepare { txn } => {
-            buf.push(1);
-            buf.extend_from_slice(&txn.to_le_bytes());
-        }
-        LogRecord::Commit { txn, seq } => {
-            buf.push(2);
-            buf.extend_from_slice(&txn.to_le_bytes());
-            buf.extend_from_slice(&seq.to_le_bytes());
-        }
-        LogRecord::Abort { txn } => {
-            buf.push(3);
-            buf.extend_from_slice(&txn.to_le_bytes());
-        }
+        // A lifecycle record is the status it moves its transaction to.
+        LogRecord::Begin { txn } => put_status(&mut buf, *txn, TxnStatus::Active),
+        LogRecord::Prepare { txn } => put_status(&mut buf, *txn, TxnStatus::Prepared),
+        LogRecord::Commit { txn, seq } => put_status(&mut buf, *txn, TxnStatus::Committed(*seq)),
+        LogRecord::Abort { txn } => put_status(&mut buf, *txn, TxnStatus::Aborted),
         LogRecord::Insert { txn, table, frame } => {
             buf.push(4);
             buf.extend_from_slice(&txn.to_le_bytes());
-            name(&mut buf, table);
+            put_name(&mut buf, table);
             buf.extend_from_slice(&wire::hash64(frame).to_le_bytes());
         }
         LogRecord::Marks { txn, table, positions } => {
             buf.push(5);
             buf.extend_from_slice(&txn.to_le_bytes());
-            name(&mut buf, table);
+            put_name(&mut buf, table);
             for (s, p) in positions {
                 buf.extend_from_slice(&(*s as u64).to_le_bytes());
                 buf.extend_from_slice(&(*p as u64).to_le_bytes());
@@ -168,7 +152,7 @@ fn record_fingerprint(lsn: Lsn, record: &LogRecord) -> u64 {
         }
         LogRecord::CreateTable { name: n, schema, dist_cols, slices } => {
             buf.push(6);
-            name(&mut buf, n);
+            put_name(&mut buf, n);
             buf.extend_from_slice(&wire::schema_fingerprint(schema).to_le_bytes());
             for d in dist_cols {
                 buf.extend_from_slice(&(*d as u64).to_le_bytes());
@@ -177,15 +161,15 @@ fn record_fingerprint(lsn: Lsn, record: &LogRecord) -> u64 {
         }
         LogRecord::DropTable { name: n } => {
             buf.push(7);
-            name(&mut buf, n);
+            put_name(&mut buf, n);
         }
         LogRecord::Truncate { table } => {
             buf.push(8);
-            name(&mut buf, table);
+            put_name(&mut buf, table);
         }
         LogRecord::Groom { table } => {
             buf.push(9);
-            name(&mut buf, table);
+            put_name(&mut buf, table);
         }
         LogRecord::TornTail { lost } => {
             buf.push(10);
@@ -193,10 +177,32 @@ fn record_fingerprint(lsn: Lsn, record: &LogRecord) -> u64 {
         }
         LogRecord::Quarantine { table } => {
             buf.push(11);
-            name(&mut buf, table);
+            put_name(&mut buf, table);
         }
     }
     wire::hash64(&buf)
+}
+
+/// Checksum encoding of an object name (length-prefixed).
+fn put_name(buf: &mut Vec<u8>, name: &ObjectName) {
+    let s = name.to_string();
+    buf.extend_from_slice(&(s.len() as u64).to_le_bytes());
+    buf.extend_from_slice(s.as_bytes());
+}
+
+/// Checksum encoding of one transaction's status: a tag (0–3, below every
+/// other log record's tag), the commit sequence (0 unless committed), then
+/// the transaction id.
+fn put_status(buf: &mut Vec<u8>, txn: TxnId, status: TxnStatus) {
+    let (tag, seq) = match status {
+        TxnStatus::Active => (0u8, 0),
+        TxnStatus::Prepared => (1, 0),
+        TxnStatus::Committed(s) => (2, s),
+        TxnStatus::Aborted => (3, 0),
+    };
+    buf.push(tag);
+    buf.extend_from_slice(&seq.to_le_bytes());
+    buf.extend_from_slice(&txn.to_le_bytes());
 }
 
 /// Frozen image of one data slice inside a [`Checkpoint`]: the rows as a
@@ -231,7 +237,9 @@ pub struct TableImage {
     pub slices: Vec<SliceImage>,
 }
 
-/// A consistent full-state snapshot, atomically installed.
+/// A consistent full-state snapshot, atomically installed: the one
+/// definition of recoverable state, also hashed as the engine's
+/// [`state_fingerprint`](crate::engine::AccelEngine::state_fingerprint).
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     /// Virtual-clock time the checkpoint was taken.
@@ -245,16 +253,19 @@ pub struct Checkpoint {
     pub txn_states: Vec<(TxnId, TxnStatus)>,
     /// Every table, sorted by name.
     pub tables: Vec<TableImage>,
+    /// Quarantined tables (see [`LogRecord::Quarantine`]), sorted.
+    pub quarantined: Vec<ObjectName>,
 }
 
 impl Checkpoint {
     /// Approximate durable size in bytes (slice frames + version vectors +
-    /// status map). Drives the recovery cost model and E16's table.
+    /// status map + quarantine list). Drives the recovery cost model and
+    /// E16's table.
     ///
     /// This is the size on disk: every frame counts in full, including one
     /// this image shares in memory with another checkpoint.
     pub fn bytes(&self) -> u64 {
-        let mut n = 64 + 12 * self.txn_states.len() as u64;
+        let mut n = 64 + 12 * self.txn_states.len() as u64 + 32 * self.quarantined.len() as u64;
         for t in &self.tables {
             n += 64 + 32 * t.schema.len() as u64;
             for s in &t.slices {
@@ -263,46 +274,54 @@ impl Checkpoint {
         }
         n
     }
+
+    /// Deterministic hash of the image's state: everything but
+    /// `taken_at` and `covers_lsn`, so two engines in the same state agree
+    /// whenever and from whichever log position they built the image.
+    pub fn state_fingerprint(&self) -> u64 {
+        let mut buf = Vec::new();
+        self.put_state(&mut buf);
+        wire::hash64(&buf)
+    }
+
+    /// The bytes both the state fingerprint and the checkpoint checksum
+    /// hash (frames contribute their `wire::hash64`).
+    fn put_state(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.next_seq.to_le_bytes());
+        for (txn, status) in &self.txn_states {
+            put_status(buf, *txn, *status);
+        }
+        for t in &self.tables {
+            put_name(buf, &t.name);
+            buf.extend_from_slice(&wire::schema_fingerprint(&t.schema).to_le_bytes());
+            buf.extend_from_slice(&(t.rr as u64).to_le_bytes());
+            for d in &t.dist_cols {
+                buf.extend_from_slice(&(*d as u64).to_le_bytes());
+            }
+            for slice in &t.slices {
+                buf.extend_from_slice(&wire::hash64(&slice.frame).to_le_bytes());
+                for c in &slice.created {
+                    buf.extend_from_slice(&c.to_le_bytes());
+                }
+                for d in &slice.deleted {
+                    buf.extend_from_slice(&d.to_le_bytes());
+                }
+            }
+        }
+        for q in &self.quarantined {
+            put_name(buf, q);
+        }
+    }
 }
 
-/// Deterministic checksum of a full checkpoint image (frames contribute
-/// their `wire::hash64`). Written alongside the checkpoint and re-verified
-/// before the checkpoint is trusted by recovery or the scrub.
+/// Write-time checksum of a checkpoint: its header (`taken_at`,
+/// `covers_lsn`) followed by its state bytes. Re-verified before the
+/// checkpoint is trusted by recovery or the scrub.
 fn checkpoint_fingerprint(cp: &Checkpoint) -> u64 {
     let mut buf = Vec::new();
     buf.extend_from_slice(&(cp.taken_at.as_nanos() as u64).to_le_bytes());
     buf.extend_from_slice(&cp.covers_lsn.to_le_bytes());
-    buf.extend_from_slice(&cp.next_seq.to_le_bytes());
-    for (txn, status) in &cp.txn_states {
-        buf.extend_from_slice(&txn.to_le_bytes());
-        let (tag, seq) = match status {
-            TxnStatus::Active => (0u8, 0),
-            TxnStatus::Prepared => (1, 0),
-            TxnStatus::Committed(s) => (2, *s),
-            TxnStatus::Aborted => (3, 0),
-        };
-        buf.push(tag);
-        buf.extend_from_slice(&seq.to_le_bytes());
-    }
-    for t in &cp.tables {
-        let s = t.name.to_string();
-        buf.extend_from_slice(&(s.len() as u64).to_le_bytes());
-        buf.extend_from_slice(s.as_bytes());
-        buf.extend_from_slice(&wire::schema_fingerprint(&t.schema).to_le_bytes());
-        buf.extend_from_slice(&(t.rr as u64).to_le_bytes());
-        for d in &t.dist_cols {
-            buf.extend_from_slice(&(*d as u64).to_le_bytes());
-        }
-        for slice in &t.slices {
-            buf.extend_from_slice(&wire::hash64(&slice.frame).to_le_bytes());
-            for c in &slice.created {
-                buf.extend_from_slice(&c.to_le_bytes());
-            }
-            for d in &slice.deleted {
-                buf.extend_from_slice(&d.to_le_bytes());
-            }
-        }
-    }
+    cp.put_state(&mut buf);
     wire::hash64(&buf)
 }
 
@@ -726,6 +745,7 @@ mod tests {
             next_seq: 1,
             txn_states: vec![],
             tables: vec![],
+            quarantined: vec![],
         });
         assert_eq!(store.log_len(), 0, "covered records truncated");
         let c = store.append(LogRecord::Begin { txn: 2 });
@@ -767,6 +787,7 @@ mod tests {
             next_seq: 1,
             txn_states: vec![],
             tables: vec![],
+            quarantined: vec![],
         }
     }
 

@@ -6,12 +6,12 @@
 //! (enrolled in host transactions), and entry points for queries, AOT DML,
 //! bulk load, and grooming.
 
-use crate::durable::{Checkpoint, DurableStore, LogRecord, ScrubReport, SliceImage, TableImage};
+use crate::durable::{Checkpoint, DurableStore, LogRecord, Lsn, ScrubReport};
 use crate::exec::{run_partial_groups, scan_filtered, scan_victims, ExecCtx, ExecMode};
 use crate::partial::{cuts, groups_schema};
 use crate::mvcc::{CommitSeq, Snapshot, TxnId, TxnRegistry, TxnStatus};
 use crate::pipeline::{lower, Lowered};
-use crate::table::{AccelTable, RowPos};
+use crate::table::{AccelTable, RowPos, Slice};
 use idaa_common::{wire, Error, ObjectName, Result, Row, Rows, Schema};
 use idaa_netsim::{sites, FaultRegistry};
 use idaa_sql::ast::{Expr, Query};
@@ -203,8 +203,8 @@ pub struct AccelEngine {
     /// Tables whose contents were lost to unrepairable storage corruption
     /// (durably logged as [`LogRecord::Quarantine`]): statements against
     /// them fail with -904 until a TRUNCATE + reload — never a silently
-    /// empty answer. Volatile mirror of the durable records; replay
-    /// rebuilds it.
+    /// empty answer. Volatile mirror of the durable state; the checkpoint
+    /// image or the replayed log tail restores it.
     quarantined: RwLock<HashSet<ObjectName>>,
     /// Virtual time of the last background-scrub step (drives
     /// [`maybe_scrub`](Self::maybe_scrub)).
@@ -365,6 +365,12 @@ impl AccelEngine {
     /// refuses work until [`restart`](Self::restart).
     pub fn crash(&self) {
         self.crashed.store(true, Ordering::Relaxed);
+        self.reset_volatile();
+    }
+
+    /// Discard all volatile state: tables, snapshots, cached plans, the
+    /// quarantine set and the transaction registry.
+    fn reset_volatile(&self) {
         self.tables.write().clear();
         self.snapshots.write().clear();
         self.plan_cache.write().clear();
@@ -391,11 +397,7 @@ impl AccelEngine {
         self.replaying.store(true, Ordering::Relaxed);
         // Whatever volatile state remains is discarded: recovery starts
         // from the disk image alone.
-        self.tables.write().clear();
-        self.snapshots.write().clear();
-        self.plan_cache.write().clear();
-        self.quarantined.write().clear();
-        self.txns.reset();
+        self.reset_volatile();
 
         // Validating read: torn tails truncated (durably re-logged),
         // invalid checkpoints discarded in favor of older valid ones.
@@ -425,22 +427,7 @@ impl AccelEngine {
         let mut checkpoint_bytes = 0;
         if let Some(cp) = &set.checkpoint {
             checkpoint_bytes = cp.bytes();
-            self.txns.restore(&cp.txn_states, cp.next_seq);
-            let mut tables = self.tables.write();
-            for img in &cp.tables {
-                let t = AccelTable::new(
-                    img.name.clone(),
-                    img.schema.clone(),
-                    img.dist_cols.clone(),
-                    img.slices.len(),
-                );
-                for (si, s) in img.slices.iter().enumerate() {
-                    let rows = wire::decode_rows(&s.frame, &img.schema)?;
-                    t.restore_slice(si, &rows, &s.created, &s.deleted)?;
-                }
-                t.set_rr_cursor(img.rr);
-                tables.insert(img.name.clone(), Arc::new(t));
-            }
+            self.restore(cp)?;
         }
         let log_records_replayed = set.tail.len() as u64;
         let mut log_bytes_replayed = 0;
@@ -470,6 +457,41 @@ impl AccelEngine {
             checkpoint_fallbacks: set.checkpoint_fallbacks,
             corruptions_detected: set.corruptions_detected,
         })
+    }
+
+    /// Install a checkpoint image as the engine's state: the status map
+    /// and commit watermark, every table, and the quarantine set.
+    fn restore(&self, cp: &Checkpoint) -> Result<()> {
+        self.txns.restore(&cp.txn_states, cp.next_seq);
+        let mut tables = HashMap::new();
+        for img in &cp.tables {
+            tables.insert(img.name.clone(), Arc::new(AccelTable::from_image(img)?));
+        }
+        *self.tables.write() = tables;
+        *self.quarantined.write() = cp.quarantined.iter().cloned().collect();
+        Ok(())
+    }
+
+    /// The one image of recoverable state: every table with its slices
+    /// framed by `frame`, the MVCC watermark and status map, and the
+    /// quarantine set. [`checkpoint`](Self::checkpoint) installs it and
+    /// [`state_fingerprint`](Self::state_fingerprint) hashes it.
+    fn image(
+        &self,
+        taken_at: Duration,
+        covers_lsn: Lsn,
+        frame: fn(&Slice, &Schema) -> Arc<[u8]>,
+    ) -> Checkpoint {
+        let mut tables: Vec<Arc<AccelTable>> = self.tables.read().values().cloned().collect();
+        tables.sort_by(|a, b| a.name.cmp(&b.name));
+        Checkpoint {
+            taken_at,
+            covers_lsn,
+            next_seq: self.txns.high_water(),
+            txn_states: self.txns.all_states(),
+            tables: tables.iter().map(|t| t.image(frame)).collect(),
+            quarantined: self.quarantined_tables(),
+        }
     }
 
     fn apply_log_record(&self, record: &LogRecord) -> Result<()> {
@@ -505,7 +527,7 @@ impl AccelEngine {
                 self.quarantined.write().remove(name);
             }
             LogRecord::Truncate { table } => {
-                self.table(table)?.groom(|_| true, |_| true);
+                self.table(table)?.groom(|_| true, |_| true)?;
                 self.quarantined.write().remove(table);
             }
             LogRecord::Groom { table } => {
@@ -515,7 +537,7 @@ impl AccelEngine {
                 t.groom(
                     |c| matches!(self.txns.status(c), TxnStatus::Aborted),
                     |d| matches!(self.txns.status(d), TxnStatus::Committed(_)),
-                );
+                )?;
             }
             LogRecord::TornTail { .. } => {
                 // Recovery's durably re-logged truncation decision: the
@@ -538,35 +560,7 @@ impl AccelEngine {
     /// checkpoint's size in bytes.
     pub fn checkpoint(&self, now: Duration) -> Result<u64> {
         self.ensure_up()?;
-        let cp = self.durable.with_consistent_cut(|covers_lsn| -> Result<Checkpoint> {
-            let mut images = Vec::new();
-            for name in self.table_names() {
-                let t = self.table(&name)?;
-                let mut slices = Vec::new();
-                for slice_lock in t.slices() {
-                    let slice = slice_lock.read();
-                    slices.push(SliceImage {
-                        frame: slice.frame(&t.schema),
-                        created: slice.created().to_vec(),
-                        deleted: slice.deleted().to_vec(),
-                    });
-                }
-                images.push(TableImage {
-                    name: t.name.clone(),
-                    schema: t.schema.clone(),
-                    dist_cols: t.dist_cols.clone(),
-                    rr: t.rr_cursor(),
-                    slices,
-                });
-            }
-            Ok(Checkpoint {
-                taken_at: now,
-                covers_lsn,
-                next_seq: self.txns.high_water(),
-                txn_states: self.txns.all_states(),
-                tables: images,
-            })
-        })?;
+        let cp = self.durable.with_consistent_cut(|lsn| self.image(now, lsn, Slice::frame));
         self.crash_point(sites::MID_CHECKPOINT)?;
         // The install itself can tear mid-write: the torn image occupies
         // a retention slot but the previous checkpoint stays
@@ -661,8 +655,10 @@ impl AccelEngine {
     pub fn quarantine_table(&self, table: &ObjectName) -> Result<()> {
         self.ensure_up()?;
         let name = self.resolve(table);
-        self.log(LogRecord::Quarantine { table: name.clone() });
-        self.quarantined.write().insert(name);
+        // Set before it is logged: a checkpoint cut between the two sees
+        // the quarantine, and replaying the record again is a no-op.
+        self.quarantined.write().insert(name.clone());
+        self.log(LogRecord::Quarantine { table: name });
         Ok(())
     }
 
@@ -685,52 +681,14 @@ impl AccelEngine {
         Ok(())
     }
 
-    /// Deterministic fingerprint of all recoverable engine state: table
-    /// heaps (rows via the wire codec, version vectors, round-robin
-    /// cursors) and the transaction registry. Two engines answer queries
-    /// identically if their fingerprints match; the replay-idempotence
-    /// property test asserts byte-identical state across restarts.
+    /// Deterministic fingerprint of all recoverable engine state: the
+    /// state part of the image a checkpoint would take now, with every
+    /// slice encoded afresh so the fingerprint does not trust the frame
+    /// cache. Two engines answer queries identically if their fingerprints
+    /// match; the replay-idempotence property test asserts byte-identical
+    /// state across restarts.
     pub fn state_fingerprint(&self) -> u64 {
-        let mut buf = Vec::new();
-        let mut tables: Vec<(ObjectName, Arc<AccelTable>)> =
-            self.tables.read().iter().map(|(name, t)| (name.clone(), t.clone())).collect();
-        tables.sort_by(|a, b| a.0.cmp(&b.0));
-        for (name, t) in tables {
-            buf.extend_from_slice(name.to_string().as_bytes());
-            buf.extend_from_slice(&wire::schema_fingerprint(&t.schema).to_le_bytes());
-            buf.extend_from_slice(&(t.rr_cursor() as u64).to_le_bytes());
-            for d in &t.dist_cols {
-                buf.extend_from_slice(&(*d as u64).to_le_bytes());
-            }
-            for slice_lock in t.slices() {
-                let slice = slice_lock.read();
-                let rows: Vec<Row> = (0..slice.version_count()).map(|p| slice.row_at(p)).collect();
-                let frame = wire::encode_frame(&t.schema, &rows);
-                buf.extend_from_slice(&wire::hash64(&frame).to_le_bytes());
-                for c in slice.created() {
-                    buf.extend_from_slice(&c.to_le_bytes());
-                }
-                for d in slice.deleted() {
-                    buf.extend_from_slice(&d.to_le_bytes());
-                }
-            }
-        }
-        for (txn, status) in self.txns.all_states() {
-            buf.extend_from_slice(&txn.to_le_bytes());
-            let (tag, seq) = match status {
-                TxnStatus::Active => (0u8, 0),
-                TxnStatus::Prepared => (1, 0),
-                TxnStatus::Committed(s) => (2, s),
-                TxnStatus::Aborted => (3, 0),
-            };
-            buf.push(tag);
-            buf.extend_from_slice(&seq.to_le_bytes());
-        }
-        buf.extend_from_slice(&self.txns.high_water().to_le_bytes());
-        for q in self.quarantined_tables() {
-            buf.extend_from_slice(q.to_string().as_bytes());
-        }
-        wire::hash64(&buf)
+        self.image(Duration::ZERO, 0, Slice::encode).state_fingerprint()
     }
 
     // -- catalog ---------------------------------------------------------------
@@ -1173,7 +1131,7 @@ impl AccelEngine {
     pub fn truncate(&self, table: &ObjectName) -> Result<()> {
         self.ensure_up()?;
         let t = self.table(table)?;
-        t.groom(|_| true, |_| true);
+        t.groom(|_| true, |_| true)?;
         self.log_data(LogRecord::Truncate { table: t.name.clone() })?;
         // The truncate-then-reload path is how an operator recovers a
         // quarantined table — the durable Truncate record lifts the
@@ -1206,7 +1164,7 @@ impl AccelEngine {
         let n = t.groom(
             |c| matches!(self.txns.status(c), TxnStatus::Aborted),
             |d| matches!(self.txns.status(d), TxnStatus::Committed(_)),
-        );
+        )?;
         if n > 0 {
             self.log_data(LogRecord::Groom { table: t.name.clone() })?;
         }
@@ -1731,6 +1689,30 @@ mod tests {
         e.load_committed(&ObjectName::bare("T"), vec![row(2, "B", 2.0)]).unwrap();
         assert!(!e.maybe_checkpoint(Duration::from_millis(15), every).unwrap(), "too soon");
         assert!(e.maybe_checkpoint(Duration::from_millis(20), every).unwrap());
+    }
+
+    #[test]
+    fn quarantine_survives_checkpoint_and_restart() {
+        let e = engine();
+        let t = ObjectName::bare("T");
+        e.load_committed(&t, vec![row(1, "A", 1.0)]).unwrap();
+        e.quarantine_table(&t).unwrap();
+        // The checkpoint covers the quarantine record, so the log tail
+        // replayed on restart no longer holds it: only the image does.
+        e.checkpoint(Duration::from_millis(1)).unwrap();
+        assert_eq!(e.durable().log_len(), 0);
+        let fp_before = e.state_fingerprint();
+        e.crash();
+        e.restart().unwrap();
+        assert_eq!(e.quarantined_tables(), vec![ObjectName::qualified("APP", "T")]);
+        assert_eq!(q(&e, 0, "SELECT COUNT(*) FROM t").unwrap_err().sqlcode(), -904);
+        assert_eq!(e.state_fingerprint(), fp_before);
+        // A TRUNCATE after the checkpoint lifts it again on replay.
+        e.truncate(&t).unwrap();
+        e.crash();
+        e.restart().unwrap();
+        assert!(e.quarantined_tables().is_empty());
+        assert_eq!(count(&e, 0), 0);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! experiment E10 switches this off to measure its contribution.
 
 use crate::column::Column;
+use crate::durable::{SliceImage, TableImage};
 use crate::mvcc::TxnId;
 use idaa_common::{wire, Error, ObjectName, Result, Row, Schema};
 use parking_lot::RwLock;
@@ -76,6 +77,26 @@ impl Slice {
         }
     }
 
+    /// A slice holding `rows` with their creator and deleter ids, in
+    /// position order; zone maps are rebuilt by appending. Fails if the
+    /// three lengths differ or a row does not fit `schema`.
+    fn from_parts(
+        schema: &Schema,
+        rows: &[Row],
+        created: &[TxnId],
+        deleted: &[TxnId],
+    ) -> Result<Slice> {
+        if rows.len() != created.len() || rows.len() != deleted.len() {
+            return Err(Error::internal("slice rows and version vectors differ in length"));
+        }
+        let mut slice = Slice::new(schema);
+        for (row, &txn) in rows.iter().zip(created) {
+            slice.append(row, txn)?;
+        }
+        slice.deleted.copy_from_slice(deleted);
+        Ok(slice)
+    }
+
     /// The row columns, one per schema column.
     pub fn columns(&self) -> &[Column] {
         &self.columns
@@ -100,12 +121,14 @@ impl Slice {
     /// `schema`, byte for byte what [`wire::encode_frame`] makes of them.
     /// Encoded on the first call after an append and shared until the next.
     pub fn frame(&self, schema: &Schema) -> Arc<[u8]> {
-        self.frame
-            .get_or_init(|| {
-                let rows: Vec<Row> = (0..self.version_count()).map(|p| self.row_at(p)).collect();
-                wire::encode_frame(schema, &rows).into()
-            })
-            .clone()
+        self.frame.get_or_init(|| self.encode(schema)).clone()
+    }
+
+    /// Every row version of the slice encoded afresh, bypassing the cache
+    /// [`Slice::frame`] reads.
+    pub fn encode(&self, schema: &Schema) -> Arc<[u8]> {
+        let rows: Vec<Row> = (0..self.version_count()).map(|p| self.row_at(p)).collect();
+        wire::encode_frame(schema, &rows).into()
     }
 
     /// Number of row versions (live or not).
@@ -182,35 +205,42 @@ impl AccelTable {
         &self.slices
     }
 
-    /// Round-robin insert cursor (checkpointed so crash-recovery replay
-    /// routes re-applied inserts to the same slices as the original run).
-    pub fn rr_cursor(&self) -> usize {
-        self.rr.load(Ordering::Relaxed)
-    }
-
-    /// Restore the round-robin cursor from a checkpoint image.
-    pub fn set_rr_cursor(&self, v: usize) {
-        self.rr.store(v, Ordering::Relaxed);
-    }
-
-    /// Rebuild slice `si` verbatim from a checkpoint image: rows with
-    /// their original creator/deleter transaction ids, in position order.
-    /// Zone maps are rebuilt as a side effect of re-appending.
-    pub fn restore_slice(
-        &self,
-        si: usize,
-        rows: &[Row],
-        created: &[TxnId],
-        deleted: &[TxnId],
-    ) -> Result<()> {
-        let mut slice = self.slices[si].write();
-        let mut fresh = Slice::new(&self.schema);
-        for (pos, row) in rows.iter().enumerate() {
-            fresh.append(row, created[pos])?;
-            fresh.deleted[pos] = deleted[pos];
+    /// This table as a checkpoint image, each slice's rows framed by
+    /// `frame` (the cached [`Slice::frame`] or a fresh [`Slice::encode`]).
+    pub fn image(&self, frame: fn(&Slice, &Schema) -> Arc<[u8]>) -> TableImage {
+        let slices = self.slices.iter().map(|slice| {
+            let slice = slice.read();
+            SliceImage {
+                frame: frame(&slice, &self.schema),
+                created: slice.created.clone(),
+                deleted: slice.deleted.clone(),
+            }
+        });
+        TableImage {
+            name: self.name.clone(),
+            schema: self.schema.clone(),
+            dist_cols: self.dist_cols.clone(),
+            rr: self.rr.load(Ordering::Relaxed),
+            slices: slices.collect(),
         }
-        *slice = fresh;
-        Ok(())
+    }
+
+    /// Rebuild a table verbatim from its checkpoint image: every slice's
+    /// rows with their original creator/deleter ids, and the round-robin
+    /// cursor.
+    pub fn from_image(image: &TableImage) -> Result<AccelTable> {
+        let schema = &image.schema;
+        let slices = image.slices.iter().map(|s| {
+            let rows = wire::decode_rows(&s.frame, schema)?;
+            Ok(RwLock::new(Slice::from_parts(schema, &rows, &s.created, &s.deleted)?))
+        });
+        Ok(AccelTable {
+            name: image.name.clone(),
+            schema: schema.clone(),
+            dist_cols: image.dist_cols.clone(),
+            slices: slices.collect::<Result<_>>()?,
+            rr: AtomicUsize::new(image.rr),
+        })
     }
 
     /// Recovery replay of a logged delete-mark: applied verbatim, with no
@@ -300,35 +330,26 @@ impl AccelTable {
         &self,
         created_aborted: impl Fn(TxnId) -> bool,
         delete_final: impl Fn(TxnId) -> bool,
-    ) -> usize {
+    ) -> Result<usize> {
         let mut removed = 0;
         for slice_lock in &self.slices {
             let mut slice = slice_lock.write();
-            let keep: Vec<bool> = slice
-                .created
-                .iter()
-                .zip(&slice.deleted)
-                .map(|(&c, &d)| !(created_aborted(c) || (d != 0 && delete_final(d))))
+            let keep: Vec<usize> = (0..slice.version_count())
+                .filter(|&p| {
+                    let (c, d) = (slice.created[p], slice.deleted[p]);
+                    !(created_aborted(c) || (d != 0 && delete_final(d)))
+                })
                 .collect();
-            if keep.iter().all(|k| *k) {
+            if keep.len() == slice.version_count() {
                 continue;
             }
-            removed += keep.iter().filter(|k| !**k).count();
-            let mut fresh = Slice::new(&self.schema);
-            for (pos, k) in keep.iter().enumerate() {
-                if *k {
-                    let row = slice.row_at(pos);
-                    fresh
-                        .append(&row, slice.created[pos])
-                        .expect("groom re-append cannot fail: types already validated");
-                    let d = slice.deleted[pos];
-                    let new_pos = fresh.version_count() - 1;
-                    fresh.deleted[new_pos] = d;
-                }
-            }
-            *slice = fresh;
+            removed += slice.version_count() - keep.len();
+            let rows: Vec<Row> = keep.iter().map(|&p| slice.row_at(p)).collect();
+            let created: Vec<TxnId> = keep.iter().map(|&p| slice.created[p]).collect();
+            let deleted: Vec<TxnId> = keep.iter().map(|&p| slice.deleted[p]).collect();
+            *slice = Slice::from_parts(&self.schema, &rows, &created, &deleted)?;
         }
-        removed
+        Ok(removed)
     }
 }
 
@@ -443,7 +464,7 @@ mod tests {
             }
         }
         assert_eq!(marked, 5);
-        let removed = t.groom(|c| c == 2, |d| d == 3);
+        let removed = t.groom(|c| c == 2, |d| d == 3).unwrap();
         assert_eq!(removed, 15, "10 aborted inserts + 5 committed deletes");
         assert_eq!(t.version_count(), 15);
         // Zone maps were rebuilt and stay sound.

@@ -221,9 +221,10 @@ impl Idaa {
                 node.link.set_metrics_prefixed(idaa.metrics.clone(), &format!("link.node{}", node.id));
             }
         }
+        // The built-in procedures have distinct names and belong to SYSADM.
         for p in system_procedures() {
-            idaa.register_procedure(Arc::from(p), SYSADM)
-                .expect("registering system procedures cannot fail");
+            idaa.host.privileges.write().set_owner(p.name(), SYSADM);
+            idaa.procedures.write().insert(p.name(), Arc::from(p));
         }
         idaa
     }

@@ -1021,6 +1021,37 @@ fn quarantine_is_explicit_and_lifted_by_recreating_the_aot() {
     assert_eq!(n.scalar().unwrap(), &Value::BigInt(1));
 }
 
+/// A quarantine is recoverable state: once a checkpoint covers the
+/// quarantine record, a plain crash and restart replays no record of it,
+/// and the lost AOT must still answer -904 — never a silently empty `0`.
+#[test]
+fn quarantine_survives_a_checkpoint_and_a_restart() {
+    let (idaa, mut s) = disk_system(Duration::from_secs(3600), Duration::ZERO);
+    idaa.set_disk_plan(DiskFaultPlan::at(sites::BITROT_LOG_SEGMENT, 1).seeded(0xA11CE));
+    for i in 0..8 {
+        idaa.execute(&mut s, &format!("INSERT INTO LOG VALUES ({i})")).unwrap();
+        idaa.execute(&mut s, &format!("INSERT INTO SALES VALUES ({i})")).unwrap();
+    }
+    idaa.replicate_now().unwrap();
+    idaa.accel().crash();
+    assert!(idaa.recover(), "the rebuild path must bring the node back");
+    assert_eq!(idaa.node_rebuilds(0), 1);
+    let err = idaa.query(&mut s, "SELECT COUNT(*) FROM LOG").unwrap_err();
+    assert_eq!(err.sqlcode(), -904, "{err}");
+
+    idaa.accel().checkpoint(idaa.link().now()).unwrap();
+    idaa.accel().crash();
+    idaa.link().advance(Duration::from_millis(10));
+    assert!(idaa.recover(), "a plain restart must bring the node back");
+    assert_eq!(idaa.node_rebuilds(0), 1, "clean media restarts without a rebuild");
+    assert_eq!(idaa.accel().quarantined_tables(), vec![ObjectName::qualified("APP", "LOG")]);
+    let err = idaa.query(&mut s, "SELECT COUNT(*) FROM LOG").unwrap_err();
+    assert_eq!(err.sqlcode(), -904, "{err}");
+    assert!(err.to_string().contains("quarantined"), "{err}");
+    let out = idaa.execute(&mut s, "SELECT COUNT(*) FROM sales").unwrap();
+    assert_eq!(out.rows().unwrap().scalar().unwrap(), &Value::BigInt(8));
+}
+
 /// Fleet self-healing: a sharded AOT at replication factor 2 loses one
 /// node's durable state to acked bit-rot. The rebuild recreates the shard
 /// definitions and refills their contents from live replicas over metered

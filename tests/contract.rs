@@ -2,7 +2,8 @@
 //! deleted machinery stays deleted, every engine runs one set of row
 //! operators on one plan walk, the accelerator has one fan-out, only
 //! `idaa-core` decides where accelerator rows live, wall time is read only
-//! where it is measured, and every config field is set by some caller.
+//! where it is measured, every config field is set by some caller, and
+//! recoverable accelerator state has one image.
 
 use std::path::{Path, PathBuf};
 
@@ -113,10 +114,16 @@ fn deleted_names_stay_deleted() {
         "fn insert_select(",
         "RecoverySet",
     ];
+    // Piecemeal access to recoverable table state: a table is imaged into
+    // and rebuilt from a `TableImage` as a whole.
+    let image: &[&str] = &["fn rr_cursor(", "fn set_rr_cursor(", "fn restore_slice("];
     let everywhere = &["crates", "src", "tests"][..];
-    for (names, dirs) in
-        [(executor, &["crates/accel/src"][..]), (fleet, everywhere), (unused, everywhere)]
-    {
+    for (names, dirs) in [
+        (executor, &["crates/accel/src"][..]),
+        (fleet, everywhere),
+        (unused, everywhere),
+        (image, everywhere),
+    ] {
         for (path, text) in dirs.iter().flat_map(|d| sources(d)) {
             if path.ends_with("tests/contract.rs") {
                 continue;
@@ -126,6 +133,27 @@ fn deleted_names_stay_deleted() {
             }
         }
     }
+}
+
+#[test]
+fn one_image_of_recoverable_state() {
+    // Checkpoint and state fingerprint take the one image the builder
+    // makes; nothing else enumerates the transaction states.
+    let calls: Vec<PathBuf> = sources("crates/accel/src")
+        .into_iter()
+        .flat_map(|(path, text)| {
+            let n = product(&text).matches(".all_states()").count();
+            std::iter::repeat_n(path, n)
+        })
+        .collect();
+    let engine = std::fs::read_to_string(root().join("crates/accel/src/engine.rs")).unwrap();
+    let image = &engine[engine.find("    fn image(").expect("no image builder")..];
+    let image = &image[..image.find("\n    }\n").unwrap_or(image.len())];
+    assert!(
+        matches!(&calls[..], [path] if path.ends_with("crates/accel/src/engine.rs"))
+            && image.contains(".all_states()"),
+        "`.all_states()` is called once, by `AccelEngine::image`, not from {calls:?}"
+    );
 }
 
 #[test]

@@ -1258,10 +1258,15 @@ proptest! {
     /// (double restart), and optionally fold the whole log into a fresh
     /// checkpoint between restarts (re-chunking the same history into a
     /// different checkpoint/tail split) — rebuilds byte-identical state.
+    /// A second table is quarantined at a drawn op and maybe truncated
+    /// later, which lifts the quarantine: its status survives every
+    /// schedule too, whether a checkpoint or the tail holds it.
     #[test]
     fn commit_log_replay_is_idempotent(
         ops in proptest::collection::vec((0u8..10, 0i64..40, -100i64..100), 10..50),
         checkpoint_between in any::<bool>(),
+        quarantine_at in 0usize..40,
+        truncate_after in proptest::option::of(1usize..30),
     ) {
         use idaa::accel::{AccelConfig, AccelEngine};
         use idaa::common::{ColumnDef, Schema};
@@ -1277,7 +1282,13 @@ proptest! {
             ColumnDef::new("K", DataType::BigInt),
             ColumnDef::new("V", DataType::BigInt),
         ]).unwrap();
-        engine.create_table(&t, schema, &[]).unwrap();
+        engine.create_table(&t, schema.clone(), &[]).unwrap();
+        let lost = ObjectName::bare("LOST");
+        engine.create_table(&lost, schema, &[]).unwrap();
+        engine.begin(100);
+        let rows = (0..10).map(|k| vec![Value::BigInt(k), Value::BigInt(k)]).collect();
+        engine.insert_rows(100, &lost, rows).unwrap();
+        engine.commit(100);
         let key_eq = |k: i64| Expr::Binary {
             left: Box::new(Expr::Column { qualifier: None, name: "K".into() }),
             op: BinaryOp::Eq,
@@ -1285,6 +1296,12 @@ proptest! {
         };
         let mut txn = 100u64;
         for (i, (op, k, v)) in ops.iter().enumerate() {
+            if i == quarantine_at {
+                engine.quarantine_table(&lost).unwrap();
+            }
+            if truncate_after.is_some_and(|d| i == quarantine_at + d) {
+                engine.truncate(&lost).unwrap();
+            }
             txn += 1;
             let row = vec![Value::BigInt(*k), Value::BigInt(*v)];
             match op {
@@ -1326,11 +1343,13 @@ proptest! {
         }
         let fp_live = engine.state_fingerprint();
         let rows_live = engine.scan_visible(&t).unwrap();
+        let quarantined_live = engine.quarantined_tables();
 
         engine.crash();
         engine.restart().unwrap();
         prop_assert_eq!(engine.state_fingerprint(), fp_live, "first replay diverged");
         prop_assert_eq!(&engine.scan_visible(&t).unwrap(), &rows_live);
+        prop_assert_eq!(&engine.quarantined_tables(), &quarantined_live, "first replay");
 
         if checkpoint_between {
             engine.checkpoint(Duration::from_secs(1)).unwrap();
@@ -1339,6 +1358,7 @@ proptest! {
         engine.restart().unwrap();
         prop_assert_eq!(engine.state_fingerprint(), fp_live, "second replay diverged");
         prop_assert_eq!(&engine.scan_visible(&t).unwrap(), &rows_live);
+        prop_assert_eq!(&engine.quarantined_tables(), &quarantined_live, "second replay");
     }
 
     /// The same idempotency contract under storage faults: a torn log
