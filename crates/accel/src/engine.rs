@@ -259,7 +259,7 @@ impl AccelEngine {
     // -- crash / recovery --------------------------------------------------------
 
     /// Share a failure-injection registry (the coordinator installs its
-    /// own so one `CrashPlan` drives accelerator and protocol sites).
+    /// own so one `SitePlan` drives accelerator, link and protocol sites).
     pub fn set_fault_registry(&self, registry: Arc<FaultRegistry>) {
         *self.faults.write() = registry;
     }
@@ -1640,10 +1640,10 @@ mod tests {
 
     #[test]
     fn crash_point_mid_bulk_load_loses_no_committed_data() {
-        use idaa_netsim::{sites, CrashPlan};
+        use idaa_netsim::{sites, SitePlan};
         let e = engine();
         e.load_committed(&ObjectName::bare("T"), vec![row(1, "A", 1.0)]).unwrap();
-        e.fault_registry().set_plan(CrashPlan::at(sites::MID_BULK_LOAD, 1));
+        e.fault_registry().set_plan(SitePlan::at(sites::MID_BULK_LOAD, 1));
         let err = e
             .load_committed(
                 &ObjectName::bare("T"),
@@ -1662,13 +1662,13 @@ mod tests {
 
     #[test]
     fn crash_point_mid_checkpoint_keeps_previous_checkpoint() {
-        use idaa_netsim::{sites, CrashPlan};
+        use idaa_netsim::{sites, SitePlan};
         let e = engine();
         e.load_committed(&ObjectName::bare("T"), vec![row(1, "A", 1.0)]).unwrap();
         e.checkpoint(Duration::from_millis(1)).unwrap();
         e.load_committed(&ObjectName::bare("T"), vec![row(2, "B", 2.0)]).unwrap();
         let fp_before = e.state_fingerprint();
-        e.fault_registry().set_plan(CrashPlan::at(sites::MID_CHECKPOINT, 1));
+        e.fault_registry().set_plan(SitePlan::at(sites::MID_CHECKPOINT, 1));
         assert_eq!(e.checkpoint(Duration::from_millis(2)).unwrap_err().sqlcode(), -904);
         let stats = e.restart().unwrap();
         assert!(stats.checkpoint_bytes > 0, "previous checkpoint survived");

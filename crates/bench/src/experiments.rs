@@ -318,7 +318,7 @@ fn e6_transaction_correctness(out: &mut Report) {
     idaa.execute(&mut s, "BEGIN").unwrap();
     idaa.execute(&mut s, "INSERT INTO H VALUES (1)").unwrap();
     idaa.execute(&mut s, "INSERT INTO T VALUES (9)").unwrap();
-    idaa.faults.registry.arm(idaa_netsim::sites::PREPARE_VOTE_NO, 1);
+    idaa.faults.registry.arm(idaa_netsim::sites::PREPARE_VOTE_NO, 0, 1);
     let failed = idaa.execute(&mut s, "COMMIT").is_err();
     s.explicit_txn = false;
     let h = idaa.query(&mut s, "SELECT COUNT(*) FROM h").unwrap();
@@ -790,9 +790,9 @@ fn e14_outage_recovery(out: &mut Report) {
         &mut s,
         &|idaa: &Idaa| {
             let now = idaa.link().now();
-            idaa.set_fault_plan(idaa_netsim::FaultPlan::outage(
-                now,
-                now + std::time::Duration::from_secs(30),
+            idaa.set_fault_plan(idaa_netsim::SitePlan::default().and_window(
+                idaa_netsim::sites::LINK_OUTAGE,
+                now..now + std::time::Duration::from_secs(30),
             ));
         },
         &mut table,
@@ -1076,7 +1076,7 @@ fn e17_trace_attribution(out: &mut Report) {
 /// seeded fault stream, so the table is byte-stable per run.
 fn e19_fleet_failover(out: &mut Report) {
     use idaa_core::FleetConfig;
-    use idaa_netsim::CrashPlan;
+    use idaa_netsim::SitePlan;
     use std::time::Duration;
 
     let mut table = Table::new(&[
@@ -1115,7 +1115,7 @@ fn e19_fleet_failover(out: &mut Report) {
         // sole replica the statement fails with -904 and the operator must
         // drive recovery before retrying; the retry's restart wait is part
         // of the failover latency.
-        idaa.set_crash_plan_on(0, CrashPlan::at(idaa_netsim::sites::MID_SCATTER, 1).seeded(0xE19));
+        idaa.set_fault_plan_on(0, SitePlan::at(idaa_netsim::sites::MID_SCATTER, 1).seeded(0xE19));
         let before = idaa.link().now();
         let (post_crash, failed_over) = match idaa.query(&mut s, gather) {
             Ok(rows) => ("ok".to_string(), rows),
@@ -1250,7 +1250,7 @@ fn e20_fleet_shard_join(out: &mut Report) {
 /// re-shipment after unrepairable log rot, and a fleet replica copy.
 /// Both tables are byte-stable per seed.
 fn e21_storage_faults(out: &mut Report) {
-    use idaa_netsim::{sites, DiskFaultPlan};
+    use idaa_netsim::{sites, SitePlan};
     use std::time::Duration;
 
     let mut table = Table::new(&[
@@ -1278,7 +1278,7 @@ fn e21_storage_faults(out: &mut Report) {
         idaa.execute(&mut s, "CALL ACCEL_ADD_TABLES('EVENTS')").unwrap();
         idaa.execute(&mut s, "CALL ACCEL_LOAD_TABLES('EVENTS')").unwrap();
         idaa.execute(&mut s, "SET CURRENT QUERY ACCELERATION = ELIGIBLE").unwrap();
-        idaa.set_disk_plan(DiskFaultPlan::at(sites::BITROT_LOG_SEGMENT, 5).seeded(0xE21));
+        idaa.set_fault_plan(SitePlan::at(sites::BITROT_LOG_SEGMENT, 5).seeded(0xE21));
 
         let mut rot_at = None;
         let mut found_at = None;
@@ -1339,7 +1339,7 @@ fn e21_storage_faults(out: &mut Report) {
         });
         idaa.execute(&mut s, "CREATE TABLE EVENTS (ID INT, V INT) IN ACCELERATOR").unwrap();
         idaa.execute(&mut s, "SET CURRENT QUERY ACCELERATION = ELIGIBLE").unwrap();
-        idaa.set_disk_plan(DiskFaultPlan::at(sites::BITROT_CHECKPOINT, 2).seeded(0xE21));
+        idaa.set_fault_plan(SitePlan::at(sites::BITROT_CHECKPOINT, 2).seeded(0xE21));
         let mut crashed = false;
         for i in 0..200 {
             idaa.execute(&mut s, &format!("INSERT INTO EVENTS VALUES ({i}, 0)")).unwrap();
@@ -1377,7 +1377,7 @@ fn e21_storage_faults(out: &mut Report) {
         idaa.execute(&mut s, "CALL ACCEL_ADD_TABLES('EVENTS')").unwrap();
         idaa.execute(&mut s, "CALL ACCEL_LOAD_TABLES('EVENTS')").unwrap();
         idaa.execute(&mut s, "SET CURRENT QUERY ACCELERATION = ELIGIBLE").unwrap();
-        idaa.set_disk_plan(DiskFaultPlan::at(sites::BITROT_LOG_SEGMENT, 3).seeded(0xE21));
+        idaa.set_fault_plan(SitePlan::at(sites::BITROT_LOG_SEGMENT, 3).seeded(0xE21));
         for i in 0..200 {
             idaa.execute(&mut s, &format!("INSERT INTO EVENTS VALUES ({i}, 0)")).unwrap();
         }
@@ -1417,7 +1417,7 @@ fn e21_storage_faults(out: &mut Report) {
         )
         .unwrap();
         idaa.execute(&mut s, "SET CURRENT QUERY ACCELERATION = ELIGIBLE").unwrap();
-        idaa.set_disk_plan_on(1, DiskFaultPlan::at(sites::BITROT_LOG_SEGMENT, 5).seeded(0xE21));
+        idaa.set_fault_plan_on(1, SitePlan::at(sites::BITROT_LOG_SEGMENT, 5).seeded(0xE21));
         for i in 0..200 {
             idaa.execute(&mut s, &format!("INSERT INTO EVENTS VALUES ({i}, 0)")).unwrap();
         }

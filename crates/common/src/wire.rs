@@ -21,7 +21,7 @@
 //! fingerprint of the producing schema, and the *logical* (pre-encoding)
 //! size of the batch; a 64-bit XXH64-style checksum trails the payload.
 //! The receive side verifies the checksum before decoding, which is what
-//! lets `FaultSpec::corrupt` damage become a *detected* link error that
+//! lets a link corrupt site's damage become a *detected* link error that
 //! feeds the existing retry/health machinery instead of a simulated coin
 //! flip.
 //!

@@ -34,7 +34,7 @@ use crate::session::Session;
 use idaa_accel::{cuts, AccelEngine, Cut, RestartStats};
 use idaa_common::{wire, Error, ObjectName, Result, Row, Rows, Schema, Value};
 use idaa_host::{AccelStatus, HostEngine, TableKind, TableMeta, TxnId, SYSADM};
-use idaa_netsim::{sites, Direction, FaultRegistry, LinkMetrics, NetLink, RetryPolicy};
+use idaa_netsim::{sites, Direction, FaultRegistry, LinkConfig, LinkMetrics, NetLink, RetryPolicy};
 use idaa_sql::ast::{Query, TableRef};
 use idaa_sql::exec::{execute_plan, RowSource};
 use idaa_sql::plan::Plan;
@@ -97,7 +97,7 @@ pub struct AccelNode {
     /// This node's host↔accelerator link. Every byte to or from the node is
     /// metered here.
     pub(crate) link: Arc<NetLink>,
-    /// This node's seeded fault/crash registry.
+    /// This node's seeded fault registry, shared by its engine and link.
     pub(crate) registry: Arc<FaultRegistry>,
     /// Circuit breaker for this node's link.
     pub(crate) health: HealthMonitor,
@@ -128,7 +128,7 @@ impl AccelNode {
         let node = AccelNode {
             id,
             engine,
-            link: Arc::new(NetLink::default()),
+            link: Arc::new(NetLink::with_faults(LinkConfig::default(), registry.clone())),
             registry,
             health: HealthMonitor::default(),
             delivered: SeqTracker::default(),
@@ -351,14 +351,9 @@ impl Idaa {
         &self.nodes[i].registry
     }
 
-    /// Install a crash plan on node `i`'s registry.
-    pub fn set_crash_plan_on(&self, i: usize, plan: idaa_netsim::CrashPlan) {
+    /// Install a seeded fault plan on node `i`'s registry.
+    pub fn set_fault_plan_on(&self, i: usize, plan: idaa_netsim::SitePlan) {
         self.nodes[i].registry.set_plan(plan);
-    }
-
-    /// Install a seeded storage fault plan on node `i`'s registry.
-    pub fn set_disk_plan_on(&self, i: usize, plan: idaa_netsim::DiskFaultPlan) {
-        self.nodes[i].registry.set_disk_plan(plan);
     }
 
     /// Completed storage rebuilds of node `i` (durable state discarded and

@@ -232,7 +232,7 @@ impl SeqTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idaa_netsim::{FaultPlan, LinkConfig};
+    use idaa_netsim::{sites, LinkConfig, SitePlan};
 
     #[test]
     fn decays_through_degraded_to_offline_and_recovers() {
@@ -268,7 +268,8 @@ mod tests {
         }
         assert!(h.should_probe(link.now()));
         // A failed probe during an outage leaves us Offline and throttled.
-        link.set_fault_plan(FaultPlan::outage(Duration::ZERO, Duration::from_secs(1)));
+        let window = Duration::ZERO..Duration::from_secs(1);
+        link.faults().set_plan(SitePlan::default().and_window(sites::LINK_OUTAGE, window));
         assert!(!h.probe(&link, &RetryPolicy::none()));
         assert!(!h.should_probe(link.now()), "probe just happened");
         link.advance(Duration::from_secs(2));

@@ -19,7 +19,7 @@ use idaa_common::trace::{SpanId, StatementTrace, Trace, TraceSink};
 use idaa_common::wire;
 use idaa_common::{Error, MetricsRegistry, ObjectName, Result, Rows, Value};
 use idaa_host::{HostEngine, TableKind, SYSADM};
-use idaa_netsim::{CrashPlan, Direction, DiskFaultPlan, FaultPlan, FaultRegistry, NetLink};
+use idaa_netsim::{Direction, FaultRegistry, NetLink, SitePlan};
 use idaa_sql::ast::Statement;
 use idaa_sql::{parse_statement, parse_statements};
 use parking_lot::RwLock;
@@ -70,14 +70,13 @@ impl Default for IdaaConfig {
 
 /// Failure-injection surface for tests and experiments.
 ///
-/// Link-level faults (drops, outage windows) are configured on the link
-/// itself via [`Idaa::set_fault_plan`]; conditions the link cannot express
-/// go through the unified [`FaultRegistry`] — a [`CrashPlan`] names crash
-/// sites (or protocol sites like
-/// [`PREPARE_VOTE_NO`](idaa_netsim::sites::PREPARE_VOTE_NO)) and the
-/// registry replays the same firings for a given seed. One registry is
-/// shared between the coordinator and the accelerator engine so a single
-/// plan drives both.
+/// Every injected failure — link drops and outage windows, crash sites,
+/// protocol sites like
+/// [`PREPARE_VOTE_NO`](idaa_netsim::sites::PREPARE_VOTE_NO), storage
+/// faults — is a named site in one [`SitePlan`] on the node's one
+/// [`FaultRegistry`], which replays the same firings for a given seed.
+/// Node 0's registry is shared by the coordinator, the accelerator engine
+/// and the link, so a single plan drives all three.
 #[derive(Debug, Default)]
 pub struct Faults {
     /// Simulate a *stopped* accelerator (operator ran ACCEL_STOP, or the
@@ -85,9 +84,9 @@ pub struct Faults {
     /// while statements that require the accelerator (AOTs, ALL mode)
     /// fail with SQLCODE -904 (resource unavailable).
     pub accel_unavailable: AtomicBool,
-    /// Named-site failure registry (crash points, 2PC vote-NO). Arm a
-    /// one-shot with [`FaultRegistry::arm`] or install a seeded
-    /// [`CrashPlan`] via [`Idaa::set_crash_plan`].
+    /// Node 0's named-site failure registry (link, crash, protocol and
+    /// storage sites). Arm a one-shot with [`FaultRegistry::arm`] or
+    /// install a seeded [`SitePlan`] via [`Idaa::set_fault_plan`].
     pub registry: Arc<FaultRegistry>,
 }
 
@@ -279,24 +278,10 @@ impl Idaa {
         &self.nodes[0].health
     }
 
-    /// Arm a deterministic fault plan on the link.
-    pub fn set_fault_plan(&self, plan: FaultPlan) {
-        self.link().set_fault_plan(plan);
-    }
-
-    /// Install a seeded crash plan on the shared failure registry: named
-    /// sites (mid-bulk-load, post-prepare, mid-replication-apply,
-    /// mid-checkpoint, 2PC vote-NO) fire deterministically per seed.
-    pub fn set_crash_plan(&self, plan: CrashPlan) {
+    /// Install a seeded fault plan on node 0's registry: named link,
+    /// crash, protocol and storage sites fire deterministically per seed.
+    pub fn set_fault_plan(&self, plan: SitePlan) {
         self.faults.registry.set_plan(plan);
-    }
-
-    /// Install a seeded *storage* fault plan on the shared failure
-    /// registry: named disk sites (torn log append, torn checkpoint,
-    /// log/checkpoint bit-rot, read failure) fire deterministically per
-    /// seed from a stream independent of the crash plan's.
-    pub fn set_disk_plan(&self, plan: DiskFaultPlan) {
-        self.faults.registry.set_disk_plan(plan);
     }
 
     /// Stats of the most recent accelerator crash recovery, if any.
@@ -791,7 +776,7 @@ mod tests {
         idaa.execute(&mut s, "BEGIN").unwrap();
         idaa.execute(&mut s, "INSERT INTO HOSTT VALUES (1)").unwrap();
         idaa.execute(&mut s, "INSERT INTO AOTT VALUES (1)").unwrap();
-        idaa.faults.registry.arm(idaa_netsim::sites::PREPARE_VOTE_NO, 1);
+        idaa.faults.registry.arm(idaa_netsim::sites::PREPARE_VOTE_NO, 0, 1);
         let err = idaa.execute(&mut s, "COMMIT").unwrap_err();
         assert!(matches!(err, Error::CommitFailed(_)));
 
@@ -928,7 +913,7 @@ mod tests {
         idaa.execute(&mut s, "CALL ACCEL_LOAD_TABLES('SALES')").unwrap();
         idaa.execute(&mut s, "SET CURRENT QUERY ACCELERATION = ELIGIBLE").unwrap();
         // Exhaust the retry budget for the shipped statement.
-        idaa.link().fail_next_transfers(4);
+        idaa.faults.registry.arm(sites::LINK_TRANSFER, 0, 4);
         let out = idaa.execute(&mut s, "SELECT COUNT(*) FROM sales").unwrap();
         assert_eq!(out.route, Route::Host, "statement re-executes locally");
         assert_eq!(out.rows().unwrap().scalar().unwrap(), &Value::BigInt(100));
@@ -944,7 +929,12 @@ mod tests {
         let idaa = Idaa::default();
         let mut s = sys(&idaa);
         idaa.execute(&mut s, "CREATE TABLE T (X INT) IN ACCELERATOR").unwrap();
-        idaa.set_fault_plan(FaultPlan::dropping(11, 1.0));
+        idaa.set_fault_plan(
+            SitePlan::default()
+                .seeded(11)
+                .and_probabilistic(sites::LINK_DROP_TO_ACCEL, 1.0)
+                .and_probabilistic(sites::LINK_DROP_TO_HOST, 1.0),
+        );
         for _ in 0..3 {
             let err = idaa.execute(&mut s, "INSERT INTO T VALUES (1)").unwrap_err();
             assert_eq!(err.sqlcode(), -30081);
@@ -955,7 +945,7 @@ mod tests {
         // still dropping everything).
         let err = idaa.execute(&mut s, "SELECT COUNT(*) FROM t").unwrap_err();
         assert_eq!(err.sqlcode(), -30081);
-        idaa.link().clear_faults();
+        idaa.faults.registry.clear();
         assert!(idaa.recover());
         assert_eq!(idaa.health().state(), HealthState::Online);
         idaa.execute(&mut s, "INSERT INTO T VALUES (1)").unwrap();
@@ -972,7 +962,7 @@ mod tests {
         // statement never reached the accelerator, so the resend is a
         // first delivery, not a duplicate.
         for i in 0..5 {
-            idaa.link().fail_next_transfers(1);
+            idaa.faults.registry.arm(sites::LINK_TRANSFER, 0, 1);
             idaa.execute(&mut s, &format!("INSERT INTO SEQT VALUES ({i})")).unwrap();
         }
         let r = idaa.query(&mut s, "SELECT COUNT(*) FROM seqt").unwrap();
@@ -1010,7 +1000,8 @@ mod tests {
         // Probes cannot round-trip during the outage window, so recovery
         // cannot start: statements requiring the accelerator get -904
         // (resource unavailable), not -30081.
-        idaa.set_fault_plan(FaultPlan::outage(Duration::ZERO, Duration::from_secs(1)));
+        let window = Duration::ZERO..Duration::from_secs(1);
+        idaa.set_fault_plan(SitePlan::default().and_window(sites::LINK_OUTAGE, window));
         let err = idaa.execute(&mut s, "INSERT INTO R VALUES (1)").unwrap_err();
         assert_eq!(err.sqlcode(), -904);
         // Past the window the next statement drives recovery end to end.
@@ -1033,7 +1024,7 @@ mod tests {
         // COMMIT: the prepare request and YES vote round-trip, then every
         // phase-2 delivery attempt dies — the decision is queued while the
         // accelerator holds the transaction prepared (durably).
-        idaa.link().fail_transfers_after(2, 8);
+        idaa.faults.registry.arm(sites::LINK_TRANSFER, 2, 8);
         idaa.execute(&mut s, "COMMIT").unwrap();
         assert_eq!(idaa.pending_accel_commits(), 1);
         // Crash. Restart re-materializes the prepared transaction from the
@@ -1057,7 +1048,7 @@ mod tests {
         idaa.execute(&mut s, "INSERT INTO P VALUES (1)").unwrap();
         // The crash fires at the post-prepare site: the vote was logged
         // durably but never reached the coordinator, which rolls back.
-        idaa.faults.registry.arm(sites::POST_PREPARE, 1);
+        idaa.faults.registry.arm(sites::POST_PREPARE, 0, 1);
         let err = idaa.execute(&mut s, "COMMIT").unwrap_err();
         assert_eq!(err.sqlcode(), -926);
         // Recovery re-materializes the prepared transaction; with no
@@ -1083,7 +1074,7 @@ mod tests {
         // the statement ran, so it redelivers under the same sequence
         // number; the receiver recognizes the duplicate and resends the
         // reply without executing again (X + 1 must apply exactly once).
-        idaa.link().fail_transfers_after(2, 1);
+        idaa.faults.registry.arm(sites::LINK_TRANSFER, 2, 1);
         let out = idaa.execute(&mut s, "UPDATE T SET X = X + 1").unwrap();
         assert_eq!(out.count(), 1);
         assert_eq!(idaa.statements_deduped(), 1);

@@ -314,6 +314,7 @@ mod tests {
     use super::*;
     use idaa_common::{ColumnDef, DataType, Schema, Value};
     use idaa_host::{TableKind, SYSADM};
+    use idaa_netsim::sites;
 
     fn setup() -> (HostEngine, AccelEngine, NetLink) {
         let host = HostEngine::default();
@@ -457,7 +458,7 @@ mod tests {
         let mut rep = Replicator::new(10, RetryPolicy::none());
         // Batches cost 2 transfers each (payload + ack); kill the payload
         // of batch 4 after 3 healthy batches.
-        link.fail_transfers_after(6, 1);
+        link.faults().arm(sites::LINK_TRANSFER, 6, 1);
         let first = rep.apply(&host, &accel, &link).unwrap();
         assert_eq!(first, 30, "three batches landed before the fault");
         assert!(rep.stalled());
@@ -484,7 +485,7 @@ mod tests {
         host.commit(t);
         let mut rep = Replicator::new(10, RetryPolicy::none());
         // Deliver batch 1, lose its acknowledgement (transfer #2).
-        link.fail_transfers_after(1, 1);
+        link.faults().arm(sites::LINK_TRANSFER, 1, 1);
         assert_eq!(rep.apply(&host, &accel, &link).unwrap(), 10);
         assert!(rep.stalled());
         assert_eq!(accel.scan_visible(&ObjectName::bare("T")).unwrap().len(), 10);
@@ -507,7 +508,7 @@ mod tests {
         // Transfers: batch 1 payload, batch 1 ack, batch 2 payload, batch 2
         // ack — lose the *second* batch's ack, so a partial (5-change)
         // batch is applied but unacknowledged.
-        link.fail_transfers_after(3, 1);
+        link.faults().arm(sites::LINK_TRANSFER, 3, 1);
         assert_eq!(rep.apply(&host, &accel, &link).unwrap(), 15);
         assert!(rep.stalled());
         assert_eq!(accel.scan_visible(&ObjectName::bare("T")).unwrap().len(), 15);
@@ -528,9 +529,9 @@ mod tests {
     #[test]
     fn outage_queues_changes_and_catches_up_after_window() {
         let (host, accel, link) = setup();
-        link.set_fault_plan(idaa_netsim::FaultPlan::outage(
-            std::time::Duration::ZERO,
-            std::time::Duration::from_millis(50),
+        link.faults().set_plan(idaa_netsim::SitePlan::default().and_window(
+            sites::LINK_OUTAGE,
+            std::time::Duration::ZERO..std::time::Duration::from_millis(50),
         ));
         let mut rep = Replicator::new(10, RetryPolicy::none());
         let t = host.begin();

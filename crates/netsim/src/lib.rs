@@ -16,20 +16,24 @@
 //! ## Fault injection
 //!
 //! Real IDAA deployments survive accelerator outages; to reproduce that,
-//! the link can be armed with a [`FaultPlan`]: seeded per-direction
-//! drop/corrupt/delay probabilities, scheduled [`OutageWindow`]s keyed to
-//! the virtual clock, and a "fail the next N transfers" hook for targeted
-//! tests. [`NetLink::transfer`] returns `Result<Duration, LinkError>`, so
-//! every caller must decide what a lost message means for its protocol.
-//! All randomness comes from a splitmix64 stream owned by the link —
-//! replaying the same plan against the same workload yields byte-identical
-//! metrics. Retry backoff ([`RetryPolicy`]) is charged to the same virtual
-//! clock via [`NetLink::advance`], never to wall time.
+//! every injected failure — a lost or damaged message, an outage, a crash,
+//! a torn write — is a named site (see [`sites`]) in one seeded
+//! [`SitePlan`], consulted on the node's one [`FaultRegistry`]. A link
+//! built with [`NetLink::with_faults`] consults its node's registry on
+//! every attempt: the transfer site, the outage site (whose virtual-time
+//! window is checked against [`NetLink::now`]), then the direction's drop
+//! and corrupt sites. [`NetLink::transfer`] returns `Result<Duration,
+//! LinkError>`, so every caller must decide what a lost message means for
+//! its protocol. All randomness comes from the registry's one splitmix64
+//! stream — replaying the same plan against the same workload yields
+//! byte-identical metrics. Retry backoff ([`RetryPolicy`]) is charged to
+//! the same virtual clock via [`NetLink::advance`], never to wall time.
 
 use idaa_common::{wire, MetricsRegistry};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -71,94 +75,6 @@ impl Default for LinkConfig {
     }
 }
 
-/// Per-direction fault probabilities applied to each transfer attempt.
-///
-/// Probabilities are evaluated in a fixed order (drop, corrupt, delay)
-/// against a seeded random stream so a given `FaultPlan` seed reproduces
-/// the exact same failure pattern — and therefore byte-identical
-/// [`LinkMetrics`] — on replay.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct FaultSpec {
-    /// Probability the message is silently lost in flight.
-    pub drop: f64,
-    /// Probability the message arrives damaged (receiver discards it).
-    pub corrupt: f64,
-    /// Probability the message is delivered but late.
-    pub delay: f64,
-    /// Extra virtual time charged when a delay fires.
-    pub delay_extra: Duration,
-}
-
-impl FaultSpec {
-    /// Spec that only drops messages with probability `p`.
-    pub fn dropping(p: f64) -> FaultSpec {
-        FaultSpec { drop: p, ..FaultSpec::default() }
-    }
-
-    fn is_clean(&self) -> bool {
-        self.drop <= 0.0 && self.corrupt <= 0.0 && self.delay <= 0.0
-    }
-}
-
-/// A scheduled outage on the virtual clock: every transfer attempted while
-/// `start <= link.now() < end` fails with [`LinkError::Outage`]. Because
-/// retry backoff advances the same clock, a bounded retry loop can ride
-/// out a short window — exactly how a real coordinator outlasts a failover
-/// blip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OutageWindow {
-    pub start: Duration,
-    pub end: Duration,
-}
-
-impl OutageWindow {
-    pub fn new(start: Duration, end: Duration) -> OutageWindow {
-        OutageWindow { start, end }
-    }
-
-    fn contains(&self, t: Duration) -> bool {
-        self.start <= t && t < self.end
-    }
-}
-
-/// A deterministic schedule of link faults.
-///
-/// The default plan is clean: it injects nothing, draws no random numbers,
-/// and leaves every successful-path metric identical to an unfaulted link.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FaultPlan {
-    /// Seed for the splitmix64 stream behind the probabilistic faults.
-    pub seed: u64,
-    /// Faults applied to host → accelerator messages.
-    pub to_accel: FaultSpec,
-    /// Faults applied to accelerator → host messages.
-    pub to_host: FaultSpec,
-    /// Scheduled outages on the virtual clock.
-    pub outages: Vec<OutageWindow>,
-}
-
-impl FaultPlan {
-    /// Plan that drops a fraction `p` of messages in both directions.
-    pub fn dropping(seed: u64, p: f64) -> FaultPlan {
-        FaultPlan {
-            seed,
-            to_accel: FaultSpec::dropping(p),
-            to_host: FaultSpec::dropping(p),
-            outages: Vec::new(),
-        }
-    }
-
-    /// Plan with a single scheduled outage window and no random faults.
-    pub fn outage(start: Duration, end: Duration) -> FaultPlan {
-        FaultPlan { outages: vec![OutageWindow::new(start, end)], ..FaultPlan::default() }
-    }
-
-    /// True if this plan can never fault a transfer.
-    pub fn is_clean(&self) -> bool {
-        self.to_accel.is_clean() && self.to_host.is_clean() && self.outages.is_empty()
-    }
-}
-
 /// Why a transfer failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkError {
@@ -168,7 +84,8 @@ pub enum LinkError {
     Corrupted { direction: Direction, bytes: usize },
     /// The link is inside a scheduled outage window until `until`.
     Outage { until: Duration },
-    /// An explicitly injected failure (`fail_next_transfers`).
+    /// A firing of [`sites::LINK_TRANSFER`]; `remaining` is what is still
+    /// armed on that site.
     Injected { remaining: u64 },
 }
 
@@ -217,8 +134,8 @@ pub struct LinkMetrics {
     pub wire_time: Duration,
     /// Transfer attempts that failed (dropped, corrupted, outage, injected).
     pub failures: u64,
-    /// Virtual time consumed by failed attempts, injected delays, and
-    /// retry backoff ([`NetLink::advance`]).
+    /// Virtual time consumed by failed attempts and retry backoff
+    /// ([`NetLink::advance`]).
     pub fault_time: Duration,
 }
 
@@ -288,13 +205,6 @@ impl LinkMetrics {
     }
 }
 
-#[derive(Debug, Default)]
-struct FaultState {
-    plan: FaultPlan,
-    /// splitmix64 state; one stream per link keeps replays deterministic.
-    rng: u64,
-}
-
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
@@ -312,12 +222,8 @@ fn next_unit(state: &mut u64) -> f64 {
 #[derive(Debug)]
 pub struct NetLink {
     config: LinkConfig,
-    faults: Mutex<FaultState>,
-    /// Countdown armed by `fail_next_transfers`.
-    injected: AtomicU64,
-    /// Healthy transfers to let through before `injected` starts firing
-    /// (`fail_transfers_after`).
-    inject_skip: AtomicU64,
+    /// The node's fault registry; the link keeps no fault state of its own.
+    faults: Arc<FaultRegistry>,
     bytes_to_accel: AtomicU64,
     bytes_to_host: AtomicU64,
     messages_to_accel: AtomicU64,
@@ -341,13 +247,18 @@ impl Default for NetLink {
 }
 
 impl NetLink {
-    /// Link with the given parameters and no faults armed.
+    /// Link with the given parameters and a fault registry of its own with
+    /// nothing scheduled.
     pub fn new(config: LinkConfig) -> NetLink {
+        NetLink::with_faults(config, Arc::default())
+    }
+
+    /// Link that consults `faults` — its node's registry — on every
+    /// transfer attempt.
+    pub fn with_faults(config: LinkConfig, faults: Arc<FaultRegistry>) -> NetLink {
         NetLink {
             config,
-            faults: Mutex::new(FaultState::default()),
-            injected: AtomicU64::new(0),
-            inject_skip: AtomicU64::new(0),
+            faults,
             bytes_to_accel: AtomicU64::new(0),
             bytes_to_host: AtomicU64::new(0),
             messages_to_accel: AtomicU64::new(0),
@@ -359,6 +270,11 @@ impl NetLink {
             fault_nanos: AtomicU64::new(0),
             registry: Mutex::new(None),
         }
+    }
+
+    /// The fault registry this link consults.
+    pub fn faults(&self) -> &FaultRegistry {
+        &self.faults
     }
 
     /// Mirror every delivered transfer and failed attempt into `registry`
@@ -376,37 +292,8 @@ impl NetLink {
         *self.registry.lock() = Some((registry, prefix.to_string()));
     }
 
-    /// Arm a fault plan; the random stream is reseeded from `plan.seed`.
-    pub fn set_fault_plan(&self, plan: FaultPlan) {
-        let mut st = self.faults.lock();
-        st.rng = plan.seed ^ 0x51ed_270b_9a3f_c42d;
-        st.plan = plan;
-    }
-
-    /// Disarm all probabilistic faults and outage windows (explicitly
-    /// injected `fail_next_transfers` counts are cleared too).
-    pub fn clear_faults(&self) {
-        *self.faults.lock() = FaultState::default();
-        self.injected.store(0, Ordering::Relaxed);
-        self.inject_skip.store(0, Ordering::Relaxed);
-    }
-
-    /// Fail the next `n` transfer attempts with [`LinkError::Injected`],
-    /// regardless of direction or fault plan.
-    pub fn fail_next_transfers(&self, n: u64) {
-        self.injected.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Let `skip` transfer attempts through untouched, then fail the `n`
-    /// after that — pinpoints a specific protocol message (e.g. "lose the
-    /// 2PC vote but deliver the PREPARE request").
-    pub fn fail_transfers_after(&self, skip: u64, n: u64) {
-        self.inject_skip.store(skip, Ordering::Relaxed);
-        self.injected.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Current virtual time: wire time of delivered messages plus fault
-    /// and backoff time. Outage windows are positioned against this clock.
+    /// and backoff time. Windowed sites are positioned against this clock.
     pub fn now(&self) -> Duration {
         Duration::from_nanos(
             self.wire_nanos.load(Ordering::Relaxed) + self.fault_nanos.load(Ordering::Relaxed),
@@ -419,12 +306,13 @@ impl NetLink {
         self.fault_nanos.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    fn record_failure(&self, cost: Duration) {
+    fn fail(&self, cost: Duration, error: LinkError) -> Result<Duration, LinkError> {
         self.failures.fetch_add(1, Ordering::Relaxed);
         self.fault_nanos.fetch_add(cost.as_nanos() as u64, Ordering::Relaxed);
         if let Some((reg, prefix)) = self.registry.lock().as_ref() {
             reg.inc(&format!("{prefix}.failures"), 1);
         }
+        Err(error)
     }
 
     /// Attempt one control message of `bytes` payload in `direction`.
@@ -443,9 +331,9 @@ impl NetLink {
     ///
     /// The wire counters are charged the *encoded* frame length; the
     /// logical counters are charged the frame's declared pre-encoding
-    /// payload. A `corrupt` fault damages one frame byte in flight and the
-    /// receiving side's checksum verification rejects it — the error path
-    /// is the checksum actually failing, not a fiat discard — which
+    /// payload. A firing corrupt site damages one frame bit in flight and
+    /// the receiving side's checksum verification rejects it — the error
+    /// path is the checksum actually failing, not a fiat discard — which
     /// surfaces as [`LinkError::Corrupted`] to the retry machinery.
     pub fn transfer_frame(&self, direction: Direction, frame: &[u8]) -> Result<Duration, LinkError> {
         let logical = wire::frame_logical_len(frame).unwrap_or(frame.len() as u64);
@@ -462,95 +350,42 @@ impl NetLink {
         let (bandwidth, latency) = (self.config.bandwidth_bytes_per_sec, self.config.latency);
         let payload = Duration::from_secs_f64(bytes as f64 / bandwidth);
 
-        // Explicitly injected failures take precedence over the plan; a
-        // pending skip count shields this transfer from them.
-        let skipped = self
-            .inject_skip
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-            .is_ok();
-        if !skipped
-            && self
-                .injected
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-                .is_ok()
-        {
-            self.record_failure(latency);
-            return Err(LinkError::Injected { remaining: self.injected.load(Ordering::Relaxed) });
-        }
-
-        let mut extra = Duration::ZERO;
-        {
-            let mut st = self.faults.lock();
-            if !st.plan.is_clean() {
-                let now = self.now();
-                if let Some(w) = st.plan.outages.iter().find(|w| w.contains(now)) {
-                    // During an outage nothing reaches the other side; the
-                    // sender only wastes its send latency noticing.
-                    let until = w.end;
-                    drop(st);
-                    self.record_failure(latency);
-                    return Err(LinkError::Outage { until });
-                }
-                let spec = match direction {
-                    Direction::ToAccel => st.plan.to_accel,
-                    Direction::ToHost => st.plan.to_host,
+        match self.faults.link_fault(direction, self.now(), frame.is_some()) {
+            None => {}
+            // Nothing reaches the other side; the sender only wastes its
+            // send latency noticing.
+            Some(LinkFault::Injected { remaining }) => {
+                return self.fail(latency, LinkError::Injected { remaining })
+            }
+            Some(LinkFault::Outage { until }) => {
+                return self.fail(latency, LinkError::Outage { until })
+            }
+            // A dropped message still occupied the wire.
+            Some(LinkFault::Dropped) => {
+                return self.fail(latency + payload, LinkError::Dropped { direction, bytes })
+            }
+            // Control messages carry their own length-fixed CRC in the real
+            // protocol, so their damage is always detected. A frame's damage
+            // is detected only if its checksum fails; a flip the checksum
+            // cannot see (not reachable for one bit under XXH64) is
+            // delivered rather than pretending the receiver caught it.
+            Some(LinkFault::Corrupted { damage }) => {
+                let detected = match frame {
+                    Some(frame) if !frame.is_empty() => {
+                        let mut damaged = frame.to_vec();
+                        let idx = (damage as usize) % damaged.len();
+                        damaged[idx] ^= 1 << ((damage >> 32) & 7);
+                        !wire::verify(&damaged)
+                    }
+                    _ => true,
                 };
-                if !spec.is_clean() {
-                    // Fixed draw order (drop, corrupt, delay) keeps the
-                    // stream — and the metrics — identical on replay.
-                    let (d_drop, d_corrupt, d_delay) =
-                        (next_unit(&mut st.rng), next_unit(&mut st.rng), next_unit(&mut st.rng));
-                    // A firing corrupt fault on a frame consumes exactly
-                    // one extra draw (the damaged bit position), keeping
-                    // the stream replayable for a given seed and call
-                    // sequence.
-                    let damage = if d_drop >= spec.drop && d_corrupt < spec.corrupt {
-                        frame.map(|_| splitmix64(&mut st.rng))
-                    } else {
-                        None
-                    };
-                    drop(st);
-                    if d_drop < spec.drop {
-                        // A dropped message still occupied the wire.
-                        self.record_failure(latency + payload);
-                        return Err(LinkError::Dropped { direction, bytes });
-                    }
-                    if d_corrupt < spec.corrupt {
-                        if let (Some(frame), Some(damage)) = (frame, damage) {
-                            if !frame.is_empty() {
-                                let mut damaged = frame.to_vec();
-                                let idx = (damage as usize) % damaged.len();
-                                damaged[idx] ^= 1 << ((damage >> 32) & 7);
-                                if wire::verify(&damaged) {
-                                    // Damage the checksum cannot see (not
-                                    // reachable for a single bit flip under
-                                    // XXH64): the frame is delivered as-is
-                                    // below rather than pretending the
-                                    // receiver caught it.
-                                    extra = Duration::ZERO;
-                                } else {
-                                    self.record_failure(latency + payload);
-                                    return Err(LinkError::Corrupted { direction, bytes });
-                                }
-                            } else {
-                                self.record_failure(latency + payload);
-                                return Err(LinkError::Corrupted { direction, bytes });
-                            }
-                        } else {
-                            // Control messages carry their own length-fixed
-                            // CRC in the real protocol; model detection as
-                            // certain.
-                            self.record_failure(latency + payload);
-                            return Err(LinkError::Corrupted { direction, bytes });
-                        }
-                    } else if d_delay < spec.delay {
-                        extra = spec.delay_extra;
-                    }
+                if detected {
+                    return self.fail(latency + payload, LinkError::Corrupted { direction, bytes });
                 }
             }
         }
 
-        let cost = latency + payload + extra;
+        let cost = latency + payload;
         match direction {
             Direction::ToAccel => {
                 self.bytes_to_accel.fetch_add(bytes as u64, Ordering::Relaxed);
@@ -590,7 +425,7 @@ impl NetLink {
         }
     }
 
-    /// Zero all counters (the fault plan and its random stream stay armed).
+    /// Zero all counters (the registry's plan and its stream stay armed).
     pub fn reset(&self) {
         self.bytes_to_accel.store(0, Ordering::Relaxed);
         self.bytes_to_host.store(0, Ordering::Relaxed);
@@ -685,6 +520,27 @@ impl RetryPolicy {
 /// plans/tests refer to the same constants. Keeping them here (next to the
 /// fault machinery) means every crate injects through one vocabulary.
 pub mod sites {
+    /// Link: the transfer attempt fails outright ([`LinkError::Injected`]).
+    /// Armed or pinned to pinpoint one protocol message (e.g. "lose the
+    /// 2PC vote but deliver the PREPARE request").
+    ///
+    /// [`LinkError::Injected`]: crate::LinkError::Injected
+    pub const LINK_TRANSFER: &str = "link.transfer";
+    /// Link: the link is down ([`LinkError::Outage`]). Usually given a
+    /// virtual-time window, so a bounded retry loop can ride out a short
+    /// outage — exactly how a real coordinator outlasts a failover blip.
+    ///
+    /// [`LinkError::Outage`]: crate::LinkError::Outage
+    pub const LINK_OUTAGE: &str = "link.outage";
+    /// Link: a host → accelerator message is lost in flight.
+    pub const LINK_DROP_TO_ACCEL: &str = "link.to_accel.drop";
+    /// Link: an accelerator → host message is lost in flight.
+    pub const LINK_DROP_TO_HOST: &str = "link.to_host.drop";
+    /// Link: a host → accelerator message arrives damaged; a frame's
+    /// damaged bit is the firing's parameter draw.
+    pub const LINK_CORRUPT_TO_ACCEL: &str = "link.to_accel.corrupt";
+    /// Link: an accelerator → host message arrives damaged.
+    pub const LINK_CORRUPT_TO_HOST: &str = "link.to_host.corrupt";
     /// Accelerator crash after bulk-load rows are ingested but before the
     /// internal load transaction commits.
     pub const MID_BULK_LOAD: &str = "accel.bulk_load.mid";
@@ -725,13 +581,14 @@ pub mod sites {
     pub const DISK_READ_FAIL: &str = "disk.read.fail";
 }
 
-/// Per-site crash/failure schedule inside a [`SitePlan`].
+/// Per-site failure schedule inside a [`SitePlan`].
 ///
 /// A site fires on the listed 1-based `at_hits` (deterministic pinning for
-/// targeted tests) and additionally with `probability` per hit, drawn from
-/// the plan's seeded stream (for randomized chaos sweeps). Both can be
-/// combined; the deterministic check is evaluated first and consumes no
-/// random draw, so pinned hits never perturb the stream.
+/// targeted tests), on every hit inside its virtual-time `window`, and
+/// additionally with `probability` per hit, drawn from the plan's seeded
+/// stream (for randomized chaos sweeps). They can be combined; the
+/// deterministic checks are evaluated first and consume no random draw, so
+/// pinned hits never perturb the stream.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SiteSpec {
     /// Site name (see [`sites`]).
@@ -740,39 +597,30 @@ pub struct SiteSpec {
     pub probability: f64,
     /// Hit counts (1-based, per site) that fire unconditionally.
     pub at_hits: Vec<u64>,
+    /// Virtual-time window `[start, end)` in which every hit fires. Only a
+    /// link consults windowed sites, against its [`NetLink::now`].
+    pub window: Option<Range<Duration>>,
 }
 
-/// A deterministic schedule of injection-site firings, the [`FaultPlan`]
-/// analogue for *process* and *storage* failures rather than link failures.
-/// Installed as a [`CrashPlan`] ([`FaultRegistry::set_plan`]) or a
-/// [`DiskFaultPlan`] ([`FaultRegistry::set_disk_plan`]); the two slots keep
-/// separate streams and hit counters.
+/// A deterministic schedule of injection-site firings: link, crash and
+/// storage faults alike, installed on a [`FaultRegistry`] with
+/// [`FaultRegistry::set_plan`].
 ///
-/// Same determinism contract: probabilistic draws come from one splitmix64
-/// stream seeded by `seed` and are consumed in hit order, so a given seed
-/// replays the exact same firing pattern. Sites with `probability == 0`
-/// draw nothing, so the default plan is clean and free. Firing never
-/// touches [`LinkMetrics`] — what a firing *means* (crash, NO vote, torn
-/// write, …) is up to the component that consulted the registry.
+/// Probabilistic draws, and the per-firing parameter draws of
+/// [`FaultRegistry::fire_disk`] and the corrupt sites, come from one
+/// splitmix64 stream seeded by `seed` and are consumed in hit order, so a
+/// given seed replays the exact same firing pattern. Sites with
+/// `probability == 0` draw nothing, so the default plan is clean and free.
+/// What a firing *means* (lost message, crash, NO vote, torn write, …) is
+/// up to the component that consulted the registry.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SitePlan {
-    /// Seed for the splitmix64 stream behind probabilistic firings (and,
-    /// for disk plans, the per-firing corruption parameters).
+    /// Seed for the splitmix64 stream behind probabilistic firings and
+    /// per-firing parameter draws.
     pub seed: u64,
     /// Per-site schedules; sites not listed never fire.
     pub sites: Vec<SiteSpec>,
 }
-
-/// Schedule of crash/failure points, consulted by [`FaultRegistry::fire`].
-pub type CrashPlan = SitePlan;
-
-/// Schedule of *storage* faults (torn writes, bit-rot, failed reads),
-/// consulted by [`FaultRegistry::fire_disk`], which also returns a parameter
-/// draw the durable store uses to pick *which* segment/bit to damage — so a
-/// given seed replays the exact same corruption pattern. Its stream is
-/// separate from the crash plan's, so mixing disk and crash plans never
-/// perturbs either schedule.
-pub type DiskFaultPlan = SitePlan;
 
 impl SitePlan {
     /// Plan that fires `site` exactly once, on its `hit`-th (1-based) hit.
@@ -800,64 +648,88 @@ impl SitePlan {
         self
     }
 
-    /// Plan seed builder (relevant with probabilistic sites, and for a disk
-    /// plan's per-firing corruption parameter draws).
+    /// Fire `site` on every hit whose virtual time lies in `window`.
+    pub fn and_window(mut self, site: &str, window: Range<Duration>) -> SitePlan {
+        self.spec_mut(site).window = Some(window);
+        self
+    }
+
+    /// Plan seed builder (relevant with probabilistic sites, and for the
+    /// per-firing parameter draws).
     pub fn seeded(mut self, seed: u64) -> SitePlan {
         self.seed = seed;
         self
     }
+}
 
-    /// True if this plan can never fire.
-    pub fn is_clean(&self) -> bool {
-        self.sites.iter().all(|s| s.probability <= 0.0 && s.at_hits.is_empty())
-    }
+/// A pending one-shot arming: let `skip` consultations pass, then fire the
+/// next `count`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Armed {
+    skip: u64,
+    count: u64,
+}
+
+/// What the registry scheduled for one link transfer attempt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LinkFault {
+    Injected { remaining: u64 },
+    Outage { until: Duration },
+    Dropped,
+    /// `damage` is the parameter draw for a frame (0 for a control message).
+    Corrupted { damage: u64 },
 }
 
 #[derive(Debug, Default)]
 struct RegistryInner {
-    plan: CrashPlan,
-    /// splitmix64 state for probabilistic sites.
+    plan: SitePlan,
+    /// splitmix64 state for probabilistic sites and parameter draws.
     rng: u64,
-    /// Per-site hit counters (how many times `fire` was consulted).
+    /// Per-site hit counters (how many times each site was consulted).
     hits: HashMap<String, u64>,
     /// One-shot armings from [`FaultRegistry::arm`], per site.
-    armed: HashMap<String, u64>,
+    armed: HashMap<String, Armed>,
     /// Log of firings as `(site, hit)` pairs, in firing order.
     fired: Vec<(String, u64)>,
-    /// Storage-fault schedule consulted by [`FaultRegistry::fire_disk`].
-    disk_plan: DiskFaultPlan,
-    /// splitmix64 state for disk-site probabilities *and* the per-firing
-    /// corruption parameter draws (independent of `rng`).
-    disk_rng: u64,
-    /// Per-site hit counters for disk sites (independent of `hits`, so
-    /// installing one plan never restarts the other's counters).
-    disk_hits: HashMap<String, u64>,
 }
 
 impl RegistryInner {
-    /// One consultation of `site` against the crash slot (`disk == false`)
-    /// or the disk slot: bump the slot's hit counter, then armed one-shot →
-    /// pinned hit → one seeded draw if the site is probabilistic. Logs and
-    /// returns the hit number when it fires.
-    fn draw(&mut self, site: &str, disk: bool) -> Option<u64> {
-        let (plan, rng, hits) = if disk {
-            (&self.disk_plan, &mut self.disk_rng, &mut self.disk_hits)
-        } else {
-            (&self.plan, &mut self.rng, &mut self.hits)
+    /// One consultation of `site` at virtual time `now` (`None` off the
+    /// link, where windows never fire): bump the hit counter, then armed
+    /// one-shot → pinned hit → window → one seeded draw if the site is
+    /// probabilistic. Logs and returns the hit number when it fires.
+    fn draw(&mut self, site: &str, now: Option<Duration>) -> Option<u64> {
+        let hit = match self.hits.get_mut(site) {
+            Some(n) => {
+                *n += 1;
+                *n
+            }
+            None => {
+                self.hits.insert(site.to_string(), 1);
+                1
+            }
         };
-        let hit = hits.entry(site.to_string()).or_insert(0);
-        *hit += 1;
-        let hit = *hit;
-        let armed = self.armed.get_mut(site).filter(|n| **n > 0);
-        let fired = if let Some(n) = armed {
-            *n -= 1;
-            true
-        } else {
-            plan.sites.iter().find(|s| s.site == site).is_some_and(|spec| {
+        let armed = match self.armed.get_mut(site) {
+            Some(a) if a.skip > 0 => {
+                a.skip -= 1;
+                false
+            }
+            Some(a) => {
+                a.count -= 1;
+                if a.count == 0 {
+                    self.armed.remove(site);
+                }
+                true
+            }
+            None => false,
+        };
+        let rng = &mut self.rng;
+        let fired = armed
+            || self.plan.sites.iter().find(|s| s.site == site).is_some_and(|spec| {
                 spec.at_hits.contains(&hit)
+                    || spec.window.as_ref().zip(now).is_some_and(|(w, t)| w.contains(&t))
                     || (spec.probability > 0.0 && next_unit(rng) < spec.probability)
-            })
-        };
+            });
         fired.then(|| {
             self.fired.push((site.to_string(), hit));
             hit
@@ -867,33 +739,41 @@ impl RegistryInner {
 
 /// The unified failure-injection registry: every "make X fail next time"
 /// hook in the workspace flows through here instead of ad-hoc
-/// `AtomicBool`s, so all injection is seeded, replayable, and observable
-/// in one place.
+/// `AtomicBool`s or link-private counters, so all injection is seeded,
+/// replayable, and observable in one place.
 ///
 /// Component code marks its injectable points with [`FaultRegistry::fire`]
-/// and reacts when it returns true. Tests either [`arm`](Self::arm) a
-/// one-shot failure or install a [`CrashPlan`] for seeded schedules. The
-/// registry never touches the link or its metrics.
+/// and reacts when it returns true; a [`NetLink`] consults its node's
+/// registry on every transfer attempt. Tests either [`arm`](Self::arm) a
+/// one-shot failure or install a [`SitePlan`] for seeded schedules.
 #[derive(Debug, Default)]
 pub struct FaultRegistry {
     inner: Mutex<RegistryInner>,
 }
 
 impl FaultRegistry {
-    /// Install a crash plan; the random stream is reseeded from
-    /// `plan.seed` and all per-site hit counters restart from zero.
-    pub fn set_plan(&self, plan: CrashPlan) {
+    /// Install a plan; the random stream is reseeded from `plan.seed` and
+    /// the per-site hit counters and the firing log restart from zero.
+    /// Armings stay.
+    pub fn set_plan(&self, plan: SitePlan) {
         let mut inner = self.inner.lock();
-        inner.rng = plan.seed ^ 0x6c8e_9cf5_7093_1e4b;
+        inner.rng = plan.seed ^ 0x9e37_79b9_7f4a_7c15;
         inner.plan = plan;
         inner.hits.clear();
         inner.fired.clear();
     }
 
-    /// Arm `site` to fire on its next `n` hits, independent of any plan.
-    /// This is the targeted-test hook (the `fail_next_transfers` analogue).
-    pub fn arm(&self, site: &str, n: u64) {
-        *self.inner.lock().armed.entry(site.to_string()).or_insert(0) += n;
+    /// Arm `site`, independent of any plan: let its next `skip` hits pass,
+    /// then fire on the `n` after that. Arming again adds `n` and replaces
+    /// the pending skip.
+    pub fn arm(&self, site: &str, skip: u64, n: u64) {
+        let mut inner = self.inner.lock();
+        let armed = inner.armed.entry(site.to_string()).or_default();
+        armed.skip = skip;
+        armed.count = armed.count.saturating_add(n);
+        if armed.count == 0 {
+            inner.armed.remove(site);
+        }
     }
 
     /// Consult the registry at `site`: increments the site's hit counter
@@ -902,42 +782,58 @@ impl FaultRegistry {
     /// `at_hits`) consume no random draw; a probabilistic site draws
     /// exactly one number per hit whether or not it fires.
     pub fn fire(&self, site: &str) -> bool {
-        self.inner.lock().draw(site, false).is_some()
-    }
-
-    /// Install a storage-fault plan; the disk random stream is reseeded
-    /// from `plan.seed` and all disk-site hit counters restart from zero.
-    /// The crash plan, its stream, and its counters are untouched.
-    pub fn set_disk_plan(&self, plan: DiskFaultPlan) {
-        let mut inner = self.inner.lock();
-        inner.disk_rng = plan.seed ^ 0x9e37_79b9_7f4a_7c15;
-        inner.disk_plan = plan;
-        inner.disk_hits.clear();
+        self.inner.lock().draw(site, None).is_some()
     }
 
     /// Consult the registry at a *disk* `site` (see the `disk.*` constants
-    /// in [`sites`]). Same contract as [`fire`](Self::fire) — armed
-    /// one-shots and pinned `at_hits` consume no probability draw — except
-    /// that a firing additionally draws one u64 *corruption parameter* from
-    /// the disk stream and returns it: the durable store uses it to pick
-    /// which segment/bit to damage, so a given seed replays the exact same
+    /// in [`sites`]). Same contract as [`fire`](Self::fire), except that a
+    /// firing additionally draws one u64 *corruption parameter* from the
+    /// stream and returns it: the durable store uses it to pick which
+    /// segment/bit to damage, so a given seed replays the exact same
     /// corruption pattern. Returns `None` when the site does not fire.
     pub fn fire_disk(&self, site: &str) -> Option<u64> {
         let mut inner = self.inner.lock();
-        inner.draw(site, true)?;
-        Some(splitmix64(&mut inner.disk_rng))
+        inner.draw(site, None)?;
+        Some(splitmix64(&mut inner.rng))
+    }
+
+    /// The link's consultation for one transfer attempt at virtual time
+    /// `now`, under one lock: the transfer site, the outage site, then the
+    /// direction's drop and corrupt sites, stopping at the first that
+    /// fires. A corrupt firing on a `frame` takes one parameter draw, the
+    /// damaged bit. On an idle registry it returns at once: one lock, no
+    /// allocation, no hits counted.
+    fn link_fault(&self, direction: Direction, now: Duration, frame: bool) -> Option<LinkFault> {
+        let mut inner = self.inner.lock();
+        if inner.plan.sites.is_empty() && inner.armed.is_empty() {
+            return None;
+        }
+        if inner.draw(sites::LINK_TRANSFER, Some(now)).is_some() {
+            let remaining = inner.armed.get(sites::LINK_TRANSFER).map_or(0, |a| a.count);
+            return Some(LinkFault::Injected { remaining });
+        }
+        if inner.draw(sites::LINK_OUTAGE, Some(now)).is_some() {
+            let spec = inner.plan.sites.iter().find(|s| s.site == sites::LINK_OUTAGE);
+            let until = spec.and_then(|s| s.window.as_ref()).map_or(now, |w| w.end);
+            return Some(LinkFault::Outage { until });
+        }
+        let (lost, damaged) = match direction {
+            Direction::ToAccel => (sites::LINK_DROP_TO_ACCEL, sites::LINK_CORRUPT_TO_ACCEL),
+            Direction::ToHost => (sites::LINK_DROP_TO_HOST, sites::LINK_CORRUPT_TO_HOST),
+        };
+        if inner.draw(lost, Some(now)).is_some() {
+            return Some(LinkFault::Dropped);
+        }
+        inner.draw(damaged, Some(now))?;
+        let damage = if frame { splitmix64(&mut inner.rng) } else { 0 };
+        Some(LinkFault::Corrupted { damage })
     }
 
     /// How many times `site` has been consulted since the last
-    /// [`set_plan`](Self::set_plan)/[`clear`](Self::clear).
+    /// [`set_plan`](Self::set_plan)/[`clear`](Self::clear). A link does not
+    /// consult an idle registry (empty plan, nothing armed).
     pub fn hits(&self, site: &str) -> u64 {
         self.inner.lock().hits.get(site).copied().unwrap_or(0)
-    }
-
-    /// How many times disk `site` has been consulted since the last
-    /// [`set_disk_plan`](Self::set_disk_plan)/[`clear`](Self::clear).
-    pub fn disk_hits(&self, site: &str) -> u64 {
-        self.inner.lock().disk_hits.get(site).copied().unwrap_or(0)
     }
 
     /// Firing log as `(site, hit)` pairs, in firing order.
@@ -954,6 +850,18 @@ impl FaultRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Drop a fraction `p` of messages in both directions.
+    fn dropping(seed: u64, p: f64) -> SitePlan {
+        SitePlan::default()
+            .seeded(seed)
+            .and_probabilistic(sites::LINK_DROP_TO_ACCEL, p)
+            .and_probabilistic(sites::LINK_DROP_TO_HOST, p)
+    }
+
+    fn outage(window: Range<Duration>) -> SitePlan {
+        SitePlan::default().and_window(sites::LINK_OUTAGE, window)
+    }
 
     #[test]
     fn transfer_accumulates_both_directions() {
@@ -1006,7 +914,7 @@ mod tests {
         a.transfer(Direction::ToAccel, 100).unwrap();
         b.transfer(Direction::ToAccel, 40).unwrap();
         b.transfer(Direction::ToHost, 10).unwrap();
-        b.fail_next_transfers(1);
+        b.faults().arm(sites::LINK_TRANSFER, 0, 1);
         let _ = b.transfer(Direction::ToHost, 5);
         let total = LinkMetrics::merged([&a.metrics(), &b.metrics()]);
         assert_eq!(total.bytes_to_accel, 140);
@@ -1046,7 +954,7 @@ mod tests {
     #[test]
     fn clean_plan_never_faults_and_draws_nothing() {
         let link = NetLink::default();
-        link.set_fault_plan(FaultPlan::default());
+        link.faults().set_plan(SitePlan::default());
         for _ in 0..100 {
             link.transfer(Direction::ToAccel, 64).unwrap();
         }
@@ -1057,9 +965,9 @@ mod tests {
     }
 
     #[test]
-    fn fail_next_transfers_fails_exactly_n() {
+    fn armed_transfer_site_fails_exactly_n() {
         let link = NetLink::default();
-        link.fail_next_transfers(2);
+        link.faults().arm(sites::LINK_TRANSFER, 0, 2);
         assert!(matches!(
             link.transfer(Direction::ToAccel, 10),
             Err(LinkError::Injected { remaining: 1 })
@@ -1076,9 +984,9 @@ mod tests {
     }
 
     #[test]
-    fn fail_transfers_after_skips_then_fails() {
+    fn armed_transfer_site_skips_then_fails() {
         let link = NetLink::default();
-        link.fail_transfers_after(2, 1);
+        link.faults().arm(sites::LINK_TRANSFER, 2, 1);
         link.transfer(Direction::ToAccel, 10).unwrap();
         link.transfer(Direction::ToHost, 10).unwrap();
         assert!(link.transfer(Direction::ToAccel, 10).is_err());
@@ -1091,7 +999,7 @@ mod tests {
             bandwidth_bytes_per_sec: 1.0e9,
             latency: Duration::from_millis(1),
         });
-        link.set_fault_plan(FaultPlan::outage(Duration::ZERO, Duration::from_millis(5)));
+        link.faults().set_plan(outage(Duration::ZERO..Duration::from_millis(5)));
         let err = link.transfer(Direction::ToAccel, 100).unwrap_err();
         assert_eq!(err, LinkError::Outage { until: Duration::from_millis(5) });
         // Ride the clock past the window; transfers succeed again.
@@ -1103,7 +1011,7 @@ mod tests {
     #[test]
     fn drop_probability_one_loses_everything_and_charges_fault_time() {
         let link = NetLink::default();
-        link.set_fault_plan(FaultPlan::dropping(7, 1.0));
+        link.faults().set_plan(dropping(7, 1.0));
         for _ in 0..5 {
             assert!(matches!(
                 link.transfer(Direction::ToAccel, 100),
@@ -1121,7 +1029,7 @@ mod tests {
     fn same_seed_replays_identical_fault_pattern() {
         let run = |seed: u64| {
             let link = NetLink::default();
-            link.set_fault_plan(FaultPlan::dropping(seed, 0.3));
+            link.faults().set_plan(dropping(seed, 0.3));
             let outcomes: Vec<bool> = (0..200)
                 .map(|i| {
                     let dir = if i % 3 == 0 { Direction::ToHost } else { Direction::ToAccel };
@@ -1139,30 +1047,9 @@ mod tests {
     }
 
     #[test]
-    fn delay_fault_charges_extra_time_but_delivers() {
-        let link = NetLink::new(LinkConfig {
-            bandwidth_bytes_per_sec: 1.0e9,
-            latency: Duration::from_micros(100),
-        });
-        link.set_fault_plan(FaultPlan {
-            seed: 1,
-            to_accel: FaultSpec {
-                delay: 1.0,
-                delay_extra: Duration::from_millis(3),
-                ..FaultSpec::default()
-            },
-            ..FaultPlan::default()
-        });
-        let cost = link.transfer(Direction::ToAccel, 0).unwrap();
-        assert_eq!(cost, Duration::from_micros(100) + Duration::from_millis(3));
-        assert_eq!(link.metrics().messages_to_accel, 1);
-        assert_eq!(link.metrics().failures, 0);
-    }
-
-    #[test]
     fn retry_rides_out_injected_failures() {
         let link = NetLink::default();
-        link.fail_next_transfers(2);
+        link.faults().arm(sites::LINK_TRANSFER, 0, 2);
         let policy = RetryPolicy::default();
         policy.transfer(&link, Direction::ToAccel, 50).unwrap();
         let m = link.metrics();
@@ -1175,7 +1062,7 @@ mod tests {
     #[test]
     fn retry_exhausts_and_reports_last_error() {
         let link = NetLink::default();
-        link.set_fault_plan(FaultPlan::dropping(3, 1.0));
+        link.faults().set_plan(dropping(3, 1.0));
         let policy = RetryPolicy::default();
         let err = policy.transfer(&link, Direction::ToHost, 9).unwrap_err();
         assert!(matches!(err, LinkError::Dropped { direction: Direction::ToHost, bytes: 9 }));
@@ -1218,11 +1105,9 @@ mod tests {
     #[test]
     fn corrupt_fault_on_frame_is_caught_by_checksum_and_retried() {
         let link = NetLink::default();
-        link.set_fault_plan(FaultPlan {
-            seed: 11,
-            to_accel: FaultSpec { corrupt: 1.0, ..FaultSpec::default() },
-            ..FaultPlan::default()
-        });
+        link.faults().set_plan(
+            SitePlan::default().seeded(11).and_probabilistic(sites::LINK_CORRUPT_TO_ACCEL, 1.0),
+        );
         let frame = sample_frame();
         let err = link.transfer_frame(Direction::ToAccel, &frame).unwrap_err();
         assert!(matches!(err, LinkError::Corrupted { direction: Direction::ToAccel, .. }));
@@ -1233,12 +1118,10 @@ mod tests {
 
         // With an intermittent corruptor, the retry loop converges and only
         // the delivered attempt lands on the traffic ledgers.
-        link.clear_faults();
-        link.set_fault_plan(FaultPlan {
-            seed: 11,
-            to_accel: FaultSpec { corrupt: 0.5, ..FaultSpec::default() },
-            ..FaultPlan::default()
-        });
+        link.faults().clear();
+        link.faults().set_plan(
+            SitePlan::default().seeded(11).and_probabilistic(sites::LINK_CORRUPT_TO_ACCEL, 0.5),
+        );
         link.reset();
         let mut delivered = 0;
         while delivered < 20 {
@@ -1258,12 +1141,12 @@ mod tests {
     fn corrupt_frame_faults_replay_byte_identically() {
         let run = |seed: u64| {
             let link = NetLink::default();
-            link.set_fault_plan(FaultPlan {
-                seed,
-                to_accel: FaultSpec { corrupt: 0.3, ..FaultSpec::default() },
-                to_host: FaultSpec { corrupt: 0.3, ..FaultSpec::default() },
-                ..FaultPlan::default()
-            });
+            link.faults().set_plan(
+                SitePlan::default()
+                    .seeded(seed)
+                    .and_probabilistic(sites::LINK_CORRUPT_TO_ACCEL, 0.3)
+                    .and_probabilistic(sites::LINK_CORRUPT_TO_HOST, 0.3),
+            );
             let frame = sample_frame();
             let outcomes: Vec<bool> = (0..100)
                 .map(|i| {
@@ -1285,7 +1168,7 @@ mod tests {
             bandwidth_bytes_per_sec: 1.0e9,
             latency: Duration::from_micros(100),
         });
-        link.set_fault_plan(FaultPlan::outage(Duration::ZERO, Duration::from_micros(800)));
+        link.faults().set_plan(outage(Duration::ZERO..Duration::from_micros(800)));
         // Default policy backs off 500 µs then 1 ms — the clock passes the
         // 800 µs window boundary before attempts run out.
         RetryPolicy::default().transfer(&link, Direction::ToAccel, 10).unwrap();
@@ -1293,10 +1176,30 @@ mod tests {
     }
 
     #[test]
+    fn outage_window_fires_at_start_not_at_end() {
+        let (start, end) = (Duration::from_millis(2), Duration::from_millis(5));
+        let link =
+            NetLink::new(LinkConfig { bandwidth_bytes_per_sec: 1.0e9, latency: Duration::ZERO });
+        link.faults().set_plan(outage(start..end));
+        link.advance(start - Duration::from_nanos(1));
+        link.transfer(Direction::ToAccel, 0).unwrap();
+        link.advance(Duration::from_nanos(1));
+        assert_eq!(link.now(), start);
+        assert_eq!(link.transfer(Direction::ToAccel, 0), Err(LinkError::Outage { until: end }));
+        link.advance(end - start - Duration::from_nanos(1));
+        assert!(link.transfer(Direction::ToHost, 0).is_err(), "the last instant is inside");
+        link.advance(Duration::from_nanos(1));
+        assert_eq!(link.now(), end);
+        link.transfer(Direction::ToAccel, 0).unwrap();
+        let outage = sites::LINK_OUTAGE.to_string();
+        assert_eq!(link.faults().fired(), vec![(outage.clone(), 2), (outage, 3)]);
+    }
+
+    #[test]
     fn registry_armed_one_shot_fires_exactly_n() {
         let reg = FaultRegistry::default();
         assert!(!reg.fire(sites::POST_PREPARE), "nothing armed yet");
-        reg.arm(sites::POST_PREPARE, 2);
+        reg.arm(sites::POST_PREPARE, 0, 2);
         assert!(reg.fire(sites::POST_PREPARE));
         assert!(!reg.fire(sites::MID_BULK_LOAD), "other sites unaffected");
         assert!(reg.fire(sites::POST_PREPARE));
@@ -1311,13 +1214,13 @@ mod tests {
     #[test]
     fn registry_pinned_hit_fires_deterministically() {
         let reg = FaultRegistry::default();
-        reg.set_plan(CrashPlan::at(sites::MID_REPL_APPLY, 3));
+        reg.set_plan(SitePlan::at(sites::MID_REPL_APPLY, 3));
         assert!(!reg.fire(sites::MID_REPL_APPLY));
         assert!(!reg.fire(sites::MID_REPL_APPLY));
         assert!(reg.fire(sites::MID_REPL_APPLY), "third hit fires");
         assert!(!reg.fire(sites::MID_REPL_APPLY));
         // Reinstalling the plan restarts the hit counters.
-        reg.set_plan(CrashPlan::at(sites::MID_REPL_APPLY, 1));
+        reg.set_plan(SitePlan::at(sites::MID_REPL_APPLY, 1));
         assert!(reg.fire(sites::MID_REPL_APPLY));
     }
 
@@ -1326,7 +1229,7 @@ mod tests {
         let run = |seed: u64| {
             let reg = FaultRegistry::default();
             reg.set_plan(
-                CrashPlan::default()
+                SitePlan::default()
                     .seeded(seed)
                     .and_probabilistic(sites::MID_BULK_LOAD, 0.3)
                     // A pinned-only site must not perturb the stream.
@@ -1348,13 +1251,17 @@ mod tests {
     #[test]
     fn registry_clear_disarms_everything() {
         let reg = FaultRegistry::default();
-        reg.arm(sites::PREPARE_VOTE_NO, 5);
-        reg.set_plan(CrashPlan::at(sites::POST_PREPARE, 1));
-        reg.set_disk_plan(DiskFaultPlan::at(sites::BITROT_LOG_SEGMENT, 1));
+        reg.arm(sites::PREPARE_VOTE_NO, 0, 5);
+        reg.set_plan(
+            SitePlan::at(sites::POST_PREPARE, 1)
+                .and_at(sites::BITROT_LOG_SEGMENT, 1)
+                .and_window(sites::LINK_OUTAGE, Duration::ZERO..Duration::MAX),
+        );
         reg.clear();
         assert!(!reg.fire(sites::PREPARE_VOTE_NO));
         assert!(!reg.fire(sites::POST_PREPARE));
         assert!(reg.fire_disk(sites::BITROT_LOG_SEGMENT).is_none());
+        assert_eq!(reg.link_fault(Direction::ToAccel, Duration::ZERO, false), None);
         assert!(reg.fired().is_empty());
     }
 
@@ -1362,8 +1269,8 @@ mod tests {
     fn registry_disk_pinned_hits_fire_with_deterministic_params() {
         let run = || {
             let reg = FaultRegistry::default();
-            reg.set_disk_plan(
-                DiskFaultPlan::at(sites::TORN_LOG_APPEND, 2)
+            reg.set_plan(
+                SitePlan::at(sites::TORN_LOG_APPEND, 2)
                     .and_at(sites::BITROT_CHECKPOINT, 1)
                     .seeded(0xD15C),
             );
@@ -1390,40 +1297,28 @@ mod tests {
     }
 
     #[test]
-    fn registry_disk_plan_is_independent_of_crash_plan() {
-        let reg = FaultRegistry::default();
-        reg.set_plan(
-            CrashPlan::default().seeded(7).and_probabilistic(sites::MID_BULK_LOAD, 0.5),
-        );
-        reg.set_disk_plan(
-            DiskFaultPlan::default()
-                .seeded(7)
-                .and_probabilistic(sites::BITROT_LOG_SEGMENT, 0.5),
-        );
-        let crash_only: Vec<bool> = (0..50).map(|_| reg.fire(sites::MID_BULK_LOAD)).collect();
-
-        // Interleaving disk firings must not perturb the crash stream.
-        let reg2 = FaultRegistry::default();
-        reg2.set_plan(
-            CrashPlan::default().seeded(7).and_probabilistic(sites::MID_BULK_LOAD, 0.5),
-        );
-        reg2.set_disk_plan(
-            DiskFaultPlan::default()
-                .seeded(7)
-                .and_probabilistic(sites::BITROT_LOG_SEGMENT, 0.5),
-        );
-        let interleaved: Vec<bool> = (0..50)
-            .map(|_| {
-                reg2.fire_disk(sites::BITROT_LOG_SEGMENT);
-                reg2.fire(sites::MID_BULK_LOAD)
-            })
-            .collect();
-        assert_eq!(crash_only, interleaved);
-        // Reinstalling the disk plan restarts only disk hit counters.
-        assert_eq!(reg2.hits(sites::MID_BULK_LOAD), 50);
-        assert_eq!(reg2.disk_hits(sites::BITROT_LOG_SEGMENT), 50);
-        reg2.set_disk_plan(DiskFaultPlan::at(sites::BITROT_LOG_SEGMENT, 1));
-        assert_eq!(reg2.disk_hits(sites::BITROT_LOG_SEGMENT), 0);
-        assert_eq!(reg2.hits(sites::MID_BULK_LOAD), 50);
+    fn registry_one_stream_serves_link_crash_and_disk_sites() {
+        let run = |seed: u64| {
+            let link = NetLink::default();
+            let reg = link.faults();
+            reg.set_plan(
+                dropping(seed, 0.2)
+                    .and_probabilistic(sites::MID_BULK_LOAD, 0.2)
+                    .and_probabilistic(sites::BITROT_LOG_SEGMENT, 0.2),
+            );
+            let mut outcomes = Vec::new();
+            for i in 0..60 {
+                outcomes.push(link.transfer(Direction::ToAccel, i).is_ok());
+                outcomes.push(reg.fire(sites::MID_BULK_LOAD));
+                outcomes.push(reg.fire_disk(sites::BITROT_LOG_SEGMENT).is_some());
+            }
+            (outcomes, reg.fired(), link.metrics())
+        };
+        let (outcomes, fired, metrics) = run(7);
+        assert_eq!(run(7), (outcomes.clone(), fired.clone(), metrics), "one seed, one replay");
+        for site in [sites::LINK_DROP_TO_ACCEL, sites::MID_BULK_LOAD, sites::BITROT_LOG_SEGMENT] {
+            assert!(fired.iter().any(|(s, _)| s == site), "{site} never fired");
+        }
+        assert_ne!(run(8).0, outcomes, "a different seed fires differently");
     }
 }

@@ -142,12 +142,12 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                 i += 2;
             }
             '\'' => {
-                let (s, next) = lex_string(input, i)?;
+                let (s, next) = lex_quoted(input, i, '\'', "string literal")?;
                 tokens.push(Token::String(s));
                 i = next;
             }
             '"' => {
-                let (s, next) = lex_quoted_ident(input, i)?;
+                let (s, next) = lex_quoted(input, i, '"', "quoted identifier")?;
                 tokens.push(Token::QuotedIdent(s));
                 i = next;
             }
@@ -182,47 +182,23 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
     Ok(tokens)
 }
 
-fn lex_string(input: &str, start: usize) -> Result<(String, usize)> {
-    let bytes = input.as_bytes();
+/// The token between `quote` characters opening at byte `start`, a doubled
+/// quote standing for one, and the offset after its closing quote. `what`
+/// names the token in the unterminated error.
+fn lex_quoted(input: &str, start: usize, quote: char, what: &str) -> Result<(String, usize)> {
+    let body = start + quote.len_utf8();
     let mut out = String::new();
-    let mut i = start + 1;
-    while i < bytes.len() {
-        if bytes[i] == b'\'' {
-            if bytes.get(i + 1) == Some(&b'\'') {
-                out.push('\'');
-                i += 2;
-            } else {
-                return Ok((out, i + 1));
-            }
-        } else {
-            // Copy the full UTF-8 character.
-            let ch = input[i..].chars().next().unwrap();
+    let mut chars = input[body..].char_indices().peekable();
+    while let Some((i, ch)) = chars.next() {
+        if ch != quote {
             out.push(ch);
-            i += ch.len_utf8();
+        } else if chars.next_if(|&(_, c)| c == quote).is_some() {
+            out.push(quote);
+        } else {
+            return Ok((out, body + i + quote.len_utf8()));
         }
     }
-    Err(Error::Parse("unterminated string literal".into()))
-}
-
-fn lex_quoted_ident(input: &str, start: usize) -> Result<(String, usize)> {
-    let bytes = input.as_bytes();
-    let mut out = String::new();
-    let mut i = start + 1;
-    while i < bytes.len() {
-        if bytes[i] == b'"' {
-            if bytes.get(i + 1) == Some(&b'"') {
-                out.push('"');
-                i += 2;
-            } else {
-                return Ok((out, i + 1));
-            }
-        } else {
-            let ch = input[i..].chars().next().unwrap();
-            out.push(ch);
-            i += ch.len_utf8();
-        }
-    }
-    Err(Error::Parse("unterminated quoted identifier".into()))
+    Err(Error::Parse(format!("unterminated {what}")))
 }
 
 fn lex_number(input: &str, start: usize) -> Result<(Token, usize)> {
@@ -286,6 +262,24 @@ mod tests {
     fn quoted_idents_preserve_case() {
         let t = tokenize("\"MixedCase\"").unwrap();
         assert_eq!(t, vec![Token::QuotedIdent("MixedCase".into())]);
+    }
+
+    #[test]
+    fn quoted_tokens_keep_multibyte_text_and_undouble_quotes() {
+        let t = tokenize("'Zoë''s café — 東京' = \"Größe \"\"Ω\"\"\" x").unwrap();
+        assert_eq!(
+            t,
+            vec![
+                Token::String("Zoë's café — 東京".into()),
+                Token::Eq,
+                Token::QuotedIdent("Größe \"Ω\"".into()),
+                Token::Ident("X".into()),
+            ]
+        );
+        let err = tokenize("'naïve").unwrap_err().to_string();
+        assert!(err.contains("unterminated string literal"), "{err}");
+        let err = tokenize("\"ß\"\"").unwrap_err().to_string();
+        assert!(err.contains("unterminated quoted identifier"), "{err}");
     }
 
     #[test]

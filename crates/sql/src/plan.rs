@@ -350,31 +350,11 @@ fn plan_union(q: &Query, provider: &dyn SchemaProvider) -> Result<Plan> {
         let cols = plan.cols();
         let mut keys = Vec::new();
         for item in &q.order_by {
-            let ordinal = match &item.expr {
-                Expr::Literal(v)
-                    if matches!(
-                        v,
-                        idaa_common::Value::BigInt(_)
-                            | idaa_common::Value::Int(_)
-                            | idaa_common::Value::SmallInt(_)
-                    ) =>
-                {
-                    let i = v.as_i64().expect("integer literal");
-                    if i < 1 || i as usize > cols.len() {
-                        return Err(Error::Parse(format!("ORDER BY position {i} out of range")));
-                    }
-                    (i - 1) as usize
-                }
-                Expr::Column { qualifier: None, name }
-                    if cols.iter().filter(|c| c.name == *name).count() == 1 =>
-                {
-                    cols.iter().position(|c| c.name == *name).expect("counted above")
-                }
-                other => {
-                    return Err(Error::Unsupported(format!(
-                        "ORDER BY on UNION must reference output columns, not {other}"
-                    )))
-                }
+            let Some(ordinal) = output_column(&item.expr, &cols)? else {
+                return Err(Error::Unsupported(format!(
+                    "ORDER BY on UNION must reference output columns, not {}",
+                    item.expr
+                )));
             };
             keys.push((ordinal, item.desc));
         }
@@ -384,6 +364,31 @@ fn plan_union(q: &Query, provider: &dyn SchemaProvider) -> Result<Plan> {
         plan = Plan::Limit { input: Box::new(plan), n };
     }
     Ok(plan)
+}
+
+/// The output column an ORDER BY key names: an ordinal (`ORDER BY 2` is the
+/// second column) or a bare name matching exactly one of `cols` (an alias
+/// or a projected column name). `None` when the key is neither; an ordinal
+/// outside `cols` is an error.
+fn output_column(key: &Expr, cols: &[PlanCol]) -> Result<Option<usize>> {
+    use idaa_common::Value;
+    match key {
+        Expr::Literal(v @ (Value::BigInt(_) | Value::Int(_) | Value::SmallInt(_))) => {
+            let i = v.as_i64()?;
+            match usize::try_from(i) {
+                Ok(n) if (1..=cols.len()).contains(&n) => Ok(Some(n - 1)),
+                _ => Err(Error::Parse(format!("ORDER BY position {i} out of range"))),
+            }
+        }
+        Expr::Column { qualifier: None, name } => {
+            let mut named = cols.iter().enumerate().filter(|(_, c)| c.name == *name);
+            Ok(match (named.next(), named.next()) {
+                (Some((i, _)), None) => Some(i),
+                _ => None,
+            })
+        }
+        _ => Ok(None),
+    }
 }
 
 /// Plan one SELECT block (no unions).
@@ -501,32 +506,11 @@ fn plan_block(q: &Query, provider: &dyn SchemaProvider) -> Result<Plan> {
     // materialized as hidden columns appended to the projection.
     let mut sort_keys: Vec<(usize, bool)> = Vec::new();
     for (item, key_expr) in q.order_by.iter().zip(order_exprs) {
-        let ordinal = match &key_expr {
-            // `ORDER BY 2` means the second output column.
-            Expr::Literal(v)
-                if matches!(
-                    v,
-                    idaa_common::Value::BigInt(_)
-                        | idaa_common::Value::Int(_)
-                        | idaa_common::Value::SmallInt(_)
-                ) =>
-            {
-                let i = v.as_i64().unwrap();
-                if i < 1 || i as usize > visible {
-                    return Err(Error::Parse(format!("ORDER BY position {i} out of range")));
-                }
-                (i - 1) as usize
-            }
-            // A bare name that matches exactly one output column (alias or
-            // projected column name) sorts by that output column.
-            Expr::Column { qualifier: None, name }
-                if out_cols[..visible].iter().filter(|c| c.name == *name).count() == 1 =>
-            {
-                out_cols[..visible].iter().position(|c| c.name == *name).unwrap()
-            }
+        let ordinal = match output_column(&key_expr, &out_cols[..visible])? {
+            Some(i) => i,
             // Anything else is evaluated over the projection input as a
             // hidden column.
-            e => {
+            None => {
                 if q.distinct {
                     return Err(Error::Parse(
                         "with SELECT DISTINCT, ORDER BY must reference output columns".into(),
@@ -534,8 +518,8 @@ fn plan_block(q: &Query, provider: &dyn SchemaProvider) -> Result<Plan> {
                 }
                 let idx = exprs.len();
                 let name = format!("#ORD{}", idx - visible);
-                out_cols.push(PlanCol::new(None, name.clone(), infer_type(e, &in_cols)?));
-                exprs.push((e.clone(), name));
+                out_cols.push(PlanCol::new(None, name.clone(), infer_type(&key_expr, &in_cols)?));
+                exprs.push((key_expr, name));
                 idx
             }
         };
@@ -1170,6 +1154,9 @@ mod tests {
     #[test]
     fn order_by_position_out_of_range() {
         assert!(matches!(plan_err("SELECT a FROM t ORDER BY 3"), Error::Parse(_)));
+        let union = "SELECT a FROM t UNION SELECT a FROM s ORDER BY";
+        assert!(matches!(plan_err(&format!("{union} 2")), Error::Parse(_)));
+        assert!(matches!(plan_err(&format!("{union} 0")), Error::Parse(_)));
     }
 
     #[test]

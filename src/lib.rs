@@ -62,6 +62,6 @@ pub use idaa_core::{
 };
 pub use idaa_host::{HostEngine, SYSADM};
 pub use idaa_netsim::{
-    CrashPlan, Direction, DiskFaultPlan, FaultPlan, FaultRegistry, FaultSpec, LinkConfig,
-    LinkError, LinkMetrics, NetLink, OutageWindow, RetryPolicy,
+    sites, Direction, FaultRegistry, LinkConfig, LinkError, LinkMetrics, NetLink, RetryPolicy,
+    SitePlan,
 };

@@ -11,12 +11,11 @@
 
 use idaa::netsim::sites;
 use idaa::{
-    CrashPlan, DiskFaultPlan, FaultPlan, FleetConfig, HealthState, Idaa, IdaaConfig, ObjectName,
-    Route, Value, SYSADM,
+    FleetConfig, HealthState, Idaa, IdaaConfig, ObjectName, Route, SitePlan, Value, SYSADM,
 };
 use std::time::Duration;
 
-/// splitmix64 — the same generator the link's fault stream uses; good
+/// splitmix64 — the same generator the fault registry's stream uses; good
 /// enough to derive per-case workloads deterministically.
 struct Rng(u64);
 
@@ -36,6 +35,14 @@ impl Rng {
     fn f64(&mut self) -> f64 {
         (self.next() >> 11) as f64 / (1u64 << 53) as f64
     }
+}
+
+/// Drop a fraction `p` of messages in both directions.
+fn dropping(seed: u64, p: f64) -> SitePlan {
+    SitePlan::default()
+        .seeded(seed)
+        .and_probabilistic(sites::LINK_DROP_TO_ACCEL, p)
+        .and_probabilistic(sites::LINK_DROP_TO_HOST, p)
 }
 
 fn cases() -> u32 {
@@ -76,31 +83,44 @@ fn assert_tolerated(e: &idaa::Error) {
 }
 
 /// Heal the link and bring the accelerator back: recovery probe, queued
-/// phase-2 commit decisions, replication catch-up.
-fn heal(idaa: &Idaa) {
-    idaa.link().clear_faults();
+/// phase-2 commit decisions, replication catch-up. Returns node 0's firing
+/// log as it stood before the heal cleared it.
+fn heal(idaa: &Idaa) -> Vec<(String, u64)> {
+    let fired = idaa.faults.registry.fired();
+    idaa.faults.registry.clear();
     assert!(idaa.recover(), "recovery probe must succeed on a healed link");
     idaa.replicate_now().unwrap();
     assert_eq!(idaa.health().state(), HealthState::Online);
     assert_eq!(idaa.pending_accel_commits(), 0);
     assert_eq!(idaa.replication_backlog(), 0);
+    fired
 }
 
-/// One random workload under one random fault plan; returns nothing —
-/// panics on any invariant violation.
+/// One random workload under one random link-fault plan; panics on any
+/// invariant violation.
 fn chaos_case(case_seed: u64) {
     let mut rng = Rng(case_seed);
     let batch = [1usize, 5, 64][rng.below(3) as usize];
     let (idaa, mut s) = faulted_system(batch);
 
-    let mut plan = FaultPlan::dropping(rng.next(), 0.02 + 0.23 * rng.f64());
-    plan.to_host.drop = 0.02 + 0.23 * rng.f64();
+    let mut plan = SitePlan::default()
+        .seeded(rng.next())
+        .and_probabilistic(sites::LINK_DROP_TO_ACCEL, 0.02 + 0.23 * rng.f64())
+        .and_probabilistic(sites::LINK_DROP_TO_HOST, 0.02 + 0.23 * rng.f64());
     if rng.below(3) == 0 {
         let start = idaa.link().now() + Duration::from_micros(rng.below(2_000));
-        plan.outages.push(idaa::OutageWindow::new(start, start + Duration::from_millis(2)));
+        plan = plan.and_window(sites::LINK_OUTAGE, start..start + Duration::from_millis(2));
     }
     idaa.set_fault_plan(plan);
+    shadow_workload(&idaa, &mut s, &mut rng);
+}
 
+/// The chaos workload against a shadow model, drawn from `rng` under
+/// whatever plan is installed: host inserts, autocommitted AOT inserts,
+/// explicit cross-engine transactions and offload-eligible counts. Every
+/// statement succeeds or fails with a tolerated SQLCODE; after the heal
+/// the replica and the AOT match the model. Returns the firing log.
+fn shadow_workload(idaa: &Idaa, s: &mut idaa::Session, rng: &mut Rng) -> Vec<(String, u64)> {
     // Shadow model. Host-table rows are certain (link faults cannot fail a
     // host insert); AOT rows are certain when the statement succeeded and
     // ambiguous when it failed inside an explicit transaction that later
@@ -118,7 +138,7 @@ fn chaos_case(case_seed: u64) {
                 // may stall and catch up later.
                 let v = next_val;
                 next_val += 1;
-                idaa.execute(&mut s, &format!("INSERT INTO SALES VALUES ({v})")).unwrap();
+                idaa.execute(s, &format!("INSERT INTO SALES VALUES ({v})")).unwrap();
                 expect_sales.push(v);
             }
             1 => {
@@ -126,14 +146,14 @@ fn chaos_case(case_seed: u64) {
                 // error rolls the implicit transaction back on both sides.
                 let v = next_val;
                 next_val += 1;
-                match idaa.execute(&mut s, &format!("INSERT INTO LOG VALUES ({v})")) {
+                match idaa.execute(s, &format!("INSERT INTO LOG VALUES ({v})")) {
                     Ok(_) => log_definite.push(v),
                     Err(e) => assert_tolerated(&e),
                 }
             }
             2 => {
                 // Explicit transaction across both engines: must be atomic.
-                idaa.execute(&mut s, "BEGIN").unwrap();
+                idaa.execute(s, "BEGIN").unwrap();
                 let mut txn_sales: Vec<i32> = Vec::new();
                 let mut txn_log_ok: Vec<i32> = Vec::new();
                 let mut txn_log_err: Vec<i32> = Vec::new();
@@ -141,11 +161,11 @@ fn chaos_case(case_seed: u64) {
                     let v = next_val;
                     next_val += 1;
                     if rng.below(2) == 0 {
-                        idaa.execute(&mut s, &format!("INSERT INTO SALES VALUES ({v})"))
+                        idaa.execute(s, &format!("INSERT INTO SALES VALUES ({v})"))
                             .unwrap();
                         txn_sales.push(v);
                     } else {
-                        match idaa.execute(&mut s, &format!("INSERT INTO LOG VALUES ({v})")) {
+                        match idaa.execute(s, &format!("INSERT INTO LOG VALUES ({v})")) {
                             Ok(_) => txn_log_ok.push(v),
                             Err(e) => {
                                 // The loss may have hit the acknowledgement
@@ -158,9 +178,9 @@ fn chaos_case(case_seed: u64) {
                     }
                 }
                 if rng.below(5) == 0 {
-                    idaa.execute(&mut s, "ROLLBACK").unwrap();
+                    idaa.execute(s, "ROLLBACK").unwrap();
                 } else {
-                    match idaa.execute(&mut s, "COMMIT") {
+                    match idaa.execute(s, "COMMIT") {
                         Ok(_) => {
                             expect_sales.extend(txn_sales);
                             log_definite.extend(txn_log_ok);
@@ -175,7 +195,7 @@ fn chaos_case(case_seed: u64) {
                 // mid-statement falls back to the host copy. The host
                 // answer is exact; an accelerator answer may lag stalled
                 // replication but can never overshoot.
-                let out = idaa.execute(&mut s, "SELECT COUNT(*) FROM sales").unwrap();
+                let out = idaa.execute(s, "SELECT COUNT(*) FROM sales").unwrap();
                 let n = match out.rows().unwrap().scalar().unwrap() {
                     Value::BigInt(n) => *n,
                     other => panic!("expected BIGINT count, got {other:?}"),
@@ -188,7 +208,7 @@ fn chaos_case(case_seed: u64) {
         }
     }
 
-    heal(&idaa);
+    let fired = heal(idaa);
 
     // Exactly-once replication: the accelerator replica equals the host
     // table, row for row — nothing lost, nothing applied twice.
@@ -214,6 +234,7 @@ fn chaos_case(case_seed: u64) {
             "AOT row {v} from a rolled-back or never-issued statement"
         );
     }
+    fired
 }
 
 #[test]
@@ -223,14 +244,40 @@ fn chaos_random_workloads_converge_after_recovery() {
     }
 }
 
-/// Fixed-seed replay: the same workload under the same `FaultPlan` seed
+/// One seeded schedule varies link, crash and storage faults together on
+/// node 0: probabilistic reply loss, a crash mid-replication-apply and a
+/// torn commit-log append. The shadow-model workload converges under it,
+/// every kind fires, and the same seed replays the same firing log (link
+/// entries included), link metrics and metrics registry.
+#[test]
+fn one_schedule_varies_link_crash_and_disk_faults_together() {
+    let run = |seed: u64| {
+        let (idaa, mut s) = faulted_system(5);
+        idaa.set_fault_plan(
+            SitePlan::default()
+                .seeded(seed)
+                .and_probabilistic(sites::LINK_DROP_TO_HOST, 0.1)
+                .and_at(sites::MID_REPL_APPLY, 4)
+                .and_at(sites::TORN_LOG_APPEND, 40),
+        );
+        let fired = shadow_workload(&idaa, &mut s, &mut Rng(seed));
+        (fired, idaa.link().metrics(), idaa.metrics().snapshot().render())
+    };
+    let first = run(0x0E5C_4ED1);
+    for site in [sites::LINK_DROP_TO_HOST, sites::MID_REPL_APPLY, sites::TORN_LOG_APPEND] {
+        assert!(first.0.iter().any(|(s, _)| s == site), "{site} never fired: {:?}", first.0);
+    }
+    assert_eq!(run(0x0E5C_4ED1), first, "one seed must replay one run");
+}
+
+/// Fixed-seed replay: the same workload under the same `SitePlan` seed
 /// must produce byte-identical link metrics — delivered traffic, failure
 /// count and fault time included.
 #[test]
 fn fixed_seed_ten_percent_drop_replays_byte_identically() {
     let run = || {
         let (idaa, mut s) = faulted_system(7);
-        idaa.set_fault_plan(FaultPlan::dropping(42, 0.10));
+        idaa.set_fault_plan(dropping(42, 0.10));
         let mut log_ok = 0i64;
         for i in 0..60 {
             idaa.execute(&mut s, &format!("INSERT INTO SALES VALUES ({i})")).unwrap();
@@ -270,7 +317,8 @@ fn scheduled_outage_falls_back_then_recovers() {
     idaa.execute(&mut s, "INSERT INTO LOG VALUES (1)").unwrap();
 
     let start = idaa.link().now();
-    idaa.set_fault_plan(FaultPlan::outage(start, start + Duration::from_millis(50)));
+    let window = start..start + Duration::from_millis(50);
+    idaa.set_fault_plan(SitePlan::default().and_window(sites::LINK_OUTAGE, window));
 
     // Mid-statement failure on an eligible query: falls back to the host.
     let out = idaa.execute(&mut s, "SELECT COUNT(*) FROM sales").unwrap();
@@ -354,10 +402,10 @@ fn exec_until_applied(idaa: &Idaa, s: &mut idaa::Session, sql: &str) {
 /// checkpoint cadence). Heals at the end and returns the link metrics, the
 /// registry's firing log, and the final accelerator contents.
 #[allow(clippy::type_complexity)]
-fn crash_run(plan: CrashPlan) -> (idaa::LinkMetrics, Vec<(String, u64)>, Vec<i32>, Vec<i32>) {
+fn crash_run(plan: SitePlan) -> (idaa::LinkMetrics, Vec<(String, u64)>, Vec<i32>, Vec<i32>) {
     let (idaa, mut s) = crash_system();
-    let expect_crash = !plan.is_clean();
-    idaa.set_crash_plan(plan);
+    let expect_crash = !plan.sites.is_empty();
+    idaa.set_fault_plan(plan);
     for i in 0..40 {
         idaa.execute(&mut s, &format!("INSERT INTO SALES VALUES ({i})")).unwrap();
         exec_until_applied(&idaa, &mut s, &format!("INSERT INTO LOG VALUES ({i})"));
@@ -369,7 +417,6 @@ fn crash_run(plan: CrashPlan) -> (idaa::LinkMetrics, Vec<(String, u64)>, Vec<i32
     }
     let fired = idaa.faults.registry.fired();
     idaa.faults.registry.clear();
-    idaa.link().clear_faults();
     assert!(idaa.recover(), "recovery must succeed once crash injection stops");
     idaa.replicate_now().unwrap();
     assert_eq!(idaa.health().state(), HealthState::Online);
@@ -393,7 +440,7 @@ fn crash_run(plan: CrashPlan) -> (idaa::LinkMetrics, Vec<(String, u64)>, Vec<i32
 /// metrics and the exact same firing log.
 #[test]
 fn crash_at_every_named_site_converges_to_the_crash_free_answer() {
-    let (_, fired, sales_clean, log_clean) = crash_run(CrashPlan::default());
+    let (_, fired, sales_clean, log_clean) = crash_run(SitePlan::default());
     assert!(fired.is_empty(), "a clean plan must never fire");
     assert_eq!(sales_clean, (0..40).collect::<Vec<_>>());
     assert_eq!(log_clean, (0..40).collect::<Vec<_>>());
@@ -406,7 +453,7 @@ fn crash_at_every_named_site_converges_to_the_crash_free_answer() {
     ] {
         for (k, seed) in [0xA11CEu64, 0xB0B, 0xC0FFEE].into_iter().enumerate() {
             let hit = k as u64 + 1;
-            let plan = CrashPlan::at(site, hit).seeded(seed);
+            let plan = SitePlan::at(site, hit).seeded(seed);
             let (m1, fired1, sales, log) = crash_run(plan.clone());
             assert_eq!(
                 fired1,
@@ -437,11 +484,11 @@ fn crash_preserves_in_doubt_transactions_until_the_coordinator_decides() {
     // the host commits and queues the accelerator's COMMIT. Then a crash.
     idaa.execute(&mut s, "BEGIN").unwrap();
     idaa.execute(&mut s, "INSERT INTO LOG VALUES (88)").unwrap();
-    idaa.link().fail_transfers_after(2, 8);
+    idaa.faults.registry.arm(sites::LINK_TRANSFER, 2, 8);
     idaa.execute(&mut s, "COMMIT").unwrap();
     assert_eq!(idaa.pending_accel_commits(), 1);
     idaa.accel().crash();
-    idaa.link().clear_faults();
+    idaa.faults.registry.clear();
     assert!(idaa.recover());
     assert_eq!(idaa.pending_accel_commits(), 0, "queued decision resolved on restart");
     assert_eq!(idaa.last_restart().unwrap().rematerialized_in_doubt, 1);
@@ -450,7 +497,7 @@ fn crash_preserves_in_doubt_transactions_until_the_coordinator_decides() {
     // logged, the coordinator rolls back, restart presumes abort.
     idaa.execute(&mut s, "BEGIN").unwrap();
     idaa.execute(&mut s, "INSERT INTO LOG VALUES (99)").unwrap();
-    idaa.faults.registry.arm(sites::POST_PREPARE, 1);
+    idaa.faults.registry.arm(sites::POST_PREPARE, 0, 1);
     let err = idaa.execute(&mut s, "COMMIT").unwrap_err();
     assert_eq!(err.sqlcode(), -926);
     assert!(idaa.recover());
@@ -474,7 +521,7 @@ fn crash_preserves_in_doubt_transactions_until_the_coordinator_decides() {
 /// The whole faulted run replays byte-identically per seed.
 #[test]
 fn corrupt_faults_are_detected_by_checksum_and_leave_delivered_traffic_clean() {
-    let workload = |plan: Option<FaultPlan>| {
+    let workload = |plan: Option<SitePlan>| {
         let (idaa, mut s) = faulted_system(7);
         if let Some(p) = plan {
             idaa.set_fault_plan(p);
@@ -492,10 +539,10 @@ fn corrupt_faults_are_detected_by_checksum_and_leave_delivered_traffic_clean() {
         (idaa.link().metrics(), idaa.statements_deduped())
     };
     let corrupting = || {
-        let mut plan = FaultPlan::dropping(31, 0.0);
-        plan.to_accel.corrupt = 0.12;
-        plan.to_host.corrupt = 0.12;
-        plan
+        SitePlan::default()
+            .seeded(31)
+            .and_probabilistic(sites::LINK_CORRUPT_TO_ACCEL, 0.12)
+            .and_probabilistic(sites::LINK_CORRUPT_TO_HOST, 0.12)
     };
 
     let (clean, clean_dedup) = workload(None);
@@ -548,12 +595,12 @@ fn fleet_system() -> (Idaa, idaa::Session) {
 /// link metrics, node 0's firing log, and the failover/rebalance counters.
 #[allow(clippy::type_complexity)]
 fn fleet_crash_run(
-    plan: Option<CrashPlan>,
+    plan: Option<SitePlan>,
 ) -> (Vec<Vec<idaa::Row>>, Vec<idaa::LinkMetrics>, Vec<(String, u64)>, u64, u64) {
     let (idaa, mut s) = fleet_system();
     let crashing = plan.is_some();
     if let Some(p) = plan {
-        idaa.set_crash_plan_on(0, p);
+        idaa.set_fault_plan_on(0, p);
     }
     let mut answers = Vec::new();
     for i in 0..30 {
@@ -598,7 +645,7 @@ fn fleet_primary_crash_mid_scatter_fails_over_and_converges() {
     assert!(clean_fired.is_empty());
     assert_eq!(clean_failovers, 0, "a clean run never fails over");
 
-    let plan = || CrashPlan::at(sites::MID_SCATTER, 3).seeded(0xF1EE7);
+    let plan = || SitePlan::at(sites::MID_SCATTER, 3).seeded(0xF1EE7);
     let (answers, metrics, fired, failovers, rebalances) = fleet_crash_run(Some(plan()));
     assert_eq!(
         fired,
@@ -630,7 +677,7 @@ fn fleet_lost_vote_is_resolved_by_the_status_inquiry() {
     idaa.execute(&mut s, &format!("INSERT INTO FLOG VALUES {}", vals.join(", "))).unwrap();
     // On node 1's link: PREPARE is delivered, then every attempt of its YES
     // vote is lost; the inquiry that follows finds a healed link.
-    idaa.node_link(1).fail_transfers_after(1, 4);
+    idaa.node_registry(1).arm(sites::LINK_TRANSFER, 1, 4);
     idaa.execute(&mut s, "COMMIT").unwrap();
     assert_eq!(idaa.metrics().counter("twopc.in_doubt_resolved"), 1);
     assert_eq!(idaa.in_doubt_resolved(), 1);
@@ -677,18 +724,18 @@ fn fleet_shard_loss_maps_to_db2_sqlcodes() {
     // Crash one owner *and* sever its link so the health probe cannot
     // revive it: its shard has no live replica left.
     idaa.node_engine(1).crash();
-    idaa.node_link(1).fail_transfers_after(0, u64::MAX);
+    idaa.node_registry(1).arm(sites::LINK_TRANSFER, 0, u64::MAX);
     let err = idaa.query(&mut s, "SELECT COUNT(*) FROM FLOG").unwrap_err();
     assert_eq!(err.sqlcode(), -904, "a shard with no live replica is -904: {err}");
 
     // Heal it and verify the fleet serves again.
-    idaa.node_link(1).clear_faults();
+    idaa.node_registry(1).clear();
     assert!(idaa.recover_node(1));
     assert_eq!(idaa.query(&mut s, "SELECT COUNT(*) FROM FLOG").unwrap().rows.len(), 1);
 
     // Now kill only the statement exchange (the node itself stays up and
     // Online): the shard's gather dies after retries — -30081.
-    idaa.node_link(1).fail_transfers_after(0, u64::MAX);
+    idaa.node_registry(1).arm(sites::LINK_TRANSFER, 0, u64::MAX);
     let err = idaa.query(&mut s, "SELECT COUNT(*) FROM FLOG").unwrap_err();
     assert_eq!(err.sqlcode(), -30081, "a dead exchange on every replica is -30081: {err}");
 }
@@ -740,10 +787,10 @@ struct DiskRun {
 /// must be read back. Either recovery repairs it locally, the node is
 /// rebuilt from the host, or the loss surfaces as a quarantine — never a
 /// silently wrong answer.
-fn disk_run(plan: DiskFaultPlan, checkpoint_every: Duration, scrub_every: Duration) -> DiskRun {
+fn disk_run(plan: SitePlan, checkpoint_every: Duration, scrub_every: Duration) -> DiskRun {
     let (idaa, mut s) = disk_system(checkpoint_every, scrub_every);
-    let expect_fault = !plan.is_clean();
-    idaa.set_disk_plan(plan);
+    let expect_fault = !plan.sites.is_empty();
+    idaa.set_fault_plan(plan);
     for i in 0..40 {
         idaa.execute(&mut s, &format!("INSERT INTO SALES VALUES ({i})")).unwrap();
         exec_until_applied(&idaa, &mut s, &format!("INSERT INTO LOG VALUES ({i})"));
@@ -790,7 +837,7 @@ fn disk_run(plan: DiskFaultPlan, checkpoint_every: Duration, scrub_every: Durati
 #[test]
 fn torn_writes_at_named_sites_self_heal_and_replay_byte_identically() {
     let cadence = Duration::from_micros(300);
-    let clean = disk_run(DiskFaultPlan::default(), cadence, Duration::ZERO);
+    let clean = disk_run(SitePlan::default(), cadence, Duration::ZERO);
     assert!(clean.fired.is_empty(), "a clean disk plan must never fire");
     assert_eq!(clean.sales, (0..40).collect::<Vec<_>>());
     assert_eq!(clean.log, Ok((0..40).collect::<Vec<_>>()));
@@ -799,7 +846,7 @@ fn torn_writes_at_named_sites_self_heal_and_replay_byte_identically() {
     for site in [sites::TORN_LOG_APPEND, sites::TORN_CHECKPOINT] {
         for (k, seed) in [0xA11CEu64, 0xB0B, 0xC0FFEE].into_iter().enumerate() {
             let hit = k as u64 + 1;
-            let plan = || DiskFaultPlan::at(site, hit).seeded(seed);
+            let plan = || SitePlan::at(site, hit).seeded(seed);
             let r1 = disk_run(plan(), cadence, Duration::ZERO);
             assert_eq!(
                 r1.fired,
@@ -832,13 +879,13 @@ fn acked_bitrot_without_scrub_rebuilds_the_node_and_quarantines_the_aot() {
     // Checkpoints disabled: every record stays in the replay tail, so the
     // rot is always on recovery's critical path.
     let slow = Duration::from_secs(3600);
-    let clean = disk_run(DiskFaultPlan::default(), slow, Duration::ZERO);
+    let clean = disk_run(SitePlan::default(), slow, Duration::ZERO);
     assert_eq!(clean.sales, (0..40).collect::<Vec<_>>());
     assert_eq!(clean.log, Ok((0..40).collect::<Vec<_>>()));
 
     for (k, seed) in [0xA11CEu64, 0xB0B, 0xC0FFEE].into_iter().enumerate() {
         let hit = k as u64 + 1;
-        let plan = || DiskFaultPlan::at(sites::BITROT_LOG_SEGMENT, hit).seeded(seed);
+        let plan = || SitePlan::at(sites::BITROT_LOG_SEGMENT, hit).seeded(seed);
         let r1 = disk_run(plan(), slow, Duration::ZERO);
         assert_eq!(
             r1.fired,
@@ -862,14 +909,14 @@ fn acked_bitrot_without_scrub_rebuilds_the_node_and_quarantines_the_aot() {
 fn background_scrub_repairs_latent_bitrot_before_recovery_needs_it() {
     let slow = Duration::from_secs(3600);
     let scrub = Duration::from_micros(200);
-    let clean = disk_run(DiskFaultPlan::default(), slow, scrub);
+    let clean = disk_run(SitePlan::default(), slow, scrub);
     assert_eq!(clean.sales, (0..40).collect::<Vec<_>>());
     assert_eq!(clean.log, Ok((0..40).collect::<Vec<_>>()));
     assert_eq!(clean.scrub_repairs, 0, "a clean run has nothing to repair");
 
     for (k, seed) in [0xA11CEu64, 0xB0B, 0xC0FFEE].into_iter().enumerate() {
         let hit = k as u64 + 1;
-        let plan = || DiskFaultPlan::at(sites::BITROT_LOG_SEGMENT, hit).seeded(seed);
+        let plan = || SitePlan::at(sites::BITROT_LOG_SEGMENT, hit).seeded(seed);
         let r1 = disk_run(plan(), slow, scrub);
         assert_eq!(r1.fired, vec![(sites::BITROT_LOG_SEGMENT.to_string(), hit)]);
         assert!(r1.scrub_repairs >= 1, "the scrub must find and repair the rot");
@@ -905,7 +952,7 @@ fn rotted_checkpoint_falls_back_to_the_previous_valid_one() {
     }
     let run = |hit: u64, seed: u64| {
         let (idaa, mut s) = disk_system(Duration::from_micros(300), Duration::ZERO);
-        idaa.set_disk_plan(DiskFaultPlan::at(sites::BITROT_CHECKPOINT, hit).seeded(seed));
+        idaa.set_fault_plan(SitePlan::at(sites::BITROT_CHECKPOINT, hit).seeded(seed));
         let mut crashed_after_fire = false;
         for i in 0..40 {
             idaa.execute(&mut s, &format!("INSERT INTO SALES VALUES ({i})")).unwrap();
@@ -956,8 +1003,8 @@ fn transient_disk_read_failures_delay_recovery_without_losing_state() {
         idaa.execute(&mut s, &format!("INSERT INTO LOG VALUES ({i})")).unwrap();
     }
     idaa.accel().crash();
-    idaa.set_disk_plan(
-        DiskFaultPlan::at(sites::DISK_READ_FAIL, 1)
+    idaa.set_fault_plan(
+        SitePlan::at(sites::DISK_READ_FAIL, 1)
             .and_at(sites::DISK_READ_FAIL, 2)
             .seeded(0xA11CE),
     );
@@ -988,7 +1035,7 @@ fn transient_disk_read_failures_delay_recovery_without_losing_state() {
 #[test]
 fn quarantine_is_explicit_and_lifted_by_recreating_the_aot() {
     let (idaa, mut s) = disk_system(Duration::from_secs(3600), Duration::ZERO);
-    idaa.set_disk_plan(DiskFaultPlan::at(sites::BITROT_LOG_SEGMENT, 1).seeded(0xA11CE));
+    idaa.set_fault_plan(SitePlan::at(sites::BITROT_LOG_SEGMENT, 1).seeded(0xA11CE));
     for i in 0..8 {
         idaa.execute(&mut s, &format!("INSERT INTO LOG VALUES ({i})")).unwrap();
         idaa.execute(&mut s, &format!("INSERT INTO SALES VALUES ({i})")).unwrap();
@@ -1027,7 +1074,7 @@ fn quarantine_is_explicit_and_lifted_by_recreating_the_aot() {
 #[test]
 fn quarantine_survives_a_checkpoint_and_a_restart() {
     let (idaa, mut s) = disk_system(Duration::from_secs(3600), Duration::ZERO);
-    idaa.set_disk_plan(DiskFaultPlan::at(sites::BITROT_LOG_SEGMENT, 1).seeded(0xA11CE));
+    idaa.set_fault_plan(SitePlan::at(sites::BITROT_LOG_SEGMENT, 1).seeded(0xA11CE));
     for i in 0..8 {
         idaa.execute(&mut s, &format!("INSERT INTO LOG VALUES ({i})")).unwrap();
         idaa.execute(&mut s, &format!("INSERT INTO SALES VALUES ({i})")).unwrap();
@@ -1080,11 +1127,11 @@ fn fleet_rebuilds_a_corrupt_node_from_its_replicas_and_converges() {
         (idaa, s)
     };
     #[allow(clippy::type_complexity)]
-    let run = |plan: Option<DiskFaultPlan>| -> (Vec<idaa::Row>, Vec<idaa::LinkMetrics>, Vec<(String, u64)>) {
+    let run = |plan: Option<SitePlan>| -> (Vec<idaa::Row>, Vec<idaa::LinkMetrics>, Vec<(String, u64)>) {
         let (idaa, mut s) = build();
         let corrupting = plan.is_some();
         if let Some(p) = plan {
-            idaa.set_disk_plan_on(1, p);
+            idaa.set_fault_plan_on(1, p);
         }
         for i in 0..30 {
             let g = if i % 2 == 0 { "a" } else { "b" };
@@ -1123,7 +1170,7 @@ fn fleet_rebuilds_a_corrupt_node_from_its_replicas_and_converges() {
     let (clean_rows, _, clean_fired) = run(None);
     assert!(clean_fired.is_empty());
 
-    let plan = || DiskFaultPlan::at(sites::BITROT_LOG_SEGMENT, 7).seeded(0xC0FFEE);
+    let plan = || SitePlan::at(sites::BITROT_LOG_SEGMENT, 7).seeded(0xC0FFEE);
     let (rows, metrics, fired) = run(Some(plan()));
     assert_eq!(fired, vec![(sites::BITROT_LOG_SEGMENT.to_string(), 7)]);
     assert_eq!(rows, clean_rows, "the rebuilt node must serve the fault-free answer");
@@ -1155,7 +1202,7 @@ fn fleet_sole_owner_shard_loss_is_a_deterministic_error() {
     )
     .unwrap();
     idaa.execute(&mut s, "SET CURRENT QUERY ACCELERATION = ELIGIBLE").unwrap();
-    idaa.set_disk_plan_on(1, DiskFaultPlan::at(sites::BITROT_LOG_SEGMENT, 3).seeded(0xB0B));
+    idaa.set_fault_plan_on(1, SitePlan::at(sites::BITROT_LOG_SEGMENT, 3).seeded(0xB0B));
     idaa.execute(&mut s, "INSERT INTO FLOG VALUES (1), (2), (3), (4), (5)").unwrap();
 
     idaa.node_engine(1).crash();
@@ -1240,7 +1287,7 @@ fn fleet_failover_serves_direct_loads_and_analytics_output() {
         idaa.query(&mut s, LINREG).unwrap();
         assert_replicas_agree(&idaa, &fleet, &["L", "LM"]);
         idaa.node_engine(0).crash();
-        idaa.node_link(0).fail_transfers_after(0, u64::MAX);
+        idaa.node_registry(0).arm(sites::LINK_TRANSFER, 0, u64::MAX);
         let answers = loaded_reads(&idaa, &mut s);
         assert!(idaa.fleet_failovers() > 0, "the reads must fail over to node 1");
         let metrics: Vec<_> = (0..2).map(|i| idaa.node_link(i).metrics()).collect();
@@ -1264,7 +1311,7 @@ fn fleet_direct_load_survives_an_owner_losing_its_link() {
         let idaa = Idaa::new(IdaaConfig { fleet: fleet.clone(), ..IdaaConfig::default() });
         let mut s = idaa.session(SYSADM);
         idaa.execute(&mut s, "CREATE TABLE L (A BIGINT, B BIGINT) IN ACCELERATOR").unwrap();
-        idaa.node_link(1).fail_transfers_after(1, u64::MAX);
+        idaa.node_registry(1).arm(sites::LINK_TRANSFER, 1, u64::MAX);
         let records = (0..30i64).map(|i| vec![i.to_string(), (2 * i).to_string()]).collect();
         let mut loader = Loader::new(SYSADM);
         loader.config.batch_size = 8;
@@ -1272,11 +1319,11 @@ fn fleet_direct_load_survives_an_owner_losing_its_link() {
         loader.load(&idaa, source, &ObjectName::bare("L"), LoadTarget::Auto).unwrap();
         let partial = idaa.node_engine(1).scan_visible(&ObjectName::bare("L")).unwrap();
         assert!(partial.is_empty(), "node 1's part of the load must not become visible");
-        idaa.node_link(1).clear_faults();
+        idaa.node_registry(1).clear();
         assert!(idaa.recover_node(1));
         assert_replicas_agree(&idaa, &fleet, &["L"]);
         idaa.node_engine(0).crash();
-        idaa.node_link(0).fail_transfers_after(0, u64::MAX);
+        idaa.node_registry(0).arm(sites::LINK_TRANSFER, 0, u64::MAX);
         let rows = idaa.query(&mut s, "SELECT COUNT(*), SUM(a), SUM(b) FROM l").unwrap().rows;
         let metrics: Vec<_> = (0..2).map(|i| idaa.node_link(i).metrics()).collect();
         (rows, metrics)
@@ -1299,26 +1346,26 @@ fn fleet_catch_up_without_a_source_keeps_the_lagging_node_out() {
     idaa.execute(&mut s, "CREATE TABLE L (A BIGINT) IN ACCELERATOR").unwrap();
     idaa.execute(&mut s, "SET CURRENT QUERY ACCELERATION = ELIGIBLE").unwrap();
     idaa.execute(&mut s, "INSERT INTO L VALUES (1), (2)").unwrap();
-    idaa.node_link(1).fail_transfers_after(0, u64::MAX);
+    idaa.node_registry(1).arm(sites::LINK_TRANSFER, 0, u64::MAX);
     idaa.execute(&mut s, "INSERT INTO L VALUES (3)").unwrap();
-    idaa.node_link(1).clear_faults();
+    idaa.node_registry(1).clear();
     let stale = idaa.node_engine(1).scan_visible(&ObjectName::bare("L")).unwrap();
     assert_eq!(stale.len(), 2, "node 1 missed the second write");
 
     idaa.node_engine(0).crash();
-    idaa.node_link(0).fail_transfers_after(0, u64::MAX);
+    idaa.node_registry(0).arm(sites::LINK_TRANSFER, 0, u64::MAX);
     let count = "SELECT COUNT(*) FROM L";
     let err = idaa.query(&mut s, count).map(|r| r.rows).unwrap_err();
     assert_eq!(err.sqlcode(), -904, "a lagging replica with no source must not serve: {err}");
 
-    idaa.node_link(0).clear_faults();
+    idaa.node_registry(0).clear();
     assert!(idaa.recover_node(0), "node 0 comes back");
     let answer = vec![vec![Value::BigInt(3)]];
     assert_eq!(idaa.query(&mut s, count).unwrap().rows, answer);
     // Once caught up from node 0, node 1 serves the full answer alone.
     assert!(idaa.recover_node(1), "node 1 catches up from node 0");
     idaa.node_engine(0).crash();
-    idaa.node_link(0).fail_transfers_after(0, u64::MAX);
+    idaa.node_registry(0).arm(sites::LINK_TRANSFER, 0, u64::MAX);
     assert_eq!(idaa.query(&mut s, count).unwrap().rows, answer);
 }
 
@@ -1331,9 +1378,9 @@ fn fleet_catch_up_without_a_source_keeps_the_lagging_node_out() {
 fn fleet_crash_mid_output_write_converges_or_fails_904() {
     let fleet = FleetConfig { accelerators: 3, shards: 4, replication_factor: 2 };
     let expected = single_loaded_answers();
-    let run = |node: usize, plan: CrashPlan| {
+    let run = |node: usize, plan: SitePlan| {
         let (idaa, mut s) = loaded_system(fleet.clone());
-        idaa.set_crash_plan_on(node, plan);
+        idaa.set_fault_plan_on(node, plan);
         let call = idaa.query(&mut s, LINREG).map(drop).map_err(|e| e.sqlcode());
         let first = loaded_reads(&idaa, &mut s);
         let fired = idaa.node_registry(node).fired();
@@ -1349,7 +1396,7 @@ fn fleet_crash_mid_output_write_converges_or_fails_904() {
     };
     for (node, hits) in [(0usize, 3u64), (1, 3), (2, 2)] {
         for hit in 1..=hits {
-            let plan = || CrashPlan::at(sites::MID_BULK_LOAD, hit).seeded(0xB17 + hit);
+            let plan = || SitePlan::at(sites::MID_BULK_LOAD, hit).seeded(0xB17 + hit);
             let outcome = run(node, plan());
             let (call, first, after, fired, _) = &outcome;
             assert_eq!(fired, &vec![(sites::MID_BULK_LOAD.to_string(), hit)], "node {node} hit {hit}");
@@ -1395,7 +1442,7 @@ fn render_completion(c: &idaa::Completion) -> String {
 /// node 0's firing log, and the post-recovery convergence answer.
 #[allow(clippy::type_complexity)]
 fn server_fleet_run(
-    plan: Option<CrashPlan>,
+    plan: Option<SitePlan>,
 ) -> (Vec<String>, Vec<idaa::LinkMetrics>, Vec<(String, u64)>, String) {
     let (idaa, mut admin) = fleet_system();
     for i in 0..8 {
@@ -1416,7 +1463,7 @@ fn server_fleet_run(
     // batch below — while statements are still waiting in the queues.
     let crashing = plan.is_some();
     if let Some(p) = plan {
-        srv.idaa().set_crash_plan_on(0, p);
+        srv.idaa().set_fault_plan_on(0, p);
     }
     for i in 8..20 {
         let g = if i % 2 == 0 { "a" } else { "b" };
@@ -1481,7 +1528,7 @@ fn server_queued_statements_drain_across_a_mid_scatter_crash() {
         "a clean run completes every statement"
     );
 
-    let plan = || CrashPlan::at(sites::MID_SCATTER, 3).seeded(0x5EA75);
+    let plan = || SitePlan::at(sites::MID_SCATTER, 3).seeded(0x5EA75);
     let (log1, metrics1, fired1, answer1) = server_fleet_run(Some(plan()));
     assert_eq!(
         fired1,
@@ -1526,7 +1573,7 @@ fn server_exec_until_applied(srv: &idaa::Server, seat: idaa::SeatId, sql: &str) 
 /// fault-free contents.
 #[allow(clippy::type_complexity)]
 fn server_disk_run(
-    plan: DiskFaultPlan,
+    plan: SitePlan,
 ) -> (idaa::LinkMetrics, Vec<(String, u64)>, Vec<String>, Vec<i32>, u64) {
     let (idaa, _admin) = disk_system(Duration::from_micros(300), Duration::ZERO);
     let srv = idaa::Server::with_idaa(
@@ -1535,7 +1582,7 @@ fn server_disk_run(
     );
     let a = srv.connect(SYSADM).unwrap();
     let b = srv.connect(SYSADM).unwrap();
-    srv.idaa().set_disk_plan(plan);
+    srv.idaa().set_fault_plan(plan);
     for i in 0..12 {
         let seat = if i % 2 == 0 { a } else { b };
         srv.submit(seat, &format!("INSERT INTO LOG VALUES ({i})")).unwrap();
@@ -1587,13 +1634,13 @@ fn server_disk_run(
 #[test]
 fn server_queued_statements_survive_a_torn_log_append() {
     let (_, clean_fired, clean_log, clean_rows, clean_truncated) =
-        server_disk_run(DiskFaultPlan::default());
+        server_disk_run(SitePlan::default());
     assert!(clean_fired.is_empty(), "a clean disk plan must never fire");
     assert_eq!(clean_rows, (0..12).collect::<Vec<_>>());
     assert_eq!(clean_truncated, 0);
     assert!(clean_log.iter().all(|l| !l.contains("sqlcode=")));
 
-    let plan = || DiskFaultPlan::at(sites::TORN_LOG_APPEND, 3).seeded(0x70A7);
+    let plan = || SitePlan::at(sites::TORN_LOG_APPEND, 3).seeded(0x70A7);
     let (m1, fired1, log1, rows1, truncated1) = server_disk_run(plan());
     assert_eq!(
         fired1,

@@ -2,8 +2,9 @@
 //! deleted machinery stays deleted, every engine runs one set of row
 //! operators on one plan walk, the accelerator has one fan-out, only
 //! `idaa-core` decides where accelerator rows live, wall time is read only
-//! where it is measured, every config field is set by some caller, and
-//! recoverable accelerator state has one image.
+//! where it is measured, every config field is set by some caller,
+//! recoverable accelerator state has one image, and injected faults draw
+//! from one seeded stream.
 
 use std::path::{Path, PathBuf};
 
@@ -117,12 +118,28 @@ fn deleted_names_stay_deleted() {
     // Piecemeal access to recoverable table state: a table is imaged into
     // and rebuilt from a `TableImage` as a whole.
     let image: &[&str] = &["fn rr_cursor(", "fn set_rr_cursor(", "fn restore_slice("];
+    // The link's own fault plan and injection counters, and the registry's
+    // second (disk) slot: every injected failure is a site in one plan.
+    let faults: &[&str] = &[
+        "FaultPlan",
+        "FaultSpec",
+        "OutageWindow",
+        "CrashPlan",
+        "DiskFaultPlan",
+        "fail_next_transfers",
+        "fail_transfers_after",
+        "fn set_disk_plan(",
+        "fn disk_hits(",
+        "inject_skip",
+        "delay_extra",
+    ];
     let everywhere = &["crates", "src", "tests"][..];
     for (names, dirs) in [
         (executor, &["crates/accel/src"][..]),
         (fleet, everywhere),
         (unused, everywhere),
         (image, everywhere),
+        (faults, everywhere),
     ] {
         for (path, text) in dirs.iter().flat_map(|d| sources(d)) {
             if path.ends_with("tests/contract.rs") {
@@ -133,6 +150,20 @@ fn deleted_names_stay_deleted() {
             }
         }
     }
+}
+
+#[test]
+fn one_fault_stream() {
+    // The fault registry's splitmix64 stream is seeded in one place; link,
+    // crash and storage sites all draw from it.
+    let seeds: Vec<String> = sources("crates/netsim/src")
+        .iter()
+        .flat_map(|(path, text)| {
+            let seeds = product(text).lines().filter(|l| l.contains("seed ^"));
+            seeds.map(move |l| format!("{}: {}", path.display(), l.trim()))
+        })
+        .collect();
+    assert_eq!(seeds.len(), 1, "the fault stream is seeded in {seeds:#?}");
 }
 
 #[test]

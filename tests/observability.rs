@@ -16,8 +16,16 @@
 //!   as structural trace events.
 
 use idaa::netsim::sites;
-use idaa::{CrashPlan, DiskFaultPlan, FaultPlan, FleetConfig, Idaa, IdaaConfig, Route, Value, SYSADM};
+use idaa::{FleetConfig, Idaa, IdaaConfig, Route, SitePlan, Value, SYSADM};
 use std::time::Duration;
+
+/// Drop a fraction `p` of messages in both directions.
+fn dropping(seed: u64, p: f64) -> SitePlan {
+    SitePlan::default()
+        .seeded(seed)
+        .and_probabilistic(sites::LINK_DROP_TO_ACCEL, p)
+        .and_probabilistic(sites::LINK_DROP_TO_HOST, p)
+}
 
 fn seeded_system() -> (Idaa, idaa::Session) {
     let idaa = Idaa::default();
@@ -173,7 +181,7 @@ fn retry_and_recovery_events_surface_in_traces() {
     // Lose the first delivery attempt of the shipped statement: the trace
     // records the failed transfer and the retry event.
     idaa.tracer().clear();
-    idaa.link().fail_next_transfers(1);
+    idaa.faults.registry.arm(sites::LINK_TRANSFER, 0, 1);
     idaa.query(&mut s, "SELECT COUNT(*) FROM r").unwrap();
     let trace = idaa.tracer().last_containing("SELECT COUNT(*)").unwrap();
     let root = &trace.root;
@@ -203,7 +211,7 @@ fn metrics_reconcile_with_link_metrics_under_seeded_chaos() {
     stage_setup(&idaa, &mut s, 128);
     // Probabilistic drops force retries and failures while the workload
     // keeps succeeding.
-    idaa.set_fault_plan(FaultPlan::dropping(7, 0.15));
+    idaa.set_fault_plan(dropping(7, 0.15));
     let before = idaa.metrics().snapshot();
     for i in 0..20 {
         let _ = idaa.execute(&mut s, &format!("INSERT INTO STAGE VALUES ('EU', {i}.0E0)"));
@@ -240,7 +248,7 @@ fn same_seed_chaos_runs_render_identical_traces_and_metrics() {
     let run = || {
         let (idaa, mut s) = seeded_system();
         stage_setup(&idaa, &mut s, 96);
-        idaa.set_fault_plan(FaultPlan::dropping(23, 0.2));
+        idaa.set_fault_plan(dropping(23, 0.2));
         idaa.tracer().clear();
         for i in 0..12 {
             let _ = idaa.execute(&mut s, &format!("INSERT INTO STAGE VALUES ('EU', {i}.0E0)"));
@@ -349,7 +357,7 @@ fn disk_scrub_metrics_reconcile_with_engine_stats_and_emit_trace_events() {
     });
     let mut s = idaa.session(SYSADM);
     idaa.execute(&mut s, "CREATE TABLE R (X INT) IN ACCELERATOR").unwrap();
-    idaa.set_disk_plan(DiskFaultPlan::at(sites::BITROT_LOG_SEGMENT, 2).seeded(0xA11CE));
+    idaa.set_fault_plan(SitePlan::at(sites::BITROT_LOG_SEGMENT, 2).seeded(0xA11CE));
     for i in 0..20 {
         idaa.execute(&mut s, &format!("INSERT INTO R VALUES ({i})")).unwrap();
         idaa.link().advance(Duration::from_micros(100));
@@ -413,7 +421,7 @@ fn node_rebuild_surfaces_in_restart_event_and_repair_metrics() {
     idaa.execute(&mut s, "CALL ACCEL_LOAD_TABLES('SALES')").unwrap();
     idaa.execute(&mut s, "CREATE TABLE R (X INT) IN ACCELERATOR").unwrap();
     idaa.execute(&mut s, "SET CURRENT QUERY ACCELERATION = ELIGIBLE").unwrap();
-    idaa.set_disk_plan(DiskFaultPlan::at(sites::BITROT_LOG_SEGMENT, 1).seeded(0xB0B));
+    idaa.set_fault_plan(SitePlan::at(sites::BITROT_LOG_SEGMENT, 1).seeded(0xB0B));
     idaa.execute(&mut s, "INSERT INTO R VALUES (1)").unwrap();
 
     idaa.accel().crash();
@@ -635,7 +643,7 @@ fn fleet_union_arm_and_self_join_ship_their_cuts() {
 #[test]
 fn fleet_failover_trace_names_replica_and_emits_failover_event() {
     let (idaa, mut s) = fleet_system();
-    idaa.set_crash_plan_on(0, CrashPlan::at(sites::MID_SCATTER, 1).seeded(0x0B5));
+    idaa.set_fault_plan_on(0, SitePlan::at(sites::MID_SCATTER, 1).seeded(0x0B5));
     idaa.tracer().clear();
     idaa.query(&mut s, "SELECT G, COUNT(*) FROM FLOG GROUP BY G ORDER BY G").unwrap();
 
@@ -786,13 +794,13 @@ fn single_accelerator_golden_is_byte_identical() {
     run(&mut s, "ROLLBACK");
     run(&mut s, "BEGIN");
     run(&mut s, "INSERT INTO STAGE VALUES ('T3', 3.0E0)");
-    idaa.link().fail_transfers_after(1, 4);
+    idaa.faults.registry.arm(sites::LINK_TRANSFER, 1, 4);
     run(&mut s, "COMMIT");
     // A 2PC whose phase-2 decision cannot be delivered: it is queued and
     // redelivered by the replication round that follows the commit.
     run(&mut s, "BEGIN");
     run(&mut s, "INSERT INTO STAGE VALUES ('T4', 4.0E0)");
-    idaa.link().fail_transfers_after(2, 4);
+    idaa.faults.registry.arm(sites::LINK_TRANSFER, 2, 4);
     run(&mut s, "COMMIT");
     codes.borrow_mut().push(format!("pending_commits={}", idaa.pending_accel_commits()));
 
@@ -812,13 +820,13 @@ fn single_accelerator_golden_is_byte_identical() {
 
     // A link that drops everything: -30081 until the health machine goes
     // Offline, then operator recovery on a healed link.
-    idaa.set_fault_plan(FaultPlan::dropping(11, 1.0));
+    idaa.set_fault_plan(dropping(11, 1.0));
     for _ in 0..3 {
         run(&mut s, "INSERT INTO STAGE VALUES ('DR', 0.0E0)");
     }
     run(&mut s, "SELECT COUNT(*) FROM stage");
     run(&mut s, "SELECT COUNT(*) FROM sales");
-    idaa.link().clear_faults();
+    idaa.faults.registry.clear();
     codes.borrow_mut().push(format!("recover={}", idaa.recover()));
     run(&mut s, "SELECT COUNT(*) FROM stage");
 
@@ -826,23 +834,23 @@ fn single_accelerator_golden_is_byte_identical() {
     // has passed on the virtual clock) by the statement that observes the
     // crash and drives the restart.
     let probe_due = || idaa.link().advance(Duration::from_millis(10));
-    idaa.faults.registry.arm(sites::MID_BULK_LOAD, 1);
+    idaa.faults.registry.arm(sites::MID_BULK_LOAD, 0, 1);
     run(&mut s, "CALL ACCEL_LOAD_TABLES('SALES')");
     run(&mut s, "SELECT COUNT(*) FROM stage");
     probe_due();
     run(&mut s, "SELECT COUNT(*) FROM stage");
     run(&mut s, "CALL ACCEL_LOAD_TABLES('SALES')");
-    idaa.faults.registry.arm(sites::POST_PREPARE, 1);
+    idaa.faults.registry.arm(sites::POST_PREPARE, 0, 1);
     run(&mut s, "BEGIN");
     run(&mut s, "INSERT INTO STAGE VALUES ('PP', 4.0E0)");
     run(&mut s, "COMMIT");
     probe_due();
     run(&mut s, "INSERT INTO STAGE VALUES ('P2', 5.0E0)");
-    idaa.faults.registry.arm(sites::MID_REPL_APPLY, 1);
+    idaa.faults.registry.arm(sites::MID_REPL_APPLY, 0, 1);
     run(&mut s, "INSERT INTO SALES VALUES (1001, 'US', 2.0E0)");
     probe_due();
     run(&mut s, "SELECT COUNT(*) FROM sales");
-    idaa.faults.registry.arm(sites::MID_CHECKPOINT, 1);
+    idaa.faults.registry.arm(sites::MID_CHECKPOINT, 0, 1);
     idaa.link().advance(Duration::from_millis(30));
     run(&mut s, "INSERT INTO STAGE VALUES ('CK', 6.0E0)");
     probe_due();

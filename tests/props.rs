@@ -1406,10 +1406,10 @@ proptest! {
         let mut corrupted = false;
         for (i, (op, k, v)) in ops.iter().enumerate() {
             if i == tear_at {
-                engine.fault_registry().arm(sites::TORN_LOG_APPEND, 1);
+                engine.fault_registry().arm(sites::TORN_LOG_APPEND, 0, 1);
             }
             if i == rot_at {
-                engine.fault_registry().arm(sites::BITROT_LOG_SEGMENT, 1);
+                engine.fault_registry().arm(sites::BITROT_LOG_SEGMENT, 0, 1);
             }
             let txn = 101 + i as u64;
             let row = vec![Value::BigInt(*k), Value::BigInt(*v)];

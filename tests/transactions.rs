@@ -4,7 +4,7 @@
 //! isolation between sessions, atomic commit/rollback across both engines,
 //! two-phase-commit failure handling, and lock behavior on the host.
 
-use idaa::{Idaa, IdaaConfig, Value, SYSADM};
+use idaa::{sites, Idaa, IdaaConfig, Value, SYSADM};
 use std::sync::atomic::Ordering;
 
 fn system() -> Idaa {
@@ -125,7 +125,7 @@ fn two_phase_commit_failure_is_atomic_and_recoverable() {
     idaa.execute(&mut s, "BEGIN").unwrap();
     idaa.execute(&mut s, "INSERT INTO H VALUES (1)").unwrap();
     idaa.execute(&mut s, "INSERT INTO A VALUES (1)").unwrap();
-    idaa.faults.registry.arm(idaa_netsim::sites::PREPARE_VOTE_NO, 1);
+    idaa.faults.registry.arm(idaa_netsim::sites::PREPARE_VOTE_NO, 0, 1);
     assert!(idaa.execute(&mut s, "COMMIT").is_err());
     assert_eq!(
         idaa.query(&mut s, "SELECT COUNT(*) FROM h").unwrap().scalar().unwrap(),
@@ -244,7 +244,7 @@ fn undeliverable_prepare_rolls_back_everywhere() {
     // voted — presumed abort on both sides.
     let idaa = system();
     let mut s = open_mixed_txn(&idaa);
-    idaa.link().fail_next_transfers(4); // all 4 delivery attempts
+    idaa.faults.registry.arm(sites::LINK_TRANSFER, 0, 4); // all 4 delivery attempts
     let err = idaa.execute(&mut s, "COMMIT").unwrap_err();
     assert_eq!(err.sqlcode(), -926);
     assert_eq!(count(&idaa, &mut s, "h"), 0);
@@ -263,7 +263,7 @@ fn lost_vote_leaves_in_doubt_transaction_that_the_resolver_commits() {
     let mut s = open_mixed_txn(&idaa);
     // COMMIT ships: PREPARE →accel (1 transfer), vote →host (fails ×4),
     // then the resolver re-runs the inquiry on a healed link.
-    idaa.link().fail_transfers_after(1, 4);
+    idaa.faults.registry.arm(sites::LINK_TRANSFER, 1, 4);
     idaa.execute(&mut s, "COMMIT").unwrap();
     assert_eq!(idaa.in_doubt_resolved(), 1);
     assert_eq!(count(&idaa, &mut s, "h"), 1);
@@ -279,7 +279,7 @@ fn unresolvable_in_doubt_transaction_rolls_back_everywhere() {
     let idaa = system();
     let mut s = open_mixed_txn(&idaa);
     // vote ×4 + resolver inquiry →accel ×4 all fail.
-    idaa.link().fail_transfers_after(1, 8);
+    idaa.faults.registry.arm(sites::LINK_TRANSFER, 1, 8);
     let err = idaa.execute(&mut s, "COMMIT").unwrap_err();
     assert_eq!(err.sqlcode(), -926);
     assert_eq!(idaa.in_doubt_resolved(), 0);
@@ -296,7 +296,7 @@ fn lost_phase_two_commit_is_queued_and_redelivered() {
     let idaa = Idaa::new(IdaaConfig { auto_replicate: false, ..IdaaConfig::default() });
     let mut s = open_mixed_txn(&idaa);
     // PREPARE (1) and vote (2) deliver; phase-2 COMMIT →accel fails ×4.
-    idaa.link().fail_transfers_after(2, 4);
+    idaa.faults.registry.arm(sites::LINK_TRANSFER, 2, 4);
     idaa.execute(&mut s, "COMMIT").unwrap(); // coordinator decision is durable
     assert_eq!(idaa.pending_accel_commits(), 1);
     assert_eq!(count(&idaa, &mut s, "h"), 1);
