@@ -12,7 +12,7 @@ use crate::partial::{cuts, groups_schema};
 use crate::mvcc::{CommitSeq, Snapshot, TxnId, TxnRegistry, TxnStatus};
 use crate::pipeline::{lower, Lowered};
 use crate::table::{AccelTable, RowPos, Slice};
-use idaa_common::{wire, Error, ObjectName, Result, Row, Rows, Schema};
+use idaa_common::{wire, Counter, Error, MetricsRegistry, ObjectName, Result, Row, Rows, Schema};
 use idaa_netsim::{sites, FaultRegistry};
 use idaa_sql::ast::{Expr, Query};
 use idaa_sql::eval::{bind, eval, FlatResolver};
@@ -78,20 +78,40 @@ pub struct AccelStats {
     pub plan_cache_hits: AtomicU64,
     /// Compiled-plan cache misses (first sight, or invalidated deps).
     pub plan_cache_misses: AtomicU64,
-    /// Storage corruptions detected (torn tails, rotted records or
-    /// checkpoints), by recovery scans and the background scrub.
-    pub disk_corruptions_detected: AtomicU64,
-    /// Torn log records truncated (and durably re-logged) by recovery.
-    pub disk_records_truncated: AtomicU64,
-    /// Invalid checkpoints durably discarded in favor of an older valid
-    /// one (the fallback replays the longer log tail).
-    pub disk_checkpoint_fallbacks: AtomicU64,
-    /// Background-scrub passes that repaired latent damage (fresh
-    /// checkpoint + excision of the rotted media).
-    pub disk_scrub_repairs: AtomicU64,
-    /// Transient recovery-time disk read failures (`DISK_READ_FAIL`);
-    /// the restart attempt errors and is retried.
-    pub disk_read_failures: AtomicU64,
+}
+
+/// Storage-fault counts: handles on the `disk.*` counters of the metrics
+/// registry the engine counts into. Every node of a fleet counts into the
+/// same named cells, so each is a fleet-wide total.
+struct DiskCounters {
+    /// `disk.corruptions_detected`: torn tails, rotted records or
+    /// checkpoints, found by recovery scans and the background scrub.
+    corruptions_detected: Counter,
+    /// `disk.records_truncated`: torn log records truncated (and durably
+    /// re-logged) by recovery.
+    records_truncated: Counter,
+    /// `disk.checkpoint_fallbacks`: invalid checkpoints durably discarded
+    /// in favor of an older valid one (the fallback replays the longer log
+    /// tail).
+    checkpoint_fallbacks: Counter,
+    /// `disk.scrub_repairs`: background-scrub passes that repaired latent
+    /// damage (fresh checkpoint + excision of the rotted media).
+    scrub_repairs: Counter,
+    /// `disk.read_failures`: transient recovery-time disk read failures
+    /// (`DISK_READ_FAIL`); the restart attempt errors and is retried.
+    read_failures: Counter,
+}
+
+impl DiskCounters {
+    fn new(metrics: &MetricsRegistry) -> DiskCounters {
+        DiskCounters {
+            corruptions_detected: metrics.counter_handle("disk.corruptions_detected"),
+            records_truncated: metrics.counter_handle("disk.records_truncated"),
+            checkpoint_fallbacks: metrics.counter_handle("disk.checkpoint_fallbacks"),
+            scrub_repairs: metrics.counter_handle("disk.scrub_repairs"),
+            read_failures: metrics.counter_handle("disk.read_failures"),
+        }
+    }
 }
 
 /// One cached compiled plan plus the catalog state it was compiled
@@ -178,6 +198,7 @@ pub struct AccelEngine {
     pub txns: TxnRegistry,
     pub config: AccelConfig,
     pub stats: AccelStats,
+    disk: DiskCounters,
     /// Per-transaction snapshot sequence captured at enrollment, giving
     /// transaction-level snapshot isolation (Netezza semantics).
     snapshots: RwLock<HashMap<TxnId, CommitSeq>>,
@@ -219,13 +240,15 @@ impl Default for AccelEngine {
 
 impl AccelEngine {
     /// Engine with the given default schema (must match the host's) and
-    /// configuration.
+    /// configuration, counting its storage faults into a metrics registry
+    /// of its own.
     pub fn new(default_schema: &str, config: AccelConfig) -> AccelEngine {
         AccelEngine {
             tables: RwLock::new(HashMap::new()),
             txns: TxnRegistry::default(),
             config,
             stats: AccelStats::default(),
+            disk: DiskCounters::new(&MetricsRegistry::default()),
             snapshots: RwLock::new(HashMap::new()),
             default_schema: default_schema.to_string(),
             durable: DurableStore::default(),
@@ -238,6 +261,13 @@ impl AccelEngine {
             quarantined: RwLock::new(HashSet::new()),
             last_scrub_at: Mutex::new(None),
         }
+    }
+
+    /// The engine, counting its storage faults into `metrics` (the
+    /// `disk.*` counters) instead.
+    pub fn with_metrics(mut self, metrics: &MetricsRegistry) -> AccelEngine {
+        self.disk = DiskCounters::new(metrics);
+        self
     }
 
     /// Name this appliance (fleet members are ACCEL1..ACCELK). Identity is
@@ -388,7 +418,7 @@ impl AccelEngine {
         // before anything is touched; the engine stays crashed and the
         // coordinator's health machinery retries later.
         if self.faults.read().fire_disk(sites::DISK_READ_FAIL).is_some() {
-            self.stats.disk_read_failures.fetch_add(1, Ordering::Relaxed);
+            self.disk.read_failures.add(1);
             return Err(Error::ResourceUnavailable(format!(
                 "disk read failed at fault site {} during recovery; retry",
                 sites::DISK_READ_FAIL
@@ -407,9 +437,7 @@ impl AccelEngine {
         let set = match self.durable.recover_scan() {
             Ok(scan) => scan,
             Err(c) => {
-                self.stats
-                    .disk_corruptions_detected
-                    .fetch_add(c.corruptions_detected.max(1), Ordering::Relaxed);
+                self.disk.corruptions_detected.add(c.corruptions_detected.max(1));
                 self.replaying.store(false, Ordering::Relaxed);
                 return Err(Error::StorageCorrupt(format!(
                     "durable state beyond local repair: {}",
@@ -417,13 +445,9 @@ impl AccelEngine {
                 )));
             }
         };
-        self.stats
-            .disk_corruptions_detected
-            .fetch_add(set.corruptions_detected, Ordering::Relaxed);
-        self.stats.disk_records_truncated.fetch_add(set.torn_truncated, Ordering::Relaxed);
-        self.stats
-            .disk_checkpoint_fallbacks
-            .fetch_add(set.checkpoint_fallbacks, Ordering::Relaxed);
+        self.disk.corruptions_detected.add(set.corruptions_detected);
+        self.disk.records_truncated.add(set.torn_truncated);
+        self.disk.checkpoint_fallbacks.add(set.checkpoint_fallbacks);
         let mut checkpoint_bytes = 0;
         if let Some(cp) = &set.checkpoint {
             checkpoint_bytes = cp.bytes();
@@ -618,12 +642,10 @@ impl AccelEngine {
         self.ensure_up()?;
         let report = self.durable.scrub_step(Self::SCRUB_SEGMENT_RECORDS);
         if report.corruptions() > 0 {
-            self.stats
-                .disk_corruptions_detected
-                .fetch_add(report.corruptions(), Ordering::Relaxed);
+            self.disk.corruptions_detected.add(report.corruptions());
             self.checkpoint(now)?;
             self.durable.compact_to_latest();
-            self.stats.disk_scrub_repairs.fetch_add(1, Ordering::Relaxed);
+            self.disk.scrub_repairs.add(1);
         }
         Ok(report)
     }

@@ -309,20 +309,27 @@ pub fn load_nb_model(
     let var_i = schema.index_of("VARIANCE")?;
     let mut classes: Vec<ClassParams> = Vec::new();
     for r in &rows {
-        let label = r[class_i].as_str()?.to_string();
-        let idx = r[feat_i].as_i64()? as usize;
-        let entry = match classes.iter_mut().find(|c| c.label == label) {
-            Some(e) => e,
+        let label = r[class_i].as_str()?;
+        // A well-formed model has one row per class per feature, so every
+        // valid index is below the row count; anything else (a negative or
+        // huge user-inserted index) is a malformed model, not an allocation.
+        let idx = r[feat_i].as_i64()?;
+        let idx = usize::try_from(idx).ok().filter(|&i| i < rows.len()).ok_or_else(|| {
+            Error::Load(format!("model table {table} has FEATURE_IDX {idx} out of range"))
+        })?;
+        let pos = match classes.iter().position(|c| c.label == label) {
+            Some(pos) => pos,
             None => {
                 classes.push(ClassParams {
-                    label: label.clone(),
+                    label: label.to_string(),
                     prior: r[prior_i].as_f64()?,
                     means: Vec::new(),
                     variances: Vec::new(),
                 });
-                classes.last_mut().expect("just pushed")
+                classes.len() - 1
             }
         };
+        let entry = &mut classes[pos];
         if entry.means.len() <= idx {
             entry.means.resize(idx + 1, 0.0);
             entry.variances.resize(idx + 1, 1.0);

@@ -162,7 +162,6 @@ fn e3_pipeline_stages(out: &mut Report) {
                 p = p.stage(&stage, &select);
                 prev = stage;
             }
-            idaa.link().reset();
             let (report, t) = timed(|| p.run(&idaa, &mut s, mode).unwrap());
             table.row([
                 det(k),
@@ -199,7 +198,6 @@ fn e4_insert_select_target(out: &mut Report) {
                 ),
             )
             .unwrap();
-            idaa.link().reset();
             let (_, t, link) = measure(&idaa, || {
                 idaa.execute(&mut s, "INSERT INTO OUT1 SELECT id, amount, qty FROM sales")
                     .unwrap()
@@ -236,7 +234,6 @@ fn e5_loader_paths(out: &mut Report) {
             }
             let mut loader = Loader::new(SYSADM);
             loader.config.parallelism = workers;
-            idaa.link().reset();
             let target = if direct { LoadTarget::AcceleratorDirect } else { LoadTarget::Db2 };
             let (report, t, link) =
                 measure(&idaa, || load_events(&idaa, &loader, ROWS, 7, "FEED", target));
@@ -370,7 +367,6 @@ fn e7_in_database_analytics(out: &mut Report) {
             };
 
             // In-database: CALL runs on the accelerator; no data movement.
-            idaa.link().reset();
             let (_, t_indb, link_indb) = measure(&idaa, || {
                 idaa.query(
                     &mut s,
@@ -382,7 +378,6 @@ fn e7_in_database_analytics(out: &mut Report) {
 
             // Client-side baseline: extract the matrix over the link, then
             // run the identical algorithm "at the client".
-            idaa.link().reset();
             let (_, t_client, link_client) = measure(&idaa, || {
                 let (matrix, _) = idaa_analytics::io::extract_matrix_to_client(
                     &idaa,
@@ -436,7 +431,6 @@ fn e8_in_database_scoring(out: &mut Report) {
             ]);
         };
 
-        idaa.link().reset();
         let (_, t_indb, link_indb) = measure(&idaa, || {
             idaa.query(
                 &mut s,
@@ -446,7 +440,6 @@ fn e8_in_database_scoring(out: &mut Report) {
         });
         row("in-database", t_indb, &link_indb);
 
-        idaa.link().reset();
         let (_, t_client, link_client) = measure(&idaa, || {
             let model = idaa_analytics::procedures::load_nb_model(
                 &idaa,
@@ -483,7 +476,6 @@ fn e9_replication_batch(out: &mut Report) {
         idaa.execute(&mut s, "CREATE TABLE T (K INT, V INT)").unwrap();
         accelerate(&idaa, &mut s, "T");
         insert_batched(&idaa, &mut s, "T", (0..CHANGES).map(|i| format!("({i}, {})", i % 100)));
-        idaa.link().reset();
         let (applied, t, link) = measure(&idaa, || idaa.replicate_now().unwrap());
         assert_eq!(applied, CHANGES);
         table.row([
@@ -647,7 +639,6 @@ fn e12_end_to_end_scenario(out: &mut Report) {
     // --- Extended IDAA: direct load + AOT stages + in-database mining -----
     {
         let (idaa, mut s) = build();
-        idaa.link().reset();
         let ((), t, link) = measure(&idaa, || {
             idaa.execute(
                 &mut s,
@@ -686,7 +677,6 @@ fn e12_end_to_end_scenario(out: &mut Report) {
     // --- Legacy: load via DB2, materialize stages in DB2, mine client-side
     {
         let (idaa, mut s) = build();
-        idaa.link().reset();
         let ((), t, link) = measure(&idaa, || {
             idaa.execute(
                 &mut s,
@@ -853,7 +843,6 @@ fn e15_wire_codec(out: &mut Report) {
              SENTIMENT DOUBLE, POSTED_AT TIMESTAMP) IN ACCELERATOR",
         )
         .unwrap();
-        idaa.link().reset();
         let direct = LoadTarget::AcceleratorDirect;
         let (_, _, m) = measure(&idaa, || {
             load_events(&idaa, &Loader::new(SYSADM), ROWS, 7, "EVENTS", direct)
@@ -870,7 +859,6 @@ fn e15_wire_codec(out: &mut Report) {
         idaa.execute(&mut s, "SET CURRENT QUERY ACCELERATION = ELIGIBLE").unwrap();
         idaa.execute(&mut s, "CREATE TABLE OUT1 (ID INT, REGION VARCHAR(8), AMOUNT DOUBLE)")
             .unwrap();
-        idaa.link().reset();
         let (_, _, m) = measure(&idaa, || {
             idaa.execute(&mut s, "INSERT INTO OUT1 SELECT id, region, amount FROM sales")
                 .unwrap()
@@ -894,7 +882,6 @@ fn e15_wire_codec(out: &mut Report) {
             };
             idaa.execute(&mut s, &format!("INSERT INTO SALES VALUES ({id}, {sale})")).unwrap();
         }
-        idaa.link().reset();
         let (_, _, m) = measure(&idaa, || idaa.replicate_now().unwrap());
         table.row(codec_row("replication catch-up", ROWS / 4, &m));
     }
@@ -920,7 +907,6 @@ fn e15_wire_codec(out: &mut Report) {
             )
         };
         insert_batched(&idaa, &mut s, "PTS", (0..5_000).map(point));
-        idaa.link().reset();
         let (_, _, m) = measure(&idaa, || {
             idaa.query(&mut s, "CALL ANALYTICS.KMEANS('PTS', 'F0,F1,F2,F3', 3, 10, 'KM_OUT')")
                 .unwrap()

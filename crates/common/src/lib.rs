@@ -23,7 +23,7 @@ pub mod wire;
 pub use decimal::Decimal;
 pub use error::{Error, Result};
 pub use ident::ObjectName;
-pub use metrics::{MetricsRegistry, MetricsSnapshot};
+pub use metrics::{Counter, MetricsRegistry, MetricsSnapshot};
 pub use row::{Row, Rows};
 pub use schema::{ColumnDef, Schema};
 pub use trace::{SpanId, SpanNode, StatementTrace, Trace, TraceSink};

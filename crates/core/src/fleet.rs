@@ -32,7 +32,7 @@ use crate::idaa::{Idaa, IdaaConfig};
 use crate::replication::Replicator;
 use crate::session::Session;
 use idaa_accel::{cuts, AccelEngine, Cut, RestartStats};
-use idaa_common::{wire, Error, ObjectName, Result, Row, Rows, Schema, Value};
+use idaa_common::{wire, Error, MetricsRegistry, ObjectName, Result, Row, Rows, Schema, Value};
 use idaa_host::{AccelStatus, HostEngine, TableKind, TableMeta, TxnId, SYSADM};
 use idaa_netsim::{sites, Direction, FaultRegistry, LinkConfig, LinkMetrics, NetLink, RetryPolicy};
 use idaa_sql::ast::{Query, TableRef};
@@ -121,14 +121,24 @@ pub struct AccelNode {
 }
 
 impl AccelNode {
-    pub(crate) fn new(id: usize, config: &IdaaConfig, registry: Arc<FaultRegistry>) -> Arc<AccelNode> {
-        let engine = Arc::new(AccelEngine::new(&config.default_schema, config.accel.clone()));
+    /// Node `id`, counting into `metrics`: its link under `link.*` (node 0)
+    /// or `link.node{id}.*`, its engine's storage faults under `disk.*`.
+    pub(crate) fn new(
+        id: usize,
+        config: &IdaaConfig,
+        registry: Arc<FaultRegistry>,
+        metrics: &MetricsRegistry,
+    ) -> Arc<AccelNode> {
+        let engine = AccelEngine::new(&config.default_schema, config.accel.clone());
+        let engine = Arc::new(engine.with_metrics(metrics));
         engine.set_identity(&format!("ACCEL{}", id + 1));
         engine.set_fault_registry(registry.clone());
+        let prefix = if id == 0 { "link".to_string() } else { format!("link.node{id}") };
+        let link = NetLink::with_registries(LinkConfig::default(), registry.clone(), metrics, &prefix);
         let node = AccelNode {
             id,
             engine,
-            link: Arc::new(NetLink::with_faults(LinkConfig::default(), registry.clone())),
+            link: Arc::new(link),
             registry,
             health: HealthMonitor::default(),
             delivered: SeqTracker::default(),

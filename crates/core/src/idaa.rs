@@ -171,10 +171,11 @@ pub struct Idaa {
     /// Collected statement traces (query-lifecycle span trees on the
     /// virtual clock).
     tracer: Arc<TraceSink>,
-    /// Process-wide monotone counters and gauges; every node's link mirrors
-    /// its delivered/failed counters here (`link.*` for node 0,
-    /// `link.node{i}.*` for the rest).
-    pub(crate) metrics: Arc<MetricsRegistry>,
+    /// Process-wide monotone counters and gauges, the one home of every
+    /// count: each node's link counts its delivered and failed traffic
+    /// here (`link.*` for node 0, `link.node{i}.*` for the rest), and each
+    /// engine its storage faults (`disk.*`, summed over the fleet).
+    pub(crate) metrics: MetricsRegistry,
 }
 
 impl Default for Idaa {
@@ -187,6 +188,7 @@ impl Idaa {
     /// Build the system and register the IDAA system procedures.
     pub fn new(config: IdaaConfig) -> Idaa {
         let faults = Faults::default();
+        let metrics = MetricsRegistry::default();
         let nodes: Vec<Arc<AccelNode>> = (0..config.fleet.accelerators.max(1))
             .map(|i| {
                 // Node 0 shares the public `faults.registry`; every other
@@ -196,7 +198,7 @@ impl Idaa {
                 } else {
                     Arc::new(FaultRegistry::default())
                 };
-                AccelNode::new(i, &config, registry)
+                AccelNode::new(i, &config, registry, &metrics)
             })
             .collect();
         let idaa = Idaa {
@@ -205,21 +207,10 @@ impl Idaa {
             fleet: FleetState::new(&config.fleet),
             procedures: RwLock::new(HashMap::new()),
             tracer: Arc::new(TraceSink::default()),
-            metrics: Arc::new(MetricsRegistry::default()),
+            metrics,
             config,
             faults,
         };
-        // Mirror delivered/failed link traffic into the metrics registry
-        // from the first transfer, so the per-link counters reconcile with
-        // `LinkMetrics` by construction: node 0 under `link.*`, node i
-        // under `link.node{i}.*`.
-        for node in &idaa.nodes {
-            if node.id == 0 {
-                node.link.set_metrics(idaa.metrics.clone());
-            } else {
-                node.link.set_metrics_prefixed(idaa.metrics.clone(), &format!("link.node{}", node.id));
-            }
-        }
         // The built-in procedures have distinct names and belong to SYSADM.
         for p in system_procedures() {
             idaa.host.privileges.write().set_owner(p.name(), SYSADM);

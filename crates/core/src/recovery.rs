@@ -10,7 +10,7 @@
 use crate::fleet::{shard_table, AccelNode};
 use crate::health::HealthState;
 use crate::idaa::Idaa;
-use idaa_accel::{AccelEngine, RestartStats};
+use idaa_accel::RestartStats;
 use idaa_common::trace::Trace;
 use idaa_common::{wire, Error, Result, Row};
 use idaa_host::TableKind;
@@ -155,33 +155,19 @@ impl Idaa {
     /// in-doubt transactions (presumed abort unless the coordinator holds
     /// a queued COMMIT decision), and redeliver queued decisions.
     pub(crate) fn restart_node(&self, node: &AccelNode) -> Result<()> {
-        let before = Self::disk_stat_snapshot(&node.engine);
         // A rebuild that failed part-way (read fault, lost exchange) left
         // the node on fresh-but-empty media: booting it as-is would serve
         // silently empty tables, so the flag forces the rebuild to resume.
         let stats = if node.needs_rebuild.load(Ordering::Relaxed) {
-            let r = self.rebuild_node(node);
-            self.mirror_disk_stats(&node.engine, before);
-            r?
+            self.rebuild_node(node)?
         } else {
             match node.engine.restart() {
-                Ok(stats) => {
-                    self.mirror_disk_stats(&node.engine, before);
-                    stats
-                }
-                Err(Error::StorageCorrupt(_)) => {
-                    // Acknowledged durable state failed validation beyond
-                    // local repair: discard the media wholesale and
-                    // re-materialize the node from the host catalog and
-                    // live replicas instead of serving damaged state.
-                    let r = self.rebuild_node(node);
-                    self.mirror_disk_stats(&node.engine, before);
-                    r?
-                }
-                Err(e) => {
-                    self.mirror_disk_stats(&node.engine, before);
-                    return Err(e);
-                }
+                // Acknowledged durable state failed validation beyond local
+                // repair: discard the media wholesale and re-materialize the
+                // node from the host catalog and live replicas instead of
+                // serving damaged state.
+                Err(Error::StorageCorrupt(_)) => self.rebuild_node(node)?,
+                r => r?,
             }
         };
         self.metrics.inc("accel.restarts", 1);
@@ -299,58 +285,17 @@ impl Idaa {
         Ok(stats)
     }
 
-    /// Cumulative storage-fault counters of one engine, in the order of
-    /// [`Idaa::DISK_METRIC_KEYS`].
-    fn disk_stat_snapshot(engine: &AccelEngine) -> [u64; 5] {
-        [
-            engine.stats.disk_corruptions_detected.load(Ordering::Relaxed),
-            engine.stats.disk_records_truncated.load(Ordering::Relaxed),
-            engine.stats.disk_checkpoint_fallbacks.load(Ordering::Relaxed),
-            engine.stats.disk_scrub_repairs.load(Ordering::Relaxed),
-            engine.stats.disk_read_failures.load(Ordering::Relaxed),
-        ]
-    }
-
-    /// Registry keys mirroring the engine-side storage-fault counters, in
-    /// [`Idaa::disk_stat_snapshot`] order. The mirror is delta-based, so
-    /// the registry totals reconcile exactly with the sum of the engines'
-    /// own atomics (`tests/observability.rs`).
-    const DISK_METRIC_KEYS: [&'static str; 5] = [
-        "disk.corruptions_detected",
-        "disk.records_truncated",
-        "disk.checkpoint_fallbacks",
-        "disk.scrub_repairs",
-        "disk.read_failures",
-    ];
-
-    /// Mirror into the [`MetricsRegistry`] whatever the engine's storage
-    /// counters gained since `before` was snapshotted.
-    fn mirror_disk_stats(&self, engine: &AccelEngine, before: [u64; 5]) {
-        let after = Self::disk_stat_snapshot(engine);
-        for (i, key) in Self::DISK_METRIC_KEYS.iter().enumerate() {
-            if after[i] > before[i] {
-                self.metrics.inc(key, after[i] - before[i]);
-            }
-        }
-    }
-
     /// One background storage-scrub step on `node`, driven between
     /// statements by the commit path when [`IdaaConfig::scrub_every`] is
     /// non-zero. Verification I/O is charged to the node's *virtual* clock
-    /// at the recovery bandwidth; detections (and the repair checkpoint
-    /// the engine takes) are mirrored into the metrics registry and
+    /// at the recovery bandwidth; the engine counts detections (and the
+    /// repair checkpoint it takes) under `disk.*`, and a detection is
     /// recorded as a "disk.scrub" trace event. Like a mid-checkpoint
     /// crash, a scrub failure must not fail the user's already-durable
     /// commit — the next statement observes the crash and drives
     /// recovery.
     pub(crate) fn maybe_scrub_node(&self, node: &AccelNode, trace: &Trace) {
-        if self.config.scrub_every.is_zero() {
-            return;
-        }
-        let before = Self::disk_stat_snapshot(&node.engine);
-        let result = node.engine.maybe_scrub(node.link.now(), self.config.scrub_every);
-        self.mirror_disk_stats(&node.engine, before);
-        let report = match result {
+        let report = match node.engine.maybe_scrub(node.link.now(), self.config.scrub_every) {
             Ok(Some(report)) => report,
             _ => return,
         };

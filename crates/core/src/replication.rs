@@ -37,10 +37,9 @@ pub struct Replicator {
     retry: RetryPolicy,
     /// Max change records shipped per apply message.
     pub batch_size: usize,
-    pub batches_shipped: AtomicU64,
-    pub changes_applied: AtomicU64,
+    pub batches_shipped: u64,
     /// Batches shipped more than once because their ack was lost.
-    pub batches_redelivered: AtomicU64,
+    pub batches_redelivered: u64,
 }
 
 impl Default for Replicator {
@@ -59,9 +58,8 @@ impl Replicator {
             stalled: false,
             retry,
             batch_size: batch_size.max(1),
-            batches_shipped: AtomicU64::new(0),
-            changes_applied: AtomicU64::new(0),
-            batches_redelivered: AtomicU64::new(0),
+            batches_shipped: 0,
+            batches_redelivered: 0,
         }
     }
 
@@ -150,7 +148,7 @@ impl Replicator {
                 self.stalled = true;
                 return Ok(applied);
             }
-            self.batches_shipped.fetch_add(1, Ordering::Relaxed);
+            self.batches_shipped += 1;
 
             // Accelerator-side dedup, per change: anything at or below the
             // durable applied LSN landed in an earlier round whose ack was
@@ -167,9 +165,8 @@ impl Replicator {
                     Ok(fresh) => {
                         self.accel_applied = batch_last;
                         applied += fresh as usize;
-                        self.changes_applied.fetch_add(fresh, Ordering::Relaxed);
                         if (fresh as usize) < batch.len() {
-                            self.batches_redelivered.fetch_add(1, Ordering::Relaxed);
+                            self.batches_redelivered += 1;
                         }
                     }
                     // The accelerator crashed mid-apply (a crash site
@@ -185,7 +182,7 @@ impl Replicator {
                     Err(e) => return Err(e),
                 }
             } else {
-                self.batches_redelivered.fetch_add(1, Ordering::Relaxed);
+                self.batches_redelivered += 1;
             }
             // Acknowledgement back to the host side; only an acknowledged
             // batch may advance the watermark.
@@ -404,7 +401,7 @@ mod tests {
         host.commit(t);
         let mut rep = Replicator::new(10, RetryPolicy::default());
         rep.apply(&host, &accel, &link).unwrap();
-        assert_eq!(rep.batches_shipped.load(Ordering::Relaxed), 10);
+        assert_eq!(rep.batches_shipped, 10);
         assert_eq!(link.metrics().messages_to_accel, 10);
     }
 
@@ -472,8 +469,8 @@ mod tests {
         assert_eq!(second, 70);
         assert!(!rep.stalled());
         assert_eq!(accel.scan_visible(&ObjectName::bare("T")).unwrap().len(), 100);
-        assert_eq!(rep.batches_shipped.load(Ordering::Relaxed), 10);
-        assert_eq!(rep.batches_redelivered.load(Ordering::Relaxed), 0);
+        assert_eq!(rep.batches_shipped, 10);
+        assert_eq!(rep.batches_redelivered, 0);
     }
 
     #[test]
@@ -486,15 +483,17 @@ mod tests {
         let mut rep = Replicator::new(10, RetryPolicy::none());
         // Deliver batch 1, lose its acknowledgement (transfer #2).
         link.faults().arm(sites::LINK_TRANSFER, 1, 1);
-        assert_eq!(rep.apply(&host, &accel, &link).unwrap(), 10);
+        let first = rep.apply(&host, &accel, &link).unwrap();
+        assert_eq!(first, 10);
         assert!(rep.stalled());
         assert_eq!(accel.scan_visible(&ObjectName::bare("T")).unwrap().len(), 10);
         // The watermark did not advance: batch 1 ships again, but its LSN
         // identifies it as already applied — no duplicate rows.
-        assert_eq!(rep.apply(&host, &accel, &link).unwrap(), 10);
-        assert_eq!(rep.batches_redelivered.load(Ordering::Relaxed), 1);
+        let second = rep.apply(&host, &accel, &link).unwrap();
+        assert_eq!(second, 10);
+        assert_eq!(rep.batches_redelivered, 1);
         assert_eq!(accel.scan_visible(&ObjectName::bare("T")).unwrap().len(), 20);
-        assert_eq!(rep.changes_applied.load(Ordering::Relaxed), 20);
+        assert_eq!(first + second, 20, "every change applied exactly once");
     }
 
     #[test]
@@ -509,7 +508,8 @@ mod tests {
         // ack — lose the *second* batch's ack, so a partial (5-change)
         // batch is applied but unacknowledged.
         link.faults().arm(sites::LINK_TRANSFER, 3, 1);
-        assert_eq!(rep.apply(&host, &accel, &link).unwrap(), 15);
+        let first = rep.apply(&host, &accel, &link).unwrap();
+        assert_eq!(first, 15);
         assert!(rep.stalled());
         assert_eq!(accel.scan_visible(&ObjectName::bare("T")).unwrap().len(), 15);
         // New commits re-chunk the backlog: the first redelivered batch now
@@ -519,11 +519,12 @@ mod tests {
         let more: Vec<Row> = (15..25).map(|i| row(i, "y")).collect();
         host.insert_rows(SYSADM, t2, &ObjectName::bare("T"), more).unwrap();
         host.commit(t2);
-        assert_eq!(rep.apply(&host, &accel, &link).unwrap(), 10);
+        let second = rep.apply(&host, &accel, &link).unwrap();
+        assert_eq!(second, 10);
         assert!(!rep.stalled());
         assert_eq!(accel.scan_visible(&ObjectName::bare("T")).unwrap().len(), 25);
-        assert_eq!(rep.changes_applied.load(Ordering::Relaxed), 25);
-        assert_eq!(rep.batches_redelivered.load(Ordering::Relaxed), 1);
+        assert_eq!(first + second, 25, "every change applied exactly once");
+        assert_eq!(rep.batches_redelivered, 1);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! every injected failure — a lost or damaged message, an outage, a crash,
 //! a torn write — is a named site (see [`sites`]) in one seeded
 //! [`SitePlan`], consulted on the node's one [`FaultRegistry`]. A link
-//! built with [`NetLink::with_faults`] consults its node's registry on
+//! built with [`NetLink::with_registries`] consults its node's registry on
 //! every attempt: the transfer site, the outage site (whose virtual-time
 //! window is checked against [`NetLink::now`]), then the direction's drop
 //! and corrupt sites. [`NetLink::transfer`] returns `Result<Duration,
@@ -29,7 +29,7 @@
 //! byte-identical metrics. Retry backoff ([`RetryPolicy`]) is charged to
 //! the same virtual clock via [`NetLink::advance`], never to wall time.
 
-use idaa_common::{wire, MetricsRegistry};
+use idaa_common::{wire, Counter, MetricsRegistry};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
@@ -157,8 +157,8 @@ impl LinkMetrics {
 
     /// Difference against an earlier snapshot of the same link.
     ///
-    /// Saturating: if the link was `reset()` between snapshots the deltas
-    /// clamp to zero instead of panicking on underflow.
+    /// Saturating: snapshots passed in the wrong order (or taken of
+    /// another link) clamp to zero instead of panicking on underflow.
     pub fn since(&self, earlier: &LinkMetrics) -> LinkMetrics {
         LinkMetrics {
             bytes_to_accel: self.bytes_to_accel.saturating_sub(earlier.bytes_to_accel),
@@ -219,25 +219,42 @@ fn next_unit(state: &mut u64) -> f64 {
 }
 
 /// The metered link.
+///
+/// Delivered bytes and messages per direction, and failed attempts, are
+/// [`Counter`] handles on a [`MetricsRegistry`], named
+/// `{prefix}.delivered.{dir}.bytes`, `{prefix}.delivered.{dir}.msgs` (dir
+/// `to_accel` or `to_host`) and `{prefix}.failures`. The registry is their
+/// one home and [`NetLink::metrics`] reads them back. The logical bytes per
+/// direction and the virtual clock (wire and fault time) are the link's
+/// own; no registry name shows them.
 #[derive(Debug)]
 pub struct NetLink {
     config: LinkConfig,
     /// The node's fault registry; the link keeps no fault state of its own.
     faults: Arc<FaultRegistry>,
-    bytes_to_accel: AtomicU64,
-    bytes_to_host: AtomicU64,
-    messages_to_accel: AtomicU64,
-    messages_to_host: AtomicU64,
-    logical_bytes_to_accel: AtomicU64,
-    logical_bytes_to_host: AtomicU64,
+    to_accel: Delivered,
+    to_host: Delivered,
+    failures: Counter,
     wire_nanos: AtomicU64,
-    failures: AtomicU64,
     fault_nanos: AtomicU64,
-    /// Optional mirror of the delivered/failed counters into a shared
-    /// [`MetricsRegistry`], with the counter-name prefix to mirror under
-    /// (`link` for a single-accelerator topology, `link.nodeN` for the
-    /// extra links of a fleet).
-    registry: Mutex<Option<(Arc<MetricsRegistry>, String)>>,
+}
+
+/// What one direction delivered.
+#[derive(Debug)]
+struct Delivered {
+    bytes: Counter,
+    messages: Counter,
+    logical_bytes: AtomicU64,
+}
+
+impl Delivered {
+    fn new(metrics: &MetricsRegistry, prefix: &str, direction: &str) -> Delivered {
+        Delivered {
+            bytes: metrics.counter_handle(&format!("{prefix}.delivered.{direction}.bytes")),
+            messages: metrics.counter_handle(&format!("{prefix}.delivered.{direction}.msgs")),
+            logical_bytes: AtomicU64::new(0),
+        }
+    }
 }
 
 impl Default for NetLink {
@@ -247,49 +264,35 @@ impl Default for NetLink {
 }
 
 impl NetLink {
-    /// Link with the given parameters and a fault registry of its own with
-    /// nothing scheduled.
+    /// Link with the given parameters, a fault registry of its own with
+    /// nothing scheduled, and a metrics registry of its own.
     pub fn new(config: LinkConfig) -> NetLink {
-        NetLink::with_faults(config, Arc::default())
+        NetLink::with_registries(config, Arc::default(), &MetricsRegistry::default(), "link")
     }
 
     /// Link that consults `faults` — its node's registry — on every
-    /// transfer attempt.
-    pub fn with_faults(config: LinkConfig, faults: Arc<FaultRegistry>) -> NetLink {
+    /// transfer attempt, and counts its traffic into `metrics` under
+    /// `prefix` (`link` for node 0, `link.node{i}` for node i of a fleet).
+    pub fn with_registries(
+        config: LinkConfig,
+        faults: Arc<FaultRegistry>,
+        metrics: &MetricsRegistry,
+        prefix: &str,
+    ) -> NetLink {
         NetLink {
             config,
             faults,
-            bytes_to_accel: AtomicU64::new(0),
-            bytes_to_host: AtomicU64::new(0),
-            messages_to_accel: AtomicU64::new(0),
-            messages_to_host: AtomicU64::new(0),
-            logical_bytes_to_accel: AtomicU64::new(0),
-            logical_bytes_to_host: AtomicU64::new(0),
+            to_accel: Delivered::new(metrics, prefix, "to_accel"),
+            to_host: Delivered::new(metrics, prefix, "to_host"),
+            failures: metrics.counter_handle(&format!("{prefix}.failures")),
             wire_nanos: AtomicU64::new(0),
-            failures: AtomicU64::new(0),
             fault_nanos: AtomicU64::new(0),
-            registry: Mutex::new(None),
         }
     }
 
     /// The fault registry this link consults.
     pub fn faults(&self) -> &FaultRegistry {
         &self.faults
-    }
-
-    /// Mirror every delivered transfer and failed attempt into `registry`
-    /// as monotone `link.*` counters. By construction these reconcile with
-    /// [`NetLink::metrics`] from the moment of installation.
-    pub fn set_metrics(&self, registry: Arc<MetricsRegistry>) {
-        self.set_metrics_prefixed(registry, "link");
-    }
-
-    /// [`NetLink::set_metrics`] under an explicit counter-name prefix —
-    /// fleet topologies mirror each accelerator's link under its own
-    /// prefix (`link.node1.*`, `link.node2.*`, …) so per-node counters
-    /// reconcile with per-node [`NetLink::metrics`] exactly.
-    pub fn set_metrics_prefixed(&self, registry: Arc<MetricsRegistry>, prefix: &str) {
-        *self.registry.lock() = Some((registry, prefix.to_string()));
     }
 
     /// Current virtual time: wire time of delivered messages plus fault
@@ -307,11 +310,8 @@ impl NetLink {
     }
 
     fn fail(&self, cost: Duration, error: LinkError) -> Result<Duration, LinkError> {
-        self.failures.fetch_add(1, Ordering::Relaxed);
+        self.failures.add(1);
         self.fault_nanos.fetch_add(cost.as_nanos() as u64, Ordering::Relaxed);
-        if let Some((reg, prefix)) = self.registry.lock().as_ref() {
-            reg.inc(&format!("{prefix}.failures"), 1);
-        }
         Err(error)
     }
 
@@ -386,56 +386,30 @@ impl NetLink {
         }
 
         let cost = latency + payload;
-        match direction {
-            Direction::ToAccel => {
-                self.bytes_to_accel.fetch_add(bytes as u64, Ordering::Relaxed);
-                self.messages_to_accel.fetch_add(1, Ordering::Relaxed);
-                self.logical_bytes_to_accel.fetch_add(logical_bytes, Ordering::Relaxed);
-            }
-            Direction::ToHost => {
-                self.bytes_to_host.fetch_add(bytes as u64, Ordering::Relaxed);
-                self.messages_to_host.fetch_add(1, Ordering::Relaxed);
-                self.logical_bytes_to_host.fetch_add(logical_bytes, Ordering::Relaxed);
-            }
-        }
+        let delivered = match direction {
+            Direction::ToAccel => &self.to_accel,
+            Direction::ToHost => &self.to_host,
+        };
+        delivered.bytes.add(bytes as u64);
+        delivered.messages.add(1);
+        delivered.logical_bytes.fetch_add(logical_bytes, Ordering::Relaxed);
         self.wire_nanos.fetch_add(cost.as_nanos() as u64, Ordering::Relaxed);
-        if let Some((reg, prefix)) = self.registry.lock().as_ref() {
-            let dir = match direction {
-                Direction::ToAccel => "to_accel",
-                Direction::ToHost => "to_host",
-            };
-            reg.inc(&format!("{prefix}.delivered.{dir}.bytes"), bytes as u64);
-            reg.inc(&format!("{prefix}.delivered.{dir}.msgs"), 1);
-        }
         Ok(cost)
     }
 
     /// Snapshot of the counters.
     pub fn metrics(&self) -> LinkMetrics {
         LinkMetrics {
-            bytes_to_accel: self.bytes_to_accel.load(Ordering::Relaxed),
-            bytes_to_host: self.bytes_to_host.load(Ordering::Relaxed),
-            messages_to_accel: self.messages_to_accel.load(Ordering::Relaxed),
-            messages_to_host: self.messages_to_host.load(Ordering::Relaxed),
-            logical_bytes_to_accel: self.logical_bytes_to_accel.load(Ordering::Relaxed),
-            logical_bytes_to_host: self.logical_bytes_to_host.load(Ordering::Relaxed),
+            bytes_to_accel: self.to_accel.bytes.get(),
+            bytes_to_host: self.to_host.bytes.get(),
+            messages_to_accel: self.to_accel.messages.get(),
+            messages_to_host: self.to_host.messages.get(),
+            logical_bytes_to_accel: self.to_accel.logical_bytes.load(Ordering::Relaxed),
+            logical_bytes_to_host: self.to_host.logical_bytes.load(Ordering::Relaxed),
             wire_time: Duration::from_nanos(self.wire_nanos.load(Ordering::Relaxed)),
-            failures: self.failures.load(Ordering::Relaxed),
+            failures: self.failures.get(),
             fault_time: Duration::from_nanos(self.fault_nanos.load(Ordering::Relaxed)),
         }
-    }
-
-    /// Zero all counters (the registry's plan and its stream stay armed).
-    pub fn reset(&self) {
-        self.bytes_to_accel.store(0, Ordering::Relaxed);
-        self.bytes_to_host.store(0, Ordering::Relaxed);
-        self.messages_to_accel.store(0, Ordering::Relaxed);
-        self.messages_to_host.store(0, Ordering::Relaxed);
-        self.logical_bytes_to_accel.store(0, Ordering::Relaxed);
-        self.logical_bytes_to_host.store(0, Ordering::Relaxed);
-        self.wire_nanos.store(0, Ordering::Relaxed);
-        self.failures.store(0, Ordering::Relaxed);
-        self.fault_nanos.store(0, Ordering::Relaxed);
     }
 }
 
@@ -929,26 +903,54 @@ mod tests {
     }
 
     #[test]
-    fn since_saturates_after_reset() {
+    fn since_saturates_on_snapshots_out_of_order() {
         let link = NetLink::default();
         link.transfer(Direction::ToAccel, 100).unwrap();
-        let before = link.metrics();
-        link.reset();
+        let earlier = link.metrics();
         link.transfer(Direction::ToHost, 10).unwrap();
-        // The link went backwards between snapshots; deltas clamp to zero
-        // instead of panicking on unsigned underflow.
-        let delta = link.metrics().since(&before);
-        assert_eq!(delta.bytes_to_accel, 0);
-        assert_eq!(delta.wire_time, Duration::ZERO);
-        assert_eq!(delta.bytes_to_host, 10);
+        // Asking how far the earlier snapshot is past the later one clamps
+        // every delta to zero instead of panicking on unsigned underflow.
+        let delta = earlier.since(&link.metrics());
+        assert_eq!(delta, LinkMetrics::default());
     }
 
     #[test]
-    fn reset_zeroes() {
+    fn since_a_snapshot_counts_only_what_came_after() {
         let link = NetLink::default();
         link.transfer(Direction::ToHost, 10).unwrap();
-        link.reset();
-        assert_eq!(link.metrics(), LinkMetrics::default());
+        link.faults().arm(sites::LINK_TRANSFER, 0, 1);
+        let _ = link.transfer(Direction::ToAccel, 5);
+        let mark = link.metrics();
+        assert_eq!(link.metrics().since(&mark), LinkMetrics::default());
+        link.transfer(Direction::ToAccel, 7).unwrap();
+        let delta = link.metrics().since(&mark);
+        assert_eq!((delta.bytes_to_accel, delta.messages_to_accel), (7, 1));
+        assert_eq!((delta.bytes_to_host, delta.failures, delta.fault_time), (0, 0, Duration::ZERO));
+    }
+
+    #[test]
+    fn a_link_counts_into_the_registry_it_is_given() {
+        let metrics = MetricsRegistry::default();
+        let link = NetLink::with_registries(
+            LinkConfig::default(),
+            Arc::default(),
+            &metrics,
+            "link.node2",
+        );
+        link.transfer(Direction::ToAccel, 100).unwrap();
+        link.transfer(Direction::ToHost, 30).unwrap();
+        link.faults().arm(sites::LINK_TRANSFER, 0, 1);
+        let _ = link.transfer(Direction::ToHost, 5);
+        assert_eq!(
+            metrics.render(),
+            "# counters\n\
+             link.node2.delivered.to_accel.bytes = 100\n\
+             link.node2.delivered.to_accel.msgs = 1\n\
+             link.node2.delivered.to_host.bytes = 30\n\
+             link.node2.delivered.to_host.msgs = 1\n\
+             link.node2.failures = 1\n\
+             # gauges\n"
+        );
     }
 
     #[test]
@@ -1122,7 +1124,7 @@ mod tests {
         link.faults().set_plan(
             SitePlan::default().seeded(11).and_probabilistic(sites::LINK_CORRUPT_TO_ACCEL, 0.5),
         );
-        link.reset();
+        let before = link.metrics();
         let mut delivered = 0;
         while delivered < 20 {
             // A 50% corruptor can exhaust a whole retry budget; keep
@@ -1131,7 +1133,7 @@ mod tests {
                 delivered += 1;
             }
         }
-        let m = link.metrics();
+        let m = link.metrics().since(&before);
         assert_eq!(m.messages_to_accel, 20);
         assert_eq!(m.bytes_to_accel, 20 * frame.len() as u64);
         assert!(m.failures > 0, "a 50% corruptor must have fired at least once in 20 sends");

@@ -79,7 +79,6 @@ fn main() -> idaa::Result<()> {
     for mode in [PipelineMode::MaterializeInDb2, PipelineMode::AcceleratorOnly] {
         let (idaa, mut s) = build_system(ROWS)?;
         let p = pipeline();
-        idaa.link().reset(); // measure the pipeline only
         let report = p.run(&idaa, &mut s, mode)?;
         println!("=== {mode:?} ===");
         println!(

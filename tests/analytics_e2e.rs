@@ -293,3 +293,26 @@ fn linreg_score_predicts_through_sql() {
         .query(&mut s, "CALL ANALYTICS.LINREG_SCORE('REG2', 'ID', 'X', 'RM', 'P2')")
         .is_err());
 }
+
+#[test]
+fn malformed_naive_bayes_model_is_a_load_error() {
+    let (idaa, mut s) = system_with_features(200);
+    idaa.query(&mut s, "CALL ANALYTICS.NAIVEBAYES_TRAIN('DATA', 'LABEL', 'X,Y', 'NB_MODEL')")
+        .unwrap();
+    let score = "CALL ANALYTICS.NAIVEBAYES_SCORE('DATA', 'ID', 'X,Y', 'NB_MODEL', 'NB_OUT')";
+    // A user-inserted row whose feature index no model of this table can
+    // have: negative, or far past the row count (it would size the class's
+    // parameter vectors).
+    for idx in [-1, i32::MAX] {
+        idaa.execute(&mut s, &format!("INSERT INTO NB_MODEL VALUES ('HI', 0.5E0, {idx}, 0.0E0, 1.0E0)"))
+            .unwrap();
+        let err = idaa.query(&mut s, score).unwrap_err();
+        assert_eq!(err.sqlcode(), -103, "{err}");
+        assert!(err.to_string().contains("NB_MODEL"), "the error names the table: {err}");
+        // The session still answers, and the repaired model scores again.
+        let n = idaa.query(&mut s, "SELECT COUNT(*) FROM NB_MODEL").unwrap();
+        assert_eq!(n.scalar().unwrap(), &Value::BigInt(5));
+        idaa.execute(&mut s, &format!("DELETE FROM NB_MODEL WHERE FEATURE_IDX = {idx}")).unwrap();
+        idaa.query(&mut s, score).unwrap();
+    }
+}

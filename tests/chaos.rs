@@ -997,7 +997,7 @@ fn rotted_checkpoint_falls_back_to_the_previous_valid_one() {
 /// next operator probe; once the media reads clean, the full log replays
 /// and nothing is lost.
 #[test]
-fn transient_disk_read_failures_delay_recovery_without_losing_state() {
+fn transient_disk_read_faults_delay_recovery_without_losing_state() {
     let (idaa, mut s) = disk_system(Duration::from_micros(300), Duration::ZERO);
     for i in 0..10 {
         idaa.execute(&mut s, &format!("INSERT INTO LOG VALUES ({i})")).unwrap();
@@ -1017,7 +1017,6 @@ fn transient_disk_read_failures_delay_recovery_without_losing_state() {
         (0..10).collect::<Vec<_>>(),
         "transient read failures must not lose acknowledged state"
     );
-    assert_eq!(idaa.accel().stats.disk_read_failures.load(std::sync::atomic::Ordering::Relaxed), 2);
     assert_eq!(idaa.metrics().counter("disk.read_failures"), 2);
     assert_eq!(
         idaa.faults.registry.fired(),

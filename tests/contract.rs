@@ -3,8 +3,9 @@
 //! operators on one plan walk, the accelerator has one fan-out, only
 //! `idaa-core` decides where accelerator rows live, wall time is read only
 //! where it is measured, every config field is set by some caller,
-//! recoverable accelerator state has one image, and injected faults draw
-//! from one seeded stream.
+//! recoverable accelerator state has one image, injected faults draw
+//! from one seeded stream, and the link counts only through registry
+//! handles.
 
 use std::path::{Path, PathBuf};
 
@@ -133,6 +134,24 @@ fn deleted_names_stay_deleted() {
         "inject_skip",
         "delay_extra",
     ];
+    // Second homes of a count: the link's registry mirror and `reset`, the
+    // engine's storage-fault atomics and their delta mirror, and the
+    // replicator's running sum of what `apply` returns. The registry keys
+    // use dots, so the underscore field names cannot match them.
+    let metrics: &[&str] = &[
+        "set_metrics_prefixed",
+        "fn set_metrics(",
+        "disk_stat_snapshot",
+        "DISK_METRIC_KEYS",
+        "mirror_disk_stats",
+        "disk_corruptions_detected",
+        "disk_records_truncated",
+        "disk_checkpoint_fallbacks",
+        "disk_scrub_repairs",
+        "disk_read_failures",
+        "link().reset()",
+        "changes_applied",
+    ];
     let everywhere = &["crates", "src", "tests"][..];
     for (names, dirs) in [
         (executor, &["crates/accel/src"][..]),
@@ -140,6 +159,7 @@ fn deleted_names_stay_deleted() {
         (unused, everywhere),
         (image, everywhere),
         (faults, everywhere),
+        (metrics, &["crates", "src", "tests", "examples"][..]),
     ] {
         for (path, text) in dirs.iter().flat_map(|d| sources(d)) {
             if path.ends_with("tests/contract.rs") {
@@ -164,6 +184,22 @@ fn one_fault_stream() {
         })
         .collect();
     assert_eq!(seeds.len(), 1, "the fault stream is seeded in {seeds:#?}");
+}
+
+#[test]
+fn the_link_counts_through_handles() {
+    // Each count has one home in the metrics registry. The link takes its
+    // handles when it is built, so no transfer looks a counter up by name
+    // or formats one.
+    for (path, text) in sources("crates/netsim/src") {
+        assert!(!product(&text).contains(".inc("), "{} counts by name", path.display());
+    }
+    let netsim = std::fs::read_to_string(root().join("crates/netsim/src/lib.rs")).unwrap();
+    for decl in ["    fn attempt(", "    fn fail("] {
+        let f = &netsim[netsim.find(decl).unwrap_or_else(|| panic!("no `{decl}`"))..];
+        let f = &f[..f.find("\n    }\n").unwrap_or(f.len())];
+        assert!(!f.contains("format!"), "`{}` formats on the transfer path", decl.trim());
+    }
 }
 
 #[test]
