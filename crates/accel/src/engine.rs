@@ -1128,16 +1128,12 @@ impl AccelEngine {
 
     // -- bulk / maintenance -------------------------------------------------------------
 
-    /// Bulk load committed data (replication apply and loader path): the
-    /// rows become visible via a dedicated single-use transaction that
-    /// commits immediately.
-    pub fn load_committed(&self, table: &ObjectName, rows: Vec<Row>) -> Result<usize> {
+    /// Bulk load committed rows (table loads, analytics output, rebuilds,
+    /// catch-up copies) as transaction `txn`, which begins and commits
+    /// here. The caller draws the fresh id from DB2, like every other.
+    pub fn load_committed(&self, txn: TxnId, table: &ObjectName, rows: Vec<Row>) -> Result<usize> {
         self.ensure_up()?;
         self.ensure_not_quarantined(table)?;
-        // Internal load transactions use ids above 2^62 to stay clear of
-        // host transaction ids.
-        static NEXT_LOAD_TXN: AtomicU64 = AtomicU64::new(1 << 62);
-        let txn = NEXT_LOAD_TXN.fetch_add(1, Ordering::Relaxed);
         self.txns.begin(txn);
         self.log(LogRecord::Begin { txn });
         let n = self.insert_rows(txn, table, rows)?;
@@ -1246,7 +1242,7 @@ mod tests {
         let rows: Vec<Row> = (0..1000)
             .map(|i| row(i, if i % 2 == 0 { "A" } else { "B" }, i as f64))
             .collect();
-        e.load_committed(&ObjectName::bare("T"), rows).unwrap();
+        e.load_committed(101, &ObjectName::bare("T"), rows).unwrap();
         let r = q(&e, 0, "SELECT grp, COUNT(*), AVG(val) FROM t GROUP BY grp ORDER BY grp").unwrap();
         assert_eq!(r.len(), 2);
         assert_eq!(r.rows[0][1], Value::BigInt(500));
@@ -1256,7 +1252,7 @@ mod tests {
     fn plan_cache_hits_repeated_statements_and_returns_identical_rows() {
         let e = engine();
         let rows: Vec<Row> = (0..100).map(|i| row(i, if i % 3 == 0 { "A" } else { "B" }, i as f64)).collect();
-        e.load_committed(&ObjectName::bare("T"), rows).unwrap();
+        e.load_committed(101, &ObjectName::bare("T"), rows).unwrap();
         let sql = "SELECT grp, COUNT(*) FROM t WHERE grp = 'A' GROUP BY grp";
         let Statement::Query(query) = parse_statement(sql).unwrap() else { panic!() };
         let (p1, hit1) = e.plan_cached(&query).unwrap();
@@ -1275,7 +1271,7 @@ mod tests {
     #[test]
     fn plan_cache_survives_writes_and_replans_on_ddl_and_restart() {
         let e = engine();
-        e.load_committed(&ObjectName::bare("T"), vec![row(1, "A", 1.0)]).unwrap();
+        e.load_committed(101, &ObjectName::bare("T"), vec![row(1, "A", 1.0)]).unwrap();
         let Statement::Query(query) =
             parse_statement("SELECT COUNT(*) FROM t WHERE grp = 'A'").unwrap()
         else {
@@ -1284,7 +1280,7 @@ mod tests {
         assert!(!e.plan_cached(&query).unwrap().1);
         assert!(e.plan_cached(&query).unwrap().1);
         // Writes keep the plan: dictionary growth, GROOM and TRUNCATE.
-        e.load_committed(&ObjectName::bare("T"), vec![row(2, "NEW", 2.0)]).unwrap();
+        e.load_committed(102, &ObjectName::bare("T"), vec![row(2, "NEW", 2.0)]).unwrap();
         assert!(e.plan_cached(&query).unwrap().1, "dictionary growth keeps the plan");
         e.begin(9);
         e.delete_where(9, &ObjectName::bare("T"), None).unwrap();
@@ -1308,7 +1304,7 @@ mod tests {
     #[test]
     fn plan_cache_hash_collision_replans_instead_of_serving_the_other_plan() {
         let e = engine();
-        e.load_committed(&ObjectName::bare("T"), vec![row(1, "A", 1.0), row(7, "B", 2.0)])
+        e.load_committed(101, &ObjectName::bare("T"), vec![row(1, "A", 1.0), row(7, "B", 2.0)])
             .unwrap();
         let parse = |sql: &str| match parse_statement(sql).unwrap() {
             Statement::Query(q) => q,
@@ -1335,7 +1331,7 @@ mod tests {
     #[test]
     fn plan_cache_is_bounded_and_evicts_first_in_first_out() {
         let e = engine();
-        e.load_committed(&ObjectName::bare("T"), vec![row(1, "A", 1.0)]).unwrap();
+        e.load_committed(101, &ObjectName::bare("T"), vec![row(1, "A", 1.0)]).unwrap();
         let q = |i: usize| match parse_statement(&format!("SELECT id FROM t WHERE id = {i}")) {
             Ok(Statement::Query(q)) => q,
             _ => panic!(),
@@ -1392,6 +1388,7 @@ mod tests {
     fn delete_and_update_with_own_visibility() {
         let e = engine();
         e.load_committed(
+            101,
             &ObjectName::bare("T"),
             vec![row(1, "A", 1.0), row(2, "A", 2.0), row(3, "B", 3.0)],
         )
@@ -1439,6 +1436,7 @@ mod tests {
         )
         .unwrap();
         e.load_committed(
+            101,
             &ObjectName::bare("T"),
             vec![row(1, "A", 1.0), row(2, "A", 2.0), row(3, "B", 3.0)],
         )
@@ -1463,7 +1461,7 @@ mod tests {
     #[test]
     fn write_write_conflict_rolls_back_statement_marks() {
         let e = engine();
-        e.load_committed(&ObjectName::bare("T"), vec![row(1, "A", 1.0), row(2, "A", 2.0)])
+        e.load_committed(101, &ObjectName::bare("T"), vec![row(1, "A", 1.0), row(2, "A", 2.0)])
             .unwrap();
         e.begin(1);
         e.begin(2);
@@ -1488,7 +1486,7 @@ mod tests {
         e.create_table(&ObjectName::bare("T"), schema(), &[]).unwrap();
         // Two blocks worth of ordered ids: 0..4095 and 4096..8191.
         let rows: Vec<Row> = (0..8192).map(|i| row(i, "A", i as f64)).collect();
-        e.load_committed(&ObjectName::bare("T"), rows).unwrap();
+        e.load_committed(101, &ObjectName::bare("T"), rows).unwrap();
         let before = e.stats.blocks_pruned.load(Ordering::Relaxed);
         let r = q(&e, 0, "SELECT COUNT(*) FROM t WHERE id < 100").unwrap();
         assert_eq!(r.scalar().unwrap(), &Value::BigInt(100));
@@ -1502,6 +1500,7 @@ mod tests {
     fn string_equality_kernel_matches_residual_semantics() {
         let e = engine();
         e.load_committed(
+            101,
             &ObjectName::bare("T"),
             (0..300)
                 .map(|i| row(i, ["A", "B", "C"][(i % 3) as usize], i as f64))
@@ -1519,7 +1518,7 @@ mod tests {
         let r = q(&e, 0, "SELECT COUNT(*) FROM t WHERE grp = 'ZZ'").unwrap();
         assert_eq!(r.scalar().unwrap(), &Value::BigInt(0));
         // NULL group rows never match equality or inequality kernels.
-        e.load_committed(&ObjectName::bare("T"), vec![vec![
+        e.load_committed(102, &ObjectName::bare("T"), vec![vec![
             Value::Int(999),
             Value::Null,
             Value::Double(0.0),
@@ -1532,7 +1531,7 @@ mod tests {
     #[test]
     fn truncate_empties_table() {
         let e = engine();
-        e.load_committed(&ObjectName::bare("T"), vec![row(1, "A", 1.0)]).unwrap();
+        e.load_committed(101, &ObjectName::bare("T"), vec![row(1, "A", 1.0)]).unwrap();
         e.truncate(&ObjectName::bare("T")).unwrap();
         assert_eq!(q(&e, 0, "SELECT COUNT(*) FROM t").unwrap().scalar().unwrap(), &Value::BigInt(0));
         assert_eq!(e.table(&ObjectName::bare("T")).unwrap().version_count(), 0);
@@ -1570,7 +1569,7 @@ mod tests {
     #[test]
     fn crash_without_restart_refuses_statements_with_904() {
         let e = engine();
-        e.load_committed(&ObjectName::bare("T"), vec![row(1, "A", 1.0)]).unwrap();
+        e.load_committed(101, &ObjectName::bare("T"), vec![row(1, "A", 1.0)]).unwrap();
         e.crash();
         assert!(e.is_crashed());
         let err = q(&e, 0, "SELECT COUNT(*) FROM t").unwrap_err();
@@ -1584,6 +1583,7 @@ mod tests {
     fn restart_replays_log_from_empty_checkpoint() {
         let e = engine();
         e.load_committed(
+            101,
             &ObjectName::bare("T"),
             (0..100).map(|i| row(i, "A", i as f64)).collect(),
         )
@@ -1606,6 +1606,7 @@ mod tests {
     fn restart_from_checkpoint_plus_tail_and_is_idempotent() {
         let e = engine();
         e.load_committed(
+            101,
             &ObjectName::bare("T"),
             (0..50).map(|i| row(i, "A", i as f64)).collect(),
         )
@@ -1618,7 +1619,7 @@ mod tests {
             .unwrap();
         e.prepare(9).unwrap();
         e.commit(9);
-        e.load_committed(&ObjectName::bare("T"), vec![row(1000, "Z", 0.0)]).unwrap();
+        e.load_committed(102, &ObjectName::bare("T"), vec![row(1000, "Z", 0.0)]).unwrap();
         let fp_before = e.state_fingerprint();
         e.crash();
         let stats = e.restart().unwrap();
@@ -1636,7 +1637,7 @@ mod tests {
     #[test]
     fn restart_aborts_in_flight_and_rematerializes_prepared() {
         let e = engine();
-        e.load_committed(&ObjectName::bare("T"), vec![row(1, "A", 1.0)]).unwrap();
+        e.load_committed(101, &ObjectName::bare("T"), vec![row(1, "A", 1.0)]).unwrap();
         // Txn 10: prepared (in-doubt) at crash time.
         e.begin(10);
         e.insert_rows(10, &ObjectName::bare("T"), vec![row(2, "B", 2.0)]).unwrap();
@@ -1664,10 +1665,11 @@ mod tests {
     fn crash_point_mid_bulk_load_loses_no_committed_data() {
         use idaa_netsim::{sites, SitePlan};
         let e = engine();
-        e.load_committed(&ObjectName::bare("T"), vec![row(1, "A", 1.0)]).unwrap();
+        e.load_committed(101, &ObjectName::bare("T"), vec![row(1, "A", 1.0)]).unwrap();
         e.fault_registry().set_plan(SitePlan::at(sites::MID_BULK_LOAD, 1));
         let err = e
             .load_committed(
+                102,
                 &ObjectName::bare("T"),
                 (10..20).map(|i| row(i, "B", 0.0)).collect(),
             )
@@ -1677,7 +1679,7 @@ mod tests {
         e.restart().unwrap();
         assert_eq!(count(&e, 0), 1, "half-loaded batch rolled back, old data intact");
         // The interrupted load can simply be retried.
-        e.load_committed(&ObjectName::bare("T"), (10..20).map(|i| row(i, "B", 0.0)).collect())
+        e.load_committed(103, &ObjectName::bare("T"), (10..20).map(|i| row(i, "B", 0.0)).collect())
             .unwrap();
         assert_eq!(count(&e, 0), 11);
     }
@@ -1686,9 +1688,9 @@ mod tests {
     fn crash_point_mid_checkpoint_keeps_previous_checkpoint() {
         use idaa_netsim::{sites, SitePlan};
         let e = engine();
-        e.load_committed(&ObjectName::bare("T"), vec![row(1, "A", 1.0)]).unwrap();
+        e.load_committed(101, &ObjectName::bare("T"), vec![row(1, "A", 1.0)]).unwrap();
         e.checkpoint(Duration::from_millis(1)).unwrap();
-        e.load_committed(&ObjectName::bare("T"), vec![row(2, "B", 2.0)]).unwrap();
+        e.load_committed(102, &ObjectName::bare("T"), vec![row(2, "B", 2.0)]).unwrap();
         let fp_before = e.state_fingerprint();
         e.fault_registry().set_plan(SitePlan::at(sites::MID_CHECKPOINT, 1));
         assert_eq!(e.checkpoint(Duration::from_millis(2)).unwrap_err().sqlcode(), -904);
@@ -1702,13 +1704,13 @@ mod tests {
     #[test]
     fn maybe_checkpoint_follows_virtual_clock_interval() {
         let e = engine();
-        e.load_committed(&ObjectName::bare("T"), vec![row(1, "A", 1.0)]).unwrap();
+        e.load_committed(101, &ObjectName::bare("T"), vec![row(1, "A", 1.0)]).unwrap();
         let every = Duration::from_millis(10);
         assert!(!e.maybe_checkpoint(Duration::from_millis(5), every).unwrap());
         assert!(e.maybe_checkpoint(Duration::from_millis(10), every).unwrap());
         // Nothing new in the log: no checkpoint even past the interval.
         assert!(!e.maybe_checkpoint(Duration::from_millis(25), every).unwrap());
-        e.load_committed(&ObjectName::bare("T"), vec![row(2, "B", 2.0)]).unwrap();
+        e.load_committed(102, &ObjectName::bare("T"), vec![row(2, "B", 2.0)]).unwrap();
         assert!(!e.maybe_checkpoint(Duration::from_millis(15), every).unwrap(), "too soon");
         assert!(e.maybe_checkpoint(Duration::from_millis(20), every).unwrap());
     }
@@ -1717,7 +1719,7 @@ mod tests {
     fn quarantine_survives_checkpoint_and_restart() {
         let e = engine();
         let t = ObjectName::bare("T");
-        e.load_committed(&t, vec![row(1, "A", 1.0)]).unwrap();
+        e.load_committed(101, &t, vec![row(1, "A", 1.0)]).unwrap();
         e.quarantine_table(&t).unwrap();
         // The checkpoint covers the quarantine record, so the log tail
         // replayed on restart no longer holds it: only the image does.
@@ -1741,6 +1743,7 @@ mod tests {
     fn groom_before_crash_replays_identically() {
         let e = engine();
         e.load_committed(
+            101,
             &ObjectName::bare("T"),
             (0..20).map(|i| row(i, "A", i as f64)).collect(),
         )
@@ -1766,6 +1769,7 @@ mod tests {
     fn groom_after_committed_deletes() {
         let e = engine();
         e.load_committed(
+            101,
             &ObjectName::bare("T"),
             (0..100).map(|i| row(i, "A", i as f64)).collect(),
         )

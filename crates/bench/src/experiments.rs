@@ -507,7 +507,8 @@ fn e10_accelerator_ablation(out: &mut Report) {
         let rows: Vec<idaa_common::Row> = (0..ROWS)
             .map(|i| vec![idaa_common::Value::Int(i as i32), idaa_common::Value::Int((i % 997) as i32)])
             .collect();
-        idaa.accel().load_committed(&idaa_common::ObjectName::bare("BIG"), rows).unwrap();
+        let txn = idaa.host().txns.next_id();
+        idaa.accel().load_committed(txn, &idaa_common::ObjectName::bare("BIG"), rows).unwrap();
         (idaa, s)
     };
 

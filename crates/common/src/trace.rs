@@ -259,7 +259,7 @@ impl StatementTrace {
     }
 }
 
-/// Bounded, process-wide collector of statement traces. Tests install
+/// Bounded collector of statement traces, one per `Idaa`. Tests install
 /// assertions against `statements()`/`last()`; the buffer keeps the most
 /// recent `cap` entries so long chaos runs don't grow without bound.
 #[derive(Debug)]

@@ -315,9 +315,9 @@ impl Hash for Value {
                 state.write_u8(1);
                 state.write_u8(*b as u8);
             }
-            Value::SmallInt(_) | Value::Int(_) | Value::BigInt(_) => {
-                hash_numeric(self.as_i64().unwrap() as f64, state);
-            }
+            Value::SmallInt(v) => hash_numeric(*v as f64, state),
+            Value::Int(v) => hash_numeric(*v as f64, state),
+            Value::BigInt(v) => hash_numeric(*v as f64, state),
             Value::Double(v) => hash_numeric(*v, state),
             Value::Decimal(d) => hash_numeric(d.to_f64(), state),
             Value::Varchar(s) => {

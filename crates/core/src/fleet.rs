@@ -920,7 +920,8 @@ impl Idaa {
                 let st = shard_table(&name, s, self.fleet.shards);
                 let owners = self.fleet.owners(s);
                 self.write_on_owners(session, s, &name, owners, &mut missed, |node, _| {
-                    let n = node.engine.load_committed(&st, shard_rows.clone())?;
+                    let txn = self.host.txns.next_id();
+                    let n = node.engine.load_committed(txn, &st, shard_rows.clone())?;
                     self.ship_on(node, Direction::ToHost, wire::ACK_FRAME)?;
                     Ok(n)
                 })?;
@@ -953,7 +954,7 @@ impl Idaa {
         self.maybe_rebalance();
         let txn = self.host.begin();
         // The owner loop's context only: a load ships no statement.
-        let mut session = Session::new(SYSADM);
+        let mut session = Session::new(self.next_session_id(), SYSADM);
         // The nodes that began the transaction, and the owners that missed
         // a batch (each sits out the rest of the load).
         let (mut joined, mut missed) = (BTreeSet::new(), BTreeSet::new());

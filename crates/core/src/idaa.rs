@@ -24,7 +24,7 @@ use idaa_sql::ast::Statement;
 use idaa_sql::{parse_statement, parse_statements};
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -141,7 +141,7 @@ impl ExecOutcome {
 #[derive(Debug, Clone)]
 pub struct QueueInfo {
     /// Deterministic 1-based server seat (connect order), *not* the
-    /// process-global `Session::id`.
+    /// `Session::id`.
     pub seat: u64,
     /// Priority class name at admission.
     pub priority: &'static str,
@@ -171,7 +171,9 @@ pub struct Idaa {
     /// Collected statement traces (query-lifecycle span trees on the
     /// virtual clock).
     tracer: Arc<TraceSink>,
-    /// Process-wide monotone counters and gauges, the one home of every
+    /// Sessions numbered so far: each `Idaa` numbers its own from 1.
+    sessions: AtomicU64,
+    /// This system's monotone counters and gauges, the one home of every
     /// count: each node's link counts its delivered and failed traffic
     /// here (`link.*` for node 0, `link.node{i}.*` for the rest), and each
     /// engine its storage faults (`disk.*`, summed over the fleet).
@@ -207,6 +209,7 @@ impl Idaa {
             fleet: FleetState::new(&config.fleet),
             procedures: RwLock::new(HashMap::new()),
             tracer: Arc::new(TraceSink::default()),
+            sessions: AtomicU64::new(0),
             metrics,
             config,
             faults,
@@ -229,11 +232,16 @@ impl Idaa {
     /// enabled (the default), the session records a query-lifecycle span
     /// tree per statement, stamped with the link's virtual clock.
     pub fn session(&self, user: &str) -> Session {
-        let mut s = Session::new(user);
+        let mut s = Session::new(self.next_session_id(), user);
         if self.tracer.enabled() {
             s.trace = Trace::enabled();
         }
         s
+    }
+
+    /// The next session id of this system.
+    pub(crate) fn next_session_id(&self) -> u64 {
+        self.sessions.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// The statement-trace collector.
@@ -241,7 +249,7 @@ impl Idaa {
         &self.tracer
     }
 
-    /// The process-wide metrics registry.
+    /// This system's metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
     }
@@ -399,7 +407,7 @@ impl Idaa {
         for node in &self.nodes {
             let delivered = self.ship_rows_on(node, Direction::ToAccel, &meta.schema, &rows)?;
             node.engine.truncate(&meta.name)?;
-            n = node.engine.load_committed(&meta.name, delivered)?;
+            n = node.engine.load_committed(self.host.txns.next_id(), &meta.name, delivered)?;
             self.ship_on(node, Direction::ToHost, wire::ACK_FRAME)?;
         }
         self.host.set_accel_status(&meta.name, idaa_host::AccelStatus::Loaded)?;
@@ -512,7 +520,6 @@ impl Idaa {
         stmt: &Statement,
         queue: Option<&QueueInfo>,
     ) -> Result<ExecOutcome> {
-        session.statements += 1;
         // Only the outermost statement owns the root "statement" span;
         // statements executed re-entrantly (procedures, EXPLAIN ANALYZE)
         // add their spans under whatever is already open.

@@ -237,7 +237,8 @@ impl Idaa {
                             let rows = self.host.scan_all(&meta.name)?;
                             let delivered =
                                 self.ship_rows_on(node, Direction::ToAccel, &meta.schema, &rows)?;
-                            node.engine.load_committed(&meta.name, delivered)?;
+                            let txn = self.host.txns.next_id();
+                            node.engine.load_committed(txn, &meta.name, delivered)?;
                             self.ship_on(node, Direction::ToHost, wire::ACK_FRAME)?;
                         }
                     }
@@ -359,7 +360,7 @@ impl Idaa {
                     delivered.extend(wire::decode_rows(&frame, &meta.schema)?);
                 }
                 node.engine.truncate(&st)?;
-                node.engine.load_committed(&st, delivered)?;
+                node.engine.load_committed(self.host.txns.next_id(), &st, delivered)?;
                 self.metrics.inc("fleet.catch_up.bytes", bytes);
                 copied = true;
             }

@@ -22,7 +22,6 @@ use idaa_host::{AccelStatus, ChangeOp, ChangeRecord, HostEngine, Lsn};
 use idaa_netsim::{sites, Direction, NetLink, RetryPolicy};
 use idaa_sql::ast::{BinaryOp, Expr};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Replication applier state.
 pub struct Replicator {
@@ -158,8 +157,8 @@ impl Replicator {
             // new suffix may apply.
             if batch_last > self.accel_applied {
                 // Each batch applies under one accelerator transaction, so
-                // a batch becomes visible atomically.
-                let txn = next_apply_txn();
+                // a batch becomes visible atomically. DB2 numbers it.
+                let txn = host.txns.next_id();
                 accel.begin(txn);
                 match apply_batch(accel, txn, batch, &mut delivered, self.accel_applied) {
                     Ok(fresh) => {
@@ -260,12 +259,6 @@ fn apply_batch(
     accel.prepare(txn)?;
     accel.commit(txn);
     Ok(fresh)
-}
-
-static NEXT_APPLY_TXN: AtomicU64 = AtomicU64::new(1 << 61);
-
-fn next_apply_txn() -> u64 {
-    NEXT_APPLY_TXN.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Delete exactly one accelerator row matching the full image `row`.

@@ -34,8 +34,8 @@
 //! Determinism: for a given (seed, connect order, submission schedule) the
 //! scheduler replays byte-identical `LinkMetrics`, traces, and
 //! `SHOW WORKLOAD` output — seats are numbered 1.. in connect order
-//! (never the process-global `Session::id`), rounds and rotations derive
-//! only from scheduler state, and execution is serialized in admission
+//! (never the `Session::id`), rounds and rotations derive only from
+//! scheduler state, and execution is serialized in admission
 //! order on the one virtual timeline. With one seat and one statement per
 //! drain the server reproduces the plain single-caller paths byte for
 //! byte: no reschedule tick is charged when nothing else is queued.
@@ -132,7 +132,7 @@ impl Default for ServerConfig {
 const RESCHEDULE_TICK: Duration = Duration::from_micros(50);
 
 /// Deterministic 1-based seat number assigned in connect order. This — not
-/// the process-global `Session::id` — keys every `server.*` metric and the
+/// the `Session::id` — keys every `server.*` metric and the
 /// `SHOW WORKLOAD` view, so replays are byte-identical across processes.
 pub type SeatId = u64;
 

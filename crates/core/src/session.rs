@@ -18,14 +18,11 @@
 use idaa_common::trace::Trace;
 use idaa_host::TxnId;
 use idaa_sql::AccelerationMode;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static NEXT_SESSION_ID: AtomicU64 = AtomicU64::new(1);
 
 /// One application connection to the federated system.
 #[derive(Debug)]
 pub struct Session {
-    /// Process-unique session id; statements shipped to the accelerator
+    /// Session id, unique per `Idaa`; statements shipped to the accelerator
     /// are sequenced per session so retried deliveries deduplicate.
     pub id: u64,
     /// Authorization id (user) — all governance checks use this.
@@ -37,8 +34,6 @@ pub struct Session {
     pub txn: Option<TxnId>,
     /// True while inside `BEGIN … COMMIT` (suppresses autocommit).
     pub explicit_txn: bool,
-    /// Statements executed on this session (diagnostics).
-    pub statements: u64,
     /// Query-lifecycle tracer. Sessions opened via `Idaa::session` get an
     /// active trace when the system's `TraceSink` is enabled; every span it
     /// records is stamped with the link's *virtual* clock only.
@@ -47,15 +42,14 @@ pub struct Session {
 }
 
 impl Session {
-    /// Fresh session for `user` with DB2 defaults.
-    pub fn new(user: &str) -> Session {
+    /// Fresh session `id` for `user` with DB2 defaults.
+    pub fn new(id: u64, user: &str) -> Session {
         Session {
-            id: NEXT_SESSION_ID.fetch_add(1, Ordering::Relaxed),
+            id,
             user: user.to_uppercase(),
             acceleration: AccelerationMode::None,
             txn: None,
             explicit_txn: false,
-            statements: 0,
             trace: Trace::disabled(),
             seq: 0,
         }
@@ -74,7 +68,7 @@ mod tests {
 
     #[test]
     fn defaults_match_db2() {
-        let s = Session::new("alice");
+        let s = Session::new(1, "alice");
         assert_eq!(s.user, "ALICE");
         assert_eq!(s.acceleration, AccelerationMode::None);
         assert!(s.txn.is_none());

@@ -62,9 +62,15 @@ pub struct TxnManager {
 }
 
 impl TxnManager {
-    /// Start a transaction.
+    /// The next transaction id. The accelerator's loads and replication
+    /// batches take only this: they have no host undo state.
+    pub fn next_id(&self) -> TxnId {
+        self.next_id.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// Start a transaction: a fresh id with open undo state.
     pub fn begin(&self) -> TxnId {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
+        let id = self.next_id();
         self.active.lock().insert(id, TxnState::default());
         id
     }

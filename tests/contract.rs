@@ -4,8 +4,8 @@
 //! `idaa-core` decides where accelerator rows live, wall time is read only
 //! where it is measured, every config field is set by some caller,
 //! recoverable accelerator state has one image, injected faults draw
-//! from one seeded stream, and the link counts only through registry
-//! handles.
+//! from one seeded stream, the link counts only through registry
+//! handles, and product code keeps no process-global state.
 
 use std::path::{Path, PathBuf};
 
@@ -152,6 +152,9 @@ fn deleted_names_stay_deleted() {
         "link().reset()",
         "changes_applied",
     ];
+    // Process-global id counters: DB2 numbers every transaction and each
+    // `Idaa` its own sessions.
+    let ids: &[&str] = &["NEXT_LOAD_TXN", "NEXT_APPLY_TXN", "NEXT_SESSION_ID", "next_apply_txn"];
     let everywhere = &["crates", "src", "tests"][..];
     for (names, dirs) in [
         (executor, &["crates/accel/src"][..]),
@@ -160,6 +163,7 @@ fn deleted_names_stay_deleted() {
         (image, everywhere),
         (faults, everywhere),
         (metrics, &["crates", "src", "tests", "examples"][..]),
+        (ids, everywhere),
     ] {
         for (path, text) in dirs.iter().flat_map(|d| sources(d)) {
             if path.ends_with("tests/contract.rs") {
@@ -170,6 +174,29 @@ fn deleted_names_stay_deleted() {
             }
         }
     }
+}
+
+#[test]
+fn no_process_global_state() {
+    // A run is a function of its seed and script, so product code keeps no
+    // mutable state outside the system that owns it. The one exception is
+    // a read-only cache of the machine's worker count.
+    let shared = ["Atomic", "Mutex", "RwLock", "OnceLock", "LazyLock", "Cell"];
+    let facade = sources("src").into_iter().map(|(path, text)| (path, product(&text).to_string()));
+    let mut found = Vec::new();
+    for (path, text) in product_sources().into_iter().chain(facade) {
+        let worker_count = path.ends_with("crates/accel/src/engine.rs");
+        for line in text.lines().map(str::trim) {
+            let decl = line.trim_start_matches("pub(crate) ").trim_start_matches("pub ");
+            let allowed = worker_count && decl.starts_with("static AUTO: OnceLock<usize>");
+            let global = decl.starts_with("static mut ")
+                || (decl.starts_with("static ") && shared.iter().any(|t| decl.contains(t)));
+            if (global && !allowed) || line.contains("thread_local!") {
+                found.push(format!("{}: {line}", path.display()));
+            }
+        }
+    }
+    assert!(found.is_empty(), "process-global state in product code:\n{}", found.join("\n"));
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Query-lifecycle observability: deterministic trace span trees on the
-//! virtual clock, the process-wide metrics registry, and EXPLAIN ANALYZE.
+//! virtual clock, each system's own metrics registry, and EXPLAIN ANALYZE.
 //!
 //! The invariants under test:
 //!
@@ -259,14 +259,14 @@ fn same_seed_chaos_runs_render_identical_traces_and_metrics() {
             let _ = idaa.execute(&mut s, &format!("INSERT INTO STAGE VALUES ('EU', {i}.0E0)"));
             let _ = idaa.query(&mut s, "SELECT COUNT(*), SUM(total) FROM stage");
         }
-        let traces: String =
-            idaa.tracer().statements().iter().map(|t| t.root.render()).collect();
-        (traces, idaa.metrics().snapshot().render())
+        let traces: String = idaa.tracer().statements().iter().map(|t| t.render()).collect();
+        (traces, idaa.metrics().snapshot().render(), idaa.accel().state_fingerprint())
     };
-    let (traces_a, metrics_a) = run();
-    let (traces_b, metrics_b) = run();
+    let (traces_a, metrics_a, state_a) = run();
+    let (traces_b, metrics_b, state_b) = run();
     assert_eq!(traces_a, traces_b, "same seed must render byte-identical traces");
     assert_eq!(metrics_a, metrics_b, "same seed must produce byte-identical metrics");
+    assert_eq!(state_a, state_b, "same seed must leave the same accelerator state");
     assert!(traces_a.contains("transfer"), "sanity: the workload produced spans");
 }
 

@@ -412,7 +412,7 @@ proptest! {
         for zone_maps in [true, false] {
             let engine = AccelEngine::new("APP", AccelConfig { slices: 2, zone_maps, parallel: false, parallelism: 0 });
             engine.create_table(&ObjectName::bare("T"), schema.clone(), &[]).unwrap();
-            engine.load_committed(&ObjectName::bare("T"), data.clone()).unwrap();
+            engine.load_committed(1, &ObjectName::bare("T"), data.clone()).unwrap();
             let Statement::Query(q) = parse_statement(
                 &format!("SELECT COUNT(*), SUM(b) FROM t WHERE a < {threshold}")
             ).unwrap() else { unreachable!() };
@@ -545,10 +545,8 @@ proptest! {
                 spans.extend(span.children.iter());
             }
         }
-        // Session ids are process-global, so compare the session-free
-        // span-tree renderings across instances.
         let render = |traces: &[idaa::StatementTrace]| -> String {
-            traces.iter().map(|t| t.root.render()).collect::<Vec<_>>().join("\n")
+            traces.iter().map(|t| t.render()).collect::<Vec<_>>().join("\n")
         };
         prop_assert_eq!(
             render(&first),
@@ -593,9 +591,9 @@ proptest! {
                 AccelConfig { slices: 4, zone_maps: true, parallel: true, parallelism }
             };
             let engine = AccelEngine::new("APP", config);
-            for (name, rows) in [("T", &data), ("BIG", &big)] {
+            for (txn, name, rows) in [(1, "T", &data), (2, "BIG", &big)] {
                 engine.create_table(&ObjectName::bare(name), schema.clone(), &[]).unwrap();
-                engine.load_committed(&ObjectName::bare(name), rows.clone()).unwrap();
+                engine.load_committed(txn, &ObjectName::bare(name), rows.clone()).unwrap();
             }
             let queries = [
                 "SELECT x.a, y.b FROM {t} AS x INNER JOIN {t} AS y ON x.a = y.a WHERE y.b < 20",
@@ -689,9 +687,9 @@ proptest! {
             "APP",
             AccelConfig { slices: 3, zone_maps: true, parallel: false, parallelism: 0 },
         );
-        for (name, rows) in [("T", data), ("BIG", big)] {
+        for (txn, name, rows) in [(1, "T", data), (2, "BIG", big)] {
             engine.create_table(&ObjectName::bare(name), schema.clone(), &[]).unwrap();
-            engine.load_committed(&ObjectName::bare(name), rows).unwrap();
+            engine.load_committed(txn, &ObjectName::bare(name), rows).unwrap();
         }
         let both_modes = |q: &str| -> (Vec<idaa::Row>, Vec<idaa::Row>) {
             let Statement::Query(parsed) = parse_statement(q).unwrap() else { unreachable!() };
@@ -860,13 +858,14 @@ fn sink_tables(
     let names = ["n0", "n1", "n2 ", "ab"];
     engine.create_table(&ObjectName::bare("FACT"), fact_schema, &[]).unwrap();
     engine.create_table(&ObjectName::bare("DIM"), dim_schema, &[]).unwrap();
-    engine.load_committed(&ObjectName::bare("FACT"), fact.iter().map(|(k, v, d, g)| vec![
+    // Load ids stay clear of the explicit transactions the tests begin.
+    engine.load_committed(1001, &ObjectName::bare("FACT"), fact.iter().map(|(k, v, d, g)| vec![
         k.map_or(Value::Null, Value::BigInt),
         Value::BigInt(*v),
         d.map_or(Value::Null, |d| Value::Double(d as f64 * 0.1)),
         if *g == 4 { Value::Null } else { Value::Varchar(["ab ", "cd", "n2", "n1"][*g].into()) },
     ]).collect()).unwrap();
-    engine.load_committed(&ObjectName::bare("DIM"), dim.iter().map(|(k, n, w)| vec![
+    engine.load_committed(1002, &ObjectName::bare("DIM"), dim.iter().map(|(k, n, w)| vec![
         k.map_or(Value::Null, Value::BigInt),
         Value::Varchar(names[*n].into()),
         Value::BigInt(*w),
@@ -1017,11 +1016,11 @@ proptest! {
         // TRUNCATE plus reload.
         let joins = "SELECT f.v, d.k FROM fact f INNER JOIN dim d ON f.g = d.name WHERE d.w > 2";
         let misses = engine.stats.plan_cache_misses.load(std::sync::atomic::Ordering::Relaxed);
-        engine.load_committed(&ObjectName::bare("FACT"), vec![
+        engine.load_committed(1003, &ObjectName::bare("FACT"), vec![
             vec![Value::BigInt(1), Value::BigInt(60), Value::Double(1.5), Value::Varchar("zz".into())],
             vec![Value::BigInt(45), Value::BigInt(61), Value::Double(2.5), Value::Varchar("new".into())],
         ]).unwrap();
-        engine.load_committed(&ObjectName::bare("DIM"), vec![
+        engine.load_committed(1004, &ObjectName::bare("DIM"), vec![
             vec![Value::BigInt(45), Value::Varchar("new".into()), Value::BigInt(3)],
         ]).unwrap();
         for (ordered, sql) in SINK_QUERIES {
@@ -1034,7 +1033,7 @@ proptest! {
         engine.groom(&ObjectName::bare("FACT")).unwrap();
         let dim_rows = engine.scan_visible(&ObjectName::bare("DIM")).unwrap();
         engine.truncate(&ObjectName::bare("DIM")).unwrap();
-        engine.load_committed(&ObjectName::bare("DIM"), dim_rows).unwrap();
+        engine.load_committed(1005, &ObjectName::bare("DIM"), dim_rows).unwrap();
         for (ordered, sql) in SINK_QUERIES {
             check(0, *ordered, sql);
         }
@@ -1952,7 +1951,7 @@ proptest! {
             }
             let done = srv.run_until_idle();
             // Byte-stable report: completions, full metrics registry,
-            // session-free trace renders, and the SHOW WORKLOAD rows.
+            // full trace renders, and the SHOW WORKLOAD rows.
             let mut report = String::new();
             for c in &done {
                 let outcome = match &c.result {
@@ -1967,7 +1966,7 @@ proptest! {
             }
             report.push_str(&srv.idaa().metrics().render());
             for t in srv.idaa().tracer().statements() {
-                report.push_str(&t.root.render());
+                report.push_str(&t.render());
                 report.push('\n');
             }
             let mut viewer = srv.idaa().session(SYSADM);
