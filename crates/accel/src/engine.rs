@@ -17,7 +17,7 @@ use idaa_netsim::{sites, FaultRegistry};
 use idaa_sql::ast::{Expr, Query};
 use idaa_sql::eval::{bind, eval, FlatResolver};
 use idaa_sql::exec::run;
-use idaa_sql::plan::{plan_query, Plan, PlanProfile, SchemaProvider};
+use idaa_sql::plan::{is_pseudo_table, plan_query, Plan, PlanProfile, SchemaProvider};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -1199,7 +1199,7 @@ impl AccelEngine {
 
 impl SchemaProvider for AccelEngine {
     fn table_schema(&self, name: &ObjectName) -> Result<Schema> {
-        if name.schema.is_none() && name.name == "SYSDUMMY1" {
+        if is_pseudo_table(name) {
             return Ok(Schema::default());
         }
         Ok(self.table(name)?.schema.clone())

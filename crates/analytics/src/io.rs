@@ -1,7 +1,8 @@
 //! Governed table I/O for analytics procedures.
 //!
-//! Every read is authorized against the *DB2* privilege catalog before any
-//! accelerator data is touched, and inputs must physically exist on the
+//! Each table is authorized through [`Idaa::authorize`], DB2's one
+//! authorization step, before its rows are touched, and the token it
+//! returns is the only way to them. Inputs must physically exist on the
 //! accelerator (AOTs or loaded replicas) — the framework never pulls table
 //! data across the link for an in-database operation. Where rows live is
 //! `idaa-core`'s business: reads go through [`Idaa::scan_accel_table`],
@@ -11,27 +12,41 @@
 
 use idaa_common::{Error, ObjectName, Result, Row, Rows, Schema, Value};
 use idaa_core::{Idaa, Session};
+use idaa_host::Granted;
 use idaa_sql::Privilege;
 
-/// Resolve `table` and check the session's SELECT privilege on it in DB2.
-fn authorized(idaa: &Idaa, session: &Session, table: &ObjectName) -> Result<ObjectName> {
-    let resolved = table.resolve(idaa.default_schema());
-    idaa.host().table_meta(&resolved)?;
-    idaa.host().privileges.read().check(&session.user, &resolved, Privilege::Select)?;
-    Ok(resolved)
+/// The session's SELECT token on `table`, once DB2 knows the table.
+fn select_grant(idaa: &Idaa, session: &Session, table: &ObjectName) -> Result<Granted> {
+    idaa.authorize_one(session, &idaa.host().table_meta(table)?.name, Privilege::Select)
 }
 
-/// Read an accelerator-resident table (schema + visible rows), enforcing
-/// SELECT privilege on DB2. Data does **not** cross the link: the caller
-/// is executing *on* the accelerator.
+/// Read an accelerator-resident table (schema + visible rows), authorized
+/// for SELECT on DB2. Data does **not** cross the link: the caller is
+/// executing *on* the accelerator.
 pub fn read_accel_table(
     idaa: &Idaa,
     session: &mut Session,
     table: &ObjectName,
 ) -> Result<(Schema, Vec<Row>)> {
-    let resolved = authorized(idaa, session, table)?;
-    let read = idaa.scan_accel_table(session, &resolved)?;
+    let grant = select_grant(idaa, session, table)?;
+    let read = idaa.scan_accel_table(session, &grant)?;
     Ok((read.schema, read.rows))
+}
+
+/// Write an analytics result to the accelerator-only table `table`
+/// ([`Idaa::write_output_aot`]): replacing one needs what DROP needs; a new
+/// one needs nothing and belongs to the session's user.
+pub fn write_output(
+    idaa: &Idaa,
+    session: &mut Session,
+    table: &ObjectName,
+    schema: Schema,
+    rows: Vec<Row>,
+) -> Result<()> {
+    let name = table.resolve(idaa.default_schema());
+    let exists = idaa.host().table_meta(&name).is_ok();
+    let replace = exists.then(|| idaa.authorize_one(session, &name, Privilege::All)).transpose()?;
+    idaa.write_output_aot(session, &name, replace.as_ref(), schema, rows)
 }
 
 /// Split a `"COL1,COL2"` argument into normalized column names.
@@ -116,8 +131,8 @@ pub fn extract_matrix_to_client(
 ) -> Result<(Vec<Vec<f64>>, usize)> {
     // The full result set crosses the link as encoded frames; the client
     // computes on the decoded rows, as a real extract would.
-    let resolved = authorized(idaa, session, table)?;
-    let delivered = idaa.extract_accel_table(session, &resolved)?;
+    let grant = select_grant(idaa, session, table)?;
+    let delivered = idaa.extract_accel_table(session, &grant)?;
     numeric_matrix(&delivered.schema, &delivered.rows, columns)
 }
 

@@ -8,6 +8,7 @@
 
 use crate::dectree::{self, Node, TreeConfig, TreeModel};
 use crate::io::{labeled_matrix, numeric_matrix, parse_column_list, read_accel_table, summary_row};
+use crate::io::write_output;
 use crate::kmeans::{kmeans, KMeansConfig, KMeansModel};
 use crate::linreg;
 use crate::naive_bayes::{self, ClassParams, NaiveBayesModel};
@@ -84,7 +85,7 @@ impl Procedure for KMeansProc {
                 ]);
             }
         }
-        idaa.write_output_aot(session, &output, out_schema, out_rows)?;
+        write_output(idaa, session, &output, out_schema, out_rows)?;
         Ok(summary_row(&[
             ("K", Value::Int(k as i32)),
             ("ITERATIONS", Value::Int(model.iterations as i32)),
@@ -179,7 +180,7 @@ impl Procedure for LinRegProc {
         for (f, c) in features.iter().zip(&model.coefficients) {
             out_rows.push(vec![Value::Varchar(f.clone()), Value::Double(*c)]);
         }
-        idaa.write_output_aot(session, &output, out_schema, out_rows)?;
+        write_output(idaa, session, &output, out_schema, out_rows)?;
         Ok(summary_row(&[
             ("R2", Value::Double(model.r2)),
             ("N", Value::BigInt(model.n as i64)),
@@ -287,7 +288,7 @@ impl Procedure for NaiveBayesTrainProc {
                 ]);
             }
         }
-        idaa.write_output_aot(session, &output, out_schema, out_rows)?;
+        write_output(idaa, session, &output, out_schema, out_rows)?;
         Ok(summary_row(&[
             ("CLASSES", Value::Int(model.classes.len() as i32)),
             ("TRAIN_ACCURACY", Value::Double(model.accuracy(&matrix, &labels))),
@@ -420,7 +421,7 @@ impl Procedure for DecTreeTrainProc {
                 ],
             })
             .collect();
-        idaa.write_output_aot(session, &output, out_schema, out_rows)?;
+        write_output(idaa, session, &output, out_schema, out_rows)?;
         Ok(summary_row(&[
             ("NODES", Value::Int(model.size() as i32)),
             ("TRAIN_ACCURACY", Value::Double(model.accuracy(&matrix, &labels))),
@@ -521,7 +522,7 @@ fn score_rows(
     }
     let id_def = ColumnDef::new(id_col, schema.columns()[id].data_type);
     let out_schema = Schema::new(vec![id_def, out])?;
-    idaa.write_output_aot(session, &output, out_schema, out_rows)?;
+    write_output(idaa, session, &output, out_schema, out_rows)?;
     Ok(summary_row(&[("ROWS_SCORED", Value::BigInt(scored as i64))]))
 }
 
@@ -579,7 +580,7 @@ impl Procedure for DescribeProc {
                 ]
             })
             .collect();
-        idaa.write_output_aot(session, &output, out_schema, out_rows)?;
+        write_output(idaa, session, &output, out_schema, out_rows)?;
         Ok(summary_row(&[("COLUMNS_DESCRIBED", Value::Int(stats.len() as i32))]))
     }
 }
@@ -632,7 +633,7 @@ impl Procedure for NormalizeProc {
             }
         }
         let n = out_rows.len();
-        idaa.write_output_aot(session, &output, out_schema, out_rows)?;
+        write_output(idaa, session, &output, out_schema, out_rows)?;
         Ok(summary_row(&[
             ("ROWS", Value::BigInt(n as i64)),
             ("CELLS_IMPUTED", Value::BigInt(imputed_total as i64)),
@@ -661,8 +662,8 @@ impl Procedure for SplitProc {
         let train_rows = pick(&train_idx);
         let test_rows = pick(&test_idx);
         let (tn, sn) = (train_rows.len(), test_rows.len());
-        idaa.write_output_aot(session, &train_out, schema.clone(), train_rows)?;
-        idaa.write_output_aot(session, &test_out, schema, test_rows)?;
+        write_output(idaa, session, &train_out, schema.clone(), train_rows)?;
+        write_output(idaa, session, &test_out, schema, test_rows)?;
         Ok(summary_row(&[
             ("TRAIN_ROWS", Value::BigInt(tn as i64)),
             ("TEST_ROWS", Value::BigInt(sn as i64)),

@@ -701,9 +701,10 @@ fn e12_end_to_end_scenario(out: &mut Report) {
             // baseline pays full data-movement cost, but through the same
             // codec). The join feeding FEATURES has no ORDER BY; its row
             // order follows the accelerator's slice count, not its workers.
-            let features = idaa_common::ObjectName::bare("FEATURES");
+            let features = idaa_common::ObjectName::qualified("APP", "FEATURES");
+            let grant = idaa.authorize_one(&s, &features, Privilege::Select).unwrap();
             let idaa_common::Rows { schema, rows } =
-                idaa.extract_accel_table(&mut s, &features).unwrap();
+                idaa.extract_accel_table(&mut s, &grant).unwrap();
             let (matrix, _) = idaa_analytics::io::numeric_matrix(&schema, &rows, &cols).unwrap();
             let labels = idaa_analytics::io::label_column(&schema, &rows, "CHURNED").unwrap();
             let model = idaa_analytics::dectree::train(

@@ -1,17 +1,20 @@
 //! Statement dispatch: one parsed statement in, one [`ExecOutcome`] out.
 //!
-//! Governance first (privileges are checked on DB2 before anything is
-//! delegated), then routing (host vs. accelerator side, with the reason
-//! recorded as a "route" trace event), then execution: host statements run
-//! on the host engine, accelerator reads go through the fleet's read plan,
-//! and accelerator-only-table writes through its owner loop.
+//! Plan (resolve names against DB2's catalog), then authorize every object
+//! the statement touches in one [`Idaa::authorize`] call, before any
+//! transaction, route, restart or link byte; then route (host vs.
+//! accelerator side, the reason recorded as a "route" trace event), then
+//! execute: host statements on the host engine under their tokens,
+//! accelerator reads through the fleet's read plan, and
+//! accelerator-only-table writes through its owner loop.
 
+use crate::fleet::AccelNode;
 use crate::idaa::{ExecOutcome, Idaa, Payload};
 use crate::router::{self, Route};
 use crate::session::Session;
 use idaa_common::trace::Trace;
 use idaa_common::{wire, Error, ObjectName, Result, Row, Rows, Value};
-use idaa_host::{TableKind, SYSADM};
+use idaa_host::{Granted, TableKind, TxnId};
 use idaa_sql::ast::{Expr, InsertSource, Query, Statement};
 use idaa_sql::eval::{bind, eval, FlatResolver};
 use idaa_sql::plan::{plan_query, Plan, PlanProfile};
@@ -88,7 +91,7 @@ impl Idaa {
                     {
                         // The DDL did not reach every owner: undo the
                         // catalog entry so both sides stay consistent.
-                        let _ = self.host.drop_table(SYSADM, name);
+                        self.discard_table(&resolved);
                         return Err(e);
                     }
                     return Ok(ExecOutcome::accel(Payload::None));
@@ -97,9 +100,10 @@ impl Idaa {
             }
             Statement::DropTable { name } => {
                 let meta = self.host.table_meta(name)?;
+                let grant = self.authorize_one(session, &meta.name, Privilege::All)?;
                 let on_accel = meta.kind == TableKind::AcceleratorOnly
                     || meta.accel_status != idaa_host::AccelStatus::NotAccelerated;
-                self.host.drop_table(&session.user, name)?;
+                self.host.drop_table(&grant)?;
                 if on_accel {
                     // Best effort: the DB2 catalog entry is gone either
                     // way; an unreachable accelerator cleans up its copy
@@ -110,7 +114,9 @@ impl Idaa {
                 Ok(ExecOutcome::host(Payload::None))
             }
             Statement::CreateIndex { name, table, columns } => {
-                self.host.create_index(&session.user, name, table, columns.clone())?;
+                let table = table.resolve(&self.config.default_schema);
+                let grant = self.authorize_one(session, &table, Privilege::All)?;
+                self.host.create_index(&grant, name, columns.clone())?;
                 Ok(ExecOutcome::host(Payload::None))
             }
             Statement::Grant { privileges, object, grantees } => {
@@ -141,64 +147,49 @@ impl Idaa {
             Statement::Insert { table, columns, source } => {
                 self.dispatch_insert(session, table, columns, source)
             }
-            Statement::Update { table, assignments, filter } => {
-                match router::route_dml(&self.host, table)? {
-                    Route::Host => {
-                        let txn = self.ensure_txn(session);
-                        let n = self.host.update_where(
-                            &session.user,
-                            txn,
-                            table,
-                            assignments,
-                            filter.as_ref(),
-                        )?;
-                        Ok(ExecOutcome::host(Payload::Count(n)))
-                    }
-                    Route::Accelerator => {
-                        let table_r = table.resolve(&self.config.default_schema);
-                        self.host.privileges.read().check(
-                            &session.user,
-                            &table_r,
-                            Privilege::Update,
-                        )?;
-                        let n = self.aot_statement(
-                            session,
-                            &table_r,
-                            stmt.to_string().len() + wire::CONTROL_FRAME,
-                            |node, txn, st| {
-                                node.engine.update_where(txn, st, assignments, filter.as_ref())
-                            },
-                        )?;
-                        Ok(ExecOutcome::accel(Payload::Count(n)))
-                    }
-                }
-            }
-            Statement::Delete { table, filter } => {
-                match router::route_dml(&self.host, table)? {
-                    Route::Host => {
-                        let txn = self.ensure_txn(session);
-                        let n =
-                            self.host.delete_where(&session.user, txn, table, filter.as_ref())?;
-                        Ok(ExecOutcome::host(Payload::Count(n)))
-                    }
-                    Route::Accelerator => {
-                        let table_r = table.resolve(&self.config.default_schema);
-                        self.host.privileges.read().check(
-                            &session.user,
-                            &table_r,
-                            Privilege::Delete,
-                        )?;
-                        let n = self.aot_statement(
-                            session,
-                            &table_r,
-                            stmt.to_string().len() + wire::CONTROL_FRAME,
-                            |node, txn, st| node.engine.delete_where(txn, st, filter.as_ref()),
-                        )?;
-                        Ok(ExecOutcome::accel(Payload::Count(n)))
-                    }
-                }
-            }
+            Statement::Update { table, assignments, filter } => self.dispatch_dml(
+                session,
+                stmt,
+                (table, Privilege::Update),
+                |grant, txn| self.host.update_where(grant, txn, assignments, filter.as_ref()),
+                |node, txn, st| node.engine.update_where(txn, st, assignments, filter.as_ref()),
+            ),
+            Statement::Delete { table, filter } => self.dispatch_dml(
+                session,
+                stmt,
+                (table, Privilege::Delete),
+                |grant, txn| self.host.delete_where(grant, txn, filter.as_ref()),
+                |node, txn, st| node.engine.delete_where(txn, st, filter.as_ref()),
+            ),
         }
+    }
+
+    /// UPDATE or DELETE `stmt` of `table`, which needs `privilege`: DB2 runs
+    /// it on a regular table, each owner's shard on an accelerator-only one.
+    fn dispatch_dml(
+        &self,
+        session: &mut Session,
+        stmt: &Statement,
+        (table, privilege): (&ObjectName, Privilege),
+        on_host: impl FnOnce(&Granted, TxnId) -> Result<usize>,
+        on_node: impl Fn(&AccelNode, TxnId, &ObjectName) -> Result<usize>,
+    ) -> Result<ExecOutcome> {
+        let route = router::route_dml(&self.host, table)?;
+        let table = table.resolve(&self.config.default_schema);
+        let grant = self.authorize_one(session, &table, privilege)?;
+        let n = match route {
+            Route::Host => on_host(&grant, self.ensure_txn(session))?,
+            Route::Accelerator => {
+                let request_bytes = stmt.to_string().len() + wire::CONTROL_FRAME;
+                self.aot_statement(session, &table, request_bytes, on_node)?
+            }
+        };
+        Ok(ExecOutcome { route, payload: Payload::Count(n) })
+    }
+
+    /// The plan's tables, resolved in the default schema.
+    fn resolved_tables(&self, plan: &Plan) -> Vec<ObjectName> {
+        plan.tables().iter().map(|t| t.resolve(&self.config.default_schema)).collect()
     }
 
     fn dispatch_call(
@@ -225,8 +216,8 @@ impl Idaa {
             .get(&name)
             .cloned()
             .ok_or_else(|| Error::UndefinedObject(format!("procedure {name} is not defined")))?;
-        // Governance: EXECUTE on the procedure object, checked on DB2.
-        self.host.privileges.read().check(&session.user, &name, Privilege::Execute)?;
+        // EXECUTE is all a CALL needs; the body authorizes the tables it uses.
+        self.authorize_one(session, &name, Privilege::Execute)?;
         let arg_values: Vec<Value> = args
             .iter()
             .map(|e| {
@@ -244,12 +235,7 @@ impl Idaa {
         let (plan, route_desc) = match inner {
             Statement::Query(q) => {
                 let plan = plan_query(q, &*self.host)?;
-                let tables: Vec<ObjectName> = plan
-                    .tables()
-                    .iter()
-                    .map(|t| t.resolve(&self.config.default_schema))
-                    .collect();
-                let mut mix = router::classify(&self.host, &tables)?;
+                let mut mix = router::classify(&self.host, &self.resolved_tables(&plan))?;
                 mix.indexed_point = router::is_indexed_point(&self.host, &plan);
                 let (route, reason) =
                     router::route_query_with_reason(&mix, session.acceleration)?;
@@ -356,15 +342,26 @@ impl Idaa {
     }
 
     fn dispatch_query(&self, session: &mut Session, q: &Query) -> Result<ExecOutcome> {
-        let trace = session.trace.clone();
         let plan = plan_query(q, &*self.host)?;
-        let tables: Vec<ObjectName> = plan
-            .tables()
-            .iter()
-            .map(|t| t.resolve(&self.config.default_schema))
-            .collect();
-        let mut mix = router::classify(&self.host, &tables)?;
-        mix.indexed_point = router::is_indexed_point(&self.host, &plan);
+        let tables = self.resolved_tables(&plan);
+        let wants = tables.iter().map(|t| (t, Privilege::Select));
+        let grants = self.authorize(&session.user, &session.trace, wants)?;
+        self.run_read(session, q, &plan, &tables, &grants)
+    }
+
+    /// Route and run the read `q`, planned as `plan` over `tables`, which
+    /// `grants` authorize.
+    fn run_read(
+        &self,
+        session: &mut Session,
+        q: &Query,
+        plan: &Plan,
+        tables: &[ObjectName],
+        grants: &[Granted],
+    ) -> Result<ExecOutcome> {
+        let trace = session.trace.clone();
+        let mut mix = router::classify(&self.host, tables)?;
+        mix.indexed_point = router::is_indexed_point(&self.host, plan);
         let (mut route, mut reason) =
             router::route_query_with_reason(&mix, session.acceleration)?;
         // No owner of some shard the read touches is available (stopped,
@@ -373,9 +370,9 @@ impl Idaa {
         // when only the accelerator side could answer. Judged once, before
         // the route event.
         let must_accelerate = router::must_accelerate(&mix, session.acceleration);
-        let read_plan = self.read_plan(&tables)?;
+        let read_plan = self.read_plan(tables)?;
         if route == Route::Accelerator {
-            if let Err(e) = self.read_ready(session, &read_plan, &tables) {
+            if let Err(e) = self.read_ready(session, &read_plan, tables) {
                 if must_accelerate {
                     return Err(e);
                 }
@@ -385,19 +382,7 @@ impl Idaa {
         }
         self.route_event(&trace, route, reason, session);
         if route == Route::Accelerator {
-            // Governance on DB2 before delegation — a failover must never
-            // mask a privilege error.
-            {
-                let privs = self.host.privileges.read();
-                for t in &tables {
-                    if t.name == "SYSDUMMY1" {
-                        continue;
-                    }
-                    privs.check(&session.user, t, Privilege::Select)?;
-                    self.privilege_event(&trace, t, "SELECT");
-                }
-            }
-            match self.accel_read(session, q, &plan, &tables, &read_plan) {
+            match self.accel_read(session, q, plan, tables, &read_plan) {
                 Ok(rows) => return Ok(ExecOutcome::accel(Payload::Rows(rows))),
                 // Communication failed mid-statement: like DB2, re-execute
                 // the read-only query locally when the data allows it.
@@ -423,19 +408,14 @@ impl Idaa {
             }
         }
         let txn = self.ensure_txn(session);
-        let rows = if trace.is_enabled() {
-            let now = self.link().now();
-            let span = trace.begin("host.exec", now);
-            let profiled = self.host.query_profiled(&session.user, txn, q);
-            if let Ok((_, plan, profile)) = &profiled {
-                self.emit_plan_spans(&trace, plan, profile, now);
-            }
-            trace.end(span, self.link().now());
-            profiled?.0
-        } else {
-            self.host.query(&session.user, txn, q)?
-        };
-        Ok(ExecOutcome::host(Payload::Rows(rows)))
+        let (now, profile) = (self.link().now(), trace.is_enabled().then(PlanProfile::default));
+        let span = trace.begin("host.exec", now);
+        let rows = self.host.run_plan(grants, txn, plan, profile.as_ref());
+        if let (Ok(_), Some(profile)) = (&rows, &profile) {
+            self.emit_plan_spans(&trace, plan, profile, now);
+        }
+        trace.end(span, self.link().now());
+        Ok(ExecOutcome::host(Payload::Rows(rows?)))
     }
 
     /// Record the routing decision (and its reason) as a trace event.
@@ -448,18 +428,6 @@ impl Idaa {
         trace.attr(id, "route", format!("{route:?}"));
         trace.attr(id, "reason", reason);
         trace.attr(id, "mode", session.acceleration);
-        trace.end(id, now);
-    }
-
-    /// Record a passed host-side privilege check as a trace event.
-    fn privilege_event(&self, trace: &Trace, object: &ObjectName, privilege: &str) {
-        if !trace.is_enabled() {
-            return;
-        }
-        let now = self.link().now();
-        let id = trace.begin("privilege", now);
-        trace.attr(id, "object", object);
-        trace.attr(id, "priv", privilege);
         trace.end(id, now);
     }
 
@@ -520,9 +488,18 @@ impl Idaa {
     ) -> Result<ExecOutcome> {
         let target = table.resolve(&self.config.default_schema);
         let meta = self.host.table_meta(&target)?;
+        let plan = match source {
+            InsertSource::Query(q) => Some(plan_query(q, &*self.host)?),
+            InsertSource::Values(_) => None,
+        };
+        let src_tables = plan.as_ref().map_or_else(Vec::new, |p| self.resolved_tables(p));
+        // One authorization for target and sources; the target's token is first.
+        let sources = src_tables.iter().map(|t| (t, Privilege::Select));
+        let wants = std::iter::once((&target, Privilege::Insert)).chain(sources);
+        let grants = self.authorize(&session.user, &session.trace, wants)?;
         // Build full-width rows from VALUES, or run the source query.
-        let rows: Vec<Row> = match source {
-            InsertSource::Values(value_rows) => {
+        let rows: Vec<Row> = match (source, &plan) {
+            (InsertSource::Values(value_rows), _) => {
                 let resolver = FlatResolver::new(vec![]);
                 let mut out = Vec::with_capacity(value_rows.len());
                 for exprs in value_rows {
@@ -534,53 +511,38 @@ impl Idaa {
                 }
                 out
             }
-            InsertSource::Query(src_q) => {
+            (InsertSource::Query(src_q), Some(plan)) => {
                 // Pushdown path — the paper's contribution: an AOT target
                 // whose source tables all exist on the accelerator executes
                 // entirely there; only the statement text crosses the link.
                 // That needs target and sources whole on the same owners;
                 // with more than one shard the source runs through the
                 // scatter path below and the insert re-shards its result.
-                if meta.kind == TableKind::AcceleratorOnly && self.fleet.shards == 1 {
-                    let plan = plan_query(src_q, &*self.host)?;
-                    let src_tables: Vec<ObjectName> = plan
-                        .tables()
-                        .iter()
-                        .map(|t| t.resolve(&self.config.default_schema))
-                        .collect();
-                    let mix = router::classify(&self.host, &src_tables)?;
-                    if mix.host_only == 0 {
-                        let privs = self.host.privileges.read();
-                        privs.check(&session.user, &target, Privilege::Insert)?;
-                        for t in &src_tables {
-                            if t.name == "SYSDUMMY1" {
-                                continue;
-                            }
-                            privs.check(&session.user, t, Privilege::Select)?;
-                        }
-                        drop(privs);
-                        let sql = format!("INSERT INTO {target} {src_q}");
-                        let n = self.aot_statement(
-                            session,
-                            &target,
-                            sql.len() + wire::CONTROL_FRAME,
-                            |node, txn, st| {
-                                let result = node.engine.query(txn, src_q)?;
-                                let rows: Vec<Row> = result
-                                    .rows
-                                    .into_iter()
-                                    .map(|r| self.widen_row(&meta.schema, columns, r))
-                                    .collect::<Result<_>>()?;
-                                node.engine.insert_rows(txn, st, rows)
-                            },
-                        )?;
-                        return Ok(ExecOutcome::accel(Payload::Count(n)));
-                    }
+                if meta.kind == TableKind::AcceleratorOnly
+                    && self.fleet.shards == 1
+                    && router::classify(&self.host, &src_tables)?.host_only == 0
+                {
+                    let sql = format!("INSERT INTO {target} {src_q}");
+                    let n = self.aot_statement(
+                        session,
+                        &target,
+                        sql.len() + wire::CONTROL_FRAME,
+                        |node, txn, st| {
+                            let result = node.engine.query(txn, src_q)?;
+                            let rows: Vec<Row> = result
+                                .rows
+                                .into_iter()
+                                .map(|r| self.widen_row(&meta.schema, columns, r))
+                                .collect::<Result<_>>()?;
+                            node.engine.insert_rows(txn, st, rows)
+                        },
+                    )?;
+                    return Ok(ExecOutcome::accel(Payload::Count(n)));
                 }
                 // Otherwise the source runs wherever routing says; result
                 // rows materialize on the host side and pay link cost when
                 // they came from the accelerator.
-                let outcome = self.dispatch_query(session, src_q)?;
+                let outcome = self.run_read(session, src_q, plan, &src_tables, &grants)?;
                 let Payload::Rows(result) = outcome.payload else {
                     return Err(Error::internal("an INSERT source query produced no rows"));
                 };
@@ -590,15 +552,15 @@ impl Idaa {
                     .map(|r| self.widen_row(&meta.schema, columns, r))
                     .collect::<Result<_>>()?
             }
+            _ => return Err(Error::internal("an INSERT source query was not planned")),
         };
         match meta.kind {
             TableKind::Regular => {
                 let txn = self.ensure_txn(session);
-                let n = self.host.insert_rows(&session.user, txn, &target, rows)?;
+                let n = self.host.insert_rows(&grants[0], txn, rows)?;
                 Ok(ExecOutcome::host(Payload::Count(n)))
             }
             TableKind::AcceleratorOnly => {
-                self.host.privileges.read().check(&session.user, &target, Privilege::Insert)?;
                 // Rows originate on the host side (VALUES literals or a
                 // host-executed source query): they cross the link as
                 // encoded frames and each owner inserts what it decodes.

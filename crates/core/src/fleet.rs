@@ -33,11 +33,12 @@ use crate::replication::Replicator;
 use crate::session::Session;
 use idaa_accel::{cuts, AccelEngine, Cut, RestartStats};
 use idaa_common::{wire, Error, MetricsRegistry, ObjectName, Result, Row, Rows, Schema, Value};
-use idaa_host::{AccelStatus, HostEngine, TableKind, TableMeta, TxnId, SYSADM};
+use idaa_host::{AccelStatus, Granted, HostEngine, TableKind, TableMeta, TxnId, SYSADM};
 use idaa_netsim::{sites, Direction, FaultRegistry, LinkConfig, LinkMetrics, NetLink, RetryPolicy};
 use idaa_sql::ast::{Query, TableRef};
 use idaa_sql::exec::{execute_plan, RowSource};
 use idaa_sql::plan::Plan;
+use idaa_sql::Privilege;
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -515,8 +516,7 @@ impl Idaa {
         let mut sharded: Vec<ObjectName> = Vec::new();
         if self.fleet.shards > 1 {
             for t in tables {
-                if t.name != "SYSDUMMY1"
-                    && !sharded.contains(t)
+                if !sharded.contains(t)
                     && self.host.table_meta(t)?.kind == TableKind::AcceleratorOnly
                 {
                     sharded.push(t.clone());
@@ -831,28 +831,24 @@ impl Idaa {
         Ok(total)
     }
 
-    /// The visible rows of accelerator table `table` (accelerator-only, or
-    /// an accelerated DB2 table), shard by shard in ascending shard order,
-    /// each shard served by its owners: the primary first, then failover.
-    /// No row crosses a link; this is how in-database analytics read.
-    pub fn scan_accel_table(&self, session: &mut Session, table: &ObjectName) -> Result<Rows> {
-        self.read_accel_table(session, table, false)
+    /// The visible rows of the accelerator table `grant` authorizes SELECT
+    /// on (accelerator-only, or an accelerated DB2 table), shard by shard in
+    /// ascending shard order, each shard served by its owners: the primary
+    /// first, then failover. No row crosses a link; this is how in-database
+    /// analytics read.
+    pub fn scan_accel_table(&self, session: &mut Session, grant: &Granted) -> Result<Rows> {
+        self.read_accel_table(session, grant, false)
     }
 
     /// [`Idaa::scan_accel_table`] for a client-side extract: each shard's
     /// rows also cross the serving owner's link to the host as encoded
     /// frames, and the rows returned are the decoded ones.
-    pub fn extract_accel_table(&self, session: &mut Session, table: &ObjectName) -> Result<Rows> {
-        self.read_accel_table(session, table, true)
+    pub fn extract_accel_table(&self, session: &mut Session, grant: &Granted) -> Result<Rows> {
+        self.read_accel_table(session, grant, true)
     }
 
-    fn read_accel_table(
-        &self,
-        session: &mut Session,
-        table: &ObjectName,
-        to_host: bool,
-    ) -> Result<Rows> {
-        let meta = self.host.table_meta(table)?;
+    fn read_accel_table(&self, session: &mut Session, grant: &Granted, ship: bool) -> Result<Rows> {
+        let meta = self.host.table_meta(grant.object_for(Privilege::Select)?)?;
         if !on_accelerator(&meta) {
             return Err(Error::InvalidAcceleratorUse(format!(
                 "{} is not on the accelerator; add and load it (ACCEL_ADD_TABLES / \
@@ -867,7 +863,7 @@ impl Idaa {
             let st = shard_table(&meta.name, s, shards);
             let (part, _) = self.read_on_owners(session, s, &meta.name, |node, _| {
                 let part = node.engine.scan_visible(&st)?;
-                if !to_host {
+                if !ship {
                     return Ok(part);
                 }
                 self.ship_rows_on(node, Direction::ToHost, &meta.schema, &part)
@@ -879,13 +875,15 @@ impl Idaa {
 
     /// Create (or replace) the accelerator-only table `table`, owned by the
     /// session's user, holding `rows` that were computed on the accelerator
-    /// (an analytics result). Every owner of every shard gets its shard
+    /// (an analytics result). Replacing an existing table takes `replace`,
+    /// the token to drop it. Every owner of every shard gets its shard
     /// table and one `CREATE_OUTPUT_FRAME`, then commits its rows and
     /// answers with one `ACK_FRAME`; the rows themselves cross no link.
     pub fn write_output_aot(
         &self,
         session: &mut Session,
         table: &ObjectName,
+        replace: Option<&Granted>,
         schema: Schema,
         rows: Vec<Row>,
     ) -> Result<()> {
@@ -896,7 +894,9 @@ impl Idaa {
                     "output table {name} exists and is not accelerator-only"
                 )));
             }
-            self.host.drop_table(&session.user, &name)?;
+            let grant = replace.filter(|g| g.covers(&name, Privilege::All));
+            let grant = grant.ok_or_else(|| Error::internal(format!("no DROP token for {name}")))?;
+            self.host.drop_table(grant)?;
         }
         let aot = TableKind::AcceleratorOnly;
         self.host.create_table(&session.user, &name, schema.clone(), aot, vec![])?;
@@ -929,22 +929,23 @@ impl Idaa {
             Ok(())
         };
         // A write that did not complete leaves no output table to read.
-        write().inspect_err(|_| drop(self.host.drop_table(SYSADM, &name)))
+        write().inspect_err(|_| self.discard_table(&name))
     }
 
-    /// Load rows into accelerator table `table` as one accelerator
-    /// transaction, the loader's direct path. `fill` gets the batch writer:
-    /// a batch splits by shard, crosses each owner's link as encoded frames,
-    /// and each owner inserts what it decodes. When `fill` succeeds, every
-    /// owner that took every batch prepares, commits and is acknowledged;
-    /// otherwise no row becomes visible anywhere. The transaction is DB2's,
-    /// but no session enlists it, so no BEGIN or 2PC frame crosses a link.
+    /// Load rows into the accelerator table `grant` authorizes INSERT on, as
+    /// one accelerator transaction: the loader's direct path. `fill` gets the
+    /// batch writer: a batch splits by shard, crosses each owner's link as
+    /// encoded frames, and each owner inserts what it decodes. When `fill`
+    /// succeeds, every owner that took every batch prepares, commits and is
+    /// acknowledged; otherwise no row becomes visible anywhere. The
+    /// transaction is DB2's, but no session enlists it, so no BEGIN or 2PC
+    /// frame crosses a link.
     pub fn load_direct<T>(
         &self,
-        table: &ObjectName,
+        grant: &Granted,
         fill: impl FnOnce(&mut dyn FnMut(Vec<Row>) -> Result<()>) -> Result<T>,
     ) -> Result<T> {
-        let meta = self.host.table_meta(table)?;
+        let meta = self.host.table_meta(grant.object_for(Privilege::Insert)?)?;
         if !on_accelerator(&meta) {
             return Err(Error::UndefinedObject(format!(
                 "{} is not defined on the accelerator",

@@ -4,10 +4,10 @@
 //! engine, metered link, and replication applier), and the
 //! stored-procedure registry. [`Idaa::execute`] is the single SQL entry
 //! point an application sees: it parses, opens the statement's trace span,
-//! hands the statement to `dispatch` (authorize on the host, route, run),
-//! and autocommits. What happens below that lives in the sibling modules:
-//! `transfer` meters every byte that crosses a link, `txn` coordinates
-//! two-phase commit when a transaction touched both sides, `recovery`
+//! hands the statement to `dispatch` (plan, [`Idaa::authorize`] on the
+//! host, route, run), and autocommits. What happens below that lives in the
+//! sibling modules: `transfer` meters every byte that crosses a link, `txn`
+//! coordinates two-phase commit when a transaction touched both sides, `recovery`
 //! judges node readiness and drives restarts.
 
 use crate::fleet::{AccelNode, FleetConfig, FleetState};
@@ -18,9 +18,10 @@ use idaa_accel::{AccelConfig, AccelEngine, RestartStats};
 use idaa_common::trace::{SpanId, StatementTrace, Trace, TraceSink};
 use idaa_common::wire;
 use idaa_common::{Error, MetricsRegistry, ObjectName, Result, Rows, Value};
-use idaa_host::{HostEngine, TableKind, SYSADM};
+use idaa_host::{Granted, HostEngine, TableKind, SYSADM};
 use idaa_netsim::{Direction, FaultRegistry, NetLink, SitePlan};
 use idaa_sql::ast::Statement;
+use idaa_sql::Privilege;
 use idaa_sql::{parse_statement, parse_statements};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -319,6 +320,39 @@ impl Idaa {
     /// Default schema for unqualified names.
     pub fn default_schema(&self) -> &str {
         &self.config.default_schema
+    }
+
+    /// DB2's one authorization step, before any other work of a request:
+    /// each distinct (object, privilege) pair `user` holds becomes one
+    /// `privilege` event on `trace` and one [`Granted`], in order; the first
+    /// pair it lacks fails the request with -551.
+    pub fn authorize<'a>(
+        &self,
+        user: &str,
+        trace: &Trace,
+        wants: impl IntoIterator<Item = (&'a ObjectName, Privilege)>,
+    ) -> Result<Vec<Granted>> {
+        let privs = self.host.privileges.read();
+        let mut grants: Vec<Granted> = Vec::new();
+        for (object, privilege) in wants {
+            if !grants.iter().any(|g| g.covers(object, privilege)) {
+                grants.push(privs.check(user, object, privilege)?);
+                let now = self.link().now();
+                trace.event("privilege", &[("object", object), ("priv", &privilege)], now);
+            }
+        }
+        Ok(grants)
+    }
+
+    /// [`Idaa::authorize`] of one pair for the session's user.
+    pub fn authorize_one(&self, s: &Session, object: &ObjectName, p: Privilege) -> Result<Granted> {
+        self.authorize(&s.user, &s.trace, [(object, p)]).map(|mut grants| grants.remove(0))
+    }
+
+    /// Undo, as SYSADM, a table this request created but could not fill.
+    pub(crate) fn discard_table(&self, name: &ObjectName) {
+        let grant = self.authorize(SYSADM, &Trace::disabled(), [(name, Privilege::All)]);
+        let _ = grant.and_then(|g| self.host.drop_table(&g[0]));
     }
 
     /// Register a stored procedure owned by `owner` (analytics framework

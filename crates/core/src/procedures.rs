@@ -2,11 +2,12 @@
 //! the registry through which the analytics framework deploys arbitrary
 //! in-database operations (paper §3).
 //!
-//! Governance contract: before dispatching any procedure, the federation
-//! layer checks the caller's `EXECUTE` privilege on the procedure object in
-//! the *DB2* privilege catalog. Procedure bodies that read/write tables do
-//! their own table-privilege checks through the same catalog — the
-//! accelerator itself never authorizes anything.
+//! Governance contract: dispatch authorizes the caller's `EXECUTE`
+//! privilege on the procedure object in the *DB2* privilege catalog, all
+//! a system procedure needs for its arguments. A body that reads or writes
+//! tables (the analytics framework's) authorizes them through
+//! [`Idaa::authorize`] and reaches rows only with the tokens it returns —
+//! the accelerator itself never authorizes anything.
 
 use crate::idaa::Idaa;
 use crate::session::Session;
@@ -17,7 +18,8 @@ use idaa_host::AccelStatus;
 pub trait Procedure: Send + Sync {
     /// Fully-qualified procedure name.
     fn name(&self) -> ObjectName;
-    /// Run the procedure. Dispatch has already verified EXECUTE privilege.
+    /// Run the procedure. Dispatch authorized EXECUTE; the body authorizes
+    /// the tables it uses through [`Idaa::authorize`].
     fn execute(&self, idaa: &Idaa, session: &mut Session, args: &[Value]) -> Result<Rows>;
 }
 

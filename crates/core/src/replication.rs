@@ -305,6 +305,7 @@ mod tests {
     use idaa_common::{ColumnDef, DataType, Schema, Value};
     use idaa_host::{TableKind, SYSADM};
     use idaa_netsim::sites;
+    use idaa_sql::Privilege;
 
     fn setup() -> (HostEngine, AccelEngine, NetLink) {
         let host = HostEngine::default();
@@ -322,6 +323,11 @@ mod tests {
         (host, accel, link)
     }
 
+    /// SYSADM's `privilege` on T.
+    fn on_t(host: &HostEngine, privilege: Privilege) -> idaa_host::Granted {
+        host.privileges.read().check(SYSADM, &host.resolve(&ObjectName::bare("T")), privilege).unwrap()
+    }
+
     fn row(id: i32, v: &str) -> Row {
         vec![Value::Int(id), Value::Varchar(v.into())]
     }
@@ -331,7 +337,7 @@ mod tests {
         let (host, accel, link) = setup();
         let mut rep = Replicator::new(10, RetryPolicy::default());
         let t = host.begin();
-        host.insert_rows(SYSADM, t, &ObjectName::bare("T"), vec![row(1, "a"), row(2, "b")])
+        host.insert_rows(&on_t(&host, Privilege::Insert), t, vec![row(1, "a"), row(2, "b")])
             .unwrap();
         host.commit(t);
         let n = rep.apply(&host, &accel, &link).unwrap();
@@ -345,7 +351,7 @@ mod tests {
         let (host, accel, link) = setup();
         let mut rep = Replicator::new(10, RetryPolicy::default());
         let t = host.begin();
-        host.insert_rows(SYSADM, t, &ObjectName::bare("T"), vec![row(1, "a")]).unwrap();
+        host.insert_rows(&on_t(&host, Privilege::Insert), t, vec![row(1, "a")]).unwrap();
         assert_eq!(rep.apply(&host, &accel, &link).unwrap(), 0);
         host.rollback(t).unwrap();
         assert_eq!(rep.apply(&host, &accel, &link).unwrap(), 0);
@@ -357,25 +363,19 @@ mod tests {
         let (host, accel, link) = setup();
         let mut rep = Replicator::new(10, RetryPolicy::default());
         let t = host.begin();
-        host.insert_rows(
-            SYSADM,
-            t,
-            &ObjectName::bare("T"),
+        host.insert_rows(&on_t(&host, Privilege::Insert), t,
             vec![row(1, "a"), row(2, "b"), row(3, "c")],
         )
         .unwrap();
         host.commit(t);
         rep.apply(&host, &accel, &link).unwrap();
         let t2 = host.begin();
-        host.update_where(
-            SYSADM,
-            t2,
-            &ObjectName::bare("T"),
+        host.update_where(&on_t(&host, Privilege::Update), t2,
             &[("V".into(), Expr::str("z"))],
             Some(&Expr::col("ID").eq(Expr::int(2))),
         )
         .unwrap();
-        host.delete_where(SYSADM, t2, &ObjectName::bare("T"), Some(&Expr::col("ID").eq(Expr::int(3))))
+        host.delete_where(&on_t(&host, Privilege::Delete), t2, Some(&Expr::col("ID").eq(Expr::int(3))))
             .unwrap();
         host.commit(t2);
         rep.apply(&host, &accel, &link).unwrap();
@@ -390,7 +390,7 @@ mod tests {
         let (host, accel, link) = setup();
         let t = host.begin();
         let rows: Vec<Row> = (0..100).map(|i| row(i, "x")).collect();
-        host.insert_rows(SYSADM, t, &ObjectName::bare("T"), rows).unwrap();
+        host.insert_rows(&on_t(&host, Privilege::Insert), t, rows).unwrap();
         host.commit(t);
         let mut rep = Replicator::new(10, RetryPolicy::default());
         rep.apply(&host, &accel, &link).unwrap();
@@ -403,14 +403,14 @@ mod tests {
         let (host, accel, link) = setup();
         let mut rep = Replicator::new(100, RetryPolicy::default());
         let t = host.begin();
-        host.insert_rows(SYSADM, t, &ObjectName::bare("T"), vec![row(1, "a"), row(1, "a")])
+        host.insert_rows(&on_t(&host, Privilege::Insert), t, vec![row(1, "a"), row(1, "a")])
             .unwrap();
         host.commit(t);
         rep.apply(&host, &accel, &link).unwrap();
         let t2 = host.begin();
         // Host deletes both (same predicate matches both rows there too),
         // producing two delete records; accel must converge to zero.
-        host.delete_where(SYSADM, t2, &ObjectName::bare("T"), Some(&Expr::col("ID").eq(Expr::int(1))))
+        host.delete_where(&on_t(&host, Privilege::Delete), t2, Some(&Expr::col("ID").eq(Expr::int(1))))
             .unwrap();
         host.commit(t2);
         rep.apply(&host, &accel, &link).unwrap();
@@ -422,7 +422,7 @@ mod tests {
         let (host, accel, link) = setup();
         let mut rep = Replicator::new(10, RetryPolicy::default());
         let t = host.begin();
-        host.insert_rows(SYSADM, t, &ObjectName::bare("T"), vec![row(1, "a")]).unwrap();
+        host.insert_rows(&on_t(&host, Privilege::Insert), t, vec![row(1, "a")]).unwrap();
         host.commit(t);
         rep.apply(&host, &accel, &link).unwrap();
         assert!(rep.last_applied() > 0);
@@ -443,7 +443,7 @@ mod tests {
         let (host, accel, link) = setup();
         let t = host.begin();
         let rows: Vec<Row> = (0..100).map(|i| row(i, "x")).collect();
-        host.insert_rows(SYSADM, t, &ObjectName::bare("T"), rows).unwrap();
+        host.insert_rows(&on_t(&host, Privilege::Insert), t, rows).unwrap();
         host.commit(t);
         let mut rep = Replicator::new(10, RetryPolicy::none());
         // Batches cost 2 transfers each (payload + ack); kill the payload
@@ -471,7 +471,7 @@ mod tests {
         let (host, accel, link) = setup();
         let t = host.begin();
         let rows: Vec<Row> = (0..20).map(|i| row(i, "x")).collect();
-        host.insert_rows(SYSADM, t, &ObjectName::bare("T"), rows).unwrap();
+        host.insert_rows(&on_t(&host, Privilege::Insert), t, rows).unwrap();
         host.commit(t);
         let mut rep = Replicator::new(10, RetryPolicy::none());
         // Deliver batch 1, lose its acknowledgement (transfer #2).
@@ -494,7 +494,7 @@ mod tests {
         let (host, accel, link) = setup();
         let t = host.begin();
         let rows: Vec<Row> = (0..15).map(|i| row(i, "x")).collect();
-        host.insert_rows(SYSADM, t, &ObjectName::bare("T"), rows).unwrap();
+        host.insert_rows(&on_t(&host, Privilege::Insert), t, rows).unwrap();
         host.commit(t);
         let mut rep = Replicator::new(10, RetryPolicy::none());
         // Transfers: batch 1 payload, batch 1 ack, batch 2 payload, batch 2
@@ -510,7 +510,7 @@ mod tests {
         // suffix may apply — batch-granularity dedup would duplicate rows.
         let t2 = host.begin();
         let more: Vec<Row> = (15..25).map(|i| row(i, "y")).collect();
-        host.insert_rows(SYSADM, t2, &ObjectName::bare("T"), more).unwrap();
+        host.insert_rows(&on_t(&host, Privilege::Insert), t2, more).unwrap();
         host.commit(t2);
         let second = rep.apply(&host, &accel, &link).unwrap();
         assert_eq!(second, 10);
@@ -529,13 +529,13 @@ mod tests {
         ));
         let mut rep = Replicator::new(10, RetryPolicy::none());
         let t = host.begin();
-        host.insert_rows(SYSADM, t, &ObjectName::bare("T"), vec![row(1, "a")]).unwrap();
+        host.insert_rows(&on_t(&host, Privilege::Insert), t, vec![row(1, "a")]).unwrap();
         host.commit(t);
         assert_eq!(rep.apply(&host, &accel, &link).unwrap(), 0);
         assert!(rep.stalled());
         // More changes accumulate during the outage.
         let t2 = host.begin();
-        host.insert_rows(SYSADM, t2, &ObjectName::bare("T"), vec![row(2, "b")]).unwrap();
+        host.insert_rows(&on_t(&host, Privilege::Insert), t2, vec![row(2, "b")]).unwrap();
         host.commit(t2);
         // The window passes on the virtual clock; everything catches up.
         link.advance(std::time::Duration::from_millis(60));

@@ -90,9 +90,6 @@ pub fn is_indexed_point(host: &HostEngine, plan: &Plan) -> bool {
 pub fn classify(host: &HostEngine, tables: &[ObjectName]) -> Result<TableMix> {
     let mut mix = TableMix::default();
     for t in tables {
-        if t.schema.is_none() && t.name == "SYSDUMMY1" {
-            continue;
-        }
         let meta = host.table_meta(t)?;
         match meta.kind {
             TableKind::AcceleratorOnly => mix.aot += 1,
@@ -229,8 +226,9 @@ mod tests {
             vec![],
         )
         .unwrap();
-        host.create_index(SYSADM, &ObjectName::bare("I1"), &ObjectName::bare("T"), vec!["ID".into()])
-            .unwrap();
+        let t = ObjectName::qualified("APP", "T");
+        let control = host.privileges.read().check(SYSADM, &t, idaa_sql::Privilege::All).unwrap();
+        host.create_index(&control, &ObjectName::bare("I1"), vec!["ID".into()]).unwrap();
         let plan_of = |sql: &str| {
             let Statement::Query(q) = parse_statement(sql).unwrap() else { panic!() };
             plan_query(&q, &host).unwrap()
@@ -254,13 +252,15 @@ mod tests {
         let schema = idaa_common::Schema::new(cols.to_vec()).unwrap();
         let t = ObjectName::bare("T");
         host.create_table(SYSADM, &t, schema, TableKind::Regular, vec![]).unwrap();
-        host.create_index(SYSADM, &ObjectName::bare("AB"), &t, vec!["A".into(), "B".into()]).unwrap();
+        let control = host.privileges.read().check(SYSADM, &host.resolve(&t), idaa_sql::Privilege::All);
+        let control = control.unwrap();
+        host.create_index(&control, &ObjectName::bare("AB"), vec!["A".into(), "B".into()]).unwrap();
         let Statement::Query(q) = parse_statement("SELECT b FROM t WHERE a = 5").unwrap() else {
             panic!()
         };
         let plan = plan_query(&q, &host).unwrap();
         assert!(!is_indexed_point(&host, &plan), "DB2 would walk the heap");
-        host.create_index(SYSADM, &ObjectName::bare("A1"), &t, vec!["A".into()]).unwrap();
+        host.create_index(&control, &ObjectName::bare("A1"), vec!["A".into()]).unwrap();
         assert!(is_indexed_point(&host, &plan));
     }
 

@@ -8,14 +8,14 @@
 use crate::catalog::{AccelStatus, Catalog, TableId, TableKind, TableMeta};
 use crate::index::BTreeIndex;
 use crate::lock::{LockManager, LockMode};
-use crate::privilege::PrivilegeCatalog;
+use crate::privilege::{Granted, PrivilegeCatalog};
 use crate::storage::{HeapTable, Rid};
 use crate::txn::{ChangeOp, ChangeRecord, TxnId, TxnManager, UndoRecord};
 use idaa_common::{Error, ObjectName, Result, Row, Rows, Schema, Value};
 use idaa_sql::ast::{BinaryOp, Expr, Query};
 use idaa_sql::eval::{bind, eval, eval_predicate, FlatResolver};
 use idaa_sql::exec::{apply, conjuncts, execute_plan, execute_plan_profiled, flip, RowSource};
-use idaa_sql::plan::{plan_query, Plan, PlanCol, PlanProfile, SchemaProvider};
+use idaa_sql::plan::{is_pseudo_table, plan_query, Plan, PlanCol, PlanProfile, SchemaProvider};
 use idaa_sql::Privilege;
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -126,11 +126,6 @@ impl HostEngine {
         Ok(())
     }
 
-    /// End-of-statement processing under cursor stability: drop S locks.
-    pub fn end_statement(&self, txn: TxnId) {
-        self.locks.release_shared(txn);
-    }
-
     // -- DDL ------------------------------------------------------------------
 
     /// `CREATE TABLE`. For `kind == AcceleratorOnly` only the catalog proxy
@@ -161,27 +156,23 @@ impl HostEngine {
         Ok(id)
     }
 
-    /// `DROP TABLE` (requires ownership or admin).
-    pub fn drop_table(&self, user: &str, name: &ObjectName) -> Result<TableMeta> {
-        let name = self.resolve(name);
-        // DROP requires control: model as needing every privilege.
-        self.privileges.read().check(user, &name, Privilege::All)?;
+    /// `DROP TABLE` of `grant`'s table; DROP needs control, modeled as ALL.
+    pub fn drop_table(&self, grant: &Granted) -> Result<TableMeta> {
+        let name = self.resolve(grant.object_for(Privilege::All)?);
         let meta = self.catalog.write().drop_table(&name)?;
         self.stores.write().remove(&meta.id);
         self.privileges.write().drop_object(&name);
         Ok(meta)
     }
 
-    /// `CREATE INDEX` (backfills from existing rows).
+    /// `CREATE INDEX` on `grant`'s table, which needs ALL (backfills rows).
     pub fn create_index(
         &self,
-        user: &str,
+        grant: &Granted,
         index_name: &ObjectName,
-        table: &ObjectName,
         columns: Vec<String>,
     ) -> Result<()> {
-        let table = self.resolve(table);
-        self.privileges.read().check(user, &table, Privilege::All)?;
+        let table = self.resolve(grant.object_for(Privilege::All)?);
         self.catalog.write().create_index(index_name.clone(), &table, columns.clone())?;
         let meta = self.table_meta(&table)?;
         let ordinals: Vec<usize> = columns
@@ -232,17 +223,10 @@ impl HostEngine {
 
     // -- DML -------------------------------------------------------------------
 
-    /// Insert fully-materialized rows (after `check_row` coercion) into a
-    /// regular table. Returns the number of rows inserted.
-    pub fn insert_rows(
-        &self,
-        user: &str,
-        txn: TxnId,
-        table: &ObjectName,
-        rows: Vec<Row>,
-    ) -> Result<usize> {
-        let table = self.resolve(table);
-        self.privileges.read().check(user, &table, Privilege::Insert)?;
+    /// Insert fully-materialized rows (after `check_row` coercion) into the
+    /// regular table `grant` names. Returns the number of rows inserted.
+    pub fn insert_rows(&self, grant: &Granted, txn: TxnId, rows: Vec<Row>) -> Result<usize> {
+        let table = self.resolve(grant.object_for(Privilege::Insert)?);
         let meta = self.table_meta(&table)?;
         self.locks.lock(txn, &table, LockMode::Exclusive)?;
         let store = self.store(&table)?;
@@ -265,16 +249,14 @@ impl HostEngine {
         Ok(n)
     }
 
-    /// `DELETE FROM table [WHERE filter]`; returns rows deleted.
+    /// `DELETE FROM table [WHERE filter]` on `grant`'s table; returns rows deleted.
     pub fn delete_where(
         &self,
-        user: &str,
+        grant: &Granted,
         txn: TxnId,
-        table: &ObjectName,
         filter: Option<&Expr>,
     ) -> Result<usize> {
-        let table = self.resolve(table);
-        self.privileges.read().check(user, &table, Privilege::Delete)?;
+        let table = self.resolve(grant.object_for(Privilege::Delete)?);
         let meta = self.table_meta(&table)?;
         self.locks.lock(txn, &table, LockMode::Exclusive)?;
         let store = self.store(&table)?;
@@ -295,17 +277,16 @@ impl HostEngine {
         Ok(victims.len())
     }
 
-    /// `UPDATE table SET assignments [WHERE filter]`; returns rows updated.
+    /// `UPDATE table SET assignments [WHERE filter]` on `grant`'s table;
+    /// returns rows updated.
     pub fn update_where(
         &self,
-        user: &str,
+        grant: &Granted,
         txn: TxnId,
-        table: &ObjectName,
         assignments: &[(String, Expr)],
         filter: Option<&Expr>,
     ) -> Result<usize> {
-        let table = self.resolve(table);
-        self.privileges.read().check(user, &table, Privilege::Update)?;
+        let table = self.resolve(grant.object_for(Privilege::Update)?);
         let meta = self.table_meta(&table)?;
         self.locks.lock(txn, &table, LockMode::Exclusive)?;
         let store = self.store(&table)?;
@@ -377,56 +358,42 @@ impl HostEngine {
 
     // -- queries ---------------------------------------------------------------
 
-    /// Execute a `SELECT` on the host: authorization, S locks (cursor
-    /// stability — released at statement end), plan, run.
+    /// DB2's own SQL entry for a `SELECT`: plan, authorize SELECT on every
+    /// table the plan reads, then [`HostEngine::run_plan`].
     pub fn query(&self, user: &str, txn: TxnId, query: &Query) -> Result<Rows> {
         let plan = plan_query(query, self)?;
-        self.check_and_lock_for_query(user, txn, &plan)?;
-        let result = execute_plan(&plan, &EngineSource { engine: self });
-        self.end_statement(txn);
+        let privs = self.privileges.read();
+        let select = |t: ObjectName| privs.check(user, &self.resolve(&t), Privilege::Select);
+        let grants = plan.tables().into_iter().map(select).collect::<Result<Vec<_>>>()?;
+        drop(privs);
+        self.run_plan(&grants, txn, &plan, None)
+    }
+
+    /// Run a planned `SELECT` under `grants`, which must hold SELECT on
+    /// every table it reads: S locks (cursor stability — released at
+    /// statement end), then the walk, recording per-operator row counts
+    /// into `profile` when given (`EXPLAIN ANALYZE` / tracing).
+    pub fn run_plan(
+        &self,
+        grants: &[Granted],
+        txn: TxnId,
+        plan: &Plan,
+        profile: Option<&PlanProfile>,
+    ) -> Result<Rows> {
+        for t in plan.tables().iter().map(|t| self.resolve(t)) {
+            if !grants.iter().any(|g| g.covers(&t, Privilege::Select)) {
+                return Err(Error::internal(format!("no SELECT authorization covers {t}")));
+            }
+            self.locks.lock(txn, &t, LockMode::Shared)?;
+        }
+        let source = EngineSource { engine: self };
+        let result = match profile {
+            Some(profile) => execute_plan_profiled(plan, &source, profile),
+            None => execute_plan(plan, &source),
+        };
+        self.locks.release_shared(txn);
         self.stats.statements.fetch_add(1, Ordering::Relaxed);
         result
-    }
-
-    /// Like [`HostEngine::query`], also returning the executed plan plus a
-    /// per-operator row-count profile (for `EXPLAIN ANALYZE` / tracing).
-    /// The plan comes back boxed: the profile is keyed by node address, so
-    /// the tree must not move while the profile is being read.
-    pub fn query_profiled(
-        &self,
-        user: &str,
-        txn: TxnId,
-        query: &Query,
-    ) -> Result<(Rows, Box<Plan>, PlanProfile)> {
-        let plan = Box::new(plan_query(query, self)?);
-        self.check_and_lock_for_query(user, txn, &plan)?;
-        let profile = PlanProfile::default();
-        let result = execute_plan_profiled(&plan, &EngineSource { engine: self }, &profile);
-        self.end_statement(txn);
-        self.stats.statements.fetch_add(1, Ordering::Relaxed);
-        Ok((result?, plan, profile))
-    }
-
-    /// Shared privilege-check + S-lock preamble for `SELECT` execution.
-    fn check_and_lock_for_query(&self, user: &str, txn: TxnId, plan: &Plan) -> Result<()> {
-        let tables: Vec<ObjectName> =
-            plan.tables().iter().map(|t| self.resolve(t)).collect();
-        {
-            let privs = self.privileges.read();
-            for t in &tables {
-                if t.name == "SYSDUMMY1" {
-                    continue;
-                }
-                privs.check(user, t, Privilege::Select)?;
-            }
-        }
-        for t in &tables {
-            if t.name == "SYSDUMMY1" {
-                continue;
-            }
-            self.locks.lock(txn, t, LockMode::Shared)?;
-        }
-        Ok(())
     }
 
     /// Live row count of a regular table (0 for AOT proxies) — the
@@ -466,7 +433,7 @@ impl HostEngine {
 
 impl SchemaProvider for HostEngine {
     fn table_schema(&self, name: &ObjectName) -> Result<Schema> {
-        if name.schema.is_none() && name.name == "SYSDUMMY1" {
+        if is_pseudo_table(name) {
             return Ok(Schema::default());
         }
         Ok(self.table_meta(name)?.schema)
@@ -612,6 +579,16 @@ mod tests {
         e
     }
 
+    /// DB2's authorization of `user` for `privilege` on table `name`.
+    fn grant(e: &HostEngine, user: &str, name: &str, privilege: Privilege) -> Result<Granted> {
+        e.privileges.read().check(user, &e.resolve(&ObjectName::bare(name)), privilege)
+    }
+
+    /// SYSADM's `privilege` on EMP.
+    fn admin(e: &HostEngine, privilege: Privilege) -> Granted {
+        grant(e, SYSADM, "EMP", privilege).unwrap()
+    }
+
     fn query(e: &HostEngine, user: &str, txn: TxnId, sql: &str) -> Result<Rows> {
         let Statement::Query(q) = parse_statement(sql).unwrap() else { panic!() };
         e.query(user, txn, &q)
@@ -625,7 +602,7 @@ mod tests {
     fn insert_query_roundtrip() {
         let e = setup();
         let t = e.begin();
-        e.insert_rows(SYSADM, t, &ObjectName::bare("EMP"), vec![row(1, "ann", 10)]).unwrap();
+        e.insert_rows(&admin(&e, Privilege::Insert), t, vec![row(1, "ann", 10)]).unwrap();
         e.commit(t);
         let t2 = e.begin();
         let r = query(&e, SYSADM, t2, "SELECT name FROM emp WHERE id = 1").unwrap();
@@ -636,20 +613,19 @@ mod tests {
     fn rollback_undoes_everything() {
         let e = setup();
         let t = e.begin();
-        e.insert_rows(SYSADM, t, &ObjectName::bare("EMP"), vec![row(1, "a", 1), row(2, "b", 2)])
+        e.insert_rows(&admin(&e, Privilege::Insert), t, vec![row(1, "a", 1), row(2, "b", 2)])
             .unwrap();
         e.commit(t);
         let t2 = e.begin();
-        e.insert_rows(SYSADM, t2, &ObjectName::bare("EMP"), vec![row(3, "c", 3)]).unwrap();
+        e.insert_rows(&admin(&e, Privilege::Insert), t2, vec![row(3, "c", 3)]).unwrap();
         e.update_where(
-            SYSADM,
+            &admin(&e, Privilege::Update),
             t2,
-            &ObjectName::bare("EMP"),
             &[("PAY".into(), Expr::int(99))],
             Some(&Expr::col("ID").eq(Expr::int(1))),
         )
         .unwrap();
-        e.delete_where(SYSADM, t2, &ObjectName::bare("EMP"), Some(&Expr::col("ID").eq(Expr::int(2))))
+        e.delete_where(&admin(&e, Privilege::Delete), t2, Some(&Expr::col("ID").eq(Expr::int(2))))
             .unwrap();
         e.rollback(t2).unwrap();
         let t3 = e.begin();
@@ -663,7 +639,7 @@ mod tests {
     fn commit_publishes_cdc() {
         let e = setup();
         let t = e.begin();
-        e.insert_rows(SYSADM, t, &ObjectName::bare("EMP"), vec![row(1, "a", 1)]).unwrap();
+        e.insert_rows(&admin(&e, Privilege::Insert), t, vec![row(1, "a", 1)]).unwrap();
         let changes = e.commit(t);
         assert_eq!(changes.len(), 1);
         assert!(matches!(changes[0].op, ChangeOp::Insert(_)));
@@ -674,10 +650,7 @@ mod tests {
     fn not_null_enforced() {
         let e = setup();
         let t = e.begin();
-        let r = e.insert_rows(
-            SYSADM,
-            t,
-            &ObjectName::bare("EMP"),
+        let r = e.insert_rows(&admin(&e, Privilege::Insert), t,
             vec![vec![Value::Null, Value::Null, Value::Null]],
         );
         assert!(matches!(r, Err(Error::Constraint(_))));
@@ -687,10 +660,7 @@ mod tests {
     fn privileges_enforced_on_dml_and_query() {
         let e = setup();
         let t = e.begin();
-        assert!(matches!(
-            e.insert_rows("BOB", t, &ObjectName::bare("EMP"), vec![row(1, "x", 1)]),
-            Err(Error::Privilege(_))
-        ));
+        assert!(matches!(grant(&e, "BOB", "EMP", Privilege::Insert), Err(Error::Privilege(_))));
         assert!(matches!(
             query(&e, "BOB", t, "SELECT * FROM emp"),
             Err(Error::Privilege(_))
@@ -703,14 +673,26 @@ mod tests {
     }
 
     #[test]
+    fn a_token_opens_only_its_own_object_and_privilege() {
+        let e = setup();
+        let t = e.begin();
+        let r = e.insert_rows(&admin(&e, Privilege::Select), t, vec![row(1, "x", 1)]);
+        assert!(matches!(r, Err(Error::Internal(_))), "{r:?}");
+        let Statement::Query(q) = parse_statement("SELECT * FROM emp").unwrap() else { panic!() };
+        let plan = plan_query(&q, &e).unwrap();
+        let r = e.run_plan(&[admin(&e, Privilege::Insert)], t, &plan, None);
+        assert!(matches!(r, Err(Error::Internal(_))), "{r:?}");
+        assert_eq!(e.run_plan(&[admin(&e, Privilege::Select)], t, &plan, None).unwrap().len(), 0);
+    }
+
+    #[test]
     fn index_speeds_point_lookup_and_stays_consistent() {
         let e = setup();
         let t = e.begin();
         let rows: Vec<Row> = (0..500).map(|i| row(i, "n", i * 2)).collect();
-        e.insert_rows(SYSADM, t, &ObjectName::bare("EMP"), rows).unwrap();
+        e.insert_rows(&admin(&e, Privilege::Insert), t, rows).unwrap();
         e.commit(t);
-        e.create_index(SYSADM, &ObjectName::bare("EMP_ID"), &ObjectName::bare("EMP"), vec!["ID".into()])
-            .unwrap();
+        e.create_index(&admin(&e, Privilege::All), &ObjectName::bare("EMP_ID"), vec!["ID".into()]).unwrap();
         let t2 = e.begin();
         let before = e.stats.index_lookups.load(Ordering::Relaxed);
         let r = query(&e, SYSADM, t2, "SELECT pay FROM emp WHERE id = 123").unwrap();
@@ -718,9 +700,8 @@ mod tests {
         assert_eq!(e.stats.index_lookups.load(Ordering::Relaxed), before + 1);
         // Update moves the row in the index.
         e.update_where(
-            SYSADM,
+            &admin(&e, Privilege::Update),
             t2,
-            &ObjectName::bare("EMP"),
             &[("ID".into(), Expr::int(9999))],
             Some(&Expr::col("ID").eq(Expr::int(123))),
         )
@@ -735,13 +716,12 @@ mod tests {
     fn point_lookup_finds_the_single_column_index_behind_a_composite_one() {
         let e = setup();
         let t = e.begin();
-        e.insert_rows(SYSADM, t, &ObjectName::bare("EMP"), (0..50).map(|i| row(i, "n", i)).collect())
+        e.insert_rows(&admin(&e, Privilege::Insert), t, (0..50).map(|i| row(i, "n", i)).collect())
             .unwrap();
         e.commit(t);
-        let emp = ObjectName::bare("EMP");
-        e.create_index(SYSADM, &ObjectName::bare("EMP_AB"), &emp, vec!["ID".into(), "NAME".into()])
-            .unwrap();
-        e.create_index(SYSADM, &ObjectName::bare("EMP_A1"), &emp, vec!["ID".into()]).unwrap();
+        let emp = admin(&e, Privilege::All);
+        e.create_index(&emp, &ObjectName::bare("EMP_AB"), vec!["ID".into(), "NAME".into()]).unwrap();
+        e.create_index(&emp, &ObjectName::bare("EMP_A1"), vec!["ID".into()]).unwrap();
         let before = e.stats.index_lookups.load(Ordering::Relaxed);
         let r = query(&e, SYSADM, e.begin(), "SELECT pay FROM emp WHERE id = 5").unwrap();
         assert_eq!(r.scalar().unwrap(), &Value::Int(5));
@@ -753,10 +733,9 @@ mod tests {
         let e = setup();
         let t = e.begin();
         let rows: Vec<Row> = (0..1000).map(|i| row(i, "n", i)).collect();
-        e.insert_rows(SYSADM, t, &ObjectName::bare("EMP"), rows).unwrap();
+        e.insert_rows(&admin(&e, Privilege::Insert), t, rows).unwrap();
         e.commit(t);
-        e.create_index(SYSADM, &ObjectName::bare("EMP_ID"), &ObjectName::bare("EMP"), vec!["ID".into()])
-            .unwrap();
+        e.create_index(&admin(&e, Privilege::All), &ObjectName::bare("EMP_ID"), vec!["ID".into()]).unwrap();
         let t2 = e.begin();
         let before = e.stats.index_range_scans.load(Ordering::Relaxed);
         let r = query(&e, SYSADM, t2, "SELECT COUNT(*) FROM emp WHERE id BETWEEN 100 AND 199").unwrap();
@@ -778,7 +757,7 @@ mod tests {
         e.create_table(SYSADM, &ObjectName::bare("EMP"), schema(), TableKind::Regular, vec![])
             .unwrap();
         let t1 = e.begin();
-        e.insert_rows(SYSADM, t1, &ObjectName::bare("EMP"), vec![row(1, "a", 1)]).unwrap();
+        e.insert_rows(&admin(&e, Privilege::Insert), t1, vec![row(1, "a", 1)]).unwrap();
         let e2 = Arc::clone(&e);
         let reader = std::thread::spawn(move || {
             let t2 = e2.begin();
@@ -805,7 +784,8 @@ mod tests {
         )
         .unwrap();
         let t = e.begin();
-        let r = e.insert_rows(SYSADM, t, &ObjectName::bare("STAGE"), vec![row(1, "x", 1)]);
+        let stage = grant(&e, SYSADM, "STAGE", Privilege::Insert).unwrap();
+        let r = e.insert_rows(&stage, t, vec![row(1, "x", 1)]);
         assert!(matches!(r, Err(Error::InvalidAcceleratorUse(_))));
         // But the schema is visible through the catalog proxy.
         assert_eq!(e.table_meta(&ObjectName::bare("STAGE")).unwrap().schema.len(), 3);
@@ -814,11 +794,8 @@ mod tests {
     #[test]
     fn drop_table_requires_control() {
         let e = setup();
-        assert!(matches!(
-            e.drop_table("BOB", &ObjectName::bare("EMP")),
-            Err(Error::Privilege(_))
-        ));
-        e.drop_table(SYSADM, &ObjectName::bare("EMP")).unwrap();
+        assert!(matches!(grant(&e, "BOB", "EMP", Privilege::All), Err(Error::Privilege(_))));
+        e.drop_table(&admin(&e, Privilege::All)).unwrap();
         assert!(e.table_meta(&ObjectName::bare("EMP")).is_err());
     }
 
@@ -826,13 +803,12 @@ mod tests {
     fn update_with_expression_assignment() {
         let e = setup();
         let t = e.begin();
-        e.insert_rows(SYSADM, t, &ObjectName::bare("EMP"), vec![row(1, "a", 10), row(2, "b", 20)])
+        e.insert_rows(&admin(&e, Privilege::Insert), t, vec![row(1, "a", 10), row(2, "b", 20)])
             .unwrap();
         let n = e
             .update_where(
-                SYSADM,
+                &admin(&e, Privilege::Update),
                 t,
-                &ObjectName::bare("EMP"),
                 &[(
                     "PAY".into(),
                     Expr::Binary {

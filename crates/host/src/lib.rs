@@ -25,5 +25,6 @@ pub mod txn;
 pub use catalog::{AccelStatus, TableId, TableKind, TableMeta};
 pub use engine::{HostEngine, SYSADM};
 pub use lock::{LockManager, LockMode};
+pub use privilege::Granted;
 pub use storage::Rid;
 pub use txn::{ChangeOp, ChangeRecord, Lsn, TxnId, TxnManager};

@@ -1,13 +1,40 @@
 //! Privilege catalog and authorization checks.
 //!
 //! The paper's governance requirement: *all* authorization decisions are
-//! made by DB2, never by the accelerator. The federation layer and the
-//! analytics framework both call into this module before delegating any
-//! work — experiment E11 measures that path.
+//! made by DB2, never by the accelerator. [`PrivilegeCatalog::check`] makes
+//! each one, called from the federation's one authorization step
+//! (`Idaa::authorize`) and from DB2's own [`crate::HostEngine::query`], and
+//! its [`Granted`] is the only way onto a path to rows. E11 measures it.
 
 use idaa_common::{Error, ObjectName, Result};
 use idaa_sql::Privilege;
 use std::collections::{HashMap, HashSet};
+
+/// DB2's authorization of `user` for `privilege` on `object`, as a value.
+/// Only [`PrivilegeCatalog::check`] makes one; every entry point that
+/// touches rows takes one, and acts only on the object it names.
+#[derive(Debug)]
+pub struct Granted {
+    user: String,
+    object: ObjectName,
+    privilege: Privilege,
+}
+
+impl Granted {
+    /// Whether this token grants exactly `privilege` on `object`.
+    pub fn covers(&self, object: &ObjectName, privilege: Privilege) -> bool {
+        self.object == *object && self.privilege == privilege
+    }
+
+    /// The object, when this token grants `privilege` on it. Any other
+    /// token is a caller bug, not a denial: `Error::internal`.
+    pub fn object_for(&self, privilege: Privilege) -> Result<&ObjectName> {
+        if self.privilege == privilege {
+            return Ok(&self.object);
+        }
+        Err(Error::internal(format!("{}'s token is not {privilege} on {}", self.user, self.object)))
+    }
+}
 
 /// Grants per (grantee, object).
 #[derive(Debug, Default)]
@@ -103,12 +130,12 @@ impl PrivilegeCatalog {
     }
 
     /// Authorization check: admin, owner, or explicit grant.
-    pub fn check(&self, user: &str, object: &ObjectName, privilege: Privilege) -> Result<()> {
+    pub fn check(&self, user: &str, object: &ObjectName, privilege: Privilege) -> Result<Granted> {
         if self.is_admin(user)
             || self.owners.get(object).map(String::as_str) == Some(&user.to_uppercase())
             || self.holds(user, object, privilege)
         {
-            Ok(())
+            Ok(Granted { user: user.to_uppercase(), object: object.clone(), privilege })
         } else {
             Err(Error::Privilege(format!(
                 "user {user} lacks {privilege} privilege on {object}"

@@ -16,9 +16,11 @@
 
 use crate::pipeline::{run_pipeline, LoadConfig, LoadReport};
 use crate::source::RecordSource;
+use idaa_common::trace::Trace;
 use idaa_common::{Error, ObjectName, Result};
 use idaa_core::Idaa;
-use idaa_host::TableKind;
+use idaa_host::{Granted, TableKind};
+use idaa_sql::Privilege;
 
 /// Which path the loader takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,23 +58,20 @@ impl Loader {
         target: LoadTarget,
     ) -> Result<LoadReport> {
         let meta = idaa.host().table_meta(table)?;
-        let resolved = meta.name.clone();
-        // Governance: loading is an INSERT, authorized on DB2 regardless of
-        // the physical path.
-        idaa.host()
-            .privileges
-            .read()
-            .check(&self.user, &resolved, idaa_sql::Privilege::Insert)?;
+        // Governance: loading is an INSERT, authorized on DB2 once per load
+        // whatever the path; every batch writes under the one token.
+        let insert = [(&meta.name, Privilege::Insert)];
+        let grants = idaa.authorize(&self.user, &Trace::disabled(), insert)?;
         // `Auto` loads an AOT directly and a regular table through DB2.
         match (target, meta.kind) {
             (LoadTarget::Db2, TableKind::AcceleratorOnly) => Err(Error::InvalidAcceleratorUse(
-                format!("{resolved} is accelerator-only; use the direct load path"),
+                format!("{} is accelerator-only; use the direct load path", meta.name),
             )),
             (LoadTarget::Db2 | LoadTarget::Auto, TableKind::Regular) => {
-                self.load_via_db2(idaa, source, &resolved, &meta.schema)
+                self.load_via_db2(idaa, source, &grants[0], &meta.schema)
             }
             (LoadTarget::AcceleratorDirect | LoadTarget::Auto, _) => {
-                idaa.load_direct(&resolved, |write| {
+                idaa.load_direct(&grants[0], |write| {
                     run_pipeline(source, &meta.schema, &self.config, write)
                 })
             }
@@ -83,7 +82,7 @@ impl Loader {
         &self,
         idaa: &Idaa,
         source: Box<dyn RecordSource>,
-        table: &ObjectName,
+        grant: &Granted,
         schema: &idaa_common::Schema,
     ) -> Result<LoadReport> {
         let host = idaa.host();
@@ -91,7 +90,7 @@ impl Loader {
         let mut since_commit = 0usize;
         let report = run_pipeline(source, schema, &self.config, |rows| {
             since_commit += rows.len();
-            host.insert_rows(&self.user, txn, table, rows)?;
+            host.insert_rows(grant, txn, rows)?;
             if since_commit >= self.commit_every {
                 host.commit(txn);
                 txn = host.begin();

@@ -29,7 +29,7 @@
 
 use crate::ast::{BinaryOp, Expr, JoinKind};
 use crate::eval::{bind, eval, eval_predicate, AggState, BoundExpr, FlatResolver};
-use crate::plan::{AggCall, Plan, PlanCol, PlanProfile};
+use crate::plan::{is_pseudo_table, AggCall, Plan, PlanCol, PlanProfile};
 use idaa_common::{Error, Result, Row, Rows, Value};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
@@ -71,9 +71,7 @@ pub fn run(
 ) -> Result<Vec<Row>> {
     let rows = match plan {
         // FROM-less SELECT evaluates over one empty row.
-        Plan::Scan { table, cols, .. } if cols.is_empty() && table.name == "SYSDUMMY1" => {
-            vec![vec![]]
-        }
+        Plan::Scan { table, .. } if is_pseudo_table(table) => vec![vec![]],
         _ => match src.node(plan, needed)? {
             Some(rows) => rows,
             None => run_operator(plan, src, needed, prof)?,

@@ -112,7 +112,8 @@ impl Plan {
         )
     }
 
-    /// All base tables referenced anywhere in the plan.
+    /// All base tables referenced anywhere in the plan; the FROM-less
+    /// pseudo-scan ([`is_pseudo_table`]) references none.
     pub fn tables(&self) -> Vec<ObjectName> {
         let mut out = Vec::new();
         self.collect_tables(&mut out);
@@ -192,6 +193,7 @@ impl Plan {
 
     fn collect_tables(&self, out: &mut Vec<ObjectName>) {
         match self {
+            Plan::Scan { table, .. } if is_pseudo_table(table) => {}
             Plan::Scan { table, .. } => out.push(table.clone()),
             Plan::Filter { input, .. }
             | Plan::Project { input, .. }
@@ -302,7 +304,18 @@ impl PlanProfile {
     }
 }
 
-/// Supplies table schemas during planning.
+/// What a FROM-less SELECT scans: DB2's one-row, no-column table.
+const PSEUDO_TABLE: &str = "SYSDUMMY1";
+
+/// Whether `name` is the FROM-less pseudo-table, the unqualified
+/// `SYSDUMMY1`: it holds no data, so it needs no privilege. A qualified
+/// `X.SYSDUMMY1` is an ordinary table.
+pub fn is_pseudo_table(name: &ObjectName) -> bool {
+    name.schema.is_none() && name.name == PSEUDO_TABLE
+}
+
+/// Supplies table schemas during planning. Every provider answers the
+/// pseudo-table ([`is_pseudo_table`]) with the empty schema.
 pub trait SchemaProvider {
     /// Schema of a base table (name resolution, including default-schema
     /// handling, is the provider's business).
@@ -396,8 +409,8 @@ fn plan_block(q: &Query, provider: &dyn SchemaProvider) -> Result<Plan> {
     let mut plan = match &q.from {
         Some(tr) => plan_table_ref(tr, provider)?,
         None => {
-            // FROM-less SELECT: a single empty row (DB2's SYSIBM.SYSDUMMY1).
-            Plan::Scan { table: ObjectName::bare("SYSDUMMY1"), alias: None, cols: vec![] }
+            // FROM-less SELECT: a single empty row.
+            Plan::Scan { table: ObjectName::bare(PSEUDO_TABLE), alias: None, cols: vec![] }
         }
     };
     if let Some(pred) = &q.filter {

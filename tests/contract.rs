@@ -5,7 +5,8 @@
 //! where it is measured, every config field is set by some caller,
 //! recoverable accelerator state has one image, injected faults draw
 //! from one seeded stream, the link counts only through registry
-//! handles, and product code keeps no process-global state.
+//! handles, product code keeps no process-global state, and only DB2
+//! authorizes.
 
 use std::path::{Path, PathBuf};
 
@@ -155,6 +156,12 @@ fn deleted_names_stay_deleted() {
     // Process-global id counters: DB2 numbers every transaction and each
     // `Idaa` its own sessions.
     let ids: &[&str] = &["NEXT_LOAD_TXN", "NEXT_APPLY_TXN", "NEXT_SESSION_ID", "next_apply_txn"];
+    // Authorization sites other than the one step: DB2's profiled second
+    // query path (dispatch runs the plan it built), the query preamble's
+    // privilege half, dispatch's own trace event and the analytics check.
+    // The accelerator keeps its own `query_profiled`.
+    let governance: &[&str] = &["check_and_lock_for_query", "privilege_event", "fn authorized("];
+    let host_query: &[&str] = &["query_profiled"];
     let everywhere = &["crates", "src", "tests"][..];
     for (names, dirs) in [
         (executor, &["crates/accel/src"][..]),
@@ -164,6 +171,8 @@ fn deleted_names_stay_deleted() {
         (faults, everywhere),
         (metrics, &["crates", "src", "tests", "examples"][..]),
         (ids, everywhere),
+        (governance, everywhere),
+        (host_query, &["crates/host/src"][..]),
     ] {
         for (path, text) in dirs.iter().flat_map(|d| sources(d)) {
             if path.ends_with("tests/contract.rs") {
@@ -448,4 +457,51 @@ fn config_fields_are_set_by_some_caller() {
         }
     }
     assert!(unset.is_empty(), "no caller sets {unset:?}: make each a constant beside its reader");
+}
+
+/// The method declared by `decl` (indented once, inside an `impl`) in
+/// `src`, up to its closing brace.
+fn method<'a>(src: &'a str, decl: &str) -> &'a str {
+    let start = src.find(decl).unwrap_or_else(|| panic!("no `{decl}`"));
+    let len = src[start..].find("\n    }\n").unwrap_or_else(|| panic!("`{decl}` never ends"));
+    &src[start..start + len]
+}
+
+#[test]
+fn only_db2_authorizes() {
+    // `PrivilegeCatalog::check` mints the only `Granted`, and product code
+    // calls it in two places: the federation's one authorization step and
+    // DB2's own SQL entry. The experiment harness and the benchmark time
+    // it; they are not product code.
+    let homes = [
+        ("crates/core/src/idaa.rs", "    pub fn authorize<"),
+        ("crates/host/src/engine.rs", "    pub fn query("),
+    ];
+    let harness = |path: &Path| {
+        path.starts_with(root().join("crates/bench"))
+            || path.starts_with(root().join("crates/benchmark"))
+    };
+    let mut calls = 0;
+    for (path, text) in product_sources().into_iter().filter(|(path, _)| !harness(path)) {
+        let at_home = homes
+            .iter()
+            .filter(|(file, _)| path.ends_with(file))
+            .map(|(_, decl)| method(&text, decl).matches(".check(").count())
+            .sum::<usize>();
+        let all = text.matches(".check(").count();
+        assert_eq!(all, at_home, "{} calls `check` outside the authorization step", path.display());
+        calls += all;
+        // The token's fields are private; no literal builds one elsewhere.
+        if !path.ends_with("crates/host/src/privilege.rs") {
+            for (i, _) in text.match_indices("Granted {") {
+                let before = text[..i].trim_end();
+                assert!(before.ends_with("->"), "{} builds a `Granted`", path.display());
+            }
+        }
+        // One predicate knows the FROM-less pseudo-table by name.
+        let named = text.matches("\"SYSDUMMY1\"").count();
+        let home = path.ends_with("crates/sql/src/plan.rs");
+        assert_eq!(named, usize::from(home), "{} names \"SYSDUMMY1\"", path.display());
+    }
+    assert_eq!(calls, homes.len(), "`check` is called once in each home");
 }

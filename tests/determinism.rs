@@ -11,9 +11,10 @@
 
 use idaa::host::TableKind;
 use idaa::netsim::sites;
+use idaa::sql::Privilege;
 use idaa::{
     ExecOutcome, FleetConfig, Idaa, IdaaConfig, ObjectName, Result, Row, Server, ServerConfig,
-    SitePlan, Value, SYSADM,
+    SitePlan, Trace, Value, SYSADM,
 };
 use std::sync::Barrier;
 use std::time::Duration;
@@ -114,7 +115,9 @@ fn run(seed: u64) -> Observed {
             vec![Value::BigInt(3 * b + i % 5), Value::BigInt(b), Value::Varchar(g.into())]
         })
         .collect();
-    idaa.load_direct(&ObjectName::bare("L"), |write| {
+    let l = ObjectName::qualified("APP", "L");
+    let grants = idaa.authorize(SYSADM, &Trace::disabled(), [(&l, Privilege::Insert)]).unwrap();
+    idaa.load_direct(&grants[0], |write| {
         rows.chunks(16).try_for_each(|c| write(c.to_vec()))
     })
     .unwrap();
