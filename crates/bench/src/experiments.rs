@@ -32,7 +32,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment { id: "E6", title: "AOT transaction-context correctness probes", run: e6_transaction_correctness },
     Experiment { id: "E7", title: "k-means: in-database (on accelerator) vs extract-to-client", run: e7_in_database_analytics },
     Experiment { id: "E8", title: "naive-Bayes scoring: in-database vs extract-to-client", run: e8_in_database_scoring },
-    Experiment { id: "E9", title: "replication batch-size ablation (20k single-row commits)", run: e9_replication_batch },
+    Experiment { id: "E9", title: "replication batch-size ablation (20 commits of 1000 rows)", run: e9_replication_batch },
     Experiment { id: "E10", title: "accelerator ablation: zone maps, data slices, groom", run: e10_accelerator_ablation },
     Experiment { id: "E11", title: "governance: DB2 privilege-check overhead on delegated work", run: e11_governance_overhead },
     Experiment { id: "E12", title: "end-to-end churn scenario: legacy vs extended IDAA", run: e12_end_to_end_scenario },

@@ -40,6 +40,7 @@ use idaa_sql::exec::{execute_plan, RowSource};
 use idaa_sql::plan::Plan;
 use idaa_sql::Privilege;
 use parking_lot::Mutex;
+use std::cell::OnceCell;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -310,10 +311,13 @@ fn with_shard_from(
 
 /// What the coordinator runs a plan over, as the walk's row source: each
 /// scatter cut's node with its merged partial, and every other scan — a
-/// whole DB2 table — from DB2. No index serves it.
+/// whole DB2 table — through DB2's locked read. No index serves it.
 struct Gathered<'a> {
     schema: &'a str,
     host: &'a HostEngine,
+    /// The DB2 reads' lock holder: the session's transaction (own writes
+    /// visible), else an id DB2 numbers at the first read.
+    txn: OnceCell<TxnId>,
     cuts: Vec<(&'a Plan, Vec<Row>)>,
 }
 
@@ -321,7 +325,10 @@ impl RowSource for Gathered<'_> {
     fn node(&self, plan: &Plan, _: Option<&[bool]>) -> Result<Option<Vec<Row>>> {
         match (self.cuts.iter().find(|(node, _)| std::ptr::eq(*node, plan)), plan) {
             (Some((_, rows)), _) => Ok(Some(rows.clone())),
-            (None, Plan::Scan { table, .. }) => self.host.scan_all(&table.resolve(self.schema)).map(Some),
+            (None, Plan::Scan { table, .. }) => {
+                let txn = *self.txn.get_or_init(|| self.host.txns.next_id());
+                self.host.read_table(txn, &table.resolve(self.schema)).map(Some)
+            }
             (None, _) => Ok(None),
         }
     }
@@ -337,8 +344,9 @@ pub(crate) enum ReadPlan {
     /// statement ships as it is.
     Whole,
     /// These accelerator-only tables are split across shards: scatter,
-    /// gather, and merge at the coordinator.
-    Scatter(Vec<ObjectName>),
+    /// gather, and merge at the coordinator; `at_commit` when it also reads
+    /// a replicated table.
+    Scatter { sharded: Vec<ObjectName>, at_commit: bool },
 }
 
 impl Idaa {
@@ -513,17 +521,28 @@ impl Idaa {
     /// every table lives whole on the owners of shard 0 — as do replicated
     /// tables under any shard count.
     pub(crate) fn read_plan(&self, tables: &[ObjectName]) -> Result<ReadPlan> {
-        let mut sharded: Vec<ObjectName> = Vec::new();
+        let (mut sharded, mut at_commit) = (Vec::new(), false);
         if self.fleet.shards > 1 {
             for t in tables {
-                if !sharded.contains(t)
-                    && self.host.table_meta(t)?.kind == TableKind::AcceleratorOnly
-                {
-                    sharded.push(t.clone());
+                match self.host.table_meta(t)?.kind {
+                    TableKind::AcceleratorOnly if !sharded.contains(t) => sharded.push(t.clone()),
+                    TableKind::AcceleratorOnly => {}
+                    TableKind::Regular => at_commit = true,
                 }
             }
         }
-        Ok(if sharded.is_empty() { ReadPlan::Whole } else { ReadPlan::Scatter(sharded) })
+        Ok(if sharded.is_empty() { ReadPlan::Whole } else { ReadPlan::Scatter { sharded, at_commit } })
+    }
+
+    /// Whether `node` may serve a shard of a read. The DB2 scans of a read
+    /// `at_commit` see DB2's latest commit, so a node whose stream has not
+    /// applied it is skipped like a down owner.
+    fn serves_at(&self, node: &AccelNode, at_commit: bool) -> Result<()> {
+        if at_commit && node.replicator.lock().last_applied() < self.host.txns.current_lsn() {
+            let who = node.engine.identity();
+            return Err(Error::ResourceUnavailable(format!("{who} lags DB2's last commit")));
+        }
+        Ok(())
     }
 
     /// Judge once, before the route event, whether the accelerator side can
@@ -536,12 +555,16 @@ impl Idaa {
         tables: &[ObjectName],
     ) -> Result<()> {
         self.maybe_rebalance();
-        let (shards, table) = match plan {
-            ReadPlan::Whole => (1, &tables[0]),
-            ReadPlan::Scatter(sharded) => (self.fleet.shards, &sharded[0]),
+        let (shards, table, at_commit) = match plan {
+            ReadPlan::Whole => (1, &tables[0], false),
+            ReadPlan::Scatter { sharded, at_commit } => (self.fleet.shards, &sharded[0], *at_commit),
         };
+        // One catch-up round at most, so the serving nodes hold DB2's commit.
+        if at_commit && self.nodes.iter().any(|n| self.serves_at(n, true).is_err()) {
+            self.replicate_now()?;
+        }
         for s in 0..shards {
-            self.read_on_owners(session, s, table, |_, _| Ok(()))?;
+            self.read_on_owners(session, s, table, |node, _| self.serves_at(node, at_commit))?;
         }
         Ok(())
     }
@@ -556,14 +579,14 @@ impl Idaa {
         tables: &[ObjectName],
         read: &ReadPlan,
     ) -> Result<Rows> {
-        let sharded = match read {
+        let (sharded, at_commit) = match read {
             ReadPlan::Whole => {
                 let served = self.read_on_owners(session, 0, &tables[0], |node, s| {
                     self.query_on(node, s, q, None)
                 });
                 return served.map(|(rows, _)| rows);
             }
-            ReadPlan::Scatter(sharded) => sharded,
+            ReadPlan::Scatter { sharded, at_commit } => (sharded, *at_commit),
         };
         let schema = &self.config.default_schema;
         let cuts = cuts(plan, &|t: &ObjectName| sharded.contains(&t.resolve(schema)));
@@ -576,7 +599,7 @@ impl Idaa {
             let merges: Vec<&str> = cuts.iter().map(|c| c.merge.name()).collect();
             trace.attr(id, "merge", merges.join(","));
         }
-        let gathered = self.gather_partials(session, q, &cuts, sharded);
+        let gathered = self.gather_partials(session, q, &cuts, (sharded, at_commit));
         let result = gathered.and_then(|gathered| execute_plan(plan, &gathered));
         if let Some(id) = span {
             if let Err(e) = &result {
@@ -595,7 +618,7 @@ impl Idaa {
         session: &mut Session,
         q: &Query,
         cuts: &[Cut<'a>],
-        sharded: &[ObjectName],
+        scatter: (&[ObjectName], bool),
     ) -> Result<Gathered<'a>> {
         let schema = &self.config.default_schema;
         let mut merged: Vec<(&Plan, Vec<Row>)> = Vec::with_capacity(cuts.len());
@@ -605,13 +628,14 @@ impl Idaa {
             let rows = match cuts[..i].iter().position(bare).filter(|_| bare(cut)) {
                 Some(j) => merged[j].1.clone(),
                 None => {
-                    let parts = (0..self.fleet.shards).map(|s| self.gather_shard(session, q, sharded, i, &table, s));
+                    let parts = (0..self.fleet.shards).map(|s| self.gather_shard(session, q, scatter, i, &table, s));
                     cut.merge(parts.collect::<Result<_>>()?)?
                 }
             };
             merged.push((cut.node, rows));
         }
-        Ok(Gathered { schema, host: &self.host, cuts: merged })
+        let txn = session.txn.map_or_else(OnceCell::new, OnceCell::from);
+        Ok(Gathered { schema, host: &self.host, txn, cuts: merged })
     }
 
     /// Fetch shard `shard`'s partial of cut number `cut`, which covers
@@ -621,7 +645,7 @@ impl Idaa {
         &self,
         session: &mut Session,
         q: &Query,
-        sharded: &[ObjectName],
+        (sharded, at_commit): (&[ObjectName], bool),
         cut: usize,
         table: &ObjectName,
         shard: usize,
@@ -636,6 +660,7 @@ impl Idaa {
             trace.attr(id, "shard", shard);
         }
         let result = self.read_on_owners(session, shard, table, |node, s| {
+            self.serves_at(node, at_commit)?;
             if let Err(e) = node.engine.crash_point(sites::MID_SCATTER) {
                 self.fleet.mark_catch_up(node.id);
                 return Err(e);

@@ -417,8 +417,8 @@ impl Idaa {
         }
     }
 
-    /// Snapshot-load an accelerated table (ACCEL_LOAD_TABLES body): pull
-    /// all rows from DB2, ship them over the link, and enable replication.
+    /// Snapshot-load an accelerated table (ACCEL_LOAD_TABLES body): copy
+    /// its committed rows to every node and enable replication.
     pub fn load_accelerated_table(&self, table: &ObjectName) -> Result<usize> {
         let meta = self.host.table_meta(table)?;
         if meta.kind != TableKind::Regular {
@@ -434,17 +434,34 @@ impl Idaa {
         // Bring the replication watermark up to now *before* the snapshot,
         // so changes committed before the load are not double-applied.
         self.replicate_now()?;
-        let rows = self.host.scan_all(&meta.name)?;
-        // Every fleet node holds a full replica of accelerated host tables;
-        // each copy pays its own link cost.
+        // Every fleet node holds a full replica of accelerated host tables.
+        let nodes: Vec<&AccelNode> = self.nodes.iter().map(|n| &**n).collect();
+        let n = self.copy_replica(&meta, &nodes, true)?;
+        self.host.set_accel_status(&meta.name, idaa_host::AccelStatus::Loaded)?;
+        Ok(n)
+    }
+
+    /// Copy the accelerated DB2 table `meta` to `nodes`, replacing their rows
+    /// when `reload`: one locked DB2 read under the first node's load
+    /// transaction, then per node one frame, a committed load and an ack.
+    pub(crate) fn copy_replica(
+        &self,
+        meta: &idaa_host::TableMeta,
+        nodes: &[&AccelNode],
+        reload: bool,
+    ) -> Result<usize> {
+        let txns: Vec<_> = nodes.iter().map(|_| self.host.txns.next_id()).collect();
+        let Some(&first) = txns.first() else { return Ok(0) };
+        let rows = self.host.read_table(first, &meta.name)?;
         let mut n = 0;
-        for node in &self.nodes {
+        for (node, txn) in nodes.iter().zip(txns) {
             let delivered = self.ship_rows_on(node, Direction::ToAccel, &meta.schema, &rows)?;
-            node.engine.truncate(&meta.name)?;
-            n = node.engine.load_committed(self.host.txns.next_id(), &meta.name, delivered)?;
+            if reload {
+                node.engine.truncate(&meta.name)?;
+            }
+            n = node.engine.load_committed(txn, &meta.name, delivered)?;
             self.ship_on(node, Direction::ToHost, wire::ACK_FRAME)?;
         }
-        self.host.set_accel_status(&meta.name, idaa_host::AccelStatus::Loaded)?;
         Ok(n)
     }
 

@@ -39,7 +39,6 @@ pub use fleet::{shard_of, shard_table, AccelNode, FleetConfig};
 pub use health::{Delivery, HealthMonitor, HealthState, SeqTracker};
 pub use idaa::{ExecOutcome, Faults, Idaa, IdaaConfig, Payload, QueueInfo};
 pub use procedures::{message_result, Procedure};
-pub use replication::Replicator;
 pub use router::{Route, TableMix};
 pub use server::{Completion, Priority, SeatId, Server, ServerConfig, StatementId};
 pub use session::Session;

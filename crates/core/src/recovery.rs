@@ -234,12 +234,7 @@ impl Idaa {
                             &meta.distribute_by,
                         )?;
                         if meta.accel_status == idaa_host::AccelStatus::Loaded {
-                            let rows = self.host.scan_all(&meta.name)?;
-                            let delivered =
-                                self.ship_rows_on(node, Direction::ToAccel, &meta.schema, &rows)?;
-                            let txn = self.host.txns.next_id();
-                            node.engine.load_committed(txn, &meta.name, delivered)?;
-                            self.ship_on(node, Direction::ToHost, wire::ACK_FRAME)?;
+                            self.copy_replica(&meta, &[node], false)?;
                         }
                     }
                     TableKind::AcceleratorOnly => {

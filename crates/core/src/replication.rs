@@ -1,20 +1,21 @@
-//! Incremental-update replication: ships committed DB2 changes on
-//! accelerated tables to the accelerator in batches over the metered link.
+//! Incremental-update replication: ships committed DB2 transactions on
+//! accelerated tables to the accelerator over the metered link.
 //!
 //! This is the *only* freshness mechanism for regular accelerated tables —
 //! and the machinery whose per-stage round trips the paper's AOT extension
 //! exists to avoid. Ablation experiment E9 sweeps the batch size.
 //!
-//! The applier survives link faults: the CDC watermark advances only when
-//! a batch has been delivered *and acknowledged*, so a mid-stream failure
-//! leaves the remaining changes queued in the host log for catch-up. A
-//! batch whose acknowledgement was lost is redelivered on the next round
-//! and deduplicated on the accelerator side *per change LSN* — batch
-//! boundaries shift when new commits re-chunk the backlog, so a
-//! redelivered batch may mix already-applied changes with new ones and
-//! only the genuinely new suffix applies. Every committed change applies
-//! exactly once no matter how often the link drops (experiment E14, chaos
-//! suite in `tests/chaos.rs`).
+//! The unit is DB2's own, a whole commit. A batch is the whole commits that
+//! fit in `batch_size` changes (at least one); it ships as messages of at
+//! most `batch_size` changes, applies under one accelerator transaction
+//! once all of them arrived, and gets one ack. So a replica always holds a
+//! prefix of DB2's commits, never part of one.
+//!
+//! The watermark advances only to the end of an acknowledged batch, so a
+//! link fault leaves the rest queued in the host log for the next round; a
+//! redelivered batch applies only the changes above the accelerator's last
+//! applied commit. Every committed change applies exactly once however often
+//! the link drops (experiment E14, `tests/chaos.rs`).
 
 use idaa_accel::AccelEngine;
 use idaa_common::{wire, Error, ObjectName, Result, Row};
@@ -25,26 +26,17 @@ use std::collections::VecDeque;
 
 /// Replication applier state.
 pub struct Replicator {
-    /// Host-side watermark: highest LSN whose batch was acknowledged.
+    /// Host-side watermark: the end of the last acknowledged commit.
     last_applied: Lsn,
-    /// Accelerator-side durable record of the highest applied LSN —
+    /// Accelerator-side durable record of the last applied commit —
     /// redelivered changes at or below it are discarded.
     accel_applied: Lsn,
     /// The last apply round could not deliver everything (link fault); the
     /// backlog stays queued in the host log until the next round.
     stalled: bool,
     retry: RetryPolicy,
-    /// Max change records shipped per apply message.
-    pub batch_size: usize,
-    pub batches_shipped: u64,
-    /// Batches shipped more than once because their ack was lost.
-    pub batches_redelivered: u64,
-}
-
-impl Default for Replicator {
-    fn default() -> Self {
-        Replicator::new(1024, RetryPolicy::default())
-    }
+    /// Max change records per message.
+    batch_size: usize,
 }
 
 impl Replicator {
@@ -57,12 +49,10 @@ impl Replicator {
             stalled: false,
             retry,
             batch_size: batch_size.max(1),
-            batches_shipped: 0,
-            batches_redelivered: 0,
         }
     }
 
-    /// LSN up to which changes have been acknowledged by the accelerator.
+    /// The end of the last commit the accelerator acknowledged.
     pub fn last_applied(&self) -> Lsn {
         self.last_applied
     }
@@ -81,15 +71,15 @@ impl Replicator {
         self.accel_applied = self.accel_applied.max(lsn);
     }
 
-    /// Drain all committed changes newer than `last_applied` and apply them
-    /// to the accelerator. Returns the number of change records applied.
+    /// Apply every commit newer than `last_applied` to the accelerator, batch
+    /// by batch. Returns the number of change records applied.
     ///
     /// Only tables in `Loaded` state replicate; changes to other tables are
     /// skipped (their LSNs still advance the applied watermark).
     ///
     /// Link faults do not error: the round returns what it managed to
     /// apply, marks the stream [`stalled`](Self::stalled), and the next
-    /// round resumes from the last acknowledged batch. Engine errors
+    /// round resumes after the last acknowledged batch. Engine errors
     /// (always a bug) propagate.
     pub fn apply(
         &mut self,
@@ -99,12 +89,7 @@ impl Replicator {
     ) -> Result<usize> {
         self.stalled = false;
         let all = host.txns.changes_since(self.last_applied);
-        if all.is_empty() {
-            return Ok(0);
-        }
-        let last_lsn = all.last().expect("non-empty").lsn;
-        // Only tables in Loaded state replicate; other changes never cross
-        // the link (their LSNs still advance the watermark below).
+        let Some(end) = all.last().map(|c| c.commit_lsn) else { return Ok(0) };
         let mut changes = Vec::with_capacity(all.len());
         for c in all {
             if host.table_meta(&c.table)?.accel_status == AccelStatus::Loaded {
@@ -112,13 +97,42 @@ impl Replicator {
             }
         }
         let mut applied = 0;
-        for batch in changes.chunks(self.batch_size) {
-            let batch_last = batch.last().expect("non-empty batch").lsn;
-            // Full row images of every change in the batch cross the link as
-            // encoded wire frames, one per table in first-occurrence order so
-            // the frame sequence is deterministic for a given change stream.
+        let mut rest = &changes[..];
+        while !rest.is_empty() {
+            let (batch, more) = rest.split_at(batch_len(rest, self.batch_size));
+            let (fresh, acked) = self.ship_batch(host, accel, link, batch)?;
+            applied += fresh;
+            if !acked {
+                self.stalled = true;
+                return Ok(applied);
+            }
+            rest = more;
+        }
+        self.last_applied = end;
+        self.accel_applied = self.accel_applied.max(end);
+        // The caller truncates the log, at the minimum watermark of every
+        // node's stream: a lagging (or crashed) node must find its backlog.
+        Ok(applied)
+    }
+
+    /// Ship `batch`, whole commits, as messages of at most `batch_size`
+    /// changes, apply it once all arrived, and take its one ack. Returns the
+    /// changes applied and whether the batch was acknowledged.
+    fn ship_batch(
+        &mut self,
+        host: &HostEngine,
+        accel: &AccelEngine,
+        link: &NetLink,
+        batch: &[ChangeRecord],
+    ) -> Result<(usize, bool)> {
+        let end = batch.last().map_or(0, |c| c.commit_lsn);
+        // Decoded row images per table, in change order.
+        let mut delivered: Vec<(ObjectName, VecDeque<Row>)> = Vec::new();
+        for message in batch.chunks(self.batch_size) {
+            // Full row images cross as wire frames, one per table in
+            // first-occurrence order: a function of the change stream.
             let mut groups: Vec<(ObjectName, Vec<Row>)> = Vec::new();
-            for c in batch {
+            for c in message {
                 let images: Vec<Row> = match &c.op {
                     ChangeOp::Insert(r) | ChangeOp::Delete(r) => vec![r.clone()],
                     ChangeOp::Update { old, new } => vec![old.clone(), new.clone()],
@@ -128,133 +142,102 @@ impl Replicator {
                     None => groups.push((c.table.clone(), images)),
                 }
             }
-            // Ship every table's frame; the applier below works on the
-            // *decoded* images, so what lands on the accelerator is exactly
-            // what survived the checksum, not the host's in-memory rows.
-            let mut delivered: Vec<(ObjectName, VecDeque<Row>)> =
-                Vec::with_capacity(groups.len());
-            let mut faulted = false;
-            for (table, images) in &groups {
-                let schema = host.table_meta(table)?.schema;
-                let frame = wire::encode_frame(&schema, images);
+            // What applies is the *decoded* images: what survived the checksum.
+            for (table, images) in groups {
+                let schema = host.table_meta(&table)?.schema;
+                let frame = wire::encode_frame(&schema, &images);
                 if self.retry.transfer_frame(link, Direction::ToAccel, &frame).is_err() {
-                    faulted = true;
-                    break;
+                    return Ok((0, false));
                 }
-                delivered.push((table.clone(), wire::decode_rows(&frame, &schema)?.into()));
-            }
-            if faulted {
-                self.stalled = true;
-                return Ok(applied);
-            }
-            self.batches_shipped += 1;
-
-            // Accelerator-side dedup, per change: anything at or below the
-            // durable applied LSN landed in an earlier round whose ack was
-            // lost. Batch boundaries are not stable across rounds (new
-            // commits re-chunk the backlog), so a redelivered batch may mix
-            // already-applied changes with new ones — only the genuinely
-            // new suffix may apply.
-            if batch_last > self.accel_applied {
-                // Each batch applies under one accelerator transaction, so
-                // a batch becomes visible atomically. DB2 numbers it.
-                let txn = host.txns.next_id();
-                accel.begin(txn);
-                match apply_batch(accel, txn, batch, &mut delivered, self.accel_applied) {
-                    Ok(fresh) => {
-                        self.accel_applied = batch_last;
-                        applied += fresh as usize;
-                        if (fresh as usize) < batch.len() {
-                            self.batches_redelivered += 1;
-                        }
-                    }
-                    // The accelerator crashed mid-apply (a crash site
-                    // fired): like a link fault, the batch went
-                    // unacknowledged — `accel_applied` did not advance, so
-                    // it re-applies in full under a fresh transaction after
-                    // recovery; the partially-applied one is rolled back by
-                    // restart's presumed-abort pass.
-                    Err(Error::ResourceUnavailable(_)) => {
-                        self.stalled = true;
-                        return Ok(applied);
-                    }
-                    Err(e) => return Err(e),
+                let rows = wire::decode_rows(&frame, &schema)?;
+                match delivered.iter_mut().find(|(t, _)| *t == table) {
+                    Some((_, q)) => q.extend(rows),
+                    None => delivered.push((table, rows.into())),
                 }
-            } else {
-                self.batches_redelivered += 1;
             }
-            // Acknowledgement back to the host side; only an acknowledged
-            // batch may advance the watermark.
-            if self.retry.transfer(link, Direction::ToHost, wire::ACK_FRAME).is_err() {
-                self.stalled = true;
-                return Ok(applied);
-            }
-            self.last_applied = batch_last;
         }
-        self.last_applied = last_lsn;
-        self.accel_applied = self.accel_applied.max(last_lsn);
-        // Truncation is the *caller's* decision: with one accelerator the
-        // log truncates at this stream's watermark right after the round,
-        // but in a fleet every node owns a replication stream and the log
-        // may only truncate at the minimum watermark across all of them —
-        // a lagging (or crashed) node must still find its backlog.
-        Ok(applied)
+        // A batch at or below the accelerator's applied commit landed in an
+        // earlier round whose ack was lost; it is acknowledged again only.
+        let fresh = if end > self.accel_applied {
+            // One accelerator transaction per batch, numbered by DB2.
+            let txn = host.txns.next_id();
+            accel.begin(txn);
+            match apply_batch(accel, txn, batch, &mut delivered, self.accel_applied) {
+                // A crash site fired mid-apply: like a link fault, the batch
+                // went unacknowledged and re-applies after recovery, whose
+                // presumed-abort pass rolls this transaction back.
+                Err(Error::ResourceUnavailable(_)) => return Ok((0, false)),
+                applied => applied?,
+            }
+        } else {
+            0
+        };
+        self.accel_applied = self.accel_applied.max(end);
+        // Only an acknowledged batch may advance the watermark.
+        let acked = self.retry.transfer(link, Direction::ToHost, wire::ACK_FRAME).is_ok();
+        if acked {
+            self.last_applied = end;
+        }
+        Ok((fresh, acked))
     }
 }
 
-/// Apply one replication batch under transaction `txn`, consuming decoded
-/// row images from `delivered` in change order — stale changes (at or
-/// below `watermark`, redelivered after a lost ack) consume their frame
-/// slots without applying. Returns the number of genuinely new changes
-/// applied.
+/// Length of the first batch of `changes`: the whole commits that fit in
+/// `max` changes, or the first commit when even it does not.
+fn batch_len(changes: &[ChangeRecord], max: usize) -> usize {
+    let Some(cut) = changes.get(max) else { return changes.len() };
+    match changes.partition_point(|c| c.commit_lsn < cut.commit_lsn) {
+        0 => changes.partition_point(|c| c.commit_lsn == cut.commit_lsn),
+        whole => whole,
+    }
+}
+
+/// Apply one batch under transaction `txn`, consuming the decoded images in
+/// `delivered` in change order; a change at or below `watermark` (redelivered
+/// after a lost ack) consumes its images only. Returns the changes applied.
 ///
-/// The `MID_REPL_APPLY` crash site fires before the first change; a crash
-/// there (or at `prepare`'s `POST_PREPARE` site) surfaces as
-/// `ResourceUnavailable`, which the caller treats like an unacknowledged
-/// batch.
+/// A crash at the `MID_REPL_APPLY` site, before the first change, or at
+/// `prepare`'s `POST_PREPARE` surfaces as `ResourceUnavailable`.
 fn apply_batch(
     accel: &AccelEngine,
     txn: u64,
     batch: &[ChangeRecord],
     delivered: &mut [(ObjectName, VecDeque<Row>)],
     watermark: Lsn,
-) -> Result<u64> {
+) -> Result<usize> {
     accel.crash_point(sites::MID_REPL_APPLY)?;
-    let mut fresh: u64 = 0;
+    let mut fresh = 0;
     for change in batch {
-        // Decoded images are consumed in change order even for
-        // deduplicated (stale) changes — they occupy frame slots.
-        let queue = delivered
-            .iter_mut()
-            .find(|(t, _)| *t == change.table)
-            .map(|(_, q)| q)
-            .expect("every change's table shipped a frame");
+        let table = &change.table;
+        let mut image = || {
+            let queue = delivered.iter_mut().find(|(t, _)| t == table);
+            queue.and_then(|(_, q)| q.pop_front()).ok_or_else(|| {
+                Error::internal(format!("the replication frames for {table} ran short"))
+            })
+        };
         let stale = change.lsn <= watermark;
         match &change.op {
             ChangeOp::Insert(_) => {
-                let row = queue.pop_front().expect("insert image in frame");
+                let row = image()?;
                 if !stale {
-                    accel.insert_rows(txn, &change.table, vec![row])?;
+                    accel.insert_rows(txn, table, vec![row])?;
                 }
             }
             ChangeOp::Delete(_) => {
-                let row = queue.pop_front().expect("delete image in frame");
+                let row = image()?;
                 if !stale {
-                    delete_exact(accel, txn, &change.table, &row)?;
+                    delete_exact(accel, txn, table, &row)?;
                 }
             }
             ChangeOp::Update { .. } => {
-                let old = queue.pop_front().expect("old image in frame");
-                let new = queue.pop_front().expect("new image in frame");
+                let (old, new) = (image()?, image()?);
                 if !stale {
-                    delete_exact(accel, txn, &change.table, &old)?;
-                    accel.insert_rows(txn, &change.table, vec![new])?;
+                    delete_exact(accel, txn, table, &old)?;
+                    accel.insert_rows(txn, table, vec![new])?;
                 }
             }
         }
-        if !stale {
-            fresh += 1;
-        }
+        fresh += usize::from(!stale);
     }
     accel.prepare(txn)?;
     accel.commit(txn);
@@ -287,10 +270,7 @@ fn delete_exact(
             Some(f) => f.and(conj),
         });
     }
-    // Delete only the first match when duplicates exist: emulate by
-    // deleting all matches and re-inserting n-1 copies — but duplicates of
-    // *full rows* are rare in practice; the simple implementation deletes
-    // all matches and reinserts the surplus.
+    // Duplicates of a full row: delete every match, re-insert the surplus.
     let n = accel.delete_where(txn, table, filter.as_ref())?;
     if n > 1 {
         let surplus = vec![row.clone(); n - 1];
@@ -385,17 +365,45 @@ mod tests {
         assert_eq!(rows[1], row(2, "z"));
     }
 
+    /// Commit `n` rows with ids from `first` on, in one transaction.
+    fn commit_rows(host: &HostEngine, first: i32, n: i32) {
+        let t = host.begin();
+        let rows: Vec<Row> = (first..first + n).map(|i| row(i, "x")).collect();
+        host.insert_rows(&on_t(host, Privilege::Insert), t, rows).unwrap();
+        host.commit(t);
+    }
+
+    fn accel_rows(accel: &AccelEngine) -> usize {
+        accel.scan_visible(&ObjectName::bare("T")).unwrap().len()
+    }
+
     #[test]
     fn batching_controls_message_count() {
         let (host, accel, link) = setup();
-        let t = host.begin();
-        let rows: Vec<Row> = (0..100).map(|i| row(i, "x")).collect();
-        host.insert_rows(&on_t(&host, Privilege::Insert), t, rows).unwrap();
-        host.commit(t);
+        // Five 2-row commits fill one 10-change batch; a 25-row commit is a
+        // batch of its own, shipped as three messages.
+        for c in 0..5 {
+            commit_rows(&host, 2 * c, 2);
+        }
+        commit_rows(&host, 10, 25);
         let mut rep = Replicator::new(10, RetryPolicy::default());
-        rep.apply(&host, &accel, &link).unwrap();
-        assert_eq!(rep.batches_shipped, 10);
-        assert_eq!(link.metrics().messages_to_accel, 10);
+        assert_eq!(rep.apply(&host, &accel, &link).unwrap(), 35);
+        assert_eq!(link.metrics().messages_to_accel, 1 + 3);
+        assert_eq!(link.metrics().messages_to_host, 2, "one ack per batch");
+    }
+
+    #[test]
+    fn a_commit_is_never_applied_in_part() {
+        let (host, accel, link) = setup();
+        commit_rows(&host, 0, 25);
+        let mut rep = Replicator::new(10, RetryPolicy::none());
+        // The second of the commit's three messages is lost.
+        link.faults().arm(sites::LINK_TRANSFER, 1, 1);
+        assert_eq!(rep.apply(&host, &accel, &link).unwrap(), 0);
+        assert!(rep.stalled());
+        assert_eq!(accel_rows(&accel), 0, "no part of the commit is visible");
+        assert_eq!(rep.apply(&host, &accel, &link).unwrap(), 25);
+        assert_eq!(accel_rows(&accel), 25);
     }
 
     #[test]
@@ -441,18 +449,17 @@ mod tests {
     #[test]
     fn mid_stream_delivery_failure_resumes_without_loss() {
         let (host, accel, link) = setup();
-        let t = host.begin();
-        let rows: Vec<Row> = (0..100).map(|i| row(i, "x")).collect();
-        host.insert_rows(&on_t(&host, Privilege::Insert), t, rows).unwrap();
-        host.commit(t);
+        for c in 0..10 {
+            commit_rows(&host, 10 * c, 10);
+        }
         let mut rep = Replicator::new(10, RetryPolicy::none());
-        // Batches cost 2 transfers each (payload + ack); kill the payload
-        // of batch 4 after 3 healthy batches.
+        // Each 10-row commit is one batch costing 2 transfers (payload +
+        // ack); kill the payload of batch 4 after 3 healthy batches.
         link.faults().arm(sites::LINK_TRANSFER, 6, 1);
         let first = rep.apply(&host, &accel, &link).unwrap();
         assert_eq!(first, 30, "three batches landed before the fault");
         assert!(rep.stalled());
-        assert_eq!(accel.scan_visible(&ObjectName::bare("T")).unwrap().len(), 30);
+        assert_eq!(accel_rows(&accel), 30);
         assert!(
             !host.txns.changes_since(rep.last_applied()).is_empty(),
             "backlog stays queued in the host log"
@@ -461,63 +468,56 @@ mod tests {
         let second = rep.apply(&host, &accel, &link).unwrap();
         assert_eq!(second, 70);
         assert!(!rep.stalled());
-        assert_eq!(accel.scan_visible(&ObjectName::bare("T")).unwrap().len(), 100);
-        assert_eq!(rep.batches_shipped, 10);
-        assert_eq!(rep.batches_redelivered, 0);
+        assert_eq!(accel_rows(&accel), 100);
+        // Ten payloads and ten acks were delivered: nothing shipped twice.
+        assert_eq!(link.metrics().messages_to_accel, 10);
+        assert_eq!(link.metrics().messages_to_host, 10);
     }
 
     #[test]
     fn lost_ack_redelivers_batch_exactly_once() {
         let (host, accel, link) = setup();
-        let t = host.begin();
-        let rows: Vec<Row> = (0..20).map(|i| row(i, "x")).collect();
-        host.insert_rows(&on_t(&host, Privilege::Insert), t, rows).unwrap();
-        host.commit(t);
+        commit_rows(&host, 0, 10);
+        commit_rows(&host, 10, 10);
         let mut rep = Replicator::new(10, RetryPolicy::none());
         // Deliver batch 1, lose its acknowledgement (transfer #2).
         link.faults().arm(sites::LINK_TRANSFER, 1, 1);
         let first = rep.apply(&host, &accel, &link).unwrap();
         assert_eq!(first, 10);
         assert!(rep.stalled());
-        assert_eq!(accel.scan_visible(&ObjectName::bare("T")).unwrap().len(), 10);
-        // The watermark did not advance: batch 1 ships again, but its LSN
-        // identifies it as already applied — no duplicate rows.
+        assert_eq!(accel_rows(&accel), 10);
+        // The watermark did not advance: batch 1 ships again, but its LSNs
+        // identify it as already applied — no duplicate rows.
         let second = rep.apply(&host, &accel, &link).unwrap();
         assert_eq!(second, 10);
-        assert_eq!(rep.batches_redelivered, 1);
-        assert_eq!(accel.scan_visible(&ObjectName::bare("T")).unwrap().len(), 20);
+        assert_eq!(link.metrics().messages_to_accel, 3, "batch 1 shipped twice");
+        assert_eq!(accel_rows(&accel), 20);
         assert_eq!(first + second, 20, "every change applied exactly once");
     }
 
     #[test]
     fn rechunked_redelivery_applies_only_the_new_suffix() {
         let (host, accel, link) = setup();
-        let t = host.begin();
-        let rows: Vec<Row> = (0..15).map(|i| row(i, "x")).collect();
-        host.insert_rows(&on_t(&host, Privilege::Insert), t, rows).unwrap();
-        host.commit(t);
+        commit_rows(&host, 0, 10);
+        commit_rows(&host, 10, 5);
         let mut rep = Replicator::new(10, RetryPolicy::none());
         // Transfers: batch 1 payload, batch 1 ack, batch 2 payload, batch 2
-        // ack — lose the *second* batch's ack, so a partial (5-change)
-        // batch is applied but unacknowledged.
+        // ack — lose the *second* batch's ack, so the 5-row commit is
+        // applied but unacknowledged.
         link.faults().arm(sites::LINK_TRANSFER, 3, 1);
         let first = rep.apply(&host, &accel, &link).unwrap();
         assert_eq!(first, 15);
         assert!(rep.stalled());
-        assert_eq!(accel.scan_visible(&ObjectName::bare("T")).unwrap().len(), 15);
-        // New commits re-chunk the backlog: the first redelivered batch now
-        // mixes the 5 already-applied changes with 5 new ones. Only the new
-        // suffix may apply — batch-granularity dedup would duplicate rows.
-        let t2 = host.begin();
-        let more: Vec<Row> = (15..25).map(|i| row(i, "y")).collect();
-        host.insert_rows(&on_t(&host, Privilege::Insert), t2, more).unwrap();
-        host.commit(t2);
+        assert_eq!(accel_rows(&accel), 15);
+        // A new 5-row commit joins the redelivered one in one batch: only
+        // the new commit may apply.
+        commit_rows(&host, 15, 5);
         let second = rep.apply(&host, &accel, &link).unwrap();
-        assert_eq!(second, 10);
+        assert_eq!(second, 5);
         assert!(!rep.stalled());
-        assert_eq!(accel.scan_visible(&ObjectName::bare("T")).unwrap().len(), 25);
-        assert_eq!(first + second, 25, "every change applied exactly once");
-        assert_eq!(rep.batches_redelivered, 1);
+        assert_eq!(accel_rows(&accel), 20);
+        assert_eq!(first + second, 20, "every change applied exactly once");
+        assert_eq!(link.metrics().messages_to_accel, 3, "the two commits shipped as one");
     }
 
     #[test]

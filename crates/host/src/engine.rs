@@ -10,7 +10,7 @@ use crate::index::BTreeIndex;
 use crate::lock::{LockManager, LockMode};
 use crate::privilege::{Granted, PrivilegeCatalog};
 use crate::storage::{HeapTable, Rid};
-use crate::txn::{ChangeOp, ChangeRecord, TxnId, TxnManager, UndoRecord};
+use crate::txn::{ChangeOp, TxnId, TxnManager, UndoRecord};
 use idaa_common::{Error, ObjectName, Result, Row, Rows, Schema, Value};
 use idaa_sql::ast::{BinaryOp, Expr, Query};
 use idaa_sql::eval::{bind, eval, eval_predicate, FlatResolver};
@@ -87,10 +87,9 @@ impl HostEngine {
     }
 
     /// Commit: publish CDC records and release all locks.
-    pub fn commit(&self, txn: TxnId) -> Vec<ChangeRecord> {
-        let changes = self.txns.commit(txn);
+    pub fn commit(&self, txn: TxnId) {
+        self.txns.commit(txn);
         self.locks.release_all(txn);
-        changes
     }
 
     /// Roll back: apply the undo log in reverse, then release locks.
@@ -422,8 +421,18 @@ impl HostEngine {
         self.column_index(table, column).is_ok_and(|found| found.is_some())
     }
 
-    /// Raw scan used by the federation layer (initial accelerator load).
-    pub fn scan_all(&self, table: &ObjectName) -> Result<Vec<Row>> {
+    /// `table`'s rows read for `txn` under a SELECT's S lock, released after
+    /// the read: another transaction's uncommitted change makes it wait and
+    /// fail -913, `txn`'s own are visible. The one way DB2 rows leave DB2.
+    pub fn read_table(&self, txn: TxnId, table: &ObjectName) -> Result<Vec<Row>> {
+        self.locks.lock(txn, &self.resolve(table), LockMode::Shared)?;
+        let rows = self.heap_rows(table);
+        self.locks.release_shared(txn);
+        rows
+    }
+
+    /// Every row in `table`'s heap, read under a lock the caller holds.
+    fn heap_rows(&self, table: &ObjectName) -> Result<Vec<Row>> {
         let store = self.store(table)?;
         let rows: Vec<Row> = store.heap.scan().into_iter().map(|(_, r)| r).collect();
         self.stats.rows_scanned.fetch_add(rows.len() as u64, Ordering::Relaxed);
@@ -440,8 +449,9 @@ impl SchemaProvider for HostEngine {
     }
 }
 
-/// Engine storage as the walk's row source: every scan reads the heap
-/// (whole rows: DB2 is a row store, so the column mask is ignored), and a
+/// Engine storage as the walk's row source under `run_plan`'s locks: scans
+/// read the heap (whole rows: DB2 is a row store, so the column mask is
+/// ignored), and a
 /// `Filter` directly over a `Scan` reads an index when one serves.
 struct EngineSource<'a> {
     engine: &'a HostEngine,
@@ -450,7 +460,7 @@ struct EngineSource<'a> {
 impl RowSource for EngineSource<'_> {
     fn node(&self, plan: &Plan, _: Option<&[bool]>) -> Result<Option<Vec<Row>>> {
         match plan {
-            Plan::Scan { table, .. } => self.engine.scan_all(table).map(Some),
+            Plan::Scan { table, .. } => self.engine.heap_rows(table).map(Some),
             // The index serves a superset; the filter decides.
             Plan::Filter { input, predicate } => match self.index_access(input, predicate)? {
                 Some(rows) => apply(plan, rows).map(Some),
@@ -640,10 +650,25 @@ mod tests {
         let e = setup();
         let t = e.begin();
         e.insert_rows(&admin(&e, Privilege::Insert), t, vec![row(1, "a", 1)]).unwrap();
-        let changes = e.commit(t);
+        e.commit(t);
+        let changes = e.txns.changes_since(0);
         assert_eq!(changes.len(), 1);
         assert!(matches!(changes[0].op, ChangeOp::Insert(_)));
-        assert_eq!(e.txns.changes_since(0).len(), 1);
+    }
+
+    #[test]
+    fn read_table_waits_for_uncommitted_writers_and_sees_own_writes() {
+        let locks = LockManager::new(std::time::Duration::from_millis(20));
+        let e = HostEngine { locks, ..setup() };
+        let writer = e.begin();
+        e.insert_rows(&admin(&e, Privilege::Insert), writer, vec![row(1, "a", 1)]).unwrap();
+        assert_eq!(e.read_table(writer, &ObjectName::bare("EMP")).unwrap().len(), 1);
+        let reader = e.begin();
+        let err = e.read_table(reader, &ObjectName::bare("EMP")).unwrap_err();
+        assert_eq!(err.sqlcode(), -913, "another transaction's uncommitted row is not read");
+        e.rollback(writer).unwrap();
+        assert!(e.read_table(reader, &ObjectName::bare("EMP")).unwrap().is_empty());
+        assert_eq!(e.locks.held(reader, &ObjectName::bare("EMP").resolve("APP")), None);
     }
 
     #[test]

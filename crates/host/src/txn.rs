@@ -24,11 +24,13 @@ pub enum UndoRecord {
     Update { table: ObjectName, rid: Rid, old: Row, new: Row },
 }
 
-/// A committed, replicable change (the unit the CDC applier ships to the
-/// accelerator).
+/// A committed, replicable change. The CDC applier ships whole commits to
+/// the accelerator, so each change names the last LSN of its commit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChangeRecord {
     pub lsn: Lsn,
+    /// The last LSN of the commit this change belongs to.
+    pub commit_lsn: Lsn,
     pub table: ObjectName,
     pub op: ChangeOp,
 }
@@ -63,7 +65,8 @@ pub struct TxnManager {
 
 impl TxnManager {
     /// The next transaction id. The accelerator's loads and replication
-    /// batches take only this: they have no host undo state.
+    /// batches, and DB2 reads outside any transaction, take only this: they
+    /// have no host undo state.
     pub fn next_id(&self) -> TxnId {
         self.next_id.fetch_add(1, Ordering::Relaxed) + 1
     }
@@ -91,22 +94,18 @@ impl TxnManager {
         }
     }
 
-    /// Commit: moves pending changes into the committed log (assigning
-    /// LSNs) and drops the undo log. Returns the LSN range assigned.
-    pub fn commit(&self, txn: TxnId) -> Vec<ChangeRecord> {
-        let state = match self.active.lock().remove(&txn) {
-            Some(s) => s,
-            None => return Vec::new(),
-        };
+    /// Commit: moves pending changes into the committed log and drops the
+    /// undo log. The commit's LSNs are assigned in one step under the log
+    /// lock, so a reader of the log sees all of a commit or none of it.
+    pub fn commit(&self, txn: TxnId) {
+        let Some(state) = self.active.lock().remove(&txn) else { return };
         let mut log = self.committed_log.lock();
-        let mut out = Vec::with_capacity(state.pending_changes.len());
-        for (table, op) in state.pending_changes {
-            let lsn = self.next_lsn.fetch_add(1, Ordering::Relaxed) + 1;
-            let rec = ChangeRecord { lsn, table, op };
-            log.push(rec.clone());
-            out.push(rec);
+        let n = state.pending_changes.len() as Lsn;
+        let first = self.next_lsn.fetch_add(n, Ordering::Relaxed) + 1;
+        let commit_lsn = first + n - 1;
+        for (lsn, (table, op)) in (first..).zip(state.pending_changes) {
+            log.push(ChangeRecord { lsn, commit_lsn, table, op });
         }
-        out
     }
 
     /// Abort: remove the transaction and hand back its undo log (newest
@@ -180,10 +179,11 @@ mod tests {
             UndoRecord::Insert { table: t("T"), rid: Rid::new(0, 1), row: row(2) },
             Some((t("T"), ChangeOp::Insert(row(2)))),
         );
-        let committed = tm.commit(x);
+        tm.commit(x);
+        let committed = tm.changes_since(0);
         assert_eq!(committed.len(), 2);
         assert!(committed[0].lsn < committed[1].lsn);
-        assert_eq!(tm.changes_since(0).len(), 2);
+        assert!(committed.iter().all(|c| c.commit_lsn == committed[1].lsn), "one commit end");
         assert_eq!(tm.changes_since(committed[0].lsn).len(), 1);
         assert!(!tm.is_active(x));
     }
@@ -217,10 +217,11 @@ mod tests {
             UndoRecord::Insert { table: t("T"), rid: Rid::new(0, 0), row: row(1) },
             Some((t("T"), ChangeOp::Insert(row(1)))),
         );
-        let committed = tm.commit(x);
-        tm.truncate_log(committed[0].lsn);
+        tm.commit(x);
+        let lsn = tm.changes_since(0)[0].lsn;
+        tm.truncate_log(lsn);
         assert!(tm.changes_since(0).is_empty());
-        assert_eq!(tm.current_lsn(), committed[0].lsn);
+        assert_eq!(tm.current_lsn(), lsn);
     }
 
     #[test]
@@ -238,8 +239,10 @@ mod tests {
             UndoRecord::Insert { table: t("T"), rid: Rid::new(0, 1), row: row(2) },
             Some((t("T"), ChangeOp::Insert(row(2)))),
         );
-        let cb = tm.commit(b);
-        let ca = tm.commit(a);
-        assert!(cb[0].lsn < ca[0].lsn, "commit order decides replication order");
+        tm.commit(b);
+        tm.commit(a);
+        let log = tm.changes_since(0);
+        assert_eq!(log[0].op, ChangeOp::Insert(row(1)), "commit order decides replication order");
+        assert!(log[0].lsn < log[1].lsn);
     }
 }

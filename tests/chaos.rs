@@ -212,7 +212,8 @@ fn shadow_workload(idaa: &Idaa, s: &mut idaa::Session, rng: &mut Rng) -> Vec<(St
 
     // Exactly-once replication: the accelerator replica equals the host
     // table, row for row — nothing lost, nothing applied twice.
-    let host_sales = sorted_ints(idaa.host().scan_all(&ObjectName::bare("SALES")).unwrap());
+    let host_sales = idaa.host().read_table(0, &ObjectName::bare("SALES")).unwrap();
+    let host_sales = sorted_ints(host_sales);
     let accel_sales = sorted_ints(idaa.accel().scan_visible(&ObjectName::bare("SALES")).unwrap());
     expect_sales.sort_unstable();
     assert_eq!(host_sales, expect_sales, "host lost or invented committed rows");

@@ -136,7 +136,7 @@ fn replication_under_concurrent_host_writers_converges() {
         }
     });
     idaa.replicate_now().unwrap();
-    let host_rows = idaa.host().scan_all(&ObjectName::bare("HOT")).unwrap().len();
+    let host_rows = idaa.host().read_table(0, &ObjectName::bare("HOT")).unwrap().len();
     let accel_rows = idaa.accel().scan_visible(&ObjectName::bare("HOT")).unwrap().len();
     assert_eq!(host_rows, 120);
     assert_eq!(accel_rows, 120, "replica must converge to the host state");

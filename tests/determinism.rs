@@ -186,7 +186,7 @@ fn run(seed: u64) -> Observed {
     let mut host_rows = String::new();
     for name in idaa.host().table_names() {
         if idaa.host().table_meta(&name).unwrap().kind == TableKind::Regular {
-            let rows = idaa.host().scan_all(&name).unwrap();
+            let rows = idaa.host().read_table(0, &name).unwrap();
             host_rows.push_str(&format!("{name}: {rows:?}\n"));
         }
     }

@@ -806,7 +806,7 @@ proptest! {
             });
             rows
         };
-        let host_rows = sort(idaa.host().scan_all(&ObjectName::bare("T")).unwrap());
+        let host_rows = sort(idaa.host().read_table(0, &ObjectName::bare("T")).unwrap());
         let accel_rows = sort(idaa.accel().scan_visible(&ObjectName::bare("T")).unwrap());
         prop_assert_eq!(host_rows, accel_rows);
     }
@@ -1239,7 +1239,7 @@ proptest! {
             idaa.execute(&mut s, &sql).unwrap();
         }
         idaa.replicate_now().unwrap();
-        let host_rows = sorted(idaa.host().scan_all(&ObjectName::bare("R")).unwrap());
+        let host_rows = sorted(idaa.host().read_table(0, &ObjectName::bare("R")).unwrap());
         let accel_rows = sorted(idaa.accel().scan_visible(&ObjectName::bare("R")).unwrap());
         prop_assert_eq!(host_rows, accel_rows);
     }

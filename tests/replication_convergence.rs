@@ -1,8 +1,10 @@
 //! Replication convergence: random committed DML streams against an
 //! accelerated table must leave the accelerator replica identical to the
-//! host table — across batch sizes, interleavings, rollbacks, and reloads.
+//! host table — across batch sizes, interleavings, rollbacks, and reloads —
+//! and at every moment in between, lossy link included, hold the table as
+//! it stood after some DB2 commit, never part of one.
 
-use idaa::{Idaa, IdaaConfig, ObjectName, Value, SYSADM};
+use idaa::{sites, Idaa, IdaaConfig, ObjectName, SitePlan, Value, SYSADM};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -19,19 +21,51 @@ fn sorted(mut rows: Vec<idaa::Row>) -> Vec<idaa::Row> {
     rows
 }
 
-fn assert_converged(idaa: &Idaa, table: &str) {
-    let name = ObjectName::bare(table);
-    let host_rows = sorted(idaa.host().scan_all(&name).unwrap());
-    let accel_rows = sorted(idaa.accel().scan_visible(&name).unwrap());
-    assert_eq!(host_rows, accel_rows, "replica diverged for {table}");
+/// DB2's committed rows of `table`, sorted.
+fn db2_rows(idaa: &Idaa, table: &str) -> Vec<idaa::Row> {
+    sorted(idaa.host().read_table(0, &ObjectName::bare(table)).unwrap())
 }
 
+/// The accelerator replica of `table`, sorted.
+fn replica_rows(idaa: &Idaa, table: &str) -> Vec<idaa::Row> {
+    sorted(idaa.accel().scan_visible(&ObjectName::bare(table)).unwrap())
+}
+
+fn assert_converged(idaa: &Idaa, table: &str) {
+    assert_eq!(db2_rows(idaa, table), replica_rows(idaa, table), "replica diverged for {table}");
+}
+
+/// A seeded random DML stream on an accelerated table while node 0's link
+/// drops messages both ways. After every statement that commits, the
+/// replica must hold DB2's table as it stood after some commit no older
+/// than the one it held before (`history` keeps DB2's state after each
+/// commit); at the end, with the link healed, it must equal DB2.
 fn random_dml_stream(batch_size: usize, seed: u64, steps: usize) {
     let idaa = Idaa::new(IdaaConfig { replication_batch: batch_size, ..Default::default() });
     let mut s = idaa.session(SYSADM);
     idaa.execute(&mut s, "CREATE TABLE T (K INT NOT NULL, V INT)").unwrap();
     idaa.execute(&mut s, "CALL ACCEL_ADD_TABLES('T')").unwrap();
     idaa.execute(&mut s, "CALL ACCEL_LOAD_TABLES('T')").unwrap();
+    let lossy = SitePlan::default()
+        .and_probabilistic(sites::LINK_DROP_TO_ACCEL, 0.7)
+        .and_probabilistic(sites::LINK_DROP_TO_HOST, 0.7)
+        .seeded(seed);
+    idaa.set_fault_plan_on(0, lossy);
+
+    let mut history = vec![db2_rows(&idaa, "T")];
+    let mut held = 0;
+    let mut check = |idaa: &Idaa, step: usize| {
+        history.push(db2_rows(idaa, "T"));
+        let replica = replica_rows(idaa, "T");
+        match history[held..].iter().position(|h| *h == replica) {
+            Some(p) => held += p,
+            None => panic!(
+                "seed {seed}, batch {batch_size}, step {step}: the replica {replica:?} is no \
+                 DB2 commit at or after the one it held, {:?}",
+                history[held]
+            ),
+        }
+    };
 
     let mut rng = StdRng::seed_from_u64(seed);
     let mut next_key = 0;
@@ -65,6 +99,9 @@ fn random_dml_stream(batch_size: usize, seed: u64, steps: usize) {
                     idaa.execute(&mut s, &format!("DELETE FROM T WHERE K = {k}")).unwrap();
                 }
             }
+            if !in_txn {
+                check(&idaa, step);
+            }
         }
         if in_txn {
             if rng.gen_bool(0.25) {
@@ -72,11 +109,10 @@ fn random_dml_stream(batch_size: usize, seed: u64, steps: usize) {
             } else {
                 idaa.execute(&mut s, "COMMIT").unwrap();
             }
-        }
-        if step % 7 == 0 {
-            assert_converged(&idaa, "T");
+            check(&idaa, step);
         }
     }
+    idaa.set_fault_plan_on(0, SitePlan::default());
     idaa.replicate_now().unwrap();
     assert_converged(&idaa, "T");
 }
