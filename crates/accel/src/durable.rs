@@ -4,7 +4,7 @@
 //! state survives the accelerator itself failing. This module is the
 //! in-memory stand-in for the appliance's disks: atomically-installed
 //! [`Checkpoint`]s — the one image of recoverable state: tables, MVCC
-//! watermark and statuses, quarantine set — and an LSN-ordered
+//! statuses, quarantine set — and an LSN-ordered
 //! [`LogRecord`] stream of everything that changed since.
 //! Row payloads inside log records and checkpoint images are encoded with
 //! the `idaa_common::wire` codec — the same deterministic format that
@@ -65,7 +65,7 @@ pub enum LogRecord {
     Begin { txn: TxnId },
     /// 2PC phase 1: the transaction voted YES and is now in-doubt.
     Prepare { txn: TxnId },
-    /// 2PC phase 2: committed with this sequence number. Replay restores
+    /// 2PC phase 2: committed at DB2's commit LSN `seq`. Replay restores
     /// the exact sequence so snapshot visibility is reproduced bit-for-bit.
     Commit { txn: TxnId, seq: CommitSeq },
     /// Rolled back.
@@ -83,10 +83,11 @@ pub enum LogRecord {
     DropTable { name: ObjectName },
     /// All versions removed (pre-reload truncation).
     Truncate { table: ObjectName },
-    /// `GROOM` ran against the then-current transaction states. Replay
-    /// re-runs it logically; the replayed registry is in the same state as
-    /// the original was at this point in the log, so the same versions go.
-    Groom { table: ObjectName },
+    /// `GROOM` below `horizon` ran against the then-current transaction
+    /// states. Replay re-runs it logically; the replayed registry is in the
+    /// same state as the original was at this point in the log, so the same
+    /// versions go.
+    Groom { table: ObjectName, horizon: CommitSeq },
     /// Recovery truncated a torn (partially-written, never-acknowledged)
     /// record that had been assigned LSN `lost`, and durably re-logged the
     /// decision in its place so every later replay makes the same call.
@@ -167,9 +168,10 @@ fn record_fingerprint(lsn: Lsn, record: &LogRecord) -> u64 {
             buf.push(8);
             put_name(&mut buf, table);
         }
-        LogRecord::Groom { table } => {
+        LogRecord::Groom { table, horizon } => {
             buf.push(9);
             put_name(&mut buf, table);
+            buf.extend_from_slice(&horizon.to_le_bytes());
         }
         LogRecord::TornTail { lost } => {
             buf.push(10);
@@ -247,8 +249,6 @@ pub struct Checkpoint {
     /// Log records with `lsn <= covers_lsn` are reflected in the images;
     /// recovery replays only the tail past this watermark.
     pub covers_lsn: Lsn,
-    /// MVCC commit watermark at checkpoint time.
-    pub next_seq: CommitSeq,
     /// Full transaction-status map (sorted by id for determinism).
     pub txn_states: Vec<(TxnId, TxnStatus)>,
     /// Every table, sorted by name.
@@ -287,7 +287,6 @@ impl Checkpoint {
     /// The bytes both the state fingerprint and the checkpoint checksum
     /// hash (frames contribute their `wire::hash64`).
     fn put_state(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.next_seq.to_le_bytes());
         for (txn, status) in &self.txn_states {
             put_status(buf, *txn, *status);
         }
@@ -742,7 +741,6 @@ mod tests {
         store.install_checkpoint(Checkpoint {
             taken_at: Duration::ZERO,
             covers_lsn: b,
-            next_seq: 1,
             txn_states: vec![],
             tables: vec![],
             quarantined: vec![],
@@ -784,7 +782,6 @@ mod tests {
         Checkpoint {
             taken_at: Duration::from_micros(at_us),
             covers_lsn: covers,
-            next_seq: 1,
             txn_states: vec![],
             tables: vec![],
             quarantined: vec![],

@@ -199,9 +199,6 @@ pub struct AccelEngine {
     pub config: AccelConfig,
     pub stats: AccelStats,
     disk: DiskCounters,
-    /// Per-transaction snapshot sequence captured at enrollment, giving
-    /// transaction-level snapshot isolation (Netezza semantics).
-    snapshots: RwLock<HashMap<TxnId, CommitSeq>>,
     default_schema: String,
     /// The in-memory "disk": checkpoints + commit log. Survives `crash`.
     durable: DurableStore,
@@ -249,7 +246,6 @@ impl AccelEngine {
             config,
             stats: AccelStats::default(),
             disk: DiskCounters::new(&MetricsRegistry::default()),
-            snapshots: RwLock::new(HashMap::new()),
             default_schema: default_schema.to_string(),
             durable: DurableStore::default(),
             faults: RwLock::new(Arc::new(FaultRegistry::default())),
@@ -390,19 +386,18 @@ impl AccelEngine {
         Ok(())
     }
 
-    /// Crash now: all volatile state (tables, snapshots, transaction
-    /// registry) is lost; only the durable store survives. The engine
-    /// refuses work until [`restart`](Self::restart).
+    /// Crash now: all volatile state (tables, transaction registry) is
+    /// lost; only the durable store survives. The engine refuses work until
+    /// [`restart`](Self::restart).
     pub fn crash(&self) {
         self.crashed.store(true, Ordering::Relaxed);
         self.reset_volatile();
     }
 
-    /// Discard all volatile state: tables, snapshots, cached plans, the
-    /// quarantine set and the transaction registry.
+    /// Discard all volatile state: tables, cached plans, the quarantine set
+    /// and the transaction registry.
     fn reset_volatile(&self) {
         self.tables.write().clear();
-        self.snapshots.write().clear();
         self.plan_cache.write().clear();
         self.quarantined.write().clear();
         self.txns.reset();
@@ -483,10 +478,10 @@ impl AccelEngine {
         })
     }
 
-    /// Install a checkpoint image as the engine's state: the status map
-    /// and commit watermark, every table, and the quarantine set.
+    /// Install a checkpoint image as the engine's state: the status map,
+    /// every table, and the quarantine set.
     fn restore(&self, cp: &Checkpoint) -> Result<()> {
-        self.txns.restore(&cp.txn_states, cp.next_seq);
+        self.txns.restore(&cp.txn_states);
         let mut tables = HashMap::new();
         for img in &cp.tables {
             tables.insert(img.name.clone(), Arc::new(AccelTable::from_image(img)?));
@@ -497,8 +492,8 @@ impl AccelEngine {
     }
 
     /// The one image of recoverable state: every table with its slices
-    /// framed by `frame`, the MVCC watermark and status map, and the
-    /// quarantine set. [`checkpoint`](Self::checkpoint) installs it and
+    /// framed by `frame`, the MVCC status map, and the quarantine set.
+    /// [`checkpoint`](Self::checkpoint) installs it and
     /// [`state_fingerprint`](Self::state_fingerprint) hashes it.
     fn image(
         &self,
@@ -511,7 +506,6 @@ impl AccelEngine {
         Checkpoint {
             taken_at,
             covers_lsn,
-            next_seq: self.txns.high_water(),
             txn_states: self.txns.all_states(),
             tables: tables.iter().map(|t| t.image(frame)).collect(),
             quarantined: self.quarantined_tables(),
@@ -522,7 +516,7 @@ impl AccelEngine {
         match record {
             LogRecord::Begin { txn } => self.txns.begin(*txn),
             LogRecord::Prepare { txn } => self.txns.prepare(*txn),
-            LogRecord::Commit { txn, seq } => self.txns.commit_at(*txn, *seq),
+            LogRecord::Commit { txn, seq } => self.txns.commit(*txn, *seq),
             LogRecord::Abort { txn } => self.txns.abort(*txn),
             LogRecord::Insert { txn, table, frame } => {
                 let t = self.table(table)?;
@@ -554,14 +548,11 @@ impl AccelEngine {
                 self.table(table)?.groom(|_| true, |_| true)?;
                 self.quarantined.write().remove(table);
             }
-            LogRecord::Groom { table } => {
+            LogRecord::Groom { table, horizon } => {
                 // The replayed registry is in the same state the original
                 // was at this point in the log, so the same versions go.
                 let t = self.table(table)?;
-                t.groom(
-                    |c| matches!(self.txns.status(c), TxnStatus::Aborted),
-                    |d| matches!(self.txns.status(d), TxnStatus::Committed(_)),
-                )?;
+                self.groom_versions(&t, *horizon)?;
             }
             LogRecord::TornTail { .. } => {
                 // Recovery's durably re-logged truncation decision: the
@@ -576,7 +567,7 @@ impl AccelEngine {
     }
 
     /// Take a checkpoint stamped with virtual time `now`: a consistent cut
-    /// of every table heap, the MVCC watermark, and the full status map.
+    /// of every table heap and the full status map.
     /// Atomic: a crash mid-build (the `MID_CHECKPOINT` site) loses nothing
     /// — the previous checkpoint and the whole log stay intact. A slice
     /// whose rows did not change since the last checkpoint reuses its
@@ -786,14 +777,13 @@ impl AccelEngine {
 
     // -- transactions ------------------------------------------------------------
 
-    /// Enroll a host transaction (captures its snapshot). A no-op on a
-    /// crashed engine — the coordinator checks readiness before enlisting.
+    /// Enroll a host transaction. A no-op on a crashed engine — the
+    /// coordinator checks readiness before enlisting.
     pub fn begin(&self, txn: TxnId) {
         if self.is_crashed() {
             return;
         }
         self.txns.begin(txn);
-        self.snapshots.write().insert(txn, self.txns.high_water());
         self.log(LogRecord::Begin { txn });
     }
 
@@ -803,36 +793,27 @@ impl AccelEngine {
     /// as `Prepared` on restart.
     pub fn prepare(&self, txn: TxnId) -> Result<()> {
         self.ensure_up()?;
-        match self.txns.status(txn) {
-            TxnStatus::Active | TxnStatus::Prepared => {
-                self.txns.prepare(txn);
-            }
-            TxnStatus::Aborted => {
-                // Unknown ids land here too: treat as a trivially-prepared
-                // read-only participant.
-                self.txns.prepare(txn);
-            }
-            TxnStatus::Committed(_) => {
-                return Err(Error::TransactionState(format!(
-                    "transaction {txn} already committed on the accelerator"
-                )))
-            }
+        // Unknown ids read as aborted: a trivially-prepared participant.
+        if let TxnStatus::Committed(_) = self.txns.status(txn) {
+            return Err(Error::TransactionState(format!(
+                "transaction {txn} already committed on the accelerator"
+            )));
         }
+        self.txns.prepare(txn);
         self.log(LogRecord::Prepare { txn });
         self.crash_point(sites::POST_PREPARE)?;
         Ok(())
     }
 
-    /// 2PC phase 2: commit. Idempotent (a redelivered COMMIT returns the
-    /// original sequence); a no-op returning 0 on a crashed engine.
-    pub fn commit(&self, txn: TxnId) -> CommitSeq {
+    /// 2PC phase 2: commit at DB2's commit LSN `seq`. Idempotent (a
+    /// redelivered COMMIT keeps the original sequence); a no-op on a crashed
+    /// engine.
+    pub fn commit(&self, txn: TxnId, seq: CommitSeq) {
         if self.is_crashed() {
-            return 0;
+            return;
         }
-        self.snapshots.write().remove(&txn);
-        let seq = self.txns.commit(txn);
+        self.txns.commit(txn, seq);
         self.log(LogRecord::Commit { txn, seq });
-        seq
     }
 
     /// Abort / rollback. A no-op on a crashed engine (restart aborts
@@ -841,33 +822,28 @@ impl AccelEngine {
         if self.is_crashed() {
             return;
         }
-        self.snapshots.write().remove(&txn);
         self.txns.abort(txn);
         self.log(LogRecord::Abort { txn });
     }
 
-    /// Snapshot for a statement of `txn`: the transaction-level snapshot if
-    /// enrolled, else a fresh read-only snapshot.
-    pub fn snapshot_for(&self, txn: TxnId) -> Snapshot {
-        match self.snapshots.read().get(&txn) {
-            Some(&seq) => Snapshot { seq, me: txn },
-            None => self.txns.snapshot(txn),
-        }
-    }
-
     // -- queries -------------------------------------------------------------------
 
-    /// Execute a `SELECT` under `txn`'s snapshot.
+    /// Execute a `SELECT` as `txn` at [`Snapshot::latest`].
     pub fn query(&self, txn: TxnId, query: &Query) -> Result<Rows> {
-        self.query_with_mode(txn, query, ExecMode::Vectorized)
+        self.query_at(Snapshot::latest(txn), query)
     }
 
-    /// Execute a `SELECT` with an explicit execution mode.
+    /// Execute a `SELECT` at `snap`.
+    pub fn query_at(&self, snap: Snapshot, query: &Query) -> Result<Rows> {
+        self.run_query(snap, query, ExecMode::Vectorized, None, None).map(|(rows, _)| rows)
+    }
+
+    /// [`query`](Self::query) with an explicit execution mode.
     /// `ExecMode::Interpreted` forces the row-at-a-time fallback path and
     /// is the oracle the vectorized pipeline is tested (and benchmarked)
     /// against.
     pub fn query_with_mode(&self, txn: TxnId, query: &Query, mode: ExecMode) -> Result<Rows> {
-        self.run_query(txn, query, mode, None, None).map(|(rows, _)| rows)
+        self.run_query(Snapshot::latest(txn), query, mode, None, None).map(|(rows, _)| rows)
     }
 
     /// Plan `query` through the compiled-plan cache. The cache is keyed by
@@ -919,34 +895,21 @@ impl AccelEngine {
         Ok(lower(&plan, self, ExecMode::Vectorized)?.describe(&plan))
     }
 
-    /// Execute a `SELECT` and also return the executed plan plus a
-    /// per-operator row-count profile (for `EXPLAIN ANALYZE` / tracing).
-    /// The plan comes back shared: the profile is keyed by node address,
-    /// and the cached tree is address-stable behind its `Arc`.
+    /// Execute a `SELECT` at `snap` — whole, or as a fleet shard's share:
+    /// with `part = (shards, cut)` the plan runs up to scatter cut number
+    /// `cut` over this node's `shards` ([`crate::partial::cuts`]) and the
+    /// cut's partial comes back. Also returns the plan that ran and its
+    /// per-operator row-count profile (for `EXPLAIN ANALYZE` / tracing); the
+    /// plan comes back shared, as the profile is keyed by node address and
+    /// the cached tree is address-stable behind its `Arc`.
     pub fn query_profiled(
         &self,
-        txn: TxnId,
+        snap: Snapshot,
         query: &Query,
+        part: Option<(&[ObjectName], usize)>,
     ) -> Result<(Rows, Arc<Plan>, PlanProfile)> {
         let profile = PlanProfile::default();
-        let (rows, plan) = self.run_query(txn, query, ExecMode::Vectorized, Some(&profile), None)?;
-        Ok((rows, plan, profile))
-    }
-
-    /// A fleet shard's share of `query`: the plan runs up to scatter cut
-    /// number `cut` over this node's `shards` ([`crate::partial::cuts`]) and
-    /// the cut's partial comes back, with the sub-plan that ran and its
-    /// per-operator profile.
-    pub fn query_partial(
-        &self,
-        txn: TxnId,
-        query: &Query,
-        shards: &[ObjectName],
-        cut: usize,
-    ) -> Result<(Rows, Arc<Plan>, PlanProfile)> {
-        let profile = PlanProfile::default();
-        let (rows, plan) =
-            self.run_query(txn, query, ExecMode::Vectorized, Some(&profile), Some((shards, cut)))?;
+        let (rows, plan) = self.run_query(snap, query, ExecMode::Vectorized, Some(&profile), part)?;
         Ok((rows, plan, profile))
     }
 
@@ -956,7 +919,7 @@ impl AccelEngine {
     /// hit and which pipeline ran, rendered from the lowering that ran.
     fn run_query(
         &self,
-        txn: TxnId,
+        snap: Snapshot,
         query: &Query,
         mode: ExecMode,
         profile: Option<&PlanProfile>,
@@ -980,7 +943,6 @@ impl AccelEngine {
             profile.set_cache_hit(hit);
             profile.set_pipeline(lowered.describe(&plan));
         }
-        let snap = self.snapshot_for(txn);
         let ctx = ExecCtx { engine: self, snap, mode, profile, low: &lowered };
         // A shard's cut at an aggregate ships its groups unfinished.
         let rows = match (shard, plan.as_ref()) {
@@ -1018,10 +980,10 @@ impl AccelEngine {
         Ok(n)
     }
 
-    /// `DELETE FROM table WHERE …` under `txn`.
+    /// `DELETE FROM table WHERE …` as `snap.me`, over the rows `snap` sees.
     pub fn delete_where(
         &self,
-        txn: TxnId,
+        snap: Snapshot,
         table: &ObjectName,
         filter: Option<&Expr>,
     ) -> Result<usize> {
@@ -1029,18 +991,18 @@ impl AccelEngine {
         self.ensure_not_quarantined(table)?;
         let t = self.table(table)?;
         // Only the positions are used: materialize no column.
-        let victims = self.matching_positions(&t, txn, filter, Some(vec![false; t.schema.len()]))?;
-        self.mark_all(&t, &victims, txn)?;
-        self.log_marks(txn, &t, &victims)?;
+        let victims = self.matching_positions(&t, snap, filter, Some(vec![false; t.schema.len()]))?;
+        self.mark_all(&t, &victims, snap.me)?;
+        self.log_marks(snap.me, &t, &victims)?;
         self.stats.rows_deleted.fetch_add(victims.len() as u64, Ordering::Relaxed);
         Ok(victims.len())
     }
 
-    /// `UPDATE table SET … WHERE …` under `txn`: delete-mark the old
-    /// versions and append new ones.
+    /// `UPDATE table SET … WHERE …` as `snap.me`, over the rows `snap`
+    /// sees: delete-mark the old versions and append new ones.
     pub fn update_where(
         &self,
-        txn: TxnId,
+        snap: Snapshot,
         table: &ObjectName,
         assignments: &[(String, Expr)],
         filter: Option<&Expr>,
@@ -1053,7 +1015,8 @@ impl AccelEngine {
             .iter()
             .map(|(col, e)| Ok((t.schema.index_of(col)?, bind(e, &resolver)?)))
             .collect::<Result<_>>()?;
-        let victims = self.matching_positions(&t, txn, filter, None)?;
+        let txn = snap.me;
+        let victims = self.matching_positions(&t, snap, filter, None)?;
         // Build all replacement rows first (any evaluation error aborts the
         // statement before any mark is placed).
         let mut replacements = Vec::with_capacity(victims.len());
@@ -1091,19 +1054,19 @@ impl AccelEngine {
         })
     }
 
-    /// Visible positions (and their rows) matching `filter` for `txn`, found
-    /// by the executor's scan front end. `needed` masks the columns the
-    /// caller reads of each victim row (`None` = all).
+    /// Positions (and their rows) visible to `snap` matching `filter`,
+    /// found by the executor's scan front end. `needed` masks the columns
+    /// the caller reads of each victim row (`None` = all).
     fn matching_positions(
         &self,
         t: &AccelTable,
-        txn: TxnId,
+        snap: Snapshot,
         filter: Option<&Expr>,
         needed: Option<Vec<bool>>,
     ) -> Result<Vec<(RowPos, Row)>> {
         let ctx = ExecCtx {
             engine: self,
-            snap: self.snapshot_for(txn),
+            snap,
             mode: ExecMode::Vectorized,
             profile: None,
             low: &Lowered::default(),
@@ -1129,9 +1092,15 @@ impl AccelEngine {
     // -- bulk / maintenance -------------------------------------------------------------
 
     /// Bulk load committed rows (table loads, analytics output, rebuilds,
-    /// catch-up copies) as transaction `txn`, which begins and commits
-    /// here. The caller draws the fresh id from DB2, like every other.
-    pub fn load_committed(&self, txn: TxnId, table: &ObjectName, rows: Vec<Row>) -> Result<usize> {
+    /// catch-up copies) as transaction `txn`, a fresh DB2 id, which begins
+    /// here and commits at `seq`, the DB2 commit LSN the rows reflect.
+    pub fn load_committed(
+        &self,
+        txn: TxnId,
+        table: &ObjectName,
+        rows: Vec<Row>,
+        seq: CommitSeq,
+    ) -> Result<usize> {
         self.ensure_up()?;
         self.ensure_not_quarantined(table)?;
         self.txns.begin(txn);
@@ -1140,8 +1109,7 @@ impl AccelEngine {
         // A crash here leaves the load transaction unprepared in the log;
         // restart aborts it, so a half-loaded batch is never visible.
         self.crash_point(sites::MID_BULK_LOAD)?;
-        let seq = self.txns.commit(txn);
-        self.log(LogRecord::Commit { txn, seq });
+        self.commit(txn, seq);
         Ok(n)
     }
 
@@ -1158,15 +1126,15 @@ impl AccelEngine {
         Ok(())
     }
 
-    /// Scan all rows visible to a fresh snapshot (diagnostics, tests,
-    /// baseline "extract" paths).
+    /// Scan every row this node has committed ([`Snapshot::latest`]):
+    /// diagnostics, tests, catch-up copies and the analytics reads.
     pub fn scan_visible(&self, table: &ObjectName) -> Result<Vec<Row>> {
         self.ensure_up()?;
         self.ensure_not_quarantined(table)?;
         let t = self.table(table)?;
         let ctx = ExecCtx {
             engine: self,
-            snap: self.txns.snapshot(0),
+            snap: Snapshot::latest(0),
             mode: ExecMode::Vectorized,
             profile: None,
             low: &Lowered::default(),
@@ -1175,25 +1143,30 @@ impl AccelEngine {
     }
 
     /// Groom one table: drop versions from aborted creators and versions
-    /// whose deleter committed. Returns versions reclaimed.
-    pub fn groom(&self, table: &ObjectName) -> Result<usize> {
+    /// whose deleter committed at or below `horizon`, DB2's oldest live
+    /// snapshot. Returns versions reclaimed.
+    pub fn groom(&self, table: &ObjectName, horizon: CommitSeq) -> Result<usize> {
         self.ensure_up()?;
         let t = self.table(table)?;
-        let n = t.groom(
-            |c| matches!(self.txns.status(c), TxnStatus::Aborted),
-            |d| matches!(self.txns.status(d), TxnStatus::Committed(_)),
-        )?;
+        let n = self.groom_versions(&t, horizon)?;
         if n > 0 {
-            self.log_data(LogRecord::Groom { table: t.name.clone() })?;
+            self.log_data(LogRecord::Groom { table: t.name.clone(), horizon })?;
         }
         self.stats.versions_groomed.fetch_add(n as u64, Ordering::Relaxed);
         Ok(n)
     }
 
-    /// Groom every table.
-    pub fn groom_all(&self) -> usize {
-        let names = self.table_names();
-        names.iter().map(|n| self.groom(n).unwrap_or(0)).sum()
+    /// Groom every table below `horizon`.
+    pub fn groom_all(&self, horizon: CommitSeq) -> usize {
+        self.table_names().iter().map(|n| self.groom(n, horizon).unwrap_or(0)).sum()
+    }
+
+    /// The versions GROOM reclaims below `horizon`, removed from `t`.
+    fn groom_versions(&self, t: &AccelTable, horizon: CommitSeq) -> Result<usize> {
+        t.groom(
+            |c| matches!(self.txns.status(c), TxnStatus::Aborted),
+            |d| matches!(self.txns.status(d), TxnStatus::Committed(seq) if seq <= horizon),
+        )
     }
 }
 
@@ -1242,7 +1215,7 @@ mod tests {
         let rows: Vec<Row> = (0..1000)
             .map(|i| row(i, if i % 2 == 0 { "A" } else { "B" }, i as f64))
             .collect();
-        e.load_committed(101, &ObjectName::bare("T"), rows).unwrap();
+        e.load_committed(101, &ObjectName::bare("T"), rows, 101).unwrap();
         let r = q(&e, 0, "SELECT grp, COUNT(*), AVG(val) FROM t GROUP BY grp ORDER BY grp").unwrap();
         assert_eq!(r.len(), 2);
         assert_eq!(r.rows[0][1], Value::BigInt(500));
@@ -1252,7 +1225,7 @@ mod tests {
     fn plan_cache_hits_repeated_statements_and_returns_identical_rows() {
         let e = engine();
         let rows: Vec<Row> = (0..100).map(|i| row(i, if i % 3 == 0 { "A" } else { "B" }, i as f64)).collect();
-        e.load_committed(101, &ObjectName::bare("T"), rows).unwrap();
+        e.load_committed(101, &ObjectName::bare("T"), rows, 101).unwrap();
         let sql = "SELECT grp, COUNT(*) FROM t WHERE grp = 'A' GROUP BY grp";
         let Statement::Query(query) = parse_statement(sql).unwrap() else { panic!() };
         let (p1, hit1) = e.plan_cached(&query).unwrap();
@@ -1271,7 +1244,7 @@ mod tests {
     #[test]
     fn plan_cache_survives_writes_and_replans_on_ddl_and_restart() {
         let e = engine();
-        e.load_committed(101, &ObjectName::bare("T"), vec![row(1, "A", 1.0)]).unwrap();
+        e.load_committed(101, &ObjectName::bare("T"), vec![row(1, "A", 1.0)], 101).unwrap();
         let Statement::Query(query) =
             parse_statement("SELECT COUNT(*) FROM t WHERE grp = 'A'").unwrap()
         else {
@@ -1280,12 +1253,12 @@ mod tests {
         assert!(!e.plan_cached(&query).unwrap().1);
         assert!(e.plan_cached(&query).unwrap().1);
         // Writes keep the plan: dictionary growth, GROOM and TRUNCATE.
-        e.load_committed(102, &ObjectName::bare("T"), vec![row(2, "NEW", 2.0)]).unwrap();
+        e.load_committed(102, &ObjectName::bare("T"), vec![row(2, "NEW", 2.0)], 102).unwrap();
         assert!(e.plan_cached(&query).unwrap().1, "dictionary growth keeps the plan");
         e.begin(9);
-        e.delete_where(9, &ObjectName::bare("T"), None).unwrap();
-        e.commit(9);
-        assert!(e.groom(&ObjectName::bare("T")).unwrap() > 0);
+        e.delete_where(Snapshot::latest(9), &ObjectName::bare("T"), None).unwrap();
+        e.commit(9, 9);
+        assert!(e.groom(&ObjectName::bare("T"), CommitSeq::MAX).unwrap() > 0);
         assert!(e.plan_cached(&query).unwrap().1, "GROOM keeps the plan");
         e.truncate(&ObjectName::bare("T")).unwrap();
         assert!(e.plan_cached(&query).unwrap().1, "TRUNCATE keeps the plan");
@@ -1304,7 +1277,7 @@ mod tests {
     #[test]
     fn plan_cache_hash_collision_replans_instead_of_serving_the_other_plan() {
         let e = engine();
-        e.load_committed(101, &ObjectName::bare("T"), vec![row(1, "A", 1.0), row(7, "B", 2.0)])
+        e.load_committed(101, &ObjectName::bare("T"), vec![row(1, "A", 1.0), row(7, "B", 2.0)], 101)
             .unwrap();
         let parse = |sql: &str| match parse_statement(sql).unwrap() {
             Statement::Query(q) => q,
@@ -1331,7 +1304,7 @@ mod tests {
     #[test]
     fn plan_cache_is_bounded_and_evicts_first_in_first_out() {
         let e = engine();
-        e.load_committed(101, &ObjectName::bare("T"), vec![row(1, "A", 1.0)]).unwrap();
+        e.load_committed(101, &ObjectName::bare("T"), vec![row(1, "A", 1.0)], 101).unwrap();
         let q = |i: usize| match parse_statement(&format!("SELECT id FROM t WHERE id = {i}")) {
             Ok(Statement::Query(q)) => q,
             _ => panic!(),
@@ -1354,22 +1327,24 @@ mod tests {
     #[test]
     fn own_transaction_sees_uncommitted_inserts() {
         let e = engine();
+        let count_at = |snap: Snapshot| {
+            let Statement::Query(query) = parse_statement("SELECT COUNT(*) FROM t").unwrap() else {
+                panic!()
+            };
+            e.query_at(snap, &query).unwrap().scalar().unwrap().clone()
+        };
         e.begin(5);
         e.insert_rows(5, &ObjectName::bare("T"), vec![row(1, "A", 1.0)]).unwrap();
-        let mine = q(&e, 5, "SELECT COUNT(*) FROM t").unwrap();
-        assert_eq!(mine.scalar().unwrap(), &Value::BigInt(1));
+        assert_eq!(count_at(Snapshot { seq: 0, me: 5 }), Value::BigInt(1));
         // A concurrent transaction does not.
-        e.begin(6);
-        let theirs = q(&e, 6, "SELECT COUNT(*) FROM t").unwrap();
-        assert_eq!(theirs.scalar().unwrap(), &Value::BigInt(0));
-        // After commit, a *new* transaction sees it; txn 6's snapshot stays.
+        let theirs = Snapshot { seq: 0, me: 6 };
+        assert_eq!(count_at(theirs), Value::BigInt(0));
+        // Txn 5 commits at DB2 LSN 1: txn 6's snapshot stays before it, a
+        // snapshot at 1 sees it.
         e.prepare(5).unwrap();
-        e.commit(5);
-        let still = q(&e, 6, "SELECT COUNT(*) FROM t").unwrap();
-        assert_eq!(still.scalar().unwrap(), &Value::BigInt(0), "txn-level snapshot isolation");
-        e.begin(7);
-        let fresh = q(&e, 7, "SELECT COUNT(*) FROM t").unwrap();
-        assert_eq!(fresh.scalar().unwrap(), &Value::BigInt(1));
+        e.commit(5, 1);
+        assert_eq!(count_at(theirs), Value::BigInt(0), "txn-level snapshot isolation");
+        assert_eq!(count_at(Snapshot { seq: 1, me: 7 }), Value::BigInt(1));
     }
 
     #[test]
@@ -1381,7 +1356,7 @@ mod tests {
         e.begin(2);
         assert_eq!(q(&e, 2, "SELECT COUNT(*) FROM t").unwrap().scalar().unwrap(), &Value::BigInt(0));
         // Groom reclaims the aborted version.
-        assert_eq!(e.groom_all(), 1);
+        assert_eq!(e.groom_all(CommitSeq::MAX), 1);
     }
 
     #[test]
@@ -1391,18 +1366,19 @@ mod tests {
             101,
             &ObjectName::bare("T"),
             vec![row(1, "A", 1.0), row(2, "A", 2.0), row(3, "B", 3.0)],
+            101,
         )
         .unwrap();
         e.begin(10);
         let n = e
-            .delete_where(10, &ObjectName::bare("T"), Some(&Expr::col("GRP").eq(Expr::str("A"))))
+            .delete_where(Snapshot::latest(10), &ObjectName::bare("T"), Some(&Expr::col("GRP").eq(Expr::str("A"))))
             .unwrap();
         assert_eq!(n, 2);
         assert_eq!(q(&e, 10, "SELECT COUNT(*) FROM t").unwrap().scalar().unwrap(), &Value::BigInt(1));
         // Update the remaining row (visible to self).
         let n = e
             .update_where(
-                10,
+                Snapshot::latest(10),
                 &ObjectName::bare("T"),
                 &[("VAL".into(), Expr::int(99))],
                 None,
@@ -1415,7 +1391,7 @@ mod tests {
         e.begin(11);
         assert_eq!(q(&e, 11, "SELECT COUNT(*) FROM t").unwrap().scalar().unwrap(), &Value::BigInt(3));
         e.prepare(10).unwrap();
-        e.commit(10);
+        e.commit(10, 10);
         e.begin(12);
         let r = q(&e, 12, "SELECT id, val FROM t").unwrap();
         assert_eq!(r.len(), 1);
@@ -1439,6 +1415,7 @@ mod tests {
             101,
             &ObjectName::bare("T"),
             vec![row(1, "A", 1.0), row(2, "A", 2.0), row(3, "B", 3.0)],
+            101,
         )
         .unwrap();
         e.begin(1);
@@ -1452,7 +1429,7 @@ mod tests {
         let n = e.insert_rows(1, &ObjectName::bare("T2"), rows).unwrap();
         assert_eq!(n, 2);
         e.prepare(1).unwrap();
-        e.commit(1);
+        e.commit(1, 1);
         e.begin(2);
         let r = q(&e, 2, "SELECT total FROM t2 ORDER BY grp").unwrap();
         assert_eq!(r.rows[0][0], Value::Double(3.0));
@@ -1461,20 +1438,20 @@ mod tests {
     #[test]
     fn write_write_conflict_rolls_back_statement_marks() {
         let e = engine();
-        e.load_committed(101, &ObjectName::bare("T"), vec![row(1, "A", 1.0), row(2, "A", 2.0)])
+        e.load_committed(101, &ObjectName::bare("T"), vec![row(1, "A", 1.0), row(2, "A", 2.0)], 101)
             .unwrap();
         e.begin(1);
         e.begin(2);
         // Txn 1 deletes row 2.
-        e.delete_where(1, &ObjectName::bare("T"), Some(&Expr::col("ID").eq(Expr::int(2))))
+        e.delete_where(Snapshot::latest(1), &ObjectName::bare("T"), Some(&Expr::col("ID").eq(Expr::int(2))))
             .unwrap();
         // Txn 2 tries to delete everything — conflicts on row 2, statement
         // fails atomically, leaving row 1 unmarked.
-        let r = e.delete_where(2, &ObjectName::bare("T"), None);
+        let r = e.delete_where(Snapshot::latest(2), &ObjectName::bare("T"), None);
         assert!(matches!(r, Err(Error::LockTimeout(_))));
         // Row 1 must still be deletable by txn 1 (marks were rolled back).
         let n = e
-            .delete_where(1, &ObjectName::bare("T"), Some(&Expr::col("ID").eq(Expr::int(1))))
+            .delete_where(Snapshot::latest(1), &ObjectName::bare("T"), Some(&Expr::col("ID").eq(Expr::int(1))))
             .unwrap();
         assert_eq!(n, 1);
     }
@@ -1486,7 +1463,7 @@ mod tests {
         e.create_table(&ObjectName::bare("T"), schema(), &[]).unwrap();
         // Two blocks worth of ordered ids: 0..4095 and 4096..8191.
         let rows: Vec<Row> = (0..8192).map(|i| row(i, "A", i as f64)).collect();
-        e.load_committed(101, &ObjectName::bare("T"), rows).unwrap();
+        e.load_committed(101, &ObjectName::bare("T"), rows, 101).unwrap();
         let before = e.stats.blocks_pruned.load(Ordering::Relaxed);
         let r = q(&e, 0, "SELECT COUNT(*) FROM t WHERE id < 100").unwrap();
         assert_eq!(r.scalar().unwrap(), &Value::BigInt(100));
@@ -1505,6 +1482,7 @@ mod tests {
             (0..300)
                 .map(|i| row(i, ["A", "B", "C"][(i % 3) as usize], i as f64))
                 .collect(),
+                101,
         )
         .unwrap();
         let r = q(&e, 0, "SELECT COUNT(*) FROM t WHERE grp = 'B'").unwrap();
@@ -1522,7 +1500,7 @@ mod tests {
             Value::Int(999),
             Value::Null,
             Value::Double(0.0),
-        ]])
+        ]], 102)
         .unwrap();
         let r = q(&e, 0, "SELECT COUNT(*) FROM t WHERE grp <> 'B'").unwrap();
         assert_eq!(r.scalar().unwrap(), &Value::BigInt(200), "NULL is neither equal nor unequal");
@@ -1531,7 +1509,7 @@ mod tests {
     #[test]
     fn truncate_empties_table() {
         let e = engine();
-        e.load_committed(101, &ObjectName::bare("T"), vec![row(1, "A", 1.0)]).unwrap();
+        e.load_committed(101, &ObjectName::bare("T"), vec![row(1, "A", 1.0)], 101).unwrap();
         e.truncate(&ObjectName::bare("T")).unwrap();
         assert_eq!(q(&e, 0, "SELECT COUNT(*) FROM t").unwrap().scalar().unwrap(), &Value::BigInt(0));
         assert_eq!(e.table(&ObjectName::bare("T")).unwrap().version_count(), 0);
@@ -1569,7 +1547,7 @@ mod tests {
     #[test]
     fn crash_without_restart_refuses_statements_with_904() {
         let e = engine();
-        e.load_committed(101, &ObjectName::bare("T"), vec![row(1, "A", 1.0)]).unwrap();
+        e.load_committed(101, &ObjectName::bare("T"), vec![row(1, "A", 1.0)], 101).unwrap();
         e.crash();
         assert!(e.is_crashed());
         let err = q(&e, 0, "SELECT COUNT(*) FROM t").unwrap_err();
@@ -1586,12 +1564,13 @@ mod tests {
             101,
             &ObjectName::bare("T"),
             (0..100).map(|i| row(i, "A", i as f64)).collect(),
+            101,
         )
         .unwrap();
         e.begin(5);
-        e.delete_where(5, &ObjectName::bare("T"), Some(&Expr::col("ID").eq(Expr::int(7)))).unwrap();
+        e.delete_where(Snapshot::latest(5), &ObjectName::bare("T"), Some(&Expr::col("ID").eq(Expr::int(7)))).unwrap();
         e.prepare(5).unwrap();
-        e.commit(5);
+        e.commit(5, 5);
         let fp_before = e.state_fingerprint();
         e.crash();
         let stats = e.restart().unwrap();
@@ -1609,17 +1588,18 @@ mod tests {
             101,
             &ObjectName::bare("T"),
             (0..50).map(|i| row(i, "A", i as f64)).collect(),
+            101,
         )
         .unwrap();
         e.checkpoint(Duration::from_millis(1)).unwrap();
         assert_eq!(e.durable().log_len(), 0, "checkpoint truncated the covered log");
         // Post-checkpoint tail: an update and a second load.
         e.begin(9);
-        e.update_where(9, &ObjectName::bare("T"), &[("VAL".into(), Expr::int(-1))], Some(&Expr::col("ID").eq(Expr::int(3))))
+        e.update_where(Snapshot::latest(9), &ObjectName::bare("T"), &[("VAL".into(), Expr::int(-1))], Some(&Expr::col("ID").eq(Expr::int(3))))
             .unwrap();
         e.prepare(9).unwrap();
-        e.commit(9);
-        e.load_committed(102, &ObjectName::bare("T"), vec![row(1000, "Z", 0.0)]).unwrap();
+        e.commit(9, 9);
+        e.load_committed(102, &ObjectName::bare("T"), vec![row(1000, "Z", 0.0)], 102).unwrap();
         let fp_before = e.state_fingerprint();
         e.crash();
         let stats = e.restart().unwrap();
@@ -1637,7 +1617,7 @@ mod tests {
     #[test]
     fn restart_aborts_in_flight_and_rematerializes_prepared() {
         let e = engine();
-        e.load_committed(101, &ObjectName::bare("T"), vec![row(1, "A", 1.0)]).unwrap();
+        e.load_committed(101, &ObjectName::bare("T"), vec![row(1, "A", 1.0)], 101).unwrap();
         // Txn 10: prepared (in-doubt) at crash time.
         e.begin(10);
         e.insert_rows(10, &ObjectName::bare("T"), vec![row(2, "B", 2.0)]).unwrap();
@@ -1652,8 +1632,8 @@ mod tests {
         assert_eq!(e.txns.status(10), TxnStatus::Prepared, "in-doubt survives the crash");
         assert_eq!(e.txns.status(11), TxnStatus::Aborted, "unprepared is rolled back");
         // The coordinator resolves the in-doubt transaction: commit it.
-        let seq = e.commit(10);
-        assert!(seq > 0);
+        e.commit(10, 102);
+        assert_eq!(e.txns.status(10), TxnStatus::Committed(102));
         assert_eq!(count(&e, 0), 2, "committed in-doubt insert visible, aborted one not");
         // A second restart replays the resolution too.
         e.crash();
@@ -1665,13 +1645,14 @@ mod tests {
     fn crash_point_mid_bulk_load_loses_no_committed_data() {
         use idaa_netsim::{sites, SitePlan};
         let e = engine();
-        e.load_committed(101, &ObjectName::bare("T"), vec![row(1, "A", 1.0)]).unwrap();
+        e.load_committed(101, &ObjectName::bare("T"), vec![row(1, "A", 1.0)], 101).unwrap();
         e.fault_registry().set_plan(SitePlan::at(sites::MID_BULK_LOAD, 1));
         let err = e
             .load_committed(
                 102,
                 &ObjectName::bare("T"),
                 (10..20).map(|i| row(i, "B", 0.0)).collect(),
+                102,
             )
             .unwrap_err();
         assert_eq!(err.sqlcode(), -904);
@@ -1679,7 +1660,7 @@ mod tests {
         e.restart().unwrap();
         assert_eq!(count(&e, 0), 1, "half-loaded batch rolled back, old data intact");
         // The interrupted load can simply be retried.
-        e.load_committed(103, &ObjectName::bare("T"), (10..20).map(|i| row(i, "B", 0.0)).collect())
+        e.load_committed(103, &ObjectName::bare("T"), (10..20).map(|i| row(i, "B", 0.0)).collect(), 103)
             .unwrap();
         assert_eq!(count(&e, 0), 11);
     }
@@ -1688,9 +1669,9 @@ mod tests {
     fn crash_point_mid_checkpoint_keeps_previous_checkpoint() {
         use idaa_netsim::{sites, SitePlan};
         let e = engine();
-        e.load_committed(101, &ObjectName::bare("T"), vec![row(1, "A", 1.0)]).unwrap();
+        e.load_committed(101, &ObjectName::bare("T"), vec![row(1, "A", 1.0)], 101).unwrap();
         e.checkpoint(Duration::from_millis(1)).unwrap();
-        e.load_committed(102, &ObjectName::bare("T"), vec![row(2, "B", 2.0)]).unwrap();
+        e.load_committed(102, &ObjectName::bare("T"), vec![row(2, "B", 2.0)], 102).unwrap();
         let fp_before = e.state_fingerprint();
         e.fault_registry().set_plan(SitePlan::at(sites::MID_CHECKPOINT, 1));
         assert_eq!(e.checkpoint(Duration::from_millis(2)).unwrap_err().sqlcode(), -904);
@@ -1704,13 +1685,13 @@ mod tests {
     #[test]
     fn maybe_checkpoint_follows_virtual_clock_interval() {
         let e = engine();
-        e.load_committed(101, &ObjectName::bare("T"), vec![row(1, "A", 1.0)]).unwrap();
+        e.load_committed(101, &ObjectName::bare("T"), vec![row(1, "A", 1.0)], 101).unwrap();
         let every = Duration::from_millis(10);
         assert!(!e.maybe_checkpoint(Duration::from_millis(5), every).unwrap());
         assert!(e.maybe_checkpoint(Duration::from_millis(10), every).unwrap());
         // Nothing new in the log: no checkpoint even past the interval.
         assert!(!e.maybe_checkpoint(Duration::from_millis(25), every).unwrap());
-        e.load_committed(102, &ObjectName::bare("T"), vec![row(2, "B", 2.0)]).unwrap();
+        e.load_committed(102, &ObjectName::bare("T"), vec![row(2, "B", 2.0)], 102).unwrap();
         assert!(!e.maybe_checkpoint(Duration::from_millis(15), every).unwrap(), "too soon");
         assert!(e.maybe_checkpoint(Duration::from_millis(20), every).unwrap());
     }
@@ -1719,7 +1700,7 @@ mod tests {
     fn quarantine_survives_checkpoint_and_restart() {
         let e = engine();
         let t = ObjectName::bare("T");
-        e.load_committed(101, &t, vec![row(1, "A", 1.0)]).unwrap();
+        e.load_committed(101, &t, vec![row(1, "A", 1.0)], 101).unwrap();
         e.quarantine_table(&t).unwrap();
         // The checkpoint covers the quarantine record, so the log tail
         // replayed on restart no longer holds it: only the image does.
@@ -1746,6 +1727,7 @@ mod tests {
             101,
             &ObjectName::bare("T"),
             (0..20).map(|i| row(i, "A", i as f64)).collect(),
+            101,
         )
         .unwrap();
         e.begin(1);
@@ -1754,10 +1736,10 @@ mod tests {
             op: idaa_sql::ast::BinaryOp::Lt,
             right: Box::new(Expr::int(5)),
         };
-        e.delete_where(1, &ObjectName::bare("T"), Some(&id_lt_5)).unwrap();
+        e.delete_where(Snapshot::latest(1), &ObjectName::bare("T"), Some(&id_lt_5)).unwrap();
         e.prepare(1).unwrap();
-        e.commit(1);
-        assert_eq!(e.groom_all(), 5);
+        e.commit(1, 1);
+        assert_eq!(e.groom_all(CommitSeq::MAX), 5);
         let fp = e.state_fingerprint();
         e.crash();
         e.restart().unwrap();
@@ -1772,16 +1754,19 @@ mod tests {
             101,
             &ObjectName::bare("T"),
             (0..100).map(|i| row(i, "A", i as f64)).collect(),
+            101,
         )
         .unwrap();
         e.begin(1);
-        e.delete_where(1, &ObjectName::bare("T"), Some(&Expr::col("ID").eq(Expr::int(5))))
+        e.delete_where(Snapshot::latest(1), &ObjectName::bare("T"), Some(&Expr::col("ID").eq(Expr::int(5))))
             .unwrap();
         // Before commit nothing can be groomed (deleter not committed).
-        assert_eq!(e.groom_all(), 0);
+        assert_eq!(e.groom_all(CommitSeq::MAX), 0);
         e.prepare(1).unwrap();
-        e.commit(1);
-        assert_eq!(e.groom_all(), 1);
+        e.commit(1, 102);
+        // A snapshot at 101 still reads the deleted version: kept.
+        assert_eq!(e.groom_all(101), 0);
+        assert_eq!(e.groom_all(102), 1);
         e.begin(2);
         assert_eq!(
             q(&e, 2, "SELECT COUNT(*) FROM t").unwrap().scalar().unwrap(),

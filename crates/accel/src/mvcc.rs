@@ -1,19 +1,18 @@
 //! Multi-version concurrency control for the accelerator.
 //!
-//! Netezza executed IDAA queries under snapshot isolation; the paper's AOT
-//! extension additionally requires the accelerator to be *aware of the DB2
-//! transaction context*: a transaction must see its own uncommitted
-//! changes, and concurrent statements of the same transaction must behave
-//! consistently. This module implements exactly that visibility rule:
+//! The paper's AOT extension requires the accelerator to be *aware of the
+//! DB2 transaction context*: a transaction sees its own uncommitted changes
+//! while concurrent queries run under snapshot isolation. The rule:
 //!
 //! > a row version is visible to snapshot S of transaction T iff
 //! >   (created by T) or (creator committed with sequence ≤ S)
 //! > and not
 //! >   (deleted by T) or (deleter committed with sequence ≤ S)
 //!
-//! Transaction ids are the *host's* ids — the accelerator enrolls in DB2
-//! transactions rather than running its own, which is what makes one-system
-//! semantics (and the 2PC in `idaa-core`) possible.
+//! DB2 is the one clock: transaction ids are DB2's, a commit's sequence is
+//! DB2's commit LSN ([`TxnRegistry::commit`]), and a snapshot is DB2's
+//! commit LSN at the reading transaction's first statement, which the
+//! caller passes with every read. The registry keeps no clock of its own.
 
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -21,7 +20,7 @@ use std::collections::HashMap;
 /// Host transaction id (0 is reserved for "never").
 pub type TxnId = u64;
 
-/// Monotonic commit sequence number.
+/// A commit sequence number: DB2's commit LSN.
 pub type CommitSeq = u64;
 
 /// Lifecycle of a transaction as known to the accelerator.
@@ -43,11 +42,18 @@ pub struct Snapshot {
     pub me: TxnId,
 }
 
+impl Snapshot {
+    /// Everything this node has committed, seen by `me`: the read point of
+    /// replication applies, copies and diagnostics.
+    pub fn latest(me: TxnId) -> Snapshot {
+        Snapshot { seq: CommitSeq::MAX, me }
+    }
+}
+
 /// Registry of transaction states, shared by all accelerator tables.
 #[derive(Debug, Default)]
 pub struct TxnRegistry {
     states: RwLock<HashMap<TxnId, TxnStatus>>,
-    next_seq: RwLock<CommitSeq>,
 }
 
 impl TxnRegistry {
@@ -62,30 +68,13 @@ impl TxnRegistry {
         self.states.write().insert(txn, TxnStatus::Prepared);
     }
 
-    /// Commit, assigning the next commit sequence. Returns the sequence.
-    ///
-    /// Idempotent: committing an already-committed transaction returns its
-    /// existing sequence without advancing the watermark — a redelivered
-    /// phase-2 COMMIT (normal after coordinator retries or a crash–restart
-    /// of the accelerator) must never re-order history.
-    pub fn commit(&self, txn: TxnId) -> CommitSeq {
-        let mut seq = self.next_seq.write();
+    /// Commit `txn` at DB2's commit LSN `seq` (log replay too). Idempotent:
+    /// a redelivered phase-2 COMMIT keeps the first sequence.
+    pub fn commit(&self, txn: TxnId, seq: CommitSeq) {
         let mut states = self.states.write();
-        if let Some(TxnStatus::Committed(existing)) = states.get(&txn) {
-            return *existing;
+        if !matches!(states.get(&txn), Some(TxnStatus::Committed(_))) {
+            states.insert(txn, TxnStatus::Committed(seq));
         }
-        *seq += 1;
-        states.insert(txn, TxnStatus::Committed(*seq));
-        *seq
-    }
-
-    /// Recovery replay: mark `txn` committed with the *original* sequence
-    /// from its log record, advancing the watermark as needed. Restoring
-    /// exact sequences reproduces snapshot visibility bit-for-bit.
-    pub fn commit_at(&self, txn: TxnId, at: CommitSeq) {
-        let mut seq = self.next_seq.write();
-        *seq = (*seq).max(at);
-        self.states.write().insert(txn, TxnStatus::Committed(at));
     }
 
     /// Abort.
@@ -96,22 +85,6 @@ impl TxnRegistry {
     /// Current status (unknown ids are treated as aborted — conservative).
     pub fn status(&self, txn: TxnId) -> TxnStatus {
         self.states.read().get(&txn).copied().unwrap_or(TxnStatus::Aborted)
-    }
-
-    /// A snapshot at the current commit watermark for `me`.
-    pub fn snapshot(&self, me: TxnId) -> Snapshot {
-        Snapshot { seq: *self.next_seq.read(), me }
-    }
-
-    /// Highest commit sequence assigned.
-    pub fn high_water(&self) -> CommitSeq {
-        *self.next_seq.read()
-    }
-
-    /// Is `txn` definitely finished (committed or aborted)? Used by groom
-    /// to decide which versions are reclaimable.
-    pub fn is_finished(&self, txn: TxnId) -> bool {
-        matches!(self.status(txn), TxnStatus::Committed(_) | TxnStatus::Aborted)
     }
 
     /// Transactions currently in the given status, sorted by id. Recovery
@@ -140,15 +113,13 @@ impl TxnRegistry {
     /// Drop all volatile state (a crash lost it).
     pub fn reset(&self) {
         self.states.write().clear();
-        *self.next_seq.write() = 0;
     }
 
-    /// Restore a checkpointed status map and commit watermark.
-    pub fn restore(&self, states: &[(TxnId, TxnStatus)], next_seq: CommitSeq) {
+    /// Restore a checkpointed status map.
+    pub fn restore(&self, states: &[(TxnId, TxnStatus)]) {
         let mut map = self.states.write();
         map.clear();
         map.extend(states.iter().copied());
-        *self.next_seq.write() = next_seq;
     }
 
     /// Resolve visibility for `snap` under one acquisition of the registry
@@ -231,32 +202,32 @@ mod tests {
         got
     }
 
+    /// Snapshot at DB2 commit LSN `seq` for `me`.
+    fn at(seq: CommitSeq, me: TxnId) -> Snapshot {
+        Snapshot { seq, me }
+    }
+
     #[test]
     fn own_uncommitted_writes_visible() {
         let reg = TxnRegistry::default();
         reg.begin(7);
-        let snap = reg.snapshot(7);
-        assert!(visible(&reg, 7, 0, &snap));
+        assert!(visible(&reg, 7, 0, &at(0, 7)));
         // Another transaction does not see them.
-        let other = reg.snapshot(8);
-        assert!(!visible(&reg, 7, 0, &other));
+        assert!(!visible(&reg, 7, 0, &at(0, 8)));
     }
 
     #[test]
     fn own_deletes_hide_rows() {
         let reg = TxnRegistry::default();
         reg.begin(1);
-        let c = reg.commit(1); // row created by committed txn 1
+        reg.commit(1, 1); // row created by committed txn 1
         reg.begin(2);
-        let snap2 = reg.snapshot(2);
-        assert!(visible(&reg, 1, 0, &snap2));
+        assert!(visible(&reg, 1, 0, &at(1, 2)));
         // Txn 2 deletes it: immediately invisible to itself…
-        assert!(!visible(&reg, 1, 2, &snap2));
+        assert!(!visible(&reg, 1, 2, &at(1, 2)));
         // …but still visible to a concurrent txn 3.
         reg.begin(3);
-        let snap3 = reg.snapshot(3);
-        assert!(visible(&reg, 1, 2, &snap3));
-        let _ = c;
+        assert!(visible(&reg, 1, 2, &at(1, 3)));
     }
 
     #[test]
@@ -264,11 +235,11 @@ mod tests {
         let reg = TxnRegistry::default();
         reg.begin(1);
         reg.begin(2);
-        let snap2 = reg.snapshot(2); // taken before txn 1 commits
-        reg.commit(1);
+        let snap2 = at(4, 2); // taken before txn 1 commits
+        reg.commit(1, 5);
         assert!(!visible(&reg, 1, 0, &snap2), "commit after snapshot is invisible");
-        let fresh = reg.snapshot(3);
-        assert!(visible(&reg, 1, 0, &fresh));
+        assert!(visible(&reg, 1, 0, &at(5, 3)));
+        assert!(visible(&reg, 1, 0, &Snapshot::latest(3)));
     }
 
     #[test]
@@ -276,11 +247,9 @@ mod tests {
         let reg = TxnRegistry::default();
         reg.begin(1);
         reg.prepare(1);
-        let snap = reg.snapshot(2);
-        assert!(!visible(&reg, 1, 0, &snap));
-        reg.commit(1);
-        let snap = reg.snapshot(2);
-        assert!(visible(&reg, 1, 0, &snap));
+        assert!(!visible(&reg, 1, 0, &Snapshot::latest(2)));
+        reg.commit(1, 3);
+        assert!(visible(&reg, 1, 0, &at(3, 2)));
     }
 
     #[test]
@@ -288,44 +257,37 @@ mod tests {
         let reg = TxnRegistry::default();
         reg.begin(1);
         reg.abort(1);
-        let snap = reg.snapshot(2);
-        assert!(!visible(&reg, 1, 0, &snap));
+        assert!(!visible(&reg, 1, 0, &Snapshot::latest(2)));
         // A delete by an aborted txn does not hide the row.
         reg.begin(3);
-        reg.commit(3);
-        let snap = reg.snapshot(4);
-        assert!(visible(&reg, 3, 1, &snap));
+        reg.commit(3, 1);
+        assert!(visible(&reg, 3, 1, &at(1, 4)));
     }
 
     #[test]
     fn unknown_txns_treated_as_aborted() {
         let reg = TxnRegistry::default();
-        let snap = reg.snapshot(1);
-        assert!(!visible(&reg, 999, 0, &snap));
+        assert!(!visible(&reg, 999, 0, &Snapshot::latest(1)));
     }
 
     #[test]
     fn commit_is_idempotent_and_replay_restores_sequences() {
         let reg = TxnRegistry::default();
         reg.begin(1);
-        let s1 = reg.commit(1);
-        assert_eq!(reg.commit(1), s1, "re-commit returns the original sequence");
-        assert_eq!(reg.high_water(), s1, "watermark did not advance twice");
-        // Replay restores exact sequences and the watermark follows.
-        let reg2 = TxnRegistry::default();
-        reg2.commit_at(9, 4);
-        reg2.commit_at(3, 2);
-        assert_eq!(reg2.high_water(), 4);
-        assert_eq!(reg2.status(9), TxnStatus::Committed(4));
-        assert_eq!(reg2.status(3), TxnStatus::Committed(2));
+        reg.commit(1, 4);
+        reg.commit(1, 9);
+        assert_eq!(reg.status(1), TxnStatus::Committed(4), "a re-commit keeps the first LSN");
+        // Replay commits out of id order, at the LSNs the records carry.
+        reg.commit(9, 6);
+        reg.commit(3, 2);
+        assert_eq!(reg.status(9), TxnStatus::Committed(6));
+        assert_eq!(reg.status(3), TxnStatus::Committed(2));
         // Restore from a checkpointed map.
-        let reg3 = TxnRegistry::default();
-        reg3.restore(&reg2.all_states(), reg2.high_water());
-        assert_eq!(reg3.all_states(), reg2.all_states());
-        assert_eq!(reg3.high_water(), 4);
-        reg3.reset();
-        assert_eq!(reg3.high_water(), 0);
-        assert!(reg3.all_states().is_empty());
+        let reg2 = TxnRegistry::default();
+        reg2.restore(&reg.all_states());
+        assert_eq!(reg2.all_states(), reg.all_states());
+        reg2.reset();
+        assert!(reg2.all_states().is_empty());
     }
 
     #[test]
@@ -341,19 +303,6 @@ mod tests {
         assert_eq!(reg.with_status(TxnStatus::Aborted), vec![5]);
     }
 
-    #[test]
-    fn commit_sequences_monotonic() {
-        let reg = TxnRegistry::default();
-        reg.begin(1);
-        reg.begin(2);
-        let s1 = reg.commit(1);
-        let s2 = reg.commit(2);
-        assert!(s2 > s1);
-        assert_eq!(reg.high_water(), s2);
-        assert!(reg.is_finished(1) && reg.is_finished(2));
-        reg.begin(3);
-        assert!(!reg.is_finished(3));
-    }
     /// Transaction ids 1..=9 go through a random history; 10 and 11 stay
     /// unknown to the registry.
     fn arb_history() -> impl Strategy<Value = Vec<(u8, u64)>> {
@@ -388,21 +337,24 @@ mod tests {
             versions in arb_versions(),
         ) {
             let reg = TxnRegistry::default();
-            let apply = |ops: &[(u8, u64)]| {
+            // DB2 numbers the commits 1, 2, … in history order.
+            let mut lsn = 0;
+            let mut apply = |ops: &[(u8, u64)]| {
                 for (op, txn) in ops {
                     match op {
                         0 => reg.begin(*txn),
                         1 => reg.prepare(*txn),
                         2 | 3 => {
-                            reg.commit(*txn);
+                            lsn += 1;
+                            reg.commit(*txn, lsn);
                         }
                         _ => reg.abort(*txn),
                     }
                 }
+                lsn
             };
             let (before, after) = history.split_at(cut.min(history.len()));
-            apply(before);
-            let snap = reg.snapshot(me);
+            let snap = Snapshot { seq: apply(before), me };
             apply(after);
             let mut view = reg.view(&snap);
             let got: Vec<bool> = versions.iter().map(|&(c, d)| view.visible(c, d)).collect();

@@ -272,10 +272,9 @@ fn e6_transaction_correctness(out: &mut Report) {
     check("no dirty reads across sessions", theirs.scalar().unwrap().render() == "0", &mut table);
     idaa.execute(&mut s, "COMMIT").unwrap();
 
-    // Snapshot stability inside a transaction.
+    // Snapshot stability inside a read-only transaction.
     let mut reader = idaa.session(SYSADM);
     idaa.execute(&mut reader, "BEGIN").unwrap();
-    idaa.execute(&mut reader, "INSERT INTO T VALUES (50)").unwrap(); // pin snapshot
     let before = idaa.query(&mut reader, "SELECT COUNT(*) FROM t").unwrap();
     idaa.execute(&mut s, "INSERT INTO T VALUES (2)").unwrap(); // concurrent commit
     let after = idaa.query(&mut reader, "SELECT COUNT(*) FROM t").unwrap();
@@ -507,8 +506,8 @@ fn e10_accelerator_ablation(out: &mut Report) {
         let rows: Vec<idaa_common::Row> = (0..ROWS)
             .map(|i| vec![idaa_common::Value::Int(i as i32), idaa_common::Value::Int((i % 997) as i32)])
             .collect();
-        let txn = idaa.host().txns.next_id();
-        idaa.accel().load_committed(txn, &idaa_common::ObjectName::bare("BIG"), rows).unwrap();
+        let (txn, lsn) = (idaa.host().txns.next_id(), idaa.host().txns.current_lsn());
+        idaa.accel().load_committed(txn, &idaa_common::ObjectName::bare("BIG"), rows, lsn).unwrap();
         (idaa, s)
     };
 
@@ -531,7 +530,7 @@ fn e10_accelerator_ablation(out: &mut Report) {
     idaa.execute(&mut s, "DELETE FROM BIG WHERE V < 500").unwrap();
     let full = "SELECT COUNT(*) FROM big";
     let (_, before, _) = measure(&idaa, || idaa.query(&mut s, full).unwrap());
-    let groomed = idaa.accel().groom_all();
+    let groomed = idaa.accel_groom_all();
     let (_, after, _) = measure(&idaa, || idaa.query(&mut s, full).unwrap());
     let mut t2 = Table::new(&["phase", "scan_ms", "versions_groomed"]);
     t2.row([det("after 50% delete"), before.ms(), det(0)]);

@@ -8,10 +8,11 @@
 //! accelerator reads through the fleet's read plan, and
 //! accelerator-only-table writes through its owner loop.
 
-use crate::fleet::AccelNode;
+use crate::fleet::{AccelNode, ReadPlan};
 use crate::idaa::{ExecOutcome, Idaa, Payload};
 use crate::router::{self, Route};
 use crate::session::Session;
+use idaa_accel::Snapshot;
 use idaa_common::trace::Trace;
 use idaa_common::{wire, Error, ObjectName, Result, Row, Rows, Value};
 use idaa_host::{Granted, TableKind, TxnId};
@@ -152,14 +153,14 @@ impl Idaa {
                 stmt,
                 (table, Privilege::Update),
                 |grant, txn| self.host.update_where(grant, txn, assignments, filter.as_ref()),
-                |node, txn, st| node.engine.update_where(txn, st, assignments, filter.as_ref()),
+                |node, snap, st| node.engine.update_where(snap, st, assignments, filter.as_ref()),
             ),
             Statement::Delete { table, filter } => self.dispatch_dml(
                 session,
                 stmt,
                 (table, Privilege::Delete),
                 |grant, txn| self.host.delete_where(grant, txn, filter.as_ref()),
-                |node, txn, st| node.engine.delete_where(txn, st, filter.as_ref()),
+                |node, snap, st| node.engine.delete_where(snap, st, filter.as_ref()),
             ),
         }
     }
@@ -172,7 +173,7 @@ impl Idaa {
         stmt: &Statement,
         (table, privilege): (&ObjectName, Privilege),
         on_host: impl FnOnce(&Granted, TxnId) -> Result<usize>,
-        on_node: impl Fn(&AccelNode, TxnId, &ObjectName) -> Result<usize>,
+        on_node: impl Fn(&AccelNode, Snapshot, &ObjectName) -> Result<usize>,
     ) -> Result<ExecOutcome> {
         let route = router::route_dml(&self.host, table)?;
         let table = table.resolve(&self.config.default_schema);
@@ -522,19 +523,22 @@ impl Idaa {
                     && self.fleet.shards == 1
                     && router::classify(&self.host, &src_tables)?.host_only == 0
                 {
+                    if !src_tables.is_empty() {
+                        self.read_ready(session, &ReadPlan::Whole, &src_tables)?;
+                    }
                     let sql = format!("INSERT INTO {target} {src_q}");
                     let n = self.aot_statement(
                         session,
                         &target,
                         sql.len() + wire::CONTROL_FRAME,
-                        |node, txn, st| {
-                            let result = node.engine.query(txn, src_q)?;
+                        |node, snap, st| {
+                            let result = node.engine.query_at(snap, src_q)?;
                             let rows: Vec<Row> = result
                                 .rows
                                 .into_iter()
                                 .map(|r| self.widen_row(&meta.schema, columns, r))
                                 .collect::<Result<_>>()?;
-                            node.engine.insert_rows(txn, st, rows)
+                            node.engine.insert_rows(snap.me, st, rows)
                         },
                     )?;
                     return Ok(ExecOutcome::accel(Payload::Count(n)));

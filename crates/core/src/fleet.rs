@@ -31,9 +31,9 @@ use crate::health::{HealthMonitor, HealthState, SeqTracker};
 use crate::idaa::{Idaa, IdaaConfig};
 use crate::replication::Replicator;
 use crate::session::Session;
-use idaa_accel::{cuts, AccelEngine, Cut, RestartStats};
+use idaa_accel::{cuts, AccelEngine, Cut, RestartStats, Snapshot};
 use idaa_common::{wire, Error, MetricsRegistry, ObjectName, Result, Row, Rows, Schema, Value};
-use idaa_host::{AccelStatus, Granted, HostEngine, TableKind, TableMeta, TxnId, SYSADM};
+use idaa_host::{AccelStatus, Granted, HostEngine, Lsn, TableKind, TableMeta, TxnId, SYSADM};
 use idaa_netsim::{sites, Direction, FaultRegistry, LinkConfig, LinkMetrics, NetLink, RetryPolicy};
 use idaa_sql::ast::{Query, TableRef};
 use idaa_sql::exec::{execute_plan, RowSource};
@@ -89,8 +89,8 @@ const REBALANCE_AFTER: Duration = Duration::from_millis(20);
 
 /// One accelerator node: the engine plus everything the coordinator tracks
 /// per peer — its metered link, seeded fault registry, health machine,
-/// epoch-fenced delivery tracker, replication stream, and queued phase-2
-/// commit decisions.
+/// epoch-fenced delivery tracker, replication stream, queued phase-2
+/// commit decisions and table copies.
 pub struct AccelNode {
     /// Position in the fleet (0-based; node 0 hosts the coordinator's clock).
     pub(crate) id: usize,
@@ -107,9 +107,11 @@ pub struct AccelNode {
     pub(crate) delivered: SeqTracker,
     /// Replication stream shipping committed host changes to this node.
     pub(crate) replicator: Mutex<Replicator>,
-    /// Phase-2 COMMIT decisions that could not be delivered; flushed on
-    /// reconnect.
-    pub(crate) pending_commits: Mutex<Vec<TxnId>>,
+    /// Phase-2 COMMIT decisions with their LSNs, queued until delivered.
+    pub(crate) pending_commits: Mutex<Vec<(TxnId, Lsn)>>,
+    /// The commit LSN of each table's latest copy here (a load, a rebuild
+    /// or a catch-up): no earlier snapshot reads the table on this node.
+    pub(crate) copies: Mutex<HashMap<ObjectName, Lsn>>,
     /// Stats from this node's most recent crash restart.
     pub(crate) last_restart: Mutex<Option<RestartStats>>,
     /// Set when the node's durable state failed validation beyond local
@@ -146,6 +148,7 @@ impl AccelNode {
             delivered: SeqTracker::default(),
             replicator: Mutex::new(Replicator::new(config.replication_batch, RetryPolicy::default())),
             pending_commits: Mutex::new(Vec::new()),
+            copies: Mutex::new(HashMap::new()),
             last_restart: Mutex::new(None),
             needs_rebuild: std::sync::atomic::AtomicBool::new(false),
             rebuilds: AtomicU64::new(0),
@@ -183,8 +186,8 @@ pub fn shard_table(table: &ObjectName, shard: usize, shards: usize) -> ObjectNam
     ObjectName { schema: table.schema.clone(), name: format!("{}__S{shard}", table.name) }
 }
 
-/// Coordinator-side fleet bookkeeping: current primaries, failover history,
-/// nodes awaiting catch-up, and per-transaction enlistment. Which tables are
+/// Coordinator-side fleet bookkeeping: current primaries, failover history
+/// and nodes awaiting catch-up. Which tables are
 /// sharded is not tracked here — the host catalog's
 /// `TableKind::AcceleratorOnly` is the one registry.
 pub(crate) struct FleetState {
@@ -194,7 +197,6 @@ pub(crate) struct FleetState {
     current_primary: Mutex<Vec<usize>>,
     failed_over_at: Mutex<Vec<Option<Duration>>>,
     catch_up: Mutex<BTreeSet<usize>>,
-    enlisted: Mutex<HashMap<TxnId, BTreeSet<usize>>>,
 }
 
 impl FleetState {
@@ -209,7 +211,6 @@ impl FleetState {
             current_primary: Mutex::new((0..shards).map(|s| s % accelerators).collect()),
             failed_over_at: Mutex::new(vec![None; shards]),
             catch_up: Mutex::new(BTreeSet::new()),
-            enlisted: Mutex::new(HashMap::new()),
         }
     }
 
@@ -248,19 +249,6 @@ impl FleetState {
 
     pub(crate) fn clear_catch_up(&self, node: usize) {
         self.catch_up.lock().remove(&node);
-    }
-
-    pub(crate) fn enlist(&self, txn: TxnId, node: usize) {
-        self.enlisted.lock().entry(txn).or_default().insert(node);
-    }
-
-    pub(crate) fn is_enlisted(&self, txn: TxnId, node: usize) -> bool {
-        self.enlisted.lock().get(&txn).is_some_and(|s| s.contains(&node))
-    }
-
-    /// Remove and return the nodes enlisted in `txn`, in ascending id order.
-    pub(crate) fn take_enlisted(&self, txn: TxnId) -> Vec<usize> {
-        self.enlisted.lock().remove(&txn).map(|s| s.into_iter().collect()).unwrap_or_default()
     }
 }
 
@@ -344,9 +332,8 @@ pub(crate) enum ReadPlan {
     /// statement ships as it is.
     Whole,
     /// These accelerator-only tables are split across shards: scatter,
-    /// gather, and merge at the coordinator; `at_commit` when it also reads
-    /// a replicated table.
-    Scatter { sharded: Vec<ObjectName>, at_commit: bool },
+    /// gather, and merge at the coordinator.
+    Scatter { sharded: Vec<ObjectName> },
 }
 
 impl Idaa {
@@ -521,33 +508,40 @@ impl Idaa {
     /// every table lives whole on the owners of shard 0 — as do replicated
     /// tables under any shard count.
     pub(crate) fn read_plan(&self, tables: &[ObjectName]) -> Result<ReadPlan> {
-        let (mut sharded, mut at_commit) = (Vec::new(), false);
+        let mut sharded = Vec::new();
         if self.fleet.shards > 1 {
             for t in tables {
-                match self.host.table_meta(t)?.kind {
-                    TableKind::AcceleratorOnly if !sharded.contains(t) => sharded.push(t.clone()),
-                    TableKind::AcceleratorOnly => {}
-                    TableKind::Regular => at_commit = true,
+                let aot = self.host.table_meta(t)?.kind == TableKind::AcceleratorOnly;
+                if aot && !sharded.contains(t) {
+                    sharded.push(t.clone());
                 }
             }
         }
-        Ok(if sharded.is_empty() { ReadPlan::Whole } else { ReadPlan::Scatter { sharded, at_commit } })
+        Ok(if sharded.is_empty() { ReadPlan::Whole } else { ReadPlan::Scatter { sharded } })
     }
 
-    /// Whether `node` may serve a shard of a read. The DB2 scans of a read
-    /// `at_commit` see DB2's latest commit, so a node whose stream has not
-    /// applied it is skipped like a down owner.
-    fn serves_at(&self, node: &AccelNode, at_commit: bool) -> Result<()> {
-        if at_commit && node.replicator.lock().last_applied() < self.host.txns.current_lsn() {
-            let who = node.engine.identity();
-            return Err(Error::ResourceUnavailable(format!("{who} lags DB2's last commit")));
+    /// Whether `node` holds every DB2 commit up to snapshot `seq` a read of
+    /// `tables` sees, else it is skipped like a down owner: once its queued
+    /// COMMIT decisions were redelivered, none up to `seq` may be left, its
+    /// replication watermark must reach `seq` when a table is replicated,
+    /// and no copy of a table may be newer.
+    fn serves(&self, node: &AccelNode, seq: Lsn, tables: &[ObjectName]) -> Result<()> {
+        self.flush_pending_commits_on(node);
+        let lags = node.replicator.lock().last_applied() < seq;
+        let behind = node.pending_commits.lock().iter().any(|&(_, lsn)| lsn <= seq)
+            || tables.iter().any(|t| {
+                lags && self.host.table_meta(t).is_ok_and(|m| m.kind == TableKind::Regular)
+                    || node.copies.lock().get(t).is_some_and(|&lsn| lsn > seq)
+            });
+        if !behind {
+            return Ok(());
         }
-        Ok(())
+        Err(Error::ResourceUnavailable(format!("{} lags the snapshot", node.engine.identity())))
     }
 
     /// Judge once, before the route event, whether the accelerator side can
-    /// serve `plan`: every shard it touches needs one ready owner (which
-    /// becomes the shard's primary if it was not).
+    /// serve `plan`: every shard it touches needs one ready owner that
+    /// [serves](Self::serves) it (which becomes the shard's primary).
     pub(crate) fn read_ready(
         &self,
         session: &mut Session,
@@ -555,16 +549,29 @@ impl Idaa {
         tables: &[ObjectName],
     ) -> Result<()> {
         self.maybe_rebalance();
-        let (shards, table, at_commit) = match plan {
-            ReadPlan::Whole => (1, &tables[0], false),
-            ReadPlan::Scatter { sharded, at_commit } => (self.fleet.shards, &sharded[0], *at_commit),
+        let seq = self.snapshot(session).seq;
+        let (shards, table) = match plan {
+            ReadPlan::Whole => (1, &tables[0]),
+            ReadPlan::Scatter { sharded } => (self.fleet.shards, &sharded[0]),
         };
-        // One catch-up round at most, so the serving nodes hold DB2's commit.
-        if at_commit && self.nodes.iter().any(|n| self.serves_at(n, true).is_err()) {
-            self.replicate_now()?;
+        let replicated =
+            |t: &ObjectName| self.host.table_meta(t).is_ok_and(|m| m.kind == TableKind::Regular);
+        let lags = |n: &Arc<AccelNode>| {
+            n.health.state() != HealthState::Offline && n.replicator.lock().last_applied() < seq
+        };
+        if tables.iter().any(replicated) {
+            // A scatter read's coordinator scans DB2 at its latest commit.
+            if shards > 1 && seq < self.host.txns.current_lsn() {
+                return Err(Error::ResourceUnavailable("the snapshot predates DB2's commit".into()));
+            }
+            // One catch-up round at most, so the nodes that can serve hold
+            // DB2's commits up to the snapshot.
+            if self.nodes.iter().any(lags) {
+                self.replicate_now()?;
+            }
         }
         for s in 0..shards {
-            self.read_on_owners(session, s, table, |node, _| self.serves_at(node, at_commit))?;
+            self.read_on_owners(session, s, table, |node, _| self.serves(node, seq, tables))?;
         }
         Ok(())
     }
@@ -579,14 +586,15 @@ impl Idaa {
         tables: &[ObjectName],
         read: &ReadPlan,
     ) -> Result<Rows> {
-        let (sharded, at_commit) = match read {
+        let sharded = match read {
             ReadPlan::Whole => {
                 let served = self.read_on_owners(session, 0, &tables[0], |node, s| {
+                    self.serves(node, self.snapshot(s).seq, tables)?;
                     self.query_on(node, s, q, None)
                 });
                 return served.map(|(rows, _)| rows);
             }
-            ReadPlan::Scatter { sharded, at_commit } => (sharded, *at_commit),
+            ReadPlan::Scatter { sharded } => sharded,
         };
         let schema = &self.config.default_schema;
         let cuts = cuts(plan, &|t: &ObjectName| sharded.contains(&t.resolve(schema)));
@@ -599,7 +607,7 @@ impl Idaa {
             let merges: Vec<&str> = cuts.iter().map(|c| c.merge.name()).collect();
             trace.attr(id, "merge", merges.join(","));
         }
-        let gathered = self.gather_partials(session, q, &cuts, (sharded, at_commit));
+        let gathered = self.gather_partials(session, q, &cuts, (sharded, tables));
         let result = gathered.and_then(|gathered| execute_plan(plan, &gathered));
         if let Some(id) = span {
             if let Err(e) = &result {
@@ -618,7 +626,7 @@ impl Idaa {
         session: &mut Session,
         q: &Query,
         cuts: &[Cut<'a>],
-        scatter: (&[ObjectName], bool),
+        scatter: (&[ObjectName], &[ObjectName]),
     ) -> Result<Gathered<'a>> {
         let schema = &self.config.default_schema;
         let mut merged: Vec<(&Plan, Vec<Row>)> = Vec::with_capacity(cuts.len());
@@ -645,7 +653,7 @@ impl Idaa {
         &self,
         session: &mut Session,
         q: &Query,
-        (sharded, at_commit): (&[ObjectName], bool),
+        (sharded, read): (&[ObjectName], &[ObjectName]),
         cut: usize,
         table: &ObjectName,
         shard: usize,
@@ -660,7 +668,7 @@ impl Idaa {
             trace.attr(id, "shard", shard);
         }
         let result = self.read_on_owners(session, shard, table, |node, s| {
-            self.serves_at(node, at_commit)?;
+            self.serves(node, self.snapshot(s).seq, read)?;
             if let Err(e) = node.engine.crash_point(sites::MID_SCATTER) {
                 self.fleet.mark_catch_up(node.id);
                 return Err(e);
@@ -680,10 +688,10 @@ impl Idaa {
         result.map(|(rows, _)| rows.rows)
     }
 
-    /// Ship `q` to `node`, execute it there — whole, or up to the scatter
-    /// cut that `part` numbers over the node's shard tables — profiling the
-    /// plan that ran into "op" spans whenever tracing is on, and pay for the
-    /// result's trip back as an encoded wire frame.
+    /// Ship `q` to `node`, execute it there at the session's snapshot —
+    /// whole, or up to the scatter cut `part` numbers over the node's shard
+    /// tables — profiling the plan into "op" spans whenever tracing is on,
+    /// and pay for the result's trip back as an encoded wire frame.
     fn query_on(
         &self,
         node: &AccelNode,
@@ -691,15 +699,14 @@ impl Idaa {
         q: &Query,
         part: Option<(&[ObjectName], usize)>,
     ) -> Result<Rows> {
-        let txn = self.node_query_txn(session, node);
+        let snap = self.snapshot(session);
         let trace = session.trace.clone();
         let request = q.to_string().len() + wire::CONTROL_FRAME;
         self.exchange_rows(node, session, request, || {
-            let (rows, plan, profile) = match part {
-                Some((shards, cut)) => node.engine.query_partial(txn, q, shards, cut)?,
-                None if trace.is_enabled() => node.engine.query_profiled(txn, q)?,
-                None => return node.engine.query(txn, q),
-            };
+            if part.is_none() && !trace.is_enabled() {
+                return node.engine.query_at(snap, q);
+            }
+            let (rows, plan, profile) = node.engine.query_profiled(snap, q, part)?;
             if trace.is_enabled() {
                 self.emit_plan_spans(&trace, &plan, &profile, node.link.now());
             }
@@ -834,14 +841,14 @@ impl Idaa {
     }
 
     /// A statement-shipped AOT write (UPDATE, DELETE, INSERT…SELECT
-    /// pushdown): `op` runs against each shard's physical table on every
-    /// live owner, and only the statement text and an ack cross each link.
+    /// pushdown): `op` runs at the session's snapshot on each shard's table
+    /// on every live owner; only the statement text and an ack cross.
     pub(crate) fn aot_statement(
         &self,
         session: &mut Session,
         table: &ObjectName,
         request_bytes: usize,
-        op: impl Fn(&AccelNode, TxnId, &ObjectName) -> Result<usize>,
+        op: impl Fn(&AccelNode, Snapshot, &ObjectName) -> Result<usize>,
     ) -> Result<usize> {
         self.maybe_rebalance();
         let (mut total, mut missed) = (0usize, BTreeSet::new());
@@ -849,8 +856,9 @@ impl Idaa {
             let st = shard_table(table, s, self.fleet.shards);
             let owners = self.fleet.owners(s);
             total += self.write_on_owners(session, s, table, owners, &mut missed, |node, sess| {
-                let txn = self.enlist_node(sess, node)?;
-                self.exchange_control(node, sess, request_bytes, || op(node, txn, &st))
+                self.enlist_node(sess, node)?;
+                let snap = self.snapshot(sess);
+                self.exchange_control(node, sess, request_bytes, || op(node, snap, &st))
             })?;
         }
         Ok(total)
@@ -902,8 +910,8 @@ impl Idaa {
     /// session's user, holding `rows` that were computed on the accelerator
     /// (an analytics result). Replacing an existing table takes `replace`,
     /// the token to drop it. Every owner of every shard gets its shard
-    /// table and one `CREATE_OUTPUT_FRAME`, then commits its rows and
-    /// answers with one `ACK_FRAME`; the rows themselves cross no link.
+    /// table and one `CREATE_OUTPUT_FRAME`, then commits its rows at the
+    /// current LSN and answers with one `ACK_FRAME`; no row crosses a link.
     pub fn write_output_aot(
         &self,
         session: &mut Session,
@@ -927,6 +935,7 @@ impl Idaa {
         self.host.create_table(&session.user, &name, schema.clone(), aot, vec![])?;
         let meta = self.host.table_meta(&name)?;
         self.maybe_rebalance();
+        let lsn = self.host.txns.current_lsn();
         let write = || -> Result<()> {
             let shards = self.split_by_shard(&meta, rows, true)?;
             // Every owner holds its (empty) shard table before any row lands,
@@ -946,7 +955,7 @@ impl Idaa {
                 let owners = self.fleet.owners(s);
                 self.write_on_owners(session, s, &name, owners, &mut missed, |node, _| {
                     let txn = self.host.txns.next_id();
-                    let n = node.engine.load_committed(txn, &st, shard_rows.clone())?;
+                    let n = node.engine.load_committed(txn, &st, shard_rows.clone(), lsn)?;
                     self.ship_on(node, Direction::ToHost, wire::ACK_FRAME)?;
                     Ok(n)
                 })?;
@@ -1034,12 +1043,13 @@ impl Idaa {
             self.abort_load(txn, joined)?;
             return Err(e);
         }
-        self.host.commit(txn);
+        let lsn = self.decide(txn, &committing);
         for &i in joined.intersection(missed) {
             self.nodes[i].engine.abort(txn);
         }
         for &i in &committing {
-            self.nodes[i].engine.commit(txn);
+            self.nodes[i].engine.commit(txn, lsn);
+            self.nodes[i].pending_commits.lock().retain(|&(t, _)| t != txn);
         }
         for &i in &committing {
             let node = &self.nodes[i];

@@ -289,12 +289,6 @@ impl Idaa {
         *self.node0().last_restart.lock()
     }
 
-    /// Messages discarded because they carried a pre-crash recovery
-    /// epoch (diagnostics).
-    pub fn statements_fenced(&self) -> u64 {
-        self.metrics.counter("exchange.fenced")
-    }
-
     /// COMMIT decisions queued for redelivery (phase-2 message lost).
     pub fn pending_accel_commits(&self) -> usize {
         self.node0().pending_commits.lock().len()
@@ -390,31 +384,22 @@ impl Idaa {
         Ok(())
     }
 
-    /// Groom every table on every fleet node; returns blocks reclaimed.
+    /// Groom every table on every fleet node below DB2's oldest live
+    /// snapshot; returns versions reclaimed.
     pub fn accel_groom_all(&self) -> usize {
-        self.nodes.iter().map(|n| n.engine.groom_all()).sum()
+        let horizon = self.host.txns.oldest_live();
+        self.nodes.iter().map(|n| n.engine.groom_all(horizon)).sum()
     }
 
     /// Groom one table across the fleet. Errors only when no node holds
     /// the table (on a single node this is the table's own groom error).
     pub fn accel_groom(&self, table: &ObjectName) -> Result<usize> {
-        let mut total = 0usize;
-        let mut hit = false;
-        let mut last_err = None;
-        for node in &self.nodes {
-            match node.engine.groom(table) {
-                Ok(n) => {
-                    total += n;
-                    hit = true;
-                }
-                Err(e) => last_err = Some(e),
-            }
+        let horizon = self.host.txns.oldest_live();
+        let groomed: Vec<_> = self.nodes.iter().map(|n| n.engine.groom(table, horizon)).collect();
+        if groomed.iter().any(Result::is_ok) {
+            return Ok(groomed.into_iter().flatten().sum());
         }
-        match (hit, last_err) {
-            (true, _) => Ok(total),
-            (false, Some(e)) => Err(e),
-            (false, None) => Ok(0),
-        }
+        groomed.into_iter().last().unwrap_or(Ok(0))
     }
 
     /// Snapshot-load an accelerated table (ACCEL_LOAD_TABLES body): copy
@@ -443,7 +428,8 @@ impl Idaa {
 
     /// Copy the accelerated DB2 table `meta` to `nodes`, replacing their rows
     /// when `reload`: one locked DB2 read under the first node's load
-    /// transaction, then per node one frame, a committed load and an ack.
+    /// transaction, then per node one frame, a load at the read's LSN and an
+    /// ack.
     pub(crate) fn copy_replica(
         &self,
         meta: &idaa_host::TableMeta,
@@ -452,14 +438,15 @@ impl Idaa {
     ) -> Result<usize> {
         let txns: Vec<_> = nodes.iter().map(|_| self.host.txns.next_id()).collect();
         let Some(&first) = txns.first() else { return Ok(0) };
-        let rows = self.host.read_table(first, &meta.name)?;
+        let (rows, lsn) = self.host.read_table_at(first, &meta.name)?;
         let mut n = 0;
         for (node, txn) in nodes.iter().zip(txns) {
             let delivered = self.ship_rows_on(node, Direction::ToAccel, &meta.schema, &rows)?;
             if reload {
                 node.engine.truncate(&meta.name)?;
             }
-            n = node.engine.load_committed(txn, &meta.name, delivered)?;
+            n = node.engine.load_committed(txn, &meta.name, delivered, lsn)?;
+            node.copies.lock().insert(meta.name.clone(), lsn);
             self.ship_on(node, Direction::ToHost, wire::ACK_FRAME)?;
         }
         Ok(n)
@@ -600,6 +587,8 @@ impl Idaa {
         } else {
             None
         };
+        // The unit of work's snapshot: taken here at its first statement.
+        self.snapshot(session);
         let result = self.dispatch(session, stmt);
         match &result {
             Ok(_) => {
@@ -617,8 +606,8 @@ impl Idaa {
             }
             Err(_) => {
                 // Statement-level atomicity in autocommit mode: roll the
-                // implicit transaction back.
-                if !session.explicit_txn && session.txn.is_some() {
+                // implicit transaction back, ending its snapshot.
+                if !session.explicit_txn {
                     self.rollback_session(session)?;
                 }
             }

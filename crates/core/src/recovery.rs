@@ -191,7 +191,7 @@ impl Idaa {
         {
             let pending = node.pending_commits.lock();
             for txn in node.engine.in_doubt() {
-                if !pending.contains(&txn) {
+                if !pending.iter().any(|&(t, _)| t == txn) {
                     node.engine.abort(txn);
                 }
             }
@@ -261,8 +261,6 @@ impl Idaa {
                     }
                 }
             }
-            // The snapshots above already contain every committed change:
-            // replaying the backlog would double-apply it.
             node.replicator.lock().fast_forward(self.host.txns.current_lsn());
             Ok(())
         };
@@ -313,10 +311,11 @@ impl Idaa {
     }
 
     /// Copy every shard a lagging node owns from a live replica, metering
-    /// both legs of the transfer. The node stays flagged until a full pass
-    /// succeeds: a flagged node that finds no up-to-date owner to copy some
-    /// shard from stays flagged and fails the pass (-904), so it never
-    /// serves rows it may have missed. A pass that copied nothing is not
+    /// both legs of the transfer, and commit the copy at DB2's current LSN
+    /// (so a source must hold every COMMIT decision). The node stays flagged
+    /// until a full pass succeeds: a flagged node that finds no up-to-date
+    /// owner to copy some shard from stays flagged and fails the pass
+    /// (-904), so it never serves rows it may have missed. A pass that copied nothing is not
     /// counted.
     pub(crate) fn catch_up_node(&self, node: &AccelNode) -> Result<()> {
         let shards = self.fleet.shards;
@@ -333,9 +332,12 @@ impl Idaa {
                     continue;
                 }
                 let Some(src_id) = owners.iter().copied().find(|&o| {
+                    let src = &self.nodes[o];
+                    self.flush_pending_commits_on(src);
                     o != node.id
-                        && !self.nodes[o].engine.is_crashed()
+                        && !src.engine.is_crashed()
                         && !self.fleet.needs_catch_up(o)
+                        && src.pending_commits.lock().is_empty()
                 }) else {
                     // A sole owner has no one to lag behind.
                     if owners.len() > 1 {
@@ -345,6 +347,7 @@ impl Idaa {
                 };
                 let src = self.nodes[src_id].clone();
                 let st = shard_table(&meta.name, s, shards);
+                let lsn = self.host.txns.current_lsn();
                 let rows = src.engine.scan_visible(&st)?;
                 let mut delivered: Vec<Row> = Vec::with_capacity(rows.len());
                 let mut bytes = 0u64;
@@ -355,7 +358,8 @@ impl Idaa {
                     delivered.extend(wire::decode_rows(&frame, &meta.schema)?);
                 }
                 node.engine.truncate(&st)?;
-                node.engine.load_committed(self.host.txns.next_id(), &st, delivered)?;
+                node.engine.load_committed(self.host.txns.next_id(), &st, delivered, lsn)?;
+                node.copies.lock().insert(meta.name.clone(), lsn);
                 self.metrics.inc("fleet.catch_up.bytes", bytes);
                 copied = true;
             }

@@ -7,26 +7,28 @@
 //!
 //! The unit is DB2's own, a whole commit. A batch is the whole commits that
 //! fit in `batch_size` changes (at least one); it ships as messages of at
-//! most `batch_size` changes, applies under one accelerator transaction
-//! once all of them arrived, and gets one ack. So a replica always holds a
-//! prefix of DB2's commits, never part of one.
+//! most `batch_size` changes and gets one ack. Once all of them arrived,
+//! each commit applies as one accelerator transaction at its own DB2 commit
+//! LSN. So a replica always holds a prefix of DB2's commits, never part of
+//! one.
 //!
 //! The watermark advances only to the end of an acknowledged batch, so a
 //! link fault leaves the rest queued in the host log for the next round; a
-//! redelivered batch applies only the changes above the accelerator's last
-//! applied commit. Every committed change applies exactly once however often
-//! the link drops (experiment E14, `tests/chaos.rs`).
+//! full round moves it to DB2's current LSN. A redelivered batch applies only
+//! the commits above the accelerator's last applied commit. Every committed
+//! change applies exactly once however often the link drops (experiment
+//! E14, `tests/chaos.rs`).
 
-use idaa_accel::AccelEngine;
+use idaa_accel::{AccelEngine, Snapshot};
 use idaa_common::{wire, Error, ObjectName, Result, Row};
-use idaa_host::{AccelStatus, ChangeOp, ChangeRecord, HostEngine, Lsn};
+use idaa_host::{AccelStatus, ChangeOp, ChangeRecord, HostEngine, Lsn, TxnId};
 use idaa_netsim::{sites, Direction, NetLink, RetryPolicy};
 use idaa_sql::ast::{BinaryOp, Expr};
 use std::collections::VecDeque;
 
 /// Replication applier state.
 pub struct Replicator {
-    /// Host-side watermark: the end of the last acknowledged commit.
+    /// Host-side watermark: every DB2 commit up to it is acknowledged.
     last_applied: Lsn,
     /// Accelerator-side durable record of the last applied commit —
     /// redelivered changes at or below it are discarded.
@@ -52,7 +54,7 @@ impl Replicator {
         }
     }
 
-    /// The end of the last commit the accelerator acknowledged.
+    /// The LSN up to which the accelerator acknowledged every DB2 commit.
     pub fn last_applied(&self) -> Lsn {
         self.last_applied
     }
@@ -62,10 +64,9 @@ impl Replicator {
         self.stalled
     }
 
-    /// Jump both watermarks forward to `lsn`. Used after a storage rebuild
-    /// re-ships a full snapshot of every replicated table: the snapshot
-    /// already contains every change at or below `lsn`, so replaying the
-    /// backlog would double-apply it. Never moves a watermark backwards.
+    /// Jump both watermarks forward to `lsn` (never backwards), after a
+    /// storage rebuild re-shipped every replicated table as of `lsn`:
+    /// replaying the backlog would double-apply it.
     pub fn fast_forward(&mut self, lsn: Lsn) {
         self.last_applied = self.last_applied.max(lsn);
         self.accel_applied = self.accel_applied.max(lsn);
@@ -88,8 +89,10 @@ impl Replicator {
         link: &NetLink,
     ) -> Result<usize> {
         self.stalled = false;
+        // Every commit up to `through` is in `all` or changed nothing.
+        let through = host.txns.current_lsn();
         let all = host.txns.changes_since(self.last_applied);
-        let Some(end) = all.last().map(|c| c.commit_lsn) else { return Ok(0) };
+        let through = all.last().map_or(through, |c| through.max(c.commit_lsn));
         let mut changes = Vec::with_capacity(all.len());
         for c in all {
             if host.table_meta(&c.table)?.accel_status == AccelStatus::Loaded {
@@ -108,10 +111,8 @@ impl Replicator {
             }
             rest = more;
         }
-        self.last_applied = end;
-        self.accel_applied = self.accel_applied.max(end);
-        // The caller truncates the log, at the minimum watermark of every
-        // node's stream: a lagging (or crashed) node must find its backlog.
+        self.last_applied = through;
+        self.accel_applied = self.accel_applied.max(through);
         Ok(applied)
     }
 
@@ -156,23 +157,23 @@ impl Replicator {
                 }
             }
         }
-        // A batch at or below the accelerator's applied commit landed in an
-        // earlier round whose ack was lost; it is acknowledged again only.
-        let fresh = if end > self.accel_applied {
-            // One accelerator transaction per batch, numbered by DB2.
-            let txn = host.txns.next_id();
-            accel.begin(txn);
-            match apply_batch(accel, txn, batch, &mut delivered, self.accel_applied) {
+        // A commit at or below the accelerator's applied commit landed in an
+        // earlier round whose ack was lost; it only consumes its images.
+        let (mut fresh, mut first) = (0, true);
+        for commit in batch.chunk_by(|a, b| a.commit_lsn == b.commit_lsn) {
+            let lsn = commit[0].commit_lsn;
+            let txn = (lsn > self.accel_applied).then(|| host.txns.next_id());
+            match apply_commit(accel, txn, commit, &mut delivered, first && txn.is_some()) {
                 // A crash site fired mid-apply: like a link fault, the batch
-                // went unacknowledged and re-applies after recovery, whose
-                // presumed-abort pass rolls this transaction back.
-                Err(Error::ResourceUnavailable(_)) => return Ok((0, false)),
-                applied => applied?,
+                // went unacknowledged, and its uncommitted rest re-applies
+                // after recovery, whose presumed-abort pass rolls this
+                // transaction back.
+                Err(Error::ResourceUnavailable(_)) => return Ok((fresh, false)),
+                applied => fresh += applied?,
             }
-        } else {
-            0
-        };
-        self.accel_applied = self.accel_applied.max(end);
+            first &= txn.is_none();
+            self.accel_applied = self.accel_applied.max(lsn);
+        }
         // Only an acknowledged batch may advance the watermark.
         let acked = self.retry.transfer(link, Direction::ToHost, wire::ACK_FRAME).is_ok();
         if acked {
@@ -192,22 +193,26 @@ fn batch_len(changes: &[ChangeRecord], max: usize) -> usize {
     }
 }
 
-/// Apply one batch under transaction `txn`, consuming the decoded images in
-/// `delivered` in change order; a change at or below `watermark` (redelivered
-/// after a lost ack) consumes its images only. Returns the changes applied.
-///
-/// A crash at the `MID_REPL_APPLY` site, before the first change, or at
+/// Apply one DB2 commit as transaction `txn`, committed at its LSN,
+/// consuming its decoded images in `delivered` in change order; without a
+/// `txn` (redelivered after a lost ack) it consumes the images only.
+/// Returns the changes applied. The batch's `first` fresh commit consults
+/// the `MID_REPL_APPLY` crash site once it began; a crash there or at
 /// `prepare`'s `POST_PREPARE` surfaces as `ResourceUnavailable`.
-fn apply_batch(
+fn apply_commit(
     accel: &AccelEngine,
-    txn: u64,
-    batch: &[ChangeRecord],
+    txn: Option<TxnId>,
+    commit: &[ChangeRecord],
     delivered: &mut [(ObjectName, VecDeque<Row>)],
-    watermark: Lsn,
+    first: bool,
 ) -> Result<usize> {
-    accel.crash_point(sites::MID_REPL_APPLY)?;
-    let mut fresh = 0;
-    for change in batch {
+    if let Some(txn) = txn {
+        accel.begin(txn);
+        if first {
+            accel.crash_point(sites::MID_REPL_APPLY)?;
+        }
+    }
+    for change in commit {
         let table = &change.table;
         let mut image = || {
             let queue = delivered.iter_mut().find(|(t, _)| t == table);
@@ -215,33 +220,32 @@ fn apply_batch(
                 Error::internal(format!("the replication frames for {table} ran short"))
             })
         };
-        let stale = change.lsn <= watermark;
         match &change.op {
             ChangeOp::Insert(_) => {
                 let row = image()?;
-                if !stale {
+                if let Some(txn) = txn {
                     accel.insert_rows(txn, table, vec![row])?;
                 }
             }
             ChangeOp::Delete(_) => {
                 let row = image()?;
-                if !stale {
+                if let Some(txn) = txn {
                     delete_exact(accel, txn, table, &row)?;
                 }
             }
             ChangeOp::Update { .. } => {
                 let (old, new) = (image()?, image()?);
-                if !stale {
+                if let Some(txn) = txn {
                     delete_exact(accel, txn, table, &old)?;
                     accel.insert_rows(txn, table, vec![new])?;
                 }
             }
         }
-        fresh += usize::from(!stale);
     }
+    let Some(txn) = txn else { return Ok(0) };
     accel.prepare(txn)?;
-    accel.commit(txn);
-    Ok(fresh)
+    accel.commit(txn, commit[0].commit_lsn);
+    Ok(commit.len())
 }
 
 /// Delete exactly one accelerator row matching the full image `row`.
@@ -271,7 +275,7 @@ fn delete_exact(
         });
     }
     // Duplicates of a full row: delete every match, re-insert the surplus.
-    let n = accel.delete_where(txn, table, filter.as_ref())?;
+    let n = accel.delete_where(Snapshot::latest(txn), table, filter.as_ref())?;
     if n > 1 {
         let surplus = vec![row.clone(); n - 1];
         accel.insert_rows(txn, table, surplus)?;

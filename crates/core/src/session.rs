@@ -16,8 +16,9 @@
 //! monotonically across the failover.
 
 use idaa_common::trace::Trace;
-use idaa_host::TxnId;
+use idaa_host::{Lsn, TxnId};
 use idaa_sql::AccelerationMode;
+use std::collections::BTreeSet;
 
 /// One application connection to the federated system.
 #[derive(Debug)]
@@ -32,6 +33,10 @@ pub struct Session {
     pub acceleration: AccelerationMode,
     /// Open explicit transaction, if any.
     pub txn: Option<TxnId>,
+    /// The open unit of work's snapshot, which its accelerator work runs at.
+    pub snapshot: Option<Lsn>,
+    /// The accelerator nodes enlisted in the open transaction.
+    pub enlisted: BTreeSet<usize>,
     /// True while inside `BEGIN … COMMIT` (suppresses autocommit).
     pub explicit_txn: bool,
     /// Query-lifecycle tracer. Sessions opened via `Idaa::session` get an
@@ -49,6 +54,8 @@ impl Session {
             user: user.to_uppercase(),
             acceleration: AccelerationMode::None,
             txn: None,
+            snapshot: None,
+            enlisted: BTreeSet::new(),
             explicit_txn: false,
             trace: Trace::disabled(),
             seq: 0,
@@ -71,7 +78,7 @@ mod tests {
         let s = Session::new(1, "alice");
         assert_eq!(s.user, "ALICE");
         assert_eq!(s.acceleration, AccelerationMode::None);
-        assert!(s.txn.is_none());
+        assert!(s.txn.is_none() && s.snapshot.is_none());
         assert!(!s.explicit_txn);
     }
 }

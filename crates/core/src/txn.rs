@@ -1,41 +1,39 @@
-//! Transactions: enlistment of accelerator nodes in a DB2 transaction,
-//! commit (local, or two-phase across every enlisted node), and rollback.
+//! Transactions: the session's snapshot, enlistment of accelerator nodes in
+//! a DB2 transaction, commit (local, or two-phase across every enlisted
+//! node), and rollback.
 //!
-//! DB2 is the coordinator. A node joins a transaction with a BEGIN message
-//! the first time a statement writes to it ([`Idaa::enlist_node`]); commit
-//! runs PREPARE / vote / decision per participant, resolves a lost vote by
-//! one status inquiry, and queues a phase-2 decision that cannot be
-//! delivered until the next replication round or recovery probe.
+//! DB2 is the coordinator and the one clock. A unit of work (a transaction,
+//! or a statement outside one) reads at one snapshot on every node: DB2's
+//! commit LSN at its first statement ([`Idaa::snapshot`]). A node joins a
+//! transaction with a BEGIN message when a statement first writes to it
+//! ([`Idaa::enlist_node`]). Commit runs PREPARE / vote / decision per
+//! participant and resolves a lost vote by one status inquiry; DB2 numbers
+//! the decision with its commit LSN, which the phase-2 COMMIT frame carries.
+//! Each decision is queued before the LSN is published and dequeued once
+//! delivered, so a lost one waits for the next replication round, read or
+//! recovery probe, and no snapshot past the commit reads the node without
+//! it.
 
 use crate::fleet::AccelNode;
 use crate::idaa::Idaa;
 use crate::session::Session;
+use idaa_accel::Snapshot;
 use idaa_common::trace::Trace;
 use idaa_common::{wire, Error, Result};
-use idaa_host::TxnId;
+use idaa_host::{Lsn, TxnId};
 use idaa_netsim::{sites, Direction};
 use std::sync::atomic::Ordering;
 
 impl Idaa {
     pub(crate) fn ensure_txn(&self, session: &mut Session) -> TxnId {
-        match session.txn {
-            Some(t) => t,
-            None => {
-                let t = self.host.begin();
-                session.txn = Some(t);
-                t
-            }
-        }
+        *session.txn.get_or_insert_with(|| self.host.begin())
     }
 
-    /// Transaction id for a read on one fleet node: the session's
-    /// transaction when that node is enlisted in it (own-writes
-    /// visibility), else 0 (fresh snapshot).
-    pub(crate) fn node_query_txn(&self, session: &Session, node: &AccelNode) -> TxnId {
-        match session.txn {
-            Some(t) if self.fleet.is_enlisted(t, node.id) => t,
-            _ => 0,
-        }
+    /// The session's snapshot, seen by its transaction: taken at the unit of
+    /// work's first statement, kept until it ends.
+    pub(crate) fn snapshot(&self, session: &mut Session) -> Snapshot {
+        let seq = *session.snapshot.get_or_insert_with(|| self.host.txns.pin_snapshot());
+        Snapshot { seq, me: session.txn.unwrap_or(0) }
     }
 
     /// Enlist one fleet node in the session's transaction (starting one if
@@ -45,11 +43,11 @@ impl Idaa {
     pub(crate) fn enlist_node(&self, session: &mut Session, node: &AccelNode) -> Result<TxnId> {
         let trace = session.trace.clone();
         let txn = self.ensure_txn(session);
-        if !self.fleet.is_enlisted(txn, node.id) {
+        if !session.enlisted.contains(&node.id) {
             // BEGIN message
             self.ship_traced_on(node, &trace, Direction::ToAccel, "control", wire::CONTROL_FRAME)?;
             node.engine.begin(txn);
-            self.fleet.enlist(txn, node.id);
+            session.enlisted.insert(node.id);
         }
         Ok(txn)
     }
@@ -58,14 +56,11 @@ impl Idaa {
     /// participated, run two-phase commit: PREPARE on every participant,
     /// COMMIT on DB2 (the coordinator), COMMIT on every participant.
     pub fn commit_session(&self, session: &mut Session) -> Result<()> {
+        session.snapshot.take().into_iter().for_each(|lsn| self.host.txns.release_snapshot(lsn));
         let Some(txn) = session.txn.take() else { return Ok(()) };
         let trace = session.trace.clone();
-        let span = if trace.is_enabled() {
-            Some(trace.begin("commit", self.link().now()))
-        } else {
-            None
-        };
-        let enlisted = self.fleet.take_enlisted(txn);
+        let span = trace.is_enabled().then(|| trace.begin("commit", self.link().now()));
+        let enlisted: Vec<usize> = std::mem::take(&mut session.enlisted).into_iter().collect();
         if let Some(id) = span {
             trace.attr(id, "kind", if enlisted.is_empty() { "local" } else { "2pc" });
         }
@@ -117,7 +112,8 @@ impl Idaa {
 
     /// Two-phase commit across the enlisted nodes `ids`, hardened against a
     /// stopped accelerator and link-level message loss at every step: all
-    /// prepare, all vote, one host decision, then per-node phase-2 delivery.
+    /// prepare, all vote, one host decision, then per-node phase-2 delivery
+    /// of the decision's LSN.
     fn commit_two_phase(&self, trace: &Trace, txn: TxnId, ids: &[usize]) -> Result<()> {
         // Roll back on every participant and report why.
         let abort_all = |why: Error| -> Result<()> {
@@ -198,30 +194,39 @@ impl Idaa {
             }
         }
         // Phase 2: the decision is durable once the coordinator commits.
-        self.host.commit(txn);
+        let lsn = self.decide(txn, ids);
         for &i in ids {
             let node = &self.nodes[i];
             if node.engine.is_crashed() || ship(i, Direction::ToAccel).is_err() {
-                // The COMMIT decision is queued and redelivered on the next
-                // replication round or recovery probe; the participant holds
-                // the transaction prepared (durably — a crash re-materializes
-                // it from the log) until the decision arrives.
-                node.pending_commits.lock().push(txn);
+                // The decision stays queued for the next replication round,
+                // read or recovery probe; the participant holds the txn
+                // prepared (durably: a crash re-materializes it) until then.
                 self.metrics.inc("twopc.decisions_queued", 1);
             } else {
-                node.engine.commit(txn);
+                node.engine.commit(txn, lsn);
+                node.pending_commits.lock().retain(|&(t, _)| t != txn);
             }
         }
         Ok(())
     }
 
+    /// DB2 commits `txn`, queueing each of `ids`' decisions before a snapshot sees its LSN.
+    pub(crate) fn decide(&self, txn: TxnId, ids: &[usize]) -> Lsn {
+        self.host.commit_with(txn, |lsn| {
+            for &i in ids {
+                self.nodes[i].pending_commits.lock().push((txn, lsn));
+            }
+        })
+    }
+
     /// Roll the session's transaction back on every participant.
     pub fn rollback_session(&self, session: &mut Session) -> Result<()> {
+        session.snapshot.take().into_iter().for_each(|lsn| self.host.txns.release_snapshot(lsn));
         let Some(txn) = session.txn.take() else { return Ok(()) };
         // Best-effort abort message per enlisted node — each participant
         // presumes abort for unresolved transactions on reconnect, so a
         // lost message cannot leave one committed.
-        for i in self.fleet.take_enlisted(txn) {
+        for i in std::mem::take(&mut session.enlisted) {
             let node = &self.nodes[i];
             let _ = self.ship_on(node, Direction::ToAccel, wire::CONTROL_FRAME);
             node.engine.abort(txn);
@@ -240,12 +245,12 @@ impl Idaa {
             return;
         }
         let mut pending = node.pending_commits.lock();
-        pending.retain(|&txn| {
+        pending.retain(|&(txn, lsn)| {
             // Through ship_on(), like every federation message, so
             // redelivery outcomes feed the health monitor; a failure keeps
             // the decision queued for the next round.
             if self.ship_on(node, Direction::ToAccel, wire::CONTROL_FRAME).is_ok() {
-                node.engine.commit(txn);
+                node.engine.commit(txn, lsn);
                 false
             } else {
                 true

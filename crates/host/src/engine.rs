@@ -10,7 +10,7 @@ use crate::index::BTreeIndex;
 use crate::lock::{LockManager, LockMode};
 use crate::privilege::{Granted, PrivilegeCatalog};
 use crate::storage::{HeapTable, Rid};
-use crate::txn::{ChangeOp, TxnId, TxnManager, UndoRecord};
+use crate::txn::{ChangeOp, Lsn, TxnId, TxnManager, UndoRecord};
 use idaa_common::{Error, ObjectName, Result, Row, Rows, Schema, Value};
 use idaa_sql::ast::{BinaryOp, Expr, Query};
 use idaa_sql::eval::{bind, eval, eval_predicate, FlatResolver};
@@ -86,10 +86,16 @@ impl HostEngine {
         self.txns.begin()
     }
 
-    /// Commit: publish CDC records and release all locks.
-    pub fn commit(&self, txn: TxnId) {
-        self.txns.commit(txn);
+    /// Commit: publish CDC records, release all locks, return the LSN.
+    pub fn commit(&self, txn: TxnId) -> Lsn {
+        self.commit_with(txn, |_| ())
+    }
+
+    /// [`commit`](Self::commit), running `decided` ([`TxnManager::commit`]).
+    pub fn commit_with(&self, txn: TxnId, decided: impl FnOnce(Lsn)) -> Lsn {
+        let lsn = self.txns.commit(txn, decided);
         self.locks.release_all(txn);
+        lsn
     }
 
     /// Roll back: apply the undo log in reverse, then release locks.
@@ -425,10 +431,15 @@ impl HostEngine {
     /// the read: another transaction's uncommitted change makes it wait and
     /// fail -913, `txn`'s own are visible. The one way DB2 rows leave DB2.
     pub fn read_table(&self, txn: TxnId, table: &ObjectName) -> Result<Vec<Row>> {
+        self.read_table_at(txn, table).map(|(rows, _)| rows)
+    }
+
+    /// [`read_table`](Self::read_table) and the commit LSN the rows reflect.
+    pub fn read_table_at(&self, txn: TxnId, table: &ObjectName) -> Result<(Vec<Row>, Lsn)> {
         self.locks.lock(txn, &self.resolve(table), LockMode::Shared)?;
-        let rows = self.heap_rows(table);
+        let read = self.heap_rows(table).map(|rows| (rows, self.txns.current_lsn()));
         self.locks.release_shared(txn);
-        rows
+        read
     }
 
     /// Every row in `table`'s heap, read under a lock the caller holds.

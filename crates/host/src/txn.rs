@@ -53,14 +53,16 @@ pub struct TxnState {
     pub pending_changes: Vec<(ObjectName, ChangeOp)>,
 }
 
-/// Transaction manager: id assignment, per-transaction state, and the
-/// committed change log.
+/// Transaction manager: id assignment, per-transaction state, the committed
+/// change log, and the system's one clock, the commit LSN.
 #[derive(Debug, Default)]
 pub struct TxnManager {
     next_id: AtomicU64,
     next_lsn: AtomicU64,
     active: Mutex<HashMap<TxnId, TxnState>>,
     committed_log: Mutex<Vec<ChangeRecord>>,
+    /// The LSN of every live snapshot, once per holder.
+    snapshots: Mutex<Vec<Lsn>>,
 }
 
 impl TxnManager {
@@ -94,18 +96,22 @@ impl TxnManager {
         }
     }
 
-    /// Commit: moves pending changes into the committed log and drops the
-    /// undo log. The commit's LSNs are assigned in one step under the log
-    /// lock, so a reader of the log sees all of a commit or none of it.
-    pub fn commit(&self, txn: TxnId) {
-        let Some(state) = self.active.lock().remove(&txn) else { return };
+    /// Commit: move pending changes into the committed log, drop the undo
+    /// log, and return the commit's LSN — one per change, at least one. The
+    /// LSNs are assigned under the log lock, which snapshots take too: a log
+    /// reader sees all of a commit or none, and a snapshot past it sees what
+    /// `decided` did with the LSN.
+    pub fn commit(&self, txn: TxnId, decided: impl FnOnce(Lsn)) -> Lsn {
+        let state = self.active.lock().remove(&txn).unwrap_or_default();
         let mut log = self.committed_log.lock();
-        let n = state.pending_changes.len() as Lsn;
+        let n = (state.pending_changes.len() as Lsn).max(1);
         let first = self.next_lsn.fetch_add(n, Ordering::Relaxed) + 1;
         let commit_lsn = first + n - 1;
         for (lsn, (table, op)) in (first..).zip(state.pending_changes) {
             log.push(ChangeRecord { lsn, commit_lsn, table, op });
         }
+        decided(commit_lsn);
+        commit_lsn
     }
 
     /// Abort: remove the transaction and hand back its undo log (newest
@@ -123,17 +129,33 @@ impl TxnManager {
     /// Committed changes with `lsn > after`, in LSN order — the replication
     /// applier's read interface.
     pub fn changes_since(&self, after: Lsn) -> Vec<ChangeRecord> {
-        self.committed_log
-            .lock()
-            .iter()
-            .filter(|c| c.lsn > after)
-            .cloned()
-            .collect()
+        self.committed_log.lock().iter().filter(|c| c.lsn > after).cloned().collect()
     }
 
     /// Highest LSN assigned so far.
     pub fn current_lsn(&self) -> Lsn {
         self.next_lsn.load(Ordering::Relaxed)
+    }
+
+    /// Take a snapshot at the current LSN, live until released.
+    pub fn pin_snapshot(&self) -> Lsn {
+        let _log = self.committed_log.lock();
+        let lsn = self.current_lsn();
+        self.snapshots.lock().push(lsn);
+        lsn
+    }
+
+    /// Release one hold of the snapshot at `lsn`.
+    pub fn release_snapshot(&self, lsn: Lsn) {
+        let mut live = self.snapshots.lock();
+        if let Some(i) = live.iter().position(|&l| l == lsn) {
+            live.swap_remove(i);
+        }
+    }
+
+    /// The oldest live snapshot, else the current LSN: GROOM's horizon.
+    pub fn oldest_live(&self) -> Lsn {
+        self.snapshots.lock().iter().copied().min().unwrap_or_else(|| self.current_lsn())
     }
 
     /// Drop committed log entries with `lsn <= up_to` (log truncation once
@@ -179,7 +201,7 @@ mod tests {
             UndoRecord::Insert { table: t("T"), rid: Rid::new(0, 1), row: row(2) },
             Some((t("T"), ChangeOp::Insert(row(2)))),
         );
-        tm.commit(x);
+        tm.commit(x, |_| ());
         let committed = tm.changes_since(0);
         assert_eq!(committed.len(), 2);
         assert!(committed[0].lsn < committed[1].lsn);
@@ -217,11 +239,34 @@ mod tests {
             UndoRecord::Insert { table: t("T"), rid: Rid::new(0, 0), row: row(1) },
             Some((t("T"), ChangeOp::Insert(row(1)))),
         );
-        tm.commit(x);
+        tm.commit(x, |_| ());
         let lsn = tm.changes_since(0)[0].lsn;
         tm.truncate_log(lsn);
         assert!(tm.changes_since(0).is_empty());
         assert_eq!(tm.current_lsn(), lsn);
+    }
+
+    #[test]
+    fn every_commit_takes_an_lsn_and_snapshots_hold_the_horizon() {
+        let tm = TxnManager::default();
+        let x = tm.begin();
+        let mut seen = None;
+        assert_eq!(tm.commit(x, |lsn| seen = Some(lsn)), 1, "a commit without changes");
+        assert_eq!(seen, Some(1));
+        assert!(tm.changes_since(0).is_empty());
+        assert_eq!(tm.oldest_live(), 1, "no snapshot live: the current LSN");
+        let (a, b) = (tm.pin_snapshot(), tm.pin_snapshot());
+        assert_eq!((a, b), (1, 1));
+        assert_eq!(tm.commit(tm.begin(), |_| ()), 2);
+        let c = tm.pin_snapshot();
+        assert_eq!((c, tm.oldest_live()), (2, 1));
+        tm.release_snapshot(a);
+        assert_eq!(tm.oldest_live(), 1, "one hold of LSN 1 is left");
+        tm.release_snapshot(b);
+        assert_eq!(tm.oldest_live(), 2);
+        tm.release_snapshot(c);
+        assert_eq!(tm.commit(tm.begin(), |_| ()), 3);
+        assert_eq!(tm.oldest_live(), 3);
     }
 
     #[test]
@@ -239,8 +284,8 @@ mod tests {
             UndoRecord::Insert { table: t("T"), rid: Rid::new(0, 1), row: row(2) },
             Some((t("T"), ChangeOp::Insert(row(2)))),
         );
-        tm.commit(b);
-        tm.commit(a);
+        tm.commit(b, |_| ());
+        tm.commit(a, |_| ());
         let log = tm.changes_since(0);
         assert_eq!(log[0].op, ChangeOp::Insert(row(1)), "commit order decides replication order");
         assert!(log[0].lsn < log[1].lsn);

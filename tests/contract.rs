@@ -166,6 +166,10 @@ fn deleted_names_stay_deleted() {
     // rows leave DB2 only through its locked read), and the counters of the
     // replication chunks that cut a commit apart (a batch is whole commits).
     let replication: &[&str] = &["scan_all", "batches_shipped", "batches_redelivered"];
+    // Each node's own commit counter and per-transaction snapshot map, and
+    // the special cases they needed: DB2's commit LSN numbers every commit,
+    // and a transaction reads at its one snapshot on every node.
+    let clock: &[&str] = &["snapshot_for", "commit_at", "node_query_txn", "at_commit"];
     let everywhere = &["crates", "src", "tests"][..];
     for (names, dirs) in [
         (executor, &["crates/accel/src"][..]),
@@ -178,6 +182,7 @@ fn deleted_names_stay_deleted() {
         (governance, everywhere),
         (host_query, &["crates/host/src"][..]),
         (replication, everywhere),
+        (clock, everywhere),
     ] {
         for (path, text) in dirs.iter().flat_map(|d| sources(d)) {
             if path.ends_with("tests/contract.rs") {

@@ -412,7 +412,7 @@ proptest! {
         for zone_maps in [true, false] {
             let engine = AccelEngine::new("APP", AccelConfig { slices: 2, zone_maps, parallel: false, parallelism: 0 });
             engine.create_table(&ObjectName::bare("T"), schema.clone(), &[]).unwrap();
-            engine.load_committed(1, &ObjectName::bare("T"), data.clone()).unwrap();
+            engine.load_committed(1, &ObjectName::bare("T"), data.clone(), 1).unwrap();
             let Statement::Query(q) = parse_statement(
                 &format!("SELECT COUNT(*), SUM(b) FROM t WHERE a < {threshold}")
             ).unwrap() else { unreachable!() };
@@ -593,7 +593,7 @@ proptest! {
             let engine = AccelEngine::new("APP", config);
             for (txn, name, rows) in [(1, "T", &data), (2, "BIG", &big)] {
                 engine.create_table(&ObjectName::bare(name), schema.clone(), &[]).unwrap();
-                engine.load_committed(txn, &ObjectName::bare(name), rows.clone()).unwrap();
+                engine.load_committed(txn, &ObjectName::bare(name), rows.clone(), txn).unwrap();
             }
             let queries = [
                 "SELECT x.a, y.b FROM {t} AS x INNER JOIN {t} AS y ON x.a = y.a WHERE y.b < 20",
@@ -689,7 +689,7 @@ proptest! {
         );
         for (txn, name, rows) in [(1, "T", data), (2, "BIG", big)] {
             engine.create_table(&ObjectName::bare(name), schema.clone(), &[]).unwrap();
-            engine.load_committed(txn, &ObjectName::bare(name), rows).unwrap();
+            engine.load_committed(txn, &ObjectName::bare(name), rows, txn).unwrap();
         }
         let both_modes = |q: &str| -> (Vec<idaa::Row>, Vec<idaa::Row>) {
             let Statement::Query(parsed) = parse_statement(q).unwrap() else { unreachable!() };
@@ -864,12 +864,12 @@ fn sink_tables(
         Value::BigInt(*v),
         d.map_or(Value::Null, |d| Value::Double(d as f64 * 0.1)),
         if *g == 4 { Value::Null } else { Value::Varchar(["ab ", "cd", "n2", "n1"][*g].into()) },
-    ]).collect()).unwrap();
+    ]).collect(), 1001).unwrap();
     engine.load_committed(1002, &ObjectName::bare("DIM"), dim.iter().map(|(k, n, w)| vec![
         k.map_or(Value::Null, Value::BigInt),
         Value::Varchar(names[*n].into()),
         Value::BigInt(*w),
-    ]).collect()).unwrap();
+    ]).collect(), 1002).unwrap();
 }
 
 /// `(ordered, query)`: every sink — rows, aggregate (dense and hashed group
@@ -998,8 +998,8 @@ proptest! {
             let Statement::Query(q) = parse_statement(sql).unwrap() else { unreachable!() };
             q.filter.unwrap()
         };
-        engine.delete_where(8, &ObjectName::bare("FACT"), Some(&parse_filter("SELECT 1 FROM fact WHERE v < 10"))).unwrap();
-        engine.delete_where(8, &ObjectName::bare("DIM"), Some(&parse_filter("SELECT 1 FROM dim WHERE w = 0"))).unwrap();
+        engine.delete_where(idaa::accel::Snapshot::latest(8), &ObjectName::bare("FACT"), Some(&parse_filter("SELECT 1 FROM fact WHERE v < 10"))).unwrap();
+        engine.delete_where(idaa::accel::Snapshot::latest(8), &ObjectName::bare("DIM"), Some(&parse_filter("SELECT 1 FROM dim WHERE w = 0"))).unwrap();
         for txn in [7u64, 8, 9] {
             for (ordered, sql) in SINK_QUERIES {
                 check(txn, *ordered, sql);
@@ -1019,21 +1019,21 @@ proptest! {
         engine.load_committed(1003, &ObjectName::bare("FACT"), vec![
             vec![Value::BigInt(1), Value::BigInt(60), Value::Double(1.5), Value::Varchar("zz".into())],
             vec![Value::BigInt(45), Value::BigInt(61), Value::Double(2.5), Value::Varchar("new".into())],
-        ]).unwrap();
+        ], 1003).unwrap();
         engine.load_committed(1004, &ObjectName::bare("DIM"), vec![
             vec![Value::BigInt(45), Value::Varchar("new".into()), Value::BigInt(3)],
-        ]).unwrap();
+        ], 1004).unwrap();
         for (ordered, sql) in SINK_QUERIES {
             check(0, *ordered, sql);
         }
         prop_assert!(check(0, false, joins) >= 1, "the grown dictionary's 'new' key must join");
         engine.begin(10);
-        engine.delete_where(10, &ObjectName::bare("FACT"), Some(&parse_filter("SELECT 1 FROM fact WHERE v > 40"))).unwrap();
-        engine.commit(10);
-        engine.groom(&ObjectName::bare("FACT")).unwrap();
+        engine.delete_where(idaa::accel::Snapshot::latest(10), &ObjectName::bare("FACT"), Some(&parse_filter("SELECT 1 FROM fact WHERE v > 40"))).unwrap();
+        engine.commit(10, 10);
+        engine.groom(&ObjectName::bare("FACT"), u64::MAX).unwrap();
         let dim_rows = engine.scan_visible(&ObjectName::bare("DIM")).unwrap();
         engine.truncate(&ObjectName::bare("DIM")).unwrap();
-        engine.load_committed(1005, &ObjectName::bare("DIM"), dim_rows).unwrap();
+        engine.load_committed(1005, &ObjectName::bare("DIM"), dim_rows, 1005).unwrap();
         for (ordered, sql) in SINK_QUERIES {
             check(0, *ordered, sql);
         }
@@ -1287,7 +1287,7 @@ proptest! {
         engine.begin(100);
         let rows = (0..10).map(|k| vec![Value::BigInt(k), Value::BigInt(k)]).collect();
         engine.insert_rows(100, &lost, rows).unwrap();
-        engine.commit(100);
+        engine.commit(100, 100);
         let key_eq = |k: i64| Expr::Binary {
             left: Box::new(Expr::Column { qualifier: None, name: "K".into() }),
             op: BinaryOp::Eq,
@@ -1307,22 +1307,22 @@ proptest! {
                 0..=4 => {
                     engine.begin(txn);
                     engine.insert_rows(txn, &t, vec![row]).unwrap();
-                    engine.commit(txn);
+                    engine.commit(txn, txn);
                 }
                 5..=6 => {
                     engine.begin(txn);
                     engine.update_where(
-                        txn,
+                        idaa::accel::Snapshot::latest(txn),
                         &t,
                         &[("V".to_string(), Expr::Literal(Value::BigInt(*v)))],
                         Some(&key_eq(*k)),
                     ).unwrap();
-                    engine.commit(txn);
+                    engine.commit(txn, txn);
                 }
                 7 => {
                     engine.begin(txn);
-                    engine.delete_where(txn, &t, Some(&key_eq(*k))).unwrap();
-                    engine.commit(txn);
+                    engine.delete_where(idaa::accel::Snapshot::latest(txn), &t, Some(&key_eq(*k))).unwrap();
+                    engine.commit(txn, txn);
                 }
                 8 => {
                     // Aborted work: its effects must never reappear after
@@ -1332,7 +1332,7 @@ proptest! {
                     engine.abort(txn);
                 }
                 _ => {
-                    engine.groom(&t).unwrap();
+                    engine.groom(&t, u64::MAX).unwrap();
                 }
             }
             // Mid-stream checkpoints exercise checkpoint-plus-tail replay.
@@ -1417,22 +1417,22 @@ proptest! {
                     0..=4 => {
                         engine.begin(txn);
                         engine.insert_rows(txn, &t, vec![row.clone()])?;
-                        engine.commit(txn);
+                        engine.commit(txn, txn);
                     }
                     5..=6 => {
                         engine.begin(txn);
                         engine.update_where(
-                            txn,
+                            idaa::accel::Snapshot::latest(txn),
                             &t,
                             &[("V".to_string(), Expr::Literal(Value::BigInt(*v)))],
                             Some(&key_eq(*k)),
                         )?;
-                        engine.commit(txn);
+                        engine.commit(txn, txn);
                     }
                     7 => {
                         engine.begin(txn);
-                        engine.delete_where(txn, &t, Some(&key_eq(*k)))?;
-                        engine.commit(txn);
+                        engine.delete_where(idaa::accel::Snapshot::latest(txn), &t, Some(&key_eq(*k)))?;
+                        engine.commit(txn, txn);
                     }
                     8 => {
                         engine.begin(txn);
@@ -1440,7 +1440,7 @@ proptest! {
                         engine.abort(txn);
                     }
                     _ => {
-                        engine.groom(&t)?;
+                        engine.groom(&t, u64::MAX)?;
                     }
                 }
                 Ok(())
@@ -1524,7 +1524,7 @@ proptest! {
         engine.begin(1);
         let loaded = (0..40).map(|k| vec![Value::BigInt(k), Value::BigInt(-k)]).collect();
         engine.insert_rows(1, u, loaded).unwrap();
-        engine.commit(1);
+        engine.commit(1, 1);
         let key_eq = |k: i64| Expr::Binary {
             left: Box::new(Expr::Column { qualifier: None, name: "K".into() }),
             op: BinaryOp::Eq,
@@ -1553,23 +1553,23 @@ proptest! {
                 0..=3 => {
                     engine.begin(txn);
                     engine.insert_rows(txn, t, vec![row]).unwrap();
-                    engine.commit(txn);
+                    engine.commit(txn, txn);
                 }
                 4..=5 => {
                     engine.begin(txn);
                     engine.update_where(
-                        txn,
+                        idaa::accel::Snapshot::latest(txn),
                         t,
                         &[("V".to_string(), Expr::Literal(Value::BigInt(*v)))],
                         Some(&key_eq(*k)),
                     ).unwrap();
-                    engine.commit(txn);
+                    engine.commit(txn, txn);
                 }
                 6 | 10 | 11 => {
                     let table = if *op == 6 { t } else { u };
                     engine.begin(txn);
-                    engine.delete_where(txn, table, Some(&key_eq(*k))).unwrap();
-                    engine.commit(txn);
+                    engine.delete_where(idaa::accel::Snapshot::latest(txn), table, Some(&key_eq(*k))).unwrap();
+                    engine.commit(txn, txn);
                 }
                 7 => {
                     engine.begin(txn);
@@ -1577,7 +1577,7 @@ proptest! {
                     engine.abort(txn);
                 }
                 8 => {
-                    engine.groom(t).unwrap();
+                    engine.groom(t, u64::MAX).unwrap();
                 }
                 9 => engine.truncate(t).unwrap(),
                 12 => {

@@ -149,6 +149,20 @@ fn shards_and_the_statements_db2_scan_read_one_commit() {
     for (k, values) in values_by_key(&rows) {
         assert_eq!(values.len(), 1, "key {k} has values {values:?}");
     }
+    // A transaction whose snapshot predates a DB2 commit: the shards read
+    // at the snapshot, the coordinator's DB2 scan at the commit.
+    let mut a = idaa.session(SYSADM);
+    idaa.execute(&mut a, "SET CURRENT QUERY ACCELERATION = ELIGIBLE").unwrap();
+    idaa.execute(&mut a, "BEGIN").unwrap();
+    move_ten(&idaa, &mut s, ("DIM", "V"), (1, 3));
+    match idaa.query(&mut a, JOIN_AND_DIM) {
+        Ok(rows) => {
+            for (k, values) in values_by_key(&rows.rows) {
+                assert_eq!(values.len(), 1, "key {k} has values {values:?}");
+            }
+        }
+        Err(e) => assert_eq!(e.sqlcode(), -904, "{e}"),
+    }
 }
 
 #[test]

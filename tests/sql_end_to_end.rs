@@ -645,7 +645,7 @@ fn explain_pipeline_line_is_the_executed_pipeline() {
             panic!("not a query: {q}")
         };
         for run in ["miss", "hit"] {
-            let (_, _, profile) = idaa.accel().query_profiled(0, &parsed).unwrap();
+            let (_, _, profile) = idaa.accel().query_profiled(idaa::accel::Snapshot::latest(0), &parsed, None).unwrap();
             assert_eq!(profile.pipeline().as_deref(), Some(explained.as_str()), "{run}: {q}");
         }
         seen.insert(explained);

@@ -102,12 +102,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// MVCC visibility satisfies the declarative rule for any sequence of
-    /// transaction state transitions and any snapshot taken along the way.
+    /// transaction state transitions and any snapshot point: DB2 numbers the
+    /// commits 1, 2, … in order, and the snapshot reads at `at`.
     #[test]
-    fn mvcc_visibility_matches_declarative_rule(ops in arb_txn_ops(), me in 1u64..12) {
+    fn mvcc_visibility_matches_declarative_rule(
+        ops in arb_txn_ops(),
+        me in 1u64..12,
+        at in 0u64..80,
+    ) {
         let reg = TxnRegistry::default();
-        // Shadow model: txn → (status, commit order).
+        // Shadow model: txn → (status, commit LSN).
         let mut model: HashMap<u64, TxnStatus> = HashMap::new();
+        let mut lsn = 0;
         for op in &ops {
             match op {
                 TxnOp::Begin(t) => {
@@ -121,8 +127,12 @@ proptest! {
                     model.insert(*t as u64, TxnStatus::Prepared);
                 }
                 TxnOp::Commit(t) => {
-                    let seq = reg.commit(*t as u64);
-                    model.insert(*t as u64, TxnStatus::Committed(seq));
+                    lsn += 1;
+                    reg.commit(*t as u64, lsn);
+                    // A re-commit keeps the first LSN.
+                    if !matches!(model.get(&(*t as u64)), Some(TxnStatus::Committed(_))) {
+                        model.insert(*t as u64, TxnStatus::Committed(lsn));
+                    }
                 }
                 TxnOp::Abort(t) => {
                     reg.abort(*t as u64);
@@ -130,7 +140,7 @@ proptest! {
                 }
             }
         }
-        let snap: Snapshot = reg.snapshot(me);
+        let snap = Snapshot { seq: at, me };
         // Declarative rule, evaluated purely on the model:
         let visible_creation = |t: u64| -> bool {
             t == me
@@ -160,16 +170,16 @@ proptest! {
         for t in 0..pre {
             let id = 100 + t as u64;
             reg.begin(id);
-            reg.commit(id);
+            reg.commit(id, 1 + t as u64);
         }
-        let snap = reg.snapshot(999);
+        let snap = Snapshot { seq: pre as u64, me: 999 };
         for t in 0..pre {
             prop_assert!(reg.view(&snap).visible(100 + t as u64, 0));
         }
         for t in 0..post {
             let id = 200 + t as u64;
             reg.begin(id);
-            reg.commit(id);
+            reg.commit(id, 1 + pre as u64 + t as u64);
             prop_assert!(!reg.view(&snap).visible(id, 0), "post-snapshot commit leaked in");
         }
     }

@@ -58,14 +58,14 @@ fn snapshot_isolation_within_reader_transaction() {
     idaa.execute(&mut writer, "CREATE TABLE T (X INT) IN ACCELERATOR").unwrap();
     idaa.execute(&mut writer, "INSERT INTO T VALUES (1)").unwrap();
 
-    // The reader opens a transaction and touches the accelerator, pinning
-    // its snapshot.
+    // The reader opens a transaction, which takes its snapshot, and writes
+    // a row of its own.
     idaa.execute(&mut reader, "BEGIN").unwrap();
-    idaa.execute(&mut reader, "INSERT INTO T VALUES (100)").unwrap(); // enlists
+    idaa.execute(&mut reader, "INSERT INTO T VALUES (100)").unwrap();
     let c1 = idaa.query(&mut reader, "SELECT COUNT(*) FROM t").unwrap();
     assert_eq!(c1.scalar().unwrap(), &Value::BigInt(2)); // 1 committed + own
 
-    // A concurrent commit must stay invisible to the pinned snapshot.
+    // A concurrent commit must stay invisible to the reader's snapshot.
     idaa.execute(&mut writer, "INSERT INTO T VALUES (2)").unwrap();
     let c2 = idaa.query(&mut reader, "SELECT COUNT(*) FROM t").unwrap();
     assert_eq!(c2.scalar().unwrap(), &Value::BigInt(2), "snapshot must not move");
@@ -291,8 +291,9 @@ fn unresolvable_in_doubt_transaction_rolls_back_everywhere() {
 fn lost_phase_two_commit_is_queued_and_redelivered() {
     // Both participants voted YES and the coordinator committed, but the
     // phase-2 COMMIT message to the accelerator is lost. The decision is
-    // queued; the accelerator holds the transaction prepared (invisible)
-    // until redelivery.
+    // queued; the accelerator holds the transaction prepared until
+    // redelivery, and no snapshot taken after the COMMIT reads it there
+    // before: a read first redelivers the decision, or fails.
     let idaa = Idaa::new(IdaaConfig { auto_replicate: false, ..IdaaConfig::default() });
     let mut s = open_mixed_txn(&idaa);
     // PREPARE (1) and vote (2) deliver; phase-2 COMMIT →accel fails ×4.
@@ -301,7 +302,10 @@ fn lost_phase_two_commit_is_queued_and_redelivered() {
     assert_eq!(idaa.pending_accel_commits(), 1);
     assert_eq!(count(&idaa, &mut s, "h"), 1);
     let mut other = idaa.session(SYSADM);
-    assert_eq!(count(&idaa, &mut other, "a"), 0, "still prepared, not visible");
+    match idaa.query(&mut other, "SELECT COUNT(*) FROM a") {
+        Ok(rows) => assert_eq!(rows.scalar().unwrap(), &Value::BigInt(1), "COMMIT returned"),
+        Err(e) => assert_eq!(e.sqlcode(), -904, "{e}"),
+    }
     // Recovery redelivers the queued decision.
     assert!(idaa.recover());
     assert_eq!(idaa.pending_accel_commits(), 0);
@@ -313,9 +317,9 @@ fn lost_phase_two_commit_is_queued_and_redelivered() {
 //
 // Snapshot isolation forbids dirty reads, non-repeatable reads, lost
 // updates, and phantoms — and (unlike serializability) permits write skew.
-// Each probe pins the reader's snapshot by enlisting the accelerator in
-// its transaction (the first AOT write fixes the snapshot) and checks the
-// trace to prove the probed reads really ran on the accelerator.
+// A transaction reads at one snapshot, DB2's commit LSN at its first
+// statement, whether it writes or not. Each probe checks the trace to prove
+// the probed reads really ran on the accelerator.
 // ---------------------------------------------------------------------------
 
 /// The last trace for `needle` must show an accelerator-routed statement.
@@ -333,12 +337,10 @@ fn assert_ran_on_accel(idaa: &Idaa, needle: &str) {
     );
 }
 
-/// An AOT `ACCOUNTS` table with two committed rows, plus a `PINNED` AOT
-/// scratch table a transaction can write to enlist (pinning its snapshot).
+/// An AOT `ACCOUNTS` table with two committed rows.
 fn anomaly_setup(idaa: &Idaa) -> idaa::Session {
     let mut s = idaa.session(SYSADM);
     idaa.execute(&mut s, "CREATE TABLE ACCOUNTS (ID INT, BAL INT) IN ACCELERATOR").unwrap();
-    idaa.execute(&mut s, "CREATE TABLE PINNED (X INT) IN ACCELERATOR").unwrap();
     idaa.execute(&mut s, "INSERT INTO ACCOUNTS VALUES (1, 50), (2, 50)").unwrap();
     s
 }
@@ -358,10 +360,9 @@ fn anomaly_non_repeatable_read_prevented() {
     let mut writer = anomaly_setup(&idaa);
     let mut reader = idaa.session(SYSADM);
     idaa.execute(&mut reader, "BEGIN").unwrap();
-    idaa.execute(&mut reader, "INSERT INTO PINNED VALUES (0)").unwrap(); // pin snapshot
     let first = balance(&idaa, &mut reader, 1);
     assert_eq!(first, 50);
-    // A concurrent committed update must not change what the pinned
+    // A concurrent committed update must not change what the reader's
     // transaction re-reads.
     idaa.execute(&mut writer, "UPDATE ACCOUNTS SET BAL = 99 WHERE ID = 1").unwrap();
     let second = balance(&idaa, &mut reader, 1);
@@ -381,8 +382,6 @@ fn anomaly_lost_update_rejected() {
     idaa.execute(&mut a, "BEGIN").unwrap();
     idaa.execute(&mut b, "BEGIN").unwrap();
     // Both read the same balance, then both try read-modify-write.
-    idaa.execute(&mut a, "INSERT INTO PINNED VALUES (1)").unwrap();
-    idaa.execute(&mut b, "INSERT INTO PINNED VALUES (2)").unwrap();
     assert_eq!(balance(&idaa, &mut a, 1), 50);
     assert_eq!(balance(&idaa, &mut b, 1), 50);
     idaa.execute(&mut a, "UPDATE ACCOUNTS SET BAL = BAL + 10 WHERE ID = 1").unwrap();
@@ -412,7 +411,6 @@ fn anomaly_phantom_prevented() {
     let mut writer = anomaly_setup(&idaa);
     let mut reader = idaa.session(SYSADM);
     idaa.execute(&mut reader, "BEGIN").unwrap();
-    idaa.execute(&mut reader, "INSERT INTO PINNED VALUES (0)").unwrap(); // pin snapshot
     let probe = "SELECT COUNT(*) FROM accounts WHERE bal >= 50";
     let first = idaa.query(&mut reader, probe).unwrap();
     assert_eq!(first.scalar().unwrap(), &Value::BigInt(2));
@@ -443,8 +441,6 @@ fn anomaly_write_skew_permitted_under_si() {
     let mut b = idaa.session(SYSADM);
     idaa.execute(&mut a, "BEGIN").unwrap();
     idaa.execute(&mut b, "BEGIN").unwrap();
-    idaa.execute(&mut a, "INSERT INTO PINNED VALUES (1)").unwrap();
-    idaa.execute(&mut b, "INSERT INTO PINNED VALUES (2)").unwrap();
     let sum = |idaa: &Idaa, s: &mut idaa::Session| {
         idaa.query(s, "SELECT SUM(bal) FROM accounts").unwrap().scalar().unwrap().as_i64().unwrap()
     };
@@ -519,7 +515,6 @@ fn anomaly_server() -> idaa::Server {
     let idaa = srv.idaa();
     let mut s = idaa.session(SYSADM);
     idaa.execute(&mut s, "CREATE TABLE ACCOUNTS (ID INT, BAL INT) IN ACCELERATOR").unwrap();
-    idaa.execute(&mut s, "CREATE TABLE PINNED (X INT) IN ACCELERATOR").unwrap();
     idaa.execute(&mut s, "INSERT INTO ACCOUNTS VALUES (1, 50), (2, 50)").unwrap();
     srv
 }
@@ -574,8 +569,6 @@ fn server_sessions_lost_update_rejected() {
     let b = srv.connect(SYSADM).unwrap();
     srv.execute(a, "BEGIN").unwrap();
     srv.execute(b, "BEGIN").unwrap();
-    srv.execute(a, "INSERT INTO PINNED VALUES (1)").unwrap();
-    srv.execute(b, "INSERT INTO PINNED VALUES (2)").unwrap();
     assert_eq!(seat_balance(&srv, a, 1), 50);
     assert_eq!(seat_balance(&srv, b, 1), 50);
     // Both read-modify-writes in one scheduler batch: first-updater-wins
@@ -611,8 +604,6 @@ fn server_sessions_write_skew_permitted_under_si() {
     let b = srv.connect(SYSADM).unwrap();
     srv.execute(a, "BEGIN").unwrap();
     srv.execute(b, "BEGIN").unwrap();
-    srv.execute(a, "INSERT INTO PINNED VALUES (1)").unwrap();
-    srv.execute(b, "INSERT INTO PINNED VALUES (2)").unwrap();
     let sum = |seat: u64| {
         srv.query(seat, "SELECT SUM(bal) FROM accounts")
             .unwrap()
@@ -643,13 +634,12 @@ fn server_sessions_write_skew_permitted_under_si() {
 #[test]
 fn server_sessions_snapshot_pinned_across_scheduled_batches() {
     // Non-repeatable-read probe where every step flows through the
-    // scheduler: the reader's pinned snapshot survives a concurrent
+    // scheduler: the reader's snapshot survives a concurrent
     // committed update executed in a *later* scheduler round.
     let srv = anomaly_server();
     let writer = srv.connect(SYSADM).unwrap();
     let reader = srv.connect(SYSADM).unwrap();
     srv.execute(reader, "BEGIN").unwrap();
-    srv.execute(reader, "INSERT INTO PINNED VALUES (0)").unwrap(); // pin snapshot
     assert_eq!(seat_balance(&srv, reader, 1), 50);
     srv.execute(writer, "UPDATE ACCOUNTS SET BAL = 99 WHERE ID = 1").unwrap();
     assert_eq!(seat_balance(&srv, reader, 1), 50, "read repeats under SI");
