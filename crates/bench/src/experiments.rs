@@ -530,7 +530,7 @@ fn e10_accelerator_ablation(out: &mut Report) {
     idaa.execute(&mut s, "DELETE FROM BIG WHERE V < 500").unwrap();
     let full = "SELECT COUNT(*) FROM big";
     let (_, before, _) = measure(&idaa, || idaa.query(&mut s, full).unwrap());
-    let groomed = idaa.accel_groom_all();
+    let groomed = idaa.accel_groom(&idaa_common::trace::Trace::disabled(), None).unwrap();
     let (_, after, _) = measure(&idaa, || idaa.query(&mut s, full).unwrap());
     let mut t2 = Table::new(&["phase", "scan_ms", "versions_groomed"]);
     t2.row([det("after 50% delete"), before.ms(), det(0)]);

@@ -8,7 +8,7 @@
 //! accelerator reads through the fleet's read plan, and
 //! accelerator-only-table writes through its owner loop.
 
-use crate::fleet::{AccelNode, ReadPlan};
+use crate::fleet::{on_accelerator, AccelNode};
 use crate::idaa::{ExecOutcome, Idaa, Payload};
 use crate::router::{self, Route};
 use crate::session::Session;
@@ -71,48 +71,38 @@ impl Idaa {
                         })
                         .collect(),
                 )?;
-                let kind = if *in_accelerator {
-                    TableKind::AcceleratorOnly
-                } else {
-                    TableKind::Regular
+                let user = &session.user;
+                let create = |kind| {
+                    self.host.create_table(user, name, schema.clone(), kind, distribute_by.clone()).map(drop)
                 };
-                self.host.create_table(
-                    &session.user,
-                    name,
-                    schema.clone(),
-                    kind,
-                    distribute_by.clone(),
-                )?;
-                if *in_accelerator {
-                    // Nickname proxy exists in DB2; actual table lives on
-                    // the accelerator.
-                    let resolved = name.resolve(&self.config.default_schema);
-                    if let Err(e) =
-                        self.create_aot(&resolved, &schema, distribute_by, &stmt.to_string())
-                    {
-                        // The DDL did not reach every owner: undo the
-                        // catalog entry so both sides stay consistent.
-                        self.discard_table(&resolved);
-                        return Err(e);
-                    }
-                    return Ok(ExecOutcome::accel(Payload::None));
+                if !*in_accelerator {
+                    create(TableKind::Regular)?;
+                    return Ok(ExecOutcome::host(Payload::None));
                 }
-                Ok(ExecOutcome::host(Payload::None))
+                // Nickname proxy exists in DB2; actual table lives on the
+                // accelerator.
+                let (resolved, ddl) = (name.resolve(&self.config.default_schema), stmt.to_string());
+                let aot = TableKind::AcceleratorOnly;
+                self.on_placement(&session.trace, (&resolved, aot), || create(aot), |node, local| {
+                    self.ship_ddl_on(node, &ddl)?;
+                    node.engine.create_table(local, schema.clone(), distribute_by)
+                })?;
+                Ok(ExecOutcome::accel(Payload::None))
             }
             Statement::DropTable { name } => {
                 let meta = self.host.table_meta(name)?;
                 let grant = self.authorize_one(session, &meta.name, Privilege::All)?;
-                let on_accel = meta.kind == TableKind::AcceleratorOnly
-                    || meta.accel_status != idaa_host::AccelStatus::NotAccelerated;
-                self.host.drop_table(&grant)?;
-                if on_accel {
-                    // Best effort: the DB2 catalog entry is gone either
-                    // way; an unreachable accelerator cleans up its copy
-                    // when the DDL is redelivered on recovery.
-                    self.drop_accel_copies(&meta, &stmt.to_string());
-                    return Ok(ExecOutcome::accel(Payload::None));
+                if !on_accelerator(&meta) {
+                    self.host.drop_table(&grant)?;
+                    return Ok(ExecOutcome::host(Payload::None));
                 }
-                Ok(ExecOutcome::host(Payload::None))
+                let ddl = stmt.to_string();
+                let catalog = || self.host.drop_table(&grant).map(drop);
+                self.on_placement(&session.trace, (&meta.name, meta.kind), catalog, |node, local| {
+                    self.ship_ddl_on(node, &ddl)?;
+                    node.engine.drop_table(local)
+                })?;
+                Ok(ExecOutcome::accel(Payload::None))
             }
             Statement::CreateIndex { name, table, columns } => {
                 let table = table.resolve(&self.config.default_schema);
@@ -524,7 +514,9 @@ impl Idaa {
                     && router::classify(&self.host, &src_tables)?.host_only == 0
                 {
                     if !src_tables.is_empty() {
-                        self.read_ready(session, &ReadPlan::Whole, &src_tables)?;
+                        // The sources are read where the target lives.
+                        let plan = self.read_plan(&[&src_tables[..], std::slice::from_ref(&target)].concat())?;
+                        self.read_ready(session, &plan, &src_tables)?;
                     }
                     let sql = format!("INSERT INTO {target} {src_q}");
                     let n = self.aot_statement(

@@ -3,35 +3,28 @@
 //!
 //! The accelerator side of [`Idaa`] is K nodes, each behind its own metered
 //! [`NetLink`] and seeded [`FaultRegistry`]; the paper's single accelerator
-//! is the fleet of one. One placement rule covers every size: an
-//! accelerator-only table has `shards` hash shards, shard `s` lives on
-//! `replication_factor` consecutive nodes starting at `s % K`, and its
-//! physical table is [`shard_table`] — the table itself when `shards == 1`,
-//! `T__S{s}` otherwise. A statement whose accelerator tables all live whole
-//! on their owners (always true at `shards == 1`) ships as it is, one
-//! exchange per owner: reads to the shard's primary with failover to the
-//! remaining owners in fixed order, writes to every live owner. Only
-//! `shards > 1` scatters. Every sharded scan of the plan gets one scatter
-//! cut ([`idaa_accel::cuts`]: the first aggregate, DISTINCT, sort or limit
-//! above the scan, joins against inputs with no sharded scan included, or
-//! the child below a `UNION` or any other join); for each cut in order, the
-//! shards, in ascending order, run the statement's own plan up to it and
-//! ship the cut's partial as one row frame, and the coordinator merges the
-//! partials with the shared row operators. The coordinator then ends on the
-//! one plan walk (`idaa_sql::exec::execute_plan`), its row source answering
-//! each cut node with its merged partial and every other scan — a whole
-//! DB2 table — from DB2. An owner that missed a write
-//! re-joins via a metered catch-up copy, and a rebalance check on the
-//! virtual clock migrates failed-over shards back to their preferred
-//! owners. Placement, gather order, and failover order are all
-//! deterministic, so a given seed replays byte-identical `LinkMetrics` and
-//! traces.
+//! is the fleet of one. One function, `Idaa::placement`, says where every
+//! table lives at every size: hash shard `s` of an accelerator-only table
+//! is the local table [`shard_table`] on `replication_factor` consecutive
+//! nodes from `s % K`, and an accelerated DB2 table lives whole on every
+//! node. Reads go to a shard's primary with failover in owner order; writes
+//! and every fleet-wide operation (DDL, LOAD, GROOM) go to each ready
+//! owner, and an owner that missed one catches up to DB2's catalog. Only
+//! `shards > 1` scatters: every sharded scan of the plan gets one cut
+//! ([`idaa_accel::cuts`]), the shards in ascending order ship each cut's
+//! partial as one row frame, and the coordinator merges them with the
+//! shared row operators and ends on the one plan walk
+//! (`idaa_sql::exec::execute_plan`), answering every other scan — a whole
+//! DB2 table — from DB2. A rebalance check on the virtual clock moves
+//! failed-over shards back to their preferred owners. All of it is
+//! deterministic, so a seed replays byte-identical `LinkMetrics` and traces.
 
 use crate::health::{HealthMonitor, HealthState, SeqTracker};
 use crate::idaa::{Idaa, IdaaConfig};
 use crate::replication::Replicator;
 use crate::session::Session;
 use idaa_accel::{cuts, AccelEngine, Cut, RestartStats, Snapshot};
+use idaa_common::trace::Trace;
 use idaa_common::{wire, Error, MetricsRegistry, ObjectName, Result, Row, Rows, Schema, Value};
 use idaa_host::{AccelStatus, Granted, HostEngine, Lsn, TableKind, TableMeta, TxnId, SYSADM};
 use idaa_netsim::{sites, Direction, FaultRegistry, LinkConfig, LinkMetrics, NetLink, RetryPolicy};
@@ -219,6 +212,11 @@ impl FleetState {
         (0..self.replicas).map(|r| (shard + r) % self.accelerators).collect()
     }
 
+    /// The node a shard's reads prefer while it is healthy.
+    pub(crate) fn preferred(&self, shard: usize) -> usize {
+        self.owners(shard)[0]
+    }
+
     pub(crate) fn primary_of(&self, shard: usize) -> usize {
         self.current_primary.lock()[shard]
     }
@@ -226,7 +224,7 @@ impl FleetState {
     pub(crate) fn record_failover(&self, shard: usize, to: usize, now: Duration) {
         let mut primaries = self.current_primary.lock();
         primaries[shard] = to;
-        let preferred = self.owners(shard)[0];
+        let preferred = self.preferred(shard);
         self.failed_over_at.lock()[shard] = if to == preferred { None } else { Some(now) };
     }
 
@@ -256,20 +254,15 @@ impl FleetState {
 // Scatter requests
 // ---------------------------------------------------------------------------
 
-/// Retarget every FROM reference to a `sharded` table (resolved under
+/// Retarget every FROM reference to a sharded table (resolved under
 /// `default_schema`), anywhere in the FROM tree, derived tables and `UNION`
-/// arms included, at its physical shard `shard` of `shards`, keeping the
-/// original name visible as an alias so column qualifiers still resolve.
-fn with_shard_from(
-    q: &Query,
-    sharded: &[ObjectName],
-    shard: usize,
-    shards: usize,
-    default_schema: &str,
-) -> Query {
+/// arms included, at its local table on one shard — `locals` pairs each
+/// sharded table with it — keeping the original name visible as an alias so
+/// column qualifiers still resolve.
+fn with_shard_from(q: &Query, locals: &[(ObjectName, ObjectName)], default_schema: &str) -> Query {
     let target = |name: &ObjectName| {
         let table = name.resolve(default_schema);
-        sharded.contains(&table).then(|| shard_table(&table, shard, shards))
+        locals.iter().find(|(t, _)| *t == table).map(|(_, local)| local.clone())
     };
     fn retarget_query(q: &mut Query, target: &dyn Fn(&ObjectName) -> Option<ObjectName>) {
         if let Some(from) = &mut q.from {
@@ -326,14 +319,16 @@ impl RowSource for Gathered<'_> {
 // Fleet execution
 // ---------------------------------------------------------------------------
 
-/// Where a read routed to the accelerator side runs.
-pub(crate) enum ReadPlan {
-    /// Every referenced table lives whole on the owners of shard 0: the
-    /// statement ships as it is.
-    Whole,
-    /// These accelerator-only tables are split across shards: scatter,
-    /// gather, and merge at the coordinator.
-    Scatter { sharded: Vec<ObjectName> },
+/// Where a read routed to the accelerator side runs. With no `sharded`
+/// table the statement ships as it is to one of the nodes holding every
+/// table it names whole; otherwise it scatters over the shards of the
+/// `sharded` accelerator-only tables, gathers, and merges at the
+/// coordinator.
+pub(crate) struct ReadPlan {
+    sharded: Vec<ObjectName>,
+    /// Per shard (one when whole): the local table of each `sharded` table
+    /// there, and the owners that serve it.
+    shards: Vec<(Vec<ObjectName>, Vec<usize>)>,
 }
 
 impl Idaa {
@@ -396,23 +391,29 @@ impl Idaa {
         LinkMetrics::merged(per_node.iter())
     }
 
-    /// One statement attempt on one owner, on the shared timeline: judge
-    /// the node's readiness (recording an "accel.restart" event if the
-    /// check drove a recovery), then run the attempt. A node that is not
-    /// ready answers with its [`Idaa::node_unavailable`] error.
+    /// Judge one node's readiness on the shared timeline, recording an
+    /// "accel.restart" event if the check drove a recovery. A node that is
+    /// not ready answers with its [`Idaa::node_unavailable`] error.
+    fn ready_on(&self, node: &AccelNode, trace: &Trace) -> Result<()> {
+        self.sync_node_clock(node);
+        let ready = self.node_ready_traced(node, trace);
+        self.absorb_node_clock(node);
+        if ready {
+            Ok(())
+        } else {
+            Err(self.node_unavailable(node))
+        }
+    }
+
+    /// One statement attempt on one owner: [judge its
+    /// readiness](Self::ready_on), then run the attempt.
     fn attempt_on<T>(
         &self,
         node: &AccelNode,
         session: &mut Session,
         run: impl FnOnce(&mut Session) -> Result<T>,
     ) -> Result<T> {
-        let trace = session.trace.clone();
-        self.sync_node_clock(node);
-        let ready = self.node_ready_traced(node, &trace);
-        self.absorb_node_clock(node);
-        if !ready {
-            return Err(self.node_unavailable(node));
-        }
+        self.ready_on(node, &session.trace.clone())?;
         let result = run(session);
         self.absorb_node_clock(node);
         result
@@ -433,17 +434,17 @@ impl Idaa {
         }
     }
 
-    /// Serve a read of `shard` from its owners: the current primary first,
-    /// then the remaining replicas in fixed owner order. Returns the answer
-    /// and the node that served it; a replica serving becomes the primary.
+    /// Serve a read of `shard` from its `owners`: the current primary
+    /// first, then the remaining replicas in fixed owner order. Returns the
+    /// answer and the node that served it; a replica serving becomes the
+    /// primary.
     fn read_on_owners<T>(
         &self,
         session: &mut Session,
-        shard: usize,
-        table: &ObjectName,
+        (shard, table): (usize, &ObjectName),
+        owners: &[usize],
         run: impl Fn(&AccelNode, &mut Session) -> Result<T>,
     ) -> Result<(T, Arc<AccelNode>)> {
-        let owners = self.fleet.owners(shard);
         let primary = self.fleet.primary_of(shard);
         let start = owners.iter().position(|&o| o == primary).unwrap_or(0);
         let mut down = None;
@@ -504,20 +505,24 @@ impl Idaa {
         counted.ok_or_else(|| self.shard_error(shard, table, down))
     }
 
-    /// How a read of `tables` runs on the accelerator side. With one shard
-    /// every table lives whole on the owners of shard 0 — as do replicated
-    /// tables under any shard count.
+    /// How a read of `tables` runs on the accelerator side, by their
+    /// [placement](Self::placement).
     pub(crate) fn read_plan(&self, tables: &[ObjectName]) -> Result<ReadPlan> {
-        let mut sharded = Vec::new();
-        if self.fleet.shards > 1 {
-            for t in tables {
-                let aot = self.host.table_meta(t)?.kind == TableKind::AcceleratorOnly;
-                if aot && !sharded.contains(t) {
-                    sharded.push(t.clone());
+        let whole = (Vec::new(), (0..self.nodes.len()).collect());
+        let mut plan = ReadPlan { sharded: Vec::new(), shards: vec![whole] };
+        for t in tables {
+            let placement = self.placement(t, self.host.table_meta(t)?.kind);
+            if placement.len() == 1 {
+                plan.shards.iter_mut().for_each(|(_, owners)| owners.retain(|o| placement[0].1.contains(o)));
+            } else if !plan.sharded.contains(t) {
+                if plan.sharded.is_empty() {
+                    plan.shards = placement.iter().map(|(_, owners)| (Vec::new(), owners.clone())).collect();
                 }
+                plan.sharded.push(t.clone());
+                plan.shards.iter_mut().zip(placement).for_each(|((locals, _), (local, _))| locals.push(local));
             }
         }
-        Ok(if sharded.is_empty() { ReadPlan::Whole } else { ReadPlan::Scatter { sharded } })
+        Ok(plan)
     }
 
     /// Whether `node` holds every DB2 commit up to snapshot `seq` a read of
@@ -550,10 +555,7 @@ impl Idaa {
     ) -> Result<()> {
         self.maybe_rebalance();
         let seq = self.snapshot(session).seq;
-        let (shards, table) = match plan {
-            ReadPlan::Whole => (1, &tables[0]),
-            ReadPlan::Scatter { sharded } => (self.fleet.shards, &sharded[0]),
-        };
+        let table = plan.sharded.first().unwrap_or(&tables[0]);
         let replicated =
             |t: &ObjectName| self.host.table_meta(t).is_ok_and(|m| m.kind == TableKind::Regular);
         let lags = |n: &Arc<AccelNode>| {
@@ -561,7 +563,7 @@ impl Idaa {
         };
         if tables.iter().any(replicated) {
             // A scatter read's coordinator scans DB2 at its latest commit.
-            if shards > 1 && seq < self.host.txns.current_lsn() {
+            if !plan.sharded.is_empty() && seq < self.host.txns.current_lsn() {
                 return Err(Error::ResourceUnavailable("the snapshot predates DB2's commit".into()));
             }
             // One catch-up round at most, so the nodes that can serve hold
@@ -570,8 +572,8 @@ impl Idaa {
                 self.replicate_now()?;
             }
         }
-        for s in 0..shards {
-            self.read_on_owners(session, s, table, |node, _| self.serves(node, seq, tables))?;
+        for (s, (_, owners)) in plan.shards.iter().enumerate() {
+            self.read_on_owners(session, (s, table), owners, |node, _| self.serves(node, seq, tables))?;
         }
         Ok(())
     }
@@ -586,16 +588,14 @@ impl Idaa {
         tables: &[ObjectName],
         read: &ReadPlan,
     ) -> Result<Rows> {
-        let sharded = match read {
-            ReadPlan::Whole => {
-                let served = self.read_on_owners(session, 0, &tables[0], |node, s| {
-                    self.serves(node, self.snapshot(s).seq, tables)?;
-                    self.query_on(node, s, q, None)
-                });
-                return served.map(|(rows, _)| rows);
-            }
-            ReadPlan::Scatter { sharded } => sharded,
-        };
+        let sharded = &read.sharded;
+        if sharded.is_empty() {
+            let served = self.read_on_owners(session, (0, &tables[0]), &read.shards[0].1, |node, s| {
+                self.serves(node, self.snapshot(s).seq, tables)?;
+                self.query_on(node, s, q, None)
+            });
+            return served.map(|(rows, _)| rows);
+        }
         let schema = &self.config.default_schema;
         let cuts = cuts(plan, &|t: &ObjectName| sharded.contains(&t.resolve(schema)));
         let trace = session.trace.clone();
@@ -603,11 +603,11 @@ impl Idaa {
         if let Some(id) = span {
             let list = sharded.iter().map(|t| t.to_string()).collect::<Vec<_>>().join(",");
             trace.attr(id, "tables", list);
-            trace.attr(id, "shards", self.fleet.shards);
+            trace.attr(id, "shards", read.shards.len());
             let merges: Vec<&str> = cuts.iter().map(|c| c.merge.name()).collect();
             trace.attr(id, "merge", merges.join(","));
         }
-        let gathered = self.gather_partials(session, q, &cuts, (sharded, tables));
+        let gathered = self.gather_partials(session, q, &cuts, (read, tables));
         let result = gathered.and_then(|gathered| execute_plan(plan, &gathered));
         if let Some(id) = span {
             if let Err(e) = &result {
@@ -626,7 +626,7 @@ impl Idaa {
         session: &mut Session,
         q: &Query,
         cuts: &[Cut<'a>],
-        scatter: (&[ObjectName], &[ObjectName]),
+        scatter: (&ReadPlan, &[ObjectName]),
     ) -> Result<Gathered<'a>> {
         let schema = &self.config.default_schema;
         let mut merged: Vec<(&Plan, Vec<Row>)> = Vec::with_capacity(cuts.len());
@@ -636,7 +636,7 @@ impl Idaa {
             let rows = match cuts[..i].iter().position(bare).filter(|_| bare(cut)) {
                 Some(j) => merged[j].1.clone(),
                 None => {
-                    let parts = (0..self.fleet.shards).map(|s| self.gather_shard(session, q, scatter, i, &table, s));
+                    let parts = (0..scatter.0.shards.len()).map(|s| self.gather_shard(session, q, scatter, (i, &table), s));
                     cut.merge(parts.collect::<Result<_>>()?)?
                 }
             };
@@ -647,33 +647,33 @@ impl Idaa {
     }
 
     /// Fetch shard `shard`'s partial of cut number `cut`, which covers
-    /// `table`: `q`, its `sharded` tables retargeted at the shard, runs there
-    /// up to the cut, under a "shard" span naming the node that served it.
+    /// `table`: `q`, its `sharded` tables retargeted at their local tables
+    /// on the shard, runs there up to the cut, under a "shard" span naming
+    /// the node that served it.
     fn gather_shard(
         &self,
         session: &mut Session,
         q: &Query,
-        (sharded, read): (&[ObjectName], &[ObjectName]),
-        cut: usize,
-        table: &ObjectName,
+        (plan, read): (&ReadPlan, &[ObjectName]),
+        (cut, table): (usize, &ObjectName),
         shard: usize,
     ) -> Result<Vec<Row>> {
-        let shards = self.fleet.shards;
-        let pq = with_shard_from(q, sharded, shard, shards, &self.config.default_schema);
-        let tables: Vec<ObjectName> = sharded.iter().map(|t| shard_table(t, shard, shards)).collect();
+        let (tables, owners) = &plan.shards[shard];
+        let locals: Vec<_> = plan.sharded.iter().cloned().zip(tables.iter().cloned()).collect();
+        let pq = with_shard_from(q, &locals, &self.config.default_schema);
         let trace = session.trace.clone();
         let span = if trace.is_enabled() { Some(trace.begin("shard", self.link().now())) } else { None };
         if let Some(id) = span {
             trace.attr(id, "table", table);
             trace.attr(id, "shard", shard);
         }
-        let result = self.read_on_owners(session, shard, table, |node, s| {
+        let result = self.read_on_owners(session, (shard, table), owners, |node, s| {
             self.serves(node, self.snapshot(s).seq, read)?;
             if let Err(e) = node.engine.crash_point(sites::MID_SCATTER) {
                 self.fleet.mark_catch_up(node.id);
                 return Err(e);
             }
-            self.query_on(node, s, &pq, Some((&tables, cut)))
+            self.query_on(node, s, &pq, Some((tables, cut)))
         });
         if let Some(id) = span {
             match &result {
@@ -719,7 +719,7 @@ impl Idaa {
     /// virtual clock.
     pub(crate) fn maybe_rebalance(&self) {
         for s in 0..self.fleet.shards {
-            let preferred = self.fleet.owners(s)[0];
+            let preferred = self.fleet.preferred(s);
             if self.fleet.primary_of(s) == preferred {
                 continue;
             }
@@ -739,49 +739,68 @@ impl Idaa {
         }
     }
 
-    /// Create every shard of an `IN ACCELERATOR` table on its owners.
-    pub(crate) fn create_aot(
-        &self,
-        name: &ObjectName,
-        schema: &Schema,
-        distribute_by: &[String],
-        ddl: &str,
-    ) -> Result<()> {
-        for s in 0..self.fleet.shards {
-            let st = shard_table(name, s, self.fleet.shards);
-            for owner in self.fleet.owners(s) {
-                let node = &self.nodes[owner];
-                self.ship_ddl_on(node, ddl)?;
-                node.engine.create_table(&st, schema.clone(), distribute_by)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Best-effort drop of a table's accelerator copies: every shard of an
-    /// accelerator-only table on its owners, the replica of an accelerated
-    /// table on every node. The DB2 catalog entry is gone either way.
-    pub(crate) fn drop_accel_copies(&self, meta: &TableMeta, ddl: &str) {
-        let shard_owners = self.shard_owners(meta);
-        for (s, owners) in shard_owners.iter().enumerate() {
-            let st = shard_table(&meta.name, s, shard_owners.len());
-            for &owner in owners {
-                let _ = self.ship_ddl_on(&self.nodes[owner], ddl);
-                let _ = self.nodes[owner].engine.drop_table(&st);
-            }
-        }
-    }
-
-    /// The owners of each shard of `meta`, in shard order: an
-    /// accelerator-only table's hash shards, or one shard on every node for
-    /// an accelerated DB2 table, whose replicas are whole everywhere.
-    fn shard_owners(&self, meta: &TableMeta) -> Vec<Vec<usize>> {
-        match meta.kind {
+    /// The one placement rule: each local table holding `table`'s rows, in
+    /// shard order, with its owners — [`shard_table`] of each hash shard of
+    /// an accelerator-only table, or an accelerated DB2 table on every node.
+    pub(crate) fn placement(&self, table: &ObjectName, kind: TableKind) -> Vec<(ObjectName, Vec<usize>)> {
+        let shards = self.fleet.shards;
+        match kind {
             TableKind::AcceleratorOnly => {
-                (0..self.fleet.shards).map(|s| self.fleet.owners(s)).collect()
+                (0..shards).map(|s| (shard_table(table, s, shards), self.fleet.owners(s))).collect()
             }
-            TableKind::Regular => vec![(0..self.nodes.len()).collect()],
+            TableKind::Regular => vec![(table.clone(), (0..self.nodes.len()).collect())],
         }
+    }
+
+    /// The one loop of every fleet-wide operation (CREATE `IN ACCELERATOR`,
+    /// DROP, ADD, REMOVE, LOAD, GROOM, the analytics output DDL), by
+    /// [`write_on_owners`](Self::write_on_owners)' rule. Each owner of
+    /// `table`'s placement is judged ready first, as statements judge it;
+    /// with no ready owner for some shard, or a replicated table's node not
+    /// ready, it fails (-904 or -30081) before anything changed. Then
+    /// `catalog` changes DB2's catalog and each ready owner runs `apply` on
+    /// its local table. The owners that missed it are flagged for catch-up,
+    /// which brings them to the catalog, and returned.
+    pub(crate) fn on_placement(
+        &self,
+        trace: &Trace,
+        (table, kind): (&ObjectName, TableKind),
+        catalog: impl FnOnce() -> Result<()>,
+        mut apply: impl FnMut(&AccelNode, &ObjectName) -> Result<()>,
+    ) -> Result<BTreeSet<usize>> {
+        let placement = self.placement(table, kind);
+        // Each node is judged once: `Some(None)` when it is ready.
+        let mut verdicts: Vec<Option<Option<Error>>> = vec![None; self.nodes.len()];
+        for (s, (_, owners)) in placement.iter().enumerate() {
+            let mut down = None;
+            for &o in owners {
+                let verdict = verdicts[o].get_or_insert_with(|| self.ready_on(&self.nodes[o], trace).err());
+                if let Some(e) = verdict {
+                    note_down(&mut down, e.clone())?;
+                }
+            }
+            let served = owners.iter().any(|&o| verdicts[o] == Some(None));
+            match down {
+                Some(e) if kind == TableKind::Regular => return Err(e),
+                down if !served => return Err(self.shard_error(s, table, down)),
+                _ => {}
+            }
+        }
+        catalog()?;
+        let mut missed: BTreeSet<usize> =
+            (0..self.nodes.len()).filter(|&o| matches!(verdicts[o], Some(Some(_)))).collect();
+        for (local, owners) in &placement {
+            for &o in owners {
+                if !missed.contains(&o) {
+                    if let Err(e) = apply(&self.nodes[o], local) {
+                        note_down(&mut None, e)?;
+                        missed.insert(o);
+                    }
+                }
+            }
+        }
+        missed.iter().for_each(|&o| self.fleet.mark_catch_up(o));
+        Ok(missed)
     }
 
     /// The one shard split of every row writer: each row goes to the shard
@@ -795,7 +814,7 @@ impl Idaa {
         rows: Vec<Row>,
         every_shard: bool,
     ) -> Result<Vec<(usize, Vec<Row>)>> {
-        let shards = self.shard_owners(meta).len();
+        let shards = self.placement(&meta.name, meta.kind).len();
         let mut by_shard = vec![Vec::new(); shards];
         if shards == 1 {
             by_shard[0] = rows;
@@ -824,15 +843,16 @@ impl Idaa {
         self.maybe_rebalance();
         let trace = session.trace.clone();
         let (mut total, mut missed) = (0usize, BTreeSet::new());
+        let placement = self.placement(&meta.name, meta.kind);
         for (s, shard_rows) in self.split_by_shard(meta, rows, false)? {
-            let st = shard_table(&meta.name, s, self.fleet.shards);
-            let (owners, missed) = (self.fleet.owners(s), &mut missed);
+            let (st, owners) = &placement[s];
+            let (owners, missed) = (owners.clone(), &mut missed);
             total += self.write_on_owners(session, s, &meta.name, owners, missed, |node, sess| {
                 let txn = self.enlist_node(sess, node)?;
                 let to = Direction::ToAccel;
                 let delivered =
                     self.ship_rows_traced_on(node, &trace, to, &meta.schema, &shard_rows)?;
-                let n = node.engine.insert_rows(txn, &st, delivered)?;
+                let n = node.engine.insert_rows(txn, st, delivered)?;
                 self.ship_traced_on(node, &trace, Direction::ToHost, "control", wire::ACK_FRAME)?;
                 Ok(n)
             })?;
@@ -852,9 +872,7 @@ impl Idaa {
     ) -> Result<usize> {
         self.maybe_rebalance();
         let (mut total, mut missed) = (0usize, BTreeSet::new());
-        for s in 0..self.fleet.shards {
-            let st = shard_table(table, s, self.fleet.shards);
-            let owners = self.fleet.owners(s);
+        for (s, (st, owners)) in self.placement(table, TableKind::AcceleratorOnly).into_iter().enumerate() {
             total += self.write_on_owners(session, s, table, owners, &mut missed, |node, sess| {
                 self.enlist_node(sess, node)?;
                 let snap = self.snapshot(sess);
@@ -890,12 +908,10 @@ impl Idaa {
             )));
         }
         self.maybe_rebalance();
-        let shards = self.shard_owners(&meta).len();
         let mut rows = Vec::new();
-        for s in 0..shards {
-            let st = shard_table(&meta.name, s, shards);
-            let (part, _) = self.read_on_owners(session, s, &meta.name, |node, _| {
-                let part = node.engine.scan_visible(&st)?;
+        for (s, (st, owners)) in self.placement(&meta.name, meta.kind).iter().enumerate() {
+            let (part, _) = self.read_on_owners(session, (s, &meta.name), owners, |node, _| {
+                let part = node.engine.scan_visible(st)?;
                 if !ship {
                     return Ok(part);
                 }
@@ -909,9 +925,10 @@ impl Idaa {
     /// Create (or replace) the accelerator-only table `table`, owned by the
     /// session's user, holding `rows` that were computed on the accelerator
     /// (an analytics result). Replacing an existing table takes `replace`,
-    /// the token to drop it. Every owner of every shard gets its shard
-    /// table and one `CREATE_OUTPUT_FRAME`, then commits its rows at the
-    /// current LSN and answers with one `ACK_FRAME`; no row crosses a link.
+    /// the token to drop it. Every ready owner of every shard gets a fresh
+    /// shard table and one `CREATE_OUTPUT_FRAME`, then commits its rows at
+    /// the current LSN and answers with one `ACK_FRAME`; no row crosses a
+    /// link.
     pub fn write_output_aot(
         &self,
         session: &mut Session,
@@ -921,41 +938,41 @@ impl Idaa {
         rows: Vec<Row>,
     ) -> Result<()> {
         let name = table.resolve(&self.config.default_schema);
-        if let Ok(old) = self.host.table_meta(&name) {
-            if old.kind != TableKind::AcceleratorOnly {
+        let old = match self.host.table_meta(&name) {
+            Ok(old) if old.kind != TableKind::AcceleratorOnly => {
                 return Err(Error::InvalidAcceleratorUse(format!(
                     "output table {name} exists and is not accelerator-only"
                 )));
             }
-            let grant = replace.filter(|g| g.covers(&name, Privilege::All));
-            let grant = grant.ok_or_else(|| Error::internal(format!("no DROP token for {name}")))?;
-            self.host.drop_table(grant)?;
-        }
-        let aot = TableKind::AcceleratorOnly;
-        self.host.create_table(&session.user, &name, schema.clone(), aot, vec![])?;
-        let meta = self.host.table_meta(&name)?;
-        self.maybe_rebalance();
-        let lsn = self.host.txns.current_lsn();
-        let write = || -> Result<()> {
-            let shards = self.split_by_shard(&meta, rows, true)?;
-            // Every owner holds its (empty) shard table before any row lands,
-            // so an owner that misses its rows has a table for catch-up.
-            for (s, _) in &shards {
-                let st = shard_table(&name, *s, self.fleet.shards);
-                for owner in self.fleet.owners(*s) {
-                    let node = &self.nodes[owner];
-                    let _ = node.engine.drop_table(&st);
-                    node.engine.create_table(&st, schema.clone(), &[])?;
-                    self.ship_on(node, Direction::ToAccel, wire::CREATE_OUTPUT_FRAME)?;
-                }
+            Ok(_) => {
+                let grant = replace.filter(|g| g.covers(&name, Privilege::All));
+                Some(grant.ok_or_else(|| Error::internal(format!("no DROP token for {name}")))?)
             }
-            let mut missed = BTreeSet::new();
-            for (s, shard_rows) in shards {
-                let st = shard_table(&name, s, self.fleet.shards);
-                let owners = self.fleet.owners(s);
-                self.write_on_owners(session, s, &name, owners, &mut missed, |node, _| {
+            Err(_) => None,
+        };
+        self.maybe_rebalance();
+        let aot = TableKind::AcceleratorOnly;
+        let catalog = || {
+            old.map_or(Ok(()), |grant| self.host.drop_table(grant).map(drop))?;
+            self.host.create_table(&session.user, &name, schema.clone(), aot, vec![]).map(drop)
+        };
+        // An owner that missed the DDL sits out the rows; catch-up gives it both.
+        let mut missed = self.on_placement(&session.trace, (&name, aot), catalog, |node, local| {
+            if node.engine.has_table(local) {
+                node.engine.drop_table(local)?;
+            }
+            node.engine.create_table(local, schema.clone(), &[])?;
+            self.ship_on(node, Direction::ToAccel, wire::CREATE_OUTPUT_FRAME).map(drop)
+        })?;
+        let meta = self.host.table_meta(&name)?;
+        let lsn = self.host.txns.current_lsn();
+        let placement = self.placement(&name, aot);
+        let write = || -> Result<()> {
+            for (s, shard_rows) in self.split_by_shard(&meta, rows, true)? {
+                let (st, owners) = &placement[s];
+                self.write_on_owners(session, s, &name, owners.clone(), &mut missed, |node, _| {
                     let txn = self.host.txns.next_id();
-                    let n = node.engine.load_committed(txn, &st, shard_rows.clone(), lsn)?;
+                    let n = node.engine.load_committed(txn, st, shard_rows.clone(), lsn)?;
                     self.ship_on(node, Direction::ToHost, wire::ACK_FRAME)?;
                     Ok(n)
                 })?;
@@ -993,18 +1010,18 @@ impl Idaa {
         // The nodes that began the transaction, and the owners that missed
         // a batch (each sits out the rest of the load).
         let (mut joined, mut missed) = (BTreeSet::new(), BTreeSet::new());
-        let owners = self.shard_owners(&meta);
+        let placement = self.placement(&meta.name, meta.kind);
         let filled = fill(&mut |rows| {
             for (s, shard_rows) in self.split_by_shard(&meta, rows, false)? {
-                let st = shard_table(&meta.name, s, owners.len());
-                let (shard_owners, missed) = (owners[s].clone(), &mut missed);
-                self.write_on_owners(&mut session, s, &meta.name, shard_owners, missed, |node, _| {
+                let (st, owners) = &placement[s];
+                let (owners, missed) = (owners.clone(), &mut missed);
+                self.write_on_owners(&mut session, s, &meta.name, owners, missed, |node, _| {
                     if joined.insert(node.id) {
                         node.engine.begin(txn);
                     }
                     let delivered =
                         self.ship_rows_on(node, Direction::ToAccel, &meta.schema, &shard_rows)?;
-                    node.engine.insert_rows(txn, &st, delivered)
+                    node.engine.insert_rows(txn, st, delivered)
                 })?;
             }
             Ok(())
@@ -1071,7 +1088,7 @@ impl Idaa {
 
 /// Whether `meta`'s rows live on the accelerator: an accelerator-only table,
 /// or a DB2 table added to it.
-fn on_accelerator(meta: &TableMeta) -> bool {
+pub(crate) fn on_accelerator(meta: &TableMeta) -> bool {
     meta.kind == TableKind::AcceleratorOnly || meta.accel_status != AccelStatus::NotAccelerated
 }
 
@@ -1142,7 +1159,10 @@ mod tests {
     #[test]
     fn with_shard_from_retargets_the_table_anywhere_in_the_from_tree() {
         let sales = ObjectName::qualified("APP", "SALES");
-        let retarget = |sql: &str| with_shard_from(&q(sql), std::slice::from_ref(&sales), 1, 4, "APP").to_string();
+        let on = |shard: usize, tables: &[&ObjectName]| -> Vec<(ObjectName, ObjectName)> {
+            tables.iter().map(|&t| (t.clone(), shard_table(t, shard, 4))).collect()
+        };
+        let retarget = |sql: &str| with_shard_from(&q(sql), &on(1, &[&sales]), "APP").to_string();
         assert_eq!(
             retarget("SELECT SALES.ID FROM SALES WHERE SALES.ID > 1"),
             "SELECT SALES.ID FROM APP.SALES__S1 AS SALES WHERE (SALES.ID > 1)"
@@ -1165,9 +1185,9 @@ mod tests {
             "SELECT COUNT(*) FROM (SELECT ID FROM DIM UNION ALL SELECT ID FROM APP.SALES__S1 AS SALES) AS U"
         );
         // Every sharded table of the statement moves to the same shard.
-        let both = [sales, ObjectName::qualified("APP", "CLICKS")];
+        let both = on(2, &[&sales, &ObjectName::qualified("APP", "CLICKS")]);
         assert_eq!(
-            with_shard_from(&q("SELECT s.ID FROM SALES s JOIN CLICKS c ON s.ID = c.ID"), &both, 2, 4, "APP")
+            with_shard_from(&q("SELECT s.ID FROM SALES s JOIN CLICKS c ON s.ID = c.ID"), &both, "APP")
                 .to_string(),
             "SELECT S.ID FROM APP.SALES__S2 AS S INNER JOIN APP.CLICKS__S2 AS C ON (S.ID = C.ID)"
         );

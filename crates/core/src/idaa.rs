@@ -10,15 +10,15 @@
 //! coordinates two-phase commit when a transaction touched both sides, `recovery`
 //! judges node readiness and drives restarts.
 
-use crate::fleet::{AccelNode, FleetConfig, FleetState};
+use crate::fleet::{on_accelerator, AccelNode, FleetConfig, FleetState};
 use crate::procedures::{system_procedures, Procedure};
 use crate::router::Route;
 use crate::session::Session;
 use idaa_accel::{AccelConfig, AccelEngine, RestartStats};
 use idaa_common::trace::{SpanId, StatementTrace, Trace, TraceSink};
 use idaa_common::wire;
-use idaa_common::{Error, MetricsRegistry, ObjectName, Result, Rows, Value};
-use idaa_host::{Granted, HostEngine, TableKind, SYSADM};
+use idaa_common::{Error, MetricsRegistry, ObjectName, Result, Row, Rows, Value};
+use idaa_host::{Granted, HostEngine, Lsn, TableKind, SYSADM};
 use idaa_netsim::{Direction, FaultRegistry, NetLink, SitePlan};
 use idaa_sql::ast::Statement;
 use idaa_sql::Privilege;
@@ -362,49 +362,30 @@ impl Idaa {
         Ok(())
     }
 
-    /// ACCEL_ADD_TABLES body for one table: ship the ADD to every fleet
-    /// node and create the replicated accelerator copy there.
-    pub fn accel_table_add(&self, meta: &idaa_host::TableMeta) -> Result<()> {
-        let ddl = format!("ADD TABLE {}", meta.name);
-        for node in &self.nodes {
-            self.ship_ddl_on(node, &ddl)?;
-            node.engine.create_table(&meta.name, meta.schema.clone(), &meta.distribute_by)?;
-        }
-        Ok(())
-    }
-
-    /// ACCEL_REMOVE_TABLES body for one table: drop the copy on every
-    /// fleet node.
-    pub fn accel_table_remove(&self, meta: &idaa_host::TableMeta) -> Result<()> {
-        let ddl = format!("REMOVE TABLE {}", meta.name);
-        for node in &self.nodes {
-            self.ship_ddl_on(node, &ddl)?;
-            node.engine.drop_table(&meta.name)?;
-        }
-        Ok(())
-    }
-
-    /// Groom every table on every fleet node below DB2's oldest live
-    /// snapshot; returns versions reclaimed.
-    pub fn accel_groom_all(&self) -> usize {
+    /// GROOM (`ACCEL_GROOM_TABLES`): reclaim the row versions below DB2's
+    /// oldest live snapshot from `table`'s local tables on every owner, or
+    /// from every table on the accelerator when `table` is `None`. Returns
+    /// versions reclaimed.
+    pub fn accel_groom(&self, trace: &Trace, table: Option<&ObjectName>) -> Result<usize> {
         let horizon = self.host.txns.oldest_live();
-        self.nodes.iter().map(|n| n.engine.groom_all(horizon)).sum()
-    }
-
-    /// Groom one table across the fleet. Errors only when no node holds
-    /// the table (on a single node this is the table's own groom error).
-    pub fn accel_groom(&self, table: &ObjectName) -> Result<usize> {
-        let horizon = self.host.txns.oldest_live();
-        let groomed: Vec<_> = self.nodes.iter().map(|n| n.engine.groom(table, horizon)).collect();
-        if groomed.iter().any(Result::is_ok) {
-            return Ok(groomed.into_iter().flatten().sum());
+        let names = table.map_or_else(|| self.host.table_names(), |t| vec![t.clone()]);
+        let mut groomed = 0;
+        for name in names {
+            let meta = self.host.table_meta(&name)?;
+            if table.is_some() || on_accelerator(&meta) {
+                self.on_placement(trace, (&meta.name, meta.kind), || Ok(()), |node, local| {
+                    groomed += node.engine.groom(local, horizon)?;
+                    Ok(())
+                })?;
+            }
         }
-        groomed.into_iter().last().unwrap_or(Ok(0))
+        Ok(groomed)
     }
 
     /// Snapshot-load an accelerated table (ACCEL_LOAD_TABLES body): copy
-    /// its committed rows to every node and enable replication.
-    pub fn load_accelerated_table(&self, table: &ObjectName) -> Result<usize> {
+    /// its committed rows to every node and enable replication. Every node
+    /// must take the copy, or the table stays unloaded.
+    pub fn load_accelerated_table(&self, trace: &Trace, table: &ObjectName) -> Result<usize> {
         let meta = self.host.table_meta(table)?;
         if meta.kind != TableKind::Regular {
             return Err(Error::InvalidAcceleratorUse(format!(
@@ -419,36 +400,42 @@ impl Idaa {
         // Bring the replication watermark up to now *before* the snapshot,
         // so changes committed before the load are not double-applied.
         self.replicate_now()?;
-        // Every fleet node holds a full replica of accelerated host tables.
-        let nodes: Vec<&AccelNode> = self.nodes.iter().map(|n| &**n).collect();
-        let n = self.copy_replica(&meta, &nodes, true)?;
+        let (mut n, mut read) = (0, None);
+        let missed = self.on_placement(trace, (&meta.name, meta.kind), || Ok(()), |node, _| {
+            n = self.copy_replica(node, &meta, &mut read, true)?;
+            Ok(())
+        })?;
+        if let Some(node) = missed.first() {
+            let reason = format!("accelerator node {node} missed the load of {}", meta.name);
+            return Err(Error::ResourceUnavailable(reason));
+        }
         self.host.set_accel_status(&meta.name, idaa_host::AccelStatus::Loaded)?;
         Ok(n)
     }
 
-    /// Copy the accelerated DB2 table `meta` to `nodes`, replacing their rows
-    /// when `reload`: one locked DB2 read under the first node's load
-    /// transaction, then per node one frame, a load at the read's LSN and an
-    /// ack.
+    /// Copy the accelerated DB2 table `meta` to `node` (replacing its rows
+    /// when `reload`): one frame, a load at the LSN of `read` — the one
+    /// locked DB2 read, taken under the first copy's load transaction — and
+    /// an ack.
     pub(crate) fn copy_replica(
         &self,
+        node: &AccelNode,
         meta: &idaa_host::TableMeta,
-        nodes: &[&AccelNode],
+        read: &mut Option<(Vec<Row>, Lsn)>,
         reload: bool,
     ) -> Result<usize> {
-        let txns: Vec<_> = nodes.iter().map(|_| self.host.txns.next_id()).collect();
-        let Some(&first) = txns.first() else { return Ok(0) };
-        let (rows, lsn) = self.host.read_table_at(first, &meta.name)?;
-        let mut n = 0;
-        for (node, txn) in nodes.iter().zip(txns) {
-            let delivered = self.ship_rows_on(node, Direction::ToAccel, &meta.schema, &rows)?;
-            if reload {
-                node.engine.truncate(&meta.name)?;
-            }
-            n = node.engine.load_committed(txn, &meta.name, delivered, lsn)?;
-            node.copies.lock().insert(meta.name.clone(), lsn);
-            self.ship_on(node, Direction::ToHost, wire::ACK_FRAME)?;
+        let txn = self.host.txns.next_id();
+        let (rows, lsn) = match read {
+            Some(read) => &*read,
+            None => read.insert(self.host.read_table_at(txn, &meta.name)?),
+        };
+        let delivered = self.ship_rows_on(node, Direction::ToAccel, &meta.schema, rows)?;
+        if reload {
+            node.engine.truncate(&meta.name)?;
         }
+        let n = node.engine.load_committed(txn, &meta.name, delivered, *lsn)?;
+        node.copies.lock().insert(meta.name.clone(), *lsn);
+        self.ship_on(node, Direction::ToHost, wire::ACK_FRAME)?;
         Ok(n)
     }
 

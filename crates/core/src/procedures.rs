@@ -12,7 +12,7 @@
 use crate::idaa::Idaa;
 use crate::session::Session;
 use idaa_common::{ColumnDef, DataType, Error, ObjectName, Result, Rows, Schema, Value};
-use idaa_host::AccelStatus;
+use idaa_host::{AccelStatus, TableKind};
 
 /// A stored procedure callable via `CALL name(args…)`.
 pub trait Procedure: Send + Sync {
@@ -32,8 +32,9 @@ pub fn message_result(msg: impl Into<String>) -> Rows {
 }
 
 /// Extract the *table name* argument: system procedures accept either
-/// `(table)` or `(accelerator, table)` — we model a single accelerator, so
-/// a leading accelerator name is accepted and ignored.
+/// `(table)` or `(accelerator, table)`. A table lives on the nodes DB2's
+/// catalog places it on, whatever accelerator the call names, so a leading
+/// accelerator name is accepted and ignored.
 fn table_arg(args: &[Value]) -> Result<ObjectName> {
     let name = match args {
         [t] => t.as_str()?,
@@ -47,8 +48,8 @@ fn table_arg(args: &[Value]) -> Result<ObjectName> {
     Ok(ObjectName::from(name))
 }
 
-/// `SYSPROC.ACCEL_ADD_TABLES` — define a DB2 table on the accelerator
-/// (schema only; no data yet).
+/// `SYSPROC.ACCEL_ADD_TABLES` — define a DB2 table on every accelerator
+/// node (schema only; no data yet).
 pub struct AccelAddTables;
 
 impl Procedure for AccelAddTables {
@@ -56,16 +57,20 @@ impl Procedure for AccelAddTables {
         ObjectName::qualified("SYSPROC", "ACCEL_ADD_TABLES")
     }
 
-    fn execute(&self, idaa: &Idaa, _session: &mut Session, args: &[Value]) -> Result<Rows> {
+    fn execute(&self, idaa: &Idaa, session: &mut Session, args: &[Value]) -> Result<Rows> {
         let table = table_arg(args)?;
         let meta = idaa.host().table_meta(&table)?;
-        if meta.kind != idaa_host::TableKind::Regular {
+        if meta.kind != TableKind::Regular {
             return Err(Error::InvalidAcceleratorUse(format!(
                 "{table} is accelerator-only; it is already on the accelerator"
             )));
         }
-        idaa.accel_table_add(&meta)?;
-        idaa.host().set_accel_status(&meta.name, AccelStatus::Added)?;
+        let ddl = format!("ADD TABLE {}", meta.name);
+        let catalog = || idaa.host().set_accel_status(&meta.name, AccelStatus::Added);
+        idaa.on_placement(&session.trace, (&meta.name, meta.kind), catalog, |node, local| {
+            idaa.ship_ddl_on(node, &ddl)?;
+            node.engine.create_table(local, meta.schema.clone(), &meta.distribute_by)
+        })?;
         Ok(message_result(format!("table {} added to accelerator", meta.name)))
     }
 }
@@ -79,9 +84,9 @@ impl Procedure for AccelLoadTables {
         ObjectName::qualified("SYSPROC", "ACCEL_LOAD_TABLES")
     }
 
-    fn execute(&self, idaa: &Idaa, _session: &mut Session, args: &[Value]) -> Result<Rows> {
+    fn execute(&self, idaa: &Idaa, session: &mut Session, args: &[Value]) -> Result<Rows> {
         let table = table_arg(args)?;
-        let n = idaa.load_accelerated_table(&table)?;
+        let n = idaa.load_accelerated_table(&session.trace, &table)?;
         Ok(message_result(format!("loaded {n} rows into accelerator table {table}")))
     }
 }
@@ -94,11 +99,20 @@ impl Procedure for AccelRemoveTables {
         ObjectName::qualified("SYSPROC", "ACCEL_REMOVE_TABLES")
     }
 
-    fn execute(&self, idaa: &Idaa, _session: &mut Session, args: &[Value]) -> Result<Rows> {
+    fn execute(&self, idaa: &Idaa, session: &mut Session, args: &[Value]) -> Result<Rows> {
         let table = table_arg(args)?;
         let meta = idaa.host().table_meta(&table)?;
-        idaa.accel_table_remove(&meta)?;
-        idaa.host().set_accel_status(&meta.name, AccelStatus::NotAccelerated)?;
+        if meta.kind != TableKind::Regular || meta.accel_status == AccelStatus::NotAccelerated {
+            return Err(Error::UndefinedObject(format!(
+                "table {table} has not been added to the accelerator (ACCEL_ADD_TABLES)"
+            )));
+        }
+        let ddl = format!("REMOVE TABLE {}", meta.name);
+        let catalog = || idaa.host().set_accel_status(&meta.name, AccelStatus::NotAccelerated);
+        idaa.on_placement(&session.trace, (&meta.name, meta.kind), catalog, |node, local| {
+            idaa.ship_ddl_on(node, &ddl)?;
+            node.engine.drop_table(local)
+        })?;
         Ok(message_result(format!("table {} removed from accelerator", meta.name)))
     }
 }
@@ -112,13 +126,10 @@ impl Procedure for AccelGroomTables {
         ObjectName::qualified("SYSPROC", "ACCEL_GROOM_TABLES")
     }
 
-    fn execute(&self, idaa: &Idaa, _session: &mut Session, args: &[Value]) -> Result<Rows> {
-        let n = if args.is_empty() {
-            idaa.accel_groom_all()
-        } else {
-            let table = table_arg(args)?;
-            idaa.accel_groom(&table.resolve(idaa.default_schema()))?
-        };
+    fn execute(&self, idaa: &Idaa, session: &mut Session, args: &[Value]) -> Result<Rows> {
+        let table = (!args.is_empty()).then(|| table_arg(args)).transpose()?;
+        let table = table.map(|t| t.resolve(idaa.default_schema()));
+        let n = idaa.accel_groom(&session.trace, table.as_ref())?;
         Ok(message_result(format!("groomed {n} row versions")))
     }
 }

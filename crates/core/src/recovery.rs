@@ -7,13 +7,13 @@
 //! metered wire frames; failure injection flows through the seeded
 //! `FaultRegistry`, so a given seed replays byte-identically.
 
-use crate::fleet::{shard_table, AccelNode};
+use crate::fleet::{on_accelerator, AccelNode};
 use crate::health::HealthState;
 use crate::idaa::Idaa;
 use idaa_accel::RestartStats;
 use idaa_common::trace::Trace;
-use idaa_common::{wire, Error, Result, Row};
-use idaa_host::TableKind;
+use idaa_common::{wire, Error, ObjectName, Result, Row};
+use idaa_host::{AccelStatus, TableKind, TableMeta};
 use idaa_netsim::{Direction, RetryPolicy};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
@@ -202,66 +202,33 @@ impl Idaa {
     }
 
     /// Rebuild a node whose durable state is corrupt beyond local repair:
-    /// discard the media wholesale, boot the engine empty, and
-    /// re-materialize every accelerator-resident table — replicated host
-    /// tables re-ship a snapshot from DB2 (the replication watermark
-    /// fast-forwards past it), AOT shards recreate their definitions and
-    /// refill from a live replica via the standard catch-up copy, and a
-    /// shard with no other owner is quarantined (-904 until reloaded) —
-    /// its rows existed nowhere else, and a silently empty table is the
-    /// one outcome recovery must never produce. Any failure part-way
-    /// re-crashes the engine so the next recovery probe resumes the
-    /// rebuild rather than serving a half-rebuilt node.
+    /// reset its media and restart it empty, then catch up — its tables from
+    /// DB2's catalog; each loaded replicated table's snapshot from DB2, the
+    /// replication watermark fast-forwarding past it; its other shards from
+    /// live replicas, through the flagged catch-up copy — except that a
+    /// shard it owns alone is quarantined (-904 until reloaded: its rows
+    /// existed nowhere else, and a silently empty table is the one outcome
+    /// recovery must never produce). Any failure part-way re-crashes the
+    /// engine, so the next recovery probe resumes the rebuild.
     fn rebuild_node(&self, node: &AccelNode) -> Result<RestartStats> {
         node.needs_rebuild.store(true, Ordering::Relaxed);
         node.engine.durable().reset();
         let stats = node.engine.restart()?;
         let bytes_before = node.link.metrics().bytes_to_accel;
         let rebuild = || -> Result<()> {
-            // The DB2 catalog iterates in name order, so recreation (and
-            // every wire frame it ships) is deterministic.
-            for name in self.host.table_names() {
-                let meta = self.host.table_meta(&name)?;
+            for (meta, local, owners) in &self.reconcile_tables(node)? {
                 match meta.kind {
-                    TableKind::Regular => {
-                        if meta.accel_status == idaa_host::AccelStatus::NotAccelerated {
-                            continue;
-                        }
-                        self.ship_ddl_on(node, &format!("ADD TABLE {}", meta.name))?;
-                        node.engine.create_table(
-                            &meta.name,
-                            meta.schema.clone(),
-                            &meta.distribute_by,
-                        )?;
-                        if meta.accel_status == idaa_host::AccelStatus::Loaded {
-                            self.copy_replica(&meta, &[node], false)?;
-                        }
+                    TableKind::AcceleratorOnly if owners.len() == 1 => {
+                        node.engine.quarantine_table(local)?;
                     }
-                    TableKind::AcceleratorOnly => {
-                        for s in 0..self.fleet.shards {
-                            let owners = self.fleet.owners(s);
-                            if !owners.contains(&node.id) {
-                                continue;
-                            }
-                            let st = shard_table(&meta.name, s, self.fleet.shards);
-                            node.engine.create_table(
-                                &st,
-                                meta.schema.clone(),
-                                &meta.distribute_by,
-                            )?;
-                            if !owners.iter().any(|&o| o != node.id) {
-                                // This node was the shard's only owner:
-                                // there is no replica to copy from.
-                                node.engine.quarantine_table(&st)?;
-                            }
-                        }
-                        // Shard contents arrive through the standard
-                        // metered catch-up copy from a live replica.
-                        self.fleet.mark_catch_up(node.id);
+                    TableKind::Regular if meta.accel_status == AccelStatus::Loaded => {
+                        self.copy_replica(node, meta, &mut None, false)?;
                     }
+                    _ => {}
                 }
             }
             node.replicator.lock().fast_forward(self.host.txns.current_lsn());
+            self.fleet.mark_catch_up(node.id);
             Ok(())
         };
         if let Err(e) = rebuild() {
@@ -277,6 +244,37 @@ impl Idaa {
         node.rebuilds.fetch_add(1, Ordering::Relaxed);
         node.needs_rebuild.store(false, Ordering::Relaxed);
         Ok(stats)
+    }
+
+    /// Make `node`'s tables equal what DB2's catalog places there: drop each
+    /// one the catalog does not place there or whose schema differs, then
+    /// create each one missing, each change one metered DDL exchange.
+    /// Returns what the catalog places there, in catalog name order then
+    /// shard order: each table's entry, local name and owners.
+    fn reconcile_tables(&self, node: &AccelNode) -> Result<Vec<(TableMeta, ObjectName, Vec<usize>)>> {
+        let mut placed = Vec::new();
+        for name in self.host.table_names() {
+            let meta = self.host.table_meta(&name)?;
+            for (local, owners) in self.placement(&meta.name, meta.kind) {
+                if on_accelerator(&meta) && owners.contains(&node.id) {
+                    placed.push((meta.clone(), local, owners));
+                }
+            }
+        }
+        for local in node.engine.table_names() {
+            let schema = node.engine.table(&local)?.schema.clone();
+            if !placed.iter().any(|(meta, l, _)| *l == local && meta.schema == schema) {
+                self.ship_ddl_on(node, &format!("REMOVE TABLE {local}"))?;
+                node.engine.drop_table(&local)?;
+            }
+        }
+        for (meta, local, _) in &placed {
+            if !node.engine.has_table(local) {
+                self.ship_ddl_on(node, &format!("ADD TABLE {local}"))?;
+                node.engine.create_table(local, meta.schema.clone(), &meta.distribute_by)?;
+            }
+        }
+        Ok(placed)
     }
 
     /// One background storage-scrub step on `node`, driven between
@@ -310,68 +308,60 @@ impl Idaa {
         }
     }
 
-    /// Copy every shard a lagging node owns from a live replica, metering
-    /// both legs of the transfer, and commit the copy at DB2's current LSN
-    /// (so a source must hold every COMMIT decision). The node stays flagged
+    /// Bring a lagging node to DB2's catalog: [its tables](Self::reconcile_tables),
+    /// then every shard it owns, copied from a live replica with both legs
+    /// of the transfer metered and committed at DB2's current LSN (so a
+    /// source must hold every COMMIT decision). The node stays flagged
     /// until a full pass succeeds: a flagged node that finds no up-to-date
-    /// owner to copy some shard from stays flagged and fails the pass
-    /// (-904), so it never serves rows it may have missed. A pass that copied nothing is not
+    /// owner to copy some shard from fails the pass (-904), so it never
+    /// serves rows it may have missed. A pass that copied nothing is not
     /// counted.
     pub(crate) fn catch_up_node(&self, node: &AccelNode) -> Result<()> {
-        let shards = self.fleet.shards;
         let mut copied = false;
         let mut stranded = None;
-        for name in self.host.table_names() {
-            let meta = self.host.table_meta(&name)?;
+        for (meta, st, owners) in &self.reconcile_tables(node)? {
             if meta.kind != TableKind::AcceleratorOnly {
                 continue;
             }
-            for s in 0..shards {
-                let owners = self.fleet.owners(s);
-                if !owners.contains(&node.id) {
-                    continue;
+            let Some(src_id) = owners.iter().copied().find(|&o| {
+                let src = &self.nodes[o];
+                self.flush_pending_commits_on(src);
+                o != node.id
+                    && !src.engine.is_crashed()
+                    && !self.fleet.needs_catch_up(o)
+                    && src.pending_commits.lock().is_empty()
+            }) else {
+                // A sole owner has no one to lag behind.
+                if owners.len() > 1 {
+                    stranded = Some(st.clone());
                 }
-                let Some(src_id) = owners.iter().copied().find(|&o| {
-                    let src = &self.nodes[o];
-                    self.flush_pending_commits_on(src);
-                    o != node.id
-                        && !src.engine.is_crashed()
-                        && !self.fleet.needs_catch_up(o)
-                        && src.pending_commits.lock().is_empty()
-                }) else {
-                    // A sole owner has no one to lag behind.
-                    if owners.len() > 1 {
-                        stranded = Some((s, meta.name.clone()));
-                    }
-                    continue;
-                };
-                let src = self.nodes[src_id].clone();
-                let st = shard_table(&meta.name, s, shards);
-                let lsn = self.host.txns.current_lsn();
-                let rows = src.engine.scan_visible(&st)?;
-                let mut delivered: Vec<Row> = Vec::with_capacity(rows.len());
-                let mut bytes = 0u64;
-                for frame in wire::encode_frames(&meta.schema, &rows) {
-                    self.ship_frame_on(&src, Direction::ToHost, &frame)?;
-                    self.ship_frame_on(node, Direction::ToAccel, &frame)?;
-                    bytes += 2 * frame.len() as u64;
-                    delivered.extend(wire::decode_rows(&frame, &meta.schema)?);
-                }
-                node.engine.truncate(&st)?;
-                node.engine.load_committed(self.host.txns.next_id(), &st, delivered, lsn)?;
-                node.copies.lock().insert(meta.name.clone(), lsn);
-                self.metrics.inc("fleet.catch_up.bytes", bytes);
-                copied = true;
+                continue;
+            };
+            let src = self.nodes[src_id].clone();
+            let lsn = self.host.txns.current_lsn();
+            let rows = src.engine.scan_visible(st)?;
+            let mut delivered: Vec<Row> = Vec::with_capacity(rows.len());
+            let mut bytes = 0u64;
+            for frame in wire::encode_frames(&meta.schema, &rows) {
+                self.ship_frame_on(&src, Direction::ToHost, &frame)?;
+                self.ship_frame_on(node, Direction::ToAccel, &frame)?;
+                bytes += 2 * frame.len() as u64;
+                delivered.extend(wire::decode_rows(&frame, &meta.schema)?);
             }
+            node.engine.truncate(st)?;
+            node.engine.load_committed(self.host.txns.next_id(), st, delivered, lsn)?;
+            node.copies.lock().insert(meta.name.clone(), lsn);
+            self.metrics.inc("fleet.catch_up.bytes", bytes);
+            copied = true;
         }
         if copied {
             self.metrics.inc("fleet.catch_ups", 1);
         }
         match stranded {
-            Some((s, table)) if self.fleet.needs_catch_up(node.id) => {
+            Some(shard) if self.fleet.needs_catch_up(node.id) => {
                 Err(Error::ResourceUnavailable(format!(
-                    "accelerator node {} cannot catch up shard {s} of {table}: no up-to-date \
-                     replica is available",
+                    "accelerator node {} cannot catch up {shard}: no up-to-date replica is \
+                     available",
                     node.id
                 )))
             }

@@ -1,12 +1,12 @@
 //! Structural rules of the code base, checked against the source tree:
 //! deleted machinery stays deleted, every engine runs one set of row
 //! operators on one plan walk, the accelerator has one fan-out, only
-//! `idaa-core` decides where accelerator rows live, wall time is read only
-//! where it is measured, every config field is set by some caller,
-//! recoverable accelerator state has one image, injected faults draw
-//! from one seeded stream, the link counts only through registry
-//! handles, product code keeps no process-global state, and only DB2
-//! authorizes.
+//! `idaa-core` decides where accelerator rows live and it does so in one
+//! placement function, wall time is read only where it is measured, every
+//! config field is set by some caller, recoverable accelerator state has
+//! one image, injected faults draw from one seeded stream, the link counts
+//! only through registry handles, product code keeps no process-global
+//! state, and only DB2 authorizes.
 
 use std::path::{Path, PathBuf};
 
@@ -170,6 +170,10 @@ fn deleted_names_stay_deleted() {
     // the special cases they needed: DB2's commit LSN numbers every commit,
     // and a transaction reads at its one snapshot on every node.
     let clock: &[&str] = &["snapshot_for", "commit_at", "node_query_txn", "at_commit"];
+    // The hand-rolled node loops of fleet-wide operations and their own
+    // placement: each one passes its apply step to `Idaa::on_placement`.
+    let fleet_ops: &[&str] =
+        &["accel_table_add", "accel_table_remove", "create_aot", "drop_accel_copies", "shard_owners"];
     let everywhere = &["crates", "src", "tests"][..];
     for (names, dirs) in [
         (executor, &["crates/accel/src"][..]),
@@ -183,6 +187,7 @@ fn deleted_names_stay_deleted() {
         (host_query, &["crates/host/src"][..]),
         (replication, everywhere),
         (clock, everywhere),
+        (fleet_ops, everywhere),
     ] {
         for (path, text) in dirs.iter().flat_map(|d| sources(d)) {
             if path.ends_with("tests/contract.rs") {
@@ -352,6 +357,23 @@ fn only_core_places_accelerator_rows() {
     for (path, text) in files {
         for name in placement {
             assert!(!product(&text).contains(name), "{} names `{name}`", path.display());
+        }
+    }
+}
+
+#[test]
+fn one_placement() {
+    // Which local tables hold a table's rows, and which nodes own each, is
+    // decided in one function; every other path in `idaa-core` asks it.
+    let home = "    pub(crate) fn placement(";
+    for (path, text) in product_sources() {
+        if !path.starts_with(root().join("crates/core/src")) {
+            continue;
+        }
+        let placement = if path.ends_with("fleet.rs") { method(&text, home) } else { "" };
+        for name in ["shard_table(", "fleet.owners("] {
+            let uses = text.matches(name).count() - text.matches(&format!("fn {name}")).count();
+            assert_eq!(uses, placement.matches(name).count(), "{} names `{name}` outside `placement`", path.display());
         }
     }
 }

@@ -409,13 +409,8 @@ proptest! {
             let before = footprint(&idaa);
             let result = perform(&idaa, &mut sessions[user], &request);
             let who = USERS[user];
-            // An authorized analytics CALL may still find its accelerator
-            // down: its output table needs every owner of every shard up,
-            // and a crashed fleet node is not restarted for it (-904).
-            let analytics = matches!(&request, Request::Sql(sql) if sql.contains(OBJECTS[P2].0));
             match result {
                 Ok(()) => assert!(allowed, "{who} ran {request:?} without a grant for {needs:?}"),
-                Err(e) if allowed && analytics && crash.is_some() && e.sqlcode() == -904 => {}
                 Err(e) if allowed => panic!("{who} holds {needs:?} but {request:?} failed: {e}"),
                 Err(e) => {
                     assert_eq!(e.sqlcode(), -551, "{who}'s denied {request:?} answered {e}");
