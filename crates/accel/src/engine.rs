@@ -1126,15 +1126,15 @@ impl AccelEngine {
         Ok(())
     }
 
-    /// Scan every row this node has committed ([`Snapshot::latest`]):
-    /// diagnostics, tests, catch-up copies and the analytics reads.
-    pub fn scan_visible(&self, table: &ObjectName) -> Result<Vec<Row>> {
+    /// Scan every row of `table` visible at `snap`: the analytics reads at
+    /// the caller's snapshot, catch-up copies at [`Snapshot::latest`].
+    pub fn scan_at(&self, snap: Snapshot, table: &ObjectName) -> Result<Vec<Row>> {
         self.ensure_up()?;
         self.ensure_not_quarantined(table)?;
         let t = self.table(table)?;
         let ctx = ExecCtx {
             engine: self,
-            snap: Snapshot::latest(0),
+            snap,
             mode: ExecMode::Vectorized,
             profile: None,
             low: &Lowered::default(),

@@ -1,14 +1,14 @@
 //! Governed table I/O for analytics procedures.
 //!
 //! Each table is authorized through [`Idaa::authorize`], DB2's one
-//! authorization step, before its rows are touched, and the token it
-//! returns is the only way to them. Inputs must physically exist on the
-//! accelerator (AOTs or loaded replicas) — the framework never pulls table
-//! data across the link for an in-database operation. Where rows live is
-//! `idaa-core`'s business: reads go through [`Idaa::scan_accel_table`],
-//! which serves each shard from its owners, and results are written with
+//! authorization step, before its rows are touched. A read follows a
+//! SELECT's rule in the caller's transaction ([`Idaa::scan_accel_table`]):
+//! the input must be on the accelerator for it (an AOT, or a loaded replica
+//! it has not changed in DB2; else -4742), and is read at its snapshot,
+//! with its own writes, never crossing the link. Results are written with
 //! [`Idaa::write_output_aot`] to accelerator-only tables, ready to feed the
-//! next pipeline stage.
+//! next pipeline stage; they commit at once, outside the caller's
+//! transaction.
 
 use idaa_common::{Error, ObjectName, Result, Row, Rows, Schema, Value};
 use idaa_core::{Idaa, Session};

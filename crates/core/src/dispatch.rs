@@ -10,7 +10,7 @@
 
 use crate::fleet::{on_accelerator, AccelNode};
 use crate::idaa::{ExecOutcome, Idaa, Payload};
-use crate::router::{self, Route};
+use crate::router::{self, Route, TableMix};
 use crate::session::Session;
 use idaa_accel::Snapshot;
 use idaa_common::trace::Trace;
@@ -209,13 +209,7 @@ impl Idaa {
             .ok_or_else(|| Error::UndefinedObject(format!("procedure {name} is not defined")))?;
         // EXECUTE is all a CALL needs; the body authorizes the tables it uses.
         self.authorize_one(session, &name, Privilege::Execute)?;
-        let arg_values: Vec<Value> = args
-            .iter()
-            .map(|e| {
-                let resolver = FlatResolver::new(vec![]);
-                eval(&bind(e, &resolver)?, &[])
-            })
-            .collect::<Result<_>>()?;
+        let arg_values: Vec<Value> = args.iter().map(constant).collect::<Result<_>>()?;
         let rows = proc.execute(self, session, &arg_values)?;
         Ok(ExecOutcome::host(Payload::Rows(rows)))
     }
@@ -223,46 +217,32 @@ impl Idaa {
     /// `EXPLAIN`: plan the statement, report the routing decision and the
     /// operator tree — without executing anything.
     fn dispatch_explain(&self, session: &mut Session, inner: &Statement) -> Result<ExecOutcome> {
-        let (plan, route_desc) = match inner {
+        let (desc, plan) = match inner {
             Statement::Query(q) => {
                 let plan = plan_query(q, &*self.host)?;
-                let mut mix = router::classify(&self.host, &self.resolved_tables(&plan))?;
-                mix.indexed_point = router::is_indexed_point(&self.host, &plan);
-                let (route, reason) =
-                    router::route_query_with_reason(&mix, session.acceleration)?;
-                let mut desc = format!(
-                    "ROUTE: {route:?} (CURRENT QUERY ACCELERATION = {})\nREASON: {reason}",
-                    session.acceleration
-                );
+                let (_, route, reason) = self.read_route(session, &plan, &self.resolved_tables(&plan))?;
+                let mode = session.acceleration;
+                let mut desc = format!("ROUTE: {route:?} (CURRENT QUERY ACCELERATION = {mode})\nREASON: {reason}");
                 // For offloaded queries, also report which accelerator
                 // pipeline would run — vectorized kernels, fused
                 // aggregation, or the interpreted fallback.
-                if route == router::Route::Accelerator {
+                if route == Route::Accelerator {
                     if let Ok(pipeline) = self.accel().pipeline_of(q) {
                         desc.push_str(&format!("\nPIPELINE: {pipeline}"));
                     }
                 }
-                (plan, desc)
+                (desc, Some(plan))
             }
             Statement::Insert { table, .. }
             | Statement::Update { table, .. }
             | Statement::Delete { table, .. } => {
-                let route = router::route_dml(&self.host, table)?;
-                let desc = format!("ROUTE: {route:?} (DML target {table})");
-                match inner {
-                    Statement::Insert { source: InsertSource::Query(q), .. } => {
-                        (plan_query(q, &*self.host)?, desc)
-                    }
-                    _ => {
-                        // No query plan to show for VALUES/UPDATE/DELETE —
-                        // report the route only.
-                        let lines = vec![vec![Value::Varchar(desc)]];
-                        return Ok(ExecOutcome::host(Payload::Rows(Rows::new(
-                            explain_schema(),
-                            lines,
-                        ))));
-                    }
-                }
+                let desc = format!("ROUTE: {:?} (DML target {table})", router::route_dml(&self.host, table)?);
+                // VALUES, UPDATE and DELETE have no query plan to show.
+                let plan = match inner {
+                    Statement::Insert { source: InsertSource::Query(q), .. } => Some(plan_query(q, &*self.host)?),
+                    _ => None,
+                };
+                (desc, plan)
             }
             other => {
                 return Err(Error::Unsupported(format!(
@@ -270,14 +250,8 @@ impl Idaa {
                 )))
             }
         };
-        let mut lines: Vec<Row> = route_desc
-            .lines()
-            .map(|l| vec![Value::Varchar(l.to_string())])
-            .collect();
-        for l in plan.explain().lines() {
-            lines.push(vec![Value::Varchar(l.to_string())]);
-        }
-        Ok(ExecOutcome::host(Payload::Rows(Rows::new(explain_schema(), lines))))
+        let text = [desc, plan.map(|p| p.explain()).unwrap_or_default()];
+        Ok(ExecOutcome::host(explain_rows(&text)))
     }
 
     /// `EXPLAIN ANALYZE`: *execute* the statement (under a span tree even
@@ -303,33 +277,15 @@ impl Idaa {
             session.trace = original;
         }
         let outcome = result?;
-        let mut lines: Vec<Row> = vec![vec![Value::Varchar(format!(
-            "ROUTE: {:?} (CURRENT QUERY ACCELERATION = {})",
-            outcome.route, session.acceleration
-        ))]];
+        let mut text =
+            vec![format!("ROUTE: {:?} (CURRENT QUERY ACCELERATION = {})", outcome.route, session.acceleration)];
         // Show the plan for the query shape, as plain EXPLAIN would.
-        let query = match inner {
-            Statement::Query(q) => Some(q.as_ref()),
-            Statement::Insert { source: InsertSource::Query(q), .. } => Some(q.as_ref()),
-            _ => None,
-        };
-        if let Some(q) = query {
-            for l in plan_query(q, &*self.host)?.explain().lines() {
-                lines.push(vec![Value::Varchar(l.to_string())]);
-            }
+        if let Statement::Query(q) | Statement::Insert { source: InsertSource::Query(q), .. } = inner {
+            text.push(plan_query(q, &*self.host)?.explain());
         }
-        lines.push(vec![Value::Varchar("-- ANALYZE --".into())]);
-        if let Some(node) = analyzed {
-            for child in &node.children {
-                for l in child.render().lines() {
-                    lines.push(vec![Value::Varchar(l.to_string())]);
-                }
-            }
-        }
-        Ok(ExecOutcome {
-            route: outcome.route,
-            payload: Payload::Rows(Rows::new(explain_schema(), lines)),
-        })
+        text.push("-- ANALYZE --".into());
+        text.extend(analyzed.iter().flat_map(|node| node.children.iter().map(|c| c.render())));
+        Ok(ExecOutcome { route: outcome.route, payload: explain_rows(&text) })
     }
 
     fn dispatch_query(&self, session: &mut Session, q: &Query) -> Result<ExecOutcome> {
@@ -351,10 +307,7 @@ impl Idaa {
         grants: &[Granted],
     ) -> Result<ExecOutcome> {
         let trace = session.trace.clone();
-        let mut mix = router::classify(&self.host, tables)?;
-        mix.indexed_point = router::is_indexed_point(&self.host, plan);
-        let (mut route, mut reason) =
-            router::route_query_with_reason(&mix, session.acceleration)?;
+        let (mix, mut route, mut reason) = self.read_route(session, plan, tables)?;
         // No owner of some shard the read touches is available (stopped,
         // crashed, or declared offline after consecutive communication
         // failures): fall back to DB2 when the data still lives there; fail
@@ -407,6 +360,21 @@ impl Idaa {
         }
         trace.end(span, self.link().now());
         Ok(ExecOutcome::host(Payload::Rows(rows?)))
+    }
+
+    /// The one routing of a read of `tables`, planned as `plan`: the tables
+    /// are classified for the session's transaction (one it changed in DB2
+    /// is host-only), then routed by its register, with the reason.
+    fn read_route(
+        &self,
+        session: &Session,
+        plan: &Plan,
+        tables: &[ObjectName],
+    ) -> Result<(TableMix, Route, &'static str)> {
+        let mut mix = router::classify_for(&self.host, session.txn, tables)?;
+        mix.indexed_point = router::is_indexed_point(&self.host, plan);
+        let (route, reason) = router::route_query_with_reason(&mix, session.acceleration)?;
+        Ok((mix, route, reason))
     }
 
     /// Record the routing decision (and its reason) as a trace event.
@@ -490,28 +458,21 @@ impl Idaa {
         let grants = self.authorize(&session.user, &session.trace, wants)?;
         // Build full-width rows from VALUES, or run the source query.
         let rows: Vec<Row> = match (source, &plan) {
-            (InsertSource::Values(value_rows), _) => {
-                let resolver = FlatResolver::new(vec![]);
-                let mut out = Vec::with_capacity(value_rows.len());
-                for exprs in value_rows {
-                    let vals: Vec<Value> = exprs
-                        .iter()
-                        .map(|e| eval(&bind(e, &resolver)?, &[]))
-                        .collect::<Result<_>>()?;
-                    out.push(self.widen_row(&meta.schema, columns, vals)?);
-                }
-                out
-            }
+            (InsertSource::Values(value_rows), _) => value_rows
+                .iter()
+                .map(|exprs| self.widen_row(&meta.schema, columns, exprs.iter().map(constant).collect::<Result<_>>()?))
+                .collect::<Result<_>>()?,
             (InsertSource::Query(src_q), Some(plan)) => {
                 // Pushdown path — the paper's contribution: an AOT target
-                // whose source tables all exist on the accelerator executes
-                // entirely there; only the statement text crosses the link.
+                // whose source tables all exist on the accelerator for this
+                // transaction executes entirely there; only the statement
+                // text crosses the link.
                 // That needs target and sources whole on the same owners;
                 // with more than one shard the source runs through the
                 // scatter path below and the insert re-shards its result.
                 if meta.kind == TableKind::AcceleratorOnly
                     && self.fleet.shards == 1
-                    && router::classify(&self.host, &src_tables)?.host_only == 0
+                    && self.read_route(session, plan, &src_tables)?.0.host_only == 0
                 {
                     if !src_tables.is_empty() {
                         // The sources are read where the target lives.
@@ -638,11 +599,17 @@ impl Idaa {
     }
 }
 
-fn explain_schema() -> idaa_common::Schema {
-    idaa_common::Schema::new_unchecked(vec![idaa_common::ColumnDef::new(
-        "PLAN",
-        idaa_common::DataType::Varchar(255),
-    )])
+/// The value of the column-free expression `e` (a CALL argument, a VALUES
+/// item).
+fn constant(e: &Expr) -> Result<Value> {
+    eval(&bind(e, &FlatResolver::new(Vec::new()))?, &[])
+}
+
+/// The EXPLAIN result: one `PLAN` row per line of `text`.
+fn explain_rows(text: &[String]) -> Payload {
+    let schema = idaa_common::ColumnDef::new("PLAN", idaa_common::DataType::Varchar(255));
+    let lines = text.iter().flat_map(|t| t.lines()).map(|l| vec![Value::Varchar(l.to_string())]);
+    Payload::Rows(Rows::new(idaa_common::Schema::new_unchecked(vec![schema]), lines.collect()))
 }
 
 fn workload_schema() -> idaa_common::Schema {

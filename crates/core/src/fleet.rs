@@ -22,6 +22,7 @@
 use crate::health::{HealthMonitor, HealthState, SeqTracker};
 use crate::idaa::{Idaa, IdaaConfig};
 use crate::replication::Replicator;
+use crate::router;
 use crate::session::Session;
 use idaa_accel::{cuts, AccelEngine, Cut, RestartStats, Snapshot};
 use idaa_common::trace::Trace;
@@ -31,10 +32,10 @@ use idaa_netsim::{sites, Direction, FaultRegistry, LinkConfig, LinkMetrics, NetL
 use idaa_sql::ast::{Query, TableRef};
 use idaa_sql::exec::{execute_plan, RowSource};
 use idaa_sql::plan::Plan;
-use idaa_sql::Privilege;
+use idaa_sql::{AccelerationMode, Privilege};
 use parking_lot::Mutex;
 use std::cell::OnceCell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -180,7 +181,7 @@ pub fn shard_table(table: &ObjectName, shard: usize, shards: usize) -> ObjectNam
 }
 
 /// Coordinator-side fleet bookkeeping: current primaries, failover history
-/// and nodes awaiting catch-up. Which tables are
+/// and nodes awaiting catch-up, with what each missed. Which tables are
 /// sharded is not tracked here — the host catalog's
 /// `TableKind::AcceleratorOnly` is the one registry.
 pub(crate) struct FleetState {
@@ -189,7 +190,9 @@ pub(crate) struct FleetState {
     replicas: usize,
     current_primary: Mutex<Vec<usize>>,
     failed_over_at: Mutex<Vec<Option<Duration>>>,
-    catch_up: Mutex<BTreeSet<usize>>,
+    /// Nodes awaiting catch-up, each with the local tables it missed a
+    /// write of (`None`: it may lag on every table it owns).
+    catch_up: Mutex<BTreeMap<usize, Option<BTreeSet<ObjectName>>>>,
 }
 
 impl FleetState {
@@ -203,7 +206,7 @@ impl FleetState {
             replicas,
             current_primary: Mutex::new((0..shards).map(|s| s % accelerators).collect()),
             failed_over_at: Mutex::new(vec![None; shards]),
-            catch_up: Mutex::new(BTreeSet::new()),
+            catch_up: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -237,12 +240,29 @@ impl FleetState {
         self.failed_over_at.lock()[shard] = None;
     }
 
+    /// Flag `node` for catch-up on every table it owns.
     pub(crate) fn mark_catch_up(&self, node: usize) {
-        self.catch_up.lock().insert(node);
+        self.catch_up.lock().insert(node, None);
+    }
+
+    /// Flag each owner of `local` in `missed` for catch-up to DB2's
+    /// catalog, and for a copy of `local` when another owner took its write.
+    pub(crate) fn mark_missed(&self, (local, owners): &(ObjectName, Vec<usize>), missed: &BTreeSet<usize>) {
+        let taken = owners.iter().any(|o| !missed.contains(o));
+        for &o in owners.iter().filter(|o| missed.contains(o)) {
+            if let Some(tables) = self.catch_up.lock().entry(o).or_insert(Some(BTreeSet::new())) {
+                tables.extend(taken.then(|| local.clone()));
+            }
+        }
     }
 
     pub(crate) fn needs_catch_up(&self, node: usize) -> bool {
-        self.catch_up.lock().contains(&node)
+        self.catch_up.lock().contains_key(&node)
+    }
+
+    /// Whether `node` may lack a write of its local table `local`.
+    pub(crate) fn lags_on(&self, node: usize, local: &ObjectName) -> bool {
+        self.catch_up.lock().get(&node).is_some_and(|m| m.as_ref().is_none_or(|m| m.contains(local)))
     }
 
     pub(crate) fn clear_catch_up(&self, node: usize) {
@@ -470,23 +490,23 @@ impl Idaa {
         Err(self.shard_error(shard, table, down))
     }
 
-    /// Apply one write of `shard` to each of its live `owners`; the
-    /// affected-row count is the first replica's. An owner that cannot take
-    /// the write joins `missed` and is flagged for a catch-up copy from one
-    /// that did; it sits out the rest of the write (every later shard that
-    /// shares `missed`), so no mid-write catch-up can leave it half written.
+    /// Apply one write of `shard` of `table` to each live owner of its
+    /// `placed` local table; the affected-row count is the first replica's.
+    /// An owner that cannot take the write joins `missed` and sits out the
+    /// rest of the write (every later shard that shares `missed`), so no
+    /// mid-write catch-up can leave it half written. Once another owner took
+    /// the write, it is flagged for a catch-up copy of the local table: a
+    /// shard no owner took has nothing to catch up to.
     fn write_on_owners(
         &self,
         session: &mut Session,
-        shard: usize,
-        table: &ObjectName,
-        owners: Vec<usize>,
+        (shard, table): (usize, &ObjectName),
+        placed: &(ObjectName, Vec<usize>),
         missed: &mut BTreeSet<usize>,
         mut run: impl FnMut(&AccelNode, &mut Session) -> Result<usize>,
     ) -> Result<usize> {
-        let mut counted = None;
-        let mut down = None;
-        for owner in owners {
+        let (mut counted, mut down) = (None, None);
+        for &owner in &placed.1 {
             if missed.contains(&owner) {
                 continue;
             }
@@ -498,11 +518,12 @@ impl Idaa {
                 Err(e) => {
                     note_down(&mut down, e)?;
                     missed.insert(owner);
-                    self.fleet.mark_catch_up(owner);
                 }
             }
         }
-        counted.ok_or_else(|| self.shard_error(shard, table, down))
+        let n = counted.ok_or_else(|| self.shard_error(shard, table, down))?;
+        self.fleet.mark_missed(placed, missed);
+        Ok(n)
     }
 
     /// How a read of `tables` runs on the accelerator side, by their
@@ -760,7 +781,8 @@ impl Idaa {
     /// ready, it fails (-904 or -30081) before anything changed. Then
     /// `catalog` changes DB2's catalog and each ready owner runs `apply` on
     /// its local table. The owners that missed it are flagged for catch-up,
-    /// which brings them to the catalog, and returned.
+    /// which brings them to the catalog (and copies each local table another
+    /// owner took), and returned.
     pub(crate) fn on_placement(
         &self,
         trace: &Trace,
@@ -799,7 +821,7 @@ impl Idaa {
                 }
             }
         }
-        missed.iter().for_each(|&o| self.fleet.mark_catch_up(o));
+        placement.iter().for_each(|shard| self.fleet.mark_missed(shard, &missed));
         Ok(missed)
     }
 
@@ -845,9 +867,8 @@ impl Idaa {
         let (mut total, mut missed) = (0usize, BTreeSet::new());
         let placement = self.placement(&meta.name, meta.kind);
         for (s, shard_rows) in self.split_by_shard(meta, rows, false)? {
-            let (st, owners) = &placement[s];
-            let (owners, missed) = (owners.clone(), &mut missed);
-            total += self.write_on_owners(session, s, &meta.name, owners, missed, |node, sess| {
+            let st = &placement[s].0;
+            total += self.write_on_owners(session, (s, &meta.name), &placement[s], &mut missed, |node, sess| {
                 let txn = self.enlist_node(sess, node)?;
                 let to = Direction::ToAccel;
                 let delivered =
@@ -872,21 +893,22 @@ impl Idaa {
     ) -> Result<usize> {
         self.maybe_rebalance();
         let (mut total, mut missed) = (0usize, BTreeSet::new());
-        for (s, (st, owners)) in self.placement(table, TableKind::AcceleratorOnly).into_iter().enumerate() {
-            total += self.write_on_owners(session, s, table, owners, &mut missed, |node, sess| {
+        for (s, shard) in self.placement(table, TableKind::AcceleratorOnly).iter().enumerate() {
+            total += self.write_on_owners(session, (s, table), shard, &mut missed, |node, sess| {
                 self.enlist_node(sess, node)?;
                 let snap = self.snapshot(sess);
-                self.exchange_control(node, sess, request_bytes, || op(node, snap, &st))
+                self.exchange_control(node, sess, request_bytes, || op(node, snap, &shard.0))
             })?;
         }
         Ok(total)
     }
 
-    /// The visible rows of the accelerator table `grant` authorizes SELECT
-    /// on (accelerator-only, or an accelerated DB2 table), shard by shard in
-    /// ascending shard order, each shard served by its owners: the primary
-    /// first, then failover. No row crosses a link; this is how in-database
-    /// analytics read.
+    /// The rows the session's transaction sees of the accelerator table
+    /// `grant` authorizes SELECT on (accelerator-only, or an accelerated DB2
+    /// table it has not changed in DB2), shard by shard in ascending shard
+    /// order, each shard served by its owners: the primary first, then
+    /// failover. No row crosses a link; this is how in-database analytics
+    /// read.
     pub fn scan_accel_table(&self, session: &mut Session, grant: &Granted) -> Result<Rows> {
         self.read_accel_table(session, grant, false)
     }
@@ -898,20 +920,25 @@ impl Idaa {
         self.read_accel_table(session, grant, true)
     }
 
+    /// A SELECT's read rule: the table, classified for the session's
+    /// transaction, routes as under `ALL` (-4742 when it is not on the
+    /// accelerator for it), the read plan must be [ready](Self::read_ready),
+    /// and each shard is scanned at the session's snapshot by an owner that
+    /// [serves](Self::serves) it.
     fn read_accel_table(&self, session: &mut Session, grant: &Granted, ship: bool) -> Result<Rows> {
         let meta = self.host.table_meta(grant.object_for(Privilege::Select)?)?;
-        if !on_accelerator(&meta) {
-            return Err(Error::InvalidAcceleratorUse(format!(
-                "{} is not on the accelerator; add and load it (ACCEL_ADD_TABLES / \
-                 ACCEL_LOAD_TABLES) or use an accelerator-only table",
-                meta.name
-            )));
-        }
-        self.maybe_rebalance();
+        let tables = [meta.name.clone()];
+        let mix = router::classify_for(&self.host, session.txn, &tables)?;
+        router::route_query(&mix, AccelerationMode::All)?;
+        let read = self.read_plan(&tables)?;
+        self.read_ready(session, &read, &tables)?;
+        let snap = self.snapshot(session);
         let mut rows = Vec::new();
-        for (s, (st, owners)) in self.placement(&meta.name, meta.kind).iter().enumerate() {
+        for (s, (locals, owners)) in read.shards.iter().enumerate() {
+            let st = locals.first().unwrap_or(&meta.name);
             let (part, _) = self.read_on_owners(session, (s, &meta.name), owners, |node, _| {
-                let part = node.engine.scan_visible(st)?;
+                self.serves(node, snap.seq, &tables)?;
+                let part = node.engine.scan_at(snap, st)?;
                 if !ship {
                     return Ok(part);
                 }
@@ -927,8 +954,8 @@ impl Idaa {
     /// (an analytics result). Replacing an existing table takes `replace`,
     /// the token to drop it. Every ready owner of every shard gets a fresh
     /// shard table and one `CREATE_OUTPUT_FRAME`, then commits its rows at
-    /// the current LSN and answers with one `ACK_FRAME`; no row crosses a
-    /// link.
+    /// the session's snapshot, which its next read sees, and answers with
+    /// one `ACK_FRAME`; no row crosses a link.
     pub fn write_output_aot(
         &self,
         session: &mut Session,
@@ -965,12 +992,12 @@ impl Idaa {
             self.ship_on(node, Direction::ToAccel, wire::CREATE_OUTPUT_FRAME).map(drop)
         })?;
         let meta = self.host.table_meta(&name)?;
-        let lsn = self.host.txns.current_lsn();
+        let lsn = self.snapshot(session).seq;
         let placement = self.placement(&name, aot);
         let write = || -> Result<()> {
             for (s, shard_rows) in self.split_by_shard(&meta, rows, true)? {
-                let (st, owners) = &placement[s];
-                self.write_on_owners(session, s, &name, owners.clone(), &mut missed, |node, _| {
+                let st = &placement[s].0;
+                self.write_on_owners(session, (s, &name), &placement[s], &mut missed, |node, _| {
                     let txn = self.host.txns.next_id();
                     let n = node.engine.load_committed(txn, st, shard_rows.clone(), lsn)?;
                     self.ship_on(node, Direction::ToHost, wire::ACK_FRAME)?;
@@ -1013,9 +1040,8 @@ impl Idaa {
         let placement = self.placement(&meta.name, meta.kind);
         let filled = fill(&mut |rows| {
             for (s, shard_rows) in self.split_by_shard(&meta, rows, false)? {
-                let (st, owners) = &placement[s];
-                let (owners, missed) = (owners.clone(), &mut missed);
-                self.write_on_owners(&mut session, s, &meta.name, owners, missed, |node, _| {
+                let st = &placement[s].0;
+                self.write_on_owners(&mut session, (s, &meta.name), &placement[s], &mut missed, |node, _| {
                     if joined.insert(node.id) {
                         node.engine.begin(txn);
                     }

@@ -10,7 +10,7 @@
 use crate::fleet::{on_accelerator, AccelNode};
 use crate::health::HealthState;
 use crate::idaa::Idaa;
-use idaa_accel::RestartStats;
+use idaa_accel::{RestartStats, Snapshot};
 use idaa_common::trace::Trace;
 use idaa_common::{wire, Error, ObjectName, Result, Row};
 use idaa_host::{AccelStatus, TableKind, TableMeta};
@@ -309,13 +309,13 @@ impl Idaa {
     }
 
     /// Bring a lagging node to DB2's catalog: [its tables](Self::reconcile_tables),
-    /// then every shard it owns, copied from a live replica with both legs
-    /// of the transfer metered and committed at DB2's current LSN (so a
-    /// source must hold every COMMIT decision). The node stays flagged
-    /// until a full pass succeeds: a flagged node that finds no up-to-date
-    /// owner to copy some shard from fails the pass (-904), so it never
-    /// serves rows it may have missed. A pass that copied nothing is not
-    /// counted.
+    /// then every shard it owns, copied from a live replica that holds the
+    /// shard and lacks none of its writes, with both legs of the transfer
+    /// metered and committed at DB2's current LSN (so a source must hold
+    /// every COMMIT decision). The node stays flagged until a full pass
+    /// succeeds: a node that finds no such owner to copy a shard it lags on
+    /// from fails the pass (-904), so it never serves rows it may have
+    /// missed. A pass that copied nothing is not counted.
     pub(crate) fn catch_up_node(&self, node: &AccelNode) -> Result<()> {
         let mut copied = false;
         let mut stranded = None;
@@ -328,18 +328,19 @@ impl Idaa {
                 self.flush_pending_commits_on(src);
                 o != node.id
                     && !src.engine.is_crashed()
-                    && !self.fleet.needs_catch_up(o)
+                    && !self.fleet.lags_on(o, st)
+                    && src.engine.has_table(st)
                     && src.pending_commits.lock().is_empty()
             }) else {
                 // A sole owner has no one to lag behind.
-                if owners.len() > 1 {
+                if owners.len() > 1 && self.fleet.lags_on(node.id, st) {
                     stranded = Some(st.clone());
                 }
                 continue;
             };
             let src = self.nodes[src_id].clone();
             let lsn = self.host.txns.current_lsn();
-            let rows = src.engine.scan_visible(st)?;
+            let rows = src.engine.scan_at(Snapshot::latest(0), st)?;
             let mut delivered: Vec<Row> = Vec::with_capacity(rows.len());
             let mut bytes = 0u64;
             for frame in wire::encode_frames(&meta.schema, &rows) {
@@ -357,18 +358,13 @@ impl Idaa {
         if copied {
             self.metrics.inc("fleet.catch_ups", 1);
         }
-        match stranded {
-            Some(shard) if self.fleet.needs_catch_up(node.id) => {
-                Err(Error::ResourceUnavailable(format!(
-                    "accelerator node {} cannot catch up {shard}: no up-to-date replica is \
-                     available",
-                    node.id
-                )))
-            }
-            _ => {
-                self.fleet.clear_catch_up(node.id);
-                Ok(())
-            }
+        if let Some(shard) = stranded {
+            return Err(Error::ResourceUnavailable(format!(
+                "accelerator node {} cannot catch up {shard}: no up-to-date replica is available",
+                node.id
+            )));
         }
+        self.fleet.clear_catch_up(node.id);
+        Ok(())
     }
 }

@@ -326,7 +326,7 @@ mod tests {
         host.commit(t);
         let n = rep.apply(&host, &accel, &link).unwrap();
         assert_eq!(n, 2);
-        assert_eq!(accel.scan_visible(&ObjectName::bare("T")).unwrap().len(), 2);
+        assert_eq!(accel.scan_at(Snapshot::latest(0), &ObjectName::bare("T")).unwrap().len(), 2);
         assert!(link.metrics().bytes_to_accel > 0);
     }
 
@@ -339,7 +339,7 @@ mod tests {
         assert_eq!(rep.apply(&host, &accel, &link).unwrap(), 0);
         host.rollback(t).unwrap();
         assert_eq!(rep.apply(&host, &accel, &link).unwrap(), 0);
-        assert!(accel.scan_visible(&ObjectName::bare("T")).unwrap().is_empty());
+        assert!(accel.scan_at(Snapshot::latest(0), &ObjectName::bare("T")).unwrap().is_empty());
     }
 
     #[test]
@@ -363,7 +363,7 @@ mod tests {
             .unwrap();
         host.commit(t2);
         rep.apply(&host, &accel, &link).unwrap();
-        let mut rows = accel.scan_visible(&ObjectName::bare("T")).unwrap();
+        let mut rows = accel.scan_at(Snapshot::latest(0), &ObjectName::bare("T")).unwrap();
         rows.sort_by(|a, b| a[0].cmp_total(&b[0]));
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[1], row(2, "z"));
@@ -378,7 +378,7 @@ mod tests {
     }
 
     fn accel_rows(accel: &AccelEngine) -> usize {
-        accel.scan_visible(&ObjectName::bare("T")).unwrap().len()
+        accel.scan_at(Snapshot::latest(0), &ObjectName::bare("T")).unwrap().len()
     }
 
     #[test]
@@ -426,7 +426,7 @@ mod tests {
             .unwrap();
         host.commit(t2);
         rep.apply(&host, &accel, &link).unwrap();
-        assert!(accel.scan_visible(&ObjectName::bare("T")).unwrap().is_empty());
+        assert!(accel.scan_at(Snapshot::latest(0), &ObjectName::bare("T")).unwrap().is_empty());
     }
 
     #[test]
@@ -545,6 +545,6 @@ mod tests {
         link.advance(std::time::Duration::from_millis(60));
         assert_eq!(rep.apply(&host, &accel, &link).unwrap(), 2);
         assert!(!rep.stalled());
-        assert_eq!(accel.scan_visible(&ObjectName::bare("T")).unwrap().len(), 2);
+        assert_eq!(accel.scan_at(Snapshot::latest(0), &ObjectName::bare("T")).unwrap().len(), 2);
     }
 }

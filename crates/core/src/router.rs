@@ -11,13 +11,15 @@
 //!   optimizer expects a benefit; `ELIGIBLE` offloads whenever possible;
 //!   `ALL` offloads or fails (SQLCODE -4742 analogue).
 //! * Queries mixing AOTs with tables *not present* on the accelerator fail
-//!   with -4742 — there is no single place that can answer them.
+//!   with -4742 — there is no single place that can answer them. For a
+//!   transaction, an accelerated table it has changed in DB2 is not
+//!   present: the replica lacks the uncommitted changes.
 //! * DML on regular tables always runs in DB2; DML on AOTs always runs on
 //!   the accelerator.
 
 use idaa_common::{Error, ObjectName, Result};
 use idaa_host::engine::eq_literal;
-use idaa_host::{AccelStatus, HostEngine, TableKind};
+use idaa_host::{AccelStatus, HostEngine, TableKind, TxnId};
 use idaa_sql::exec::conjuncts;
 use idaa_sql::plan::Plan;
 use idaa_sql::AccelerationMode;
@@ -86,23 +88,27 @@ pub fn is_indexed_point(host: &HostEngine, plan: &Plan) -> bool {
 }
 
 /// Classify the referenced tables (resolved against the host catalog —
-/// the system of record for all metadata, per the paper's design).
+/// the system of record for all metadata, per the paper's design) for a
+/// read outside any transaction.
 pub fn classify(host: &HostEngine, tables: &[ObjectName]) -> Result<TableMix> {
+    classify_for(host, None, tables)
+}
+
+/// [`classify`] for a read by `txn`: an accelerated table that `txn` has
+/// changed in DB2 counts as host-only, because its accelerator copy lacks
+/// those changes.
+pub fn classify_for(host: &HostEngine, txn: Option<TxnId>, tables: &[ObjectName]) -> Result<TableMix> {
     let mut mix = TableMix::default();
     for t in tables {
         let meta = host.table_meta(t)?;
-        match meta.kind {
-            TableKind::AcceleratorOnly => mix.aot += 1,
-            TableKind::Regular => match meta.accel_status {
-                AccelStatus::Loaded => {
-                    mix.accelerated += 1;
-                    mix.host_rows += host.scan_count(&meta.name);
-                }
-                _ => {
-                    mix.host_only += 1;
-                    mix.host_rows += host.scan_count(&meta.name);
-                }
-            },
+        if meta.kind == TableKind::AcceleratorOnly {
+            mix.aot += 1;
+            continue;
+        }
+        mix.host_rows += host.scan_count(&meta.name);
+        match meta.accel_status {
+            AccelStatus::Loaded if !txn.is_some_and(|txn| host.txns.changed(txn, &meta.name)) => mix.accelerated += 1,
+            _ => mix.host_only += 1,
         }
     }
     Ok(mix)
@@ -166,8 +172,9 @@ pub fn route_query_with_reason(
                 Ok((Route::Host, "no base tables referenced"))
             } else {
                 Err(Error::NotOffloadable(
-                    "CURRENT QUERY ACCELERATION = ALL but the statement references \
-                     tables that are not accelerated"
+                    "the statement must run on the accelerator, but it references tables \
+                     that are not on it for this transaction: not accelerated, or changed \
+                     by the transaction in DB2"
                         .into(),
                 ))
             }

@@ -85,6 +85,13 @@ impl TxnManager {
         self.active.lock().contains_key(&txn)
     }
 
+    /// True if the live transaction `txn` has changed `table`: one of the
+    /// changes it would publish at commit names it.
+    pub fn changed(&self, txn: TxnId, table: &ObjectName) -> bool {
+        let active = self.active.lock();
+        active.get(&txn).is_some_and(|s| s.pending_changes.iter().any(|(t, _)| t == table))
+    }
+
     /// Append an undo record and optionally a pending change for `txn`.
     pub fn record(&self, txn: TxnId, undo: UndoRecord, change: Option<(ObjectName, ChangeOp)>) {
         let mut active = self.active.lock();
@@ -208,6 +215,21 @@ mod tests {
         assert!(committed.iter().all(|c| c.commit_lsn == committed[1].lsn), "one commit end");
         assert_eq!(tm.changes_since(committed[0].lsn).len(), 1);
         assert!(!tm.is_active(x));
+    }
+
+    #[test]
+    fn a_live_transaction_knows_the_tables_it_changed() {
+        let tm = TxnManager::default();
+        let (x, y) = (tm.begin(), tm.begin());
+        tm.record(
+            x,
+            UndoRecord::Insert { table: t("T"), rid: Rid::new(0, 0), row: row(1) },
+            Some((t("T"), ChangeOp::Insert(row(1)))),
+        );
+        assert!(tm.changed(x, &t("T")));
+        assert!(!tm.changed(x, &t("U")) && !tm.changed(y, &t("T")));
+        tm.commit(x, |_| ());
+        assert!(!tm.changed(x, &t("T")), "a committed transaction changes nothing more");
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! -30081 (communication failure), -904 (accelerator stopped), -926
 //! (transaction rolled back). Everything else is a bug.
 
+use idaa::accel::Snapshot;
 use idaa::netsim::sites;
 use idaa::{
     FleetConfig, HealthState, Idaa, IdaaConfig, ObjectName, Route, SitePlan, Value, SYSADM,
@@ -214,7 +215,7 @@ fn shadow_workload(idaa: &Idaa, s: &mut idaa::Session, rng: &mut Rng) -> Vec<(St
     // table, row for row — nothing lost, nothing applied twice.
     let host_sales = idaa.host().read_table(0, &ObjectName::bare("SALES")).unwrap();
     let host_sales = sorted_ints(host_sales);
-    let accel_sales = sorted_ints(idaa.accel().scan_visible(&ObjectName::bare("SALES")).unwrap());
+    let accel_sales = sorted_ints(idaa.accel().scan_at(Snapshot::latest(0), &ObjectName::bare("SALES")).unwrap());
     expect_sales.sort_unstable();
     assert_eq!(host_sales, expect_sales, "host lost or invented committed rows");
     assert_eq!(accel_sales, expect_sales, "replica diverged from the host table");
@@ -222,7 +223,7 @@ fn shadow_workload(idaa: &Idaa, s: &mut idaa::Session, rng: &mut Rng) -> Vec<(St
     // AOT atomicity: every certain row present exactly once, every row
     // present accounted for (certain or ack-loss ambiguous), nothing from
     // rolled-back transactions.
-    let log = sorted_ints(idaa.accel().scan_visible(&ObjectName::bare("LOG")).unwrap());
+    let log = sorted_ints(idaa.accel().scan_at(Snapshot::latest(0), &ObjectName::bare("LOG")).unwrap());
     for w in log.windows(2) {
         assert!(w[0] < w[1], "duplicate AOT row {} after redelivery", w[0]);
     }
@@ -294,9 +295,9 @@ fn fixed_seed_ten_percent_drop_replays_byte_identically() {
             }
         }
         heal(&idaa);
-        let sales = idaa.accel().scan_visible(&ObjectName::bare("SALES")).unwrap().len();
+        let sales = idaa.accel().scan_at(Snapshot::latest(0), &ObjectName::bare("SALES")).unwrap().len();
         assert_eq!(sales, 60, "exactly-once replication under 10% drop");
-        let log = idaa.accel().scan_visible(&ObjectName::bare("LOG")).unwrap().len();
+        let log = idaa.accel().scan_at(Snapshot::latest(0), &ObjectName::bare("LOG")).unwrap().len();
         assert_eq!(log as i64, log_ok, "autocommitted AOT inserts are atomic");
         (idaa.link().metrics(), log_ok)
     };
@@ -430,8 +431,8 @@ fn crash_run(plan: SitePlan) -> (idaa::LinkMetrics, Vec<(String, u64)>, Vec<i32>
     (
         idaa.link().metrics(),
         fired,
-        sorted_ints(idaa.accel().scan_visible(&ObjectName::bare("SALES")).unwrap()),
-        sorted_ints(idaa.accel().scan_visible(&ObjectName::bare("LOG")).unwrap()),
+        sorted_ints(idaa.accel().scan_at(Snapshot::latest(0), &ObjectName::bare("SALES")).unwrap()),
+        sorted_ints(idaa.accel().scan_at(Snapshot::latest(0), &ObjectName::bare("LOG")).unwrap()),
     )
 }
 
@@ -506,7 +507,7 @@ fn crash_preserves_in_doubt_transactions_until_the_coordinator_decides() {
 
     // Exactly the committed row survives; health is fully restored.
     assert_eq!(
-        sorted_ints(idaa.accel().scan_visible(&ObjectName::bare("LOG")).unwrap()),
+        sorted_ints(idaa.accel().scan_at(Snapshot::latest(0), &ObjectName::bare("LOG")).unwrap()),
         vec![88]
     );
     assert_eq!(idaa.health().state(), HealthState::Online);
@@ -535,8 +536,8 @@ fn corrupt_faults_are_detected_by_checksum_and_leave_delivered_traffic_clean() {
         }
         idaa.replicate_now().unwrap();
         // Exactly-once convergence despite mid-stream corruption.
-        assert_eq!(idaa.accel().scan_visible(&ObjectName::bare("SALES")).unwrap().len(), 40);
-        assert_eq!(idaa.accel().scan_visible(&ObjectName::bare("LOG")).unwrap().len(), 40);
+        assert_eq!(idaa.accel().scan_at(Snapshot::latest(0), &ObjectName::bare("SALES")).unwrap().len(), 40);
+        assert_eq!(idaa.accel().scan_at(Snapshot::latest(0), &ObjectName::bare("LOG")).unwrap().len(), 40);
         (idaa.link().metrics(), idaa.statements_deduped())
     };
     let corrupting = || {
@@ -693,7 +694,7 @@ fn fleet_lost_vote_is_resolved_by_the_status_inquiry() {
         .flat_map(|shard| (0..2usize).map(move |r| (shard, (shard + r) % 3)))
         .map(|(shard, node)| {
             let table = idaa::shard_table(&ObjectName::bare("FLOG"), shard, 4);
-            idaa.node_engine(node).scan_visible(&table).unwrap().len()
+            idaa.node_engine(node).scan_at(Snapshot::latest(0), &table).unwrap().len()
         })
         .sum();
     assert_eq!(copies, 32);
@@ -815,8 +816,8 @@ fn disk_run(plan: SitePlan, checkpoint_every: Duration, scrub_every: Duration) -
     DiskRun {
         metrics: idaa.link().metrics(),
         fired,
-        sales: sorted_ints(idaa.accel().scan_visible(&ObjectName::bare("SALES")).unwrap()),
-        log: match idaa.accel().scan_visible(&ObjectName::bare("LOG")) {
+        sales: sorted_ints(idaa.accel().scan_at(Snapshot::latest(0), &ObjectName::bare("SALES")).unwrap()),
+        log: match idaa.accel().scan_at(Snapshot::latest(0), &ObjectName::bare("LOG")) {
             Ok(rows) => Ok(sorted_ints(rows)),
             Err(e) => {
                 assert!(e.to_string().contains("quarantined"), "unexpected AOT loss error: {e}");
@@ -975,8 +976,8 @@ fn rotted_checkpoint_falls_back_to_the_previous_valid_one() {
         (
             idaa.link().metrics(),
             idaa.faults.registry.fired(),
-            sorted_ints(idaa.accel().scan_visible(&ObjectName::bare("SALES")).unwrap()),
-            sorted_ints(idaa.accel().scan_visible(&ObjectName::bare("LOG")).unwrap()),
+            sorted_ints(idaa.accel().scan_at(Snapshot::latest(0), &ObjectName::bare("SALES")).unwrap()),
+            sorted_ints(idaa.accel().scan_at(Snapshot::latest(0), &ObjectName::bare("LOG")).unwrap()),
         )
     };
     for (k, seed) in [0xA11CEu64, 0xB0B, 0xC0FFEE].into_iter().enumerate() {
@@ -1014,7 +1015,7 @@ fn transient_disk_read_faults_delay_recovery_without_losing_state() {
     assert!(!idaa.recover(), "second attempt dies too");
     assert!(idaa.recover(), "third attempt reads clean and replays the log");
     assert_eq!(
-        sorted_ints(idaa.accel().scan_visible(&ObjectName::bare("LOG")).unwrap()),
+        sorted_ints(idaa.accel().scan_at(Snapshot::latest(0), &ObjectName::bare("LOG")).unwrap()),
         (0..10).collect::<Vec<_>>(),
         "transient read failures must not lose acknowledged state"
     );
@@ -1264,7 +1265,7 @@ fn assert_replicas_agree(idaa: &Idaa, fleet: &FleetConfig, tables: &[&str]) {
             let st = idaa::shard_table(&ObjectName::bare(table), shard, shards);
             let copies: Vec<Vec<String>> = (0..fleet.replication_factor.min(k))
                 .map(|r| {
-                    let rows = idaa.node_engine((shard + r) % k).scan_visible(&st).unwrap();
+                    let rows = idaa.node_engine((shard + r) % k).scan_at(Snapshot::latest(0), &st).unwrap();
                     let mut rendered: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
                     rendered.sort();
                     rendered
@@ -1317,7 +1318,7 @@ fn fleet_direct_load_survives_an_owner_losing_its_link() {
         loader.config.batch_size = 8;
         let source = Box::new(VecSource::new(records));
         loader.load(&idaa, source, &ObjectName::bare("L"), LoadTarget::Auto).unwrap();
-        let partial = idaa.node_engine(1).scan_visible(&ObjectName::bare("L")).unwrap();
+        let partial = idaa.node_engine(1).scan_at(Snapshot::latest(0), &ObjectName::bare("L")).unwrap();
         assert!(partial.is_empty(), "node 1's part of the load must not become visible");
         idaa.node_registry(1).clear();
         assert!(idaa.recover_node(1));
@@ -1349,7 +1350,7 @@ fn fleet_catch_up_without_a_source_keeps_the_lagging_node_out() {
     idaa.node_registry(1).arm(sites::LINK_TRANSFER, 0, u64::MAX);
     idaa.execute(&mut s, "INSERT INTO L VALUES (3)").unwrap();
     idaa.node_registry(1).clear();
-    let stale = idaa.node_engine(1).scan_visible(&ObjectName::bare("L")).unwrap();
+    let stale = idaa.node_engine(1).scan_at(Snapshot::latest(0), &ObjectName::bare("L")).unwrap();
     assert_eq!(stale.len(), 2, "node 1 missed the second write");
 
     idaa.node_engine(0).crash();
@@ -1367,6 +1368,34 @@ fn fleet_catch_up_without_a_source_keeps_the_lagging_node_out() {
     idaa.node_engine(0).crash();
     idaa.node_registry(0).arm(sites::LINK_TRANSFER, 0, u64::MAX);
     assert_eq!(idaa.query(&mut s, count).unwrap().rows, answer);
+}
+
+/// Three accelerators, four shards, replication factor 2: nodes 0 and 1,
+/// the two owners of shards 0 and 3, both miss a write that no owner of
+/// some shard took. The write changed nothing, so neither node lags the
+/// other: both recover, and the table answers and takes writes again.
+#[test]
+fn fleet_a_write_no_owner_took_leaves_nothing_to_catch_up() {
+    let fleet = FleetConfig { accelerators: 3, shards: 4, replication_factor: 2 };
+    let idaa = Idaa::new(IdaaConfig { fleet, ..IdaaConfig::default() });
+    let mut s = idaa.session(SYSADM);
+    idaa.execute(&mut s, "CREATE TABLE T (K INT NOT NULL, V INT) IN ACCELERATOR").unwrap();
+    idaa.execute(&mut s, "INSERT INTO T VALUES (1, 1), (2, 2), (3, 3), (4, 4)").unwrap();
+    let insert = "INSERT INTO T VALUES (5, 5), (6, 6), (7, 7), (8, 8), (9, 9), (10, 10)";
+    for node in [0, 1] {
+        idaa.node_registry(node).arm(sites::LINK_TRANSFER, 0, u64::MAX);
+    }
+    let err = idaa.execute(&mut s, insert).unwrap_err();
+    assert_eq!(err.sqlcode(), -30081, "{err}");
+    for node in [0, 1] {
+        idaa.node_registry(node).clear();
+    }
+    assert!(idaa.recover_node(0), "node 0 has nothing to catch up to");
+    assert!(idaa.recover_node(1), "node 1 has nothing to catch up to");
+    let count = "SELECT COUNT(*) FROM T";
+    assert_eq!(idaa.query(&mut s, count).unwrap().rows, vec![vec![Value::BigInt(4)]]);
+    assert_eq!(idaa.execute(&mut s, insert).unwrap().count(), 6);
+    assert_eq!(idaa.query(&mut s, count).unwrap().rows, vec![vec![Value::BigInt(10)]]);
 }
 
 /// Three accelerators, four shards, replication factor 2: a crash at the
@@ -1620,7 +1649,7 @@ fn server_disk_run(
         idaa.link().metrics(),
         idaa.faults.registry.fired(),
         completions.iter().map(render_completion).collect(),
-        sorted_ints(idaa.accel().scan_visible(&ObjectName::bare("LOG")).unwrap()),
+        sorted_ints(idaa.accel().scan_at(Snapshot::latest(0), &ObjectName::bare("LOG")).unwrap()),
         idaa.metrics().counter("disk.records_truncated"),
     )
 }
@@ -1656,4 +1685,41 @@ fn server_queued_statements_survive_a_torn_log_append() {
     assert_eq!(log1, log2, "the completion log must replay byte-identically");
     assert_eq!(rows1, rows2);
     assert_eq!(truncated1, truncated2);
+}
+
+/// The same fleet: while nodes 0 and 1 lose their links, a CREATE reaches
+/// only node 2, and single-row inserts reach node 2 and miss the others.
+/// Node 0 then lags only on shards node 1 holds whole, and node 1 only on
+/// shards node 0 holds whole, so each catches up from the other or from
+/// node 2, and every table answers with what its writes committed.
+#[test]
+fn fleet_owners_that_missed_different_shards_catch_up() {
+    let fleet = FleetConfig { accelerators: 3, shards: 4, replication_factor: 2 };
+    let idaa = Idaa::new(IdaaConfig { fleet, ..IdaaConfig::default() });
+    let mut s = idaa.session(SYSADM);
+    idaa.execute(&mut s, "CREATE TABLE T (K INT NOT NULL, V INT) IN ACCELERATOR").unwrap();
+    idaa.execute(&mut s, "INSERT INTO T VALUES (1, 1), (2, 2), (3, 3), (4, 4)").unwrap();
+    let (count, mut committed) = (|t: &str| format!("SELECT COUNT(*) FROM {t}"), 4);
+    for round in 0..2 {
+        for node in [0, 1] {
+            idaa.node_registry(node).arm(sites::LINK_TRANSFER, 0, u64::MAX);
+        }
+        if round == 0 {
+            idaa.execute(&mut s, "CREATE TABLE U (K INT NOT NULL) IN ACCELERATOR").unwrap();
+        }
+        for k in 11..19 {
+            match idaa.execute(&mut s, &format!("INSERT INTO T VALUES ({k}, {k})")) {
+                Ok(_) => committed += 1,
+                Err(e) => assert_eq!(e.sqlcode(), -30081, "{e}"),
+            }
+        }
+        for node in [0, 1] {
+            idaa.node_registry(node).clear();
+        }
+        assert!(idaa.recover_node(0) && idaa.recover_node(1), "round {round}");
+        let answer = |n| vec![vec![Value::BigInt(n)]];
+        assert_eq!(idaa.query(&mut s, &count("T")).unwrap().rows, answer(committed), "round {round}");
+        assert_eq!(idaa.query(&mut s, &count("U")).unwrap().rows, answer(0), "round {round}");
+    }
+    assert!(committed > 4, "some inserts reached node 2 alone");
 }

@@ -3,6 +3,7 @@
 //! multiple queries in a single transaction are also supported" and that
 //! correctness holds under interleaving.
 
+use idaa::accel::Snapshot;
 use idaa::{Idaa, ObjectName, Value, SYSADM};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -137,7 +138,7 @@ fn replication_under_concurrent_host_writers_converges() {
     });
     idaa.replicate_now().unwrap();
     let host_rows = idaa.host().read_table(0, &ObjectName::bare("HOT")).unwrap().len();
-    let accel_rows = idaa.accel().scan_visible(&ObjectName::bare("HOT")).unwrap().len();
+    let accel_rows = idaa.accel().scan_at(Snapshot::latest(0), &ObjectName::bare("HOT")).unwrap().len();
     assert_eq!(host_rows, 120);
     assert_eq!(accel_rows, 120, "replica must converge to the host state");
 }

@@ -4,9 +4,10 @@
 //! `idaa-core` decides where accelerator rows live and it does so in one
 //! placement function, wall time is read only where it is measured, every
 //! config field is set by some caller, recoverable accelerator state has
-//! one image, injected faults draw from one seeded stream, the link counts
-//! only through registry handles, product code keeps no process-global
-//! state, and only DB2 authorizes.
+//! one image, every read of accelerator rows follows one rule, injected
+//! faults draw from one seeded stream, the link counts only through
+//! registry handles, product code keeps no process-global state, and only
+//! DB2 authorizes.
 
 use std::path::{Path, PathBuf};
 
@@ -174,6 +175,9 @@ fn deleted_names_stay_deleted() {
     // placement: each one passes its apply step to `Idaa::on_placement`.
     let fleet_ops: &[&str] =
         &["accel_table_add", "accel_table_remove", "create_aot", "drop_accel_copies", "shard_owners"];
+    // The analytics read's latest-committed scan: every read of accelerator
+    // rows runs at its caller's snapshot (`scan_at`).
+    let reads: &[&str] = &["fn scan_visible("];
     let everywhere = &["crates", "src", "tests"][..];
     for (names, dirs) in [
         (executor, &["crates/accel/src"][..]),
@@ -188,6 +192,7 @@ fn deleted_names_stay_deleted() {
         (replication, everywhere),
         (clock, everywhere),
         (fleet_ops, everywhere),
+        (reads, everywhere),
     ] {
         for (path, text) in dirs.iter().flat_map(|d| sources(d)) {
             if path.ends_with("tests/contract.rs") {
@@ -376,6 +381,31 @@ fn one_placement() {
             assert_eq!(uses, placement.matches(name).count(), "{} names `{name}` outside `placement`", path.display());
         }
     }
+}
+
+#[test]
+fn one_read_rule() {
+    // A SELECT and an analytics read each classify their tables for the
+    // caller's transaction once, in their read rule, and the analytics read
+    // keeps no residency check of its own.
+    let homes = [
+        ("crates/core/src/dispatch.rs", "    fn read_route("),
+        ("crates/core/src/fleet.rs", "    fn read_accel_table("),
+    ];
+    for (path, text) in product_sources() {
+        if !path.starts_with(root().join("crates/core/src")) {
+            continue;
+        }
+        let home = homes.iter().find(|(file, _)| path.ends_with(file));
+        let rule = home.map_or("", |(_, decl)| method(&text, decl));
+        let calls = text.matches("router::classify").count();
+        let at_home = rule.matches("router::classify").count();
+        let expected = (usize::from(home.is_some()), calls);
+        assert_eq!((calls, at_home), expected, "{} classifies a read outside its rule", path.display());
+    }
+    let fleet = std::fs::read_to_string(root().join("crates/core/src/fleet.rs")).unwrap();
+    let read = method(product(&fleet), "    fn read_accel_table(");
+    assert!(!read.contains("on_accelerator("), "the analytics read checks residency on its own");
 }
 
 #[test]

@@ -15,6 +15,7 @@
 //! * the `disk.*` storage-fault counters are the engines' own counts, and
 //!   scrub detections / node rebuilds surface as structural trace events.
 
+use idaa::accel::Snapshot;
 use idaa::netsim::{sites, LinkMetrics};
 use idaa::{FleetConfig, Idaa, IdaaConfig, Route, SitePlan, Value, SYSADM};
 use std::time::Duration;
@@ -134,7 +135,7 @@ fn aot_insert_select_is_a_pushdown_on(fleet: FleetConfig) {
     }
     // Every replica of the target ran the statement on its own copy.
     for i in 0..idaa.fleet_size() {
-        let stage = idaa.node_engine(i).scan_visible(&idaa::ObjectName::bare("STAGE")).unwrap();
+        let stage = idaa.node_engine(i).scan_at(Snapshot::latest(0), &idaa::ObjectName::bare("STAGE")).unwrap();
         assert_eq!(stage.len(), 2, "node {i} must hold both groups");
     }
     // The same statement against a *host* source moves row frames — the

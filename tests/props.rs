@@ -16,6 +16,7 @@
 //! * a checkpoint re-encodes exactly the slices whose rows changed, and
 //!   every frame it keeps equals a fresh encoding.
 
+use idaa::accel::Snapshot;
 use idaa::sql::ast::*;
 use idaa::sql::{parse_statement, Statement};
 use idaa::{DataType, Decimal, FleetConfig, Idaa, IdaaConfig, ObjectName, Value, SYSADM};
@@ -807,7 +808,7 @@ proptest! {
             rows
         };
         let host_rows = sort(idaa.host().read_table(0, &ObjectName::bare("T")).unwrap());
-        let accel_rows = sort(idaa.accel().scan_visible(&ObjectName::bare("T")).unwrap());
+        let accel_rows = sort(idaa.accel().scan_at(Snapshot::latest(0), &ObjectName::bare("T")).unwrap());
         prop_assert_eq!(host_rows, accel_rows);
     }
 }
@@ -1031,7 +1032,7 @@ proptest! {
         engine.delete_where(idaa::accel::Snapshot::latest(10), &ObjectName::bare("FACT"), Some(&parse_filter("SELECT 1 FROM fact WHERE v > 40"))).unwrap();
         engine.commit(10, 10);
         engine.groom(&ObjectName::bare("FACT"), u64::MAX).unwrap();
-        let dim_rows = engine.scan_visible(&ObjectName::bare("DIM")).unwrap();
+        let dim_rows = engine.scan_at(Snapshot::latest(0), &ObjectName::bare("DIM")).unwrap();
         engine.truncate(&ObjectName::bare("DIM")).unwrap();
         engine.load_committed(1005, &ObjectName::bare("DIM"), dim_rows, 1005).unwrap();
         for (ordered, sql) in SINK_QUERIES {
@@ -1240,7 +1241,7 @@ proptest! {
         }
         idaa.replicate_now().unwrap();
         let host_rows = sorted(idaa.host().read_table(0, &ObjectName::bare("R")).unwrap());
-        let accel_rows = sorted(idaa.accel().scan_visible(&ObjectName::bare("R")).unwrap());
+        let accel_rows = sorted(idaa.accel().scan_at(Snapshot::latest(0), &ObjectName::bare("R")).unwrap());
         prop_assert_eq!(host_rows, accel_rows);
     }
 }
@@ -1341,13 +1342,13 @@ proptest! {
             }
         }
         let fp_live = engine.state_fingerprint();
-        let rows_live = engine.scan_visible(&t).unwrap();
+        let rows_live = engine.scan_at(Snapshot::latest(0), &t).unwrap();
         let quarantined_live = engine.quarantined_tables();
 
         engine.crash();
         engine.restart().unwrap();
         prop_assert_eq!(engine.state_fingerprint(), fp_live, "first replay diverged");
-        prop_assert_eq!(&engine.scan_visible(&t).unwrap(), &rows_live);
+        prop_assert_eq!(&engine.scan_at(Snapshot::latest(0), &t).unwrap(), &rows_live);
         prop_assert_eq!(&engine.quarantined_tables(), &quarantined_live, "first replay");
 
         if checkpoint_between {
@@ -1356,7 +1357,7 @@ proptest! {
         engine.crash();
         engine.restart().unwrap();
         prop_assert_eq!(engine.state_fingerprint(), fp_live, "second replay diverged");
-        prop_assert_eq!(&engine.scan_visible(&t).unwrap(), &rows_live);
+        prop_assert_eq!(&engine.scan_at(Snapshot::latest(0), &t).unwrap(), &rows_live);
         prop_assert_eq!(&engine.quarantined_tables(), &quarantined_live, "second replay");
     }
 
@@ -1464,7 +1465,7 @@ proptest! {
         }
         if !corrupted {
             let fp_live = engine.state_fingerprint();
-            let rows_live = engine.scan_visible(&t).unwrap();
+            let rows_live = engine.scan_at(Snapshot::latest(0), &t).unwrap();
 
             engine.crash();
             match engine.restart() {
@@ -1473,7 +1474,7 @@ proptest! {
                     prop_assert_eq!(
                         engine.state_fingerprint(), fp_live, "first faulted replay diverged"
                     );
-                    prop_assert_eq!(&engine.scan_visible(&t).unwrap(), &rows_live);
+                    prop_assert_eq!(&engine.scan_at(Snapshot::latest(0), &t).unwrap(), &rows_live);
 
                     if checkpoint_between {
                         engine.checkpoint(Duration::from_secs(1)).unwrap();
@@ -1483,7 +1484,7 @@ proptest! {
                     prop_assert_eq!(
                         engine.state_fingerprint(), fp_live, "second faulted replay diverged"
                     );
-                    prop_assert_eq!(&engine.scan_visible(&t).unwrap(), &rows_live);
+                    prop_assert_eq!(&engine.scan_at(Snapshot::latest(0), &t).unwrap(), &rows_live);
                 }
             }
         }
@@ -1840,7 +1841,7 @@ proptest! {
             loader.load(&idaa, source, &ObjectName::bare("R"), target).unwrap();
             let r = ObjectName::bare("R");
             let replicas: Vec<_> =
-                (0..k).map(|i| sorted(idaa.node_engine(i).scan_visible(&r).unwrap())).collect();
+                (0..k).map(|i| sorted(idaa.node_engine(i).scan_at(Snapshot::latest(0), &r).unwrap())).collect();
             assert_eq!(replicas[0].len(), records.len());
             assert!(replicas.windows(2).all(|w| w[0] == w[1]), "replicas of R differ");
             idaa::analytics::deploy_all(&idaa, SYSADM).unwrap();
@@ -1858,7 +1859,7 @@ proptest! {
                 for shard in 0..shards {
                     let st = idaa::shard_table(&ObjectName::bare(table), shard, shards);
                     let copies: Vec<Vec<idaa::Row>> = (0..rf.min(k))
-                        .map(|r| sorted(idaa.node_engine((shard + r) % k).scan_visible(&st).unwrap()))
+                        .map(|r| sorted(idaa.node_engine((shard + r) % k).scan_at(Snapshot::latest(0), &st).unwrap()))
                         .collect();
                     assert!(copies.windows(2).all(|w| w[0] == w[1]), "replicas of {st} differ");
                 }

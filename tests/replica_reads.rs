@@ -11,6 +11,7 @@
 //! on some nodes' links fail while one DB2 transaction moves 10 from k1 to
 //! k2, then lifts the fault.
 
+use idaa::accel::Snapshot;
 use idaa::{sites, Error, FleetConfig, Idaa, IdaaConfig, ObjectName, Route, Session, SYSADM};
 use std::collections::BTreeMap;
 
@@ -205,7 +206,7 @@ fn load_beside_an_open_insert(end: &str) {
     idaa.execute(&mut a, end).unwrap();
     let t = ObjectName::bare("T");
     let mut db2 = idaa.host().read_table(0, &t).unwrap();
-    let mut replica = idaa.accel().scan_visible(&t).unwrap();
+    let mut replica = idaa.accel().scan_at(Snapshot::latest(0), &t).unwrap();
     db2.sort_by(|x, y| x[0].cmp_total(&y[0]));
     replica.sort_by(|x, y| x[0].cmp_total(&y[0]));
     assert_eq!(replica, db2, "after {end}");

@@ -4,6 +4,7 @@
 //! and at every moment in between, lossy link included, hold the table as
 //! it stood after some DB2 commit, never part of one.
 
+use idaa::accel::Snapshot;
 use idaa::{sites, Idaa, IdaaConfig, ObjectName, SitePlan, Value, SYSADM};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,7 +29,7 @@ fn db2_rows(idaa: &Idaa, table: &str) -> Vec<idaa::Row> {
 
 /// The accelerator replica of `table`, sorted.
 fn replica_rows(idaa: &Idaa, table: &str) -> Vec<idaa::Row> {
-    sorted(idaa.accel().scan_visible(&ObjectName::bare(table)).unwrap())
+    sorted(idaa.accel().scan_at(Snapshot::latest(0), &ObjectName::bare(table)).unwrap())
 }
 
 fn assert_converged(idaa: &Idaa, table: &str) {
@@ -192,6 +193,6 @@ fn mixed_tables_replicate_only_loaded_ones() {
     // ADDED_ONLY is defined but not loaded: no replication for it.
     idaa.execute(&mut s, "INSERT INTO LOADED VALUES (1)").unwrap();
     idaa.execute(&mut s, "INSERT INTO ADDED_ONLY VALUES (1)").unwrap();
-    assert_eq!(idaa.accel().scan_visible(&ObjectName::bare("LOADED")).unwrap().len(), 1);
-    assert_eq!(idaa.accel().scan_visible(&ObjectName::bare("ADDED_ONLY")).unwrap().len(), 0);
+    assert_eq!(idaa.accel().scan_at(Snapshot::latest(0), &ObjectName::bare("LOADED")).unwrap().len(), 1);
+    assert_eq!(idaa.accel().scan_at(Snapshot::latest(0), &ObjectName::bare("ADDED_ONLY")).unwrap().len(), 0);
 }

@@ -4,6 +4,7 @@
 //! isolation between sessions, atomic commit/rollback across both engines,
 //! two-phase-commit failure handling, and lock behavior on the host.
 
+use idaa::accel::Snapshot;
 use idaa::{sites, Idaa, IdaaConfig, Value, SYSADM};
 use std::sync::atomic::Ordering;
 
@@ -232,9 +233,9 @@ fn replication_waits_for_commit_lock_release() {
         idaa.execute(&mut s, &format!("INSERT INTO R VALUES ({i})")).unwrap();
     }
     // Not replicated yet (uncommitted).
-    assert_eq!(idaa.accel().scan_visible(&idaa::ObjectName::bare("R")).unwrap().len(), 0);
+    assert_eq!(idaa.accel().scan_at(Snapshot::latest(0), &idaa::ObjectName::bare("R")).unwrap().len(), 0);
     idaa.execute(&mut s, "COMMIT").unwrap();
-    assert_eq!(idaa.accel().scan_visible(&idaa::ObjectName::bare("R")).unwrap().len(), 20);
+    assert_eq!(idaa.accel().scan_at(Snapshot::latest(0), &idaa::ObjectName::bare("R")).unwrap().len(), 20);
 }
 
 #[test]
