@@ -317,6 +317,14 @@ impl AccelEngine {
         self.txns.with_status(TxnStatus::Prepared)
     }
 
+    /// True if an undecided (active or prepared) transaction has a version
+    /// or a delete mark of `table` here.
+    pub fn undecided_on(&self, table: &ObjectName) -> bool {
+        let undecided = [TxnStatus::Active, TxnStatus::Prepared].map(|s| self.txns.with_status(s)).concat();
+        let touched = |s: &Slice| s.created().iter().chain(s.deleted()).any(|txn| undecided.contains(txn));
+        !undecided.is_empty() && self.table(table).is_ok_and(|t| t.slices().iter().any(|s| touched(&s.read())))
+    }
+
     /// Statements must not reach a crashed engine; the coordinator maps
     /// this to SQLCODE -904 (resource unavailable) while recovery runs.
     fn ensure_up(&self) -> Result<()> {

@@ -316,7 +316,6 @@ fn e6_transaction_correctness(out: &mut Report) {
     idaa.execute(&mut s, "INSERT INTO T VALUES (9)").unwrap();
     idaa.faults.registry.arm(idaa_netsim::sites::PREPARE_VOTE_NO, 0, 1);
     let failed = idaa.execute(&mut s, "COMMIT").is_err();
-    s.explicit_txn = false;
     let h = idaa.query(&mut s, "SELECT COUNT(*) FROM h").unwrap();
     let t = idaa.query(&mut s, "SELECT COUNT(*) FROM t WHERE x = 9").unwrap();
     check(

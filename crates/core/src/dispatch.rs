@@ -26,26 +26,17 @@ impl Idaa {
     pub(crate) fn dispatch(&self, session: &mut Session, stmt: &Statement) -> Result<ExecOutcome> {
         match stmt {
             Statement::Begin => {
-                if session.explicit_txn {
+                let unit = self.unit(session);
+                if std::mem::replace(&mut unit.explicit, true) {
                     return Err(Error::TransactionState("transaction already open".into()));
                 }
-                session.explicit_txn = true;
-                self.ensure_txn(session);
+                unit.txn(&self.host);
                 Ok(ExecOutcome::host(Payload::None))
             }
-            Statement::Commit => {
-                // A failed COMMIT ends the transaction too (everything was
-                // rolled back) — the session must not stay "in transaction".
-                let result = self.commit_session(session);
-                session.explicit_txn = false;
-                result?;
-                Ok(ExecOutcome::host(Payload::None))
-            }
-            Statement::Rollback => {
-                self.rollback_session(session)?;
-                session.explicit_txn = false;
-                Ok(ExecOutcome::host(Payload::None))
-            }
+            // Both consume the unit of work, so a failed COMMIT (everything
+            // was rolled back) leaves the session outside a transaction too.
+            Statement::Commit => self.commit_session(session).map(|()| ExecOutcome::host(Payload::None)),
+            Statement::Rollback => self.rollback_session(session).map(|()| ExecOutcome::host(Payload::None)),
             Statement::SetQueryAcceleration(mode) => {
                 session.acceleration = *mode;
                 Ok(ExecOutcome::host(Payload::None))
@@ -169,7 +160,7 @@ impl Idaa {
         let table = table.resolve(&self.config.default_schema);
         let grant = self.authorize_one(session, &table, privilege)?;
         let n = match route {
-            Route::Host => on_host(&grant, self.ensure_txn(session))?,
+            Route::Host => on_host(&grant, self.unit(session).txn(&self.host))?,
             Route::Accelerator => {
                 let request_bytes = stmt.to_string().len() + wire::CONTROL_FRAME;
                 self.aot_statement(session, &table, request_bytes, on_node)?
@@ -351,7 +342,7 @@ impl Idaa {
                 Err(e) => return Err(e),
             }
         }
-        let txn = self.ensure_txn(session);
+        let txn = self.unit(session).txn(&self.host);
         let (now, profile) = (self.link().now(), trace.is_enabled().then(PlanProfile::default));
         let span = trace.begin("host.exec", now);
         let rows = self.host.run_plan(grants, txn, plan, profile.as_ref());
@@ -371,7 +362,7 @@ impl Idaa {
         plan: &Plan,
         tables: &[ObjectName],
     ) -> Result<(TableMix, Route, &'static str)> {
-        let mut mix = router::classify_for(&self.host, session.txn, tables)?;
+        let mut mix = router::classify_for(&self.host, session.txn(), tables)?;
         mix.indexed_point = router::is_indexed_point(&self.host, plan);
         let (route, reason) = router::route_query_with_reason(&mix, session.acceleration)?;
         Ok((mix, route, reason))
@@ -513,7 +504,7 @@ impl Idaa {
         };
         match meta.kind {
             TableKind::Regular => {
-                let txn = self.ensure_txn(session);
+                let txn = self.unit(session).txn(&self.host);
                 let n = self.host.insert_rows(&grants[0], txn, rows)?;
                 Ok(ExecOutcome::host(Payload::Count(n)))
             }

@@ -663,7 +663,7 @@ impl Idaa {
             };
             merged.push((cut.node, rows));
         }
-        let txn = session.txn.map_or_else(OnceCell::new, OnceCell::from);
+        let txn = session.txn().map_or_else(OnceCell::new, OnceCell::from);
         Ok(Gathered { schema, host: &self.host, txn, cuts: merged })
     }
 
@@ -928,7 +928,7 @@ impl Idaa {
     fn read_accel_table(&self, session: &mut Session, grant: &Granted, ship: bool) -> Result<Rows> {
         let meta = self.host.table_meta(grant.object_for(Privilege::Select)?)?;
         let tables = [meta.name.clone()];
-        let mix = router::classify_for(&self.host, session.txn, &tables)?;
+        let mix = router::classify_for(&self.host, session.txn(), &tables)?;
         router::route_query(&mix, AccelerationMode::All)?;
         let read = self.read_plan(&tables)?;
         self.read_ready(session, &read, &tables)?;
@@ -1033,7 +1033,7 @@ impl Idaa {
         self.maybe_rebalance();
         let txn = self.host.begin();
         // The owner loop's context only: a load ships no statement.
-        let mut session = Session::new(self.next_session_id(), SYSADM);
+        let mut session = Session::new(self.next_session_id(), SYSADM, &self.orphans);
         // The nodes that began the transaction, and the owners that missed
         // a batch (each sits out the rest of the load).
         let (mut joined, mut missed) = (BTreeSet::new(), BTreeSet::new());
@@ -1054,10 +1054,7 @@ impl Idaa {
         });
         match filled {
             Ok(value) => self.commit_load(&meta, txn, &joined, &missed).map(|()| value),
-            Err(e) => {
-                self.abort_load(txn, &joined)?;
-                Err(e)
-            }
+            Err(e) => self.abort_on(txn, &joined).and(Err(e)),
         }
     }
 
@@ -1083,16 +1080,14 @@ impl Idaa {
             committing.iter().try_for_each(|&i| self.nodes[i].engine.prepare(txn))
         };
         if let Err(e) = prepared {
-            self.abort_load(txn, joined)?;
-            return Err(e);
+            return self.abort_on(txn, joined).and(Err(e));
         }
         let lsn = self.decide(txn, &committing);
         for &i in joined.intersection(missed) {
             self.nodes[i].engine.abort(txn);
         }
         for &i in &committing {
-            self.nodes[i].engine.commit(txn, lsn);
-            self.nodes[i].pending_commits.lock().retain(|&(t, _)| t != txn);
+            self.deliver_commit(&self.nodes[i], txn, lsn);
         }
         for &i in &committing {
             let node = &self.nodes[i];
@@ -1102,13 +1097,6 @@ impl Idaa {
             acked?;
         }
         Ok(())
-    }
-
-    fn abort_load(&self, txn: TxnId, joined: &BTreeSet<usize>) -> Result<()> {
-        for &i in joined {
-            self.nodes[i].engine.abort(txn);
-        }
-        self.host.rollback(txn)
     }
 }
 

@@ -13,7 +13,7 @@
 use crate::fleet::{on_accelerator, AccelNode, FleetConfig, FleetState};
 use crate::procedures::{system_procedures, Procedure};
 use crate::router::Route;
-use crate::session::Session;
+use crate::session::{Orphans, Session};
 use idaa_accel::{AccelConfig, AccelEngine, RestartStats};
 use idaa_common::trace::{SpanId, StatementTrace, Trace, TraceSink};
 use idaa_common::wire;
@@ -174,6 +174,8 @@ pub struct Idaa {
     tracer: Arc<TraceSink>,
     /// Sessions numbered so far: each `Idaa` numbers its own from 1.
     sessions: AtomicU64,
+    /// The units of work dropped sessions left open, for the next statement.
+    pub(crate) orphans: Orphans,
     /// This system's monotone counters and gauges, the one home of every
     /// count: each node's link counts its delivered and failed traffic
     /// here (`link.*` for node 0, `link.node{i}.*` for the rest), and each
@@ -211,6 +213,7 @@ impl Idaa {
             procedures: RwLock::new(HashMap::new()),
             tracer: Arc::new(TraceSink::default()),
             sessions: AtomicU64::new(0),
+            orphans: Orphans::default(),
             metrics,
             config,
             faults,
@@ -223,17 +226,11 @@ impl Idaa {
         idaa
     }
 
-    /// The first accelerator node — the one the public single-accelerator
-    /// accessors (`accel()`, `link()`, `health()`) address.
-    pub(crate) fn node0(&self) -> &AccelNode {
-        &self.nodes[0]
-    }
-
     /// Open a session for `user`. When the system's [`TraceSink`] is
     /// enabled (the default), the session records a query-lifecycle span
     /// tree per statement, stamped with the link's virtual clock.
     pub fn session(&self, user: &str) -> Session {
-        let mut s = Session::new(self.next_session_id(), user);
+        let mut s = Session::new(self.next_session_id(), user, &self.orphans);
         if self.tracer.enabled() {
             s.trace = Trace::enabled();
         }
@@ -286,12 +283,12 @@ impl Idaa {
 
     /// Stats of the most recent accelerator crash recovery, if any.
     pub fn last_restart(&self) -> Option<RestartStats> {
-        *self.node0().last_restart.lock()
+        *self.nodes[0].last_restart.lock()
     }
 
     /// COMMIT decisions queued for redelivery (phase-2 message lost).
     pub fn pending_accel_commits(&self) -> usize {
-        self.node0().pending_commits.lock().len()
+        self.nodes[0].pending_commits.lock().len()
     }
 
     /// In-doubt transactions the 2PC resolver recovered (diagnostics).
@@ -307,7 +304,7 @@ impl Idaa {
 
     /// Committed change records not yet applied on the accelerator.
     pub fn replication_backlog(&self) -> usize {
-        let watermark = self.node0().replicator.lock().last_applied();
+        let watermark = self.nodes[0].replicator.lock().last_applied();
         self.host.txns.changes_since(watermark).len()
     }
 
@@ -574,30 +571,19 @@ impl Idaa {
         } else {
             None
         };
-        // The unit of work's snapshot: taken here at its first statement.
-        self.snapshot(session);
-        let result = self.dispatch(session, stmt);
-        match &result {
-            Ok(_) => {
-                // Autocommit unless inside an explicit transaction.
-                if !session.explicit_txn
-                    && !matches!(stmt, Statement::Begin | Statement::Commit | Statement::Rollback)
-                {
-                    if let Err(e) = self.commit_session(session) {
-                        self.metrics.inc("statements.total", 1);
-                        self.metrics.inc(&format!("errors.sqlcode.{}", e.sqlcode()), 1);
-                        self.finish_statement_trace(session, stmt, root, Some(&e));
-                        return Err(e);
-                    }
-                }
-            }
-            Err(_) => {
-                // Statement-level atomicity in autocommit mode: roll the
-                // implicit transaction back, ending its snapshot.
-                if !session.explicit_txn {
-                    self.rollback_session(session)?;
-                }
-            }
+        // Units of work dropped sessions left open roll back first, with no
+        // one left to report a failure to; this session's unit begins here.
+        let orphans = std::mem::take(&mut *self.orphans.lock());
+        orphans.into_iter().for_each(|unit| drop(self.roll_back(unit)));
+        self.unit(session);
+        let mut result = self.dispatch(session, stmt);
+        // Autocommit unless inside an explicit transaction: on error, roll
+        // the implicit transaction back (statement-level atomicity).
+        if session.unit.as_ref().is_some_and(|u| !u.explicit) {
+            result = match result {
+                Ok(out) => self.commit_session(session).map(|()| out),
+                Err(e) => self.rollback_session(session).and(Err(e)),
+            };
         }
         self.metrics.inc("statements.total", 1);
         match &result {

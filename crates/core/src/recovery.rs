@@ -312,9 +312,10 @@ impl Idaa {
     /// then every shard it owns, copied from a live replica that holds the
     /// shard and lacks none of its writes, with both legs of the transfer
     /// metered and committed at DB2's current LSN (so a source must hold
-    /// every COMMIT decision). The node stays flagged until a full pass
-    /// succeeds: a node that finds no such owner to copy a shard it lags on
-    /// from fails the pass (-904), so it never serves rows it may have
+    /// every COMMIT decision, and no undecided transaction's versions of the
+    /// shard, which the copy would miss). The node stays flagged until a full
+    /// pass succeeds: a node that finds no such owner to copy a shard it lags
+    /// on from fails the pass (-904), so it never serves rows it may have
     /// missed. A pass that copied nothing is not counted.
     pub(crate) fn catch_up_node(&self, node: &AccelNode) -> Result<()> {
         let mut copied = false;
@@ -331,6 +332,7 @@ impl Idaa {
                     && !self.fleet.lags_on(o, st)
                     && src.engine.has_table(st)
                     && src.pending_commits.lock().is_empty()
+                    && !src.engine.undecided_on(st)
             }) else {
                 // A sole owner has no one to lag behind.
                 if owners.len() > 1 && self.fleet.lags_on(node.id, st) {

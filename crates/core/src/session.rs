@@ -1,4 +1,4 @@
-//! Client sessions: authorization id, special registers, transaction state.
+//! Client sessions: authorization id, special registers, the unit of work.
 //!
 //! # Statement sequencing across a fleet
 //!
@@ -16,9 +16,42 @@
 //! monotonically across the failover.
 
 use idaa_common::trace::Trace;
-use idaa_host::{Lsn, TxnId};
+use idaa_host::{HostEngine, Lsn, TxnId, TxnManager};
 use idaa_sql::AccelerationMode;
+use parking_lot::Mutex;
 use std::collections::BTreeSet;
+use std::sync::Arc;
+
+/// The open units of work of dropped sessions, for the next statement to roll back.
+pub(crate) type Orphans = Arc<Mutex<Vec<UnitOfWork>>>;
+
+/// One unit of work: a transaction, or a statement outside one. Its first
+/// statement begins it; commit or rollback consumes it.
+#[derive(Debug)]
+pub(crate) struct UnitOfWork {
+    /// DB2's transaction id, drawn at BEGIN or at first need.
+    pub(crate) txn: Option<TxnId>,
+    /// Its snapshot: DB2's commit LSN at its first statement, pinned.
+    pub(crate) snapshot: Lsn,
+    /// The accelerator nodes enlisted in its transaction.
+    pub(crate) enlisted: BTreeSet<usize>,
+    /// True inside `BEGIN … COMMIT` (suppresses autocommit).
+    pub(crate) explicit: bool,
+}
+
+impl UnitOfWork {
+    /// DB2's transaction id, drawn on first need.
+    pub(crate) fn txn(&mut self, host: &HostEngine) -> TxnId {
+        *self.txn.get_or_insert_with(|| host.begin())
+    }
+
+    /// End the unit: unpin its snapshot and hand back its transaction, once
+    /// drawn, and its enlisted nodes, to commit or roll back.
+    pub(crate) fn end(self, txns: &TxnManager) -> Option<(TxnId, BTreeSet<usize>)> {
+        txns.release_snapshot(self.snapshot);
+        Some((self.txn?, self.enlisted))
+    }
+}
 
 /// One application connection to the federated system.
 #[derive(Debug)]
@@ -31,34 +64,28 @@ pub struct Session {
     /// `CURRENT QUERY ACCELERATION` special register. DB2's default is
     /// NONE: nothing is offloaded until the application opts in.
     pub acceleration: AccelerationMode,
-    /// Open explicit transaction, if any.
-    pub txn: Option<TxnId>,
-    /// The open unit of work's snapshot, which its accelerator work runs at.
-    pub snapshot: Option<Lsn>,
-    /// The accelerator nodes enlisted in the open transaction.
-    pub enlisted: BTreeSet<usize>,
-    /// True while inside `BEGIN … COMMIT` (suppresses autocommit).
-    pub explicit_txn: bool,
+    /// The open unit of work, if any.
+    pub(crate) unit: Option<UnitOfWork>,
     /// Query-lifecycle tracer. Sessions opened via `Idaa::session` get an
     /// active trace when the system's `TraceSink` is enabled; every span it
     /// records is stamped with the link's *virtual* clock only.
     pub trace: Trace,
     seq: u64,
+    /// Where the open unit of work goes when the session is dropped.
+    orphans: Orphans,
 }
 
 impl Session {
-    /// Fresh session `id` for `user` with DB2 defaults.
-    pub fn new(id: u64, user: &str) -> Session {
+    /// Fresh session `id` for `user` with DB2 defaults, dropped into `orphans`.
+    pub(crate) fn new(id: u64, user: &str, orphans: &Orphans) -> Session {
         Session {
             id,
             user: user.to_uppercase(),
             acceleration: AccelerationMode::None,
-            txn: None,
-            snapshot: None,
-            enlisted: BTreeSet::new(),
-            explicit_txn: false,
+            unit: None,
             trace: Trace::disabled(),
             seq: 0,
+            orphans: orphans.clone(),
         }
     }
 
@@ -66,6 +93,19 @@ impl Session {
     pub fn next_seq(&mut self) -> u64 {
         self.seq += 1;
         self.seq
+    }
+
+    /// DB2's id of the open unit of work's transaction, once drawn.
+    pub fn txn(&self) -> Option<TxnId> {
+        self.unit.as_ref().and_then(|u| u.txn)
+    }
+}
+
+impl Drop for Session {
+    fn drop(&mut self) {
+        if let Some(unit) = self.unit.take() {
+            self.orphans.lock().push(unit);
+        }
     }
 }
 
@@ -75,10 +115,9 @@ mod tests {
 
     #[test]
     fn defaults_match_db2() {
-        let s = Session::new(1, "alice");
+        let s = Session::new(1, "alice", &Orphans::default());
         assert_eq!(s.user, "ALICE");
         assert_eq!(s.acceleration, AccelerationMode::None);
-        assert!(s.txn.is_none() && s.snapshot.is_none());
-        assert!(!s.explicit_txn);
+        assert!(s.unit.is_none() && s.txn().is_none());
     }
 }

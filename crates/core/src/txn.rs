@@ -1,92 +1,95 @@
-//! Transactions: the session's snapshot, enlistment of accelerator nodes in
-//! a DB2 transaction, commit (local, or two-phase across every enlisted
-//! node), and rollback.
+//! Transactions: the session's unit of work, enlistment of accelerator
+//! nodes in its DB2 transaction, commit (local, or two-phase across every
+//! enlisted node), and rollback.
 //!
 //! DB2 is the coordinator and the one clock. A unit of work (a transaction,
 //! or a statement outside one) reads at one snapshot on every node: DB2's
-//! commit LSN at its first statement ([`Idaa::snapshot`]). A node joins a
+//! commit LSN at its first statement ([`Idaa::unit`]). A node joins its
 //! transaction with a BEGIN message when a statement first writes to it
-//! ([`Idaa::enlist_node`]). Commit runs PREPARE / vote / decision per
-//! participant and resolves a lost vote by one status inquiry; DB2 numbers
-//! the decision with its commit LSN, which the phase-2 COMMIT frame carries.
-//! Each decision is queued before the LSN is published and dequeued once
-//! delivered, so a lost one waits for the next replication round, read or
-//! recovery probe, and no snapshot past the commit reads the node without
-//! it.
+//! ([`Idaa::enlist_node`]). A unit that wrote nothing ends by releasing its
+//! locks and snapshot. Commit runs PREPARE / vote / decision per participant
+//! and resolves a lost vote by one status inquiry; DB2 numbers the decision
+//! with its commit LSN, which the phase-2 COMMIT frame carries. Each decision
+//! is queued before the LSN is published and dequeued once delivered, so a
+//! lost one waits for the next replication round, read or recovery probe,
+//! and no snapshot past the commit reads the node without it.
 
 use crate::fleet::AccelNode;
 use crate::idaa::Idaa;
-use crate::session::Session;
+use crate::session::{Session, UnitOfWork};
 use idaa_accel::Snapshot;
 use idaa_common::trace::Trace;
 use idaa_common::{wire, Error, Result};
 use idaa_host::{Lsn, TxnId};
 use idaa_netsim::{sites, Direction};
+use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
 
 impl Idaa {
-    pub(crate) fn ensure_txn(&self, session: &mut Session) -> TxnId {
-        *session.txn.get_or_insert_with(|| self.host.begin())
+    /// The session's unit of work, begun at its first statement: its
+    /// snapshot is DB2's commit LSN now, pinned until the unit ends.
+    pub(crate) fn unit<'s>(&self, session: &'s mut Session) -> &'s mut UnitOfWork {
+        session.unit.get_or_insert_with(|| UnitOfWork {
+            txn: None,
+            snapshot: self.host.txns.pin_snapshot(),
+            enlisted: BTreeSet::new(),
+            explicit: false,
+        })
     }
 
-    /// The session's snapshot, seen by its transaction: taken at the unit of
-    /// work's first statement, kept until it ends.
+    /// The session's snapshot, seen by its transaction.
     pub(crate) fn snapshot(&self, session: &mut Session) -> Snapshot {
-        let seq = *session.snapshot.get_or_insert_with(|| self.host.txns.pin_snapshot());
-        Snapshot { seq, me: session.txn.unwrap_or(0) }
+        let unit = self.unit(session);
+        Snapshot { seq: unit.snapshot, me: unit.txn.unwrap_or(0) }
     }
 
-    /// Enlist one fleet node in the session's transaction (starting one if
-    /// needed) — required for AOT DML so that the paper's own-uncommitted-
-    /// changes visibility holds. Callers have already verified the node is
-    /// ready.
+    /// Enlist one fleet node in the session's transaction — required for AOT
+    /// DML so that the paper's own-uncommitted-changes visibility holds.
+    /// Callers have already verified the node is ready.
     pub(crate) fn enlist_node(&self, session: &mut Session, node: &AccelNode) -> Result<TxnId> {
         let trace = session.trace.clone();
-        let txn = self.ensure_txn(session);
-        if !session.enlisted.contains(&node.id) {
+        let unit = self.unit(session);
+        let txn = unit.txn(&self.host);
+        if !unit.enlisted.contains(&node.id) {
             // BEGIN message
             self.ship_traced_on(node, &trace, Direction::ToAccel, "control", wire::CONTROL_FRAME)?;
             node.engine.begin(txn);
-            session.enlisted.insert(node.id);
+            unit.enlisted.insert(node.id);
         }
         Ok(txn)
     }
 
-    /// Commit the session's transaction. When accelerator nodes
+    /// Commit the session's unit of work. When accelerator nodes
     /// participated, run two-phase commit: PREPARE on every participant,
-    /// COMMIT on DB2 (the coordinator), COMMIT on every participant.
-    pub fn commit_session(&self, session: &mut Session) -> Result<()> {
-        session.snapshot.take().into_iter().for_each(|lsn| self.host.txns.release_snapshot(lsn));
-        let Some(txn) = session.txn.take() else { return Ok(()) };
-        let trace = session.trace.clone();
-        let span = trace.is_enabled().then(|| trace.begin("commit", self.link().now()));
-        let enlisted: Vec<usize> = std::mem::take(&mut session.enlisted).into_iter().collect();
-        if let Some(id) = span {
-            trace.attr(id, "kind", if enlisted.is_empty() { "local" } else { "2pc" });
+    /// COMMIT on DB2 (the coordinator), COMMIT on every participant. A unit
+    /// that wrote nothing only releases its locks and its snapshot.
+    pub(crate) fn commit_session(&self, session: &mut Session) -> Result<()> {
+        let unit = session.unit.take();
+        let Some((txn, enlisted)) = unit.and_then(|u| u.end(&self.host.txns)) else { return Ok(()) };
+        if enlisted.is_empty() && !self.host.txns.wrote(txn) {
+            // DB2's rollback of an empty undo log: no LSN, nothing to ship.
+            return self.host.rollback(txn);
         }
+        let trace = session.trace.clone();
+        let span = trace.begin("commit", self.link().now());
+        trace.attr(span, "kind", if enlisted.is_empty() { "local" } else { "2pc" });
         let result = if enlisted.is_empty() {
             self.metrics.inc("commits.local", 1);
             self.host.commit(txn);
             Ok(())
         } else {
             self.metrics.inc("commits.twopc", 1);
-            self.commit_two_phase(&trace, txn, &enlisted)
+            self.commit_two_phase(&trace, txn, &Vec::from_iter(enlisted))
         };
         if let Err(e) = result {
-            if let Some(id) = span {
-                trace.end(id, self.link().now());
-            }
+            trace.end(span, self.link().now());
             return Err(e);
         }
         if self.config.auto_replicate {
-            let applied = self.replicate_now();
-            match &applied {
-                Ok(n) if *n > 0 => {
-                    trace.event("replicate", &[("applied", n)], self.link().now());
-                }
-                _ => {}
+            let applied = self.replicate_now()?;
+            if applied > 0 {
+                trace.event("replicate", &[("applied", &applied)], self.link().now());
             }
-            applied?;
         }
         // Periodic checkpoint policy on the virtual clock (each node
         // checkpoints on its own link clock). A crash while building the
@@ -95,18 +98,14 @@ impl Idaa {
         // observes the crash and drives recovery.
         for node in &self.nodes {
             self.sync_node_clock(node);
-            if let Ok(true) =
-                node.engine.maybe_checkpoint(node.link.now(), self.config.checkpoint_every)
-            {
+            if let Ok(true) = node.engine.maybe_checkpoint(node.link.now(), self.config.checkpoint_every) {
                 self.metrics.inc("accel.checkpoints", 1);
                 trace.event("checkpoint", &[], node.link.now());
             }
             self.maybe_scrub_node(node, &trace);
             self.absorb_node_clock(node);
         }
-        if let Some(id) = span {
-            trace.end(id, self.link().now());
-        }
+        trace.end(span, self.link().now());
         Ok(())
     }
 
@@ -116,20 +115,16 @@ impl Idaa {
     /// of the decision's LSN.
     fn commit_two_phase(&self, trace: &Trace, txn: TxnId, ids: &[usize]) -> Result<()> {
         // Roll back on every participant and report why.
-        let abort_all = |why: Error| -> Result<()> {
-            for &i in ids {
-                self.nodes[i].engine.abort(txn);
-            }
-            self.host.rollback(txn)?;
-            Err(why)
+        let abort_all = |error: fn(String) -> Error, why: String| -> Result<()> {
+            self.abort_on(txn, ids)?;
+            Err(error(format!("{why}; transaction rolled back on all participants")))
         };
         // One protocol message to or from one participant, on the shared
         // timeline.
         let ship = |i: usize, direction: Direction| {
             let node = &self.nodes[i];
             self.sync_node_clock(node);
-            let shipped =
-                self.ship_traced_on(node, trace, direction, "control", wire::CONTROL_FRAME);
+            let shipped = self.ship_traced_on(node, trace, direction, "control", wire::CONTROL_FRAME);
             self.absorb_node_clock(node);
             shipped
         };
@@ -139,40 +134,26 @@ impl Idaa {
         if self.faults.accel_unavailable.load(Ordering::Relaxed)
             || ids.iter().any(|&i| self.nodes[i].engine.is_crashed())
         {
-            return abort_all(Error::ResourceUnavailable(
-                "the accelerator is unavailable; transaction rolled back on all \
-                 participants"
-                    .into(),
-            ));
+            return abort_all(Error::ResourceUnavailable, "the accelerator is unavailable".into());
         }
         // Phase 1: PREPARE request. Undeliverable after retries means the
         // participant never voted — presumed abort everywhere.
         for &i in ids {
             if let Err(e) = ship(i, Direction::ToAccel) {
-                return abort_all(Error::CommitFailed(format!(
-                    "PREPARE could not be delivered ({e}); transaction rolled back on all \
-                     participants"
-                )));
+                return abort_all(Error::CommitFailed, format!("PREPARE could not be delivered ({e})"));
             }
         }
         // The PREPARE vote consults the failure registry: a fired
         // `coord.prepare.vote_no` site (armed one-shot or seeded plan)
         // makes a participant vote NO.
         if self.faults.registry.fire(sites::PREPARE_VOTE_NO) {
-            return abort_all(Error::CommitFailed(
-                "accelerator failed to prepare; transaction rolled back on all \
-                 participants"
-                    .into(),
-            ));
+            return abort_all(Error::CommitFailed, "accelerator failed to prepare".into());
         }
         for &i in ids {
             // A NO vote (or protocol error) aborts everywhere; the host
             // transaction must not stay open holding locks.
             if let Err(e) = self.nodes[i].engine.prepare(txn) {
-                return abort_all(Error::CommitFailed(format!(
-                    "accelerator PREPARE failed ({e}); transaction rolled back on all \
-                     participants"
-                )));
+                return abort_all(Error::CommitFailed, format!("accelerator PREPARE failed ({e})"));
             }
         }
         // The YES votes travel back. Losing one leaves the transaction
@@ -181,14 +162,10 @@ impl Idaa {
         // if that fails too, all sides roll back (presumed abort).
         for &i in ids {
             if ship(i, Direction::ToHost).is_err() {
-                let recovered =
-                    ship(i, Direction::ToAccel).is_ok() && ship(i, Direction::ToHost).is_ok();
+                let recovered = ship(i, Direction::ToAccel).is_ok() && ship(i, Direction::ToHost).is_ok();
                 if !recovered {
-                    return abort_all(Error::CommitFailed(
-                        "in-doubt transaction could not be resolved before timeout; rolled \
-                         back on all participants"
-                            .into(),
-                    ));
+                    let why = "in-doubt transaction could not be resolved before timeout";
+                    return abort_all(Error::CommitFailed, why.into());
                 }
                 self.metrics.inc("twopc.in_doubt_resolved", 1);
             }
@@ -203,8 +180,7 @@ impl Idaa {
                 // prepared (durably: a crash re-materializes it) until then.
                 self.metrics.inc("twopc.decisions_queued", 1);
             } else {
-                node.engine.commit(txn, lsn);
-                node.pending_commits.lock().retain(|&(t, _)| t != txn);
+                self.deliver_commit(node, txn, lsn);
             }
         }
         Ok(())
@@ -219,20 +195,35 @@ impl Idaa {
         })
     }
 
-    /// Roll the session's transaction back on every participant.
-    pub fn rollback_session(&self, session: &mut Session) -> Result<()> {
-        session.snapshot.take().into_iter().for_each(|lsn| self.host.txns.release_snapshot(lsn));
-        let Some(txn) = session.txn.take() else { return Ok(()) };
-        // Best-effort abort message per enlisted node — each participant
-        // presumes abort for unresolved transactions on reconnect, so a
-        // lost message cannot leave one committed.
-        for i in std::mem::take(&mut session.enlisted) {
-            let node = &self.nodes[i];
-            let _ = self.ship_on(node, Direction::ToAccel, wire::CONTROL_FRAME);
-            node.engine.abort(txn);
+    /// Phase 2 on `node`: commit `txn` at DB2's `lsn` and dequeue the decision.
+    pub(crate) fn deliver_commit(&self, node: &AccelNode, txn: TxnId, lsn: Lsn) {
+        node.engine.commit(txn, lsn);
+        node.pending_commits.lock().retain(|&(t, _)| t != txn);
+    }
+
+    /// Abort `txn` on the nodes `ids`, then roll it back in DB2.
+    pub(crate) fn abort_on<'a>(&self, txn: TxnId, ids: impl IntoIterator<Item = &'a usize>) -> Result<()> {
+        for &i in ids {
+            self.nodes[i].engine.abort(txn);
         }
-        self.host.rollback(txn)?;
-        Ok(())
+        self.host.rollback(txn)
+    }
+
+    /// Roll the session's unit of work back on every participant.
+    pub(crate) fn rollback_session(&self, session: &mut Session) -> Result<()> {
+        session.unit.take().map_or(Ok(()), |unit| self.roll_back(unit))
+    }
+
+    /// Roll `unit` back: a best-effort abort message to each enlisted node —
+    /// each participant presumes abort for unresolved transactions on
+    /// reconnect, so a lost message cannot leave one committed — then the
+    /// abort everywhere.
+    pub(crate) fn roll_back(&self, unit: UnitOfWork) -> Result<()> {
+        let Some((txn, enlisted)) = unit.end(&self.host.txns) else { return Ok(()) };
+        for &i in &enlisted {
+            let _ = self.ship_on(&self.nodes[i], Direction::ToAccel, wire::CONTROL_FRAME);
+        }
+        self.abort_on(txn, &enlisted)
     }
 
     /// Redeliver COMMIT decisions whose phase-2 message was lost; the
@@ -244,17 +235,15 @@ impl Idaa {
             // queued until recovery re-materializes the prepared txn.
             return;
         }
-        let mut pending = node.pending_commits.lock();
-        pending.retain(|&(txn, lsn)| {
+        node.pending_commits.lock().retain(|&(txn, lsn)| {
             // Through ship_on(), like every federation message, so
             // redelivery outcomes feed the health monitor; a failure keeps
             // the decision queued for the next round.
-            if self.ship_on(node, Direction::ToAccel, wire::CONTROL_FRAME).is_ok() {
+            let delivered = self.ship_on(node, Direction::ToAccel, wire::CONTROL_FRAME).is_ok();
+            if delivered {
                 node.engine.commit(txn, lsn);
-                false
-            } else {
-                true
             }
+            !delivered
         });
     }
 }

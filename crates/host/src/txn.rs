@@ -92,6 +92,11 @@ impl TxnManager {
         active.get(&txn).is_some_and(|s| s.pending_changes.iter().any(|(t, _)| t == table))
     }
 
+    /// True if the live transaction `txn` changed a row: it has an undo record.
+    pub fn wrote(&self, txn: TxnId) -> bool {
+        self.active.lock().get(&txn).is_some_and(|s| !s.undo.is_empty())
+    }
+
     /// Append an undo record and optionally a pending change for `txn`.
     pub fn record(&self, txn: TxnId, undo: UndoRecord, change: Option<(ObjectName, ChangeOp)>) {
         let mut active = self.active.lock();

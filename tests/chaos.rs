@@ -1723,3 +1723,77 @@ fn fleet_owners_that_missed_different_shards_catch_up() {
     }
     assert!(committed > 4, "some inserts reached node 2 alone");
 }
+
+/// The rows of `T(K, V)`, sorted.
+fn kv_rows(idaa: &Idaa, s: &mut idaa::Session) -> Vec<(i32, i32)> {
+    let rows = idaa.query(s, "SELECT K, V FROM T").unwrap().rows;
+    let mut out: Vec<(i32, i32)> = rows
+        .iter()
+        .map(|r| match (&r[0], &r[1]) {
+            (Value::Int(k), Value::Int(v)) => (*k, *v),
+            other => panic!("not an INT pair: {other:?}"),
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// Three accelerators, four shards, replication factor 2; `T(K, V)` is
+/// hashed on K, and shard *s* is owned by nodes *s* and *s* + 1 mod 3.
+/// After `setup`, which opens a transaction, node 2's link fails under
+/// `faulted`: nodes 1 and 0 take the writes to the shards they share with
+/// node 2, uncommitted, and node 2 is flagged to catch up. A catch-up copy
+/// holds committed rows only, so node 2 must not copy a shard from an owner
+/// holding the open transaction's versions of it: until the decision it
+/// sits out like a down owner. Every read, in the transaction and after
+/// COMMIT and recovery, returns `expected`, and every owner of every shard
+/// holds the same committed rows.
+fn an_undecided_write_is_never_copied_around(setup: &[&str], faulted: &[&str], expected: &[(i32, i32)]) {
+    let fleet = FleetConfig { accelerators: 3, shards: 4, replication_factor: 2 };
+    let idaa = Idaa::new(IdaaConfig { fleet: fleet.clone(), ..IdaaConfig::default() });
+    let mut s = idaa.session(SYSADM);
+    idaa.execute(&mut s, "CREATE TABLE T (K INT NOT NULL, V INT) IN ACCELERATOR DISTRIBUTE BY HASH(K)").unwrap();
+    for sql in setup {
+        idaa.execute(&mut s, sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    }
+    idaa.node_registry(2).arm(sites::LINK_TRANSFER, 0, 1000);
+    for sql in faulted {
+        idaa.execute(&mut s, sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    }
+    idaa.node_registry(2).clear();
+    assert_eq!(kv_rows(&idaa, &mut s), expected, "in the transaction");
+    assert_replicas_agree(&idaa, &fleet, &["T"]);
+    idaa.execute(&mut s, "COMMIT").unwrap();
+    assert!((0..3).all(|i| idaa.recover_node(i)), "every node recovers once the fault clears");
+    assert_eq!(kv_rows(&idaa, &mut s), expected, "after COMMIT and recovery");
+    assert_replicas_agree(&idaa, &fleet, &["T"]);
+}
+
+/// An INSERT of 11 to 18 into `T` holding (1, 1), (2, 2) and (3, 3), inside
+/// a transaction whose statements before it were `opening`.
+fn an_open_insert_is_never_copied_around(opening: &[&str]) {
+    let mut setup = vec!["INSERT INTO T VALUES (1, 1), (2, 2), (3, 3)", "BEGIN"];
+    setup.extend(opening);
+    let insert = "INSERT INTO T VALUES (11, 1), (12, 1), (13, 1), (14, 1), (15, 1), (16, 1), (17, 1), (18, 1)";
+    let mut expected = vec![(1, 1), (2, 2), (3, 3)];
+    expected.extend((11..19).map(|k| (k, 1)));
+    an_undecided_write_is_never_copied_around(&setup, &[insert], &expected);
+}
+
+#[test]
+fn fleet_an_open_insert_is_never_copied_around() {
+    an_open_insert_is_never_copied_around(&["SELECT K FROM T"]);
+}
+
+#[test]
+fn fleet_an_open_first_statement_insert_is_never_copied_around() {
+    an_open_insert_is_never_copied_around(&[]);
+}
+
+#[test]
+fn fleet_an_open_update_and_delete_are_never_copied_around() {
+    let setup = ["INSERT INTO T VALUES (1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (7, 7), (8, 8)", "BEGIN"];
+    let faulted = ["UPDATE T SET V = V * 10", "DELETE FROM T WHERE K > 6"];
+    let expected: Vec<(i32, i32)> = (1..7).map(|k| (k, 10 * k)).collect();
+    an_undecided_write_is_never_copied_around(&setup, &faulted, &expected);
+}

@@ -6,8 +6,8 @@
 //! config field is set by some caller, recoverable accelerator state has
 //! one image, every read of accelerator rows follows one rule, injected
 //! faults draw from one seeded stream, the link counts only through
-//! registry handles, product code keeps no process-global state, and only
-//! DB2 authorizes.
+//! registry handles, product code keeps no process-global state, only DB2
+//! authorizes, and a session's unit of work is one value.
 
 use std::path::{Path, PathBuf};
 
@@ -178,6 +178,9 @@ fn deleted_names_stay_deleted() {
     // The analytics read's latest-committed scan: every read of accelerator
     // rows runs at its caller's snapshot (`scan_at`).
     let reads: &[&str] = &["fn scan_visible("];
+    // The unit of work's scattered setter: a session's transaction is part
+    // of its one `UnitOfWork`, which draws the id on first need.
+    let units: &[&str] = &["fn ensure_txn("];
     let everywhere = &["crates", "src", "tests"][..];
     for (names, dirs) in [
         (executor, &["crates/accel/src"][..]),
@@ -193,6 +196,7 @@ fn deleted_names_stay_deleted() {
         (clock, everywhere),
         (fleet_ops, everywhere),
         (reads, everywhere),
+        (units, everywhere),
     ] {
         for (path, text) in dirs.iter().flat_map(|d| sources(d)) {
             if path.ends_with("tests/contract.rs") {
@@ -203,6 +207,25 @@ fn deleted_names_stay_deleted() {
             }
         }
     }
+}
+
+#[test]
+fn one_unit_of_work() {
+    // A session's transaction id, snapshot pin, enlisted nodes and BEGIN
+    // flag are one value, built in one place; its snapshot is unpinned in
+    // one place, where the unit ends.
+    let (mut built, mut released) = (0, 0);
+    for (path, text) in product_sources() {
+        // A literal, not a declaration or a type in a signature.
+        let types = ["struct", "impl", "for", "->", "mut"];
+        let literal = |at: &usize| !types.iter().any(|kw| text[..*at].trim_end().ends_with(kw));
+        built += text.match_indices("UnitOfWork {").map(|(at, _)| at).filter(literal).count();
+        if path.starts_with(root().join("crates/core/src")) {
+            released += text.matches("release_snapshot(").count();
+        }
+    }
+    assert_eq!(built, 1, "a `UnitOfWork` literal is built in more than one place");
+    assert_eq!(released, 1, "`release_snapshot(` is called in more than one place");
 }
 
 #[test]

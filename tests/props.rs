@@ -1190,7 +1190,7 @@ proptest! {
             "a + 1 > b".to_string(),
         ];
         for (k, p) in predicates.iter().enumerate() {
-            let txn = s.txn.expect("explicit transaction is open");
+            let txn = s.txn().expect("explicit transaction is open");
             let Statement::Query(select) =
                 parse_statement(&format!("SELECT a, b, g FROM t WHERE {p}")).unwrap()
             else { unreachable!() };
