@@ -855,7 +855,8 @@ impl Idaa {
 
     /// AOT insert of host-side rows: every live owner of each shard, enlisted
     /// in the session's transaction, ingests what it decodes from the
-    /// shipped frames.
+    /// shipped frames; the first frame to a node carries its BEGIN, the
+    /// last its PREPARE, and the ack its vote ([`Carried`](crate::txn::Carried)).
     pub(crate) fn aot_insert_rows(
         &self,
         session: &mut Session,
@@ -866,16 +867,22 @@ impl Idaa {
         let trace = session.trace.clone();
         let (mut total, mut missed) = (0usize, BTreeSet::new());
         let placement = self.placement(&meta.name, meta.kind);
-        for (s, shard_rows) in self.split_by_shard(meta, rows, false)? {
+        let batches = self.split_by_shard(meta, rows, false)?;
+        let last = last_writes(batches.iter().map(|(s, _)| (*s, &placement[*s].1)));
+        for (s, shard_rows) in batches {
             let st = &placement[s].0;
             total += self.write_on_owners(session, (s, &meta.name), &placement[s], &mut missed, |node, sess| {
-                let txn = self.enlist_node(sess, node)?;
-                let to = Direction::ToAccel;
-                let delivered =
-                    self.ship_rows_traced_on(node, &trace, to, &meta.schema, &shard_rows)?;
-                let n = node.engine.insert_rows(txn, st, delivered)?;
-                self.ship_traced_on(node, &trace, Direction::ToHost, "control", wire::ACK_FRAME)?;
-                Ok(n)
+                self.enlist_node(sess, node, last[&node.id] == s, |_, carried| {
+                    let (to, records) = (Direction::ToAccel, (carried.begin, carried.prepare));
+                    let delivered =
+                        self.ship_rows_traced_on(node, &trace, to, &meta.schema, &shard_rows, records)?;
+                    carried.begin_on(node);
+                    let n = node.engine.insert_rows(carried.txn, st, delivered)?;
+                    carried.prepare_on(node);
+                    let ack = wire::ACK_FRAME + carried.prepare;
+                    self.ship_traced_on(node, &trace, Direction::ToHost, "control", ack)?;
+                    Ok(n)
+                })
             })?;
         }
         Ok(total)
@@ -883,7 +890,8 @@ impl Idaa {
 
     /// A statement-shipped AOT write (UPDATE, DELETE, INSERT…SELECT
     /// pushdown): `op` runs at the session's snapshot on each shard's table
-    /// on every live owner; only the statement text and an ack cross.
+    /// on every live owner; only the statement text, with the unit's records
+    /// it carries, and an ack, with any vote, cross ([`Carried`](crate::txn::Carried)).
     pub(crate) fn aot_statement(
         &self,
         session: &mut Session,
@@ -893,11 +901,20 @@ impl Idaa {
     ) -> Result<usize> {
         self.maybe_rebalance();
         let (mut total, mut missed) = (0usize, BTreeSet::new());
-        for (s, shard) in self.placement(table, TableKind::AcceleratorOnly).iter().enumerate() {
+        let placement = self.placement(table, TableKind::AcceleratorOnly);
+        let last = last_writes(placement.iter().map(|(_, owners)| owners).enumerate());
+        for (s, shard) in placement.iter().enumerate() {
             total += self.write_on_owners(session, (s, table), shard, &mut missed, |node, sess| {
-                self.enlist_node(sess, node)?;
-                let snap = self.snapshot(sess);
-                self.exchange_control(node, sess, request_bytes, || op(node, snap, &shard.0))
+                self.enlist_node(sess, node, last[&node.id] == s, |sess, carried| {
+                    let snap = self.snapshot(sess);
+                    let request = request_bytes + carried.begin + carried.prepare;
+                    self.exchange_control(node, sess, (request, wire::ACK_FRAME + carried.prepare), || {
+                        carried.begin_on(node);
+                        let n = op(node, snap, &shard.0)?;
+                        carried.prepare_on(node);
+                        Ok(n)
+                    })
+                })
             })?;
         }
         Ok(total)
@@ -1104,6 +1121,12 @@ impl Idaa {
 /// or a DB2 table added to it.
 pub(crate) fn on_accelerator(meta: &TableMeta) -> bool {
     meta.kind == TableKind::AcceleratorOnly || meta.accel_status != AccelStatus::NotAccelerated
+}
+
+/// Each node's last shard among `shards` (each with its owners), in write
+/// order: where a statement's last write to the node goes.
+fn last_writes<'a>(shards: impl Iterator<Item = (usize, &'a Vec<usize>)>) -> BTreeMap<usize, usize> {
+    shards.flat_map(|(s, owners)| owners.iter().map(move |&o| (o, s))).collect()
 }
 
 /// Sort one owner's failure: a node that is down (not ready, exchange dead

@@ -1080,12 +1080,13 @@ mod tests {
         let mut s = sys(&idaa);
         idaa.execute(&mut s, "CREATE TABLE T (X INT) IN ACCELERATOR").unwrap();
         idaa.execute(&mut s, "INSERT INTO T VALUES (10)").unwrap();
-        // The UPDATE exchange is BEGIN, request, reply — deliver the
-        // request but lose the reply. The coordinator cannot tell whether
-        // the statement ran, so it redelivers under the same sequence
-        // number; the receiver recognizes the duplicate and resends the
-        // reply without executing again (X + 1 must apply exactly once).
-        idaa.faults.registry.arm(sites::LINK_TRANSFER, 2, 1);
+        // The UPDATE exchange is request (carrying BEGIN and PREPARE) and
+        // reply (carrying the vote) — deliver the request but lose the
+        // reply. The coordinator cannot tell whether the statement ran, so
+        // it redelivers under the same sequence number; the receiver
+        // recognizes the duplicate and resends the reply without executing
+        // again (X + 1 must apply exactly once).
+        idaa.faults.registry.arm(sites::LINK_TRANSFER, 1, 1);
         let out = idaa.execute(&mut s, "UPDATE T SET X = X + 1").unwrap();
         assert_eq!(out.count(), 1);
         assert_eq!(idaa.statements_deduped(), 1);

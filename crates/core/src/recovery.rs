@@ -18,6 +18,10 @@ use idaa_netsim::{Direction, RetryPolicy};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
+/// A table the catalog places on a node: its entry, local name, owners,
+/// and whether the node just (re)created it.
+type Placed = (TableMeta, ObjectName, Vec<usize>, bool);
+
 /// Fixed virtual-time cost of an accelerator restart, charged to the node's
 /// link clock before log replay.
 const RESTART_LATENCY: Duration = Duration::from_millis(2);
@@ -216,7 +220,7 @@ impl Idaa {
         let stats = node.engine.restart()?;
         let bytes_before = node.link.metrics().bytes_to_accel;
         let rebuild = || -> Result<()> {
-            for (meta, local, owners) in &self.reconcile_tables(node)? {
+            for (meta, local, owners, _) in &self.reconcile_tables(node)? {
                 match meta.kind {
                     TableKind::AcceleratorOnly if owners.len() == 1 => {
                         node.engine.quarantine_table(local)?;
@@ -250,28 +254,29 @@ impl Idaa {
     /// one the catalog does not place there or whose schema differs, then
     /// create each one missing, each change one metered DDL exchange.
     /// Returns what the catalog places there, in catalog name order then
-    /// shard order: each table's entry, local name and owners.
-    fn reconcile_tables(&self, node: &AccelNode) -> Result<Vec<(TableMeta, ObjectName, Vec<usize>)>> {
+    /// shard order.
+    fn reconcile_tables(&self, node: &AccelNode) -> Result<Vec<Placed>> {
         let mut placed = Vec::new();
         for name in self.host.table_names() {
             let meta = self.host.table_meta(&name)?;
             for (local, owners) in self.placement(&meta.name, meta.kind) {
                 if on_accelerator(&meta) && owners.contains(&node.id) {
-                    placed.push((meta.clone(), local, owners));
+                    placed.push((meta.clone(), local, owners, false));
                 }
             }
         }
         for local in node.engine.table_names() {
             let schema = node.engine.table(&local)?.schema.clone();
-            if !placed.iter().any(|(meta, l, _)| *l == local && meta.schema == schema) {
+            if !placed.iter().any(|(meta, l, _, _)| *l == local && meta.schema == schema) {
                 self.ship_ddl_on(node, &format!("REMOVE TABLE {local}"))?;
                 node.engine.drop_table(&local)?;
             }
         }
-        for (meta, local, _) in &placed {
+        for (meta, local, _, created) in &mut placed {
             if !node.engine.has_table(local) {
                 self.ship_ddl_on(node, &format!("ADD TABLE {local}"))?;
                 node.engine.create_table(local, meta.schema.clone(), &meta.distribute_by)?;
+                *created = true;
             }
         }
         Ok(placed)
@@ -309,19 +314,20 @@ impl Idaa {
     }
 
     /// Bring a lagging node to DB2's catalog: [its tables](Self::reconcile_tables),
-    /// then every shard it owns, copied from a live replica that holds the
-    /// shard and lacks none of its writes, with both legs of the transfer
-    /// metered and committed at DB2's current LSN (so a source must hold
-    /// every COMMIT decision, and no undecided transaction's versions of the
-    /// shard, which the copy would miss). The node stays flagged until a full
-    /// pass succeeds: a node that finds no such owner to copy a shard it lags
-    /// on from fails the pass (-904), so it never serves rows it may have
-    /// missed. A pass that copied nothing is not counted.
+    /// then every shard it lags on or just (re)created, copied from a live
+    /// replica that holds the shard and lacks none of its writes, with both
+    /// legs of the transfer metered and committed at DB2's current LSN (so a
+    /// source must hold every COMMIT decision, and no undecided transaction's
+    /// versions of the shard, which the copy would miss). The node stays
+    /// flagged until a full pass succeeds: a node that finds no such owner to
+    /// copy a shard it lags on from fails the pass (-904), so it never serves
+    /// rows it may have missed. A pass that copied nothing is not counted.
     pub(crate) fn catch_up_node(&self, node: &AccelNode) -> Result<()> {
         let mut copied = false;
         let mut stranded = None;
-        for (meta, st, owners) in &self.reconcile_tables(node)? {
-            if meta.kind != TableKind::AcceleratorOnly {
+        for (meta, st, owners, created) in &self.reconcile_tables(node)? {
+            // A shard the node holds and lacks no write of needs no copy.
+            if meta.kind != TableKind::AcceleratorOnly || !(*created || self.fleet.lags_on(node.id, st)) {
                 continue;
             }
             let Some(src_id) = owners.iter().copied().find(|&o| {
@@ -346,8 +352,8 @@ impl Idaa {
             let mut delivered: Vec<Row> = Vec::with_capacity(rows.len());
             let mut bytes = 0u64;
             for frame in wire::encode_frames(&meta.schema, &rows) {
-                self.ship_frame_on(&src, Direction::ToHost, &frame)?;
-                self.ship_frame_on(node, Direction::ToAccel, &frame)?;
+                self.ship_frame_on(&src, Direction::ToHost, &frame, 0)?;
+                self.ship_frame_on(node, Direction::ToAccel, &frame, 0)?;
                 bytes += 2 * frame.len() as u64;
                 delivered.extend(wire::decode_rows(&frame, &meta.schema)?);
             }

@@ -147,7 +147,7 @@ impl Replicator {
             for (table, images) in groups {
                 let schema = host.table_meta(&table)?.schema;
                 let frame = wire::encode_frame(&schema, &images);
-                if self.retry.transfer_frame(link, Direction::ToAccel, &frame).is_err() {
+                if self.retry.transfer_frame(link, Direction::ToAccel, &frame, 0).is_err() {
                     return Ok((0, false));
                 }
                 let rows = wire::decode_rows(&frame, &schema)?;

@@ -16,14 +16,20 @@
 //! monotonically across the failover.
 
 use idaa_common::trace::Trace;
+use idaa_common::Result;
 use idaa_host::{HostEngine, Lsn, TxnId, TxnManager};
 use idaa_sql::AccelerationMode;
 use parking_lot::Mutex;
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The open units of work of dropped sessions, for the next statement to roll back.
 pub(crate) type Orphans = Arc<Mutex<Vec<UnitOfWork>>>;
+
+/// A unit of work's enlisted accelerator nodes, each with the vote its
+/// last write's ack carried (an autocommit statement's early PREPARE),
+/// once one arrived.
+pub(crate) type Votes = BTreeMap<usize, Option<Result<()>>>;
 
 /// One unit of work: a transaction, or a statement outside one. Its first
 /// statement begins it; commit or rollback consumes it.
@@ -33,8 +39,8 @@ pub(crate) struct UnitOfWork {
     pub(crate) txn: Option<TxnId>,
     /// Its snapshot: DB2's commit LSN at its first statement, pinned.
     pub(crate) snapshot: Lsn,
-    /// The accelerator nodes enlisted in its transaction.
-    pub(crate) enlisted: BTreeSet<usize>,
+    /// The accelerator nodes enlisted in its transaction, and their votes.
+    pub(crate) enlisted: Votes,
     /// True inside `BEGIN … COMMIT` (suppresses autocommit).
     pub(crate) explicit: bool,
 }
@@ -47,7 +53,7 @@ impl UnitOfWork {
 
     /// End the unit: unpin its snapshot and hand back its transaction, once
     /// drawn, and its enlisted nodes, to commit or roll back.
-    pub(crate) fn end(self, txns: &TxnManager) -> Option<(TxnId, BTreeSet<usize>)> {
+    pub(crate) fn end(self, txns: &TxnManager) -> Option<(TxnId, Votes)> {
         txns.release_snapshot(self.snapshot);
         Some((self.txn?, self.enlisted))
     }

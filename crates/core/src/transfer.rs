@@ -60,17 +60,19 @@ impl Idaa {
         observe(node, RetryPolicy::default().transfer(&node.link, direction, bytes))
     }
 
-    /// Ship one encoded row frame over a node's link with the same bounded
-    /// retry and health accounting as [`Idaa::ship_on`]. A frame rejected by
-    /// the receiver's checksum ([`idaa_common::wire::verify`]) is
-    /// retransmitted like any other lost message.
+    /// Ship one encoded row frame, and the `carried` bytes of control
+    /// records riding it, over a node's link with the same bounded retry and
+    /// health accounting as [`Idaa::ship_on`]. A frame rejected by the
+    /// receiver's checksum ([`idaa_common::wire::verify`]) is retransmitted
+    /// like any other lost message.
     pub(crate) fn ship_frame_on(
         &self,
         node: &AccelNode,
         direction: Direction,
         frame: &[u8],
+        carried: usize,
     ) -> Result<Duration> {
-        observe(node, RetryPolicy::default().transfer_frame(&node.link, direction, frame))
+        observe(node, RetryPolicy::default().transfer_frame(&node.link, direction, frame, carried))
     }
 
     /// Stream a row batch across a node's link as chunked encoded frames
@@ -85,7 +87,7 @@ impl Idaa {
         schema: &idaa_common::Schema,
         rows: &[Row],
     ) -> Result<Vec<Row>> {
-        self.ship_rows_traced_on(node, &Trace::disabled(), direction, schema, rows)
+        self.ship_rows_traced_on(node, &Trace::disabled(), direction, schema, rows, (0, 0))
     }
 
     /// Charge DDL/control-message shipping to a node's link.
@@ -144,7 +146,9 @@ impl Idaa {
     }
 
     /// [`Idaa::ship_rows_on`] with one "transfer" trace event per encoded
-    /// wire frame (kind `frame`, sized at the encoded frame length).
+    /// wire frame (kind `frame`, sized at the encoded frame length plus what
+    /// it carries). `(first, last)` are the bytes of control records riding
+    /// the first and the last frame (one frame carries both).
     pub(crate) fn ship_rows_traced_on(
         &self,
         node: &AccelNode,
@@ -152,14 +156,17 @@ impl Idaa {
         direction: Direction,
         schema: &idaa_common::Schema,
         rows: &[Row],
+        (first, last): (usize, usize),
     ) -> Result<Vec<Row>> {
         let mut delivered = Vec::with_capacity(rows.len());
-        for frame in wire::encode_frames(schema, rows) {
-            let shipped = self.ship_frame_on(node, direction, &frame);
+        let frames = wire::encode_frames(schema, rows);
+        for (i, frame) in frames.iter().enumerate() {
+            let carried = if i == 0 { first } else { 0 } + if i + 1 == frames.len() { last } else { 0 };
+            let shipped = self.ship_frame_on(node, direction, frame, carried);
             let lost = shipped.as_ref().err();
-            self.transfer_event_on(node, trace, direction, "frame", frame.len(), lost);
+            self.transfer_event_on(node, trace, direction, "frame", frame.len() + carried, lost);
             shipped?;
-            delivered.extend(wire::decode_rows(&frame, schema)?);
+            delivered.extend(wire::decode_rows(frame, schema)?);
         }
         Ok(delivered)
     }
@@ -256,19 +263,19 @@ impl Idaa {
         ))
     }
 
-    /// [`Idaa::exchange_on`] for a statement acknowledged by a fixed-size
-    /// control message (counts, DDL acks).
+    /// [`Idaa::exchange_on`] for a statement acknowledged by a control
+    /// message of `ack_bytes` (a count, and any vote riding it).
     pub(crate) fn exchange_control<T>(
         &self,
         node: &AccelNode,
         session: &mut Session,
-        request_bytes: usize,
+        (request_bytes, ack_bytes): (usize, usize),
         exec: impl FnOnce() -> Result<T>,
     ) -> Result<T> {
         let ack = |_: &T| ReplyLeg {
             kind: "control",
-            bytes: wire::ACK_FRAME,
-            sent: node.link.transfer(Direction::ToHost, wire::ACK_FRAME).map(drop),
+            bytes: ack_bytes,
+            sent: node.link.transfer(Direction::ToHost, ack_bytes).map(drop),
         };
         Ok(self.exchange_on(node, session, request_bytes, exec, ack)?.0)
     }

@@ -4,26 +4,77 @@
 //!
 //! DB2 is the coordinator and the one clock. A unit of work (a transaction,
 //! or a statement outside one) reads at one snapshot on every node: DB2's
-//! commit LSN at its first statement ([`Idaa::unit`]). A node joins its
-//! transaction with a BEGIN message when a statement first writes to it
-//! ([`Idaa::enlist_node`]). A unit that wrote nothing ends by releasing its
-//! locks and snapshot. Commit runs PREPARE / vote / decision per participant
-//! and resolves a lost vote by one status inquiry; DB2 numbers the decision
-//! with its commit LSN, which the phase-2 COMMIT frame carries. Each decision
-//! is queued before the LSN is published and dequeued once delivered, so a
-//! lost one waits for the next replication round, read or recovery probe,
-//! and no snapshot past the commit reads the node without it.
+//! commit LSN at its first statement ([`Idaa::unit`]). A unit that wrote
+//! nothing ends by releasing its locks and snapshot.
+//!
+//! The unit's control records ride messages its statements send anyway
+//! ([`Idaa::enlist_node`], [`Carried`]); each adds its `CONTROL_FRAME` bytes
+//! to the message carrying it:
+//! - BEGIN rides a node's first request (statement or row frame) in the
+//!   unit; the node joins the transaction when that request is delivered.
+//! - In an autocommit unit, the statement's last write to each node also
+//!   asks it to PREPARE, and the write's ack carries the vote.
+//! - Commit sends PREPARE and takes a vote only from enlisted nodes whose
+//!   vote has not arrived (every node of an explicit `BEGIN … COMMIT`), and
+//!   resolves a lost vote by one status inquiry. A NO vote or a failed
+//!   early prepare rolls back everywhere (presumed abort).
+//! - DB2 numbers the decision with its commit LSN, which the phase-2
+//!   COMMIT frame carries. Each decision is queued before the LSN is
+//!   published and dequeued once delivered, so a lost one waits for the
+//!   next replication round, read or recovery probe, and no snapshot past
+//!   the commit reads the node without it.
+//!
+//! An autocommit write to one node thus costs three messages (request,
+//! ack, COMMIT); an explicit transaction's COMMIT costs three per node
+//! (PREPARE, vote, COMMIT).
 
 use crate::fleet::AccelNode;
 use crate::idaa::Idaa;
-use crate::session::{Session, UnitOfWork};
+use crate::session::{Session, UnitOfWork, Votes};
 use idaa_accel::Snapshot;
 use idaa_common::trace::Trace;
 use idaa_common::{wire, Error, Result};
 use idaa_host::{Lsn, TxnId};
 use idaa_netsim::{sites, Direction};
-use std::collections::BTreeSet;
+use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
+
+/// The control records one write to one node carries for its unit of work,
+/// riding the write's own request and ack, and what the node did with them.
+pub(crate) struct Carried {
+    /// The unit's DB2 transaction.
+    pub(crate) txn: TxnId,
+    /// The bytes of the BEGIN the request carries: the node's first request
+    /// in the unit (else 0).
+    pub(crate) begin: usize,
+    /// The bytes of the PREPARE the request carries, and of the vote on its
+    /// ack: an autocommit statement's last write to the node (else 0).
+    pub(crate) prepare: usize,
+    /// Whether the node ran the BEGIN, that is joined the transaction.
+    begun: Cell<bool>,
+    /// The node's vote, once it prepared.
+    vote: Cell<Option<Result<()>>>,
+}
+
+impl Carried {
+    /// Receiver side, on the request's first delivery: join the transaction.
+    pub(crate) fn begin_on(&self, node: &AccelNode) {
+        if self.begin > 0 {
+            node.engine.begin(self.txn);
+            self.begun.set(true);
+        }
+    }
+
+    /// Receiver side, after the write: prepare when asked. The vote rides
+    /// the ack, so a failed prepare is the commit's to report, not the
+    /// write's.
+    pub(crate) fn prepare_on(&self, node: &AccelNode) {
+        if self.prepare > 0 {
+            self.vote.set(Some(node.engine.prepare(self.txn)));
+        }
+    }
+}
 
 impl Idaa {
     /// The session's unit of work, begun at its first statement: its
@@ -32,7 +83,7 @@ impl Idaa {
         session.unit.get_or_insert_with(|| UnitOfWork {
             txn: None,
             snapshot: self.host.txns.pin_snapshot(),
-            enlisted: BTreeSet::new(),
+            enlisted: BTreeMap::new(),
             explicit: false,
         })
     }
@@ -43,20 +94,40 @@ impl Idaa {
         Snapshot { seq: unit.snapshot, me: unit.txn.unwrap_or(0) }
     }
 
-    /// Enlist one fleet node in the session's transaction — required for AOT
-    /// DML so that the paper's own-uncommitted-changes visibility holds.
-    /// Callers have already verified the node is ready.
-    pub(crate) fn enlist_node(&self, session: &mut Session, node: &AccelNode) -> Result<TxnId> {
-        let trace = session.trace.clone();
+    /// Run one `write` to `node` in the session's transaction, enlisting the
+    /// node — required for AOT DML so that the paper's
+    /// own-uncommitted-changes visibility holds. Ships nothing of its own:
+    /// the write's messages carry the unit's records ([`Carried`]; `last`:
+    /// it is the statement's last write to the node). The node is enlisted
+    /// once it ran the BEGIN, even if the write then failed, and its vote
+    /// counts once the write's ack arrived. Callers have already verified
+    /// the node is ready.
+    pub(crate) fn enlist_node(
+        &self,
+        session: &mut Session,
+        node: &AccelNode,
+        last: bool,
+        write: impl FnOnce(&mut Session, &Carried) -> Result<usize>,
+    ) -> Result<usize> {
         let unit = self.unit(session);
-        let txn = unit.txn(&self.host);
-        if !unit.enlisted.contains(&node.id) {
-            // BEGIN message
-            self.ship_traced_on(node, &trace, Direction::ToAccel, "control", wire::CONTROL_FRAME)?;
-            node.engine.begin(txn);
-            unit.enlisted.insert(node.id);
+        let record = |carried: bool| if carried { wire::CONTROL_FRAME } else { 0 };
+        let carried = Carried {
+            txn: unit.txn(&self.host),
+            begin: record(!unit.enlisted.contains_key(&node.id)),
+            prepare: record(last && !unit.explicit),
+            begun: Cell::new(false),
+            vote: Cell::new(None),
+        };
+        let written = write(session, &carried);
+        let unit = self.unit(session);
+        if carried.begun.get() {
+            unit.enlisted.insert(node.id, None);
         }
-        Ok(txn)
+        let n = written?;
+        if let Some(vote) = carried.vote.take() {
+            unit.enlisted.insert(node.id, Some(vote));
+        }
+        Ok(n)
     }
 
     /// Commit the session's unit of work. When accelerator nodes
@@ -79,7 +150,7 @@ impl Idaa {
             Ok(())
         } else {
             self.metrics.inc("commits.twopc", 1);
-            self.commit_two_phase(&trace, txn, &Vec::from_iter(enlisted))
+            self.commit_two_phase(&trace, txn, enlisted)
         };
         if let Err(e) = result {
             trace.end(span, self.link().now());
@@ -109,11 +180,12 @@ impl Idaa {
         Ok(())
     }
 
-    /// Two-phase commit across the enlisted nodes `ids`, hardened against a
-    /// stopped accelerator and link-level message loss at every step: all
-    /// prepare, all vote, one host decision, then per-node phase-2 delivery
-    /// of the decision's LSN.
-    fn commit_two_phase(&self, trace: &Trace, txn: TxnId, ids: &[usize]) -> Result<()> {
+    /// Two-phase commit across the `enlisted` nodes, hardened against a
+    /// stopped accelerator and link-level message loss at every step: each
+    /// node whose vote has not arrived prepares and votes, then one host
+    /// decision and per-node phase-2 delivery of the decision's LSN.
+    fn commit_two_phase(&self, trace: &Trace, txn: TxnId, enlisted: Votes) -> Result<()> {
+        let ids = &Vec::from_iter(enlisted.keys().copied());
         // Roll back on every participant and report why.
         let abort_all = |error: fn(String) -> Error, why: String| -> Result<()> {
             self.abort_on(txn, ids)?;
@@ -128,6 +200,12 @@ impl Idaa {
             self.absorb_node_clock(node);
             shipped
         };
+        // An early prepare that failed (its ack carried the failure) is a
+        // NO vote. Checked first: a crash after the prepare leaves the
+        // node crashed, and the vote, not the crash, is what failed.
+        if let Some(Err(e)) = enlisted.values().flatten().find(|vote| vote.is_err()) {
+            return abort_all(Error::CommitFailed, format!("accelerator PREPARE failed ({e})"));
+        }
         // A stopped or crashed accelerator cannot vote: presume abort on
         // all sides. (A crashed engine's copy of the transaction is
         // aborted durably when recovery replays the log.)
@@ -136,9 +214,11 @@ impl Idaa {
         {
             return abort_all(Error::ResourceUnavailable, "the accelerator is unavailable".into());
         }
-        // Phase 1: PREPARE request. Undeliverable after retries means the
-        // participant never voted — presumed abort everywhere.
-        for &i in ids {
+        // Phase 1, for the nodes whose vote has not arrived: PREPARE
+        // request. Undeliverable after retries means the participant never
+        // voted — presumed abort everywhere.
+        let unvoted = &Vec::from_iter(enlisted.iter().filter(|(_, v)| v.is_none()).map(|(&i, _)| i));
+        for &i in unvoted {
             if let Err(e) = ship(i, Direction::ToAccel) {
                 return abort_all(Error::CommitFailed, format!("PREPARE could not be delivered ({e})"));
             }
@@ -149,7 +229,7 @@ impl Idaa {
         if self.faults.registry.fire(sites::PREPARE_VOTE_NO) {
             return abort_all(Error::CommitFailed, "accelerator failed to prepare".into());
         }
-        for &i in ids {
+        for &i in unvoted {
             // A NO vote (or protocol error) aborts everywhere; the host
             // transaction must not stay open holding locks.
             if let Err(e) = self.nodes[i].engine.prepare(txn) {
@@ -160,7 +240,7 @@ impl Idaa {
         // in-doubt: the participant is prepared but the coordinator cannot
         // see the outcome. The resolver re-runs the status inquiry once;
         // if that fails too, all sides roll back (presumed abort).
-        for &i in ids {
+        for &i in unvoted {
             if ship(i, Direction::ToHost).is_err() {
                 let recovered = ship(i, Direction::ToAccel).is_ok() && ship(i, Direction::ToHost).is_ok();
                 if !recovered {
@@ -220,10 +300,10 @@ impl Idaa {
     /// abort everywhere.
     pub(crate) fn roll_back(&self, unit: UnitOfWork) -> Result<()> {
         let Some((txn, enlisted)) = unit.end(&self.host.txns) else { return Ok(()) };
-        for &i in &enlisted {
+        for &i in enlisted.keys() {
             let _ = self.ship_on(&self.nodes[i], Direction::ToAccel, wire::CONTROL_FRAME);
         }
-        self.abort_on(txn, &enlisted)
+        self.abort_on(txn, enlisted.keys())
     }
 
     /// Redeliver COMMIT decisions whose phase-2 message was lost; the

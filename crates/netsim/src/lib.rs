@@ -336,8 +336,21 @@ impl NetLink {
     /// path is the checksum actually failing, not a fiat discard — which
     /// surfaces as [`LinkError::Corrupted`] to the retry machinery.
     pub fn transfer_frame(&self, direction: Direction, frame: &[u8]) -> Result<Duration, LinkError> {
+        self.transfer_frame_carrying(direction, frame, 0)
+    }
+
+    /// [`NetLink::transfer_frame`] for a frame that also carries `carried`
+    /// bytes of control records (a transaction's BEGIN or PREPARE riding a
+    /// write's frame), charged to the wire and logical counters alike, as
+    /// a control message's are.
+    pub fn transfer_frame_carrying(
+        &self,
+        direction: Direction,
+        frame: &[u8],
+        carried: usize,
+    ) -> Result<Duration, LinkError> {
         let logical = wire::frame_logical_len(frame).unwrap_or(frame.len() as u64);
-        self.attempt(direction, frame.len(), logical, Some(frame))
+        self.attempt(direction, frame.len() + carried, logical + carried as u64, Some(frame))
     }
 
     fn attempt(
@@ -450,17 +463,18 @@ impl RetryPolicy {
         self.run(link, || link.transfer(direction, bytes))
     }
 
-    /// [`NetLink::transfer_frame`] with the same retry/backoff behavior as
-    /// [`RetryPolicy::transfer`]. Each attempt re-sends the frame, so a
-    /// checksum-rejected ([`LinkError::Corrupted`]) attempt is recovered by
-    /// a clean retransmission.
+    /// [`NetLink::transfer_frame_carrying`] with the same retry/backoff
+    /// behavior as [`RetryPolicy::transfer`]. Each attempt re-sends the
+    /// frame, so a checksum-rejected ([`LinkError::Corrupted`]) attempt is
+    /// recovered by a clean retransmission.
     pub fn transfer_frame(
         &self,
         link: &NetLink,
         direction: Direction,
         frame: &[u8],
+        carried: usize,
     ) -> Result<Duration, LinkError> {
-        self.run(link, || link.transfer_frame(direction, frame))
+        self.run(link, || link.transfer_frame_carrying(direction, frame, carried))
     }
 
     fn run(
@@ -1129,7 +1143,7 @@ mod tests {
         while delivered < 20 {
             // A 50% corruptor can exhaust a whole retry budget; keep
             // resending, as a statement-level caller would.
-            if RetryPolicy::default().transfer_frame(&link, Direction::ToAccel, &frame).is_ok() {
+            if RetryPolicy::default().transfer_frame(&link, Direction::ToAccel, &frame, 0).is_ok() {
                 delivered += 1;
             }
         }

@@ -7,7 +7,8 @@
 //! one image, every read of accelerator rows follows one rule, injected
 //! faults draw from one seeded stream, the link counts only through
 //! registry handles, product code keeps no process-global state, only DB2
-//! authorizes, and a session's unit of work is one value.
+//! authorizes, and a session's unit of work is one value whose control
+//! records ride its statements.
 
 use std::path::{Path, PathBuf};
 
@@ -226,6 +227,16 @@ fn one_unit_of_work() {
     }
     assert_eq!(built, 1, "a `UnitOfWork` literal is built in more than one place");
     assert_eq!(released, 1, "`release_snapshot(` is called in more than one place");
+}
+
+#[test]
+fn control_records_ride_statements() {
+    // BEGIN, and an autocommit write's PREPARE and vote, ride the messages
+    // a unit of work's statements send: enlisting a node ships nothing.
+    let text = std::fs::read_to_string(root().join("crates/core/src/txn.rs")).unwrap();
+    let body = text.split("fn enlist_node(").nth(1).expect("`enlist_node` exists");
+    let body = body.split("\n    }\n").next().unwrap();
+    assert!(!body.contains("ship"), "`enlist_node` ships a message of its own");
 }
 
 #[test]

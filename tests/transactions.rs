@@ -5,7 +5,7 @@
 //! two-phase-commit failure handling, and lock behavior on the host.
 
 use idaa::accel::Snapshot;
-use idaa::{sites, Idaa, IdaaConfig, Value, SYSADM};
+use idaa::{sites, FleetConfig, Idaa, IdaaConfig, Value, SYSADM};
 use std::sync::atomic::Ordering;
 
 fn system() -> Idaa {
@@ -311,6 +311,118 @@ fn lost_phase_two_commit_is_queued_and_redelivered() {
     assert!(idaa.recover());
     assert_eq!(idaa.pending_accel_commits(), 0);
     assert_eq!(count(&idaa, &mut other, "a"), 1);
+}
+
+// ---------------------------------------------------------------------------
+// An autocommit AOT write's early vote
+//
+// The write's last request to each node carries PREPARE and its ack carries
+// the vote, so the fault windows of phase 1 move into the statement's own
+// exchange. Each case runs at one node and at three nodes with four shards
+// of two copies, where node 2 owns shards 1 and 2 of `T` and node 0 owns
+// shards 0, 2 and 3; an `UPDATE` of every row sends one request and one
+// ack per owned shard, in shard order, then the phase-2 COMMIT.
+
+/// One node, and three nodes with four shards of two copies.
+const TOPOLOGIES: [(usize, usize, usize); 2] = [(1, 1, 1), (3, 4, 2)];
+
+/// `T(K, V)` hashed on K, holding (1, 1) to (8, 8), at `topology`.
+fn aot_system(topology: (usize, usize, usize), config: IdaaConfig) -> Idaa {
+    let (accelerators, shards, replication_factor) = topology;
+    let fleet = FleetConfig { accelerators, shards, replication_factor };
+    let idaa = Idaa::new(IdaaConfig { fleet, ..config });
+    let mut s = idaa.session(SYSADM);
+    idaa.execute(&mut s, "CREATE TABLE T (K INT NOT NULL, V INT) IN ACCELERATOR DISTRIBUTE BY HASH(K)").unwrap();
+    let rows: Vec<String> = (1..=8).map(|k| format!("({k}, {k})")).collect();
+    idaa.execute(&mut s, &format!("INSERT INTO T VALUES {}", rows.join(", "))).unwrap();
+    idaa
+}
+
+/// `SUM(V)` of `T`, read by a fresh session.
+fn sum_v(idaa: &Idaa) -> i64 {
+    match idaa.query(&mut idaa.session(SYSADM), "SELECT SUM(V) FROM T").unwrap().scalar().unwrap() {
+        Value::BigInt(n) => *n,
+        other => panic!("expected BIGINT sum, got {other:?}"),
+    }
+}
+
+/// No node holds an undecided transaction: every participant decided.
+fn assert_all_decided(idaa: &Idaa, nodes: usize) {
+    for n in 0..nodes {
+        let engine = idaa.node_engine(n);
+        assert!(engine.in_doubt().is_empty(), "node {n} holds a prepared transaction");
+        assert!(!engine.table_names().iter().any(|t| engine.undecided_on(t)), "node {n} holds an open write");
+    }
+}
+
+#[test]
+fn a_lost_ack_carrying_the_vote_is_redelivered_applied_once_and_committed() {
+    // The ack of the write's last request to the node (node 0's only
+    // exchange, node 2's shard-2 exchange) is lost once: the request is
+    // redelivered under the same sequence number, deduplicated, and the
+    // resent ack brings the vote.
+    for (topology, (node, ack)) in TOPOLOGIES.into_iter().zip([(0, 1), (2, 3)]) {
+        let idaa = aot_system(topology, IdaaConfig::default());
+        let mut s = idaa.session(SYSADM);
+        idaa.node_registry(node).arm(sites::LINK_TRANSFER, ack, 1);
+        assert_eq!(idaa.execute(&mut s, "UPDATE T SET V = V + 1").unwrap().count(), 8, "{topology:?}");
+        assert_eq!(idaa.statements_deduped(), 1, "{topology:?}");
+        assert_eq!(sum_v(&idaa), 36 + 8, "{topology:?}: applied once and committed");
+        assert_eq!(idaa.metrics().counter("twopc.in_doubt_resolved"), 0, "{topology:?}: no inquiry");
+        assert_all_decided(&idaa, topology.0);
+    }
+}
+
+#[test]
+fn a_no_vote_on_an_autocommit_aot_write_rolls_back_everywhere() {
+    for topology in TOPOLOGIES {
+        let idaa = aot_system(topology, IdaaConfig::default());
+        let mut s = idaa.session(SYSADM);
+        idaa.faults.registry.arm(sites::PREPARE_VOTE_NO, 0, 1);
+        let err = idaa.execute(&mut s, "UPDATE T SET V = 0").unwrap_err();
+        assert_eq!(err.sqlcode(), -926, "{topology:?}: {err}");
+        assert_all_decided(&idaa, topology.0);
+        assert_eq!(sum_v(&idaa), 36, "{topology:?}");
+    }
+}
+
+#[test]
+fn a_crash_after_an_early_prepare_rolls_back_everywhere_and_misses_no_write() {
+    // The node crashes right after logging the PREPARE its last request
+    // carried. That is a failed vote, not an owner that missed the write:
+    // COMMIT fails -926 (not -904 for a crashed participant), every other
+    // participant aborts, the node is flagged for no catch-up, and its
+    // restart presumes abort for the re-materialized transaction.
+    for (topology, node) in TOPOLOGIES.into_iter().zip([0, 2]) {
+        let idaa = aot_system(topology, IdaaConfig::default());
+        let mut s = idaa.session(SYSADM);
+        idaa.node_registry(node).arm(sites::POST_PREPARE, 0, 1);
+        let err = idaa.execute(&mut s, "UPDATE T SET V = 0").unwrap_err();
+        assert_eq!(err.sqlcode(), -926, "{topology:?}: {err}");
+        assert!(idaa.node_engine(node).is_crashed(), "{topology:?}");
+        assert!(idaa.recover_node(node), "{topology:?}");
+        assert_eq!(idaa.fleet_catch_up_bytes(), 0, "{topology:?}: the node missed no write");
+        assert_all_decided(&idaa, topology.0);
+        assert_eq!(sum_v(&idaa), 36, "{topology:?}");
+    }
+}
+
+#[test]
+fn a_lost_commit_after_an_early_vote_stays_queued_until_redelivered() {
+    // Node 0's phase-2 COMMIT follows its one (K=1) or three (shards 0, 2
+    // and 3) request/ack pairs; every delivery attempt of it fails.
+    for (topology, commit) in TOPOLOGIES.into_iter().zip([2, 6]) {
+        let idaa = aot_system(topology, IdaaConfig { auto_replicate: false, ..IdaaConfig::default() });
+        let mut s = idaa.session(SYSADM);
+        idaa.node_registry(0).arm(sites::LINK_TRANSFER, commit, 4);
+        idaa.execute(&mut s, "UPDATE T SET V = V + 1").unwrap();
+        assert_eq!(idaa.pending_accel_commits(), 1, "{topology:?}");
+        assert_eq!(idaa.node_engine(0).in_doubt().len(), 1, "{topology:?}: held prepared");
+        assert!(idaa.recover_node(0), "{topology:?}");
+        assert_eq!(idaa.pending_accel_commits(), 0, "{topology:?}");
+        assert_all_decided(&idaa, topology.0);
+        assert_eq!(sum_v(&idaa), 36 + 8, "{topology:?}");
+    }
 }
 
 // ---------------------------------------------------------------------------
