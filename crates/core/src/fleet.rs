@@ -24,11 +24,12 @@ use crate::idaa::{Idaa, IdaaConfig};
 use crate::replication::Replicator;
 use crate::router;
 use crate::session::Session;
+use crate::transfer::{Message, Request};
 use idaa_accel::{cuts, AccelEngine, Cut, RestartStats, Snapshot};
 use idaa_common::trace::Trace;
 use idaa_common::{wire, Error, MetricsRegistry, ObjectName, Result, Row, Rows, Schema, Value};
 use idaa_host::{AccelStatus, Granted, HostEngine, Lsn, TableKind, TableMeta, TxnId, SYSADM};
-use idaa_netsim::{sites, Direction, FaultRegistry, LinkConfig, LinkMetrics, NetLink, RetryPolicy};
+use idaa_netsim::{sites, Direction, FaultRegistry, LinkConfig, LinkMetrics, NetLink};
 use idaa_sql::ast::{Query, TableRef};
 use idaa_sql::exec::{execute_plan, RowSource};
 use idaa_sql::plan::Plan;
@@ -140,7 +141,7 @@ impl AccelNode {
             registry,
             health: HealthMonitor::default(),
             delivered: SeqTracker::default(),
-            replicator: Mutex::new(Replicator::new(config.replication_batch, RetryPolicy::default())),
+            replicator: Mutex::new(Replicator::new(config.replication_batch)),
             pending_commits: Mutex::new(Vec::new()),
             copies: Mutex::new(HashMap::new()),
             last_restart: Mutex::new(None),
@@ -855,8 +856,8 @@ impl Idaa {
 
     /// AOT insert of host-side rows: every live owner of each shard, enlisted
     /// in the session's transaction, ingests what it decodes from the
-    /// shipped frames; the first frame to a node carries its BEGIN, the
-    /// last its PREPARE, and the ack its vote ([`Carried`](crate::txn::Carried)).
+    /// exchange's row frames; the first frame to a node carries its BEGIN,
+    /// the last its PREPARE, and the ack its vote ([`Carried`](crate::txn::Carried)).
     pub(crate) fn aot_insert_rows(
         &self,
         session: &mut Session,
@@ -864,7 +865,6 @@ impl Idaa {
         rows: Vec<Row>,
     ) -> Result<usize> {
         self.maybe_rebalance();
-        let trace = session.trace.clone();
         let (mut total, mut missed) = (0usize, BTreeSet::new());
         let placement = self.placement(&meta.name, meta.kind);
         let batches = self.split_by_shard(meta, rows, false)?;
@@ -872,16 +872,15 @@ impl Idaa {
         for (s, shard_rows) in batches {
             let st = &placement[s].0;
             total += self.write_on_owners(session, (s, &meta.name), &placement[s], &mut missed, |node, sess| {
-                self.enlist_node(sess, node, last[&node.id] == s, |_, carried| {
-                    let (to, records) = (Direction::ToAccel, (carried.begin, carried.prepare));
-                    let delivered =
-                        self.ship_rows_traced_on(node, &trace, to, &meta.schema, &shard_rows, records)?;
-                    carried.begin_on(node);
-                    let n = node.engine.insert_rows(carried.txn, st, delivered)?;
-                    carried.prepare_on(node);
+                self.enlist_node(sess, node, last[&node.id] == s, |sess, carried| {
+                    let frames = Request::Rows(&meta.schema, &shard_rows, (carried.begin, carried.prepare));
                     let ack = wire::ACK_FRAME + carried.prepare;
-                    self.ship_traced_on(node, &trace, Direction::ToHost, "control", ack)?;
-                    Ok(n)
+                    self.exchange_control(node, sess, (frames, ack), |delivered| {
+                        carried.begin_on(node);
+                        let n = node.engine.insert_rows(carried.txn, st, delivered)?;
+                        carried.prepare_on(node);
+                        Ok(n)
+                    })
                 })
             })?;
         }
@@ -907,8 +906,8 @@ impl Idaa {
             total += self.write_on_owners(session, (s, table), shard, &mut missed, |node, sess| {
                 self.enlist_node(sess, node, last[&node.id] == s, |sess, carried| {
                     let snap = self.snapshot(sess);
-                    let request = request_bytes + carried.begin + carried.prepare;
-                    self.exchange_control(node, sess, (request, wire::ACK_FRAME + carried.prepare), || {
+                    let request = Request::Statement(request_bytes + carried.begin + carried.prepare);
+                    self.exchange_control(node, sess, (request, wire::ACK_FRAME + carried.prepare), |_| {
                         carried.begin_on(node);
                         let n = op(node, snap, &shard.0)?;
                         carried.prepare_on(node);
@@ -959,7 +958,7 @@ impl Idaa {
                 if !ship {
                     return Ok(part);
                 }
-                self.ship_rows_on(node, Direction::ToHost, &meta.schema, &part)
+                self.ship_rows(node, &Trace::disabled(), Direction::ToHost, &meta.schema, &part, (0, 0))
             })?;
             rows.extend(part);
         }
@@ -1006,7 +1005,8 @@ impl Idaa {
                 node.engine.drop_table(local)?;
             }
             node.engine.create_table(local, schema.clone(), &[])?;
-            self.ship_on(node, Direction::ToAccel, wire::CREATE_OUTPUT_FRAME).map(drop)
+            let create = Message::Control(wire::CREATE_OUTPUT_FRAME);
+            self.send(node, &Trace::disabled(), Direction::ToAccel, "control", create).map(drop)
         })?;
         let meta = self.host.table_meta(&name)?;
         let lsn = self.snapshot(session).seq;
@@ -1017,7 +1017,8 @@ impl Idaa {
                 self.write_on_owners(session, (s, &name), &placement[s], &mut missed, |node, _| {
                     let txn = self.host.txns.next_id();
                     let n = node.engine.load_committed(txn, st, shard_rows.clone(), lsn)?;
-                    self.ship_on(node, Direction::ToHost, wire::ACK_FRAME)?;
+                    let ack = Message::Control(wire::ACK_FRAME);
+                    self.send(node, &Trace::disabled(), Direction::ToHost, "control", ack)?;
                     Ok(n)
                 })?;
             }
@@ -1062,8 +1063,8 @@ impl Idaa {
                     if joined.insert(node.id) {
                         node.engine.begin(txn);
                     }
-                    let delivered =
-                        self.ship_rows_on(node, Direction::ToAccel, &meta.schema, &shard_rows)?;
+                    let (trace, to) = (&Trace::disabled(), Direction::ToAccel);
+                    let delivered = self.ship_rows(node, trace, to, &meta.schema, &shard_rows, (0, 0))?;
                     node.engine.insert_rows(txn, st, delivered)
                 })?;
             }
@@ -1109,7 +1110,8 @@ impl Idaa {
         for &i in &committing {
             let node = &self.nodes[i];
             self.sync_node_clock(node);
-            let acked = self.ship_on(node, Direction::ToHost, wire::ACK_FRAME);
+            let ack = Message::Control(wire::ACK_FRAME);
+            let acked = self.send(node, &Trace::disabled(), Direction::ToHost, "control", ack);
             self.absorb_node_clock(node);
             acked?;
         }

@@ -130,10 +130,10 @@ impl HealthMonitor {
     /// same streak counters as regular traffic; a single full round-trip
     /// is enough to return `Online`. Returns true if the accelerator is
     /// `Online` afterwards.
-    pub fn probe(&self, link: &NetLink, retry: &RetryPolicy) -> bool {
+    pub fn probe(&self, link: &NetLink) -> bool {
         self.inner.lock().last_probe = Some(link.now());
         for direction in [Direction::ToAccel, Direction::ToHost] {
-            if retry.transfer(link, direction, PROBE_BYTES).is_err() {
+            if RetryPolicy::default().transfer(link, direction, PROBE_BYTES).is_err() {
                 self.record_failure();
                 return false;
             }
@@ -177,14 +177,6 @@ struct SeqInner {
 }
 
 impl SeqTracker {
-    /// Record delivery of `(stream, seq)`; returns true if this is the
-    /// first delivery (the statement should be applied) and false for a
-    /// duplicate redelivery (discard). Uses the tracker's current epoch.
-    pub fn deliver(&self, stream: u64, seq: u64) -> bool {
-        let epoch = self.inner.lock().epoch;
-        self.deliver_at(stream, seq, epoch) == Delivery::Apply
-    }
-
     /// Record delivery of `(stream, seq)` stamped with the sender's view
     /// of the recovery `epoch`. A newer epoch than the tracker's means
     /// the tracker missed a restart: it resets itself before judging the
@@ -270,23 +262,23 @@ mod tests {
         // A failed probe during an outage leaves us Offline and throttled.
         let window = Duration::ZERO..Duration::from_secs(1);
         link.faults().set_plan(SitePlan::default().and_window(sites::LINK_OUTAGE, window));
-        assert!(!h.probe(&link, &RetryPolicy::none()));
+        assert!(!h.probe(&link));
         assert!(!h.should_probe(link.now()), "probe just happened");
         link.advance(Duration::from_secs(2));
         assert!(h.should_probe(link.now()));
         // Past the window the probe round-trips and restores Online.
-        assert!(h.probe(&link, &RetryPolicy::none()));
+        assert!(h.probe(&link));
         assert_eq!(h.state(), HealthState::Online);
     }
 
     #[test]
     fn seq_tracker_discards_redelivery() {
         let t = SeqTracker::default();
-        assert!(t.deliver(7, 1));
-        assert!(t.deliver(7, 2));
-        assert!(!t.deliver(7, 2), "retried statement must not apply twice");
-        assert!(!t.deliver(7, 1));
-        assert!(t.deliver(8, 1), "streams are independent");
+        assert_eq!(t.deliver_at(7, 1, 0), Delivery::Apply);
+        assert_eq!(t.deliver_at(7, 2, 0), Delivery::Apply);
+        assert_eq!(t.deliver_at(7, 2, 0), Delivery::Duplicate, "retried statement must not apply twice");
+        assert_eq!(t.deliver_at(7, 1, 0), Delivery::Duplicate);
+        assert_eq!(t.deliver_at(8, 1, 0), Delivery::Apply, "streams are independent");
         assert_eq!(t.high_water(7), 2);
         assert_eq!(t.high_water(9), 0);
     }

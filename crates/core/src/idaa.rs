@@ -14,6 +14,7 @@ use crate::fleet::{on_accelerator, AccelNode, FleetConfig, FleetState};
 use crate::procedures::{system_procedures, Procedure};
 use crate::router::Route;
 use crate::session::{Orphans, Session};
+use crate::transfer::Message;
 use idaa_accel::{AccelConfig, AccelEngine, RestartStats};
 use idaa_common::trace::{SpanId, StatementTrace, Trace, TraceSink};
 use idaa_common::wire;
@@ -426,13 +427,14 @@ impl Idaa {
             Some(read) => &*read,
             None => read.insert(self.host.read_table_at(txn, &meta.name)?),
         };
-        let delivered = self.ship_rows_on(node, Direction::ToAccel, &meta.schema, rows)?;
+        let trace = &Trace::disabled();
+        let delivered = self.ship_rows(node, trace, Direction::ToAccel, &meta.schema, rows, (0, 0))?;
         if reload {
             node.engine.truncate(&meta.name)?;
         }
         let n = node.engine.load_committed(txn, &meta.name, delivered, *lsn)?;
         node.copies.lock().insert(meta.name.clone(), *lsn);
-        self.ship_on(node, Direction::ToHost, wire::ACK_FRAME)?;
+        self.send(node, trace, Direction::ToHost, "control", Message::Control(wire::ACK_FRAME))?;
         Ok(n)
     }
 

@@ -12,9 +12,9 @@ use crate::health::HealthState;
 use crate::idaa::Idaa;
 use idaa_accel::{RestartStats, Snapshot};
 use idaa_common::trace::Trace;
-use idaa_common::{wire, Error, ObjectName, Result, Row};
+use idaa_common::{Error, ObjectName, Result};
 use idaa_host::{AccelStatus, TableKind, TableMeta};
-use idaa_netsim::{Direction, RetryPolicy};
+use idaa_netsim::Direction;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
@@ -54,9 +54,7 @@ impl Idaa {
             }
             return true;
         }
-        if node.health.should_probe(node.link.now())
-            && node.health.probe(&node.link, &RetryPolicy::default())
-        {
+        if node.health.should_probe(node.link.now()) && node.health.probe(&node.link) {
             if node.engine.is_crashed() && self.restart_node(node).is_err() {
                 return false;
             }
@@ -140,7 +138,7 @@ impl Idaa {
         if node.engine.is_crashed() {
             node.health.force_offline();
         }
-        if !node.health.probe(&node.link, &RetryPolicy::default()) {
+        if !node.health.probe(&node.link) {
             return false;
         }
         if node.engine.is_crashed() && self.restart_node(&node).is_err() {
@@ -349,17 +347,16 @@ impl Idaa {
             let src = self.nodes[src_id].clone();
             let lsn = self.host.txns.current_lsn();
             let rows = src.engine.scan_at(Snapshot::latest(0), st)?;
-            let mut delivered: Vec<Row> = Vec::with_capacity(rows.len());
-            let mut bytes = 0u64;
-            for frame in wire::encode_frames(&meta.schema, &rows) {
-                self.ship_frame_on(&src, Direction::ToHost, &frame, 0)?;
-                self.ship_frame_on(node, Direction::ToAccel, &frame, 0)?;
-                bytes += 2 * frame.len() as u64;
-                delivered.extend(wire::decode_rows(&frame, &meta.schema)?);
-            }
+            // Through DB2: one leg from the source, one to the node.
+            let (from, to) = (src.link.metrics(), node.link.metrics());
+            let (trace, schema) = (&Trace::disabled(), &meta.schema);
+            let at_host = self.ship_rows(&src, trace, Direction::ToHost, schema, &rows, (0, 0))?;
+            let delivered = self.ship_rows(node, trace, Direction::ToAccel, schema, &at_host, (0, 0))?;
             node.engine.truncate(st)?;
             node.engine.load_committed(self.host.txns.next_id(), st, delivered, lsn)?;
             node.copies.lock().insert(meta.name.clone(), lsn);
+            let bytes = src.link.metrics().since(&from).bytes_to_host
+                + node.link.metrics().since(&to).bytes_to_accel;
             self.metrics.inc("fleet.catch_up.bytes", bytes);
             copied = true;
         }

@@ -36,22 +36,15 @@ pub struct Replicator {
     /// The last apply round could not deliver everything (link fault); the
     /// backlog stays queued in the host log until the next round.
     stalled: bool,
-    retry: RetryPolicy,
     /// Max change records per message.
     batch_size: usize,
 }
 
 impl Replicator {
-    /// Applier starting at LSN 0 with the given batch size and per-message
-    /// retry policy.
-    pub fn new(batch_size: usize, retry: RetryPolicy) -> Replicator {
-        Replicator {
-            last_applied: 0,
-            accel_applied: 0,
-            stalled: false,
-            retry,
-            batch_size: batch_size.max(1),
-        }
+    /// Applier starting at LSN 0 with the given batch size; each message
+    /// is retried by the one [`RetryPolicy`].
+    pub fn new(batch_size: usize) -> Replicator {
+        Replicator { last_applied: 0, accel_applied: 0, stalled: false, batch_size: batch_size.max(1) }
     }
 
     /// The LSN up to which the accelerator acknowledged every DB2 commit.
@@ -147,7 +140,7 @@ impl Replicator {
             for (table, images) in groups {
                 let schema = host.table_meta(&table)?.schema;
                 let frame = wire::encode_frame(&schema, &images);
-                if self.retry.transfer_frame(link, Direction::ToAccel, &frame, 0).is_err() {
+                if RetryPolicy::default().transfer_frame(link, Direction::ToAccel, &frame).is_err() {
                     return Ok((0, false));
                 }
                 let rows = wire::decode_rows(&frame, &schema)?;
@@ -175,7 +168,7 @@ impl Replicator {
             self.accel_applied = self.accel_applied.max(lsn);
         }
         // Only an acknowledged batch may advance the watermark.
-        let acked = self.retry.transfer(link, Direction::ToHost, wire::ACK_FRAME).is_ok();
+        let acked = RetryPolicy::default().transfer(link, Direction::ToHost, wire::ACK_FRAME).is_ok();
         if acked {
             self.last_applied = end;
         }
@@ -319,7 +312,7 @@ mod tests {
     #[test]
     fn inserts_replicate() {
         let (host, accel, link) = setup();
-        let mut rep = Replicator::new(10, RetryPolicy::default());
+        let mut rep = Replicator::new(10);
         let t = host.begin();
         host.insert_rows(&on_t(&host, Privilege::Insert), t, vec![row(1, "a"), row(2, "b")])
             .unwrap();
@@ -333,7 +326,7 @@ mod tests {
     #[test]
     fn uncommitted_changes_do_not_replicate() {
         let (host, accel, link) = setup();
-        let mut rep = Replicator::new(10, RetryPolicy::default());
+        let mut rep = Replicator::new(10);
         let t = host.begin();
         host.insert_rows(&on_t(&host, Privilege::Insert), t, vec![row(1, "a")]).unwrap();
         assert_eq!(rep.apply(&host, &accel, &link).unwrap(), 0);
@@ -345,7 +338,7 @@ mod tests {
     #[test]
     fn updates_and_deletes_converge() {
         let (host, accel, link) = setup();
-        let mut rep = Replicator::new(10, RetryPolicy::default());
+        let mut rep = Replicator::new(10);
         let t = host.begin();
         host.insert_rows(&on_t(&host, Privilege::Insert), t,
             vec![row(1, "a"), row(2, "b"), row(3, "c")],
@@ -390,7 +383,7 @@ mod tests {
             commit_rows(&host, 2 * c, 2);
         }
         commit_rows(&host, 10, 25);
-        let mut rep = Replicator::new(10, RetryPolicy::default());
+        let mut rep = Replicator::new(10);
         assert_eq!(rep.apply(&host, &accel, &link).unwrap(), 35);
         assert_eq!(link.metrics().messages_to_accel, 1 + 3);
         assert_eq!(link.metrics().messages_to_host, 2, "one ack per batch");
@@ -400,9 +393,9 @@ mod tests {
     fn a_commit_is_never_applied_in_part() {
         let (host, accel, link) = setup();
         commit_rows(&host, 0, 25);
-        let mut rep = Replicator::new(10, RetryPolicy::none());
-        // The second of the commit's three messages is lost.
-        link.faults().arm(sites::LINK_TRANSFER, 1, 1);
+        let mut rep = Replicator::new(10);
+        // Every attempt at the second of the commit's three messages is lost.
+        link.faults().arm(sites::LINK_TRANSFER, 1, 4);
         assert_eq!(rep.apply(&host, &accel, &link).unwrap(), 0);
         assert!(rep.stalled());
         assert_eq!(accel_rows(&accel), 0, "no part of the commit is visible");
@@ -413,7 +406,7 @@ mod tests {
     #[test]
     fn duplicate_rows_delete_only_one() {
         let (host, accel, link) = setup();
-        let mut rep = Replicator::new(100, RetryPolicy::default());
+        let mut rep = Replicator::new(100);
         let t = host.begin();
         host.insert_rows(&on_t(&host, Privilege::Insert), t, vec![row(1, "a"), row(1, "a")])
             .unwrap();
@@ -432,7 +425,7 @@ mod tests {
     #[test]
     fn watermark_advances_and_log_truncates() {
         let (host, accel, link) = setup();
-        let mut rep = Replicator::new(10, RetryPolicy::default());
+        let mut rep = Replicator::new(10);
         let t = host.begin();
         host.insert_rows(&on_t(&host, Privilege::Insert), t, vec![row(1, "a")]).unwrap();
         host.commit(t);
@@ -456,10 +449,11 @@ mod tests {
         for c in 0..10 {
             commit_rows(&host, 10 * c, 10);
         }
-        let mut rep = Replicator::new(10, RetryPolicy::none());
+        let mut rep = Replicator::new(10);
         // Each 10-row commit is one batch costing 2 transfers (payload +
-        // ack); kill the payload of batch 4 after 3 healthy batches.
-        link.faults().arm(sites::LINK_TRANSFER, 6, 1);
+        // ack); kill every attempt at the payload of batch 4 after 3 healthy
+        // batches.
+        link.faults().arm(sites::LINK_TRANSFER, 6, 4);
         let first = rep.apply(&host, &accel, &link).unwrap();
         assert_eq!(first, 30, "three batches landed before the fault");
         assert!(rep.stalled());
@@ -483,9 +477,10 @@ mod tests {
         let (host, accel, link) = setup();
         commit_rows(&host, 0, 10);
         commit_rows(&host, 10, 10);
-        let mut rep = Replicator::new(10, RetryPolicy::none());
-        // Deliver batch 1, lose its acknowledgement (transfer #2).
-        link.faults().arm(sites::LINK_TRANSFER, 1, 1);
+        let mut rep = Replicator::new(10);
+        // Deliver batch 1, lose every attempt at its acknowledgement (transfer
+        // #2).
+        link.faults().arm(sites::LINK_TRANSFER, 1, 4);
         let first = rep.apply(&host, &accel, &link).unwrap();
         assert_eq!(first, 10);
         assert!(rep.stalled());
@@ -504,11 +499,11 @@ mod tests {
         let (host, accel, link) = setup();
         commit_rows(&host, 0, 10);
         commit_rows(&host, 10, 5);
-        let mut rep = Replicator::new(10, RetryPolicy::none());
+        let mut rep = Replicator::new(10);
         // Transfers: batch 1 payload, batch 1 ack, batch 2 payload, batch 2
-        // ack — lose the *second* batch's ack, so the 5-row commit is
-        // applied but unacknowledged.
-        link.faults().arm(sites::LINK_TRANSFER, 3, 1);
+        // ack — lose every attempt at the *second* batch's ack, so the 5-row
+        // commit is applied but unacknowledged.
+        link.faults().arm(sites::LINK_TRANSFER, 3, 4);
         let first = rep.apply(&host, &accel, &link).unwrap();
         assert_eq!(first, 15);
         assert!(rep.stalled());
@@ -531,7 +526,7 @@ mod tests {
             sites::LINK_OUTAGE,
             std::time::Duration::ZERO..std::time::Duration::from_millis(50),
         ));
-        let mut rep = Replicator::new(10, RetryPolicy::none());
+        let mut rep = Replicator::new(10);
         let t = host.begin();
         host.insert_rows(&on_t(&host, Privilege::Insert), t, vec![row(1, "a")]).unwrap();
         host.commit(t);

@@ -31,6 +31,7 @@
 use crate::fleet::AccelNode;
 use crate::idaa::Idaa;
 use crate::session::{Session, UnitOfWork, Votes};
+use crate::transfer::Message;
 use idaa_accel::Snapshot;
 use idaa_common::trace::Trace;
 use idaa_common::{wire, Error, Result};
@@ -196,7 +197,8 @@ impl Idaa {
         let ship = |i: usize, direction: Direction| {
             let node = &self.nodes[i];
             self.sync_node_clock(node);
-            let shipped = self.ship_traced_on(node, trace, direction, "control", wire::CONTROL_FRAME);
+            let control = Message::Control(wire::CONTROL_FRAME);
+            let shipped = self.send(node, trace, direction, "control", control);
             self.absorb_node_clock(node);
             shipped
         };
@@ -301,7 +303,8 @@ impl Idaa {
     pub(crate) fn roll_back(&self, unit: UnitOfWork) -> Result<()> {
         let Some((txn, enlisted)) = unit.end(&self.host.txns) else { return Ok(()) };
         for &i in enlisted.keys() {
-            let _ = self.ship_on(&self.nodes[i], Direction::ToAccel, wire::CONTROL_FRAME);
+            let abort = Message::Control(wire::CONTROL_FRAME);
+            let _ = self.send(&self.nodes[i], &Trace::disabled(), Direction::ToAccel, "control", abort);
         }
         self.abort_on(txn, enlisted.keys())
     }
@@ -315,11 +318,12 @@ impl Idaa {
             // queued until recovery re-materializes the prepared txn.
             return;
         }
+        let commit = Message::Control(wire::CONTROL_FRAME);
         node.pending_commits.lock().retain(|&(txn, lsn)| {
-            // Through ship_on(), like every federation message, so
-            // redelivery outcomes feed the health monitor; a failure keeps
-            // the decision queued for the next round.
-            let delivered = self.ship_on(node, Direction::ToAccel, wire::CONTROL_FRAME).is_ok();
+            // Sent like every federation message, so redelivery outcomes
+            // feed the health monitor; a failure keeps the decision queued
+            // for the next round.
+            let delivered = self.send(node, &Trace::disabled(), Direction::ToAccel, "control", commit).is_ok();
             if delivered {
                 node.engine.commit(txn, lsn);
             }

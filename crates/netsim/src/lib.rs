@@ -426,16 +426,14 @@ impl NetLink {
     }
 }
 
-/// Bounded retry with exponential backoff, charged entirely to the link's
-/// virtual clock — a retry loop never sleeps on the wall clock.
+/// The one bounded retry: four attempts, the second 500 µs after the first
+/// fails and each later one after twice the wait before it, all charged to
+/// the link's virtual clock — a retry loop never sleeps on the wall clock.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
-    /// Total attempts (first try included). Must be at least 1.
-    pub max_attempts: u32,
-    /// Backoff before the second attempt.
-    pub backoff: Duration,
-    /// Backoff multiplier between consecutive retries.
-    pub multiplier: u32,
+    max_attempts: u32,
+    backoff: Duration,
+    multiplier: u32,
 }
 
 impl Default for RetryPolicy {
@@ -445,15 +443,22 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Policy that never retries (single attempt).
-    pub fn none() -> RetryPolicy {
-        RetryPolicy { max_attempts: 1, backoff: Duration::ZERO, multiplier: 1 }
+    /// The attempt numbers, from 1 to the policy's bound. Before yielding
+    /// each retry it advances `link`'s virtual clock by the backoff, so a
+    /// caller that stops at a delivered attempt waits no further.
+    pub fn attempts(self, link: &NetLink) -> impl Iterator<Item = u32> + '_ {
+        let mut wait = self.backoff;
+        (1..=self.max_attempts).inspect(move |&attempt| {
+            if attempt > 1 {
+                link.advance(wait);
+                wait = wait.saturating_mul(self.multiplier);
+            }
+        })
     }
 
-    /// Transfer with retry. Backoff advances the virtual clock between
-    /// attempts, so a retry sequence can outlast a short scheduled outage
-    /// window. Returns the cost of the delivered attempt, or the last
-    /// error once attempts are exhausted.
+    /// Transfer with retry, so a retry sequence can outlast a short
+    /// scheduled outage window. Returns the cost of the delivered attempt,
+    /// or the last error once attempts are exhausted.
     pub fn transfer(
         &self,
         link: &NetLink,
@@ -463,8 +468,7 @@ impl RetryPolicy {
         self.run(link, || link.transfer(direction, bytes))
     }
 
-    /// [`NetLink::transfer_frame_carrying`] with the same retry/backoff
-    /// behavior as [`RetryPolicy::transfer`]. Each attempt re-sends the
+    /// [`NetLink::transfer_frame`] with retry: each attempt re-sends the
     /// frame, so a checksum-rejected ([`LinkError::Corrupted`]) attempt is
     /// recovered by a clean retransmission.
     pub fn transfer_frame(
@@ -472,9 +476,8 @@ impl RetryPolicy {
         link: &NetLink,
         direction: Direction,
         frame: &[u8],
-        carried: usize,
     ) -> Result<Duration, LinkError> {
-        self.run(link, || link.transfer_frame_carrying(direction, frame, carried))
+        self.run(link, || link.transfer_frame(direction, frame))
     }
 
     fn run(
@@ -482,22 +485,12 @@ impl RetryPolicy {
         link: &NetLink,
         mut attempt_once: impl FnMut() -> Result<Duration, LinkError>,
     ) -> Result<Duration, LinkError> {
-        let attempts = self.max_attempts.max(1);
-        let mut wait = self.backoff;
-        let mut attempt = 1;
-        loop {
-            match attempt_once() {
-                Ok(cost) => return Ok(cost),
-                Err(e) => {
-                    if attempt >= attempts {
-                        return Err(e);
-                    }
-                    link.advance(wait);
-                    wait = wait.saturating_mul(self.multiplier);
-                    attempt += 1;
-                }
-            }
+        let mut retries = self.attempts(link).skip(1);
+        let mut sent = attempt_once();
+        while sent.is_err() && retries.next().is_some() {
+            sent = attempt_once();
         }
+        sent
     }
 }
 
@@ -1143,7 +1136,7 @@ mod tests {
         while delivered < 20 {
             // A 50% corruptor can exhaust a whole retry budget; keep
             // resending, as a statement-level caller would.
-            if RetryPolicy::default().transfer_frame(&link, Direction::ToAccel, &frame, 0).is_ok() {
+            if RetryPolicy::default().transfer_frame(&link, Direction::ToAccel, &frame).is_ok() {
                 delivered += 1;
             }
         }

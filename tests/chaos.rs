@@ -540,9 +540,10 @@ fn corrupt_faults_are_detected_by_checksum_and_leave_delivered_traffic_clean() {
         assert_eq!(idaa.accel().scan_at(Snapshot::latest(0), &ObjectName::bare("LOG")).unwrap().len(), 40);
         (idaa.link().metrics(), idaa.statements_deduped())
     };
-    // The seed's plan fires each way but leaves every statement exchange
-    // within its four attempts (a 12 % corruptor each way exhausts them on
-    // about one seed in twelve, a -30081 by design).
+    // The seed's plan fires each way but leaves every leg within its four
+    // attempts: a request's sends, and the redeliveries its lost replies
+    // cost. A 12 % corruptor each way still exhausts one leg (0.12⁴ per
+    // leg, a -30081 by design) on about one seed in thirty.
     let corrupting = || {
         SitePlan::default()
             .seeded(32)

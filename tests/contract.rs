@@ -7,8 +7,8 @@
 //! one image, every read of accelerator rows follows one rule, injected
 //! faults draw from one seeded stream, the link counts only through
 //! registry handles, product code keeps no process-global state, only DB2
-//! authorizes, and a session's unit of work is one value whose control
-//! records ride its statements.
+//! authorizes, a session's unit of work is one value whose control records
+//! ride its statements, and every message leaves through one send.
 
 use std::path::{Path, PathBuf};
 
@@ -182,6 +182,18 @@ fn deleted_names_stay_deleted() {
     // The unit of work's scattered setter: a session's transaction is part
     // of its one `UnitOfWork`, which draws the id on first need.
     let units: &[&str] = &["fn ensure_txn("];
+    // The link's separate send routes, their health hook and the retry
+    // policy's one-attempt variant: every message leaves through `send`,
+    // retried by the one policy.
+    let sends: &[&str] = &[
+        "fn ship_on(",
+        "fn ship_frame_on(",
+        "fn ship_traced_on(",
+        "fn ship_rows_on(",
+        "fn ship_rows_traced_on(",
+        "fn observe(",
+        "RetryPolicy::none",
+    ];
     let everywhere = &["crates", "src", "tests"][..];
     for (names, dirs) in [
         (executor, &["crates/accel/src"][..]),
@@ -198,6 +210,7 @@ fn deleted_names_stay_deleted() {
         (fleet_ops, everywhere),
         (reads, everywhere),
         (units, everywhere),
+        (sends, everywhere),
     ] {
         for (path, text) in dirs.iter().flat_map(|d| sources(d)) {
             if path.ends_with("tests/contract.rs") {
@@ -237,6 +250,48 @@ fn control_records_ride_statements() {
     let body = text.split("fn enlist_node(").nth(1).expect("`enlist_node` exists");
     let body = body.split("\n    }\n").next().unwrap();
     assert!(!body.contains("ship"), "`enlist_node` ships a message of its own");
+}
+
+#[test]
+fn every_message_leaves_through_one_send() {
+    // In `idaa-core` a message reaches a link only in `transmit`: the one
+    // attempt that `send` retries, and that a statement's reply makes once.
+    // Replication and the health probe send on their link directly, as each
+    // judges its link once per round or probe. Only `send` and a
+    // statement's redeliveries take the retry policy's attempts, and only
+    // the exchange delivers a sequenced statement; its request leaves
+    // through `send`, so it has no retry loop of its own over it.
+    let link = [".transfer(", ".transfer_frame(", ".transfer_frame_carrying("];
+    // Each name's one home, a method in `transfer.rs`.
+    let homes: [(&str, &[&str]); 4] = [
+        ("    fn transmit(", &link),
+        ("    fn attempts<", &["RetryPolicy::default()"]),
+        ("    pub(crate) fn send(", &["self.attempts("]),
+        ("    fn exchange_on<", &["self.attempts(", "deliver_at("]),
+    ];
+    for (path, text) in product_sources() {
+        let file = path.file_name().unwrap().to_str().unwrap();
+        let direct = ["replication.rs", "health.rs"].contains(&file);
+        if direct || !path.starts_with(root().join("crates/core/src")) {
+            continue;
+        }
+        for name in link.iter().chain(&["RetryPolicy::default()", "self.attempts(", "deliver_at("]) {
+            let home = homes.iter().filter(|(_, names)| file == "transfer.rs" && names.contains(name));
+            let at_home: usize = home.map(|(decl, _)| method(&text, decl).matches(name).count()).sum();
+            let uses = text.matches(name).count();
+            assert_eq!(uses, at_home, "{} names `{name}` outside its one home", path.display());
+        }
+    }
+    let core = |file: &str| std::fs::read_to_string(root().join("crates/core/src").join(file)).unwrap();
+    let (transfer, fleet, recovery) = (core("transfer.rs"), core("fleet.rs"), core("recovery.rs"));
+    let exchange = method(&transfer, "    fn exchange_on<");
+    assert!(!exchange.contains("transmit("), "`exchange_on` sends its request itself");
+    let insert = method(&fleet, "    pub(crate) fn aot_insert_rows(");
+    for name in ["send(", "ship_rows("] {
+        assert!(!insert.contains(name), "an AOT INSERT ships outside its exchange: `{name}`");
+    }
+    let catch_up = method(&recovery, "    pub(crate) fn catch_up_node(");
+    assert!(!catch_up.contains("encode_frames"), "catch-up encodes its own frames");
 }
 
 #[test]

@@ -5,7 +5,8 @@
 //! two-phase-commit failure handling, and lock behavior on the host.
 
 use idaa::accel::Snapshot;
-use idaa::{sites, FleetConfig, Idaa, IdaaConfig, Value, SYSADM};
+use idaa::core::fleet::shard_of;
+use idaa::{sites, FleetConfig, Idaa, IdaaConfig, SitePlan, Value, SYSADM};
 use std::sync::atomic::Ordering;
 
 fn system() -> Idaa {
@@ -422,6 +423,52 @@ fn a_lost_commit_after_an_early_vote_stays_queued_until_redelivered() {
         assert_eq!(idaa.pending_accel_commits(), 0, "{topology:?}");
         assert_all_decided(&idaa, topology.0);
         assert_eq!(sum_v(&idaa), 36 + 8, "{topology:?}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One exchange per statement
+//
+// A statement's request is sent with its own retries; only a lost reply
+// redelivers it, under the same sequence number, and the receiver
+// deduplicates the redelivery. At (3, 4, 2) node 2 serves only shard 2 of a
+// read of `T`, and a row's first owner is its shard modulo three.
+
+#[test]
+fn a_select_outlasts_three_lost_requests_and_then_three_lost_replies() {
+    // The serving node's link loses the request's first three attempts
+    // (hits 1 to 3; the fourth delivers it), then the reply to each of the
+    // first three deliveries (hits 5, 7 and 9).
+    for (topology, node) in TOPOLOGIES.into_iter().zip([0, 2]) {
+        let idaa = aot_system(topology, IdaaConfig::default());
+        let mut lost = SitePlan::default();
+        for hit in [1, 2, 3, 5, 7, 9] {
+            lost = lost.and_at(sites::LINK_TRANSFER, hit);
+        }
+        idaa.set_fault_plan_on(node, lost);
+        let mut s = idaa.session(SYSADM);
+        let rows = idaa.query(&mut s, "SELECT COUNT(*) FROM T");
+        let rows = rows.unwrap_or_else(|e| panic!("{topology:?}: {e}"));
+        assert_eq!(rows.scalar().unwrap(), &Value::BigInt(8), "{topology:?}");
+        assert_eq!(idaa.statements_deduped(), 3, "{topology:?}");
+        assert_eq!(idaa.metrics().counter("fleet.failovers"), 0, "{topology:?}: served where it was sent");
+    }
+}
+
+#[test]
+fn a_lost_insert_ack_redelivers_the_frame_and_applies_the_row_once() {
+    // The row's first owner takes its frame (hit 1) and loses its ack (hit
+    // 2), which carries the vote: the frame is redelivered and deduplicated.
+    for topology in TOPOLOGIES {
+        let idaa = aot_system(topology, IdaaConfig::default());
+        let node = shard_of(&Value::Int(9), topology.1) % topology.0;
+        idaa.node_registry(node).arm(sites::LINK_TRANSFER, 1, 1);
+        let mut s = idaa.session(SYSADM);
+        let inserted = idaa.execute(&mut s, "INSERT INTO T VALUES (9, 9)").unwrap();
+        assert_eq!(inserted.count(), 1, "{topology:?}");
+        assert_eq!(idaa.statements_deduped(), 1, "{topology:?}");
+        assert_eq!(sum_v(&idaa), 36 + 9, "{topology:?}: applied once and committed");
+        assert_all_decided(&idaa, topology.0);
     }
 }
 
