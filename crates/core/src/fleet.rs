@@ -84,8 +84,8 @@ const REBALANCE_AFTER: Duration = Duration::from_millis(20);
 
 /// One accelerator node: the engine plus everything the coordinator tracks
 /// per peer — its metered link, seeded fault registry, health machine,
-/// epoch-fenced delivery tracker, replication stream, queued phase-2
-/// commit decisions and table copies.
+/// epoch-fenced delivery tracker, replication stream, queued COMMIT
+/// decisions and table copies.
 pub struct AccelNode {
     /// Position in the fleet (0-based; node 0 hosts the coordinator's clock).
     pub(crate) id: usize,
@@ -102,7 +102,8 @@ pub struct AccelNode {
     pub(crate) delivered: SeqTracker,
     /// Replication stream shipping committed host changes to this node.
     pub(crate) replicator: Mutex<Replicator>,
-    /// Phase-2 COMMIT decisions with their LSNs, queued until delivered.
+    /// DB2's COMMIT decisions with their LSNs, queued until a message to the
+    /// node carries them.
     pub(crate) pending_commits: Mutex<Vec<(TxnId, Lsn)>>,
     /// The commit LSN of each table's latest copy here (a load, a rebuild
     /// or a catch-up): no earlier snapshot reads the table on this node.
@@ -548,14 +549,13 @@ impl Idaa {
     }
 
     /// Whether `node` holds every DB2 commit up to snapshot `seq` a read of
-    /// `tables` sees, else it is skipped like a down owner: once its queued
-    /// COMMIT decisions were redelivered, none up to `seq` may be left, its
-    /// replication watermark must reach `seq` when a table is replicated,
-    /// and no copy of a table may be newer.
-    fn serves(&self, node: &AccelNode, seq: Lsn, tables: &[ObjectName]) -> Result<()> {
-        self.flush_pending_commits_on(node);
+    /// `tables` sees, else it is skipped like a down owner: no queued COMMIT
+    /// decision up to `seq` may be left, unless the read's own request
+    /// `carries` the queue; its replication watermark must reach `seq` when
+    /// a table is replicated, and no copy of a table may be newer.
+    fn serves(&self, node: &AccelNode, seq: Lsn, tables: &[ObjectName], carries: bool) -> Result<()> {
         let lags = node.replicator.lock().last_applied() < seq;
-        let behind = node.pending_commits.lock().iter().any(|&(_, lsn)| lsn <= seq)
+        let behind = !carries && node.pending_commits.lock().iter().any(|&(_, lsn)| lsn <= seq)
             || tables.iter().any(|t| {
                 lags && self.host.table_meta(t).is_ok_and(|m| m.kind == TableKind::Regular)
                     || node.copies.lock().get(t).is_some_and(|&lsn| lsn > seq)
@@ -595,7 +595,7 @@ impl Idaa {
             }
         }
         for (s, (_, owners)) in plan.shards.iter().enumerate() {
-            self.read_on_owners(session, (s, table), owners, |node, _| self.serves(node, seq, tables))?;
+            self.read_on_owners(session, (s, table), owners, |node, _| self.serves(node, seq, tables, true))?;
         }
         Ok(())
     }
@@ -613,7 +613,7 @@ impl Idaa {
         let sharded = &read.sharded;
         if sharded.is_empty() {
             let served = self.read_on_owners(session, (0, &tables[0]), &read.shards[0].1, |node, s| {
-                self.serves(node, self.snapshot(s).seq, tables)?;
+                self.serves(node, self.snapshot(s).seq, tables, true)?;
                 self.query_on(node, s, q, None)
             });
             return served.map(|(rows, _)| rows);
@@ -690,7 +690,7 @@ impl Idaa {
             trace.attr(id, "shard", shard);
         }
         let result = self.read_on_owners(session, (shard, table), owners, |node, s| {
-            self.serves(node, self.snapshot(s).seq, read)?;
+            self.serves(node, self.snapshot(s).seq, read, true)?;
             if let Err(e) = node.engine.crash_point(sites::MID_SCATTER) {
                 self.fleet.mark_catch_up(node.id);
                 return Err(e);
@@ -940,7 +940,8 @@ impl Idaa {
     /// transaction, routes as under `ALL` (-4742 when it is not on the
     /// accelerator for it), the read plan must be [ready](Self::read_ready),
     /// and each shard is scanned at the session's snapshot by an owner that
-    /// [serves](Self::serves) it.
+    /// [serves](Self::serves) it once its queued decisions are delivered
+    /// (the scan sends it nothing).
     fn read_accel_table(&self, session: &mut Session, grant: &Granted, ship: bool) -> Result<Rows> {
         let meta = self.host.table_meta(grant.object_for(Privilege::Select)?)?;
         let tables = [meta.name.clone()];
@@ -953,7 +954,8 @@ impl Idaa {
         for (s, (locals, owners)) in read.shards.iter().enumerate() {
             let st = locals.first().unwrap_or(&meta.name);
             let (part, _) = self.read_on_owners(session, (s, &meta.name), owners, |node, _| {
-                self.serves(node, snap.seq, &tables)?;
+                self.flush_pending_commits_on(node);
+                self.serves(node, snap.seq, &tables, false)?;
                 let part = node.engine.scan_at(snap, st)?;
                 if !ship {
                     return Ok(part);
@@ -968,10 +970,13 @@ impl Idaa {
     /// Create (or replace) the accelerator-only table `table`, owned by the
     /// session's user, holding `rows` that were computed on the accelerator
     /// (an analytics result). Replacing an existing table takes `replace`,
-    /// the token to drop it. Every ready owner of every shard gets a fresh
-    /// shard table and one `CREATE_OUTPUT_FRAME`, then commits its rows at
-    /// the session's snapshot, which its next read sees, and answers with
-    /// one `ACK_FRAME`; no row crosses a link.
+    /// the token to drop it. The table is DDL that autocommits; then every
+    /// ready owner of every shard takes one exchange, a `CREATE_OUTPUT_FRAME`
+    /// and an `ACK_FRAME`, and writes its rows. Inside `BEGIN` they are
+    /// written in the session's transaction, which the node joins on the
+    /// request, so they commit or roll back with it; outside, they commit at
+    /// the session's snapshot as they land, like a load. No row crosses a
+    /// link.
     pub fn write_output_aot(
         &self,
         session: &mut Session,
@@ -1004,22 +1009,30 @@ impl Idaa {
             if node.engine.has_table(local) {
                 node.engine.drop_table(local)?;
             }
-            node.engine.create_table(local, schema.clone(), &[])?;
-            let create = Message::Control(wire::CREATE_OUTPUT_FRAME);
-            self.send(node, &Trace::disabled(), Direction::ToAccel, "control", create).map(drop)
+            node.engine.create_table(local, schema.clone(), &[])
         })?;
         let meta = self.host.table_meta(&name)?;
-        let lsn = self.snapshot(session).seq;
+        let (lsn, explicit) = (self.snapshot(session).seq, self.unit(session).explicit);
         let placement = self.placement(&name, aot);
         let write = || -> Result<()> {
             for (s, shard_rows) in self.split_by_shard(&meta, rows, true)? {
                 let st = &placement[s].0;
-                self.write_on_owners(session, (s, &name), &placement[s], &mut missed, |node, _| {
-                    let txn = self.host.txns.next_id();
-                    let n = node.engine.load_committed(txn, st, shard_rows.clone(), lsn)?;
-                    let ack = Message::Control(wire::ACK_FRAME);
-                    self.send(node, &Trace::disabled(), Direction::ToHost, "control", ack)?;
-                    Ok(n)
+                self.write_on_owners(session, (s, &name), &placement[s], &mut missed, |node, sess| {
+                    let (rows, ack) = (shard_rows.clone(), wire::ACK_FRAME);
+                    if !explicit {
+                        let txn = self.host.txns.next_id();
+                        let create = Request::Statement(wire::CREATE_OUTPUT_FRAME);
+                        return self.exchange_control(node, sess, (create, ack), |_| {
+                            node.engine.load_committed(txn, st, rows, lsn)
+                        });
+                    }
+                    self.enlist_node(sess, node, false, |sess, carried| {
+                        let create = Request::Statement(wire::CREATE_OUTPUT_FRAME + carried.begin);
+                        self.exchange_control(node, sess, (create, ack), |_| {
+                            carried.begin_on(node);
+                            node.engine.insert_rows(carried.txn, st, rows)
+                        })
+                    })
                 })?;
             }
             Ok(())
@@ -1105,7 +1118,8 @@ impl Idaa {
             self.nodes[i].engine.abort(txn);
         }
         for &i in &committing {
-            self.deliver_commit(&self.nodes[i], txn, lsn);
+            self.nodes[i].engine.commit(txn, lsn);
+            self.nodes[i].pending_commits.lock().retain(|&(t, _)| t != txn);
         }
         for &i in &committing {
             let node = &self.nodes[i];

@@ -287,9 +287,16 @@ impl Idaa {
         *self.nodes[0].last_restart.lock()
     }
 
-    /// COMMIT decisions queued for redelivery (phase-2 message lost).
+    /// COMMIT decisions queued on node 0 for its next message.
     pub fn pending_accel_commits(&self) -> usize {
         self.nodes[0].pending_commits.lock().len()
+    }
+
+    /// Deliver every node's queued COMMIT decisions, each node's on one
+    /// message of its own: a check that reads a node engine directly needs
+    /// them, which otherwise wait for the node's next message.
+    pub fn flush_commit_decisions(&self) {
+        self.nodes.iter().for_each(|node| self.flush_pending_commits_on(node));
     }
 
     /// In-doubt transactions the 2PC resolver recovered (diagnostics).
@@ -372,6 +379,7 @@ impl Idaa {
             let meta = self.host.table_meta(&name)?;
             if table.is_some() || on_accelerator(&meta) {
                 self.on_placement(trace, (&meta.name, meta.kind), || Ok(()), |node, local| {
+                    self.flush_pending_commits_on(node);
                     groomed += node.engine.groom(local, horizon)?;
                     Ok(())
                 })?;
@@ -463,9 +471,6 @@ impl Idaa {
                 node.health.force_offline();
                 watermarks.push(node.replicator.lock().last_applied());
                 continue;
-            }
-            if !self.faults.accel_unavailable.load(Ordering::Relaxed) {
-                self.flush_pending_commits_on(node);
             }
             let mut rep = node.replicator.lock();
             let applied = rep.apply(&self.host, &node.engine, &node.link)?;
@@ -1034,10 +1039,9 @@ mod tests {
         idaa.execute(&mut s, "CREATE TABLE Q (X INT) IN ACCELERATOR").unwrap();
         idaa.execute(&mut s, "BEGIN").unwrap();
         idaa.execute(&mut s, "INSERT INTO Q VALUES (7)").unwrap();
-        // COMMIT: the prepare request and YES vote round-trip, then every
-        // phase-2 delivery attempt dies — the decision is queued while the
-        // accelerator holds the transaction prepared (durably).
-        idaa.faults.registry.arm(sites::LINK_TRANSFER, 2, 8);
+        // COMMIT: the prepare request and YES vote round-trip, and the
+        // decision waits for the node's next message while the accelerator
+        // holds the transaction prepared (durably).
         idaa.execute(&mut s, "COMMIT").unwrap();
         assert_eq!(idaa.pending_accel_commits(), 1);
         // Crash. Restart re-materializes the prepared transaction from the

@@ -144,6 +144,7 @@ impl Idaa {
         if node.engine.is_crashed() && self.restart_node(&node).is_err() {
             return false;
         }
+        self.flush_pending_commits_on(&node);
         if self.fleet.needs_catch_up(node.id) && self.catch_up_node(&node).is_err() {
             return false;
         }

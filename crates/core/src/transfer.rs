@@ -6,8 +6,10 @@
 //! node's metered [`NetLink`](idaa_netsim::NetLink): each attempt is traced
 //! as one "transfer" event, each retry of the one [`RetryPolicy`] as one
 //! "retry" event and one `exchange.retries` count, and the outcome feeds the
-//! node's health monitor. [`Idaa::ship_rows`] sends a row batch as frames
-//! and returns what the receiver decodes.
+//! node's health monitor. A message to a node also carries the node's queued
+//! COMMIT decisions, which it applies once the message is delivered.
+//! [`Idaa::ship_rows`] sends a row batch as frames and returns what the
+//! receiver decodes.
 //!
 //! A statement is one exchange ([`Idaa::exchange_control`],
 //! [`Idaa::exchange_rows`]): its request is sent (with its own retries), the
@@ -45,7 +47,8 @@ impl Idaa {
     /// Send one message over a node's link, retried by the one
     /// [`RetryPolicy`] (backoff consumes only virtual time), and feed the
     /// outcome to its health monitor, so consecutive communication failures
-    /// decay the node's health state.
+    /// decay the node's health state. A message to the node carries its
+    /// queued COMMIT decisions ([`Idaa::deliver_decisions`]).
     pub(crate) fn send(
         &self,
         node: &AccelNode,
@@ -54,11 +57,23 @@ impl Idaa {
         kind: &str,
         message: Message,
     ) -> Result<Duration> {
+        // The node's queued COMMIT decisions ride its next message while its
+        // engine is up, and are applied once that message is delivered.
+        let up = direction == Direction::ToAccel && !node.engine.is_crashed();
+        let mut decisions = up.then(|| node.pending_commits.lock());
+        let riding = decisions.as_ref().map_or(0, |d| d.len() * wire::CONTROL_FRAME);
+        let message = match message {
+            Message::Control(own) => Message::Control(own + riding),
+            Message::Frame(frame, carried) => Message::Frame(frame, carried + riding),
+        };
         let mut lost = String::new();
         for _ in self.attempts(node, trace) {
             match self.transmit(node, trace, direction, kind, message) {
                 Ok(cost) => {
                     node.health.record_success();
+                    if let Some(queue) = &mut decisions {
+                        self.deliver_decisions(node, queue);
+                    }
                     return Ok(cost);
                 }
                 Err(e) => lost = e.to_string(),

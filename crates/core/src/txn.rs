@@ -18,15 +18,18 @@
 //!   vote has not arrived (every node of an explicit `BEGIN … COMMIT`), and
 //!   resolves a lost vote by one status inquiry. A NO vote or a failed
 //!   early prepare rolls back everywhere (presumed abort).
-//! - DB2 numbers the decision with its commit LSN, which the phase-2
-//!   COMMIT frame carries. Each decision is queued before the LSN is
-//!   published and dequeued once delivered, so a lost one waits for the
-//!   next replication round, read or recovery probe, and no snapshot past
-//!   the commit reads the node without it.
+//! - DB2 numbers the decision with its commit LSN and queues it on each
+//!   participant before the LSN is published. It rides the node's next
+//!   message ([`Idaa::send`]), which applies it on delivery before the
+//!   message's own work; a lost message keeps it queued. A read whose own
+//!   request carries the queue may serve a snapshot past it; a path that
+//!   reads a node without sending it anything (an in-process analytics
+//!   scan, GROOM, a catch-up source, recovery) first delivers the queue on a
+//!   message of its own.
 //!
-//! An autocommit write to one node thus costs three messages (request,
-//! ack, COMMIT); an explicit transaction's COMMIT costs three per node
-//! (PREPARE, vote, COMMIT).
+//! An autocommit write to one node thus costs two messages (request and
+//! ack); an explicit transaction's COMMIT costs two per node (PREPARE and
+//! vote).
 
 use crate::fleet::AccelNode;
 use crate::idaa::Idaa;
@@ -133,8 +136,9 @@ impl Idaa {
 
     /// Commit the session's unit of work. When accelerator nodes
     /// participated, run two-phase commit: PREPARE on every participant,
-    /// COMMIT on DB2 (the coordinator), COMMIT on every participant. A unit
-    /// that wrote nothing only releases its locks and its snapshot.
+    /// COMMIT on DB2 (the coordinator), whose decision each participant
+    /// learns from its next message. A unit that wrote nothing only releases
+    /// its locks and its snapshot.
     pub(crate) fn commit_session(&self, session: &mut Session) -> Result<()> {
         let unit = session.unit.take();
         let Some((txn, enlisted)) = unit.and_then(|u| u.end(&self.host.txns)) else { return Ok(()) };
@@ -184,7 +188,7 @@ impl Idaa {
     /// Two-phase commit across the `enlisted` nodes, hardened against a
     /// stopped accelerator and link-level message loss at every step: each
     /// node whose vote has not arrived prepares and votes, then one host
-    /// decision and per-node phase-2 delivery of the decision's LSN.
+    /// decision, queued on every participant for its next message.
     fn commit_two_phase(&self, trace: &Trace, txn: TxnId, enlisted: Votes) -> Result<()> {
         let ids = &Vec::from_iter(enlisted.keys().copied());
         // Roll back on every participant and report why.
@@ -252,19 +256,9 @@ impl Idaa {
                 self.metrics.inc("twopc.in_doubt_resolved", 1);
             }
         }
-        // Phase 2: the decision is durable once the coordinator commits.
-        let lsn = self.decide(txn, ids);
-        for &i in ids {
-            let node = &self.nodes[i];
-            if node.engine.is_crashed() || ship(i, Direction::ToAccel).is_err() {
-                // The decision stays queued for the next replication round,
-                // read or recovery probe; the participant holds the txn
-                // prepared (durably: a crash re-materializes it) until then.
-                self.metrics.inc("twopc.decisions_queued", 1);
-            } else {
-                self.deliver_commit(node, txn, lsn);
-            }
-        }
+        // The decision is durable once the coordinator commits; it rides
+        // each participant's next message ([`Idaa::send`]).
+        self.decide(txn, ids);
         Ok(())
     }
 
@@ -277,10 +271,12 @@ impl Idaa {
         })
     }
 
-    /// Phase 2 on `node`: commit `txn` at DB2's `lsn` and dequeue the decision.
-    pub(crate) fn deliver_commit(&self, node: &AccelNode, txn: TxnId, lsn: Lsn) {
-        node.engine.commit(txn, lsn);
-        node.pending_commits.lock().retain(|&(t, _)| t != txn);
+    /// Receiver side of a message that carried `node`'s queued decisions:
+    /// commit each at its LSN, in decision order, and dequeue it.
+    pub(crate) fn deliver_decisions(&self, node: &AccelNode, queue: &mut Vec<(TxnId, Lsn)>) {
+        for (txn, lsn) in queue.drain(..) {
+            node.engine.commit(txn, lsn);
+        }
     }
 
     /// Abort `txn` on the nodes `ids`, then roll it back in DB2.
@@ -309,25 +305,18 @@ impl Idaa {
         self.abort_on(txn, enlisted.keys())
     }
 
-    /// Redeliver COMMIT decisions whose phase-2 message was lost; the
-    /// accelerator holds those transactions prepared until the decision
-    /// arrives.
+    /// Deliver `node`'s queued decisions on one message of their own, for a
+    /// path that reads the node without sending it anything. A crashed
+    /// engine keeps them queued until recovery re-materializes its prepared
+    /// transactions; a lost message keeps them for the next one.
     pub(crate) fn flush_pending_commits_on(&self, node: &AccelNode) {
-        if node.engine.is_crashed() {
-            // A crashed engine would silently drop the decision; keep it
-            // queued until recovery re-materializes the prepared txn.
+        let queued = node.pending_commits.lock().len() as u64;
+        if queued == 0 || node.engine.is_crashed() {
             return;
         }
-        let commit = Message::Control(wire::CONTROL_FRAME);
-        node.pending_commits.lock().retain(|&(txn, lsn)| {
-            // Sent like every federation message, so redelivery outcomes
-            // feed the health monitor; a failure keeps the decision queued
-            // for the next round.
-            let delivered = self.send(node, &Trace::disabled(), Direction::ToAccel, "control", commit).is_ok();
-            if delivered {
-                node.engine.commit(txn, lsn);
-            }
-            !delivered
-        });
+        let lone = Message::Control(0);
+        if self.send(node, &Trace::disabled(), Direction::ToAccel, "control", lone).is_ok() {
+            self.metrics.inc("twopc.decisions_alone", queued);
+        }
     }
 }

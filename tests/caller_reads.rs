@@ -14,6 +14,9 @@
 //!   transaction had inserted into it;
 //! - W5: an analytics read of an accelerated table read a replica that had
 //!   missed a DB2 commit;
+//! - W4: an analytics result was written outside the transaction of the
+//!   `CALL` that computed it: another session saw it before COMMIT, and
+//!   ROLLBACK left it behind;
 //! - O: an analytics result, committed after another session's commit,
 //!   was invisible to the next read of the transaction that wrote it;
 //! - J: a join of an accelerator-only table with an accelerated table the
@@ -146,6 +149,37 @@ fn an_analytics_output_feeds_the_next_read_of_its_transaction() {
         let cnt = "SELECT CNT FROM STATS2 WHERE COLUMN_NAME = 'CNT'";
         assert_eq!(scalar(&idaa, &mut s, cnt), "2", "{topology:?}");
         run(&idaa, &mut s, &["COMMIT"]);
+    }
+}
+
+#[test]
+fn w4_an_analytics_output_commits_and_rolls_back_with_its_caller() {
+    let count = "SELECT COUNT(*) FROM STATS";
+    for topology in TOPOLOGIES {
+        let (idaa, mut s) = system(topology);
+        let mut other = idaa.session(SYSADM);
+        run(&idaa, &mut other, &["SET CURRENT QUERY ACCELERATION = ELIGIBLE"]);
+        run(&idaa, &mut s, &["BEGIN", "CALL ANALYTICS.DESCRIBE('DATA', 'STATS')"]);
+        assert_eq!(scalar(&idaa, &mut s, count), "2", "{topology:?}: the caller reads its output");
+        assert_eq!(scalar(&idaa, &mut other, count), "0", "{topology:?}: no other session before COMMIT");
+        run(&idaa, &mut s, &["ROLLBACK"]);
+        assert_eq!(scalar(&idaa, &mut s, count), "0", "{topology:?}: ROLLBACK takes the rows away");
+        run(&idaa, &mut s, &["BEGIN", "CALL ANALYTICS.DESCRIBE('DATA', 'STATS')", "COMMIT"]);
+        assert_eq!(scalar(&idaa, &mut other, count), "2", "{topology:?}: COMMIT publishes them");
+    }
+}
+
+#[test]
+fn an_analytics_read_right_after_an_autocommit_insert_sees_the_row() {
+    // The INSERT's decision waits on DATA's owners for their next message.
+    // The CALL reads them in process, sending them nothing, so it first
+    // delivers each owner's queue on a message of its own.
+    for topology in TOPOLOGIES {
+        let (idaa, mut s) = system(topology);
+        run(&idaa, &mut s, &["INSERT INTO DATA VALUES (3, 3.0E0)", "CALL ANALYTICS.DESCRIBE('DATA', 'STATS')"]);
+        let cnt = "SELECT CNT FROM STATS WHERE COLUMN_NAME = 'X'";
+        assert_eq!(scalar(&idaa, &mut s, cnt), "3", "{topology:?}");
+        assert!(idaa.metrics().counter("twopc.decisions_alone") >= 1, "{topology:?}");
     }
 }
 

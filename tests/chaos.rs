@@ -482,15 +482,13 @@ fn crash_at_every_named_site_converges_to_the_crash_free_answer() {
 fn crash_preserves_in_doubt_transactions_until_the_coordinator_decides() {
     let (idaa, mut s) = faulted_system(7);
 
-    // Queued decision: prepare round-trips, every phase-2 delivery dies,
-    // the host commits and queues the accelerator's COMMIT. Then a crash.
+    // Queued decision: prepare round-trips, the host commits and queues the
+    // accelerator's COMMIT for its next message. A crash comes first.
     idaa.execute(&mut s, "BEGIN").unwrap();
     idaa.execute(&mut s, "INSERT INTO LOG VALUES (88)").unwrap();
-    idaa.faults.registry.arm(sites::LINK_TRANSFER, 2, 8);
     idaa.execute(&mut s, "COMMIT").unwrap();
     assert_eq!(idaa.pending_accel_commits(), 1);
     idaa.accel().crash();
-    idaa.faults.registry.clear();
     assert!(idaa.recover());
     assert_eq!(idaa.pending_accel_commits(), 0, "queued decision resolved on restart");
     assert_eq!(idaa.last_restart().unwrap().rematerialized_in_doubt, 1);
@@ -687,7 +685,8 @@ fn fleet_lost_vote_is_resolved_by_the_status_inquiry() {
     idaa.execute(&mut s, "COMMIT").unwrap();
     assert_eq!(idaa.metrics().counter("twopc.in_doubt_resolved"), 1);
     assert_eq!(idaa.in_doubt_resolved(), 1);
-    assert_eq!(idaa.metrics().counter("twopc.decisions_queued"), 0);
+    // The read's requests carry every node's decision: none goes alone.
+    assert_eq!(idaa.metrics().counter("twopc.decisions_alone"), 0);
 
     let mut other = idaa.session(SYSADM);
     idaa.execute(&mut other, "SET CURRENT QUERY ACCELERATION = ELIGIBLE").unwrap();
@@ -977,6 +976,7 @@ fn rotted_checkpoint_falls_back_to_the_previous_valid_one() {
             "recovery must discard the rotted checkpoint"
         );
         assert_eq!(idaa.node_rebuilds(0), 0, "a retained valid checkpoint avoids the rebuild");
+        idaa.flush_commit_decisions();
         (
             idaa.link().metrics(),
             idaa.faults.registry.fired(),
@@ -1261,8 +1261,10 @@ fn single_loaded_answers() -> Vec<Result<Vec<idaa::Row>, i32>> {
     loaded_reads(&idaa, &mut s)
 }
 
-/// Every owner of every shard of `tables` holds the same rows.
+/// Every owner of every shard of `tables` holds the same rows, once each
+/// node has its queued COMMIT decisions.
 fn assert_replicas_agree(idaa: &Idaa, fleet: &FleetConfig, tables: &[&str]) {
+    idaa.flush_commit_decisions();
     let (k, shards) = (fleet.accelerators, fleet.shards);
     for &table in tables {
         for shard in 0..shards {
@@ -1354,6 +1356,7 @@ fn fleet_catch_up_without_a_source_keeps_the_lagging_node_out() {
     idaa.node_registry(1).arm(sites::LINK_TRANSFER, 0, u64::MAX);
     idaa.execute(&mut s, "INSERT INTO L VALUES (3)").unwrap();
     idaa.node_registry(1).clear();
+    idaa.flush_commit_decisions();
     let stale = idaa.node_engine(1).scan_at(Snapshot::latest(0), &ObjectName::bare("L")).unwrap();
     assert_eq!(stale.len(), 2, "node 1 missed the second write");
 

@@ -194,6 +194,9 @@ fn deleted_names_stay_deleted() {
         "fn observe(",
         "RetryPolicy::none",
     ];
+    // Phase 2 as a message of its own, and the counter of decisions it
+    // failed to deliver: a decision rides its node's next message.
+    let phase_two: &[&str] = &["fn deliver_commit(", "decisions_queued"];
     let everywhere = &["crates", "src", "tests"][..];
     for (names, dirs) in [
         (executor, &["crates/accel/src"][..]),
@@ -211,6 +214,7 @@ fn deleted_names_stay_deleted() {
         (reads, everywhere),
         (units, everywhere),
         (sends, everywhere),
+        (phase_two, everywhere),
     ] {
         for (path, text) in dirs.iter().flat_map(|d| sources(d)) {
             if path.ends_with("tests/contract.rs") {
@@ -250,6 +254,36 @@ fn control_records_ride_statements() {
     let body = text.split("fn enlist_node(").nth(1).expect("`enlist_node` exists");
     let body = body.split("\n    }\n").next().unwrap();
     assert!(!body.contains("ship"), "`enlist_node` ships a message of its own");
+}
+
+#[test]
+fn decisions_ride_messages() {
+    // A participant learns DB2's COMMIT decision from the next message it is
+    // sent: `send` hands the decisions that message carried to the one
+    // delivery function, which commits them. A direct load, which ships no
+    // decision, commits its owners itself right after DB2 decides.
+    let homes = [("txn.rs", "    pub(crate) fn deliver_decisions("), ("fleet.rs", "    fn commit_load(")];
+    let mut in_send = 0;
+    for (path, text) in product_sources() {
+        if !path.starts_with(root().join("crates/core/src")) {
+            continue;
+        }
+        let file = path.file_name().unwrap().to_str().unwrap();
+        for (home, decl) in homes {
+            if file == home {
+                assert_eq!(method(&text, decl).matches("engine.commit(").count(), 1, "{decl} commits once");
+            }
+        }
+        let homed = homes.iter().any(|(home, _)| file == *home);
+        let commits = text.matches("engine.commit(").count();
+        assert_eq!(commits, usize::from(homed), "{} commits a decision outside its home", path.display());
+        let delivers = text.matches("self.deliver_decisions(").count();
+        let send = if file == "transfer.rs" { method(&text, "    pub(crate) fn send(") } else { "" };
+        let from_send = send.matches("self.deliver_decisions(").count();
+        assert_eq!(delivers, from_send, "{} delivers decisions outside `send`", path.display());
+        in_send += from_send;
+    }
+    assert_eq!(in_send, 1, "`send` delivers the decisions its message carried");
 }
 
 #[test]

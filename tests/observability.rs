@@ -133,7 +133,9 @@ fn aot_insert_select_is_a_pushdown_on(fleet: FleetConfig) {
             root.render()
         );
     }
-    // Every replica of the target ran the statement on its own copy.
+    // Every replica of the target ran the statement on its own copy, and
+    // holds it committed once its queued decision is delivered.
+    idaa.flush_commit_decisions();
     for i in 0..idaa.fleet_size() {
         let stage = idaa.node_engine(i).scan_at(Snapshot::latest(0), &idaa::ObjectName::bare("STAGE")).unwrap();
         assert_eq!(stage.len(), 2, "node {i} must hold both groups");
@@ -164,12 +166,15 @@ fn commit_replication_and_checkpoint_events_are_traced() {
     let trace = idaa.tracer().last_containing("COMMIT").expect("trace recorded");
     let commit = trace.root.find("commit").expect("commit span");
     assert_eq!(commit.attr("kind"), Some("2pc"));
-    // PREPARE, vote, and phase-2 decision all cross as control messages.
-    assert!(
-        commit.find_all("transfer").len() >= 3,
-        "2PC needs at least three control transfers: {}",
+    // PREPARE and vote cross as control messages; the decision waits for
+    // the node's next message.
+    assert_eq!(
+        commit.find_all("transfer").len(),
+        2,
+        "2PC needs two control transfers: {}",
         trace.root.render()
     );
+    assert_eq!(idaa.pending_accel_commits(), 1);
     assert_eq!(idaa.metrics().counter("commits.twopc"), 1);
 }
 
@@ -224,7 +229,10 @@ fn metrics_reconcile_with_link_metrics_under_seeded_chaos() {
 
     // The link counts straight into the registry. Every firing of a drop
     // site is one failed attempt, and this seed's delivered traffic is
-    // pinned (one INSERT ack is lost, so its 117-byte frame is redelivered).
+    // pinned: each INSERT's COMMIT decision rides the next SELECT's request,
+    // one INSERT ack is lost, so its 117-byte frame is redelivered, and one
+    // SELECT reply is lost, so its 58-byte request is redelivered without
+    // the decision its first delivery carried.
     let drops = idaa.faults.registry.fired().len() as u64;
     assert_eq!(after.counter("link.failures"), drops, "\n{}", after.render());
     assert_eq!(drops, 11, "the fault plan must have bitten");
@@ -235,7 +243,8 @@ fn metrics_reconcile_with_link_metrics_under_seeded_chaos() {
         "link.delivered.to_host.msgs",
     ]
     .map(|name| after.counter(name));
-    assert_eq!(delivered, [5901, 66, 2848, 43], "\n{}", after.render());
+    assert_eq!(delivered, [5959, 47, 2848, 43], "\n{}", after.render());
+    assert_eq!(after.counter("exchange.deduped"), 4, "\n{}", after.render());
     // Statement accounting adds up: every statement is either host- or
     // accelerator-routed or failed with an SQLCODE.
     let statements = after.counter("statements.total");
@@ -811,7 +820,7 @@ fn server_queue_events_and_counters_reconcile_with_the_completion_log() {
 /// registry — compared byte for byte against a committed fixture. The
 /// script walks the whole accelerator lifecycle: AOT DDL, every AOT write
 /// shape, 2PC (clean, rolled back, and with a lost vote resolved by the
-/// status inquiry, and with a queued phase-2 decision), an offloaded query, a stopped accelerator, a dropping
+/// status inquiry, and with a decision whose carrier is lost), an offloaded query, a stopped accelerator, a dropping
 /// link, and a crash at every named site followed by recovery.
 #[test]
 fn single_accelerator_golden_is_byte_identical() {
@@ -846,8 +855,9 @@ fn single_accelerator_golden_is_byte_identical() {
     run(&mut s, "INSERT INTO STAGE VALUES ('T3', 3.0E0)");
     idaa.faults.registry.arm(sites::LINK_TRANSFER, 1, 4);
     run(&mut s, "COMMIT");
-    // A 2PC whose phase-2 decision cannot be delivered: it is queued and
-    // redelivered by the replication round that follows the commit.
+    // A 2PC whose decision's carrier is lost: every attempt of the next
+    // request (the offloaded SELECT's, which then runs on DB2) fails, the
+    // decision stays queued, and the request after it carries it.
     run(&mut s, "BEGIN");
     run(&mut s, "INSERT INTO STAGE VALUES ('T4', 4.0E0)");
     idaa.faults.registry.arm(sites::LINK_TRANSFER, 2, 4);

@@ -5,16 +5,20 @@
 //! A unit of work's control records ride messages its statements send
 //! anyway: BEGIN rides a node's first request, and an autocommit write's
 //! PREPARE rides its last request to each node, with the vote on the ack.
-//! Each record still adds its bytes to the message carrying it, so every
-//! statement moves the bytes it moved when each record was a message of
-//! its own; only the message count falls. The tables pin both, next to the
-//! count with standalone records (BEGIN, PREPARE and vote one message each).
+//! DB2's COMMIT decision rides each participant's next request, whichever
+//! statement sends it. Each record still adds its bytes to the message
+//! carrying it, so the script moves the bytes it moved when each record was
+//! a message of its own, and a decision's bytes move to the statement that
+//! carries it. The tables pin messages and bytes, next to the count with a
+//! phase-2 COMMIT message of its own and the count with every record
+//! standalone (BEGIN, PREPARE, vote and COMMIT one message each).
 
 use idaa::{FleetConfig, Idaa, IdaaConfig, Session, SYSADM};
 
-/// One measured statement: its SQL, its messages, its messages with
-/// standalone control records, and its bytes (the same either way).
-type Cost = (&'static str, u64, u64, u64);
+/// One measured statement: its SQL, its messages, its messages with a
+/// phase-2 COMMIT message of its own, its messages with every control
+/// record standalone, and its bytes.
+type Cost = (&'static str, u64, u64, u64, u64);
 
 /// DB2's `H(K, V)`, accelerated and loaded, and the AOT `T(K, V)` hashed on K.
 const SETUP: &[&str] = &[
@@ -50,57 +54,59 @@ const SCRIPT: &[&str] = &[
     "ROLLBACK",
 ];
 
-/// At one node. An autocommit AOT write is its request (carrying BEGIN and
-/// PREPARE), its ack (carrying the vote) and the phase-2 COMMIT; an
-/// explicit transaction's first AOT statement is its request (carrying
-/// BEGIN) and its ack, and its COMMIT is PREPARE, vote and COMMIT, plus a
-/// replication round when it changed DB2.
+/// At one node. An autocommit AOT write is one exchange: its request
+/// (carrying BEGIN, PREPARE and the previous statement's decision) and its
+/// ack (carrying the vote). An explicit transaction's first AOT statement
+/// is its request (carrying BEGIN) and its ack, and its COMMIT is PREPARE
+/// and vote, plus a replication round when it changed DB2. A read's request
+/// carries the decision the last write left queued (+32 B).
 const ONE_NODE: &[Cost] = &[
-    ("INSERT INTO T VALUES (1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (7, 7), (8, 8)", 3, 6, 250),
-    ("UPDATE T SET V = V + 1", 3, 6, 248),
-    ("DELETE FROM T WHERE K = 8", 3, 6, 251),
-    ("INSERT INTO T SELECT K + 10, V FROM H", 3, 6, 267),
-    ("SELECT COUNT(*) FROM T", 2, 2, 94),
-    ("SELECT SUM(V) FROM H", 2, 2, 92),
-    ("INSERT INTO H VALUES (9, 9)", 2, 2, 108),
-    ("UPDATE H SET V = 0 WHERE K = 9", 2, 2, 110),
-    ("BEGIN", 0, 0, 0),
-    ("INSERT INTO T VALUES (20, 20)", 2, 3, 140),
-    ("UPDATE T SET V = 0 WHERE K = 20", 2, 2, 129),
-    ("COMMIT", 3, 3, 96),
-    ("BEGIN", 0, 0, 0),
-    ("INSERT INTO H VALUES (10, 10)", 0, 0, 0),
-    ("DELETE FROM T WHERE K = 20", 2, 3, 156),
-    ("COMMIT", 5, 5, 204),
-    ("BEGIN", 0, 0, 0),
-    ("DELETE FROM T WHERE K = 1", 2, 3, 155),
-    ("ROLLBACK", 1, 1, 32),
+    ("INSERT INTO T VALUES (1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (7, 7), (8, 8)", 2, 3, 6, 218),
+    ("UPDATE T SET V = V + 1", 2, 3, 6, 248),
+    ("DELETE FROM T WHERE K = 8", 2, 3, 6, 251),
+    ("INSERT INTO T SELECT K + 10, V FROM H", 2, 3, 6, 267),
+    ("SELECT COUNT(*) FROM T", 2, 2, 2, 126),
+    ("SELECT SUM(V) FROM H", 2, 2, 2, 92),
+    ("INSERT INTO H VALUES (9, 9)", 2, 2, 2, 108),
+    ("UPDATE H SET V = 0 WHERE K = 9", 2, 2, 2, 110),
+    ("BEGIN", 0, 0, 0, 0),
+    ("INSERT INTO T VALUES (20, 20)", 2, 2, 3, 140),
+    ("UPDATE T SET V = 0 WHERE K = 20", 2, 2, 2, 129),
+    ("COMMIT", 2, 3, 3, 64),
+    ("BEGIN", 0, 0, 0, 0),
+    ("INSERT INTO H VALUES (10, 10)", 0, 0, 0, 0),
+    ("DELETE FROM T WHERE K = 20", 2, 2, 3, 188),
+    ("COMMIT", 4, 5, 5, 172),
+    ("BEGIN", 0, 0, 0, 0),
+    ("DELETE FROM T WHERE K = 1", 2, 2, 3, 187),
+    ("ROLLBACK", 1, 1, 1, 32),
 ];
 
 /// At three nodes, four shards, two replicas: each owner of each shard
 /// takes a request and an ack, each enlisted node's first request carries
-/// its BEGIN, and in autocommit its last request its PREPARE; a read of a
+/// its BEGIN, and in autocommit its last request its PREPARE; each
+/// participant's next request carries DB2's decision; a read of a
 /// replicated table runs whole on one node.
 const FLEET: &[Cost] = &[
-    ("INSERT INTO T VALUES (1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (7, 7), (8, 8)", 19, 28, 1264),
-    ("UPDATE T SET V = V + 1", 19, 28, 1344),
-    ("DELETE FROM T WHERE K = 8", 19, 28, 1368),
-    ("INSERT INTO T SELECT K + 10, V FROM H", 21, 30, 1355),
-    ("SELECT COUNT(*) FROM T", 8, 8, 428),
-    ("SELECT SUM(V) FROM H", 2, 2, 92),
-    ("INSERT INTO H VALUES (9, 9)", 6, 6, 324),
-    ("UPDATE H SET V = 0 WHERE K = 9", 6, 6, 330),
-    ("BEGIN", 0, 0, 0),
-    ("INSERT INTO T VALUES (20, 20)", 4, 6, 280),
-    ("UPDATE T SET V = 0 WHERE K = 20", 16, 17, 1064),
-    ("COMMIT", 9, 9, 288),
-    ("BEGIN", 0, 0, 0),
-    ("INSERT INTO H VALUES (10, 10)", 0, 0, 0),
-    ("DELETE FROM T WHERE K = 20", 16, 19, 1088),
-    ("COMMIT", 15, 15, 612),
-    ("BEGIN", 0, 0, 0),
-    ("DELETE FROM T WHERE K = 1", 16, 19, 1080),
-    ("ROLLBACK", 3, 3, 96),
+    ("INSERT INTO T VALUES (1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (7, 7), (8, 8)", 16, 19, 28, 1168),
+    ("UPDATE T SET V = V + 1", 16, 19, 28, 1344),
+    ("DELETE FROM T WHERE K = 8", 16, 19, 28, 1368),
+    ("INSERT INTO T SELECT K + 10, V FROM H", 18, 21, 30, 1355),
+    ("SELECT COUNT(*) FROM T", 8, 8, 8, 524),
+    ("SELECT SUM(V) FROM H", 2, 2, 2, 92),
+    ("INSERT INTO H VALUES (9, 9)", 6, 6, 6, 324),
+    ("UPDATE H SET V = 0 WHERE K = 9", 6, 6, 6, 330),
+    ("BEGIN", 0, 0, 0, 0),
+    ("INSERT INTO T VALUES (20, 20)", 4, 4, 6, 280),
+    ("UPDATE T SET V = 0 WHERE K = 20", 16, 16, 17, 1064),
+    ("COMMIT", 6, 9, 9, 192),
+    ("BEGIN", 0, 0, 0, 0),
+    ("INSERT INTO H VALUES (10, 10)", 0, 0, 0, 0),
+    ("DELETE FROM T WHERE K = 20", 16, 16, 19, 1184),
+    ("COMMIT", 12, 15, 15, 516),
+    ("BEGIN", 0, 0, 0, 0),
+    ("DELETE FROM T WHERE K = 1", 16, 16, 19, 1176),
+    ("ROLLBACK", 3, 3, 3, 96),
 ];
 
 /// Run the script at `topology`, print each statement's messages and bytes,
@@ -112,15 +118,22 @@ fn assert_costs((accelerators, shards, replication_factor): (usize, usize, usize
     for sql in SETUP {
         idaa.execute(&mut s, sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
     }
-    println!("({accelerators}, {shards}, {replication_factor}): messages (standalone records), bytes");
+    println!(
+        "({accelerators}, {shards}, {replication_factor}): messages (phase-2 COMMIT alone, \
+         standalone records), bytes"
+    );
     assert_eq!(SCRIPT.len(), expected.len());
-    for (&sql, &(pinned, msgs, standalone, bytes)) in SCRIPT.iter().zip(expected) {
+    let mut actual = Vec::new();
+    for (&sql, &(pinned, _, alone, standalone, _)) in SCRIPT.iter().zip(expected) {
         assert_eq!(sql, pinned);
         let before = idaa.fleet_link_metrics();
         idaa.execute(&mut s, sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
         let m = idaa.fleet_link_metrics().since(&before);
-        println!("  {:>3} ({standalone:>2}) {:>5} B  {sql}", m.total_messages(), m.total_bytes());
-        assert_eq!((m.total_messages(), m.total_bytes()), (msgs, bytes), "{sql}");
+        println!("  {:>3} ({alone:>2}, {standalone:>2}) {:>5} B  {sql}", m.total_messages(), m.total_bytes());
+        actual.push((m.total_messages(), m.total_bytes()));
+    }
+    for (&(sql, msgs, _, _, bytes), &got) in expected.iter().zip(&actual) {
+        assert_eq!(got, (msgs, bytes), "{sql}");
     }
 }
 

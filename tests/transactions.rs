@@ -8,6 +8,7 @@ use idaa::accel::Snapshot;
 use idaa::core::fleet::shard_of;
 use idaa::{sites, FleetConfig, Idaa, IdaaConfig, SitePlan, Value, SYSADM};
 use std::sync::atomic::Ordering;
+use std::time::Duration;
 
 fn system() -> Idaa {
     Idaa::default()
@@ -291,14 +292,15 @@ fn unresolvable_in_doubt_transaction_rolls_back_everywhere() {
 
 #[test]
 fn lost_phase_two_commit_is_queued_and_redelivered() {
-    // Both participants voted YES and the coordinator committed, but the
-    // phase-2 COMMIT message to the accelerator is lost. The decision is
-    // queued; the accelerator holds the transaction prepared until
-    // redelivery, and no snapshot taken after the COMMIT reads it there
-    // before: a read first redelivers the decision, or fails.
+    // Both participants voted YES and the coordinator committed; the
+    // decision is queued for the accelerator's next message, and every
+    // attempt of that message is lost. The accelerator holds the
+    // transaction prepared until redelivery, and no snapshot taken after
+    // the COMMIT reads it there before: a read carries the decision, or
+    // fails.
     let idaa = Idaa::new(IdaaConfig { auto_replicate: false, ..IdaaConfig::default() });
     let mut s = open_mixed_txn(&idaa);
-    // PREPARE (1) and vote (2) deliver; phase-2 COMMIT →accel fails ×4.
+    // PREPARE (1) and vote (2) deliver; the next message →accel fails ×4.
     idaa.faults.registry.arm(sites::LINK_TRANSFER, 2, 4);
     idaa.execute(&mut s, "COMMIT").unwrap(); // coordinator decision is durable
     assert_eq!(idaa.pending_accel_commits(), 1);
@@ -306,8 +308,9 @@ fn lost_phase_two_commit_is_queued_and_redelivered() {
     let mut other = idaa.session(SYSADM);
     match idaa.query(&mut other, "SELECT COUNT(*) FROM a") {
         Ok(rows) => assert_eq!(rows.scalar().unwrap(), &Value::BigInt(1), "COMMIT returned"),
-        Err(e) => assert_eq!(e.sqlcode(), -904, "{e}"),
+        Err(e) => assert!(matches!(e.sqlcode(), -904 | -30081), "{e}"),
     }
+    assert_eq!(idaa.pending_accel_commits(), 1, "a lost carrier leaves the decision queued");
     // Recovery redelivers the queued decision.
     assert!(idaa.recover());
     assert_eq!(idaa.pending_accel_commits(), 0);
@@ -322,7 +325,8 @@ fn lost_phase_two_commit_is_queued_and_redelivered() {
 // exchange. Each case runs at one node and at three nodes with four shards
 // of two copies, where node 2 owns shards 1 and 2 of `T` and node 0 owns
 // shards 0, 2 and 3; an `UPDATE` of every row sends one request and one
-// ack per owned shard, in shard order, then the phase-2 COMMIT.
+// ack per owned shard, in shard order, and leaves DB2's decision queued on
+// each node for its next message.
 
 /// One node, and three nodes with four shards of two copies.
 const TOPOLOGIES: [(usize, usize, usize); 2] = [(1, 1, 1), (3, 4, 2)];
@@ -410,19 +414,109 @@ fn a_crash_after_an_early_prepare_rolls_back_everywhere_and_misses_no_write() {
 
 #[test]
 fn a_lost_commit_after_an_early_vote_stays_queued_until_redelivered() {
-    // Node 0's phase-2 COMMIT follows its one (K=1) or three (shards 0, 2
-    // and 3) request/ack pairs; every delivery attempt of it fails.
-    for (topology, commit) in TOPOLOGIES.into_iter().zip([2, 6]) {
+    // The UPDATE's decision waits on `node` for its next message: the
+    // request of a read it serves (all of `T` at one node, shard 2 at three
+    // nodes), every attempt of which is lost. The read fails (-30081) or
+    // fails over, and the node holds the transaction prepared. The next
+    // read it serves (shard 2 back on its preferred owner after the
+    // rebalance delay) carries the decision once: its request is 32 B
+    // longer than the one after it.
+    for (topology, node) in TOPOLOGIES.into_iter().zip([0, 2]) {
         let idaa = aot_system(topology, IdaaConfig { auto_replicate: false, ..IdaaConfig::default() });
         let mut s = idaa.session(SYSADM);
-        idaa.node_registry(0).arm(sites::LINK_TRANSFER, commit, 4);
         idaa.execute(&mut s, "UPDATE T SET V = V + 1").unwrap();
-        assert_eq!(idaa.pending_accel_commits(), 1, "{topology:?}");
-        assert_eq!(idaa.node_engine(0).in_doubt().len(), 1, "{topology:?}: held prepared");
-        assert!(idaa.recover_node(0), "{topology:?}");
-        assert_eq!(idaa.pending_accel_commits(), 0, "{topology:?}");
+        idaa.node_registry(node).arm(sites::LINK_TRANSFER, 0, 4);
+        match idaa.query(&mut s, "SELECT SUM(V) FROM T") {
+            Ok(sum) => assert_eq!(sum.scalar().unwrap(), &Value::BigInt(44), "{topology:?}"),
+            Err(e) => assert_eq!(e.sqlcode(), -30081, "{topology:?}: {e}"),
+        }
+        assert_eq!(idaa.node_engine(node).in_doubt().len(), 1, "{topology:?}: held prepared");
+        idaa.link().advance(Duration::from_millis(25));
+        let read = || {
+            let before = idaa.node_link(node).metrics().bytes_to_accel;
+            assert_eq!(sum_v(&idaa), 36 + 8, "{topology:?}");
+            idaa.node_link(node).metrics().bytes_to_accel - before
+        };
+        let (carrying, next) = (read(), read());
+        assert_eq!(carrying, next + 32, "{topology:?}: the decision rides one request");
+        assert_eq!(idaa.metrics().counter("twopc.decisions_alone"), 0, "{topology:?}");
         assert_all_decided(&idaa, topology.0);
-        assert_eq!(sum_v(&idaa), 36 + 8, "{topology:?}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// DB2's COMMIT decision rides the node's next message
+//
+// When DB2 commits, each participant's decision is queued and rides the
+// next message sent to that node, adding its 32 B; the node applies it on
+// delivery, before the message's own work. A lost message keeps it queued.
+
+/// `sql`'s rows, and the messages and bytes it put on every node's link.
+fn measured(idaa: &Idaa, s: &mut idaa::Session, sql: &str) -> (Vec<idaa::Row>, (u64, u64)) {
+    let before = idaa.fleet_link_metrics();
+    let out = idaa.execute(s, sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    let moved = idaa.fleet_link_metrics().since(&before);
+    (out.rows().map(|r| r.rows.clone()).unwrap_or_default(), (moved.total_messages(), moved.total_bytes()))
+}
+
+#[test]
+fn an_autocommit_aot_insert_is_one_exchange_and_the_next_read_carries_its_decision() {
+    // The row (9, 9) lands on one shard: one request and one ack per owner
+    // (one owner at one node, two at three). The next read's requests reach
+    // both owners and carry their decisions, and the read sees the row.
+    for (topology, owners) in TOPOLOGIES.into_iter().zip([1, 2]) {
+        let idaa = aot_system(topology, IdaaConfig::default());
+        let mut s = idaa.session(SYSADM);
+        let count = "SELECT COUNT(*) FROM T";
+        measured(&idaa, &mut s, count);
+        let (_, insert) = measured(&idaa, &mut s, "INSERT INTO T VALUES (9, 9)");
+        assert_eq!(insert.0, 2 * owners, "{topology:?}: one exchange per owner");
+        let (rows, carrying) = measured(&idaa, &mut s, count);
+        assert_eq!(rows, vec![vec![Value::BigInt(9)]], "{topology:?}");
+        let (_, plain) = measured(&idaa, &mut s, count);
+        assert_eq!(carrying, (plain.0, plain.1 + 32 * owners), "{topology:?}: +32 B per decision");
+        assert_eq!(idaa.metrics().counter("twopc.decisions_alone"), 0, "{topology:?}");
+    }
+}
+
+#[test]
+fn a_failover_read_carries_the_secondary_owners_decision() {
+    // The row's shard has two owners. The first, cut off, crashes before
+    // any message carries its decision, so the read fails over to the
+    // second, whose request carries that owner's decision. One shard on two
+    // nodes stands in for one node, which has no owner to fail over to.
+    for topology in [(2, 1, 2), (3, 4, 2)] {
+        let idaa = aot_system(topology, IdaaConfig::default());
+        let mut s = idaa.session(SYSADM);
+        let count = "SELECT COUNT(*) FROM T";
+        measured(&idaa, &mut s, count);
+        idaa.execute(&mut s, "INSERT INTO T VALUES (9, 9)").unwrap();
+        let shard = shard_of(&Value::Int(9), topology.1);
+        let (first, second) = (shard % topology.0, (shard + 1) % topology.0);
+        idaa.node_engine(first).crash();
+        idaa.node_registry(first).arm(sites::LINK_TRANSFER, 0, u64::MAX);
+        assert_eq!(idaa.node_engine(second).in_doubt().len(), 1, "{topology:?}: held prepared");
+        let (rows, _) = measured(&idaa, &mut s, count);
+        assert_eq!(rows, vec![vec![Value::BigInt(9)]], "{topology:?}");
+        assert!(idaa.fleet_failovers() >= 1, "{topology:?}");
+        assert!(idaa.node_engine(second).in_doubt().is_empty(), "{topology:?}: the request carried it");
+        assert_eq!(idaa.metrics().counter("twopc.decisions_alone"), 0, "{topology:?}");
+    }
+}
+
+#[test]
+fn a_second_sessions_update_right_after_an_autocommit_update_is_not_refused() {
+    // A row version an undecided transaction wrote is not B's to update
+    // (without A's decision, B's UPDATE changes no row); B's request
+    // carries A's decision and applies it before B's UPDATE runs.
+    for topology in TOPOLOGIES {
+        let idaa = aot_system(topology, IdaaConfig::default());
+        let (mut a, mut b) = (idaa.session(SYSADM), idaa.session(SYSADM));
+        idaa.execute(&mut a, "UPDATE T SET V = 100 WHERE K = 1").unwrap();
+        let updated = idaa.execute(&mut b, "UPDATE T SET V = V + 1 WHERE K = 1");
+        assert_eq!(updated.unwrap_or_else(|e| panic!("{topology:?}: {e}")).count(), 1, "{topology:?}");
+        assert_eq!(sum_v(&idaa), 36 - 1 + 101, "{topology:?}");
+        assert_all_decided(&idaa, topology.0);
     }
 }
 
